@@ -273,3 +273,45 @@ func BenchmarkS2_EngineThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(tasks)/b.Elapsed().Seconds(), "tasks/sec")
 }
+
+// BenchmarkChooseNext — systems: one task request against the engine's rank
+// index, in FP-MU's MU phase. Every resource holds the same two posts, so
+// each pick sinks from the top of the heap to the bottom of its tie class —
+// the longest path the index has. ns/op should grow with log n (≤ 3× from
+// 1e3 to 1e5 resources; a scan of the project would show as 100×) and the
+// call allocates nothing.
+func BenchmarkChooseNext(b *testing.B) {
+	for _, n := range []int{1e3, 1e4, 1e5} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			resources := make([]itag.Resource, n)
+			seed := make(map[string][][]string, n)
+			for i := range resources {
+				id := fmt.Sprintf("r%06d", i)
+				resources[i] = itag.Resource{ID: id, Popularity: 1}
+				seed[id] = [][]string{{"a", "b"}, {"a", "b"}}
+			}
+			plat, err := itag.NewPlatform(itag.PlatformConfig{
+				Workers: []string{"w"},
+				Post:    func(string, string) ([]string, error) { return []string{"a"}, nil },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := itag.NewEngine(itag.EngineConfig{
+				Resources: resources, SeedPosts: seed, Platform: plat,
+				Strategy: &itag.FPMU{MinPostsTarget: 2}, Budget: b.N + 1, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.ChooseNext() // FP→MU switch: the one O(n) re-key, outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := eng.ChooseNext(); !ok {
+					b.Fatal("no task")
+				}
+			}
+		})
+	}
+}

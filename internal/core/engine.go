@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,6 +118,10 @@ type Engine struct {
 	cfg      Config
 	r        *rand.Rand
 	strategy strategy.Strategy
+	// ranker is the active strategy when it exposes a rank key (FP, MU,
+	// FP-MU); ChooseResources() then reads rank instead of calling Choose.
+	ranker strategy.Ranked
+	rank   rankIndex
 
 	resources []dataset.Resource
 	index     map[string]int
@@ -124,9 +129,12 @@ type Engine struct {
 	trackers  []*quality.Tracker
 	refs      []*rfd.Ref // per-resource latent reference (nil without one)
 	posts     []int      // c_i + x_i (completed posts)
+	quality   []float64  // trackers[i].Quality(), flat: rank keys and monitoring read it
 	alloc     []int      // x_i (tasks assigned)
 	pending   []int      // manual tasks assigned but not yet submitted
 	promoted  []bool
+	promoQ    []int // promoted resources, oldest first (may hold stale entries)
+	chosen    []int // choose's result buffer
 	stopped   []bool
 	exhausted []bool
 
@@ -169,13 +177,13 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		r:         rng.New(cfg.Seed),
-		strategy:  cfg.Strategy,
 		resources: cfg.Resources,
 		index:     make(map[string]int, n),
 		interner:  in,
 		trackers:  make([]*quality.Tracker, n),
 		refs:      make([]*rfd.Ref, n),
 		posts:     make([]int, n),
+		quality:   make([]float64, n),
 		alloc:     make([]int, n),
 		pending:   make([]int, n),
 		promoted:  make([]bool, n),
@@ -203,29 +211,122 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errs.New(errs.ComponentCore, errs.CategoryValidation, "seed posts for unknown resource %q", id)
 		}
 		for _, tags := range posts {
-			if err := e.trackers[i].AddPost(tags); err != nil {
+			if err := e.addPost(i, tags); err != nil {
 				return nil, fmt.Errorf("core: seed post for %q: %w", id, err)
 			}
-			e.posts[i]++
 		}
 	}
+	e.setStrategy(cfg.Strategy)
 	e.record()
 	return e, nil
 }
 
-// view adapts engine state for strategies; exclude hides indices already
-// chosen this iteration (promoted-first picks).
+// view adapts engine state for the strategies that sample through Choose;
+// exclude hides indices already chosen this iteration (promoted-first picks).
 type view struct {
 	e       *Engine
-	exclude map[int]bool
+	exclude []int
 }
 
 func (v view) Len() int                 { return len(v.e.resources) }
 func (v view) Posts(i int) int          { return v.e.posts[i] + v.e.pending[i] }
-func (v view) Quality(i int) float64    { return v.e.trackers[i].Quality() }
+func (v view) Quality(i int) float64    { return v.e.quality[i] }
 func (v view) Popularity(i int) float64 { return v.e.resources[i].Popularity }
 func (v view) Eligible(i int) bool {
-	return !v.e.stopped[i] && !v.e.exhausted[i] && !v.exclude[i]
+	return v.e.eligible(i) && !slices.Contains(v.exclude, i)
+}
+
+func (e *Engine) eligible(i int) bool { return !e.stopped[i] && !e.exhausted[i] }
+
+// addPost folds one post into resource i's statistics. The caller reindexes
+// i once its other counters are settled.
+func (e *Engine) addPost(i int, tags []string) error {
+	if err := e.trackers[i].AddPost(tags); err != nil {
+		return err
+	}
+	e.posts[i]++
+	e.quality[i] = e.trackers[i].Quality()
+	return nil
+}
+
+// setStrategy installs s and, when it is ranked, builds the rank index over
+// the eligible resources in O(n). Caller holds e.mu (or owns e exclusively).
+func (e *Engine) setStrategy(s strategy.Strategy) {
+	e.strategy = s
+	e.ranker, _ = s.(strategy.Ranked)
+	e.rebuildRank()
+}
+
+// rebuildRank re-reads every key: after a strategy change, and when the
+// ranker reports that its key function moved (FP-MU's FP→MU switch).
+func (e *Engine) rebuildRank() {
+	e.rank.reset(len(e.resources))
+	if e.ranker == nil {
+		return
+	}
+	for i := range e.resources {
+		if e.eligible(i) {
+			e.rank.append(i, e.rankKey(i), e.r.Uint64())
+		}
+	}
+	e.rank.heapify()
+}
+
+func (e *Engine) rankKey(i int) strategy.Key {
+	return e.ranker.Key(e.posts[i]+e.pending[i], e.quality[i])
+}
+
+// reindex fixes resource i's place in the rank index. Every transition that
+// can move a key or eligibility calls it: assignment, a completed or
+// cancelled task, stop, resume, exhaustion.
+func (e *Engine) reindex(i int) {
+	switch {
+	case e.ranker == nil:
+	case e.eligible(i):
+		e.rank.set(i, e.rankKey(i), e.r.Uint64())
+	default:
+		e.rank.remove(i)
+	}
+}
+
+// choose is ChooseResources(): up to batch distinct eligible resources,
+// promoted ones first (paper §III-A: Promote ensures selection at the next
+// ChooseResources), then the strategy's. Resources picked off the rank index
+// have left it; the caller reindexes every chosen resource once its counters
+// are updated. The result is valid until the next call. Caller holds e.mu.
+func (e *Engine) choose(batch int) []int {
+	if e.ranker != nil {
+		if min, ok := e.rank.min(); e.ranker.Advance(min, ok) {
+			e.rebuildRank()
+		}
+	}
+	chosen := e.chosen[:0]
+	for len(chosen) < batch && len(e.promoQ) > 0 {
+		i := e.promoQ[0]
+		e.promoQ = e.promoQ[1:]
+		// A stopped resource stays promoted (ResumeResource queues it
+		// again); an entry whose promotion was already served is stale.
+		if e.promoted[i] && e.eligible(i) {
+			e.promoted[i] = false // promotion is one-shot
+			e.rank.remove(i)
+			chosen = append(chosen, i)
+		}
+	}
+	if e.ranker != nil {
+		promoted := len(chosen)
+		for len(chosen) < batch {
+			i, ok := e.rank.pop()
+			if !ok {
+				break
+			}
+			chosen = append(chosen, i)
+		}
+		e.ranker.Picked(len(chosen) - promoted)
+	} else if len(chosen) < batch {
+		chosen = append(chosen, e.strategy.Choose(view{e: e, exclude: chosen}, batch-len(chosen), e.r)...)
+	}
+	e.chosen = chosen
+	return chosen
 }
 
 // Run executes Algorithm 1 until the budget is exhausted or no eligible
@@ -269,27 +370,16 @@ func (e *Engine) StepContext(ctx context.Context) (bool, error) {
 		batch = remaining
 	}
 
-	// ChooseResources(): promoted resources first (paper §III-A: Promote
-	// ensures selection at the next ChooseResources), then the strategy.
-	exclude := make(map[int]bool)
-	var chosen []int
-	for i := range e.resources {
-		if len(chosen) == batch {
-			break
-		}
-		if e.promoted[i] && !e.stopped[i] && !e.exhausted[i] {
-			chosen = append(chosen, i)
-			exclude[i] = true
-			e.promoted[i] = false // promotion is one-shot
-		}
-	}
-	if len(chosen) < batch {
-		chosen = append(chosen, e.strategy.Choose(view{e: e, exclude: exclude}, batch-len(chosen), e.r)...)
-	}
+	chosen := e.choose(batch)
 	if len(chosen) == 0 {
 		e.done = true
 		e.mu.Unlock()
 		return true, nil
+	}
+	// Assignment moves no key on this path (x_i enters the statistics when
+	// the post completes), so the batch goes straight back, with fresh ties.
+	for _, i := range chosen {
+		e.reindex(i)
 	}
 
 	// Assign Rc to taggers: publish one task per chosen resource.
@@ -356,6 +446,7 @@ func (e *Engine) update(res crowd.Result) {
 		// The task produced no post (replay exhausted / worker failure):
 		// mark the resource exhausted and refund the task.
 		e.exhausted[i] = true
+		e.reindex(i)
 		e.alloc[i]--
 		e.spent--
 		e.monitor.Eventf(e.spent, "exhausted", "resource %s: %v", res.Task.ResourceID, res.Err)
@@ -376,11 +467,11 @@ func (e *Engine) update(res crowd.Result) {
 	if e.cfg.Ledger != nil && res.WorkerID != "" {
 		_ = e.cfg.Ledger.Pay(res.WorkerID, res.Task.ID, e.cfg.PayPerTask)
 	}
-	if err := e.trackers[i].AddPost(res.Tags); err != nil {
+	if err := e.addPost(i, res.Tags); err != nil {
 		e.monitor.Eventf(e.spent, "bad-post", "resource %s: %v", res.Task.ResourceID, err)
 		return
 	}
-	e.posts[i]++
+	e.reindex(i)
 	if e.cfg.OnPost != nil {
 		e.cfg.OnPost(res.Task.ResourceID, res.WorkerID, res.Tags)
 	}
@@ -391,10 +482,7 @@ func (e *Engine) record() {
 	if e.spent%e.cfg.RecordEvery != 0 && e.budget-e.spent > 0 {
 		return
 	}
-	qs := make([]float64, len(e.trackers))
-	for i, t := range e.trackers {
-		qs[i] = t.Quality()
-	}
+	qs := e.quality
 	x := float64(e.spent)
 	e.monitor.Record(SeriesMeanStability, x, quality.MeanQuality(qs))
 	e.monitor.Record(SeriesCountHigh, x, float64(quality.CountAtLeast(qs, e.cfg.TauHigh)))
@@ -428,7 +516,10 @@ func (e *Engine) Promote(resourceID string) error {
 	if !ok {
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown resource %q", resourceID)
 	}
-	e.promoted[i] = true
+	if !e.promoted[i] {
+		e.promoted[i] = true
+		e.promoQ = append(e.promoQ, i)
+	}
 	e.monitor.Eventf(e.spent, "promote", "resource %s", resourceID)
 	return nil
 }
@@ -451,9 +542,13 @@ func (e *Engine) setStopped(resourceID string, stopped bool) error {
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown resource %q", resourceID)
 	}
 	e.stopped[i] = stopped
+	e.reindex(i)
 	verb := "stop"
 	if !stopped {
 		verb = "resume"
+		if e.promoted[i] {
+			e.promoQ = append(e.promoQ, i)
+		}
 	}
 	e.monitor.Eventf(e.spent, verb, "resource %s", resourceID)
 	return nil
@@ -465,7 +560,7 @@ func (e *Engine) SwitchStrategy(s strategy.Strategy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.monitor.Eventf(e.spent, "switch-strategy", "%s -> %s", e.strategy.Name(), s.Name())
-	e.strategy = s
+	e.setStrategy(s)
 }
 
 // AddBudget extends the run's budget (paper §III-A: "providers may add
@@ -534,11 +629,7 @@ func (e *Engine) Allocation() []int {
 func (e *Engine) StabilityQualities() []float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]float64, len(e.trackers))
-	for i, t := range e.trackers {
-		out[i] = t.Quality()
-	}
-	return out
+	return slices.Clone(e.quality)
 }
 
 // OracleQualities returns per-resource oracle qualities; ok=false when no
@@ -607,7 +698,7 @@ func (e *Engine) Status(resourceID string) (ResourceStatus, error) {
 		Index:     i,
 		Posts:     e.posts[i],
 		Allocated: e.alloc[i],
-		Stability: e.trackers[i].Quality(),
+		Stability: e.quality[i],
 		Promoted:  e.promoted[i],
 		Stopped:   e.stopped[i],
 		Exhausted: e.exhausted[i],

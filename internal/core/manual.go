@@ -22,25 +22,16 @@ func (e *Engine) ChooseNext() (string, bool) {
 		e.done = true
 		return "", false
 	}
-	var idx = -1
-	for i := range e.resources {
-		if e.promoted[i] && !e.stopped[i] && !e.exhausted[i] {
-			idx = i
-			e.promoted[i] = false
-			break
-		}
+	chosen := e.choose(1)
+	if len(chosen) == 0 {
+		e.done = true
+		return "", false
 	}
-	if idx < 0 {
-		chosen := e.strategy.Choose(view{e: e}, 1, e.r)
-		if len(chosen) == 0 {
-			e.done = true
-			return "", false
-		}
-		idx = chosen[0]
-	}
+	idx := chosen[0]
 	e.alloc[idx]++
 	e.pending[idx]++
 	e.spent++
+	e.reindex(idx)
 	return e.resources[idx].ID, true
 }
 
@@ -58,11 +49,11 @@ func (e *Engine) SubmitPost(resourceID, taggerID string, tags []string) error {
 	if e.pending[i] <= 0 {
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "no outstanding task for resource %q", resourceID)
 	}
-	if err := e.trackers[i].AddPost(tags); err != nil {
+	if err := e.addPost(i, tags); err != nil {
 		return err
 	}
 	e.pending[i]--
-	e.posts[i]++
+	e.reindex(i)
 	if e.cfg.OnPost != nil {
 		e.cfg.OnPost(resourceID, taggerID, tags)
 	}
@@ -85,6 +76,7 @@ func (e *Engine) CancelPending(resourceID string) error {
 	e.pending[i]--
 	e.alloc[i]--
 	e.spent--
+	e.reindex(i)
 	e.monitor.Eventf(e.spent, "cancel", "resource %s", resourceID)
 	return nil
 }

@@ -469,17 +469,26 @@ func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
 	run.doneCh = make(chan struct{})
 	run.Engine.Monitor().Restart()
 	s.bumpRunsEpoch()
+	// Once: a step whose resubmission races pool.Close can be told the pool
+	// is closed and still be picked up by a worker that has not seen the
+	// stop yet, so the run could finish twice.
+	var finished sync.Once
 	finish := func(err error) {
-		run.mu.Lock()
-		run.runErr = err
-		run.running = false
-		close(run.doneCh)
-		run.mu.Unlock()
-		// Bump before finishProject: its PutProject also advances the
-		// serve version, but the GetProject-error path skips it, and the
-		// Running flip must never be the unversioned mutation.
-		s.bumpRunsEpoch()
-		s.finishProject(projectID, err)
+		finished.Do(func() {
+			// Persist first: whoever WaitSimulation releases (tests, the
+			// SIGTERM drain that closes the store next) must find the
+			// project's final state written.
+			s.finishProject(projectID, err)
+			run.mu.Lock()
+			run.runErr = err
+			run.running = false
+			close(run.doneCh)
+			run.mu.Unlock()
+			// finishProject's PutProject advanced the serve version, but its
+			// GetProject-error path skips the write, and the Running flip
+			// must never be the unversioned mutation.
+			s.bumpRunsEpoch()
+		})
 	}
 	if s.pool != nil {
 		// Shared autoscaling pool: the run advances as self-resubmitting
@@ -583,13 +592,13 @@ func (s *Service) RunSimulations(ctx context.Context, projectIDs []string, worke
 
 	var first error
 	for i, run := range runs {
+		s.finishProject(projectIDs[i], errs[i]) // before doneCh: see StartSimulation
 		run.mu.Lock()
 		run.runErr = errs[i]
 		run.running = false
 		close(run.doneCh)
 		run.mu.Unlock()
 		s.bumpRunsEpoch()
-		s.finishProject(projectIDs[i], errs[i])
 		if errs[i] != nil && first == nil {
 			first = errs[i]
 		}
@@ -937,12 +946,19 @@ func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (
 	rec := store.TaskRec{
 		ID: taskID, ProjectID: projectID, ResourceID: resourceID,
 		WorkerID: taggerID, Status: store.TaskAssigned,
+		Reward:    run.Engine.cfg.PayPerTask,
 		CreatedAt: s.nowFunc(),
 	}
-	if p, err := s.cat.GetProject(projectID); err == nil {
-		rec.Reward = p.PayPerTask
+	if err := s.cat.PutTask(rec); err != nil {
+		// The tagger never sees this task: refund it, or it stays debited
+		// and pending (and weighs on the resource's rank key) forever.
+		run.mu.Lock()
+		delete(run.tasks, taskID)
+		run.mu.Unlock()
+		_ = run.Engine.CancelPending(resourceID) // cannot fail: the task was pending
+		return store.TaskRec{}, err
 	}
-	return rec, s.cat.PutTask(rec)
+	return rec, nil
 }
 
 // SubmitTask completes a manual task with the tagger's post.
@@ -964,12 +980,12 @@ func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown or already-completed task %q", taskID)
 	}
 	rec, err := s.cat.GetTask(projectID, taskID)
-	if err != nil {
-		return err
+	if err == nil {
+		err = run.Engine.SubmitPost(resourceID, rec.WorkerID, tags)
 	}
-	if err := run.Engine.SubmitPost(resourceID, rec.WorkerID, tags); err != nil {
-		// Task stays consumable? No: restore mapping so the tagger can fix
-		// the post (e.g. empty tags).
+	if err != nil {
+		// Nothing was consumed: restore the mapping so the tagger can retry
+		// (a failed read) or fix the post (e.g. empty tags).
 		run.mu.Lock()
 		run.tasks[taskID] = resourceID
 		run.mu.Unlock()

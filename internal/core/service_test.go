@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -354,5 +355,103 @@ func manualResources() []dataset.Resource {
 	return []dataset.Resource{
 		{ID: "u1", Kind: dataset.KindURL, Name: "example.com", Popularity: 0.5},
 		{ID: "u2", Kind: dataset.KindURL, Name: "example.org", Popularity: 0.5},
+	}
+}
+
+// leakProject is a two-resource FP project where u1 (no posts) ranks before
+// u2 (two seed posts), so the next pick is known.
+func leakProject(t *testing.T, s *Service) (proj, tagger string, run *Run) {
+	t.Helper()
+	ctx := context.Background()
+	prov, _ := s.RegisterProvider(ctx, "bob")
+	tagger, _ = s.RegisterTagger(ctx, "carol")
+	proj, err := s.CreateProject(ctx, ProjectSpec{
+		ProviderID: prov, Name: "leak", Budget: 5, PayPerTask: 0.10, Strategy: "fp",
+		Resources: manualResources(),
+		SeedPosts: map[string][][]string{"u2": {{"a"}, {"b"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err = s.run(proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proj, tagger, run
+}
+
+// TestRequestTaskRefundsWhenTaskWriteFails: a task whose record cannot be
+// written was never handed out, so it must not stay debited and pending —
+// which would also leave u1's rank key one post too high.
+func TestRequestTaskRefundsWhenTaskWriteFails(t *testing.T) {
+	db, err := store.Open(filepath.Join(t.TempDir(), "itag.wal"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := NewService(store.NewCatalog(db), 77)
+	proj, tagger, run := leakProject(t, s)
+
+	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
+	if _, err := s.RequestTask(context.Background(), proj, tagger); err == nil {
+		t.Fatal("RequestTask must report the failed task write")
+	}
+	if got := run.Engine.Spent(); got != 0 {
+		t.Errorf("Spent() = %d after a failed request, want 0", got)
+	}
+	if got := run.Engine.PendingTasks(); got != 0 {
+		t.Errorf("PendingTasks() = %d after a failed request, want 0", got)
+	}
+	if len(run.tasks) != 0 {
+		t.Errorf("task mapping kept for a task nobody holds: %v", run.tasks)
+	}
+	checkRank(t, run.Engine)
+	if id, ok := run.Engine.ChooseNext(); !ok || id != "u1" {
+		t.Errorf("next pick = %q, %v; want u1 back at zero posts", id, ok)
+	}
+}
+
+// getFailStore fails reads of one table on demand.
+type getFailStore struct {
+	store.Store
+	failTable string
+}
+
+func (g *getFailStore) Get(table, key string, out any) error {
+	if table == g.failTable {
+		return errors.New("injected read failure")
+	}
+	return g.Store.Get(table, key, out)
+}
+
+// TestSubmitTaskKeepsTaskWhenTaskReadFails: a failed task read consumes
+// nothing, so the same task must still be completable afterwards.
+func TestSubmitTaskKeepsTaskWhenTaskReadFails(t *testing.T) {
+	ctx := context.Background()
+	fs := &getFailStore{Store: store.OpenMemory()}
+	s := NewService(store.NewCatalog(fs), 77)
+	proj, tagger, run := leakProject(t, s)
+	task, err := s.RequestTask(ctx, proj, tagger)
+	if err != nil || task.ResourceID != "u1" {
+		t.Fatalf("task = %+v, %v", task, err)
+	}
+
+	fs.failTable = store.TableTasks
+	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err == nil {
+		t.Fatal("SubmitTask must report the failed task read")
+	}
+	fs.failTable = ""
+	if got := run.Engine.PendingTasks(); got != 1 {
+		t.Errorf("PendingTasks() = %d after a failed submit, want 1", got)
+	}
+	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err != nil {
+		t.Fatalf("task lost after a failed read: %v", err)
+	}
+	if spent, pending := run.Engine.Spent(), run.Engine.PendingTasks(); spent != 1 || pending != 0 {
+		t.Errorf("spent = %d, pending = %d; want 1, 0", spent, pending)
+	}
+	checkRank(t, run.Engine)
+	if id, ok := run.Engine.ChooseNext(); !ok || id != "u1" {
+		t.Errorf("next pick = %q, %v; want u1 (one post against u2's two)", id, ok)
 	}
 }

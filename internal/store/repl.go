@@ -530,7 +530,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	for _, p := range old {
 		_ = os.Remove(p) // best effort; leftovers are skipped by seq on replay
 	}
-	if oerr := w.openSegment(db.path, w.nextIdx); oerr != nil {
+	if oerr := w.openSegment(db.path, w.nextIdx, nil); oerr != nil {
 		return db.fail(oerr)
 	}
 	db.mu.Lock()

@@ -451,3 +451,59 @@ func TestReplicationConcurrentWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestReplTailRotationHammer rotates on nearly every commit batch while
+// several readers re-capture the whole tail from seq 0. A capture that lands
+// between sealing a segment and opening its successor used to list that file
+// twice (sealed and active) and report its second copy as a sequence gap —
+// spurious corruption that trips puller backoff on a live cluster.
+func TestReplTailRotationHammer(t *testing.T) {
+	leader, err := Open(filepath.Join(t.TempDir(), "leader.wal"), Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+
+	const writers, each, readers = 4, 120, 3
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := leader.Put("res", fmt.Sprintf("w%d-%04d", w, i), i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				if _, _, err := leader.ReplTail(0, 1<<20); err != nil {
+					t.Errorf("ReplTail(0) during rotation: %v", err)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	if _, last, err := leader.ReplTail(0, 1<<20); err != nil || last != writers*each {
+		t.Fatalf("final tail: last=%d err=%v, want %d", last, err, writers*each)
+	}
+	if rot := leader.Stats().Rotations; rot < 50 {
+		t.Fatalf("only %d rotations; the hammer did not hammer", rot)
+	}
+}

@@ -271,7 +271,7 @@ func (db *DB) recover() error {
 		}
 		last := i == len(segs)-1
 		if last && (db.opts.SegmentBytes <= 0 || size < db.opts.SegmentBytes) {
-			if oerr := w.openSegment(db.path, s.idx); oerr != nil {
+			if oerr := w.openSegment(db.path, s.idx, nil); oerr != nil {
 				return oerr
 			}
 			openFresh = 0
@@ -287,7 +287,7 @@ func (db *DB) recover() error {
 		}
 	}
 	if openFresh > 0 {
-		if oerr := w.openSegment(db.path, max(openFresh, w.nextIdx)); oerr != nil {
+		if oerr := w.openSegment(db.path, max(openFresh, w.nextIdx), nil); oerr != nil {
 			return oerr
 		}
 	}

@@ -176,8 +176,12 @@ func segPath(base string, idx uint64) string {
 }
 
 // openSegment creates (or opens for append) the segment with the given
-// index and makes it active. Caller holds fmu.
-func (w *wal) openSegment(base string, idx uint64) error {
+// index and makes it active. retire, when non-nil, runs in the same smu
+// section that installs the new active path and decides what becomes of the
+// previous one (rotation seals it, a compaction cut drops the sealed list);
+// a ReplTail capture therefore never sees one file as both sealed and
+// active. Caller holds fmu.
+func (w *wal) openSegment(base string, idx uint64, retire func()) error {
 	path := segPath(base, idx)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -193,6 +197,9 @@ func (w *wal) openSegment(base string, idx uint64) error {
 	// activePath moves under smu together with activeSize so ReplTail can
 	// capture a consistent (path, size) pair without taking fmu.
 	w.smu.Lock()
+	if retire != nil {
+		retire()
+	}
 	w.activePath = path
 	w.activeSize = size
 	w.smu.Unlock()
@@ -449,9 +456,10 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 	return nil
 }
 
-// sealActiveLocked flushes, fsyncs and closes the active segment, moving it
-// onto the sealed list. Caller holds fmu.
-func (db *DB) sealActiveLocked() error {
+// closeActiveLocked flushes, fsyncs and closes the active segment's file. The
+// layout fields still name it as active (closed, immutable, at full size)
+// until the caller's openSegment retires it. Caller holds fmu.
+func (db *DB) closeActiveLocked() error {
 	w := db.wal
 	if err := w.bw.Flush(); err != nil {
 		return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "seal flush"))
@@ -465,10 +473,6 @@ func (db *DB) sealActiveLocked() error {
 	w.file, w.bw = nil, nil
 	w.sinceSync = 0
 	db.st.fsyncs.Add(1)
-	w.smu.Lock()
-	w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize})
-	w.sealedSize += w.activeSize
-	w.smu.Unlock()
 	return nil
 }
 
@@ -476,7 +480,7 @@ func (db *DB) sealActiveLocked() error {
 // holds fmu.
 func (db *DB) rotateLocked() error {
 	w := db.wal
-	if err := db.sealActiveLocked(); err != nil {
+	if err := db.closeActiveLocked(); err != nil {
 		return err
 	}
 	if db.failpointHit(FailRotateMid) {
@@ -485,7 +489,11 @@ func (db *DB) rotateLocked() error {
 		_ = os.WriteFile(segPath(db.path, w.nextIdx), nil, 0o644)
 		return db.fail(ErrCrashed)
 	}
-	if err := w.openSegment(db.path, w.nextIdx); err != nil {
+	err := w.openSegment(db.path, w.nextIdx, func() {
+		w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize})
+		w.sealedSize += w.activeSize
+	})
+	if err != nil {
 		return db.fail(err)
 	}
 	db.st.rotations.Add(1)
@@ -519,13 +527,14 @@ func (db *DB) performCut() (*cutState, error) {
 	if err := db.stickyErr(); err != nil {
 		return nil, err
 	}
-	if err := db.sealActiveLocked(); err != nil {
+	if err := db.closeActiveLocked(); err != nil {
 		return nil, err
 	}
 	cut := &cutState{}
 	w.smu.Lock()
 	cut.coveredSegs = append(cut.coveredSegs, w.sealed...)
-	for _, s := range w.sealed {
+	cut.coveredSegs = append(cut.coveredSegs, sealedFile{path: w.activePath, size: w.activeSize})
+	for _, s := range cut.coveredSegs {
 		cut.covered = append(cut.covered, s.path)
 	}
 	if w.legacy != "" {
@@ -544,11 +553,8 @@ func (db *DB) performCut() (*cutState, error) {
 	cut.seq = w.lastApplied
 	cut.tables = snapshotTablesLocked(db.tables)
 	db.mu.Unlock()
-	w.smu.Lock()
-	w.sealed = nil
-	w.sealedSize = 0
-	w.smu.Unlock()
-	if err := w.openSegment(db.path, w.nextIdx); err != nil {
+	err := w.openSegment(db.path, w.nextIdx, func() { w.sealed, w.sealedSize = nil, 0 })
+	if err != nil {
 		return nil, db.fail(err)
 	}
 	return cut, nil

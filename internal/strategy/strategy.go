@@ -12,9 +12,11 @@
 package strategy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,6 +127,117 @@ func (s FreeChoice) Choose(v View, batch int, r *rand.Rand) []int {
 	return chosen
 }
 
+// Key is a resource's rank under FP, MU or FP-MU: the eligible resource with
+// the smallest key is chosen first. Keys order by Major, then by Minor.
+type Key struct {
+	Major float64
+	Minor int
+}
+
+// Less reports whether a ranks strictly before b.
+func (a Key) Less(b Key) bool {
+	if a.Major != b.Major {
+		return a.Major < b.Major
+	}
+	return a.Minor < b.Minor
+}
+
+// Ranked is implemented by the strategies that are "the batch smallest
+// eligible resources under a per-resource key, ties broken uniformly at
+// random" — FP, MU and FP-MU. Key is the only definition of their order:
+// Choose selects by it, and a caller that maintains its own index over the
+// keys (core.Engine's rank heap) may replace Choose by the protocol
+//
+//	Advance(smallest eligible key) → take the smallest keys → Picked(n)
+//
+// re-reading every key whenever Advance reports that the key function moved.
+type Ranked interface {
+	Strategy
+	// Key ranks a resource by its post count (c_i + x_i) and stability
+	// quality.
+	Key(posts int, quality float64) Key
+	// Advance is called before each choice with the smallest eligible key
+	// (ok=false when nothing is eligible). It reports whether the key
+	// function changed, which makes every key read earlier stale.
+	Advance(min Key, ok bool) bool
+	// Picked records that n resources were handed out in key order.
+	Picked(n int)
+}
+
+// candidate is one eligible resource during chooseRanked's selection.
+type candidate struct {
+	key Key
+	tie uint64 // drawn per candidate: a uniformly random order within a tie class
+	i   int
+}
+
+// compare orders candidates by key, then by tie.
+func (a candidate) compare(b candidate) int {
+	if a.key != b.key {
+		if a.key.Less(b.key) {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.tie, b.tie)
+}
+
+// chooseRanked is Choose for the Ranked strategies.
+func chooseRanked(s Ranked, v View, batch int, r *rand.Rand) []int {
+	if batch <= 0 {
+		return nil
+	}
+	sel := smallest(s, v, batch, r)
+	var min Key
+	if len(sel) > 0 {
+		min = sel[0].key
+	}
+	if s.Advance(min, len(sel) > 0) {
+		sel = smallest(s, v, batch, r)
+	}
+	if len(sel) == 0 {
+		return nil
+	}
+	out := make([]int, len(sel))
+	for j, c := range sel {
+		out[j] = c.i
+	}
+	s.Picked(len(out))
+	return out
+}
+
+// smallest returns the batch eligible candidates that rank first, in rank
+// order: one pass over the view that keeps them in a sorted slice. Past the
+// first few resources almost every candidate loses against the last one
+// kept, so a call costs about n key reads, and a batch of one is a plain
+// arg-min.
+func smallest(s Ranked, v View, batch int, r *rand.Rand) []candidate {
+	n := v.Len()
+	if batch > n {
+		batch = n
+	}
+	kept := make([]candidate, 0, batch+1)
+	for i := 0; i < n; i++ {
+		if !v.Eligible(i) {
+			continue
+		}
+		c := candidate{key: s.Key(v.Posts(i), v.Quality(i)), i: i}
+		if len(kept) == batch && kept[batch-1].key.Less(c.key) {
+			continue // loses on the key alone: no tie to draw
+		}
+		c.tie = r.Uint64()
+		if len(kept) == batch && c.compare(kept[batch-1]) >= 0 {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(kept, c, candidate.compare)
+		kept = slices.Insert(kept, at, c)
+		if len(kept) > batch {
+			kept = kept[:batch]
+		}
+	}
+	return kept
+}
+
 // FewestPosts (FP) prioritizes resources with the fewest posts. Table I:
 // it "reduces the number of resources with low tag quality".
 type FewestPosts struct{}
@@ -132,19 +245,18 @@ type FewestPosts struct{}
 // Name implements Strategy.
 func (FewestPosts) Name() string { return "fp" }
 
+// Key implements Ranked: the post count.
+func (FewestPosts) Key(posts int, _ float64) Key { return Key{Major: float64(posts)} }
+
+// Advance implements Ranked.
+func (FewestPosts) Advance(Key, bool) bool { return false }
+
+// Picked implements Ranked.
+func (FewestPosts) Picked(int) {}
+
 // Choose implements Strategy.
-func (FewestPosts) Choose(v View, batch int, r *rand.Rand) []int {
-	idx := eligible(v)
-	if len(idx) == 0 || batch <= 0 {
-		return nil
-	}
-	// Random shuffle before the stable sort breaks post-count ties fairly.
-	r.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-	sort.SliceStable(idx, func(a, b int) bool { return v.Posts(idx[a]) < v.Posts(idx[b]) })
-	if batch > len(idx) {
-		batch = len(idx)
-	}
-	return idx[:batch]
+func (s FewestPosts) Choose(v View, batch int, r *rand.Rand) []int {
+	return chooseRanked(s, v, batch, r)
 }
 
 // MostUnstable (MU) prioritizes resources whose rfds are most unstable
@@ -160,35 +272,29 @@ type MostUnstable struct {
 // Name implements Strategy.
 func (MostUnstable) Name() string { return "mu" }
 
-// Choose implements Strategy.
-func (s MostUnstable) Choose(v View, batch int, r *rand.Rand) []int {
+// Key implements Ranked: most unstable first, and among equally unstable
+// resources the one with fewer posts (less evidence).
+func (s MostUnstable) Key(posts int, quality float64) Key {
 	minPosts := s.MinPosts
 	if minPosts <= 0 {
 		minPosts = 2
 	}
-	idx := eligible(v)
-	if len(idx) == 0 || batch <= 0 {
-		return nil
+	instability := 1.0
+	if posts >= minPosts {
+		instability = 1 - quality
 	}
-	instability := func(i int) float64 {
-		if v.Posts(i) < minPosts {
-			return 1
-		}
-		return 1 - v.Quality(i)
-	}
-	r.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := instability(idx[a]), instability(idx[b])
-		if ia != ib {
-			return ia > ib
-		}
-		// Tie-break: fewer posts first (less evidence).
-		return v.Posts(idx[a]) < v.Posts(idx[b])
-	})
-	if batch > len(idx) {
-		batch = len(idx)
-	}
-	return idx[:batch]
+	return Key{Major: -instability, Minor: posts}
+}
+
+// Advance implements Ranked.
+func (MostUnstable) Advance(Key, bool) bool { return false }
+
+// Picked implements Ranked.
+func (MostUnstable) Picked(int) {}
+
+// Choose implements Strategy.
+func (s MostUnstable) Choose(v View, batch int, r *rand.Rand) []int {
+	return chooseRanked(s, v, batch, r)
 }
 
 // FPMU is the hybrid: FP until a trigger fires, then MU (Table I: "most
@@ -228,38 +334,41 @@ func (s *FPMU) Phase() string {
 	return "fp"
 }
 
+// Key implements Ranked: the key of the current phase.
+func (s *FPMU) Key(posts int, quality float64) Key {
+	if s.switched {
+		return s.mu.Key(posts, quality)
+	}
+	return s.fp.Key(posts, quality)
+}
+
+// Advance implements Ranked: it fires the FP→MU switch. In the FP phase the
+// smallest key is the smallest eligible post count, so the K0 trigger reads
+// it instead of scanning the project.
+func (s *FPMU) Advance(min Key, ok bool) bool {
+	if s.switched {
+		return false
+	}
+	k0 := s.MinPostsTarget
+	if k0 <= 0 && (s.SwitchFraction <= 0 || s.TotalBudget <= 0) {
+		k0 = 5
+	}
+	if k0 > 0 && (!ok || min.Major >= float64(k0)) {
+		s.switched = true
+	}
+	if s.SwitchFraction > 0 && s.TotalBudget > 0 &&
+		float64(s.spent) >= s.SwitchFraction*float64(s.TotalBudget) {
+		s.switched = true
+	}
+	return s.switched
+}
+
+// Picked implements Ranked.
+func (s *FPMU) Picked(n int) { s.spent += n }
+
 // Choose implements Strategy.
 func (s *FPMU) Choose(v View, batch int, r *rand.Rand) []int {
-	if !s.switched {
-		k0 := s.MinPostsTarget
-		if k0 <= 0 && (s.SwitchFraction <= 0 || s.TotalBudget <= 0) {
-			k0 = 5
-		}
-		if k0 > 0 {
-			done := true
-			for i := 0; i < v.Len(); i++ {
-				if v.Eligible(i) && v.Posts(i) < k0 {
-					done = false
-					break
-				}
-			}
-			if done {
-				s.switched = true
-			}
-		}
-		if !s.switched && s.SwitchFraction > 0 && s.TotalBudget > 0 &&
-			float64(s.spent) >= s.SwitchFraction*float64(s.TotalBudget) {
-			s.switched = true
-		}
-	}
-	var out []int
-	if s.switched {
-		out = s.mu.Choose(v, batch, r)
-	} else {
-		out = s.fp.Choose(v, batch, r)
-	}
-	s.spent += len(out)
-	return out
+	return chooseRanked(s, v, batch, r)
 }
 
 // Random allocates uniformly among eligible resources — the naive baseline.

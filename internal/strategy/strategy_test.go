@@ -2,6 +2,8 @@ package strategy
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +87,70 @@ func TestFewestPostsTieBreakIsFair(t *testing.T) {
 		frac := float64(counts[i]) / 4000
 		if math.Abs(frac-0.25) > 0.05 {
 			t.Errorf("tie-break not fair: resource %d chosen %.3f", i, frac)
+		}
+	}
+}
+
+// refChoose is FP's and MU's Choose as it was before both were defined by a
+// key: shuffle the eligible resources, stable-sort all of them with the
+// strategy's comparator, cut at batch. It stays here as the oracle for the
+// order the key functions must reproduce.
+func refChoose(v View, batch int, r *rand.Rand, less func(a, b int) bool) []int {
+	idx := eligible(v)
+	r.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+	if batch > len(idx) {
+		batch = len(idx)
+	}
+	return idx[:batch]
+}
+
+// TestRankedChooseMatchesFullSort: on random views the key-based Choose and
+// the reference full sort hand out the same ranks — position by position the
+// chosen resources are equal under the old comparator, so they differ only
+// inside tie classes.
+func TestRankedChooseMatchesFullSort(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(40)
+		v := newFakeView(n)
+		for i := 0; i < n; i++ {
+			v.posts[i] = r.Intn(5)
+			v.qual[i] = float64(r.Intn(4)) / 4
+			if r.Intn(5) == 0 {
+				v.ineligible[i] = true
+			}
+		}
+		instability := func(i int) float64 {
+			if v.posts[i] < 2 {
+				return 1
+			}
+			return 1 - v.qual[i]
+		}
+		lessFP := func(a, b int) bool { return v.posts[a] < v.posts[b] }
+		lessMU := func(a, b int) bool {
+			if ia, ib := instability(a), instability(b); ia != ib {
+				return ia > ib
+			}
+			return v.posts[a] < v.posts[b]
+		}
+		batch := 1 + r.Intn(n+2)
+		for _, tc := range []struct {
+			s    Strategy
+			less func(a, b int) bool
+		}{{FewestPosts{}, lessFP}, {MostUnstable{}, lessMU}} {
+			got := tc.s.Choose(v, batch, r)
+			want := refChoose(v, batch, r, tc.less)
+			assertDistinctEligible(t, v, got, batch)
+			if len(got) != len(want) {
+				t.Fatalf("%s chose %d resources, reference %d", tc.s.Name(), len(got), len(want))
+			}
+			for j := range got {
+				if tc.less(got[j], want[j]) || tc.less(want[j], got[j]) {
+					t.Fatalf("%s rank %d: chose %d, reference %d (posts %v qual %v)",
+						tc.s.Name(), j, got[j], want[j], v.posts, v.qual)
+				}
+			}
 		}
 	}
 }
