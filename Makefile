@@ -64,7 +64,8 @@ bench:
 bench-experiments:
 	$(GO) run ./cmd/itag-bench -experiment all
 
-# Sharded-store contention matrix and project-fleet pool (S3/S4).
+# Sharded-store contention matrix (information only: what shards still buy
+# over one store) and project-fleet pool (S3/S4).
 bench-contention:
 	$(GO) run ./cmd/itag-bench -experiment s3,s4
 
@@ -73,11 +74,11 @@ bench-contention:
 bench-quality:
 	$(GO) run ./cmd/itag-bench -experiment s6 -record
 
-# Ordered snapshot serving read path vs the seed iterate-filter-sort path
-# plus the zero-allocation cached-serving gates (S7): allocs/op and p99 of
-# a cached ResourceDetail hit through the full HTTP stack. Recorded to
-# BENCH_serving.json; fails if the 3x read-path gate, the <10 allocs/op
-# gate, or the 10µs p99 gate is missed.
+# Serving throughput over the store's lock-free trees plus the
+# zero-allocation cached-serving gates (S7): allocs/op and p99 of a cached
+# ResourceDetail hit through the full HTTP stack. Recorded to
+# BENCH_serving.json; fails if the <10 allocs/op gate or the 10µs p99 gate
+# is missed.
 bench-serving:
 	$(GO) run ./cmd/itag-bench -experiment s7 -record
 

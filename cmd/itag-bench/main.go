@@ -6,7 +6,7 @@
 //	itag-bench -experiment all                 # everything, default sizes
 //	itag-bench -experiment e1 -n 200 -budget 2000
 //	itag-bench -experiment e3 -format markdown -out e3.md
-//	itag-bench -experiment s3,s4,s5,s6 -small -record   # CI bench smoke
+//	itag-bench -experiment s4,s5,s6 -small -record      # CI bench smoke
 //	itag-bench -verify-gates BENCH_store.json BENCH_quality.json
 //
 // Experiments: e1..e9 (paper anchors), a1..a3 (ablations), s3..s10 (systems:
@@ -15,9 +15,10 @@
 // path, open-loop admission-control capacity, quorum-cluster chaos drill),
 // all. See the experiment index in docs/ARCHITECTURE.md.
 //
-// Gated experiments (s3, s5, s6, s7, s8, s9, s10) embed their acceptance ratios in the
-// result; -record writes each gated result to its canonical BENCH_*.json
-// artifact, and any failing gate makes the run exit non-zero.
+// Gated experiments (s5, s6, s7, s8, s9, s10) embed their acceptance ratios
+// in the result; -record writes each recorded result (those and s3's
+// information-only matrix) to its canonical BENCH_*.json artifact, and any
+// failing gate makes the run exit non-zero.
 // -verify-gates re-checks previously recorded artifacts without rerunning
 // anything (scripts/bench_gate.sh uses it in CI).
 package main
@@ -57,7 +58,8 @@ var experiments = map[string]func(bench.Sizes) (bench.Result, error){
 
 var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10"}
 
-// recordFiles maps gated experiments to their canonical committed artifact.
+// recordFiles maps recorded experiments to their canonical committed
+// artifact.
 var recordFiles = map[string]string{
 	"s3":  "BENCH_contention.json",
 	"s5":  "BENCH_store.json",
@@ -78,7 +80,7 @@ func main() {
 	small := flag.Bool("small", false, "use quick-check sizes")
 	format := flag.String("format", "text", "output format: text | markdown")
 	out := flag.String("out", "", "write to file instead of stdout")
-	record := flag.Bool("record", false, "write gated results to their canonical BENCH_*.json artifacts")
+	record := flag.Bool("record", false, "write recorded results to their canonical BENCH_*.json artifacts")
 	verifyGates := flag.Bool("verify-gates", false, "check gates in the BENCH_*.json files given as arguments, run nothing")
 	flag.Parse()
 

@@ -11,13 +11,13 @@ import (
 	"itag/internal/store"
 )
 
-// This file holds the S7 end-to-end serving experiment behind the ordered
-// snapshot read path (copy-on-write table indexes + the catalog's decoded-
-// record cache): the interactive loop of paper §III is read-dominated —
-// every RequestTask/SubmitTask round trip and every provider dashboard or
-// export hits the store — so S7 drives the full Service stack with a mixed
-// tagger + dashboard workload and gates the indexed read path at ≥3× the
-// seed read path (PlainReads iterate-filter-sort scans, uncached decodes).
+// This file holds the S7 end-to-end serving experiment: the interactive
+// loop of paper §III is read-dominated — every RequestTask/SubmitTask round
+// trip and every provider dashboard or export hits the store — so S7 drives
+// the full Service stack with a mixed tagger + dashboard workload over the
+// store's lock-free trees and the catalog's decoded-record cache (reported,
+// not gated), then gates a cached hit through the full HTTP stack on
+// allocations and tail latency (servecache.go).
 
 // s7Dims sizes the serving world: the acceptance configuration is 64
 // taggers over 1k resources × 10k seeded posts.
@@ -32,25 +32,18 @@ func s7Sizes(sz Sizes) s7Dims {
 	return s7Dims{resources: 1000, postsPer: 10, taggers: 64, opsPer: 96}
 }
 
-// s7Mode is one read-path configuration under test.
+// s7Mode is one store configuration under test.
 type s7Mode struct {
-	name    string
-	shards  int  // 0 = single in-memory DB
-	indexed bool // false = PlainReads store + uncached catalog (the seed path)
+	name   string
+	shards int // 0 = single in-memory DB
 }
 
 func s7Modes() []s7Mode {
 	return []s7Mode{
-		// The pre-index baseline: every prefix scan iterates, filters and
-		// sorts the whole table under the store's RWMutex, and every read
-		// pays a JSON decode.
-		{name: "seed read path", indexed: false},
-		// The snapshot read path: lock-free ordered index + decoded-record
-		// cache.
-		{name: "indexed", indexed: true},
+		{name: "single store"},
 		// The same read path over a sharded store — exercises the ordered
-		// cross-shard k-way merge on exports (informational, not gated).
-		{name: "indexed, 8 shards", shards: 8, indexed: true},
+		// cross-shard k-way merge on exports.
+		{name: "8 shards", shards: 8},
 	}
 }
 
@@ -67,21 +60,11 @@ type s7World struct {
 // and a registered tagger fleet. Setup cost is paid before the clock
 // starts.
 func s7Setup(mode s7Mode, dims s7Dims, seed int64) (*s7World, error) {
-	var db store.Store
-	switch {
-	case mode.shards > 1:
+	var db store.Store = store.OpenMemory()
+	if mode.shards > 1 {
 		db = store.NewSharded(mode.shards)
-	case mode.indexed:
-		db = store.OpenMemory()
-	default:
-		db = store.OpenMemoryWith(store.Options{PlainReads: true})
 	}
-	var cat *store.Catalog
-	if mode.indexed {
-		cat = store.NewCatalog(db)
-	} else {
-		cat = store.NewCatalogUncached(db)
-	}
+	cat := store.NewCatalog(db)
 	svc := core.NewService(cat, seed)
 	ctx := context.Background()
 	provider, err := svc.RegisterProvider(ctx, "s7-provider")
@@ -202,20 +185,19 @@ func s7Cell(mode s7Mode, dims s7Dims, seed int64) (float64, error) {
 	return s7Workload(w, dims)
 }
 
-// S7ServingReadPath measures end-to-end serving throughput — the mixed
-// RequestTask/SubmitTask/ResourceDetail/Export/dashboard workload — through
-// the seed read path and the ordered snapshot read path over identical
-// worlds. The acceptance gate requires the indexed path to reach ≥3× the
-// seed path at 64 taggers over 1k resources × 10k posts; the scan-parity
-// property suite (internal/store) pins that the speedup does not change a
-// single scanned byte or pagination cursor.
+// S7ServingReadPath reports end-to-end serving throughput — the mixed
+// RequestTask/SubmitTask/ResourceDetail/Export/dashboard workload — over a
+// single store and a sharded one, and gates the cached-serving cell: a
+// ResourceDetail hit through the full HTTP stack must stay under its
+// allocation and p99 ceilings. The throughput rows carry no gate; the
+// scan-parity suite (internal/store) pins what the reads return.
 func S7ServingReadPath(sz Sizes) (Result, error) {
 	dims := s7Sizes(sz)
 	res := Result{
 		ID: "S7",
-		Title: fmt.Sprintf("serving read path: snapshot indexes + record cache vs seed scans (%d taggers, %d resources × %d posts)",
+		Title: fmt.Sprintf("serving read path: lock-free trees + record cache + encoded-response cache (%d taggers, %d resources × %d posts)",
 			dims.taggers, dims.resources, dims.resources*dims.postsPer),
-		Header: []string{"mode", "taggers", "resources", "seed posts", "iters", "iters/sec", "speedup vs seed"},
+		Header: []string{"mode", "taggers", "resources", "seed posts", "iters", "iters/sec"},
 	}
 	// Discarded warm-up so the first measured mode doesn't pay allocator
 	// and scheduler warm-up.
@@ -223,50 +205,33 @@ func S7ServingReadPath(sz Sizes) (Result, error) {
 	if _, err := s7Cell(s7Modes()[0], warm, sz.Seed); err != nil {
 		return Result{}, err
 	}
-	// Two measured passes per mode, best-of taken, so one-off GC or
-	// scheduler interference on a shared CI host doesn't fail the gate.
-	best := func(mode s7Mode) (float64, error) {
-		var top float64
-		for i := 0; i < 2; i++ {
-			ips, err := s7Cell(mode, dims, sz.Seed+int64(i))
-			if err != nil {
-				return 0, err
-			}
-			if ips > top {
-				top = ips
-			}
-		}
-		return top, nil
-	}
-	var baseline, gate float64
 	for _, mode := range s7Modes() {
-		ips, err := best(mode)
-		if err != nil {
-			return Result{}, err
-		}
-		if !mode.indexed {
-			baseline = ips
-		}
-		if mode.indexed && mode.shards == 0 && baseline > 0 {
-			gate = ips / baseline
+		// Two measured passes per mode, best-of taken, so one-off GC or
+		// scheduler interference on a shared CI host doesn't skew the row.
+		var ips float64
+		for i := 0; i < 2; i++ {
+			got, err := s7Cell(mode, dims, sz.Seed+int64(i))
+			if err != nil {
+				return Result{}, err
+			}
+			ips = maxf(ips, got)
 		}
 		res.Rows = append(res.Rows, []string{
 			mode.name, d(dims.taggers), d(dims.resources), d(dims.resources * dims.postsPer),
-			d(dims.taggers * dims.opsPer), fmt.Sprintf("%.0f", ips), ratio(ips, baseline),
+			d(dims.taggers * dims.opsPer), fmt.Sprintf("%.0f", ips),
 		})
 	}
-	// The cached-serving extension: the same indexed world, driven through
-	// the full HTTP stack with the encoded-response cache on. Gated on
-	// allocations and tail latency per cached ResourceDetail hit.
+	// The cached-serving cell: the same world, driven through the full HTTP
+	// stack with the encoded-response cache on. Gated on allocations and
+	// tail latency per cached ResourceDetail hit.
 	cs, err := s7CachedCell(dims, sz.Seed)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Rows = append(res.Rows, []string{
 		"http cached hit", "1", d(dims.resources), d(dims.resources * dims.postsPer),
-		d(5000), fmt.Sprintf("%.0f", cs.opsPerSec), "—",
+		d(5000), fmt.Sprintf("%.0f", cs.opsPerSec),
 	})
-	res.Gates = append(res.Gates, Gate{Name: "indexed_vs_seed_read_path", Ratio: gate, Min: 3})
 	allocRatio := float64(s7AllocBudget) / maxf(cs.allocsPerOp, 0.5)
 	p99Ratio := float64(s7P99Budget) / maxf(float64(cs.p99), 1)
 	res.Gates = append(res.Gates,
@@ -275,18 +240,11 @@ func S7ServingReadPath(sz Sizes) (Result, error) {
 	)
 	res.Notes = append(res.Notes,
 		"per-iteration work: RequestTask + SubmitTask (GetUser/GetProject/GetTask, PutTask×2, AppendPost), ResourceDetail, then the provider dashboard's GetResource + CountPosts + PostsOf on 3 resources; a 50-row ExportPage every 16th and a completed-task listing every 64th iteration",
-		"seed read path: every prefix scan iterates, filters and sorts the full table under the store RWMutex and every record read pays a JSON decode",
-		"indexed path: lock-free binary-search ranges over copy-on-write table snapshots, O(log n) prefix counts, and the catalog's seq-versioned decoded-record cache",
-		fmt.Sprintf("acceptance gate: indexed ≥ 3x the seed read path at %d taggers over %d resources × %d posts — measured %.2fx",
-			dims.taggers, dims.resources, dims.resources*dims.postsPer, gate),
-		"the sharded row adds the ordered cross-shard k-way merge on whole-table scans (exports); it is informational, not gated",
+		"throughput rows are information only: lock-free descents of per-table persistent B+trees plus the catalog's seq-versioned decoded-record cache; the sharded row adds the ordered cross-shard k-way merge on whole-table scans (exports)",
 		fmt.Sprintf("cached serving (full HTTP stack, encoded-response cache hit on one ResourceDetail): %.1f allocs/op, %.1f allocs/op on the If-None-Match 304 path, p50 %s, p99 %s, respcache hit rate %.1f%%",
 			cs.allocsPerOp, cs.allocs304, cs.p50, cs.p99, 100*cs.hitRate),
 		fmt.Sprintf("cached-serving gates: < %d allocs/op (measured %.1f) and p99 ≤ %s (measured %s) per cached hit",
 			s7AllocBudget, cs.allocsPerOp, s7P99Budget, cs.p99),
 	)
-	if gate < 3 {
-		res.Notes = append(res.Notes, "GATE FAILED: the indexed read path did not reach 3x the seed read path")
-	}
 	return res, nil
 }

@@ -122,12 +122,12 @@ func s7CachedServing(w *s7World) (s7CachedStats, error) {
 	return st, nil
 }
 
-// s7CachedCell provisions the indexed world and measures cached serving,
+// s7CachedCell provisions the serving world and measures cached serving,
 // best-of-two on the p99 so one GC pause on a shared host doesn't fail
 // the latency gate (allocs/op is deterministic and taken from the first
 // pass).
 func s7CachedCell(dims s7Dims, seed int64) (s7CachedStats, error) {
-	w, err := s7Setup(s7Mode{name: "cached", indexed: true}, dims, seed)
+	w, err := s7Setup(s7Mode{name: "cached"}, dims, seed)
 	if err != nil {
 		return s7CachedStats{}, err
 	}

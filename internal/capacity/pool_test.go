@@ -141,9 +141,12 @@ func TestPoolConcurrentSubmitAndScale(t *testing.T) {
 	if ran.Load() != submitters*each {
 		t.Errorf("ran %d, want %d", ran.Load(), submitters*each)
 	}
-	if st := p.Stats(); st.Workers > st.Limit && st.QueueDepth == 0 {
-		t.Errorf("workers %d linger above limit %d with empty queue", st.Workers, st.Limit)
-	}
+	// An idle worker above a just-lowered limit retires on its idle timer
+	// (1ms here), not at once: wait for that rather than racing it.
+	waitFor(t, 2*time.Second, func() bool {
+		st := p.Stats()
+		return st.Workers <= st.Limit
+	}, "idle workers above the final limit to retire")
 }
 
 // TestPoolMinFloorHolds: with Min > 0 the pool never reaps below the

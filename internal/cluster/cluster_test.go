@@ -701,9 +701,15 @@ func TestClusterRingConflictConverges(t *testing.T) {
 // follower that joins (or falls behind) after the leader compacted its WAL
 // must be bootstrapped with a snapshot cut, not an impossible tail replay.
 func TestClusterCompactionSnapshotShip(t *testing.T) {
+	// The follower's own puller is held at the gate until the manual pulls
+	// below have run: its first round would otherwise race them, and
+	// whichever came second saw a caught-up follower.
+	gate := make(chan struct{})
+	defer close(gate)
 	tc := startCluster(t, []string{"alpha", "beta"}, func(o *Options) {
 		o.Replicas = 1
-		o.PullInterval = time.Hour // manual pulls: keep the follower behind
+		o.PullInterval = time.Hour
+		o.pullGate = gate
 	})
 	slot, project, tagger := tc.seedProject(4)
 	var follower string

@@ -72,6 +72,11 @@ type Options struct {
 	// (default 15s): a dead leader is probed on a capped jittered
 	// exponential schedule instead of being hammered at PullInterval.
 	PullMaxBackoff time.Duration
+
+	// pullGate is a test hook: when non-nil every puller waits for it to
+	// close before its first round, so a test can drive pullOnce by hand
+	// against a follower known to be behind.
+	pullGate <-chan struct{}
 }
 
 func (o Options) withDefaults() Options {

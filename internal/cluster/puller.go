@@ -40,6 +40,13 @@ const maxBodyBytes = 1 << 30
 func (n *Node) pullLoop(ctx context.Context, rep *replica) {
 	defer n.wg.Done()
 	defer close(rep.done)
+	if n.opts.pullGate != nil {
+		select {
+		case <-n.opts.pullGate:
+		case <-ctx.Done():
+			return
+		}
+	}
 	streak := 0
 	for {
 		progressed, err := n.pullOnce(ctx, rep)

@@ -242,6 +242,11 @@ func TestCorruptionCategoryOnReopen(t *testing.T) {
 func TestSSEDroppedSurfacesInMetrics(t *testing.T) {
 	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 99)
 	s := NewWith(svc, Options{SSEBuffer: 1})
+	// The stream handler reads nothing from its subscription until the run
+	// is over: the whole run's telemetry meets a minimum-size buffer, so
+	// the overflow is forced rather than left to scheduling.
+	gate := make(chan struct{})
+	s.sseGate = gate
 	srv := httptest.NewServer(s)
 	t.Cleanup(func() {
 		srv.Close()
@@ -258,13 +263,13 @@ func TestSSEDroppedSurfacesInMetrics(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	// Run the whole simulation while the subscriber sits unread; its 1-slot
-	// buffer overflows on nearly every notification.
 	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
 	c.waitDone(proj, 30*time.Second)
+	close(gate)
 
-	// Drain the stream to completion; the handler flushes the final drop
-	// delta when the subscription closes.
+	// Drain the stream to its end. The handler counts drops before it
+	// writes the dropped event and flushes the rest before it returns, so
+	// by EOF the registry holds them all.
 	sawDropped := false
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -272,13 +277,11 @@ func TestSSEDroppedSurfacesInMetrics(t *testing.T) {
 			sawDropped = true
 		}
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Metrics().SSEDropped() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if !sawDropped {
+		t.Error("stream carried no dropped event for a subscriber held behind a whole run")
 	}
 	if got := s.Metrics().SSEDropped(); got == 0 {
-		t.Errorf("SSEDropped = 0 after a starved 1-slot subscriber (saw dropped event: %v)", sawDropped)
+		t.Error("SSEDropped = 0 after a subscriber held behind a whole run")
 	}
 	fams := s.Metrics().Families()
 	if got := gaugeValue(fams, "itag_sse_dropped_events_total"); got < 1 {

@@ -96,10 +96,14 @@ type Server struct {
 	metrics      *api.Metrics
 	routeTimeout time.Duration
 	sseBuffer    int
-	extraFams    func() []api.Family
-	admission    *capacity.Governor // nil when admission control is off
-	resp         *respCache         // nil when the encoded-response cache is off
-	handler      http.Handler
+	// sseGate is a test hook: when non-nil an events stream, having sent
+	// hello, reads nothing from its subscription until the gate closes —
+	// a subscriber that provably fell behind.
+	sseGate   <-chan struct{}
+	extraFams func() []api.Family
+	admission *capacity.Governor // nil when admission control is off
+	resp      *respCache         // nil when the encoded-response cache is off
+	handler   http.Handler
 }
 
 // New builds a Server with default options; logger may be nil for silence.

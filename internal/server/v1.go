@@ -262,6 +262,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if s.sseGate != nil {
+		select {
+		case <-s.sseGate:
+		case <-r.Context().Done():
+			return
+		}
+	}
 	heartbeat := time.NewTicker(sseHeartbeat)
 	defer heartbeat.Stop()
 	var reported int64

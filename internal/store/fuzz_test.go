@@ -121,6 +121,29 @@ func requirePrefixState(t *testing.T, state map[string]int, minPrefix int, label
 	t.Fatalf("%s: recovered state %v is not a committed-history prefix (>= %d): corruption was silently misapplied", label, state, minPrefix)
 }
 
+// requireTreeMatchesState holds the recovered tree itself — not just what a
+// Scan reports — against the oracle state: node invariants intact, key
+// count exact, every oracle key found by a descent and nothing else
+// iterated.
+func requireTreeMatchesState(t *testing.T, db *DB, state map[string]int, label string) {
+	t.Helper()
+	checkStoreTrees(t, label, db)
+	tr := db.table("t")
+	if tr.n != len(state) || db.Count("t") != len(state) {
+		t.Fatalf("%s: recovered tree counts %d keys, oracle holds %d", label, tr.n, len(state))
+	}
+	for k, v := range state {
+		if raw, ok := tr.get(k); !ok || string(raw) != fmt.Sprint(v) {
+			t.Fatalf("%s: recovered tree get(%q) = %q, %v; oracle holds %d", label, k, raw, ok, v)
+		}
+	}
+	for _, e := range treeContents(tr) {
+		if _, ok := state[e.key]; !ok {
+			t.Fatalf("%s: recovered tree iterates %q, which the oracle does not hold", label, e.key)
+		}
+	}
+}
+
 // corrupt applies the fuzzed mutation to a file: XOR one byte, then drop a
 // tail. Returns false if the file is empty (nothing to corrupt).
 func corrupt(t *testing.T, path string, pos uint32, xor byte, trunc uint16) bool {
@@ -193,7 +216,9 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			return // corruption detected and reported: always acceptable
 		}
-		requirePrefixState(t, readFuzzState(t, db2), 0, "FuzzReplay")
+		state := readFuzzState(t, db2)
+		requirePrefixState(t, state, 0, "FuzzReplay")
+		requireTreeMatchesState(t, db2, state, "FuzzReplay")
 		postRecoveryWriteCycle(t, path, Options{}, db2)
 	})
 }
@@ -251,7 +276,9 @@ func FuzzSegmentRecovery(f *testing.F) {
 		if target != files[0] && db2.Stats().SnapshotsLoaded == 1 {
 			minPrefix = mid
 		}
-		requirePrefixState(t, readFuzzState(t, db2), minPrefix, "FuzzSegmentRecovery")
+		state := readFuzzState(t, db2)
+		requirePrefixState(t, state, minPrefix, "FuzzSegmentRecovery")
+		requireTreeMatchesState(t, db2, state, "FuzzSegmentRecovery")
 		postRecoveryWriteCycle(t, path, opts, db2)
 	})
 }

@@ -26,8 +26,8 @@ type Store interface {
 	Apply(muts []Mutation) error
 	// Scan visits every (key, raw JSON value) of a table in ascending key
 	// order; fn returning false stops the scan. The raw slices handed to
-	// fn are shared with the store's immutable value snapshots and must
-	// not be modified.
+	// fn are shared with the store's immutable tree versions and must not
+	// be modified.
 	Scan(table string, fn func(key string, raw []byte) bool)
 	// ScanPrefix visits keys with the given prefix in ascending order.
 	ScanPrefix(table, prefix string, fn func(key string, raw []byte) bool)
@@ -38,8 +38,7 @@ type Store interface {
 	ScanRange(table, start, end string, limit int, fn func(key string, raw []byte) bool) int
 	// Count returns the number of keys in a table.
 	Count(table string) int
-	// CountPrefix returns the number of keys with the given prefix without
-	// visiting them.
+	// CountPrefix returns the number of keys with the given prefix.
 	CountPrefix(table, prefix string) int
 	// Tables returns the table names in sorted order.
 	Tables() []string

@@ -1,140 +1,332 @@
 package store
 
-// This file implements the ordered, copy-on-write read path behind DB: each
-// table keeps an immutable snapshot (tableSnap) published behind an atomic
-// pointer, so Get/Has/Scan/ScanPrefix/ScanRange/Count never take the store
-// lock. Writers — the group-commit writer, the synchronous commit path and
-// the in-memory commit path — rebuild the affected tables incrementally at
-// apply time and publish the new index atomically, so a commit's effects
-// are visible to readers before its barrier releases (read-your-writes is
-// preserved).
+// This file is the store's only in-memory representation: one immutable,
+// path-copying B+tree per table, the roots held in a dbIndex published
+// behind DB.idx. A commit copies the one root-to-leaf path it changes —
+// O(log n) whatever the table size — and swaps the index pointer; a node
+// reachable from a published root is never written again. Readers
+// (Get/Has/Scan*/Count*/Tables, Sharded's k-way merge) load the pointer
+// and walk: no lock, and a reader holding an old root keeps seeing exactly
+// that version for as long as it likes. A compaction cut and
+// SnapshotExport are the same load.
 //
-// A snapshot is a two-level structure: a large sorted base (keys/vals) plus
-// a small sorted delta overlay (dkeys/dvals) holding the keys written since
-// the base was last built; a nil delta value is a tombstone shadowing a
-// deleted base entry. A commit batch merges its dirty keys into a fresh
-// delta — O(|delta|) — and folds the delta into a fresh base only when the
-// delta outgrows ~2·√(base), so the per-commit rebuild cost is amortized
-// O(√n) instead of the O(n) a flat sorted array would pay. Reads pay one
-// extra binary search over the (small) delta; scans run a two-way merge of
-// base and delta with early termination and no copying.
-//
-// Value slices are shared between the snapshot and the authoritative table
-// maps; that is safe because stored values are replaced wholesale on
-// overwrite and never mutated in place (the same invariant the compaction
-// cut relies on, see snapshotTablesLocked).
-//
-// Options.PlainReads disables the index and restores the pre-index
-// iterate-filter-sort read path — kept, like GroupCommitWindow < 0, as the
-// benchmark baseline (experiment S7).
+// Value slices are stored as handed in and shared by every version that
+// holds them: values are replaced wholesale on overwrite, never mutated in
+// place.
 
 import (
+	"encoding/json"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// tableSnap is an immutable point-in-time ordered view of one table. Never
-// mutated after publication; rebuilds produce fresh slices.
-type tableSnap struct {
-	keys []string // base: ascending keys…
-	vals [][]byte // …with their raw values in parallel
+// Node fill: a node splits past maxItems and is pooled with a neighbour
+// below minItems (the root is exempt). 16 is the knee of
+// BenchmarkStoreCommit's B/op (see docs/ARCHITECTURE.md for the row).
+const (
+	maxItems = 16
+	minItems = maxItems / 2
+)
 
-	dkeys []string // delta overlay: ascending keys written since the base…
-	dvals [][]byte // …was built; nil marks a tombstone (deleted base key)
-
-	live int // number of live keys (base − tombstoned + inserted)
+// entry is one key with its raw JSON value.
+type entry struct {
+	key string
+	val []byte
 }
 
-// get returns the raw value for key: delta overlay first (it shadows the
-// base), then the base.
-func (s *tableSnap) get(key string) ([]byte, bool) {
-	if s == nil {
+// child is a branch slot. From the second slot on, min separates: every
+// key under the slot is >= min and every key under the previous slot is
+// smaller. The first slot's min is never used to route; it repeats the
+// separator the parent holds for this node, so a node cut from or joined
+// onto a list brings its own bound along.
+type child struct {
+	min string
+	n   *node
+}
+
+// node is a leaf (ents) or a branch (kids); all leaves sit at one depth.
+type node struct {
+	ents []entry
+	kids []child
+}
+
+func (n *node) size() int { return len(n.ents) + len(n.kids) }
+
+// lowest returns the separator for a node cut from the right of a list:
+// its first key, or the min its first slot carries.
+func (n *node) lowest() string {
+	if n.kids != nil {
+		return n.kids[0].min
+	}
+	return n.ents[0].key
+}
+
+// childFor returns the slot whose subtree holds key's position.
+func (n *node) childFor(key string) int {
+	return sort.Search(len(n.kids)-1, func(i int) bool { return key < n.kids[i+1].min })
+}
+
+// seek returns the position of the first leaf entry >= key and whether it
+// is key itself.
+func (n *node) seek(key string) (int, bool) {
+	return slices.BinarySearchFunc(n.ents, key, func(e entry, k string) int { return strings.Compare(e.key, k) })
+}
+
+// splice returns a fresh slice: s with s[i:j] replaced by repl.
+func splice[T any](s []T, i, j int, repl ...T) []T {
+	out := make([]T, 0, len(s)-(j-i)+len(repl))
+	return append(append(append(out, s[:i]...), repl...), s[j:]...)
+}
+
+// split cuts an over-full node in two, each half in its own backing array
+// so neither pins the other's memory.
+func (n *node) split() (l, r *node) {
+	if n.kids == nil {
+		mid := len(n.ents) / 2
+		return &node{ents: slices.Clone(n.ents[:mid])}, &node{ents: slices.Clone(n.ents[mid:])}
+	}
+	mid := len(n.kids) / 2
+	return &node{kids: slices.Clone(n.kids[:mid])}, &node{kids: slices.Clone(n.kids[mid:])}
+}
+
+// join concatenates two neighbouring nodes of one depth.
+func join(l, r *node) *node {
+	if l.kids == nil {
+		return &node{ents: splice(l.ents, len(l.ents), len(l.ents), r.ents...)}
+	}
+	return &node{kids: splice(l.kids, len(l.kids), len(l.kids), r.kids...)}
+}
+
+// put returns a copy of the subtree with key set to val — split in two
+// (right non-nil) if that over-filled it — and whether key is new.
+func (n *node) put(key string, val []byte) (left, right *node, added bool) {
+	var out *node
+	if n.kids == nil {
+		i, found := n.seek(key)
+		j := i
+		if found {
+			j++
+		}
+		out, added = &node{ents: splice(n.ents, i, j, entry{key, val})}, !found
+	} else {
+		i := n.childFor(key)
+		l, r, a := n.kids[i].n.put(key, val)
+		if r == nil {
+			out = &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, l})}
+		} else {
+			out = &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, l}, child{r.lowest(), r})}
+		}
+		added = a
+	}
+	if out.size() <= maxItems {
+		return out, nil, added
+	}
+	left, right = out.split()
+	return left, right, added
+}
+
+// del returns a copy of the subtree without key, or n itself and false
+// when key is absent. The copy may be under-full; the caller pools it.
+func (n *node) del(key string) (*node, bool) {
+	if n.kids == nil {
+		i, found := n.seek(key)
+		if !found {
+			return n, false
+		}
+		return &node{ents: splice(n.ents, i, i+1)}, true
+	}
+	i := n.childFor(key)
+	c, ok := n.kids[i].n.del(key)
+	if !ok {
+		return n, false
+	}
+	if c.size() >= minItems {
+		return &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, c})}, true
+	}
+	// Pool the under-full child with a neighbour: one node when the items
+	// fit, two even ones otherwise.
+	a := max(i-1, 0)
+	pair := [2]*node{n.kids[a].n, n.kids[a+1].n}
+	pair[i-a] = c
+	pooled := join(pair[0], pair[1])
+	repl := []child{{n.kids[a].min, pooled}}
+	if pooled.size() > maxItems {
+		l, r := pooled.split()
+		repl = []child{{n.kids[a].min, l}, {r.lowest(), r}}
+	}
+	return &node{kids: splice(n.kids, a, a+2, repl...)}, true
+}
+
+// tree is one version of one table: an immutable root (nil when empty) and
+// the number of keys under it. The zero tree is the empty table.
+type tree struct {
+	root *node
+	n    int
+}
+
+func (t tree) put(key string, val []byte) tree {
+	if t.root == nil {
+		return tree{&node{ents: []entry{{key, val}}}, 1}
+	}
+	l, r, added := t.root.put(key, val)
+	if r != nil {
+		l = &node{kids: []child{{"", l}, {r.lowest(), r}}}
+	}
+	if added {
+		t.n++
+	}
+	return tree{l, t.n}
+}
+
+func (t tree) del(key string) tree {
+	if t.root == nil {
+		return t
+	}
+	root, ok := t.root.del(key)
+	if !ok {
+		return t
+	}
+	switch {
+	case root.size() == 0:
+		root = nil
+	case len(root.kids) == 1:
+		root = root.kids[0].n
+	}
+	return tree{root, t.n - 1}
+}
+
+func (t tree) get(key string) ([]byte, bool) {
+	n := t.root
+	if n == nil {
 		return nil, false
 	}
-	if j := sort.SearchStrings(s.dkeys, key); j < len(s.dkeys) && s.dkeys[j] == key {
-		if s.dvals[j] == nil {
-			return nil, false // tombstone
-		}
-		return s.dvals[j], true
+	for n.kids != nil {
+		n = n.kids[n.childFor(key)].n
 	}
-	if i := sort.SearchStrings(s.keys, key); i < len(s.keys) && s.keys[i] == key {
-		return s.vals[i], true
+	if i, found := n.seek(key); found {
+		return n.ents[i].val, true
 	}
 	return nil, false
 }
 
-// count returns the number of live keys.
-func (s *tableSnap) count() int {
-	if s == nil {
-		return 0
+// buildTree bulk-loads ascending entries (a decoded snapshot) into evenly
+// filled nodes, level by level.
+func buildTree(ents []entry) tree {
+	if len(ents) == 0 {
+		return tree{}
 	}
-	return s.live
+	level := make([]child, 0, len(ents)/maxItems+1)
+	for _, part := range evenParts(ents) {
+		level = append(level, child{part[0].key, &node{ents: slices.Clone(part)}})
+	}
+	for len(level) > 1 {
+		up := make([]child, 0, len(level)/maxItems+1)
+		for _, part := range evenParts(level) {
+			up = append(up, child{part[0].min, &node{kids: slices.Clone(part)}})
+		}
+		level = up
+	}
+	return tree{level[0].n, len(ents)}
 }
 
-// snapIter merges base and delta lazily over [start, end): head entry in
-// (key, val, ok); advance() moves to the next live entry, skipping
-// tombstones and shadowed base entries.
-type snapIter struct {
-	s    *tableSnap
-	i, j int
-	end  string
-	key  string
-	val  []byte
-	ok   bool
+// evenParts cuts s into the fewest runs of at most maxItems, sized within
+// one of each other (so every run of a multi-run cut holds >= minItems).
+// The runs alias s; a node clones its run so the input can be collected.
+func evenParts[T any](s []T) [][]T {
+	parts := (len(s) + maxItems - 1) / maxItems
+	out := make([][]T, 0, parts)
+	for i := 0; i < parts; i++ {
+		lo, hi := i*len(s)/parts, (i+1)*len(s)/parts
+		out = append(out, s[lo:hi])
+	}
+	return out
 }
 
-// iter positions an iterator at the first live key >= start (nil-receiver
-// safe: the iterator is immediately exhausted).
-func (s *tableSnap) iter(start, end string) snapIter {
-	it := snapIter{end: end}
-	if s != nil {
-		it.s = s
-		it.i = sort.SearchStrings(s.keys, start)
-		it.j = sort.SearchStrings(s.dkeys, start)
+// maxDepth bounds the iterator's stack: minItems^maxDepth keys is far past
+// anything addressable.
+const maxDepth = 16
+
+// treeIter walks one tree version over [start, end) in ascending order:
+// the head entry is (key, val) while ok; advance moves on. It is a value —
+// no allocation — and stays valid however far the table moves on.
+type treeIter struct {
+	stack [maxDepth]struct {
+		n *node
+		i int
 	}
+	depth int // frames in use; the top one is a leaf
+	end   string
+	key   string
+	val   []byte
+	ok    bool
+}
+
+// iter positions an iterator at the first key >= start; end "" means
+// unbounded.
+func (t tree) iter(start, end string) treeIter {
+	it := treeIter{end: end}
+	n := t.root
+	if n == nil {
+		return it
+	}
+	for n.kids != nil {
+		i := n.childFor(start)
+		it.push(n, i)
+		n = n.kids[i].n
+	}
+	i, _ := n.seek(start)
+	it.push(n, i-1)
 	it.advance()
 	return it
 }
 
-func (it *snapIter) advance() {
-	it.ok = false
-	s := it.s
-	if s == nil {
-		return
-	}
-	for {
-		bi := it.i < len(s.keys) && (it.end == "" || s.keys[it.i] < it.end)
-		dj := it.j < len(s.dkeys) && (it.end == "" || s.dkeys[it.j] < it.end)
-		switch {
-		case !bi && !dj:
-			return
-		case dj && (!bi || s.dkeys[it.j] <= s.keys[it.i]):
-			k, v := s.dkeys[it.j], s.dvals[it.j]
-			if bi && s.keys[it.i] == k {
-				it.i++ // delta shadows this base entry
-			}
-			it.j++
-			if v == nil {
-				continue // tombstone
-			}
-			it.key, it.val, it.ok = k, v, true
-			return
-		default:
-			it.key, it.val, it.ok = s.keys[it.i], s.vals[it.i], true
-			it.i++
-			return
-		}
-	}
+func (it *treeIter) push(n *node, i int) {
+	it.stack[it.depth].n, it.stack[it.depth].i = n, i
+	it.depth++
 }
 
-// scanRange visits live keys in [start, end) (end "" = unbounded), at most
-// limit (limit <= 0 = unbounded), and reports how many fn visited.
-func (s *tableSnap) scanRange(start, end string, limit int, fn func(key string, raw []byte) bool) int {
-	n := 0
-	for it := s.iter(start, end); it.ok; it.advance() {
-		if limit > 0 && n == limit {
-			break
+func (it *treeIter) advance() {
+	it.ok = false
+	if it.depth == 0 {
+		return
+	}
+	leaf := &it.stack[it.depth-1]
+	leaf.i++
+	if leaf.i == len(leaf.n.ents) {
+		// Leaf exhausted: climb to the nearest ancestor with a slot to
+		// the right, then descend its leftmost path.
+		d := it.depth - 2
+		for d >= 0 && it.stack[d].i == len(it.stack[d].n.kids)-1 {
+			d--
 		}
+		if d < 0 {
+			it.depth = 0
+			return
+		}
+		it.stack[d].i++
+		it.depth = d + 1
+		for n := it.stack[d].n.kids[it.stack[d].i].n; ; n = n.kids[0].n {
+			it.push(n, 0)
+			if n.kids == nil {
+				break
+			}
+		}
+		leaf = &it.stack[it.depth-1]
+	}
+	e := leaf.n.ents[leaf.i]
+	if it.end != "" && e.key >= it.end {
+		it.depth = 0
+		return
+	}
+	it.key, it.val, it.ok = e.key, e.val, true
+}
+
+// scanRange visits keys in [start, end) (end "" = unbounded), at most
+// limit (limit <= 0 = unbounded), and reports how many fn visited.
+func (t tree) scanRange(start, end string, limit int, fn func(key string, raw []byte) bool) int {
+	n := 0
+	for it := t.iter(start, end); it.ok && (limit <= 0 || n < limit); it.advance() {
 		n++
 		if !fn(it.key, it.val) {
 			break
@@ -143,216 +335,91 @@ func (s *tableSnap) scanRange(start, end string, limit int, fn func(key string, 
 	return n
 }
 
-// countRange counts live keys in [start, end) without visiting them: two
-// binary searches over the base, adjusted by the delta entries in range.
-func (s *tableSnap) countRange(start, end string) int {
-	if s == nil {
-		return 0
-	}
-	lo := sort.SearchStrings(s.keys, start)
-	hi := len(s.keys)
-	if end != "" {
-		hi = sort.SearchStrings(s.keys, end)
-	}
-	n := hi - lo
-	if n < 0 {
-		n = 0
-	}
-	for j := sort.SearchStrings(s.dkeys, start); j < len(s.dkeys); j++ {
-		k := s.dkeys[j]
-		if end != "" && k >= end {
-			break
+// MarshalJSON renders the table as the snapshot format's {"key": value}
+// object in key order — byte for byte what encoding/json makes of the
+// equivalent map[string]json.RawMessage.
+func (t tree) MarshalJSON() ([]byte, error) {
+	buf := []byte{'{'}
+	for it := t.iter("", ""); it.ok; it.advance() {
+		if len(buf) > 1 {
+			buf = append(buf, ',')
 		}
-		i := sort.SearchStrings(s.keys, k)
-		inBase := i < len(s.keys) && s.keys[i] == k
-		if s.dvals[j] == nil {
-			if inBase {
-				n--
-			}
-		} else if !inBase {
-			n++
+		k, err := json.Marshal(it.key)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(append(buf, k...), ':')
+		if len(it.val) == 0 {
+			buf = append(buf, "null"...)
+		} else {
+			buf = append(buf, it.val...)
 		}
 	}
-	return n
+	return append(buf, '}'), nil
 }
 
-// dbIndex maps table name → its current snapshot. The map itself is
-// immutable once published; rebuilds copy it shallowly.
-type dbIndex map[string]*tableSnap
+// dbIndex is one version of the whole store: every table's tree, in table
+// name order. Immutable once published; a commit edits a shallow copy.
+type dbIndex []namedTree
 
-// loadIndex returns the published index (nil before the first publication,
-// i.e. mid-recovery or with PlainReads).
+type namedTree struct {
+	name string
+	tree
+}
+
+func (x dbIndex) find(table string) (int, bool) {
+	return slices.BinarySearchFunc(x, table, func(t namedTree, name string) int { return strings.Compare(t.name, name) })
+}
+
+// apply folds one WAL record into x, which must be the caller's own copy.
+// A table exists from its first put on, even if later emptied.
+func (x *dbIndex) apply(rec Record) {
+	switch rec.Op {
+	case OpPut:
+		i, ok := x.find(rec.Table)
+		if !ok {
+			*x = slices.Insert(*x, i, namedTree{name: rec.Table})
+		}
+		(*x)[i].tree = (*x)[i].put(rec.Key, rec.Value)
+	case OpDelete:
+		if i, ok := x.find(rec.Table); ok {
+			(*x)[i].tree = (*x)[i].del(rec.Key)
+		}
+	case OpBatch:
+		for _, sub := range rec.Batch {
+			if sub.Op != OpBatch {
+				x.apply(sub)
+			}
+		}
+	}
+}
+
+// loadIndex returns the published index.
 func (db *DB) loadIndex() dbIndex {
-	p := db.idx.Load()
-	if p == nil {
-		return nil
+	if p := db.idx.Load(); p != nil {
+		return *p
 	}
-	return *p
+	return nil
 }
 
-// snap returns the published snapshot of one table (nil-safe for readers).
-func (db *DB) snap(table string) *tableSnap {
-	return db.loadIndex()[table]
+// table returns the published version of one table (empty when absent).
+func (db *DB) table(name string) tree {
+	x := db.loadIndex()
+	if i, ok := x.find(name); ok {
+		return x[i].tree
+	}
+	return tree{}
 }
 
-// indexed reports whether this DB serves reads from the snapshot index.
-func (db *DB) indexed() bool { return !db.opts.PlainReads }
-
-// tableSnapshot exposes a table's immutable snapshot to Sharded's k-way
-// merge. ok=false means this store has no index (PlainReads) and the caller
-// must fall back to the collect-and-sort path.
-func (db *DB) tableSnapshot(table string) (*tableSnap, bool) {
-	if !db.indexed() {
-		return nil, false
-	}
-	return db.snap(table), true
-}
-
-// tableSnapshotter is the optional backend surface Sharded uses to merge
-// per-shard ordered snapshots without copying.
-type tableSnapshotter interface {
-	tableSnapshot(table string) (*tableSnap, bool)
-}
-
-// markDirtyLocked records that a commit touched (table, key). Caller holds
-// db.mu; no-op until the index goes live after recovery.
-func (db *DB) markDirtyLocked(table, key string) {
-	if !db.idxLive {
-		return
-	}
-	t := db.dirty[table]
-	if t == nil {
-		if db.dirty == nil {
-			db.dirty = make(map[string]map[string]struct{})
-		}
-		t = make(map[string]struct{})
-		db.dirty[table] = t
-	}
-	t[key] = struct{}{}
-}
-
-// refreshIndexLocked merges the dirty keys of the last commit batch into
-// the published index. Caller holds db.mu; must run before the batch's
-// commit barriers release so acked writes are reader-visible.
-func (db *DB) refreshIndexLocked() {
-	if !db.idxLive || len(db.dirty) == 0 {
-		return
-	}
-	old := db.loadIndex()
-	next := make(dbIndex, len(db.tables))
-	for name, snap := range old {
-		next[name] = snap
-	}
-	for name, keys := range db.dirty {
-		next[name] = mergeSnap(old[name], db.tables[name], keys)
+// applyLocked folds records into a copy of the published index and
+// publishes the result, so an acked write is reader-visible before its
+// commit barrier releases. Caller holds db.mu (or is single-threaded Open).
+func (db *DB) applyLocked(recs ...Record) {
+	next := slices.Clone(db.loadIndex())
+	for _, rec := range recs {
+		next.apply(rec)
 	}
 	db.idx.Store(&next)
-	db.dirty = nil
-}
-
-// rebuildIndexLocked builds the index from scratch — once after recovery,
-// instead of merging per replayed record. Caller holds db.mu (or is in
-// single-threaded Open).
-func (db *DB) rebuildIndexLocked() {
-	if !db.indexed() {
-		return
-	}
-	next := make(dbIndex, len(db.tables))
-	for name, t := range db.tables {
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			vals[i] = t[k]
-		}
-		next[name] = &tableSnap{keys: keys, vals: vals, live: len(keys)}
-	}
-	db.idx.Store(&next)
-	db.dirty = nil
-	db.idxLive = true
-}
-
-// mergeSnap merges one table's dirty keys into its previous snapshot: the
-// dirty keys join the delta overlay in one ordered pass (looking each up in
-// the authoritative map t; absent = tombstone), and the delta folds into a
-// fresh base once it outgrows ~2·√(base) — the amortized-O(√n) schedule.
-func mergeSnap(old *tableSnap, t map[string][]byte, dirtySet map[string]struct{}) *tableSnap {
-	dirty := make([]string, 0, len(dirtySet))
-	for k := range dirtySet {
-		dirty = append(dirty, k)
-	}
-	sort.Strings(dirty)
-	if old == nil {
-		old = &tableSnap{}
-	}
-	next := &tableSnap{keys: old.keys, vals: old.vals}
-	// One ordered pass: previous delta entries not re-dirtied carry over,
-	// dirty keys pick up their current value (or a tombstone). The live
-	// count adjusts only at the dirty keys' liveness transitions — the
-	// carried entries contributed to old.live already.
-	dkeys := make([]string, 0, len(old.dkeys)+len(dirty))
-	dvals := make([][]byte, 0, len(old.dkeys)+len(dirty))
-	live := old.live
-	i, j := 0, 0
-	for i < len(old.dkeys) || j < len(dirty) {
-		if j == len(dirty) || (i < len(old.dkeys) && old.dkeys[i] < dirty[j]) {
-			dkeys = append(dkeys, old.dkeys[i])
-			dvals = append(dvals, old.dvals[i])
-			i++
-			continue
-		}
-		k := dirty[j]
-		j++
-		wasLive := false
-		if i < len(old.dkeys) && old.dkeys[i] == k {
-			wasLive = old.dvals[i] != nil
-			i++ // superseded by the fresh dirty entry
-		} else {
-			_, wasLive = searchIn(old.keys, k)
-		}
-		if v, ok := t[k]; ok {
-			dkeys = append(dkeys, k)
-			dvals = append(dvals, v)
-			if !wasLive {
-				live++
-			}
-		} else {
-			if wasLive {
-				live--
-			}
-			if _, inBase := searchIn(next.keys, k); inBase {
-				dkeys = append(dkeys, k)
-				dvals = append(dvals, nil) // tombstone for a live base key
-			}
-			// Deleted and absent from the base: no entry needed at all.
-		}
-	}
-	next.dkeys, next.dvals = dkeys, dvals
-	next.live = live
-	if d := len(dkeys); d > 64 && d*d > 4*len(next.keys) {
-		return foldSnap(next)
-	}
-	return next
-}
-
-// foldSnap compacts a snapshot's delta into a fresh base.
-func foldSnap(s *tableSnap) *tableSnap {
-	keys := make([]string, 0, len(s.keys)+len(s.dkeys))
-	vals := make([][]byte, 0, len(s.keys)+len(s.dkeys))
-	for it := s.iter("", ""); it.ok; it.advance() {
-		keys = append(keys, it.key)
-		vals = append(vals, it.val)
-	}
-	return &tableSnap{keys: keys, vals: vals, live: len(keys)}
-}
-
-// searchIn is a bare sorted-slice membership probe.
-func searchIn(keys []string, key string) (int, bool) {
-	i := sort.SearchStrings(keys, key)
-	return i, i < len(keys) && keys[i] == key
 }
 
 // prefixEnd returns the smallest key greater than every key with the given
@@ -360,7 +427,7 @@ func searchIn(keys []string, key string) (int, bool) {
 func prefixEnd(prefix string) string {
 	for i := len(prefix) - 1; i >= 0; i-- {
 		if prefix[i] != 0xff {
-			return prefix[:i] + string(prefix[i]+1)
+			return prefix[:i] + string([]byte{prefix[i] + 1})
 		}
 	}
 	return ""

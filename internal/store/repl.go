@@ -305,34 +305,25 @@ func (db *DB) readTailFile(f replFile, out *[]byte, next *uint64, from uint64, m
 
 // SnapshotExport returns a snapshot-file image (header line + checksummed
 // JSON body) of the applied state, suitable for InstallSnapshot on a
-// follower — the wire twin of the compaction snapshot.
+// follower — the wire twin of the compaction snapshot. Holding the lock
+// that serializes applies just long enough to pair the sequence with the
+// published index is all the capture costs.
 func (db *DB) SnapshotExport() ([]byte, error) {
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
 	var seq uint64
-	var tables map[string]rawTable
-	if db.wal != nil {
-		w := db.wal
+	var idx dbIndex
+	if w := db.wal; w != nil {
 		w.fmu.Lock()
-		db.mu.Lock()
-		if db.closed.Load() {
-			db.mu.Unlock()
-			w.fmu.Unlock()
-			return nil, ErrClosed
-		}
-		seq = w.lastApplied
-		tables = snapshotTablesLocked(db.tables)
-		db.mu.Unlock()
+		seq, idx = w.lastApplied, db.loadIndex()
 		w.fmu.Unlock()
 	} else {
-		db.mu.Lock()
-		if db.closed.Load() {
-			db.mu.Unlock()
-			return nil, ErrClosed
-		}
-		seq = db.seq
-		tables = snapshotTablesLocked(db.tables)
-		db.mu.Unlock()
+		db.mu.RLock()
+		seq, idx = db.seq, db.loadIndex()
+		db.mu.RUnlock()
 	}
-	return encodeSnapshot(seq, tables)
+	return encodeSnapshot(seq, idx)
 }
 
 // ApplyReplicated ingests a batch of framed WAL lines shipped from a
@@ -381,14 +372,11 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 		w.sinceSync = 0
 		db.st.fsyncs.Add(1)
 	}
-	db.mu.Lock()
-	for _, rec := range recs {
-		db.applyLocked(rec)
-		db.seq = rec.Seq
-	}
-	db.refreshIndexLocked()
-	db.mu.Unlock()
 	last := recs[len(recs)-1].Seq
+	db.mu.Lock()
+	db.applyLocked(recs...)
+	db.seq = last
+	db.mu.Unlock()
 	w.lastApplied = last
 	db.st.appliedSeq.Store(last)
 	db.st.commits.Add(uint64(len(recs)))
@@ -412,11 +400,8 @@ func (db *DB) applyReplicatedMemory(data []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, rec := range recs {
-		db.applyLocked(rec)
-		db.seq = rec.Seq
-	}
-	db.refreshIndexLocked()
+	db.applyLocked(recs...)
+	db.seq = recs[len(recs)-1].Seq
 	db.st.appliedSeq.Store(db.seq)
 	db.st.commits.Add(uint64(len(recs)))
 	return db.seq, nil
@@ -461,7 +446,7 @@ func parseReplicated(data []byte, seq uint64) ([]Record, error) {
 // snapshot file and resets the WAL to a fresh segment. The snapshot must be
 // ahead of the follower's current sequence.
 func (db *DB) InstallSnapshot(data []byte) error {
-	seq, tables, err := parseSnapshot(data, "replicated snapshot")
+	seq, idx, err := parseSnapshot(data, "replicated snapshot")
 	if err != nil {
 		return err
 	}
@@ -474,7 +459,8 @@ func (db *DB) InstallSnapshot(data []byte) error {
 		if seq <= db.seq {
 			return errs.New(errs.ComponentStore, errs.CategoryConflict, "snapshot seq %d is not ahead of local seq %d", seq, db.seq)
 		}
-		db.installTablesLocked(seq, tables)
+		db.idx.Store(&idx)
+		db.seq = seq
 		db.st.appliedSeq.Store(seq)
 		return nil
 	}
@@ -534,42 +520,12 @@ func (db *DB) InstallSnapshot(data []byte) error {
 		return db.fail(oerr)
 	}
 	db.mu.Lock()
-	db.installTablesLocked(seq, tables)
+	db.idx.Store(&idx)
+	db.seq = seq
 	db.mu.Unlock()
 	w.lastApplied = seq
 	w.sinceSync = 0
 	db.st.appliedSeq.Store(seq)
 	db.st.snapshotSeq.Store(seq)
-	return nil
-}
-
-// installTablesLocked swaps in a snapshot's tables wholesale. Caller holds
-// db.mu.
-func (db *DB) installTablesLocked(seq uint64, tables map[string]map[string][]byte) {
-	db.tables = tables
-	db.seq = seq
-	db.dirty = nil
-	db.rebuildIndexLocked()
-}
-
-// writeSnapshotBytes writes a pre-encoded snapshot image to path and fsyncs
-// it.
-func writeSnapshotBytes(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "create snapshot")
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "write snapshot")
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "close snapshot")
-	}
 	return nil
 }

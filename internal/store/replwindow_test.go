@@ -1,0 +1,130 @@
+package store
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"testing"
+)
+
+// TestReplTailInsideCompactionWindow lands a ReplTail from inside the
+// covered segments between a compaction cut and the snapshot rename. In
+// that window the snapshot sequence still trails the cut, so the tail must
+// stay servable: the covered segments remain on the sealed list until the
+// rename. (They used to leave it at the cut; a follower pulling from inside
+// them then met the first post-cut record and got a sequence-gap corruption
+// error instead of its records or ErrSnapshotNeeded.) Once the compaction
+// finishes the same pull answers ErrSnapshotNeeded.
+func TestReplTailInsideCompactionWindow(t *testing.T) {
+	for _, site := range []Failpoint{FailSnapshotAfterCut, FailSnapshotBeforeRename} {
+		t.Run(string(site), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: 256}
+			leader, err := Open(filepath.Join(dir, "leader.wal"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leader.Close()
+			follower, err := Open(filepath.Join(dir, "follower.wal"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			for i := 0; i < 60; i++ {
+				if err := leader.Put("posts", fmt.Sprintf("res-%d/%03d", i%4, i), i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := leader.Stats(); st.Segments < 4 {
+				t.Fatalf("want several sealed segments before the cut, have %d", st.Segments)
+			}
+			// Park the follower part-way through the sealed segments.
+			for follower.AppliedSeq() < 20 {
+				pullOnce(t, leader, follower, 200)
+			}
+			from := follower.AppliedSeq()
+			if from >= 60 {
+				t.Fatalf("follower already caught up (%d)", from)
+			}
+
+			var (
+				inWindow bool
+				data     []byte
+				last     uint64
+				tailErr  error
+			)
+			leader.SetFailpoint(func(p Failpoint) bool {
+				if p != site {
+					return false
+				}
+				inWindow = true
+				if got := leader.Stats().SnapshotSeq; got != 0 {
+					t.Errorf("snapshot seq already %d inside the window", got)
+				}
+				// A write after the cut: the record a gapped tail trips on.
+				if err := leader.Put("posts", "res-9/after-cut", 1); err != nil {
+					t.Errorf("post-cut write: %v", err)
+				}
+				data, last, tailErr = leader.ReplTail(from, 1<<20)
+				return false // no crash: the compaction carries on
+			})
+			if err := leader.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			leader.SetFailpoint(nil)
+			if !inWindow {
+				t.Fatalf("failpoint %s never fired", site)
+			}
+			if tailErr != nil {
+				t.Fatalf("ReplTail(%d) inside the compaction window: %v", from, tailErr)
+			}
+			if last != 61 {
+				t.Fatalf("window tail ends at seq %d, want 61 (60 covered + the post-cut write)", last)
+			}
+			if applied, err := follower.ApplyReplicated(data); err != nil || applied != 61 {
+				t.Fatalf("follower applied the window tail to seq %d: %v", applied, err)
+			}
+			diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+
+			// After the rename and cleanup the covered tail is gone for good.
+			if _, _, err := leader.ReplTail(from, 1<<20); !errors.Is(err, ErrSnapshotNeeded) {
+				t.Fatalf("ReplTail(%d) after the compaction: err = %v, want ErrSnapshotNeeded", from, err)
+			}
+			if st := leader.Stats(); st.SnapshotSeq != 60 || st.Segments != 1 {
+				t.Fatalf("after compaction: snapshot seq %d, %d segments; want 60 and 1", st.SnapshotSeq, st.Segments)
+			}
+		})
+	}
+}
+
+// TestCrashAfterCutRecoversFromSegments: dying right after the cut leaves
+// sealed segments and no snapshot; recovery replays them all.
+func TestCrashAfterCutRecoversFromSegments(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	opts := Options{SegmentBytes: 256}
+	db, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := db.Put("t", fmt.Sprintf("k%02d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := dumpAll(t, db)
+	db.SetFailpoint(func(p Failpoint) bool { return p == FailSnapshotAfterCut })
+	if err := db.Compact(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Compact with %s armed: %v, want ErrCrashed", FailSnapshotAfterCut, err)
+	}
+	_ = db.Close()
+	re, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.SnapshotsLoaded != 0 || st.RecoveredRecords != 40 {
+		t.Fatalf("recovery loaded %d snapshots and replayed %d records; want 0 and 40", st.SnapshotsLoaded, st.RecoveredRecords)
+	}
+	diffStates(t, want, dumpAll(t, re))
+	checkStoreTrees(t, "recovered", re)
+}

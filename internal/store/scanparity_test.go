@@ -1,11 +1,13 @@
 package store
 
-// Scan-parity property suite for the ordered copy-on-write read path: the
-// indexed Scan/ScanPrefix/ScanRange/CountPrefix/Get/Has results must match,
-// byte for byte, the pre-index map-iterate-sort reference over randomized
-// Put/Delete/Apply/Compact interleavings — on DB and Sharded — and stay
-// well-formed for readers running concurrently with write bursts and online
-// compactions (run with -race in CI).
+// Scan-parity property suite for the tree read path: Scan/ScanPrefix/
+// ScanRange/Count/CountPrefix/Get/Has/Tables must match, byte for byte, a
+// map-iterate-sort reference (refStore — the oracle lives in test code
+// only) over randomized Put/Delete/Apply/Compact/reopen/replication
+// interleavings — on DB and Sharded — with the trees' node invariants
+// intact after every operation, and stay well-formed for readers running
+// concurrently with write bursts and online compactions (run with -race in
+// CI).
 
 import (
 	"bytes"
@@ -13,6 +15,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,7 +104,7 @@ func entriesEqual(a, b []refEntry) bool {
 func parityKeys(m refStore, table string) []string {
 	probes := []string{"", "res-0/", "res-9/", "zzz"}
 	for k := range m[table] {
-		probes = append(probes, k, k+"\x00", k[:len(k)-1])
+		probes = append(probes, k, k+"\x00", k[:max(len(k)-1, 0)])
 	}
 	return probes
 }
@@ -108,6 +112,16 @@ func parityKeys(m refStore, table string) []string {
 // checkParity asserts every read of a store against the reference.
 func checkParity(t *testing.T, name string, s Store, m refStore, r *rand.Rand, tables []string) {
 	t.Helper()
+	checkStoreTrees(t, name, s)
+	// A table exists from its first put on, emptied or not.
+	var wantTables []string
+	for table := range m {
+		wantTables = append(wantTables, table)
+	}
+	sort.Strings(wantTables)
+	if got := s.Tables(); !slices.Equal(got, wantTables) {
+		t.Fatalf("%s: Tables() = %q, want %q", name, got, wantTables)
+	}
 	for _, table := range tables {
 		if got, want := s.Count(table), len(m[table]); got != want {
 			t.Fatalf("%s: Count(%s) = %d, want %d", name, table, got, want)
@@ -122,7 +136,7 @@ func checkParity(t *testing.T, name string, s Store, m refStore, r *rand.Rand, t
 			t.Fatalf("%s: Scan(%s) diverged:\n got %d entries\n want %d entries", name, table, len(scanned), len(want))
 		}
 		// Prefix parity on a sampled set of prefixes (shard-pinned and not).
-		for _, prefix := range []string{"", "res-0/", "res-1/", "res-0/0", "res-", "absent/"} {
+		for _, prefix := range []string{"", "res-0/", "res-1/", "res-0/0", "res-", "absent/", "\xff", "\xff\xff", "a\xff", "a\xff\xff"} {
 			var got []refEntry
 			s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
 				got = append(got, refEntry{k, append([]byte(nil), raw...)})
@@ -210,6 +224,13 @@ func TestScanIndexParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { sh.Close() }()
+			// A follower fed by ReplTail/ApplyReplicated, falling back to
+			// InstallSnapshot whenever compaction outran it.
+			follower, err := Open(filepath.Join(dir, "follower.wal"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
 			m := make(refStore)
 			r := rand.New(rand.NewSource(seed))
 			randKey := func() string {
@@ -274,12 +295,123 @@ func TestScanIndexParity(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				checkStoreTrees(t, "db", db)
+				checkStoreTrees(t, "sharded", sh)
 				if i%23 == 0 || i == steps-1 {
 					checkParity(t, "db", db, m, r, tables)
 					checkParity(t, "sharded", sh, m, r, tables)
+					catchUp(t, db, follower, 256)
+					checkParity(t, "follower", follower, m, r, tables)
 				}
 			}
 		})
+	}
+}
+
+// TestTreeParityBinaryKeys drives random put/overwrite/delete/batch
+// sequences over a tiny byte alphabet — empty keys, NULs, '/' and 0xff runs,
+// the bytes prefixEnd has to carry over — at an in-memory DB and a Sharded
+// store, checking the node invariants after every operation and every read
+// against the oracle: Get/Has, ScanPrefix and CountPrefix for every short
+// prefix (empty and all-0xff included), ScanRange with limits, Count and
+// Tables.
+func TestTreeParityBinaryKeys(t *testing.T) {
+	alphabet := []string{"\x00", "/", "a", "\xfe", "\xff"}
+	var prefixes []string // every string of length <= 2 over the alphabet
+	prefixes = append(prefixes, "")
+	for _, a := range alphabet {
+		prefixes = append(prefixes, a)
+		for _, b := range alphabet {
+			prefixes = append(prefixes, a+b)
+		}
+	}
+	steps := 1500
+	if testing.Short() {
+		steps = 400
+	}
+	tables := []string{"t", "u"}
+	for _, seed := range []int64{11, 12} {
+		r := rand.New(rand.NewSource(seed))
+		randKey := func() string {
+			var b strings.Builder
+			for n := r.Intn(5); n > 0; n-- {
+				b.WriteString(alphabet[r.Intn(len(alphabet))])
+			}
+			return b.String()
+		}
+		stores := map[string]Store{"db": OpenMemory(), "sharded": NewSharded(3)}
+		m := make(refStore)
+		each := func(f func(Store) error) {
+			t.Helper()
+			for name, s := range stores {
+				if err := f(s); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkStoreTrees(t, name, s)
+			}
+		}
+		for i := 0; i < steps; i++ {
+			switch n := r.Intn(10); {
+			case n < 5:
+				table, key := tables[r.Intn(2)], randKey()
+				each(func(s Store) error { return s.Put(table, key, i) })
+				m.put(table, key, []byte(fmt.Sprint(i)))
+			case n < 8:
+				table, key := tables[r.Intn(2)], randKey()
+				each(func(s Store) error { return s.Delete(table, key) })
+				m.del(table, key)
+			default:
+				var muts []Mutation
+				for j := 0; j < 1+r.Intn(4); j++ {
+					mu := Mutation{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: j}
+					if r.Intn(3) == 0 {
+						mu.Op = OpDelete
+					}
+					muts = append(muts, mu)
+				}
+				each(func(s Store) error { return s.Apply(muts) })
+				for _, mu := range muts {
+					if mu.Op == OpPut {
+						m.put(mu.Table, mu.Key, []byte(fmt.Sprint(mu.Value)))
+					} else if m[mu.Table] != nil {
+						m.del(mu.Table, mu.Key)
+					}
+				}
+			}
+			if i%50 != 0 && i != steps-1 {
+				continue
+			}
+			for name, s := range stores {
+				checkParity(t, name, s, m, r, s.Tables())
+				for _, table := range s.Tables() {
+					for _, prefix := range prefixes {
+						want := m.prefixRef(table, prefix)
+						var got []refEntry
+						s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
+							got = append(got, refEntry{k, append([]byte(nil), raw...)})
+							return true
+						})
+						if !entriesEqual(got, want) {
+							t.Fatalf("%s: ScanPrefix(%s, %q) = %d entries, want %d", name, table, prefix, len(got), len(want))
+						}
+						if n := s.CountPrefix(table, prefix); n != len(want) {
+							t.Fatalf("%s: CountPrefix(%s, %q) = %d, want %d", name, table, prefix, n, len(want))
+						}
+						limit := 1 + r.Intn(3)
+						got = collectRange(s, table, prefix, prefixEnd(prefix), limit)
+						if len(want) > limit {
+							want = want[:limit]
+						}
+						if !entriesEqual(got, want) {
+							t.Fatalf("%s: ScanRange(%s, %q.., limit %d) diverged", name, table, prefix, limit)
+						}
+					}
+				}
+			}
+		}
+		for _, s := range stores {
+			s.Close()
+		}
 	}
 }
 

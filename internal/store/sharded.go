@@ -27,7 +27,7 @@ import (
 // Consequently ScanPrefix with a prefix that pins the first segment (e.g.
 // "res-0042/") touches exactly one shard and scans a table 1/N the size of
 // the unsharded store — the hot path of AppendPost / PostsOf / CountPosts /
-// TasksByProject. Whole-table scans merge the per-shard snapshots back into
+// TasksByProject. Whole-table scans merge the per-shard trees back into
 // global key order.
 //
 // Atomicity: Apply groups mutations by owning shard and applies each group
@@ -36,25 +36,20 @@ import (
 // is invisible above the store layer; new callers that need it must keep
 // the keys involved under one first segment.
 //
-// Sharded is safe for concurrent use whenever its inner stores are.
+// Sharded is safe for concurrent use.
 type Sharded struct {
-	shards []Store
+	shards []Store // every one a *DB
 }
 
 // NewSharded returns a volatile in-memory store partitioned across n
 // single-lock shards. n must be >= 1.
-func NewSharded(n int) *Sharded { return NewShardedWith(n, Options{}) }
-
-// NewShardedWith is NewSharded with every shard honoring the read-path
-// options (used by benchmark baselines; durability options are ignored by
-// in-memory shards).
-func NewShardedWith(n int, opts Options) *Sharded {
+func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
 	shards := make([]Store, n)
 	for i := range shards {
-		shards[i] = OpenMemoryWith(opts)
+		shards[i] = OpenMemory()
 	}
 	return &Sharded{shards: shards}
 }
@@ -170,16 +165,15 @@ func (s *Sharded) Apply(muts []Mutation) error {
 	return nil
 }
 
-// Scan implements Store, merging per-shard snapshots into global key order.
+// Scan implements Store, merging per-shard trees into global key order.
 func (s *Sharded) Scan(table string, fn func(key string, raw []byte) bool) {
 	s.ScanPrefix(table, "", fn)
 }
 
 // ScanPrefix implements Store. A prefix that pins the key's first path
 // segment (contains '/') is served by the owning shard alone; otherwise the
-// per-shard snapshots are merged back into ascending key order (an ordered
-// k-way merge with early termination when the shards expose their
-// copy-on-write table snapshots).
+// per-shard trees are merged back into ascending key order (an ordered
+// k-way merge with early termination).
 func (s *Sharded) ScanPrefix(table, prefix string, fn func(key string, raw []byte) bool) {
 	if i := strings.IndexByte(prefix, '/'); i >= 0 {
 		s.shard(prefix).ScanPrefix(table, prefix, fn)
@@ -201,22 +195,12 @@ func (s *Sharded) ScanRange(table, start, end string, limit int, fn func(key str
 	return s.scanRangeMerged(table, start, end, limit, fn)
 }
 
-// scanRangeMerged merges [start, end) across every shard. Shards that
-// expose immutable table snapshots are merged lazily — O(Σ log n_i + k·N)
-// with no copying and true early termination; if any shard cannot (a
-// PlainReads baseline store), it falls back to collect-and-sort.
+// scanRangeMerged merges [start, end) across every shard's published tree,
+// lazily: O(Σ log n_i + k·N) with no copying and true early termination.
 func (s *Sharded) scanRangeMerged(table, start, end string, limit int, fn func(key string, raw []byte) bool) int {
-	its := make([]snapIter, 0, len(s.shards))
-	for _, sh := range s.shards {
-		ts, ok := sh.(tableSnapshotter)
-		if !ok {
-			return s.scanRangeCollect(table, start, end, limit, fn)
-		}
-		snap, ok := ts.tableSnapshot(table)
-		if !ok {
-			return s.scanRangeCollect(table, start, end, limit, fn)
-		}
-		its = append(its, snap.iter(start, end))
+	its := make([]treeIter, len(s.shards))
+	for i, sh := range s.shards {
+		its[i] = sh.(*DB).table(table).iter(start, end)
 	}
 	n := 0
 	for limit <= 0 || n < limit {
@@ -241,32 +225,6 @@ func (s *Sharded) scanRangeMerged(table, start, end string, limit int, fn func(k
 	return n
 }
 
-// scanRangeCollect is the pre-index merge: gather every in-range entry from
-// every shard, sort, then visit.
-func (s *Sharded) scanRangeCollect(table, start, end string, limit int, fn func(key string, raw []byte) bool) int {
-	type kv struct {
-		key string
-		raw []byte
-	}
-	var all []kv
-	for _, sh := range s.shards {
-		sh.ScanRange(table, start, end, 0, func(key string, raw []byte) bool {
-			all = append(all, kv{key, raw})
-			return true
-		})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	for i, e := range all {
-		if !fn(e.key, e.raw) {
-			return i + 1
-		}
-	}
-	return len(all)
-}
-
 // Count implements Store.
 func (s *Sharded) Count(table string) int {
 	n := 0
@@ -277,7 +235,7 @@ func (s *Sharded) Count(table string) int {
 }
 
 // CountPrefix implements Store. A first-segment-pinned prefix is counted by
-// the owning shard alone (two binary searches on an indexed shard).
+// the owning shard alone.
 func (s *Sharded) CountPrefix(table, prefix string) int {
 	if i := strings.IndexByte(prefix, '/'); i >= 0 {
 		return s.shard(prefix).CountPrefix(table, prefix)

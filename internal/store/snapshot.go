@@ -13,62 +13,38 @@ package store
 // silently resurrect keys deleted after that state was written.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 
 	"itag/internal/errs"
 )
 
 const snapMagic = "itag-snapshot v1 "
 
-// rawTable is one table's key → raw-JSON-value map as stored in snapshots.
-type rawTable = map[string]json.RawMessage
-
-type snapshotBody struct {
-	Seq    uint64              `json:"seq"`
-	Tables map[string]rawTable `json:"tables"`
-}
-
-// snapshotTablesLocked copies the table maps for a snapshot cut. Values are
-// shared, not copied: stored values are replaced wholesale on overwrite and
-// never mutated in place, so the copy stays consistent while writers move
-// on. Caller holds DB.mu.
-func snapshotTablesLocked(tables map[string]map[string][]byte) map[string]rawTable {
-	out := make(map[string]rawTable, len(tables))
-	for name, t := range tables {
-		ct := make(rawTable, len(t))
-		for k, v := range t {
-			ct[k] = json.RawMessage(v)
-		}
-		out[name] = ct
-	}
-	return out
-}
-
-// writeSnapshotFile writes and fsyncs a snapshot at path.
-func writeSnapshotFile(path string, seq uint64, tables map[string]rawTable) error {
-	body, err := json.Marshal(snapshotBody{Seq: seq, Tables: tables})
+// writeSnapshotFile encodes, writes and fsyncs a snapshot of idx at path.
+func writeSnapshotFile(path string, seq uint64, idx dbIndex) error {
+	data, err := encodeSnapshot(seq, idx)
 	if err != nil {
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryInternal, "encode snapshot")
+		return err
 	}
+	return writeSnapshotBytes(path, data)
+}
+
+// writeSnapshotBytes writes a pre-encoded snapshot image to path and fsyncs
+// it.
+func writeSnapshotBytes(path string, data []byte) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "create snapshot")
 	}
-	bw := bufio.NewWriterSize(f, 1<<18)
-	if _, err := fmt.Fprintf(bw, "%s%08x\n", snapMagic, crc32.ChecksumIEEE(body)); err == nil {
-		_, err = bw.Write(body)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
+	if _, err = f.Write(data); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -84,7 +60,7 @@ func writeSnapshotFile(path string, seq uint64, tables map[string]rawTable) erro
 }
 
 // loadSnapshotFile reads, verifies and decodes a snapshot.
-func loadSnapshotFile(path string) (uint64, map[string]map[string][]byte, error) {
+func loadSnapshotFile(path string) (uint64, dbIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "read snapshot")
@@ -94,7 +70,7 @@ func loadSnapshotFile(path string) (uint64, map[string]map[string][]byte, error)
 
 // parseSnapshot verifies and decodes a snapshot image (file contents or a
 // replicated SnapshotExport); name labels corruption errors.
-func parseSnapshot(data []byte, name string) (uint64, map[string]map[string][]byte, error) {
+func parseSnapshot(data []byte, name string) (uint64, dbIndex, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 || !bytes.HasPrefix(data, []byte(snapMagic)) || nl != len(snapMagic)+8 {
 		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: bad header", name)
@@ -107,26 +83,38 @@ func parseSnapshot(data []byte, name string) (uint64, map[string]map[string][]by
 	if crc32.ChecksumIEEE(body) != uint32(want) {
 		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: checksum mismatch", name)
 	}
-	var snap snapshotBody
+	var snap struct {
+		Seq    uint64                                `json:"seq"`
+		Tables map[string]map[string]json.RawMessage `json:"tables"`
+	}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: %v", name, err)
 	}
-	tables := make(map[string]map[string][]byte, len(snap.Tables))
+	idx := make(dbIndex, 0, len(snap.Tables))
 	for name, t := range snap.Tables {
-		mt := make(map[string][]byte, len(t))
+		ents := make([]entry, 0, len(t))
 		for k, v := range t {
-			mt[k] = []byte(v)
+			ents = append(ents, entry{k, v})
 		}
-		tables[name] = mt
+		slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+		idx = append(idx, namedTree{name, buildTree(ents)})
 	}
-	return snap.Seq, tables, nil
+	slices.SortFunc(idx, func(a, b namedTree) int { return strings.Compare(a.name, b.name) })
+	return snap.Seq, idx, nil
 }
 
 // encodeSnapshot renders a snapshot image (header line + checksummed JSON
-// body) in memory — the byte-identical twin of writeSnapshotFile's output,
-// used by SnapshotExport to ship state to followers.
-func encodeSnapshot(seq uint64, tables map[string]rawTable) ([]byte, error) {
-	body, err := json.Marshal(snapshotBody{Seq: seq, Tables: tables})
+// body) of idx: what compaction writes to disk and SnapshotExport ships to
+// followers.
+func encodeSnapshot(seq uint64, idx dbIndex) ([]byte, error) {
+	tables := make(map[string]tree, len(idx))
+	for _, t := range idx {
+		tables[t.name] = t.tree
+	}
+	body, err := json.Marshal(struct {
+		Seq    uint64          `json:"seq"`
+		Tables map[string]tree `json:"tables"`
+	}{seq, tables})
 	if err != nil {
 		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryInternal, "encode snapshot")
 	}

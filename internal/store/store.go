@@ -33,8 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +72,6 @@ type DB struct {
 	mu     sync.RWMutex
 	path   string
 	opts   Options
-	tables map[string]map[string][]byte
 	seq    uint64
 	closed atomic.Bool
 	// walErr is the sticky storage failure: after a failed or torn WAL
@@ -82,13 +79,9 @@ type DB struct {
 	// reports the original error instead of diverging memory from disk.
 	walErr error
 
-	// Ordered copy-on-write read path (see index.go): the published
-	// per-table snapshots, the keys dirtied since the last publication
-	// (guarded by mu) and whether the index is live (false mid-recovery
-	// and permanently false with Options.PlainReads).
-	idx     atomic.Pointer[dbIndex]
-	dirty   map[string]map[string]struct{}
-	idxLive bool
+	// idx is the published state: every table's immutable B+tree (see
+	// index.go). Writers swap it under mu; readers just load it.
+	idx atomic.Pointer[dbIndex]
 
 	wal *wal // nil for in-memory stores
 
@@ -132,11 +125,6 @@ type Options struct {
 	// AutoCompact starts an online snapshot compaction in the background
 	// once sealed (replay-on-recovery) WAL bytes exceed this (0 disables).
 	AutoCompact int64
-	// PlainReads disables the ordered copy-on-write snapshot index and
-	// serves reads via the pre-index path: iterate-filter-sort prefix
-	// scans and map lookups under the store's RWMutex. Kept, like
-	// GroupCommitWindow < 0, as the benchmark baseline (experiment S7).
-	PlainReads bool
 }
 
 func (o Options) withDefaults() Options {
@@ -153,15 +141,7 @@ func (db *DB) groupMode() bool {
 }
 
 // OpenMemory returns a volatile in-memory DB.
-func OpenMemory() *DB { return OpenMemoryWith(Options{}) }
-
-// OpenMemoryWith is OpenMemory honoring the read-path options (the
-// durability options are meaningless without a WAL and ignored).
-func OpenMemoryWith(opts Options) *DB {
-	db := &DB{opts: opts, tables: make(map[string]map[string][]byte)}
-	db.rebuildIndexLocked() // publish the empty index; no-op for PlainReads
-	return db
-}
+func OpenMemory() *DB { return &DB{} }
 
 // Open opens (creating if needed) a DB backed by the WAL layout rooted at
 // path (see wal.go) and recovers its state: snapshot first, then the
@@ -174,18 +154,11 @@ func Open(path string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "mkdir")
 	}
-	db := &DB{
-		path:   path,
-		opts:   opts.withDefaults(),
-		tables: make(map[string]map[string][]byte),
-		wal:    &wal{},
-	}
+	db := &DB{path: path, opts: opts.withDefaults(), wal: &wal{}}
 	start := time.Now()
 	if err := db.recover(); err != nil {
 		return nil, err
 	}
-	// One full index build after replay instead of a merge per record.
-	db.rebuildIndexLocked()
 	db.st.recoveryMillis = float64(time.Since(start).Microseconds()) / 1e3
 	if db.groupMode() {
 		db.wake = make(chan struct{}, 1)
@@ -215,11 +188,11 @@ func (db *DB) recover() error {
 
 	snapPath := db.path + snapSuffix
 	if _, err := os.Stat(snapPath); err == nil {
-		seq, tables, lerr := loadSnapshotFile(snapPath)
+		seq, idx, lerr := loadSnapshotFile(snapPath)
 		if lerr != nil {
 			return lerr
 		}
-		db.tables = tables
+		db.idx.Store(&idx)
 		db.seq = seq
 		db.st.snapshotSeq.Store(seq)
 		db.st.snapshotLoaded = true
@@ -356,32 +329,6 @@ func (db *DB) replayFile(path string, framed bool, torn *tornMark, applied *uint
 	}
 }
 
-// applyLocked applies a record to the in-memory state (caller holds mu or
-// is in single-threaded recovery).
-func (db *DB) applyLocked(rec Record) {
-	switch rec.Op {
-	case OpPut:
-		t := db.tables[rec.Table]
-		if t == nil {
-			t = make(map[string][]byte)
-			db.tables[rec.Table] = t
-		}
-		t[rec.Key] = append([]byte(nil), rec.Value...)
-		db.markDirtyLocked(rec.Table, rec.Key)
-	case OpDelete:
-		if t := db.tables[rec.Table]; t != nil {
-			delete(t, rec.Key)
-			db.markDirtyLocked(rec.Table, rec.Key)
-		}
-	case OpBatch:
-		for _, sub := range rec.Batch {
-			if sub.Op != OpBatch {
-				db.applyLocked(sub)
-			}
-		}
-	}
-}
-
 // fail records err as the DB's sticky storage failure and returns it (or
 // the earlier failure if one is already recorded).
 func (db *DB) fail(err error) error {
@@ -419,7 +366,6 @@ func (db *DB) commitMemory(op Op, table, key string, value json.RawMessage, batc
 	}
 	db.seq++
 	db.applyLocked(Record{Seq: db.seq, Op: op, Table: table, Key: key, Value: value, Batch: batch})
-	db.refreshIndexLocked()
 	db.st.appliedSeq.Store(db.seq)
 	db.st.commits.Add(1)
 	return nil
@@ -503,7 +449,6 @@ func (db *DB) commitSync(op Op, table, key string, value json.RawMessage, batch 
 		db.st.fsyncs.Add(1)
 	}
 	db.applyLocked(rec)
-	db.refreshIndexLocked()
 	db.mu.Unlock()
 	w.lastApplied = rec.Seq
 	db.st.appliedSeq.Store(rec.Seq)
@@ -527,25 +472,12 @@ func (db *DB) Put(table, key string, value any) error {
 }
 
 // Get unmarshals the value at (table, key) into out. It returns ErrNotFound
-// if absent. On the indexed path this is a lock-free binary search over the
-// table's published snapshot.
+// if absent. Lock-free: a descent of the table's published tree.
 func (db *DB) Get(table, key string, out any) error {
-	if !db.indexed() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if db.closed.Load() {
-			return ErrClosed
-		}
-		raw, ok := db.tables[table][key]
-		if !ok {
-			return ErrNotFound
-		}
-		return json.Unmarshal(raw, out)
-	}
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	raw, ok := db.snap(table).get(key)
+	raw, ok := db.table(table).get(key)
 	if !ok {
 		return ErrNotFound
 	}
@@ -554,13 +486,7 @@ func (db *DB) Get(table, key string, out any) error {
 
 // Has reports whether (table, key) exists.
 func (db *DB) Has(table, key string) bool {
-	if !db.indexed() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		_, ok := db.tables[table][key]
-		return ok
-	}
-	_, ok := db.snap(table).get(key)
+	_, ok := db.table(table).get(key)
 	return ok
 }
 
@@ -607,109 +533,35 @@ func (db *DB) Scan(table string, fn func(key string, raw []byte) bool) {
 	db.ScanPrefix(table, "", fn)
 }
 
-// ScanPrefix visits keys with the given prefix in ascending order. On the
-// indexed path this is a binary-search range over the table snapshot —
-// O(log n + visited), nothing copied, early termination free. The plain
-// path is the pre-index baseline: collect, sort, then visit.
+// ScanPrefix visits keys with the given prefix in ascending order —
+// O(log n + visited), nothing copied, early termination free.
 func (db *DB) ScanPrefix(table, prefix string, fn func(key string, raw []byte) bool) {
-	if !db.indexed() {
-		db.plainScanPrefix(table, prefix, fn)
-		return
-	}
-	db.snap(table).scanRange(prefix, prefixEnd(prefix), 0, fn)
+	db.table(table).scanRange(prefix, prefixEnd(prefix), 0, fn)
 }
 
 // ScanRange visits keys in [start, end) in ascending order — end "" means
 // unbounded — calling fn for at most limit keys (limit <= 0 = unbounded)
 // or until fn returns false. It returns the number of keys visited.
 func (db *DB) ScanRange(table, start, end string, limit int, fn func(key string, raw []byte) bool) int {
-	if !db.indexed() {
-		return db.plainScanRange(table, start, end, limit, fn)
-	}
-	return db.snap(table).scanRange(start, end, limit, fn)
-}
-
-// plainScanPrefix is the pre-index read path (Options.PlainReads): a key
-// k has the prefix exactly when prefix <= k < prefixEnd(prefix), so the
-// unlimited range scan reproduces the seed behavior byte for byte.
-func (db *DB) plainScanPrefix(table, prefix string, fn func(key string, raw []byte) bool) {
-	db.plainScanRange(table, prefix, prefixEnd(prefix), 0, fn)
-}
-
-// plainScanRange is ScanRange over the pre-index path: filter and sort
-// every key of the table under the read lock, copy the in-range values
-// (bounded by limit), then run the callbacks lock-free.
-func (db *DB) plainScanRange(table, start, end string, limit int, fn func(key string, raw []byte) bool) int {
-	db.mu.RLock()
-	t := db.tables[table]
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		if k >= start && (end == "" || k < end) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	vals := make([][]byte, len(keys))
-	for i, k := range keys {
-		vals[i] = t[k]
-	}
-	db.mu.RUnlock()
-	for i, k := range keys {
-		if !fn(k, vals[i]) {
-			return i + 1
-		}
-	}
-	return len(keys)
+	return db.table(table).scanRange(start, end, limit, fn)
 }
 
 // Count returns the number of keys in a table.
-func (db *DB) Count(table string) int {
-	if !db.indexed() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return len(db.tables[table])
-	}
-	return db.snap(table).count()
-}
+func (db *DB) Count(table string) int { return db.table(table).n }
 
-// CountPrefix returns the number of keys with the given prefix — two binary
-// searches on the indexed path, no iteration.
+// CountPrefix returns the number of keys with the given prefix, walking
+// them: O(log n + matched).
 func (db *DB) CountPrefix(table, prefix string) int {
-	if !db.indexed() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		n := 0
-		for k := range db.tables[table] {
-			if strings.HasPrefix(k, prefix) {
-				n++
-			}
-		}
-		return n
-	}
-	return db.snap(table).countRange(prefix, prefixEnd(prefix))
+	return db.table(table).scanRange(prefix, prefixEnd(prefix), 0, func(string, []byte) bool { return true })
 }
 
 // Tables returns the table names in sorted order.
 func (db *DB) Tables() []string {
-	if !db.indexed() {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		out := make([]string, 0, len(db.tables))
-		for name := range db.tables {
-			out = append(out, name)
-		}
-		sort.Strings(out)
-		return out
+	x := db.loadIndex()
+	out := make([]string, len(x))
+	for i := range x {
+		out[i] = x[i].name
 	}
-	idx := db.loadIndex()
-	out := make([]string, 0, len(idx))
-	for name := range idx {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -834,9 +686,11 @@ func (db *DB) cut() (*cutState, error) {
 // writeSnapshotAndCleanup persists the cut as a snapshot and removes the
 // WAL files it supersedes. Runs without store locks.
 func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
+	if db.failpointHit(FailSnapshotAfterCut) {
+		return db.fail(ErrCrashed) // segments sealed, no snapshot: recovery replays them all
+	}
 	tmp := db.path + snapTmpSuffix
-	if err := writeSnapshotFile(tmp, cut.seq, cut.tables); err != nil {
-		db.restoreCovered(cut)
+	if err := writeSnapshotFile(tmp, cut.seq, cut.idx); err != nil {
 		return err
 	}
 	if db.failpointHit(FailSnapshotBeforeRename) {
@@ -844,7 +698,6 @@ func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
 	}
 	if err := os.Rename(tmp, db.path+snapSuffix); err != nil {
 		os.Remove(tmp)
-		db.restoreCovered(cut)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "snapshot rename")
 	}
 	syncDir(filepath.Dir(db.path))
@@ -852,32 +705,31 @@ func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
 	if db.failpointHit(FailSnapshotBeforeCleanup) {
 		return db.fail(ErrCrashed) // covered segments remain; recovery skips them by seq
 	}
-	// Best-effort removal: a file that cannot be removed stays harmless
-	// (recovery skips its records by seq) and goes back on the sealed list
-	// so the next compaction retries instead of orphaning it.
-	sizes := make(map[string]int64, len(cut.coveredSegs))
-	for _, s := range cut.coveredSegs {
-		sizes[s.path] = s.size
-	}
+	// From here ReplTail answers ErrSnapshotNeeded below cut.seq, so the
+	// covered files can leave the list and then the disk. Removal is best
+	// effort: a file that cannot be removed stays harmless (recovery skips
+	// its records by seq) and goes back on the sealed list so the next
+	// compaction retries instead of orphaning it.
+	db.dropSealed(cut.coveredSegs)
 	var kept []sealedFile
-	legacyKept := false
 	var firstErr error
-	for _, p := range cut.covered {
-		err := os.Remove(p)
+	remove := func(path string) bool {
+		err := os.Remove(path)
 		if err == nil || os.IsNotExist(err) {
-			continue
+			return true
 		}
 		if firstErr == nil {
 			firstErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "remove compacted wal file")
 		}
-		if p == db.path {
-			legacyKept = true
-		} else {
-			kept = append(kept, sealedFile{path: p, size: sizes[p]})
+		return false
+	}
+	for _, s := range cut.coveredSegs {
+		if !remove(s.path) {
+			kept = append(kept, s)
 		}
 	}
 	db.restoreSealed(kept)
-	if !legacyKept {
+	if cut.legacy != "" && remove(cut.legacy) {
 		w := db.wal
 		w.fmu.Lock()
 		w.smu.Lock()

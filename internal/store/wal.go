@@ -20,8 +20,8 @@ package store
 // truncates that tail so new appends start on a clean record boundary.
 //
 // Lock ordering: wal.fmu (file state) is always acquired before DB.mu
-// (memory state). Readers take only DB.mu and therefore never wait behind a
-// write or an fsync in group-commit mode.
+// (sequence, queue and publication of the index). Readers take neither:
+// they load the published index (index.go).
 
 import (
 	"bufio"
@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -66,6 +67,10 @@ const (
 	// FailRotateMid dies between sealing the active segment and writing to
 	// its successor (the successor file exists but is empty).
 	FailRotateMid Failpoint = "rotate:mid"
+	// FailSnapshotAfterCut dies right after the compaction cut: the covered
+	// segments are sealed and a fresh one is active, but no snapshot byte
+	// has been written (recovery must replay every segment).
+	FailSnapshotAfterCut Failpoint = "snapshot:after-cut"
 	// FailSnapshotBeforeRename dies after writing the snapshot temp file but
 	// before the atomic rename (the old snapshot, if any, stays in force).
 	FailSnapshotBeforeRename Failpoint = "snapshot:before-rename"
@@ -156,6 +161,13 @@ func (w *wal) addActiveSize(n int64) {
 	w.smu.Lock()
 	w.activeSize += n
 	w.smu.Unlock()
+}
+
+// sealActive is openSegment's retire step for a rotation or a compaction
+// cut: the outgoing active segment joins the sealed list. Caller holds smu.
+func (w *wal) sealActive() {
+	w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize})
+	w.sealedSize += w.activeSize
 }
 
 // replayBytes returns the bytes recovery would have to replay right now
@@ -285,13 +297,13 @@ type pendingCommit struct {
 	cutState    *cutState
 }
 
-// cutState is what a compaction cut captures: a consistent copy of the
-// in-memory state plus the list of WAL files the snapshot will supersede.
+// cutState is what a compaction cut captures: the published index at the
+// cut sequence plus the WAL files the snapshot will supersede.
 type cutState struct {
 	seq         uint64
-	tables      map[string]rawTable
-	covered     []string     // every file the snapshot makes deletable
-	coveredSegs []sealedFile // covered segments (for restore on failure)
+	idx         dbIndex
+	coveredSegs []sealedFile // covered segments, oldest first
+	legacy      string       // covered pre-segment WAL ("" if none)
 }
 
 func (db *DB) wakeWriter() {
@@ -437,9 +449,6 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		for _, c := range writes {
 			db.applyLocked(c.rec)
 		}
-		// Publish the batch's index rebuild before the commit barriers
-		// release, so an acked write is immediately reader-visible.
-		db.refreshIndexLocked()
 		db.mu.Unlock()
 		w.lastApplied = writes[len(writes)-1].rec.Seq // enqueue order == seq order
 		db.st.appliedSeq.Store(w.lastApplied)
@@ -489,11 +498,7 @@ func (db *DB) rotateLocked() error {
 		_ = os.WriteFile(segPath(db.path, w.nextIdx), nil, 0o644)
 		return db.fail(ErrCrashed)
 	}
-	err := w.openSegment(db.path, w.nextIdx, func() {
-		w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize})
-		w.sealedSize += w.activeSize
-	})
-	if err != nil {
+	if err := w.openSegment(db.path, w.nextIdx, w.sealActive); err != nil {
 		return db.fail(err)
 	}
 	db.st.rotations.Add(1)
@@ -517,9 +522,12 @@ func (db *DB) maybeAutoCompact() {
 	go func() { _ = db.Compact() }() // rechecks compacting/closed itself
 }
 
-// performCut executes a compaction cut: seal the active segment, capture a
-// consistent copy of the in-memory state, and switch writers onto a fresh
-// segment. Writers are blocked only for the capture.
+// performCut executes a compaction cut: seal the active segment, note the
+// index published at that point, and switch writers onto a fresh segment.
+// The covered segments stay on the sealed list — readable by ReplTail —
+// until the snapshot that supersedes them is renamed into place
+// (dropSealed); a failed snapshot just leaves them for the next compaction.
+// Nothing is copied: the cut costs the same whatever the tables hold.
 func (db *DB) performCut() (*cutState, error) {
 	w := db.wal
 	w.fmu.Lock()
@@ -527,47 +535,46 @@ func (db *DB) performCut() (*cutState, error) {
 	if err := db.stickyErr(); err != nil {
 		return nil, err
 	}
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
 	if err := db.closeActiveLocked(); err != nil {
 		return nil, err
 	}
-	cut := &cutState{}
-	w.smu.Lock()
-	cut.coveredSegs = append(cut.coveredSegs, w.sealed...)
-	cut.coveredSegs = append(cut.coveredSegs, sealedFile{path: w.activePath, size: w.activeSize})
-	for _, s := range cut.coveredSegs {
-		cut.covered = append(cut.covered, s.path)
-	}
-	if w.legacy != "" {
-		cut.covered = append(cut.covered, w.legacy)
-	}
-	w.smu.Unlock()
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	// The snapshot covers what is on disk and applied — lastApplied, NOT
-	// db.seq: commits already holding a sequence number but still queued
-	// for the writer will be written after the cut, and a snapshot seq
-	// that included them would make recovery skip their records.
-	cut.seq = w.lastApplied
-	cut.tables = snapshotTablesLocked(db.tables)
-	db.mu.Unlock()
-	err := w.openSegment(db.path, w.nextIdx, func() { w.sealed, w.sealedSize = nil, 0 })
-	if err != nil {
+	// Applies run under fmu, so the index on display is exactly the state
+	// at lastApplied. That is NOT db.seq: commits holding a sequence number
+	// but still queued for the writer land after the cut, and a snapshot
+	// seq that included them would make recovery skip their records.
+	cut := &cutState{seq: w.lastApplied, idx: db.loadIndex()}
+	if err := w.openSegment(db.path, w.nextIdx, w.sealActive); err != nil {
 		return nil, db.fail(err)
 	}
+	w.smu.Lock()
+	cut.coveredSegs = slices.Clone(w.sealed)
+	cut.legacy = w.legacy
+	w.smu.Unlock()
 	return cut, nil
 }
 
-// restoreCovered puts a failed compaction's covered segments back on the
-// sealed list so a later compaction deletes them.
-func (db *DB) restoreCovered(cut *cutState) {
-	db.restoreSealed(cut.coveredSegs)
+// dropSealed takes segments a renamed snapshot has superseded off the
+// sealed list, ahead of deleting their files.
+func (db *DB) dropSealed(segs []sealedFile) {
+	w := db.wal
+	w.fmu.Lock()
+	defer w.fmu.Unlock()
+	w.smu.Lock()
+	defer w.smu.Unlock()
+	w.sealed = slices.DeleteFunc(w.sealed, func(s sealedFile) bool {
+		if !slices.Contains(segs, s) {
+			return false // already gone: an InstallSnapshot reset the list
+		}
+		w.sealedSize -= s.size
+		return true
+	})
 }
 
-// restoreSealed prepends segments back onto the sealed list (oldest first),
-// e.g. after a failed snapshot or a failed covered-file removal.
+// restoreSealed prepends segments whose files could not be removed back
+// onto the sealed list (oldest first) so the next compaction retries them.
 func (db *DB) restoreSealed(segs []sealedFile) {
 	if len(segs) == 0 {
 		return
@@ -577,10 +584,7 @@ func (db *DB) restoreSealed(segs []sealedFile) {
 	defer w.fmu.Unlock()
 	w.smu.Lock()
 	defer w.smu.Unlock()
-	restored := make([]sealedFile, 0, len(segs)+len(w.sealed))
-	restored = append(restored, segs...)
-	restored = append(restored, w.sealed...)
-	w.sealed = restored
+	w.sealed = append(slices.Clone(segs), w.sealed...)
 	for _, s := range segs {
 		w.sealedSize += s.size
 	}

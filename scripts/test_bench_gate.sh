@@ -17,6 +17,9 @@
 #   8. the S10 chaos artifact is part of the canonical set: a directory
 #      holding every artifact but BENCH_chaos.json fails (exit 2), and the
 #      committed artifact must carry the zero-acked-write-loss gate.
+#   9. S3's contention artifact is information only: it carries no gate
+#      and is not part of the canonical set (handing it to the gate
+#      explicitly fails like any ungated artifact, exit 1).
 #
 # Run from anywhere: scripts/test_bench_gate.sh
 set -eu
@@ -58,7 +61,7 @@ set -e
 
 # 5. The cluster artifact is required in no-argument mode.
 mkdir "$TMP/nocluster"
-for f in BENCH_capacity.json BENCH_chaos.json BENCH_contention.json BENCH_quality.json BENCH_serving.json BENCH_store.json; do
+for f in BENCH_capacity.json BENCH_chaos.json BENCH_quality.json BENCH_serving.json BENCH_store.json; do
   cp "$ROOT/$f" "$TMP/nocluster/$f"
 done
 set +e
@@ -69,7 +72,7 @@ set -e
 
 # 6. The capacity artifact is required in no-argument mode.
 mkdir "$TMP/nocapacity"
-for f in BENCH_chaos.json BENCH_cluster.json BENCH_contention.json BENCH_quality.json BENCH_serving.json BENCH_store.json; do
+for f in BENCH_chaos.json BENCH_cluster.json BENCH_quality.json BENCH_serving.json BENCH_store.json; do
   cp "$ROOT/$f" "$TMP/nocapacity/$f"
 done
 set +e
@@ -94,7 +97,7 @@ set -e
 # 8. The chaos artifact is required in no-argument mode and must carry the
 #    zero-acked-write-loss gate.
 mkdir "$TMP/nochaos"
-for f in BENCH_capacity.json BENCH_cluster.json BENCH_contention.json BENCH_quality.json BENCH_serving.json BENCH_store.json; do
+for f in BENCH_capacity.json BENCH_cluster.json BENCH_quality.json BENCH_serving.json BENCH_store.json; do
   cp "$ROOT/$f" "$TMP/nochaos/$f"
 done
 set +e
@@ -104,5 +107,15 @@ set -e
 [ "$rc" -eq 2 ] || fail "canonical set without BENCH_chaos.json exited $rc, want 2"
 grep -q '"name": *"quorum_zero_acked_write_loss"' "$ROOT/BENCH_chaos.json" \
   || fail "BENCH_chaos.json lost the quorum_zero_acked_write_loss gate"
+
+# 9. The contention artifact is ungated and outside the canonical set.
+if grep -q '"gates"' "$ROOT/BENCH_contention.json"; then
+  fail "BENCH_contention.json carries a gate; S3 is information only"
+fi
+set +e
+"$GATE" BENCH_contention.json >/dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || fail "ungated BENCH_contention.json exited $rc when gated explicitly, want 1"
 
 echo "test_bench_gate.sh: ok"
