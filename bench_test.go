@@ -142,11 +142,6 @@ func BenchmarkS1_StoreRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkS3_StoreContention — systems: catalog throughput for every cell
-// of the 1/4/16-shard × 1/8/64-tagger matrix (append-post + read-back).
-// Information only: it shows what sharding still buys over one store.
-func BenchmarkS3_StoreContention(b *testing.B) { runExperiment(b, bench.S3StoreContention) }
-
 // BenchmarkS4_ProjectFleet — systems: a fleet of simulated projects driven
 // serially vs through the core.Pool worker pipeline.
 func BenchmarkS4_ProjectFleet(b *testing.B) { runExperiment(b, bench.S4ProjectFleet) }

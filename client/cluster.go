@@ -5,134 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"itag/internal/ring"
 )
 
 // RingMember is one slot of the cluster ring and the address of the node
 // leading it (wire form of GET /api/v1/cluster/ring).
-type RingMember struct {
-	Slot string `json:"slot"`
-	Addr string `json:"addr"`
-}
+type RingMember = ring.Member
 
 // RingInfo is the cluster routing table as served by any node.
 type RingInfo struct {
 	Version uint64       `json:"version"`
 	VNodes  int          `json:"vnodes"`
 	Members []RingMember `json:"members"`
-}
-
-// The ring math below intentionally duplicates internal/cluster: the SDK
-// must stay importable without reaching into the server's internals, and
-// the two are cross-pinned by a golden test over a fixed key corpus so
-// they cannot drift apart. Routing hashes FNV-1a over the key's first
-// path segment (the store's shard function), then passes placements
-// through the murmur3 finalizer to spread FNV's weak avalanche.
-
-func ringFNV32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func ringMix32(h uint32) uint32 {
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
-
-func ringKeyHash(key string) uint32 {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		key = key[:i]
-	}
-	return ringFNV32(key)
-}
-
-type ringVNode struct {
-	hash uint32
-	slot string
-}
-
-type builtRing struct {
-	info   RingInfo
-	circle []ringVNode
-	addrs  map[string]string
-	order  []string // slots in successor (slot-hash) order
-}
-
-func buildRing(info RingInfo) (*builtRing, error) {
-	if len(info.Members) == 0 {
-		return nil, fmt.Errorf("itag: cluster ring has no members")
-	}
-	vn := info.VNodes
-	if vn <= 0 {
-		vn = 64
-	}
-	b := &builtRing{info: info, addrs: make(map[string]string, len(info.Members))}
-	for _, m := range info.Members {
-		b.addrs[m.Slot] = m.Addr
-		b.order = append(b.order, m.Slot)
-		for i := 0; i < vn; i++ {
-			b.circle = append(b.circle, ringVNode{hash: ringMix32(ringFNV32(m.Slot + "#" + strconv.Itoa(i))), slot: m.Slot})
-		}
-	}
-	sort.Slice(b.circle, func(i, j int) bool {
-		if b.circle[i].hash != b.circle[j].hash {
-			return b.circle[i].hash < b.circle[j].hash
-		}
-		return b.circle[i].slot < b.circle[j].slot
-	})
-	sort.Slice(b.order, func(i, j int) bool {
-		hi, hj := ringMix32(ringFNV32(b.order[i])), ringMix32(ringFNV32(b.order[j]))
-		if hi != hj {
-			return hi < hj
-		}
-		return b.order[i] < b.order[j]
-	})
-	return b, nil
-}
-
-func (b *builtRing) owner(key string) string {
-	h := ringMix32(ringKeyHash(key))
-	i := sort.Search(len(b.circle), func(i int) bool { return b.circle[i].hash >= h })
-	if i == len(b.circle) {
-		i = 0
-	}
-	return b.circle[i].slot
-}
-
-// firstFollower is the first slot after owner in successor order that lives
-// on a different address — always a replica holder for any replication
-// factor >= 1. Same-address successors are skipped to mirror the server's
-// Followers walk (one node may lead several slots; a co-located "replica"
-// holds no copy).
-func (b *builtRing) firstFollower(owner string) string {
-	at := -1
-	for i, s := range b.order {
-		if s == owner {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return ""
-	}
-	for i := 1; i < len(b.order); i++ {
-		if s := b.order[(at+i)%len(b.order)]; b.addrs[s] != b.addrs[owner] {
-			return s
-		}
-	}
-	return ""
 }
 
 // ClusterClient routes v1 API calls across an itagd cluster. It learns the
@@ -157,10 +45,10 @@ type ClusterClient struct {
 	httpc         *http.Client
 	retry         retryPolicy
 	followerReads bool
-	breakers      *breakerSet // shared across WithX copies: one view of node health
+	breakers      *nodeHealth // shared across WithX copies: one view of node health
 
 	mu   sync.RWMutex
-	ring *builtRing
+	ring *ring.Ring // immutable once installed
 }
 
 // maxRouteHops bounds the 421-follow / ring-refresh loop. Under ring churn
@@ -199,75 +87,12 @@ func (e *RouteError) Error() string {
 
 func (e *RouteError) Unwrap() error { return e.Last }
 
-// nodeBreaker is one node's circuit state; the zero value is closed.
-type nodeBreaker struct {
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
+// nodeHealth is the SDK's view of node reachability: the shared per-address
+// breakers under the SDK's threshold and cooldown.
+type nodeHealth struct{ ring.Breakers }
 
-type breakerSet struct {
-	mu sync.Mutex
-	m  map[string]*nodeBreaker
-}
-
-func newBreakerSet() *breakerSet { return &breakerSet{m: make(map[string]*nodeBreaker)} }
-
-// allow reports whether a call to addr may proceed (admitting a single
-// half-open probe after the cooldown).
-func (bs *breakerSet) allow(addr string, now time.Time) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b := bs.m[addr]
-	if b == nil {
-		return true
-	}
-	if b.openUntil.IsZero() || now.After(b.openUntil) {
-		if !b.openUntil.IsZero() {
-			if b.probing {
-				return false
-			}
-			b.probing = true
-		}
-		return true
-	}
-	return false
-}
-
-func (bs *breakerSet) success(addr string) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if b := bs.m[addr]; b != nil {
-		b.fails, b.openUntil, b.probing = 0, time.Time{}, false
-	}
-}
-
-// release clears the half-open probe flag without recording an outcome.
-// A probe that ends in caller cancellation proves nothing about the node's
-// health, but the flag must not stay set: allow() admits no second probe
-// while one is marked in flight, so a leaked flag wedges the breaker open
-// (every call refused with ErrNodeSuspect) until process restart.
-func (bs *breakerSet) release(addr string) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if b := bs.m[addr]; b != nil {
-		b.probing = false
-	}
-}
-
-func (bs *breakerSet) failure(addr string, now time.Time) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b := bs.m[addr]
-	if b == nil {
-		b = &nodeBreaker{}
-		bs.m[addr] = b
-	}
-	b.fails++
-	b.probing = false
-	if b.fails >= clientBreakerThreshold || !b.openUntil.IsZero() {
-		b.openUntil = now.Add(clientBreakerCooldown)
-	}
+func (h *nodeHealth) failure(addr string, now time.Time) {
+	h.Get(addr).Failure(now, clientBreakerThreshold, clientBreakerCooldown)
 }
 
 // NewCluster builds a cluster client from one or more seed node addresses.
@@ -281,7 +106,7 @@ func NewCluster(seeds []string, httpClient *http.Client) *ClusterClient {
 	for i, s := range seeds {
 		trimmed[i] = strings.TrimRight(s, "/")
 	}
-	return &ClusterClient{seeds: trimmed, httpc: httpClient, retry: defaultRetry, breakers: newBreakerSet()}
+	return &ClusterClient{seeds: trimmed, httpc: httpClient, retry: defaultRetry, breakers: &nodeHealth{}}
 }
 
 // WithRetry returns a copy whose per-node clients use the given retry
@@ -317,7 +142,7 @@ func (cc *ClusterClient) Refresh(ctx context.Context) error {
 	cc.mu.RLock()
 	var addrs []string
 	if cc.ring != nil {
-		for _, m := range cc.ring.info.Members {
+		for _, m := range cc.ring.Members {
 			addrs = append(addrs, m.Addr)
 		}
 	}
@@ -326,21 +151,20 @@ func (cc *ClusterClient) Refresh(ctx context.Context) error {
 
 	var lastErr error
 	for _, addr := range addrs {
-		var info RingInfo
+		fetched := new(ring.Ring)
 		if err := cc.call(addr, cc.node(addr), func(c *Client) error {
-			return c.do(ctx, http.MethodGet, "/api/v1/cluster/ring", nil, &info)
+			return c.do(ctx, http.MethodGet, "/api/v1/cluster/ring", nil, fetched)
 		}); err != nil {
 			lastErr = err
 			continue
 		}
-		built, err := buildRing(info)
-		if err != nil {
-			lastErr = err
+		if err := fetched.Validate(); err != nil {
+			lastErr = fmt.Errorf("itag: cluster ring from %s: %w", addr, err)
 			continue
 		}
 		cc.mu.Lock()
-		if cc.ring == nil || built.info.Version > cc.ring.info.Version {
-			cc.ring = built
+		if cc.ring == nil || fetched.Version > cc.ring.Version {
+			cc.ring = fetched
 		}
 		cc.mu.Unlock()
 		return nil
@@ -359,10 +183,10 @@ func (cc *ClusterClient) Ring() RingInfo {
 	if cc.ring == nil {
 		return RingInfo{}
 	}
-	return cc.ring.info
+	return RingInfo{Version: cc.ring.Version, VNodes: cc.ring.VNodes, Members: cc.ring.Members}
 }
 
-func (cc *ClusterClient) ensureRing(ctx context.Context) (*builtRing, error) {
+func (cc *ClusterClient) ensureRing(ctx context.Context) (*ring.Ring, error) {
 	cc.mu.RLock()
 	r := cc.ring
 	cc.mu.RUnlock()
@@ -388,8 +212,8 @@ func (cc *ClusterClient) Node(ctx context.Context, slot string) (*Client, error)
 	if err != nil {
 		return nil, err
 	}
-	addr, ok := r.addrs[slot]
-	if !ok {
+	addr := r.Addr(slot)
+	if addr == "" {
 		return nil, fmt.Errorf("itag: unknown cluster slot %q", slot)
 	}
 	return cc.node(addr), nil
@@ -401,7 +225,7 @@ func (cc *ClusterClient) Leader(ctx context.Context, key string) (*Client, error
 	if err != nil {
 		return nil, err
 	}
-	return cc.node(r.addrs[r.owner(key)]), nil
+	return cc.node(r.OwnerAddr(key)), nil
 }
 
 // call runs fn against one node through its circuit breaker: an open
@@ -409,20 +233,20 @@ func (cc *ClusterClient) Leader(ctx context.Context, key string) (*Client, error
 // transport timeout against a node that recently proved dead; any HTTP
 // response — success or API error — closes it again.
 func (cc *ClusterClient) call(addr string, c *Client, fn func(*Client) error) error {
-	now := time.Now()
-	if !cc.breakers.allow(addr, now) {
+	b := cc.breakers.Get(addr)
+	if !b.Allow(time.Now()) {
 		return fmt.Errorf("%w (%s)", ErrNodeSuspect, addr)
 	}
 	err := fn(c)
 	var ae *APIError
 	switch {
 	case err == nil, errors.As(err, &ae):
-		cc.breakers.success(addr)
+		b.Success()
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The caller gave up; that says nothing about the node's health.
 		// But if this call was the one admitted half-open probe, the probe
 		// slot must be released or the breaker wedges shut forever.
-		cc.breakers.release(addr)
+		b.Release()
 	default:
 		cc.breakers.failure(addr, time.Now())
 	}
@@ -445,10 +269,12 @@ func (cc *ClusterClient) route(ctx context.Context, key string, read bool, fn fu
 	if err != nil {
 		return err
 	}
-	owner := r.owner(key)
+	owner := r.Owner(key)
 	if read && cc.followerReads {
-		if f := r.firstFollower(owner); f != "" && f != owner {
-			faddr := r.addrs[f]
+		// The owner's first successor on a different address holds a replica
+		// at any replication factor >= 1.
+		if fs := r.Followers(owner, 1); len(fs) == 1 {
+			faddr := r.Addr(fs[0])
 			ferr := cc.call(faddr, cc.node(faddr).WithHeader("X-Itag-Read", "follower"), fn)
 			var ae *APIError
 			if ferr == nil {
@@ -461,7 +287,7 @@ func (cc *ClusterClient) route(ctx context.Context, key string, read bool, fn fu
 			// to the leader.
 		}
 	}
-	addr := r.addrs[owner]
+	addr := r.Addr(owner)
 	var last error
 	for hop := 0; hop < maxRouteHops; hop++ {
 		err := cc.call(addr, cc.node(addr), fn)
@@ -496,7 +322,7 @@ func (cc *ClusterClient) route(ctx context.Context, key string, read bool, fn fu
 		if rerr != nil {
 			return err
 		}
-		next := nr.addrs[nr.owner(key)]
+		next := nr.OwnerAddr(key)
 		if next == "" || next == addr {
 			return err // nothing changed: don't hammer the same node again
 		}

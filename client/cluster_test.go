@@ -2,7 +2,11 @@ package client
 
 import (
 	"context"
-	"fmt"
+	"encoding/json"
+	"io"
+	"os/exec"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,50 +16,58 @@ import (
 	"itag/internal/store"
 )
 
-// TestClientRingMatchesServerRing is the drift guard for the duplicated
-// ring math: the SDK's owner placement must agree with internal/cluster's
-// for every key, or a client would write to a node that rejects it. It
-// sweeps the golden corpus plus generated minted-style IDs on two ring
-// sizes.
-func TestClientRingMatchesServerRing(t *testing.T) {
-	keys := []string{
-		"proj-000001", "proj-000002", "proj-000017",
-		"proj-000001/proj-000001-task-00001", "res-0000", "res-0041/000123",
-		"prov-000001", "tag-000007", "tag-000032", "a", "",
-		"key/with/many/segments", "Ünïcode-キー",
+// TestRingWireFormRoundTrips pins the one thing the SDK and the server
+// still have to agree on now that they share the ring code: the JSON wire
+// form. The ring a node serves must decode into the SDK's public RingInfo
+// and encode back to the very bytes the node sent.
+func TestRingWireFormRoundTrips(t *testing.T) {
+	cc, tr, _ := startTestCluster(t, []string{"alpha", "beta", "gamma"})
+	resp, err := tr.Client().Get("http://beta/api/v1/cluster/ring")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		keys = append(keys, fmt.Sprintf("proj-%06d", i), fmt.Sprintf("tag-%06d", i))
+	defer resp.Body.Close()
+	served, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, slots := range [][]string{
-		{"alpha", "beta", "gamma"},
-		{"alpha", "beta", "gamma", "delta", "epsilon"},
-	} {
-		members := make([]cluster.Member, len(slots))
-		info := RingInfo{Version: 1, VNodes: cluster.DefaultVNodes}
-		for i, s := range slots {
-			members[i] = cluster.Member{Slot: s, Addr: "http://" + s}
-			info.Members = append(info.Members, RingMember{Slot: s, Addr: "http://" + s})
-		}
-		server, err := cluster.NewRing(members)
+	var info RingInfo
+	if err := json.Unmarshal(served, &info); err != nil {
+		t.Fatalf("served ring does not decode into RingInfo: %v\n%s", err, served)
+	}
+	back, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(back), strings.TrimSpace(string(served)); got != want {
+		t.Fatalf("RingInfo re-encodes differently:\n got %s\nwant %s", got, want)
+	}
+	// And the ring the SDK installs is that same table.
+	if err := cc.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cc.Ring(), info) {
+		t.Fatalf("installed ring %+v, served %+v", cc.Ring(), info)
+	}
+}
+
+// TestSDKDependsOnlyOnTheRingLeaf pins the SDK's import boundary: of the
+// server's internal packages it may reach only internal/ring, and that leaf
+// imports nothing but the standard library — so importing the SDK never
+// drags the store, the cluster node or the HTTP server into a client binary.
+func TestSDKDependsOnlyOnTheRingLeaf(t *testing.T) {
+	nonStd := func(pkg string) []string {
+		out, err := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.ImportPath}}{{end}}", pkg).Output()
 		if err != nil {
-			t.Fatal(err)
+			t.Skipf("go list unavailable: %v", err)
 		}
-		sdk, err := buildRing(info)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, key := range keys {
-			if got, want := sdk.owner(key), server.Owner(key); got != want {
-				t.Fatalf("%d slots, key %q: SDK routes to %q, server to %q", len(slots), key, got, want)
-			}
-		}
-		for _, s := range slots {
-			want := server.Followers(s, 1)
-			if got := sdk.firstFollower(s); len(want) != 1 || got != want[0] {
-				t.Fatalf("firstFollower(%s) = %q, server says %v", s, got, want)
-			}
-		}
+		return strings.Fields(string(out))
+	}
+	if got, want := nonStd("itag/client"), []string{"itag/internal/ring", "itag/client"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("client's non-stdlib dependencies = %v, want %v", got, want)
+	}
+	if got, want := nonStd("itag/internal/ring"), []string{"itag/internal/ring"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("internal/ring's non-stdlib dependencies = %v, want only itself", got)
 	}
 }
 

@@ -28,11 +28,12 @@ package client
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"syscall"
 	"time"
+
+	"itag/internal/ring"
 )
 
 type retryPolicy struct {
@@ -42,10 +43,7 @@ type retryPolicy struct {
 
 var defaultRetry = retryPolicy{attempts: 3, base: 50 * time.Millisecond}
 
-// maxBackoff caps the exponential curve. base<<attempt overflows int64
-// around attempt 37 for the default base — and a negative duration fires
-// the retry timer immediately, turning backoff into a tight hammer loop —
-// so any attempt past the cap clamps here instead.
+// maxBackoff caps the exponential curve.
 const maxBackoff = 30 * time.Second
 
 func (p retryPolicy) shouldRetry(method string, err error, attempt int) bool {
@@ -69,19 +67,15 @@ func (p retryPolicy) shouldRetry(method string, err error, attempt int) bool {
 	return method == http.MethodGet
 }
 
-// backoff computes the un-jittered delay for an attempt, clamped to
-// [base, maxBackoff] so the shift can never overflow negative.
+// backoff computes the un-jittered delay for an attempt on the shared
+// curve (ring.Backoff: overflow-safe capped doubling), clamped to
+// (0, maxBackoff] whatever the configured base.
 func (p retryPolicy) backoff(attempt int) time.Duration {
 	base := p.base
 	if base <= 0 {
 		base = defaultRetry.base
 	}
-	// base<<attempt ≤ maxBackoff ⟺ base ≤ maxBackoff>>attempt; testing in
-	// the shrinking direction cannot overflow (Go defines >>64 as 0).
-	if attempt >= 63 || base > maxBackoff>>attempt {
-		return maxBackoff
-	}
-	return base << attempt
+	return min(ring.Backoff(base, maxBackoff, attempt), maxBackoff)
 }
 
 // wait sleeps for the attempt's jittered backoff: base·2^attempt scaled by
@@ -89,13 +83,8 @@ func (p retryPolicy) backoff(attempt int) time.Duration {
 // at maxBackoff, and never below floor (the server's Retry-After, zero when
 // it sent none).
 func (p retryPolicy) wait(ctx context.Context, attempt int, floor time.Duration) error {
-	d := time.Duration(float64(p.backoff(attempt)) * (0.5 + rand.Float64()))
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	if d < floor {
-		d = floor
-	}
+	d := min(ring.Jitter(p.backoff(attempt)), maxBackoff)
+	d = max(d, floor)
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	itagd [-addr :8080] [-db itag.wal] [-shards 1] [-seed 42]
+//	itagd [-addr :8080] [-db itag.wal] [-seed 42]
 //	      [-sync-every 1] [-group-commit 0] [-segment-bytes 4194304]
 //	      [-auto-compact 67108864] [-debug-addr ""]
 //	      [-write-timeout 60s] [-route-timeout 30s] [-grace 30s]
@@ -21,12 +21,12 @@
 // scales with demand — all the way to zero goroutines when idle and
 // -pool-min is 0 — instead of one dedicated goroutine per run.
 //
-// With -db "" the store is in-memory (state lost on exit). With -shards N
-// (N > 1) the store is hash-partitioned across N locks; -db then names a
-// directory of per-shard WAL layouts (shard-NNN.wal plus its snapshot and
-// segment files) instead of a single layout. See internal/server for the
-// endpoint reference and docs/ARCHITECTURE.md for the sharding and
-// durability design.
+// With -db "" the store is in-memory (state lost on exit); otherwise -db
+// names the one WAL layout (snapshot plus segment files) behind the
+// daemon. A standalone daemon is never partitioned in-process — spreading
+// keys over several WALs is what cluster slots are for. See internal/server
+// for the endpoint reference and docs/ARCHITECTURE.md for the durability
+// design.
 //
 // Durability knobs: -sync-every N fsyncs after every N committed records
 // (the group-commit writer folds concurrent commits into one fsync, so the
@@ -51,7 +51,7 @@
 // leads the keys hashing to its slot, replicates its WAL to -cluster-replicas
 // followers, and serves opt-in follower reads within -cluster-staleness
 // records of lag. -db must name a data directory (cluster nodes are always
-// durable) and -shards must stay 1 — the ring partitions keys across nodes.
+// durable).
 // See docs/ARCHITECTURE.md ("Cluster") and the README quickstart:
 //
 //	itagd -addr :8081 -db data-a -cluster-slot alpha \
@@ -112,8 +112,7 @@ func main() {
 func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string)) error {
 	fs := flag.NewFlagSet("itagd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	dbPath := fs.String("db", "itag.wal", "WAL file (or directory with -shards > 1); empty for in-memory")
-	shards := fs.Int("shards", 1, "store shard count (>1 partitions keys across locks)")
+	dbPath := fs.String("db", "itag.wal", "WAL file (data directory in cluster mode); empty for in-memory")
 	seed := fs.Int64("seed", 42, "seed for simulated platforms and worlds")
 	syncEvery := fs.Int("sync-every", 1, "fsync the WAL after every N committed records (0 disables fsync)")
 	groupCommit := fs.Duration("group-commit", 0, "group-commit coalescing window (0 = natural batching; negative = synchronous per-record appends)")
@@ -179,9 +178,6 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		if *dbPath == "" {
 			return fmt.Errorf("cluster mode requires -db: replication ships WAL bytes, so cluster nodes are always durable")
 		}
-		if *shards != 1 {
-			return fmt.Errorf("cluster mode replaces -shards: the ring partitions keys across nodes")
-		}
 		ring, err := parseRingFlag(*clusterRing)
 		if err != nil {
 			return err
@@ -215,23 +211,10 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		logger.Printf("cluster node: slot %s of %d-member ring v%d (dir %s, replicas %d, staleness bound %d, replication %s)",
 			*clusterSlot, len(ring.Members), ring.Version, *dbPath, *clusterReplicas, *clusterStaleness, mode)
 	} else {
-		switch {
-		case *dbPath == "" && *shards > 1:
-			db = store.NewSharded(*shards)
-			logger.Printf("using in-memory store (%d shards)", *shards)
-		case *dbPath == "":
+		if *dbPath == "" {
 			db = store.OpenMemory()
 			logger.Print("using in-memory store")
-		case *shards > 1:
-			sh, err := store.OpenSharded(*dbPath, *shards, storeOpts)
-			if err != nil {
-				return fmt.Errorf("open sharded store: %w", err)
-			}
-			st := sh.Stats()
-			logger.Printf("store: %s (%d shards, seq %d, %d segments, recovered %d records in %.1fms)",
-				*dbPath, *shards, sh.Seq(), st.Segments, st.RecoveredRecords, st.RecoveryMillis)
-			db = sh
-		default:
+		} else {
 			wal, err := store.Open(*dbPath, storeOpts)
 			if err != nil {
 				return fmt.Errorf("open store: %w", err)

@@ -4,11 +4,15 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"itag/internal/errs"
+	"itag/internal/store"
 )
 
 // TestBootServeSigtermDrain boots the full daemon in-process on ephemeral
@@ -156,5 +160,52 @@ func TestBootClusterMode(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("cluster daemon did not exit after SIGTERM")
+	}
+}
+
+// TestBootRejectsRetiredShardLayout pins what is left of the in-process
+// partitioner at the daemon's edge: the -shards flag is gone (an old
+// command line fails loudly instead of silently running unpartitioned),
+// and a -db path holding the shard-NNN.wal families a sharded daemon wrote
+// is refused instead of having a fresh, empty WAL created beside the data.
+func TestBootRejectsRetiredShardLayout(t *testing.T) {
+	shardedDir := t.TempDir()
+	for _, name := range []string{"shard-000.wal.seg-00000001", "shard-001.wal.seg-00000001", "shard-001.wal.snapshot"} {
+		if err := os.WriteFile(filepath.Join(shardedDir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		args []string
+		want []string // substrings of the error
+	}{
+		{"-shards is an unknown flag", []string{"-db", "", "-shards", "4"},
+			[]string{"flag provided but not defined", "-shards"}},
+		{"-db names a sharded directory", []string{"-addr", "127.0.0.1:0", "-db", shardedDir},
+			[]string{"retired sharded layout", shardedDir}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(tc.args, log.New(io.Discard, "", 0), func(string, string) {
+				t.Error("daemon became ready")
+				_ = syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
+			})
+			if err == nil {
+				t.Fatal("run accepted the retired setup")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+	if _, err := store.Open(shardedDir, store.Options{}); errs.CategoryOf(err) != errs.CategoryValidation {
+		t.Errorf("store.Open on a sharded directory: err = %v, want a validation error", err)
+	}
+	left, _ := filepath.Glob(filepath.Join(shardedDir, "*"))
+	if len(left) != 3 {
+		t.Errorf("the refused open changed the directory: %v", left)
 	}
 }

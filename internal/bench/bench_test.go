@@ -265,24 +265,6 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestS3StoreContentionShape(t *testing.T) {
-	res, err := S3StoreContention(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(s3Shards) * len(s3Taggers); len(res.Rows) != want {
-		t.Fatalf("S3 produced %d rows, want %d", len(res.Rows), want)
-	}
-	for _, row := range res.Rows {
-		if ops := parseF(t, row[3]); ops <= 0 {
-			t.Fatalf("cell %v reports non-positive throughput", row)
-		}
-	}
-	if len(res.Gates) != 0 {
-		t.Fatalf("S3 is information only, got gates %v", res.Gates)
-	}
-}
-
 func TestS6QualityHotPathShape(t *testing.T) {
 	res, err := S6QualityHotPath(small())
 	if err != nil {

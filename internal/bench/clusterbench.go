@@ -446,7 +446,8 @@ func S8Cluster(sz Sizes) (Result, error) {
 	// The single and cluster cells run as interleaved pairs and the gate is
 	// the best pair ratio: the shared-IO host's fsync latency drifts run to
 	// run, and pairing the cells in time correlates that drift out of the
-	// ratio instead of letting it land on one side only.
+	// ratio instead of letting it land on one side only. The table prints
+	// the pair the gate was taken from, so its speedup cell is the gate.
 	var single, clustered, gate float64
 	for i := 0; i < 2; i++ {
 		s, err := s8Cell([]string{"solo"}, 1, projects, dims, sz.Seed+int64(i), false, throughputReplicas, throughputPull)
@@ -457,14 +458,8 @@ func S8Cluster(sz Sizes) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		if s > single {
-			single = s
-		}
-		if c > clustered {
-			clustered = c
-		}
 		if s > 0 && c/s > gate {
-			gate = c / s
+			single, clustered, gate = s, c, c/s
 		}
 	}
 	grouped, err := s8Cell([]string{"solo"}, 1, projects, dims, sz.Seed, true, throughputReplicas, throughputPull)
@@ -497,10 +492,9 @@ func S8Cluster(sz Sizes) (Result, error) {
 		"both topologies run identical stacks (internal/cluster nodes over an in-process HTTP transport) and identical leader durability: SyncEvery 1 with synchronous per-record appends, so every acknowledged write waits for its owner's fsync",
 		"a single node serializes those fsyncs behind one WAL; each cluster node leads 6 ring slots and therefore fsyncs 6 independent WALs, so the 18 leader WALs overlap their fsync waits even on one core — that overlap, not extra CPUs, is what the gate measures (the harness raises GOMAXPROCS to 4 for both cells so blocked fsync syscalls release their scheduler slot, as they would across real machines)",
 		"the cluster row pays full cluster freight: consistent-hash routing, the per-slot entity-group ID filter, and background WAL-segment replication to a distinct-node follower per slot (the kill-a-node drill runs replication factor 2); replica stores skip per-record fsync because their tail is re-fetchable from the leader by watermark (promotion reopens the store with leader durability)",
-		"a single node can buy the same fsync parallelism with -shards (experiment S3) or group commit (S5) — the cluster's claim is that it keeps that parallelism while adding scale-out capacity, replication, and failover, not that partitioning is the only route to it",
 		"the group-commit row is informational: coalescing recovers most of the fsync serialization on a single node, which is why the cluster gate pins the strict-durability regime",
 		"transport is in-process (handler dispatch, no TCP): ratios isolate the storage and coordination costs, absolute iters/sec overstate a networked deployment",
-		"the gate is the best of two interleaved single/cluster pair ratios; -small smoke runs assert a reduced 1.3x floor because short runs on a shared-IO host are fsync-latency noisy — the committed full-size artifact asserts the 2x claim",
+		"the gate is the best of two interleaved single/cluster pair ratios, and the strict-durability rows are that pair; -small smoke runs assert a reduced 1.3x floor because short runs on a shared-IO host are fsync-latency noisy — the committed full-size artifact asserts the 2x claim",
 		fmt.Sprintf("acceptance gate: 3-node ≥ %.1fx single-node on the mixed request/submit/top-up/read workload — measured %.2fx", minRatio, gate),
 	)
 	if err != nil {

@@ -32,21 +32,6 @@ func s7Sizes(sz Sizes) s7Dims {
 	return s7Dims{resources: 1000, postsPer: 10, taggers: 64, opsPer: 96}
 }
 
-// s7Mode is one store configuration under test.
-type s7Mode struct {
-	name   string
-	shards int // 0 = single in-memory DB
-}
-
-func s7Modes() []s7Mode {
-	return []s7Mode{
-		{name: "single store"},
-		// The same read path over a sharded store — exercises the ordered
-		// cross-shard k-way merge on exports.
-		{name: "8 shards", shards: 8},
-	}
-}
-
 // s7World is one fully provisioned serving stack.
 type s7World struct {
 	svc     *core.Service
@@ -55,16 +40,12 @@ type s7World struct {
 	taggers []string
 }
 
-// s7Setup provisions a service over the mode's store: one manual project
+// s7Setup provisions a service over an in-memory store: one manual project
 // with dims.resources uploaded resources, dims.postsPer seeded posts each,
 // and a registered tagger fleet. Setup cost is paid before the clock
 // starts.
-func s7Setup(mode s7Mode, dims s7Dims, seed int64) (*s7World, error) {
-	var db store.Store = store.OpenMemory()
-	if mode.shards > 1 {
-		db = store.NewSharded(mode.shards)
-	}
-	cat := store.NewCatalog(db)
+func s7Setup(dims s7Dims, seed int64) (*s7World, error) {
+	cat := store.NewCatalog(store.OpenMemory())
 	svc := core.NewService(cat, seed)
 	ctx := context.Background()
 	provider, err := svc.RegisterProvider(ctx, "s7-provider")
@@ -174,9 +155,9 @@ func s7Workload(w *s7World, dims s7Dims) (itersPerSec float64, err error) {
 	return float64(dims.taggers*dims.opsPer) / wall.Seconds(), nil
 }
 
-// s7Cell provisions and drives one mode once.
-func s7Cell(mode s7Mode, dims s7Dims, seed int64) (float64, error) {
-	w, err := s7Setup(mode, dims, seed)
+// s7Cell provisions and drives one world once.
+func s7Cell(dims s7Dims, seed int64) (float64, error) {
+	w, err := s7Setup(dims, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -186,8 +167,8 @@ func s7Cell(mode s7Mode, dims s7Dims, seed int64) (float64, error) {
 }
 
 // S7ServingReadPath reports end-to-end serving throughput — the mixed
-// RequestTask/SubmitTask/ResourceDetail/Export/dashboard workload — over a
-// single store and a sharded one, and gates the cached-serving cell: a
+// RequestTask/SubmitTask/ResourceDetail/Export/dashboard workload — over
+// one in-memory store, and gates the cached-serving cell: a
 // ResourceDetail hit through the full HTTP stack must stay under its
 // allocation and p99 ceilings. The throughput rows carry no gate; the
 // scan-parity suite (internal/store) pins what the reads return.
@@ -199,28 +180,26 @@ func S7ServingReadPath(sz Sizes) (Result, error) {
 			dims.taggers, dims.resources, dims.resources*dims.postsPer),
 		Header: []string{"mode", "taggers", "resources", "seed posts", "iters", "iters/sec"},
 	}
-	// Discarded warm-up so the first measured mode doesn't pay allocator
-	// and scheduler warm-up.
+	// Discarded warm-up so the measured passes don't pay allocator and
+	// scheduler warm-up.
 	warm := s7Dims{resources: 50, postsPer: 2, taggers: 4, opsPer: 8}
-	if _, err := s7Cell(s7Modes()[0], warm, sz.Seed); err != nil {
+	if _, err := s7Cell(warm, sz.Seed); err != nil {
 		return Result{}, err
 	}
-	for _, mode := range s7Modes() {
-		// Two measured passes per mode, best-of taken, so one-off GC or
-		// scheduler interference on a shared CI host doesn't skew the row.
-		var ips float64
-		for i := 0; i < 2; i++ {
-			got, err := s7Cell(mode, dims, sz.Seed+int64(i))
-			if err != nil {
-				return Result{}, err
-			}
-			ips = maxf(ips, got)
+	// Two measured passes, best-of taken, so one-off GC or scheduler
+	// interference on a shared CI host doesn't skew the row.
+	var ips float64
+	for i := 0; i < 2; i++ {
+		got, err := s7Cell(dims, sz.Seed+int64(i))
+		if err != nil {
+			return Result{}, err
 		}
-		res.Rows = append(res.Rows, []string{
-			mode.name, d(dims.taggers), d(dims.resources), d(dims.resources * dims.postsPer),
-			d(dims.taggers * dims.opsPer), fmt.Sprintf("%.0f", ips),
-		})
+		ips = maxf(ips, got)
 	}
+	res.Rows = append(res.Rows, []string{
+		"single store", d(dims.taggers), d(dims.resources), d(dims.resources * dims.postsPer),
+		d(dims.taggers * dims.opsPer), fmt.Sprintf("%.0f", ips),
+	})
 	// The cached-serving cell: the same world, driven through the full HTTP
 	// stack with the encoded-response cache on. Gated on allocations and
 	// tail latency per cached ResourceDetail hit.
@@ -240,7 +219,7 @@ func S7ServingReadPath(sz Sizes) (Result, error) {
 	)
 	res.Notes = append(res.Notes,
 		"per-iteration work: RequestTask + SubmitTask (GetUser/GetProject/GetTask, PutTask×2, AppendPost), ResourceDetail, then the provider dashboard's GetResource + CountPosts + PostsOf on 3 resources; a 50-row ExportPage every 16th and a completed-task listing every 64th iteration",
-		"throughput rows are information only: lock-free descents of per-table persistent B+trees plus the catalog's seq-versioned decoded-record cache; the sharded row adds the ordered cross-shard k-way merge on whole-table scans (exports)",
+		"throughput rows are information only: lock-free descents of per-table persistent B+trees plus the catalog's seq-versioned decoded-record cache",
 		fmt.Sprintf("cached serving (full HTTP stack, encoded-response cache hit on one ResourceDetail): %.1f allocs/op, %.1f allocs/op on the If-None-Match 304 path, p50 %s, p99 %s, respcache hit rate %.1f%%",
 			cs.allocsPerOp, cs.allocs304, cs.p50, cs.p99, 100*cs.hitRate),
 		fmt.Sprintf("cached-serving gates: < %d allocs/op (measured %.1f) and p99 ≤ %s (measured %s) per cached hit",

@@ -127,7 +127,7 @@ func s7CachedServing(w *s7World) (s7CachedStats, error) {
 // the latency gate (allocs/op is deterministic and taken from the first
 // pass).
 func s7CachedCell(dims s7Dims, seed int64) (s7CachedStats, error) {
-	w, err := s7Setup(s7Mode{name: "cached"}, dims, seed)
+	w, err := s7Setup(dims, seed)
 	if err != nil {
 		return s7CachedStats{}, err
 	}

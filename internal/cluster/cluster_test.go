@@ -679,12 +679,12 @@ func TestClusterRingConflictConverges(t *testing.T) {
 	if a.Version != base.Version+1 || b.Version != base.Version+1 {
 		t.Fatalf("versions diverged: alpha v%d, beta v%d", a.Version, b.Version)
 	}
-	if ak, bk := a.contentKey(), b.contentKey(); ak != bk {
+	if ak, bk := a.ContentKey(), b.ContentKey(); ak != bk {
 		t.Fatalf("nodes hold diverging rings at the same version:\nalpha %q\nbeta  %q", ak, bk)
 	}
 	// Re-delivering the losing ring stays a no-op on both.
 	loser := ringA
-	if a.contentKey() == ringA.contentKey() {
+	if a.ContentKey() == ringA.ContentKey() {
 		loser = ringB
 	}
 	if tc.nodes["alpha"].installRing(loser) || tc.nodes["beta"].installRing(loser) {

@@ -57,9 +57,9 @@ func (n *Node) Health() string {
 
 	anyOpen, allOpen := false, len(peerAddrs) > 0
 	for host := range peerAddrs {
-		// peek, not get: a scrape must not allocate breakers for peers this
+		// Peek, not Get: a scrape must not allocate breakers for peers this
 		// node never contacted. A missing breaker is a closed circuit.
-		if b := n.peers.peek(host); b != nil && b.open(now) {
+		if b := n.peers.Peek(host); b != nil && b.Open(now) {
 			anyOpen = true
 		} else {
 			allOpen = false

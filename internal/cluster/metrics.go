@@ -15,7 +15,7 @@ import (
 // against.
 func (n *Node) Families() []api.Family {
 	health := n.Health() // before n.mu: Health takes its own RLock
-	breakerOpen, breakerTotal, breakerOpens := n.peers.snapshot(time.Now())
+	breakerOpen, breakerTotal, breakerOpens := n.peers.Snapshot(time.Now())
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 

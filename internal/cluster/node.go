@@ -18,6 +18,7 @@ import (
 	"itag/internal/api"
 	"itag/internal/core"
 	"itag/internal/errs"
+	"itag/internal/ring"
 	"itag/internal/server"
 	"itag/internal/store"
 )
@@ -219,7 +220,7 @@ type Node struct {
 	// Robustness state (PR 10): per-peer circuit breakers, quorum degrade
 	// accounting, demotions, staleness-breaker fallbacks, and the
 	// anti-entropy ring-fetch guard.
-	peers             peerSet
+	peers             ring.Breakers
 	quorumDegraded    atomic.Uint64
 	lastDegraded      atomic.Int64 // unixnano of the last quorum degrade
 	demotions         atomic.Uint64
@@ -585,7 +586,7 @@ func (n *Node) installRing(ring *Ring) bool {
 		return false
 	}
 	if ring.Version == n.ring.Version {
-		theirs, ours := ring.contentKey(), n.ring.contentKey()
+		theirs, ours := ring.ContentKey(), n.ring.ContentKey()
 		if theirs == ours {
 			return false // same ring, nothing to do
 		}
@@ -926,13 +927,13 @@ func (n *Node) refollow(slot string) {
 // headers on replication traffic) once reachable again. Each member gets a
 // couple of attempts on the capped jittered backoff schedule, through its
 // circuit breaker so a partitioned member fails fast.
-func (n *Node) pushRing(ctx context.Context, ring *Ring) {
-	body, err := json.Marshal(ring)
+func (n *Node) pushRing(ctx context.Context, r *Ring) {
+	body, err := json.Marshal(r)
 	if err != nil {
 		return
 	}
 	addrs := make(map[string]bool)
-	for _, m := range ring.Members {
+	for _, m := range r.Members {
 		if m.Addr != n.addr {
 			addrs[m.Addr] = true
 		}
@@ -944,7 +945,7 @@ func (n *Node) pushRing(ctx context.Context, ring *Ring) {
 				select {
 				case <-ctx.Done():
 					return
-				case <-time.After(jitter(backoffFor(100*time.Millisecond, time.Second, attempt-1))):
+				case <-time.After(ring.Jitter(ring.Backoff(100*time.Millisecond, time.Second, attempt-1))):
 				}
 			}
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -964,7 +965,7 @@ func (n *Node) pushRing(ctx context.Context, ring *Ring) {
 			break
 		}
 		if lastErr != nil {
-			n.logger.Printf("cluster %s: push ring v%d to %s: %v", n.slot, ring.Version, addr, lastErr)
+			n.logger.Printf("cluster %s: push ring v%d to %s: %v", n.slot, r.Version, addr, lastErr)
 		}
 	}
 }

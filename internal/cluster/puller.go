@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"itag/internal/errs"
+	"itag/internal/ring"
 )
 
 // The follower half of replication. Each followed slot gets one puller
@@ -34,7 +35,7 @@ const maxBodyBytes = 1 << 30
 // pullLoop drives one followed slot until ctx ends. Rounds that made
 // progress loop immediately (catch-up); idle rounds wait out the poll
 // interval; failing rounds back off on the capped jittered exponential
-// schedule (backoffFor), so a dead or partitioned leader is probed ever
+// schedule (ring.Backoff), so a dead or partitioned leader is probed ever
 // more gently instead of being hammered at the pull interval forever. One
 // good round resets the schedule.
 func (n *Node) pullLoop(ctx context.Context, rep *replica) {
@@ -67,7 +68,7 @@ func (n *Node) pullLoop(ctx context.Context, rep *replica) {
 		}
 		wait := n.opts.PullInterval
 		if streak > 0 {
-			wait = jitter(backoffFor(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
+			wait = ring.Jitter(ring.Backoff(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
 		}
 		timer := time.NewTimer(wait)
 		select {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"itag/internal/api"
+	"itag/internal/ring"
 	"itag/internal/store"
 )
 
@@ -199,7 +200,7 @@ func (n *Node) pushLoop(ctx context.Context, b *backend, p *pusher) {
 		}
 		wait := n.opts.PullInterval
 		if streak > 0 {
-			wait = jitter(backoffFor(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
+			wait = ring.Jitter(ring.Backoff(n.opts.PullInterval, n.opts.PullMaxBackoff, streak-1))
 		}
 		timer := time.NewTimer(wait)
 		select {
@@ -381,24 +382,32 @@ func (n *Node) noteRingVersion(versionHeader, fromAddr string) {
 	}()
 }
 
+// breakerThreshold and breakerCooldown are the node-side breaker policy:
+// three straight failures is already several seconds of evidence under the
+// pull/push retry cadence.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+)
+
 // peerDo performs one inter-node call through the target's circuit
 // breaker: an open circuit refuses the call locally, transport failures
 // count toward opening it, and any HTTP response (even an error status)
 // proves the peer alive and closes it.
 func (n *Node) peerDo(req *http.Request) (*http.Response, error) {
-	b := n.peers.get(req.URL.Host)
+	b := n.peers.Get(req.URL.Host)
 	now := time.Now()
-	if !b.allow(now) {
+	if !b.Allow(now) {
 		return nil, errPeerOpen
 	}
 	resp, err := n.httpc.Do(req)
 	if err != nil {
-		if b.failure(time.Now(), breakerThreshold, breakerCooldown) {
+		if b.Failure(time.Now(), breakerThreshold, breakerCooldown) {
 			n.logger.Printf("cluster %s: circuit open for peer %s: %v", n.slot, req.URL.Host, err)
 		}
 		return nil, err
 	}
-	b.success()
+	b.Success()
 	return resp, nil
 }
 

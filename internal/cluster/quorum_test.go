@@ -14,102 +14,6 @@ import (
 	"itag/internal/store"
 )
 
-// TestBackoffScheduleRegression pins the shared inter-node retry curve:
-// capped exponential from base, so a regression in the schedule (say, a
-// refactor that drops the cap or doubles from the wrong origin) fails
-// loudly instead of silently hammering dead peers.
-func TestBackoffScheduleRegression(t *testing.T) {
-	cases := []struct {
-		base, max time.Duration
-		streak    int
-		want      time.Duration
-	}{
-		{100 * time.Millisecond, time.Second, 0, 100 * time.Millisecond},
-		{100 * time.Millisecond, time.Second, 1, 200 * time.Millisecond},
-		{100 * time.Millisecond, time.Second, 2, 400 * time.Millisecond},
-		{100 * time.Millisecond, time.Second, 3, 800 * time.Millisecond},
-		{100 * time.Millisecond, time.Second, 4, time.Second},
-		{100 * time.Millisecond, time.Second, 50, time.Second},
-		// Zero base falls back to the 250ms default.
-		{0, time.Second, 0, 250 * time.Millisecond},
-		// A cap below the base clamps to the base.
-		{500 * time.Millisecond, 100 * time.Millisecond, 5, 500 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := backoffFor(c.base, c.max, c.streak); got != c.want {
-			t.Errorf("backoffFor(%v, %v, %d) = %v, want %v", c.base, c.max, c.streak, got, c.want)
-		}
-	}
-	// Jitter spreads over [d/2, 3d/2) and never collapses to zero.
-	d := 100 * time.Millisecond
-	for i := 0; i < 200; i++ {
-		j := jitter(d)
-		if j < d/2 || j >= d+d/2 {
-			t.Fatalf("jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
-		}
-	}
-	if jitter(0) != 0 {
-		t.Errorf("jitter(0) = %v, want 0", jitter(0))
-	}
-}
-
-// TestBreakerLifecycle walks one peer breaker through its whole state
-// machine: closed under threshold, open after threshold straight failures,
-// refusing during the cooldown, half-open single probe after it, re-opened
-// by a failed probe, and fully closed by a successful one.
-func TestBreakerLifecycle(t *testing.T) {
-	b := &breaker{}
-	now := time.Now()
-	cool := time.Second
-
-	for i := 0; i < breakerThreshold-1; i++ {
-		if !b.allow(now) {
-			t.Fatalf("closed breaker refused call %d", i)
-		}
-		if b.failure(now, breakerThreshold, cool) {
-			t.Fatalf("breaker opened after %d failures, threshold is %d", i+1, breakerThreshold)
-		}
-	}
-	if !b.failure(now, breakerThreshold, cool) {
-		t.Fatal("breaker did not open at the threshold")
-	}
-	if !b.open(now.Add(cool / 2)) {
-		t.Fatal("breaker not open during the cooldown")
-	}
-	if b.allow(now.Add(cool / 2)) {
-		t.Fatal("open breaker admitted a call during the cooldown")
-	}
-
-	// After the cooldown: exactly one probe.
-	after := now.Add(cool + time.Millisecond)
-	if !b.allow(after) {
-		t.Fatal("breaker refused the half-open probe")
-	}
-	if b.allow(after) {
-		t.Fatal("breaker admitted a second concurrent probe")
-	}
-	// A failed probe re-opens immediately (no threshold restart).
-	if !b.failure(after, breakerThreshold, cool) {
-		t.Fatal("failed probe did not re-open the breaker")
-	}
-	if b.opens != 2 {
-		t.Fatalf("opens = %d, want 2", b.opens)
-	}
-
-	// A successful probe closes it fully.
-	after2 := after.Add(cool + time.Millisecond)
-	if !b.allow(after2) {
-		t.Fatal("breaker refused the second probe")
-	}
-	b.success()
-	if b.open(after2) || !b.allow(after2) {
-		t.Fatal("breaker not closed after a successful probe")
-	}
-	if b.failure(after2, breakerThreshold, cool) {
-		t.Fatal("single failure after close re-opened the breaker")
-	}
-}
-
 // TestQuorumWaiterPruning pins the waiter lifecycle of the quorum gate:
 // every exit from wait() — confirmation, timeout, request cancellation,
 // pusher stop — must leave p.waiters empty. Timed-out waiters used to
@@ -175,28 +79,6 @@ func TestQuorumWaiterPruning(t *testing.T) {
 	}
 	if n := waiterCount(p); n != 0 {
 		t.Fatalf("confirmed waiter not pruned: %d entries", n)
-	}
-}
-
-// TestPeerPeekDoesNotAllocate pins the read-only breaker view health
-// classification relies on: peeking a never-contacted peer must not create
-// a breaker entry, or every /healthz and metrics scrape inflates
-// itag_cluster_peers_tracked to the full ring and pins stale addresses
-// after ring changes.
-func TestPeerPeekDoesNotAllocate(t *testing.T) {
-	ps := &peerSet{}
-	if b := ps.peek("node-a:8080"); b != nil {
-		t.Fatal("peek of an uncontacted peer returned a breaker")
-	}
-	if _, total, _ := ps.snapshot(time.Now()); total != 0 {
-		t.Fatalf("peek allocated: %d peers tracked, want 0", total)
-	}
-	ps.get("node-a:8080")
-	if ps.peek("node-a:8080") == nil {
-		t.Fatal("peek missed a contacted peer's breaker")
-	}
-	if _, total, _ := ps.snapshot(time.Now()); total != 1 {
-		t.Fatalf("peers tracked = %d, want 1", total)
 	}
 }
 

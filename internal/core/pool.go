@@ -15,9 +15,9 @@ import (
 // of many projects across a fixed set of workers. Each step publishes one
 // batch of tasks to the project's crowd platform, drives the platform until
 // the batch completes, and folds results back into the model — so a fleet
-// of simulated taggers makes progress on every live project concurrently,
-// and per-project store traffic (posts, tasks) lands on different shards of
-// a sharded store instead of convoying on one lock.
+// of simulated taggers makes progress on every live project concurrently.
+// Their store traffic meets in one DB: reads take no lock and concurrent
+// commits coalesce in its group-commit writer.
 
 // Pool drives many engines with a fixed number of step workers.
 //

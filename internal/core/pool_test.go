@@ -81,8 +81,8 @@ func TestPoolRetiresFailingEngineOnly(t *testing.T) {
 }
 
 func TestServiceRunSimulations(t *testing.T) {
-	// Full stack over a sharded backend: service → engines → pool → catalog.
-	s := NewService(store.NewCatalog(store.NewSharded(8)), 77)
+	// Full stack: service → engines → pool → catalog.
+	s := NewService(store.NewCatalog(store.OpenMemory()), 77)
 	prov, err := s.RegisterProvider(context.Background(), "fleet-owner")
 	if err != nil {
 		t.Fatal(err)

@@ -1,35 +1,9 @@
-package cluster
+package ring
 
 import (
 	"fmt"
 	"testing"
-
-	"itag/internal/store"
 )
-
-// TestKeyHashMatchesStoreSharding cross-pins the ring's key hash against
-// store.Sharded's routing: for any shard count, KeyHash(key) mod n must
-// pick the same shard ShardFor does. The two implementations live in
-// different packages; this test is what stops them drifting apart.
-func TestKeyHashMatchesStoreSharding(t *testing.T) {
-	keys := []string{
-		"proj-000001", "proj-000002", "proj-000017",
-		"proj-000001/proj-000001-task-00001", "res-0000", "res-0041/000123",
-		"prov-000001", "tag-000007", "tag-000032", "a", "",
-		"key/with/many/segments", "Ünïcode-キー",
-	}
-	for i := 0; i < 200; i++ {
-		keys = append(keys, fmt.Sprintf("proj-%06d", i), fmt.Sprintf("proj-%06d/task-%05d", i, i))
-	}
-	for _, n := range []int{2, 3, 5, 16, 64} {
-		sh := store.NewSharded(n)
-		for _, key := range keys {
-			if got, want := int(KeyHash(key)%uint32(n)), sh.ShardFor(key); got != want {
-				t.Fatalf("n=%d key=%q: KeyHash%%n = %d, ShardFor = %d", n, key, got, want)
-			}
-		}
-	}
-}
 
 func mkRing(t *testing.T, slots ...string) *Ring {
 	t.Helper()
@@ -85,9 +59,35 @@ func TestRingGoldenPlacements(t *testing.T) {
 	}
 }
 
+// TestKeyHashGolden pins the raw 32-bit routing hashes (FNV-1a of the first
+// path segment) under the placements above: a placement change on any ring
+// is a change in one of these.
+func TestKeyHashGolden(t *testing.T) {
+	hashes := map[string]uint32{
+		"proj-000001": 2253394182,
+		"proj-000002": 2236616563,
+		"proj-000017": 2286802325,
+		"res-0000":    2442905308,
+		"res-0041":    2593212331,
+		"prov-000001": 2527334346,
+		"tag-000007":  966378539,
+		"tag-000032":  915898587,
+		"a":           3826002220,
+		"":            2166136261, // FNV-1a offset basis: empty first segment
+	}
+	for key, want := range hashes {
+		if got := KeyHash(key); got != want {
+			t.Errorf("KeyHash(%q) = %d, golden %d", key, got, want)
+		}
+		if got := KeyHash(key + "/suffix/x"); got != want {
+			t.Errorf("KeyHash(%q) = %d, want its first segment's %d", key+"/suffix/x", got, want)
+		}
+	}
+}
+
 // TestRingFirstSegmentInvariant pins that a key routes with its first path
 // segment — a project's tasks, posts and resources stay on the project's
-// owner, exactly like store.Sharded's in-process routing.
+// owner.
 func TestRingFirstSegmentInvariant(t *testing.T) {
 	r := mkRing(t, "alpha", "beta", "gamma", "delta", "epsilon")
 	for i := 0; i < 500; i++ {

@@ -37,7 +37,7 @@ func storeFamilies(st *store.Stats) []api.Family {
 	one := func(name, help string, t string, v float64) api.Family {
 		return api.Family{Name: name, Help: help, Type: t, Samples: []api.Sample{{Value: v}}}
 	}
-	fams := []api.Family{
+	return []api.Family{
 		{
 			Name: "itag_store_info", Type: api.TypeGauge,
 			Help: "Store backend in use (constant 1, labeled by backend).",
@@ -54,12 +54,8 @@ func storeFamilies(st *store.Stats) []api.Family {
 		one("itag_store_compactions_total", "Snapshot compactions completed.", api.TypeCounter, float64(st.Compactions)),
 		one("itag_store_wal_segments", "Live WAL files (segments + legacy).", api.TypeGauge, float64(st.Segments)),
 		one("itag_store_wal_segment_bytes", "Bytes recovery would replay right now.", api.TypeGauge, float64(st.SegmentBytes)),
-		one("itag_store_snapshot_seq", "Sequence covered by the last snapshot (min across shards).", api.TypeGauge, float64(st.SnapshotSeq)),
+		one("itag_store_snapshot_seq", "Sequence covered by the last snapshot.", api.TypeGauge, float64(st.SnapshotSeq)),
 		one("itag_store_recovered_records_total", "WAL records replayed at open.", api.TypeCounter, float64(st.RecoveredRecords)),
 		one("itag_store_recovery_seconds", "Time the last open spent recovering.", api.TypeGauge, st.RecoveryMillis/1e3),
 	}
-	if st.Shards > 0 {
-		fams = append(fams, one("itag_store_shards", "Shards behind the store.", api.TypeGauge, float64(st.Shards)))
-	}
-	return fams
 }

@@ -2,8 +2,7 @@ package store
 
 // Crash-injection harness: failpoints kill the WAL mid-append, mid-rotation
 // and mid-snapshot-swap, then reopening must recover every acknowledged
-// commit and drop at most the torn tail. Table-driven over both the plain
-// DB and the Sharded backend.
+// commit and drop at most the torn tail.
 
 import (
 	"errors"
@@ -39,19 +38,15 @@ func crashOpts() Options {
 	return Options{SyncEvery: 1, SegmentBytes: 512}
 }
 
-// armFailpoint installs tc's countdown hook on every given DB (shared
-// counter: the first DB to reach the site crashes).
-func armFailpoint(tc crashCase, dbs ...*DB) {
+// armFailpoint installs tc's countdown hook on db.
+func armFailpoint(tc crashCase, db *DB) {
 	var hits atomic.Int32
-	hook := func(p Failpoint) bool {
+	db.SetFailpoint(func(p Failpoint) bool {
 		if p != tc.site {
 			return false
 		}
 		return hits.Add(1) > tc.after
-	}
-	for _, db := range dbs {
-		db.SetFailpoint(hook)
-	}
+	})
 }
 
 // crashModel tracks, per worker, the expected post-recovery state. Keys are
@@ -203,54 +198,6 @@ func TestCrashInjectionDB(t *testing.T) {
 			var v int
 			if err := db3.Get("crash", "after-recovery", &v); err != nil || v != 42 {
 				t.Fatalf("post-recovery write lost: %v (v=%d)", err, v)
-			}
-		})
-	}
-}
-
-func TestCrashInjectionSharded(t *testing.T) {
-	const shards = 3
-	for _, tc := range crashCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenSharded(dir, shards, crashOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner := make([]*DB, shards)
-			for i, sh := range s.shards {
-				inner[i] = sh.(*DB)
-			}
-			m := newCrashModel()
-			if tc.compact {
-				crashWorkload(t, s, m, 4, 40)
-				armFailpoint(tc, inner...)
-				if cerr := s.Compact(); !errors.Is(cerr, ErrCrashed) {
-					t.Fatalf("Compact with %s armed: err = %v, want ErrCrashed", tc.site, cerr)
-				}
-			} else {
-				armFailpoint(tc, inner...)
-				crashWorkload(t, s, m, 8, 300)
-				crashed := false
-				for _, db := range inner {
-					if errors.Is(db.stickyErr(), ErrCrashed) {
-						crashed = true
-					}
-				}
-				if !crashed {
-					t.Fatal("failpoint never fired on any shard; workload too small?")
-				}
-			}
-			_ = s.Close()
-
-			s2, err := OpenSharded(dir, shards, crashOpts())
-			if err != nil {
-				t.Fatalf("sharded recovery after %s failed: %v", tc.name, err)
-			}
-			defer s2.Close()
-			verifyRecovered(t, s2, m)
-			if err := s2.Put("crash", "after-recovery", 42); err != nil {
-				t.Fatalf("recovered sharded store rejected write: %v", err)
 			}
 		})
 	}

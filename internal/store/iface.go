@@ -2,14 +2,9 @@ package store
 
 // Store is the storage contract the typed Catalog — and therefore the whole
 // manager layer (core.Service, the HTTP server, the CLIs) — is written
-// against. Two backends implement it:
-//
-//   - DB: the WAL-backed embedded table store (one lock, durable).
-//   - Sharded: N inner stores with the key space hash-partitioned on the
-//     key's first path segment, so concurrent projects/resources/users
-//     contend on different locks and prefix scans stay shard-local.
-//
-// All implementations must be safe for concurrent use.
+// against. DB, the WAL-backed embedded table store, is the only backend;
+// the interface stays so tests and the benchmark harness can decorate or
+// fake the store. Implementations must be safe for concurrent use.
 type Store interface {
 	// Put stores value (JSON-marshaled) under (table, key).
 	Put(table, key string, value any) error
@@ -20,9 +15,9 @@ type Store interface {
 	Has(table, key string) bool
 	// Delete removes (table, key); deleting a missing key is not an error.
 	Delete(table, key string) error
-	// Apply executes mutations as a group. The DB backend makes the group
-	// atomic across tables; the Sharded backend guarantees atomicity only
-	// per shard (see Sharded.Apply).
+	// Apply executes mutations as one atomic group, across tables and keys:
+	// after a crash either every mutation of the group is recovered or none
+	// is.
 	Apply(muts []Mutation) error
 	// Scan visits every (key, raw JSON value) of a table in ascending key
 	// order; fn returning false stops the scan. The raw slices handed to
@@ -48,8 +43,4 @@ type Store interface {
 	Close() error
 }
 
-// Both backends must satisfy the contract.
-var (
-	_ Store = (*DB)(nil)
-	_ Store = (*Sharded)(nil)
-)
+var _ Store = (*DB)(nil)

@@ -5,8 +5,7 @@ package store
 // behind DB.idx. A commit copies the one root-to-leaf path it changes —
 // O(log n) whatever the table size — and swaps the index pointer; a node
 // reachable from a published root is never written again. Readers
-// (Get/Has/Scan*/Count*/Tables, Sharded's k-way merge) load the pointer
-// and walk: no lock, and a reader holding an old root keeps seeing exactly
+// (Get/Has/Scan*/Count*/Tables) load the pointer and walk: no lock, and a reader holding an old root keeps seeing exactly
 // that version for as long as it likes. A compaction cut and
 // SnapshotExport are the same load.
 //
@@ -431,13 +430,4 @@ func prefixEnd(prefix string) string {
 		}
 	}
 	return ""
-}
-
-// firstSegment returns the key's first path segment and whether the key
-// actually contains a '/' separator.
-func firstSegment(key string) (string, bool) {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		return key[:i], true
-	}
-	return key, false
 }

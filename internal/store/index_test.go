@@ -85,25 +85,15 @@ func checkTree(t testing.TB, label string, tr tree) {
 	}
 }
 
-// checkStoreTrees runs checkTree over every table of a DB or of every shard
-// of a Sharded store.
-func checkStoreTrees(t testing.TB, label string, s Store) {
+// checkStoreTrees runs checkTree over every table of a DB.
+func checkStoreTrees(t testing.TB, label string, db *DB) {
 	t.Helper()
-	switch s := s.(type) {
-	case *DB:
-		x := s.loadIndex()
-		for i, tab := range x {
-			if i > 0 && x[i-1].name >= tab.name {
-				t.Fatalf("%s: index tables out of order: %q then %q", label, x[i-1].name, tab.name)
-			}
-			checkTree(t, label+"/"+tab.name, tab.tree)
+	x := db.loadIndex()
+	for i, tab := range x {
+		if i > 0 && x[i-1].name >= tab.name {
+			t.Fatalf("%s: index tables out of order: %q then %q", label, x[i-1].name, tab.name)
 		}
-	case *Sharded:
-		for i, sh := range s.shards {
-			checkStoreTrees(t, fmt.Sprintf("%s/shard%d", label, i), sh)
-		}
-	default:
-		t.Fatalf("%s: unknown store type %T", label, s)
+		checkTree(t, label+"/"+tab.name, tab.tree)
 	}
 }
 

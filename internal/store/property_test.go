@@ -2,8 +2,7 @@ package store
 
 // Model-based property test (run with -race in CI): a randomized op
 // sequence — Put / Delete / Apply / Compact / reopen — applied to a durable
-// DB, a durable Sharded store and an in-memory model map must converge to
-// identical Scan state.
+// DB and an in-memory model map must converge to identical Scan state.
 
 import (
 	"encoding/json"
@@ -60,15 +59,10 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			dbPath := filepath.Join(dir, "db.wal")
-			shDir := filepath.Join(dir, "sharded")
 			// Small segments + auto-compact so the sequence crosses
 			// rotations and background snapshots, not just appends.
 			opts := Options{SegmentBytes: 1 << 10, AutoCompact: 8 << 10}
 			db, err := Open(dbPath, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh, err := OpenSharded(shDir, 3, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,24 +71,21 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 			randKey := func() string {
 				return fmt.Sprintf("res-%d/%03d", r.Intn(8), r.Intn(60))
 			}
-			both := func(f func(Store) error) {
+			must := func(err error) {
 				t.Helper()
-				if err := f(db); err != nil {
+				if err != nil {
 					t.Fatalf("db: %v", err)
-				}
-				if err := f(sh); err != nil {
-					t.Fatalf("sharded: %v", err)
 				}
 			}
 			for i := 0; i < steps; i++ {
 				switch n := r.Intn(100); {
 				case n < 55: // put
 					table, key, val := tables[r.Intn(2)], randKey(), r.Intn(10000)
-					both(func(s Store) error { return s.Put(table, key, val) })
+					must(db.Put(table, key, val))
 					model.put(table, key, val)
 				case n < 70: // delete
 					table, key := tables[r.Intn(2)], randKey()
-					both(func(s Store) error { return s.Delete(table, key) })
+					must(db.Delete(table, key))
 					model.del(table, key)
 				case n < 85: // atomic batch
 					var muts []Mutation
@@ -106,7 +97,7 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: j})
 						}
 					}
-					both(func(s Store) error { return s.Apply(muts) })
+					must(db.Apply(muts))
 					for _, m := range muts {
 						if m.Op == OpPut {
 							model.put(m.Table, m.Key, m.Value)
@@ -118,9 +109,6 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 					if err := db.Compact(); err != nil {
 						t.Fatalf("db compact: %v", err)
 					}
-					if err := sh.Compact(); err != nil {
-						t.Fatalf("sharded compact: %v", err)
-					}
 				default: // crashless reopen
 					if err := db.Close(); err != nil {
 						t.Fatalf("db close: %v", err)
@@ -128,15 +116,9 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 					if db, err = Open(dbPath, opts); err != nil {
 						t.Fatalf("db reopen: %v", err)
 					}
-					if err := sh.Close(); err != nil {
-						t.Fatalf("sharded close: %v", err)
-					}
-					if sh, err = OpenSharded(shDir, 3, opts); err != nil {
-						t.Fatalf("sharded reopen: %v", err)
-					}
 				}
 			}
-			// Final reopen: the recovered states must all converge.
+			// Final reopen: the recovered state must match the model.
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -144,19 +126,12 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if err := sh.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if sh, err = OpenSharded(shDir, 3, opts); err != nil {
-				t.Fatal(err)
-			}
-			defer sh.Close()
 
 			// A store may remember a table whose keys were all deleted; the
 			// model only tracks live keys, so compare non-empty tables.
-			dumpLive := func(s Store) map[string]map[string]string {
+			dumpLive := func(s *DB) map[string]map[string]string {
 				out := make(map[string]map[string]string)
-				for table, rows := range dump(t, s) {
+				for table, rows := range dumpAll(t, s) {
 					if len(rows) > 0 {
 						out[table] = rows
 					}
@@ -166,9 +141,6 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 			want := model.state()
 			if got := dumpLive(db); !reflect.DeepEqual(got, want) {
 				t.Fatalf("DB diverged from model:\n got  %v\n want %v", got, want)
-			}
-			if got := dumpLive(sh); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Sharded diverged from model:\n got  %v\n want %v", got, want)
 			}
 		})
 	}

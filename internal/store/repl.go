@@ -483,7 +483,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	// rename, recovery starts from the shipped state even if we crash before
 	// the old segments are cleaned up (their records are all <= seq and are
 	// skipped by the replay).
-	tmp := db.path + snapTmpSuffix
+	tmp := db.path + installTmpSuffix
 	if werr := writeSnapshotBytes(tmp, data); werr != nil {
 		return db.fail(werr)
 	}

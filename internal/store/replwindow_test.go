@@ -128,3 +128,76 @@ func TestCrashAfterCutRecoversFromSegments(t *testing.T) {
 	diffStates(t, want, dumpAll(t, re))
 	checkStoreTrees(t, "recovered", re)
 }
+
+// TestInstallSnapshotInsideCompactionWindow lands an InstallSnapshot between
+// a compaction's cut (seq C) and its rename. The install persists a newer
+// image (seq S > C) and deletes every segment <= S; the compaction used to
+// carry on and rename its older image over it, so the snapshot sequence
+// regressed and a restart recovered state C with the records up to S gone
+// from disk. The compaction must notice the newer snapshot and abandon its
+// own.
+func TestInstallSnapshotInsideCompactionWindow(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 256}
+	leader, err := Open(filepath.Join(dir, "leader.wal"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	path := filepath.Join(dir, "follower.wal")
+	follower, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if err := leader.Put("posts", fmt.Sprintf("res-%d/%03d", i%4, i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The follower holds the first 20-odd records; the image is at 60.
+	for follower.AppliedSeq() < 20 {
+		pullOnce(t, leader, follower, 200)
+	}
+	cutSeq := follower.AppliedSeq()
+	img, err := leader.SnapshotExport()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var installErr error
+	installed := false
+	follower.SetFailpoint(func(p Failpoint) bool {
+		if p == FailSnapshotBeforeRename {
+			installed = true
+			installErr = follower.InstallSnapshot(img)
+		}
+		return false // no crash: the compaction carries on
+	})
+	if err := follower.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	follower.SetFailpoint(nil)
+	if !installed || installErr != nil {
+		t.Fatalf("InstallSnapshot inside the window: ran=%v err=%v", installed, installErr)
+	}
+	if got := follower.Stats().SnapshotSeq; got != 60 {
+		t.Fatalf("snapshot seq %d after the compaction finished, want the installed 60 (cut was at %d)", got, cutSeq)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.SnapshotSeq != 60 || re.AppliedSeq() != 60 {
+		t.Fatalf("recovered snapshot seq %d, applied seq %d; want 60 and 60", st.SnapshotSeq, re.AppliedSeq())
+	}
+	diffStates(t, dumpAll(t, leader), dumpAll(t, re))
+	checkStoreTrees(t, "recovered", re)
+	if leftovers, _ := filepath.Glob(path + ".snapshot*tmp"); len(leftovers) != 0 {
+		t.Fatalf("temp snapshots left behind: %v", leftovers)
+	}
+}

@@ -4,7 +4,7 @@ package store
 // ScanRange/Count/CountPrefix/Get/Has/Tables must match, byte for byte, a
 // map-iterate-sort reference (refStore — the oracle lives in test code
 // only) over randomized Put/Delete/Apply/Compact/reopen/replication
-// interleavings — on DB and Sharded — with the trees' node invariants
+// interleavings, with the trees' node invariants
 // intact after every operation, and stay well-formed for readers running
 // concurrently with write bursts and online compactions (run with -race in
 // CI).
@@ -110,7 +110,7 @@ func parityKeys(m refStore, table string) []string {
 }
 
 // checkParity asserts every read of a store against the reference.
-func checkParity(t *testing.T, name string, s Store, m refStore, r *rand.Rand, tables []string) {
+func checkParity(t *testing.T, name string, s *DB, m refStore, r *rand.Rand, tables []string) {
 	t.Helper()
 	checkStoreTrees(t, name, s)
 	// A table exists from its first put on, emptied or not.
@@ -135,7 +135,7 @@ func checkParity(t *testing.T, name string, s Store, m refStore, r *rand.Rand, t
 		if want := m.prefixRef(table, ""); !entriesEqual(scanned, want) {
 			t.Fatalf("%s: Scan(%s) diverged:\n got %d entries\n want %d entries", name, table, len(scanned), len(want))
 		}
-		// Prefix parity on a sampled set of prefixes (shard-pinned and not).
+		// Prefix parity on a sampled set of prefixes (first-segment-pinned and not).
 		for _, prefix := range []string{"", "res-0/", "res-1/", "res-0/0", "res-", "absent/", "\xff", "\xff\xff", "a\xff", "a\xff\xff"} {
 			var got []refEntry
 			s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
@@ -201,7 +201,7 @@ func checkParity(t *testing.T, name string, s Store, m refStore, r *rand.Rand, t
 
 // TestScanIndexParity pins the indexed read path byte-for-byte against the
 // seed map-iterate-sort reference over randomized Put/Delete/Apply/Compact
-// interleavings on a durable DB and a durable Sharded store.
+// interleavings on a durable DB and a replication follower.
 func TestScanIndexParity(t *testing.T) {
 	seeds := []int64{3, 17, 2026}
 	steps := 300
@@ -219,11 +219,6 @@ func TestScanIndexParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { db.Close() }()
-			sh, err := OpenSharded(filepath.Join(dir, "sharded"), 3, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { sh.Close() }()
 			// A follower fed by ReplTail/ApplyReplicated, falling back to
 			// InstallSnapshot whenever compaction outran it.
 			follower, err := Open(filepath.Join(dir, "follower.wal"), opts)
@@ -236,24 +231,21 @@ func TestScanIndexParity(t *testing.T) {
 			randKey := func() string {
 				return fmt.Sprintf("res-%d/%03d", r.Intn(6), r.Intn(50))
 			}
-			apply := func(f func(Store) error) {
+			must := func(err error) {
 				t.Helper()
-				if err := f(db); err != nil {
+				if err != nil {
 					t.Fatalf("db: %v", err)
-				}
-				if err := f(sh); err != nil {
-					t.Fatalf("sharded: %v", err)
 				}
 			}
 			for i := 0; i < steps; i++ {
 				switch n := r.Intn(100); {
 				case n < 50:
 					table, key, val := tables[r.Intn(2)], randKey(), r.Intn(10000)
-					apply(func(s Store) error { return s.Put(table, key, val) })
+					must(db.Put(table, key, val))
 					m.put(table, key, []byte(fmt.Sprintf("%d", val)))
 				case n < 68:
 					table, key := tables[r.Intn(2)], randKey()
-					apply(func(s Store) error { return s.Delete(table, key) })
+					must(db.Delete(table, key))
 					m.del(table, key)
 				case n < 82:
 					var muts []Mutation
@@ -265,7 +257,7 @@ func TestScanIndexParity(t *testing.T) {
 							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: j})
 						}
 					}
-					apply(func(s Store) error { return s.Apply(muts) })
+					must(db.Apply(muts))
 					for _, mu := range muts {
 						if mu.Op == OpPut {
 							m.put(mu.Table, mu.Key, []byte(fmt.Sprintf("%d", mu.Value.(int))))
@@ -277,9 +269,6 @@ func TestScanIndexParity(t *testing.T) {
 					if err := db.Compact(); err != nil {
 						t.Fatal(err)
 					}
-					if err := sh.Compact(); err != nil {
-						t.Fatal(err)
-					}
 				default:
 					// Reopen: the rebuilt-on-recovery index must match too.
 					if err := db.Close(); err != nil {
@@ -288,18 +277,10 @@ func TestScanIndexParity(t *testing.T) {
 					if db, err = Open(filepath.Join(dir, "db.wal"), opts); err != nil {
 						t.Fatal(err)
 					}
-					if err := sh.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if sh, err = OpenSharded(filepath.Join(dir, "sharded"), 3, opts); err != nil {
-						t.Fatal(err)
-					}
 				}
 				checkStoreTrees(t, "db", db)
-				checkStoreTrees(t, "sharded", sh)
 				if i%23 == 0 || i == steps-1 {
 					checkParity(t, "db", db, m, r, tables)
-					checkParity(t, "sharded", sh, m, r, tables)
 					catchUp(t, db, follower, 256)
 					checkParity(t, "follower", follower, m, r, tables)
 				}
@@ -310,8 +291,7 @@ func TestScanIndexParity(t *testing.T) {
 
 // TestTreeParityBinaryKeys drives random put/overwrite/delete/batch
 // sequences over a tiny byte alphabet — empty keys, NULs, '/' and 0xff runs,
-// the bytes prefixEnd has to carry over — at an in-memory DB and a Sharded
-// store, checking the node invariants after every operation and every read
+// the bytes prefixEnd has to carry over — at an in-memory DB, checking the node invariants after every operation and every read
 // against the oracle: Get/Has, ScanPrefix and CountPrefix for every short
 // prefix (empty and all-0xff included), ScanRange with limits, Count and
 // Tables.
@@ -339,26 +319,25 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 			}
 			return b.String()
 		}
-		stores := map[string]Store{"db": OpenMemory(), "sharded": NewSharded(3)}
+		const name = "db"
+		s := OpenMemory()
 		m := make(refStore)
-		each := func(f func(Store) error) {
+		must := func(err error) {
 			t.Helper()
-			for name, s := range stores {
-				if err := f(s); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				checkStoreTrees(t, name, s)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			checkStoreTrees(t, name, s)
 		}
 		for i := 0; i < steps; i++ {
 			switch n := r.Intn(10); {
 			case n < 5:
 				table, key := tables[r.Intn(2)], randKey()
-				each(func(s Store) error { return s.Put(table, key, i) })
+				must(s.Put(table, key, i))
 				m.put(table, key, []byte(fmt.Sprint(i)))
 			case n < 8:
 				table, key := tables[r.Intn(2)], randKey()
-				each(func(s Store) error { return s.Delete(table, key) })
+				must(s.Delete(table, key))
 				m.del(table, key)
 			default:
 				var muts []Mutation
@@ -369,7 +348,7 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 					}
 					muts = append(muts, mu)
 				}
-				each(func(s Store) error { return s.Apply(muts) })
+				must(s.Apply(muts))
 				for _, mu := range muts {
 					if mu.Op == OpPut {
 						m.put(mu.Table, mu.Key, []byte(fmt.Sprint(mu.Value)))
@@ -381,37 +360,33 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 			if i%50 != 0 && i != steps-1 {
 				continue
 			}
-			for name, s := range stores {
-				checkParity(t, name, s, m, r, s.Tables())
-				for _, table := range s.Tables() {
-					for _, prefix := range prefixes {
-						want := m.prefixRef(table, prefix)
-						var got []refEntry
-						s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
-							got = append(got, refEntry{k, append([]byte(nil), raw...)})
-							return true
-						})
-						if !entriesEqual(got, want) {
-							t.Fatalf("%s: ScanPrefix(%s, %q) = %d entries, want %d", name, table, prefix, len(got), len(want))
-						}
-						if n := s.CountPrefix(table, prefix); n != len(want) {
-							t.Fatalf("%s: CountPrefix(%s, %q) = %d, want %d", name, table, prefix, n, len(want))
-						}
-						limit := 1 + r.Intn(3)
-						got = collectRange(s, table, prefix, prefixEnd(prefix), limit)
-						if len(want) > limit {
-							want = want[:limit]
-						}
-						if !entriesEqual(got, want) {
-							t.Fatalf("%s: ScanRange(%s, %q.., limit %d) diverged", name, table, prefix, limit)
-						}
+			checkParity(t, name, s, m, r, s.Tables())
+			for _, table := range s.Tables() {
+				for _, prefix := range prefixes {
+					want := m.prefixRef(table, prefix)
+					var got []refEntry
+					s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
+						got = append(got, refEntry{k, append([]byte(nil), raw...)})
+						return true
+					})
+					if !entriesEqual(got, want) {
+						t.Fatalf("%s: ScanPrefix(%s, %q) = %d entries, want %d", name, table, prefix, len(got), len(want))
+					}
+					if n := s.CountPrefix(table, prefix); n != len(want) {
+						t.Fatalf("%s: CountPrefix(%s, %q) = %d, want %d", name, table, prefix, n, len(want))
+					}
+					limit := 1 + r.Intn(3)
+					got = collectRange(s, table, prefix, prefixEnd(prefix), limit)
+					if len(want) > limit {
+						want = want[:limit]
+					}
+					if !entriesEqual(got, want) {
+						t.Fatalf("%s: ScanRange(%s, %q.., limit %d) diverged", name, table, prefix, limit)
 					}
 				}
 			}
 		}
-		for _, s := range stores {
-			s.Close()
-		}
+		s.Close()
 	}
 }
 
@@ -420,127 +395,111 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 // must be internally consistent (strictly ascending keys, in-bounds, values
 // intact) even though it can interleave with any number of commits.
 func TestConcurrentReadersDuringCompactAndWrites(t *testing.T) {
-	for _, backend := range []string{"db", "sharded"} {
-		backend := backend
-		t.Run(backend, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := Options{SegmentBytes: 1 << 12, GroupCommitWindow: 0}
-			var s Store
-			var compact func() error
-			if backend == "db" {
-				db, err := Open(filepath.Join(dir, "db.wal"), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, compact = db, db.Compact
-			} else {
-				sh, err := OpenSharded(dir, 3, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, compact = sh, sh.Compact
-			}
-			defer s.Close()
+	t.Run("db", func(t *testing.T) {
+		s, err := Open(filepath.Join(t.TempDir(), "db.wal"), Options{SegmentBytes: 1 << 12, GroupCommitWindow: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
 
-			writers, readers := 4, 4
-			ops := 400
-			if testing.Short() {
-				ops = 120
-			}
-			var stop atomic.Bool
-			var wWg, rWg sync.WaitGroup
-			errCh := make(chan error, writers+readers+1)
-			for w := 0; w < writers; w++ {
-				wWg.Add(1)
-				go func(w int) {
-					defer wWg.Done()
-					r := rand.New(rand.NewSource(int64(w)))
-					for i := 0; i < ops; i++ {
-						key := fmt.Sprintf("res-%d/%03d", r.Intn(4), r.Intn(64))
-						var err error
-						switch r.Intn(10) {
-						case 0:
-							err = s.Delete("posts", key)
-						case 1:
-							err = s.Apply([]Mutation{
-								{Op: OpPut, Table: "posts", Key: key, Value: i},
-								{Op: OpPut, Table: "tasks", Key: key, Value: i},
-							})
-						default:
-							err = s.Put("posts", key, i)
-						}
-						if err != nil {
-							errCh <- err
-							return
-						}
+		writers, readers := 4, 4
+		ops := 400
+		if testing.Short() {
+			ops = 120
+		}
+		var stop atomic.Bool
+		var wWg, rWg sync.WaitGroup
+		errCh := make(chan error, writers+readers+1)
+		for w := 0; w < writers; w++ {
+			wWg.Add(1)
+			go func(w int) {
+				defer wWg.Done()
+				r := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < ops; i++ {
+					key := fmt.Sprintf("res-%d/%03d", r.Intn(4), r.Intn(64))
+					var err error
+					switch r.Intn(10) {
+					case 0:
+						err = s.Delete("posts", key)
+					case 1:
+						err = s.Apply([]Mutation{
+							{Op: OpPut, Table: "posts", Key: key, Value: i},
+							{Op: OpPut, Table: "tasks", Key: key, Value: i},
+						})
+					default:
+						err = s.Put("posts", key, i)
 					}
-				}(w)
-			}
-			rWg.Add(1)
-			go func() {
-				defer rWg.Done()
-				for !stop.Load() {
-					if err := compact(); err != nil {
+					if err != nil {
 						errCh <- err
 						return
 					}
 				}
-			}()
-			for g := 0; g < readers; g++ {
-				rWg.Add(1)
-				go func(g int) {
-					defer rWg.Done()
-					r := rand.New(rand.NewSource(int64(100 + g)))
-					for !stop.Load() {
-						prefix := fmt.Sprintf("res-%d/", r.Intn(4))
-						last := ""
-						s.ScanPrefix("posts", prefix, func(k string, raw []byte) bool {
-							if !strings.HasPrefix(k, prefix) {
-								errCh <- fmt.Errorf("scan escaped prefix %q: %q", prefix, k)
-								return false
-							}
-							if last != "" && k <= last {
-								errCh <- fmt.Errorf("scan out of order: %q after %q", k, last)
-								return false
-							}
-							if len(raw) == 0 {
-								errCh <- fmt.Errorf("empty value at %q", k)
-								return false
-							}
-							last = k
-							return true
-						})
-						n := s.ScanRange("posts", prefix, prefixEnd(prefix), 5, func(string, []byte) bool { return true })
-						if n > 5 {
-							errCh <- fmt.Errorf("ScanRange limit overrun: %d", n)
-							return
+			}(w)
+		}
+		rWg.Add(1)
+		go func() {
+			defer rWg.Done()
+			for !stop.Load() {
+				if err := s.Compact(); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+		for g := 0; g < readers; g++ {
+			rWg.Add(1)
+			go func(g int) {
+				defer rWg.Done()
+				r := rand.New(rand.NewSource(int64(100 + g)))
+				for !stop.Load() {
+					prefix := fmt.Sprintf("res-%d/", r.Intn(4))
+					last := ""
+					s.ScanPrefix("posts", prefix, func(k string, raw []byte) bool {
+						if !strings.HasPrefix(k, prefix) {
+							errCh <- fmt.Errorf("scan escaped prefix %q: %q", prefix, k)
+							return false
 						}
-						s.CountPrefix("posts", prefix)
-						var out int
-						_ = s.Get("posts", prefix+"001", &out)
+						if last != "" && k <= last {
+							errCh <- fmt.Errorf("scan out of order: %q after %q", k, last)
+							return false
+						}
+						if len(raw) == 0 {
+							errCh <- fmt.Errorf("empty value at %q", k)
+							return false
+						}
+						last = k
+						return true
+					})
+					n := s.ScanRange("posts", prefix, prefixEnd(prefix), 5, func(string, []byte) bool { return true })
+					if n > 5 {
+						errCh <- fmt.Errorf("ScanRange limit overrun: %d", n)
+						return
 					}
-				}(g)
-			}
+					s.CountPrefix("posts", prefix)
+					var out int
+					_ = s.Get("posts", prefix+"001", &out)
+				}
+			}(g)
+		}
 
-			// Writers run to completion, then readers and the compactor are
-			// told to stop — every reader overlapped the full write burst.
-			wWg.Wait()
-			stop.Store(true)
-			rWg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
+		// Writers run to completion, then readers and the compactor are
+		// told to stop — every reader overlapped the full write burst.
+		wWg.Wait()
+		stop.Store(true)
+		rWg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
 
-			// Quiescent: the indexed state must equal the authoritative maps.
-			var keys []string
-			s.Scan("posts", func(k string, _ []byte) bool {
-				keys = append(keys, k)
-				return true
-			})
-			if len(keys) != s.Count("posts") {
-				t.Fatalf("Scan saw %d keys, Count says %d", len(keys), s.Count("posts"))
-			}
+		// Quiescent: the indexed state must equal the authoritative maps.
+		var keys []string
+		s.Scan("posts", func(k string, _ []byte) bool {
+			keys = append(keys, k)
+			return true
 		})
-	}
+		if len(keys) != s.Count("posts") {
+			t.Fatalf("Scan saw %d keys, Count says %d", len(keys), s.Count("posts"))
+		}
+	})
 }

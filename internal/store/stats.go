@@ -24,11 +24,9 @@ type counters struct {
 }
 
 // Stats is a point-in-time view of a store's durability layer, surfaced at
-// GET /api/v1/metrics. For Sharded stores the counters are aggregated
-// across shards (RecoveryMillis sums, matching the sequential shard opens).
+// GET /api/v1/metrics.
 type Stats struct {
-	Backend        string  `json:"backend"` // "memory" | "wal" | "sharded"
-	Shards         int     `json:"shards,omitempty"`
+	Backend        string  `json:"backend"` // "memory" | "wal"
 	Commits        uint64  `json:"commits"`
 	CommitBatches  uint64  `json:"commit_batches"`
 	AvgCommitBatch float64 `json:"avg_commit_batch"` // group-commit coalescing factor
@@ -38,9 +36,7 @@ type Stats struct {
 	SegmentBytes   int64   `json:"segment_bytes"`
 	Rotations      uint64  `json:"rotations"`
 	Compactions    uint64  `json:"compactions"`
-	// SnapshotSeq is the sequence the last snapshot covers; for Sharded
-	// stores it is the minimum across shards (the most-lagging shard),
-	// since sequence positions are per shard and do not add up.
+	// SnapshotSeq is the sequence the last snapshot covers.
 	SnapshotSeq      uint64  `json:"snapshot_seq"`
 	SnapshotsLoaded  int     `json:"snapshots_loaded"` // recoveries that started from a snapshot
 	RecoveredRecords uint64  `json:"recovered_records"`
@@ -82,40 +78,4 @@ func (db *DB) Stats() Stats {
 		w.smu.Unlock()
 	}
 	return st
-}
-
-// statser is the optional per-backend stats surface (both DB and Sharded
-// provide it; the Store interface itself stays minimal).
-type statser interface{ Stats() Stats }
-
-// Stats aggregates the shards' durability counters.
-func (s *Sharded) Stats() Stats {
-	agg := Stats{Backend: "sharded", Shards: len(s.shards)}
-	first := true
-	for _, sh := range s.shards {
-		sp, ok := sh.(statser)
-		if !ok {
-			continue
-		}
-		st := sp.Stats()
-		agg.Commits += st.Commits
-		agg.CommitBatches += st.CommitBatches
-		agg.Fsyncs += st.Fsyncs
-		agg.WALBytes += st.WALBytes
-		agg.Segments += st.Segments
-		agg.SegmentBytes += st.SegmentBytes
-		agg.Rotations += st.Rotations
-		agg.Compactions += st.Compactions
-		if first || st.SnapshotSeq < agg.SnapshotSeq {
-			agg.SnapshotSeq = st.SnapshotSeq // most-lagging shard
-		}
-		first = false
-		agg.SnapshotsLoaded += st.SnapshotsLoaded
-		agg.RecoveredRecords += st.RecoveredRecords
-		agg.RecoveryMillis += st.RecoveryMillis
-	}
-	if agg.CommitBatches > 0 {
-		agg.AvgCommitBatch = float64(agg.Commits) / float64(agg.CommitBatches)
-	}
-	return agg
 }

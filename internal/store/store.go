@@ -4,26 +4,23 @@
 // users through it, via the typed Catalog written against the Store
 // interface.
 //
-// Two backends implement Store:
+// DB is the one backend behind Store: any number of named tables (key →
+// JSON value) backed by a write-ahead log laid out as a snapshot plus
+// CRC-framed segments (see wal.go for the on-disk format). Mutations are
+// persisted by a background group-commit writer that coalesces concurrent
+// commits into one buffered write + fsync; committers block on the commit
+// barrier, so a nil return still means "applied and as durable as Options
+// demand". Open replays the snapshot plus the live segment tail, tolerating
+// a torn final record. Batches are single WAL records and therefore atomic
+// across tables and keys. Compact takes an online snapshot: readers are
+// never blocked, writers only at the cut point. A DB opened with OpenMemory
+// is purely in-memory (used by simulations and benchmarks that do not need
+// durability). There is no in-process partitioner: reads are lock-free and
+// commits O(log n), and spreading keys over several WALs is what cluster
+// slots are for (docs/ARCHITECTURE.md, "Why there is no in-process
+// partitioner").
 //
-//   - DB: any number of named tables (key → JSON value) backed by a
-//     write-ahead log laid out as a snapshot plus CRC-framed segments (see
-//     wal.go for the on-disk format). Mutations are persisted by a
-//     background group-commit writer that coalesces concurrent commits into
-//     one buffered write + fsync; committers block on the commit barrier,
-//     so a nil return still means "applied and as durable as Options
-//     demand". Open replays the snapshot plus the live segment tail,
-//     tolerating a torn final record. Batches are single WAL records and
-//     therefore atomic across tables. Compact takes an online snapshot:
-//     readers are never blocked, writers only at the cut point. A DB opened
-//     with OpenMemory is purely in-memory (used by simulations and
-//     benchmarks that do not need durability).
-//   - Sharded: N inner stores with keys hash-partitioned on the first path
-//     segment, so concurrent projects contend on different locks and
-//     prefix scans touch 1/N of the key space. See Sharded for the routing
-//     and atomicity invariants.
-//
-// Both are safe for concurrent use.
+// DB is safe for concurrent use.
 package store
 
 import (
@@ -151,6 +148,13 @@ func Open(path string, opts Options) (*DB, error) {
 	if path == "" {
 		return nil, errs.New(errs.ComponentStore, errs.CategoryValidation, "path required; use OpenMemory for volatile stores")
 	}
+	// A directory of shard-NNN.wal families is what the retired sharded
+	// store left behind; opening it as one WAL would start an empty store
+	// beside the data instead of on it.
+	if shards, _ := filepath.Glob(filepath.Join(path, "shard-*.wal*")); len(shards) > 0 {
+		return nil, errs.New(errs.ComponentStore, errs.CategoryValidation,
+			"%s holds the retired sharded layout (%d shard-*.wal* files); a store is one WAL family now and will not be started beside them", path, len(shards))
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "mkdir")
 	}
@@ -184,7 +188,8 @@ type tornMark struct {
 // it truncates the torn tail (if any) and opens the active segment.
 func (db *DB) recover() error {
 	w := db.wal
-	_ = os.Remove(db.path + snapTmpSuffix) // in-flight snapshot from a crashed compaction
+	_ = os.Remove(db.path + snapTmpSuffix)    // in-flight snapshot from a crashed compaction
+	_ = os.Remove(db.path + installTmpSuffix) // or from a crashed InstallSnapshot
 
 	snapPath := db.path + snapSuffix
 	if _, err := os.Stat(snapPath); err == nil {
@@ -696,12 +701,27 @@ func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
 	if db.failpointHit(FailSnapshotBeforeRename) {
 		return db.fail(ErrCrashed) // tmp left behind; next Open removes it
 	}
-	if err := os.Rename(tmp, db.path+snapSuffix); err != nil {
+	// InstallSnapshot holds fmu from its seq check to its snapshotSeq
+	// store, so under fmu either no install has happened since the cut or
+	// its newer image is already on disk and the segments this cut covers
+	// are already gone: then the older image must not replace it.
+	w := db.wal
+	w.fmu.Lock()
+	if db.st.snapshotSeq.Load() > cut.seq {
+		w.fmu.Unlock()
+		os.Remove(tmp)
+		return nil
+	}
+	err := os.Rename(tmp, db.path+snapSuffix)
+	if err == nil {
+		db.st.snapshotSeq.Store(cut.seq)
+	}
+	w.fmu.Unlock()
+	if err != nil {
 		os.Remove(tmp)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "snapshot rename")
 	}
 	syncDir(filepath.Dir(db.path))
-	db.st.snapshotSeq.Store(cut.seq)
 	if db.failpointHit(FailSnapshotBeforeCleanup) {
 		return db.fail(ErrCrashed) // covered segments remain; recovery skips them by seq
 	}
@@ -730,7 +750,6 @@ func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
 	}
 	db.restoreSealed(kept)
 	if cut.legacy != "" && remove(cut.legacy) {
-		w := db.wal
 		w.fmu.Lock()
 		w.smu.Lock()
 		w.legacy, w.legacySize = "", 0

@@ -138,10 +138,10 @@ func (u UserRec) ApprovalRate() float64 {
 	return float64(u.JudgedOK) / float64(u.Judged)
 }
 
-// Catalog wraps any Store backend with the typed schemas above. The key
-// layouts above keep a resource's posts and a project's tasks under one
-// first path segment, so on a Sharded backend every Catalog access path is
-// shard-local (see Sharded).
+// Catalog wraps a Store with the typed schemas above. The key layouts above
+// keep a resource's posts and a project's tasks under one first path
+// segment — the unit the cluster ring routes by — so every Catalog access
+// path stays on the node that owns the ID in the request.
 type Catalog struct {
 	db    Store
 	cache *recordCache // nil = decode on every read (benchmark baseline)
@@ -150,7 +150,7 @@ type Catalog struct {
 	nextSeq map[string]uint64 // resourceID → next post sequence number
 }
 
-// NewCatalog wraps a Store backend (DB or Sharded). Post sequence counters
+// NewCatalog wraps a Store. Post sequence counters
 // are recovered lazily, and hot reads are served from a seq-versioned
 // decoded-record cache (see recordCache) invalidated by key on write.
 func NewCatalog(db Store) *Catalog {
@@ -464,7 +464,7 @@ func (c *Catalog) GetTask(projectID, taskID string) (TaskRec, error) {
 }
 
 // TasksByProject returns a project's tasks, optionally filtered by status
-// ("" = all). The project prefix is a shard-local index range, and decoded
+// ("" = all). The project prefix is one contiguous index range, and decoded
 // task records come from the cache.
 func (c *Catalog) TasksByProject(projectID string, status TaskStatus) ([]TaskRec, error) {
 	seq := c.scanSeq(TableTasks)

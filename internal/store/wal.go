@@ -10,7 +10,9 @@ package store
 //	P                legacy pre-segment WAL (replayed once, removed by the
 //	                 next compaction)
 //	P.snapshot       checksummed state snapshot: header line + JSON body
-//	P.snapshot.tmp   in-flight snapshot (removed at open)
+//	P.snapshot.tmp   in-flight compaction snapshot (removed at open)
+//	P.snapshot.install.tmp
+//	                 in-flight replicated snapshot (removed at open)
 //	P.seg-NNNNNNNN   WAL segments, replayed in index order after the snapshot
 //
 // Segment record framing: every line is "%08x <json>\n" where the hex prefix
@@ -49,6 +51,9 @@ const (
 	segPrefix     = ".seg-"
 	snapSuffix    = ".snapshot"
 	snapTmpSuffix = ".snapshot.tmp"
+	// installTmpSuffix keeps InstallSnapshot's temp file apart from the
+	// compactor's: the compactor writes its own without holding fmu.
+	installTmpSuffix = ".snapshot.install.tmp"
 )
 
 // Failpoint names a crash-injection site inside the WAL writer and the

@@ -73,7 +73,7 @@ func TestSnapshotRecoveryReplaysOnlyTail(t *testing.T) {
 		}
 	}
 	_ = db.Delete("t", "k000")
-	want := dump(t, db)
+	want := dumpAll(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSnapshotRecoveryReplaysOnlyTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+	if got := dumpAll(t, db2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("state diverges after snapshot recovery:\n got  %v\n want %v", got, want)
 	}
 	st := db2.Stats()
@@ -137,7 +137,7 @@ func TestCompactIsOnline(t *testing.T) {
 	}
 	close(stopWriters)
 	wg.Wait()
-	want := dump(t, db)
+	want := dumpAll(t, db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCompactIsOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if got := dump(t, db2); !reflect.DeepEqual(got, want) {
+	if got := dumpAll(t, db2); !reflect.DeepEqual(got, want) {
 		t.Fatal("state diverges after online compactions + reopen")
 	}
 }
@@ -483,22 +483,18 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("memory stats: %+v", st)
 	}
 
-	dir := t.TempDir()
-	sh, err := OpenSharded(dir, 4, Options{SyncEvery: 1})
+	db, err := Open(filepath.Join(t.TempDir(), "db.wal"), Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
+	defer db.Close()
 	for i := 0; i < 40; i++ {
-		if err := sh.Put("t", fmt.Sprintf("res-%02d/x", i), kv{N: i}); err != nil {
+		if err := db.Put("t", fmt.Sprintf("res-%02d/x", i), kv{N: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := sh.Stats()
-	if st.Backend != "sharded" || st.Shards != 4 {
-		t.Fatalf("sharded stats: %+v", st)
-	}
-	if st.Commits != 40 || st.Segments < 4 || st.Fsyncs == 0 {
-		t.Fatalf("sharded counters wrong: %+v", st)
+	st := db.Stats()
+	if st.Backend != "wal" || st.Commits != 40 || st.Segments < 1 || st.Fsyncs == 0 {
+		t.Fatalf("wal stats: %+v", st)
 	}
 }

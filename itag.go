@@ -150,11 +150,9 @@ func NewTagInterner() *TagInterner { return vocab.NewInterner() }
 
 // Storage surface.
 type (
-	// Store is the storage contract the manager layer runs over; backends
-	// are the WAL-backed DB and the hash-partitioned ShardedStore.
+	// Store is the storage contract the manager layer runs over; the one
+	// backend is the WAL-backed DB (durable or in-memory).
 	Store = store.Store
-	// ShardedStore partitions the key space across N single-lock shards.
-	ShardedStore = store.Sharded
 	// Catalog is the typed schema layer over Store.
 	Catalog = store.Catalog
 )
@@ -176,16 +174,6 @@ func OpenStore(path string) (Store, error) { return store.Open(path, store.Optio
 
 // OpenMemoryStore returns a volatile in-memory store.
 func OpenMemoryStore() Store { return store.OpenMemory() }
-
-// NewShardedStore returns a volatile in-memory store partitioned across n
-// single-lock shards (keys routed by their first path segment).
-func NewShardedStore(n int) *ShardedStore { return store.NewSharded(n) }
-
-// OpenShardedStore opens (or creates) a durable sharded store: n WAL shards
-// inside dir.
-func OpenShardedStore(dir string, n int) (*ShardedStore, error) {
-	return store.OpenSharded(dir, n, store.Options{})
-}
 
 // NewCatalog wraps a store backend with the typed iTag schemas.
 func NewCatalog(db Store) *Catalog { return store.NewCatalog(db) }

@@ -5,8 +5,7 @@
 # Each gated experiment (S5 group-commit WAL, S6 interned quality hot
 # path, S7 cached serving, S8 cluster, S9 admission-control capacity, S10
 # chaos drill) embeds its measured ratio and the committed minimum in its
-# BENCH_*.json artifact. (S3's BENCH_contention.json is recorded for
-# information and carries no gate, so it is not part of the set.)
+# BENCH_*.json artifact.
 # CI's bench-smoke job calls this script on the *committed* artifacts
 # first — failing a build that commits a baseline below its own gate —
 # and then reruns the experiments with `-record`, which itself exits

@@ -14,7 +14,7 @@ trap 'rm -rf "$BIN_DIR"' EXIT
 go build -o "$BIN_DIR/itagd" ./cmd/itagd
 go build -o "$BIN_DIR/loadgen" ./examples/loadgen
 
-"$BIN_DIR/itagd" -addr "$ADDR" -db "" -shards 8 -quiet &
+"$BIN_DIR/itagd" -addr "$ADDR" -db "" -quiet &
 ITAGD_PID=$!
 trap 'kill "$ITAGD_PID" 2>/dev/null || true; rm -rf "$BIN_DIR"' EXIT
 

@@ -17,9 +17,11 @@
 #   8. the S10 chaos artifact is part of the canonical set: a directory
 #      holding every artifact but BENCH_chaos.json fails (exit 2), and the
 #      committed artifact must carry the zero-acked-write-loss gate.
-#   9. S3's contention artifact is information only: it carries no gate
-#      and is not part of the canonical set (handing it to the gate
-#      explicitly fails like any ungated artifact, exit 1).
+#   9. a recorded artifact's table and gate agree: the speedup cell of
+#      BENCH_cluster.json's cluster row is its cluster_3node_vs_single
+#      gate ratio to two decimals (the table once printed max-of-each-side
+#      beside a gate taken from the best pair: row 1.81, gate 2.105), and
+#      a copy whose cell is edited away from the gate is caught.
 #
 # Run from anywhere: scripts/test_bench_gate.sh
 set -eu
@@ -108,14 +110,19 @@ set -e
 grep -q '"name": *"quorum_zero_acked_write_loss"' "$ROOT/BENCH_chaos.json" \
   || fail "BENCH_chaos.json lost the quorum_zero_acked_write_loss gate"
 
-# 9. The contention artifact is ungated and outside the canonical set.
-if grep -q '"gates"' "$ROOT/BENCH_contention.json"; then
-  fail "BENCH_contention.json carries a gate; S3 is information only"
+# 9. The cluster artifact's speedup cell is its gate ratio.
+# speedup_matches_gate FILE: the last cell of the "3-node cluster" row
+# equals the cluster_3node_vs_single ratio printed with two decimals.
+speedup_matches_gate() {
+  cell=$(awk '/"3-node cluster/ {row=1} row && /^ *\]/ {print prev; exit} {prev=$0}' "$1" | tr -d ' ",')
+  gate=$(awk '/"name": *"cluster_3node_vs_single"/ {getline; gsub(/[^0-9.eE+-]/, ""); printf "%.2f", $0; exit}' "$1")
+  [ -n "$cell" ] && [ "$cell" = "$gate" ]
+}
+speedup_matches_gate "$ROOT/BENCH_cluster.json" \
+  || fail "BENCH_cluster.json: speedup cell \"$cell\" does not match gate ratio \"$gate\""
+sed '/"3-node cluster/,/\]/s/^\( *\)"[0-9.]*"$/\1"0.01"/' "$ROOT/BENCH_cluster.json" > "$TMP/BENCH_cellskew.json"
+if speedup_matches_gate "$TMP/BENCH_cellskew.json"; then
+  fail "a cluster artifact whose speedup cell disagrees with its gate went unnoticed"
 fi
-set +e
-"$GATE" BENCH_contention.json >/dev/null 2>&1
-rc=$?
-set -e
-[ "$rc" -eq 1 ] || fail "ungated BENCH_contention.json exited $rc when gated explicitly, want 1"
 
 echo "test_bench_gate.sh: ok"
