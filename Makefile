@@ -3,7 +3,7 @@ GO ?= go
 # Fuzz budget per target; CI smoke uses the default, nightly passes 10m.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-quality bench-serving bench-cluster bench-capacity bench-chaos bench-gate chaos clean
+.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-serving bench-capacity bench-chaos bench-gate chaos clean
 
 all: check
 
@@ -72,23 +72,12 @@ bench:
 bench-experiments:
 	$(GO) run ./cmd/itag-bench -experiment all
 
-# Interned quality hot path vs map-path reference (S6), recorded to
-# BENCH_quality.json; fails if the 3x gate is missed.
-bench-quality:
-	$(GO) run ./cmd/itag-bench -experiment s6 -record
-
-# Serving throughput over the store's lock-free trees plus the
-# zero-allocation cached-serving gates (S7): allocs/op and p99 of a cached
-# ResourceDetail hit through the full HTTP stack. Recorded to
+# The zero-allocation cached-serving gates (S7): allocs/op and p99 of a
+# cached ResourceDetail hit through the full HTTP stack. Recorded to
 # BENCH_serving.json; fails if the <10 allocs/op gate or the 10µs p99 gate
 # is missed.
 bench-serving:
 	$(GO) run ./cmd/itag-bench -experiment s7 -record
-
-# 3-node cluster vs single node plus the kill-a-node drill (S8), recorded
-# to BENCH_cluster.json; fails if the 2x gate or the drill is missed.
-bench-cluster:
-	$(GO) run ./cmd/itag-bench -experiment s8 -record
 
 # Open-loop admission-control capacity at 2x the knee plus the
 # kill-the-load autoscaling drill (S9), recorded to BENCH_capacity.json;

@@ -10,7 +10,6 @@ package itag_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -146,64 +145,10 @@ func BenchmarkS1_StoreRecovery(b *testing.B) {
 // serially vs through the core.Pool worker pipeline.
 func BenchmarkS4_ProjectFleet(b *testing.B) { runExperiment(b, bench.S4ProjectFleet) }
 
-// BenchmarkS5_StoreGroupCommit — systems: sustained durable write
-// throughput under concurrent committers, the group-commit WAL writer vs
-// the per-record-fsync baseline. The result table is recorded to
-// BENCH_store.json; the 64-committer group-commit row must be >= 2x the
-// baseline (the gate fails the benchmark).
-func BenchmarkS5_StoreGroupCommit(b *testing.B) {
-	sz := sizes(b)
-	var res bench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.S5StoreGroupCommit(sz)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := res.WriteJSONFile("BENCH_store.json"); err != nil {
-		b.Errorf("write BENCH_store.json: %v", err)
-	}
-	for _, n := range res.Notes {
-		if strings.HasPrefix(n, "GATE FAILED") {
-			b.Error(n)
-		}
-	}
-	b.Log("\n" + res.Text())
-}
-
-// BenchmarkS6_QualityHotPath — systems: stability-quality evaluation
-// throughput through the interned tracker path vs the retained map-path
-// reference, identical pre-generated post stream (1k resources × 64
-// taggers at default sizes). The result table is recorded to
-// BENCH_quality.json; the interned path must reach >= 3x the map path (the
-// gate fails the benchmark).
-func BenchmarkS6_QualityHotPath(b *testing.B) {
-	sz := sizes(b)
-	var res bench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.S6QualityHotPath(sz)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := res.WriteJSONFile("BENCH_quality.json"); err != nil {
-		b.Errorf("write BENCH_quality.json: %v", err)
-	}
-	for _, fail := range res.GateFailures() {
-		b.Error(fail)
-	}
-	b.Log("\n" + res.Text())
-}
-
-// BenchmarkS7_ServingReadPath — systems: end-to-end serving throughput of
-// the mixed RequestTask/SubmitTask/ResourceDetail/Export workload, plus a
-// cached ResourceDetail hit through the full HTTP stack. The result table
-// is recorded to BENCH_serving.json; the cached hit must stay under its
-// allocs/op and p99 ceilings (a missed gate fails the benchmark).
+// BenchmarkS7_ServingReadPath — systems: a cached ResourceDetail hit
+// through the full HTTP stack. The result table is recorded to
+// BENCH_serving.json; the cached hit must stay under its allocs/op and p99
+// ceilings (a missed gate fails the benchmark).
 func BenchmarkS7_ServingReadPath(b *testing.B) {
 	sz := sizes(b)
 	var res bench.Result

@@ -6,17 +6,17 @@
 //	itag-bench -experiment all                 # everything, default sizes
 //	itag-bench -experiment e1 -n 200 -budget 2000
 //	itag-bench -experiment e3 -format markdown -out e3.md
-//	itag-bench -experiment s4,s5,s6 -small -record      # CI bench smoke
-//	itag-bench -verify-gates BENCH_store.json BENCH_quality.json
+//	itag-bench -experiment s4,s7,s9,s10 -small -record  # CI bench smoke
+//	itag-bench -verify-gates BENCH_serving.json BENCH_chaos.json
 //
-// Experiments: e1..e9 (paper anchors), a1..a3 (ablations), s4..s10 (systems:
-// project-fleet pool, group-commit WAL durability, interned quality hot
-// path, ordered snapshot serving read path, open-loop admission-control
-// capacity, quorum-cluster chaos drill), all. See the experiment index in
-// docs/ARCHITECTURE.md.
+// Experiments: e1..e9 (paper anchors), a1..a3 (ablations), s4, s7, s9, s10
+// (systems: project-fleet pool, cached serving through the HTTP stack,
+// open-loop admission-control capacity, quorum-cluster chaos drill), all.
+// See the experiment index in docs/ARCHITECTURE.md. Per-layer store, quality
+// and cluster costs are measured absolutely by benchmark/ (BENCHMARK.json).
 //
-// Gated experiments (s5, s6, s7, s8, s9, s10) embed their acceptance ratios
-// in the result; -record writes each of them to its canonical BENCH_*.json
+// Gated experiments (s7, s9, s10) embed their acceptance ratios in the
+// result; -record writes each of them to its canonical BENCH_*.json
 // artifact, and any failing gate makes the run exit non-zero.
 // -verify-gates re-checks previously recorded artifacts without rerunning
 // anything (scripts/bench_gate.sh uses it in CI).
@@ -46,29 +46,23 @@ var experiments = map[string]func(bench.Sizes) (bench.Result, error){
 	"a2":  bench.A2SwitchPoint,
 	"a3":  bench.A3BatchSize,
 	"s4":  bench.S4ProjectFleet,
-	"s5":  bench.S5StoreGroupCommit,
-	"s6":  bench.S6QualityHotPath,
 	"s7":  bench.S7ServingReadPath,
-	"s8":  bench.S8Cluster,
 	"s9":  bench.S9Capacity,
 	"s10": bench.S10Chaos,
 }
 
-var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3", "s4", "s5", "s6", "s7", "s8", "s9", "s10"}
+var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3", "s4", "s7", "s9", "s10"}
 
 // recordFiles maps recorded experiments to their canonical committed
 // artifact.
 var recordFiles = map[string]string{
-	"s5":  "BENCH_store.json",
-	"s6":  "BENCH_quality.json",
 	"s7":  "BENCH_serving.json",
-	"s8":  "BENCH_cluster.json",
 	"s9":  "BENCH_capacity.json",
 	"s10": "BENCH_chaos.json",
 }
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, s4..s10, all)")
+	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, s4, s7, s9, s10, all)")
 	n := flag.Int("n", 0, "number of resources (0 = default)")
 	budget := flag.Int("budget", 0, "task budget (0 = default)")
 	taggers := flag.Int("taggers", 0, "tagger pool size (0 = default)")

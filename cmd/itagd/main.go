@@ -6,7 +6,7 @@
 // Usage:
 //
 //	itagd [-addr :8080] [-db itag.wal] [-seed 42]
-//	      [-sync-every 1] [-group-commit 0] [-segment-bytes 4194304]
+//	      [-sync-every 1] [-segment-bytes 4194304]
 //	      [-auto-compact 67108864] [-debug-addr ""]
 //	      [-write-timeout 60s] [-route-timeout 30s] [-grace 30s]
 //	      [-admission] [-slo-p99 500ms] [-pool-min 0] [-pool-max 0]
@@ -29,10 +29,9 @@
 // design.
 //
 // Durability knobs: -sync-every N fsyncs after every N committed records
-// (the group-commit writer folds concurrent commits into one fsync, so the
-// default of 1 is affordable under load); -group-commit sets the optional
-// coalescing window (0 = natural batching, negative = synchronous
-// per-record appends); -segment-bytes bounds WAL segment size before
+// (the group-commit writer folds every commit that queued while the
+// previous flush ran into one write + fsync, so the default of 1 is
+// affordable under load); -segment-bytes bounds WAL segment size before
 // rotation; -auto-compact snapshots the store in the background whenever
 // sealed WAL bytes exceed the threshold, keeping recovery time flat.
 //
@@ -115,7 +114,6 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	dbPath := fs.String("db", "itag.wal", "WAL file (data directory in cluster mode); empty for in-memory")
 	seed := fs.Int64("seed", 42, "seed for simulated platforms and worlds")
 	syncEvery := fs.Int("sync-every", 1, "fsync the WAL after every N committed records (0 disables fsync)")
-	groupCommit := fs.Duration("group-commit", 0, "group-commit coalescing window (0 = natural batching; negative = synchronous per-record appends)")
 	segmentBytes := fs.Int64("segment-bytes", store.DefaultSegmentBytes, "rotate WAL segments beyond this size (negative disables rotation)")
 	autoCompact := fs.Int64("auto-compact", 64<<20, "background-snapshot the store when sealed WAL bytes exceed this (0 disables)")
 	quiet := fs.Bool("quiet", false, "disable request logging")
@@ -159,10 +157,9 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	}
 
 	storeOpts := store.Options{
-		SyncEvery:         *syncEvery,
-		GroupCommitWindow: *groupCommit,
-		SegmentBytes:      *segmentBytes,
-		AutoCompact:       *autoCompact,
+		SyncEvery:    *syncEvery,
+		SegmentBytes: *segmentBytes,
+		AutoCompact:  *autoCompact,
 	}
 	var (
 		apiHandler  http.Handler

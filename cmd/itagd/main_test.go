@@ -166,7 +166,8 @@ func TestBootClusterMode(t *testing.T) {
 // TestBootRejectsRetiredShardLayout pins what is left of the in-process
 // partitioner at the daemon's edge: the -shards flag is gone (an old
 // command line fails loudly instead of silently running unpartitioned),
-// and a -db path holding the shard-NNN.wal families a sharded daemon wrote
+// so is -group-commit (the writer's natural batching is the one commit
+// path), and a -db path holding the shard-NNN.wal families a sharded daemon wrote
 // is refused instead of having a fresh, empty WAL created beside the data.
 func TestBootRejectsRetiredShardLayout(t *testing.T) {
 	shardedDir := t.TempDir()
@@ -182,6 +183,8 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 	}{
 		{"-shards is an unknown flag", []string{"-db", "", "-shards", "4"},
 			[]string{"flag provided but not defined", "-shards"}},
+		{"-group-commit is an unknown flag", []string{"-db", "", "-group-commit", "1ms"},
+			[]string{"flag provided but not defined", "-group-commit"}},
 		{"-db names a sharded directory", []string{"-addr", "127.0.0.1:0", "-db", shardedDir},
 			[]string{"retired sharded layout", shardedDir}},
 	}

@@ -265,34 +265,6 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestS6QualityHotPathShape(t *testing.T) {
-	res, err := S6QualityHotPath(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("S6 produced %d rows, want map+interned", len(res.Rows))
-	}
-	mapRow := findRow(t, res, "map (reference)")
-	internedRow := findRow(t, res, "interned")
-	if mapRow[3] != internedRow[3] {
-		t.Fatalf("paths saw different post totals: %s vs %s", mapRow[3], internedRow[3])
-	}
-	for _, row := range res.Rows {
-		if pps := parseF(t, row[4]); pps <= 0 {
-			t.Fatalf("row %v reports non-positive throughput", row)
-		}
-	}
-	if len(res.Gates) != 1 || res.Gates[0].Min != 3 {
-		t.Fatalf("S6 gates = %+v, want one gate with min 3", res.Gates)
-	}
-	// The shape test does not enforce the ratio (that's the recorded gate's
-	// job under bench conditions), but the measured ratio must be present.
-	if res.Gates[0].Ratio <= 0 {
-		t.Fatalf("S6 gate ratio missing: %+v", res.Gates[0])
-	}
-}
-
 func TestGateFailures(t *testing.T) {
 	r := Result{ID: "SX", Gates: []Gate{
 		{Name: "ok", Ratio: 2.5, Min: 2},

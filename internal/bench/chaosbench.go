@@ -33,9 +33,34 @@ import (
 //     leader-only acks (counted in itag_cluster_quorum_degraded_total) and
 //     after the heal the quorum recovers to confirmed acks on its own.
 //
-// Unlike S8 (which measures throughput), S10 measures behavior under
-// faults; its tables report ack classes and worst-case latencies per phase
-// rather than iters/sec, so the drill runs the same shape at every size.
+// S10 measures behavior under faults, not throughput: its tables report ack
+// classes and worst-case latencies per phase, so the drill runs the same
+// shape at every size.
+
+// s10Project is the provisioned project and the address serving it.
+type s10Project struct {
+	addr    string
+	id      string
+	taggers []string
+}
+
+// s10Cluster is a provisioned in-process cluster plus the drill's project.
+type s10Cluster struct {
+	tr      *cluster.HandlerTransport
+	nodes   map[string]*cluster.Node // keyed by node name
+	nodeOf  map[string]string        // slot -> node name
+	dir     string
+	project s10Project
+}
+
+func (c *s10Cluster) close() {
+	for _, n := range c.nodes {
+		_ = n.Close()
+	}
+	if c.dir != "" {
+		_ = os.RemoveAll(c.dir)
+	}
+}
 
 // s10Stats classifies the writes of one drill phase.
 type s10Stats struct {
@@ -127,14 +152,13 @@ func s10WriteOnce(client *http.Client, base, tagger, tag string) (string, time.D
 // client is wrapped with its own ring identity so partitions and loss match
 // by direction, the way they would on a real wire. The workload client
 // (tr.Client()) stays un-faulted: the drill observes degradation from the
-// outside. Leader stores run the group-commit writer (GroupCommitWindow 0)
-// because that path carries the WAL failpoint sites disk faults ride.
-func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Duration) (*s8Cluster, error) {
+// outside.
+func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Duration) (*s10Cluster, error) {
 	dir, err := os.MkdirTemp("", "itag-s10-")
 	if err != nil {
 		return nil, err
 	}
-	c := &s8Cluster{tr: cluster.NewHandlerTransport(), nodes: make(map[string]*cluster.Node),
+	c := &s10Cluster{tr: cluster.NewHandlerTransport(), nodes: make(map[string]*cluster.Node),
 		nodeOf: make(map[string]string), dir: dir}
 	names := []string{"alpha", "beta", "gamma"}
 	var members []cluster.Member
@@ -147,7 +171,7 @@ func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Durati
 		c.close()
 		return nil, err
 	}
-	storeOpts := store.Options{SyncEvery: 1, GroupCommitWindow: 0, SegmentBytes: 1 << 20}
+	storeOpts := store.Options{SyncEvery: 1, SegmentBytes: 1 << 20}
 	for _, name := range names {
 		inner := c.tr.Client()
 		n, err := cluster.New(cluster.Options{
@@ -177,7 +201,7 @@ func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Durati
 		c.close()
 		return nil, err
 	}
-	proj := s8Project{addr: ring.Addr(slot), taggers: make([]string, 2)}
+	proj := s10Project{addr: ring.Addr(slot), taggers: make([]string, 2)}
 	for i := range proj.taggers {
 		if proj.taggers[i], err = svc.RegisterTagger(ctx, fmt.Sprintf("s10-tagger-%02d", i)); err != nil {
 			c.close()
@@ -200,7 +224,7 @@ func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Durati
 		c.close()
 		return nil, err
 	}
-	c.projects = append(c.projects, proj)
+	c.project = proj
 	return c, nil
 }
 
@@ -224,7 +248,7 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 	defer c.close()
 
 	client := c.tr.Client()
-	proj := c.projects[0]
+	proj := c.project
 	var ring *cluster.Ring
 	for _, n := range c.nodes {
 		ring = n.Ring()
@@ -338,7 +362,7 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 	var promoted struct {
 		RingVersion uint64 `json:"ring_version"`
 	}
-	if err := s8Post(client, "http://s10-"+peer+"/api/v1/cluster/promote",
+	if _, err := s10Post(client, "http://s10-"+peer+"/api/v1/cluster/promote",
 		map[string]string{"slot": slot}, &promoted); err != nil {
 		return out, fmt.Errorf("promote: %w", err)
 	}

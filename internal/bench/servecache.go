@@ -11,28 +11,20 @@ import (
 	"itag/internal/server"
 )
 
-// This file holds S7's cached-serving extension: the same world as the
-// read-path comparison, but driven through the full HTTP stack (mux,
-// middleware, encoded-response cache) instead of calling the Service
-// directly. It measures what the zero-allocation serving path actually
-// costs per cached ResourceDetail hit — allocations and tail latency —
-// and gates both: < 10 allocs/op and p99 ≤ 10µs.
+// This file holds S7's measurement: the serving world driven through the
+// full HTTP stack (mux, middleware, encoded-response cache) instead of
+// calling the Service directly. It measures what the zero-allocation
+// serving path actually costs per cached ResourceDetail hit — allocations
+// and tail latency — and gates both: < 10 allocs/op and p99 ≤ 10µs.
 
 // s7AllocBudget and s7P99Budget are the committed ceilings for a cached
 // ResourceDetail hit through the whole server handler chain.
 const (
 	s7AllocBudget = 10
 	s7P99Budget   = 10 * time.Microsecond
+	// s7CachedOps is the length of the timed hit loop.
+	s7CachedOps = 5000
 )
-
-// maxf floors a measured denominator so a perfect (zero) measurement
-// yields a large finite gate ratio instead of +Inf in the JSON artifact.
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // discardWriter is an http.ResponseWriter that throws the body away. The
 // header map is allocated once and reused across iterations, so the
@@ -101,8 +93,7 @@ func s7CachedServing(w *s7World) (s7CachedStats, error) {
 	})
 
 	// Latency distribution over the hit path.
-	const ops = 5000
-	lat := make([]time.Duration, ops)
+	lat := make([]time.Duration, s7CachedOps)
 	start := time.Now()
 	for i := range lat {
 		t0 := time.Now()
@@ -111,9 +102,9 @@ func s7CachedServing(w *s7World) (s7CachedStats, error) {
 	}
 	wall := time.Since(start)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	st.p50 = lat[ops/2]
-	st.p99 = lat[ops*99/100]
-	st.opsPerSec = ops / wall.Seconds()
+	st.p50 = lat[s7CachedOps/2]
+	st.p99 = lat[s7CachedOps*99/100]
+	st.opsPerSec = s7CachedOps / wall.Seconds()
 
 	fin := srv.RespCacheStats()
 	if total := fin.Hits + fin.Misses; total > 0 {

@@ -174,8 +174,7 @@ func TestTransportLegs(t *testing.T) {
 
 func TestDiskFaultsThroughGlobalFailpoint(t *testing.T) {
 	dir := t.TempDir()
-	// Group-commit mode: the WAL failpoint sites live on the batch writer
-	// path (commitSync, the pre-group-commit baseline, has none).
+	// Every durable commit crosses the batch writer's failpoint sites.
 	db, err := store.Open(dir+"/node-a.wal", store.Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)

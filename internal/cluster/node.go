@@ -1028,7 +1028,6 @@ func (n *Node) syncFollowersLocked() {
 func (n *Node) startReplica(slot string) (*replica, error) {
 	ropts := n.opts.Store
 	ropts.SyncEvery = 0
-	ropts.GroupCommitWindow = 0
 	db, err := store.Open(filepath.Join(n.opts.Dir, "replica-"+slot+".wal"), ropts)
 	if err != nil {
 		return nil, err

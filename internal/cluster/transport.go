@@ -9,8 +9,8 @@ import (
 )
 
 // HandlerTransport is an http.RoundTripper that resolves fake host names
-// straight to in-process http.Handlers. The integration tests and the S8
-// benchmark use it to wire a whole cluster inside one process — every
+// straight to in-process http.Handlers. The integration tests and the S10
+// chaos drill use it to wire a whole cluster inside one process — every
 // request still crosses the full HTTP surface (routing, headers, status
 // codes, body encoding), only the TCP hop is elided. Unmapped hosts fail
 // with ECONNREFUSED wrapped the way net/http would report a dead node, so

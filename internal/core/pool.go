@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,14 +11,14 @@ import (
 // This file implements the worker-pool task-assignment pipeline: instead of
 // driving one project's Algorithm-1 loop to completion before the next
 // (Engine.Run back to back), a Pool interleaves single StepOnce iterations
-// of many projects across a fixed set of workers. Each step publishes one
+// of many projects across a bounded set of workers. Each step publishes one
 // batch of tasks to the project's crowd platform, drives the platform until
 // the batch completes, and folds results back into the model — so a fleet
 // of simulated taggers makes progress on every live project concurrently.
 // Their store traffic meets in one DB: reads take no lock and concurrent
 // commits coalesce in its group-commit writer.
 
-// Pool drives many engines with a fixed number of step workers.
+// Pool drives many engines with a bounded set of step workers.
 //
 // Concurrency invariants:
 //   - at most one worker steps a given engine at a time (an engine is
@@ -29,13 +28,14 @@ import (
 //   - a step failure retires only that engine; the rest keep running.
 type Pool struct {
 	// Workers is the number of concurrent step workers (default 8) in
-	// fixed mode.
+	// fixed mode: the autoscaling pool below pinned at Min = Max = Workers
+	// (capped at the number of engines).
 	Workers int
 
-	// Max > 0 switches RunContext to adaptive mode: instead of Workers
-	// fixed goroutines, steps run on an autoscaling capacity.Pool that
-	// grows from Min toward Max as engines queue up, and reaps workers
-	// (all the way to Min, which may be zero) after Idle without work.
+	// Max > 0 switches RunContext to adaptive mode: steps run on an
+	// autoscaling capacity.Pool that grows from Min toward Max as engines
+	// queue up, and reaps workers (all the way to Min, which may be zero)
+	// after Idle without work.
 	Min, Max int
 	// Idle is the adaptive-mode worker idle timeout (capacity.Pool's
 	// default when zero).
@@ -55,72 +55,27 @@ func (p Pool) Run(engines []*Engine) []error {
 // still in flight retires with ctx's error instead of running to
 // completion (engines observe the context inside StepContext too, so a
 // cancellation interrupts even a long platform wait).
+//
+// Each engine step is one pool task that resubmits itself until the engine
+// retires, which is the at-most-one-owner invariant. The queue is sized so
+// every engine can hold one slot, which keeps resubmission non-blocking.
 func (p Pool) RunContext(ctx context.Context, engines []*Engine) []error {
-	if p.Max > 0 {
-		return p.runAdaptive(ctx, engines)
-	}
-	n := len(engines)
-	errs := make([]error, n)
-	if n == 0 {
-		return errs
-	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = DefaultPoolWorkers
-	}
-	if workers > n {
-		workers = n
-	}
-
-	// Each engine contributes at most one queue entry, so a buffer of n
-	// makes requeueing non-blocking. The worker that retires the last
-	// engine closes the queue; a requeueing worker still owns its engine's
-	// slot in `remaining`, so the queue cannot be closed under it.
-	queue := make(chan int, n)
-	for i := range engines {
-		queue <- i
-	}
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				done, err := engines[i].StepContext(ctx)
-				if err != nil {
-					errs[i] = err
-					done = true
-				}
-				if done {
-					if remaining.Add(-1) == 0 {
-						close(queue)
-					}
-				} else {
-					queue <- i
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
-}
-
-// runAdaptive drives the engines on an autoscaling worker set. Each
-// engine step is one pool task that resubmits itself until the engine
-// retires — the same at-most-one-owner invariant as the fixed queue,
-// expressed as self-requeueing tasks. The queue is sized so every engine
-// can hold one slot, which keeps resubmission non-blocking.
-func (p Pool) runAdaptive(ctx context.Context, engines []*Engine) []error {
 	n := len(engines)
 	errList := make([]error, n)
 	if n == 0 {
 		return errList
 	}
+	lo, hi := p.Min, p.Max
+	if hi <= 0 {
+		hi = p.Workers
+		if hi <= 0 {
+			hi = DefaultPoolWorkers
+		}
+		hi = min(hi, n)
+		lo = hi
+	}
 	ap := capacity.NewPool(capacity.PoolConfig{
-		Min: p.Min, Max: p.Max, Idle: p.Idle, Queue: n + 1,
+		Min: lo, Max: hi, Idle: p.Idle, Queue: n + 1,
 	})
 	defer ap.Close()
 

@@ -2,14 +2,14 @@ package quality
 
 import "itag/internal/rfd"
 
-// MapTracker is the retained map-path reference implementation of the
-// stability tracker: string-keyed rfd maps, a ring of materialized Dist
-// snapshots, and full-distribution similarity recomputation per post.
+// MapTracker is the map-path reference implementation of the stability
+// tracker: string-keyed rfd maps, a ring of materialized Dist snapshots, and
+// full-distribution similarity recomputation per post.
 //
-// It is the semantic baseline the interned Tracker must match bit-for-bit
-// (up to float rounding): the parity property tests compare the two on
-// randomized post streams, and the S6 experiment measures the interned
-// path's throughput against this one. It is not used on any hot path.
+// It is the parity oracle the interned Tracker must match bit-for-bit (up
+// to float rounding): the parity property tests compare the two on
+// randomized post streams, and BenchmarkTrackerAddPost times one against
+// the other. It lives in a _test.go file so no production code can use it.
 type MapTracker struct {
 	cfg    Config
 	hist   *rfd.History

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,8 +13,8 @@ import (
 
 // These property tests pin the tentpole refactor's contract: the interned
 // quality path (Tracker over vocab.Interner + rfd.IHistory/Ref) is
-// numerically equivalent — within 1e-12 — to the retained map-path
-// reference (MapTracker over rfd.History) on randomized post streams, for
+// numerically equivalent — within 1e-12 — to the map-path oracle
+// (MapTracker over rfd.History, maptracker_test.go) on randomized post streams, for
 // every metric. CI runs this package under -race, so the shared interner is
 // also exercised for data races when trackers are built concurrently.
 
@@ -141,4 +142,43 @@ func TestPropertyOracleRefMatchesOracle(t *testing.T) {
 		}
 		check("final")
 	}
+}
+
+// BenchmarkTrackerAddPost times one AddPost + q_i(k) update on the interned
+// hot path and on the map-path oracle over the same pre-generated stream
+// (Zipf-distributed tags, 256 resources), ungated:
+//
+//	go test -run '^$' -bench TrackerAddPost -benchmem ./internal/quality
+func BenchmarkTrackerAddPost(b *testing.B) {
+	const resources = 256
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.2, 4, 2047)
+	stream := make([][]string, 1<<14)
+	for i := range stream {
+		stream[i] = make([]string, 1+r.Intn(5))
+		for j := range stream[i] {
+			stream[i][j] = fmt.Sprintf("tag-%d", zipf.Uint64())
+		}
+	}
+	type adder interface{ AddPost([]string) error }
+	run := func(b *testing.B, newTracker func() adder) {
+		trackers := make([]adder, resources)
+		for i := range trackers {
+			trackers[i] = newTracker()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := trackers[i%resources].AddPost(stream[i%len(stream)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("interned", func(b *testing.B) {
+		in := vocab.NewInterner()
+		run(b, func() adder { return NewTrackerShared(Config{}, in) })
+	})
+	b.Run("oracle", func(b *testing.B) {
+		run(b, func() adder { return NewMapTracker(Config{}) })
+	})
 }

@@ -158,7 +158,8 @@ func historyDepth(cfg Config) int {
 // each AddPost updates the quality in O(tags-in-window) for cosine (one
 // array pass over the resource's support for the shape metrics) instead of
 // cloning and re-walking string-keyed maps. Semantics are identical to the
-// retained MapTracker reference (see the parity property tests).
+// map-path oracle kept in maptracker_test.go (see the parity property
+// tests).
 //
 // It is not safe for concurrent use; callers synchronize.
 type Tracker struct {

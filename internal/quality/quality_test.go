@@ -417,15 +417,6 @@ func TestPropertyCurveGainAdditive(t *testing.T) {
 	}
 }
 
-func BenchmarkTrackerAddPost(b *testing.B) {
-	tr := NewTracker(Config{})
-	post := []string{"go", "db", "tags"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.AddPost(post)
-	}
-}
-
 func BenchmarkFit(b *testing.B) {
 	truth := Curve{QMax: 0.9, A: 0.7, Lambda: 0.06}
 	var ks []int

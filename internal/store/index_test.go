@@ -283,7 +283,7 @@ func TestSnapshotIsolation(t *testing.T) {
 // hold (the map-copying cut allocated per key, under the store lock).
 func TestCompactionCutCopiesNothing(t *testing.T) {
 	cutAllocs := func(keys int) float64 {
-		db, err := Open(filepath.Join(t.TempDir(), "wal"), Options{GroupCommitWindow: -1, SegmentBytes: -1})
+		db, err := Open(filepath.Join(t.TempDir(), "wal"), Options{SegmentBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -396,7 +396,7 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 // intact) even though it can interleave with any number of commits.
 func TestConcurrentReadersDuringCompactAndWrites(t *testing.T) {
 	t.Run("db", func(t *testing.T) {
-		s, err := Open(filepath.Join(t.TempDir(), "db.wal"), Options{SegmentBytes: 1 << 12, GroupCommitWindow: 0})
+		s, err := Open(filepath.Join(t.TempDir(), "db.wal"), Options{SegmentBytes: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ type DB struct {
 
 	wal *wal // nil for in-memory stores
 
-	// Group-commit writer plumbing (unused when the writer is disabled).
+	// Group-commit writer plumbing (unused by in-memory stores).
 	pend       []*pendingCommit
 	wake       chan struct{}
 	stop       chan struct{}
@@ -106,16 +106,6 @@ type Options struct {
 	// issues at most one fsync per commit batch, so SyncEvery=1 costs one
 	// fsync per batch of concurrent committers, not one per record.
 	SyncEvery int
-	// GroupCommitWindow controls the background WAL writer:
-	//
-	//	 0  (default) writer enabled, natural batching: each flush takes
-	//	    every commit that queued while the previous flush ran
-	//	>0  writer additionally waits this long after waking so more
-	//	    concurrent committers can join the batch
-	//	<0  writer disabled: synchronous per-record append (+fsync per
-	//	    SyncEvery) under the store lock — the pre-group-commit
-	//	    baseline, kept for benchmarks
-	GroupCommitWindow time.Duration
 	// SegmentBytes rotates the active WAL segment once it exceeds this
 	// size (0 = DefaultSegmentBytes, <0 disables rotation).
 	SegmentBytes int64
@@ -129,12 +119,6 @@ func (o Options) withDefaults() Options {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
 	return o
-}
-
-// groupMode reports whether the background group-commit writer runs for
-// this DB. Immutable after Open.
-func (db *DB) groupMode() bool {
-	return db.wal != nil && db.opts.GroupCommitWindow >= 0
 }
 
 // OpenMemory returns a volatile in-memory DB.
@@ -164,12 +148,10 @@ func Open(path string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.st.recoveryMillis = float64(time.Since(start).Microseconds()) / 1e3
-	if db.groupMode() {
-		db.wake = make(chan struct{}, 1)
-		db.stop = make(chan struct{})
-		db.writerDone = make(chan struct{})
-		go db.writerLoop()
-	}
+	db.wake = make(chan struct{}, 1)
+	db.stop = make(chan struct{})
+	db.writerDone = make(chan struct{})
+	go db.writerLoop()
 	// A store recovered with an over-threshold tail compacts right away
 	// instead of waiting for the next commit.
 	db.maybeAutoCompact()
@@ -351,16 +333,13 @@ func (db *DB) stickyErr() error {
 	return db.walErr
 }
 
-// commitRecord routes one mutation record through the configured
-// durability path and applies it to memory.
+// commitRecord routes one mutation record through the store's durability
+// path — memory only, or the group-commit writer — and applies it.
 func (db *DB) commitRecord(op Op, table, key string, value json.RawMessage, batch []Record) error {
 	if db.wal == nil {
 		return db.commitMemory(op, table, key, value, batch)
 	}
-	if db.groupMode() {
-		return db.commitGroup(op, table, key, value, batch)
-	}
-	return db.commitSync(op, table, key, value, batch)
+	return db.commitGroup(op, table, key, value, batch)
 }
 
 func (db *DB) commitMemory(op Op, table, key string, value json.RawMessage, batch []Record) error {
@@ -404,67 +383,6 @@ func (db *DB) commitGroup(op Op, table, key string, value json.RawMessage, batch
 	db.wakeWriter()
 	<-c.done
 	return c.err
-}
-
-// commitSync is the pre-group-commit baseline: append + fsync + apply under
-// the store lock, one record at a time.
-func (db *DB) commitSync(op Op, table, key string, value json.RawMessage, batch []Record) error {
-	w := db.wal
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if db.walErr != nil {
-		err := db.walErr
-		db.mu.Unlock()
-		return err
-	}
-	db.seq++
-	rec := Record{Seq: db.seq, Op: op, Table: table, Key: key, Value: value, Batch: batch}
-	enc, err := frameRecord(rec)
-	if err != nil {
-		db.seq--
-		db.mu.Unlock()
-		return err
-	}
-	fail := func(err error) error {
-		if db.walErr == nil {
-			db.walErr = err
-		}
-		err = db.walErr
-		db.mu.Unlock()
-		return err
-	}
-	if _, werr := w.bw.Write(enc); werr != nil {
-		return fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "append wal"))
-	}
-	if werr := w.bw.Flush(); werr != nil {
-		return fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "flush wal"))
-	}
-	w.addActiveSize(int64(len(enc)))
-	w.sinceSync++
-	if db.opts.SyncEvery > 0 && w.sinceSync >= db.opts.SyncEvery {
-		if serr := w.file.Sync(); serr != nil {
-			return fail(errs.Wrap(serr, errs.ComponentStore, errs.CategoryIO, "sync wal"))
-		}
-		w.sinceSync = 0
-		db.st.fsyncs.Add(1)
-	}
-	db.applyLocked(rec)
-	db.mu.Unlock()
-	w.lastApplied = rec.Seq
-	db.st.appliedSeq.Store(rec.Seq)
-	db.st.commits.Add(1)
-	db.st.batches.Add(1)
-	db.st.walBytes.Add(uint64(len(enc)))
-	if db.opts.SegmentBytes > 0 && w.activeSize >= db.opts.SegmentBytes {
-		_ = db.rotateLocked() // wedges on failure; this record is already safe
-	}
-	db.maybeAutoCompact()
-	return nil
 }
 
 // Put stores value (JSON-marshaled) under (table, key).
@@ -588,47 +506,7 @@ func (db *DB) Sync() error {
 		}
 		return nil
 	}
-	if db.groupMode() {
-		db.mu.Lock()
-		if db.closed.Load() {
-			db.mu.Unlock()
-			return ErrClosed
-		}
-		if db.walErr != nil {
-			err := db.walErr
-			db.mu.Unlock()
-			return err
-		}
-		c := &pendingCommit{syncBarrier: true, done: make(chan struct{})}
-		db.pend = append(db.pend, c)
-		db.mu.Unlock()
-		db.wakeWriter()
-		<-c.done
-		return c.err
-	}
-	w := db.wal
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if db.walErr != nil {
-		err := db.walErr
-		db.mu.Unlock()
-		return err
-	}
-	db.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		return db.fail(err)
-	}
-	if err := w.file.Sync(); err != nil {
-		return db.fail(err)
-	}
-	w.sinceSync = 0
-	db.st.fsyncs.Add(1)
-	return nil
+	return db.enqueue(&pendingCommit{syncBarrier: true})
 }
 
 // Compact takes an online snapshot: it briefly blocks writers at the cut
@@ -664,28 +542,33 @@ func (db *DB) Compact() error {
 	return db.writeSnapshotAndCleanup(cut)
 }
 
-// cut obtains the compaction cut, via the writer in group-commit mode (so
-// the cut serializes with in-flight batches) or directly otherwise.
+// cut obtains the compaction cut via the writer, so the cut serializes
+// with in-flight batches.
 func (db *DB) cut() (*cutState, error) {
-	if !db.groupMode() {
-		return db.performCut()
-	}
+	c := &pendingCommit{cut: true}
+	err := db.enqueue(c)
+	return c.cutState, err
+}
+
+// enqueue hands a barrier or cut to the group-commit writer and blocks until
+// the writer has processed it.
+func (db *DB) enqueue(c *pendingCommit) error {
 	db.mu.Lock()
 	if db.closed.Load() {
 		db.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if db.walErr != nil {
 		err := db.walErr
 		db.mu.Unlock()
-		return nil, err
+		return err
 	}
-	c := &pendingCommit{cut: true, done: make(chan struct{})}
+	c.done = make(chan struct{})
 	db.pend = append(db.pend, c)
 	db.mu.Unlock()
 	db.wakeWriter()
 	<-c.done
-	return c.cutState, c.err
+	return c.err
 }
 
 // writeSnapshotAndCleanup persists the cut as a snapshot and removes the
@@ -775,10 +658,8 @@ func (db *DB) Close() error {
 	if db.wal == nil {
 		return nil
 	}
-	if db.groupMode() {
-		close(db.stop)
-		<-db.writerDone
-	}
+	close(db.stop)
+	<-db.writerDone
 	db.bg.Wait()
 	healthy := db.stickyErr() == nil
 	w := db.wal

@@ -38,7 +38,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"itag/internal/errs"
 )
@@ -320,8 +319,10 @@ func (db *DB) wakeWriter() {
 
 // writerLoop is the per-DB background WAL writer: it drains the pending
 // queue, coalescing every commit that arrived since the last flush into one
-// buffered write + fsync (group commit). Committers block on their commit's
-// done channel, so durability semantics match the synchronous path.
+// buffered write + fsync (group commit by natural batching: each flush
+// takes whatever queued while the previous one ran). Committers block on
+// their commit's done channel, so a nil return means written, flushed and
+// fsynced per Options.SyncEvery.
 func (db *DB) writerLoop() {
 	defer close(db.writerDone)
 	for {
@@ -330,23 +331,6 @@ func (db *DB) writerLoop() {
 			db.drainPending()
 			return
 		case <-db.wake:
-		}
-		if win := db.opts.GroupCommitWindow; win > 0 {
-			// Coalescing window: wait for more committers to pile on before
-			// paying for the write + fsync.
-			t := time.NewTimer(win)
-		coalesce:
-			for {
-				select {
-				case <-t.C:
-					break coalesce
-				case <-db.wake:
-				case <-db.stop:
-					t.Stop()
-					db.drainPending()
-					return
-				}
-			}
 		}
 		db.flushOnce()
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -302,8 +303,9 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 		t.Fatalf("more fsyncs (%d) than commits (%d)", st.Fsyncs, st.Commits)
 	}
 	// Coalescing itself is asserted deterministically in
-	// TestGroupCommitWindowCoalesces; natural batching depends on scheduler
-	// timing (on GOMAXPROCS=1 batches can degenerate to single commits).
+	// TestNaturalBatchingCoalesces; how much of it free-running committers
+	// get depends on scheduler timing (on GOMAXPROCS=1 batches can
+	// degenerate to single commits).
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,36 +319,80 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 	}
 }
 
-func TestGroupCommitWindowCoalesces(t *testing.T) {
+// TestNaturalBatchingCoalesces pins group commit by natural batching without
+// leaning on the scheduler: the first batch is held inside the writer (at its
+// FailAppendMid check) until eight more commits have queued behind it, so the
+// next flush must take all eight in one write + one fsync.
+func TestNaturalBatchingCoalesces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	db, err := Open(path, Options{SyncEvery: 1, GroupCommitWindow: 2 * time.Millisecond})
+	db, err := Open(path, Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	const workers = 8
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	db.SetFailpoint(func(p Failpoint) bool {
+		if p == FailAppendMid && held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return false
+	})
+	const followers = 8
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			_ = db.Put("t", fmt.Sprintf("k%d", w), kv{N: w})
-		}(w)
+	put := func(i int) {
+		defer wg.Done()
+		if err := db.Put("t", fmt.Sprintf("k%d", i), kv{N: i}); err != nil {
+			t.Error(err)
+		}
 	}
+	wg.Add(1)
+	go put(0)
+	<-entered
+	for i := 1; i <= followers; i++ {
+		wg.Add(1)
+		go put(i)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		db.mu.Lock()
+		queued := len(db.pend)
+		db.mu.Unlock()
+		if queued == followers {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d commits queued behind the held batch, want %d", queued, followers)
+		}
+	}
+	close(release)
 	wg.Wait()
 	st := db.Stats()
-	if st.Commits != workers {
-		t.Fatalf("commits = %d, want %d", st.Commits, workers)
+	if st.Commits != followers+1 || st.CommitBatches != 2 || st.Fsyncs != 2 {
+		t.Fatalf("commits/batches/fsyncs = %d/%d/%d, want %d/2/2", st.Commits, st.CommitBatches, st.Fsyncs, followers+1)
 	}
-	if st.CommitBatches >= workers {
-		t.Fatalf("window coalesced nothing: %d batches for %d commits", st.CommitBatches, workers)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for i := 0; i <= followers; i++ {
+		var got kv
+		if err := db2.Get("t", fmt.Sprintf("k%d", i), &got); err != nil || got.N != i {
+			t.Fatalf("k%d after reopen: %+v, %v", i, got, err)
+		}
 	}
 }
 
-func TestSynchronousBaselineMode(t *testing.T) {
-	// GroupCommitWindow < 0 disables the writer: per-record append+fsync.
+func TestSequentialCommitsFsyncEach(t *testing.T) {
+	// One committer at a time gives the writer nothing to coalesce: at
+	// SyncEvery 1 every record is its own batch and pays its own fsync.
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	db, err := Open(path, Options{SyncEvery: 1, GroupCommitWindow: -1})
+	db, err := Open(path, Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +403,7 @@ func TestSynchronousBaselineMode(t *testing.T) {
 	}
 	st := db.Stats()
 	if st.Fsyncs != 20 {
-		t.Fatalf("baseline mode must fsync per record: %d fsyncs for 20 commits", st.Fsyncs)
+		t.Fatalf("sequential commits must fsync per record: %d fsyncs for 20 commits", st.Fsyncs)
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)

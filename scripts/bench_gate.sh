@@ -2,10 +2,9 @@
 # bench_gate.sh — compare recorded benchmark artifacts against their
 # committed acceptance gates.
 #
-# Each gated experiment (S5 group-commit WAL, S6 interned quality hot
-# path, S7 cached serving, S8 cluster, S9 admission-control capacity, S10
-# chaos drill) embeds its measured ratio and the committed minimum in its
-# BENCH_*.json artifact.
+# Each gated experiment (S7 cached serving, S9 admission-control capacity,
+# S10 chaos drill) embeds its measured ratio and the committed minimum in
+# its BENCH_*.json artifact.
 # CI's bench-smoke job calls this script on the *committed* artifacts
 # first — failing a build that commits a baseline below its own gate —
 # and then reruns the experiments with `-record`, which itself exits
@@ -25,7 +24,7 @@ ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 DIR="${BENCH_GATE_DIR:-$ROOT}"
 
 if [ "$#" -eq 0 ]; then
-  set -- BENCH_capacity.json BENCH_chaos.json BENCH_cluster.json BENCH_quality.json BENCH_serving.json BENCH_store.json
+  set -- BENCH_capacity.json BENCH_chaos.json BENCH_serving.json
 fi
 
 missing=0
@@ -36,7 +35,7 @@ for f in "$@"; do
     *) p="$DIR/$f" ;;
   esac
   if [ ! -f "$p" ]; then
-    echo "bench_gate.sh: missing artifact: $f (run: go run ./cmd/itag-bench -experiment s5,s6,s7,s8,s9,s10 -record)" >&2
+    echo "bench_gate.sh: missing artifact: $f (run: go run ./cmd/itag-bench -experiment s7,s9,s10 -record)" >&2
     missing=$((missing + 1))
     continue
   fi
