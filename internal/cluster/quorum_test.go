@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"itag/internal/chaos"
+	"itag/internal/core"
+	"itag/internal/dataset"
 	"itag/internal/store"
 )
 
@@ -192,6 +194,92 @@ func TestClusterQuorumAckAndDegrade(t *testing.T) {
 	} {
 		if !found[want] {
 			t.Errorf("leader exposition is missing %s", want)
+		}
+	}
+}
+
+// TestClusterQuorumBatchAtTheCap sends one tasks:batch call at the 10 000
+// item cap through a 3-node quorum ring. The call is one store commit, hence
+// one WAL record of several MiB — larger than the replication byte budget
+// and than a segment. ReplTail ships a first record however large, so the
+// ack still comes back follower-durable (X-Itag-Quorum: ok), and both
+// followers end up byte-identical to the leader.
+func TestClusterQuorumBatchAtTheCap(t *testing.T) {
+	const items = 10000
+	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, func(o *Options) {
+		o.Quorum = true
+		o.QuorumTimeout = 30 * time.Second // a degrade must be a failure here, not a slow box
+	})
+	ctx := context.Background()
+	slot := "alpha"
+	svc := tc.nodes[slot].Service(slot)
+	provider, err := svc.RegisterProvider(ctx, "cap-provider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagger, err := svc.RegisterTagger(ctx, "cap-tagger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resources := make([]dataset.Resource, 200)
+	for i := range resources {
+		id := fmt.Sprintf("res-%04d", i)
+		resources[i] = dataset.Resource{ID: id, Name: id, Popularity: 1}
+	}
+	project, err := svc.CreateProject(ctx, core.ProjectSpec{
+		ProviderID: provider, Name: "cap", Budget: items, PayPerTask: 0.05, Strategy: "fp-mu", Resources: resources,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := struct {
+		Items []core.BatchItem `json:"items"`
+	}{Items: make([]core.BatchItem, items)}
+	for i := range req.Items {
+		req.Items[i] = core.BatchItem{TaggerID: tagger, Tags: []string{"go", fmt.Sprintf("t%d", i%97), "cap"}}
+	}
+	leader := tc.nodes[slot].DB(slot)
+	before := leader.Stats().Commits
+	var out struct {
+		OK, Failed int
+	}
+	resp, err := tc.do(http.MethodPost, "http://"+slot+"/api/v1/projects/"+project+"/tasks:batch", req, &out)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("tasks:batch: %v (status %v)", err, resp.Status)
+	}
+	if out.OK != items || out.Failed != 0 {
+		t.Fatalf("ok = %d, failed = %d; want %d, 0", out.OK, out.Failed, items)
+	}
+	if got := resp.Header.Get(HeaderQuorum); got != QuorumOK {
+		t.Fatalf("X-Itag-Quorum = %q, want %q", got, QuorumOK)
+	}
+	if got := leader.Stats().Commits - before; got != 1 {
+		t.Fatalf("the call cost %d store commits, want 1", got)
+	}
+	tc.waitCaughtUp(slot)
+	dump := func(db *store.DB) map[string]string {
+		m := map[string]string{}
+		for _, table := range db.Tables() {
+			db.Scan(table, func(key string, raw []byte) bool {
+				m[table+"\x00"+key] = string(raw)
+				return true
+			})
+		}
+		return m
+	}
+	want := dump(leader)
+	if n := leader.Count(store.TablePosts); n != items {
+		t.Fatalf("leader holds %d posts, want %d", n, items)
+	}
+	for _, f := range []string{"beta", "gamma"} {
+		got := dump(tc.nodes[f].ReplicaDB(slot))
+		if len(got) != len(want) {
+			t.Fatalf("follower %s holds %d keys, leader %d", f, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("follower %s: key %q = %q, leader has %q", f, k, got[k], v)
+			}
 		}
 	}
 }

@@ -32,6 +32,9 @@ var ErrResourceExhausted error = errs.New(errs.ComponentCore, errs.CategoryExhau
 // (e.g. every worker disqualified) with tasks still outstanding.
 var ErrStalled error = errs.New(errs.ComponentCore, errs.CategoryInternal, "platform stalled with outstanding tasks")
 
+// PostHook observes one post entering a resource's statistics.
+type PostHook func(resourceID, taggerID string, tags []string)
+
 // Judge decides whether a completed task's post is approved by the
 // provider. Approved posts enter the resource's statistics and pay the
 // incentive; rejected posts consume the task but improve nothing
@@ -74,9 +77,15 @@ type Config struct {
 	// MaxStallSteps aborts when the platform yields no result for this
 	// many consecutive steps with tasks outstanding (default 10000).
 	MaxStallSteps int
-	// OnPost, when set, observes every post that enters the statistics
-	// (used by the service layer to persist posts).
-	OnPost func(resourceID, taggerID string, tags []string)
+	// OnPost, when set, observes every post that enters the statistics, in
+	// the order they enter. It runs under the engine lock, so it must not
+	// block: the service layer reserves the post's sequence number there
+	// and stages the record; nothing durable happens under the lock.
+	OnPost PostHook
+	// Flush, when set, runs outside the engine lock once per step (and per
+	// SubmitPost), after the posts of that call went through OnPost; its
+	// error is the call's. The service layer commits what OnPost staged.
+	Flush func() error
 	// RecordEvery controls monitor sampling: a point every N spent tasks
 	// (default: max(1, Budget/200)).
 	RecordEvery int
@@ -353,8 +362,24 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // done=true when the run is finished.
 func (e *Engine) StepOnce() (bool, error) { return e.StepContext(context.Background()) }
 
-// StepContext is StepOnce under a context.
+// StepContext is StepOnce under a context. However the step ends, the
+// posts it folded in are flushed (Config.Flush) before it returns.
 func (e *Engine) StepContext(ctx context.Context) (bool, error) {
+	done, err := e.step(ctx)
+	if ferr := e.flush(); err == nil && ferr != nil {
+		return false, ferr
+	}
+	return done, err
+}
+
+func (e *Engine) flush() error {
+	if e.cfg.Flush == nil {
+		return nil
+	}
+	return e.cfg.Flush()
+}
+
+func (e *Engine) step(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}

@@ -40,6 +40,16 @@ func (e *Engine) ChooseNext() (string, bool) {
 // post-hoc via judgments in the users manager (paper Fig. 6: providers
 // review the latest tagging from the notification feed).
 func (e *Engine) SubmitPost(resourceID, taggerID string, tags []string) error {
+	if err := e.submitPost(resourceID, taggerID, tags, e.cfg.OnPost); err != nil {
+		return err
+	}
+	return e.flush()
+}
+
+// submitPost is SubmitPost with the post hook of this one call: concurrent
+// submitters each stage into, and afterwards commit, a write set of their
+// own, so each learns the fate of its own post.
+func (e *Engine) submitPost(resourceID, taggerID string, tags []string, hook PostHook) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	i, ok := e.index[resourceID]
@@ -54,11 +64,24 @@ func (e *Engine) SubmitPost(resourceID, taggerID string, tags []string) error {
 	}
 	e.pending[i]--
 	e.reindex(i)
-	if e.cfg.OnPost != nil {
-		e.cfg.OnPost(resourceID, taggerID, tags)
+	if hook != nil {
+		hook(resourceID, taggerID, tags)
 	}
 	e.record()
 	return nil
+}
+
+// reopenPending makes a submitted task outstanding again: its post entered
+// the statistics but could not be persisted, so the task is not done. The
+// statistics keep the post until the run is rebuilt from the catalog — a
+// WAL that failed a commit accepts no further one, so that is the next
+// thing that happens to this process.
+func (e *Engine) reopenPending(resourceID string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i := e.index[resourceID]
+	e.pending[i]++
+	e.reindex(i)
 }
 
 // CancelPending releases an outstanding manual task (tagger walked away),

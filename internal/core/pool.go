@@ -82,33 +82,27 @@ func (p Pool) RunContext(ctx context.Context, engines []*Engine) []error {
 	var remaining atomic.Int64
 	remaining.Store(int64(n))
 	allDone := make(chan struct{})
-	var step func(i int) func(context.Context)
-	step = func(i int) func(context.Context) {
-		return func(context.Context) {
+	// The pool is this call's own and closes only after every engine has
+	// retired. Submit can therefore report "closed" only when it lost a race
+	// with the task it had just enqueued: a worker ran that step, the last
+	// engine retired and the pool closed before Submit looked again. The
+	// engine is accounted for by then, so the error is dropped.
+	var submit func(i int)
+	submit = func(i int) {
+		_ = ap.Submit(func(context.Context) {
 			done, err := engines[i].StepContext(ctx)
-			if err != nil {
-				errList[i] = err
-				done = true
+			if err == nil && !done {
+				submit(i)
+				return
 			}
-			if !done {
-				serr := ap.Submit(step(i))
-				if serr == nil {
-					return
-				}
-				errList[i] = serr // pool closed under us: retire the engine
-			}
-			if remaining.Add(-1) == 0 {
-				close(allDone)
-			}
-		}
-	}
-	for i := range engines {
-		if err := ap.Submit(step(i)); err != nil {
 			errList[i] = err
 			if remaining.Add(-1) == 0 {
 				close(allDone)
 			}
-		}
+		})
+	}
+	for i := range engines {
+		submit(i)
 	}
 	<-allDone
 	return errList

@@ -352,6 +352,11 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 	world *dataset.World, strat strategy.Strategy, seed int64) (*Run, error) {
 
 	run := &Run{ProjectID: projectID, World: world, tasks: make(map[string]string)}
+	// The run's own write set is the step loop's: every post of a step is
+	// staged under the engine lock and the step commits once, outside it.
+	// Manual calls stage into, and commit, a write set per call instead
+	// (SubmitTask, BatchTasks), so concurrent taggers do not share one.
+	staged := s.cat.Begin(0)
 	cfg := Config{
 		Resources:  resources,
 		SeedPosts:  spec.SeedPosts,
@@ -363,12 +368,8 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 		ProviderID: spec.ProviderID,
 		Seed:       seed,
 		Interner:   s.intern,
-		OnPost: func(resourceID, taggerID string, tags []string) {
-			_, _ = s.cat.AppendPost(store.PostRec{
-				ResourceID: resourceID, TaggerID: taggerID,
-				Tags: tags, Time: s.nowFunc(),
-			})
-		},
+		OnPost:     s.stagePost(staged),
+		Flush:      staged.Commit,
 	}
 	if world != nil {
 		pop, err := taggersim.NewPopulation(rng.New(seed+1), taggersim.PopulationConfig{Size: 40, UnreliableFraction: 0.1})
@@ -412,6 +413,22 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 	}
 	run.Engine = eng
 	return run, nil
+}
+
+// stagePost is the engine's post hook over one write set. It runs under
+// Engine.mu, so all it does is reserve the post's sequence number — key
+// order is then engine order, which is what lets ResumeRuns rebuild the
+// tracker state the live engine had — and stage the record; whoever owns ws
+// commits after the engine lock is released.
+func (s *Service) stagePost(ws *store.WriteSet) PostHook {
+	return func(resourceID, taggerID string, tags []string) {
+		// Cannot fail: the engine has just accepted the post, so it names a
+		// resource and carries tags.
+		_, _ = ws.AppendPost(store.PostRec{
+			ResourceID: resourceID, TaggerID: taggerID,
+			Tags: tags, Time: s.nowFunc(),
+		})
+	}
 }
 
 // LatentOverlapJudge approves a post when at least minOverlap of its tags
@@ -922,46 +939,70 @@ func (s *Service) Subscribe(ctx context.Context, projectID string, buf int) (*Su
 
 // --- manual (audience participation) flow -----------------------------------------
 
+// lease debits one task from the project's budget for the tagger and mints
+// its record. Nothing is written and the task cannot be submitted yet: the
+// caller holds it and writes it, or refunds it.
+func (s *Service) lease(projectID, taggerID string) (*Run, store.TaskRec, error) {
+	if _, err := s.cat.GetUser(taggerID); err != nil {
+		return nil, store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown tagger %q", taggerID)
+	}
+	run, err := s.run(projectID)
+	if err != nil {
+		return nil, store.TaskRec{}, err
+	}
+	resourceID, ok := run.Engine.ChooseNext()
+	if !ok {
+		return nil, store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryExhausted, "project budget exhausted")
+	}
+	run.mu.Lock()
+	run.taskSeq++
+	taskID := fmt.Sprintf("%s-task-%05d", projectID, run.taskSeq)
+	run.mu.Unlock()
+	return run, store.TaskRec{
+		ID: taskID, ProjectID: projectID, ResourceID: resourceID,
+		WorkerID: taggerID, Status: store.TaskAssigned,
+		Reward:    run.Engine.cfg.PayPerTask,
+		CreatedAt: s.nowFunc(),
+	}, nil
+}
+
+// hold makes an assigned task submittable.
+func (run *Run) hold(taskID, resourceID string) {
+	run.mu.Lock()
+	run.tasks[taskID] = resourceID
+	run.mu.Unlock()
+}
+
+// refund takes back a leased task whose record could not be written. The
+// tagger never sees it, so it must not stay debited and pending (and weigh
+// on the resource's rank key) forever.
+func (run *Run) refund(t store.TaskRec) {
+	run.mu.Lock()
+	delete(run.tasks, t.ID)
+	run.mu.Unlock()
+	_ = run.Engine.CancelPending(t.ResourceID) // cannot fail: the task was pending
+}
+
 // RequestTask assigns the next tagging task to a human tagger (Fig. 7/8).
 func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (store.TaskRec, error) {
 	if err := ctx.Err(); err != nil {
 		return store.TaskRec{}, err
 	}
-	if _, err := s.cat.GetUser(taggerID); err != nil {
-		return store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown tagger %q", taggerID)
-	}
-	run, err := s.run(projectID)
+	run, rec, err := s.lease(projectID, taggerID)
 	if err != nil {
 		return store.TaskRec{}, err
 	}
-	resourceID, ok := run.Engine.ChooseNext()
-	if !ok {
-		return store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryExhausted, "project budget exhausted")
-	}
-	run.mu.Lock()
-	run.taskSeq++
-	taskID := fmt.Sprintf("%s-task-%05d", projectID, run.taskSeq)
-	run.tasks[taskID] = resourceID
-	run.mu.Unlock()
-	rec := store.TaskRec{
-		ID: taskID, ProjectID: projectID, ResourceID: resourceID,
-		WorkerID: taggerID, Status: store.TaskAssigned,
-		Reward:    run.Engine.cfg.PayPerTask,
-		CreatedAt: s.nowFunc(),
-	}
+	run.hold(rec.ID, rec.ResourceID)
 	if err := s.cat.PutTask(rec); err != nil {
-		// The tagger never sees this task: refund it, or it stays debited
-		// and pending (and weighs on the resource's rank key) forever.
-		run.mu.Lock()
-		delete(run.tasks, taskID)
-		run.mu.Unlock()
-		_ = run.Engine.CancelPending(resourceID) // cannot fail: the task was pending
+		run.refund(rec)
 		return store.TaskRec{}, err
 	}
 	return rec, nil
 }
 
-// SubmitTask completes a manual task with the tagger's post.
+// SubmitTask completes a manual task with the tagger's post: the post and
+// the completed task record are one commit, so a crash leaves both or
+// neither, and a post that did not persist is reported, not acked.
 func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags []string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -979,21 +1020,94 @@ func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags
 	if !ok {
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown or already-completed task %q", taskID)
 	}
+	ws := s.cat.Begin(2)
 	rec, err := s.cat.GetTask(projectID, taskID)
 	if err == nil {
-		err = run.Engine.SubmitPost(resourceID, rec.WorkerID, tags)
+		err = run.Engine.submitPost(resourceID, rec.WorkerID, tags, s.stagePost(ws))
+	}
+	if err == nil {
+		rec.Status = store.TaskCompleted
+		rec.DoneAt = s.nowFunc()
+		_ = ws.PutTask(rec) // cannot fail: the record was read under these IDs
+		if err = ws.Commit(); err != nil {
+			run.Engine.reopenPending(resourceID)
+		}
 	}
 	if err != nil {
 		// Nothing was consumed: restore the mapping so the tagger can retry
-		// (a failed read) or fix the post (e.g. empty tags).
-		run.mu.Lock()
-		run.tasks[taskID] = resourceID
-		run.mu.Unlock()
+		// (a failed read or commit) or fix the post (e.g. empty tags).
+		run.hold(taskID, resourceID)
 		return err
 	}
-	rec.Status = store.TaskCompleted
-	rec.DoneAt = s.nowFunc()
-	return s.cat.PutTask(rec)
+	return nil
+}
+
+// BatchItem is one request(+submit) pair of a BatchTasks call. Tags empty =
+// request only: the task stays assigned for a later SubmitTask.
+type BatchItem struct {
+	TaggerID string   `json:"tagger_id"`
+	Tags     []string `json:"tags,omitempty"`
+}
+
+// BatchResult is one item's outcome. Err with Task set means the task was
+// assigned but its post was rejected; it stays assigned.
+type BatchResult struct {
+	Task      store.TaskRec
+	Submitted bool
+	Err       error
+}
+
+// BatchTasks runs many request(+submit) pairs against one project and
+// commits them once: every task record and post of the call is one
+// store.Apply. Items fail independently on validation, an unknown tagger or
+// an exhausted budget; durability is all-or-nothing per call, so a failed
+// commit fails every item that had anything to write, and their leases are
+// refunded. A request+submit item writes its task once, already completed.
+// The call itself fails only on cancellation, and still commits the items
+// it got through (their posts are in the statistics by then).
+func (s *Service) BatchTasks(ctx context.Context, projectID string, items []BatchItem) ([]BatchResult, error) {
+	out := make([]BatchResult, 0, len(items))
+	ws := s.cat.Begin(2 * len(items))
+	stage := s.stagePost(ws)
+	var run *Run
+	var ctxErr error
+	for _, item := range items {
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			break
+		}
+		r, rec, err := s.lease(projectID, item.TaggerID)
+		if err != nil {
+			out = append(out, BatchResult{Err: err})
+			continue
+		}
+		run = r
+		res := BatchResult{Task: rec}
+		if len(item.Tags) > 0 {
+			if res.Err = run.Engine.submitPost(rec.ResourceID, rec.WorkerID, item.Tags, stage); res.Err == nil {
+				res.Task.Status = store.TaskCompleted
+				res.Task.DoneAt = s.nowFunc()
+				res.Submitted = true
+			}
+		}
+		if !res.Submitted {
+			run.hold(rec.ID, rec.ResourceID) // request only, or a rejected post: the task stays assigned
+		}
+		_ = ws.PutTask(res.Task) // cannot fail: lease mints both IDs
+		out = append(out, res)
+	}
+	if err := ws.Commit(); err != nil {
+		for i, res := range out {
+			if res.Task.ID == "" {
+				continue // failed on its own, before it had anything to write
+			}
+			if res.Submitted {
+				run.Engine.reopenPending(res.Task.ResourceID)
+			}
+			run.refund(res.Task)
+			out[i] = BatchResult{Err: err}
+		}
+	}
+	return out, ctxErr
 }
 
 // JudgePost records the provider's approval verdict on a stored post and,

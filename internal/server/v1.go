@@ -117,15 +117,8 @@ func (s *Server) batchRegisterTaggers(r *http.Request, req batchNamesReq) (batch
 
 // --- batch tasks ----------------------------------------------------------------
 
-// BatchTaskItem is one request(+submit) pair in a tasks:batch call. Tags
-// empty = request only (the task stays assigned for a later submit).
-type BatchTaskItem struct {
-	TaggerID string   `json:"tagger_id"`
-	Tags     []string `json:"tags,omitempty"`
-}
-
 type batchTasksReq struct {
-	Items []BatchTaskItem `json:"items"`
+	Items []core.BatchItem `json:"items"`
 }
 
 type batchTaskResult struct {
@@ -141,10 +134,12 @@ type batchTasksResp struct {
 	Failed  int               `json:"failed"`
 }
 
-// batchTasks executes many request+submit pairs in one round-trip: the
-// high-fanout write path a fleet of concurrent taggers needs (one HTTP
-// exchange instead of two per task). Items fail independently; the call
-// itself only fails on malformed input or cancellation.
+// batchTasks executes many request+submit pairs in one round-trip and one
+// store commit: the high-fanout write path a fleet of concurrent taggers
+// needs (one HTTP exchange instead of two per task, one WAL record instead
+// of three per post). Items fail independently; durability is all-or-nothing
+// per call, so a storage failure fails every item. The call itself only
+// fails on malformed input or cancellation.
 func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp, error) {
 	if len(req.Items) == 0 {
 		return batchTasksResp{}, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument,
@@ -154,38 +149,21 @@ func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp,
 		return batchTasksResp{}, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeBatchTooLarge,
 			"%d items exceeds the %d per-call cap", len(req.Items), maxBatchItems)
 	}
-	projectID := r.PathValue("id")
-	resp := batchTasksResp{Results: make([]batchTaskResult, 0, len(req.Items))}
-	for _, item := range req.Items {
-		if err := r.Context().Err(); err != nil {
-			return batchTasksResp{}, err
-		}
-		res := s.runBatchItem(r, projectID, item)
-		if res.Error != nil {
+	results, err := s.svc.BatchTasks(r.Context(), r.PathValue("id"), req.Items)
+	if err != nil {
+		return batchTasksResp{}, err
+	}
+	resp := batchTasksResp{Results: make([]batchTaskResult, len(results))}
+	for i, res := range results {
+		resp.Results[i] = batchTaskResult{TaskID: res.Task.ID, ResourceID: res.Task.ResourceID, Submitted: res.Submitted}
+		if res.Err != nil {
+			resp.Results[i].Error = toItemError(res.Err)
 			resp.Failed++
 		} else {
 			resp.OK++
 		}
-		resp.Results = append(resp.Results, res)
 	}
 	return resp, nil
-}
-
-func (s *Server) runBatchItem(r *http.Request, projectID string, item BatchTaskItem) batchTaskResult {
-	task, err := s.svc.RequestTask(r.Context(), projectID, item.TaggerID)
-	if err != nil {
-		return batchTaskResult{Error: toItemError(err)}
-	}
-	res := batchTaskResult{TaskID: task.ID, ResourceID: task.ResourceID}
-	if len(item.Tags) == 0 {
-		return res // request-only item; the task stays assigned
-	}
-	if err := s.svc.SubmitTask(r.Context(), projectID, task.ID, item.Tags); err != nil {
-		res.Error = toItemError(err)
-		return res
-	}
-	res.Submitted = true
-	return res
 }
 
 // --- SSE telemetry stream -------------------------------------------------------

@@ -17,7 +17,10 @@ type Store interface {
 	Delete(table, key string) error
 	// Apply executes mutations as one atomic group, across tables and keys:
 	// after a crash either every mutation of the group is recovered or none
-	// is.
+	// is, a follower receives all of them or none, and a reader sees all of
+	// them or none. They take effect in order (a key written twice keeps
+	// the later value) and cost one commit — one WAL record, one fsync
+	// wait — however many they are. It is the Catalog's only write call.
 	Apply(muts []Mutation) error
 	// Scan visits every (key, raw JSON value) of a table in ascending key
 	// order; fn returning false stops the scan. The raw slices handed to

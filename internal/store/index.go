@@ -1,13 +1,25 @@
 package store
 
-// This file is the store's only in-memory representation: one immutable,
-// path-copying B+tree per table, the roots held in a dbIndex published
-// behind DB.idx. A commit copies the one root-to-leaf path it changes —
-// O(log n) whatever the table size — and swaps the index pointer; a node
-// reachable from a published root is never written again. Readers
-// (Get/Has/Scan*/Count*/Tables) load the pointer and walk: no lock, and a reader holding an old root keeps seeing exactly
-// that version for as long as it likes. A compaction cut and
-// SnapshotExport are the same load.
+// This file is the store's only in-memory representation: one persistent
+// B+tree per table, the roots held in a dbIndex published behind DB.idx. An
+// apply — one call of applyLocked, whatever number of records it folds in —
+// copies each node it touches once, edits its own copies in place from then
+// on, and swaps the index pointer when it is done: O(log n) per record
+// whatever the table size, and one copy per touched node whatever the
+// record count.
+//
+// The invariant: a node is written only by the apply that made it, before
+// that apply publishes. Every apply mints an edit token, every node carries
+// the token of the apply that allocated it, and put/del write a node in
+// place only when it carries the current token — anything else (a published
+// node, a bulk-loaded one, one made under a nil token) is copied first. A
+// token is minted per apply and dropped at publication, so no later apply
+// can ever match it, and nothing an apply allocates is reachable from a
+// published root until its own publication. Readers
+// (Get/Has/Scan*/Count*/Tables) therefore still load the pointer and walk:
+// no lock, and a reader holding an old root keeps seeing exactly that
+// version for as long as it likes. A compaction cut and SnapshotExport are
+// the same load.
 //
 // Value slices are stored as handed in and shared by every version that
 // holds them: values are replaced wholesale on overwrite, never mutated in
@@ -44,11 +56,22 @@ type child struct {
 	n   *node
 }
 
-// node is a leaf (ents) or a branch (kids); all leaves sit at one depth.
+// edit is an apply's token. Its identity is all that matters; it has a size
+// so that two live tokens never share an address.
+type edit struct{ _ byte }
+
+// node is a leaf (ents) or a branch (kids); all leaves sit at one depth. ed
+// is the token of the apply that allocated the node (nil for bulk-loaded
+// nodes): the only apply that may write it.
 type node struct {
 	ents []entry
 	kids []child
+	ed   *edit
 }
+
+// owned reports whether the apply holding ed made n and may write it in
+// place. No token, no in-place path.
+func (n *node) owned(ed *edit) bool { return ed != nil && n.ed == ed }
 
 func (n *node) size() int { return len(n.ents) + len(n.kids) }
 
@@ -80,26 +103,57 @@ func splice[T any](s []T, i, j int, repl ...T) []T {
 
 // split cuts an over-full node in two, each half in its own backing array
 // so neither pins the other's memory.
-func (n *node) split() (l, r *node) {
+func (n *node) split(ed *edit) (l, r *node) {
 	if n.kids == nil {
 		mid := len(n.ents) / 2
-		return &node{ents: slices.Clone(n.ents[:mid])}, &node{ents: slices.Clone(n.ents[mid:])}
+		return &node{ents: slices.Clone(n.ents[:mid]), ed: ed}, &node{ents: slices.Clone(n.ents[mid:]), ed: ed}
 	}
 	mid := len(n.kids) / 2
-	return &node{kids: slices.Clone(n.kids[:mid])}, &node{kids: slices.Clone(n.kids[mid:])}
+	return &node{kids: slices.Clone(n.kids[:mid]), ed: ed}, &node{kids: slices.Clone(n.kids[mid:]), ed: ed}
 }
 
-// join concatenates two neighbouring nodes of one depth.
-func join(l, r *node) *node {
+// join concatenates two neighbouring nodes of one depth into a fresh one.
+func join(ed *edit, l, r *node) *node {
 	if l.kids == nil {
-		return &node{ents: splice(l.ents, len(l.ents), len(l.ents), r.ents...)}
+		return &node{ents: splice(l.ents, len(l.ents), len(l.ents), r.ents...), ed: ed}
 	}
-	return &node{kids: splice(l.kids, len(l.kids), len(l.kids), r.kids...)}
+	return &node{kids: splice(l.kids, len(l.kids), len(l.kids), r.kids...), ed: ed}
 }
 
-// put returns a copy of the subtree with key set to val — split in two
-// (right non-nil) if that over-filled it — and whether key is new.
-func (n *node) put(key string, val []byte) (left, right *node, added bool) {
+// replace is splice in s's own backing array. The first copy of a node is
+// cut to size (most applies touch a node once); an array that turns out too
+// small moves once to one that holds any node — a node is split before it
+// exceeds maxItems+1 — instead of doubling.
+func replace[T any](s []T, i, j int, repl ...T) []T {
+	if len(s)-(j-i)+len(repl) > cap(s) {
+		s = append(make([]T, 0, maxItems+1), s...)
+	}
+	return slices.Replace(s, i, j, repl...)
+}
+
+// withEnts returns leaf n with ents[i:j] replaced by repl: n itself, edited
+// in place, when the apply holding ed made it, a copy stamped ed otherwise.
+func (n *node) withEnts(ed *edit, i, j int, repl ...entry) *node {
+	if n.owned(ed) {
+		n.ents = replace(n.ents, i, j, repl...)
+		return n
+	}
+	return &node{ents: splice(n.ents, i, j, repl...), ed: ed}
+}
+
+// withKids is withEnts for a branch's slots.
+func (n *node) withKids(ed *edit, i, j int, repl ...child) *node {
+	if n.owned(ed) {
+		n.kids = replace(n.kids, i, j, repl...)
+		return n
+	}
+	return &node{kids: splice(n.kids, i, j, repl...), ed: ed}
+}
+
+// put sets key to val under n and returns the subtree — split in two (right
+// non-nil) if that over-filled it — and whether key is new. The result is n
+// itself where ed owns it, a copy of the touched path otherwise.
+func (n *node) put(ed *edit, key string, val []byte) (left, right *node, added bool) {
 	var out *node
 	if n.kids == nil {
 		i, found := n.seek(key)
@@ -107,54 +161,54 @@ func (n *node) put(key string, val []byte) (left, right *node, added bool) {
 		if found {
 			j++
 		}
-		out, added = &node{ents: splice(n.ents, i, j, entry{key, val})}, !found
+		out, added = n.withEnts(ed, i, j, entry{key, val}), !found
 	} else {
 		i := n.childFor(key)
-		l, r, a := n.kids[i].n.put(key, val)
+		l, r, a := n.kids[i].n.put(ed, key, val)
 		if r == nil {
-			out = &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, l})}
+			out = n.withKids(ed, i, i+1, child{n.kids[i].min, l})
 		} else {
-			out = &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, l}, child{r.lowest(), r})}
+			out = n.withKids(ed, i, i+1, child{n.kids[i].min, l}, child{r.lowest(), r})
 		}
 		added = a
 	}
 	if out.size() <= maxItems {
 		return out, nil, added
 	}
-	left, right = out.split()
+	left, right = out.split(ed)
 	return left, right, added
 }
 
-// del returns a copy of the subtree without key, or n itself and false
-// when key is absent. The copy may be under-full; the caller pools it.
-func (n *node) del(key string) (*node, bool) {
+// del removes key from under n and returns the subtree, or n untouched and
+// false when key is absent. The result may be under-full; the caller pools
+// it.
+func (n *node) del(ed *edit, key string) (*node, bool) {
 	if n.kids == nil {
 		i, found := n.seek(key)
 		if !found {
 			return n, false
 		}
-		return &node{ents: splice(n.ents, i, i+1)}, true
+		return n.withEnts(ed, i, i+1), true
 	}
 	i := n.childFor(key)
-	c, ok := n.kids[i].n.del(key)
+	c, ok := n.kids[i].n.del(ed, key)
 	if !ok {
 		return n, false
 	}
 	if c.size() >= minItems {
-		return &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, c})}, true
+		return n.withKids(ed, i, i+1, child{n.kids[i].min, c}), true
 	}
 	// Pool the under-full child with a neighbour: one node when the items
 	// fit, two even ones otherwise.
 	a := max(i-1, 0)
 	pair := [2]*node{n.kids[a].n, n.kids[a+1].n}
 	pair[i-a] = c
-	pooled := join(pair[0], pair[1])
-	repl := []child{{n.kids[a].min, pooled}}
-	if pooled.size() > maxItems {
-		l, r := pooled.split()
-		repl = []child{{n.kids[a].min, l}, {r.lowest(), r}}
+	pooled := join(ed, pair[0], pair[1])
+	if pooled.size() <= maxItems {
+		return n.withKids(ed, a, a+2, child{n.kids[a].min, pooled}), true
 	}
-	return &node{kids: splice(n.kids, a, a+2, repl...)}, true
+	l, r := pooled.split(ed)
+	return n.withKids(ed, a, a+2, child{n.kids[a].min, l}, child{r.lowest(), r}), true
 }
 
 // tree is one version of one table: an immutable root (nil when empty) and
@@ -164,13 +218,17 @@ type tree struct {
 	n    int
 }
 
-func (t tree) put(key string, val []byte) tree {
+// put and del return the next version of the table. Nodes the apply holding
+// ed made earlier are edited in place, so versions that apply built before
+// this one change with it — they are its scratch, not yet anyone's to read;
+// every other node is copied, so every published version stays as it was.
+func (t tree) put(ed *edit, key string, val []byte) tree {
 	if t.root == nil {
-		return tree{&node{ents: []entry{{key, val}}}, 1}
+		return tree{&node{ents: []entry{{key, val}}, ed: ed}, 1}
 	}
-	l, r, added := t.root.put(key, val)
+	l, r, added := t.root.put(ed, key, val)
 	if r != nil {
-		l = &node{kids: []child{{"", l}, {r.lowest(), r}}}
+		l = &node{kids: []child{{"", l}, {r.lowest(), r}}, ed: ed}
 	}
 	if added {
 		t.n++
@@ -178,11 +236,11 @@ func (t tree) put(key string, val []byte) tree {
 	return tree{l, t.n}
 }
 
-func (t tree) del(key string) tree {
+func (t tree) del(ed *edit, key string) tree {
 	if t.root == nil {
 		return t
 	}
-	root, ok := t.root.del(key)
+	root, ok := t.root.del(ed, key)
 	if !ok {
 		return t
 	}
@@ -370,24 +428,25 @@ func (x dbIndex) find(table string) (int, bool) {
 	return slices.BinarySearchFunc(x, table, func(t namedTree, name string) int { return strings.Compare(t.name, name) })
 }
 
-// apply folds one WAL record into x, which must be the caller's own copy.
-// A table exists from its first put on, even if later emptied.
-func (x *dbIndex) apply(rec Record) {
+// apply folds one WAL record into x, which must be the caller's own copy,
+// under the caller's edit token. A table exists from its first put on, even
+// if later emptied.
+func (x *dbIndex) apply(ed *edit, rec Record) {
 	switch rec.Op {
 	case OpPut:
 		i, ok := x.find(rec.Table)
 		if !ok {
 			*x = slices.Insert(*x, i, namedTree{name: rec.Table})
 		}
-		(*x)[i].tree = (*x)[i].put(rec.Key, rec.Value)
+		(*x)[i].tree = (*x)[i].put(ed, rec.Key, rec.Value)
 	case OpDelete:
 		if i, ok := x.find(rec.Table); ok {
-			(*x)[i].tree = (*x)[i].del(rec.Key)
+			(*x)[i].tree = (*x)[i].del(ed, rec.Key)
 		}
 	case OpBatch:
 		for _, sub := range rec.Batch {
 			if sub.Op != OpBatch {
-				x.apply(sub)
+				x.apply(ed, sub)
 			}
 		}
 	}
@@ -410,13 +469,14 @@ func (db *DB) table(name string) tree {
 	return tree{}
 }
 
-// applyLocked folds records into a copy of the published index and
-// publishes the result, so an acked write is reader-visible before its
-// commit barrier releases. Caller holds db.mu (or is single-threaded Open).
+// applyLocked folds records into a copy of the published index under one
+// fresh edit token — so however many records touch a node, it is copied
+// once — and publishes the result, so an acked write is reader-visible
+// before its commit barrier releases. Caller holds db.mu.
 func (db *DB) applyLocked(recs ...Record) {
-	next := slices.Clone(db.loadIndex())
+	next, ed := slices.Clone(db.loadIndex()), new(edit)
 	for _, rec := range recs {
-		next.apply(rec)
+		next.apply(ed, rec)
 	}
 	db.idx.Store(&next)
 }

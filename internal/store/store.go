@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,12 +263,17 @@ func (db *DB) recover() error {
 // below the recovered sequence (already covered by the snapshot) are
 // skipped; framed records beyond it must be contiguous. Exactly one torn
 // tail is tolerated across all files, and only if no record follows it.
+//
+// Nothing reads during Open, so the whole file is one apply: one index copy,
+// one edit token, published when the file is done.
 func (db *DB) replayFile(path string, framed bool, torn *tornMark, applied *uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "open for replay")
 	}
 	defer f.Close()
+	next, ed := slices.Clone(db.loadIndex()), new(edit)
+	defer func() { db.idx.Store(&next) }()
 	r := bufio.NewReaderSize(f, 1<<18)
 	var off int64
 	base := filepath.Base(path)
@@ -300,7 +306,7 @@ func (db *DB) replayFile(path string, framed bool, torn *tornMark, applied *uint
 					if framed && rec.Seq != db.seq+1 {
 						return errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal sequence gap at %s:%d: have %d, want %d", base, lineNo, rec.Seq, db.seq+1)
 					}
-					db.applyLocked(rec)
+					next.apply(ed, rec)
 					db.seq = rec.Seq
 					*applied++
 				}
@@ -426,8 +432,13 @@ type Mutation struct {
 	Value any // ignored for deletes
 }
 
-// Apply executes mutations atomically: they are written as one WAL record,
-// so recovery sees all or none.
+// Apply executes mutations atomically, across tables and keys: they are
+// written as one WAL record — so recovery, and a follower, see all or none —
+// and folded into memory as one apply, so readers see all or none too and a
+// tree node touched by several of them is copied once. Mutations take effect
+// in order: a key written twice keeps the last value. A group of one is
+// written as the plain put or delete record it is, without the batch
+// wrapper.
 func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -446,6 +457,9 @@ func (db *DB) Apply(muts []Mutation) error {
 		default:
 			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d has invalid op %q", i, m.Op)
 		}
+	}
+	if len(subs) == 1 {
+		return db.commitRecord(subs[0].Op, subs[0].Table, subs[0].Key, subs[0].Value, nil)
 	}
 	return db.commitRecord(OpBatch, "", "", nil, subs)
 }

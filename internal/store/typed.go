@@ -142,6 +142,12 @@ func (u UserRec) ApprovalRate() float64 {
 // keep a resource's posts and a project's tasks under one first path
 // segment — the unit the cluster ring routes by — so every Catalog access
 // path stays on the node that owns the ID in the request.
+//
+// There is one write path: every typed write stages a Mutation in a
+// WriteSet, and WriteSet.Commit is one Store.Apply — one WAL record, one
+// fsync wait, one in-memory apply — followed by the per-key cache
+// invalidations. The single-record methods (PutTask, AppendPost, PutUser, …)
+// are write sets of one.
 type Catalog struct {
 	db    Store
 	cache *recordCache // nil = decode on every read (benchmark baseline)
@@ -219,6 +225,51 @@ func (c *Catalog) invalidate(table, key string) {
 	}
 }
 
+// WriteSet is a group of typed writes that become durable, and visible,
+// together: the Put/Append methods validate and stage, Commit writes. What
+// is staged is invisible to every reader, the set's owner included, until
+// Commit returns. A WriteSet is not safe for concurrent use.
+type WriteSet struct {
+	c    *Catalog
+	muts []Mutation
+}
+
+// Begin opens an empty write set with room for n writes (a hint; it grows).
+func (c *Catalog) Begin(n int) *WriteSet {
+	return &WriteSet{c: c, muts: make([]Mutation, 0, n)}
+}
+
+func (w *WriteSet) put(table, key string, value any) {
+	w.muts = append(w.muts, Mutation{Op: OpPut, Table: table, Key: key, Value: value})
+}
+
+// Commit applies everything staged since the last Commit as one atomic
+// Store.Apply and then advances the write clocks of the keys it wrote — in
+// that order, the "bump strictly after the store write" protocol the record
+// cache and core.Service.ServeVersion rely on. On error nothing was written.
+// Either way the set is empty afterwards.
+func (w *WriteSet) Commit() error {
+	muts := w.muts
+	w.muts = nil
+	if len(muts) == 0 {
+		return nil
+	}
+	if err := w.c.db.Apply(muts); err != nil {
+		return err
+	}
+	for _, m := range muts {
+		w.c.invalidate(m.Table, m.Key)
+	}
+	return nil
+}
+
+// put commits a write set of one.
+func (c *Catalog) put(table, key string, value any) error {
+	w := WriteSet{c: c}
+	w.put(table, key, value)
+	return w.Commit()
+}
+
 // WriteSeq returns a table's write clock: the number of completed writes
 // (Put/Append/Update) the catalog has applied to it. Every write bumps
 // the clock after its store mutation completes, so observing an
@@ -251,11 +302,7 @@ func (c *Catalog) PutResource(r ResourceRec) error {
 	if r.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "resource ID required")
 	}
-	if err := c.db.Put(TableResources, r.ID, r); err != nil {
-		return err
-	}
-	c.invalidate(TableResources, r.ID)
-	return nil
+	return c.put(TableResources, r.ID, r)
 }
 
 // GetResource loads a resource.
@@ -313,12 +360,28 @@ func postKey(resourceID string, seq uint64) string {
 // AppendPost durably appends a post to a resource's post sequence and
 // returns its sequence number (1-based).
 func (c *Catalog) AppendPost(p PostRec) (uint64, error) {
+	w := WriteSet{c: c}
+	seq, err := w.AppendPost(p)
+	if err != nil {
+		return 0, err
+	}
+	return seq, w.Commit()
+}
+
+// AppendPost reserves the next sequence number (1-based) of the resource's
+// post sequence and stages the post under it. The number is taken now, not
+// at Commit: whoever stages first sorts first, whatever order the commits
+// land in — which is what lets a caller fix the post order under its own
+// lock and commit outside it. A set that never commits leaves a gap in the
+// sequence, nothing else.
+func (w *WriteSet) AppendPost(p PostRec) (uint64, error) {
 	if p.ResourceID == "" {
 		return 0, errs.New(errs.ComponentStore, errs.CategoryValidation, "post resource ID required")
 	}
 	if len(p.Tags) == 0 {
 		return 0, errs.New(errs.ComponentStore, errs.CategoryValidation, "post must have tags")
 	}
+	c := w.c
 	c.mu.Lock()
 	seq, ok := c.nextSeq[p.ResourceID]
 	if !ok {
@@ -327,11 +390,7 @@ func (c *Catalog) AppendPost(p PostRec) (uint64, error) {
 	seq++
 	c.nextSeq[p.ResourceID] = seq
 	c.mu.Unlock()
-	key := postKey(p.ResourceID, seq)
-	if err := c.db.Put(TablePosts, key, p); err != nil {
-		return 0, err
-	}
-	c.invalidate(TablePosts, key)
+	w.put(TablePosts, postKey(p.ResourceID, seq), p)
 	return seq, nil
 }
 
@@ -379,11 +438,7 @@ func (c *Catalog) UpdatePost(resourceID string, seq uint64, p PostRec) error {
 	if !c.db.Has(TablePosts, key) {
 		return ErrNotFound
 	}
-	if err := c.db.Put(TablePosts, key, p); err != nil {
-		return err
-	}
-	c.invalidate(TablePosts, key)
-	return nil
+	return c.put(TablePosts, key, p)
 }
 
 // GetPost loads one post by sequence number.
@@ -398,11 +453,7 @@ func (c *Catalog) PutProject(p ProjectRec) error {
 	if p.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "project ID required")
 	}
-	if err := c.db.Put(TableProjects, p.ID, p); err != nil {
-		return err
-	}
-	c.invalidate(TableProjects, p.ID)
-	return nil
+	return c.put(TableProjects, p.ID, p)
 }
 
 // GetProject loads a project.
@@ -447,14 +498,19 @@ func taskKey(projectID, taskID string) string { return projectID + "/" + taskID 
 
 // PutTask stores a task under its project.
 func (c *Catalog) PutTask(t TaskRec) error {
+	w := WriteSet{c: c}
+	if err := w.PutTask(t); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+// PutTask stages a task under its project.
+func (w *WriteSet) PutTask(t TaskRec) error {
 	if t.ID == "" || t.ProjectID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "task needs ID and project ID")
 	}
-	key := taskKey(t.ProjectID, t.ID)
-	if err := c.db.Put(TableTasks, key, t); err != nil {
-		return err
-	}
-	c.invalidate(TableTasks, key)
+	w.put(TableTasks, taskKey(t.ProjectID, t.ID), t)
 	return nil
 }
 
@@ -491,11 +547,7 @@ func (c *Catalog) PutUser(u UserRec) error {
 	if u.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "user ID required")
 	}
-	if err := c.db.Put(TableUsers, u.ID, u); err != nil {
-		return err
-	}
-	c.invalidate(TableUsers, u.ID)
-	return nil
+	return c.put(TableUsers, u.ID, u)
 }
 
 // GetUser loads a user.

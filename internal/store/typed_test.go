@@ -255,6 +255,149 @@ func TestCatalogEndToEndPersistence(t *testing.T) {
 	}
 }
 
+// TestWriteSetCommitsOnceAndInOrder: staged writes are invisible until
+// Commit, one store commit however many there are, with post sequence
+// numbers taken at staging time and the write clocks advanced only once the
+// store holds the data.
+func TestWriteSetCommitsOnceAndInOrder(t *testing.T) {
+	db := OpenMemory()
+	c := NewCatalog(db)
+	now := time.Now().UTC().Truncate(time.Second)
+	if _, err := c.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"seed"}, Time: now}); err != nil {
+		t.Fatal(err)
+	}
+	before, clock := db.Stats().Commits, func() uint64 { v, _ := c.WriteSeqSum(); return v }
+	clockBefore := clock()
+
+	w, other := c.Begin(4), c.Begin(1)
+	if err := w.PutTask(TaskRec{ID: "t1"}); err == nil {
+		t.Error("a task without a project must be rejected at staging")
+	}
+	if _, err := w.AppendPost(PostRec{ResourceID: "r1"}); err == nil {
+		t.Error("a post without tags must be rejected at staging")
+	}
+	seqA, err := w.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"a"}, Time: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqB, err := other.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"b"}, Time: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqA != 2 || seqB != 3 {
+		t.Fatalf("staged sequence numbers %d, %d; want 2, 3 in staging order", seqA, seqB)
+	}
+	if err := w.PutTask(TaskRec{ID: "t1", ProjectID: "p1", Status: TaskAssigned}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.PutTask(TaskRec{ID: "t1", ProjectID: "p1", Status: TaskCompleted}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.CountPosts("r1"); n != 1 {
+		t.Fatalf("%d posts visible before Commit, want the 1 that was there", n)
+	}
+	if _, err := c.GetTask("p1", "t1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("staged task visible before Commit: %v", err)
+	}
+	if got := clock(); got != clockBefore {
+		t.Fatalf("write clock moved from %d to %d with nothing written", clockBefore, got)
+	}
+
+	// The later reservation commits first: sequence order is staging order.
+	if err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().Commits - before; got != 2 {
+		t.Fatalf("two write sets cost %d store commits", got)
+	}
+	posts, err := c.PostsOf("r1")
+	if err != nil || len(posts) != 3 || posts[1].Tags[0] != "a" || posts[2].Tags[0] != "b" {
+		t.Fatalf("posts = %+v, %v", posts, err)
+	}
+	if task, err := c.GetTask("p1", "t1"); err != nil || task.Status != TaskCompleted {
+		t.Fatalf("task = %+v, %v; the later staged write wins", task, err)
+	}
+	if got := clock(); got != clockBefore+4 {
+		t.Fatalf("write clock advanced by %d for 4 staged writes", got-clockBefore)
+	}
+	if err := w.Commit(); err != nil || db.Stats().Commits-before != 2 {
+		t.Fatalf("an empty Commit must be free: %v, %d commits", err, db.Stats().Commits-before)
+	}
+}
+
+// TestWriteSetOfOneIsAPlainRecord: the single-record methods are write sets
+// of one, and a write set of one reaches the WAL as the put record it always
+// was — no batch wrapper, not a byte more.
+func TestWriteSetOfOneIsAPlainRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := NewCatalog(db)
+	task := TaskRec{ID: "t1", ProjectID: "p1", ResourceID: "r1", Status: TaskAssigned}
+	if err := c.PutTask(task); err != nil {
+		t.Fatal(err)
+	}
+	viaCatalog := db.Stats().WALBytes
+	if err := db.Put(TableTasks, "p1/t2", task); err != nil { // same length key and value
+		t.Fatal(err)
+	}
+	if viaPut := db.Stats().WALBytes - viaCatalog; viaPut != viaCatalog {
+		t.Fatalf("PutTask wrote %d WAL bytes, a bare Put of the same record %d", viaCatalog, viaPut)
+	}
+	data, _, err := db.ReplTail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := parseReplicated(data, 0)
+	if err != nil || len(recs) != 2 || recs[0].Op != OpPut || recs[0].Batch != nil {
+		t.Fatalf("records = %+v, %v", recs, err)
+	}
+}
+
+// TestWriteSetFailedCommitWritesNothing: a failed Commit leaves no key, no
+// cache entry and no clock tick behind, and the set is empty afterwards.
+func TestWriteSetFailedCommitWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCatalog(db)
+	if err := c.PutTask(TaskRec{ID: "t0", ProjectID: "p1"}); err != nil {
+		t.Fatal(err)
+	}
+	clockBefore, _ := c.WriteSeqSum()
+	db.SetFailpoint(func(p Failpoint) bool { return p == FailAppendMid })
+	w := c.Begin(2)
+	_, _ = w.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"lost"}})
+	_ = w.PutTask(TaskRec{ID: "t1", ProjectID: "p1"})
+	if err := w.Commit(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Commit = %v, want the store's failure", err)
+	}
+	if got, _ := c.WriteSeqSum(); got != clockBefore {
+		t.Errorf("write clock moved by %d on a failed commit", got-clockBefore)
+	}
+	if c.CountPosts("r1") != 0 || db.Has(TableTasks, "p1/t1") {
+		t.Error("a failed commit left keys in memory")
+	}
+	db.SetFailpoint(nil)
+	_ = db.Close()
+	re, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Count(TablePosts) != 0 || re.Count(TableTasks) != 1 {
+		t.Errorf("after restart: %d posts, %d tasks; want 0, 1", re.Count(TablePosts), re.Count(TableTasks))
+	}
+}
+
 func BenchmarkAppendPostMemory(b *testing.B) {
 	c := NewCatalog(OpenMemory())
 	now := time.Now().UTC()

@@ -151,6 +151,10 @@ type wal struct {
 	// compaction cut must cover exactly lastApplied — covering DB.seq
 	// would make recovery skip queued records that land after the cut.
 	lastApplied uint64
+	// recs is the writer's scratch for handing a flushed batch to
+	// applyLocked in one call; cleared after use so it pins no value the
+	// tree has dropped.
+	recs []Record
 
 	smu        sync.Mutex
 	activeSize int64
@@ -434,11 +438,16 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		db.st.fsyncs.Add(1)
 	}
 	if len(writes) > 0 {
-		db.mu.Lock()
 		for _, c := range writes {
-			db.applyLocked(c.rec)
+			w.recs = append(w.recs, c.rec)
 		}
+		// The whole batch is one apply: one index copy, one publish, and a
+		// node several commits touch is copied once.
+		db.mu.Lock()
+		db.applyLocked(w.recs...)
 		db.mu.Unlock()
+		clear(w.recs)
+		w.recs = w.recs[:0]
 		w.lastApplied = writes[len(writes)-1].rec.Seq // enqueue order == seq order
 		db.st.appliedSeq.Store(w.lastApplied)
 		db.st.commits.Add(uint64(len(writes)))
