@@ -18,10 +18,11 @@ vet:
 
 # Concurrent stress under the race detector (PR acceptance gate): the store
 # and core suites, the interned quality hot path and its parity property
-# tests (quality + rfd + vocab interner), and the HTTP layer (lock-free
-# metrics scrapes vs request writers).
+# tests (quality + rfd + vocab interner), the HTTP layer (lock-free
+# metrics scrapes vs request writers), and the daemon itself (boot, drain
+# and restart race real listeners against the resume).
 race:
-	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/api/... ./internal/server/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/...
+	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/api/... ./internal/server/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/... ./cmd/itagd/...
 
 # Everything under the race detector (nightly).
 race-full:
@@ -60,8 +61,9 @@ benchmark-selftest:
 	bash benchmark/run.sh --selftest
 
 # API smoke: boot itagd on a memory store, drive the v1 batch + SSE
-# surface with the SDK load generator, then SIGTERM-drain the server.
-# Fails on any non-2xx, per-item error or dropped SSE event.
+# surface with the SDK load generator, then SIGTERM-drain the server; then
+# the same on a WAL, restarted on it and loaded again. Fails on any non-2xx,
+# per-item error or dropped SSE event, and on an ID minted twice.
 loadgen:
 	./scripts/loadgen_smoke.sh
 

@@ -109,10 +109,6 @@ func BenchmarkS1_StorePostAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkS4_ProjectFleet — systems: a fleet of simulated projects driven
-// serially vs through the core.Pool worker pipeline.
-func BenchmarkS4_ProjectFleet(b *testing.B) { runExperiment(b, bench.S4ProjectFleet) }
-
 // BenchmarkS7_ServingReadPath — systems: a cached ResourceDetail hit
 // through the full HTTP stack. The result table is recorded to
 // BENCH_serving.json; the cached hit must stay under its allocs/op and p99

@@ -6,12 +6,12 @@
 //	itag-bench -experiment all                 # everything, default sizes
 //	itag-bench -experiment e1 -n 200 -budget 2000
 //	itag-bench -experiment e3 -format markdown -out e3.md
-//	itag-bench -experiment s4,s7,s9,s10 -small -record  # CI bench smoke
+//	itag-bench -experiment s7,s9,s10 -small -record  # CI bench smoke
 //	itag-bench -verify-gates BENCH_serving.json BENCH_chaos.json
 //
-// Experiments: e1..e9 (paper anchors), a1..a3 (ablations), s4, s7, s9, s10
-// (systems: project-fleet pool, cached serving through the HTTP stack,
-// open-loop admission-control capacity, quorum-cluster chaos drill), all.
+// Experiments: e1..e9 (paper anchors), a1..a3 (ablations), s7, s9, s10
+// (systems: cached serving through the HTTP stack, open-loop
+// admission-control capacity, quorum-cluster chaos drill), all.
 // See the experiment index in docs/ARCHITECTURE.md. Per-layer store, quality
 // and cluster costs are measured absolutely by benchmark/ (BENCHMARK.json).
 //
@@ -45,13 +45,12 @@ var experiments = map[string]func(bench.Sizes) (bench.Result, error){
 	"a1":  bench.A1StabilityWindow,
 	"a2":  bench.A2SwitchPoint,
 	"a3":  bench.A3BatchSize,
-	"s4":  bench.S4ProjectFleet,
 	"s7":  bench.S7ServingReadPath,
 	"s9":  bench.S9Capacity,
 	"s10": bench.S10Chaos,
 }
 
-var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3", "s4", "s7", "s9", "s10"}
+var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3", "s7", "s9", "s10"}
 
 // recordFiles maps recorded experiments to their canonical committed
 // artifact.
@@ -62,7 +61,7 @@ var recordFiles = map[string]string{
 }
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, s4, s7, s9, s10, all)")
+	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, s7, s9, s10, all)")
 	n := flag.Int("n", 0, "number of resources (0 = default)")
 	budget := flag.Int("budget", 0, "task budget (0 = default)")
 	taggers := flag.Int("taggers", 0, "tagger pool size (0 = default)")

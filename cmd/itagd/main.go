@@ -1,7 +1,6 @@
 // Command itagd runs the iTag server: the versioned HTTP JSON API
-// (/api/v1, with legacy /api aliases) over the manager layer and the
-// embedded WAL-backed store (the Go equivalent of the demo's PHP/Python +
-// MySQL stack).
+// (/api/v1) over the manager layer and the embedded WAL-backed store (the
+// Go equivalent of the demo's PHP/Python + MySQL stack).
 //
 // Usage:
 //
@@ -24,9 +23,12 @@
 // With -db "" the store is in-memory (state lost on exit); otherwise -db
 // names the one WAL layout (snapshot plus segment files) behind the
 // daemon. A standalone daemon is never partitioned in-process — spreading
-// keys over several WALs is what cluster slots are for. See internal/server
-// for the endpoint reference and docs/ARCHITECTURE.md for the durability
-// design.
+// keys over several WALs is what cluster slots are for. A daemon restarted
+// on its WAL resumes, before it listens, what the WAL holds — users, the ID
+// counters, every active project as a manual run — the way a cluster slot
+// does at boot and on promotion (core.Service.ResumeRuns). See
+// internal/server for the endpoint reference and docs/ARCHITECTURE.md for
+// the durability design.
 //
 // Durability knobs: -sync-every N fsyncs after every N committed records
 // (the group-commit writer folds every commit that queued while the
@@ -50,8 +52,9 @@
 // leads the keys hashing to its slot, replicates its WAL to -cluster-replicas
 // followers, and serves opt-in follower reads within -cluster-staleness
 // records of lag. -db must name a data directory (cluster nodes are always
-// durable).
-// See docs/ARCHITECTURE.md ("Cluster") and the README quickstart:
+// durable). A slot's stack takes none of -admission, -slo-p99, -pool-min,
+// -pool-max and -resp-cache-bytes: setting one with -cluster-slot is a
+// boot error. See docs/ARCHITECTURE.md ("Cluster") and the README quickstart:
 //
 //	itagd -addr :8081 -db data-a -cluster-slot alpha \
 //	      -cluster-ring alpha=http://localhost:8081,beta=http://localhost:8082,gamma=http://localhost:8083
@@ -175,6 +178,20 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		if *dbPath == "" {
 			return fmt.Errorf("cluster mode requires -db: replication ships WAL bytes, so cluster nodes are always durable")
 		}
+		// cluster.Options carries none of these to a slot's stack; a flag
+		// that would be parsed and dropped is refused instead.
+		var unsupported error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "admission", "slo-p99", "pool-min", "pool-max", "resp-cache-bytes":
+				if unsupported == nil {
+					unsupported = fmt.Errorf("-%s is not supported with -cluster-slot", f.Name)
+				}
+			}
+		})
+		if unsupported != nil {
+			return unsupported
+		}
 		ring, err := parseRingFlag(*clusterRing)
 		if err != nil {
 			return err
@@ -227,6 +244,17 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 			PoolMin: *poolMin, PoolMax: *poolMax,
 		})
 		defer svc.Close()
+		// A restarted daemon comes back as what its store says, before the
+		// listener accepts: without this the ID counters restart at zero
+		// (the next registration overwrites a stored user) and no stored
+		// project can issue a task.
+		resumed, err := svc.ResumeRuns(context.Background())
+		if err != nil {
+			return fmt.Errorf("resume runs: %w", err)
+		}
+		if resumed > 0 {
+			logger.Printf("resumed %d interrupted run(s)", resumed)
+		}
 		var reqLog *log.Logger
 		if !*quiet {
 			reqLog = logger
@@ -364,7 +392,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		ready(ln.Addr().String(), dbgAddr)
 	}
 
-	logger.Printf("iTag listening on %s (API /api/v1, legacy aliases /api)", ln.Addr())
+	logger.Printf("iTag listening on %s (API /api/v1)", ln.Addr())
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

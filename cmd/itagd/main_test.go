@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"log"
 	"net/http"
@@ -11,48 +12,69 @@ import (
 	"testing"
 	"time"
 
+	"itag/client"
 	"itag/internal/errs"
 	"itag/internal/store"
 )
+
+// bootDaemon runs the daemon in-process with args plus ephemeral listeners
+// and waits until it is ready. stop delivers a real SIGTERM and requires the
+// drain path to exit cleanly.
+func bootDaemon(t *testing.T, args ...string) (apiAddr, debugAddr string, stop func()) {
+	t.Helper()
+	ready := make(chan [2]string, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- run(
+			append([]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-quiet", "-grace", "10s"}, args...),
+			log.New(io.Discard, "", 0),
+			func(apiAddr, debugAddr string) { ready <- [2]string{apiAddr, debugAddr} },
+		)
+	}()
+	select {
+	case addrs := <-ready:
+		apiAddr, debugAddr = addrs[0], addrs[1]
+	case err := <-errCh:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	return apiAddr, debugAddr, func() {
+		t.Helper()
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatalf("drain exit = %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("daemon did not exit after SIGTERM")
+		}
+	}
+}
+
+// httpGet returns the status and body of a GET.
+func httpGet(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
+}
 
 // TestBootServeSigtermDrain boots the full daemon in-process on ephemeral
 // ports, verifies both listeners actually serve (API healthz, debug
 // /metrics scrape, pprof index), then delivers a real SIGTERM and asserts
 // the drain path exits cleanly.
 func TestBootServeSigtermDrain(t *testing.T) {
-	dbPath := filepath.Join(t.TempDir(), "itag.wal")
-	ready := make(chan [2]string, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run(
-			[]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-db", dbPath, "-quiet", "-grace", "10s"},
-			log.New(io.Discard, "", 0),
-			func(apiAddr, debugAddr string) { ready <- [2]string{apiAddr, debugAddr} },
-		)
-	}()
+	apiAddr, dbgAddr, stop := bootDaemon(t, "-db", filepath.Join(t.TempDir(), "itag.wal"))
 
-	var apiAddr, dbgAddr string
-	select {
-	case addrs := <-ready:
-		apiAddr, dbgAddr = addrs[0], addrs[1]
-	case err := <-errCh:
-		t.Fatalf("daemon exited before ready: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
-
-	get := func(url string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("GET %s: %v", url, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-
-	if status, body := get("http://" + apiAddr + "/api/v1/healthz"); status != http.StatusOK || !strings.Contains(body, "ok") {
+	if status, body := httpGet(t, "http://"+apiAddr+"/api/v1/healthz"); status != http.StatusOK || !strings.Contains(body, "ok") {
 		t.Errorf("healthz = %d %q", status, body)
 	}
 	// Create real traffic so the scrape has route samples.
@@ -62,29 +84,134 @@ func TestBootServeSigtermDrain(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if status, body := get("http://" + dbgAddr + "/metrics"); status != http.StatusOK ||
+	if status, body := httpGet(t, "http://"+dbgAddr+"/metrics"); status != http.StatusOK ||
 		!strings.Contains(body, "itag_http_requests_total") ||
 		!strings.Contains(body, "itag_store_commits_total") {
 		t.Errorf("debug /metrics = %d (len %d)", status, len(body))
 	}
-	if status, _ := get("http://" + dbgAddr + "/debug/pprof/"); status != http.StatusOK {
+	if status, _ := httpGet(t, "http://"+dbgAddr+"/debug/pprof/"); status != http.StatusOK {
 		t.Errorf("pprof index status = %d", status)
 	}
 	// The scrape endpoint must not leak onto the API listener.
-	if status, _ := get("http://" + apiAddr + "/metrics"); status != http.StatusNotFound {
+	if status, _ := httpGet(t, "http://"+apiAddr+"/metrics"); status != http.StatusNotFound {
 		t.Errorf("API-listener /metrics status = %d, want 404", status)
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+	stop()
+}
+
+// TestRestartResumesFromWAL: a daemon restarted on its WAL comes back as
+// what the WAL says. It boots, takes a provider, a tagger, a manual project,
+// one submitted post and one task still leased, drains on SIGTERM, and boots
+// again on the same path: the stored project issues tasks again (IDs above
+// every stored one), reports the spend and the posts that were acknowledged,
+// and new registrations get IDs no stored record has — where a boot that
+// skipped core.Service.ResumeRuns answered "no live run for project" and
+// minted prov-000001 again, over the stored provider.
+func TestRestartResumesFromWAL(t *testing.T) {
+	ctx := context.Background()
+	dbPath := filepath.Join(t.TempDir(), "itag.wal")
+	boot := func() (base string, stop func()) {
+		t.Helper()
+		apiAddr, _, stop := bootDaemon(t, "-db", dbPath)
+		return "http://" + apiAddr, stop
+	}
+	userBody := func(base, id string) string {
+		t.Helper()
+		status, body := httpGet(t, base+"/api/v1/users/"+id)
+		if status != http.StatusOK {
+			t.Fatalf("GET user %s = %d %q", id, status, body)
+		}
+		return body
+	}
+	postsByResource := func(c *client.Client, proj string) map[string]int {
+		t.Helper()
+		page, err := c.Export(ctx, proj, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		posts := make(map[string]int)
+		for _, row := range page.Items {
+			posts[row.ID] = row.Posts
+		}
+		return posts
+	}
+
+	base, stop := boot()
+	c := client.New(base, nil)
+	prov, err := c.RegisterProvider(ctx, "alice")
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("drain exit = %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
+	tagger, err := c.RegisterTagger(ctx, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := c.CreateProject(ctx, client.CreateProjectReq{
+		ProviderID: prov, Name: "manual", Budget: 10, PayPerTask: 0.25,
+		Resources: []client.UploadedResource{
+			{ID: "u1", Kind: "url", Name: "example.com"},
+			{ID: "u2", Kind: "url", Name: "example.org"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted, err := c.RequestTask(ctx, proj, tagger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SubmitTask(ctx, proj, submitted.ID, []string{"go", "database"}); err != nil {
+		t.Fatal(err)
+	}
+	leased, err := c.RequestTask(ctx, proj, tagger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliceBefore := userBody(base, prov)
+	postsBefore := postsByResource(c, proj)
+	if postsBefore[submitted.ResourceID] != 1 || len(postsBefore) != 2 {
+		t.Fatalf("export before the restart = %v", postsBefore)
+	}
+	stop()
+
+	base, stop = boot()
+	defer stop()
+	c = client.New(base, nil)
+	// What was acknowledged is what is reported: the one submitted post was
+	// paid for; the task leased and never submitted is not resumed.
+	info, err := c.GetProject(ctx, proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Spent != 1 || info.PendingTasks != 0 {
+		t.Errorf("after the restart spent = %d, pending = %d; want the 1 acknowledged post, nothing pending", info.Spent, info.PendingTasks)
+	}
+	if posts := postsByResource(c, proj); len(posts) != 2 || posts["u1"] != postsBefore["u1"] || posts["u2"] != postsBefore["u2"] {
+		t.Errorf("export after the restart = %v, before it %v", posts, postsBefore)
+	}
+	if task, err := c.RequestTask(ctx, proj, tagger); err != nil {
+		t.Errorf("RequestTask on the stored project after the restart: %v", err)
+	} else if task.ID <= leased.ID || task.ID <= submitted.ID {
+		t.Errorf("task %s issued after the restart is not above the stored %s and %s", task.ID, submitted.ID, leased.ID)
+	}
+	stored := map[string]bool{prov: true, tagger: true, proj: true}
+	mallory, err := c.RegisterProvider(ctx, "mallory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj2, err := c.CreateProject(ctx, client.CreateProjectReq{
+		ProviderID: mallory, Name: "second", Budget: 5,
+		Resources: []client.UploadedResource{{ID: "v1", Kind: "url", Name: "example.net"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored[mallory] || stored[proj2] {
+		t.Errorf("IDs minted after the restart (%s, %s) reuse a stored one of %v", mallory, proj2, stored)
+	}
+	if after := userBody(base, prov); after != aliceBefore {
+		t.Errorf("the first provider's record changed across the restart:\nbefore %s\nafter  %s", aliceBefore, after)
 	}
 }
 
@@ -102,40 +229,10 @@ func TestBootClusterMode(t *testing.T) {
 		t.Fatal("cluster mode accepted a malformed ring")
 	}
 
-	ready := make(chan [2]string, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run(
-			[]string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-db", t.TempDir(),
-				"-cluster-slot", "alpha", "-cluster-ring", "alpha=http://127.0.0.1:1",
-				"-quiet", "-grace", "10s"},
-			logger,
-			func(apiAddr, debugAddr string) { ready <- [2]string{apiAddr, debugAddr} },
-		)
-	}()
+	apiAddr, dbgAddr, stop := bootDaemon(t, "-db", t.TempDir(),
+		"-cluster-slot", "alpha", "-cluster-ring", "alpha=http://127.0.0.1:1")
 
-	var apiAddr, dbgAddr string
-	select {
-	case addrs := <-ready:
-		apiAddr, dbgAddr = addrs[0], addrs[1]
-	case err := <-errCh:
-		t.Fatalf("cluster daemon exited before ready: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("cluster daemon never became ready")
-	}
-
-	get := func(url string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("GET %s: %v", url, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-
-	if status, body := get("http://" + apiAddr + "/api/v1/cluster/ring"); status != http.StatusOK ||
+	if status, body := httpGet(t, "http://"+apiAddr+"/api/v1/cluster/ring"); status != http.StatusOK ||
 		!strings.Contains(body, `"slot":"alpha"`) {
 		t.Errorf("cluster ring = %d %q", status, body)
 	}
@@ -144,23 +241,13 @@ func TestBootClusterMode(t *testing.T) {
 		t.Fatalf("provider create through cluster node: %v %v", err, resp)
 	}
 	resp.Body.Close()
-	if status, body := get("http://" + dbgAddr + "/metrics"); status != http.StatusOK ||
+	if status, body := httpGet(t, "http://"+dbgAddr+"/metrics"); status != http.StatusOK ||
 		!strings.Contains(body, "itag_cluster_ring_version") ||
 		!strings.Contains(body, "itag_http_requests_total") {
 		t.Errorf("cluster debug /metrics = %d (len %d)", status, len(body))
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("cluster drain exit = %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("cluster daemon did not exit after SIGTERM")
-	}
+	stop()
 }
 
 // TestBootRejectsRetiredShardLayout pins what is left of the in-process
@@ -169,6 +256,8 @@ func TestBootClusterMode(t *testing.T) {
 // so is -group-commit (the writer's natural batching is the one commit
 // path), and a -db path holding the shard-NNN.wal families a sharded daemon wrote
 // is refused instead of having a fresh, empty WAL created beside the data.
+// Likewise a flag the chosen mode cannot honour is a boot error, not a
+// silent no-op.
 func TestBootRejectsRetiredShardLayout(t *testing.T) {
 	shardedDir := t.TempDir()
 	for _, name := range []string{"shard-000.wal.seg-00000001", "shard-001.wal.seg-00000001", "shard-001.wal.snapshot"} {
@@ -176,17 +265,30 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cases := []struct {
+	type rejected struct {
 		name string
 		args []string
 		want []string // substrings of the error
-	}{
+	}
+	cases := []rejected{
 		{"-shards is an unknown flag", []string{"-db", "", "-shards", "4"},
 			[]string{"flag provided but not defined", "-shards"}},
 		{"-group-commit is an unknown flag", []string{"-db", "", "-group-commit", "1ms"},
 			[]string{"flag provided but not defined", "-group-commit"}},
 		{"-db names a sharded directory", []string{"-addr", "127.0.0.1:0", "-db", shardedDir},
 			[]string{"retired sharded layout", shardedDir}},
+	}
+	// A cluster slot's stack takes none of the standalone server's tuning:
+	// a flag it would parse and drop is refused, whatever value it is set to.
+	for _, flagArgs := range [][]string{
+		{"-admission"}, {"-slo-p99", "200ms"}, {"-pool-min", "1"}, {"-pool-max", "4"}, {"-resp-cache-bytes", "0"},
+	} {
+		cases = append(cases, rejected{
+			name: flagArgs[0] + " with -cluster-slot",
+			args: append([]string{"-addr", "127.0.0.1:0", "-db", t.TempDir(),
+				"-cluster-slot", "alpha", "-cluster-ring", "alpha=http://127.0.0.1:1"}, flagArgs...),
+			want: []string{flagArgs[0], "not supported with -cluster-slot"},
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

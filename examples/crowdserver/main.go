@@ -4,22 +4,21 @@
 //
 // The program starts the HTTP server in-process, registers a provider and
 // three taggers, creates two projects (one simulated MTurk run, one manual
-// audience project), drives both to completion through the REST API, and
-// prints the provider's dashboard.
+// audience project), drives both to completion through the /api/v1 surface
+// with the client SDK, and prints the provider's dashboard.
 //
 //	go run ./examples/crowdserver
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"time"
 
 	"itag"
+	"itag/client"
 	"itag/internal/server"
 )
 
@@ -27,61 +26,56 @@ func main() {
 	svc := itag.NewService(itag.NewCatalog(itag.OpenMemoryStore()), 42)
 	ts := httptest.NewServer(server.New(svc, nil))
 	defer ts.Close()
-	c := &client{base: ts.URL}
+	ctx := context.Background()
+	c := client.New(ts.URL, nil)
 
 	// Provider and taggers register.
-	provider := c.post("/api/providers", obj{"name": "alice"})["id"].(string)
+	provider := must(c.RegisterProvider(ctx, "alice"))
 	var taggers []string
 	for _, name := range []string{"bob", "carol", "dave"} {
-		taggers = append(taggers, c.post("/api/taggers", obj{"name": name})["id"].(string))
+		taggers = append(taggers, must(c.RegisterTagger(ctx, name)))
 	}
 	fmt.Printf("registered provider %s and %d audience taggers\n\n", provider, len(taggers))
 
 	// Project 1: simulated crowdsourcing (MTurk-like) run.
-	simProj := c.post("/api/projects", obj{
-		"provider_id": provider, "name": "web-urls", "budget": 300,
-		"pay_per_task": 0.05, "strategy": "fp-mu", "simulate": true, "num_resources": 30,
-	})["id"].(string)
-	c.post("/api/projects/"+simProj+"/start", nil)
-	waitDone(c, simProj)
-	info := c.get("/api/projects/" + simProj)
-	fmt.Printf("simulated project %s: spent %v tasks, mean stability %.4f\n",
-		simProj, info["spent"], info["mean_stability"])
+	simProj := must(c.CreateProject(ctx, client.CreateProjectReq{
+		ProviderID: provider, Name: "web-urls", Budget: 300,
+		PayPerTask: 0.05, Strategy: "fp-mu", Simulate: true, NumResources: 30,
+	}))
+	check(c.StartProject(ctx, simProj))
+	info := waitDone(ctx, c, simProj)
+	fmt.Printf("simulated project %s: spent %d tasks, mean stability %.4f\n",
+		simProj, info.Spent, info.MeanStability)
 
 	// Project 2: manual audience tagging of uploaded resources.
-	manProj := c.post("/api/projects", obj{
-		"provider_id": provider, "name": "audience", "budget": 6, "pay_per_task": 0.25,
-		"strategy": "fp",
-		"resources": []obj{
-			{"id": "paper-1", "kind": "paper", "name": "iTag (ICDE'14)"},
-			{"id": "paper-2", "kind": "paper", "name": "On Incentive-Based Tagging (ICDE'13)"},
+	manProj := must(c.CreateProject(ctx, client.CreateProjectReq{
+		ProviderID: provider, Name: "audience", Budget: 6, PayPerTask: 0.25,
+		Strategy: "fp",
+		Resources: []client.UploadedResource{
+			{ID: "paper-1", Kind: "paper", Name: "iTag (ICDE'14)"},
+			{ID: "paper-2", Kind: "paper", Name: "On Incentive-Based Tagging (ICDE'13)"},
 		},
-	})["id"].(string)
+	}))
 
 	posts := map[string][][]string{
 		"paper-1": {{"crowdsourcing", "tagging", "incentives"}, {"tagging", "demo", "icde"}, {"crowdsourcing", "tagging"}},
 		"paper-2": {{"tagging", "quality", "budget"}, {"allocation", "tagging", "quality"}, {"quality", "stability"}},
 	}
 	for i := 0; i < 6; i++ {
-		tagger := taggers[i%len(taggers)]
-		task := c.post("/api/projects/"+manProj+"/tasks", obj{"tagger_id": tagger})
-		rid := task["resource_id"].(string)
+		task := must(c.RequestTask(ctx, manProj, taggers[i%len(taggers)]))
+		rid := task.ResourceID
 		pick := posts[rid][0]
 		posts[rid] = posts[rid][1:]
-		c.post(fmt.Sprintf("/api/projects/%s/tasks/%s/submit", manProj, task["id"]), obj{"tags": pick})
+		check(c.SubmitTask(ctx, manProj, task.ID, pick))
 		// The provider reviews and approves the post; payment flows.
-		c.post(fmt.Sprintf("/api/projects/%s/posts/%s/%d/judge", manProj, rid, 3-len(posts[rid])), obj{"approved": true})
+		check(c.JudgePost(ctx, manProj, rid, uint64(3-len(posts[rid])), true))
 	}
 
 	fmt.Println("\naudience project export:")
-	var rows []obj
-	c.getInto("/api/projects/"+manProj+"/export", &rows)
-	for _, row := range rows {
-		fmt.Printf("  %-8s posts=%v stability=%.3f tags=", row["id"], row["posts"], row["stability"])
-		if tags, ok := row["top_tags"].([]any); ok {
-			for _, tg := range tags {
-				fmt.Printf("%s ", tg.(map[string]any)["tag"])
-			}
+	for _, row := range must(c.Export(ctx, manProj, "", 0)).Items {
+		fmt.Printf("  %-8s posts=%d stability=%.3f tags=", row.ID, row.Posts, row.Stability)
+		for _, tf := range row.TopTags {
+			fmt.Printf("%s ", tf.Tag)
 		}
 		fmt.Println()
 	}
@@ -89,64 +83,30 @@ func main() {
 	// Tagger earnings after approvals.
 	fmt.Println("\ntagger earnings:")
 	for _, id := range taggers {
-		u := c.get("/api/users/" + id)
-		fmt.Printf("  %-12s rate=%.2f earned=$%.2f\n", u["name"], u["approval_rate"], u["earned_total"])
+		u := must(c.GetUser(ctx, id))
+		fmt.Printf("  %-12s rate=%.2f earned=$%.2f\n", u.Name, u.ApprovalRate, u.EarnedTotal)
 	}
 }
 
-type obj = map[string]any
-
-type client struct{ base string }
-
-func (c *client) post(path string, body any) obj {
-	var buf bytes.Buffer
-	if body != nil {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			log.Fatal(err)
-		}
-	}
-	resp, err := http.Post(c.base+path, "application/json", &buf)
+func check(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out obj
-	_ = json.NewDecoder(resp.Body).Decode(&out)
-	if resp.StatusCode >= 400 {
-		log.Fatalf("POST %s: %d %v", path, resp.StatusCode, out)
-	}
-	return out
 }
 
-func (c *client) get(path string) obj {
-	var out obj
-	c.getInto(path, &out)
-	return out
+func must[T any](v T, err error) T {
+	check(err)
+	return v
 }
 
-func (c *client) getInto(path string, out any) {
-	resp, err := http.Get(c.base + path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		log.Fatalf("GET %s: %d", path, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func waitDone(c *client, projectID string) {
+func waitDone(ctx context.Context, c *client.Client, projectID string) client.ProjectInfo {
 	for i := 0; i < 1000; i++ {
-		info := c.get("/api/projects/" + projectID)
-		if running, _ := info["running"].(bool); !running {
-			if spent, _ := info["spent"].(float64); spent > 0 {
-				return
-			}
+		info := must(c.GetProject(ctx, projectID))
+		if !info.Running && info.Spent > 0 {
+			return info
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	log.Fatal("project did not finish")
+	return client.ProjectInfo{}
 }

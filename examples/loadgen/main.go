@@ -117,7 +117,7 @@ func manualPhase(ctx context.Context, c *client.Client, taggers, workers, batche
 	for i, r := range reg.Results {
 		ids[i] = r.ID
 	}
-	log.Printf("registered %d taggers in one round-trip", len(ids))
+	log.Printf("registered %d taggers (%s..%s) in one round-trip", len(ids), ids[0], ids[len(ids)-1])
 
 	uploaded := make([]client.UploadedResource, resources)
 	for i := range uploaded {
@@ -133,6 +133,7 @@ func manualPhase(ctx context.Context, c *client.Client, taggers, workers, batche
 	if err != nil {
 		fail("create manual project: %v", err)
 	}
+	log.Printf("manual phase: provider %s, project %s", prov, proj)
 
 	stream, err := c.StreamEvents(ctx, proj)
 	if err != nil {
@@ -228,6 +229,7 @@ func simulatedPhase(ctx context.Context, c *client.Client, budget int) int {
 	if err != nil {
 		fail("create simulated project: %v", err)
 	}
+	log.Printf("simulated phase: provider %s, project %s", prov, proj)
 	stream, err := c.StreamEvents(ctx, proj)
 	if err != nil {
 		fail("subscribe SSE: %v", err)

@@ -94,7 +94,7 @@ func TestErrorEnvelopes(t *testing.T) {
 		return None{}, errSentinel
 	})
 
-	// v1 envelope: structured error with the mapped code and request id.
+	// The envelope: structured error with the mapped code and request id.
 	wrapped := Chain(http.HandlerFunc(h), RequestID)
 	rec := httptest.NewRecorder()
 	wrapped.ServeHTTP(rec, httptest.NewRequest("POST", "/x", nil))
@@ -116,17 +116,6 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 	if rec.Header().Get("X-Request-Id") != env.Error.RequestID {
 		t.Error("header and envelope request ids differ")
-	}
-
-	// Legacy mode: the flat string body.
-	legacy := Chain(http.HandlerFunc(h), RequestID, func(next http.Handler) http.Handler { return WithLegacy(next) })
-	rec = httptest.NewRecorder()
-	legacy.ServeHTTP(rec, httptest.NewRequest("POST", "/x", nil))
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &flat); err != nil || flat.Error == "" {
-		t.Fatalf("legacy body = %s (%v)", rec.Body, err)
 	}
 }
 

@@ -142,14 +142,8 @@ type envelope struct {
 	Error *Error `json:"error"`
 }
 
-// legacyEnvelope is the pre-v1 body: {"error": "<message>"} — kept on the
-// legacy alias routes so existing scripts and tests keep parsing.
-type legacyEnvelope struct {
-	Error string `json:"error"`
-}
-
-// WriteError resolves err via the kit's mapper and writes the envelope
-// matching the route's era (v1 object, legacy string).
+// WriteError resolves err via the kit's mapper and writes the envelope,
+// stamped with the request's id.
 func (k *Kit) WriteError(w http.ResponseWriter, r *http.Request, err error) {
 	ae := AsError(err)
 	if ae == nil && k.MapError != nil {
@@ -165,16 +159,12 @@ func (k *Kit) WriteError(w http.ResponseWriter, r *http.Request, err error) {
 		}
 		k.Metrics.ObserveError(comp, cat)
 	}
-	// The envelope structs marshal unconditionally (strings and ints
-	// only), so the ignored WriteJSON error can only be a wire failure —
-	// the client is gone; there is nobody left to answer.
-	if IsLegacy(r.Context()) {
-		_ = WriteJSON(w, ae.Status, legacyEnvelope{Error: ae.Error()})
-		return
-	}
 	// Copy before stamping the request id: the mapper may hand back shared
 	// sentinel values.
 	stamped := *ae
 	stamped.RequestID = RequestIDOf(r)
+	// The envelope marshals unconditionally (strings and ints only), so the
+	// ignored WriteJSON error can only be a wire failure — the client is
+	// gone; there is nobody left to answer.
 	_ = WriteJSON(w, stamped.Status, envelope{Error: &stamped})
 }

@@ -24,10 +24,7 @@ func Chain(h http.Handler, mw ...Middleware) http.Handler {
 
 type ctxKey int
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyLegacy
-)
+const ctxKeyRequestID ctxKey = 0
 
 // RequestIDFrom returns the request's id ("" outside the middleware).
 func RequestIDFrom(ctx context.Context) string {
@@ -44,20 +41,6 @@ func RequestIDOf(r *http.Request) string {
 		return id
 	}
 	return r.Header.Get("X-Request-Id")
-}
-
-// WithLegacy marks the request as served by a legacy alias route, switching
-// error bodies to the pre-v1 {"error": "<message>"} shape.
-func WithLegacy(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyLegacy, true)))
-	})
-}
-
-// IsLegacy reports whether the request came through a legacy alias.
-func IsLegacy(ctx context.Context) bool {
-	legacy, _ := ctx.Value(ctxKeyLegacy).(bool)
-	return legacy
 }
 
 // --- request IDs ---------------------------------------------------------------

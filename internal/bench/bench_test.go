@@ -275,18 +275,3 @@ func TestGateFailures(t *testing.T) {
 		t.Fatalf("GateFailures = %v", fails)
 	}
 }
-
-func TestS4ProjectFleetShape(t *testing.T) {
-	res, err := S4ProjectFleet(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("S4 produced %d rows, want serial+pool", len(res.Rows))
-	}
-	serial := findRow(t, res, "serial")
-	pool := findRow(t, res, "pool")
-	if serial[3] != pool[3] {
-		t.Fatalf("serial and pool spent different task totals: %s vs %s", serial[3], pool[3])
-	}
-}

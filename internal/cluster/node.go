@@ -424,12 +424,10 @@ func (n *Node) ReplicaDB(slot string) *store.DB {
 
 // routingKey extracts the placement key from an API path: the {id} that
 // follows a routed collection ("" routes to the local slot — collection
-// posts and lists, health, metrics).
+// posts and lists, health, metrics, and any path outside /api/v1, which
+// the slot's mux answers 404).
 func routingKey(path string) string {
 	p := strings.TrimPrefix(path, "/api/v1/")
-	if p == path {
-		p = strings.TrimPrefix(path, "/api/")
-	}
 	if p == path {
 		return ""
 	}
@@ -858,29 +856,24 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 	// The replica store ran without per-record fsync (its durability was
 	// anchored at the dead leader's WAL, which is gone now). A leader's
 	// acks must be durable on its own disk, so flush and reopen the store
-	// under the leader's sync discipline, then rebuild the stack: a fresh
-	// service with the ID filter and run-resume the read-only frontend
-	// never had.
-	path := filepath.Join(n.opts.Dir, "replica-"+slot+".wal")
+	// under the leader's sync discipline, as the leader stack a booting
+	// node builds: a fresh service with the ID filter and run-resume the
+	// read-only frontend never had.
 	if err := rep.db.Close(); err != nil {
 		n.refollow(slot)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: flush replica", slot)
 	}
-	db, err := store.Open(path, n.opts.Store)
+	b, err := n.openBackend(slot, filepath.Join(n.opts.Dir, "replica-"+slot+".wal"))
 	if err != nil {
 		n.refollow(slot)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: reopen replica", slot)
 	}
-	svc := core.NewService(store.NewCatalog(db), n.opts.Seed)
-	svc.SetIDFilter(n.idFilterFor(slot))
-	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, ExtraFamilies: n.Families})
-	b := &backend{slot: slot, db: db, svc: svc, srv: srv}
 
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		svc.Close()
-		_ = db.Close()
+		b.svc.Close()
+		_ = b.db.Close()
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "node is closed")
 	}
 	n.leaders[slot] = b
@@ -896,7 +889,7 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 	n.syncFollowersLocked()
 	n.mu.Unlock()
 
-	if resumed, err := svc.ResumeRuns(ctx); err != nil {
+	if resumed, err := b.svc.ResumeRuns(ctx); err != nil {
 		n.logger.Printf("cluster %s: promote %s: resume runs: %v", n.slot, slot, err)
 	} else {
 		n.logger.Printf("cluster %s: promoted slot %s at seq %d (%d run(s) resumed), ring v%d",

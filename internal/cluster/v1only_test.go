@@ -1,0 +1,92 @@
+package cluster
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strings"
+	"testing"
+
+	"itag/internal/core"
+	"itag/internal/server"
+	"itag/internal/store"
+)
+
+// TestNoRouteOutsideV1 pins /api/v1 as the only way in. For every pattern
+// the server mounts, the same method and path under the retired /api prefix
+// answers the mux's 404 — no alias, no Deprecation or Link header — on a
+// standalone Server and through a cluster node, where the path carries no
+// routing key: the local slot answers it, never a 421 naming another node.
+// And no scrape describes a route outside /api/v1.
+func TestNoRouteOutsideV1(t *testing.T) {
+	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 1)
+	defer svc.Close()
+	srv := server.New(svc, nil)
+	routes := srv.Metrics().Snapshot().Routes
+	if len(routes) == 0 {
+		t.Fatal("the server registered no route labels")
+	}
+
+	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, nil)
+	node := tc.nodes["alpha"]
+	// A key another slot leads, so that a path still routed by key would
+	// show as a 421 here.
+	foreign := ""
+	for i := 0; foreign == ""; i++ {
+		if id := fmt.Sprintf("proj-%06d", i); node.Ring().Owner(id) != "alpha" {
+			foreign = id
+		}
+	}
+	rec := httptest.NewRecorder()
+	node.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/projects/"+foreign, nil))
+	if rec.Code != http.StatusMisdirectedRequest {
+		t.Fatalf("GET /api/v1/projects/%s on alpha = %d, want 421", foreign, rec.Code)
+	}
+
+	surfaces := []struct {
+		name      string
+		api, prom http.Handler
+	}{
+		{"standalone server", srv, srv.PromHandler()},
+		{"cluster node", node.Handler(), node.PromHandler()},
+	}
+	wildcard := regexp.MustCompile(`\{[a-z]+\}`)
+	for _, sf := range surfaces {
+		for _, route := range routes {
+			method, path, _ := strings.Cut(route.Route, " ")
+			if !strings.HasPrefix(path, "/api/v1/") {
+				t.Errorf("%s mounts %q outside /api/v1", sf.name, route.Route)
+				continue
+			}
+			old := "/api" + strings.TrimPrefix(wildcard.ReplaceAllString(path, foreign), "/api/v1")
+			rec := httptest.NewRecorder()
+			sf.api.ServeHTTP(rec, httptest.NewRequest(method, old, strings.NewReader("{}")))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s: %s %s = %d, want 404", sf.name, method, old, rec.Code)
+			}
+			for _, h := range []string{"Deprecation", "Link", HeaderOwner} {
+				if v := rec.Header().Get(h); v != "" {
+					t.Errorf("%s: %s %s carries %s: %q", sf.name, method, old, h, v)
+				}
+			}
+		}
+
+		rec := httptest.NewRecorder()
+		sf.prom.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		labelled := 0
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			_, label, ok := strings.Cut(line, `route="`)
+			if !ok {
+				continue
+			}
+			labelled++
+			if _, path, _ := strings.Cut(label, " "); !strings.HasPrefix(path, "/api/v1/") {
+				t.Errorf("%s scrape describes a route outside /api/v1: %s", sf.name, line)
+			}
+		}
+		if labelled == 0 {
+			t.Errorf("%s scrape carries no route label at all", sf.name)
+		}
+	}
+}

@@ -525,3 +525,81 @@ func TestSimulatedStepCommitsOnce(t *testing.T) {
 		t.Fatal("the run finished cleanly over a store that failed its commits")
 	}
 }
+
+// TestCreateProjectIsOneWriteSet: the project row, its resources and its
+// seed posts are one store commit, so a create is all or nothing whichever
+// write the store fails: what a restart and ResumeRuns bring back is the
+// whole project when CreateProject acked it and no row at all when it did
+// not — where 1 + N + M separate commits left a project that resumed over
+// whatever subset of its resources had made it.
+func TestCreateProjectIsOneWriteSet(t *testing.T) {
+	ctx := context.Background()
+	spec := func(prov string, n int) ProjectSpec {
+		sp := ProjectSpec{
+			ProviderID: prov, Name: "one write set", Budget: 1000, PayPerTask: 0.05,
+			Resources: make([]dataset.Resource, n), SeedPosts: make(map[string][][]string, n),
+		}
+		for i := range sp.Resources {
+			id := fmt.Sprintf("res-%04d", i)
+			sp.Resources[i] = dataset.Resource{ID: id, Kind: dataset.KindURL, Name: id, Popularity: 1}
+			sp.SeedPosts[id] = [][]string{{"go", "seed"}}
+		}
+		return sp
+	}
+
+	for _, failAt := range []int{0, 1, 2, 3} {
+		t.Run(fmt.Sprintf("store fails commit %d of the create", failAt), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "itag.wal")
+			db := openWAL(t, path, store.Options{SyncEvery: 1})
+			s := NewService(store.NewCatalog(db), 77)
+			prov, err := s.RegisterProvider(ctx, "bob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := 0 // touched by the store's one writer only
+			db.SetFailpoint(func(p store.Failpoint) bool {
+				if p == store.FailAppendMid {
+					hits++
+				}
+				return p == store.FailAppendMid && hits == failAt
+			})
+			before := commits(s)
+			proj, createErr := s.CreateProject(ctx, spec(prov, 200))
+			wantProjects, wantRows := 0, 0
+			if createErr == nil {
+				wantProjects, wantRows = 1, 200
+				if got := commits(s) - before; got != 1 {
+					t.Errorf("creating 200 resources with a seed post each cost %d store commits, want 1", got)
+				}
+			}
+			if len(s.runs) != wantProjects {
+				t.Errorf("%d live runs after CreateProject = %q, %v", len(s.runs), proj, createErr)
+			}
+
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2 := NewService(store.NewCatalog(openWAL(t, path, store.Options{SyncEvery: 1})), 77)
+			resumed, err := s2.ResumeRuns(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			projects, err := s2.Catalog().ListProjects("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resources, err := s2.Catalog().ListResources("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			posts := 0
+			for _, r := range spec(prov, 200).Resources {
+				posts += s2.Catalog().CountPosts(r.ID)
+			}
+			if len(projects) != wantProjects || len(resources) != wantRows || posts != wantRows || resumed != wantProjects {
+				t.Errorf("CreateProject = %q, %v; the restart holds %d project(s), %d resource(s), %d seed post(s) and resumed %d run(s), want %d, %d, %d, %d",
+					proj, createErr, len(projects), len(resources), posts, resumed, wantProjects, wantRows, wantRows, wantProjects)
+			}
+		})
+	}
+}

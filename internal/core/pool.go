@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"itag/internal/capacity"
 )
@@ -27,19 +26,9 @@ import (
 //     and Catalogs, which are themselves concurrency-safe;
 //   - a step failure retires only that engine; the rest keep running.
 type Pool struct {
-	// Workers is the number of concurrent step workers (default 8) in
-	// fixed mode: the autoscaling pool below pinned at Min = Max = Workers
-	// (capped at the number of engines).
+	// Workers is the number of concurrent step workers (default 8, capped
+	// at the number of engines): a capacity.Pool pinned at Min = Max.
 	Workers int
-
-	// Max > 0 switches RunContext to adaptive mode: steps run on an
-	// autoscaling capacity.Pool that grows from Min toward Max as engines
-	// queue up, and reaps workers (all the way to Min, which may be zero)
-	// after Idle without work.
-	Min, Max int
-	// Idle is the adaptive-mode worker idle timeout (capacity.Pool's
-	// default when zero).
-	Idle time.Duration
 }
 
 // DefaultPoolWorkers is the Pool.Run worker count when unset.
@@ -65,17 +54,13 @@ func (p Pool) RunContext(ctx context.Context, engines []*Engine) []error {
 	if n == 0 {
 		return errList
 	}
-	lo, hi := p.Min, p.Max
-	if hi <= 0 {
-		hi = p.Workers
-		if hi <= 0 {
-			hi = DefaultPoolWorkers
-		}
-		hi = min(hi, n)
-		lo = hi
+	workers := p.Workers
+	if workers <= 0 {
+		workers = DefaultPoolWorkers
 	}
+	workers = min(workers, n)
 	ap := capacity.NewPool(capacity.PoolConfig{
-		Min: lo, Max: hi, Idle: p.Idle, Queue: n + 1,
+		Min: workers, Max: workers, Queue: n + 1,
 	})
 	defer ap.Close()
 

@@ -1,11 +1,11 @@
 package core
 
 // Run resumption rebuilds a Service's in-memory state from the catalog — the
-// promotion path of the cluster layer. A follower that takes over a key
-// range holds the leader's full persisted state (projects, resources,
-// posts, tasks, users) but none of its process state: no live Runs, an
-// empty users.Manager, an ID counter at zero. ResumeRuns reconstructs what
-// the catalog can support:
+// one call behind a daemon's boot, a cluster slot's boot and a follower's
+// promotion. A restarted process, like a follower that takes over a key
+// range, holds the full persisted state (projects, resources, posts, tasks,
+// users) but no process state: no live Runs, an empty users.Manager, an ID
+// counter at zero. ResumeRuns reconstructs what the catalog can support:
 //
 //   - users are re-registered with the User Manager (judgment tallies and
 //     ledger balances are process-local aggregates and restart empty; the
@@ -16,7 +16,9 @@ package core
 //     seed posts replayed from the post log restore the engine's quality
 //     state, resource stop/promote flags are re-applied, and the task
 //     counter resumes past the highest persisted task ID so task IDs stay
-//     unique across the failover
+//     unique across the failover; the run reports what was spent before it
+//     on top of what its engine spends (tasks leased but not submitted are
+//     not resumed, and not counted)
 //
 // Simulated runs (world != nil) do not survive: their latent worlds and
 // tagger populations are process state by design. Their projects resume as
@@ -154,6 +156,7 @@ func (s *Service) rebuildRun(rec store.ProjectRec) (*Run, error) {
 		return nil, err
 	}
 	run.taskSeq = maxTask
+	run.spentBefore = spent
 	for _, r := range recs {
 		if r.Promoted {
 			_ = run.Engine.Promote(r.ID)

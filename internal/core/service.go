@@ -79,7 +79,14 @@ type Run struct {
 	doneCh  chan struct{}
 	tasks   map[string]string // manual taskID → resourceID
 	taskSeq int
+	// spentBefore is what a previous process had spent when ResumeRuns
+	// rebuilt this run: the rebuilt engine gets the budget that was left and
+	// counts from zero.
+	spentBefore int
 }
+
+// spent is the project's total spend across restarts.
+func (run *Run) spent() int { return run.spentBefore + run.Engine.Spent() }
 
 // ErrProjectRunning is returned when an operation requires a stopped run.
 var ErrProjectRunning error = errs.New(errs.ComponentCore, errs.CategoryConflict, "project run already in progress").WithCode("project_running")
@@ -279,7 +286,8 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	if spec.Strategy == "" {
 		spec.Strategy = "fp-mu"
 	}
-	if _, err := strategy.Parse(spec.Strategy); err != nil {
+	strat, err := strategy.Parse(spec.Strategy)
+	if err != nil {
 		return "", err
 	}
 	if spec.Platform == "" {
@@ -298,7 +306,6 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 		if n <= 0 {
 			n = 50
 		}
-		var err error
 		world, err = dataset.Generate(rng.New(seed), dataset.GeneratorConfig{NumResources: n})
 		if err != nil {
 			return "", err
@@ -309,7 +316,20 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 		return "", errs.New(errs.ComponentCore, errs.CategoryValidation, "project needs at least one resource")
 	}
 
-	err := s.cat.PutProject(store.ProjectRec{
+	// Build the run first: the engine rejects what the catalog would not
+	// (duplicate resource IDs, seed posts naming no resource), and nothing
+	// may be written for a project that cannot run.
+	run, err := s.buildRun(id, spec, resources, world, strat, seed)
+	if err != nil {
+		return "", err
+	}
+
+	// Project, resources and seed posts are one commit: a crash or a failed
+	// write leaves all of them or none, never a project row that ResumeRuns
+	// would bring back over a subset of its resources. Seed posts are staged
+	// in resource order so their sequence numbers are deterministic.
+	ws := s.cat.Begin(1 + len(resources))
+	err = ws.PutProject(store.ProjectRec{
 		ID: id, ProviderID: spec.ProviderID, Name: spec.Name,
 		Description: spec.Description, Kind: spec.Kind,
 		Budget: spec.Budget, PayPerTask: spec.PayPerTask,
@@ -320,28 +340,26 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 		return "", err
 	}
 	for _, r := range resources {
-		if err := s.cat.PutResource(store.ResourceRec{
+		if err := ws.PutResource(store.ResourceRec{
 			ID: r.ID, ProjectID: id, Kind: string(r.Kind), Name: r.Name,
 			Topic: r.Topic, Popularity: r.Popularity,
 		}); err != nil {
 			return "", err
 		}
 	}
-	for rid, posts := range spec.SeedPosts {
-		for _, tags := range posts {
-			if _, err := s.cat.AppendPost(store.PostRec{
-				ResourceID: rid, Tags: tags, Time: s.nowFunc(),
+	for _, r := range resources {
+		for _, tags := range spec.SeedPosts[r.ID] {
+			if _, err := ws.AppendPost(store.PostRec{
+				ResourceID: r.ID, Tags: tags, Time: s.nowFunc(),
 			}); err != nil {
 				return "", err
 			}
 		}
 	}
-
-	strat, _ := strategy.Parse(spec.Strategy)
-	run, err := s.buildRun(id, spec, resources, world, strat, seed)
-	if err != nil {
+	if err := ws.Commit(); err != nil {
 		return "", err
 	}
+
 	s.mu.Lock()
 	s.runs[id] = run
 	s.mu.Unlock()
@@ -543,84 +561,13 @@ func (s *Service) finishProject(projectID string, runErr error) {
 		return
 	}
 	if run, rerr := s.run(projectID); rerr == nil {
-		rec.Spent = run.Engine.Spent()
+		rec.Spent = run.spent()
 		run.Engine.Monitor().Finish(rec.Spent, runErr)
 	}
 	if runErr == nil {
 		rec.Status = store.ProjectDone
 	}
 	_ = s.cat.PutProject(rec)
-}
-
-// RunSimulations drives the given simulated projects to completion on a
-// shared Pool of `workers` step workers, interleaving Algorithm-1 batches
-// across projects instead of running them serially. It blocks until every
-// project finishes and returns the first project error (all projects still
-// run to their own completion or failure; per-project errors are also
-// visible through WaitSimulation). Cancelling ctx retires every in-flight
-// engine with the context's error.
-func (s *Service) RunSimulations(ctx context.Context, projectIDs []string, workers int) error {
-	if len(projectIDs) == 0 {
-		return nil
-	}
-	runs := make([]*Run, len(projectIDs))
-	engines := make([]*Engine, len(projectIDs))
-	for i, id := range projectIDs {
-		run, err := s.run(id)
-		if err != nil {
-			return err
-		}
-		if run.World == nil {
-			return errs.New(errs.ComponentCore, errs.CategoryValidation, "project %s has uploaded resources; use the manual task flow", id)
-		}
-		runs[i] = run
-		engines[i] = run.Engine
-	}
-	// Claim every run before stepping any, rolling back on conflict so a
-	// failed claim leaves earlier projects startable again. The rollback
-	// restores each run's previous doneCh (a completed earlier run keeps
-	// its closed channel) and closes the abandoned fresh channel so any
-	// waiter that raced onto it is released rather than stranded.
-	prevCh := make([]chan struct{}, len(runs))
-	for i, run := range runs {
-		run.mu.Lock()
-		if run.running {
-			run.mu.Unlock()
-			for j, prev := range runs[:i] {
-				prev.mu.Lock()
-				fresh := prev.doneCh
-				prev.running = false
-				prev.doneCh = prevCh[j]
-				close(fresh)
-				prev.mu.Unlock()
-			}
-			s.bumpRunsEpoch()
-			return fmt.Errorf("%w: project %s", ErrProjectRunning, projectIDs[i])
-		}
-		prevCh[i] = run.doneCh
-		run.running = true
-		run.doneCh = make(chan struct{})
-		run.Engine.Monitor().Restart()
-		run.mu.Unlock()
-	}
-	s.bumpRunsEpoch()
-
-	errs := Pool{Workers: workers}.RunContext(ctx, engines)
-
-	var first error
-	for i, run := range runs {
-		s.finishProject(projectIDs[i], errs[i]) // before doneCh: see StartSimulation
-		run.mu.Lock()
-		run.runErr = errs[i]
-		run.running = false
-		close(run.doneCh)
-		run.mu.Unlock()
-		s.bumpRunsEpoch()
-		if errs[i] != nil && first == nil {
-			first = errs[i]
-		}
-	}
-	return first
 }
 
 // WaitSimulation blocks until the background run finishes (or ctx is
@@ -787,7 +734,7 @@ func (s *Service) StopProject(ctx context.Context, projectID string) error {
 		for _, res := range run.Engine.cfg.Resources {
 			_ = run.Engine.StopResource(res.ID)
 		}
-		rec.Spent = run.Engine.Spent()
+		rec.Spent = run.spent()
 	}
 	return s.cat.PutProject(rec)
 }
@@ -817,7 +764,7 @@ func (s *Service) Project(ctx context.Context, projectID string) (ProjectInfo, e
 	}
 	info := ProjectInfo{Project: rec, Spent: rec.Spent, StrategyName: rec.Strategy}
 	if run, rerr := s.run(projectID); rerr == nil {
-		info.Spent = run.Engine.Spent()
+		info.Spent = run.spent()
 		info.MeanStability = run.Engine.MeanStability()
 		info.MeanOracle = run.Engine.MeanOracle()
 		info.StrategyName = run.Engine.StrategyName()
@@ -829,17 +776,11 @@ func (s *Service) Project(ctx context.Context, projectID string) (ProjectInfo, e
 	return info, nil
 }
 
-// Projects lists projects (optionally by provider), sorted by ID.
-func (s *Service) Projects(ctx context.Context, providerID string) ([]ProjectInfo, error) {
-	infos, _, err := s.ProjectsPage(ctx, providerID, "", 0)
-	return infos, err
-}
-
-// ProjectsPage is Projects with cursor pagination: it returns up to limit
-// rows after the cursor (limit <= 0 means all) plus the cursor for the
-// next page ("" when exhausted). Cursors are opaque; a stale cursor — the
-// project it pointed at was deleted — still works, resuming after its
-// position in ID order.
+// ProjectsPage lists projects (optionally by provider) in ID order with
+// cursor pagination: it returns up to limit rows after the cursor
+// (limit <= 0 means all) plus the cursor for the next page ("" when
+// exhausted). Cursors are opaque; a stale cursor — the project it pointed
+// at was deleted — still works, resuming after its position in ID order.
 //
 // The page is a range scan: the catalog resumes the ordered project index
 // right after the cursor and the scan stops as soon as the page is full
@@ -1168,22 +1109,17 @@ type ExportedResource struct {
 	TopTags   []TagFreq `json:"top_tags"`
 }
 
-// Export returns the project's resources with their consolidated tags.
-func (s *Service) Export(ctx context.Context, projectID string) ([]ExportedResource, error) {
-	rows, _, err := s.ExportPage(ctx, projectID, "", 0)
-	return rows, err
-}
-
-// ExportPage is Export with cursor pagination over resource IDs: up to
-// limit rows after the cursor (limit <= 0 means all) plus the next-page
-// cursor ("" when exhausted). Like ProjectsPage it is a range scan that
-// resumes the ordered resource index right after the cursor and ends once
-// the page is full and a later resource of the project has been seen.
-// Resource keys are bare IDs (GetResource has no project context), so the
-// scan steps over interleaved rows of other projects — cache-decoded, not
-// re-unmarshaled — and the final page runs to the end of the table to
-// learn it is final; a per-project key layout would bound that too, at
-// the cost of re-keying every resource access path.
+// ExportPage returns the project's resources with their consolidated tags,
+// cursor-paginated over resource IDs: up to limit rows after the cursor
+// (limit <= 0 means all) plus the next-page cursor ("" when exhausted).
+// Like ProjectsPage it is a range scan that resumes the ordered resource
+// index right after the cursor and ends once the page is full and a later
+// resource of the project has been seen. Resource keys are bare IDs
+// (GetResource has no project context), so the scan steps over interleaved
+// rows of other projects — cache-decoded, not re-unmarshaled — and the
+// final page runs to the end of the table to learn it is final; a
+// per-project key layout would bound that too, at the cost of re-keying
+// every resource access path.
 func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limit int) ([]ExportedResource, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
@@ -1200,7 +1136,7 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 		// the live engine's quality state, because trackers are a pure
 		// fold over the post sequence and manual runs use the default
 		// quality config. The project must at least exist; when it does
-		// not, the unknown-project error keeps the legacy wire contract.
+		// not, the answer is the same unknown-run error a write would get.
 		if _, err := s.cat.GetProject(projectID); err != nil {
 			return nil, "", runErr
 		}

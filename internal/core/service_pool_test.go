@@ -109,29 +109,3 @@ func TestServicePoolCloseInterruptsRuns(t *testing.T) {
 		t.Fatal("Close deadlocked with a run in flight")
 	}
 }
-
-// TestAdaptiveCorePool: core.Pool in adaptive mode drives many engines
-// to completion with the same per-engine error contract as fixed mode.
-func TestAdaptiveCorePool(t *testing.T) {
-	s := newService(t)
-	var engines []*Engine
-	for i := 0; i < 6; i++ {
-		_, proj := createSimProject(t, s, 60)
-		run, err := s.run(proj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, run.Engine)
-	}
-	errsList := Pool{Min: 0, Max: 4, Idle: 20 * time.Millisecond}.Run(engines)
-	for i, err := range errsList {
-		if err != nil {
-			t.Errorf("engine %d: %v", i, err)
-		}
-	}
-	for _, e := range engines {
-		if !e.Done() {
-			t.Error("engine not driven to completion")
-		}
-	}
-}

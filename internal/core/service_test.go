@@ -103,9 +103,9 @@ func TestSimulatedProjectLifecycle(t *testing.T) {
 		t.Error("unknown series must fail")
 	}
 	// Export produces rows with tags.
-	rows, err := s.Export(context.Background(), proj)
-	if err != nil || len(rows) != 12 {
-		t.Fatalf("export: %d rows, %v", len(rows), err)
+	rows, next, err := s.ExportPage(context.Background(), proj, "", 0)
+	if err != nil || len(rows) != 12 || next != "" {
+		t.Fatalf("export: %d rows, next %q, %v", len(rows), next, err)
 	}
 	withTags := 0
 	for _, row := range rows {
@@ -338,13 +338,13 @@ func TestProjectsListing(t *testing.T) {
 	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: provB, Budget: 10, Simulate: true, NumResources: 3}); err != nil {
 		t.Fatal(err)
 	}
-	all, err := s.Projects(context.Background(), "")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("all = %d, %v", len(all), err)
+	all, next, err := s.ProjectsPage(context.Background(), "", "", 0)
+	if err != nil || len(all) != 3 || next != "" {
+		t.Fatalf("all = %d, next %q, %v", len(all), next, err)
 	}
-	mine, err := s.Projects(context.Background(), provA)
-	if err != nil || len(mine) != 2 {
-		t.Fatalf("provA = %d, %v", len(mine), err)
+	mine, next, err := s.ProjectsPage(context.Background(), provA, "", 0)
+	if err != nil || len(mine) != 2 || next != "" {
+		t.Fatalf("provA = %d, next %q, %v", len(mine), next, err)
 	}
 	if !strings.HasPrefix(mine[0].Project.ID, "proj-") {
 		t.Errorf("project ID = %s", mine[0].Project.ID)

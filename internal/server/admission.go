@@ -30,8 +30,6 @@ var admittedRoutes = []string{
 	"POST /api/v1/projects/{id}/tasks",
 	"POST /api/v1/projects/{id}/tasks:batch",
 	"POST /api/v1/projects/{id}/tasks/{tid}/submit",
-	"POST /api/projects/{id}/tasks",
-	"POST /api/projects/{id}/tasks/{tid}/submit",
 }
 
 // errSaturated is the shed response: 429 resource_exhausted through the
@@ -94,23 +92,10 @@ func (s *Server) limited(h http.Handler) http.Handler {
 	})
 }
 
-// routeLimited mounts a v1 route with the admission gate in front of the
-// tracked handler.
+// routeLimited is route with the admission gate in front of the tracked
+// handler.
 func (s *Server) routeLimited(pattern string, h http.Handler) {
-	if s.routeTimeout > 0 {
-		h = api.Timeout(s.routeTimeout)(h)
-	}
-	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, h)))
-}
-
-// aliasLimited is routeLimited for legacy alias routes. WithLegacy sits
-// outermost so a shed response uses the legacy string error body just
-// like every other error on these routes.
-func (s *Server) aliasLimited(pattern string, h http.Handler) {
-	if s.routeTimeout > 0 {
-		h = api.Timeout(s.routeTimeout)(h)
-	}
-	s.mux.Handle(pattern, api.WithLegacy(s.limited(s.metrics.Track(pattern, h))))
+	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, s.timed(h))))
 }
 
 // capacityFamilies renders the admission limiter, fitted models and the

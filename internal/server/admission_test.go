@@ -33,9 +33,9 @@ func newAdmissionServer(t *testing.T) (*Server, *httptest.Server, *httptest.Serv
 
 // TestAdmissionShedsWithRetryAfter pins the shed contract end to end:
 // with the gate saturated, a task request gets 429, the taxonomy code,
-// a Retry-After hint in whole seconds, the v1 envelope on v1 routes and
-// the legacy string body on alias routes — while health and metrics are
-// never gated, and releasing the slot re-admits traffic.
+// a Retry-After hint in whole seconds and the request-ID-stamped envelope
+// — while health and metrics are never gated, and releasing the slot
+// re-admits traffic.
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	s, srv, prom := newAdmissionServer(t)
 
@@ -47,49 +47,40 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 		t.Fatal("setup: could not take the only slot")
 	}
 
-	resp, err := http.Post(srv.URL+"/api/v1/projects/p-000001/tasks", "application/json",
-		strings.NewReader(`{"tagger_id":"t-000001"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed status = %d, want 429 (body %s)", resp.StatusCode, body)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Errorf("Retry-After = %q, want whole seconds ≥ 1", resp.Header.Get("Retry-After"))
-	}
-	var env struct {
-		Error struct {
-			Code      string `json:"code"`
-			RequestID string `json:"request_id"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(body, &env); err != nil {
-		t.Fatalf("v1 shed body %s: %v", body, err)
-	}
-	if env.Error.Code != "resource_exhausted" {
-		t.Errorf("shed code = %q, want resource_exhausted", env.Error.Code)
-	}
-
-	// Legacy alias: same 429, pre-v1 flat string error body.
-	resp, err = http.Post(srv.URL+"/api/projects/p-000001/tasks", "application/json",
-		strings.NewReader(`{"tagger_id":"t-000001"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("legacy shed status = %d, want 429", resp.StatusCode)
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &legacy); err != nil || legacy.Error == "" {
-		t.Errorf("legacy shed body = %s, want flat {\"error\": string}", body)
+	// Every gated route sheds the same way.
+	for _, shed := range []struct{ path, body string }{
+		{"/api/v1/projects/p-000001/tasks", `{"tagger_id":"t-000001"}`},
+		{"/api/v1/projects/p-000001/tasks/p-000001-task-00001/submit", `{"tags":["go"]}`},
+	} {
+		resp, err := http.Post(srv.URL+shed.path, "application/json", strings.NewReader(shed.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: shed status = %d, want 429 (body %s)", shed.path, resp.StatusCode, body)
+		}
+		ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if err != nil || ra < 1 {
+			t.Errorf("%s: Retry-After = %q, want whole seconds ≥ 1", shed.path, resp.Header.Get("Retry-After"))
+		}
+		var env struct {
+			Error struct {
+				Code      string `json:"code"`
+				Message   string `json:"message"`
+				RequestID string `json:"request_id"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("%s: shed body %s: %v", shed.path, body, err)
+		}
+		if env.Error.Code != "resource_exhausted" || env.Error.Message == "" {
+			t.Errorf("%s: shed envelope = %+v, want code resource_exhausted", shed.path, env.Error)
+		}
+		if env.Error.RequestID == "" || env.Error.RequestID != resp.Header.Get("X-Request-Id") {
+			t.Errorf("%s: shed envelope request_id = %q, header %q", shed.path, env.Error.RequestID, resp.Header.Get("X-Request-Id"))
+		}
 	}
 
 	// Health and metrics are never gated, saturated or not.
@@ -119,7 +110,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	// Releasing the slot re-admits: the same request now reaches the
 	// handler (404 unknown project — anything but 429).
 	release()
-	resp, err = http.Post(srv.URL+"/api/v1/projects/p-000001/tasks", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/projects/p-000001/tasks", "application/json",
 		strings.NewReader(`{"tagger_id":"t-000001"}`))
 	if err != nil {
 		t.Fatal(err)

@@ -10,9 +10,8 @@ import (
 )
 
 // TestErrorMapping table-tests that every service sentinel produces the
-// documented HTTP status and machine-readable code on the v1 path, and
-// the same status with the flat string body on the legacy alias path
-// (docs/API.md error-code table).
+// documented HTTP status and machine-readable code (docs/API.md error-code
+// table).
 func TestErrorMapping(t *testing.T) {
 	c := newV1Client(t)
 	prov := c.register("providers", "alice")
@@ -20,90 +19,84 @@ func TestErrorMapping(t *testing.T) {
 	// Budget large enough that the run is still live for the whole table;
 	// the cleanup stop drains it.
 	running := c.createSimProject(prov, 50_000_000)
-	c.do("POST", "/api/projects/"+running+"/start", nil, http.StatusAccepted, nil)
-	t.Cleanup(func() { c.do("POST", "/api/projects/"+running+"/stop", nil, http.StatusOK, nil) })
+	c.do("POST", "/api/v1/projects/"+running+"/start", nil, http.StatusAccepted, nil)
+	t.Cleanup(func() { c.do("POST", "/api/v1/projects/"+running+"/stop", nil, http.StatusOK, nil) })
 
 	cases := []struct {
 		name       string
 		method     string
-		legacyPath string // "" = v1-only route
-		v1Path     string
+		path       string
 		body       any
 		wantStatus int
 		wantCode   string
 	}{
 		{
 			name:   "store.ErrNotFound on user lookup",
-			method: "GET", legacyPath: "/api/users/ghost", v1Path: "/api/v1/users/ghost",
+			method: "GET", path: "/api/v1/users/ghost",
 			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
 			name:   "store.ErrNotFound on project lookup",
-			method: "GET", legacyPath: "/api/projects/ghost", v1Path: "/api/v1/projects/ghost",
+			method: "GET", path: "/api/v1/projects/ghost",
 			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
 			name:       "store.ErrNotFound judging a missing post",
 			method:     "POST",
-			legacyPath: "/api/projects/" + running + "/posts/no-such-resource/1/judge",
-			v1Path:     "/api/v1/projects/" + running + "/posts/no-such-resource/1/judge",
+			path:       "/api/v1/projects/" + running + "/posts/no-such-resource/1/judge",
 			body:       judgeReq{Approved: true},
 			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
 			name:       "core.ErrProjectRunning on double start",
 			method:     "POST",
-			legacyPath: "/api/projects/" + running + "/start",
-			v1Path:     "/api/v1/projects/" + running + "/start",
+			path:       "/api/v1/projects/" + running + "/start",
 			wantStatus: http.StatusConflict, wantCode: api.CodeProjectRunning,
 		},
 		{
 			name:       "core.ErrInvalidRole rating a tagger",
 			method:     "POST",
-			legacyPath: "/api/providers/" + tagr + "/rate",
-			v1Path:     "/api/v1/providers/" + tagr + "/rate",
+			path:       "/api/v1/providers/" + tagr + "/rate",
 			body:       rateReq{Positive: true},
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidRole,
 		},
 		{
 			name:   "validation error on create",
-			method: "POST", legacyPath: "/api/projects", v1Path: "/api/v1/projects",
+			method: "POST", path: "/api/v1/projects",
 			body:       CreateProjectReq{},
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
 		},
 		{
 			name:   "malformed body",
-			method: "POST", legacyPath: "/api/projects", v1Path: "/api/v1/projects",
+			method: "POST", path: "/api/v1/projects",
 			body:       map[string]any{"unknown_field": 1},
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidRequest,
 		},
 		{
 			name:       "unknown series",
 			method:     "GET",
-			legacyPath: "/api/projects/" + running + "/series?name=nope",
-			v1Path:     "/api/v1/projects/" + running + "/series?name=nope",
+			path:       "/api/v1/projects/" + running + "/series?name=nope",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
 		},
 		{
 			name:       "bad pagination cursor",
 			method:     "GET",
-			v1Path:     "/api/v1/projects?cursor=%21%21not-base64%21%21",
+			path:       "/api/v1/projects?cursor=%21%21not-base64%21%21",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
 		},
 		{
 			name:       "bad pagination limit",
 			method:     "GET",
-			v1Path:     "/api/v1/projects?limit=minus-one",
+			path:       "/api/v1/projects?limit=minus-one",
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// v1: structured envelope with code + request id.
-			status, body := rawDo(t, c, tc.method, tc.v1Path, tc.body)
+			status, body := rawDo(t, c, tc.method, tc.path, tc.body)
 			if status != tc.wantStatus {
-				t.Fatalf("v1 status = %d, want %d (body %s)", status, tc.wantStatus, body)
+				t.Fatalf("status = %d, want %d (body %s)", status, tc.wantStatus, body)
 			}
 			var env struct {
 				Error struct {
@@ -113,28 +106,13 @@ func TestErrorMapping(t *testing.T) {
 				} `json:"error"`
 			}
 			if err := json.Unmarshal(body, &env); err != nil {
-				t.Fatalf("v1 envelope: %v (%s)", err, body)
+				t.Fatalf("envelope: %v (%s)", err, body)
 			}
 			if env.Error.Code != tc.wantCode {
-				t.Errorf("v1 code = %q, want %q", env.Error.Code, tc.wantCode)
+				t.Errorf("code = %q, want %q", env.Error.Code, tc.wantCode)
 			}
 			if env.Error.Message == "" || env.Error.RequestID == "" {
-				t.Errorf("v1 envelope incomplete: %+v", env.Error)
-			}
-
-			// Legacy alias: same status, flat string body.
-			if tc.legacyPath == "" {
-				return
-			}
-			status, body = rawDo(t, c, tc.method, tc.legacyPath, tc.body)
-			if status != tc.wantStatus {
-				t.Fatalf("legacy status = %d, want %d (body %s)", status, tc.wantStatus, body)
-			}
-			var flat struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(body, &flat); err != nil || flat.Error == "" {
-				t.Errorf("legacy body = %s (%v)", body, err)
+				t.Errorf("envelope incomplete: %+v", env.Error)
 			}
 		})
 	}

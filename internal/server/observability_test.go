@@ -78,9 +78,8 @@ func TestTaxonomyCoverage(t *testing.T) {
 }
 
 // TestTaxonomyEnvelopes drives one error of every taxonomy category
-// through the real write path and asserts both envelope eras: the v1
-// structured object and the legacy flat string, with the status derived
-// from the category.
+// through the real write path and asserts the envelope: the structured
+// object, with the status derived from the category.
 func TestTaxonomyEnvelopes(t *testing.T) {
 	kit := &api.Kit{MapError: mapErr, Metrics: api.NewMetrics()}
 	for _, cat := range errs.Categories() {
@@ -108,18 +107,6 @@ func TestTaxonomyEnvelopes(t *testing.T) {
 		}
 		if env.Error.Code != wantCode || env.Error.Message != "quality: probe failure" {
 			t.Errorf("%s: v1 envelope = %+v, want code %s", cat, env.Error, wantCode)
-		}
-
-		rec = httptest.NewRecorder()
-		api.WithLegacy(h).ServeHTTP(rec, httptest.NewRequest("GET", "/probe", nil))
-		if rec.Code != wantStatus {
-			t.Errorf("%s: legacy status = %d, want %d", cat, rec.Code, wantStatus)
-		}
-		var flat struct {
-			Error string `json:"error"`
-		}
-		if jerr := json.Unmarshal(rec.Body.Bytes(), &flat); jerr != nil || flat.Error != "quality: probe failure" {
-			t.Errorf("%s: legacy body = %s", cat, rec.Body.Bytes())
 		}
 	}
 }

@@ -247,55 +247,6 @@ func TestConditionalGET(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecationHeaders pins the alias surface: RFC 9745
-// Deprecation plus a successor-version Link on every legacy route, with
-// bodies and error shapes byte-for-byte unchanged (and no ETags — the
-// conditional-GET surface is v1-only).
-func TestLegacyDeprecationHeaders(t *testing.T) {
-	w := newServingWorld(t)
-	legacyPath := "/api/projects/" + w.project
-	rec, legacyBody := w.get(t, w.cached, legacyPath, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy GET = %d", rec.Code)
-	}
-	if got := rec.Header().Get("Deprecation"); got != "@1786147200" {
-		t.Errorf("Deprecation = %q", got)
-	}
-	wantLink := "</api/v1/projects/" + w.project + `>; rel="successor-version"`
-	if got := rec.Header().Get("Link"); got != wantLink {
-		t.Errorf("Link = %q, want %q", got, wantLink)
-	}
-	if rec.Header().Get("Etag") != "" {
-		t.Errorf("legacy route grew an ETag: %q", rec.Header().Get("Etag"))
-	}
-	// Body identical to the v1 (cached) route's.
-	_, v1Body := w.get(t, w.cached, "/api/v1/projects/"+w.project, nil)
-	if !bytes.Equal(legacyBody, v1Body) {
-		t.Errorf("legacy body diverged from v1:\nlegacy %q\nv1     %q", legacyBody, v1Body)
-	}
-
-	// Legacy error shape unchanged: flat {"error": "..."} string envelope,
-	// deprecation headers still present.
-	rec, body := w.get(t, w.cached, "/api/projects/ghost", nil)
-	if rec.Code != http.StatusNotFound || rec.Header().Get("Deprecation") == "" {
-		t.Fatalf("legacy error = %d headers=%v", rec.Code, rec.Header())
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(body, &flat); err != nil || flat.Error == "" {
-		t.Fatalf("legacy error body = %q (%v)", body, err)
-	}
-
-	// POST aliases carry the headers too.
-	req := httptest.NewRequest("POST", "/api/providers", bytes.NewReader([]byte(`{"name":"px"}`)))
-	pr := httptest.NewRecorder()
-	w.cached.ServeHTTP(pr, req)
-	if pr.Code != http.StatusCreated || pr.Header().Get("Deprecation") == "" || pr.Header().Get("Link") != `</api/v1/providers>; rel="successor-version"` {
-		t.Fatalf("POST alias = %d headers=%v", pr.Code, pr.Header())
-	}
-}
-
 // TestRespCacheCoherence hammers the dashboard route with conditional GETs
 // while a writer completes tasks, and checks the 304 freshness invariant:
 // a revalidated body must reflect every write acknowledged before the

@@ -1,10 +1,10 @@
 // Package server exposes the iTag system over a versioned HTTP JSON API —
 // the scriptable equivalent of the provider and tagger web UIs in the demo
-// (paper Figs. 3–8). The primary surface lives under /api/v1 and is built
+// (paper Figs. 3–8). The surface lives under /api/v1 and is built
 // on the internal/api handler kit: typed handlers, a structured error
 // envelope with machine-readable codes, request IDs, per-route timeouts
-// and metrics. Every UI action maps to one endpoint (full request/response
-// reference: docs/API.md):
+// and metrics. Every UI action maps to one endpoint, and /api/v1 is the
+// only prefix mounted (full request/response reference: docs/API.md):
 //
 //	GET  /api/v1/healthz                         liveness probe
 //	GET  /api/v1/metrics                         in-flight / per-route latency metrics
@@ -32,10 +32,6 @@
 //	POST /api/v1/projects/{id}/tasks:batch       request+submit many tasks in one call
 //	POST /api/v1/projects/{id}/tasks/{tid}/submit   tagging screen (Fig. 8)
 //	POST /api/v1/projects/{id}/posts/{rid}/{seq}/judge  approve/disapprove
-//
-// Every pre-v1 route (/api/providers, /api/projects/..., ...) remains
-// mounted as a thin alias over the same v1 handlers, with the legacy
-// {"error": "<message>"} error body, so existing clients keep working.
 package server
 
 import (
@@ -44,7 +40,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"itag/internal/api"
@@ -154,104 +149,35 @@ func (s *Server) Metrics() *api.Metrics { return s.metrics }
 // when the cache is disabled).
 func (s *Server) RespCacheStats() RespCacheStats { return s.resp.stats() }
 
-// route mounts a v1 route with metrics tracking and the per-route timeout.
+// route mounts a route with metrics tracking and the per-route timeout.
 func (s *Server) route(pattern string, h http.Handler) {
+	s.mux.Handle(pattern, s.metrics.Track(pattern, s.timed(h)))
+}
+
+// routeUntimed mounts a route with metrics but no per-route timeout: an
+// SSE stream lives as long as the client wants, and a cached GET answers a
+// hit from memory in microseconds — its miss's compute still observes the
+// request context's cancellation (every core.Service entry point checks
+// it), and skipping the deadline keeps a timer allocation and three
+// context allocations off the hottest path.
+func (s *Server) routeUntimed(pattern string, h http.Handler) {
+	s.mux.Handle(pattern, s.metrics.Track(pattern, h))
+}
+
+// timed puts h under the per-route timeout, when one is configured.
+func (s *Server) timed(h http.Handler) http.Handler {
 	if s.routeTimeout > 0 {
-		h = api.Timeout(s.routeTimeout)(h)
+		return api.Timeout(s.routeTimeout)(h)
 	}
-	s.mux.Handle(pattern, s.metrics.Track(pattern, h))
-}
-
-// routeStream mounts a v1 streaming route: metrics, but no timeout (an SSE
-// stream lives as long as the client wants).
-func (s *Server) routeStream(pattern string, h http.Handler) {
-	s.mux.Handle(pattern, s.metrics.Track(pattern, h))
-}
-
-// routeCached mounts a cached GET route: metrics, but no per-route
-// timeout. A hit answers from memory in microseconds; a miss's compute
-// still observes the request context's cancellation (every core.Service
-// entry point checks it), and skipping the deadline keeps a timer
-// allocation and three context allocations off the hottest path.
-func (s *Server) routeCached(pattern string, h http.Handler) {
-	s.mux.Handle(pattern, s.metrics.Track(pattern, h))
-}
-
-// legacyDeprecation is the RFC 9745 Deprecation header value on every
-// legacy /api/* alias: 2026-08-08T00:00:00Z, the release that documented
-// /api/v1 as the successor surface. Shared slices; never mutated.
-var legacyDeprecation = []string{"@1786147200"}
-
-// alias mounts a legacy /api/* route over a v1 handler: same semantics,
-// pre-v1 string error bodies, plus the RFC 9745 deprecation headers
-// (Deprecation and a successor-version Link naming the request's /api/v1
-// equivalent).
-func (s *Server) alias(pattern string, h http.Handler) {
-	h = withDeprecation(h)
-	h = api.WithLegacy(h)
-	if s.routeTimeout > 0 {
-		h = api.Timeout(s.routeTimeout)(h)
-	}
-	s.mux.Handle(pattern, s.metrics.Track(pattern, h))
-}
-
-// withDeprecation stamps the deprecation headers on a legacy route:
-// "GET /api/projects/p1" → Link: </api/v1/projects/p1>;
-// rel="successor-version". Every legacy path maps to its v1 successor by
-// prefix substitution alone — the alias table mounts the same patterns.
-func withDeprecation(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hd := w.Header()
-		hd["Deprecation"] = legacyDeprecation
-		hd["Link"] = []string{"</api/v1" + strings.TrimPrefix(r.URL.Path, "/api") + `>; rel="successor-version"`}
-		h.ServeHTTP(w, r)
-	})
+	return h
 }
 
 func (s *Server) routes() {
 	k := s.kit
 
-	healthz := api.Handle(k, http.StatusOK, func(*http.Request, api.None) (map[string]string, error) {
+	s.route("GET /api/v1/healthz", api.Handle(k, http.StatusOK, func(*http.Request, api.None) (map[string]string, error) {
 		return map[string]string{"status": "ok"}, nil
-	})
-
-	registerProvider := api.Handle(k, http.StatusCreated, s.registerProvider)
-	registerTagger := api.Handle(k, http.StatusCreated, s.registerTagger)
-	getUser := api.Handle(k, http.StatusOK, s.getUser)
-	rateProvider := api.Handle(k, http.StatusOK, s.rateProvider)
-
-	createProject := api.Handle(k, http.StatusCreated, s.createProject)
-	getProject := api.Handle(k, http.StatusOK, s.getProject)
-	startProject := api.Handle(k, http.StatusAccepted, s.startProject)
-	stopProject := api.Handle(k, http.StatusOK, s.stopProject)
-	addBudget := api.Handle(k, http.StatusOK, s.addBudget)
-	switchStrategy := api.Handle(k, http.StatusOK, s.switchStrategy)
-	series := api.Handle(k, http.StatusOK, s.series)
-	resourceDetail := api.Handle(k, http.StatusOK, s.resourceDetail)
-	promote := s.resourceAction((*core.Service).Promote)
-	stopRes := s.resourceAction((*core.Service).StopResource)
-	resumeRes := s.resourceAction((*core.Service).ResumeResource)
-
-	requestTask := api.Handle(k, http.StatusCreated, s.requestTask)
-	submitTask := api.Handle(k, http.StatusOK, s.submitTask)
-	judgePost := api.Handle(k, http.StatusOK, s.judgePost)
-
-	// Cached v1 variants of the hot GETs: encoded-response cache, ETag /
-	// If-None-Match revalidation, Cache-Control: no-cache. The legacy
-	// aliases keep the plain handlers so their wire surface (headers
-	// included) stays exactly pre-v1.
-	getProjectCached := s.cachedJSON(respProject, emptyKeyB, func(r *http.Request) (any, error) {
-		return s.svc.Project(r.Context(), r.PathValue("id"))
-	})
-	resourceDetailCached := s.cachedJSON(respDetail, ridKeyB, func(r *http.Request) (any, error) {
-		return s.svc.ResourceDetail(r.Context(), r.PathValue("id"), r.PathValue("rid"))
-	})
-	exportCached := s.cachedJSON(respExport, queryKeyB, func(r *http.Request) (any, error) {
-		return s.exportV1(r, api.None{})
-	})
-
-	// --- v1 ---------------------------------------------------------------
-	s.route("GET /api/v1/healthz", healthz)
+	}))
 	s.route("GET /api/v1/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// HTTP counters plus the store's durability-layer counters (group
 		// commit batching, fsyncs, segments, recovery time).
@@ -269,56 +195,38 @@ func (s *Server) routes() {
 		}
 	}))
 
-	s.route("POST /api/v1/providers", registerProvider)
-	s.route("POST /api/v1/taggers", registerTagger)
+	s.route("POST /api/v1/providers", api.Handle(k, http.StatusCreated, s.registerProvider))
+	s.route("POST /api/v1/taggers", api.Handle(k, http.StatusCreated, s.registerTagger))
 	s.route("POST /api/v1/taggers:batch", api.Handle(k, http.StatusOK, s.batchRegisterTaggers))
-	s.route("GET /api/v1/users/{id}", getUser)
-	s.route("POST /api/v1/providers/{id}/rate", rateProvider)
+	s.route("GET /api/v1/users/{id}", api.Handle(k, http.StatusOK, s.getUser))
+	s.route("POST /api/v1/providers/{id}/rate", api.Handle(k, http.StatusOK, s.rateProvider))
 
-	s.route("GET /api/v1/projects", api.Handle(k, http.StatusOK, s.listProjectsV1))
-	s.route("POST /api/v1/projects", createProject)
-	s.routeCached("GET /api/v1/projects/{id}", getProjectCached)
-	s.route("POST /api/v1/projects/{id}/start", startProject)
-	s.route("POST /api/v1/projects/{id}/stop", stopProject)
-	s.route("POST /api/v1/projects/{id}/budget", addBudget)
-	s.route("POST /api/v1/projects/{id}/strategy", switchStrategy)
-	s.route("GET /api/v1/projects/{id}/series", series)
-	s.routeCached("GET /api/v1/projects/{id}/export", exportCached)
-	s.routeStream("GET /api/v1/projects/{id}/events", http.HandlerFunc(s.handleEvents))
-	s.routeCached("GET /api/v1/projects/{id}/resources/{rid}", resourceDetailCached)
-	s.route("POST /api/v1/projects/{id}/resources/{rid}/promote", promote)
-	s.route("POST /api/v1/projects/{id}/resources/{rid}/stop", stopRes)
-	s.route("POST /api/v1/projects/{id}/resources/{rid}/resume", resumeRes)
+	s.route("GET /api/v1/projects", api.Handle(k, http.StatusOK, s.listProjects))
+	s.route("POST /api/v1/projects", api.Handle(k, http.StatusCreated, s.createProject))
+	// The three hot GETs (dashboard, export, resource detail) answer from
+	// the encoded-response cache: ETag / If-None-Match revalidation,
+	// Cache-Control: no-cache.
+	s.routeUntimed("GET /api/v1/projects/{id}", s.cachedJSON(respProject, emptyKeyB, func(r *http.Request) (any, error) {
+		return s.svc.Project(r.Context(), r.PathValue("id"))
+	}))
+	s.route("POST /api/v1/projects/{id}/start", api.Handle(k, http.StatusAccepted, s.startProject))
+	s.route("POST /api/v1/projects/{id}/stop", api.Handle(k, http.StatusOK, s.stopProject))
+	s.route("POST /api/v1/projects/{id}/budget", api.Handle(k, http.StatusOK, s.addBudget))
+	s.route("POST /api/v1/projects/{id}/strategy", api.Handle(k, http.StatusOK, s.switchStrategy))
+	s.route("GET /api/v1/projects/{id}/series", api.Handle(k, http.StatusOK, s.series))
+	s.routeUntimed("GET /api/v1/projects/{id}/export", s.cachedJSON(respExport, queryKeyB, s.export))
+	s.routeUntimed("GET /api/v1/projects/{id}/events", http.HandlerFunc(s.handleEvents))
+	s.routeUntimed("GET /api/v1/projects/{id}/resources/{rid}", s.cachedJSON(respDetail, ridKeyB, func(r *http.Request) (any, error) {
+		return s.svc.ResourceDetail(r.Context(), r.PathValue("id"), r.PathValue("rid"))
+	}))
+	s.route("POST /api/v1/projects/{id}/resources/{rid}/promote", s.resourceAction((*core.Service).Promote))
+	s.route("POST /api/v1/projects/{id}/resources/{rid}/stop", s.resourceAction((*core.Service).StopResource))
+	s.route("POST /api/v1/projects/{id}/resources/{rid}/resume", s.resourceAction((*core.Service).ResumeResource))
 
-	s.routeLimited("POST /api/v1/projects/{id}/tasks", requestTask)
+	s.routeLimited("POST /api/v1/projects/{id}/tasks", api.Handle(k, http.StatusCreated, s.requestTask))
 	s.routeLimited("POST /api/v1/projects/{id}/tasks:batch", api.Handle(k, http.StatusOK, s.batchTasks))
-	s.routeLimited("POST /api/v1/projects/{id}/tasks/{tid}/submit", submitTask)
-	s.route("POST /api/v1/projects/{id}/posts/{rid}/{seq}/judge", judgePost)
-
-	// --- legacy aliases (pre-v1 surface; see docs/API.md appendix) --------
-	s.alias("GET /api/healthz", healthz)
-	s.alias("POST /api/providers", registerProvider)
-	s.alias("POST /api/taggers", registerTagger)
-	s.alias("GET /api/users/{id}", getUser)
-	s.alias("POST /api/providers/{id}/rate", rateProvider)
-
-	s.alias("GET /api/projects", api.Handle(k, http.StatusOK, s.listProjectsLegacy))
-	s.alias("POST /api/projects", createProject)
-	s.alias("GET /api/projects/{id}", getProject)
-	s.alias("POST /api/projects/{id}/start", startProject)
-	s.alias("POST /api/projects/{id}/stop", stopProject)
-	s.alias("POST /api/projects/{id}/budget", addBudget)
-	s.alias("POST /api/projects/{id}/strategy", switchStrategy)
-	s.alias("GET /api/projects/{id}/series", series)
-	s.alias("GET /api/projects/{id}/export", api.Handle(k, http.StatusOK, s.exportLegacy))
-	s.alias("GET /api/projects/{id}/resources/{rid}", resourceDetail)
-	s.alias("POST /api/projects/{id}/resources/{rid}/promote", promote)
-	s.alias("POST /api/projects/{id}/resources/{rid}/stop", stopRes)
-	s.alias("POST /api/projects/{id}/resources/{rid}/resume", resumeRes)
-
-	s.aliasLimited("POST /api/projects/{id}/tasks", requestTask)
-	s.aliasLimited("POST /api/projects/{id}/tasks/{tid}/submit", submitTask)
-	s.alias("POST /api/projects/{id}/posts/{rid}/{seq}/judge", judgePost)
+	s.routeLimited("POST /api/v1/projects/{id}/tasks/{tid}/submit", api.Handle(k, http.StatusOK, s.submitTask))
+	s.route("POST /api/v1/projects/{id}/posts/{rid}/{seq}/judge", api.Handle(k, http.StatusOK, s.judgePost))
 }
 
 // mapErr translates service errors into transport errors with
@@ -442,14 +350,6 @@ func (s *Server) createProject(r *http.Request, req CreateProjectReq) (registerR
 	return registerResp{ID: id}, nil
 }
 
-func (s *Server) listProjectsLegacy(r *http.Request, _ api.None) ([]core.ProjectInfo, error) {
-	return s.svc.Projects(r.Context(), r.URL.Query().Get("provider"))
-}
-
-func (s *Server) getProject(r *http.Request, _ api.None) (core.ProjectInfo, error) {
-	return s.svc.Project(r.Context(), r.PathValue("id"))
-}
-
 func (s *Server) startProject(r *http.Request, _ api.None) (map[string]bool, error) {
 	if err := s.svc.StartSimulation(r.Context(), r.PathValue("id")); err != nil {
 		return nil, err
@@ -506,14 +406,6 @@ func (s *Server) series(r *http.Request, _ api.None) (seriesResp, error) {
 		return seriesResp{}, err
 	}
 	return seriesResp{Name: name, X: xs, Y: ys}, nil
-}
-
-func (s *Server) exportLegacy(r *http.Request, _ api.None) ([]core.ExportedResource, error) {
-	return s.svc.Export(r.Context(), r.PathValue("id"))
-}
-
-func (s *Server) resourceDetail(r *http.Request, _ api.None) (core.ResourceStatus, error) {
-	return s.svc.ResourceDetail(r.Context(), r.PathValue("id"), r.PathValue("rid"))
 }
 
 func (s *Server) resourceAction(action func(*core.Service, context.Context, string, string) error) http.HandlerFunc {

@@ -58,7 +58,7 @@ func (c *client) do(method, path string, body any, wantStatus int, out any) {
 func (c *client) register(kind, name string) string {
 	c.t.Helper()
 	var resp registerResp
-	c.do("POST", "/api/"+kind, registerReq{Name: name}, http.StatusCreated, &resp)
+	c.do("POST", "/api/v1/"+kind, registerReq{Name: name}, http.StatusCreated, &resp)
 	if resp.ID == "" {
 		c.t.Fatal("empty ID")
 	}
@@ -68,7 +68,7 @@ func (c *client) register(kind, name string) string {
 func (c *client) createSimProject(provider string, budget int) string {
 	c.t.Helper()
 	var resp registerResp
-	c.do("POST", "/api/projects", CreateProjectReq{
+	c.do("POST", "/api/v1/projects", CreateProjectReq{
 		ProviderID: provider, Name: "t", Budget: budget, PayPerTask: 0.05,
 		Simulate: true, NumResources: 8,
 	}, http.StatusCreated, &resp)
@@ -80,7 +80,7 @@ func (c *client) waitDone(projectID string, timeout time.Duration) core.ProjectI
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		var info core.ProjectInfo
-		c.do("GET", "/api/projects/"+projectID, nil, http.StatusOK, &info)
+		c.do("GET", "/api/v1/projects/"+projectID, nil, http.StatusOK, &info)
 		if !info.Running && info.Spent > 0 {
 			return info
 		}
@@ -93,7 +93,7 @@ func (c *client) waitDone(projectID string, timeout time.Duration) core.ProjectI
 func TestHealthz(t *testing.T) {
 	c := newClient(t)
 	var resp map[string]string
-	c.do("GET", "/api/healthz", nil, http.StatusOK, &resp)
+	c.do("GET", "/api/v1/healthz", nil, http.StatusOK, &resp)
 	if resp["status"] != "ok" {
 		t.Errorf("healthz = %v", resp)
 	}
@@ -104,23 +104,23 @@ func TestRegisterAndGetUser(t *testing.T) {
 	prov := c.register("providers", "alice")
 	tagr := c.register("taggers", "bob")
 	var u userResp
-	c.do("GET", "/api/users/"+prov, nil, http.StatusOK, &u)
+	c.do("GET", "/api/v1/users/"+prov, nil, http.StatusOK, &u)
 	if u.Role != store.RoleProvider || u.ApprovalRate != 1 {
 		t.Errorf("provider = %+v", u)
 	}
-	c.do("GET", "/api/users/"+tagr, nil, http.StatusOK, &u)
+	c.do("GET", "/api/v1/users/"+tagr, nil, http.StatusOK, &u)
 	if u.Role != store.RoleTagger {
 		t.Errorf("tagger = %+v", u)
 	}
-	c.do("GET", "/api/users/ghost", nil, http.StatusNotFound, nil)
+	c.do("GET", "/api/v1/users/ghost", nil, http.StatusNotFound, nil)
 }
 
 func TestCreateProjectValidationHTTP(t *testing.T) {
 	c := newClient(t)
-	c.do("POST", "/api/projects", CreateProjectReq{}, http.StatusBadRequest, nil)
-	c.do("POST", "/api/projects", map[string]any{"unknown_field": 1}, http.StatusBadRequest, nil)
+	c.do("POST", "/api/v1/projects", CreateProjectReq{}, http.StatusBadRequest, nil)
+	c.do("POST", "/api/v1/projects", map[string]any{"unknown_field": 1}, http.StatusBadRequest, nil)
 	prov := c.register("providers", "p")
-	c.do("POST", "/api/projects", CreateProjectReq{ProviderID: prov, Budget: -5, Simulate: true}, http.StatusBadRequest, nil)
+	c.do("POST", "/api/v1/projects", CreateProjectReq{ProviderID: prov, Budget: -5, Simulate: true}, http.StatusBadRequest, nil)
 }
 
 func TestFullSimulatedProjectOverHTTP(t *testing.T) {
@@ -129,21 +129,21 @@ func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 	proj := c.createSimProject(prov, 80)
 
 	// List shows it.
-	var infos []core.ProjectInfo
-	c.do("GET", "/api/projects?provider="+prov, nil, http.StatusOK, &infos)
-	if len(infos) != 1 || infos[0].Project.ID != proj {
+	var infos projectsPage
+	c.do("GET", "/api/v1/projects?provider="+prov, nil, http.StatusOK, &infos)
+	if len(infos.Items) != 1 || infos.Items[0].Project.ID != proj || infos.NextCursor != "" {
 		t.Fatalf("projects = %+v", infos)
 	}
 
 	// Controls before start.
-	c.do("POST", "/api/projects/"+proj+"/resources/r0001/promote", nil, http.StatusOK, nil)
-	c.do("POST", "/api/projects/"+proj+"/resources/r0002/stop", nil, http.StatusOK, nil)
-	c.do("POST", "/api/projects/"+proj+"/resources/r0002/resume", nil, http.StatusOK, nil)
-	c.do("POST", "/api/projects/"+proj+"/strategy", strategyReq{Strategy: "mu"}, http.StatusOK, nil)
-	c.do("POST", "/api/projects/"+proj+"/strategy", strategyReq{Strategy: "bogus"}, http.StatusBadRequest, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/resources/r0001/promote", nil, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/resources/r0002/stop", nil, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/resources/r0002/resume", nil, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/strategy", strategyReq{Strategy: "mu"}, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/strategy", strategyReq{Strategy: "bogus"}, http.StatusBadRequest, nil)
 
 	// Run it.
-	c.do("POST", "/api/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
 	info := c.waitDone(proj, 10*time.Second)
 	if info.Spent != 80 {
 		t.Errorf("spent = %d", info.Spent)
@@ -154,34 +154,34 @@ func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 
 	// Series.
 	var series seriesResp
-	c.do("GET", "/api/projects/"+proj+"/series?name="+core.SeriesMeanStability, nil, http.StatusOK, &series)
+	c.do("GET", "/api/v1/projects/"+proj+"/series?name="+core.SeriesMeanStability, nil, http.StatusOK, &series)
 	if len(series.X) == 0 || len(series.X) != len(series.Y) {
 		t.Errorf("series = %d/%d points", len(series.X), len(series.Y))
 	}
-	c.do("GET", "/api/projects/"+proj+"/series?name=nope", nil, http.StatusBadRequest, nil)
+	c.do("GET", "/api/v1/projects/"+proj+"/series?name=nope", nil, http.StatusBadRequest, nil)
 
 	// Resource detail.
 	var st core.ResourceStatus
-	c.do("GET", "/api/projects/"+proj+"/resources/r0001", nil, http.StatusOK, &st)
+	c.do("GET", "/api/v1/projects/"+proj+"/resources/r0001", nil, http.StatusOK, &st)
 	if st.ID != "r0001" {
 		t.Errorf("detail = %+v", st)
 	}
-	c.do("GET", "/api/projects/"+proj+"/resources/zzz", nil, http.StatusBadRequest, nil)
+	c.do("GET", "/api/v1/projects/"+proj+"/resources/zzz", nil, http.StatusBadRequest, nil)
 
 	// Export.
-	var rows []core.ExportedResource
-	c.do("GET", "/api/projects/"+proj+"/export", nil, http.StatusOK, &rows)
-	if len(rows) != 8 {
-		t.Errorf("export rows = %d", len(rows))
+	var rows exportPage
+	c.do("GET", "/api/v1/projects/"+proj+"/export", nil, http.StatusOK, &rows)
+	if len(rows.Items) != 8 || rows.NextCursor != "" {
+		t.Errorf("export rows = %d, next %q", len(rows.Items), rows.NextCursor)
 	}
 
 	// Add budget and re-run.
-	c.do("POST", "/api/projects/"+proj+"/budget", budgetReq{Extra: 20}, http.StatusOK, nil)
-	c.do("POST", "/api/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/budget", budgetReq{Extra: 20}, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		var i2 core.ProjectInfo
-		c.do("GET", "/api/projects/"+proj, nil, http.StatusOK, &i2)
+		c.do("GET", "/api/v1/projects/"+proj, nil, http.StatusOK, &i2)
 		if !i2.Running && i2.Spent == 100 {
 			return
 		}
@@ -195,7 +195,7 @@ func TestManualTaggingOverHTTP(t *testing.T) {
 	prov := c.register("providers", "alice")
 	tagr := c.register("taggers", "bob")
 	var resp registerResp
-	c.do("POST", "/api/projects", CreateProjectReq{
+	c.do("POST", "/api/v1/projects", CreateProjectReq{
 		ProviderID: prov, Name: "manual", Budget: 2, PayPerTask: 0.25,
 		Resources: []UploadedResource{
 			{ID: "u1", Kind: "url", Name: "example.com"},
@@ -205,39 +205,39 @@ func TestManualTaggingOverHTTP(t *testing.T) {
 	proj := resp.ID
 
 	// Manual projects refuse simulation.
-	c.do("POST", "/api/projects/"+proj+"/start", nil, http.StatusBadRequest, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusBadRequest, nil)
 
 	// Request and submit a task.
 	var task store.TaskRec
-	c.do("POST", "/api/projects/"+proj+"/tasks", requestTaskReq{TaggerID: tagr}, http.StatusCreated, &task)
+	c.do("POST", "/api/v1/projects/"+proj+"/tasks", requestTaskReq{TaggerID: tagr}, http.StatusCreated, &task)
 	if task.ResourceID == "" || task.Reward != 0.25 {
 		t.Fatalf("task = %+v", task)
 	}
-	c.do("POST", fmt.Sprintf("/api/projects/%s/tasks/%s/submit", proj, task.ID),
+	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/tasks/%s/submit", proj, task.ID),
 		submitTaskReq{Tags: []string{"go", "database"}}, http.StatusOK, nil)
-	c.do("POST", fmt.Sprintf("/api/projects/%s/tasks/%s/submit", proj, task.ID),
+	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/tasks/%s/submit", proj, task.ID),
 		submitTaskReq{Tags: []string{"dup"}}, http.StatusBadRequest, nil)
 
 	// Judge the post: approve pays the tagger.
-	c.do("POST", fmt.Sprintf("/api/projects/%s/posts/%s/1/judge", proj, task.ResourceID),
+	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/1/judge", proj, task.ResourceID),
 		judgeReq{Approved: true}, http.StatusOK, nil)
-	c.do("POST", fmt.Sprintf("/api/projects/%s/posts/%s/1/judge", proj, task.ResourceID),
+	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/1/judge", proj, task.ResourceID),
 		judgeReq{Approved: false}, http.StatusBadRequest, nil) // already judged
-	c.do("POST", fmt.Sprintf("/api/projects/%s/posts/%s/99/judge", proj, task.ResourceID),
+	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/99/judge", proj, task.ResourceID),
 		judgeReq{Approved: true}, http.StatusNotFound, nil)
 
 	var u userResp
-	c.do("GET", "/api/users/"+tagr, nil, http.StatusOK, &u)
+	c.do("GET", "/api/v1/users/"+tagr, nil, http.StatusOK, &u)
 	if u.Earned != 0.25 || u.ApprovalRate != 1 {
 		t.Errorf("tagger after approval = %+v", u)
 	}
 
 	// Tagger rates the provider.
-	c.do("POST", "/api/providers/"+prov+"/rate", rateReq{Positive: true}, http.StatusOK, nil)
-	c.do("POST", "/api/providers/ghost/rate", rateReq{Positive: true}, http.StatusNotFound, nil)
+	c.do("POST", "/api/v1/providers/"+prov+"/rate", rateReq{Positive: true}, http.StatusOK, nil)
+	c.do("POST", "/api/v1/providers/ghost/rate", rateReq{Positive: true}, http.StatusNotFound, nil)
 
 	// Bad seq parse.
-	c.do("POST", fmt.Sprintf("/api/projects/%s/posts/%s/notanumber/judge", proj, task.ResourceID),
+	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/notanumber/judge", proj, task.ResourceID),
 		judgeReq{Approved: true}, http.StatusBadRequest, nil)
 }
 
@@ -245,9 +245,9 @@ func TestStopProjectOverHTTP(t *testing.T) {
 	c := newClient(t)
 	prov := c.register("providers", "a")
 	proj := c.createSimProject(prov, 50)
-	c.do("POST", "/api/projects/"+proj+"/stop", nil, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/stop", nil, http.StatusOK, nil)
 	var info core.ProjectInfo
-	c.do("GET", "/api/projects/"+proj, nil, http.StatusOK, &info)
+	c.do("GET", "/api/v1/projects/"+proj, nil, http.StatusOK, &info)
 	if info.Project.Status != store.ProjectStopped {
 		t.Errorf("status = %s", info.Project.Status)
 	}
@@ -255,7 +255,7 @@ func TestStopProjectOverHTTP(t *testing.T) {
 
 func TestUnknownProjectRoutes(t *testing.T) {
 	c := newClient(t)
-	c.do("GET", "/api/projects/ghost", nil, http.StatusNotFound, nil)
-	c.do("POST", "/api/projects/ghost/start", nil, http.StatusBadRequest, nil)
-	c.do("GET", "/api/projects/ghost/export", nil, http.StatusBadRequest, nil)
+	c.do("GET", "/api/v1/projects/ghost", nil, http.StatusNotFound, nil)
+	c.do("POST", "/api/v1/projects/ghost/start", nil, http.StatusBadRequest, nil)
+	c.do("GET", "/api/v1/projects/ghost/export", nil, http.StatusBadRequest, nil)
 }

@@ -11,9 +11,9 @@ import (
 	"itag/internal/core"
 )
 
-// This file holds the v1-only endpoints: cursor pagination, the batch
-// write paths, and the SSE telemetry stream. The shared CRUD handlers live
-// in server.go and are mounted on both the v1 and legacy route tables.
+// This file holds the paginated listings, the batch write paths and the
+// SSE telemetry stream; the CRUD handlers and the route table live in
+// server.go.
 
 // maxBatchItems caps one batch call; bigger fleets split into multiple
 // calls client-side.
@@ -41,7 +41,7 @@ type projectsPage struct {
 	NextCursor string             `json:"next_cursor,omitempty"`
 }
 
-func (s *Server) listProjectsV1(r *http.Request, _ api.None) (projectsPage, error) {
+func (s *Server) listProjects(r *http.Request, _ api.None) (projectsPage, error) {
 	limit, cursor, err := parsePageParams(r)
 	if err != nil {
 		return projectsPage{}, err
@@ -58,14 +58,16 @@ type exportPage struct {
 	NextCursor string                  `json:"next_cursor,omitempty"`
 }
 
-func (s *Server) exportV1(r *http.Request, _ api.None) (exportPage, error) {
+// export computes one export page — the cached export route's compute
+// function (see cachedJSON).
+func (s *Server) export(r *http.Request) (any, error) {
 	limit, cursor, err := parsePageParams(r)
 	if err != nil {
-		return exportPage{}, err
+		return nil, err
 	}
 	items, next, err := s.svc.ExportPage(r.Context(), r.PathValue("id"), cursor, limit)
 	if err != nil {
-		return exportPage{}, err
+		return nil, err
 	}
 	return exportPage{Items: items, NextCursor: next}, nil
 }

@@ -26,14 +26,16 @@ func newV1Client(t *testing.T) *client {
 	return &client{t: t, srv: srv}
 }
 
+// TestV1HealthzAndAliasParity: the probe answers under /api/v1 and its
+// pre-v1 alias is gone (TestNoRouteOutsideV1 checks every other route).
 func TestV1HealthzAndAliasParity(t *testing.T) {
 	c := newV1Client(t)
-	var v1, legacy map[string]string
+	var v1 map[string]string
 	c.do("GET", "/api/v1/healthz", nil, http.StatusOK, &v1)
-	c.do("GET", "/api/healthz", nil, http.StatusOK, &legacy)
-	if v1["status"] != "ok" || legacy["status"] != "ok" {
-		t.Errorf("healthz: v1=%v legacy=%v", v1, legacy)
+	if v1["status"] != "ok" {
+		t.Errorf("healthz: v1=%v", v1)
 	}
+	c.do("GET", "/api/healthz", nil, http.StatusNotFound, nil)
 }
 
 func TestV1BatchRegisterTaggers(t *testing.T) {

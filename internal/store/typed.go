@@ -299,10 +299,20 @@ func (c *Catalog) DB() Store { return c.db }
 
 // PutResource stores a resource.
 func (c *Catalog) PutResource(r ResourceRec) error {
+	w := WriteSet{c: c}
+	if err := w.PutResource(r); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+// PutResource stages a resource.
+func (w *WriteSet) PutResource(r ResourceRec) error {
 	if r.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "resource ID required")
 	}
-	return c.put(TableResources, r.ID, r)
+	w.put(TableResources, r.ID, r)
+	return nil
 }
 
 // GetResource loads a resource.
@@ -450,10 +460,20 @@ func (c *Catalog) GetPost(resourceID string, seq uint64) (PostRec, error) {
 
 // PutProject stores a project.
 func (c *Catalog) PutProject(p ProjectRec) error {
+	w := WriteSet{c: c}
+	if err := w.PutProject(p); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+// PutProject stages a project.
+func (w *WriteSet) PutProject(p ProjectRec) error {
 	if p.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "project ID required")
 	}
-	return c.put(TableProjects, p.ID, p)
+	w.put(TableProjects, p.ID, p)
+	return nil
 }
 
 // GetProject loads a project.
