@@ -48,10 +48,14 @@ type Family struct {
 
 // WriteExposition renders the families in Prometheus text format. Names
 // are sanitized and label values escaped, so no input can produce
-// unparsable output (FuzzExposition pins this).
+// unparsable output (FuzzExposition pins this). Families that share a name
+// are written as one — the first's HELP and TYPE over everyone's samples —
+// so contributors that each describe their own instance of a family (a
+// cluster node's replica stacks beside its led slot's) compose without
+// knowing of each other.
 func WriteExposition(w io.Writer, fams []Family) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	for _, f := range mergeFamilies(fams) {
 		name := sanitizeMetricName(f.Name)
 		typ := f.Type
 		switch typ {
@@ -87,6 +91,23 @@ func WriteExposition(w io.Writer, fams []Family) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// mergeFamilies folds families of one name into the first of them, keeping
+// first-appearance order. The input is not modified.
+func mergeFamilies(fams []Family) []Family {
+	out := make([]Family, 0, len(fams))
+	at := make(map[string]int, len(fams))
+	for _, f := range fams {
+		if i, ok := at[f.Name]; ok {
+			n := len(out[i].Samples)
+			out[i].Samples = append(out[i].Samples[:n:n], f.Samples...)
+			continue
+		}
+		at[f.Name] = len(out)
+		out = append(out, f)
+	}
+	return out
 }
 
 // formatFloat renders a sample value ("+Inf", "-Inf" and "NaN" follow the

@@ -306,9 +306,10 @@ func TestClusterRoutingReplicationAndFollowerReads(t *testing.T) {
 // TestFollowerReadFreshAfterLeaderWrite pins the bounded-staleness
 // contract against decode caching: a follower read decodes a record, the
 // leader then mutates it, and once the follower's watermark catches up a
-// re-read must serve the new state. Replicas apply records below the
-// Catalog, so a cached decode from the first read would otherwise be
-// served forever — which is why startReplica builds an uncached Catalog.
+// re-read must serve the new state. The replica's Catalog caches that
+// decode, and its response cache the encoded body, so both must have been
+// invalidated by the replicated apply (Catalog.ApplyReplicated) — a write
+// slipped in underneath the Catalog would leave them served forever.
 func TestFollowerReadFreshAfterLeaderWrite(t *testing.T) {
 	tc := startCluster(t, []string{"alpha", "beta"}, nil)
 	slot, project, _ := tc.seedProject(4)

@@ -12,7 +12,9 @@ import (
 // hook, so one scrape of GET /metrics shows route latencies, store
 // durability counters, and the replication watermarks side by side — the
 // lag gauge is what the staleness bound on follower reads is measured
-// against.
+// against. The replica stacks' response caches ride along as slot-labeled
+// samples of the itag_respcache_* families the led slot's server renders
+// unlabeled (api.WriteExposition writes one family per name).
 func (n *Node) Families() []api.Family {
 	health := n.Health() // before n.mu: Health takes its own RLock
 	breakerOpen, breakerTotal, breakerOpens := n.peers.Snapshot(time.Now())
@@ -51,8 +53,10 @@ func (n *Node) Families() []api.Family {
 		}
 	}
 	var repApplied, repLeader, repLag, pulls, pullBytes, pullErrs []api.Sample
+	var repCaches []api.Family
 	for _, slot := range replicaSlots {
 		rep := n.replicas[slot]
+		repCaches = append(repCaches, rep.srv.RespCacheFamilies(api.Label{Name: "slot", Value: slot})...)
 		repApplied = append(repApplied, slotSample(slot, float64(rep.db.AppliedSeq())))
 		repLeader = append(repLeader, slotSample(slot, float64(rep.leaderSeq.Load())))
 		repLag = append(repLag, slotSample(slot, float64(rep.lag())))
@@ -119,5 +123,5 @@ func (n *Node) Families() []api.Family {
 		fams = append(fams,
 			counter("itag_cluster_pull_errors_total", "Replication pull failures by slot and error-taxonomy category.", pullErrs))
 	}
-	return fams
+	return append(fams, repCaches...)
 }

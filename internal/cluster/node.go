@@ -123,11 +123,14 @@ type backend struct {
 	push *pusher // quorum mode only; nil otherwise
 }
 
-// replica is one slot this node follows: the replica store fed by the
-// puller plus a read-only service frontend for follower reads.
+// replica is one slot this node follows: the replica store plus a read-only
+// service frontend for follower reads. The puller and the push handler feed
+// the store through cat, never db, so every replicated write passes the
+// Catalog's invalidate point and the frontend's caches stay coherent.
 type replica struct {
 	slot string
 	db   *store.DB
+	cat  *store.Catalog
 	svc  *core.Service
 	srv  *server.Server
 
@@ -201,6 +204,9 @@ type Node struct {
 	logger *log.Logger
 	httpc  *http.Client
 	kit    *api.Kit
+	// metrics is the node's one route registry: every stack this node
+	// builds, led or followed, counts its requests here.
+	metrics *api.Metrics
 
 	mu       sync.RWMutex
 	ring     *Ring
@@ -262,6 +268,7 @@ func New(opts Options) (*Node, error) {
 		logger:   opts.Logger,
 		httpc:    opts.HTTPClient,
 		kit:      &api.Kit{MapError: mapClusterErr},
+		metrics:  api.NewMetrics(),
 		ring:     opts.Ring,
 		leaders:  make(map[string]*backend),
 		replicas: make(map[string]*replica),
@@ -327,6 +334,7 @@ func (n *Node) openBackend(slot, path string) (*backend, error) {
 		Logger:        nil,
 		RouteTimeout:  n.opts.RouteTimeout,
 		ExtraFamilies: n.Families,
+		Metrics:       n.metrics,
 	})
 	return &backend{slot: slot, db: db, svc: svc, srv: srv}, nil
 }
@@ -354,11 +362,14 @@ func (n *Node) idFilterFor(slot string) func(prefix, id string) bool {
 // under /api/v1/cluster/ plus ring-routed access to every API route.
 func (n *Node) Handler() http.Handler { return n.handler }
 
-// PromHandler exposes the led slot's metrics (route histograms, store
-// durability counters, and — through the ExtraFamilies hook — the cluster
-// replication families). The backend is resolved per scrape: after a
-// demotion of the boot slot the scrape falls back to any remaining led
-// slot, and a node that leads nothing still serves the cluster families.
+// PromHandler exposes the node's metrics: the route histograms of every
+// request it served — through a led slot's stack or, for follower reads, a
+// replica's; they share one registry — the led slot's store durability
+// counters and response cache, and, through the ExtraFamilies hook, the
+// cluster replication families and the replica stacks' response caches. The
+// backend is resolved per scrape: after a demotion of the boot slot the
+// scrape falls back to any remaining led slot, and a node that leads nothing
+// still serves the route and cluster families.
 func (n *Node) PromHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.mu.RLock()
@@ -375,7 +386,7 @@ func (n *Node) PromHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = api.WriteExposition(w, n.Families())
+		_ = api.WriteExposition(w, append(n.metrics.Families(), n.Families()...))
 	})
 }
 
@@ -1025,17 +1036,15 @@ func (n *Node) startReplica(slot string) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replication applies records below the Catalog (ApplyReplicated
-	// never touches the record cache's write clocks), so on a replica a
-	// cached decode would be served forever after the record changed and
-	// the encoded-response cache's serve version would never move —
-	// stale 304s with no staleness bound. Follower reads therefore run
-	// fully uncached; leaders (including promoted ones) write through
-	// the Catalog and keep both caches.
-	svc := core.NewService(store.NewCatalogUncached(db), n.opts.Seed)
-	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, RespCacheBytes: -1})
+	// The same stack a led slot gets, minus the ID filter and run resume a
+	// read-only frontend has no use for: replication feeds the store through
+	// the Catalog, so the record cache, the write clocks and the response
+	// cache's serve version move here as they do on the leader.
+	cat := store.NewCatalog(db)
+	svc := core.NewService(cat, n.opts.Seed)
+	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})
 	ctx, cancel := context.WithCancel(context.Background())
-	rep := &replica{slot: slot, db: db, svc: svc, srv: srv, cancel: cancel, done: make(chan struct{})}
+	rep := &replica{slot: slot, db: db, cat: cat, svc: svc, srv: srv, cancel: cancel, done: make(chan struct{})}
 	n.wg.Add(1)
 	go n.pullLoop(ctx, rep)
 	return rep, nil

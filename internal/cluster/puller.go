@@ -17,11 +17,12 @@ import (
 // goroutine that polls the leader's /api/v1/cluster/wal endpoint: the
 // leader answers with CRC-framed WAL records past the follower's applied
 // watermark, or with a full snapshot when compaction has swallowed that
-// tail. The follower ingests through the store's replication entry points
-// (ApplyReplicated / InstallSnapshot), which validate every frame before
-// touching state — a corrupt or truncated shipment is rejected whole and
-// the next poll retries from the unchanged watermark, so there is never a
-// silent gap.
+// tail. The follower ingests through the replica Catalog's replication
+// entry points (ApplyReplicated / InstallSnapshot), which validate every
+// frame before touching state — a corrupt or truncated shipment is rejected
+// whole and the next poll retries from the unchanged watermark, so there is
+// never a silent gap — and invalidate what the shipment wrote before they
+// return, so a follower read never answers from before an applied batch.
 
 // maxBodyBytes bounds any replication response body. Snapshots carry
 // whole-store state, and frames responses — though budgeted by PullBytes on
@@ -116,7 +117,7 @@ func (n *Node) pullOnce(ctx context.Context, rep *replica) (bool, error) {
 		if err != nil {
 			return false, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "read snapshot body")
 		}
-		if err := rep.db.InstallSnapshot(data); err != nil {
+		if err := rep.cat.InstallSnapshot(data); err != nil {
 			return false, err
 		}
 		rep.pulls.Add(1)
@@ -131,7 +132,7 @@ func (n *Node) pullOnce(ctx context.Context, rep *replica) (bool, error) {
 		if len(data) == 0 {
 			return false, nil // caught up
 		}
-		if _, err := rep.db.ApplyReplicated(data); err != nil {
+		if _, err := rep.cat.ApplyReplicated(data); err != nil {
 			// In quorum mode the leader's push path applies to this same
 			// replica; a shipment that raced a push fails the contiguity
 			// check but the watermark has already moved past `from` — that

@@ -313,7 +313,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if applied := rep.db.AppliedSeq(); len(data) > 0 && from == applied {
-		if _, aerr := rep.db.ApplyReplicated(data); aerr != nil {
+		if _, aerr := rep.cat.ApplyReplicated(data); aerr != nil {
 			// A concurrent pull may have applied the same frames between
 			// our watermark read and the apply; if the watermark moved the
 			// shipment merely lost the race and the reply resyncs the

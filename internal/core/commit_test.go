@@ -251,7 +251,7 @@ func TestBatchTasksCommitsOnce(t *testing.T) {
 	checkRank(t, run.Engine)
 	total := 0
 	for _, r := range run.Engine.cfg.Resources {
-		total += s.Catalog().CountPosts(r.ID)
+		total += s.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
 	}
 	if total != 205 {
 		t.Errorf("%d posts stored, want 205", total)
@@ -507,7 +507,7 @@ func TestSimulatedStepCommitsOnce(t *testing.T) {
 	}
 	stored := 0
 	for _, r := range run.Engine.cfg.Resources {
-		stored += s.Catalog().CountPosts(r.ID)
+		stored += s.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
 	}
 	inStats := 0
 	for _, n := range run.Engine.Posts() {
@@ -594,7 +594,7 @@ func TestCreateProjectIsOneWriteSet(t *testing.T) {
 			}
 			posts := 0
 			for _, r := range spec(prov, 200).Resources {
-				posts += s2.Catalog().CountPosts(r.ID)
+				posts += s2.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
 			}
 			if len(projects) != wantProjects || len(resources) != wantRows || posts != wantRows || resumed != wantProjects {
 				t.Errorf("CreateProject = %q, %v; the restart holds %d project(s), %d resource(s), %d seed post(s) and resumed %d run(s), want %d, %d, %d, %d",

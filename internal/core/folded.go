@@ -1,0 +1,143 @@
+package core
+
+import (
+	"sync"
+
+	"itag/internal/quality"
+	"itag/internal/store"
+	"itag/internal/vocab"
+)
+
+// foldedRows serves export rows for projects with no live run — every
+// project on a cluster follower — from the catalog alone. A resource's
+// stability and tag counts are a pure fold over its post sequence, and
+// manual runs use the default quality config, so replaying the persisted
+// posts in key order through a fresh tracker reproduces the numbers the
+// leader's engine holds. Doing that replay per read costs O(posts ever
+// received) per row; instead each resource that has been asked about keeps
+// the tracker it folded and the last post sequence folded in, and a read
+// range-scans only the post keys after that sequence: a steady-state row is
+// one index seek.
+//
+// What makes the kept fold safe is the Catalog's invalidate point, which
+// reports every posts-table write here (store.PostsObserver) strictly after
+// the write is visible. Post sequence numbers are reserved when a write is
+// staged, not when it commits, so posts can become visible out of key order
+// — a follower can apply post 8 before post 7 — and a read in between has
+// already folded 8. A write at or below an entry's folded sequence (such a
+// late arrival, or a judge rewriting a post) therefore drops the entry, and
+// the next read refolds from the first post in key order; a write above it
+// needs nothing, the next read's scan finds it. A snapshot install drops
+// every entry.
+//
+// An entry's mutex is held across scan, fold and the sequence update, and by
+// the invalidation across its check, so for any one write either the scan
+// started after the write was visible or the check sees the sequence that
+// scan left. A read that starts between a write becoming visible and its
+// invalidation can still fold newer posts without a late one; that answer is
+// given once — the entry is dropped when the invalidation lands, and the
+// response cache's recheck keeps the answer from being revalidated against.
+type foldedRows struct {
+	cat    *store.Catalog
+	intern *vocab.Interner
+
+	mu   sync.Mutex
+	rows map[string]*foldedRow
+}
+
+// foldedRow is one resource's fold so far. The zero value has folded
+// nothing.
+type foldedRow struct {
+	mu    sync.Mutex
+	tr    *quality.Tracker
+	seq   uint64           // last post sequence folded into tr
+	posts int              // posts folded (those carrying tags)
+	row   ExportedResource // tr's row, valid while fresh
+	fresh bool
+}
+
+func newFoldedRows(cat *store.Catalog, intern *vocab.Interner) *foldedRows {
+	return &foldedRows{cat: cat, intern: intern, rows: make(map[string]*foldedRow)}
+}
+
+// row returns the resource's export row (Name left for the caller), folding
+// in whatever posts arrived since the last call.
+func (f *foldedRows) row(resourceID string) (ExportedResource, error) {
+	f.mu.Lock()
+	e := f.rows[resourceID]
+	if e == nil {
+		e = &foldedRow{}
+		f.rows[resourceID] = e
+	}
+	f.mu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tr == nil {
+		e.tr = quality.NewTrackerShared(quality.Config{}, f.intern)
+	}
+	var foldErr error
+	err := f.cat.ScanPostsAfter(resourceID, e.seq, func(seq uint64, p store.PostRec) bool {
+		if len(p.Tags) > 0 {
+			if foldErr = e.tr.AddPost(p.Tags); foldErr != nil {
+				return false
+			}
+			e.posts++
+			e.fresh = false
+		}
+		e.seq = seq
+		return true
+	})
+	if err == nil {
+		err = foldErr
+	}
+	if err != nil {
+		e.drop() // half a fold is no fold
+		return ExportedResource{}, err
+	}
+	if !e.fresh {
+		e.row = ExportedResource{ID: resourceID, Posts: e.posts, Stability: e.tr.Quality()}
+		for _, tf := range e.tr.Counts().TopK(10) {
+			e.row.TopTags = append(e.row.TopTags, TagFreq{Tag: tf.Tag, Count: tf.Count, Freq: tf.Freq})
+		}
+		e.fresh = true
+	}
+	return e.row, nil
+}
+
+// PostWritten drops the resource's entry when the write is at or below what
+// the entry has folded: key order can no longer be had by appending.
+func (f *foldedRows) PostWritten(resourceID string, seq uint64) {
+	f.mu.Lock()
+	e := f.rows[resourceID]
+	f.mu.Unlock()
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	if seq <= e.seq {
+		e.drop()
+	}
+	e.mu.Unlock()
+}
+
+// PostsReplaced drops every entry: the posts table they folded is gone.
+func (f *foldedRows) PostsReplaced() {
+	f.mu.Lock()
+	rows := f.rows
+	f.rows = make(map[string]*foldedRow)
+	f.mu.Unlock()
+	// A reader may already hold one of the old entries; emptied, it refolds
+	// from the new table's first post like any other.
+	for _, e := range rows {
+		e.mu.Lock()
+		e.drop()
+		e.mu.Unlock()
+	}
+}
+
+// drop forgets the fold; the next read starts from the first post. Caller
+// holds e.mu.
+func (e *foldedRow) drop() {
+	e.tr, e.seq, e.posts, e.row, e.fresh = nil, 0, 0, ExportedResource{}, false
+}

@@ -13,7 +13,6 @@ import (
 	"itag/internal/crowd"
 	"itag/internal/dataset"
 	"itag/internal/errs"
-	"itag/internal/quality"
 	"itag/internal/rng"
 	"itag/internal/store"
 	"itag/internal/strategy"
@@ -38,6 +37,7 @@ type Service struct {
 	um      *users.Manager
 	ledger  *crowd.Ledger
 	intern  *vocab.Interner // shared tag vocabulary across all project runs
+	folded  *foldedRows     // export rows of projects with no live run
 	runs    map[string]*Run
 	nextID  int
 	seed    int64
@@ -98,7 +98,7 @@ var ErrInvalidRole error = errs.New(errs.ComponentCore, errs.CategoryValidation,
 // NewService builds a Service over a catalog.
 func NewService(cat *store.Catalog, seed int64) *Service {
 	lifeCtx, cancel := context.WithCancel(context.Background())
-	return &Service{
+	s := &Service{
 		cat:        cat,
 		um:         users.NewManager(),
 		ledger:     crowd.NewLedger(),
@@ -109,6 +109,9 @@ func NewService(cat *store.Catalog, seed int64) *Service {
 		lifeCtx:    lifeCtx,
 		cancelLife: cancel,
 	}
+	s.folded = newFoldedRows(cat, s.intern)
+	cat.ObservePosts(s.folded)
+	return s
 }
 
 // ServiceOptions tunes optional Service behaviour beyond NewService's
@@ -175,14 +178,12 @@ func (s *Service) Catalog() *store.Catalog { return s.cat }
 // run-state epoch. Any completed mutation — a catalog write, a run
 // starting or finishing — advances it, and both clocks advance strictly
 // after the state they report changes, so two equal reads bracketing a
-// response prove the response is not stale. ok=false on an uncached
-// catalog (no write clocks to key by).
-func (s *Service) ServeVersion() (uint64, bool) {
-	sum, ok := s.cat.WriteSeqSum()
-	if !ok {
-		return 0, false
-	}
-	return sum + s.runsEpoch.Load(), true
+// response prove the response is not stale. On a cluster follower the
+// catalog's clocks are moved by replicated applies (store.Catalog's
+// invalidate point), so the version moves there as it does on the leader;
+// it never repeats or goes backwards within a process.
+func (s *Service) ServeVersion() uint64 {
+	return s.cat.WriteSeqSum() + s.runsEpoch.Load()
 }
 
 // bumpRunsEpoch records a run-state transition that has no catalog write
@@ -1131,12 +1132,9 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 	run, runErr := s.run(projectID)
 	if runErr != nil {
 		// No live run: a follower replica, or a finished project. The
-		// export is still servable from the catalog alone — replaying a
-		// resource's persisted posts through a fresh tracker reproduces
-		// the live engine's quality state, because trackers are a pure
-		// fold over the post sequence and manual runs use the default
-		// quality config. The project must at least exist; when it does
-		// not, the answer is the same unknown-run error a write would get.
+		// export is still servable from the catalog alone (foldedRows).
+		// The project must at least exist; when it does not, the answer
+		// is the same unknown-run error a write would get.
 		if _, err := s.cat.GetProject(projectID); err != nil {
 			return nil, "", runErr
 		}
@@ -1162,7 +1160,7 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 				Stability: st.Stability, TopTags: st.TopTags,
 			}
 		} else {
-			st, err := s.exportFromCatalog(rec.ID)
+			st, err := s.folded.row(rec.ID)
 			if err != nil {
 				return true
 			}
@@ -1176,33 +1174,6 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 		return nil, "", scanErr
 	}
 	return out, next, nil
-}
-
-// exportFromCatalog computes one resource's export row purely from its
-// persisted posts — the read path a runless service (a cluster follower)
-// serves Export with. Posts replay in append order, the order the live
-// engine saw them, so the numbers match the leader's export exactly.
-func (s *Service) exportFromCatalog(resourceID string) (ExportedResource, error) {
-	posts, err := s.cat.PostsOf(resourceID)
-	if err != nil {
-		return ExportedResource{}, err
-	}
-	tr := quality.NewTrackerShared(quality.Config{}, s.intern)
-	n := 0
-	for _, p := range posts {
-		if len(p.Tags) == 0 {
-			continue
-		}
-		if err := tr.AddPost(p.Tags); err != nil {
-			return ExportedResource{}, err
-		}
-		n++
-	}
-	row := ExportedResource{ID: resourceID, Posts: n, Stability: tr.Quality()}
-	for _, tf := range tr.Counts().TopK(10) {
-		row.TopTags = append(row.TopTags, TagFreq{Tag: tf.Tag, Count: tf.Count, Freq: tf.Freq})
-	}
-	return row, nil
 }
 
 // --- cursors ------------------------------------------------------------------

@@ -87,7 +87,7 @@ func TestSimulatedProjectLifecycle(t *testing.T) {
 	resources, _ := s.Catalog().ListResources(proj)
 	totalPosts := 0
 	for _, r := range resources {
-		totalPosts += s.Catalog().CountPosts(r.ID)
+		totalPosts += s.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
 	}
 	// Some posts may be rejected by the judge; persisted posts equal
 	// accepted posts, which must be positive and <= 120.

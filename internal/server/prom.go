@@ -19,15 +19,24 @@ func (s *Server) PromHandler() http.Handler {
 			fams = append(fams, storeFamilies(st)...)
 		}
 		fams = append(fams, s.capacityFamilies()...)
-		if s.resp != nil {
-			fams = append(fams, s.resp.families()...)
-		}
+		fams = append(fams, s.RespCacheFamilies()...)
 		if s.extraFams != nil {
 			fams = append(fams, s.extraFams()...)
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = api.WriteExposition(w, fams)
 	})
+}
+
+// RespCacheFamilies renders the encoded-response cache counters as metric
+// families (none when the cache is off), each sample under the given
+// labels. A cluster node uses it to show its replica stacks' caches beside
+// the led slot's, told apart by a slot label.
+func (s *Server) RespCacheFamilies(labels ...api.Label) []api.Family {
+	if s.resp == nil {
+		return nil
+	}
+	return s.resp.families(labels)
 }
 
 // storeFamilies renders the store's durability counters as metric

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -37,12 +39,20 @@ import (
 // have missed. Engine-internal transients (a step's in-flight allocation
 // counters) ride on the posts clock their step bumps continuously.
 //
+// Versions count from zero in every process and on every node, so a
+// validator is only meaningful to the cache that minted it: the ETag
+// carries a per-cache nonce, and a tag from a previous incarnation of this
+// server, or from another node serving the same key (a slot's leader and
+// its followers each keep their own cache), never matches here — it draws
+// a 200, not a 304 over whatever body happens to share its number.
+//
 // Capacity is byte-bounded with approximate LRU eviction; entries also
 // count their hits, and write handlers call maybeRefresh so hot entries
 // are re-encoded at write time instead of missing on their next read.
 type respCache struct {
-	version  func() (uint64, bool)
+	version  func() uint64
 	maxBytes int64
+	nonce    string // scopes this cache's ETags; see newRespCache
 
 	mu      sync.RWMutex
 	entries map[respKey]*respEntry
@@ -94,19 +104,24 @@ const respHotHits = 4
 // resource details plus dashboards) several times over.
 const defaultRespCacheBytes = 8 << 20
 
-func newRespCache(version func() (uint64, bool), maxBytes int64) *respCache {
+func newRespCache(version func() uint64, maxBytes int64) *respCache {
 	if maxBytes == 0 {
 		maxBytes = defaultRespCacheBytes
 	}
+	// 48 random bits: enough that two caches a client can confuse (the
+	// nodes of one slot, the restarts of one server) never share a nonce.
+	var nonce [6]byte
+	_, _ = rand.Read(nonce[:]) // crypto/rand.Read does not fail
 	return &respCache{
 		version:  version,
 		maxBytes: maxBytes,
+		nonce:    hex.EncodeToString(nonce[:]),
 		entries:  make(map[respKey]*respEntry),
 	}
 }
 
-func newRespEntry(seq uint64, body []byte, key respKey) *respEntry {
-	etag := fmt.Sprintf("\"%d-%x\"", seq, len(body))
+func (rc *respCache) newEntry(seq uint64, body []byte, key respKey) *respEntry {
+	etag := fmt.Sprintf("\"%s-%d-%x\"", rc.nonce, seq, len(body))
 	etagVal := []string{etag}
 	cc := api.NoCacheValue()
 	e := &respEntry{
@@ -123,15 +138,11 @@ func newRespEntry(seq uint64, body []byte, key respKey) *respEntry {
 	return e
 }
 
-// get looks the key up under the current version. ok=false means the
-// cache has no version source (uncached catalog) and the caller must
-// serve uncached; otherwise v is the version captured BEFORE any state
-// read the caller makes on a miss — the stamp its fill must carry.
-func (rc *respCache) get(k respKey) (e *respEntry, v uint64, ok bool) {
-	v, ok = rc.version()
-	if !ok {
-		return nil, 0, false
-	}
+// get looks the key up under the current version. v is the version
+// captured BEFORE any state read the caller makes on a miss (e == nil) —
+// the stamp its fill must carry.
+func (rc *respCache) get(k respKey) (e *respEntry, v uint64) {
+	v = rc.version()
 	rc.mu.RLock()
 	e = rc.entries[k]
 	rc.mu.RUnlock()
@@ -139,10 +150,10 @@ func (rc *respCache) get(k respKey) (e *respEntry, v uint64, ok bool) {
 		e.hits.Add(1)
 		e.lastHit.Store(rc.tick.Add(1))
 		rc.hits.Add(1)
-		return e, v, true
+		return e, v
 	}
 	rc.misses.Add(1)
-	return nil, v, true
+	return nil, v
 }
 
 // put publishes a response encoded at version seq, then rechecks the
@@ -156,7 +167,7 @@ func (rc *respCache) get(k respKey) (e *respEntry, v uint64, ok bool) {
 // retires it unless its stamp still equals the global version, and two
 // fills with the same stamp carry identical bytes.
 func (rc *respCache) put(k respKey, seq uint64, body []byte) (e *respEntry, published bool) {
-	e = newRespEntry(seq, body, k)
+	e = rc.newEntry(seq, body, k)
 	if rc.maxBytes > 0 && e.size > rc.maxBytes {
 		return e, false
 	}
@@ -169,7 +180,7 @@ func (rc *respCache) put(k respKey, seq uint64, body []byte) (e *respEntry, publ
 	e.lastHit.Store(rc.tick.Add(1))
 	rc.evictLocked(e)
 	rc.mu.Unlock()
-	if v, ok := rc.version(); !ok || v != seq {
+	if rc.version() != seq {
 		rc.withdraw(k, e)
 		return e, false
 	}
@@ -223,9 +234,9 @@ func (rc *respCache) maybeRefresh(k respKey, compute func() (any, error)) {
 	if e == nil || e.hits.Load() < respHotHits {
 		return
 	}
-	v0, ok := rc.version()
-	if !ok || e.seq == v0 {
-		return // no version source, or already fresh
+	v0 := rc.version()
+	if e.seq == v0 {
+		return // already fresh
 	}
 	val, err := compute()
 	if err == nil {
@@ -270,11 +281,12 @@ type RespCacheStats struct {
 	Bytes     int64 `json:"bytes"`
 }
 
-// respFamilies renders the cache counters as Prometheus families.
-func (rc *respCache) families() []api.Family {
+// families renders the cache counters as Prometheus families, one sample
+// each under the given labels.
+func (rc *respCache) families(labels []api.Label) []api.Family {
 	st := rc.stats()
 	one := func(name, help, typ string, v int64) api.Family {
-		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Value: float64(v)}}}
+		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Labels: labels, Value: float64(v)}}}
 	}
 	return []api.Family{
 		one("itag_respcache_hits_total", "Encoded-response cache hits.", api.TypeCounter, st.Hits),
@@ -289,45 +301,41 @@ func (rc *respCache) families() []api.Family {
 // --- cached route handlers ------------------------------------------------------
 
 // cachedJSON adapts a compute function into a cached GET handler: serve
-// the published entry (or its 304 form under a matching If-None-Match),
-// fill on miss, and fall back to a plain pooled encode — byte-identical,
-// just without ETags — when the service has no version source.
+// the published entry (or its 304 form under a matching If-None-Match) and
+// fill on miss. With the cache switched off (Options.RespCacheBytes < 0)
+// every request is a plain pooled encode — byte-identical, just without
+// ETags.
 func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, compute func(*http.Request) (any, error)) http.HandlerFunc {
 	return api.Handle(s.kit, http.StatusOK, func(r *http.Request, _ api.None) (*api.Raw, error) {
+		var e *respEntry
+		var v uint64
 		k := respKey{kind: kind, a: r.PathValue("id"), b: keyB(r)}
 		if s.resp != nil {
-			if e, v, ok := s.resp.get(k); ok {
-				if e == nil {
-					val, err := compute(r)
-					if err != nil {
-						return nil, err
-					}
-					body, err := api.AppendJSON(nil, val)
-					if err != nil {
-						return nil, err
-					}
-					var published bool
-					if e, published = s.resp.put(k, v, body); !published {
-						// The fill raced a write: answer with the bytes this
-						// request computed, but never revalidate against them.
-						return e.raw, nil
-					}
-				}
-				if api.ETagMatch(r, e.etag) {
-					return e.notMod, nil
-				}
+			e, v = s.resp.get(k)
+		}
+		if e == nil {
+			val, err := compute(r)
+			if err != nil {
+				return nil, err
+			}
+			body, err := api.AppendJSON(nil, val)
+			if err != nil {
+				return nil, err
+			}
+			if s.resp == nil {
+				return &api.Raw{Body: body}, nil
+			}
+			var published bool
+			if e, published = s.resp.put(k, v, body); !published {
+				// The fill raced a write: answer with the bytes this
+				// request computed, but never revalidate against them.
 				return e.raw, nil
 			}
 		}
-		val, err := compute(r)
-		if err != nil {
-			return nil, err
+		if api.ETagMatch(r, e.etag) {
+			return e.notMod, nil
 		}
-		body, err := api.AppendJSON(nil, val)
-		if err != nil {
-			return nil, err
-		}
-		return &api.Raw{Body: body}, nil
+		return e.raw, nil
 	})
 }
 

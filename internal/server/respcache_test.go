@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -360,4 +361,112 @@ func TestRespCacheCoherence(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotModified {
 		t.Fatalf("quiescent revalidation = %d", resp2.StatusCode)
 	}
+}
+
+// TestETagsAreScopedToTheirCache: serve versions count from zero in every
+// process and on every node, so two caches can reach the same version over
+// different bodies of the same length — a server restarted on its WAL, or a
+// slot's leader and a follower each serving the same key. A validator minted
+// by one must draw a 200 from the other, never a 304 certifying a body it
+// was not minted for ("<version>-<len>" tags did exactly that).
+func TestETagsAreScopedToTheirCache(t *testing.T) {
+	ctx := t.Context()
+	path := filepath.Join(t.TempDir(), "itag.wal")
+	open := func() (*store.DB, *core.Service, *Server) {
+		db, err := store.Open(path, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := core.NewService(store.NewCatalog(db), 7)
+		if _, err := svc.ResumeRuns(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return db, svc, NewWith(svc, Options{})
+	}
+	get := func(srv *Server, url, inm string) (*httptest.ResponseRecorder, []byte) {
+		req := httptest.NewRequest("GET", url, nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec, rec.Body.Bytes()
+	}
+
+	db, svc, first := open()
+	prov, err := svc.RegisterProvider(ctx, "prov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	project, err := svc.CreateProject(ctx, core.ProjectSpec{
+		ProviderID: prov, Name: "etag", Budget: 200, PayPerTask: 0.05, Strategy: "random",
+		Resources: []dataset.Resource{{ID: "r0", Name: "r0", Popularity: 1}, {ID: "r1", Name: "r1", Popularity: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "/api/v1/projects/" + project
+	rec, body := get(first, url, "")
+	etag, version := rec.Header().Get("Etag"), svc.ServeVersion()
+	if rec.Code != http.StatusOK || etag == "" {
+		t.Fatalf("GET = %d, Etag %q", rec.Code, etag)
+	}
+	if rec, _ := get(first, url, etag); rec.Code != http.StatusNotModified {
+		t.Fatalf("own validator = %d, want 304", rec.Code)
+	}
+
+	// other drives a second stack to the first one's version with a body of
+	// the same length and different content (budget 200 → 300), then offers
+	// it the first one's validator.
+	other := func(name string, svc2 *core.Service, srv2 *Server) {
+		t.Helper()
+		if svc2.ServeVersion() >= version {
+			t.Fatalf("%s: starts at version %d, the first stack stopped at %d", name, svc2.ServeVersion(), version)
+		}
+		if err := svc2.AddBudget(ctx, project, 100); err != nil {
+			t.Fatal(err)
+		}
+		for stop := true; svc2.ServeVersion() < version; stop = !stop {
+			toggle := svc2.ResumeResource
+			if stop {
+				toggle = svc2.StopResource
+			}
+			if err := toggle(ctx, project, "r1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := svc2.ServeVersion(); got != version {
+			t.Fatalf("%s: version %d, want %d", name, got, version)
+		}
+		rec, body2 := get(srv2, url, etag)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: the other cache's validator drew %d, want 200", name, rec.Code)
+		}
+		if len(body2) != len(body) || bytes.Equal(body2, body) {
+			t.Fatalf("%s: want an equal-length, different body\n first %s\nsecond %s", name, body, body2)
+		}
+		if rec.Header().Get("Etag") == etag {
+			t.Fatalf("%s: two caches minted the same ETag %s over different bodies", name, etag)
+		}
+	}
+
+	// Two stacks over one store (what a slot's leader and follower are to a
+	// client): a second catalog counts its own writes from zero.
+	svcB := core.NewService(store.NewCatalog(db), 7)
+	if _, err := svcB.ResumeRuns(ctx); err != nil {
+		t.Fatal(err)
+	}
+	other("second stack", svcB, NewWith(svcB, Options{}))
+	svcB.Close()
+
+	// The same server rebuilt over the reopened WAL.
+	svc.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, svc2, second := open()
+	defer db2.Close()
+	defer svc2.Close()
+	// The second stack's budget write is in the WAL too: 300 → 400.
+	other("restarted server", svc2, second)
 }

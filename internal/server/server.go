@@ -78,9 +78,13 @@ type Options struct {
 	// RespCacheBytes bounds the encoded-response cache behind the hot GET
 	// routes (project dashboard, resource detail, export): 0 picks the
 	// 8 MiB default, < 0 disables the cache (those routes then encode per
-	// request through the pooled pipeline, without ETags). The cache is
-	// also disabled when the service's catalog keeps no write clocks.
+	// request through the pooled pipeline, without ETags).
 	RespCacheBytes int64
+	// Metrics, when non-nil, is the registry this server's routes count
+	// into instead of one of its own. A cluster node hands the same one to
+	// the stack of every slot it leads or follows, so a request is counted
+	// once per node under its route label whichever stack served it.
+	Metrics *api.Metrics
 }
 
 // Server is the HTTP frontend over a core.Service.
@@ -117,10 +121,13 @@ func NewWith(svc *core.Service, opts Options) *Server {
 	s := &Server{
 		svc:          svc,
 		mux:          http.NewServeMux(),
-		metrics:      api.NewMetrics(),
+		metrics:      opts.Metrics,
 		routeTimeout: opts.RouteTimeout,
 		sseBuffer:    opts.SSEBuffer,
 		extraFams:    opts.ExtraFamilies,
+	}
+	if s.metrics == nil {
+		s.metrics = api.NewMetrics()
 	}
 	s.kit = &api.Kit{MapError: mapErr, Metrics: s.metrics}
 	if opts.RespCacheBytes >= 0 {

@@ -34,6 +34,13 @@ import (
 // again; keys written and never re-read hold one pending record until
 // their next read, bounded by the table's live key count.
 //
+// A wholesale replacement of the store's state (a replica installing a
+// snapshot) cannot name the keys it changed, so it raises a per-table
+// floor instead: every clock advances and the new tick becomes the floor
+// no older stamp passes — a fill stamped before the install is refused at
+// publication and rejected at read time, exactly as if every key had been
+// written.
+//
 // Cached records are stored and returned by value; callers receive copies
 // of the structs, and the reference-typed fields inside them (PostRec.Tags,
 // PostRec.Approved) are treated as immutable by every Catalog caller, the
@@ -42,7 +49,13 @@ type recordCache struct {
 	entries   sync.Map // table + "\x00" + key → *cacheEntry
 	lastWrite sync.Map // table + "\x00" + key → uint64 clock tick of the last write, pruned on validated read
 	size      atomic.Int64
-	seqs      map[string]*atomic.Uint64 // per-table write clock
+	seqs      map[string]*tableClock
+}
+
+// tableClock is one table's write clock and the floor invalidateAll raised
+// it to: stamps below the floor predate a wholesale replacement.
+type tableClock struct {
+	seq, floor atomic.Uint64
 }
 
 // cacheEntry is one decoded record stamped with the table clock observed
@@ -60,23 +73,22 @@ type cacheEntry struct {
 const cacheMaxEntries = 1 << 20
 
 func newRecordCache() *recordCache {
-	c := &recordCache{seqs: make(map[string]*atomic.Uint64, 5)}
+	c := &recordCache{seqs: make(map[string]*tableClock, 5)}
 	for _, t := range []string{TableResources, TablePosts, TableProjects, TableTasks, TableUsers} {
-		c.seqs[t] = &atomic.Uint64{}
+		c.seqs[t] = &tableClock{}
 	}
 	return c
 }
 
 func cacheKey(table, key string) string { return table + "\x00" + key }
 
-// seq returns the table's current write clock; ok=false for tables the
-// cache does not manage (those are never cached).
-func (c *recordCache) seq(table string) (uint64, bool) {
-	s := c.seqs[table]
-	if s == nil {
-		return 0, false
+// seq returns the table's current write clock (0 for a table the cache does
+// not manage; those are never cached).
+func (c *recordCache) seq(table string) uint64 {
+	if s := c.seqs[table]; s != nil {
+		return s.seq.Load()
 	}
-	return s.Load(), true
+	return 0
 }
 
 // seqSum sums every table's write clock. Each clock is non-decreasing,
@@ -89,7 +101,7 @@ func (c *recordCache) seq(table string) (uint64, bool) {
 func (c *recordCache) seqSum() uint64 {
 	var sum uint64
 	for _, s := range c.seqs {
-		sum += s.Load()
+		sum += s.seq.Load()
 	}
 	return sum
 }
@@ -106,6 +118,10 @@ func (c *recordCache) get(table, key string) (any, bool) {
 		return nil, false
 	}
 	e := v.(*cacheEntry)
+	if e.seq < c.seqs[table].floor.Load() {
+		c.remove(table, key) // filled before a wholesale replacement
+		return nil, false
+	}
 	if lw, written := c.lastWrite.Load(k); written {
 		if lw.(uint64) > e.seq {
 			c.remove(table, key) // stale fill that raced a write; never serve it
@@ -124,7 +140,8 @@ func (c *recordCache) get(table, key string) (any, bool) {
 // equal-or-newer entry and is refused outright when the key's last-write
 // record postdates it.
 func (c *recordCache) add(table, key string, seq uint64, rec any) {
-	if c.seqs[table] == nil || c.size.Load() >= cacheMaxEntries {
+	s := c.seqs[table]
+	if s == nil || seq < s.floor.Load() || c.size.Load() >= cacheMaxEntries {
 		return
 	}
 	k := cacheKey(table, key)
@@ -158,8 +175,26 @@ func (c *recordCache) invalidate(table, key string) {
 	if s == nil {
 		return
 	}
-	c.lastWrite.Store(cacheKey(table, key), s.Add(1))
+	c.lastWrite.Store(cacheKey(table, key), s.seq.Add(1))
 	c.remove(table, key)
+}
+
+// invalidateAll retires every cached record after the store's state was
+// replaced wholesale: each table's clock advances and its floor rises to
+// the new tick, so nothing stamped earlier is published or served again;
+// the retired decodes are then dropped rather than left for a read to
+// reclaim. Last-write records stay: one may belong to a write that landed
+// after the replacement, and the rest are pruned by the next validated read.
+func (c *recordCache) invalidateAll() {
+	for _, s := range c.seqs {
+		s.floor.Store(s.seq.Add(1))
+	}
+	c.entries.Range(func(k, _ any) bool {
+		if _, loaded := c.entries.LoadAndDelete(k); loaded {
+			c.size.Add(-1)
+		}
+		return true
+	})
 }
 
 func (c *recordCache) remove(table, key string) {

@@ -12,9 +12,10 @@ package store
 //	AppliedSeq      lock-free watermark: the highest sequence applied to
 //	                memory AND present in the OS file (the group-commit
 //	                writer flushes before it applies)
-//	ReplTail        frames for (from, last] read straight from the segment
-//	                files, or ErrSnapshotNeeded once compaction has
-//	                swallowed the requested tail
+//	ReplTail        frames for (from, last]: copied out of the tail window
+//	                the writer retains when from+1 lies inside it, read from
+//	                the segment files otherwise, or ErrSnapshotNeeded once
+//	                compaction has swallowed the requested tail
 //	SnapshotExport  the snapshot-file image (header + checksummed body) of
 //	                the current applied state, for bootstrapping followers
 //
@@ -27,7 +28,14 @@ package store
 //	InstallSnapshot replaces the follower's state with a shipped snapshot
 //	                image and resets its WAL to a fresh segment
 //
-// ReplTail reads files without holding the writer lock: it captures the
+// The tail window (tailWindow) is the steady-state path: a follower one
+// commit behind is answered by one copy of bytes the writer already framed —
+// no open, no reader, no decode. The file scan is the cold path: catch-up
+// from further back than the window reaches, sealed segments, the first
+// pulls after a restart, records larger than the window. Which one answers
+// is decided by where from lies, and both return the same bytes.
+//
+// The file scan runs without holding the writer lock: it captures the
 // file list and sizes under wal.smu, then reads each file up to its captured
 // size. Sealed segments are immutable; the active segment only grows, and
 // its captured size never includes a torn in-flight append (sizes are bumped
@@ -111,6 +119,108 @@ func (r *replState) setCursor(from uint64, c replCursor) {
 	r.cursors[from] = c
 }
 
+// tailWindowBytes is how much of the WAL's tail the writer keeps framed in
+// memory for ReplTail: a few hundred paid posts, far more than a follower
+// that is keeping up ever trails by.
+const tailWindowBytes = 256 << 10
+
+// tailWindow retains the framed bytes of the most recent commits, record
+// boundaries included, so ReplTail can ship a caught-up follower's next
+// records by copy. It holds a contiguous run of sequences ending at the
+// applied watermark, or nothing.
+//
+// Publication rule (the one AppliedSeq obeys): the writer pushes a record
+// only after the batch holding it is flushed, fsynced per Options.SyncEvery
+// and applied — under wal.fmu, so pushes arrive in sequence order — and a
+// torn or failed batch is never pushed. A record larger than the window is
+// not kept (the window restarts after it), InstallSnapshot empties it, and
+// so does ApplyReplicated: a store being fed a leader's frames has nobody to
+// ship to until it is reopened as a leader.
+//
+// mu is a leaf lock: the writer holds fmu → mu for a push, readers take mu
+// alone for the copy, so a ReplTail never waits behind an fsync.
+type tailWindow struct {
+	mu    sync.Mutex
+	buf   []byte // frames of sequences first .. first+len(ends)-1, back to back
+	ends  []int  // ends[i] is where record first+i stops in buf
+	first uint64
+}
+
+// push appends one committed record's frame. When the buffer is full the
+// older half is dropped and the rest moved down, so a byte is moved at most
+// once on average and a steady stream of commits allocates nothing.
+func (t *tailWindow) push(seq uint64, frame []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.ends) > 0 && seq != t.first+uint64(len(t.ends)) {
+		t.resetLocked() // not the successor of what is held: start over
+	}
+	if len(frame) > tailWindowBytes {
+		t.resetLocked()
+		return
+	}
+	if t.buf == nil {
+		t.buf = make([]byte, 0, tailWindowBytes)
+	}
+	if len(t.buf)+len(frame) > tailWindowBytes {
+		// Drop whole records from the front until at most half the window
+		// is in use and the new frame fits.
+		drop := 1
+		for ; drop < len(t.ends); drop++ {
+			if rest := len(t.buf) - t.ends[drop-1]; rest <= tailWindowBytes/2 && rest+len(frame) <= tailWindowBytes {
+				break
+			}
+		}
+		cut := t.ends[drop-1]
+		t.buf = t.buf[:copy(t.buf, t.buf[cut:])]
+		kept := t.ends[:copy(t.ends, t.ends[drop:])]
+		for i := range kept {
+			kept[i] -= cut
+		}
+		t.ends = kept
+		t.first += uint64(drop)
+	}
+	if len(t.ends) == 0 {
+		t.first = seq
+	}
+	t.buf = append(t.buf, frame...)
+	t.ends = append(t.ends, len(t.buf))
+}
+
+// reset empties the window; what it held is served from the files again.
+func (t *tailWindow) reset() {
+	t.mu.Lock()
+	t.resetLocked()
+	t.mu.Unlock()
+}
+
+func (t *tailWindow) resetLocked() {
+	t.buf, t.ends, t.first = t.buf[:0], t.ends[:0], 0
+}
+
+// read copies out the records after from under ReplTail's budget contract:
+// at least one, then as many more as end at or under maxBytes. ok=false
+// when record from+1 is not held.
+func (t *tailWindow) read(from uint64, maxBytes int) (out []byte, last uint64, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.ends) == 0 || from+1 < t.first || from+1 >= t.first+uint64(len(t.ends)) {
+		return nil, 0, false
+	}
+	i := int(from + 1 - t.first)
+	start := 0
+	if i > 0 {
+		start = t.ends[i-1]
+	}
+	// The first record always ships; j then walks to the last record that
+	// still ends within the budget.
+	j := i
+	for j+1 < len(t.ends) && t.ends[j+1]-start <= maxBytes {
+		j++
+	}
+	return bytes.Clone(t.buf[start:t.ends[j]]), t.first + uint64(j), true
+}
+
 // AppliedSeq returns the highest sequence number that is both applied to
 // memory and flushed to the WAL file — the replication watermark. Lock-free.
 func (db *DB) AppliedSeq() uint64 { return db.st.appliedSeq.Load() }
@@ -125,6 +235,11 @@ func (db *DB) AppliedSeq() uint64 { return db.st.appliedSeq.Load() }
 // wedging replication on the identical retry. An empty result means the
 // follower is caught up. ErrSnapshotNeeded means compaction has swallowed the
 // requested tail and the follower must InstallSnapshot first.
+//
+// When record from+1 is in the writer's tail window the answer is one copy
+// out of it and costs what it ships; otherwise the segment files are
+// scanned. The window never holds a record that is not flushed and applied,
+// so the memory path ships nothing beyond AppliedSeq.
 func (db *DB) ReplTail(from uint64, maxBytes int) ([]byte, uint64, error) {
 	if db.wal == nil {
 		return nil, 0, errs.New(errs.ComponentStore, errs.CategoryValidation, "replication requires a WAL-backed store")
@@ -141,6 +256,9 @@ func (db *DB) ReplTail(from uint64, maxBytes int) ([]byte, uint64, error) {
 		}
 		if from < db.st.snapshotSeq.Load() {
 			return nil, 0, ErrSnapshotNeeded
+		}
+		if out, last, ok := db.wal.tail.read(from, maxBytes); ok {
+			return out, last, nil
 		}
 		out, last, err := db.readTail(from, maxBytes)
 		if err == nil {
@@ -333,10 +451,20 @@ func (db *DB) SnapshotExport() ([]byte, error) {
 // taxonomy error and the follower state is untouched — never a partial
 // apply, never a silent gap. On success the raw bytes are appended to the
 // follower's own WAL (flushed, fsynced per Options.SyncEvery) and applied.
-// It returns the new applied sequence.
+// It returns the new applied sequence. A store read through a Catalog must
+// be fed through Catalog.ApplyReplicated instead, which runs this and then
+// invalidates what the batch wrote.
 func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
+	_, applied, err := db.applyReplicated(data)
+	return applied, err
+}
+
+// applyReplicated is ApplyReplicated also returning the records it applied
+// (none for an empty shipment), which is what Catalog.ApplyReplicated
+// invalidates.
+func (db *DB) applyReplicated(data []byte) ([]Record, uint64, error) {
 	if len(data) == 0 {
-		return db.AppliedSeq(), nil
+		return nil, db.AppliedSeq(), nil
 	}
 	if db.wal == nil {
 		return db.applyReplicatedMemory(data)
@@ -345,29 +473,29 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
 	if err := db.stickyErr(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if db.closed.Load() {
-		return 0, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	db.mu.RLock()
 	seq := db.seq
 	db.mu.RUnlock()
 	recs, err := parseReplicated(data, seq)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if _, werr := w.bw.Write(data); werr != nil {
-		return 0, db.fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "append replicated wal"))
+		return nil, 0, db.fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "append replicated wal"))
 	}
 	if werr := w.bw.Flush(); werr != nil {
-		return 0, db.fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "flush replicated wal"))
+		return nil, 0, db.fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "flush replicated wal"))
 	}
 	w.addActiveSize(int64(len(data)))
 	w.sinceSync += len(recs)
 	if db.opts.SyncEvery > 0 && w.sinceSync >= db.opts.SyncEvery {
 		if serr := w.file.Sync(); serr != nil {
-			return 0, db.fail(errs.Wrap(serr, errs.ComponentStore, errs.CategoryIO, "sync replicated wal"))
+			return nil, 0, db.fail(errs.Wrap(serr, errs.ComponentStore, errs.CategoryIO, "sync replicated wal"))
 		}
 		w.sinceSync = 0
 		db.st.fsyncs.Add(1)
@@ -378,6 +506,7 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	db.seq = last
 	db.mu.Unlock()
 	w.lastApplied = last
+	w.tail.reset() // the window is the writer's; these records came from elsewhere
 	db.st.appliedSeq.Store(last)
 	db.st.commits.Add(uint64(len(recs)))
 	db.st.batches.Add(1)
@@ -386,25 +515,25 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 		_ = db.rotateLocked() // wedges on failure; this batch is already safe
 	}
 	db.maybeAutoCompact()
-	return last, nil
+	return recs, last, nil
 }
 
-// applyReplicatedMemory is ApplyReplicated for in-memory followers.
-func (db *DB) applyReplicatedMemory(data []byte) (uint64, error) {
+// applyReplicatedMemory is applyReplicated for in-memory followers.
+func (db *DB) applyReplicatedMemory(data []byte) ([]Record, uint64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed.Load() {
-		return 0, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	recs, err := parseReplicated(data, db.seq)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	db.applyLocked(recs...)
 	db.seq = recs[len(recs)-1].Seq
 	db.st.appliedSeq.Store(db.seq)
 	db.st.commits.Add(uint64(len(recs)))
-	return db.seq, nil
+	return recs, db.seq, nil
 }
 
 // parseReplicated decodes and validates a shipped frame batch against the
@@ -525,6 +654,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	db.mu.Unlock()
 	w.lastApplied = seq
 	w.sinceSync = 0
+	w.tail.reset()
 	db.st.appliedSeq.Store(seq)
 	db.st.snapshotSeq.Store(seq)
 	return nil

@@ -147,13 +147,33 @@ func (u UserRec) ApprovalRate() float64 {
 // WriteSet, and WriteSet.Commit is one Store.Apply — one WAL record, one
 // fsync wait, one in-memory apply — followed by the per-key cache
 // invalidations. The single-record methods (PutTask, AppendPost, PutUser, …)
-// are write sets of one.
+// are write sets of one. A replica's writes arrive as shipped WAL frames
+// instead (ApplyReplicated, InstallSnapshot) and pass through the same
+// invalidate point, so a Catalog over a replica store keeps the same caches
+// and clocks as one over a leader's.
 type Catalog struct {
 	db    Store
-	cache *recordCache // nil = decode on every read (benchmark baseline)
+	cache *recordCache
 
 	mu      sync.Mutex
 	nextSeq map[string]uint64 // resourceID → next post sequence number
+
+	// posts is told of every posts-table write at the invalidate point;
+	// nil until ObservePosts installs one.
+	posts PostsObserver
+}
+
+// PostsObserver is what a layer that derives state from post sequences
+// (core.Service's folded export rows) hears from the Catalog's invalidate
+// point. Both calls come strictly after the write they report is visible to
+// readers, on the goroutine that made it.
+type PostsObserver interface {
+	// PostWritten reports one post record put under (resourceID, seq): a
+	// new post, a late one below sequences already visible, or a rewrite.
+	PostWritten(resourceID string, seq uint64)
+	// PostsReplaced reports that the whole posts table was replaced (a
+	// snapshot install): nothing derived from the old one may be kept.
+	PostsReplaced()
 }
 
 // NewCatalog wraps a Store. Post sequence counters
@@ -163,25 +183,19 @@ func NewCatalog(db Store) *Catalog {
 	return &Catalog{db: db, cache: newRecordCache(), nextSeq: make(map[string]uint64)}
 }
 
-// NewCatalogUncached is NewCatalog without the decoded-record cache — the
-// pre-cache read path, kept as the S7 benchmark baseline.
-func NewCatalogUncached(db Store) *Catalog {
-	return &Catalog{db: db, nextSeq: make(map[string]uint64)}
-}
+// ObservePosts installs the observer of posts-table writes. A Catalog has
+// one (it serves one core.Service); install it before the first write.
+func (c *Catalog) ObservePosts(o PostsObserver) { c.posts = o }
 
 // catGet loads (table, key) through the decoded-record cache: a hit skips
 // the store and the JSON decode entirely; a miss decodes once and publishes
 // the record under the cache's fill protocol.
 func catGet[T any](c *Catalog, table, key string) (T, error) {
 	var rec T
-	if c.cache == nil {
-		err := c.db.Get(table, key, &rec)
-		return rec, err
-	}
 	if v, ok := c.cache.get(table, key); ok {
 		return v.(T), nil
 	}
-	seq, _ := c.cache.seq(table)
+	seq := c.cache.seq(table)
 	if err := c.db.Get(table, key, &rec); err != nil {
 		var zero T
 		return zero, err
@@ -194,35 +208,88 @@ func catGet[T any](c *Catalog, table, key string) (T, error) {
 // table's write sequence captured before the scan started, so fills from a
 // scan that raced a write are discarded.
 func decodeCached[T any](c *Catalog, table, key string, raw []byte, seq uint64) (T, error) {
-	if c.cache != nil {
-		if v, ok := c.cache.get(table, key); ok {
-			return v.(T), nil
-		}
+	if v, ok := c.cache.get(table, key); ok {
+		return v.(T), nil
 	}
 	var rec T
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return rec, err
 	}
-	if c.cache != nil {
-		c.cache.add(table, key, seq, rec)
-	}
+	c.cache.add(table, key, seq, rec)
 	return rec, nil
 }
 
-// scanSeq captures a table's write sequence for a scan's cache fills.
-func (c *Catalog) scanSeq(table string) uint64 {
-	if c.cache == nil {
-		return 0
+// invalidate is the one point every completed write passes, local or
+// replicated, strictly after the store made it visible: the key's decoded
+// record is dropped and its table's write clock advances (which moves
+// core.Service.ServeVersion), and a posts-table write is reported to the
+// posts observer.
+func (c *Catalog) invalidate(table, key string) {
+	c.cache.invalidate(table, key)
+	if table == TablePosts && c.posts != nil {
+		if resourceID, seq, ok := splitPostKey(key); ok {
+			c.posts.PostWritten(resourceID, seq)
+		}
 	}
-	seq, _ := c.cache.seq(table)
-	return seq
 }
 
-// invalidate drops a written key from the decoded-record cache.
-func (c *Catalog) invalidate(table, key string) {
-	if c.cache != nil {
-		c.cache.invalidate(table, key)
+// replica returns the backend as the DB replication needs: shipped frames
+// are WAL bytes, and only a DB has a WAL to put them in.
+func (c *Catalog) replica() (*DB, error) {
+	db, ok := c.db.(*DB)
+	if !ok {
+		return nil, errs.New(errs.ComponentStore, errs.CategoryValidation, "replication requires a catalog over a DB, have %T", c.db)
 	}
+	return db, nil
+}
+
+// ApplyReplicated ingests a batch of WAL frames shipped from a leader
+// (DB.ApplyReplicated: validated whole, appended, applied) and then passes
+// every mutation of the batch through invalidate, in log order, exactly as
+// the WriteSet.Commit that produced it did on the leader. When it returns,
+// no read through this Catalog — record cache, write clocks, whatever a
+// posts observer derived — can still answer from before the batch. It
+// returns the new applied sequence; on error nothing was applied.
+func (c *Catalog) ApplyReplicated(data []byte) (uint64, error) {
+	db, err := c.replica()
+	if err != nil {
+		return 0, err
+	}
+	recs, applied, err := db.applyReplicated(data)
+	for _, rec := range recs { // none on error: a batch applies whole or not at all
+		if rec.Op == OpBatch {
+			for _, sub := range rec.Batch {
+				c.invalidate(sub.Table, sub.Key)
+			}
+		} else {
+			c.invalidate(rec.Table, rec.Key)
+		}
+	}
+	return applied, err
+}
+
+// InstallSnapshot replaces the store's whole state with a shipped snapshot
+// image (DB.InstallSnapshot) and then invalidates wholesale: every table's
+// write clock advances, no decoded record cached or in flight from before
+// the install is served after it, reserved post sequences are forgotten
+// (they are recovered from the new state), and the posts observer is told
+// the table was replaced. On error the old state stands, caches included.
+func (c *Catalog) InstallSnapshot(data []byte) error {
+	db, err := c.replica()
+	if err != nil {
+		return err
+	}
+	if err := db.InstallSnapshot(data); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	clear(c.nextSeq)
+	c.mu.Unlock()
+	c.cache.invalidateAll()
+	if c.posts != nil {
+		c.posts.PostsReplaced()
+	}
+	return nil
 }
 
 // WriteSet is a group of typed writes that become durable, and visible,
@@ -271,26 +338,16 @@ func (c *Catalog) put(table, key string, value any) error {
 }
 
 // WriteSeq returns a table's write clock: the number of completed writes
-// (Put/Append/Update) the catalog has applied to it. Every write bumps
-// the clock after its store mutation completes, so observing an
-// unchanged clock across a read proves no write to the table completed
-// in between. ok=false on an uncached catalog, which keeps no clocks.
-func (c *Catalog) WriteSeq(table string) (uint64, bool) {
-	if c.cache == nil {
-		return 0, false
-	}
-	return c.cache.seq(table)
-}
+// (Put/Append/Update, replicated ones included) the catalog has applied to
+// it. Every write bumps the clock after its store mutation completes, so
+// observing an unchanged clock across a read proves no write to the table
+// completed in between.
+func (c *Catalog) WriteSeq(table string) uint64 { return c.cache.seq(table) }
 
 // WriteSeqSum returns the sum of all table write clocks — the monotone
 // catalog-wide version the server's encoded-response cache stamps its
-// entries with. ok=false on an uncached catalog.
-func (c *Catalog) WriteSeqSum() (uint64, bool) {
-	if c.cache == nil {
-		return 0, false
-	}
-	return c.cache.seqSum(), true
-}
+// entries with.
+func (c *Catalog) WriteSeqSum() uint64 { return c.cache.seqSum() }
 
 // DB exposes the underlying store backend.
 func (c *Catalog) DB() Store { return c.db }
@@ -338,7 +395,7 @@ func (c *Catalog) ListResources(projectID string) ([]ResourceRec, error) {
 // cache; fn returning false stops the scan. It is the range primitive
 // behind cursor-paginated exports.
 func (c *Catalog) ScanResourcesAfter(after string, fn func(ResourceRec) bool) error {
-	seq := c.scanSeq(TableResources)
+	seq := c.cache.seq(TableResources)
 	var scanErr error
 	c.db.ScanRange(TableResources, afterStart(after), "", 0, func(key string, raw []byte) bool {
 		r, err := decodeCached[ResourceRec](c, TableResources, key, raw, seq)
@@ -365,6 +422,16 @@ func afterStart(after string) string {
 
 func postKey(resourceID string, seq uint64) string {
 	return fmt.Sprintf("%s/%012d", resourceID, seq)
+}
+
+// splitPostKey is postKey's inverse; ok=false for a key of another shape.
+func splitPostKey(key string) (resourceID string, seq uint64, ok bool) {
+	i := strings.LastIndexByte(key, '/')
+	if i < 0 {
+		return "", 0, false
+	}
+	seq, err := strconv.ParseUint(key[i+1:], 10, 64)
+	return key[:i], seq, err == nil
 }
 
 // AppendPost durably appends a post to a resource's post sequence and
@@ -421,7 +488,7 @@ func (c *Catalog) recoverSeqLocked(resourceID string) uint64 {
 // immutable apart from judging, so the long tail of already-decoded posts
 // comes straight from the record cache.
 func (c *Catalog) PostsOf(resourceID string) ([]PostRec, error) {
-	seq := c.scanSeq(TablePosts)
+	seq := c.cache.seq(TablePosts)
 	var out []PostRec
 	var scanErr error
 	c.db.ScanPrefix(TablePosts, resourceID+"/", func(key string, raw []byte) bool {
@@ -436,10 +503,32 @@ func (c *Catalog) PostsOf(resourceID string) ([]PostRec, error) {
 	return out, scanErr
 }
 
-// CountPosts returns the number of posts stored for a resource — an index
-// range count, no iteration.
-func (c *Catalog) CountPosts(resourceID string) int {
-	return c.db.CountPrefix(TablePosts, resourceID+"/")
+// ScanPostsAfter visits a resource's posts in sequence order, starting
+// strictly after sequence after (0 = from the first); fn returning false
+// stops the scan. It is the range primitive behind folded export rows: a
+// reader that has already folded posts 1..after pays one index seek and
+// visits only what arrived since. Posts are decoded for this call alone —
+// a fold reads each post once, so caching the decode would only hold memory.
+func (c *Catalog) ScanPostsAfter(resourceID string, after uint64, fn func(seq uint64, p PostRec) bool) error {
+	prefix := resourceID + "/"
+	start := prefix
+	if after > 0 {
+		start = afterStart(postKey(resourceID, after))
+	}
+	var scanErr error
+	c.db.ScanRange(TablePosts, start, prefixEnd(prefix), 0, func(key string, raw []byte) bool {
+		seq, err := strconv.ParseUint(key[len(prefix):], 10, 64)
+		var p PostRec
+		if err == nil {
+			err = json.Unmarshal(raw, &p)
+		}
+		if err != nil {
+			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "post %s", key)
+			return false
+		}
+		return fn(seq, p)
+	})
+	return scanErr
 }
 
 // UpdatePost rewrites the post at the given sequence (e.g. to set Approved).
@@ -499,7 +588,7 @@ func (c *Catalog) ListProjects(providerID string) ([]ProjectRec, error) {
 // cache; fn returning false stops the scan. It is the range primitive
 // behind cursor-paginated project listings.
 func (c *Catalog) ScanProjectsAfter(after string, fn func(ProjectRec) bool) error {
-	seq := c.scanSeq(TableProjects)
+	seq := c.cache.seq(TableProjects)
 	var scanErr error
 	c.db.ScanRange(TableProjects, afterStart(after), "", 0, func(key string, raw []byte) bool {
 		p, err := decodeCached[ProjectRec](c, TableProjects, key, raw, seq)
@@ -543,7 +632,7 @@ func (c *Catalog) GetTask(projectID, taskID string) (TaskRec, error) {
 // ("" = all). The project prefix is one contiguous index range, and decoded
 // task records come from the cache.
 func (c *Catalog) TasksByProject(projectID string, status TaskStatus) ([]TaskRec, error) {
-	seq := c.scanSeq(TableTasks)
+	seq := c.cache.seq(TableTasks)
 	var out []TaskRec
 	var scanErr error
 	c.db.ScanPrefix(TableTasks, projectID+"/", func(key string, raw []byte) bool {
@@ -577,7 +666,7 @@ func (c *Catalog) GetUser(id string) (UserRec, error) {
 
 // ListUsers returns users in ID order, optionally filtered by role.
 func (c *Catalog) ListUsers(role Role) ([]UserRec, error) {
-	seq := c.scanSeq(TableUsers)
+	seq := c.cache.seq(TableUsers)
 	var out []UserRec
 	var scanErr error
 	c.db.Scan(TableUsers, func(key string, raw []byte) bool {

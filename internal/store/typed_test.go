@@ -76,7 +76,7 @@ func TestPostSequence(t *testing.T) {
 			t.Errorf("post %d out of order: %v", i, p.Tags)
 		}
 	}
-	if c.CountPosts("r1") != 5 || c.CountPosts("r2") != 1 || c.CountPosts("zz") != 0 {
+	if c.DB().CountPrefix(TablePosts, "r1/") != 5 || c.DB().CountPrefix(TablePosts, "r2/") != 1 || c.DB().CountPrefix(TablePosts, "zz/") != 0 {
 		t.Error("counts wrong")
 	}
 }
@@ -266,7 +266,7 @@ func TestWriteSetCommitsOnceAndInOrder(t *testing.T) {
 	if _, err := c.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"seed"}, Time: now}); err != nil {
 		t.Fatal(err)
 	}
-	before, clock := db.Stats().Commits, func() uint64 { v, _ := c.WriteSeqSum(); return v }
+	before, clock := db.Stats().Commits, c.WriteSeqSum
 	clockBefore := clock()
 
 	w, other := c.Begin(4), c.Begin(1)
@@ -293,7 +293,7 @@ func TestWriteSetCommitsOnceAndInOrder(t *testing.T) {
 	if err := w.PutTask(TaskRec{ID: "t1", ProjectID: "p1", Status: TaskCompleted}); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.CountPosts("r1"); n != 1 {
+	if n := db.CountPrefix(TablePosts, "r1/"); n != 1 {
 		t.Fatalf("%d posts visible before Commit, want the 1 that was there", n)
 	}
 	if _, err := c.GetTask("p1", "t1"); !errors.Is(err, ErrNotFound) {
@@ -372,7 +372,7 @@ func TestWriteSetFailedCommitWritesNothing(t *testing.T) {
 	if err := c.PutTask(TaskRec{ID: "t0", ProjectID: "p1"}); err != nil {
 		t.Fatal(err)
 	}
-	clockBefore, _ := c.WriteSeqSum()
+	clockBefore := c.WriteSeqSum()
 	db.SetFailpoint(func(p Failpoint) bool { return p == FailAppendMid })
 	w := c.Begin(2)
 	_, _ = w.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"lost"}})
@@ -380,10 +380,10 @@ func TestWriteSetFailedCommitWritesNothing(t *testing.T) {
 	if err := w.Commit(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Commit = %v, want the store's failure", err)
 	}
-	if got, _ := c.WriteSeqSum(); got != clockBefore {
+	if got := c.WriteSeqSum(); got != clockBefore {
 		t.Errorf("write clock moved by %d on a failed commit", got-clockBefore)
 	}
-	if c.CountPosts("r1") != 0 || db.Has(TableTasks, "p1/t1") {
+	if db.CountPrefix(TablePosts, "r1/") != 0 || db.Has(TableTasks, "p1/t1") {
 		t.Error("a failed commit left keys in memory")
 	}
 	db.SetFailpoint(nil)

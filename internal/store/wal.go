@@ -155,6 +155,9 @@ type wal struct {
 	// applyLocked in one call; cleared after use so it pins no value the
 	// tree has dropped.
 	recs []Record
+	// tail retains the frames of the latest commits for ReplTail; it has its
+	// own lock (see tailWindow).
+	tail tailWindow
 
 	smu        sync.Mutex
 	activeSize int64
@@ -448,6 +451,11 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		db.mu.Unlock()
 		clear(w.recs)
 		w.recs = w.recs[:0]
+		// Written, synced, applied: only now may a follower be handed these
+		// frames, from memory (the tail window) or by watermark (AppliedSeq).
+		for _, c := range writes {
+			w.tail.push(c.rec.Seq, c.enc)
+		}
 		w.lastApplied = writes[len(writes)-1].rec.Seq // enqueue order == seq order
 		db.st.appliedSeq.Store(w.lastApplied)
 		db.st.commits.Add(uint64(len(writes)))
