@@ -16,6 +16,12 @@
 // Errors from the server are returned as *APIError carrying the HTTP
 // status, the machine-readable code and the request id, so callers switch
 // on codes instead of parsing messages.
+//
+// GETs revalidate by default: where the server sends an ETag (the project
+// dashboard, export pages and resource screens) the Client keeps the
+// validator and the decoded response, sends If-None-Match next time, and on
+// a 304 hands back a copy of what it kept — nothing read, nothing decoded.
+// See New.
 package client
 
 import (
@@ -27,8 +33,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -79,16 +87,29 @@ type Client struct {
 	http  *http.Client
 	hdr   http.Header // extra headers sent on every request (nil = none)
 	retry retryPolicy
-	etags *etagCache // conditional-GET validators (nil = disabled)
+	cache *validatorCache // nil only on a ClusterClient's per-call node clients
 }
 
 // New builds a Client for the server at base (e.g. "http://localhost:8080").
 // httpClient may be nil for http.DefaultClient.
+//
+// The Client revalidates: a GET whose last 200 carried an ETag (today
+// GetProject, Export and GetResource) is sent with If-None-Match, and when
+// the server answers 304 Not Modified the call returns a copy of the
+// response it decoded last time — indistinguishable from a fresh fetch,
+// without the transfer, the read or the decode. The server re-checks the
+// validator on every call, and a 304 certifies that nothing the body shows
+// was written since, so a result is never older than what was acknowledged
+// before the call. What a 304 returns shares no mutable memory with the
+// Client or with any other call's result: edit it freely. Retention is
+// bounded at 8 MiB of response bytes per Client (copies made by WithHeader
+// and WithRetry share it); a response larger than that is fetched in full
+// every time. Calls whose responses carry no ETag are untouched.
 func New(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(base, "/"), http: httpClient, retry: defaultRetry}
+	return &Client{base: strings.TrimRight(base, "/"), http: httpClient, retry: defaultRetry, cache: &validatorCache{}}
 }
 
 // WithHeader returns a copy of the client that sends the header on every
@@ -153,15 +174,17 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Conditional GET: revalidate with the cached ETag and hold on to the
-	// entry — a concurrent insert may replace it in the cache, but a 304
-	// always refers to the validator THIS request sent, so the local copy
-	// is the body it revalidated.
-	var cached etagEntry
-	var conditional bool
-	if c.etags != nil && method == http.MethodGet && out != nil {
-		if cached, conditional = c.etags.get(path); conditional {
-			req.Header.Set("If-None-Match", cached.etag)
+	// Revalidate with the validator kept for this path, and hold on to the
+	// entry: a concurrent call may replace it in the cache, but a 304 always
+	// refers to the validator THIS request sent, so the entry in hand is the
+	// response it certified.
+	var kept *validated
+	revalidates := c.cache != nil && method == http.MethodGet && out != nil
+	if revalidates {
+		if kept = c.cache.get(path); kept != nil && reflect.TypeOf(kept.value) == reflect.TypeOf(out) {
+			req.Header.Set("If-None-Match", kept.etag)
+		} else {
+			kept = nil
 		}
 	}
 	resp, err := c.http.Do(req)
@@ -169,35 +192,48 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		return err
 	}
 	defer resp.Body.Close()
-	if conditional && resp.StatusCode == http.StatusNotModified {
-		if err := json.Unmarshal(cached.body, out); err != nil {
-			return fmt.Errorf("itag: decode cached %s %s response: %w", method, path, err)
-		}
+	if kept != nil && resp.StatusCode == http.StatusNotModified {
+		copyResponse(out, kept.value)
 		return nil
 	}
 	if resp.StatusCode >= 400 {
 		return decodeAPIError(resp)
 	}
-	if out != nil {
-		if c.etags != nil && method == http.MethodGet {
-			if etag := resp.Header.Get("Etag"); etag != "" {
-				raw, err := io.ReadAll(resp.Body)
-				if err != nil {
-					return fmt.Errorf("itag: read %s %s response: %w", method, path, err)
-				}
-				if err := json.Unmarshal(raw, out); err != nil {
-					return fmt.Errorf("itag: decode %s %s response: %w", method, path, err)
-				}
-				c.etags.put(path, etag, raw)
-				return nil
-			}
+	if out == nil {
+		return nil
+	}
+	// One read into a pooled buffer, one decode. Content-Length presizes the
+	// buffer only up to what the pool keeps: the header is the server's (or a
+	// proxy's) claim, and a larger body grows the buffer as it arrives.
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("itag: decode %s %s response: %w", method, path, err)
+	}()
+	if n := resp.ContentLength; n > 0 && n <= maxPooledBody {
+		buf.Grow(int(n))
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("itag: read %s %s response: %w", method, path, err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+		return fmt.Errorf("itag: decode %s %s response: %w", method, path, err)
+	}
+	if revalidates {
+		if etag := resp.Header.Get("Etag"); etag != "" {
+			c.cache.put(path, etag, out, int64(buf.Len()))
 		}
 	}
 	return nil
 }
+
+// bodyPool holds response read buffers; one that grew past maxPooledBody
+// (a limit=0 export of a large project) is left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 func decodeAPIError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))

@@ -1,58 +1,119 @@
 package client
 
-import "sync"
+import (
+	"reflect"
+	"slices"
+	"sync"
+)
 
-// etagCache remembers the validator and decoded-body bytes of the last
-// 200 response per GET path, so later requests can revalidate with
-// If-None-Match and reuse the cached body on a 304. One cache is shared
-// by every copy derived from the same WithConditionalGETs call, which is
-// what makes the copies cheap: derived clients (WithHeader, WithRetry)
-// keep benefiting from each other's validators.
-type etagCache struct {
+// validatorCache is what makes a refresh cost what changed: for each GET
+// path whose last 200 carried an ETag it keeps the validator and the
+// DECODED response, so the next call revalidates with If-None-Match and a
+// 304 is answered from memory — no body to read, nothing to decode. Every
+// Client built by New has one, shared by the copies derived from it
+// (WithHeader, WithRetry), so they benefit from each other's validators.
+//
+// A validator is re-checked by the server on every use (the cached routes
+// answer Cache-Control: no-cache), so freshness is the server's guarantee,
+// not this cache's: an entry is only ever a way to skip a transfer the
+// server has just said would be byte-for-byte the same.
+//
+// Retention is bounded in bytes (validatorCacheBytes), weighed by the wire
+// length of the 200 that produced each entry; a response larger than the
+// whole bound is simply not retained, and making room drops entries in no
+// particular order (a dropped entry costs one full fetch, nothing else).
+type validatorCache struct {
 	mu      sync.Mutex
-	entries map[string]etagEntry
+	entries map[string]*validated
+	bytes   int64
 }
 
-type etagEntry struct {
-	etag string
-	body []byte
+// validated is one retained response. value is a pointer to the cache's own
+// copy; callers are handed copies of it (copyResponse), never the value.
+type validated struct {
+	etag  string
+	value any
+	size  int64
 }
 
-// etagCacheMaxEntries bounds the per-client validator cache; beyond it
-// an arbitrary entry is dropped per insert (the cache is a best-effort
-// bandwidth saver, not a source of truth, so eviction order is free).
-const etagCacheMaxEntries = 1024
+// validatorCacheBytes bounds what one Client (and its derived copies)
+// retains: 8 MiB holds a thousand resource screens and every 50-row export
+// page of a large project many times over.
+const validatorCacheBytes = 8 << 20
 
-func (c *etagCache) get(path string) (etagEntry, bool) {
+func (c *validatorCache) get(path string) *validated {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[path]
-	return e, ok
+	return c.entries[path]
 }
 
-func (c *etagCache) put(path, etag string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[string]etagEntry)
-	}
-	if _, ok := c.entries[path]; !ok && len(c.entries) >= etagCacheMaxEntries {
-		for k := range c.entries {
-			delete(c.entries, k)
-			break
+// put retains a copy of the response a 200 for path decoded into out, under
+// the validator it carried. Whatever was kept for path before is dropped
+// either way: its validator has just been answered 200.
+func (c *validatorCache) put(path, etag string, out any, size int64) {
+	var e *validated
+	if size <= validatorCacheBytes {
+		kept := reflect.New(reflect.TypeOf(out).Elem()).Interface()
+		if copyResponse(kept, out) {
+			e = &validated{etag: etag, value: kept, size: size}
 		}
 	}
-	c.entries[path] = etagEntry{etag: etag, body: body}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.entries[path]; old != nil {
+		c.bytes -= old.size
+		delete(c.entries, path)
+	}
+	if e == nil {
+		return
+	}
+	for k, old := range c.entries {
+		if c.bytes+e.size <= validatorCacheBytes {
+			break
+		}
+		c.bytes -= old.size
+		delete(c.entries, k)
+	}
+	if c.entries == nil {
+		c.entries = make(map[string]*validated)
+	}
+	c.entries[path] = e
+	c.bytes += e.size
 }
 
-// WithConditionalGETs returns a copy of the client that revalidates GET
-// responses with If-None-Match. When the server answers 304 Not
-// Modified, the client decodes the cached body from the previous 200
-// instead of re-reading the wire — the typed result is indistinguishable
-// from a fresh fetch, only cheaper. Safe for concurrent use; opt-in
-// because it holds the last response body per GET path in memory.
-func (c *Client) WithConditionalGETs() *Client {
-	nc := *c
-	nc.etags = &etagCache{}
-	return &nc
+// copyResponse deep-copies *src into *dst when both point to the same
+// retained response type — the types of the routes the server validates —
+// and reports whether it did. The copy shares no mutable memory with src:
+// a caller may edit what it was handed, slices included, without touching
+// the cache's value or any other caller's. A reference-typed field added to
+// one of these types must be cloned here; TestCopyResponseSharesNothing
+// fails until it is.
+func copyResponse(dst, src any) bool {
+	switch s := src.(type) {
+	case *ProjectInfo:
+		d, ok := dst.(*ProjectInfo)
+		if ok {
+			*d = *s
+		}
+		return ok
+	case *ResourceStatus:
+		d, ok := dst.(*ResourceStatus)
+		if ok {
+			*d = *s
+			d.Series = slices.Clone(s.Series)
+			d.TopTags = slices.Clone(s.TopTags)
+		}
+		return ok
+	case *ExportPage:
+		d, ok := dst.(*ExportPage)
+		if ok {
+			*d = *s
+			d.Items = slices.Clone(s.Items)
+			for i := range d.Items {
+				d.Items[i].TopTags = slices.Clone(d.Items[i].TopTags)
+			}
+		}
+		return ok
+	}
+	return false
 }

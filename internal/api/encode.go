@@ -122,9 +122,6 @@ type Raw struct {
 	// Body is the complete JSON body, trailing newline included. Ignored
 	// when Status is 304.
 	Body []byte
-	// Seq is the serve version the body was encoded at (informational;
-	// the ETag is derived from it).
-	Seq uint64
 	// ETag, CacheControl and ContentLength are precomputed header value
 	// slices ({`"<etag>"`}, {"no-cache"}, {len(Body) in decimal}).
 	// ContentLength nil is computed per write.

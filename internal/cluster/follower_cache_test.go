@@ -152,8 +152,8 @@ func (s *switchingTransport) RoundTrip(req *http.Request) (*http.Response, error
 	return resp, nil
 }
 
-// TestConditionalClientAcrossNodes reads one key through one
-// client.WithConditionalGETs — so one validator cache — alternately from a
+// TestConditionalClientAcrossNodes reads one key through one client.Client
+// — so one validator cache — alternately from a
 // follower and from the slot's leader while the leader takes writes. Each
 // node keeps its own response cache counting versions from zero — and an
 // idle manual project's body is byte-for-byte the same length on both — so
@@ -169,7 +169,7 @@ func TestConditionalClientAcrossNodes(t *testing.T) {
 
 	sw := &switchingTransport{t: t, tr: tc.tr, host: follower, minted: make(map[string]string)}
 	c := client.New("http://cluster", &http.Client{Transport: sw}).
-		WithHeader(HeaderRead, ReadFollower).WithConditionalGETs()
+		WithHeader(HeaderRead, ReadFollower)
 	budget := 500
 	for round := 0; round < 6; round++ {
 		for _, host := range []string{follower, follower, slot, slot} {

@@ -1038,8 +1038,8 @@ func (n *Node) startReplica(slot string) (*replica, error) {
 	}
 	// The same stack a led slot gets, minus the ID filter and run resume a
 	// read-only frontend has no use for: replication feeds the store through
-	// the Catalog, so the record cache, the write clocks and the response
-	// cache's serve version move here as they do on the leader.
+	// the Catalog, so the record cache and the write clocks the response
+	// cache stamps its entries with move here as they do on the leader.
 	cat := store.NewCatalog(db)
 	svc := core.NewService(cat, n.opts.Seed)
 	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"itag/internal/crowd"
@@ -147,6 +148,14 @@ type Engine struct {
 	stopped   []bool
 	exhausted []bool
 
+	// The write clocks response-cache stamps read (Stamp). resClock[i] moves
+	// with anything Status or an export row reports about resource i,
+	// engClock with anything Service.Project reports about the run — both in
+	// the e.mu critical section that makes the change (touch), so a reader
+	// under e.mu sees state and clock move together.
+	resClock []atomic.Uint64
+	engClock atomic.Uint64
+
 	budget  int
 	spent   int
 	taskSeq int
@@ -198,6 +207,7 @@ func New(cfg Config) (*Engine, error) {
 		promoted:  make([]bool, n),
 		stopped:   make([]bool, n),
 		exhausted: make([]bool, n),
+		resClock:  make([]atomic.Uint64, n),
 		budget:    cfg.Budget,
 		monitor:   NewMonitor(),
 	}
@@ -247,6 +257,15 @@ func (v view) Eligible(i int) bool {
 
 func (e *Engine) eligible(i int) bool { return !e.stopped[i] && !e.exhausted[i] }
 
+// touch advances resource i's clock and the engine's: something Status(i)
+// reports (posts, allocation, quality, flags) changed, and with it the run
+// totals Service.Project reports. Every such site calls it inside the e.mu
+// critical section that makes the change.
+func (e *Engine) touch(i int) {
+	e.resClock[i].Add(1)
+	e.engClock.Add(1)
+}
+
 // addPost folds one post into resource i's statistics. The caller reindexes
 // i once its other counters are settled.
 func (e *Engine) addPost(i int, tags []string) error {
@@ -255,6 +274,7 @@ func (e *Engine) addPost(i int, tags []string) error {
 	}
 	e.posts[i]++
 	e.quality[i] = e.trackers[i].Quality()
+	e.touch(i)
 	return nil
 }
 
@@ -302,7 +322,10 @@ func (e *Engine) reindex(i int) {
 // promoted ones first (paper §III-A: Promote ensures selection at the next
 // ChooseResources), then the strategy's. Resources picked off the rank index
 // have left it; the caller reindexes every chosen resource once its counters
-// are updated. The result is valid until the next call. Caller holds e.mu.
+// are updated, and touches every one of them before it lets go of e.mu — on
+// its error paths too, since a promotion consumed here has already changed
+// what Status reports. The result is valid until the next call. Caller holds
+// e.mu.
 func (e *Engine) choose(batch int) []int {
 	if e.ranker != nil {
 		if min, ok := e.rank.min(); e.ranker.Advance(min, ok) {
@@ -403,8 +426,12 @@ func (e *Engine) step(ctx context.Context) (bool, error) {
 	}
 	// Assignment moves no key on this path (x_i enters the statistics when
 	// the post completes), so the batch goes straight back, with fresh ties.
+	// Every chosen resource is touched here, before a failed Publish can
+	// return early: choose may have consumed its promotion, and what is
+	// allocated below is allocated under this same hold of e.mu.
 	for _, i := range chosen {
 		e.reindex(i)
+		e.touch(i)
 	}
 
 	// Assign Rc to taggers: publish one task per chosen resource.
@@ -474,6 +501,7 @@ func (e *Engine) update(res crowd.Result) {
 		e.reindex(i)
 		e.alloc[i]--
 		e.spent--
+		e.touch(i)
 		e.monitor.Eventf(e.spent, "exhausted", "resource %s: %v", res.Task.ResourceID, res.Err)
 		return
 	}
@@ -512,9 +540,24 @@ func (e *Engine) record() {
 	e.monitor.Record(SeriesMeanStability, x, quality.MeanQuality(qs))
 	e.monitor.Record(SeriesCountHigh, x, float64(quality.CountAtLeast(qs, e.cfg.TauHigh)))
 	e.monitor.Record(SeriesCountLow, x, float64(quality.CountBelow(qs, e.cfg.TauLow)))
-	if oq, ok := e.oracleLocked(); ok {
-		e.monitor.Record(SeriesMeanOracle, x, quality.MeanQuality(oq))
+	if mo, ok := e.meanOracleLocked(); ok {
+		e.monitor.Record(SeriesMeanOracle, x, mo)
 	}
+}
+
+// meanOracleLocked is quality.MeanQuality over oracleLocked's slice, summed
+// in place: resources without a reference count as zero.
+func (e *Engine) meanOracleLocked() (float64, bool) {
+	any := false
+	var sum float64
+	for _, ref := range e.refs {
+		if ref == nil {
+			continue
+		}
+		any = true
+		sum += quality.OracleRef(e.cfg.Quality.Metric, ref)
+	}
+	return sum / float64(len(e.refs)), any
 }
 
 func (e *Engine) oracleLocked() ([]float64, bool) {
@@ -544,6 +587,7 @@ func (e *Engine) Promote(resourceID string) error {
 	if !e.promoted[i] {
 		e.promoted[i] = true
 		e.promoQ = append(e.promoQ, i)
+		e.touch(i)
 	}
 	e.monitor.Eventf(e.spent, "promote", "resource %s", resourceID)
 	return nil
@@ -567,6 +611,7 @@ func (e *Engine) setStopped(resourceID string, stopped bool) error {
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown resource %q", resourceID)
 	}
 	e.stopped[i] = stopped
+	e.touch(i)
 	e.reindex(i)
 	verb := "stop"
 	if !stopped {
@@ -586,6 +631,7 @@ func (e *Engine) SwitchStrategy(s strategy.Strategy) {
 	defer e.mu.Unlock()
 	e.monitor.Eventf(e.spent, "switch-strategy", "%s -> %s", e.strategy.Name(), s.Name())
 	e.setStrategy(s)
+	e.engClock.Add(1)
 }
 
 // AddBudget extends the run's budget (paper §III-A: "providers may add
@@ -597,7 +643,7 @@ func (e *Engine) AddBudget(extra int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.budget += extra
-	e.done = false
+	e.done = false // no clock moves: Service.Project reports the budget from the record
 	e.monitor.Eventf(e.spent, "add-budget", "+%d (now %d)", extra, e.budget)
 	return nil
 }
@@ -667,16 +713,42 @@ func (e *Engine) OracleQualities() ([]float64, bool) {
 
 // MeanStability returns the paper's q(R, k̄) under the stability metric.
 func (e *Engine) MeanStability() float64 {
-	return quality.MeanQuality(e.StabilityQualities())
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return quality.MeanQuality(e.quality)
 }
 
 // MeanOracle returns mean oracle quality (0 if no latent references).
 func (e *Engine) MeanOracle() float64 {
-	qs, ok := e.OracleQualities()
-	if !ok {
-		return 0
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	mo, _ := e.meanOracleLocked()
+	return mo
+}
+
+// runTotals is what Service.Project reports from a live engine.
+type runTotals struct {
+	spent, pending            int
+	meanStability, meanOracle float64
+	strategy                  string
+}
+
+// totals reads the run's totals in one critical section, recording the
+// engine clock into st at the value it has there.
+func (e *Engine) totals(st *Stamp) runTotals {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st.at(&e.engClock, e.engClock.Load())
+	t := runTotals{
+		spent:         e.spent,
+		meanStability: quality.MeanQuality(e.quality),
+		strategy:      e.strategy.Name(),
 	}
-	return quality.MeanQuality(qs)
+	t.meanOracle, _ = e.meanOracleLocked()
+	for _, p := range e.pending {
+		t.pending += p
+	}
+	return t
 }
 
 // Monitor exposes the run telemetry.
@@ -712,12 +784,19 @@ type TagFreq struct {
 // Status returns the snapshot for one resource, including its quality
 // series and top tags.
 func (e *Engine) Status(resourceID string) (ResourceStatus, error) {
+	return e.status(resourceID, nil)
+}
+
+// status is Status recording the resource's clock into stamp, at the value
+// it has in the critical section the snapshot is taken in.
+func (e *Engine) status(resourceID string, stamp *Stamp) (ResourceStatus, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	i, ok := e.index[resourceID]
 	if !ok {
 		return ResourceStatus{}, errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown resource %q", resourceID)
 	}
+	stamp.at(&e.resClock[i], e.resClock[i].Load())
 	st := ResourceStatus{
 		ID:        resourceID,
 		Index:     i,
@@ -732,10 +811,39 @@ func (e *Engine) Status(resourceID string) (ResourceStatus, error) {
 	if e.refs[i] != nil {
 		st.Oracle = quality.OracleRef(e.cfg.Quality.Metric, e.refs[i])
 	}
-	for _, tf := range e.trackers[i].Counts().TopK(10) {
-		st.TopTags = append(st.TopTags, TagFreq{Tag: tf.Tag, Count: tf.Count, Freq: tf.Freq})
-	}
+	st.TopTags = e.topTags(i)
 	return st, nil
+}
+
+// exportRow fills the resource's export row (Name left for the caller) —
+// posts, stability and top tags, nothing Status computes beyond them — and
+// records the resource's clock into stamp under the same lock. ok=false
+// when the resource is not part of this run.
+func (e *Engine) exportRow(resourceID string, stamp *Stamp) (ExportedResource, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i, ok := e.index[resourceID]
+	if !ok {
+		return ExportedResource{}, false
+	}
+	stamp.at(&e.resClock[i], e.resClock[i].Load())
+	return ExportedResource{
+		ID: resourceID, Posts: e.posts[i], Stability: e.quality[i], TopTags: e.topTags(i),
+	}, true
+}
+
+// topTags is resource i's ten most frequent tags (nil when it has none).
+// Caller holds e.mu.
+func (e *Engine) topTags(i int) []TagFreq {
+	top := e.trackers[i].Counts().TopK(10)
+	if len(top) == 0 {
+		return nil
+	}
+	out := make([]TagFreq, len(top))
+	for j, tf := range top {
+		out[j] = TagFreq{Tag: tf.Tag, Count: tf.Count, Freq: tf.Freq}
+	}
+	return out
 }
 
 // Elapsed is a convenience for run timing in reports.

@@ -31,6 +31,7 @@ func (e *Engine) ChooseNext() (string, bool) {
 	e.alloc[idx]++
 	e.pending[idx]++
 	e.spent++
+	e.touch(idx)
 	e.reindex(idx)
 	return e.resources[idx].ID, true
 }
@@ -81,6 +82,7 @@ func (e *Engine) reopenPending(resourceID string) {
 	defer e.mu.Unlock()
 	i := e.index[resourceID]
 	e.pending[i]++
+	e.touch(i)
 	e.reindex(i)
 }
 
@@ -99,6 +101,7 @@ func (e *Engine) CancelPending(resourceID string) error {
 	e.pending[i]--
 	e.alloc[i]--
 	e.spent--
+	e.touch(i)
 	e.reindex(i)
 	e.monitor.Eventf(e.spent, "cancel", "resource %s", resourceID)
 	return nil

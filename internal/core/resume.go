@@ -92,6 +92,9 @@ func (s *Service) ResumeRuns(ctx context.Context) (int, error) {
 			resumed++
 		}
 		s.mu.Unlock()
+		// The project's answers now come from the engine, not the catalog:
+		// whatever was stamped while it had no run is retired.
+		s.bumpRunsEpoch()
 	}
 	return resumed, nil
 }

@@ -53,13 +53,15 @@ type Service struct {
 	// behaviour.
 	pool *capacity.Pool
 
-	// runsEpoch counts run-state transitions (a run starting, finishing,
-	// or being claimed/rolled back) that flip externally visible state —
-	// ProjectInfo.Running — WITHOUT a catalog write. Every other mutation
-	// a response can observe rides on a Catalog.Put*, whose table clock
-	// ServeVersion already folds in; this counter covers the rest, and it
-	// is bumped strictly AFTER the state change it reports (the order the
-	// encoded-response cache's recheck-after-publish protocol needs).
+	// runsEpoch counts the run-state transitions no other clock sees: a run
+	// installed in s.runs (CreateProject, ResumeRuns — the answer switches
+	// from the catalog to an engine; an installed run is never replaced or
+	// removed), and a run starting, finishing, or being claimed/rolled back
+	// (ProjectInfo.Running flips without a catalog write). The Stamp of
+	// every answer that has a runless form or shows Running reads it, before
+	// looking s.runs up, and it is bumped strictly AFTER the transition is
+	// visible (the order the encoded-response cache's
+	// recheck-after-publish protocol needs).
 	runsEpoch atomic.Uint64
 
 	lifeCtx    context.Context
@@ -172,19 +174,6 @@ func (s *Service) Ledger() *crowd.Ledger { return s.ledger }
 
 // Catalog exposes the persistent catalog.
 func (s *Service) Catalog() *store.Catalog { return s.cat }
-
-// ServeVersion returns a monotone version of everything a read-side
-// response can observe: the catalog's summed table write clocks plus the
-// run-state epoch. Any completed mutation — a catalog write, a run
-// starting or finishing — advances it, and both clocks advance strictly
-// after the state they report changes, so two equal reads bracketing a
-// response prove the response is not stale. On a cluster follower the
-// catalog's clocks are moved by replicated applies (store.Catalog's
-// invalidate point), so the version moves there as it does on the leader;
-// it never repeats or goes backwards within a process.
-func (s *Service) ServeVersion() uint64 {
-	return s.cat.WriteSeqSum() + s.runsEpoch.Load()
-}
 
 // bumpRunsEpoch records a run-state transition that has no catalog write
 // of its own. Call it AFTER the transition is visible.
@@ -364,6 +353,7 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	s.mu.Lock()
 	s.runs[id] = run
 	s.mu.Unlock()
+	s.bumpRunsEpoch() // a reader in between answered from the catalog alone
 	return id, nil
 }
 
@@ -520,9 +510,9 @@ func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
 			run.running = false
 			close(run.doneCh)
 			run.mu.Unlock()
-			// finishProject's PutProject advanced the serve version, but its
-			// GetProject-error path skips the write, and the Running flip
-			// must never be the unversioned mutation.
+			// finishProject's PutProject advanced the projects clock, but
+			// its GetProject-error path skips the write, and the Running
+			// flip must never be the unclocked mutation.
 			s.bumpRunsEpoch()
 		})
 	}
@@ -756,20 +746,31 @@ type ProjectInfo struct {
 
 // Project returns one project's info.
 func (s *Service) Project(ctx context.Context, projectID string) (ProjectInfo, error) {
+	return s.ProjectStamped(ctx, projectID, nil)
+}
+
+// ProjectStamped is Project recording into st what the answer depends on:
+// the projects-table clock (the record), the run epoch (which run answers,
+// Running) and, with a live run, its engine's clock (spent, pending, the
+// two means, the strategy in force).
+func (s *Service) ProjectStamped(ctx context.Context, projectID string, st *Stamp) (ProjectInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return ProjectInfo{}, err
 	}
+	st.read(s.cat.Clock(store.TableProjects))
 	rec, err := s.cat.GetProject(projectID)
 	if err != nil {
 		return ProjectInfo{}, err
 	}
 	info := ProjectInfo{Project: rec, Spent: rec.Spent, StrategyName: rec.Strategy}
+	st.read(&s.runsEpoch)
 	if run, rerr := s.run(projectID); rerr == nil {
-		info.Spent = run.spent()
-		info.MeanStability = run.Engine.MeanStability()
-		info.MeanOracle = run.Engine.MeanOracle()
-		info.StrategyName = run.Engine.StrategyName()
-		info.PendingTasks = run.Engine.PendingTasks()
+		t := run.Engine.totals(st)
+		info.Spent = run.spentBefore + t.spent
+		info.MeanStability = t.meanStability
+		info.MeanOracle = t.meanOracle
+		info.StrategyName = t.strategy
+		info.PendingTasks = t.pending
 		run.mu.Lock()
 		info.Running = run.running
 		run.mu.Unlock()
@@ -833,6 +834,16 @@ func (s *Service) ProjectsPage(ctx context.Context, providerID, cursor string, l
 
 // ResourceDetail returns the single-resource details (Fig. 6).
 func (s *Service) ResourceDetail(ctx context.Context, projectID, resourceID string) (ResourceStatus, error) {
+	return s.ResourceDetailStamped(ctx, projectID, resourceID, nil)
+}
+
+// ResourceDetailStamped is ResourceDetail recording into st what the answer
+// depends on: that resource's engine clock and nothing else. The run epoch
+// is not part of it — there is no answer without a run, a project's run is
+// never replaced or removed once installed, and the screen shows nothing of
+// whether the run is executing — so a project created or started elsewhere
+// leaves every resource screen's validator standing.
+func (s *Service) ResourceDetailStamped(ctx context.Context, projectID, resourceID string, st *Stamp) (ResourceStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return ResourceStatus{}, err
 	}
@@ -840,7 +851,7 @@ func (s *Service) ResourceDetail(ctx context.Context, projectID, resourceID stri
 	if err != nil {
 		return ResourceStatus{}, err
 	}
-	return run.Engine.Status(resourceID)
+	return run.Engine.status(resourceID, st)
 }
 
 // QualitySeries returns a monitoring series for the project details screen
@@ -1122,6 +1133,16 @@ type ExportedResource struct {
 // per-project key layout would bound that too, at the cost of re-keying
 // every resource access path.
 func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limit int) ([]ExportedResource, string, error) {
+	return s.ExportPageStamped(ctx, projectID, cursor, limit, nil)
+}
+
+// ExportPageStamped is ExportPage recording into st what the page depends
+// on: the run epoch, the resources-table clock (which rows, their names)
+// and, row by row, the engine clock of each resource shown — so a post on a
+// resource retires the one page holding it. Without a live run the rows are
+// folded from the posts table, and the page depends on that table's clock
+// (and the projects table's, for the existence check) instead.
+func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor string, limit int, st *Stamp) ([]ExportedResource, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
@@ -1129,17 +1150,21 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 	if err != nil {
 		return nil, "", err
 	}
+	st.read(&s.runsEpoch)
 	run, runErr := s.run(projectID)
 	if runErr != nil {
 		// No live run: a follower replica, or a finished project. The
 		// export is still servable from the catalog alone (foldedRows).
 		// The project must at least exist; when it does not, the answer
 		// is the same unknown-run error a write would get.
+		st.read(s.cat.Clock(store.TableProjects))
 		if _, err := s.cat.GetProject(projectID); err != nil {
 			return nil, "", runErr
 		}
+		st.read(s.cat.Clock(store.TablePosts))
 	}
-	out := make([]ExportedResource, 0, 16)
+	st.read(s.cat.Clock(store.TableResources))
+	out := make([]ExportedResource, 0, 16) // never sized from limit: the client picks it
 	next := ""
 	scanErr := s.cat.ScanResourcesAfter(after, func(rec store.ResourceRec) bool {
 		if rec.ProjectID != projectID {
@@ -1151,22 +1176,17 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 		}
 		var row ExportedResource
 		if runErr == nil {
-			st, err := run.Engine.Status(rec.ID)
-			if err != nil {
+			var ok bool
+			if row, ok = run.Engine.exportRow(rec.ID, st); !ok {
 				return true // not part of the live run; skip, as Export always has
 			}
-			row = ExportedResource{
-				ID: rec.ID, Name: rec.Name, Posts: st.Posts,
-				Stability: st.Stability, TopTags: st.TopTags,
-			}
 		} else {
-			st, err := s.folded.row(rec.ID)
-			if err != nil {
+			var err error
+			if row, err = s.folded.row(rec.ID); err != nil {
 				return true
 			}
-			row = st
-			row.Name = rec.Name
 		}
+		row.Name = rec.Name
 		out = append(out, row)
 		return true
 	})

@@ -11,58 +11,76 @@ import (
 	"sync/atomic"
 
 	"itag/internal/api"
+	"itag/internal/core"
 )
 
 // respCache is the encoded-response cache behind the hot GET routes
 // (project dashboard, resource detail, export pages): complete JSON
-// bodies keyed by route parameters and stamped with the service's serve
-// version (core.Service.ServeVersion — the catalog's summed table write
-// clocks plus the run-state epoch). A hit is lookup → header-map
+// bodies keyed by route parameters and stamped with the write clocks of
+// what they show (core.Stamp) — an entry is valid while nothing it shows
+// was written. A hit is lookup → one atomic load per clock → header-map
 // assignment → one body write; no handler, no encode, no allocation.
 //
-// Correctness is the decoded record cache's protocol lifted one layer
-// up, simplified by the single global version:
+// What a route's compute reads, its stamp records, each clock before the
+// state it guards:
 //
-//   - a fill captures the version BEFORE computing the response, stamps
-//     the entry with it, publishes, then RE-READS the version: if it
-//     moved, the fill raced a write and the entry is dropped;
-//   - every completed mutation advances the version strictly after its
-//     state change (catalog writes via the table clocks, run-state flips
-//     via the runs epoch);
-//   - a hit is served only while the entry's stamp equals the current
-//     version.
+//   - GET project: the projects-table clock (the record), the service's run
+//     epoch (which run answers; Running) and the run's engine clock (spent,
+//     pending, mean stability/oracle, strategy — every engine mutation);
+//   - GET resource: that resource's engine clock (no run, no answer; and an
+//     installed run is never swapped, so the epoch has nothing to say);
+//   - an export page: the run epoch, the resources-table clock (membership,
+//     names) and the engine clock of each row it shows.
+//
+// So a post on resource R retires the dashboard, R's screen and the one
+// page holding R, and nothing else in this project or any other. An answer
+// given without a live run (a follower's, a finished project's) reads the
+// catalog and stamps the table clocks it read plus the epoch.
+//
+// Correctness is the decoded record cache's protocol lifted one layer up:
+//
+//   - a fill records each clock BEFORE reading what it guards, publishes
+//     the entry, then RE-READS the clocks: if any moved, the fill raced a
+//     write and the entry is withdrawn;
+//   - every clock only advances, and only once the change it counts is
+//     visible (table clocks after the store write, the run epoch after the
+//     flip, engine clocks in the Engine.mu critical section of the change);
+//   - a hit is served only while the entry's clocks still sum to its stamp
+//     — monotone clocks make "sum unchanged" the same as "none moved".
 //
 // So a served entry — and in particular a 304 revalidation — proves no
-// write completed between the response's encode and its answer; the body
-// can only "miss" mutations that had not yet been acknowledged to any
-// writer, which an uncached read racing the same writer could equally
-// have missed. Engine-internal transients (a step's in-flight allocation
-// counters) ride on the posts clock their step bumps continuously.
+// write to anything the body shows completed between the response's encode
+// and its answer; the body can only "miss" mutations that had not yet been
+// acknowledged to any writer, which an uncached read racing the same writer
+// could equally have missed.
 //
-// Versions count from zero in every process and on every node, so a
-// validator is only meaningful to the cache that minted it: the ETag
-// carries a per-cache nonce, and a tag from a previous incarnation of this
-// server, or from another node serving the same key (a slot's leader and
-// its followers each keep their own cache), never matches here — it draws
-// a 200, not a 304 over whatever body happens to share its number.
+// An ETag must name exactly one body of one key in one cache. Stamps cannot
+// do that — the sums of two different clock sets can collide — so the tag's
+// middle term is a per-cache fill counter, and its first a per-cache nonce:
+// clocks and counters start from zero in every process and on every node,
+// and a tag from a previous incarnation of this server, or from another
+// node serving the same key (a slot's leader and its followers each keep
+// their own cache), never matches here — it draws a 200, not a 304 over
+// whatever body happens to share its number.
 //
 // Capacity is byte-bounded with approximate LRU eviction; entries also
 // count their hits, and write handlers call maybeRefresh so hot entries
 // are re-encoded at write time instead of missing on their next read.
 type respCache struct {
-	version  func() uint64
 	maxBytes int64
-	nonce    string // scopes this cache's ETags; see newRespCache
+	nonce    string        // scopes this cache's ETags; see newRespCache
+	fills    atomic.Uint64 // entries minted: the ETag's middle term
 
 	mu      sync.RWMutex
 	entries map[respKey]*respEntry
 	bytes   int64
 
-	tick      atomic.Int64 // LRU clock: bumped on every hit and fill
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	refreshes atomic.Int64
+	tick        atomic.Int64 // LRU clock: bumped on every hit and fill
+	hits        atomic.Int64
+	misses      atomic.Int64
+	notModified atomic.Int64
+	evictions   atomic.Int64
+	refreshes   atomic.Int64
 }
 
 // respKind names the cached route families.
@@ -86,7 +104,7 @@ type respKey struct {
 // respEntry is one published response: the 200 and 304 Raw forms share
 // the precomputed header value slices, so both hit paths are copy-free.
 type respEntry struct {
-	seq     uint64
+	stamp   core.Stamp
 	size    int64
 	etag    string
 	raw     *api.Raw // 200: body + ETag + Cache-Control + Content-Length
@@ -104,7 +122,7 @@ const respHotHits = 4
 // resource details plus dashboards) several times over.
 const defaultRespCacheBytes = 8 << 20
 
-func newRespCache(version func() uint64, maxBytes int64) *respCache {
+func newRespCache(maxBytes int64) *respCache {
 	if maxBytes == 0 {
 		maxBytes = defaultRespCacheBytes
 	}
@@ -113,61 +131,58 @@ func newRespCache(version func() uint64, maxBytes int64) *respCache {
 	var nonce [6]byte
 	_, _ = rand.Read(nonce[:]) // crypto/rand.Read does not fail
 	return &respCache{
-		version:  version,
 		maxBytes: maxBytes,
 		nonce:    hex.EncodeToString(nonce[:]),
 		entries:  make(map[respKey]*respEntry),
 	}
 }
 
-func (rc *respCache) newEntry(seq uint64, body []byte, key respKey) *respEntry {
-	etag := fmt.Sprintf("\"%s-%d-%x\"", rc.nonce, seq, len(body))
+func (rc *respCache) newEntry(stamp core.Stamp, body []byte, key respKey) *respEntry {
+	etag := fmt.Sprintf("\"%s-%d-%x\"", rc.nonce, rc.fills.Add(1), len(body))
 	etagVal := []string{etag}
 	cc := api.NoCacheValue()
 	e := &respEntry{
-		seq:  seq,
-		etag: etag,
-		// Body bytes plus map-entry and header bookkeeping overhead.
-		size: int64(len(body)+2*len(etag)+len(key.a)+len(key.b)) + 160,
+		stamp: stamp,
+		etag:  etag,
+		// Body bytes and stamp plus map-entry and header bookkeeping overhead.
+		size: int64(len(body)+2*len(etag)+len(key.a)+len(key.b)+8*stamp.Len()) + 160,
 		raw: &api.Raw{
-			Body: body, Seq: seq, ETag: etagVal, CacheControl: cc,
+			Body: body, ETag: etagVal, CacheControl: cc,
 			ContentLength: []string{strconv.Itoa(len(body))},
 		},
-		notMod: &api.Raw{Status: http.StatusNotModified, Seq: seq, ETag: etagVal, CacheControl: cc},
+		notMod: &api.Raw{Status: http.StatusNotModified, ETag: etagVal, CacheControl: cc},
 	}
 	return e
 }
 
-// get looks the key up under the current version. v is the version
-// captured BEFORE any state read the caller makes on a miss (e == nil) —
-// the stamp its fill must carry.
-func (rc *respCache) get(k respKey) (e *respEntry, v uint64) {
-	v = rc.version()
+// get returns the key's entry while nothing it shows has been written
+// since its fill, nil otherwise.
+func (rc *respCache) get(k respKey) *respEntry {
 	rc.mu.RLock()
-	e = rc.entries[k]
+	e := rc.entries[k]
 	rc.mu.RUnlock()
-	if e != nil && e.seq == v {
+	if e != nil && e.stamp.Current() {
 		e.hits.Add(1)
 		e.lastHit.Store(rc.tick.Add(1))
 		rc.hits.Add(1)
-		return e, v
+		return e
 	}
 	rc.misses.Add(1)
-	return nil, v
+	return nil
 }
 
-// put publishes a response encoded at version seq, then rechecks the
-// version: published=false means a write completed during the fill and
-// the entry was withdrawn (its Raw forms are still valid to answer the
-// one request that built it — stamped with the version its bytes truly
-// reflect — it just must not be revalidated against).
+// put publishes a response whose compute recorded stamp, then rechecks the
+// stamp: published=false means a write to something the body shows
+// completed during the fill and the entry was withdrawn (its Raw forms are
+// still valid to answer the one request that built it, it just must not be
+// revalidated against).
 //
 // Concurrent fills of one key need no ordered publication here: whichever
-// entry is published last, its recheck (or the next get's stamp check)
-// retires it unless its stamp still equals the global version, and two
-// fills with the same stamp carry identical bytes.
-func (rc *respCache) put(k respKey, seq uint64, body []byte) (e *respEntry, published bool) {
-	e = rc.newEntry(seq, body, k)
+// entry is published last, its recheck (or the next get's) retires it
+// unless every clock it read still stands, and two fills that read the
+// same clock values carry identical bytes.
+func (rc *respCache) put(k respKey, stamp core.Stamp, body []byte) (e *respEntry, published bool) {
+	e = rc.newEntry(stamp, body, k)
 	if rc.maxBytes > 0 && e.size > rc.maxBytes {
 		return e, false
 	}
@@ -180,7 +195,7 @@ func (rc *respCache) put(k respKey, seq uint64, body []byte) (e *respEntry, publ
 	e.lastHit.Store(rc.tick.Add(1))
 	rc.evictLocked(e)
 	rc.mu.Unlock()
-	if rc.version() != seq {
+	if !e.stamp.Current() {
 		rc.withdraw(k, e)
 		return e, false
 	}
@@ -224,7 +239,7 @@ func (rc *respCache) evictLocked(keep *respEntry) {
 // the workload hammers never miss: called by write handlers after their
 // mutation completed. Cold or absent keys are left to fault in on the
 // next read; a compute or encode failure just drops the stale entry.
-func (rc *respCache) maybeRefresh(k respKey, compute func() (any, error)) {
+func (rc *respCache) maybeRefresh(k respKey, compute func(*core.Stamp) (any, error)) {
 	if rc == nil {
 		return
 	}
@@ -234,15 +249,15 @@ func (rc *respCache) maybeRefresh(k respKey, compute func() (any, error)) {
 	if e == nil || e.hits.Load() < respHotHits {
 		return
 	}
-	v0 := rc.version()
-	if e.seq == v0 {
+	if e.stamp.Current() {
 		return // already fresh
 	}
-	val, err := compute()
+	var stamp core.Stamp
+	val, err := compute(&stamp)
 	if err == nil {
 		var body []byte
 		if body, err = api.AppendJSON(nil, val); err == nil {
-			if ne, published := rc.put(k, v0, body); published {
+			if ne, published := rc.put(k, stamp, body); published {
 				ne.hits.Store(e.hits.Load()) // carry hotness across the refresh
 				rc.refreshes.Add(1)
 				return
@@ -261,24 +276,26 @@ func (rc *respCache) stats() RespCacheStats {
 	entries, bytes := int64(len(rc.entries)), rc.bytes
 	rc.mu.RUnlock()
 	return RespCacheStats{
-		Hits:      rc.hits.Load(),
-		Misses:    rc.misses.Load(),
-		Evictions: rc.evictions.Load(),
-		Refreshes: rc.refreshes.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
+		Hits:        rc.hits.Load(),
+		Misses:      rc.misses.Load(),
+		NotModified: rc.notModified.Load(),
+		Evictions:   rc.evictions.Load(),
+		Refreshes:   rc.refreshes.Load(),
+		Entries:     entries,
+		Bytes:       bytes,
 	}
 }
 
 // RespCacheStats reports the encoded-response cache counters (all zero
 // when the cache is disabled).
 type RespCacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Refreshes int64 `json:"refreshes"`
-	Entries   int64 `json:"entries"`
-	Bytes     int64 `json:"bytes"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	NotModified int64 `json:"not_modified"` // hits answered 304
+	Evictions   int64 `json:"evictions"`
+	Refreshes   int64 `json:"refreshes"`
+	Entries     int64 `json:"entries"`
+	Bytes       int64 `json:"bytes"`
 }
 
 // families renders the cache counters as Prometheus families, one sample
@@ -290,7 +307,8 @@ func (rc *respCache) families(labels []api.Label) []api.Family {
 	}
 	return []api.Family{
 		one("itag_respcache_hits_total", "Encoded-response cache hits.", api.TypeCounter, st.Hits),
-		one("itag_respcache_misses_total", "Encoded-response cache misses (including version-expired entries).", api.TypeCounter, st.Misses),
+		one("itag_respcache_misses_total", "Encoded-response cache misses (including entries retired by a write to what they show).", api.TypeCounter, st.Misses),
+		one("itag_respcache_not_modified_total", "Encoded-response cache hits answered 304 Not Modified.", api.TypeCounter, st.NotModified),
 		one("itag_respcache_evictions_total", "Entries evicted to hold the byte budget.", api.TypeCounter, st.Evictions),
 		one("itag_respcache_refreshes_total", "Hot entries re-encoded at write time.", api.TypeCounter, st.Refreshes),
 		one("itag_respcache_entries", "Resident encoded responses.", api.TypeGauge, st.Entries),
@@ -305,16 +323,19 @@ func (rc *respCache) families(labels []api.Label) []api.Family {
 // fill on miss. With the cache switched off (Options.RespCacheBytes < 0)
 // every request is a plain pooled encode — byte-identical, just without
 // ETags.
-func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, compute func(*http.Request) (any, error)) http.HandlerFunc {
+func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, compute func(*http.Request, *core.Stamp) (any, error)) http.HandlerFunc {
 	return api.Handle(s.kit, http.StatusOK, func(r *http.Request, _ api.None) (*api.Raw, error) {
 		var e *respEntry
-		var v uint64
 		k := respKey{kind: kind, a: r.PathValue("id"), b: keyB(r)}
 		if s.resp != nil {
-			e, v = s.resp.get(k)
+			e = s.resp.get(k)
 		}
 		if e == nil {
-			val, err := compute(r)
+			var stamp *core.Stamp
+			if s.resp != nil {
+				stamp = new(core.Stamp)
+			}
+			val, err := compute(r, stamp)
 			if err != nil {
 				return nil, err
 			}
@@ -326,13 +347,14 @@ func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, comp
 				return &api.Raw{Body: body}, nil
 			}
 			var published bool
-			if e, published = s.resp.put(k, v, body); !published {
+			if e, published = s.resp.put(k, *stamp, body); !published {
 				// The fill raced a write: answer with the bytes this
 				// request computed, but never revalidate against them.
 				return e.raw, nil
 			}
 		}
 		if api.ETagMatch(r, e.etag) {
+			s.resp.notModified.Add(1)
 			return e.notMod, nil
 		}
 		return e.raw, nil
@@ -350,8 +372,8 @@ func (s *Server) refreshProject(projectID string) {
 	if s.resp == nil {
 		return
 	}
-	s.resp.maybeRefresh(respKey{kind: respProject, a: projectID}, func() (any, error) {
-		return s.svc.Project(context.Background(), projectID)
+	s.resp.maybeRefresh(respKey{kind: respProject, a: projectID}, func(st *core.Stamp) (any, error) {
+		return s.svc.ProjectStamped(context.Background(), projectID, st)
 	})
 }
 
@@ -361,8 +383,8 @@ func (s *Server) refreshResource(projectID, resourceID string) {
 	if s.resp == nil {
 		return
 	}
-	s.resp.maybeRefresh(respKey{kind: respDetail, a: projectID, b: resourceID}, func() (any, error) {
-		return s.svc.ResourceDetail(context.Background(), projectID, resourceID)
+	s.resp.maybeRefresh(respKey{kind: respDetail, a: projectID, b: resourceID}, func(st *core.Stamp) (any, error) {
+		return s.svc.ResourceDetailStamped(context.Background(), projectID, resourceID, st)
 	})
 	s.refreshProject(projectID)
 }

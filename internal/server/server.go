@@ -131,7 +131,7 @@ func NewWith(svc *core.Service, opts Options) *Server {
 	}
 	s.kit = &api.Kit{MapError: mapErr, Metrics: s.metrics}
 	if opts.RespCacheBytes >= 0 {
-		s.resp = newRespCache(svc.ServeVersion, opts.RespCacheBytes)
+		s.resp = newRespCache(opts.RespCacheBytes)
 	}
 	s.initAdmission(opts.Admission)
 	s.routes()
@@ -213,8 +213,8 @@ func (s *Server) routes() {
 	// The three hot GETs (dashboard, export, resource detail) answer from
 	// the encoded-response cache: ETag / If-None-Match revalidation,
 	// Cache-Control: no-cache.
-	s.routeUntimed("GET /api/v1/projects/{id}", s.cachedJSON(respProject, emptyKeyB, func(r *http.Request) (any, error) {
-		return s.svc.Project(r.Context(), r.PathValue("id"))
+	s.routeUntimed("GET /api/v1/projects/{id}", s.cachedJSON(respProject, emptyKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
+		return s.svc.ProjectStamped(r.Context(), r.PathValue("id"), st)
 	}))
 	s.route("POST /api/v1/projects/{id}/start", api.Handle(k, http.StatusAccepted, s.startProject))
 	s.route("POST /api/v1/projects/{id}/stop", api.Handle(k, http.StatusOK, s.stopProject))
@@ -223,8 +223,8 @@ func (s *Server) routes() {
 	s.route("GET /api/v1/projects/{id}/series", api.Handle(k, http.StatusOK, s.series))
 	s.routeUntimed("GET /api/v1/projects/{id}/export", s.cachedJSON(respExport, queryKeyB, s.export))
 	s.routeUntimed("GET /api/v1/projects/{id}/events", http.HandlerFunc(s.handleEvents))
-	s.routeUntimed("GET /api/v1/projects/{id}/resources/{rid}", s.cachedJSON(respDetail, ridKeyB, func(r *http.Request) (any, error) {
-		return s.svc.ResourceDetail(r.Context(), r.PathValue("id"), r.PathValue("rid"))
+	s.routeUntimed("GET /api/v1/projects/{id}/resources/{rid}", s.cachedJSON(respDetail, ridKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
+		return s.svc.ResourceDetailStamped(r.Context(), r.PathValue("id"), r.PathValue("rid"), st)
 	}))
 	s.route("POST /api/v1/projects/{id}/resources/{rid}/promote", s.resourceAction((*core.Service).Promote))
 	s.route("POST /api/v1/projects/{id}/resources/{rid}/stop", s.resourceAction((*core.Service).StopResource))

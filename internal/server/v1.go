@@ -60,12 +60,12 @@ type exportPage struct {
 
 // export computes one export page — the cached export route's compute
 // function (see cachedJSON).
-func (s *Server) export(r *http.Request) (any, error) {
+func (s *Server) export(r *http.Request, st *core.Stamp) (any, error) {
 	limit, cursor, err := parsePageParams(r)
 	if err != nil {
 		return nil, err
 	}
-	items, next, err := s.svc.ExportPage(r.Context(), r.PathValue("id"), cursor, limit)
+	items, next, err := s.svc.ExportPageStamped(r.Context(), r.PathValue("id"), cursor, limit, st)
 	if err != nil {
 		return nil, err
 	}

@@ -82,28 +82,25 @@ func newRecordCache() *recordCache {
 
 func cacheKey(table, key string) string { return table + "\x00" + key }
 
-// seq returns the table's current write clock (0 for a table the cache does
-// not manage; those are never cached).
-func (c *recordCache) seq(table string) uint64 {
+// clock returns the table's write clock (nil for a table the cache does not
+// manage; those are never cached). The clock only ever advances, and only
+// after the write it counts is visible, so a reader that loads it, reads the
+// table, and later finds it unchanged has proof no write to the table
+// completed in between — the invalidation signal layered caches stamp their
+// entries with.
+func (c *recordCache) clock(table string) *atomic.Uint64 {
 	if s := c.seqs[table]; s != nil {
-		return s.seq.Load()
+		return &s.seq
 	}
-	return 0
+	return nil
 }
 
-// seqSum sums every table's write clock. Each clock is non-decreasing,
-// so the sum is a monotone catalog-wide version: equality between two
-// reads proves no table advanced in between (no write completed), which
-// is the invalidation signal layered caches key their entries by. The
-// loads are individually atomic but not a snapshot — a sum racing a
-// writer may land between the bump and the write's other effects, which
-// only ever makes a derived cache entry expire early, never late.
-func (c *recordCache) seqSum() uint64 {
-	var sum uint64
-	for _, s := range c.seqs {
-		sum += s.seq.Load()
+// seq returns the table's current write clock (0 for an unmanaged table).
+func (c *recordCache) seq(table string) uint64 {
+	if s := c.clock(table); s != nil {
+		return s.Load()
 	}
-	return sum
+	return 0
 }
 
 // get returns the cached decode of (table, key), validating the entry's

@@ -41,7 +41,7 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	obs := &recordingObserver{}
 	follower.ObservePosts(obs)
 
-	version := follower.WriteSeqSum()
+	version := clockSum(follower)
 	ship := func(what string) {
 		t.Helper()
 		data, last, err := ldb.ReplTail(fdb.AppliedSeq(), 1<<20)
@@ -51,8 +51,8 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 		if applied, err := follower.ApplyReplicated(data); err != nil || applied != last {
 			t.Fatalf("%s: ApplyReplicated = %d, %v; want %d", what, applied, err, last)
 		}
-		if v := follower.WriteSeqSum(); v <= version {
-			t.Fatalf("%s: the replica's serve version did not advance (%d → %d)", what, version, v)
+		if v := clockSum(follower); v <= version {
+			t.Fatalf("%s: the replica's write clocks did not advance (%d → %d)", what, version, v)
 		} else {
 			version = v
 		}
@@ -92,7 +92,7 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	if _, err := follower.GetTask("p1", "t1"); err == nil {
 		t.Fatal("replica has a task the leader has not committed")
 	}
-	postsBefore := follower.WriteSeq(TablePosts)
+	postsBefore := follower.Clock(TablePosts).Load()
 	if err := ws.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	if task, err := follower.GetTask("p1", "t1"); err != nil || task.Status != TaskCompleted {
 		t.Fatalf("replica GetTask after the batch = %+v, %v", task, err)
 	}
-	if got := follower.WriteSeq(TablePosts); got != postsBefore+1 {
+	if got := follower.Clock(TablePosts).Load(); got != postsBefore+1 {
 		t.Fatalf("posts clock %d → %d over a batch holding one post", postsBefore, got)
 	}
 	if want := []string{fmt.Sprintf("r1/%d", seq)}; !reflect.DeepEqual(obs.written, want) {
@@ -111,7 +111,7 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	// A snapshot install over a cached record, with a fill in flight across
 	// it: the fill read v3 and its clock before the install, and publishes
 	// after.
-	staleClock := follower.WriteSeq(TableProjects)
+	staleClock := follower.Clock(TableProjects).Load()
 	stale, _ := follower.GetProject("p1")
 	if err := leader.PutProject(project("v4")); err != nil {
 		t.Fatal(err)
@@ -123,11 +123,11 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	if err := follower.InstallSnapshot(img); err != nil {
 		t.Fatal(err)
 	}
-	if v := follower.WriteSeqSum(); v <= version {
-		t.Fatalf("snapshot install: the replica's serve version did not advance (%d → %d)", version, v)
+	if v := clockSum(follower); v <= version {
+		t.Fatalf("snapshot install: the replica's write clocks did not advance (%d → %d)", version, v)
 	}
 	for _, table := range []string{TableResources, TablePosts, TableProjects, TableTasks, TableUsers} {
-		if follower.WriteSeq(table) == 0 {
+		if follower.Clock(table).Load() == 0 {
 			t.Errorf("snapshot install left the %s clock at zero", table)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"itag/internal/errs"
@@ -221,9 +222,9 @@ func decodeCached[T any](c *Catalog, table, key string, raw []byte, seq uint64) 
 
 // invalidate is the one point every completed write passes, local or
 // replicated, strictly after the store made it visible: the key's decoded
-// record is dropped and its table's write clock advances (which moves
-// core.Service.ServeVersion), and a posts-table write is reported to the
-// posts observer.
+// record is dropped and its table's write clock advances (which retires
+// every response-cache entry whose core.Stamp read that table), and a
+// posts-table write is reported to the posts observer.
 func (c *Catalog) invalidate(table, key string) {
 	c.cache.invalidate(table, key)
 	if table == TablePosts && c.posts != nil {
@@ -313,7 +314,7 @@ func (w *WriteSet) put(table, key string, value any) {
 // Commit applies everything staged since the last Commit as one atomic
 // Store.Apply and then advances the write clocks of the keys it wrote — in
 // that order, the "bump strictly after the store write" protocol the record
-// cache and core.Service.ServeVersion rely on. On error nothing was written.
+// cache and every core.Stamp holder rely on. On error nothing was written.
 // Either way the set is empty afterwards.
 func (w *WriteSet) Commit() error {
 	muts := w.muts
@@ -337,17 +338,14 @@ func (c *Catalog) put(table, key string, value any) error {
 	return w.Commit()
 }
 
-// WriteSeq returns a table's write clock: the number of completed writes
+// Clock returns a table's write clock: the number of completed writes
 // (Put/Append/Update, replicated ones included) the catalog has applied to
-// it. Every write bumps the clock after its store mutation completes, so
-// observing an unchanged clock across a read proves no write to the table
-// completed in between.
-func (c *Catalog) WriteSeq(table string) uint64 { return c.cache.seq(table) }
-
-// WriteSeqSum returns the sum of all table write clocks — the monotone
-// catalog-wide version the server's encoded-response cache stamps its
-// entries with.
-func (c *Catalog) WriteSeqSum() uint64 { return c.cache.seqSum() }
+// it. Every write bumps the clock after its store mutation completes, and
+// the clock never goes backwards, so a reader that loads it before reading
+// the table and finds it unchanged afterwards has proof no write to the
+// table completed in between. The server's encoded-response cache stamps an
+// entry with the clocks of the tables its answer read (core.Stamp).
+func (c *Catalog) Clock(table string) *atomic.Uint64 { return c.cache.clock(table) }
 
 // DB exposes the underlying store backend.
 func (c *Catalog) DB() Store { return c.db }
