@@ -3,7 +3,7 @@ GO ?= go
 # Fuzz budget per target; CI smoke uses the default, nightly passes 10m.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-serving bench-capacity bench-chaos bench-gate chaos clean
+.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-serving bench-capacity bench-chaos bench-gate chaos histories clean
 
 all: check
 
@@ -95,9 +95,16 @@ bench-chaos:
 	$(GO) run ./cmd/itag-bench -experiment s10 -record
 
 # The same S10 drill as a test under the race detector (nightly): every
-# pusher, puller, breaker and quorum waiter races the injected faults.
+# replication stream, breaker and quorum waiter races the injected faults.
 chaos:
 	$(GO) test -race -run TestS10ChaosDrill -count=1 -v ./internal/bench
+
+# The recorded-history checker over HISTORY_SEEDS seeded fault schedules
+# under the race detector (nightly; tier-1 runs the first 25 without it). A
+# failing seed prints the line that replays it.
+HISTORY_SEEDS ?= 500
+histories:
+	$(GO) test -race -run TestReplicationHistories -count=1 -timeout 30m ./internal/cluster -history-seeds $(HISTORY_SEEDS)
 
 # Re-check recorded BENCH_*.json artifacts against their committed gates.
 bench-gate:

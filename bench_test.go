@@ -338,7 +338,7 @@ func BenchmarkFollowerExportPage(b *testing.B) {
 			defer svc.Close()
 			ship := func() {
 				for {
-					data, _, err := ldb.ReplTail(fdb.AppliedSeq(), 1<<20)
+					data, _, err := ldb.ReplTail(fdb.AppliedSeq(), 1<<20, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -429,7 +429,7 @@ func BenchmarkReplTailSteady(b *testing.B) {
 			}
 			tail := func(behind uint64) int {
 				applied := db.AppliedSeq()
-				data, last, err := db.ReplTail(applied-behind, 1<<20)
+				data, last, err := db.ReplTail(applied-behind, 1<<20, nil)
 				if err != nil || last != applied {
 					b.Fatalf("ReplTail(%d) = to seq %d, %v; want %d", applied-behind, last, err, applied)
 				}

@@ -49,9 +49,12 @@
 //
 // With -cluster-slot the daemon joins a multi-node cluster instead of
 // serving alone: -cluster-ring names every slot and its address, the node
-// leads the keys hashing to its slot, replicates its WAL to -cluster-replicas
-// followers, and serves opt-in follower reads within -cluster-staleness
-// records of lag. -db must name a data directory (cluster nodes are always
+// leads the keys hashing to its slot, ships its WAL to -cluster-replicas
+// followers over one stream each (idle heartbeat and backoff base:
+// -cluster-pull-interval), and serves opt-in follower reads within
+// -cluster-staleness records of lag. A node restarted after a promotion is
+// given the post-promotion ring and finds the slot's WAL where the promotion
+// left it. -db must name a data directory (cluster nodes are always
 // durable). A slot's stack takes none of -admission, -slo-p99, -pool-min,
 // -pool-max and -resp-cache-bytes: setting one with -cluster-slot is a
 // boot error. See docs/ARCHITECTURE.md ("Cluster") and the README quickstart:
@@ -60,8 +63,8 @@
 //	      -cluster-ring alpha=http://localhost:8081,beta=http://localhost:8082,gamma=http://localhost:8083
 //
 // With -cluster-quorum a mutating request is acked only after the slot's
-// first follower confirms the pushed WAL frames are fsynced on its disk;
-// if confirmation takes longer than -cluster-quorum-timeout the ack
+// first follower has answered that the shipped WAL frames are fsynced on its
+// disk; if that takes longer than -cluster-quorum-timeout the ack
 // degrades to leader-only durability, stamped X-Itag-Quorum: degraded and
 // counted in itag_cluster_quorum_degraded_total.
 //
@@ -132,9 +135,9 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	clusterSlot := fs.String("cluster-slot", "", "ring slot this node leads; non-empty enables cluster mode")
 	clusterRing := fs.String("cluster-ring", "", `ring members as "slot=addr,slot=addr,..." (required with -cluster-slot)`)
 	clusterReplicas := fs.Int("cluster-replicas", 2, "followers replicating each slot's WAL")
-	clusterPull := fs.Duration("cluster-pull-interval", 250*time.Millisecond, "idle poll period of the follower replication pullers")
+	clusterPull := fs.Duration("cluster-pull-interval", 250*time.Millisecond, "idle heartbeat of the leader-to-follower replication streams, and the base of their error backoff and peer-breaker cooldown (a stream with records to ship does not wait for it)")
 	clusterStaleness := fs.Uint64("cluster-staleness", 1024, "maximum replication lag (records) at which followers still serve opt-in reads")
-	clusterQuorum := fs.Bool("cluster-quorum", false, "hold mutating acks until the slot's follower confirms the write is fsynced (degrades to leader-only ack after -cluster-quorum-timeout)")
+	clusterQuorum := fs.Bool("cluster-quorum", false, "hold mutating acks until the slot's first follower has acked the write as fsynced (degrades to leader-only ack after -cluster-quorum-timeout); followers are shipped to either way")
 	clusterQuorumTimeout := fs.Duration("cluster-quorum-timeout", 2*time.Second, "how long a quorum write waits for follower confirmation before degrading")
 	chaosSpec := fs.String("chaos-spec", "", `fault-injection schedule, e.g. "seed=42;after=5s,for=2s,partition,to=node-b;stall=50ms,host=*" (empty disables; see internal/chaos)`)
 	if err := fs.Parse(args); err != nil {
@@ -204,7 +207,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 			Quorum: *clusterQuorum, QuorumTimeout: *clusterQuorumTimeout,
 		}
 		if sched != nil {
-			// Inter-node traffic (pulls, pushes, ring fetches) flows through
+			// Inter-node traffic (shipments, ring pushes and fetches) flows through
 			// the same fault schedule as inbound API traffic; this node's
 			// identity in fault matching is its own ring address.
 			nodeOpts.HTTPClient = &http.Client{
@@ -218,11 +221,11 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		}
 		defer node.Close()
 		apiHandler, promHandler = node.Handler(), node.PromHandler()
-		mode := "async pull"
+		mode := "leader-only"
 		if *clusterQuorum {
-			mode = fmt.Sprintf("quorum (ack timeout %s)", *clusterQuorumTimeout)
+			mode = fmt.Sprintf("quorum (timeout %s)", *clusterQuorumTimeout)
 		}
-		logger.Printf("cluster node: slot %s of %d-member ring v%d (dir %s, replicas %d, staleness bound %d, replication %s)",
+		logger.Printf("cluster node: slot %s of %d-member ring v%d (dir %s, replicas %d, staleness bound %d, acks %s)",
 			*clusterSlot, len(ring.Members), ring.Version, *dbPath, *clusterReplicas, *clusterStaleness, mode)
 	} else {
 		if *dbPath == "" {
@@ -372,7 +375,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 				logger.Printf("store sync: %v", err)
 			}
 		}
-		// In cluster mode the deferred node.Close stops the pullers and
+		// In cluster mode the deferred node.Close stops the streams and
 		// flushes every store; interrupted runs resume on the next boot
 		// (or on whichever follower is promoted) via ResumeRuns.
 		// Drain the debug listener last so an in-flight profile capture can

@@ -255,8 +255,9 @@ func TestBootClusterMode(t *testing.T) {
 // command line fails loudly instead of silently running unpartitioned),
 // so is -group-commit (the writer's natural batching is the one commit
 // path), and a -db path holding the shard-NNN.wal families a sharded daemon wrote
-// is refused instead of having a fresh, empty WAL created beside the data.
-// Likewise a flag the chosen mode cannot honour is a boot error, not a
+// is refused instead of having a fresh, empty WAL created beside the data —
+// as is a -db path that is itself the pre-PR-3 single-file WAL, whose reader
+// is gone. Likewise a flag the chosen mode cannot honour is a boot error, not a
 // silent no-op.
 func TestBootRejectsRetiredShardLayout(t *testing.T) {
 	shardedDir := t.TempDir()
@@ -264,6 +265,11 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(shardedDir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Likewise the single-file WAL nothing has written since PR 3.
+	legacyWAL := filepath.Join(t.TempDir(), "itag.wal")
+	if err := os.WriteFile(legacyWAL, []byte(`{"seq":1,"op":"put","table":"t","key":"a","value":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	type rejected struct {
 		name string
@@ -277,6 +283,8 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 			[]string{"flag provided but not defined", "-group-commit"}},
 		{"-db names a sharded directory", []string{"-addr", "127.0.0.1:0", "-db", shardedDir},
 			[]string{"retired sharded layout", shardedDir}},
+		{"-db names a pre-segment single-file WAL", []string{"-addr", "127.0.0.1:0", "-db", legacyWAL},
+			[]string{"pre-segment single-file WAL", legacyWAL, "PR 22"}},
 	}
 	// A cluster slot's stack takes none of the standalone server's tuning:
 	// a flag it would parse and drop is refused, whatever value it is set to.
@@ -312,5 +320,8 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 	left, _ := filepath.Glob(filepath.Join(shardedDir, "*"))
 	if len(left) != 3 {
 		t.Errorf("the refused open changed the directory: %v", left)
+	}
+	if left, _ := filepath.Glob(legacyWAL + "*"); len(left) != 1 {
+		t.Errorf("the refused open started a segment family beside the old WAL: %v", left)
 	}
 }

@@ -88,6 +88,11 @@ var codeCategories = func() map[string]errs.Category {
 	return m
 }()
 
+// CategoryOfCode reports the taxonomy category an envelope code derives from
+// ("" for a code outside CodeTable) — how a caller that only holds a peer's
+// error reply attributes it.
+func CategoryOfCode(code string) errs.Category { return codeCategories[code] }
+
 // FromTaxonomy derives the transport error for a taxonomy error: status
 // from the category, code from the category default or the sentinel's
 // WithCode refinement, message from the full error chain.

@@ -46,6 +46,10 @@ type Family struct {
 	Samples []Sample
 }
 
+// ExpositionContentType is the Content-Type every handler that answers with
+// WriteExposition sets.
+const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
+
 // WriteExposition renders the families in Prometheus text format. Names
 // are sanitized and label values escaped, so no input can produce
 // unparsable output (FuzzExposition pins this). Families that share a name

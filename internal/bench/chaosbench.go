@@ -24,8 +24,8 @@ import (
 // records the durability stamp (X-Itag-Quorum) and wall time of every
 // write. The drill proves the PR 10 robustness claims as gates:
 //
-//   - zero acked-write loss: every write acked "ok" (follower fsync
-//     confirmed) is served by the promoted follower after the kill;
+//   - zero acked-write loss: every write acked "ok" (on the first
+//     follower's disk) is served by that follower, promoted, after the kill;
 //   - bounded unavailability: no operation ever hangs — partitioned writes
 //     degrade within the quorum timeout, dead-leader writes fail fast with
 //     taxonomy errors, nothing approaches the route timeout;
@@ -132,9 +132,9 @@ func s10Post(client *http.Client, url string, body, out any) (string, error) {
 
 // s10WriteOnce performs one durable write — claim a task, submit it with a
 // unique tag — and returns the submit's quorum stamp and the total wall
-// time. The submit's stamp covers the claim too: an "ok" means the
-// follower's fsynced watermark passed the submit's sequence, which is
-// after every record the iteration appended.
+// time. The submit's stamp covers the claim too: an "ok" means the first
+// follower's acked watermark covers the submit's sequence, which is after
+// every record the iteration appended.
 func s10WriteOnce(client *http.Client, base, tagger, tag string) (string, time.Duration, error) {
 	start := time.Now()
 	var task struct {
@@ -153,7 +153,7 @@ func s10WriteOnce(client *http.Client, base, tagger, tag string) (string, time.D
 // by direction, the way they would on a real wire. The workload client
 // (tr.Client()) stays un-faulted: the drill observes degradation from the
 // outside.
-func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Duration) (*s10Cluster, error) {
+func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, beat time.Duration) (*s10Cluster, error) {
 	dir, err := os.MkdirTemp("", "itag-s10-")
 	if err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Durati
 		n, err := cluster.New(cluster.Options{
 			Slot: name + "-0", Ring: ring.Clone(), Dir: dir + "/" + name,
 			Store: storeOpts, Seed: seed, Replicas: 2,
-			PullInterval: pull, PullMaxBackoff: time.Second,
+			PullInterval: beat, PullMaxBackoff: time.Second,
 			Quorum: true, QuorumTimeout: quorumTimeout,
 			HTTPClient: &http.Client{
 				Timeout:   inner.Timeout,
@@ -232,7 +232,7 @@ func s10Start(seed int64, sched *chaos.Schedule, quorumTimeout, pull time.Durati
 func s10Drill(seed int64) (*s10Outcome, error) {
 	const (
 		quorumTimeout = 300 * time.Millisecond
-		pull          = 20 * time.Millisecond
+		beat          = 20 * time.Millisecond // the streams' idle heartbeat
 		partitionFor  = 1500 * time.Millisecond
 		stallFor      = 1500 * time.Millisecond
 		stallDelay    = 15 * time.Millisecond
@@ -241,7 +241,7 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 	sched := chaos.NewSchedule(seed)
 	release := sched.Engage()
 	defer release()
-	c, err := s10Start(seed, sched, quorumTimeout, pull)
+	c, err := s10Start(seed, sched, quorumTimeout, beat)
 	if err != nil {
 		return nil, err
 	}
@@ -260,19 +260,14 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 	if proj.addr != leaderAddr {
 		return nil, fmt.Errorf("drill project %s not led by its minting node", proj.id)
 	}
-	// The quorum partner is the slot's first distinct follower — the node
-	// the pusher streams to and the one whose fsync "ok" acks attest. Zero
-	// acked-write loss is proven by promoting exactly that node.
-	var peer string
-	for _, f := range ring.Followers(slot, 2) {
-		if a := ring.Addr(f); a != "" && a != leaderAddr {
-			peer = c.nodeOf[f]
-			break
-		}
+	// The quorum partner is the slot's first follower — the one whose acked
+	// watermark "ok" acks wait on. Zero acked-write loss is proven by
+	// promoting exactly that node.
+	followers := ring.Followers(slot, 2)
+	if len(followers) == 0 {
+		return nil, fmt.Errorf("slot %s has no follower", slot)
 	}
-	if peer == "" {
-		return nil, fmt.Errorf("slot %s has no distinct follower", slot)
-	}
+	peer := c.nodeOf[followers[0]]
 	out := &s10Outcome{bound: opBound, leader: leader, peer: peer, slot: slot}
 
 	// The schedule: a full partition of the leader for the first window,
@@ -307,8 +302,8 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 
 	// Phase 1 — partition: the leader keeps serving, every ack degrades to
 	// leader-only within the quorum timeout. Phase 2 — stall: the network
-	// heals but the leader's disk hiccups on every WAL append; acks drift
-	// back toward "ok" as the peer's circuit breaker closes.
+	// heals but the leader's disk hiccups on every WAL append; acks come
+	// back "ok" once the peer's circuit breaker lets the stream through.
 	var pPart, pStall, pRecover, pFail s10Stats
 	start := time.Now()
 	sched.Start()
@@ -325,7 +320,7 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 	sched.Stop()
 
 	// Phase 3 — recovery: with the faults gone the quorum must come back
-	// on its own (push resumes once the peer breaker's cooldown passes).
+	// on its own.
 	deadline := time.Now().Add(10 * time.Second)
 	for !out.recovered && time.Now().Before(deadline) {
 		q, err := write(&pRecover, base, "recover")
@@ -391,8 +386,8 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 		}
 	}
 
-	// The promoted leader runs quorum mode too: poll until its own pusher
-	// confirms a write on the next follower.
+	// The promoted leader runs quorum mode too: poll until its own stream
+	// to the remaining follower carries an ack.
 	deadline = time.Now().Add(10 * time.Second)
 	for !out.failoverOK && time.Now().Before(deadline) {
 		q, err := write(&pFail, newBase, "post-failover")
@@ -404,7 +399,7 @@ func s10Drill(seed int64) (*s10Outcome, error) {
 
 	out.phases = []s10Phase{
 		{name: "partition (leader cut off)", s10Stats: pPart},
-		{name: "disk stall + breaker cooldown", s10Stats: pStall},
+		{name: "disk stall on the leader", s10Stats: pStall},
 		{name: "healed (recovery + confirmed batch)", s10Stats: pRecover},
 		{name: "after kill + promote", s10Stats: pFail},
 	}
@@ -421,8 +416,8 @@ func S10Chaos(sz Sizes) (Result, error) {
 		Title:  "chaos drill: 3-node quorum cluster through partition, disk stall, leader kill + promote",
 		Header: []string{"phase", "writes", "ok acks", "degraded acks", "errors", "max op"},
 	}
-	// Concurrent leader fsyncs, pushers and pullers need scheduler slots to
-	// overlap their blocking syscalls, as they would across real machines.
+	// Concurrent leader and follower fsyncs need scheduler slots to overlap
+	// their blocking syscalls, as they would across real machines.
 	prevProcs := runtime.GOMAXPROCS(0)
 	if prevProcs < 4 {
 		runtime.GOMAXPROCS(4)
@@ -451,10 +446,10 @@ func S10Chaos(sz Sizes) (Result, error) {
 				Ratio: b2r(err == nil && degraded > 0 && out.degradedCounter > 0 && out.recovered && out.failoverOK), Min: 1},
 		)
 		res.Notes = append(res.Notes,
-			fmt.Sprintf("topology: 3 nodes, quorum acks with a 300ms confirmation timeout; slot %s led by %s, quorum partner (push target) %s — the node promoted after the kill", out.slot, out.leader, out.peer),
+			fmt.Sprintf("topology: 3 nodes, quorum acks with a 300ms timeout; slot %s led by %s, first follower %s — the node promoted after the kill", out.slot, out.leader, out.peer),
 			fmt.Sprintf("fault schedule (seed %d): 1.5s full partition of the leader, then 1.5s of 15ms stalls on every WAL append of the leader's disk, injected through internal/chaos (network faults on each node's wrapped transport, disk faults through the store failpoint hook)", sz.Seed),
-			fmt.Sprintf("zero acked-write loss: %d writes acked ok (follower fsync confirmed); %d missing from the promoted node's export", okAcked, out.lostOK),
-			fmt.Sprintf("degraded acks are leader-only durability by contract: %d writes degraded during the faults, %d of them happened to survive the failover anyway (the pull path had replicated them before the kill)", degraded, out.degradedSurvived),
+			fmt.Sprintf("zero acked-write loss: %d writes acked ok (on the first follower's disk); %d missing from the promoted node's export", okAcked, out.lostOK),
+			fmt.Sprintf("degraded acks are leader-only durability by contract: %d writes degraded during the faults, %d of them survived the failover anyway (the stream shipped them once it could)", degraded, out.degradedSurvived),
 			fmt.Sprintf("bounded unavailability: worst op wall %.0fms with faults active, worst dead-leader error %.0fms — bound %.1fs, route timeout 30s; partitioned writes degrade within the quorum timeout instead of hanging, dead-leader writes fail fast with taxonomy errors", out.maxWall.Seconds()*1000, out.deadFastMax.Seconds()*1000, out.bound.Seconds()),
 			fmt.Sprintf("degradation round-trip: leader counted %d in itag_cluster_quorum_degraded_total, quorum recovered to ok acks after the heal (%v) and again on the promoted leader (%v) with no operator action", out.degradedCounter, out.recovered, out.failoverOK),
 			"the drill's workload client is un-faulted: degradation is observed from the outside, the way an SDK caller would see it",

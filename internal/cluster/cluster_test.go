@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,8 +28,8 @@ type testCluster struct {
 }
 
 // startCluster boots one node per slot, all sharing one fake-network
-// transport. Pull intervals are short so replication converges in
-// milliseconds of test time.
+// transport. The heartbeat interval is short so a retry or an idle stream
+// costs milliseconds of test time.
 func startCluster(t *testing.T, slots []string, tune func(*Options)) *testCluster {
 	t.Helper()
 	tr := NewHandlerTransport()
@@ -266,8 +267,10 @@ func TestClusterRoutingReplicationAndFollowerReads(t *testing.T) {
 		t.Fatalf("follower export diverges from leader:\n%s\nvs\n%s", leaderExport, followerExport)
 	}
 
-	// The scrape surface carries the replication watermarks: follower
-	// lag and applied seq per followed slot, parseable exposition.
+	// The scrape surface carries both ends of the node's streams — follower
+	// lag and applied seq per followed slot, shipments and the per-follower
+	// watermark per led slot, in async mode too — as a parseable exposition,
+	// and nothing of the retired pull loop.
 	rec := httptest.NewRecorder()
 	tc.nodes[other].PromHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	fams, err := api.ParseExposition(rec.Body)
@@ -280,18 +283,37 @@ func TestClusterRoutingReplicationAndFollowerReads(t *testing.T) {
 	found := map[string]bool{}
 	for _, f := range fams {
 		found[f.Name] = true
+		if strings.HasPrefix(f.Name, "itag_cluster_pull") {
+			t.Errorf("exposition still carries %s", f.Name)
+		}
+		switch f.Name {
+		case "itag_cluster_pushes_total", "itag_cluster_push_bytes_total", "itag_cluster_quorum_confirmed_seq":
+			for _, smp := range f.Samples {
+				labels := map[string]string{}
+				for _, l := range smp.Labels {
+					labels[l.Name] = l.Value
+				}
+				if labels["slot"] == "" || labels["follower"] == "" {
+					t.Errorf("%s sample lacks a slot or follower label: %v", f.Name, smp.Labels)
+				}
+			}
+			if len(f.Samples) != 2 {
+				t.Errorf("%s has %d samples, want one per follower of the led slot", f.Name, len(f.Samples))
+			}
+		}
 	}
 	for _, want := range []string{
 		"itag_cluster_ring_version", "itag_cluster_leader_applied_seq",
 		"itag_cluster_replica_applied_seq", "itag_cluster_replica_lag",
-		"itag_cluster_pulls_total", "itag_cluster_pull_bytes_total",
+		"itag_cluster_pushes_total", "itag_cluster_push_bytes_total", "itag_cluster_quorum_confirmed_seq",
 	} {
 		if !found[want] {
 			t.Errorf("exposition is missing %s", want)
 		}
 	}
 
-	// Sanity: the status endpoint agrees the follower is caught up.
+	// Sanity: the status endpoint agrees the follower is caught up, and the
+	// leader's reports each follower's watermark at its own.
 	var st statusResp
 	if _, err := tc.do(http.MethodGet, "http://"+other+"/api/v1/cluster/status", nil, &st); err != nil {
 		t.Fatal(err)
@@ -301,6 +323,23 @@ func TestClusterRoutingReplicationAndFollowerReads(t *testing.T) {
 			t.Errorf("status reports lag %d for caught-up follower", s.Lag)
 		}
 	}
+	// (A follower has applied a shipment a moment before the leader reads its
+	// ack, so the leader's view is polled.)
+	waitFor(t, 5*time.Second, "the leader's status to show both followers acked up to its watermark", func() bool {
+		if _, err := tc.do(http.MethodGet, ownerURL+"/api/v1/cluster/status", nil, &st); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range st.Slots {
+			if s.Slot != slot {
+				continue
+			}
+			if len(s.Followers) != 2 {
+				t.Fatalf("leader status names %d followers of %s, want 2: %+v", len(s.Followers), slot, s)
+			}
+			return s.Followers[0].AckedSeq == s.AppliedSeq && s.Followers[1].AckedSeq == s.AppliedSeq
+		}
+		return false
+	})
 }
 
 // TestFollowerReadFreshAfterLeaderWrite pins the bounded-staleness
@@ -490,55 +529,48 @@ func TestClusterPromotionAfterCrash(t *testing.T) {
 	}
 }
 
-// manglingHandler proxies a node's handler but corrupts /cluster/wal
-// response bodies according to mode.
+// manglingHandler proxies a follower's handler but corrupts the body of
+// every non-empty shipment on its way in, according to mode.
 type manglingHandler struct {
 	inner http.Handler
-	mode  string // "flip" | "truncate" | "garbage" | "clean"
+	mode  string // "flip" | "truncate" | "garbage"
 }
 
 func (m *manglingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if m.mode == "clean" || !strings.HasPrefix(r.URL.Path, "/api/v1/cluster/wal") {
+	if r.URL.Path != "/api/v1/cluster/replicate" {
 		m.inner.ServeHTTP(w, r)
 		return
 	}
-	rec := httptest.NewRecorder()
-	m.inner.ServeHTTP(rec, r)
-	body := rec.Body.Bytes()
-	switch m.mode {
-	case "flip":
-		if len(body) > 0 {
-			body = bytes.Clone(body)
+	body, _ := io.ReadAll(r.Body)
+	if len(body) > 0 {
+		switch m.mode {
+		case "flip":
 			body[len(body)/2] ^= 0x40
-		}
-	case "truncate":
-		if len(body) > 2 {
+		case "truncate":
 			body = body[:len(body)-2] // cut mid-line: unterminated final record
-		}
-	case "garbage":
-		if len(body) > 0 {
+		case "garbage":
 			body = []byte("deadbeef not a frame\n")
 		}
 	}
-	for k, vs := range rec.Header() {
-		w.Header()[k] = vs
-	}
-	w.WriteHeader(rec.Code)
-	_, _ = w.Write(body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	m.inner.ServeHTTP(w, r)
 }
 
-// TestClusterFollowerIngestCorruption is the satellite corruption drill: a
-// follower fed flipped, truncated or garbage segment bytes must reject the
-// whole shipment with a corruption-taxonomy error — watermark unmoved, no
-// panic — then catch up without a gap once the feed is clean. With the
-// corrupt feed stalling the watermark past the staleness bound, opt-in
-// follower reads must refuse and redirect.
+// TestClusterFollowerIngestCorruption is the corruption drill: a follower
+// fed flipped, truncated or garbage frames must refuse the whole shipment
+// with a corruption-taxonomy error — watermark unmoved, no panic — and the
+// leader counts the refusal once, under that category, for that follower.
+// The stream then resumes from the unmoved watermark and catches the
+// follower up without a gap once the wire is clean. With the corrupt wire
+// stalling the watermark past the staleness bound, opt-in follower reads
+// must refuse and redirect.
 func TestClusterFollowerIngestCorruption(t *testing.T) {
 	for _, mode := range []string{"flip", "truncate", "garbage"} {
 		t.Run(mode, func(t *testing.T) {
 			tc := startCluster(t, []string{"alpha", "beta"}, func(o *Options) {
 				o.Replicas = 1
 				o.StalenessBound = 2
+				o.PullMaxBackoff = 40 * time.Millisecond
 			})
 			slot, project, tagger := tc.seedProject(4)
 			var follower string
@@ -550,9 +582,8 @@ func TestClusterFollowerIngestCorruption(t *testing.T) {
 			}
 			tc.waitCaughtUp(slot)
 
-			// Corrupt the leader's replication feed, then write more.
-			mangler := &manglingHandler{inner: tc.nodes[slot].Handler(), mode: mode}
-			tc.tr.Register(slot, mangler)
+			// Corrupt the wire into the follower, then write more.
+			tc.tr.Register(follower, &manglingHandler{inner: tc.nodes[follower].Handler(), mode: mode})
 			before := tc.nodes[follower].ReplicaDB(slot).AppliedSeq()
 			ownerURL := "http://" + slot
 			for i := 0; i < 8; i++ {
@@ -568,51 +599,56 @@ func TestClusterFollowerIngestCorruption(t *testing.T) {
 				}
 			}
 
-			// The follower keeps pulling and keeps rejecting: watermark
-			// frozen, corruption errors counted, process alive.
-			deadline := time.Now().Add(5 * time.Second)
-			var sawCorruption bool
-			for !sawCorruption {
-				if time.Now().After(deadline) {
-					t.Fatal("follower never observed a corruption error")
-				}
-				for _, f := range tc.nodes[follower].Families() {
-					if f.Name != "itag_cluster_pull_errors_total" {
+			// The leader keeps shipping and the follower keeps refusing:
+			// watermark frozen, the refusals counted on the leader by
+			// category, both processes alive.
+			waitFor(t, 5*time.Second, "the leader to count a corruption refusal", func() bool {
+				for _, f := range tc.nodes[slot].Families() {
+					if f.Name != "itag_cluster_push_errors_total" {
 						continue
 					}
 					for _, s := range f.Samples {
+						labels := map[string]string{}
 						for _, l := range s.Labels {
-							if l.Name == "category" && l.Value == "corruption" && s.Value > 0 {
-								sawCorruption = true
-							}
+							labels[l.Name] = l.Value
+						}
+						if labels["category"] == "corruption" && labels["follower"] == follower && labels["slot"] == slot && s.Value > 0 {
+							return true
 						}
 					}
 				}
-				time.Sleep(2 * time.Millisecond)
-			}
+				return false
+			})
 			if got := tc.nodes[follower].ReplicaDB(slot).AppliedSeq(); got != before {
 				t.Fatalf("corrupt shipment advanced the watermark: %d -> %d", before, got)
 			}
-
-			// Lag now exceeds the bound: the follower refuses the stale read.
-			resp, err := tc.do(http.MethodGet, "http://"+follower+"/api/v1/projects/"+project, nil, nil,
-				HeaderRead, ReadFollower)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusMisdirectedRequest {
-				t.Fatalf("stale follower read: status %v, want 421", resp.Status)
+			for _, st := range tc.nodes[slot].Status().Slots {
+				if st.Slot == slot && (len(st.Followers) != 1 || st.Followers[0].AckedSeq != before) {
+					t.Fatalf("the leader's watermark for the follower reads %+v, the follower is at %d", st.Followers, before)
+				}
 			}
 
-			// Clean feed: the follower catches up with no gap — its applied
+			// Lag exceeds the bound as soon as the follower has heard how far
+			// the leader got (the next shipment or probe, a backoff away): it
+			// refuses the stale read.
+			waitFor(t, 5*time.Second, "the follower to refuse the stale read with 421", func() bool {
+				resp, err := tc.do(http.MethodGet, "http://"+follower+"/api/v1/projects/"+project, nil, nil,
+					HeaderRead, ReadFollower)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode == http.StatusMisdirectedRequest
+			})
+
+			// Clean wire: the follower catches up with no gap — its applied
 			// watermark reaches the leader's exactly.
-			tc.tr.Register(slot, tc.nodes[slot].Handler())
+			tc.tr.Register(follower, tc.nodes[follower].Handler())
 			tc.waitCaughtUp(slot)
 			leaderSeq := tc.nodes[slot].DB(slot).AppliedSeq()
 			if got := tc.nodes[follower].ReplicaDB(slot).AppliedSeq(); got != leaderSeq {
 				t.Fatalf("follower at %d, leader at %d after clean catch-up", got, leaderSeq)
 			}
-			resp, err = tc.do(http.MethodGet, "http://"+follower+"/api/v1/projects/"+project, nil, nil,
+			resp, err := tc.do(http.MethodGet, "http://"+follower+"/api/v1/projects/"+project, nil, nil,
 				HeaderRead, ReadFollower)
 			if err != nil || resp.StatusCode != http.StatusOK {
 				t.Fatalf("follower read after recovery: %v (status %v)", err, resp.Status)
@@ -621,17 +657,18 @@ func TestClusterFollowerIngestCorruption(t *testing.T) {
 	}
 }
 
-// TestClusterSmallPullBudget replays the bootstrap-wedge regression: a pull
-// budget far smaller than the leader's tail — and smaller than the
-// project-creation batch record itself. The leader must page at record
-// boundaries, ship the oversized record alone, and the puller must read the
-// whole body rather than truncating it at the budget (a truncated body is
-// rejected whole, the watermark never moves, and the identical next pull
-// wedges replication permanently).
+// TestClusterSmallPullBudget replays the bootstrap-wedge regression: a
+// shipment budget (Options.PullBytes) far smaller than the leader's tail —
+// and smaller than the project-creation batch record itself. The sender must
+// page at record boundaries and ship the oversized record alone, and the
+// follower must read the whole body rather than truncating it at the budget
+// (a truncated body is refused whole, the watermark never moves, and the
+// identical next shipment wedges the stream permanently).
 func TestClusterSmallPullBudget(t *testing.T) {
+	const budget = 256
 	tc := startCluster(t, []string{"alpha", "beta"}, func(o *Options) {
 		o.Replicas = 1
-		o.PullBytes = 256
+		o.PullBytes = budget
 	})
 	slot, project, tagger := tc.seedProject(16)
 	ownerURL := "http://" + slot
@@ -648,6 +685,62 @@ func TestClusterSmallPullBudget(t *testing.T) {
 		}
 	}
 	tc.waitCaughtUp(slot)
+	// The project-creation record alone is larger than the budget, and it
+	// arrived: the follower serves the project it created.
+	leader, oversize := tc.nodes[slot].DB(slot), false
+	for from := uint64(0); from < leader.AppliedSeq(); {
+		data, last, err := leader.ReplTail(from, budget, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oversize = oversize || len(data) > budget
+		from = last
+	}
+	if !oversize {
+		t.Fatalf("no page of the leader's tail exceeds the %d-byte budget: the test no longer ships an oversized record", budget)
+	}
+	var follower string
+	for s := range tc.nodes {
+		if s != slot {
+			follower = s
+		}
+	}
+	resp, err := tc.do(http.MethodGet, "http://"+follower+"/api/v1/projects/"+project, nil, nil, HeaderRead, ReadFollower)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("follower read of the replicated project: %v (status %v)", err, resp.Status)
+	}
+}
+
+// TestPromHandlerContentType: a node's scrape carries the exposition
+// Content-Type, charset included, whether a led slot's server renders it or —
+// on a node that leads nothing, here one just deposed — the node itself does.
+func TestPromHandlerContentType(t *testing.T) {
+	tc := startCluster(t, []string{"alpha", "beta"}, nil)
+	node := tc.nodes["alpha"]
+	scrape := func(when string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		node.PromHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if got := rec.Header().Get("Content-Type"); got != api.ExpositionContentType {
+			t.Errorf("%s: Content-Type = %q, want %q", when, got, api.ExpositionContentType)
+		}
+		if _, err := api.ParseExposition(rec.Body); err != nil {
+			t.Errorf("%s: exposition does not parse: %v", when, err)
+		}
+	}
+	scrape("leading alpha")
+	moved := node.Ring().Clone()
+	moved.Version++
+	for i := range moved.Members {
+		moved.Members[i].Addr = "http://beta"
+	}
+	if !node.installRing(moved) {
+		t.Fatal("the ring deposing alpha was not installed")
+	}
+	if node.DB("alpha") != nil {
+		t.Fatal("alpha still leads a slot")
+	}
+	scrape("leading nothing")
 }
 
 // TestClusterRingConflictConverges pins the split-ring tiebreak: two nodes
@@ -698,19 +791,15 @@ func TestClusterRingConflictConverges(t *testing.T) {
 	}
 }
 
-// TestClusterCompactionSnapshotShip pins the snapshot path end to end: a
-// follower that joins (or falls behind) after the leader compacted its WAL
-// must be bootstrapped with a snapshot cut, not an impossible tail replay.
+// TestClusterCompactionSnapshotShip pins the snapshot path end to end,
+// through the stream: a follower that was away while the leader compacted
+// its WAL cannot be fed the tail it missed, so the stream's next frame is the
+// snapshot image — installed, fsynced and acked like any shipment — and the
+// frames written after the cut follow it.
 func TestClusterCompactionSnapshotShip(t *testing.T) {
-	// The follower's own puller is held at the gate until the manual pulls
-	// below have run: its first round would otherwise race them, and
-	// whichever came second saw a caught-up follower.
-	gate := make(chan struct{})
-	defer close(gate)
 	tc := startCluster(t, []string{"alpha", "beta"}, func(o *Options) {
 		o.Replicas = 1
-		o.PullInterval = time.Hour
-		o.pullGate = gate
+		o.PullMaxBackoff = 20 * time.Millisecond
 	})
 	slot, project, tagger := tc.seedProject(4)
 	var follower string
@@ -720,8 +809,16 @@ func TestClusterCompactionSnapshotShip(t *testing.T) {
 			break
 		}
 	}
+	tc.waitCaughtUp(slot)
+	rep := tc.nodes[follower].ReplicaDB(slot)
+	behind := rep.AppliedSeq()
+
+	// The follower drops off the network; the leader writes on and compacts
+	// away the tail the follower would have needed.
+	tc.tr.Register(follower, nil)
 	ownerURL := "http://" + slot
-	for i := 0; i < 10; i++ {
+	post := func(tag string) {
+		t.Helper()
 		var task store.TaskRec
 		if _, err := tc.do(http.MethodPost, ownerURL+"/api/v1/projects/"+project+"/tasks",
 			map[string]string{"tagger_id": tagger}, &task); err != nil {
@@ -729,31 +826,36 @@ func TestClusterCompactionSnapshotShip(t *testing.T) {
 		}
 		if _, err := tc.do(http.MethodPost,
 			fmt.Sprintf("%s/api/v1/projects/%s/tasks/%s/submit", ownerURL, project, task.ID),
-			map[string][]string{"tags": {"go", "compacted"}}, nil); err != nil {
+			map[string][]string{"tags": {"go", tag}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Compact away the tail the follower would have needed.
-	if err := tc.nodes[slot].DB(slot).Compact(); err != nil {
+	for i := 0; i < 10; i++ {
+		post("compacted")
+	}
+	leader := tc.nodes[slot].DB(slot)
+	if err := leader.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	cut := leader.Stats().SnapshotSeq
+	if _, _, err := leader.ReplTail(behind, 1<<20, nil); !errors.Is(err, store.ErrSnapshotNeeded) {
+		t.Fatalf("ReplTail(%d) after the compaction = %v: the follower is not behind the cut", behind, err)
+	}
+	post("after-the-cut")
 
-	rep := tc.nodes[follower].replicas[slot]
-	progressed, err := tc.nodes[follower].pullOnce(context.Background(), rep)
-	if err != nil {
-		t.Fatalf("snapshot pull: %v", err)
+	// Back on the network: snapshot first, then the frames past it.
+	tc.tr.Register(follower, tc.nodes[follower].Handler())
+	tc.waitCaughtUp(slot)
+	// The image is cut when it ships, so it covers at least the compaction's.
+	if got := rep.Stats().SnapshotSeq; got < cut {
+		t.Fatalf("follower's snapshot covers seq %d, the leader's cut was at %d: no snapshot was installed", got, cut)
 	}
-	if !progressed {
-		t.Fatal("snapshot pull reported no progress")
+	if got, want := rep.AppliedSeq(), leader.AppliedSeq(); got != want {
+		t.Fatalf("follower at %d after the snapshot install, leader at %d", got, want)
 	}
-	leaderSeq := tc.nodes[slot].DB(slot).AppliedSeq()
-	if got := rep.db.AppliedSeq(); got != leaderSeq {
-		// One more round drains any frames written after the cut.
-		if _, err := tc.nodes[follower].pullOnce(context.Background(), rep); err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.db.AppliedSeq(); got != leaderSeq {
-			t.Fatalf("follower at %d after snapshot install, leader at %d", got, leaderSeq)
-		}
+	_, want := tc.get(ownerURL + "/api/v1/projects/" + project + "/export")
+	_, got := tc.get("http://"+follower+"/api/v1/projects/"+project+"/export", HeaderRead, ReadFollower)
+	if !bytes.Equal(got, want) || !bytes.Contains(got, []byte("after-the-cut")) {
+		t.Fatalf("follower export after the install differs from the leader's\nfollower %s\n  leader %s", got, want)
 	}
 }

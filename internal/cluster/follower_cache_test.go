@@ -15,8 +15,8 @@ import (
 	"itag/internal/store"
 )
 
-// pushedFollower names the follower the slot's quorum pusher ships to — the
-// one an X-Itag-Quorum: ok ack vouches for.
+// pushedFollower names the slot's first follower — the one whose watermark
+// an X-Itag-Quorum: ok ack waited on.
 func (tc *testCluster) pushedFollower(slot string) string {
 	tc.t.Helper()
 	return tc.nodes[slot].Ring().Followers(slot, 2)[0]

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net/http"
+	"strings"
 	"time"
 
 	"itag/internal/api"
@@ -80,10 +81,8 @@ func (n *Node) Health() string {
 // hostOf strips the scheme from an address so it matches the breaker keys
 // (peerDo keys by URL.Host).
 func hostOf(addr string) string {
-	for i := 0; i+2 < len(addr); i++ {
-		if addr[i] == ':' && addr[i+1] == '/' && addr[i+2] == '/' {
-			return addr[i+3:]
-		}
+	if _, host, ok := strings.Cut(addr, "://"); ok {
+		return host
 	}
 	return addr
 }
@@ -101,13 +100,10 @@ func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"node %s is isolated from its peers", n.slot))
 		return
 	}
-	n.mu.RLock()
-	v := n.ring.Version
-	n.mu.RUnlock()
 	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":       "ok",
 		"health":       state,
 		"slot":         n.slot,
-		"ring_version": v,
+		"ring_version": n.Ring().Version,
 	})
 }

@@ -10,11 +10,11 @@ import (
 // Families renders the node's replication posture as Prometheus metric
 // families. The led slot's server injects this through its ExtraFamilies
 // hook, so one scrape of GET /metrics shows route latencies, store
-// durability counters, and the replication watermarks side by side — the
-// lag gauge is what the staleness bound on follower reads is measured
-// against. The replica stacks' response caches ride along as slot-labeled
-// samples of the itag_respcache_* families the led slot's server renders
-// unlabeled (api.WriteExposition writes one family per name).
+// durability counters, and both ends of the node's replication streams side
+// by side — the lag gauge is what the staleness bound on follower reads is
+// measured against. The replica stacks' response caches ride along as
+// slot-labeled samples of the itag_respcache_* families the led slot's server
+// renders unlabeled (api.WriteExposition writes one family per name).
 func (n *Node) Families() []api.Family {
 	health := n.Health() // before n.mu: Health takes its own RLock
 	breakerOpen, breakerTotal, breakerOpens := n.peers.Snapshot(time.Now())
@@ -31,51 +31,36 @@ func (n *Node) Families() []api.Family {
 		return api.Sample{Labels: []api.Label{{Name: "slot", Value: slot}}, Value: v}
 	}
 
-	leaderSlots := make([]string, 0, len(n.leaders))
-	for slot := range n.leaders {
-		leaderSlots = append(leaderSlots, slot)
-	}
-	sort.Strings(leaderSlots)
-	replicaSlots := make([]string, 0, len(n.replicas))
-	for slot := range n.replicas {
-		replicaSlots = append(replicaSlots, slot)
-	}
-	sort.Strings(replicaSlots)
-
-	var leaderApplied, pushes, pushBytes, confirmed []api.Sample
-	for _, slot := range leaderSlots {
+	// One stream per (led slot, follower node): what was shipped, how far
+	// that follower has acked, and what went wrong on the way.
+	var leaderApplied, pushes, pushBytes, acked, pushErrs []api.Sample
+	for _, slot := range sortedKeys(n.leaders) {
 		b := n.leaders[slot]
 		leaderApplied = append(leaderApplied, slotSample(slot, float64(b.db.AppliedSeq())))
-		if b.push != nil {
-			pushes = append(pushes, slotSample(slot, float64(b.push.pushes.Load())))
-			pushBytes = append(pushBytes, slotSample(slot, float64(b.push.pushBytes.Load())))
-			confirmed = append(confirmed, slotSample(slot, float64(b.push.confirmed.Load())))
+		for _, s := range b.senders {
+			labels := []api.Label{{Name: "slot", Value: slot}, {Name: "follower", Value: hostOf(s.addr)}}
+			pushes = append(pushes, api.Sample{Labels: labels, Value: float64(s.ships.Load())})
+			pushBytes = append(pushBytes, api.Sample{Labels: labels, Value: float64(s.shipBytes.Load())})
+			acked = append(acked, api.Sample{Labels: labels, Value: float64(s.acked.Load())})
+
+			s.errMu.Lock()
+			for _, cat := range sortedKeys(s.errCounts) {
+				pushErrs = append(pushErrs, api.Sample{
+					Labels: append(labels[:2:2], api.Label{Name: "category", Value: cat}),
+					Value:  float64(s.errCounts[cat]),
+				})
+			}
+			s.errMu.Unlock()
 		}
 	}
-	var repApplied, repLeader, repLag, pulls, pullBytes, pullErrs []api.Sample
+	var repApplied, repLeader, repLag []api.Sample
 	var repCaches []api.Family
-	for _, slot := range replicaSlots {
+	for _, slot := range sortedKeys(n.replicas) {
 		rep := n.replicas[slot]
 		repCaches = append(repCaches, rep.srv.RespCacheFamilies(api.Label{Name: "slot", Value: slot})...)
 		repApplied = append(repApplied, slotSample(slot, float64(rep.db.AppliedSeq())))
 		repLeader = append(repLeader, slotSample(slot, float64(rep.leaderSeq.Load())))
 		repLag = append(repLag, slotSample(slot, float64(rep.lag())))
-		pulls = append(pulls, slotSample(slot, float64(rep.pulls.Load())))
-		pullBytes = append(pullBytes, slotSample(slot, float64(rep.pullBytes.Load())))
-
-		rep.errMu.Lock()
-		cats := make([]string, 0, len(rep.errCounts))
-		for cat := range rep.errCounts {
-			cats = append(cats, cat)
-		}
-		sort.Strings(cats)
-		for _, cat := range cats {
-			pullErrs = append(pullErrs, api.Sample{
-				Labels: []api.Label{{Name: "slot", Value: slot}, {Name: "category", Value: cat}},
-				Value:  float64(rep.errCounts[cat]),
-			})
-		}
-		rep.errMu.Unlock()
 	}
 
 	fams := []api.Family{
@@ -105,23 +90,31 @@ func (n *Node) Families() []api.Family {
 	}
 	if len(pushes) > 0 {
 		fams = append(fams,
-			counter("itag_cluster_pushes_total", "Quorum replication push rounds per led slot.", pushes),
-			counter("itag_cluster_push_bytes_total", "WAL bytes pushed to followers per led slot.", pushBytes),
-			gauge("itag_cluster_quorum_confirmed_seq", "Follower-confirmed WAL sequence per led slot (the quorum watermark).", confirmed),
+			counter("itag_cluster_pushes_total", "Shipments a follower answered, heartbeats included, per led slot and follower.", pushes),
+			counter("itag_cluster_push_bytes_total", "WAL and snapshot bytes shipped per led slot and follower.", pushBytes),
+			gauge("itag_cluster_quorum_confirmed_seq", "Highest WAL sequence the follower has acked as fsynced, per led slot and follower (the first follower's is what quorum acks wait on).", acked),
 		)
+	}
+	if len(pushErrs) > 0 {
+		fams = append(fams,
+			counter("itag_cluster_push_errors_total", "Failed shipments by led slot, follower and error-taxonomy category (a follower's refusal counts under its envelope code's category).", pushErrs))
 	}
 	if len(repApplied) > 0 {
 		fams = append(fams,
 			gauge("itag_cluster_replica_applied_seq", "Replica's applied WAL sequence per followed slot.", repApplied),
-			gauge("itag_cluster_replica_leader_seq", "Leader's applied sequence as of the last pull, per followed slot.", repLeader),
+			gauge("itag_cluster_replica_leader_seq", "Leader's applied sequence as of its last shipment, per followed slot.", repLeader),
 			gauge("itag_cluster_replica_lag", "Replication lag in records per followed slot (leader seq minus replica seq).", repLag),
-			counter("itag_cluster_pulls_total", "Replication pull rounds per followed slot.", pulls),
-			counter("itag_cluster_pull_bytes_total", "Replicated bytes ingested per followed slot.", pullBytes),
 		)
 	}
-	if len(pullErrs) > 0 {
-		fams = append(fams,
-			counter("itag_cluster_pull_errors_total", "Replication pull failures by slot and error-taxonomy category.", pullErrs))
-	}
 	return append(fams, repCaches...)
+}
+
+// sortedKeys returns m's keys in order, so a scrape lists samples stably.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

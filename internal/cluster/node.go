@@ -3,13 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,39 +45,38 @@ type Options struct {
 	// Replicas is how many followers replicate each slot (default 2,
 	// capped at ring size - 1).
 	Replicas int
-	// PullInterval is the idle poll period of the follower pullers
-	// (default 250ms; catch-up rounds loop without waiting).
+	// PullInterval is the replication streams' idle heartbeat and the base
+	// of their error backoff (default 250ms; -cluster-pull-interval, named
+	// for the poll loop it once paced). A stream with records to ship does
+	// not wait for it.
 	PullInterval time.Duration
-	// PullBytes bounds one replication response (default 1 MiB).
+	// PullBytes bounds one shipment of WAL frames (default 1 MiB; a single
+	// larger record ships alone).
 	PullBytes int
 	// StalenessBound is the maximum replication lag, in records, at which
 	// a follower still serves opt-in reads (default 1024). Beyond it the
 	// node redirects to the leader instead of serving stale data.
 	StalenessBound uint64
-	// HTTPClient performs replication pulls and ring pushes. Tests and the
+	// HTTPClient performs replication shipments and ring pushes. Tests and the
 	// bench inject a handler-backed transport here; nil uses a default
 	// client with a 30s timeout.
 	HTTPClient *http.Client
 	// RouteTimeout is passed through to the embedded API servers.
 	RouteTimeout time.Duration
-	// Quorum holds every mutating ack until the slot's first follower
-	// confirms the write is fsynced on its disk (push replication). Off,
-	// acks are leader-durable only and followers catch up by pulling.
+	// Quorum holds every mutating ack until the slot's first follower has
+	// answered that the write is fsynced on its disk. Off, acks are
+	// leader-durable only and nobody waits on the stream. Either way every
+	// follower is shipped to.
 	Quorum bool
 	// QuorumTimeout bounds how long an ack is held before degrading to a
 	// leader-only ack (default 2s). Degrades are logged, counted in
 	// itag_cluster_quorum_degraded_total, and stamped on the response as
 	// X-Itag-Quorum: degraded.
 	QuorumTimeout time.Duration
-	// PullMaxBackoff caps the error backoff of the pull and push loops
-	// (default 15s): a dead leader is probed on a capped jittered
-	// exponential schedule instead of being hammered at PullInterval.
+	// PullMaxBackoff caps the streams' error backoff (default 15s): a dead
+	// follower is probed on a capped jittered exponential schedule instead
+	// of being hammered at PullInterval.
 	PullMaxBackoff time.Duration
-
-	// pullGate is a test hook: when non-nil every puller waits for it to
-	// close before its first round, so a test can drive pullOnce by hand
-	// against a follower known to be behind.
-	pullGate <-chan struct{}
 }
 
 func (o Options) withDefaults() Options {
@@ -103,53 +102,39 @@ func (o Options) withDefaults() Options {
 		o.HTTPClient = &http.Client{Timeout: 30 * time.Second}
 	}
 	if o.Logger == nil {
-		o.Logger = log.New(os.Stderr, "", 0)
-		o.Logger.SetOutput(discard{})
+		o.Logger = log.New(io.Discard, "", 0)
 	}
 	return o
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
 // backend is one slot this node leads: a full service stack over the
-// slot's WAL store.
+// slot's WAL store, and one sender per follower node (see stream.go), the
+// first being the one quorum acks wait on. senders is guarded by n.mu.
 type backend struct {
-	slot string
-	db   *store.DB
-	svc  *core.Service
-	srv  *server.Server
-	push *pusher // quorum mode only; nil otherwise
+	slot    string
+	db      *store.DB
+	svc     *core.Service
+	srv     *server.Server
+	senders []*sender
 }
 
 // replica is one slot this node follows: the replica store plus a read-only
-// service frontend for follower reads. The puller and the push handler feed
-// the store through cat, never db, so every replicated write passes the
-// Catalog's invalidate point and the frontend's caches stay coherent.
+// service frontend for follower reads. It owns no goroutine: the leader's
+// sender drives it through handleReplicate, which feeds the store through
+// cat, never db, so every replicated write passes the Catalog's invalidate
+// point and the frontend's caches stay coherent.
 type replica struct {
-	slot string
-	db   *store.DB
-	cat  *store.Catalog
-	svc  *core.Service
-	srv  *server.Server
+	owner string // the leader this replica's log came from
+	db    *store.DB
+	cat   *store.Catalog
+	svc   *core.Service
+	srv   *server.Server
 
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	leaderSeq atomic.Uint64 // leader's applied seq as of the last pull
-	pulls     atomic.Uint64
-	pullBytes atomic.Uint64
-	// pushed counts shipments applied from the leader's push path (quorum
-	// mode); pulls counts the poll rounds this replica initiated itself.
-	pushed      atomic.Uint64
-	pushedBytes atomic.Uint64
+	leaderSeq atomic.Uint64 // leader's applied seq as of its last shipment
 	// stale is the follower-read staleness breaker: it trips when lag
 	// exceeds the staleness bound and resets only once lag falls back
 	// under half the bound, so reads don't flap at the boundary.
-	stale     atomic.Bool
-	errMu     sync.Mutex
-	errCounts map[string]uint64
+	stale atomic.Bool
 }
 
 // readAllowed is the staleness breaker's verdict for one follower read.
@@ -169,19 +154,6 @@ func (rep *replica) readAllowed(bound uint64) bool {
 		return false
 	}
 	return true
-}
-
-func (rep *replica) countErr(err error) {
-	cat := string(errs.CategoryOf(err))
-	if cat == "" {
-		cat = "transport"
-	}
-	rep.errMu.Lock()
-	if rep.errCounts == nil {
-		rep.errCounts = make(map[string]uint64)
-	}
-	rep.errCounts[cat]++
-	rep.errMu.Unlock()
 }
 
 // lag reports how many records the replica trails its leader by (0 when
@@ -212,10 +184,10 @@ type Node struct {
 	ring     *Ring
 	leaders  map[string]*backend
 	replicas map[string]*replica
-	// demoting marks slots whose deposed backend is still tearing down;
+	// demoting marks slots whose retired store — a deposed backend, a
+	// replica of a slot that changed owner — is still tearing down;
 	// syncFollowersLocked must not re-follow them until the old WAL is
-	// closed and parked (a promoted leader's WAL lives at the replica
-	// path, so an early re-follow would reopen the deposed layout).
+	// closed and parked (both live at the replica path a re-follow opens).
 	demoting map[string]bool
 	closed   bool
 
@@ -238,7 +210,8 @@ type Node struct {
 }
 
 // New opens the node's stores, resumes any interrupted runs on the led
-// slot, and starts the follower pullers the ring assigns to this node.
+// slots, starts their streams, and opens a replica for every slot the ring
+// has this node follow.
 func New(opts Options) (*Node, error) {
 	opts = opts.withDefaults()
 	if opts.Slot == "" {
@@ -284,7 +257,7 @@ func New(opts Options) (*Node, error) {
 		if m.Addr != addr {
 			continue
 		}
-		b, err := n.openBackend(m.Slot, filepath.Join(opts.Dir, m.Slot+".wal"))
+		b, err := n.openBackend(m.Slot, n.ledPath(m.Slot))
 		if err != nil {
 			for _, prev := range n.leaders {
 				prev.svc.Close()
@@ -304,7 +277,6 @@ func New(opts Options) (*Node, error) {
 	mux.HandleFunc("GET /api/v1/cluster/ring", n.handleRingGet)
 	mux.HandleFunc("POST /api/v1/cluster/ring", n.handleRingPost)
 	mux.HandleFunc("GET /api/v1/cluster/status", n.handleStatus)
-	mux.HandleFunc("GET /api/v1/cluster/wal", n.handleWAL)
 	mux.HandleFunc("POST /api/v1/cluster/replicate", n.handleReplicate)
 	mux.HandleFunc("POST /api/v1/cluster/promote", n.handlePromote)
 	mux.HandleFunc("GET /api/v1/healthz", n.handleHealthz)
@@ -312,12 +284,27 @@ func New(opts Options) (*Node, error) {
 	n.handler = mux
 
 	n.mu.Lock()
-	for _, b := range n.leaders {
-		n.startPusherLocked(b)
-	}
+	n.syncSendersLocked()
 	n.syncFollowersLocked()
 	n.mu.Unlock()
 	return n, nil
+}
+
+// ledPath is where the WAL of a slot this node leads lives: <slot>.wal,
+// unless the node came to lead the slot by promotion — then the replica it
+// promoted, replica-<slot>.wal, is the slot's WAL and stays where it is, and a
+// node restarted under the post-promotion ring finds it there instead of
+// starting an empty store beside it.
+func (n *Node) ledPath(slot string) string {
+	promoted := n.replicaPath(slot)
+	if segs, _ := filepath.Glob(promoted + ".seg-*"); len(segs) > 0 {
+		return promoted
+	}
+	return filepath.Join(n.opts.Dir, slot+".wal")
+}
+
+func (n *Node) replicaPath(slot string) string {
+	return filepath.Join(n.opts.Dir, "replica-"+slot+".wal")
 }
 
 // openBackend builds a full service stack over path for a slot this node
@@ -385,7 +372,7 @@ func (n *Node) PromHandler() http.Handler {
 			b.srv.PromHandler().ServeHTTP(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		w.Header().Set("Content-Type", api.ExpositionContentType)
 		_ = api.WriteExposition(w, append(n.metrics.Families(), n.Families()...))
 	})
 }
@@ -515,13 +502,10 @@ const (
 	// HeaderServedBy names the follower slot that served an opt-in read.
 	HeaderServedBy = "X-Itag-Served-By"
 	// HeaderAppliedSeq carries the leader's applied watermark on
-	// replication responses.
+	// shipments.
 	HeaderAppliedSeq = "X-Itag-Applied-Seq"
-	// HeaderLastSeq carries the last sequence number included in a frames
-	// response.
-	HeaderLastSeq = "X-Itag-Last-Seq"
-	// HeaderFormat is "frames" (CRC-framed WAL records) or "snapshot" (a
-	// full snapshot encoding) on replication responses.
+	// HeaderFormat says what a shipment's body is: "frames" (CRC-framed WAL
+	// records) or "snapshot" (a full snapshot image).
 	HeaderFormat   = "X-Itag-Format"
 	FormatFrames   = "frames"
 	FormatSnapshot = "snapshot"
@@ -531,12 +515,13 @@ const (
 	HeaderQuorum   = "X-Itag-Quorum"
 	QuorumOK       = "ok"
 	QuorumDegraded = "degraded"
-	// HeaderRingVersion advertises the sender's ring version on
-	// replication traffic; a receiver with an older ring fetches the new
-	// one (how a deposed leader learns of its demotion after a partition
-	// heals).
+	// HeaderRingVersion advertises a node's ring version on shipments and
+	// their replies; whoever holds the older ring fetches the newer one
+	// (how a deposed leader learns of its demotion after a partition
+	// heals), and a follower refuses a shipment from an older ring.
 	HeaderRingVersion = "X-Itag-Ring-Version"
-	// HeaderFrom names the pushing node's address on replicate requests.
+	// HeaderFrom names the shipping node's address on replicate requests;
+	// a follower takes shipments only from the slot's owner.
 	HeaderFrom = "X-Itag-From"
 )
 
@@ -551,10 +536,7 @@ func mapClusterErr(err error) *api.Error {
 
 // handleRingGet serves the current routing table.
 func (n *Node) handleRingGet(w http.ResponseWriter, r *http.Request) {
-	n.mu.RLock()
-	ring := n.ring
-	n.mu.RUnlock()
-	api.WriteJSON(w, http.StatusOK, ring)
+	api.WriteJSON(w, http.StatusOK, n.Ring())
 }
 
 // handleRingPost installs a pushed ring if it is strictly newer than the
@@ -572,10 +554,7 @@ func (n *Node) handleRingPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	installed := n.installRing(&ring)
-	n.mu.RLock()
-	v := n.ring.Version
-	n.mu.RUnlock()
-	api.WriteJSON(w, http.StatusOK, map[string]any{"installed": installed, "version": v})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"installed": installed, "version": n.Ring().Version})
 }
 
 // installRing swaps in a newer ring and reconciles the follower set. It
@@ -609,57 +588,68 @@ func (n *Node) installRing(ring *Ring) bool {
 	n.ring = ring
 	n.logger.Printf("cluster %s: installed ring v%d", n.slot, ring.Version)
 	n.demoteDeposedLocked()
+	n.syncSendersLocked()
 	n.syncFollowersLocked()
 	return true
 }
 
 // demoteDeposedLocked steps this node down from every led slot the new
 // ring assigns elsewhere — the flip side of promotion, reached when an
-// isolated leader learns (via ring push or replication anti-entropy) that
+// isolated leader learns (via ring push or a refused shipment) that
 // a follower was promoted over it. The deposed backend's WAL, which may
-// hold a tail of writes no follower ever confirmed, is parked under a
-// .demoted-v<N> rename: those records must never resurrect through a
-// later re-follow or re-promotion, and parking (rather than deleting)
-// keeps them auditable. syncFollowersLocked then re-follows the slot from
-// scratch against the new leader. Caller holds n.mu.
+// hold a tail of writes no follower ever confirmed, is parked (parkLocked),
+// and the slot is then re-followed from scratch against the new leader.
+// Caller holds n.mu.
 func (n *Node) demoteDeposedLocked() {
 	for slot, b := range n.leaders {
 		if n.ring.Addr(slot) == n.addr {
 			continue
 		}
 		delete(n.leaders, slot)
-		n.demoting[slot] = true
 		n.demotions.Add(1)
 		n.logger.Printf("cluster %s: demoted from slot %s by ring v%d (new leader %s); unreplicated tail parked",
 			n.slot, slot, n.ring.Version, n.ring.Addr(slot))
-		version := n.ring.Version
-		if b.push != nil {
-			b.push.cancel()
+		for _, s := range b.senders {
+			s.cancel()
 		}
-		n.wg.Add(1)
-		go func(b *backend, slot string) {
-			defer n.wg.Done()
-			if b.push != nil {
-				<-b.push.done
-			}
-			b.svc.Close()
-			_ = b.db.Close()
-			if err := parkWAL(b.db.Path(), version); err != nil {
-				n.logger.Printf("cluster %s: park deposed WAL for %s: %v", n.slot, b.slot, err)
-			}
-			n.mu.Lock()
-			delete(n.demoting, slot)
-			if !n.closed {
-				n.syncFollowersLocked() // now safe to re-follow the slot
-			}
-			n.mu.Unlock()
-		}(b, slot)
+		n.parkLocked(slot, b.svc, b.db, b.senders)
 	}
 }
 
-// parkWAL renames every file of a WAL layout (legacy file, snapshot,
-// segments) from <path>* to <path>.demoted-v<N>*, moving it out of the
-// globs Open and listSegments use while keeping the bytes for inspection.
+// parkLocked retires a store whose log this node may no longer extend or
+// serve — a deposed leader's, or a replica whose slot changed owner — off
+// n.mu: wait out the streams reading it, close it, and park its WAL under a
+// .demoted-v<N> rename. Its tail may hold records the slot's new owner never
+// had; they must not resurrect through a later re-follow or re-promotion, and
+// parking (rather than deleting) keeps them auditable. While the teardown
+// runs the slot is marked in n.demoting so nothing reopens the layout; then
+// syncFollowersLocked re-follows it from scratch. Caller holds n.mu.
+func (n *Node) parkLocked(slot string, svc *core.Service, db *store.DB, streams []*sender) {
+	n.demoting[slot] = true
+	version := n.ring.Version
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		for _, s := range streams {
+			<-s.done
+		}
+		svc.Close()
+		_ = db.Close()
+		if err := parkWAL(db.Path(), version); err != nil {
+			n.logger.Printf("cluster %s: park the WAL of %s: %v", n.slot, slot, err)
+		}
+		n.mu.Lock()
+		delete(n.demoting, slot)
+		if !n.closed {
+			n.syncFollowersLocked() // now safe to re-follow the slot
+		}
+		n.mu.Unlock()
+	}()
+}
+
+// parkWAL renames every file of a WAL layout (snapshot, segments) from
+// <path>* to <path>.demoted-v<N>*, moving it out of the globs Open and
+// listSegments use while keeping the bytes for inspection.
 func parkWAL(path string, ringVersion uint64) error {
 	matches, err := filepath.Glob(path + "*")
 	if err != nil {
@@ -685,9 +675,16 @@ type slotStatus struct {
 	AppliedSeq uint64 `json:"applied_seq"`
 	LeaderSeq  uint64 `json:"leader_seq,omitempty"`
 	Lag        uint64 `json:"lag,omitempty"`
-	// ConfirmedSeq is the quorum pusher's follower-confirmed watermark
-	// (leaders in quorum mode only).
-	ConfirmedSeq uint64 `json:"confirmed_seq,omitempty"`
+	// Followers holds a led slot's streams in ring.Followers order (the
+	// first is the one quorum acks wait on).
+	Followers []followerStatus `json:"followers,omitempty"`
+}
+
+// followerStatus is one stream's watermark: the highest sequence that
+// follower has answered as fsynced on its disk.
+type followerStatus struct {
+	Addr     string `json:"addr"`
+	AckedSeq uint64 `json:"acked_seq"`
 }
 
 type statusResp struct {
@@ -729,8 +726,8 @@ func (n *Node) Status() statusResp {
 	}
 	for slot, b := range n.leaders {
 		st := slotStatus{Slot: slot, Role: "leader", AppliedSeq: b.db.AppliedSeq()}
-		if b.push != nil {
-			st.ConfirmedSeq = b.push.confirmed.Load()
+		for _, s := range b.senders {
+			st.Followers = append(st.Followers, followerStatus{Addr: s.addr, AckedSeq: s.acked.Load()})
 		}
 		resp.Slots = append(resp.Slots, st)
 	}
@@ -742,76 +739,8 @@ func (n *Node) Status() statusResp {
 			Lag:        rep.lag(),
 		})
 	}
-	sortSlotStatuses(resp.Slots)
+	sort.Slice(resp.Slots, func(i, j int) bool { return resp.Slots[i].Slot < resp.Slots[j].Slot })
 	return resp
-}
-
-func sortSlotStatuses(s []slotStatus) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Slot < s[j-1].Slot; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// handleWAL is the leader half of replication: it serves the framed WAL
-// tail from `from` (exclusive), or a full snapshot when compaction has
-// swallowed the requested tail. Followers poll it; see puller.go.
-func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
-	slot := r.URL.Query().Get("slot")
-	if slot == "" {
-		slot = n.slot
-	}
-	n.mu.RLock()
-	b := n.leaders[slot]
-	ownerAddr := n.ring.Addr(slot)
-	n.mu.RUnlock()
-	if b == nil {
-		w.Header().Set(HeaderOwner, ownerAddr)
-		n.kit.WriteError(w, r, api.Errorf(http.StatusMisdirectedRequest, api.CodeNotOwner,
-			"slot %q is not led here", slot))
-		return
-	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil && r.URL.Query().Get("from") != "" {
-		n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad from: %v", err))
-		return
-	}
-	maxBytes := n.opts.PullBytes
-	if s := r.URL.Query().Get("max"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad max: %q", s))
-			return
-		}
-		if v < maxBytes {
-			maxBytes = v
-		}
-	}
-
-	w.Header().Set(HeaderAppliedSeq, strconv.FormatUint(b.db.AppliedSeq(), 10))
-	n.mu.RLock()
-	w.Header().Set(HeaderRingVersion, strconv.FormatUint(n.ring.Version, 10))
-	n.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	data, last, err := b.db.ReplTail(from, maxBytes)
-	switch {
-	case err == nil:
-		w.Header().Set(HeaderFormat, FormatFrames)
-		w.Header().Set(HeaderLastSeq, strconv.FormatUint(last, 10))
-		_, _ = w.Write(data)
-	case errors.Is(err, store.ErrSnapshotNeeded):
-		// The tail was compacted away: ship a snapshot cut instead.
-		snap, serr := b.db.SnapshotExport()
-		if serr != nil {
-			n.kit.WriteError(w, r, serr)
-			return
-		}
-		w.Header().Set(HeaderFormat, FormatSnapshot)
-		_, _ = w.Write(snap)
-	default:
-		n.kit.WriteError(w, r, err)
-	}
 }
 
 type promoteReq struct {
@@ -829,18 +758,15 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 		n.kit.WriteError(w, r, err)
 		return
 	}
-	n.mu.RLock()
-	v := n.ring.Version
-	n.mu.RUnlock()
-	api.WriteJSON(w, http.StatusOK, map[string]any{"slot": req.Slot, "ring_version": v})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"slot": req.Slot, "ring_version": n.Ring().Version})
 }
 
 // Promote turns this node's replica of slot into a leader backend: the
-// puller stops, the replica store — already durable, already caught up to
-// its watermark — is wrapped in a full service stack, interrupted runs
-// resume, and a version-bumped ring pointing the slot at this node is
-// installed locally and pushed to the other members. Placement never
-// changes (vnode identity is the slot name), so no keys move.
+// replica leaves the follower table (later shipments for it are refused),
+// its store — already durable up to its watermark — is wrapped in a full
+// service stack, interrupted runs resume, and a version-bumped ring pointing
+// the slot at this node is installed locally and pushed to the other members.
+// Placement never changes (vnode identity is the slot name), so no keys move.
 func (n *Node) Promote(ctx context.Context, slot string) error {
 	n.mu.Lock()
 	if n.closed {
@@ -860,8 +786,6 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 	delete(n.replicas, slot)
 	n.mu.Unlock()
 
-	rep.cancel()
-	<-rep.done
 	rep.svc.Close()
 
 	// The replica store ran without per-record fsync (its durability was
@@ -874,7 +798,7 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 		n.refollow(slot)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: flush replica", slot)
 	}
-	b, err := n.openBackend(slot, filepath.Join(n.opts.Dir, "replica-"+slot+".wal"))
+	b, err := n.openBackend(slot, n.replicaPath(slot))
 	if err != nil {
 		n.refollow(slot)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: reopen replica", slot)
@@ -888,7 +812,6 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "node is closed")
 	}
 	n.leaders[slot] = b
-	n.startPusherLocked(b)
 	ring := n.ring.Clone()
 	ring.Version++
 	for i := range ring.Members {
@@ -897,6 +820,7 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 		}
 	}
 	n.ring = ring
+	n.syncSendersLocked()
 	n.syncFollowersLocked()
 	n.mu.Unlock()
 
@@ -911,11 +835,11 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 }
 
 // refollow re-registers slot as a followed replica after a failed
-// promotion step: Promote has already detached the puller, so without this
+// promotion step: Promote has already detached the replica, so without this
 // the slot would be neither led nor followed by this node — replication
 // silently degraded until restart. syncFollowersLocked reopens the replica
-// store and restarts the puller (best effort: a disk that just failed the
-// promotion may fail the reopen too, which is logged there).
+// store (best effort: a disk that just failed the promotion may fail the
+// reopen too, which is logged there).
 func (n *Node) refollow(slot string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -928,9 +852,9 @@ func (n *Node) refollow(slot string) {
 
 // pushRing best-effort-propagates a new ring to every other member; nodes
 // that are down catch up from peers (ring pushes, or the ring-version
-// headers on replication traffic) once reachable again. Each member gets a
-// couple of attempts on the capped jittered backoff schedule, through its
-// circuit breaker so a partitioned member fails fast.
+// headers on shipments and their replies) once reachable again. Each member
+// gets a couple of attempts on the capped jittered backoff schedule, through
+// its circuit breaker so a partitioned member fails fast.
 func (n *Node) pushRing(ctx context.Context, r *Ring) {
 	body, err := json.Marshal(r)
 	if err != nil {
@@ -974,10 +898,14 @@ func (n *Node) pushRing(ctx context.Context, r *Ring) {
 	}
 }
 
-// syncFollowersLocked reconciles the running pullers with the current
+// syncFollowersLocked reconciles the open replicas with the current
 // ring: this node follows every slot whose Followers set (successor slots
 // in hash order) contains any slot it leads and that it does not lead
-// itself. Callers hold n.mu.
+// itself. A replica holds one owner's log and no other's: when a followed
+// slot changes owner, the replica's tail may hold records of the old owner
+// that the new one — promoted from a follower that was behind this one —
+// never had and will mint again under the same sequence numbers, so the
+// replica is parked and the slot re-followed from scratch. Callers hold n.mu.
 func (n *Node) syncFollowersLocked() {
 	desired := make(map[string]bool)
 	for _, m := range n.ring.Members {
@@ -994,23 +922,28 @@ func (n *Node) syncFollowersLocked() {
 		}
 	}
 	for slot, rep := range n.replicas {
-		if !desired[slot] {
+		switch {
+		case !desired[slot]:
 			delete(n.replicas, slot)
-			// Tracked by n.wg so Close()'s wait covers in-flight teardowns:
-			// "Close stops the pullers and closes every store" must hold even
-			// for replicas a ring change retired moments earlier.
+			// Off n.mu (the close flushes), tracked by n.wg so Close()'s wait
+			// covers it: "Close closes every store" must hold even for
+			// replicas a ring change retired moments earlier.
 			n.wg.Add(1)
 			go func(rep *replica) {
 				defer n.wg.Done()
-				rep.cancel()
-				<-rep.done
 				rep.svc.Close()
 				_ = rep.db.Close()
 			}(rep)
+		case rep.owner != n.ring.Addr(slot):
+			delete(n.replicas, slot)
+			n.logger.Printf("cluster %s: slot %s moved from %s to %s at ring v%d; replica parked, following from scratch",
+				n.slot, slot, rep.owner, n.ring.Addr(slot), n.ring.Version)
+			n.parkLocked(slot, rep.svc, rep.db, nil)
 		}
 	}
 	for slot := range desired {
-		if _, ok := n.replicas[slot]; ok {
+		// (demoting again: the loop above may just have parked this slot.)
+		if _, ok := n.replicas[slot]; ok || n.demoting[slot] {
 			continue
 		}
 		rep, err := n.startReplica(slot)
@@ -1022,17 +955,17 @@ func (n *Node) syncFollowersLocked() {
 	}
 }
 
-// startReplica opens the replica store for slot and starts its puller.
+// startReplica opens the replica store for slot.
 //
 // The replica store runs without per-record fsync regardless of the
-// leader's durability settings: a replica's unsynced tail is always
-// re-fetchable from the leader by watermark (AppliedSeq is recovered from
-// whatever the local WAL retained), so durability for the slot is anchored
-// at the leader's fsync, and paying it twice would only throttle catch-up.
+// leader's durability settings: handleReplicate fsyncs once per shipment,
+// before it acks, so a catch-up batch of a thousand records costs one sync,
+// and whatever a crash tears off the unsynced tail was never acked — the
+// leader ships it again from the watermark the reopened WAL reports.
 func (n *Node) startReplica(slot string) (*replica, error) {
 	ropts := n.opts.Store
 	ropts.SyncEvery = 0
-	db, err := store.Open(filepath.Join(n.opts.Dir, "replica-"+slot+".wal"), ropts)
+	db, err := store.Open(n.replicaPath(slot), ropts)
 	if err != nil {
 		return nil, err
 	}
@@ -1043,15 +976,10 @@ func (n *Node) startReplica(slot string) (*replica, error) {
 	cat := store.NewCatalog(db)
 	svc := core.NewService(cat, n.opts.Seed)
 	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})
-	ctx, cancel := context.WithCancel(context.Background())
-	rep := &replica{slot: slot, db: db, cat: cat, svc: svc, srv: srv, cancel: cancel, done: make(chan struct{})}
-	n.wg.Add(1)
-	go n.pullLoop(ctx, rep)
-	return rep, nil
+	return &replica{owner: n.ring.Addr(slot), db: db, cat: cat, svc: svc, srv: srv}, nil
 }
 
-// Close stops the pullers and closes every store. The led slot's service
-// is closed first so in-flight runs stop writing.
+// Close stops the streams and closes every store.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -1070,12 +998,9 @@ func (n *Node) Close() error {
 	n.replicas = make(map[string]*replica)
 	n.mu.Unlock()
 
-	for _, rep := range replicas {
-		rep.cancel()
-	}
 	for _, b := range leaders {
-		if b.push != nil {
-			b.push.cancel()
+		for _, s := range b.senders {
+			s.cancel()
 		}
 	}
 	n.wg.Wait()

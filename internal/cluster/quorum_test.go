@@ -18,23 +18,23 @@ import (
 
 // TestQuorumWaiterPruning pins the waiter lifecycle of the quorum gate:
 // every exit from wait() — confirmation, timeout, request cancellation,
-// pusher stop — must leave p.waiters empty. Timed-out waiters used to
+// stream stop — must leave p.waiters empty. Timed-out waiters used to
 // linger until the follower's watermark passed their sequence, so a
 // prolonged follower outage with ongoing writes grew the slice (one entry
 // plus a channel per degraded request) without bound.
 func TestQuorumWaiterPruning(t *testing.T) {
-	newPusher := func() *pusher {
-		return &pusher{notify: make(chan struct{}, 1), done: make(chan struct{})}
+	newSender := func() *sender {
+		return &sender{notify: make(chan struct{}, 1), done: make(chan struct{})}
 	}
-	waiterCount := func(p *pusher) int {
+	waiterCount := func(p *sender) int {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return len(p.waiters)
 	}
 
 	// Already-confirmed sequences return without parking at all.
-	p := newPusher()
-	p.confirmed.Store(10)
+	p := newSender()
+	p.acked.Store(10)
 	if got := p.wait(context.Background(), 5, time.Minute); got != waitConfirmed {
 		t.Fatalf("wait(confirmed seq) = %v, want waitConfirmed", got)
 	}
@@ -43,7 +43,7 @@ func TestQuorumWaiterPruning(t *testing.T) {
 	}
 
 	// Timeout: the waiter must be pruned, not left for advance().
-	p = newPusher()
+	p = newSender()
 	if got := p.wait(context.Background(), 5, time.Millisecond); got != waitTimeout {
 		t.Fatalf("wait(timeout) = %v, want waitTimeout", got)
 	}
@@ -61,17 +61,17 @@ func TestQuorumWaiterPruning(t *testing.T) {
 		t.Fatalf("canceled waiter leaked: %d entries", n)
 	}
 
-	// Pusher stop (demotion/shutdown): pruned.
+	// Stream stop (demotion/shutdown): pruned.
 	close(p.done)
 	if got := p.wait(context.Background(), 5, time.Minute); got != waitStopped {
-		t.Fatalf("wait(stopped pusher) = %v, want waitStopped", got)
+		t.Fatalf("wait(stopped stream) = %v, want waitStopped", got)
 	}
 	if n := waiterCount(p); n != 0 {
-		t.Fatalf("stopped-pusher waiter leaked: %d entries", n)
+		t.Fatalf("stopped-stream waiter leaked: %d entries", n)
 	}
 
 	// Confirmation releases and prunes parked waiters.
-	p = newPusher()
+	p = newSender()
 	res := make(chan waitResult, 1)
 	go func() { res <- p.wait(context.Background(), 3, time.Minute) }()
 	waitFor(t, time.Second, "waiter to park", func() bool { return waiterCount(p) == 1 })
@@ -88,8 +88,8 @@ func TestQuorumWaiterPruning(t *testing.T) {
 // acked write is follower-durable (X-Itag-Quorum: ok and the replica's
 // watermark equals the leader's the moment the ack lands); with the
 // follower dead the ack degrades within the bounded timeout — counted,
-// stamped degraded, still a success status — and the follower catches back
-// up through the pull path once it returns.
+// stamped degraded, still a success status — and the stream catches the
+// follower back up once it returns.
 func TestClusterQuorumAckAndDegrade(t *testing.T) {
 	const quorumTimeout = 200 * time.Millisecond
 	tc := startCluster(t, []string{"alpha", "beta"}, func(o *Options) {
@@ -163,8 +163,8 @@ func TestClusterQuorumAckAndDegrade(t *testing.T) {
 		t.Fatalf("leader health = %q right after a quorum degrade, want degraded or isolated", got)
 	}
 
-	// Follower returns: the pull path catches it up, and quorum acks come
-	// back once the peer breaker re-closes.
+	// Follower returns: the stream catches it up, and quorum acks come back
+	// once the peer breaker re-closes.
 	tc.tr.Register(follower, tc.nodes[follower].Handler())
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -361,7 +361,7 @@ func TestClusterPromoteUnderPartition(t *testing.T) {
 		return tc.nodes[third].Ring().Version == promoted.RingVersion
 	})
 
-	// The isolated node's pulls all fail, so its peer breakers open and it
+	// The isolated node's shipments all fail, so its peer breakers open and it
 	// classifies itself isolated: /healthz answers a fast 503 with
 	// Retry-After so balancers route around it.
 	waitFor(t, 5*time.Second, "old leader to classify itself isolated", func() bool {
@@ -376,8 +376,9 @@ func TestClusterPromoteUnderPartition(t *testing.T) {
 			resp.Status, resp.Header.Get("Retry-After"))
 	}
 
-	// Heal. Anti-entropy (ring-version headers on the pull path) must lead
-	// the deposed leader to the new ring; it steps down and parks its WAL.
+	// Heal. Anti-entropy (its shipments refused with the newer ring version)
+	// must lead the deposed leader to the new ring; it steps down and parks
+	// its WAL.
 	sched.Stop()
 	waitFor(t, 15*time.Second, "deposed leader to adopt the new ring and step down", func() bool {
 		n := tc.nodes[slot]
@@ -406,7 +407,7 @@ func TestClusterPromoteUnderPartition(t *testing.T) {
 
 	// The unreplicated tail was parked on disk, not deleted and not
 	// replayed: .demoted-v<N> files exist under the old leader's dir.
-	// Parking runs on a background goroutine after the pusher drains and
+	// Parking runs on a background goroutine after the streams drain and
 	// the deposed store closes, so poll rather than glob once.
 	waitFor(t, 10*time.Second, "demoted WAL tail to be parked", func() bool {
 		parked, err := filepath.Glob(filepath.Join(tc.nodes[slot].opts.Dir, "*.demoted-v*"))

@@ -109,6 +109,23 @@ func TestDocsNameOnlyMountedRoutes(t *testing.T) {
 	tc := startCluster(t, []string{"alpha"}, nil)
 	control := tc.nodes["alpha"].handler.(*http.ServeMux)
 
+	// The node's own routes are these six; the retired poll route
+	// (GET /api/v1/cluster/wal) falls through to the slot's server and its 404.
+	for _, route := range []string{
+		"GET /api/v1/cluster/ring", "POST /api/v1/cluster/ring", "GET /api/v1/cluster/status",
+		"POST /api/v1/cluster/replicate", "POST /api/v1/cluster/promote", "GET /api/v1/healthz",
+	} {
+		method, path, _ := strings.Cut(route, " ")
+		if _, pattern := control.Handler(httptest.NewRequest(method, path, nil)); pattern != route {
+			t.Errorf("%s is served by pattern %q", route, pattern)
+		}
+	}
+	rec := httptest.NewRecorder()
+	control.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/cluster/wal?slot=alpha&from=0", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET /api/v1/cluster/wal = %d, want the slot server's 404", rec.Code)
+	}
+
 	files, err := filepath.Glob("../../docs/*.md")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no docs found: %v", err)

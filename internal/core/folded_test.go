@@ -86,7 +86,7 @@ func newReplicaPair(t testing.TB, resources int) *replicaPair {
 // (maxBytes 1 = exactly one WAL record) and reports whether there were any.
 func (p *replicaPair) ship(maxBytes int) bool {
 	p.t.Helper()
-	data, _, err := p.ldb.ReplTail(p.fdb.AppliedSeq(), maxBytes)
+	data, _, err := p.ldb.ReplTail(p.fdb.AppliedSeq(), maxBytes, nil)
 	if err != nil {
 		p.t.Fatalf("ReplTail: %v", err)
 	}

@@ -418,8 +418,8 @@ func scrape(t *testing.T, url string) []api.Family {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrape status = %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("scrape content type = %q", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != api.ExpositionContentType {
+		t.Fatalf("scrape content type = %q, want %q", ct, api.ExpositionContentType)
 	}
 	fams, err := api.ParseExposition(resp.Body)
 	if err != nil {

@@ -23,7 +23,7 @@ func (s *Server) PromHandler() http.Handler {
 		if s.extraFams != nil {
 			fams = append(fams, s.extraFams()...)
 		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", api.ExpositionContentType)
 		_ = api.WriteExposition(w, fams)
 	})
 }

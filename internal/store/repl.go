@@ -32,7 +32,7 @@ package store
 // commit behind is answered by one copy of bytes the writer already framed —
 // no open, no reader, no decode. The file scan is the cold path: catch-up
 // from further back than the window reaches, sealed segments, the first
-// pulls after a restart, records larger than the window. Which one answers
+// shipments after a restart, records larger than the window. Which one answers
 // is decided by where from lies, and both return the same bytes.
 //
 // The file scan runs without holding the writer lock: it captures the
@@ -45,7 +45,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -64,59 +63,16 @@ var ErrSnapshotNeeded error = errs.New(errs.ComponentStore, errs.CategoryConflic
 // (compaction won the race); the caller retries with a fresh capture.
 var errTailRaced = errors.New("wal tail capture raced a compaction")
 
-// replState caches what repeated ReplTail calls would otherwise re-read:
-// the sequence span of immutable (sealed/legacy) files, and a byte cursor
-// into the file a previous call stopped in, keyed by the sequence it
-// shipped last. Guarded by its own mutex; a miss only costs a re-scan.
-type replState struct {
-	mu      sync.Mutex
-	spans   map[string]seqSpan
-	cursors map[uint64]replCursor
-}
-
-type seqSpan struct{ first, last uint64 }
-
-type replCursor struct {
+// TailCursor is one reader's place in the segment files: where the ReplTail
+// that shipped up to seq stopped, so that reader's next call resumes by seek
+// instead of scanning the active segment from its top. It belongs to the one
+// sender that advances it — two followers catching up at different points
+// each keep their own — and is only a hint: a cursor that does not match the
+// call's from is ignored. The zero value is ready to use.
+type TailCursor struct {
+	seq  uint64
 	path string
 	off  int64
-}
-
-func (r *replState) span(path string) (seqSpan, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sp, ok := r.spans[path]
-	return sp, ok
-}
-
-func (r *replState) setSpan(path string, sp seqSpan) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.spans == nil {
-		r.spans = make(map[string]seqSpan)
-	}
-	if len(r.spans) > 64 { // segments are bounded by compaction; cap anyway
-		r.spans = make(map[string]seqSpan)
-	}
-	r.spans[path] = sp
-}
-
-func (r *replState) cursor(from uint64) (replCursor, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.cursors[from]
-	return c, ok
-}
-
-func (r *replState) setCursor(from uint64, c replCursor) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cursors == nil {
-		r.cursors = make(map[uint64]replCursor)
-	}
-	if len(r.cursors) > 8 { // one steady follower needs one; cap the rest
-		r.cursors = make(map[uint64]replCursor)
-	}
-	r.cursors[from] = c
 }
 
 // tailWindowBytes is how much of the WAL's tail the writer keeps framed in
@@ -238,9 +194,10 @@ func (db *DB) AppliedSeq() uint64 { return db.st.appliedSeq.Load() }
 //
 // When record from+1 is in the writer's tail window the answer is one copy
 // out of it and costs what it ships; otherwise the segment files are
-// scanned. The window never holds a record that is not flushed and applied,
-// so the memory path ships nothing beyond AppliedSeq.
-func (db *DB) ReplTail(from uint64, maxBytes int) ([]byte, uint64, error) {
+// scanned, resuming at cur when it is this reader's (nil reads statelessly).
+// The window never holds a record that is not flushed and applied, so the
+// memory path ships nothing beyond AppliedSeq.
+func (db *DB) ReplTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
 	if db.wal == nil {
 		return nil, 0, errs.New(errs.ComponentStore, errs.CategoryValidation, "replication requires a WAL-backed store")
 	}
@@ -260,7 +217,7 @@ func (db *DB) ReplTail(from uint64, maxBytes int) ([]byte, uint64, error) {
 		if out, last, ok := db.wal.tail.read(from, maxBytes); ok {
 			return out, last, nil
 		}
-		out, last, err := db.readTail(from, maxBytes)
+		out, last, err := db.readTail(from, maxBytes, cur)
 		if err == nil {
 			return out, last, nil
 		}
@@ -273,41 +230,33 @@ func (db *DB) ReplTail(from uint64, maxBytes int) ([]byte, uint64, error) {
 	return nil, 0, ErrSnapshotNeeded
 }
 
-// replFile is one captured WAL file: the legacy file holds plain JSON lines
-// (re-framed before shipping), everything else ships verbatim.
+// replFile is one captured WAL segment: a sealed one (immutable, its
+// sequences bounded by last) or the active one.
 type replFile struct {
 	path   string
 	size   int64
-	framed bool
-	sealed bool // immutable: safe to cache its sequence span
+	sealed bool
+	last   uint64
 }
 
 // readTail performs one capture + read pass for ReplTail.
-func (db *DB) readTail(from uint64, maxBytes int) ([]byte, uint64, error) {
+func (db *DB) readTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
 	w := db.wal
 	w.smu.Lock()
-	files := make([]replFile, 0, len(w.sealed)+2)
-	if w.legacy != "" {
-		files = append(files, replFile{path: w.legacy, size: w.legacySize, sealed: true})
-	}
+	files := make([]replFile, 0, len(w.sealed)+1)
 	for _, s := range w.sealed {
-		files = append(files, replFile{path: s.path, size: s.size, framed: true, sealed: true})
+		files = append(files, replFile{path: s.path, size: s.size, sealed: true, last: s.last})
 	}
-	files = append(files, replFile{path: w.activePath, size: w.activeSize, framed: true})
+	files = append(files, replFile{path: w.activePath, size: w.activeSize})
 	w.smu.Unlock()
 
 	var out []byte
 	next := from + 1
 	for _, f := range files {
-		if f.size == 0 {
-			continue
+		if f.size == 0 || f.sealed && f.last <= from {
+			continue // nothing in it past the reader's position
 		}
-		if f.sealed {
-			if sp, ok := db.repl.span(f.path); ok && sp.last <= from {
-				continue // entire file is at or below the follower's position
-			}
-		}
-		done, err := db.readTailFile(f, &out, &next, from, maxBytes)
+		done, err := readTailFile(f, &out, &next, from, maxBytes, cur)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -324,11 +273,17 @@ func (db *DB) readTail(from uint64, maxBytes int) ([]byte, uint64, error) {
 }
 
 // readTailFile appends the frames of one captured file to *out, advancing
-// *next. Returns done=true once maxBytes is reached.
-func (db *DB) readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes int) (bool, error) {
+// *next, and leaves cur (when given) where the read stopped. Returns
+// done=true once maxBytes is reached.
+func readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes int, cur *TailCursor) (bool, error) {
 	start := int64(0)
-	if cur, ok := db.repl.cursor(from); ok && cur.path == f.path && cur.off > 0 && cur.off <= f.size {
+	if cur != nil && cur.seq == from && cur.path == f.path && cur.off > 0 && cur.off <= f.size {
 		start = cur.off
+	}
+	stopAt := func(seq uint64, off int64) {
+		if cur != nil {
+			*cur = TailCursor{seq: seq, path: f.path, off: off}
+		}
 	}
 	fh, err := os.Open(f.path)
 	if err != nil {
@@ -345,7 +300,6 @@ func (db *DB) readTailFile(f replFile, out *[]byte, next *uint64, from uint64, m
 	}
 	r := bufio.NewReaderSize(io.LimitReader(fh, f.size-start), 1<<16)
 	off := start
-	span := seqSpan{}
 	for {
 		line, rerr := r.ReadBytes('\n')
 		if rerr != nil && rerr != io.EOF {
@@ -353,70 +307,41 @@ func (db *DB) readTailFile(f replFile, out *[]byte, next *uint64, from uint64, m
 		}
 		if rerr == io.EOF && len(line) > 0 {
 			// Unterminated final chunk: bytes beyond the capture boundary of
-			// a concurrently-growing file; the next poll picks them up.
+			// a concurrently-growing file; the next call picks them up.
 			break
 		}
 		if len(line) == 0 {
 			break
 		}
-		var seq uint64
-		var framedLine []byte
-		if f.framed {
-			rec, perr := parseFramed(line[:len(line)-1])
-			if perr != nil {
-				return false, errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal tail %s: %v", f.path, perr)
-			}
-			seq = rec.Seq
-			framedLine = line
-		} else {
-			var rec Record
-			if jerr := json.Unmarshal(bytes.TrimSpace(line), &rec); jerr != nil {
-				return false, errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal tail %s: %v", f.path, jerr)
-			}
-			seq = rec.Seq
-			if seq > from {
-				fl, ferr := frameRecord(rec)
-				if ferr != nil {
-					return false, ferr
-				}
-				framedLine = fl
-			}
+		rec, perr := parseFramed(line[:len(line)-1])
+		if perr != nil {
+			return false, errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal tail %s: %v", f.path, perr)
 		}
+		seq := rec.Seq
 		off += int64(len(line))
-		if span.first == 0 {
-			span.first = seq
-		}
-		span.last = seq
 		if seq <= from {
 			continue
 		}
 		if seq != *next {
 			return false, errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal tail %s: have seq %d, want %d", f.path, seq, *next)
 		}
-		if len(*out) > 0 && len(*out)+len(framedLine) > maxBytes {
+		if len(*out) > 0 && len(*out)+len(line) > maxBytes {
 			// Shipping this record would overshoot the budget the follower
-			// sized its read by; stop at the boundary and let the next poll
+			// sized its read by; stop at the boundary and let the next call
 			// resume here. Only the batch's first record may exceed maxBytes
 			// (one record must always ship, however large).
-			if f.framed {
-				db.repl.setCursor(*next-1, replCursor{path: f.path, off: off - int64(len(line))})
-			}
+			stopAt(*next-1, off-int64(len(line)))
 			return true, nil
 		}
-		*out = append(*out, framedLine...)
+		*out = append(*out, line...)
 		*next = seq + 1
 		if len(*out) >= maxBytes {
-			if f.framed {
-				db.repl.setCursor(seq, replCursor{path: f.path, off: off})
-			}
+			stopAt(seq, off)
 			return true, nil
 		}
 	}
-	if f.sealed && start == 0 && span.last > 0 {
-		db.repl.setSpan(f.path, span)
-	}
-	if f.framed && !f.sealed && *next > from+1 {
-		db.repl.setCursor(*next-1, replCursor{path: f.path, off: off})
+	if !f.sealed && *next > from+1 {
+		stopAt(*next-1, off)
 	}
 	return false, nil
 }
@@ -622,7 +547,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	}
 	syncDir(filepath.Dir(db.path))
 	// Retire the superseded WAL files: close the active segment, drop every
-	// sealed/legacy file, open a fresh segment for the post-snapshot tail.
+	// sealed file, open a fresh segment for the post-snapshot tail.
 	if w.bw != nil {
 		_ = w.bw.Flush()
 	}
@@ -631,16 +556,12 @@ func (db *DB) InstallSnapshot(data []byte) error {
 		w.file, w.bw = nil, nil
 	}
 	w.smu.Lock()
-	old := make([]string, 0, len(w.sealed)+2)
+	old := make([]string, 0, len(w.sealed)+1)
 	for _, s := range w.sealed {
 		old = append(old, s.path)
 	}
-	if w.legacy != "" {
-		old = append(old, w.legacy)
-	}
 	old = append(old, w.activePath)
 	w.sealed, w.sealedSize = nil, 0
-	w.legacy, w.legacySize = "", 0
 	w.smu.Unlock()
 	for _, p := range old {
 		_ = os.Remove(p) // best effort; leftovers are skipped by seq on replay

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,13 +45,13 @@ func diffStates(t *testing.T, want, got map[string]map[string]string) {
 	}
 }
 
-// pullOnce ships one ReplTail batch from leader to follower, transparently
-// falling back to a snapshot install — the same loop the cluster puller
-// runs. Returns false once the follower is caught up.
-func pullOnce(t *testing.T, leader, follower *DB, maxBytes int) bool {
+// shipOnce ships one ReplTail batch from leader to follower, transparently
+// falling back to a snapshot install — what one round of the cluster's
+// replication stream does. Returns false once the follower is caught up.
+func shipOnce(t *testing.T, leader, follower *DB, maxBytes int) bool {
 	t.Helper()
 	from := follower.AppliedSeq()
-	data, last, err := leader.ReplTail(from, maxBytes)
+	data, last, err := leader.ReplTail(from, maxBytes, nil)
 	if errors.Is(err, ErrSnapshotNeeded) {
 		img, serr := leader.SnapshotExport()
 		if serr != nil {
@@ -78,7 +80,7 @@ func pullOnce(t *testing.T, leader, follower *DB, maxBytes int) bool {
 
 func catchUp(t *testing.T, leader, follower *DB, maxBytes int) {
 	t.Helper()
-	for i := 0; pullOnce(t, leader, follower, maxBytes); i++ {
+	for i := 0; shipOnce(t, leader, follower, maxBytes); i++ {
 		if i > 10000 {
 			t.Fatal("replication did not converge")
 		}
@@ -146,8 +148,8 @@ func TestReplicationRoundTrip(t *testing.T) {
 	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
 }
 
-// TestReplTailBudgetBoundary pins the budget contract the cluster puller
-// sizes its reads on: a frames response stops at a record boundary at or
+// TestReplTailBudgetBoundary pins the budget contract the cluster's follower
+// sizes its reads on: a frames shipment stops at a record boundary at or
 // below maxBytes, and only ever exceeds the budget when its single first
 // record does. A multi-record overshoot would be read truncated mid-frame
 // by the follower, rejected by ApplyReplicated, and retried identically —
@@ -182,7 +184,7 @@ func TestReplTailBudgetBoundary(t *testing.T) {
 		if rounds > 1000 {
 			t.Fatal("replication did not converge")
 		}
-		data, last, err := leader.ReplTail(follower.AppliedSeq(), budget)
+		data, last, err := leader.ReplTail(follower.AppliedSeq(), budget, nil)
 		if err != nil {
 			t.Fatalf("ReplTail: %v", err)
 		}
@@ -209,6 +211,123 @@ func TestReplTailBudgetBoundary(t *testing.T) {
 	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
 }
 
+// TestTailCursorsAreTheirReaders: two readers paging the same WAL from
+// different places, turn about, each with its own cursor. Every page equals
+// the stateless read of the same (from, budget); each reader's second page
+// onward in the active segment resumes at its cursor (the cursor is its own:
+// the other reader's calls in between did not move or evict it); and a
+// cursor that does not match the call's from is ignored, not trusted.
+func TestTailCursorsAreTheirReaders(t *testing.T) {
+	// One segment, larger than the tail window reaches back, so both readers
+	// are on the file path and in the same file.
+	db, err := Open(filepath.Join(t.TempDir(), "leader.wal"), Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	pad := strings.Repeat("x", 600)
+	const records = 1200
+	for i := 0; i < records; i++ {
+		if err := db.Put("res", fmt.Sprintf("res-%04d", i), pad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 8 << 10
+	type reader struct {
+		at    uint64
+		cur   TailCursor
+		pages int
+	}
+	readers := []*reader{{at: 0}, {at: 300}}
+	for step := 0; step < 40; step++ {
+		r := readers[step%2]
+		if r.pages > 0 && (r.cur.seq != r.at || r.cur.off == 0) {
+			t.Fatalf("reader at seq %d holds cursor {seq %d, off %d} after %d pages: not where it stopped",
+				r.at, r.cur.seq, r.cur.off, r.pages)
+		}
+		got, last, err := db.ReplTail(r.at, budget, &r.cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantLast, err := db.ReplTail(r.at, budget, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || last != wantLast {
+			t.Fatalf("ReplTail(%d) with the reader's cursor = %d bytes to seq %d, stateless = %d bytes to seq %d",
+				r.at, len(got), last, len(want), wantLast)
+		}
+		r.at, r.pages = last, r.pages+1
+	}
+	// Someone else's cursor (right file, wrong sequence) changes nothing.
+	stale := readers[0].cur
+	got, _, err := db.ReplTail(readers[1].at, budget, &stale)
+	want, _, _ := db.ReplTail(readers[1].at, budget, nil)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReplTail(%d) handed a cursor for seq %d = %d bytes (%v), stateless = %d bytes",
+			readers[1].at, readers[0].cur.seq, len(got), err, len(want))
+	}
+}
+
+// TestReplTailOpensOnlyWhatItShips: a sealed segment records the applied
+// watermark it was sealed at, so a read positioned past it skips the file
+// without opening it — shown by deleting the early segments behind the
+// store's back: the late read still answers, the read from the start cannot.
+// Recovery restores the same knowledge from what it replayed.
+func TestReplTailOpensOnlyWhatItShips(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "leader.wal")
+	opts := Options{SegmentBytes: 512}
+	db, err := Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 200
+	for i := 0; i < records; i++ {
+		if err := db.Put("res", fmt.Sprintf("res-%04d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		segs, err := listSegments(path)
+		if err != nil || len(segs) < 6 {
+			t.Fatalf("%s: %d segments (%v), want several", when, len(segs), err)
+		}
+		late := uint64(records - 3)
+		want, _, err := db.readTail(late, 1<<20, nil)
+		if err != nil || len(want) == 0 {
+			t.Fatalf("%s: the file scan from %d = %d bytes, %v", when, late, len(want), err)
+		}
+		for _, s := range segs[:3] {
+			if err := os.Rename(s.path, s.path+".hidden"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, last, err := db.readTail(late, 1<<20, nil)
+		if err != nil || !bytes.Equal(got, want) || last != records {
+			t.Errorf("%s: the file scan from %d with the early segments gone = %d bytes to seq %d, %v; want %d bytes to %d",
+				when, late, len(got), last, err, len(want), records)
+		}
+		if _, _, err := db.readTail(0, 1<<20, nil); err == nil {
+			t.Errorf("%s: the file scan from 0 answered with the segments it needs gone: the test hides nothing", when)
+		}
+		for _, s := range segs[:3] {
+			if err := os.Rename(s.path+".hidden", s.path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check(db, "sealed by rotation")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db, "sealed by recovery")
+}
+
 func TestReplicationSnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
 	leader, err := Open(filepath.Join(dir, "leader.wal"), Options{SyncEvery: 1, SegmentBytes: 256})
@@ -230,7 +349,7 @@ func TestReplicationSnapshotFallback(t *testing.T) {
 
 	// A fresh follower's tail starts below the compaction cut: the leader
 	// must demand a snapshot install, not invent the compacted records.
-	if _, _, err := leader.ReplTail(0, 1<<20); !errors.Is(err, ErrSnapshotNeeded) {
+	if _, _, err := leader.ReplTail(0, 1<<20, nil); !errors.Is(err, ErrSnapshotNeeded) {
 		t.Fatalf("ReplTail(0) after compaction: %v, want ErrSnapshotNeeded", err)
 	}
 
@@ -290,7 +409,7 @@ func TestReplTailRequiresWAL(t *testing.T) {
 	if err := db.Put("t", "k", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.ReplTail(0, 0); errs.CategoryOf(err) != errs.CategoryValidation {
+	if _, _, err := db.ReplTail(0, 0, nil); errs.CategoryOf(err) != errs.CategoryValidation {
 		t.Fatalf("ReplTail on memory store: %v, want validation error", err)
 	}
 }
@@ -311,7 +430,7 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pristine, last, err := leader.ReplTail(0, 1<<20)
+	pristine, last, err := leader.ReplTail(0, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +560,7 @@ func TestReplicationConcurrentWriters(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		pullOnce(t, leader, follower, 4096)
+		shipOnce(t, leader, follower, 4096)
 		select {
 		case <-done:
 			catchUp(t, leader, follower, 1<<20)
@@ -456,7 +575,7 @@ func TestReplicationConcurrentWriters(t *testing.T) {
 // several readers re-capture the whole tail from seq 0. A capture that lands
 // between sealing a segment and opening its successor used to list that file
 // twice (sealed and active) and report its second copy as a sequence gap —
-// spurious corruption that trips puller backoff on a live cluster.
+// spurious corruption that trips the stream's backoff on a live cluster.
 func TestReplTailRotationHammer(t *testing.T) {
 	leader, err := Open(filepath.Join(t.TempDir(), "leader.wal"), Options{SegmentBytes: 256})
 	if err != nil {
@@ -485,7 +604,7 @@ func TestReplTailRotationHammer(t *testing.T) {
 		go func() {
 			defer rg.Done()
 			for {
-				if _, _, err := leader.ReplTail(0, 1<<20); err != nil {
+				if _, _, err := leader.ReplTail(0, 1<<20, nil); err != nil {
 					t.Errorf("ReplTail(0) during rotation: %v", err)
 					return
 				}
@@ -500,7 +619,7 @@ func TestReplTailRotationHammer(t *testing.T) {
 	wg.Wait()
 	close(done)
 	rg.Wait()
-	if _, last, err := leader.ReplTail(0, 1<<20); err != nil || last != writers*each {
+	if _, last, err := leader.ReplTail(0, 1<<20, nil); err != nil || last != writers*each {
 		t.Fatalf("final tail: last=%d err=%v, want %d", last, err, writers*each)
 	}
 	if rot := leader.Stats().Rotations; rot < 50 {

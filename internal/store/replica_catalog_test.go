@@ -44,7 +44,7 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	version := clockSum(follower)
 	ship := func(what string) {
 		t.Helper()
-		data, last, err := ldb.ReplTail(fdb.AppliedSeq(), 1<<20)
+		data, last, err := ldb.ReplTail(fdb.AppliedSeq(), 1<<20, nil)
 		if err != nil || len(data) == 0 {
 			t.Fatalf("%s: ReplTail = %d bytes, %v", what, len(data), err)
 		}

@@ -40,7 +40,7 @@ func TestReplTailInsideCompactionWindow(t *testing.T) {
 			}
 			// Park the follower part-way through the sealed segments.
 			for follower.AppliedSeq() < 20 {
-				pullOnce(t, leader, follower, 200)
+				shipOnce(t, leader, follower, 200)
 			}
 			from := follower.AppliedSeq()
 			if from >= 60 {
@@ -65,7 +65,7 @@ func TestReplTailInsideCompactionWindow(t *testing.T) {
 				if err := leader.Put("posts", "res-9/after-cut", 1); err != nil {
 					t.Errorf("post-cut write: %v", err)
 				}
-				data, last, tailErr = leader.ReplTail(from, 1<<20)
+				data, last, tailErr = leader.ReplTail(from, 1<<20, nil)
 				return false // no crash: the compaction carries on
 			})
 			if err := leader.Compact(); err != nil {
@@ -87,7 +87,7 @@ func TestReplTailInsideCompactionWindow(t *testing.T) {
 			diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
 
 			// After the rename and cleanup the covered tail is gone for good.
-			if _, _, err := leader.ReplTail(from, 1<<20); !errors.Is(err, ErrSnapshotNeeded) {
+			if _, _, err := leader.ReplTail(from, 1<<20, nil); !errors.Is(err, ErrSnapshotNeeded) {
 				t.Fatalf("ReplTail(%d) after the compaction: err = %v, want ErrSnapshotNeeded", from, err)
 			}
 			if st := leader.Stats(); st.SnapshotSeq != 60 || st.Segments != 1 {
@@ -156,7 +156,7 @@ func TestInstallSnapshotInsideCompactionWindow(t *testing.T) {
 	}
 	// The follower holds the first 20-odd records; the image is at 60.
 	for follower.AppliedSeq() < 20 {
-		pullOnce(t, leader, follower, 200)
+		shipOnce(t, leader, follower, 200)
 	}
 	cutSeq := follower.AppliedSeq()
 	img, err := leader.SnapshotExport()

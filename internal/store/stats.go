@@ -32,7 +32,7 @@ type Stats struct {
 	AvgCommitBatch float64 `json:"avg_commit_batch"` // group-commit coalescing factor
 	Fsyncs         uint64  `json:"fsyncs"`
 	WALBytes       uint64  `json:"wal_bytes"`
-	Segments       int     `json:"segments"` // live WAL files (segments + legacy)
+	Segments       int     `json:"segments"` // live WAL segment files
 	SegmentBytes   int64   `json:"segment_bytes"`
 	Rotations      uint64  `json:"rotations"`
 	Compactions    uint64  `json:"compactions"`
@@ -71,10 +71,6 @@ func (db *DB) Stats() Stats {
 		w.smu.Lock()
 		st.Segments = len(w.sealed) + 1
 		st.SegmentBytes = w.sealedSize + w.activeSize
-		if w.legacy != "" {
-			st.Segments++
-			st.SegmentBytes += w.legacySize
-		}
 		w.smu.Unlock()
 	}
 	return st

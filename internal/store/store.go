@@ -25,7 +25,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -95,9 +94,6 @@ type DB struct {
 	fp atomic.Pointer[func(Failpoint) bool]
 
 	st counters
-
-	// repl caches WAL-tail read positions for ReplTail (see repl.go).
-	repl replState
 }
 
 // Options configures Open.
@@ -127,8 +123,7 @@ func OpenMemory() *DB { return &DB{} }
 
 // Open opens (creating if needed) a DB backed by the WAL layout rooted at
 // path (see wal.go) and recovers its state: snapshot first, then the
-// segment tail. A pre-segment single-file WAL at path itself is migrated
-// transparently.
+// segment tail.
 func Open(path string, opts Options) (*DB, error) {
 	if path == "" {
 		return nil, errs.New(errs.ComponentStore, errs.CategoryValidation, "path required; use OpenMemory for volatile stores")
@@ -139,6 +134,13 @@ func Open(path string, opts Options) (*DB, error) {
 	if shards, _ := filepath.Glob(filepath.Join(path, "shard-*.wal*")); len(shards) > 0 {
 		return nil, errs.New(errs.ComponentStore, errs.CategoryValidation,
 			"%s holds the retired sharded layout (%d shard-*.wal* files); a store is one WAL family now and will not be started beside them", path, len(shards))
+	}
+	// Likewise a plain file at the base path itself: the single-file WAL of
+	// unframed JSON lines nothing has written since PR 3. The reader went
+	// with PR 23; starting on fresh segments beside it would hide its data.
+	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
+		return nil, errs.New(errs.ComponentStore, errs.CategoryValidation,
+			"%s is a pre-segment single-file WAL; PR 22 was the last release that could read it (open and compact it there, which rewrites it as a snapshot)", path)
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "mkdir")
@@ -166,9 +168,9 @@ type tornMark struct {
 	off  int64
 }
 
-// recover rebuilds the in-memory state from disk: snapshot, then the legacy
-// single-file WAL (if migrating), then the segments in index order; finally
-// it truncates the torn tail (if any) and opens the active segment.
+// recover rebuilds the in-memory state from disk: snapshot, then the
+// segments in index order; finally it truncates the torn tail (if any) and
+// opens the active segment.
 func (db *DB) recover() error {
 	w := db.wal
 	_ = os.Remove(db.path + snapTmpSuffix)    // in-flight snapshot from a crashed compaction
@@ -190,22 +192,16 @@ func (db *DB) recover() error {
 
 	var torn tornMark
 	var applied uint64
-	if _, err := os.Stat(db.path); err == nil {
-		if rerr := db.replayFile(db.path, false, &torn, &applied); rerr != nil {
-			return rerr
-		}
-		w.legacy = db.path
-	} else if !os.IsNotExist(err) {
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "stat wal")
-	}
 	segs, err := listSegments(db.path)
 	if err != nil {
 		return err
 	}
-	for _, s := range segs {
-		if rerr := db.replayFile(s.path, true, &torn, &applied); rerr != nil {
+	lasts := make([]uint64, len(segs)) // the recovered sequence after each file
+	for i, s := range segs {
+		if rerr := db.replayFile(s.path, &torn, &applied); rerr != nil {
 			return rerr
 		}
+		lasts[i] = db.seq
 	}
 	if torn.seen {
 		// Drop the torn tail so new appends start on a clean record
@@ -213,13 +209,6 @@ func (db *DB) recover() error {
 		if terr := os.Truncate(torn.path, torn.off); terr != nil {
 			return errs.Wrap(terr, errs.ComponentStore, errs.CategoryIO, "truncate torn tail")
 		}
-	}
-	if w.legacy != "" {
-		fi, serr := os.Stat(w.legacy)
-		if serr != nil {
-			return errs.Wrap(serr, errs.ComponentStore, errs.CategoryIO, "stat wal")
-		}
-		w.legacySize = fi.Size()
 	}
 
 	// Seal every segment but the last; append to the last unless it is
@@ -238,7 +227,7 @@ func (db *DB) recover() error {
 			openFresh = 0
 			break
 		}
-		w.sealed = append(w.sealed, sealedFile{path: s.path, size: size})
+		w.sealed = append(w.sealed, sealedFile{path: s.path, size: size, last: lasts[i]})
 		w.sealedSize += size
 		if s.idx >= w.nextIdx {
 			w.nextIdx = s.idx + 1
@@ -258,15 +247,14 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// replayFile replays one WAL file. framed selects the CRC-framed segment
-// format; the legacy single-file format is plain JSON lines. Records at or
+// replayFile replays one WAL segment of CRC-framed lines. Records at or
 // below the recovered sequence (already covered by the snapshot) are
-// skipped; framed records beyond it must be contiguous. Exactly one torn
-// tail is tolerated across all files, and only if no record follows it.
+// skipped; records beyond it must be contiguous. Exactly one torn tail is
+// tolerated across all files, and only if no record follows it.
 //
 // Nothing reads during Open, so the whole file is one apply: one index copy,
 // one edit token, published when the file is done.
-func (db *DB) replayFile(path string, framed bool, torn *tornMark, applied *uint64) error {
+func (db *DB) replayFile(path string, torn *tornMark, applied *uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "open for replay")
@@ -289,13 +277,7 @@ func (db *DB) replayFile(path string, framed bool, torn *tornMark, applied *uint
 				}
 				torn.seen, torn.path, torn.off = true, path, off
 			} else {
-				var rec Record
-				var perr error
-				if framed {
-					rec, perr = parseFramed(line[:len(line)-1])
-				} else {
-					perr = json.Unmarshal(bytes.TrimSpace(line), &rec)
-				}
+				rec, perr := parseFramed(line[:len(line)-1])
 				if perr != nil {
 					return errs.New(errs.ComponentStore, errs.CategoryCorruption, "corrupt wal record at %s:%d: %v", base, lineNo, perr)
 				}
@@ -303,7 +285,7 @@ func (db *DB) replayFile(path string, framed bool, torn *tornMark, applied *uint
 					if torn.seen {
 						return errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal records follow a torn tail at %s (corruption)", filepath.Base(torn.path))
 					}
-					if framed && rec.Seq != db.seq+1 {
+					if rec.Seq != db.seq+1 {
 						return errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal sequence gap at %s:%d: have %d, want %d", base, lineNo, rec.Seq, db.seq+1)
 					}
 					next.apply(ed, rec)
@@ -646,13 +628,6 @@ func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
 		}
 	}
 	db.restoreSealed(kept)
-	if cut.legacy != "" && remove(cut.legacy) {
-		w.fmu.Lock()
-		w.smu.Lock()
-		w.legacy, w.legacySize = "", 0
-		w.smu.Unlock()
-		w.fmu.Unlock()
-	}
 	if firstErr != nil {
 		return firstErr
 	}

@@ -39,11 +39,11 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 				from = applied - 1 - uint64(rng.Intn(20))
 			}
 			maxBytes := 1 + rng.Intn(64<<10)
-			fdata, flast, ferr := db.readTail(from, maxBytes)
+			fdata, flast, ferr := db.readTail(from, maxBytes, nil)
 			if ferr != nil {
 				t.Fatalf("%s: file tail(%d, %d): %v", when, from, maxBytes, ferr)
 			}
-			got, last, err := db.ReplTail(from, maxBytes)
+			got, last, err := db.ReplTail(from, maxBytes, nil)
 			if err != nil || last != flast || !bytes.Equal(got, fdata) {
 				t.Fatalf("%s: ReplTail(%d, %d) = %d bytes to seq %d, %v; the file scan has %d bytes to seq %d",
 					when, from, maxBytes, len(got), last, err, len(fdata), flast)
@@ -91,7 +91,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.ReplTail(db.Stats().SnapshotSeq-1, 1<<20); !errors.Is(err, ErrSnapshotNeeded) {
+	if _, _, err := db.ReplTail(db.Stats().SnapshotSeq-1, 1<<20, nil); !errors.Is(err, ErrSnapshotNeeded) {
 		t.Fatalf("ReplTail below the cut = %v, want ErrSnapshotNeeded whatever the window holds", err)
 	}
 	write(60)
@@ -106,7 +106,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 	if _, _, ok := db.wal.tail.read(big-1, 1<<20); ok {
 		t.Fatal("the window serves a record larger than itself")
 	}
-	data, last, err := db.ReplTail(big-1, 1024)
+	data, last, err := db.ReplTail(big-1, 1024, nil)
 	if err != nil || last != big || len(data) <= tailWindowBytes {
 		t.Fatalf("ReplTail of the oversize record = %d bytes to seq %d, %v", len(data), last, err)
 	}
@@ -138,7 +138,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 	if got := db.AppliedSeq(); got != applied {
 		t.Fatalf("applied watermark moved %d → %d over a torn batch", applied, got)
 	}
-	if data, last, err := db.ReplTail(applied, 1<<20); err != nil || len(data) != 0 || last != applied {
+	if data, last, err := db.ReplTail(applied, 1<<20, nil); err != nil || len(data) != 0 || last != applied {
 		t.Fatalf("ReplTail past the watermark of a wedged store = %d bytes to seq %d, %v", len(data), last, err)
 	}
 	if _, _, ok := db.wal.tail.read(applied, 1<<20); ok {
@@ -146,7 +146,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 	}
 	compare("wedged")
 	for _, from := range []uint64{applied - 1, applied - 5} {
-		data, last, err := db.ReplTail(from, 1<<20)
+		data, last, err := db.ReplTail(from, 1<<20, nil)
 		if err != nil || last != applied || bytes.Contains(data, []byte("res-torn")) {
 			t.Fatalf("ReplTail(%d) on the wedged store ends at seq %d (%v), want %d and nothing torn", from, last, err, applied)
 		}
@@ -178,8 +178,8 @@ func TestTailWindowResetByReplication(t *testing.T) {
 		t.Fatal("replicated frames entered the follower's window")
 	}
 	// Chained shipping still works, from the follower's files.
-	data, last, err := follower.ReplTail(5, 1<<20)
-	want, _, _ := leader.ReplTail(5, 1<<20)
+	data, last, err := follower.ReplTail(5, 1<<20, nil)
+	want, _, _ := leader.ReplTail(5, 1<<20, nil)
 	if err != nil || last != 10 || !bytes.Equal(data, want) {
 		t.Fatalf("follower ReplTail(5) = %d bytes to seq %d, %v; leader ships %d bytes", len(data), last, err, len(want))
 	}

@@ -350,7 +350,7 @@ func TestWriteSetOfOneIsAPlainRecord(t *testing.T) {
 	if viaPut := db.Stats().WALBytes - viaCatalog; viaPut != viaCatalog {
 		t.Fatalf("PutTask wrote %d WAL bytes, a bare Put of the same record %d", viaCatalog, viaPut)
 	}
-	data, _, err := db.ReplTail(0, 0)
+	data, _, err := db.ReplTail(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ package store
 //
 // Layout for a DB opened at path P:
 //
-//	P                legacy pre-segment WAL (replayed once, removed by the
-//	                 next compaction)
 //	P.snapshot       checksummed state snapshot: header line + JSON body
 //	P.snapshot.tmp   in-flight compaction snapshot (removed at open)
 //	P.snapshot.install.tmp
@@ -132,11 +130,10 @@ func (db *DB) failpointHit(p Failpoint) bool {
 // fmu is held by the group-commit writer during writes, so rotation and the
 // compaction cut cannot interleave with an append.
 //
-// The size/layout fields (activeSize, sealed, sealedSize, legacy,
-// legacySize) are additionally guarded by smu: mutators hold fmu AND take
-// smu for the brief field update, so Stats can read them under smu alone
-// without stalling behind an in-flight write or fsync (fmu is held across
-// disk I/O). Lock order: fmu → DB.mu, fmu → smu; smu is a leaf.
+// The size/layout fields (activeSize, sealed, sealedSize) are additionally
+// guarded by smu: mutators hold fmu AND take smu for the brief field update,
+// so Stats can read them under smu alone without stalling behind an
+// in-flight write or fsync (fmu is held across disk I/O). Lock order: fmu → DB.mu, fmu → smu; smu is a leaf.
 type wal struct {
 	fmu        sync.Mutex
 	file       *os.File // active segment
@@ -163,8 +160,6 @@ type wal struct {
 	activeSize int64
 	sealed     []sealedFile // older live segments, oldest first
 	sealedSize int64
-	legacy     string // pre-segment single-file WAL ("" once compacted away)
-	legacySize int64
 }
 
 // addActiveSize bumps the active segment's size. Caller holds fmu.
@@ -177,7 +172,7 @@ func (w *wal) addActiveSize(n int64) {
 // sealActive is openSegment's retire step for a rotation or a compaction
 // cut: the outgoing active segment joins the sealed list. Caller holds smu.
 func (w *wal) sealActive() {
-	w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize})
+	w.sealed = append(w.sealed, sealedFile{path: w.activePath, size: w.activeSize, last: w.lastApplied})
 	w.sealedSize += w.activeSize
 }
 
@@ -186,12 +181,16 @@ func (w *wal) sealActive() {
 func (w *wal) replayBytes() int64 {
 	w.smu.Lock()
 	defer w.smu.Unlock()
-	return w.sealedSize + w.legacySize + w.activeSize
+	return w.sealedSize + w.activeSize
 }
 
 type sealedFile struct {
 	path string
 	size int64
+	// last bounds the file's sequences from above: the applied watermark when
+	// it was sealed (or replayed). ReplTail skips a file whose last is at or
+	// below the reader's position without opening it.
+	last uint64
 }
 
 func segPath(base string, idx uint64) string {
@@ -314,7 +313,6 @@ type cutState struct {
 	seq         uint64
 	idx         dbIndex
 	coveredSegs []sealedFile // covered segments, oldest first
-	legacy      string       // covered pre-segment WAL ("" if none)
 }
 
 func (db *DB) wakeWriter() {
@@ -557,7 +555,6 @@ func (db *DB) performCut() (*cutState, error) {
 	}
 	w.smu.Lock()
 	cut.coveredSegs = slices.Clone(w.sealed)
-	cut.legacy = w.legacy
 	w.smu.Unlock()
 	return cut, nil
 }

@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"itag/internal/errs"
 )
 
 func TestSegmentRotationAndRecovery(t *testing.T) {
@@ -421,56 +424,36 @@ func TestSequentialCommitsFsyncEach(t *testing.T) {
 	}
 }
 
-func TestLegacySingleFileMigration(t *testing.T) {
-	// A pre-segment WAL written as plain JSON lines at the base path must
-	// open, keep serving, and disappear after the first compaction.
+// TestOpenRefusesPreSegmentWAL: the single-file WAL of unframed JSON lines
+// has had no writer since PR 3 and lost its reader in PR 23. A plain file at
+// the base path is a boot error naming it — not a fresh, empty segment family
+// started beside the data — and the refusal leaves the directory as it was.
+func TestOpenRefusesPreSegmentWAL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.jsonl")
-	legacy := "" +
-		`{"seq":1,"op":"put","table":"t","key":"a","value":{"v":"x","n":1}}` + "\n" +
-		`{"seq":2,"op":"put","table":"t","key":"b","value":{"v":"y","n":2}}` + "\n" +
-		`{"seq":3,"op":"del","table":"t","key":"a"}` + "\n"
+	legacy := `{"seq":1,"op":"put","table":"t","key":"a","value":{"v":"x","n":1}}` + "\n"
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		db.Close()
+		t.Fatal("Open started a store beside a pre-segment WAL file")
 	}
-	if db.Has("t", "a") || !db.Has("t", "b") {
-		t.Fatal("legacy WAL replayed incorrectly")
+	if errs.CategoryOf(err) != errs.CategoryValidation {
+		t.Errorf("err = %v, want a validation error", err)
 	}
-	if db.Seq() != 3 {
-		t.Fatalf("seq = %d, want 3", db.Seq())
+	for _, want := range []string{path, "pre-segment single-file WAL", "PR 22"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
-	// New writes land in segments, continuing the sequence.
-	if err := db.Put("t", "c", kv{N: 3}); err != nil {
-		t.Fatal(err)
+	left, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(left) != 1 || left[0] != path {
+		t.Errorf("the refused open changed the directory: %v", left)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db2.Has("t", "b") || !db2.Has("t", "c") || db2.Has("t", "a") {
-		t.Fatal("mixed legacy+segment recovery wrong")
-	}
-	if err := db2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("compaction must remove the migrated legacy WAL file")
-	}
-	_ = db2.Close()
-	db3, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if !db3.Has("t", "b") || !db3.Has("t", "c") {
-		t.Fatal("state lost after legacy migration + compaction")
+	if got, _ := os.ReadFile(path); string(got) != legacy {
+		t.Errorf("the refused open rewrote the file: %q", got)
 	}
 }
 
