@@ -21,7 +21,8 @@
 // dashboard, export pages and resource screens) the Client keeps the
 // validator and the decoded response, sends If-None-Match next time, and on
 // a 304 hands back a copy of what it kept — nothing read, nothing decoded.
-// See New.
+// A ClusterClient does the same across nodes, and offers a validator only to
+// the node that minted it. See New and NewCluster.
 package client
 
 import (
@@ -87,7 +88,7 @@ type Client struct {
 	http  *http.Client
 	hdr   http.Header // extra headers sent on every request (nil = none)
 	retry retryPolicy
-	cache *validatorCache // nil only on a ClusterClient's per-call node clients
+	cache *validatorCache // keyed by base + path: a ClusterClient's node clients share one
 }
 
 // New builds a Client for the server at base (e.g. "http://localhost:8080").
@@ -104,7 +105,9 @@ type Client struct {
 // Client or with any other call's result: edit it freely. Retention is
 // bounded at 8 MiB of response bytes per Client (copies made by WithHeader
 // and WithRetry share it); a response larger than that is fetched in full
-// every time. Calls whose responses carry no ETag are untouched.
+// every time. Calls whose responses carry no ETag are untouched. What is
+// kept is keyed by the server's address as well as the path: an ETag is
+// scoped to the response cache that minted it.
 func New(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
@@ -164,7 +167,8 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	if hasBody {
 		body = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	target := c.base + path // the request URL, and the validator cache's key
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return err
 	}
@@ -174,14 +178,15 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Revalidate with the validator kept for this path, and hold on to the
+	// Revalidate with the validator this node minted for this path (an ETag
+	// means nothing to another node's response cache), and hold on to the
 	// entry: a concurrent call may replace it in the cache, but a 304 always
 	// refers to the validator THIS request sent, so the entry in hand is the
 	// response it certified.
 	var kept *validated
-	revalidates := c.cache != nil && method == http.MethodGet && out != nil
+	revalidates := method == http.MethodGet && out != nil
 	if revalidates {
-		if kept = c.cache.get(path); kept != nil && reflect.TypeOf(kept.value) == reflect.TypeOf(out) {
+		if kept = c.cache.get(target); kept != nil && reflect.TypeOf(kept.value) == reflect.TypeOf(out) {
 			req.Header.Set("If-None-Match", kept.etag)
 		} else {
 			kept = nil
@@ -223,7 +228,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	}
 	if revalidates {
 		if etag := resp.Header.Get("Etag"); etag != "" {
-			c.cache.put(path, etag, out, int64(buf.Len()))
+			c.cache.put(target, etag, out, int64(buf.Len()))
 		}
 	}
 	return nil

@@ -45,7 +45,8 @@ type ClusterClient struct {
 	httpc         *http.Client
 	retry         retryPolicy
 	followerReads bool
-	breakers      *nodeHealth // shared across WithX copies: one view of node health
+	breakers      *nodeHealth     // shared across WithX copies: one view of node health
+	cache         *validatorCache // shared the same way, and by every node client (see NewCluster)
 
 	mu   sync.RWMutex
 	ring *ring.Ring // immutable once installed
@@ -98,6 +99,16 @@ func (h *nodeHealth) failure(addr string, now time.Time) {
 // NewCluster builds a cluster client from one or more seed node addresses.
 // httpClient may be nil for http.DefaultClient. The ring is fetched lazily
 // on first use; call Refresh to fail fast.
+//
+// Like New, it revalidates: the routed GETs whose responses carry an ETag
+// (GetProject, Export, GetResource — and the same calls on the Clients that
+// Node and Leader hand out) send If-None-Match and answer a 304 with a copy
+// of what was decoded last time. Validators never cross nodes: what is kept
+// is keyed by node as well as path, so a follower's tag goes back to that
+// follower only, a fallback to the leader offers the leader's own tag or
+// none, and a ring change needs no pruning. The 8 MiB retention bound is per
+// cluster client — shared by the copies WithRetry and WithFollowerReads
+// make and by every node — not per node.
 func NewCluster(seeds []string, httpClient *http.Client) *ClusterClient {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
@@ -106,7 +117,7 @@ func NewCluster(seeds []string, httpClient *http.Client) *ClusterClient {
 	for i, s := range seeds {
 		trimmed[i] = strings.TrimRight(s, "/")
 	}
-	return &ClusterClient{seeds: trimmed, httpc: httpClient, retry: defaultRetry, breakers: &nodeHealth{}}
+	return &ClusterClient{seeds: trimmed, httpc: httpClient, retry: defaultRetry, breakers: &nodeHealth{}, cache: &validatorCache{}}
 }
 
 // WithRetry returns a copy whose per-node clients use the given retry
@@ -132,7 +143,7 @@ func (cc *ClusterClient) shallowClone() *ClusterClient {
 	defer cc.mu.RUnlock()
 	return &ClusterClient{
 		seeds: cc.seeds, httpc: cc.httpc, retry: cc.retry,
-		followerReads: cc.followerReads, ring: cc.ring, breakers: cc.breakers,
+		followerReads: cc.followerReads, ring: cc.ring, breakers: cc.breakers, cache: cc.cache,
 	}
 }
 
@@ -202,7 +213,7 @@ func (cc *ClusterClient) ensureRing(ctx context.Context) (*ring.Ring, error) {
 }
 
 func (cc *ClusterClient) node(addr string) *Client {
-	return &Client{base: strings.TrimRight(addr, "/"), http: cc.httpc, retry: cc.retry}
+	return &Client{base: strings.TrimRight(addr, "/"), http: cc.httpc, retry: cc.retry, cache: cc.cache}
 }
 
 // Node returns a plain Client bound to the node leading slot — the target
@@ -354,6 +365,19 @@ func (cc *ClusterClient) Export(ctx context.Context, id, cursor string, limit in
 		return e
 	})
 	return page, err
+}
+
+// GetResource fetches one resource's live status from the project's owning
+// node — never a follower: the status is the live run's, and only the owner
+// has one.
+func (cc *ClusterClient) GetResource(ctx context.Context, projectID, resourceID string) (ResourceStatus, error) {
+	var st ResourceStatus
+	err := cc.route(ctx, projectID, false, func(c *Client) error {
+		var e error
+		st, e = c.GetResource(ctx, projectID, resourceID)
+		return e
+	})
+	return st, err
 }
 
 // GetUser fetches a user from the node owning its ID.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"os/exec"
 	"reflect"
 	"strings"
@@ -170,6 +171,12 @@ func TestClusterClientRoutesAndFollowsPromotion(t *testing.T) {
 	if info.Project.ID != project {
 		t.Fatalf("GetProject = %+v", info)
 	}
+	// The resource screen is the live run's: owner only, follower reads or not.
+	for _, c := range []*ClusterClient{cc, cc.WithFollowerReads()} {
+		if st, err := c.GetResource(ctx, project, task.ResourceID); err != nil || st.ID != task.ResourceID || st.Posts == 0 {
+			t.Fatalf("GetResource = %+v, %v; want %s with the post just submitted", st, err, task.ResourceID)
+		}
+	}
 
 	// Follower reads serve once replication catches up.
 	stale := cc.WithFollowerReads()
@@ -224,6 +231,9 @@ func TestClusterClientRoutesAndFollowsPromotion(t *testing.T) {
 	if v := cc.Ring().Version; v < 2 {
 		t.Fatalf("SDK did not adopt the promoted ring (version %d)", v)
 	}
+	if st, err := cc.GetResource(ctx, project, task.ResourceID); err != nil || st.ID != task.ResourceID {
+		t.Fatalf("GetResource after promotion = %+v, %v", st, err)
+	}
 
 	// Export through the SDK sees both phases' tags.
 	page, err := cc.Export(ctx, project, "", 0)
@@ -238,5 +248,134 @@ func TestClusterClientRoutesAndFollowsPromotion(t *testing.T) {
 	}
 	if !tags["sdk"] || !tags["after-promote"] {
 		t.Fatalf("export missing phase tags: %v", tags)
+	}
+}
+
+// stubNode is a cluster node reduced to what validators need: it serves the
+// ring, answers every other GET with one body under one ETag of its own, 304
+// to that tag, and counts what it was offered. Without the follower-read
+// header, or with refuse set, a node that does not own the key answers 421.
+type stubNode struct {
+	t      *testing.T
+	name   string
+	ring   *RingInfo
+	owner  bool
+	refuse bool
+
+	full, notModified, foreign int
+}
+
+func (s *stubNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if r.URL.Path == "/api/v1/cluster/ring" {
+		_ = json.NewEncoder(w).Encode(s.ring)
+		return
+	}
+	if !s.owner && (s.refuse || r.Header.Get("X-Itag-Read") != "follower") {
+		w.WriteHeader(http.StatusMisdirectedRequest)
+		_, _ = w.Write([]byte(`{"error":{"code":"not_owner","message":"led elsewhere"}}`))
+		return
+	}
+	etag := `"` + s.name + `-v1"`
+	w.Header().Set("Etag", etag)
+	switch inm := r.Header.Get("If-None-Match"); inm {
+	case etag:
+		s.notModified++
+		w.WriteHeader(http.StatusNotModified)
+		return
+	case "":
+	default:
+		s.foreign++
+		s.t.Errorf("%s was offered %s, a validator it never minted", s.name, inm)
+	}
+	s.full++
+	// One body decodes as an export page and as a resource screen.
+	_, _ = w.Write([]byte(`{"id":"` + s.name + `","items":[{"id":"` + s.name + `","top_tags":[{"tag":"go"}]}]}`))
+}
+
+// TestClusterClientRevalidatesPerNode: a ClusterClient revalidates the way a
+// Client does, and a validator goes back only to the node that minted it —
+// two nodes answering one path under different tags each see their own tag
+// or none, a fallback to the leader neither offers the follower's tag nor
+// costs the follower its entry, and every copy and node client derived from
+// one ClusterClient shares the one cache.
+func TestClusterClientRevalidatesPerNode(t *testing.T) {
+	ctx := context.Background()
+	tr := cluster.NewHandlerTransport()
+	ring := &RingInfo{Version: 1, VNodes: 4, Members: []RingMember{{Slot: "a", Addr: "http://a"}, {Slot: "b", Addr: "http://b"}}}
+	cc := NewCluster([]string{"http://a"}, tr.Client())
+	nodes := map[string]*stubNode{}
+	for _, m := range ring.Members {
+		nodes[m.Addr] = &stubNode{t: t, name: m.Slot, ring: ring}
+		tr.Register(m.Slot, nodes[m.Addr])
+	}
+	const project = "proj-000001"
+	leaderClient, err := cc.Leader(ctx, project)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := nodes[leaderClient.base]
+	leader.owner = true
+	follower := nodes["http://a"]
+	if follower == leader {
+		follower = nodes["http://b"]
+	}
+	stale := cc.WithFollowerReads()
+	export := func(c *ClusterClient, from *stubNode, when string) ExportPage {
+		t.Helper()
+		page, err := c.Export(ctx, project, "", 2)
+		if err != nil || len(page.Items) != 1 || page.Items[0].ID != from.name || page.Items[0].TopTags[0].Tag != "go" {
+			t.Fatalf("%s: Export = %+v, %v; want %s's page", when, page, err, from.name)
+		}
+		return page
+	}
+	counts := func(n *stubNode, full, notModified int, when string) {
+		t.Helper()
+		if n.full != full || n.notModified != notModified {
+			t.Fatalf("%s: %s served %d full and %d not-modified answers, want %d and %d", when, n.name, n.full, n.notModified, full, notModified)
+		}
+	}
+
+	first := export(stale, follower, "first follower read")
+	first.Items[0].TopTags[0].Tag = "MUTATED" // results are the caller's
+	export(stale, follower, "second follower read")
+	counts(follower, 1, 1, "the same follower read again")
+	counts(leader, 0, 0, "two follower reads")
+
+	// The follower refuses (too stale): the leader is asked, and is not
+	// offered the follower's tag (stubNode fails the test if it is).
+	follower.refuse = true
+	export(stale, leader, "fallback to the leader")
+	counts(leader, 1, 0, "first fallback")
+	export(stale, leader, "second fallback")
+	counts(leader, 1, 1, "second fallback")
+	// Back in bounds, the follower's entry is still there, beside the leader's.
+	follower.refuse = false
+	export(stale, follower, "follower back in bounds")
+	counts(follower, 1, 2, "follower back in bounds")
+	export(cc, leader, "leader read")
+	counts(leader, 1, 2, "leader read")
+
+	// Copies, and the node clients handed out, share the one cache.
+	export(cc.WithRetry(1, time.Millisecond).WithFollowerReads(), follower, "derived copy")
+	counts(follower, 1, 3, "a WithRetry/WithFollowerReads copy")
+	for i := 0; i < 2; i++ {
+		c, err := cc.Leader(ctx, project)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			if st, err := c.GetResource(ctx, project, "r1"); err != nil || st.ID != leader.name {
+				t.Fatalf("Leader().GetResource = %+v, %v", st, err)
+			}
+		}
+	}
+	counts(leader, 2, 5, "four GetResource calls over two Leader() clients")
+	if st, err := cc.GetResource(ctx, project, "r1"); err != nil || st.ID != leader.name {
+		t.Fatalf("GetResource = %+v, %v", st, err)
+	}
+	counts(leader, 2, 6, "the routed GetResource")
+	if follower.foreign+leader.foreign != 0 {
+		t.Fatalf("%d validators crossed nodes", follower.foreign+leader.foreign)
 	}
 }

@@ -7,11 +7,13 @@ import (
 )
 
 // validatorCache is what makes a refresh cost what changed: for each GET
-// path whose last 200 carried an ETag it keeps the validator and the
+// URL (server address + path — a validator is only good on the node that
+// minted it) whose last 200 carried an ETag it keeps the validator and the
 // DECODED response, so the next call revalidates with If-None-Match and a
 // 304 is answered from memory — no body to read, nothing to decode. Every
 // Client built by New has one, shared by the copies derived from it
-// (WithHeader, WithRetry), so they benefit from each other's validators.
+// (WithHeader, WithRetry), so they benefit from each other's validators; a
+// ClusterClient has one for all its copies and all the nodes it talks to.
 //
 // A validator is re-checked by the server on every use (the cached routes
 // answer Cache-Control: no-cache), so freshness is the server's guarantee,
@@ -36,21 +38,21 @@ type validated struct {
 	size  int64
 }
 
-// validatorCacheBytes bounds what one Client (and its derived copies)
-// retains: 8 MiB holds a thousand resource screens and every 50-row export
-// page of a large project many times over.
+// validatorCacheBytes bounds what one Client or one ClusterClient (and its
+// derived copies) retains: 8 MiB holds a thousand resource screens and every
+// 50-row export page of a large project many times over.
 const validatorCacheBytes = 8 << 20
 
-func (c *validatorCache) get(path string) *validated {
+func (c *validatorCache) get(key string) *validated {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries[path]
+	return c.entries[key]
 }
 
-// put retains a copy of the response a 200 for path decoded into out, under
-// the validator it carried. Whatever was kept for path before is dropped
-// either way: its validator has just been answered 200.
-func (c *validatorCache) put(path, etag string, out any, size int64) {
+// put retains a copy of the response a 200 for key (a request URL) decoded
+// into out, under the validator it carried. Whatever was kept for key before
+// is dropped either way: its validator has just been answered 200.
+func (c *validatorCache) put(key, etag string, out any, size int64) {
 	var e *validated
 	if size <= validatorCacheBytes {
 		kept := reflect.New(reflect.TypeOf(out).Elem()).Interface()
@@ -60,9 +62,9 @@ func (c *validatorCache) put(path, etag string, out any, size int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old := c.entries[path]; old != nil {
+	if old := c.entries[key]; old != nil {
 		c.bytes -= old.size
-		delete(c.entries, path)
+		delete(c.entries, key)
 	}
 	if e == nil {
 		return
@@ -77,7 +79,7 @@ func (c *validatorCache) put(path, etag string, out any, size int64) {
 	if c.entries == nil {
 		c.entries = make(map[string]*validated)
 	}
-	c.entries[path] = e
+	c.entries[key] = e
 	c.bytes += e.size
 }
 

@@ -342,6 +342,30 @@ func TestValidatorCacheIsByteBounded(t *testing.T) {
 	if _, err := c.GetResource(ctx, "p", "r9"); err != nil || origin.revalid.Load() != 1 {
 		t.Fatalf("the newest screen did not revalidate (%d 304s, %v)", origin.revalid.Load(), err)
 	}
+
+	// A ClusterClient has one bound for all its nodes, not one each: the same
+	// ten screens fetched from two nodes, five apiece, still stay under it.
+	second := httptest.NewServer(origin)
+	defer second.Close()
+	ring := fmt.Sprintf(`{"version":1,"vnodes":4,"members":[{"slot":"a","addr":%q},{"slot":"b","addr":%q}]}`, srv.URL, second.URL)
+	ringSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, ring) }))
+	defer ringSrv.Close()
+	cc := client.NewCluster([]string{ringSrv.URL}, srv.Client())
+	for i := 0; i < 10; i++ {
+		node, err := cc.Node(ctx, []string{"a", "b"}[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := node.GetResource(ctx, "p", fmt.Sprintf("r%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := cc.RetainedBytes(); got > client.ValidatorCacheBytes {
+			t.Fatalf("after %d screens over two nodes the cluster client holds %d bytes, bound %d", i+1, got, client.ValidatorCacheBytes)
+		}
+	}
+	if got := cc.RetainedBytes(); got < client.ValidatorCacheBytes/2 {
+		t.Fatalf("cluster client holds %d bytes of 10 MiB offered: eviction overshoots", got)
+	}
 }
 
 // recordingTransport notes which request paths carried If-None-Match.

@@ -5,10 +5,16 @@ const ValidatorCacheBytes = validatorCacheBytes
 
 // RetainedBytes reports what the client's validator cache holds, in the
 // unit the bound is in.
-func (c *Client) RetainedBytes() int64 {
-	c.cache.mu.Lock()
-	defer c.cache.mu.Unlock()
-	return c.cache.bytes
+func (c *Client) RetainedBytes() int64 { return c.cache.retained() }
+
+// RetainedBytes reports what the cluster client's one validator cache holds,
+// across every node it has talked to.
+func (cc *ClusterClient) RetainedBytes() int64 { return cc.cache.retained() }
+
+func (c *validatorCache) retained() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
 // CopyResponse is the copy a 304 hands out.

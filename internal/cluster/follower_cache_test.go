@@ -3,15 +3,18 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"itag/client"
 	"itag/internal/api"
+	"itag/internal/chaos"
 	"itag/internal/store"
 )
 
@@ -35,50 +38,99 @@ func (tc *testCluster) get(url string, hdr ...string) (*http.Response, []byte) {
 
 // TestFollowerExportEqualsLeader works a project on a 3-node quorum ring
 // with two-call posts and tasks:batch calls and, after every post whose ack
-// is stamped X-Itag-Quorum: ok, reads export pages from the pushed follower:
-// each page is byte-identical to the leader's (the follower answers from its
-// record cache, its folded rows and its response cache, all of which the
-// replicated apply must have invalidated before the ack left), and
-// revalidating with the ETag of the page read before the post draws a fresh
-// 200, never a 304.
+// is stamped X-Itag-Quorum: ok, revalidates export pages on the pushed
+// follower with the tags it was last given. A page holding a posted resource
+// answers 200 under a new tag with a body byte-identical to the leader's (the
+// follower answers from its record cache, its folded rows and its response
+// cache, all of which the replicated apply must have invalidated — the row's
+// clock advanced — before the ack left). A page that holds none answers 304,
+// and the body kept from its last 200 is still byte-identical to what the
+// leader serves now: a replicated post retires the pages that show it and no
+// other. The leader never honours a tag the follower minted.
 func TestFollowerExportEqualsLeader(t *testing.T) {
 	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, func(o *Options) { o.Quorum = true })
 	slot, project, tagger := tc.seedProject(5)
 	leader, follower := "http://"+slot, "http://"+tc.pushedFollower(slot)
-	pages := []string{
-		"/api/v1/projects/" + project + "/export",
-		"/api/v1/projects/" + project + "/export?limit=2",
+	type page struct {
+		path string
+		ids  []string // the resources it shows
+		etag string   // the follower's tag for body
+		body []byte
 	}
-	etags := make(map[string]string)
+	// The whole export, then the same five rows two to a page.
+	export := "/api/v1/projects/" + project + "/export"
+	pages := []*page{{path: export}}
+	for path := export + "?limit=2"; path != ""; {
+		pg := &page{path: path}
+		pages = append(pages, pg)
+		var got struct {
+			NextCursor string `json:"next_cursor"`
+		}
+		if _, err := tc.do(http.MethodGet, leader+path, nil, &got); err != nil {
+			t.Fatal(err)
+		}
+		if path = ""; got.NextCursor != "" {
+			path = export + "?limit=2&cursor=" + got.NextCursor
+		}
+	}
+	if len(pages) != 4 {
+		t.Fatalf("%d pages, want the whole export and three pages of it", len(pages))
+	}
+	fresh, kept := 0, 0
 
-	compare := func(when string) {
+	// compare revalidates every page after the resources in posted took a
+	// post (nil: the first read, no tag to offer).
+	compare := func(when string, posted map[string]bool) {
 		t.Helper()
-		for _, page := range pages {
-			lresp, want := tc.get(leader + page)
-			fresp, got := tc.get(follower+page, HeaderRead, ReadFollower, "If-None-Match", etags[page])
-			if lresp.StatusCode != http.StatusOK || fresp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: %s = %d on the leader, %d on the follower revalidating %q",
-					when, page, lresp.StatusCode, fresp.StatusCode, etags[page])
+		for _, pg := range pages {
+			lresp, want := tc.get(leader + pg.path)
+			fresp, got := tc.get(follower+pg.path, HeaderRead, ReadFollower, "If-None-Match", pg.etag)
+			if lresp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %s = %d on the leader", when, pg.path, lresp.StatusCode)
 			}
 			if fresp.Header.Get(HeaderServedBy) == "" {
-				t.Fatalf("%s: %s was not served by the follower", when, page)
+				t.Fatalf("%s: %s was not served by the follower", when, pg.path)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: follower %s differs from the leader's\nfollower %s\n  leader %s", when, page, got, want)
+			changed := posted == nil
+			for _, id := range pg.ids {
+				changed = changed || posted[id]
 			}
-			etag := fresp.Header.Get("Etag")
-			if etag == "" || etag == etags[page] {
-				t.Fatalf("%s: follower %s carries ETag %q after %q", when, page, etag, etags[page])
+			if changed {
+				etag := fresp.Header.Get("Etag")
+				if fresp.StatusCode != http.StatusOK || etag == "" || etag == pg.etag {
+					t.Fatalf("%s: %s holds a posted resource and the follower answered %d, ETag %q, to %q",
+						when, pg.path, fresp.StatusCode, etag, pg.etag)
+				}
+				pg.etag, pg.body = etag, got
+				var shown struct {
+					Items []struct {
+						ID string `json:"id"`
+					} `json:"items"`
+				}
+				if err := json.Unmarshal(got, &shown); err != nil {
+					t.Fatal(err)
+				}
+				pg.ids = pg.ids[:0]
+				for _, it := range shown.Items {
+					pg.ids = append(pg.ids, it.ID)
+				}
+				fresh++
+			} else {
+				if fresp.StatusCode != http.StatusNotModified {
+					t.Fatalf("%s: %s holds no posted resource (%v not in %v) and the follower answered %d to its own tag",
+						when, pg.path, posted, pg.ids, fresp.StatusCode)
+				}
+				kept++
 			}
-			// Nothing was written since: the follower's own validator holds.
-			if again, _ := tc.get(follower+page, HeaderRead, ReadFollower, "If-None-Match", etag); again.StatusCode != http.StatusNotModified {
-				t.Fatalf("%s: follower revalidation of %s = %d, want 304", when, page, again.StatusCode)
+			// 200 or 304, what the caller now holds is what the leader serves.
+			if !bytes.Equal(pg.body, want) {
+				t.Fatalf("%s: follower %s (status %d) differs from the leader's\nfollower %s\n  leader %s",
+					when, pg.path, fresp.StatusCode, pg.body, want)
 			}
 			// The leader has never minted that tag, whatever its version.
-			if lresp, _ := tc.get(leader+page, "If-None-Match", etag); lresp.StatusCode != http.StatusOK {
+			if lresp, _ := tc.get(leader+pg.path, "If-None-Match", pg.etag); lresp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: the leader answered the follower's validator with %d", when, lresp.StatusCode)
 			}
-			etags[page] = etag
 		}
 	}
 	acked := func(resp *http.Response, err error, want int) {
@@ -92,16 +144,25 @@ func TestFollowerExportEqualsLeader(t *testing.T) {
 	}
 
 	tc.waitCaughtUp(slot)
-	compare("seeded")
+	compare("seeded", nil)
 	for round := 0; round < 12; round++ {
+		posted := make(map[string]bool)
 		if round%3 == 2 {
 			items := make([]map[string]any, 3)
 			for i := range items {
 				items[i] = map[string]any{"tagger_id": tagger, "tags": []string{"go", fmt.Sprintf("batch-%d", (round+i)%4)}}
 			}
+			var out struct {
+				Results []struct {
+					ResourceID string `json:"resource_id"`
+				} `json:"results"`
+			}
 			resp, err := tc.do(http.MethodPost, leader+"/api/v1/projects/"+project+"/tasks:batch",
-				map[string]any{"items": items}, nil)
+				map[string]any{"items": items}, &out)
 			acked(resp, err, http.StatusOK)
+			for _, r := range out.Results {
+				posted[r.ResourceID] = true
+			}
 		} else {
 			var task store.TaskRec
 			resp, err := tc.do(http.MethodPost, leader+"/api/v1/projects/"+project+"/tasks",
@@ -111,8 +172,12 @@ func TestFollowerExportEqualsLeader(t *testing.T) {
 				fmt.Sprintf("%s/api/v1/projects/%s/tasks/%s/submit", leader, project, task.ID),
 				map[string][]string{"tags": {"go", fmt.Sprintf("t%d", round%5)}}, nil)
 			acked(resp, err, http.StatusOK)
+			posted[task.ResourceID] = true
 		}
-		compare(fmt.Sprintf("round %d", round))
+		compare(fmt.Sprintf("round %d", round), posted)
+	}
+	if fresh == 0 || kept == 0 {
+		t.Fatalf("%d pages re-fetched, %d revalidated: want both", fresh, kept)
 	}
 }
 
@@ -192,6 +257,81 @@ func TestConditionalClientAcrossNodes(t *testing.T) {
 	if sw.own304 == 0 || sw.foreign == 0 {
 		t.Fatalf("%d revalidations answered 304 by the minting node, %d validators offered to the other node: want both", sw.own304, sw.foreign)
 	}
+}
+
+// servedBy notes which node served the last response (X-Itag-Served-By is
+// set on follower-served reads only).
+type servedBy struct {
+	tr   http.RoundTripper
+	last string
+}
+
+func (s *servedBy) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.tr.RoundTrip(req)
+	if err == nil {
+		s.last = resp.Header.Get(HeaderServedBy)
+	}
+	return resp, err
+}
+
+// TestFreshReplicaRefusesFollowerReads: a follower restarted on an empty
+// directory has heard nothing from the slot's owner, so its lag is unknown,
+// not zero. Until the first shipment (a probe counts) arrives it must answer
+// a follower read with the 421 that sends the SDK to the leader — not with
+// 404 not_found from its empty catalog, which the SDK rightly takes for a
+// real answer. Once the stream reaches it, it serves.
+func TestFreshReplicaRefusesFollowerReads(t *testing.T) {
+	sched := chaos.NewSchedule(1)
+	booted := make(map[string]Options)
+	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, func(o *Options) {
+		o.HTTPClient = &http.Client{Transport: chaos.Wrap(o.HTTPClient.Transport, sched, o.Slot)}
+		booted[o.Slot] = *o
+	})
+	slot, project, _ := tc.seedProject(3)
+	tc.waitCaughtUp(slot)
+	follower := tc.pushedFollower(slot)
+	ctx := context.Background()
+	sb := &servedBy{tr: tc.tr}
+	cc := client.NewCluster([]string{"http://" + slot}, &http.Client{Transport: sb}).WithFollowerReads()
+	read := func(when, wantServedBy string) {
+		t.Helper()
+		info, err := cc.GetProject(ctx, project)
+		if err != nil || info.Project.Budget != 500 {
+			t.Fatalf("%s: GetProject = budget %d, %v; want 500", when, info.Project.Budget, err)
+		}
+		if sb.last != wantServedBy {
+			t.Fatalf("%s: served by %q, want %q", when, sb.last, wantServedBy)
+		}
+	}
+	read("caught up", follower)
+
+	// The follower comes back with nothing, and the leader cannot reach it.
+	tc.tr.Register(follower, nil)
+	_ = tc.nodes[follower].Close()
+	sched.Faults = []chaos.Fault{{Kind: chaos.KindPartition, From: slot, To: follower, OneWay: true}}
+	sched.Start()
+	defer sched.Stop()
+	o := booted[follower]
+	o.Dir, o.Ring = t.TempDir(), tc.nodes[slot].Ring()
+	n, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	tc.nodes[follower] = n
+	tc.tr.Register(follower, n.Handler())
+	fallbacks := n.Status().FollowerFallbacks
+	read("restarted empty, unfed", "")
+	if got := n.Status().FollowerFallbacks; got != fallbacks+1 {
+		t.Fatalf("follower fallbacks %d -> %d, want one counted", fallbacks, got)
+	}
+
+	sched.Stop()
+	tc.waitCaughtUp(slot)
+	waitFor(t, 5*time.Second, "the leader's stream to reach the restarted follower", func() bool {
+		return n.ReplicaDB(slot).AppliedSeq() == tc.nodes[slot].DB(slot).AppliedSeq()
+	})
+	read("fed", follower)
 }
 
 // TestFollowerServedRequestsAreCounted: a follower read runs through a

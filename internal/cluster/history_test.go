@@ -6,8 +6,8 @@ package cluster_test
 // so the identical file runs against any commit that has that surface.
 //
 // One seed is one run: a 3-node in-process quorum ring over internal/chaos's
-// transport, two writers and a follower reader recording what they were
-// told, and a schedule drawn from the seed — network faults between the
+// transport, two writers and a revalidating follower reader recording what
+// they were told, and a schedule drawn from the seed — network faults between the
 // leader and its first follower, a stalled disk, a follower killed and
 // restarted on its directory, a compaction that forces the stream to open
 // with a snapshot, then the leader killed, its first follower promoted, and
@@ -64,10 +64,17 @@ type historyOp struct {
 	ringV  uint64   // that node's ring version when the answer arrived
 }
 
-// historyRead is one follower read: how many posts the export showed.
+// historyRead is one follower read: how many posts the export showed — for a
+// 304, the export it certified: the body of the reader's last 200 there.
 type historyRead struct {
-	ringV uint64
-	posts int
+	node        string
+	ringV       uint64
+	posts       int
+	notModified bool
+	// floor is how many posts had been acknowledged ok, before the read was
+	// sent, by a leader whose acks wait on this follower's watermark (0 when
+	// the follower was not yet known to be that one).
+	floor int
 }
 
 // historyCluster is a 3-node quorum ring whose inter-node traffic crosses the
@@ -389,9 +396,16 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 		workers sync.WaitGroup
 	)
 	target.Store(leader)
+	// Posts acknowledged ok so far, by the leader that acknowledged them. The
+	// ack waited on the first follower's watermark: plan.f1's while the
+	// original leader leads, plan.f2's once plan.f1 does.
+	okBy := map[string]*atomic.Int64{leader: new(atomic.Int64), plan.f1: new(atomic.Int64)}
 	record := func(op historyOp) {
 		if n := h.node(op.node); n != nil {
 			op.ringV = n.Ring().Version
+		}
+		if op.kind != "task" && op.status/100 == 2 && op.quorum == cluster.QuorumOK {
+			okBy[op.node].Add(int64(len(op.tags)))
 		}
 		mu.Lock()
 		run.ops = append(run.ops, op)
@@ -466,22 +480,57 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 	}
 	reader := func() {
 		defer workers.Done()
-		for !stop.Load() {
+		// The reader revalidates, as the SDK does: per URL, the tag and the
+		// export of the last 200.
+		type validated struct {
+			etag string
+			view exportView
+		}
+		kept := make(map[string]validated)
+		read := func(node string, floor int) {
 			// A read counts under a ring version only if the follower held
 			// that version before and after answering it.
-			n := h.node(plan.f2)
+			n := h.node(node)
 			if n == nil {
-				time.Sleep(2 * time.Millisecond)
-				continue
+				return
 			}
 			before := n.Ring().Version
-			status, _, data := h.call(http.MethodGet, "http://"+plan.f2+"/api/v1/projects/"+project+"/export", nil,
-				cluster.HeaderRead, cluster.ReadFollower)
-			if v, err := parseExport(data); status == http.StatusOK && err == nil && n.Ring().Version == before {
+			url := "http://" + node + "/api/v1/projects/" + project + "/export"
+			hdr := []string{cluster.HeaderRead, cluster.ReadFollower}
+			last := kept[url]
+			if last.etag != "" {
+				hdr = append(hdr, "If-None-Match", last.etag)
+			}
+			status, got, data := h.call(http.MethodGet, url, nil, hdr...)
+			switch status {
+			case http.StatusOK:
+				v, err := parseExport(data)
+				if err != nil {
+					return
+				}
+				last = validated{etag: got.Get("Etag"), view: v}
+				kept[url] = last
+			case http.StatusNotModified: // certifies what is kept
+			default:
+				return
+			}
+			if n.Ring().Version == before {
 				mu.Lock()
-				run.reads = append(run.reads, historyRead{ringV: before, posts: v.posts})
+				run.reads = append(run.reads, historyRead{node: node, ringV: before, posts: last.view.posts,
+					notModified: status == http.StatusNotModified, floor: floor})
 				mu.Unlock()
 			}
+		}
+		for !stop.Load() {
+			// Floors are read before the request is sent.
+			if acked := int(okBy[leader].Load()); target.Load().(string) == leader {
+				read(plan.f1, acked)
+			}
+			floor := 0
+			if promoted := int(okBy[plan.f1].Load()); promoted > 0 {
+				floor = int(okBy[leader].Load()) + promoted
+			}
+			read(plan.f2, floor)
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
@@ -660,9 +709,21 @@ func (run *historyRun) check() []string {
 		fail("follower equals leader", "at equal watermarks the surviving follower's export differs from the promoted leader's (%d vs %d posts)",
 			run.followExport.posts, final.posts)
 	}
-	for i := 1; i < len(run.reads); i++ {
-		if prev, cur := run.reads[i-1], run.reads[i]; cur.ringV == prev.ringV && cur.posts < prev.posts {
+	var prev historyRead
+	for _, cur := range run.reads {
+		if cur.node != run.plan.f2 {
+			continue
+		}
+		if cur.ringV == prev.ringV && cur.posts < prev.posts {
 			fail("follower reads are monotone", "under ring v%d a follower read showed %d posts after one that showed %d", cur.ringV, cur.posts, prev.posts)
+			break
+		}
+		prev = cur
+	}
+	for _, rd := range run.reads {
+		if rd.notModified && rd.posts < rd.floor {
+			fail("a 304 certifies nothing older than an ok ack", "under ring v%d %s answered 304 for an export showing %d posts to a read sent after %d had been acknowledged ok through its watermark",
+				rd.ringV, rd.node, rd.posts, rd.floor)
 			break
 		}
 	}
@@ -678,8 +739,10 @@ func (run *historyRun) check() []string {
 // degraded write, and a tasks:batch call whatever its stamp, is wholly there
 // or wholly absent; the surviving follower's export equals the leader's at
 // equal watermarks; a follower read never shows fewer posts than the one
-// before it under the same ring; no task ID an ok-stamped response handed out
-// is handed out again; a shipment in the dead leader's name is refused; and
+// before it under the same ring, and a 304 never certifies an export showing
+// fewer posts than had been acknowledged ok, through that follower's
+// watermark, before the read was sent; no task ID an ok-stamped response
+// handed out is handed out again; a shipment in the dead leader's name is refused; and
 // after the heal, the promotion and the promoted leader's restart, writes are
 // stamped ok again without anyone's help.
 func TestReplicationHistories(t *testing.T) {
@@ -706,8 +769,17 @@ func TestReplicationHistories(t *testing.T) {
 					degraded++
 				}
 			}
-			t.Logf("seed %d: %d calls (%d ok, %d degraded, %d failed), %d follower reads; steps: %s; -chaos-spec %q",
-				seed, len(run.ops), ok, degraded, failed, len(run.reads), run.plan.steps(), run.plan.spec())
+			notModified, floored := 0, 0
+			for _, rd := range run.reads {
+				if rd.notModified {
+					notModified++
+					if rd.floor > 0 {
+						floored++
+					}
+				}
+			}
+			t.Logf("seed %d: %d calls (%d ok, %d degraded, %d failed), %d follower reads (%d answered 304, %d of those held to an ok-ack floor); steps: %s; -chaos-spec %q",
+				seed, len(run.ops), ok, degraded, failed, len(run.reads), notModified, floored, run.plan.steps(), run.plan.spec())
 		}
 		if len(bad) == 0 {
 			continue

@@ -131,6 +131,10 @@ type replica struct {
 	srv   *server.Server
 
 	leaderSeq atomic.Uint64 // leader's applied seq as of its last shipment
+	// fed is set by the first shipment (a probe counts) the slot's owner
+	// sends after the replica is opened; until then the lag is not 0, it is
+	// unknown, and the replica serves no follower read.
+	fed atomic.Bool
 	// stale is the follower-read staleness breaker: it trips when lag
 	// exceeds the staleness bound and resets only once lag falls back
 	// under half the bound, so reads don't flap at the boundary.
@@ -141,6 +145,9 @@ type replica struct {
 // bound/2 hysteresis: once tripped, the replica must genuinely catch up —
 // not just wobble one record under the limit — before serving reads again.
 func (rep *replica) readAllowed(bound uint64) bool {
+	if !rep.fed.Load() {
+		return false
+	}
 	lag := rep.lag()
 	if rep.stale.Load() {
 		if lag <= bound/2 {
@@ -480,9 +487,10 @@ func (n *Node) routeKey(w http.ResponseWriter, r *http.Request) {
 			rep.srv.ServeHTTP(w, r)
 			return
 		}
-		// Staleness breaker tripped: fall through to the 421 redirect so
-		// the SDK retries the read on the leader instead of serving stale
-		// data (counted so the degradation is visible).
+		// Staleness breaker tripped, or nothing heard from the owner yet:
+		// fall through to the 421 redirect so the SDK retries the read on
+		// the leader instead of serving stale data (counted so the
+		// degradation is visible).
 		n.followerFallbacks.Add(1)
 	}
 	n.notOwner.Add(1)

@@ -391,6 +391,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	if seq, err := strconv.ParseUint(r.Header.Get(HeaderAppliedSeq), 10, 64); err == nil {
 		rep.leaderSeq.Store(seq)
+		rep.fed.Store(true)
 	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"itag/internal/quality"
 	"itag/internal/store"
@@ -28,7 +29,7 @@ import (
 // late arrival, or a judge rewriting a post) therefore drops the entry, and
 // the next read refolds from the first post in key order; a write above it
 // needs nothing, the next read's scan finds it. A snapshot install drops
-// every entry.
+// every entry's fold.
 //
 // An entry's mutex is held across scan, fold and the sequence update, and by
 // the invalidation across its check, so for any one write either the scan
@@ -37,6 +38,15 @@ import (
 // invalidation can still fold newer posts without a late one; that answer is
 // given once — the entry is dropped when the invalidation lands, and the
 // response cache's recheck keeps the answer from being revalidated against.
+//
+// That recheck is against the entry's clock, which is what a stamped export
+// page records for each row it shows: every reported write of the resource —
+// below or above the folded sequence — and every snapshot install advances
+// it, under the entry's mutex, and a stamped read records it under the same
+// mutex before its scan. The two critical sections are ordered, so a stamp
+// either predates the advance (and stops being current) or was taken after
+// the write was visible and the stale fold dropped. Entries are never
+// replaced, so a clock a stamp holds is the clock later writes advance.
 type foldedRows struct {
 	cat    *store.Catalog
 	intern *vocab.Interner
@@ -48,6 +58,7 @@ type foldedRows struct {
 // foldedRow is one resource's fold so far. The zero value has folded
 // nothing.
 type foldedRow struct {
+	clock atomic.Uint64 // writes reported for the resource; advanced under mu, never reset
 	mu    sync.Mutex
 	tr    *quality.Tracker
 	seq   uint64           // last post sequence folded into tr
@@ -61,8 +72,9 @@ func newFoldedRows(cat *store.Catalog, intern *vocab.Interner) *foldedRows {
 }
 
 // row returns the resource's export row (Name left for the caller), folding
-// in whatever posts arrived since the last call.
-func (f *foldedRows) row(resourceID string) (ExportedResource, error) {
+// in whatever posts arrived since the last call, and records the row's clock
+// into st before scanning for them.
+func (f *foldedRows) row(resourceID string, st *Stamp) (ExportedResource, error) {
 	f.mu.Lock()
 	e := f.rows[resourceID]
 	if e == nil {
@@ -73,6 +85,7 @@ func (f *foldedRows) row(resourceID string) (ExportedResource, error) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	st.read(&e.clock)
 	if e.tr == nil {
 		e.tr = quality.NewTrackerShared(quality.Config{}, f.intern)
 	}
@@ -105,8 +118,9 @@ func (f *foldedRows) row(resourceID string) (ExportedResource, error) {
 	return e.row, nil
 }
 
-// PostWritten drops the resource's entry when the write is at or below what
-// the entry has folded: key order can no longer be had by appending.
+// PostWritten advances the clock of the resource's entry, and drops its fold
+// when the write is at or below what the entry has folded: key order can no
+// longer be had by appending.
 func (f *foldedRows) PostWritten(resourceID string, seq uint64) {
 	f.mu.Lock()
 	e := f.rows[resourceID]
@@ -118,26 +132,30 @@ func (f *foldedRows) PostWritten(resourceID string, seq uint64) {
 	if seq <= e.seq {
 		e.drop()
 	}
+	e.clock.Add(1)
 	e.mu.Unlock()
 }
 
-// PostsReplaced drops every entry: the posts table they folded is gone.
+// PostsReplaced drops every fold and advances every clock: the posts table
+// they folded is gone. The entries stay — a page stamped after this holds
+// the clock the new table's writes will advance.
 func (f *foldedRows) PostsReplaced() {
 	f.mu.Lock()
-	rows := f.rows
-	f.rows = make(map[string]*foldedRow)
+	rows := make([]*foldedRow, 0, len(f.rows))
+	for _, e := range f.rows {
+		rows = append(rows, e)
+	}
 	f.mu.Unlock()
-	// A reader may already hold one of the old entries; emptied, it refolds
-	// from the new table's first post like any other.
 	for _, e := range rows {
 		e.mu.Lock()
 		e.drop()
+		e.clock.Add(1)
 		e.mu.Unlock()
 	}
 }
 
-// drop forgets the fold; the next read starts from the first post. Caller
-// holds e.mu.
+// drop forgets the fold, not the clock; the next read starts from the first
+// post. Caller holds e.mu.
 func (e *foldedRow) drop() {
 	e.tr, e.seq, e.posts, e.row, e.fresh = nil, 0, 0, ExportedResource{}, false
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,6 +112,13 @@ func (p *replicaPair) installSnapshot() {
 	}
 }
 
+// replay is the export row the full replay of the follower's catalog gives.
+func (p *replicaPair) replay(resourceID string) (ExportedResource, error) {
+	row, err := exportRowByFullReplay(p.fcat, resourceID)
+	row.Name = "name of " + resourceID
+	return row, err
+}
+
 // check compares the follower's export with the full replay of its catalog.
 func (p *replicaPair) check(when string) {
 	p.t.Helper()
@@ -119,11 +127,10 @@ func (p *replicaPair) check(when string) {
 		p.t.Fatalf("%s: ExportPage = %d rows, next %q, %v", when, len(rows), next, err)
 	}
 	for _, got := range rows {
-		want, err := exportRowByFullReplay(p.fcat, got.ID)
+		want, err := p.replay(got.ID)
 		if err != nil {
 			p.t.Fatal(err)
 		}
-		want.Name = "name of " + got.ID
 		if !reflect.DeepEqual(got, want) {
 			p.t.Fatalf("%s: folded row differs from the full replay\n got %+v\nwant %+v", when, got, want)
 		}
@@ -273,17 +280,46 @@ func TestFoldedRowEqualsFullReplay(t *testing.T) {
 	}
 }
 
-// TestFoldedRowsUnderRace reads export pages from 8 goroutines while
+// TestFoldedRowsUnderRace reads stamped export pages from 8 goroutines while
 // replicated batches — in-order posts, inverted arrivals, a snapshot install
 // — land on the same replica. A reader may answer from before or after any
-// write still in flight, but what it sees of a resource only ever grows, and
-// once the writer is done every reader's next page is the full replay's.
-// Run under -race at GOMAXPROCS 1, 2 and 4.
+// write still in flight, but what it sees of a resource only ever grows;
+// whenever a shipment has been applied, a reader's latest stamp that is
+// still current certifies a page equal to the full replay's (a row clock
+// recorded after its scan, outside the entry's mutex, loses this: a write
+// can land in between); and once the writer is done every reader's next
+// page is the full replay's. Run under -race at GOMAXPROCS 1, 2 and 4.
 func TestFoldedRowsUnderRace(t *testing.T) {
 	p := newReplicaPair(t, 6)
 	ctx := context.Background()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	type stamped struct {
+		st   *Stamp
+		rows []ExportedResource
+	}
+	last := make([]atomic.Pointer[stamped], 8) // each reader's latest page
+	// certified runs between writes: nothing is in flight, so a stamp that is
+	// current was taken after every write so far was visible and reported.
+	certified := func(when string) {
+		t.Helper()
+		if t.Failed() {
+			return // said once; the readers are still running, so no Fatal here
+		}
+		for g := range last {
+			page := last[g].Load()
+			if page == nil || !page.st.Current() {
+				continue
+			}
+			for _, got := range page.rows {
+				want, err := p.replay(got.ID)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: reader %d holds a current stamp over a stale row (%v)\n got %+v\nwant %+v", when, g, err, got, want)
+					return
+				}
+			}
+		}
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
@@ -295,11 +331,13 @@ func TestFoldedRowsUnderRace(t *testing.T) {
 					return
 				default:
 				}
-				rows, _, err := p.fsvc.ExportPage(ctx, p.project, "", 3)
+				st := new(Stamp)
+				rows, _, err := p.fsvc.ExportPageStamped(ctx, p.project, "", 3, st)
 				if err != nil {
 					t.Errorf("ExportPage: %v", err)
 					return
 				}
+				last[g].Store(&stamped{st, rows})
 				for _, row := range rows {
 					if row.Posts < seen[row.ID] {
 						t.Errorf("%s went from %d posts back to %d", row.ID, seen[row.ID], row.Posts)
@@ -332,10 +370,208 @@ func TestFoldedRowsUnderRace(t *testing.T) {
 		default:
 			p.ship(1 << 20)
 		}
+		certified(fmt.Sprintf("round %d", round))
 	}
 	for p.ship(1 << 20) {
 	}
 	close(stop)
 	wg.Wait()
+	certified("after the writer finished")
 	p.check("after the writer finished")
+}
+
+// TestFoldedRowClockCoversRow is the folded twin of
+// TestResourceClockCoversStatus, the contract a follower's export stamps
+// stand on: whatever a replicated write changes in a resource's folded row,
+// it moves that row's clock, and whatever it changes on a page, the stamp
+// taken for that page stops being current — while the stamps of the pages it
+// did not touch hold (the grain is the row, not the posts table). Seeded
+// random sequences of posts shipped in and out of key order, batches, judge
+// rewrites (a verdict, which changes no row, and a rewrite that strips a
+// post's tags, which does), partial shipments and snapshot installs over
+// three pages are checked write by write against the full replay.
+//
+// Mutation checks: without the clock bump in PostWritten every seed fails on
+// its first shipped post (seed 1 at step 0); without the one in PostsReplaced
+// every seed fails on its first snapshot install over a changed row (seed 5
+// at step 0, seed 1 at step 23). Where inside row()'s critical section the
+// clock is recorded cannot matter — both bumps take the same mutex — and
+// recording it once row() has returned is a race no sequential test can
+// lose; TestFoldedRowsUnderRace is the one that loses it.
+func TestFoldedRowClockCoversRow(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { foldedClockCoversRow(t, seed) })
+	}
+}
+
+func foldedClockCoversRow(t *testing.T, seed int64) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	p := newReplicaPair(t, 7)
+	const perPage = 3
+
+	type page struct {
+		cursor string
+		st     *Stamp
+		rows   []ExportedResource
+	}
+	var pages []*page
+	read := func(pg *page) string {
+		t.Helper()
+		pg.st = new(Stamp)
+		rows, next, err := p.fsvc.ExportPageStamped(ctx, p.project, pg.cursor, perPage, pg.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.rows = rows
+		return next
+	}
+	for cursor := ""; ; {
+		pg := &page{cursor: cursor}
+		pages = append(pages, pg)
+		if cursor = read(pg); cursor == "" {
+			break
+		}
+	}
+	if len(pages) != 3 {
+		t.Fatalf("%d pages, want 3", len(pages))
+	}
+	replay := func(id string) ExportedResource {
+		t.Helper()
+		row, err := p.replay(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	type snapshot struct {
+		rows   map[string]ExportedResource
+		clocks map[string]uint64
+	}
+	snap := func() snapshot {
+		sn := snapshot{rows: make(map[string]ExportedResource), clocks: make(map[string]uint64)}
+		for _, id := range p.resources {
+			sn.rows[id] = replay(id)
+			sn.clocks[id] = p.fsvc.folded.rows[id].clock.Load() // every row has been read: the entry exists
+		}
+		return sn
+	}
+	before := snap()
+	held, retired := 0, 0
+	// check runs after everything that changes the follower's catalog.
+	// installed says table clocks moved too, so no stamp is expected to hold.
+	check := func(op string, installed bool) {
+		t.Helper()
+		after := snap()
+		for _, id := range p.resources {
+			if !reflect.DeepEqual(before.rows[id], after.rows[id]) && after.clocks[id] == before.clocks[id] {
+				t.Fatalf("%s changed %s's row without moving its clock:\n before %+v\n after  %+v", op, id, before.rows[id], after.rows[id])
+			}
+			if after.clocks[id] < before.clocks[id] {
+				t.Fatalf("%s moved %s's clock backwards", op, id)
+			}
+		}
+		for i, pg := range pages {
+			changed, touched := false, installed
+			for _, row := range pg.rows {
+				changed = changed || !reflect.DeepEqual(row, after.rows[row.ID])
+				touched = touched || after.clocks[row.ID] != before.clocks[row.ID]
+			}
+			switch current := pg.st.Current(); {
+			case changed && current:
+				t.Fatalf("%s changed page %d and its stamp is still current:\n held %+v", op, i, pg.rows)
+			case !touched && !current:
+				t.Fatalf("%s wrote to no row of page %d and retired its stamp", op, i)
+			case current:
+				held++
+				continue
+			}
+			retired++
+			read(pg) // what the response cache does next
+			for _, row := range pg.rows {
+				if !reflect.DeepEqual(row, after.rows[row.ID]) {
+					t.Fatalf("%s: page %d re-read differs from the full replay\n got %+v\nwant %+v", op, i, row, after.rows[row.ID])
+				}
+			}
+		}
+		before = after
+	}
+
+	vocabulary := []string{"go", "db", "wal", "tag", "crowd", "pay", "rank", "heap"}
+	tags := func() []string {
+		out := make([]string, 1+rng.Intn(3))
+		for i := range out {
+			out[i] = vocabulary[rng.Intn(len(vocabulary))]
+		}
+		return out
+	}
+	posted := make(map[string]uint64)
+	rewrite := func(edit func(*store.PostRec)) {
+		res := p.resources[rng.Intn(len(p.resources))]
+		if posted[res] == 0 {
+			return
+		}
+		seq := 1 + uint64(rng.Int63n(int64(posted[res])))
+		rec, err := p.lcat.GetPost(res, seq)
+		if err != nil {
+			return // a gap: that write set is still to commit
+		}
+		edit(&rec)
+		if err := p.lcat.UpdatePost(res, seq, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; step < 120; step++ {
+		switch op := rng.Intn(12); {
+		case op < 4: // one post, one commit
+			ws := p.lcat.Begin(1)
+			res := p.resources[rng.Intn(len(p.resources))]
+			posted[res] = p.post(ws, res, tags()...)
+			if err := ws.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		case op < 6: // a tasks:batch call: several posts, one record
+			ws := p.lcat.Begin(4)
+			for i := 0; i < 2+rng.Intn(3); i++ {
+				res := p.resources[rng.Intn(len(p.resources))]
+				posted[res] = p.post(ws, res, tags()...)
+			}
+			if err := ws.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		case op < 8: // staged in one order, committed in another: arrivals below the fold
+			sets := make([]*store.WriteSet, 2+rng.Intn(2))
+			for i := range sets {
+				sets[i] = p.lcat.Begin(1)
+				res := p.resources[rng.Intn(2)] // collide on purpose
+				posted[res] = p.post(sets[i], res, tags()...)
+			}
+			for _, i := range rng.Perm(len(sets)) {
+				if err := sets[i].Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case op < 9: // a judge's verdict: the row does not change
+			verdict := rng.Intn(2) == 0
+			rewrite(func(rec *store.PostRec) { rec.Approved = &verdict })
+		case op < 10: // a rewrite that leaves the post without tags: the row loses it
+			rewrite(func(rec *store.PostRec) { rec.Tags = nil })
+		}
+		// Ship: record by record with a check after each, or, now and then,
+		// everything outstanding as one snapshot image.
+		if p.ldb.AppliedSeq() > p.fdb.AppliedSeq() && rng.Intn(8) == 0 {
+			p.installSnapshot()
+			check(fmt.Sprintf("step %d: snapshot install", step), true)
+			continue
+		}
+		for i := 0; i < rng.Intn(4) && p.ship(1); i++ {
+			check(fmt.Sprintf("step %d: record %d shipped", step, i), false)
+		}
+	}
+	for p.ship(1) {
+		check("catching up", false)
+	}
+	if held == 0 || retired == 0 {
+		t.Fatalf("%d stamps held across a write, %d retired: want both", held, retired)
+	}
 }

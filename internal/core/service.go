@@ -1140,8 +1140,9 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 // on: the run epoch, the resources-table clock (which rows, their names)
 // and, row by row, the engine clock of each resource shown — so a post on a
 // resource retires the one page holding it. Without a live run the rows are
-// folded from the posts table, and the page depends on that table's clock
-// (and the projects table's, for the existence check) instead.
+// folded from the posts table, and the row clocks are the folded rows'
+// (foldedRows) — same shape, plus the projects-table clock for the existence
+// check.
 func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor string, limit int, st *Stamp) ([]ExportedResource, string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
@@ -1161,7 +1162,6 @@ func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor strin
 		if _, err := s.cat.GetProject(projectID); err != nil {
 			return nil, "", runErr
 		}
-		st.read(s.cat.Clock(store.TablePosts))
 	}
 	st.read(s.cat.Clock(store.TableResources))
 	out := make([]ExportedResource, 0, 16) // never sized from limit: the client picks it
@@ -1182,7 +1182,7 @@ func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor strin
 			}
 		} else {
 			var err error
-			if row, err = s.folded.row(rec.ID); err != nil {
+			if row, err = s.folded.row(rec.ID, st); err != nil {
 				return true
 			}
 		}

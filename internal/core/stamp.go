@@ -8,10 +8,11 @@ import "sync/atomic"
 // change it counts is visible — a table's store.Catalog.Clock after the
 // store write, the service's run epoch after a run is installed or flips, an
 // engine's per-resource and per-engine clocks inside the Engine.mu critical
-// section that makes the change — so while the clocks still sum to the stamp
-// none of them moved, and nothing the answer shows was written since. The
-// encoded-response cache keeps one Stamp per entry and serves the entry, or
-// a 304 for it, only while Current holds.
+// section that makes the change, a folded export row's clock under the row's
+// mutex once the posts write is visible — so while the clocks still sum to
+// the stamp none of them moved, and nothing the answer shows was written
+// since. The encoded-response cache keeps one Stamp per entry and serves the
+// entry, or a 304 for it, only while Current holds.
 //
 // The view methods that fill one (ProjectStamped, ResourceDetailStamped,
 // ExportPageStamped) record each clock BEFORE reading what it guards; a nil
