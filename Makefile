@@ -29,11 +29,13 @@ race-full:
 	$(GO) test -race ./...
 
 # Fuzz smoke over WAL recovery: corrupted segments and snapshots must never
-# panic or resurrect deleted keys. CI runs FUZZTIME=10s per target on PRs
-# and FUZZTIME=10m nightly.
+# panic or resurrect deleted keys; and over the record encoders: every
+# catalog record must encode to json.Marshal's bytes (or its error). CI runs
+# FUZZTIME=10s per target on PRs and FUZZTIME=10m nightly.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecovery$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordEncoding$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/api
 
 # Prometheus exposition conformance: golden + grammar + histogram

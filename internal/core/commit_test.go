@@ -5,6 +5,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -114,6 +115,62 @@ func TestSubmitTaskReportsLostPost(t *testing.T) {
 	if got, err := store.NewCatalog(re).GetTask(proj, task.ID); err != nil || got.Status != store.TaskAssigned {
 		t.Errorf("task after restart = %+v, %v; want it still assigned", got, err)
 	}
+}
+
+// applyFailStore fails every commit while fail is set, and takes them again
+// once it is cleared (unlike a WAL failpoint, which wedges the store).
+type applyFailStore struct {
+	store.Store
+	fail bool
+}
+
+func (a *applyFailStore) Apply(muts []store.Mutation) error {
+	if a.fail {
+		return errors.New("injected commit failure")
+	}
+	return a.Store.Apply(muts)
+}
+
+// TestSubmitTaskRetriesAfterFailedCommit: SubmitTask builds the completed
+// record from the assigned one the run holds, never re-reading the store. A
+// failed commit must hand the tagger back the assigned record — not the
+// completed copy it was about to write — and the retry then writes exactly
+// one completed record.
+func TestSubmitTaskRetriesAfterFailedCommit(t *testing.T) {
+	ctx := context.Background()
+	fs := &applyFailStore{Store: store.OpenMemory()}
+	s := NewService(store.NewCatalog(fs), 77)
+	proj, tagger, run := leakProject(t, s)
+	task, err := s.RequestTask(ctx, proj, tagger)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs.fail = true
+	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err == nil {
+		t.Fatal("SubmitTask acked a commit the store refused")
+	}
+	fs.fail = false
+	if held, ok := run.tasks[task.ID]; !ok || held != task {
+		t.Fatalf("held record after a failed commit = %+v, %v; want the assigned record %+v", held, ok, task)
+	}
+	if got := run.Engine.PendingTasks(); got != 1 {
+		t.Errorf("PendingTasks() = %d after a failed submit, want 1", got)
+	}
+	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err != nil {
+		t.Fatalf("retried submit: %v", err)
+	}
+	tasks, err := s.Catalog().TasksByProject(proj, "")
+	if err != nil || len(tasks) != 1 {
+		t.Fatalf("task records after the retry = %+v, %v; want one", tasks, err)
+	}
+	if got := tasks[0]; got.Status != store.TaskCompleted || got.WorkerID != tagger || got.DoneAt.IsZero() || !got.CreatedAt.Equal(task.CreatedAt) {
+		t.Errorf("stored task = %+v; want the leased record, completed", got)
+	}
+	if spent, pending := run.Engine.Spent(), run.Engine.PendingTasks(); spent != 1 || pending != 0 {
+		t.Errorf("spent = %d, pending = %d; want 1, 0", spent, pending)
+	}
+	checkRank(t, run.Engine)
 }
 
 // TestTaggersNotSerialisedBehindACommit: while one tagger's submit sits in

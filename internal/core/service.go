@@ -79,7 +79,7 @@ type Run struct {
 	running bool
 	runErr  error
 	doneCh  chan struct{}
-	tasks   map[string]string // manual taskID → resourceID
+	tasks   map[string]store.TaskRec // manual taskID → the assigned record it was written as
 	taskSeq int
 	// spentBefore is what a previous process had spent when ResumeRuns
 	// rebuilt this run: the rebuilt engine gets the budget that was left and
@@ -360,7 +360,7 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []dataset.Resource,
 	world *dataset.World, strat strategy.Strategy, seed int64) (*Run, error) {
 
-	run := &Run{ProjectID: projectID, World: world, tasks: make(map[string]string)}
+	run := &Run{ProjectID: projectID, World: world, tasks: make(map[string]store.TaskRec)}
 	// The run's own write set is the step loop's: every post of a step is
 	// staged under the engine lock and the step commits once, outside it.
 	// Manual calls stage into, and commit, a write set per call instead
@@ -919,10 +919,10 @@ func (s *Service) lease(projectID, taggerID string) (*Run, store.TaskRec, error)
 	}, nil
 }
 
-// hold makes an assigned task submittable.
-func (run *Run) hold(taskID, resourceID string) {
+// hold makes an assigned task submittable: t is the record as written.
+func (run *Run) hold(t store.TaskRec) {
 	run.mu.Lock()
-	run.tasks[taskID] = resourceID
+	run.tasks[t.ID] = t
 	run.mu.Unlock()
 }
 
@@ -945,7 +945,7 @@ func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (
 	if err != nil {
 		return store.TaskRec{}, err
 	}
-	run.hold(rec.ID, rec.ResourceID)
+	run.hold(rec)
 	if err := s.cat.PutTask(rec); err != nil {
 		run.refund(rec)
 		return store.TaskRec{}, err
@@ -955,7 +955,9 @@ func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (
 
 // SubmitTask completes a manual task with the tagger's post: the post and
 // the completed task record are one commit, so a crash leaves both or
-// neither, and a post that did not persist is reported, not acked.
+// neither, and a post that did not persist is reported, not acked. The
+// completed record is built from the one the run holds since the lease
+// wrote it; the store is not read.
 func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags []string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -965,7 +967,7 @@ func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags
 		return err
 	}
 	run.mu.Lock()
-	resourceID, ok := run.tasks[taskID]
+	held, ok := run.tasks[taskID]
 	if ok {
 		delete(run.tasks, taskID)
 	}
@@ -974,22 +976,20 @@ func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown or already-completed task %q", taskID)
 	}
 	ws := s.cat.Begin(2)
-	rec, err := s.cat.GetTask(projectID, taskID)
+	err = run.Engine.submitPost(held.ResourceID, held.WorkerID, tags, s.stagePost(ws))
 	if err == nil {
-		err = run.Engine.submitPost(resourceID, rec.WorkerID, tags, s.stagePost(ws))
-	}
-	if err == nil {
-		rec.Status = store.TaskCompleted
-		rec.DoneAt = s.nowFunc()
-		_ = ws.PutTask(rec) // cannot fail: the record was read under these IDs
+		done := held
+		done.Status = store.TaskCompleted
+		done.DoneAt = s.nowFunc()
+		_ = ws.PutTask(done) // cannot fail: lease minted both IDs
 		if err = ws.Commit(); err != nil {
-			run.Engine.reopenPending(resourceID)
+			run.Engine.reopenPending(held.ResourceID)
 		}
 	}
 	if err != nil {
-		// Nothing was consumed: restore the mapping so the tagger can retry
-		// (a failed read or commit) or fix the post (e.g. empty tags).
-		run.hold(taskID, resourceID)
+		// Nothing was consumed: hold the assigned record again so the tagger
+		// can retry (a failed commit) or fix the post (e.g. empty tags).
+		run.hold(held)
 		return err
 	}
 	return nil
@@ -1043,7 +1043,7 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 			}
 		}
 		if !res.Submitted {
-			run.hold(rec.ID, rec.ResourceID) // request only, or a rejected post: the task stays assigned
+			run.hold(rec) // request only, or a rejected post: the task stays assigned
 		}
 		_ = ws.PutTask(res.Task) // cannot fail: lease mints both IDs
 		out = append(out, res)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -408,50 +407,5 @@ func TestRequestTaskRefundsWhenTaskWriteFails(t *testing.T) {
 	checkRank(t, run.Engine)
 	if id, ok := run.Engine.ChooseNext(); !ok || id != "u1" {
 		t.Errorf("next pick = %q, %v; want u1 back at zero posts", id, ok)
-	}
-}
-
-// getFailStore fails reads of one table on demand.
-type getFailStore struct {
-	store.Store
-	failTable string
-}
-
-func (g *getFailStore) Get(table, key string, out any) error {
-	if table == g.failTable {
-		return errors.New("injected read failure")
-	}
-	return g.Store.Get(table, key, out)
-}
-
-// TestSubmitTaskKeepsTaskWhenTaskReadFails: a failed task read consumes
-// nothing, so the same task must still be completable afterwards.
-func TestSubmitTaskKeepsTaskWhenTaskReadFails(t *testing.T) {
-	ctx := context.Background()
-	fs := &getFailStore{Store: store.OpenMemory()}
-	s := NewService(store.NewCatalog(fs), 77)
-	proj, tagger, run := leakProject(t, s)
-	task, err := s.RequestTask(ctx, proj, tagger)
-	if err != nil || task.ResourceID != "u1" {
-		t.Fatalf("task = %+v, %v", task, err)
-	}
-
-	fs.failTable = store.TableTasks
-	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err == nil {
-		t.Fatal("SubmitTask must report the failed task read")
-	}
-	fs.failTable = ""
-	if got := run.Engine.PendingTasks(); got != 1 {
-		t.Errorf("PendingTasks() = %d after a failed submit, want 1", got)
-	}
-	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err != nil {
-		t.Fatalf("task lost after a failed read: %v", err)
-	}
-	if spent, pending := run.Engine.Spent(), run.Engine.PendingTasks(); spent != 1 || pending != 0 {
-		t.Errorf("spent = %d, pending = %d; want 1, 0", spent, pending)
-	}
-	checkRank(t, run.Engine)
-	if id, ok := run.Engine.ChooseNext(); !ok || id != "u1" {
-		t.Errorf("next pick = %q, %v; want u1 (one post against u2's two)", id, ok)
 	}
 }

@@ -13,26 +13,25 @@ import (
 //
 // Correctness against the fill race (reader decodes a stale raw value,
 // writer overwrites, reader then caches the stale decode) comes from
-// ordering everything by a per-table write clock:
+// ordering everything by a per-table write clock and a per-table count of
+// fills in flight:
 //
-//   - a fill stamps its entry with the clock read BEFORE the raw value
-//     was read from the store, and publication is ordered: it never
-//     replaces an entry with an equal-or-newer stamp;
-//   - a writer, after its store write completes, advances the clock and
-//     records the new tick as the key's last-write sequence, then drops
-//     the entry;
-//   - a hit is served only if the key's last-write sequence does not
-//     exceed the entry's stamp — and once one fill validates, the
-//     last-write record is pruned, because ordered publication stops any
-//     older in-flight fill from ever replacing the validated entry.
+//   - a fill enters the count, then stamps its entry with the clock read
+//     BEFORE the raw value was read from the store, and leaves the count
+//     after it published; publication is ordered: it never replaces an
+//     entry with a newer stamp;
+//   - a writer, after its store write completes, advances the clock; with
+//     no fill of the table in flight it drops the key's entry, otherwise it
+//     leaves a marker stamped with the new tick, which reads miss and which
+//     only a fill stamped at or after the tick may replace.
 //
-// A stale fill necessarily stamped its entry before the write it missed
-// advanced the clock, so it is either refused at publication (a newer
-// entry or last-write record exists) or rejected and dropped at read
-// time — it is never served, even if it lands after the write finished.
-// The pruning keeps last-write records transient for any key that is read
-// again; keys written and never re-read hold one pending record until
-// their next read, bounded by the table's live key count.
+// A stale fill read the table before the write it missed was visible, so it
+// entered the count before the write looked at it: either it is still in
+// flight, and the marker refuses it (or replaces what it already published),
+// or it has published and left, and the drop removes what it published. It
+// is never served once the write has returned. A write never drops or
+// replaces an entry or marker stamped after its own tick, and a key
+// written while nobody fills its table leaves nothing behind.
 //
 // A wholesale replacement of the store's state (a replica installing a
 // snapshot) cannot name the keys it changed, so it raises a per-table
@@ -46,21 +45,23 @@ import (
 // PostRec.Approved) are treated as immutable by every Catalog caller, the
 // same contract raw stored values already obey.
 type recordCache struct {
-	entries   sync.Map // table + "\x00" + key → *cacheEntry
-	lastWrite sync.Map // table + "\x00" + key → uint64 clock tick of the last write, pruned on validated read
-	size      atomic.Int64
-	seqs      map[string]*tableClock
+	size atomic.Int64
+	seqs map[string]*tableClock
 }
 
-// tableClock is one table's write clock and the floor invalidateAll raised
-// it to: stamps below the floor predate a wholesale replacement.
+// tableClock is one table's write clock, the floor invalidateAll raised it
+// to (stamps below the floor predate a wholesale replacement), its count of
+// fills in flight, and its entries (key → *cacheEntry).
 type tableClock struct {
 	seq, floor atomic.Uint64
+	fills      atomic.Int64
+	entries    sync.Map
 }
 
 // cacheEntry is one decoded record stamped with the table clock observed
-// before its raw value was read. Stored in the map by pointer: records
-// hold slices (PostRec.Tags), so the ordered-publication CompareAndSwap
+// before its raw value was read, or (rec nil) a write's marker stamped with
+// its tick. Stored in the map by pointer: records hold slices (PostRec.Tags),
+// so the ordered-publication CompareAndSwap
 // must compare entry identity, not (uncomparable) entry value.
 type cacheEntry struct {
 	seq uint64
@@ -80,8 +81,6 @@ func newRecordCache() *recordCache {
 	return c
 }
 
-func cacheKey(table, key string) string { return table + "\x00" + key }
-
 // clock returns the table's write clock (nil for a table the cache does not
 // manage; those are never cached). The clock only ever advances, and only
 // after the write it counts is visible, so a reader that loads it, reads the
@@ -95,107 +94,100 @@ func (c *recordCache) clock(table string) *atomic.Uint64 {
 	return nil
 }
 
-// seq returns the table's current write clock (0 for an unmanaged table).
-func (c *recordCache) seq(table string) uint64 {
-	if s := c.clock(table); s != nil {
-		return s.Load()
-	}
-	return 0
+// enter starts a fill of a managed table: it joins the count of fills in
+// flight and returns the stamp the fill publishes under. Pair it with a
+// leave after the fill's last add.
+func (c *recordCache) enter(table string) uint64 {
+	s := c.seqs[table]
+	s.fills.Add(1)
+	return s.seq.Load()
 }
 
-// get returns the cached decode of (table, key), validating the entry's
-// stamp against the key's last-write record. An entry published by a fill
-// that lost a race with a writer fails validation and is dropped; a
-// validated hit prunes the last-write record (ordered publication keeps
-// older fills out for good).
+func (c *recordCache) leave(table string) { c.seqs[table].fills.Add(-1) }
+
+// get returns the cached decode of (table, key). A marker is a miss, and so
+// is an entry filled before a wholesale replacement, which is dropped.
 func (c *recordCache) get(table, key string) (any, bool) {
-	k := cacheKey(table, key)
-	v, ok := c.entries.Load(k)
+	s := c.seqs[table]
+	v, ok := s.entries.Load(key)
 	if !ok {
 		return nil, false
 	}
 	e := v.(*cacheEntry)
-	if e.seq < c.seqs[table].floor.Load() {
-		c.remove(table, key) // filled before a wholesale replacement
+	if e.seq < s.floor.Load() {
+		c.remove(s, key, v) // filled before a wholesale replacement
 		return nil, false
 	}
-	if lw, written := c.lastWrite.Load(k); written {
-		if lw.(uint64) > e.seq {
-			c.remove(table, key) // stale fill that raced a write; never serve it
-			return nil, false
-		}
-		// Prune exactly the record we validated against — a concurrent
-		// invalidate may already have pinned a newer tick, which must
-		// survive to reject that write's in-flight fills.
-		c.lastWrite.CompareAndDelete(k, lw)
-	}
-	return e.rec, true
+	return e.rec, e.rec != nil
 }
 
 // add publishes a decoded record whose raw value was read after the table
-// clock showed seq. Publication is ordered: a fill never replaces an
-// equal-or-newer entry and is refused outright when the key's last-write
-// record postdates it.
+// clock showed seq, by a fill between enter and leave. Publication is
+// ordered: it never replaces an entry or a marker stamped after seq.
 func (c *recordCache) add(table, key string, seq uint64, rec any) {
 	s := c.seqs[table]
-	if s == nil || seq < s.floor.Load() || c.size.Load() >= cacheMaxEntries {
+	if seq < s.floor.Load() || c.size.Load() >= cacheMaxEntries {
 		return
 	}
-	k := cacheKey(table, key)
-	e := &cacheEntry{seq: seq, rec: rec}
+	c.publish(s, key, &cacheEntry{seq: seq, rec: rec})
+}
+
+// publish stores e under key unless the entry there is stamped after it.
+func (c *recordCache) publish(s *tableClock, key string, e *cacheEntry) {
 	for {
-		cur, ok := c.entries.Load(k)
+		cur, ok := s.entries.Load(key)
 		if !ok {
-			if lw, written := c.lastWrite.Load(k); written && lw.(uint64) > seq {
-				return // a completed write supersedes this fill
-			}
-			if _, loaded := c.entries.LoadOrStore(k, e); !loaded {
+			if _, loaded := s.entries.LoadOrStore(key, e); !loaded {
 				c.size.Add(1)
 				return
 			}
 			continue // lost the publish race; re-evaluate ordering
 		}
-		if cur.(*cacheEntry).seq >= seq {
-			return // an equal-or-fresher fill is already published
+		if cur.(*cacheEntry).seq > e.seq {
+			return // a fresher fill, or a write this one may have missed
 		}
-		if c.entries.CompareAndSwap(k, cur, e) {
+		if s.entries.CompareAndSwap(key, cur, e) {
 			return
 		}
 	}
 }
 
-// invalidate drops (table, key) after a completed write: advance the table
-// clock, pin the key's last-write record to the new tick (failing any
-// in-flight fill of the pre-write value), then delete the entry.
+// invalidate retires (table, key) after a completed write: advance the table
+// clock, then drop the key's entry — or, while a fill of the table is in
+// flight, leave a marker refusing every fill stamped before the new tick.
 func (c *recordCache) invalidate(table, key string) {
 	s := c.seqs[table]
 	if s == nil {
 		return
 	}
-	c.lastWrite.Store(cacheKey(table, key), s.seq.Add(1))
-	c.remove(table, key)
+	tick := s.seq.Add(1)
+	if s.fills.Load() > 0 {
+		c.publish(s, key, &cacheEntry{seq: tick})
+	} else if v, ok := s.entries.Load(key); ok && v.(*cacheEntry).seq < tick {
+		c.remove(s, key, v)
+	}
 }
 
 // invalidateAll retires every cached record after the store's state was
 // replaced wholesale: each table's clock advances and its floor rises to
 // the new tick, so nothing stamped earlier is published or served again;
-// the retired decodes are then dropped rather than left for a read to
-// reclaim. Last-write records stay: one may belong to a write that landed
-// after the replacement, and the rest are pruned by the next validated read.
+// the retired entries and markers are then dropped rather than left for a
+// read to reclaim.
 func (c *recordCache) invalidateAll() {
 	for _, s := range c.seqs {
 		s.floor.Store(s.seq.Add(1))
+		s.entries.Range(func(k, _ any) bool {
+			if _, loaded := s.entries.LoadAndDelete(k); loaded {
+				c.size.Add(-1)
+			}
+			return true
+		})
 	}
-	c.entries.Range(func(k, _ any) bool {
-		if _, loaded := c.entries.LoadAndDelete(k); loaded {
-			c.size.Add(-1)
-		}
-		return true
-	})
 }
 
-func (c *recordCache) remove(table, key string) {
-	if _, loaded := c.entries.LoadAndDelete(cacheKey(table, key)); loaded {
+// remove drops key's entry if it is still v.
+func (c *recordCache) remove(s *tableClock, key string, v any) {
+	if s.entries.CompareAndDelete(key, v) {
 		c.size.Add(-1)
 	}
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -135,5 +137,169 @@ func TestRecordCacheConcurrentFreshness(t *testing.T) {
 	}
 	if u, _ := c.GetUser("u1"); u.Judged != writes {
 		t.Fatalf("final Judged = %d, want %d", u.Judged, writes)
+	}
+}
+
+// raceCompletedWrites runs one writer through writes 1..n — write(i), then
+// committed = i — against four readers that each load committed and then
+// read, and fails if a read returns less than the committed value it loaded:
+// the value a write that had already returned replaced.
+func raceCompletedWrites(t *testing.T, n int, write func(i int) error, read func() (int, error)) {
+	t.Helper()
+	var committed atomic.Int64
+	done := make(chan struct{})
+	errCh := make(chan error, 5)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i <= n; i++ {
+			if err := write(i); err != nil {
+				errCh <- err
+				return
+			}
+			committed.Store(int64(i))
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				want := int(committed.Load())
+				got, err := read()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if got < want {
+					errCh <- fmt.Errorf("read %d after write %d had returned: a completed write's predecessor was served", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+}
+
+// TestRecordCacheNeverServesACompletedWritesPredecessor is the strict form
+// of read-your-writes across goroutines: once PutUser has returned, no
+// GetUser anywhere may return the value it replaced. Two Catalog callers do
+// read-modify-write over the cache and pay for such a read: JudgePost's
+// "already judged" check on a stale GetPost judges (and pays for) a post
+// twice, and AddBudget on a stale GetProject loses a top-up. It failed at the
+// parent of PR 25, whose validate-then-prune protocol let a hit prune the
+// write's pin, the write's delete remove that fresh fill, and a fill stamped
+// before the write publish into the empty slot with nothing left to refuse
+// it; a write that always deletes and never leaves a marker fails it too.
+func TestRecordCacheNeverServesACompletedWritesPredecessor(t *testing.T) {
+	c := NewCatalog(OpenMemory())
+	if err := c.PutUser(UserRec{ID: "u1"}); err != nil {
+		t.Fatal(err)
+	}
+	raceCompletedWrites(t, 20000,
+		func(i int) error { return c.PutUser(UserRec{ID: "u1", Judged: i}) },
+		func() (int, error) {
+			u, err := c.GetUser("u1")
+			return u.Judged, err
+		})
+}
+
+// TestRecordCacheScanFillsNeverServeACompletedWritesPredecessor holds the
+// scans that fill the cache (PostsOf, ScanResourcesAfter) to the same rule
+// while writes land on their own table, beside keys the scan also fills.
+func TestRecordCacheScanFillsNeverServeACompletedWritesPredecessor(t *testing.T) {
+	c := NewCatalog(OpenMemory())
+	for i := 0; i < 4; i++ {
+		if _, err := c.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"0"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PutResource(ResourceRec{ID: fmt.Sprintf("r%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("PostsOf", func(t *testing.T) {
+		raceCompletedWrites(t, 2000,
+			func(i int) error {
+				return c.UpdatePost("r1", 2, PostRec{ResourceID: "r1", Tags: []string{strconv.Itoa(i)}})
+			},
+			func() (int, error) {
+				posts, err := c.PostsOf("r1")
+				if err != nil || len(posts) != 4 {
+					return 0, fmt.Errorf("PostsOf = %d posts, %v", len(posts), err)
+				}
+				return strconv.Atoi(posts[1].Tags[0])
+			})
+	})
+	t.Run("ScanResourcesAfter", func(t *testing.T) {
+		raceCompletedWrites(t, 2000,
+			func(i int) error { return c.PutResource(ResourceRec{ID: "r2", Topic: i}) },
+			func() (int, error) {
+				got := -1
+				err := c.ScanResourcesAfter("", func(r ResourceRec) bool {
+					if r.ID == "r2" {
+						got = r.Topic
+					}
+					return true
+				})
+				return got, err
+			})
+	})
+}
+
+// TestRecordCacheWritesLeaveNothingBehind: a write while no fill is in
+// flight deletes its key's entry and keeps nothing of its own, so writes
+// cost the cache no memory — the parent of PR 25 kept a last-write record
+// for every key ever written.
+func TestRecordCacheWritesLeaveNothingBehind(t *testing.T) {
+	c := NewCatalog(OpenMemory())
+	for i := 0; i < 10000; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			_, err = c.AppendPost(PostRec{ResourceID: fmt.Sprintf("r%d", i%50), Tags: []string{"a"}})
+		case 1:
+			err = c.PutTask(TaskRec{ID: fmt.Sprintf("t%d", i), ProjectID: "p1", Status: TaskAssigned})
+		case 2:
+			err = c.PutUser(UserRec{ID: fmt.Sprintf("u%d", i%100), Judged: i})
+		case 3:
+			err = c.PutResource(ResourceRec{ID: fmt.Sprintf("r%d", i%50), Topic: i})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireCacheHolds(t, c, 0, "after 10000 writes and no reads")
+	// A read fills; the next write of the key takes its entry away again.
+	if _, err := c.GetUser("u2"); err != nil {
+		t.Fatal(err)
+	}
+	requireCacheHolds(t, c, 1, "after one read")
+	if err := c.PutUser(UserRec{ID: "u2"}); err != nil {
+		t.Fatal(err)
+	}
+	requireCacheHolds(t, c, 0, "after the read key was written")
+}
+
+// requireCacheHolds counts what the cache's maps really hold, entries and
+// markers, and holds both that count and the size counter to want.
+func requireCacheHolds(t *testing.T, c *Catalog, want int64, when string) {
+	t.Helper()
+	var held int64
+	for _, tc := range c.cache.seqs {
+		tc.entries.Range(func(_, _ any) bool { held++; return true })
+	}
+	if size := c.cache.size.Load(); held != want || size != want {
+		t.Fatalf("cache holds %d entries (size counter %d) %s, want %d", held, size, when, want)
 	}
 }

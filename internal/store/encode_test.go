@@ -1,0 +1,242 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+)
+
+// encodeParity holds appendValue to json.Marshal for one value: the same
+// bytes, or json.Marshal's own error.
+func encodeParity(t *testing.T, v any) {
+	t.Helper()
+	want, wantErr := json.Marshal(v)
+	got, err := appendValue([]byte("prefix"), v)
+	if wantErr != nil {
+		if err == nil || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != wantErr.Error() {
+			t.Fatalf("%#v: appendValue error %v, json.Marshal error %v", v, err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%#v: appendValue error %v, json.Marshal succeeds", v, err)
+	}
+	if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
+		t.Fatalf("%#v:\nappendValue  %s\njson.Marshal %s", v, got, want)
+	}
+}
+
+// trickyPieces are the inputs where an encoder can part from encoding/json.
+var trickyPieces = []string{
+	"a", "Z", "0", " ", "<", ">", "&", `"`, `\`, "/", "\x00", "\x01", "\b", "\f",
+	"\n", "\r", "\t", "\x1f", "\x7f", "\u2028", "\u2029", "\u2027", "\u202a", "é",
+	"世", "😀", "\ufffd", "\xff", "\xc3", "\xe2\x80", "\xed\xa0\x80", "\xf4\x90\x80\x80",
+}
+
+var trickyFloats = []float64{
+	0, math.Copysign(0, -1), 1e-7, 1e21, 1e20, 1e-6, 0.05, 0.1 + 0.2, 123.456, -1,
+	1e-300, 5e-324, math.MaxFloat64, -math.MaxFloat64, 999999999999999999999.0, 12e-9,
+}
+
+func randString(r *rand.Rand) string {
+	var b strings.Builder
+	for n := r.Intn(6); n > 0; n-- {
+		b.WriteString(trickyPieces[r.Intn(len(trickyPieces))])
+	}
+	return b.String()
+}
+
+func randFloat(r *rand.Rand) float64 {
+	switch r.Intn(3) {
+	case 0:
+		return trickyFloats[r.Intn(len(trickyFloats))]
+	case 1:
+		return r.NormFloat64() * math.Pow(10, float64(r.Intn(60)-30))
+	}
+	for {
+		if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			return f
+		}
+	}
+}
+
+var trickyZones = []*time.Location{
+	time.UTC, time.FixedZone("", 0), time.FixedZone("IST", 5*3600+30*60),
+	time.FixedZone("odd", -(3*3600 + 25*60 + 17)), time.FixedZone("edge", 23*3600+59*60+59),
+}
+
+func randTime(r *rand.Rand) time.Time {
+	switch r.Intn(4) {
+	case 0:
+		return time.Time{}
+	case 1:
+		return time.Date(2026, 10, 15, 12, 30, 0, 0, time.UTC)
+	}
+	min, max := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix(), time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC).Unix()
+	nanos := int64(0)
+	if r.Intn(2) == 0 {
+		nanos = r.Int63n(1e9)
+	}
+	return time.Unix(min+r.Int63n(max-min), nanos).In(trickyZones[r.Intn(len(trickyZones))])
+}
+
+func randBool(r *rand.Rand) *bool {
+	switch r.Intn(3) {
+	case 0:
+		return nil
+	case 1:
+		return new(bool)
+	}
+	yes := true
+	return &yes
+}
+
+func randRecords(r *rand.Rand) []any {
+	var tags []string
+	switch r.Intn(3) {
+	case 0: // nil: "tags":null
+	case 1:
+		tags = []string{}
+	default:
+		for n := 1 + r.Intn(4); n > 0; n-- {
+			tags = append(tags, randString(r))
+		}
+	}
+	return []any{
+		ResourceRec{ID: randString(r), ProjectID: randString(r), Kind: randString(r), Name: randString(r),
+			Topic: r.Intn(2000) - 1000, Popularity: randFloat(r), Promoted: r.Intn(2) == 0, Stopped: r.Intn(2) == 0},
+		PostRec{ResourceID: randString(r), TaggerID: randString(r), TaskID: randString(r), Tags: tags,
+			Time: randTime(r), Approved: randBool(r)},
+		ProjectRec{ID: randString(r), ProviderID: randString(r), Name: randString(r), Description: randString(r),
+			Kind: randString(r), Budget: int(r.Int63()) - math.MaxInt64/2, Spent: r.Intn(100), PayPerTask: randFloat(r),
+			Strategy: randString(r), Platform: randString(r), Status: ProjectStatus(randString(r)), CreatedAt: randTime(r)},
+		TaskRec{ID: randString(r), ProjectID: randString(r), ResourceID: randString(r), WorkerID: randString(r),
+			Status: TaskStatus(randString(r)), Reward: randFloat(r), CreatedAt: randTime(r), DoneAt: randTime(r)},
+		UserRec{ID: randString(r), Role: Role(randString(r)), Name: randString(r), Judged: r.Intn(1 << 20),
+			JudgedOK: -r.Intn(5), Earned: randFloat(r)},
+	}
+}
+
+// TestRecordEncodingMatchesEncodingJSON runs seeded random records of all
+// five catalog types — strings built from HTML characters, quotes,
+// backslashes, control bytes, U+2028/2029 and invalid UTF-8; nil and empty
+// Tags; nil, false and true Approved; zero, zoned and nanosecond times;
+// floats across every exponent — through the append encoders and
+// json.Marshal, and requires the same bytes. A NaN or ±Inf anywhere, and a
+// time json.Marshal refuses (year outside [0, 9999], a zone offset of a day),
+// must return json.Marshal's own error.
+func TestRecordEncodingMatchesEncodingJSON(t *testing.T) {
+	for _, f := range trickyFloats {
+		encodeParity(t, UserRec{ID: "u", Earned: f})
+	}
+	for _, s := range trickyPieces {
+		encodeParity(t, PostRec{ResourceID: s, Tags: []string{s + s, "<" + s + ">"}})
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for _, v := range randRecords(r) {
+			encodeParity(t, v)
+		}
+	}
+
+	bad := []any{
+		UserRec{ID: "u", Earned: math.NaN()},
+		ResourceRec{ID: "r", Popularity: math.Inf(1)},
+		ProjectRec{ID: "p", PayPerTask: math.Inf(-1)},
+		TaskRec{ID: "t", Reward: math.NaN()},
+		PostRec{ResourceID: "r", Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		PostRec{ResourceID: "r", Time: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)},
+		TaskRec{ID: "t", DoneAt: time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", 24*3600))},
+		ProjectRec{ID: "p", CreatedAt: time.Date(2000, 1, 1, 0, 0, 0, 0, time.FixedZone("", -100*3600))},
+	}
+	for _, v := range bad {
+		if _, err := json.Marshal(v); err == nil {
+			t.Fatalf("%#v: json.Marshal accepts it; the case tests nothing", v)
+		}
+		encodeParity(t, v)
+	}
+	// Any other type goes through json.Marshal.
+	for _, v := range []any{1, "x<y", map[string]int{"b": 1, "a": 2}, &UserRec{ID: "p"}, json.RawMessage(`{ "a" : 1 }`), nil} {
+		encodeParity(t, v)
+	}
+}
+
+func FuzzRecordEncoding(f *testing.F) {
+	f.Add("id", "<a&b>", 0.05, int64(3), int64(1760531400), int64(500), true)
+	f.Add("\xff\u2028", "\x00\"\\", 1e21, int64(-1), int64(0), int64(0), false)
+	f.Add("", "", 1e-7, int64(0), int64(-62135596800), int64(0), true)
+	f.Fuzz(func(t *testing.T, a, b string, x float64, n, sec, nsec int64, flag bool) {
+		tm := time.Unix(sec, nsec%1e9)
+		if flag {
+			tm = tm.In(time.FixedZone("", int(n%(30*3600))))
+		}
+		approved := &flag
+		if n%3 == 0 {
+			approved = nil
+		}
+		var tags []string
+		if n%2 == 0 {
+			tags = []string{a, b}
+		}
+		for _, v := range []any{
+			ResourceRec{ID: a, ProjectID: b, Kind: a, Name: b, Topic: int(n), Popularity: x, Promoted: flag, Stopped: !flag},
+			PostRec{ResourceID: a, TaggerID: b, TaskID: a, Tags: tags, Time: tm, Approved: approved},
+			ProjectRec{ID: a, ProviderID: b, Name: a, Description: b, Kind: a, Budget: int(n), Spent: int(sec),
+				PayPerTask: x, Strategy: b, Platform: a, Status: ProjectStatus(b), CreatedAt: tm},
+			TaskRec{ID: a, ProjectID: b, ResourceID: a, WorkerID: b, Status: TaskStatus(a), Reward: x, CreatedAt: tm, DoneAt: tm},
+			UserRec{ID: a, Role: Role(b), Name: a, Judged: int(n), JudgedOK: int(nsec), Earned: x},
+		} {
+			encodeParity(t, v)
+		}
+	})
+}
+
+// parentFrame is frameRecord as it was before one-pass framing:
+// json.Marshal of the Record, then the CRC prefix through fmt.Sprintf.
+func parentFrame(t *testing.T, rec Record) []byte {
+	t.Helper()
+	body, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(body))
+	return append(append(line, body...), '\n')
+}
+
+// TestFrameMatchesParent: frameRecord writes, byte for byte, the line the
+// json.Marshal-then-Sprintf framing wrote, for put, delete and batch records
+// whose values come from appendValue (records and other types alike) and
+// whose tables and keys need escaping.
+func TestFrameMatchesParent(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	value := func(v any) json.RawMessage {
+		raw, err := appendValue(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	var recs []Record
+	for i := 0; i < 200; i++ {
+		var subs []Record
+		for _, v := range append(randRecords(r), i, "s<&>", map[string]any{"k": []int{1, 2}}, nil) {
+			subs = append(subs, Record{Op: OpPut, Table: randString(r), Key: randString(r), Value: value(v)})
+		}
+		subs = append(subs, Record{Op: OpDelete, Table: TablePosts, Key: randString(r)})
+		recs = append(recs, subs[0], subs[len(subs)-1], Record{Op: OpBatch, Batch: subs})
+	}
+	recs = append(recs, Record{Op: "nope"}, Record{Op: OpPut, Table: "t", Key: "k"}, Record{Op: OpDelete})
+	for i, rec := range recs {
+		rec.Seq = uint64(i) * 1e15
+		if got, want := frameRecord(rec), parentFrame(t, rec); !bytes.Equal(got, want) {
+			t.Fatalf("record %d:\nframeRecord %q\nparent      %q", i, got, want)
+		}
+	}
+}

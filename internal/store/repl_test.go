@@ -446,11 +446,7 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 		return bytes.Clone(data[nl+1:]) // starts at seq 2 against a seq-0 follower
 	}
 	badOp := func([]byte) []byte {
-		line, ferr := frameRecord(Record{Seq: 1, Op: "nope", Table: "res", Key: "x"})
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		return line
+		return frameRecord(Record{Seq: 1, Op: "nope", Table: "res", Key: "x"})
 	}
 	cases := []struct {
 		name   string

@@ -359,13 +359,7 @@ func (db *DB) commitGroup(op Op, table, key string, value json.RawMessage, batch
 	}
 	db.seq++
 	rec := Record{Seq: db.seq, Op: op, Table: table, Key: key, Value: value, Batch: batch}
-	enc, err := frameRecord(rec)
-	if err != nil {
-		db.seq-- // nothing escaped; reuse the sequence number
-		db.mu.Unlock()
-		return err
-	}
-	c := &pendingCommit{rec: rec, enc: enc, done: make(chan struct{})}
+	c := &pendingCommit{rec: rec, enc: frameRecord(rec), done: make(chan struct{})}
 	db.pend = append(db.pend, c)
 	db.mu.Unlock()
 	db.wakeWriter()
@@ -375,11 +369,7 @@ func (db *DB) commitGroup(op Op, table, key string, value json.RawMessage, batch
 
 // Put stores value (JSON-marshaled) under (table, key).
 func (db *DB) Put(table, key string, value any) error {
-	raw, err := json.Marshal(value)
-	if err != nil {
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryInternal, "marshal value")
-	}
-	return db.commitRecord(OpPut, table, key, raw, nil)
+	return db.Apply([]Mutation{{Op: OpPut, Table: table, Key: key, Value: value}})
 }
 
 // Get unmarshals the value at (table, key) into out. It returns ErrNotFound
@@ -421,24 +411,40 @@ type Mutation struct {
 // in order: a key written twice keeps the last value. A group of one is
 // written as the plain put or delete record it is, without the batch
 // wrapper.
+//
+// Every value of the group is encoded once, into a recycled scratch buffer,
+// and the commit keeps one exact-size copy of it: each stored value is a
+// capacity-capped slice of that one allocation.
 func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	subs := make([]Record, 0, len(muts))
+	subs := make([]Record, len(muts))
+	ends := make([]int, len(muts))
+	scratch := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(scratch)
+	buf := (*scratch)[:0]
 	for i, m := range muts {
 		switch m.Op {
 		case OpPut:
-			raw, err := json.Marshal(m.Value)
-			if err != nil {
-				return errs.Wrap(err, errs.ComponentStore, errs.CategoryInternal, "marshal batch value %d", i)
+			var err error
+			if buf, err = appendValue(buf, m.Value); err != nil {
+				return err
 			}
-			subs = append(subs, Record{Op: OpPut, Table: m.Table, Key: m.Key, Value: raw})
 		case OpDelete:
-			subs = append(subs, Record{Op: OpDelete, Table: m.Table, Key: m.Key})
 		default:
 			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d has invalid op %q", i, m.Op)
 		}
+		subs[i] = Record{Op: m.Op, Table: m.Table, Key: m.Key}
+		ends[i] = len(buf)
+	}
+	*scratch = buf
+	vals, start := slices.Clone(buf), 0
+	for i := range subs {
+		if subs[i].Op == OpPut {
+			subs[i].Value = vals[start:ends[i]:ends[i]]
+		}
+		start = ends[i]
 	}
 	if len(subs) == 1 {
 		return db.commitRecord(subs[0].Op, subs[0].Table, subs[0].Key, subs[0].Value, nil)

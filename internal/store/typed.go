@@ -190,13 +190,14 @@ func (c *Catalog) ObservePosts(o PostsObserver) { c.posts = o }
 
 // catGet loads (table, key) through the decoded-record cache: a hit skips
 // the store and the JSON decode entirely; a miss decodes once and publishes
-// the record under the cache's fill protocol.
+// the record under the cache's fill protocol (enter, read, add, leave).
 func catGet[T any](c *Catalog, table, key string) (T, error) {
 	var rec T
 	if v, ok := c.cache.get(table, key); ok {
 		return v.(T), nil
 	}
-	seq := c.cache.seq(table)
+	seq := c.cache.enter(table)
+	defer c.cache.leave(table)
 	if err := c.db.Get(table, key, &rec); err != nil {
 		var zero T
 		return zero, err
@@ -206,8 +207,9 @@ func catGet[T any](c *Catalog, table, key string) (T, error) {
 }
 
 // decodeCached decodes one scanned raw value through the cache. seq is the
-// table's write sequence captured before the scan started, so fills from a
-// scan that raced a write are discarded.
+// stamp the scan's cache.enter returned before the scan started (the scan
+// leaves after its last call), so fills from a scan that raced a write are
+// refused or retired by it.
 func decodeCached[T any](c *Catalog, table, key string, raw []byte, seq uint64) (T, error) {
 	if v, ok := c.cache.get(table, key); ok {
 		return v.(T), nil
@@ -393,7 +395,8 @@ func (c *Catalog) ListResources(projectID string) ([]ResourceRec, error) {
 // cache; fn returning false stops the scan. It is the range primitive
 // behind cursor-paginated exports.
 func (c *Catalog) ScanResourcesAfter(after string, fn func(ResourceRec) bool) error {
-	seq := c.cache.seq(TableResources)
+	seq := c.cache.enter(TableResources)
+	defer c.cache.leave(TableResources)
 	var scanErr error
 	c.db.ScanRange(TableResources, afterStart(after), "", 0, func(key string, raw []byte) bool {
 		r, err := decodeCached[ResourceRec](c, TableResources, key, raw, seq)
@@ -486,7 +489,8 @@ func (c *Catalog) recoverSeqLocked(resourceID string) uint64 {
 // immutable apart from judging, so the long tail of already-decoded posts
 // comes straight from the record cache.
 func (c *Catalog) PostsOf(resourceID string) ([]PostRec, error) {
-	seq := c.cache.seq(TablePosts)
+	seq := c.cache.enter(TablePosts)
+	defer c.cache.leave(TablePosts)
 	var out []PostRec
 	var scanErr error
 	c.db.ScanPrefix(TablePosts, resourceID+"/", func(key string, raw []byte) bool {
@@ -586,7 +590,8 @@ func (c *Catalog) ListProjects(providerID string) ([]ProjectRec, error) {
 // cache; fn returning false stops the scan. It is the range primitive
 // behind cursor-paginated project listings.
 func (c *Catalog) ScanProjectsAfter(after string, fn func(ProjectRec) bool) error {
-	seq := c.cache.seq(TableProjects)
+	seq := c.cache.enter(TableProjects)
+	defer c.cache.leave(TableProjects)
 	var scanErr error
 	c.db.ScanRange(TableProjects, afterStart(after), "", 0, func(key string, raw []byte) bool {
 		p, err := decodeCached[ProjectRec](c, TableProjects, key, raw, seq)
@@ -630,7 +635,8 @@ func (c *Catalog) GetTask(projectID, taskID string) (TaskRec, error) {
 // ("" = all). The project prefix is one contiguous index range, and decoded
 // task records come from the cache.
 func (c *Catalog) TasksByProject(projectID string, status TaskStatus) ([]TaskRec, error) {
-	seq := c.cache.seq(TableTasks)
+	seq := c.cache.enter(TableTasks)
+	defer c.cache.leave(TableTasks)
 	var out []TaskRec
 	var scanErr error
 	c.db.ScanPrefix(TableTasks, projectID+"/", func(key string, raw []byte) bool {
@@ -664,7 +670,8 @@ func (c *Catalog) GetUser(id string) (UserRec, error) {
 
 // ListUsers returns users in ID order, optionally filtered by role.
 func (c *Catalog) ListUsers(role Role) ([]UserRec, error) {
-	seq := c.cache.seq(TableUsers)
+	seq := c.cache.enter(TableUsers)
+	defer c.cache.leave(TableUsers)
 	var out []UserRec
 	var scanErr error
 	c.db.Scan(TableUsers, func(key string, raw []byte) bool {

@@ -14,8 +14,10 @@ package store
 //	P.seg-NNNNNNNN   WAL segments, replayed in index order after the snapshot
 //
 // Segment record framing: every line is "%08x <json>\n" where the hex prefix
-// is the IEEE CRC-32 of the JSON body. Recovery verifies the checksum of
-// every line, requires sequence numbers to be contiguous, tolerates exactly
+// is the IEEE CRC-32 of the JSON body — encoding/json's rendering of the
+// Record, written in one pass by frameRecord (encode.go). Recovery verifies
+// the checksum of every line, requires sequence numbers to be contiguous,
+// tolerates exactly
 // one torn tail (an unterminated final line with no records after it), and
 // truncates that tail so new appends start on a clean record boundary.
 //
@@ -259,22 +261,8 @@ func listSegments(base string) ([]segInfo, error) {
 	return segs, nil
 }
 
-// frameRecord encodes rec as one CRC-framed segment line.
-func frameRecord(rec Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryInternal, "encode wal record")
-	}
-	line := make([]byte, 0, len(body)+10)
-	line = append(line, fmt.Sprintf("%08x", crc32.ChecksumIEEE(body))...)
-	line = append(line, ' ')
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
-}
-
 // parseFramed decodes one segment line (without its trailing newline),
-// verifying the CRC frame.
+// verifying the CRC frame. Lines are written by frameRecord (encode.go).
 func parseFramed(data []byte) (Record, error) {
 	var rec Record
 	if len(data) < 10 || data[8] != ' ' {
