@@ -116,30 +116,6 @@ func BenchmarkS1_StorePostAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkS7_ServingReadPath — systems: a cached ResourceDetail hit
-// through the full HTTP stack. The result table is recorded to
-// BENCH_serving.json; the cached hit must stay under its allocs/op and p99
-// ceilings (a missed gate fails the benchmark).
-func BenchmarkS7_ServingReadPath(b *testing.B) {
-	sz := sizes(b)
-	var res bench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = bench.S7ServingReadPath(sz)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := res.WriteJSONFile("BENCH_serving.json"); err != nil {
-		b.Errorf("write BENCH_serving.json: %v", err)
-	}
-	for _, fail := range res.GateFailures() {
-		b.Error(fail)
-	}
-	b.Log("\n" + res.Text())
-}
-
 // BenchmarkS2_EngineThroughput — systems: end-to-end tasks/second through
 // engine + platform simulator + quality tracking.
 func BenchmarkS2_EngineThroughput(b *testing.B) {

@@ -264,14 +264,3 @@ func TestReportRendering(t *testing.T) {
 		t.Error("Fprint wrote nothing")
 	}
 }
-
-func TestGateFailures(t *testing.T) {
-	r := Result{ID: "SX", Gates: []Gate{
-		{Name: "ok", Ratio: 2.5, Min: 2},
-		{Name: "bad", Ratio: 1.5, Min: 2},
-	}}
-	fails := r.GateFailures()
-	if len(fails) != 1 || !strings.Contains(fails[0], "bad") {
-		t.Fatalf("GateFailures = %v", fails)
-	}
-}

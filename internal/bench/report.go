@@ -1,47 +1,19 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
 // Result is one experiment's report: a table plus free-form notes, rendered
 // identically by go test -bench and cmd/itag-bench.
 type Result struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-	// Gates are the experiment's machine-checkable acceptance ratios. They
-	// are serialized into the BENCH_*.json artifacts so CI's bench-smoke job
-	// (scripts/bench_gate.sh) can fail a build whose measured ratio regresses
-	// below the committed minimum.
-	Gates []Gate `json:"gates,omitempty"`
-}
-
-// Gate is one acceptance criterion: a measured speedup ratio and the
-// committed minimum it must meet.
-type Gate struct {
-	Name  string  `json:"name"`
-	Ratio float64 `json:"ratio"`
-	Min   float64 `json:"min"`
-}
-
-// GateFailures returns a human-readable line per failing gate (empty when
-// all gates pass).
-func (r Result) GateFailures() []string {
-	var out []string
-	for _, g := range r.Gates {
-		if g.Ratio < g.Min {
-			out = append(out, fmt.Sprintf("%s: gate %s measured %.2fx, below committed minimum %.2fx",
-				r.ID, g.Name, g.Ratio, g.Min))
-		}
-	}
-	return out
+	ID     string
+	Title  string
+	Header []string
+	Rows   [][]string
+	Notes  []string
 }
 
 // Markdown renders the result as a markdown table.
@@ -97,14 +69,4 @@ func (r Result) Text() string {
 // Fprint writes the text rendering to w.
 func (r Result) Fprint(w io.Writer) {
 	fmt.Fprintln(w, r.Text())
-}
-
-// WriteJSONFile writes the result as indented JSON — the BENCH_*.json
-// artifacts recorded at the repo root.
-func (r Result) WriteJSONFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

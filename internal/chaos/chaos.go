@@ -1,6 +1,7 @@
 // Package chaos is the process-wide fault-injection layer: a seeded,
-// deterministic schedule of network and disk faults that tests, the S10
-// drill, and `itagd -chaos-spec` script against the real stack.
+// deterministic schedule of network and disk faults that tests (the
+// replication-history checker among them) and `itagd -chaos-spec` script
+// against the real stack.
 //
 // A Schedule holds an ordered set of Faults, each active inside a window
 // relative to Start(). Network faults (partition, one-way loss, latency

@@ -7,12 +7,15 @@ package cluster_test
 //
 // One seed is one run: a 3-node in-process quorum ring over internal/chaos's
 // transport, two writers and a revalidating follower reader recording what
-// they were told, and a schedule drawn from the seed — network faults between the
-// leader and its first follower, a stalled disk, a follower killed and
-// restarted on its directory, a compaction that forces the stream to open
-// with a snapshot, then the leader killed, its first follower promoted, and
-// (on some seeds) the promoted leader restarted on its WAL. After the run
-// quiesces the recorded history is checked against the survivors' state.
+// they were told and how long each answer took, and a schedule drawn from the
+// seed — network faults between the leader and its first follower, the leader
+// cut off from every node, a stalled disk, a follower killed and restarted on
+// its directory, a compaction that forces the stream to open with a snapshot,
+// then the leader killed, its first follower promoted, and (on some seeds)
+// the promoted leader restarted on its WAL. A provider and a tagger are
+// minted on the promoted leader after the promotion and after its restart.
+// After the run quiesces the recorded history is checked against the
+// survivors' state and every node's own count of degraded acks.
 //
 //	go test ./internal/cluster -run TestReplicationHistories -history-seeds 500
 //	go test ./internal/cluster -run TestReplicationHistories -history-seed 17 -v
@@ -48,6 +51,15 @@ var (
 const (
 	historyQuorumTimeout = 40 * time.Millisecond
 	historyBeat          = 5 * time.Millisecond
+	// historyCallBound is how long any recorded call may take to be
+	// answered. A write makes one quorum wait, which gives up after
+	// historyQuorumTimeout; the rest is the handler's own work, and a call
+	// to a dead node is refused at once.
+	historyCallBound = 5 * historyQuorumTimeout
+	// historyIsolation is how long the leader is cut off from every node
+	// when a plan draws that fault: long enough that a quorum wait which
+	// outlived its timeout would outlast historyCallBound too.
+	historyIsolation = 2 * historyCallBound
 	// historyPartialBatch marks, in historyOp.status, a tasks:batch answer
 	// that submitted some of its items and refused others.
 	historyPartialBatch = -1
@@ -55,13 +67,17 @@ const (
 
 // historyOp is one write as its caller saw it.
 type historyOp struct {
-	kind   string   // "post" (request + submit) or "batch" (one tasks:batch call)
-	tags   []string // the marker tag of every post the call made, unique in the run
-	ids    []string // task IDs the server handed out
-	status int      // status of the completing response; 0 when none arrived
-	quorum string   // its X-Itag-Quorum stamp
-	node   string   // the node asked
-	ringV  uint64   // that node's ring version when the answer arrived
+	kind   string        // "post" (request + submit) or "batch" (one tasks:batch call)
+	tags   []string      // the marker tag of every post the call made, unique in the run
+	ids    []string      // task IDs the server handed out
+	status int           // status of the completing response; 0 when none arrived
+	quorum string        // its X-Itag-Quorum stamp
+	node   string        // the node asked
+	ringV  uint64        // that node's ring version when the answer arrived
+	wall   time.Duration // how long the answer took
+	// by is the node instance that answered 2xx; nil when none did, or when
+	// the node was stopped or restarted while the call was out.
+	by *cluster.Node
 }
 
 // historyRead is one follower read: how many posts the export showed — for a
@@ -75,6 +91,7 @@ type historyRead struct {
 	// sent, by a leader whose acks wait on this follower's watermark (0 when
 	// the follower was not yet known to be that one).
 	floor int
+	wall  time.Duration // how long the answer took
 }
 
 // historyCluster is a 3-node quorum ring whose inter-node traffic crosses the
@@ -86,8 +103,9 @@ type historyCluster struct {
 	dir    string
 	client *http.Client
 
-	mu    sync.Mutex
-	nodes map[string]*cluster.Node
+	mu        sync.Mutex
+	nodes     map[string]*cluster.Node
+	instances []*cluster.Node // every node ever booted, stopped or not
 }
 
 // node returns the running node of that name (nil while it is down).
@@ -144,6 +162,7 @@ func (h *historyCluster) boot(slot string, ring *cluster.Ring) {
 	}
 	h.mu.Lock()
 	h.nodes[slot] = n
+	h.instances = append(h.instances, n)
 	h.mu.Unlock()
 	h.tr.Register(slot, n.Handler())
 }
@@ -269,21 +288,25 @@ type historyPlan struct {
 	restartAt      time.Duration // when it is killed; it returns at heal
 	compact        bool          // the leader compacts just before heal
 	restartLeader  bool          // the promoted leader is restarted on its WAL
+	isolated       bool          // the leader is cut off from every node for historyIsolation
+	window         time.Duration // the faults heal this long after they start
 	leader, f1, f2 string
 }
 
+// historyFaultWindow is how long the faults last, unless the leader's
+// isolation runs longer.
 const historyFaultWindow = 90 * time.Millisecond
 
 // drawPlan draws the seed's schedule. Every seed gets the failover; the
 // fault window before it holds one or two of the other kinds.
 func drawPlan(seed int64, leader, f1, f2 string) historyPlan {
 	rng := rand.New(rand.NewSource(seed))
-	p := historyPlan{seed: seed, leader: leader, f1: f1, f2: f2, restartLeader: rng.Intn(3) == 0}
+	p := historyPlan{seed: seed, leader: leader, f1: f1, f2: f2, restartLeader: rng.Intn(3) == 0, window: historyFaultWindow}
 	window := func() (after, length time.Duration) {
 		after = time.Duration(5+rng.Intn(30)) * time.Millisecond
 		return after, time.Duration(15+rng.Intn(40)) * time.Millisecond
 	}
-	kinds := rng.Perm(6)[:1+rng.Intn(2)]
+	kinds := rng.Perm(7)[:1+rng.Intn(2)]
 	for _, k := range kinds {
 		after, length := window()
 		switch k {
@@ -302,6 +325,9 @@ func drawPlan(seed int64, leader, f1, f2 string) historyPlan {
 		case 5: // the second follower is cut off while the leader compacts: it must be fed a snapshot
 			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindPartition, From: leader, To: f2, After: 0, For: historyFaultWindow})
 			p.compact = true
+		case 6: // the leader is cut off from every node: each write waits out the quorum timeout
+			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindPartition, From: leader, To: "*", After: after, For: historyIsolation})
+			p.isolated, p.window = true, after+historyIsolation
 		}
 	}
 	return p
@@ -334,18 +360,27 @@ func (p historyPlan) steps() string {
 	if p.compact {
 		s = append(s, "leader compacts before heal")
 	}
-	s = append(s, "kill leader "+p.leader, "promote "+p.f1)
+	s = append(s, "heal at "+p.window.String(), "kill leader "+p.leader, "promote "+p.f1)
 	if p.restartLeader {
 		s = append(s, "restart "+p.f1+" on its WAL")
 	}
 	return strings.Join(s, "; ")
 }
 
+// historyMint is one provider, tagger or project ID minted in the run.
+type historyMint struct {
+	id, when string
+}
+
 // historyRun is one seed's recorded run.
 type historyRun struct {
-	plan  historyPlan
-	ops   []historyOp
-	reads []historyRead
+	plan   historyPlan
+	ops    []historyOp
+	reads  []historyRead
+	minted []historyMint
+	// counted is each node instance's own count of degraded acks
+	// (Status().QuorumDegraded), read once no write is in flight.
+	counted map[*cluster.Node]uint64
 	// forgedStatus is how the surviving follower answered a well-formed,
 	// contiguous shipment sent in the dead leader's name, and forgedApplied
 	// whether its watermark moved.
@@ -387,7 +422,28 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 	followers := h.node(leader).Ring().Followers(leader, 2)
 	plan := drawPlan(seed, leader, followers[0], followers[1])
 	sched.Faults = plan.faults
-	run := &historyRun{plan: plan}
+	run := &historyRun{plan: plan, counted: make(map[*cluster.Node]uint64)}
+	for _, id := range append([]string{provider, project}, taggers...) {
+		run.minted = append(run.minted, historyMint{id, "at setup"})
+	}
+	// mint registers a provider and a tagger straight on the service behind
+	// the slot the promoted leader now leads.
+	mint := func(when string) {
+		svc := h.node(plan.f1).Service(leader)
+		if svc == nil {
+			t.Errorf("seed %d: %s does not lead %s %s", seed, plan.f1, leader, when)
+			return
+		}
+		ctx := context.Background()
+		for _, register := range []func(context.Context, string) (string, error){svc.RegisterProvider, svc.RegisterTagger} {
+			id, err := register(ctx, "minted "+when)
+			if err != nil {
+				t.Errorf("seed %d: mint %s: %v", seed, when, err)
+				continue
+			}
+			run.minted = append(run.minted, historyMint{id, when})
+		}
+	}
 
 	var (
 		mu      sync.Mutex
@@ -414,6 +470,18 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 			time.Sleep(time.Millisecond) // a dead node answers at once; do not spin on it
 		}
 	}
+	// send makes one timed write call to node and names the node instance
+	// that answered it 2xx.
+	send := func(node, url string, body any) (status int, hdr http.Header, data []byte, wall time.Duration, by *cluster.Node) {
+		before := h.node(node)
+		start := time.Now()
+		status, hdr, data = h.call(http.MethodPost, url, body)
+		wall = time.Since(start)
+		if status/100 == 2 && h.node(node) == before {
+			by = before
+		}
+		return status, hdr, data, wall, by
+	}
 	writer := func(w int) {
 		defer workers.Done()
 		rng := rand.New(rand.NewSource(seed*31 + int64(w)))
@@ -428,8 +496,8 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 					op.tags = append(op.tags, tag)
 					items[i] = map[string]any{"tagger_id": taggers[w], "tags": []string{tag}}
 				}
-				status, hdr, data := h.call(http.MethodPost, purl+"/tasks:batch", map[string]any{"items": items})
-				op.status, op.quorum = status, hdr.Get(cluster.HeaderQuorum)
+				status, hdr, data, wall, by := send(node, purl+"/tasks:batch", map[string]any{"items": items})
+				op.status, op.quorum, op.wall, op.by = status, hdr.Get(cluster.HeaderQuorum), wall, by
 				var out struct {
 					Results []struct {
 						TaskID    string `json:"task_id"`
@@ -462,14 +530,14 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 				var task struct {
 					ID string `json:"id"`
 				}
-				status, hdr, data := h.call(http.MethodPost, purl+"/tasks", map[string]string{"tagger_id": taggers[w]})
-				op.status, op.quorum = status, hdr.Get(cluster.HeaderQuorum)
+				status, hdr, data, wall, by := send(node, purl+"/tasks", map[string]string{"tagger_id": taggers[w]})
+				op.status, op.quorum, op.wall, op.by = status, hdr.Get(cluster.HeaderQuorum), wall, by
 				if status/100 == 2 && json.Unmarshal(data, &task) == nil && task.ID != "" {
 					// The ID was handed out under the request's stamp; the post
 					// is judged by the submit's.
-					record(historyOp{kind: "task", node: node, ids: []string{task.ID}, status: status, quorum: op.quorum})
-					status, hdr, _ = h.call(http.MethodPost, purl+"/tasks/"+task.ID+"/submit", map[string][]string{"tags": {tag}})
-					op.status, op.quorum = status, hdr.Get(cluster.HeaderQuorum)
+					record(historyOp{kind: "task", node: node, ids: []string{task.ID}, status: status, quorum: op.quorum, wall: wall, by: by})
+					status, hdr, _, wall, by = send(node, purl+"/tasks/"+task.ID+"/submit", map[string][]string{"tags": {tag}})
+					op.status, op.quorum, op.wall, op.by = status, hdr.Get(cluster.HeaderQuorum), wall, by
 				} else if status/100 == 2 {
 					op.status = 0
 				}
@@ -501,7 +569,9 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 			if last.etag != "" {
 				hdr = append(hdr, "If-None-Match", last.etag)
 			}
+			start := time.Now()
 			status, got, data := h.call(http.MethodGet, url, nil, hdr...)
+			wall := time.Since(start)
 			switch status {
 			case http.StatusOK:
 				v, err := parseExport(data)
@@ -517,7 +587,7 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 			if n.Ring().Version == before {
 				mu.Lock()
 				run.reads = append(run.reads, historyRead{node: node, ringV: before, posts: last.view.posts,
-					notModified: status == http.StatusNotModified, floor: floor})
+					notModified: status == http.StatusNotModified, floor: floor, wall: wall})
 				mu.Unlock()
 			}
 		}
@@ -565,12 +635,12 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 		h.kill(plan.restart, "", false)
 	}
 	if plan.compact {
-		time.Sleep(time.Until(start.Add(historyFaultWindow - 10*time.Millisecond)))
+		time.Sleep(time.Until(start.Add(plan.window - 10*time.Millisecond)))
 		if err := h.node(leader).DB(leader).Compact(); err != nil {
 			t.Errorf("seed %d: compact: %v", seed, err)
 		}
 	}
-	time.Sleep(time.Until(start.Add(historyFaultWindow)))
+	time.Sleep(time.Until(start.Add(plan.window)))
 	sched.Stop()
 	if plan.restart != "" {
 		h.boot(plan.restart, h.node(leader).Ring())
@@ -586,16 +656,25 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 		t.Errorf("seed %d: promote %s: status %d body %s", seed, plan.f1, status, data)
 	}
 	target.Store(plan.f1)
+	mint("after the promotion")
 	awaitOK(plan.f1, "the promotion")
 	time.Sleep(20 * time.Millisecond)
 	if plan.restartLeader {
 		ring := h.node(plan.f1).Ring()
 		h.kill(plan.f1, "", false)
 		h.boot(plan.f1, ring)
+		mint("after the promoted leader's restart")
 		awaitOK(plan.f1, "the promoted leader's restart")
 	}
 	stop.Store(true)
 	workers.Wait()
+	// No write is in flight now, so every degraded ack recorded has been
+	// counted by the node that gave it, stopped or not.
+	h.mu.Lock()
+	for _, n := range h.instances {
+		run.counted[n] = n.Status().QuorumDegraded
+	}
+	h.mu.Unlock()
 
 	// Quiesce: the surviving follower reaches the promoted leader's watermark.
 	deadline := time.Now().Add(5 * time.Second)
@@ -652,12 +731,55 @@ func (h *historyCluster) forgeShipment(node, slot, fromAddr string, ringV, at ui
 	return resp.StatusCode
 }
 
+// slowest returns the longest any recorded call took, and which call it was.
+func (run *historyRun) slowest() (wall time.Duration, call string) {
+	for _, op := range run.ops {
+		if op.wall > wall {
+			wall, call = op.wall, fmt.Sprintf("%s call to %s (status %d)", op.kind, op.node, op.status)
+		}
+	}
+	for _, rd := range run.reads {
+		if rd.wall > wall {
+			wall, call = rd.wall, "follower read on "+rd.node
+		}
+	}
+	return wall, call
+}
+
 // check holds the recorded history against the survivors' state and returns
 // every invariant it breaks, by name.
 func (run *historyRun) check() []string {
 	var bad []string
 	fail := func(invariant, format string, args ...any) {
 		bad = append(bad, invariant+": "+fmt.Sprintf(format, args...))
+	}
+	if wall, call := run.slowest(); wall > historyCallBound {
+		fail("bounded unavailability", "a %s took %v to be answered, more than %v", call, wall, historyCallBound)
+	}
+	degraded := make(map[*cluster.Node]uint64) // 2xx answers stamped degraded, by the instance that gave them
+	name := make(map[*cluster.Node]string)
+	for _, op := range run.ops {
+		if op.by != nil && op.quorum == cluster.QuorumDegraded {
+			degraded[op.by]++
+			name[op.by] = op.node
+		}
+	}
+	leaderDegraded := false
+	for n, answered := range degraded {
+		if answered > run.counted[n] {
+			fail("degraded acks are counted", "%s stamped %d answers degraded and counted %d", name[n], answered, run.counted[n])
+		}
+		leaderDegraded = leaderDegraded || name[n] == run.plan.leader
+	}
+	if run.plan.isolated && !leaderDegraded {
+		fail("degraded acks are counted", "%s was cut off from every node for %v and stamped no answer degraded", run.plan.leader, historyIsolation)
+	}
+	first := make(map[string]string) // minted ID -> when
+	for _, m := range run.minted {
+		if when, dup := first[m.id]; dup {
+			fail("no ID is minted twice", "%s minted %s was already minted %s", m.id, m.when, when)
+		}
+		first[m.id] = m.when
 	}
 	final := run.leaderExport
 	if final.tags == nil {
@@ -742,9 +864,12 @@ func (run *historyRun) check() []string {
 // before it under the same ring, and a 304 never certifies an export showing
 // fewer posts than had been acknowledged ok, through that follower's
 // watermark, before the read was sent; no task ID an ok-stamped response
-// handed out is handed out again; a shipment in the dead leader's name is refused; and
-// after the heal, the promotion and the promoted leader's restart, writes are
-// stamped ok again without anyone's help.
+// handed out is handed out again, and no provider, tagger or project ID is
+// minted twice, across the promotion and the restart; a shipment in the dead
+// leader's name is refused; after the heal, the promotion and the promoted
+// leader's restart, writes are stamped ok again without anyone's help; every
+// call, a write to the dead leader included, is answered within
+// historyCallBound; and no node stamps more answers degraded than it counts.
 func TestReplicationHistories(t *testing.T) {
 	seeds := make([]int64, 0, *historySeeds)
 	for s := int64(1); len(seeds) < *historySeeds; s++ {
@@ -754,9 +879,12 @@ func TestReplicationHistories(t *testing.T) {
 		seeds = []int64{*historySeed}
 	}
 	failed := 0
+	var worst time.Duration
 	for _, seed := range seeds {
 		run := runHistory(t, seed)
 		bad := run.check()
+		wall, _ := run.slowest()
+		worst = max(worst, wall)
 		if *historySeed >= 0 || testing.Verbose() {
 			ok, degraded, failed := 0, 0, 0
 			for _, op := range run.ops {
@@ -778,8 +906,8 @@ func TestReplicationHistories(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("seed %d: %d calls (%d ok, %d degraded, %d failed), %d follower reads (%d answered 304, %d of those held to an ok-ack floor); steps: %s; -chaos-spec %q",
-				seed, len(run.ops), ok, degraded, failed, len(run.reads), notModified, floored, run.plan.steps(), run.plan.spec())
+			t.Logf("seed %d: %d calls (%d ok, %d degraded, %d failed), %d follower reads (%d answered 304, %d of those held to an ok-ack floor), slowest call %v; steps: %s; -chaos-spec %q",
+				seed, len(run.ops), ok, degraded, failed, len(run.reads), notModified, floored, wall, run.plan.steps(), run.plan.spec())
 		}
 		if len(bad) == 0 {
 			continue
@@ -788,6 +916,7 @@ func TestReplicationHistories(t *testing.T) {
 		t.Errorf("seed %d broke %d invariant(s):\n  %s\n  replay: go test ./internal/cluster -run TestReplicationHistories -history-seed %d\n  -chaos-spec %q\n  steps: %s",
 			seed, len(bad), strings.Join(bad, "\n  "), seed, run.plan.spec(), run.plan.steps())
 	}
+	t.Logf("slowest call over %d seeds: %v (bound %v)", len(seeds), worst, historyCallBound)
 	if failed > 0 {
 		t.Errorf("%d of %d seeds failed", failed, len(seeds))
 	}

@@ -394,8 +394,8 @@ func (n *Node) Ring() *Ring {
 // Addr returns the node's advertised address.
 func (n *Node) Addr() string { return n.addr }
 
-// Service returns the service backing the led slot (benchmarks drive it
-// directly for in-process setup work).
+// Service returns the service backing the led slot (nil when not led);
+// benchmarks and tests drive it directly for in-process work.
 func (n *Node) Service(slot string) *core.Service {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -405,8 +405,8 @@ func (n *Node) Service(slot string) *core.Service {
 	return nil
 }
 
-// DB returns the store backing a led slot (nil when not led). The drill
-// uses it to wedge a node with a crash failpoint.
+// DB returns the store backing a led slot (nil when not led). Tests use it
+// to wedge a node with a crash failpoint.
 func (n *Node) DB(slot string) *store.DB {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -709,7 +709,7 @@ type statusResp struct {
 	FollowerFallbacks uint64       `json:"follower_read_fallbacks_total,omitempty"`
 }
 
-// handleStatus reports the node's replication posture; the drill and the
+// handleStatus reports the node's replication posture; tests and the
 // quickstart poll it to watch watermarks converge.
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, n.Status())

@@ -9,12 +9,12 @@ import (
 )
 
 // HandlerTransport is an http.RoundTripper that resolves fake host names
-// straight to in-process http.Handlers. The integration tests and the S10
-// chaos drill use it to wire a whole cluster inside one process — every
-// request still crosses the full HTTP surface (routing, headers, status
-// codes, body encoding), only the TCP hop is elided. Unmapped hosts fail
-// with ECONNREFUSED wrapped the way net/http would report a dead node, so
-// retry and failover paths see realistic errors.
+// straight to in-process http.Handlers. The integration tests and the
+// replication-history checker use it to wire a whole cluster inside one
+// process — every request still crosses the full HTTP surface (routing,
+// headers, status codes, body encoding), only the TCP hop is elided.
+// Unmapped hosts fail with ECONNREFUSED wrapped the way net/http would
+// report a dead node, so retry and failover paths see realistic errors.
 type HandlerTransport struct {
 	mu sync.RWMutex
 	m  map[string]http.Handler

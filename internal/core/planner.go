@@ -206,16 +206,5 @@ func PlanOptimal(sim *taggersim.Simulator, resources []dataset.Resource,
 	if err != nil {
 		return nil, 0, err
 	}
-	return strategyGreedy(tables, budget)
-}
-
-func strategyGreedy(tables []*quality.GainTable, budget int) ([]int, float64, error) {
 	return strategy.GreedyAllocate(tables, budget)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -61,7 +61,7 @@ func storeFamilies(st *store.Stats) []api.Family {
 		one("itag_store_wal_bytes_total", "Bytes appended to the WAL.", api.TypeCounter, float64(st.WALBytes)),
 		one("itag_store_wal_rotations_total", "WAL segment rotations.", api.TypeCounter, float64(st.Rotations)),
 		one("itag_store_compactions_total", "Snapshot compactions completed.", api.TypeCounter, float64(st.Compactions)),
-		one("itag_store_wal_segments", "Live WAL files (segments + legacy).", api.TypeGauge, float64(st.Segments)),
+		one("itag_store_wal_segments", "Live WAL segment files.", api.TypeGauge, float64(st.Segments)),
 		one("itag_store_wal_segment_bytes", "Bytes recovery would replay right now.", api.TypeGauge, float64(st.SegmentBytes)),
 		one("itag_store_snapshot_seq", "Sequence covered by the last snapshot.", api.TypeGauge, float64(st.SnapshotSeq)),
 		one("itag_store_recovered_records_total", "WAL records replayed at open.", api.TypeCounter, float64(st.RecoveredRecords)),
