@@ -129,7 +129,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight runs")
 	respCacheBytes := fs.Int64("resp-cache-bytes", 0, "byte budget of the encoded-response cache behind the hot GET routes (0 = 8 MiB default, negative disables)")
 	admission := fs.Bool("admission", false, "enable queueing-model admission control on the task routes (shed past the saturation knee with 429 + Retry-After)")
-	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission knee and autoscaling pool are solved against")
+	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission knee is solved against (with -admission; the step pool's ceiling is -pool-max)")
 	poolMin := fs.Int("pool-min", 0, "autoscaling step-pool worker floor (0 = scale to zero when idle)")
 	poolMax := fs.Int("pool-max", 0, "autoscaling step-pool worker ceiling (0 keeps one goroutine per run)")
 	clusterSlot := fs.String("cluster-slot", "", "ring slot this node leads; non-empty enables cluster mode")

@@ -6,7 +6,6 @@ import (
 	"itag/internal/core"
 	"itag/internal/crowd"
 	"itag/internal/dataset"
-	"itag/internal/metrics"
 	"itag/internal/quality"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
@@ -258,7 +257,7 @@ func (h *Harness) runWithSwitch(sz Sizes, switchAt int) (*core.Engine, error) {
 	return eng, nil
 }
 
-func valueAt(points []metrics.Point, x float64) float64 {
+func valueAt(points []core.Point, x float64) float64 {
 	best := 0.0
 	for _, p := range points {
 		if p.X <= x {

@@ -48,12 +48,10 @@ func (c *PoolConfig) fill() {
 	}
 }
 
-// Pool is an autoscaling worker pool: it spawns workers (up to a
-// dynamic limit ≤ Max) when submitted work outruns the idle workers,
-// and workers above Min exit after sitting idle — with Min 0 the pool
-// scales to zero goroutines between bursts. The capacity governor can
-// lower the dynamic limit at runtime to keep background work from
-// starving the serving path.
+// Pool is an autoscaling worker pool: it spawns workers (up to Max) when
+// submitted work outruns the idle workers, and workers above Min exit after
+// sitting idle — with Min 0 the pool scales to zero goroutines between
+// bursts.
 type Pool struct {
 	cfg PoolConfig
 
@@ -64,7 +62,6 @@ type Pool struct {
 
 	mu      sync.Mutex
 	workers int
-	limit   int
 	closed  bool
 
 	waiting    atomic.Int64 // workers parked in select
@@ -79,7 +76,7 @@ type PoolStats struct {
 	Workers    int    // live worker goroutines
 	Busy       int    // workers currently running a task
 	QueueDepth int    // tasks waiting in the buffer
-	Limit      int    // current dynamic worker ceiling
+	Limit      int    // worker ceiling (Max)
 	Completed  uint64 // tasks finished since creation
 	ScaleUps   uint64 // workers spawned
 	ScaleDowns uint64 // workers retired by the idle timeout
@@ -95,7 +92,6 @@ func NewPool(cfg PoolConfig) *Pool {
 		tasks: make(chan func(context.Context), cfg.Queue),
 		ctx:   ctx,
 		stop:  cancel,
-		limit: cfg.Max,
 	}
 	p.mu.Lock()
 	for i := 0; i < cfg.Min; i++ {
@@ -131,7 +127,7 @@ func (p *Pool) Submit(task func(context.Context)) error {
 		return ErrPoolClosed
 	}
 	// Spawn when the queued work exceeds the workers free to take it.
-	if p.workers < p.limit && int(p.waiting.Load()) < len(p.tasks) {
+	if p.workers < p.cfg.Max && int(p.waiting.Load()) < len(p.tasks) {
 		p.spawnLocked()
 	}
 	return nil
@@ -166,16 +162,6 @@ func (p *Pool) worker() {
 			task(p.ctx)
 			p.busy.Add(-1)
 			p.completed.Add(1)
-			// Honor a lowered dynamic limit promptly: retire instead of
-			// looping back for more work once we're over it.
-			p.mu.Lock()
-			if p.workers > p.limit && p.workers > p.cfg.Min && len(p.tasks) == 0 {
-				p.workers--
-				p.mu.Unlock()
-				p.scaleDowns.Add(1)
-				return
-			}
-			p.mu.Unlock()
 		case <-idle.C:
 			p.waiting.Add(-1)
 			p.mu.Lock()
@@ -200,30 +186,16 @@ func (p *Pool) worker() {
 	}
 }
 
-// SetLimit adjusts the dynamic worker ceiling within [1, Max]. Lowering
-// it does not kill running workers; the excess drains via idle timeouts.
-func (p *Pool) SetLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > p.cfg.Max {
-		n = p.cfg.Max
-	}
-	p.mu.Lock()
-	p.limit = n
-	p.mu.Unlock()
-}
-
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
-	workers, limit := p.workers, p.limit
+	workers := p.workers
 	p.mu.Unlock()
 	return PoolStats{
 		Workers:    workers,
 		Busy:       int(p.busy.Load()),
 		QueueDepth: len(p.tasks),
-		Limit:      limit,
+		Limit:      p.cfg.Max,
 		Completed:  p.completed.Load(),
 		ScaleUps:   p.scaleUps.Load(),
 		ScaleDowns: p.scaleDowns.Load(),

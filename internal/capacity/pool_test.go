@@ -89,27 +89,10 @@ func TestPoolScaleToZeroAndBack(t *testing.T) {
 }
 
 // TestPoolConcurrentSubmitAndScale races submitters against the idle
-// reaper and a goroutine thrashing the dynamic limit — the -race
-// companion to the scale-to-zero test.
+// reaper — the -race companion to the scale-to-zero test.
 func TestPoolConcurrentSubmitAndScale(t *testing.T) {
 	p := NewPool(PoolConfig{Min: 0, Max: 8, Idle: time.Millisecond})
 	defer p.Close()
-
-	stop := make(chan struct{})
-	var thrash sync.WaitGroup
-	thrash.Add(1)
-	go func() {
-		defer thrash.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				p.SetLimit(1 + i%8)
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
 
 	const submitters, each = 8, 200
 	var done sync.WaitGroup
@@ -136,17 +119,15 @@ func TestPoolConcurrentSubmitAndScale(t *testing.T) {
 	}
 	wg.Wait()
 	done.Wait()
-	close(stop)
-	thrash.Wait()
 	if ran.Load() != submitters*each {
 		t.Errorf("ran %d, want %d", ran.Load(), submitters*each)
 	}
-	// An idle worker above a just-lowered limit retires on its idle timer
-	// (1ms here), not at once: wait for that rather than racing it.
-	waitFor(t, 2*time.Second, func() bool {
-		st := p.Stats()
-		return st.Workers <= st.Limit
-	}, "idle workers above the final limit to retire")
+	if st := p.Stats(); st.Workers > st.Limit {
+		t.Errorf("%d workers over a ceiling of %d", st.Workers, st.Limit)
+	}
+	// Idle workers retire on their idle timer (1ms here), not at once.
+	waitFor(t, 2*time.Second, func() bool { return p.Stats().Workers == 0 },
+		"idle workers to retire")
 }
 
 // TestPoolMinFloorHolds: with Min > 0 the pool never reaps below the

@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"itag/internal/metrics"
 )
 
 // Monitor collects the live run telemetry providers watch in the iTag UI
@@ -20,7 +19,7 @@ import (
 // series endpoints.
 type Monitor struct {
 	mu     sync.RWMutex
-	series map[string]*metrics.Series
+	series map[string]*Series
 	events []Event
 
 	subs      map[int]*Subscription
@@ -44,6 +43,68 @@ type Event struct {
 	Spent  int       `json:"spent"`
 	Kind   string    `json:"kind"`
 	Detail string    `json:"detail"`
+}
+
+// Point is one (x, y) sample of a series (x is typically budget spent or a
+// step counter).
+type Point struct {
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
+}
+
+// Series is one recorded curve: an append-only time series, safe for
+// concurrent use.
+type Series struct {
+	mu     sync.RWMutex
+	name   string
+	points []Point
+}
+
+// Name returns the series name.
+func (s *Series) Name() string { return s.name }
+
+// Add appends a point.
+func (s *Series) Add(x, y float64) {
+	s.mu.Lock()
+	s.points = append(s.points, Point{X: x, Y: y})
+	s.mu.Unlock()
+}
+
+// Len returns the number of points.
+func (s *Series) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.points)
+}
+
+// Points returns a copy of the points.
+func (s *Series) Points() []Point {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]Point, len(s.points))
+	copy(out, s.points)
+	return out
+}
+
+// Last returns the most recent point; ok=false when empty.
+func (s *Series) Last() (Point, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.points) == 0 {
+		return Point{}, false
+	}
+	return s.points[len(s.points)-1], true
+}
+
+// CSV renders the series as "x,y" lines with a header.
+func (s *Series) CSV() string {
+	pts := s.Points()
+	var b strings.Builder
+	fmt.Fprintf(&b, "x,%s\n", s.name)
+	for _, p := range pts {
+		fmt.Fprintf(&b, "%g,%g\n", p.X, p.Y)
+	}
+	return b.String()
 }
 
 // Notification kinds delivered to subscribers.
@@ -95,7 +156,7 @@ func (s *Subscription) Cancel() {
 // NewMonitor returns an empty Monitor.
 func NewMonitor() *Monitor {
 	return &Monitor{
-		series: make(map[string]*metrics.Series),
+		series: make(map[string]*Series),
 		subs:   make(map[int]*Subscription),
 	}
 }
@@ -155,7 +216,7 @@ func (m *Monitor) Record(name string, x, y float64) {
 	m.mu.Lock()
 	s, ok := m.series[name]
 	if !ok {
-		s = metrics.NewSeries(name)
+		s = &Series{name: name}
 		m.series[name] = s
 	}
 	m.publishLocked(Notification{Type: NotifyTick, Series: name, X: x, Y: y})
@@ -164,7 +225,7 @@ func (m *Monitor) Record(name string, x, y float64) {
 }
 
 // Series returns the named series (nil if never recorded).
-func (m *Monitor) Series(name string) *metrics.Series {
+func (m *Monitor) Series(name string) *Series {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.series[name]

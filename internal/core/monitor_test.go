@@ -3,11 +3,71 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"itag/internal/store"
 )
+
+func TestSeriesBasics(t *testing.T) {
+	s := &Series{name: "quality"}
+	if s.Name() != "quality" {
+		t.Error("name")
+	}
+	if _, ok := s.Last(); ok {
+		t.Error("empty series must have no last point")
+	}
+	s.Add(1, 0.5)
+	s.Add(2, 0.7)
+	if s.Len() != 2 {
+		t.Errorf("len = %d", s.Len())
+	}
+	last, ok := s.Last()
+	if !ok || last.X != 2 || last.Y != 0.7 {
+		t.Errorf("last = %+v", last)
+	}
+	pts := s.Points()
+	pts[0].Y = -1
+	if s.Points()[0].Y == -1 {
+		t.Error("Points must return a copy")
+	}
+}
+
+func TestSeriesCSV(t *testing.T) {
+	s := &Series{name: "q"}
+	s.Add(0, 0.25)
+	s.Add(10, 0.5)
+	got := s.CSV()
+	want := "x,q\n0,0.25\n10,0.5\n"
+	if got != want {
+		t.Errorf("CSV = %q, want %q", got, want)
+	}
+	if !strings.HasPrefix(got, "x,q\n") {
+		t.Error("missing header")
+	}
+}
+
+func TestSeriesConcurrent(t *testing.T) {
+	s := &Series{name: "c"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s.Add(float64(i), float64(i))
+				_ = s.Len()
+				_, _ = s.Last()
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Len() != 4000 {
+		t.Errorf("len = %d", s.Len())
+	}
+}
 
 func TestMonitorFanOut(t *testing.T) {
 	m := NewMonitor()

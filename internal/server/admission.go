@@ -134,7 +134,7 @@ func (s *Server) capacityFamilies() []api.Family {
 			one("itag_pool_workers", "Live autoscaling pool workers.", api.TypeGauge, float64(st.Workers)),
 			one("itag_pool_busy", "Pool workers currently running a step.", api.TypeGauge, float64(st.Busy)),
 			one("itag_pool_queue_depth", "Steps waiting in the pool queue.", api.TypeGauge, float64(st.QueueDepth)),
-			one("itag_pool_worker_limit", "Dynamic worker ceiling.", api.TypeGauge, float64(st.Limit)),
+			one("itag_pool_worker_limit", "Worker ceiling (-pool-max).", api.TypeGauge, float64(st.Limit)),
 			one("itag_pool_completed_total", "Steps completed by the pool.", api.TypeCounter, float64(st.Completed)),
 			one("itag_pool_scale_ups_total", "Workers spawned by the autoscaler.", api.TypeCounter, float64(st.ScaleUps)),
 			one("itag_pool_scale_downs_total", "Workers retired by the idle reaper.", api.TypeCounter, float64(st.ScaleDowns)),

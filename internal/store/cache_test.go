@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -47,10 +49,21 @@ func TestRecordCacheInvalidation(t *testing.T) {
 	}
 }
 
+// storedRaw reads the bytes the store holds under (table, key), as catGet
+// does.
+func storedRaw(t *testing.T, c *Catalog, table, key string) []byte {
+	t.Helper()
+	var raw rawValue
+	if err := c.db.Get(table, key, &raw); err != nil {
+		t.Fatal(err)
+	}
+	return raw.RawMessage
+}
+
 // TestRecordCacheSliceRecordsConcurrentFills pins that concurrent fills of
-// records with uncomparable fields (PostRec.Tags is a slice) exercise the
-// cache's ordered publication without panicking — sync.Map.CompareAndSwap
-// compares entry pointers, never record values.
+// records with uncomparable fields (PostRec.Tags is a slice) publish over
+// each other without panicking, and that an entry answers only the bytes it
+// was decoded from.
 func TestRecordCacheSliceRecordsConcurrentFills(t *testing.T) {
 	c := NewCatalog(OpenMemory())
 	for i := 0; i < 6; i++ {
@@ -58,12 +71,17 @@ func TestRecordCacheSliceRecordsConcurrentFills(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Force the publish-over-existing path: an entry at an older stamp must
-	// be replaced via CompareAndSwap when a fresher fill lands.
-	c.cache.add(TablePosts, postKey("r1", 1), 1, PostRec{ResourceID: "r1", Tags: []string{"old"}})
-	c.cache.add(TablePosts, postKey("r1", 1), 2, PostRec{ResourceID: "r1", Tags: []string{"new"}})
-	if v, ok := c.cache.get(TablePosts, postKey("r1", 1)); !ok || v.(PostRec).Tags[0] != "new" {
-		t.Fatalf("ordered publish failed: %v %v", v, ok)
+	// Publish over an existing entry: the later add replaces the earlier,
+	// and each is served only for the bytes it names.
+	key := postKey("r1", 1)
+	raw := storedRaw(t, c, TablePosts, key)
+	c.cache.add(TablePosts, key, raw, PostRec{ResourceID: "r1", Tags: []string{"old"}})
+	c.cache.add(TablePosts, key, raw, PostRec{ResourceID: "r1", Tags: []string{"new"}})
+	if v, ok := c.cache.get(TablePosts, key, raw); !ok || v.(PostRec).Tags[0] != "new" {
+		t.Fatalf("publish over an entry failed: %v %v", v, ok)
+	}
+	if _, ok := c.cache.get(TablePosts, key, append([]byte(nil), raw...)); ok {
+		t.Fatal("an entry answered an equal copy of the bytes it was decoded from")
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -82,10 +100,9 @@ func TestRecordCacheSliceRecordsConcurrentFills(t *testing.T) {
 }
 
 // TestRecordCacheConcurrentFreshness races one writer bumping a user
-// record's counter against many cached readers: with the seq-versioned
-// fill protocol no reader may ever observe the counter move backwards
-// (which is exactly what a stale decode cached after a newer write would
-// look like).
+// record's counter against many cached readers: no reader may ever observe
+// the counter move backwards (which is exactly what a stale decode cached
+// after a newer write would look like).
 func TestRecordCacheConcurrentFreshness(t *testing.T) {
 	c := NewCatalog(OpenMemory())
 	const writes = 2000
@@ -137,6 +154,73 @@ func TestRecordCacheConcurrentFreshness(t *testing.T) {
 	}
 	if u, _ := c.GetUser("u1"); u.Judged != writes {
 		t.Fatalf("final Judged = %d, want %d", u.Judged, writes)
+	}
+}
+
+// TestRecordCacheOlderFillPublishedLast is the concurrent-freshness race
+// played in order. A write is visible in the store but its invalidate has
+// not run yet, so the table clock has not moved. A fill that read the bytes
+// after the write publishes its decode first; a fill that read the bytes
+// before the write publishes last. A clock-stamped cache gave both fills the
+// same stamp and let the older decode replace the newer: a reader that had
+// already seen the new value then read the old one. Keyed by the bytes, the
+// older decode never answers a read of the newer bytes.
+func TestRecordCacheOlderFillPublishedLast(t *testing.T) {
+	c := NewCatalog(OpenMemory())
+	if err := c.PutUser(UserRec{ID: "u1", Judged: 1}); err != nil {
+		t.Fatal(err)
+	}
+	older := storedRaw(t, c, TableUsers, "u1")
+	if err := c.db.Put(TableUsers, "u1", UserRec{ID: "u1", Judged: 2}); err != nil {
+		t.Fatal(err) // visible, not yet invalidated
+	}
+	newer := storedRaw(t, c, TableUsers, "u1")
+	c.cache.add(TableUsers, "u1", newer, UserRec{ID: "u1", Judged: 2})
+	requireJudged := func(want int, when string) {
+		t.Helper()
+		if u, err := c.GetUser("u1"); err != nil || u.Judged != want {
+			t.Fatalf("GetUser %s = %d, %v; want %d", when, u.Judged, err, want)
+		}
+		users, err := c.ListUsers("")
+		if err != nil || len(users) != 1 || users[0].Judged != want {
+			t.Fatalf("ListUsers %s = %+v, %v; want Judged %d", when, users, err, want)
+		}
+	}
+	requireJudged(2, "after the newer fill published")
+	c.cache.add(TableUsers, "u1", older, UserRec{ID: "u1", Judged: 1})
+	requireJudged(2, "after the older fill published last")
+	c.invalidate(TableUsers, "u1")
+	requireJudged(2, "after the write's invalidate")
+}
+
+// decodingStore is a Store decorator that does not pass Get's out through:
+// it decodes its own copy of the value into it.
+type decodingStore struct{ Store }
+
+func (d decodingStore) Get(table, key string, out any) error {
+	var raw json.RawMessage
+	if err := d.Store.Get(table, key, &raw); err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// TestRecordCacheOverADecodingStore: over a Store that hands catGet a copy
+// instead of the stored slice, reads are still right, only never hits.
+func TestRecordCacheOverADecodingStore(t *testing.T) {
+	c := NewCatalog(decodingStore{OpenMemory()})
+	for i := 1; i <= 3; i++ {
+		if err := c.PutUser(UserRec{ID: "u1", Judged: i}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			if u, err := c.GetUser("u1"); err != nil || u.Judged != i {
+				t.Fatalf("GetUser after write %d = %d, %v", i, u.Judged, err)
+			}
+		}
+	}
+	if _, err := c.GetUser("nobody"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetUser of an absent ID = %v, want ErrNotFound", err)
 	}
 }
 
@@ -197,11 +281,11 @@ func raceCompletedWrites(t *testing.T, n int, write func(i int) error, read func
 // GetUser anywhere may return the value it replaced. Two Catalog callers do
 // read-modify-write over the cache and pay for such a read: JudgePost's
 // "already judged" check on a stale GetPost judges (and pays for) a post
-// twice, and AddBudget on a stale GetProject loses a top-up. It failed at the
-// parent of PR 25, whose validate-then-prune protocol let a hit prune the
-// write's pin, the write's delete remove that fresh fill, and a fill stamped
-// before the write publish into the empty slot with nothing left to refuse
-// it; a write that always deletes and never leaves a marker fails it too.
+// twice, and AddBudget on a stale GetProject loses a top-up. A cache whose
+// fills were stamped with the table clock failed it: a fill could publish a
+// decode read before the write into a slot the write had already emptied,
+// with nothing left to refuse it. Keyed by the stored bytes, the stale
+// decode names bytes the store no longer holds.
 func TestRecordCacheNeverServesACompletedWritesPredecessor(t *testing.T) {
 	c := NewCatalog(OpenMemory())
 	if err := c.PutUser(UserRec{ID: "u1"}); err != nil {
@@ -257,10 +341,10 @@ func TestRecordCacheScanFillsNeverServeACompletedWritesPredecessor(t *testing.T)
 	})
 }
 
-// TestRecordCacheWritesLeaveNothingBehind: a write while no fill is in
-// flight deletes its key's entry and keeps nothing of its own, so writes
-// cost the cache no memory — the parent of PR 25 kept a last-write record
-// for every key ever written.
+// TestRecordCacheWritesLeaveNothingBehind: a write deletes its key's entry
+// and keeps nothing of its own, so writes cost the cache no memory and no
+// superseded commit buffer stays pinned. (A cache that kept a last-write
+// record for every key ever written grew with every post and task.)
 func TestRecordCacheWritesLeaveNothingBehind(t *testing.T) {
 	c := NewCatalog(OpenMemory())
 	for i := 0; i < 10000; i++ {
@@ -291,12 +375,12 @@ func TestRecordCacheWritesLeaveNothingBehind(t *testing.T) {
 	requireCacheHolds(t, c, 0, "after the read key was written")
 }
 
-// requireCacheHolds counts what the cache's maps really hold, entries and
-// markers, and holds both that count and the size counter to want.
+// requireCacheHolds counts what the cache's maps really hold and holds both
+// that count and the size counter to want.
 func requireCacheHolds(t *testing.T, c *Catalog, want int64, when string) {
 	t.Helper()
 	var held int64
-	for _, tc := range c.cache.seqs {
+	for _, tc := range c.cache.tables {
 		tc.entries.Range(func(_, _ any) bool { held++; return true })
 	}
 	if size := c.cache.size.Load(); held != want || size != want {

@@ -109,9 +109,8 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 	}
 
 	// A snapshot install over a cached record, with a fill in flight across
-	// it: the fill read v3 and its clock before the install, and publishes
-	// after.
-	staleClock := follower.Clock(TableProjects).Load()
+	// it: the fill read v3's bytes before the install, and publishes after.
+	staleRaw := storedRaw(t, follower, TableProjects, "p1")
 	stale, _ := follower.GetProject("p1")
 	if err := leader.PutProject(project("v4")); err != nil {
 		t.Fatal(err)
@@ -131,7 +130,7 @@ func TestReplicaRecordCacheCoherent(t *testing.T) {
 			t.Errorf("snapshot install left the %s clock at zero", table)
 		}
 	}
-	follower.cache.add(TableProjects, "p1", staleClock, stale)
+	follower.cache.add(TableProjects, "p1", staleRaw, stale)
 	read("v4")
 	if obs.replaced != 1 {
 		t.Fatalf("posts observer heard %d replacements, want 1", obs.replaced)

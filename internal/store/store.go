@@ -373,7 +373,8 @@ func (db *DB) Put(table, key string, value any) error {
 }
 
 // Get unmarshals the value at (table, key) into out. It returns ErrNotFound
-// if absent. Lock-free: a descent of the table's published tree.
+// if absent. Lock-free: a descent of the table's published tree. The
+// Catalog's *rawValue gets the stored slice itself, undecoded.
 func (db *DB) Get(table, key string, out any) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -381,6 +382,10 @@ func (db *DB) Get(table, key string, out any) error {
 	raw, ok := db.table(table).get(key)
 	if !ok {
 		return ErrNotFound
+	}
+	if r, ok := out.(*rawValue); ok {
+		r.RawMessage = raw
+		return nil
 	}
 	return json.Unmarshal(raw, out)
 }

@@ -177,9 +177,8 @@ type PostsObserver interface {
 	PostsReplaced()
 }
 
-// NewCatalog wraps a Store. Post sequence counters
-// are recovered lazily, and hot reads are served from a seq-versioned
-// decoded-record cache (see recordCache) invalidated by key on write.
+// NewCatalog wraps a Store. Post sequence counters are recovered lazily, and
+// decodes are memoized by the stored bytes they came from (see recordCache).
 func NewCatalog(db Store) *Catalog {
 	return &Catalog{db: db, cache: newRecordCache(), nextSeq: make(map[string]uint64)}
 }
@@ -188,37 +187,28 @@ func NewCatalog(db Store) *Catalog {
 // one (it serves one core.Service); install it before the first write.
 func (c *Catalog) ObservePosts(o PostsObserver) { c.posts = o }
 
-// catGet loads (table, key) through the decoded-record cache: a hit skips
-// the store and the JSON decode entirely; a miss decodes once and publishes
-// the record under the cache's fill protocol (enter, read, add, leave).
+// catGet loads (table, key): the store hands over the stored bytes, and the
+// record cache decodes them, or answers with its decode of the same bytes.
 func catGet[T any](c *Catalog, table, key string) (T, error) {
-	var rec T
-	if v, ok := c.cache.get(table, key); ok {
-		return v.(T), nil
-	}
-	seq := c.cache.enter(table)
-	defer c.cache.leave(table)
-	if err := c.db.Get(table, key, &rec); err != nil {
+	var raw rawValue
+	if err := c.db.Get(table, key, &raw); err != nil {
 		var zero T
 		return zero, err
 	}
-	c.cache.add(table, key, seq, rec)
-	return rec, nil
+	return decodeCached[T](c, table, key, raw.RawMessage)
 }
 
-// decodeCached decodes one scanned raw value through the cache. seq is the
-// stamp the scan's cache.enter returned before the scan started (the scan
-// leaves after its last call), so fills from a scan that raced a write are
-// refused or retired by it.
-func decodeCached[T any](c *Catalog, table, key string, raw []byte, seq uint64) (T, error) {
-	if v, ok := c.cache.get(table, key); ok {
+// decodeCached decodes raw, the value just read from the store under (table,
+// key), through the record cache.
+func decodeCached[T any](c *Catalog, table, key string, raw []byte) (T, error) {
+	if v, ok := c.cache.get(table, key, raw); ok {
 		return v.(T), nil
 	}
 	var rec T
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return rec, err
 	}
-	c.cache.add(table, key, seq, rec)
+	c.cache.add(table, key, raw, rec)
 	return rec, nil
 }
 
@@ -315,8 +305,8 @@ func (w *WriteSet) put(table, key string, value any) {
 
 // Commit applies everything staged since the last Commit as one atomic
 // Store.Apply and then advances the write clocks of the keys it wrote — in
-// that order, the "bump strictly after the store write" protocol the record
-// cache and every core.Stamp holder rely on. On error nothing was written.
+// that order, the "bump strictly after the store write" protocol every
+// core.Stamp holder relies on. On error nothing was written.
 // Either way the set is empty afterwards.
 func (w *WriteSet) Commit() error {
 	muts := w.muts
@@ -395,11 +385,9 @@ func (c *Catalog) ListResources(projectID string) ([]ResourceRec, error) {
 // cache; fn returning false stops the scan. It is the range primitive
 // behind cursor-paginated exports.
 func (c *Catalog) ScanResourcesAfter(after string, fn func(ResourceRec) bool) error {
-	seq := c.cache.enter(TableResources)
-	defer c.cache.leave(TableResources)
 	var scanErr error
 	c.db.ScanRange(TableResources, afterStart(after), "", 0, func(key string, raw []byte) bool {
-		r, err := decodeCached[ResourceRec](c, TableResources, key, raw, seq)
+		r, err := decodeCached[ResourceRec](c, TableResources, key, raw)
 		if err != nil {
 			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "resource %s", key)
 			return false
@@ -489,12 +477,10 @@ func (c *Catalog) recoverSeqLocked(resourceID string) uint64 {
 // immutable apart from judging, so the long tail of already-decoded posts
 // comes straight from the record cache.
 func (c *Catalog) PostsOf(resourceID string) ([]PostRec, error) {
-	seq := c.cache.enter(TablePosts)
-	defer c.cache.leave(TablePosts)
 	var out []PostRec
 	var scanErr error
 	c.db.ScanPrefix(TablePosts, resourceID+"/", func(key string, raw []byte) bool {
-		p, err := decodeCached[PostRec](c, TablePosts, key, raw, seq)
+		p, err := decodeCached[PostRec](c, TablePosts, key, raw)
 		if err != nil {
 			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "post %s", key)
 			return false
@@ -590,11 +576,9 @@ func (c *Catalog) ListProjects(providerID string) ([]ProjectRec, error) {
 // cache; fn returning false stops the scan. It is the range primitive
 // behind cursor-paginated project listings.
 func (c *Catalog) ScanProjectsAfter(after string, fn func(ProjectRec) bool) error {
-	seq := c.cache.enter(TableProjects)
-	defer c.cache.leave(TableProjects)
 	var scanErr error
 	c.db.ScanRange(TableProjects, afterStart(after), "", 0, func(key string, raw []byte) bool {
-		p, err := decodeCached[ProjectRec](c, TableProjects, key, raw, seq)
+		p, err := decodeCached[ProjectRec](c, TableProjects, key, raw)
 		if err != nil {
 			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "project %s", key)
 			return false
@@ -635,12 +619,10 @@ func (c *Catalog) GetTask(projectID, taskID string) (TaskRec, error) {
 // ("" = all). The project prefix is one contiguous index range, and decoded
 // task records come from the cache.
 func (c *Catalog) TasksByProject(projectID string, status TaskStatus) ([]TaskRec, error) {
-	seq := c.cache.enter(TableTasks)
-	defer c.cache.leave(TableTasks)
 	var out []TaskRec
 	var scanErr error
 	c.db.ScanPrefix(TableTasks, projectID+"/", func(key string, raw []byte) bool {
-		t, err := decodeCached[TaskRec](c, TableTasks, key, raw, seq)
+		t, err := decodeCached[TaskRec](c, TableTasks, key, raw)
 		if err != nil {
 			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "task %s", key)
 			return false
@@ -670,12 +652,10 @@ func (c *Catalog) GetUser(id string) (UserRec, error) {
 
 // ListUsers returns users in ID order, optionally filtered by role.
 func (c *Catalog) ListUsers(role Role) ([]UserRec, error) {
-	seq := c.cache.enter(TableUsers)
-	defer c.cache.leave(TableUsers)
 	var out []UserRec
 	var scanErr error
 	c.db.Scan(TableUsers, func(key string, raw []byte) bool {
-		u, err := decodeCached[UserRec](c, TableUsers, key, raw, seq)
+		u, err := decodeCached[UserRec](c, TableUsers, key, raw)
 		if err != nil {
 			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "user %s", key)
 			return false
