@@ -12,10 +12,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -686,4 +689,60 @@ func BenchmarkDashboardRefresh(b *testing.B) {
 			b.ReportMetric(float64(web.RespCacheStats().NotModified-before)/float64(b.N), "304/view")
 		})
 	}
+}
+
+// BenchmarkTaggerRound — systems: the paper's manual loop, one tagger's
+// RequestTask + SubmitTask through the SDK over loopback TCP, against a server
+// on a memory store (tag_durable's round without the WAL). conns/op counts
+// the connections the server accepted per round: about 0, since every call
+// reads its response to EOF and the next one reuses the connection. About 1
+// means a body is closed unread again, so each submit drops its connection
+// and the next lease pays a dial, an accept, a handler goroutine and a close.
+func BenchmarkTaggerRound(b *testing.B) {
+	ctx := context.Background()
+	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 1)
+	defer svc.Close()
+	srv := httptest.NewUnstartedServer(server.New(svc, nil))
+	var opened atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := client.New(srv.URL, srv.Client())
+
+	prov, err := c.RegisterProvider(ctx, "prov")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tagger, err := c.RegisterTagger(ctx, "tagr")
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := client.CreateProjectReq{ProviderID: prov, Name: "round", Budget: b.N + 1, PayPerTask: 0.01, Strategy: "fp-mu"}
+	for i := 0; i < 100; i++ {
+		id := fmt.Sprintf("res-%03d", i)
+		req.Resources = append(req.Resources, client.UploadedResource{ID: id, Kind: "url", Name: id})
+	}
+	proj, err := c.CreateProject(ctx, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tags := [][]string{{"go", "database"}, {"go", "tagging"}, {"web", "design"}}
+	before := opened.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		task, err := c.RequestTask(ctx, proj, tagger)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.SubmitTask(ctx, proj, task.ID, tags[i%len(tags)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(opened.Load()-before)/float64(b.N), "conns/op")
 }

@@ -23,6 +23,16 @@
 // a 304 hands back a copy of what it kept — nothing read, nothing decoded.
 // A ClusterClient does the same across nodes, and offers a validator only to
 // the node that minted it. See New and NewCluster.
+//
+// Every call reads its response to EOF, including the ones that decode
+// nothing (SubmitTask, JudgePost, AddBudget, ...), so the transport keeps the
+// connection and the next call reuses it instead of dialing: a Client holds
+// one keep-alive connection per server per concurrent caller. A fleet of
+// callers sharing one Client should size its transport's MaxIdleConnsPerHost
+// to their number; http.DefaultTransport keeps only 2 idle per host, so 8
+// workers × 100 tagger rounds through New(base, nil) open about 30
+// connections instead of 8 (and about 860 when every submit dropped its
+// connection).
 package client
 
 import (
@@ -108,6 +118,11 @@ type Client struct {
 // every time. Calls whose responses carry no ETag are untouched. What is
 // kept is keyed by the server's address as well as the path: an ETag is
 // scoped to the response cache that minted it.
+//
+// Every response is read to EOF, so each concurrent caller keeps one
+// keep-alive connection to the server; give httpClient a transport whose
+// MaxIdleConnsPerHost covers the callers sharing the Client (see the package
+// doc).
 func New(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
@@ -205,6 +220,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		return decodeAPIError(resp)
 	}
 	if out == nil {
+		// Read to EOF all the same: the transport drops a connection whose body
+		// is closed unread, and the next call would dial. The server writes the
+		// status after its commit, so a body that fails to arrive does not undo
+		// a 2xx — reporting it would invite a retry the server refuses.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxUnreadBody))
 		return nil
 	}
 	// One read into a pooled buffer, one decode. Content-Length presizes the
@@ -240,8 +260,13 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
+// maxUnreadBody bounds what is read of a body nobody decodes (a 2xx to a call
+// that wants none) or only skims (an error envelope). A longer one costs its
+// connection, not an unbounded read.
+const maxUnreadBody = 1 << 16
+
 func decodeAPIError(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxUnreadBody))
 	var env struct {
 		Error *APIError `json:"error"`
 	}

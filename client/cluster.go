@@ -109,6 +109,10 @@ func (h *nodeHealth) failure(addr string, now time.Time) {
 // none, and a ring change needs no pruning. The 8 MiB retention bound is per
 // cluster client — shared by the copies WithRetry and WithFollowerReads
 // make and by every node — not per node.
+//
+// Like New, every response is read to EOF — a 421 and the ring refresh it
+// triggers included — so each concurrent caller keeps one keep-alive
+// connection per node; MaxIdleConnsPerHost applies per node.
 func NewCluster(seeds []string, httpClient *http.Client) *ClusterClient {
 	if httpClient == nil {
 		httpClient = http.DefaultClient

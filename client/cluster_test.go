@@ -254,15 +254,17 @@ func TestClusterClientRoutesAndFollowsPromotion(t *testing.T) {
 // stubNode is a cluster node reduced to what validators need: it serves the
 // ring, answers every other GET with one body under one ETag of its own, 304
 // to that tag, and counts what it was offered. Without the follower-read
-// header, or with refuse set, a node that does not own the key answers 421.
+// header, or with refuse set, a node that does not own the key answers 421,
+// naming hint as the owner when it is set.
 type stubNode struct {
 	t      *testing.T
 	name   string
 	ring   *RingInfo
 	owner  bool
 	refuse bool
+	hint   string
 
-	full, notModified, foreign int
+	full, notModified, foreign, misdirected int
 }
 
 func (s *stubNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -272,6 +274,10 @@ func (s *stubNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.owner && (s.refuse || r.Header.Get("X-Itag-Read") != "follower") {
+		s.misdirected++
+		if s.hint != "" {
+			w.Header().Set("X-Itag-Owner", s.hint)
+		}
 		w.WriteHeader(http.StatusMisdirectedRequest)
 		_, _ = w.Write([]byte(`{"error":{"code":"not_owner","message":"led elsewhere"}}`))
 		return

@@ -179,14 +179,22 @@ func TestRestartResumesFromWAL(t *testing.T) {
 	defer stop()
 	c = client.New(base, nil)
 	// What was acknowledged is what is reported: the one submitted post was
-	// paid for; the task leased and never submitted is not resumed.
+	// paid for, and the task leased before the restart is still held — its
+	// pay debited, pending, and submittable by its tagger.
 	info, err := c.GetProject(ctx, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Spent != 1 || info.PendingTasks != 0 {
-		t.Errorf("after the restart spent = %d, pending = %d; want the 1 acknowledged post, nothing pending", info.Spent, info.PendingTasks)
+	if info.Spent != 2 || info.PendingTasks != 1 {
+		t.Errorf("after the restart spent = %d, pending = %d; want the acknowledged post and the held lease, 1 pending", info.Spent, info.PendingTasks)
 	}
+	if err := c.SubmitTask(ctx, proj, leased.ID, []string{"go", "after-restart"}); err != nil {
+		t.Errorf("submit of the task leased before the restart: %v", err)
+	}
+	if info, err = c.GetProject(ctx, proj); err != nil || info.Spent != 2 || info.PendingTasks != 0 {
+		t.Errorf("after the held lease was submitted: spent = %d, pending = %d, %v; want 2, 0", info.Spent, info.PendingTasks, err)
+	}
+	postsBefore[leased.ResourceID]++
 	if posts := postsByResource(c, proj); len(posts) != 2 || posts["u1"] != postsBefore["u1"] || posts["u2"] != postsBefore["u2"] {
 		t.Errorf("export after the restart = %v, before it %v", posts, postsBefore)
 	}

@@ -896,6 +896,9 @@ func (n *Node) pushRing(ctx context.Context, r *Ring) {
 				lastErr = err
 				continue
 			}
+			// Read the reply to EOF: closed unread, it would cost the pooled
+			// connection to the peer.
+			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			lastErr = nil
 			break

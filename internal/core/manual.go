@@ -28,12 +28,17 @@ func (e *Engine) ChooseNext() (string, bool) {
 		return "", false
 	}
 	idx := chosen[0]
-	e.alloc[idx]++
-	e.pending[idx]++
-	e.spent++
-	e.touch(idx)
-	e.reindex(idx)
+	e.debit(idx)
 	return e.resources[idx].ID, true
+}
+
+// debit charges one outstanding task to resource i. Callers hold e.mu.
+func (e *Engine) debit(i int) {
+	e.alloc[i]++
+	e.pending[i]++
+	e.spent++
+	e.touch(i)
+	e.reindex(i)
 }
 
 // SubmitPost completes an outstanding manual task with the tagger's post.
@@ -84,6 +89,20 @@ func (e *Engine) reopenPending(resourceID string) {
 	e.pending[i]++
 	e.touch(i)
 	e.reindex(i)
+}
+
+// rehold debits a task a previous process leased and wrote but that was not
+// submitted, as ChooseNext did for it there: the resource counts it, the
+// budget holds its pay, and a submit can complete it. False for a resource
+// the engine does not have.
+func (e *Engine) rehold(resourceID string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i, ok := e.index[resourceID]
+	if ok {
+		e.debit(i)
+	}
+	return ok
 }
 
 // CancelPending releases an outstanding manual task (tagger walked away),

@@ -17,8 +17,11 @@ package core
 //     state, resource stop/promote flags are re-applied, and the task
 //     counter resumes past the highest persisted task ID so task IDs stay
 //     unique across the failover; the run reports what was spent before it
-//     on top of what its engine spends (tasks leased but not submitted are
-//     not resumed, and not counted)
+//     on top of what its engine spends
+//   - every task leased and written but not submitted is held again: its
+//     resource counts it, the budget keeps its pay, it shows in PendingTasks
+//     and its tagger's submit completes it, as it would have before
+//     the restart or promotion
 //
 // Simulated runs (world != nil) do not survive: their latent worlds and
 // tagger populations are process state by design. Their projects resume as
@@ -129,19 +132,21 @@ func (s *Service) rebuildRun(rec store.ProjectRec) (*Run, error) {
 		return nil, err
 	}
 	completed, maxTask := 0, 0
+	var leased []store.TaskRec
 	for _, t := range tasks {
-		if t.Status == store.TaskCompleted {
+		switch t.Status {
+		case store.TaskCompleted:
 			completed++
+		case store.TaskAssigned:
+			leased = append(leased, t)
 		}
 		maxTask = maxIDSuffix(maxTask, t.ID)
 	}
-	// The engine re-counts budget from zero, so size it to what is left.
-	// Spent is persisted on stop/finish; completed tasks are the live
-	// lower bound for a leader that died mid-run.
-	spent := rec.Spent
-	if completed > spent {
-		spent = completed
-	}
+	// The engine re-counts budget from zero and debits the leases again, so
+	// size it to what is left besides them. Spent is persisted on stop/finish,
+	// leases outstanding then included; completed plus leased tasks are the
+	// live lower bound for a leader that died mid-run.
+	spent := max(rec.Spent, completed+len(leased)) - len(leased)
 	if rec.Budget-spent <= 0 {
 		return nil, nil
 	}
@@ -160,6 +165,11 @@ func (s *Service) rebuildRun(rec store.ProjectRec) (*Run, error) {
 	}
 	run.taskSeq = maxTask
 	run.spentBefore = spent
+	for _, t := range leased {
+		if run.Engine.rehold(t.ResourceID) {
+			run.hold(t)
+		}
+	}
 	for _, r := range recs {
 		if r.Promoted {
 			_ = run.Engine.Promote(r.ID)

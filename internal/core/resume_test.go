@@ -70,6 +70,21 @@ func TestResumeRunsAfterFailover(t *testing.T) {
 		t.Fatalf("second ResumeRuns = (%d, %v), want idempotent (0, nil)", n2, err)
 	}
 
+	// The task in flight at the failover is held by the promoted service:
+	// spent and pending count it, and its tagger's submit completes it.
+	if info, err := s2.Project(ctx, proj); err != nil || info.Spent != 3 || info.PendingTasks != 1 {
+		t.Fatalf("after the failover spent = %d, pending = %d, %v; want 3, 1", info.Spent, info.PendingTasks, err)
+	}
+	if err := s2.SubmitTask(ctx, proj, inflight.ID, []string{"delta"}); err != nil {
+		t.Fatalf("submit of the task in flight at the failover: %v", err)
+	}
+	if info, err := s2.Project(ctx, proj); err != nil || info.Spent != 3 || info.PendingTasks != 0 {
+		t.Fatalf("after the held task was submitted spent = %d, pending = %d, %v; want 3, 0", info.Spent, info.PendingTasks, err)
+	}
+	if got, err := s2.Catalog().GetTask(proj, inflight.ID); err != nil || got.Status != store.TaskCompleted {
+		t.Fatalf("stored task after its submit = %+v, %v", got, err)
+	}
+
 	// Task IDs must continue past every persisted task, including the one
 	// still assigned at failover.
 	task, err := s2.RequestTask(ctx, proj, tagger)
