@@ -3,7 +3,7 @@ GO ?= go
 # Fuzz budget per target; CI smoke uses the default, nightly passes 10m.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-capacity histories clean
+.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-capacity histories loc clean
 
 all: check
 
@@ -89,6 +89,20 @@ bench-capacity:
 HISTORY_SEEDS ?= 500
 histories:
 	$(GO) test -race -run TestReplicationHistories -count=1 -timeout 30m ./internal/cluster -history-seeds $(HISTORY_SEEDS)
+
+# Lines of Go, non-test and test, in the root module (benchmark/ excluded)
+# and in benchmark/, its own module. CI prints it in the GOMAXPROCS=2 test
+# job so the trajectory shows in the logs.
+ROOT_GO = find . \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go'
+BENCH_GO = find benchmark -name '*.go'
+loc:
+	@printf '%-10s %9s %6s\n' module non-test test
+	@printf '%-10s %9d %6d\n' root \
+		"$$($(ROOT_GO) ! -name '*_test.go' -print | xargs cat | wc -l)" \
+		"$$($(ROOT_GO) -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf '%-10s %9d %6d\n' benchmark \
+		"$$($(BENCH_GO) ! -name '*_test.go' -print | xargs cat | wc -l)" \
+		"$$($(BENCH_GO) -name '*_test.go' -print | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -184,61 +185,38 @@ func TestObserveNegativeClamped(t *testing.T) {
 	}
 }
 
-// TestQuantileAccessor pins the interpolating Quantile accessor the
-// capacity model reads: estimates bracket the exact quantile within the
-// winning bucket, are monotone in q, clamp the +Inf overflow to the last
-// finite bound, and report !ok on empty histograms and bad q.
+// TestQuantileAccessor pins the snapshot the admission governor estimates
+// its quantiles from: RouteBuckets reports a tracked route's per-bucket
+// counts — len(BucketBounds())+1 slots, the +Inf overflow last — exactly as
+// the reference counts them, as a copy, and !ok for an unknown route.
 func TestQuantileAccessor(t *testing.T) {
-	rs := &routeStats{}
-	if _, ok := rs.quantile(0.99); ok {
-		t.Error("empty histogram must report !ok")
+	m := NewMetrics()
+	rs := m.register("GET /q")
+	if _, ok := m.RouteBuckets("GET /absent"); ok {
+		t.Error("unknown route must report !ok")
 	}
-
 	rng := rand.New(rand.NewSource(2014))
 	ref := &refHistogram{}
 	for i := 0; i < 4000; i++ {
-		d := time.Duration(pow10(rng.Float64()*4.5 + 4.7)) // ~50µs .. ~0.5s
+		d := time.Duration(pow10(rng.Float64()*5.6 + 4.7)) // ~50µs .. ~20s, overflow included
 		rs.observe(http.StatusOK, d)
 		ref.observe(d)
 	}
-
-	prev := time.Duration(-1)
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
-		got, ok := rs.quantile(q)
-		if !ok {
-			t.Fatalf("q%.2f: !ok on populated histogram", q)
-		}
-		if got < prev {
-			t.Errorf("quantile not monotone: q%.2f = %v < previous %v", q, got, prev)
-		}
-		prev = got
-		exact := ref.quantile(q)
-		idx := bucketIndex(exact)
-		if idx == len(latencyBucketBounds) {
-			continue // unbounded overflow: covered below
-		}
-		lo, hi := bucketLowerBound(idx), latencyBucketBounds[idx]
-		if got < lo || got > hi {
-			t.Errorf("q%.2f: estimate %v outside bucket (%v, %v] of exact %v", q, got, lo, hi, exact)
-		}
+	got, ok := m.RouteBuckets("GET /q")
+	if !ok || len(got) != len(m.BucketBounds())+1 {
+		t.Fatalf("RouteBuckets = %d slots (ok %v), want %d", len(got), ok, len(m.BucketBounds())+1)
 	}
-
-	for _, q := range []float64{0, -1, 1.01} {
-		if _, ok := rs.quantile(q); ok {
-			t.Errorf("q=%v must report !ok", q)
-		}
+	if want := ref.buckets(); !slices.Equal(got, want[:]) {
+		t.Errorf("bucket counts diverge\n got %v\nwant %v", got, want)
 	}
-
-	// All mass in the overflow bucket clamps to the last finite bound.
-	over := &routeStats{}
-	over.observe(http.StatusOK, time.Hour)
-	if got, ok := over.quantile(0.99); !ok || got != latencyBucketBounds[len(latencyBucketBounds)-1] {
-		t.Errorf("overflow quantile = %v/%v, want clamp to %v", got, ok, latencyBucketBounds[len(latencyBucketBounds)-1])
+	got[0]++
+	if again, _ := m.RouteBuckets("GET /q"); again[0] == got[0] {
+		t.Error("RouteBuckets must return a copy")
 	}
 }
 
 // TestMetricsRouteAccessors covers the registry-level accessors the
-// capacity governor samples: RouteQuantile and RouteObservations resolve
+// capacity governor samples: RouteBuckets and RouteObservations resolve
 // tracked routes and report !ok for unknown ones.
 func TestMetricsRouteAccessors(t *testing.T) {
 	m := NewMetrics()
@@ -248,15 +226,16 @@ func TestMetricsRouteAccessors(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/probe", nil))
 	}
-	if _, ok := m.RouteQuantile("GET /absent", 0.99); ok {
-		t.Error("unknown route must report !ok")
-	}
 	if _, _, ok := m.RouteObservations("GET /absent"); ok {
 		t.Error("unknown route observations must report !ok")
 	}
-	q, ok := m.RouteQuantile("POST /probe", 0.99)
-	if !ok || q <= 0 {
-		t.Fatalf("RouteQuantile = %v/%v, want positive", q, ok)
+	buckets, ok := m.RouteBuckets("POST /probe")
+	var total uint64
+	for _, n := range buckets {
+		total += n
+	}
+	if !ok || total != 8 {
+		t.Fatalf("RouteBuckets = %v/%v, want 8 observations", buckets, ok)
 	}
 	count, sum, ok := m.RouteObservations("POST /probe")
 	if !ok || count != 8 || sum < 8*200*time.Microsecond {

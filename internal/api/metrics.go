@@ -2,7 +2,6 @@ package api
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -118,53 +117,6 @@ func (rs *routeStats) observe(status int, elapsed time.Duration) {
 	rs.count.Add(1)
 }
 
-// quantile estimates the q-quantile (0 < q ≤ 1) of the latency histogram
-// by linear interpolation inside the winning fixed bucket — the p99 hook
-// the admission-control model reads. Observations in the +Inf overflow
-// bucket report the last finite bound (the histogram cannot resolve
-// beyond it). ok is false while the route has no observations.
-//
-// The per-bucket counts are racy relative to each other under concurrent
-// writers; bucket-before-count ordering (see observe) only guarantees the
-// estimate is computed over a valid prefix of history, which is all a
-// smoothing consumer needs.
-func (rs *routeStats) quantile(q float64) (d time.Duration, ok bool) {
-	if q <= 0 || q > 1 {
-		return 0, false
-	}
-	total, perBucket := rs.bucketTotal()
-	if total == 0 {
-		return 0, false
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, n := range perBucket {
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			upper := latencyBucketBounds[len(latencyBucketBounds)-1]
-			if i < len(latencyBucketBounds) {
-				upper = latencyBucketBounds[i]
-			} else {
-				// +Inf bucket: clamp to the last finite bound.
-				return upper, true
-			}
-			lower := time.Duration(0)
-			if i > 0 {
-				lower = latencyBucketBounds[i-1]
-			}
-			frac := float64(rank-cum) / float64(n)
-			return lower + time.Duration(frac*float64(upper-lower)), true
-		}
-		cum += n
-	}
-	return latencyBucketBounds[len(latencyBucketBounds)-1], true
-}
-
 // bucketTotal sums the per-bucket counts; under concurrent writes it is
 // the authoritative observation count for exposition (>= count because
 // observe bumps buckets first).
@@ -231,22 +183,6 @@ func (m *Metrics) Track(label string, h http.Handler) http.Handler {
 		}()
 		h.ServeHTTP(sw, r)
 	})
-}
-
-// RouteQuantile estimates the q-quantile of a route's latency histogram
-// (linear interpolation within the fixed buckets). ok is false for
-// unknown routes, routes with no traffic yet, and q outside (0, 1].
-func (m *Metrics) RouteQuantile(label string, q float64) (time.Duration, bool) {
-	if m == nil {
-		return 0, false
-	}
-	m.mu.Lock()
-	rs := m.routes[label]
-	m.mu.Unlock()
-	if rs == nil {
-		return 0, false
-	}
-	return rs.quantile(q)
 }
 
 // BucketBounds returns the finite latency-bucket upper bounds shared by

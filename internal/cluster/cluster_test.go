@@ -712,8 +712,8 @@ func TestClusterSmallPullBudget(t *testing.T) {
 }
 
 // TestPromHandlerContentType: a node's scrape carries the exposition
-// Content-Type, charset included, whether a led slot's server renders it or —
-// on a node that leads nothing, here one just deposed — the node itself does.
+// Content-Type, charset included, whether it leads a slot or — here just
+// deposed — nothing.
 func TestPromHandlerContentType(t *testing.T) {
 	tc := startCluster(t, []string{"alpha", "beta"}, nil)
 	node := tc.nodes["alpha"]
@@ -857,5 +857,48 @@ func TestClusterCompactionSnapshotShip(t *testing.T) {
 	_, got := tc.get("http://"+follower+"/api/v1/projects/"+project+"/export", HeaderRead, ReadFollower)
 	if !bytes.Equal(got, want) || !bytes.Contains(got, []byte("after-the-cut")) {
 		t.Fatalf("follower export after the install differs from the leader's\nfollower %s\n  leader %s", got, want)
+	}
+}
+
+// TestPromHandlerShowsEveryLedSlot: a node that leads two slots — its own and
+// one promoted onto it — shows each slot's store and response-cache families
+// in its one exposition, labeled by slot, and declares each family once.
+func TestPromHandlerShowsEveryLedSlot(t *testing.T) {
+	tc := startCluster(t, []string{"alpha", "beta"}, nil)
+	node := tc.nodes["beta"]
+	tc.tr.Register("alpha", nil) // alpha drops off the network
+	if err := node.Promote(context.Background(), "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if node.DB("alpha") == nil || node.DB("beta") == nil {
+		t.Fatal("beta does not lead both slots after the promotion")
+	}
+	rec := httptest.NewRecorder()
+	node.PromHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	text := rec.Body.String()
+	fams, err := api.ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for _, family := range []string{"itag_store_commits_total", "itag_respcache_hits_total"} {
+		slots := map[string]bool{}
+		for _, f := range fams {
+			if f.Name != family {
+				continue
+			}
+			for _, smp := range f.Samples {
+				for _, l := range smp.Labels {
+					if l.Name == "slot" {
+						slots[l.Value] = true
+					}
+				}
+			}
+		}
+		if !slots["alpha"] || !slots["beta"] {
+			t.Errorf("%s shows slots %v, want alpha and beta", family, slots)
+		}
+		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
+			t.Errorf("%s is declared %d times", family, n)
+		}
 	}
 }

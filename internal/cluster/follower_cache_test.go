@@ -337,8 +337,8 @@ func TestFreshReplicaRefusesFollowerReads(t *testing.T) {
 // TestFollowerServedRequestsAreCounted: a follower read runs through a
 // replica's server stack, and must show in the node's one exposition under
 // the same itag_http_* route series every other request of that node counts
-// into — with the replica's response cache beside the led slot's, told
-// apart by a slot label, and no family rendered twice.
+// into — with the replica's response cache beside the led slot's, each
+// labeled by its slot, and no family rendered twice.
 func TestFollowerServedRequestsAreCounted(t *testing.T) {
 	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, nil)
 	slot, project, _ := tc.seedProject(3)
@@ -393,8 +393,8 @@ func TestFollowerServedRequestsAreCounted(t *testing.T) {
 	if hits, ok := value("itag_respcache_hits_total", "", api.Label{Name: "slot", Value: slot}); !ok || hits != 2*(reads-1) {
 		t.Errorf("itag_respcache_hits_total{slot=%q} = %v (present: %v), want %d", slot, hits, ok, 2*(reads-1))
 	}
-	if _, ok := value("itag_respcache_hits_total", ""); !ok {
-		t.Error("the led slot's unlabeled itag_respcache_hits_total is gone")
+	if _, ok := value("itag_respcache_hits_total", "", api.Label{Name: "slot", Value: follower}); !ok {
+		t.Errorf("the led slot's itag_respcache_hits_total{slot=%q} is missing", follower)
 	}
 	if n := strings.Count(text, "# TYPE itag_respcache_hits_total "); n != 1 {
 		t.Errorf("itag_respcache_hits_total is declared %d times", n)

@@ -1,20 +1,30 @@
 package cluster
 
 import (
+	"net/http"
 	"sort"
+	"strings"
 	"time"
 
 	"itag/internal/api"
 )
 
-// Families renders the node's replication posture as Prometheus metric
-// families. The led slot's server injects this through its ExtraFamilies
-// hook, so one scrape of GET /metrics shows route latencies, store
-// durability counters, and both ends of the node's replication streams side
-// by side — the lag gauge is what the staleness bound on follower reads is
-// measured against. The replica stacks' response caches ride along as
-// slot-labeled samples of the itag_respcache_* families the led slot's server
-// renders unlabeled (api.WriteExposition writes one family per name).
+// PromHandler exposes the node's metrics in one exposition: the route
+// histograms of every request it served (a led slot's stack and, for
+// follower reads, a replica's count into one registry), then Families.
+func (n *Node) PromHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", api.ExpositionContentType)
+		_ = api.WriteExposition(w, append(n.metrics.Families(), n.Families()...))
+	})
+}
+
+// Families renders everything the node exposes beyond its route registry:
+// each led slot's store, admission and response-cache families, each replica
+// stack's response cache, all labeled by slot, and the node's replication
+// posture — both ends of its streams side by side; the lag gauge is what the
+// staleness bound on follower reads is measured against. Stacks that share a
+// family name write it once (api.WriteExposition merges by name).
 func (n *Node) Families() []api.Family {
 	health := n.Health() // before n.mu: Health takes its own RLock
 	breakerOpen, breakerTotal, breakerOpens := n.peers.Snapshot(time.Now())
@@ -33,9 +43,11 @@ func (n *Node) Families() []api.Family {
 
 	// One stream per (led slot, follower node): what was shipped, how far
 	// that follower has acked, and what went wrong on the way.
+	var slotFams []api.Family
 	var leaderApplied, pushes, pushBytes, acked, pushErrs []api.Sample
 	for _, slot := range sortedKeys(n.leaders) {
 		b := n.leaders[slot]
+		slotFams = append(slotFams, b.srv.Families(api.Label{Name: "slot", Value: slot})...)
 		leaderApplied = append(leaderApplied, slotSample(slot, float64(b.db.AppliedSeq())))
 		for _, s := range b.senders {
 			labels := []api.Label{{Name: "slot", Value: slot}, {Name: "follower", Value: hostOf(s.addr)}}
@@ -57,7 +69,13 @@ func (n *Node) Families() []api.Family {
 	var repCaches []api.Family
 	for _, slot := range sortedKeys(n.replicas) {
 		rep := n.replicas[slot]
-		repCaches = append(repCaches, rep.srv.RespCacheFamilies(api.Label{Name: "slot", Value: slot})...)
+		// A replica shows its response cache only: its store's counters
+		// would add the slot's replicated writes to this node's own.
+		for _, f := range rep.srv.Families(api.Label{Name: "slot", Value: slot}) {
+			if strings.HasPrefix(f.Name, "itag_respcache_") {
+				repCaches = append(repCaches, f)
+			}
+		}
 		repApplied = append(repApplied, slotSample(slot, float64(rep.db.AppliedSeq())))
 		repLeader = append(repLeader, slotSample(slot, float64(rep.leaderSeq.Load())))
 		repLag = append(repLag, slotSample(slot, float64(rep.lag())))
@@ -106,7 +124,7 @@ func (n *Node) Families() []api.Family {
 			gauge("itag_cluster_replica_lag", "Replication lag in records per followed slot (leader seq minus replica seq).", repLag),
 		)
 	}
-	return append(fams, repCaches...)
+	return append(append(slotFams, fams...), repCaches...)
 }
 
 // sortedKeys returns m's keys in order, so a scrape lists samples stably.

@@ -324,12 +324,7 @@ func (n *Node) openBackend(slot, path string) (*backend, error) {
 	}
 	svc := core.NewService(store.NewCatalog(db), n.opts.Seed)
 	svc.SetIDFilter(n.idFilterFor(slot))
-	srv := server.NewWith(svc, server.Options{
-		Logger:        nil,
-		RouteTimeout:  n.opts.RouteTimeout,
-		ExtraFamilies: n.Families,
-		Metrics:       n.metrics,
-	})
+	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})
 	return &backend{slot: slot, db: db, svc: svc, srv: srv}, nil
 }
 
@@ -355,34 +350,6 @@ func (n *Node) idFilterFor(slot string) func(prefix, id string) bool {
 // Handler returns the node's HTTP surface: the cluster control endpoints
 // under /api/v1/cluster/ plus ring-routed access to every API route.
 func (n *Node) Handler() http.Handler { return n.handler }
-
-// PromHandler exposes the node's metrics: the route histograms of every
-// request it served — through a led slot's stack or, for follower reads, a
-// replica's; they share one registry — the led slot's store durability
-// counters and response cache, and, through the ExtraFamilies hook, the
-// cluster replication families and the replica stacks' response caches. The
-// backend is resolved per scrape: after a demotion of the boot slot the
-// scrape falls back to any remaining led slot, and a node that leads nothing
-// still serves the route and cluster families.
-func (n *Node) PromHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n.mu.RLock()
-		b := n.leaders[n.slot]
-		if b == nil {
-			for _, other := range n.leaders {
-				b = other
-				break
-			}
-		}
-		n.mu.RUnlock()
-		if b != nil {
-			b.srv.PromHandler().ServeHTTP(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", api.ExpositionContentType)
-		_ = api.WriteExposition(w, append(n.metrics.Families(), n.Families()...))
-	})
-}
 
 // Ring returns the node's current routing table.
 func (n *Node) Ring() *Ring {

@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"itag/internal/crowd"
 	"itag/internal/dataset"
+	"itag/internal/quality"
 	"itag/internal/rng"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
@@ -513,5 +516,64 @@ func TestEstimateGainTablesValidation(t *testing.T) {
 	}
 	if tables[0].Gain(10) <= 0 {
 		t.Error("projected gain on empty resource must be positive")
+	}
+}
+
+// TestSeededPlanIsBitReproducible: at a fixed seed a plan is a function of
+// its inputs to the bit — gain tables, allocation and projected gain alike —
+// for a metric that reads only aligned slots (cosine) and one that also sums
+// the reference tags no post has used yet (JSD). Every sum the planner runs
+// walks an order fixed by the tags, never a map's iteration order.
+func TestSeededPlanIsBitReproducible(t *testing.T) {
+	h := newHarness(t, 12, 10, 0)
+	res := h.world.Dataset.Resources
+	seedPosts := make(map[string][][]string)
+	r := rng.New(29)
+	for i := 0; i < 6; i++ {
+		for k := 0; k < 20; k++ {
+			tags, err := h.sim.GeneratePost(r, &h.pop.Profiles[i], res[i].ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedPosts[res[i].ID] = append(seedPosts[res[i].ID], tags)
+		}
+	}
+	for _, metric := range []quality.Metric{quality.MetricCosine, quality.MetricJSD} {
+		cfg := PlanConfig{Horizon: 12, Samples: 3, Seed: 29, Metric: metric}
+		tableBits := func() []uint64 {
+			counts, err := SeedCounts(res, seedPosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, err := EstimateGainTables(h.sim, res, counts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bits []uint64
+			for _, tb := range tables {
+				for x := 0; x <= tb.MaxX(); x++ {
+					bits = append(bits, math.Float64bits(tb.Gain(x)))
+				}
+			}
+			return bits
+		}
+		plan := func() ([]int, uint64) {
+			alloc, projected, err := PlanOptimal(h.sim, res, seedPosts, 60, PlanConfig{Samples: 3, Seed: 29, Metric: metric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return alloc, math.Float64bits(projected)
+		}
+		wantBits := tableBits()
+		wantPlan, wantGain := plan()
+		for run := 1; run <= 4; run++ {
+			if got := tableBits(); !slices.Equal(got, wantBits) {
+				t.Fatalf("%s run %d: gain tables differ from the first run's bits", metric, run)
+			}
+			gotPlan, gotGain := plan()
+			if !slices.Equal(gotPlan, wantPlan) || gotGain != wantGain {
+				t.Fatalf("%s run %d: plan %v gain %x, first run %v gain %x", metric, run, gotPlan, gotGain, wantPlan, wantGain)
+			}
+		}
 	}
 }

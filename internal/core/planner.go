@@ -63,22 +63,28 @@ func (c PlanConfig) withDefaults() PlanConfig {
 }
 
 // SeedCounts materializes per-resource rfd accumulators from seed posts,
-// aligned with the resource slice.
-func SeedCounts(resources []dataset.Resource, seedPosts map[string][][]string) ([]*rfd.Counts, error) {
-	out := make([]*rfd.Counts, len(resources))
-	index := make(map[string]int, len(resources))
+// aligned with the resource slice. One interner spans them all: the
+// resources share the world's vocabulary, and the planner's Monte-Carlo
+// clones index by the same dense IDs. Posts are added resource by resource
+// in post order, so every accumulator's slot order — and so every sum over
+// it — is fixed by the input.
+func SeedCounts(resources []dataset.Resource, seedPosts map[string][][]string) ([]*rfd.ICounts, error) {
+	in := vocab.NewInterner()
+	out := make([]*rfd.ICounts, len(resources))
+	known := make(map[string]bool, len(resources))
 	for i, res := range resources {
-		out[i] = rfd.NewCounts()
-		index[res.ID] = i
+		out[i] = rfd.NewICounts(in)
+		known[res.ID] = true
 	}
-	for id, posts := range seedPosts {
-		i, ok := index[id]
-		if !ok {
+	for id := range seedPosts {
+		if !known[id] {
 			return nil, errs.New(errs.ComponentCore, errs.CategoryValidation, "seed posts for unknown resource %q", id)
 		}
-		for _, tags := range posts {
+	}
+	for i, res := range resources {
+		for _, tags := range seedPosts[res.ID] {
 			if err := out[i].AddPost(tags); err != nil {
-				return nil, fmt.Errorf("core: seed post for %q: %w", id, err)
+				return nil, fmt.Errorf("core: seed post for %q: %w", res.ID, err)
 			}
 		}
 	}
@@ -86,9 +92,10 @@ func SeedCounts(resources []dataset.Resource, seedPosts map[string][][]string) (
 }
 
 // EstimateGainTables Monte-Carlo-projects each resource's expected quality
-// curve from its current counts and returns concave gain tables.
+// curve from its current counts and returns concave gain tables. Each path
+// runs on a clone, so current is left as it was.
 func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
-	current []*rfd.Counts, cfg PlanConfig) ([]*quality.GainTable, error) {
+	current []*rfd.ICounts, cfg PlanConfig) ([]*quality.GainTable, error) {
 
 	cfg = cfg.withDefaults()
 	if cfg.Horizon <= 0 {
@@ -98,19 +105,15 @@ func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
 		return nil, errs.New(errs.ComponentCore, errs.CategoryValidation, "%d resources vs %d count sets", len(resources), len(current))
 	}
 	r := rng.New(cfg.Seed)
-	// One interner spans the whole plan: all resources share the world's
-	// vocabulary, and Monte-Carlo clones index by the same dense IDs.
-	in := vocab.NewInterner()
 	tables := make([]*quality.GainTable, len(resources))
 	for i, res := range resources {
-		interned := rfd.InternCounts(in, current[i])
 		mean := make([]float64, cfg.Horizon+1)
 		for s := 0; s < cfg.Samples; s++ {
-			counts := interned.Clone()
+			counts := current[i].Clone()
 			var ref *rfd.Ref
 			var tracker *quality.Tracker
 			if cfg.Stability {
-				tracker = quality.NewTrackerShared(quality.Config{Metric: cfg.Metric, Window: cfg.StabilityWindow}, in)
+				tracker = quality.NewTrackerShared(quality.Config{Metric: cfg.Metric, Window: cfg.StabilityWindow}, counts.Interner())
 				// Warm the tracker with the existing posts' distribution:
 				// stability projection needs history; approximate by
 				// replaying the aggregate as one pseudo-history starting

@@ -8,8 +8,9 @@ package core
 // counter at zero. ResumeRuns reconstructs what the catalog can support:
 //
 //   - users are re-registered with the User Manager (judgment tallies and
-//     ledger balances are process-local aggregates and restart empty; the
-//     authoritative Judged/JudgedOK counts live in the user records)
+//     ledger balances are process memory and restart empty: nothing writes
+//     them to the user records, so approval rates and earnings are lost;
+//     the stored posts keep every verdict)
 //   - the ID counter advances past every persisted ID so new registrations
 //     and projects cannot collide with replicated ones
 //   - every active project with remaining budget gets a rebuilt manual Run:

@@ -33,6 +33,7 @@ import (
 // waits for them, which is what itagd's graceful shutdown uses.
 type Service struct {
 	mu      sync.Mutex
+	judgeMu sync.Mutex // makes JudgePost's already-judged check and its write one step
 	cat     *store.Catalog
 	um      *users.Manager
 	ledger  *crowd.Ledger
@@ -1064,11 +1065,15 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 }
 
 // JudgePost records the provider's approval verdict on a stored post and,
-// on approval, pays the incentive (Fig. 6 Notification actions).
+// on approval, pays the incentive (Fig. 6 Notification actions). A post is
+// judged once: of concurrent judges of one post, one records its verdict and
+// pays, and the rest get "already judged".
 func (s *Service) JudgePost(ctx context.Context, projectID, resourceID string, seq uint64, approved bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.judgeMu.Lock()
+	defer s.judgeMu.Unlock()
 	post, err := s.cat.GetPost(resourceID, seq)
 	if err != nil {
 		return err

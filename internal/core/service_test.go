@@ -4,6 +4,8 @@ import (
 	"context"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"itag/internal/dataset"
@@ -347,6 +349,67 @@ func TestProjectsListing(t *testing.T) {
 	}
 	if !strings.HasPrefix(mine[0].Project.ID, "proj-") {
 		t.Errorf("project ID = %s", mine[0].Project.ID)
+	}
+}
+
+// TestConcurrentJudgesPayOnce: of eight concurrent approvals of one post,
+// exactly one is recorded and paid, post after post.
+func TestConcurrentJudgesPayOnce(t *testing.T) {
+	s := newService(t)
+	ctx := context.Background()
+	prov, _ := s.RegisterProvider(ctx, "bob")
+	tagger, _ := s.RegisterTagger(ctx, "carol")
+	const posts, judges, pay = 16, 8, 0.25
+	proj, err := s.CreateProject(ctx, ProjectSpec{
+		ProviderID: prov, Name: "judged", Budget: posts, PayPerTask: pay,
+		Strategy: "fp", Resources: manualResources(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < posts; i++ {
+		task, err := s.RequestTask(ctx, proj, tagger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	judged := 0
+	for _, res := range manualResources() {
+		stored, err := s.Catalog().PostsOf(res.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range stored {
+			seq := uint64(i + 1)
+			var wins atomic.Int32
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for j := 0; j < judges; j++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if s.JudgePost(ctx, proj, res.ID, seq, true) == nil {
+						wins.Add(1)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if n := wins.Load(); n != 1 {
+				t.Fatalf("post %s/%d: %d of %d concurrent judges succeeded, want 1", res.ID, seq, n, judges)
+			}
+			judged++
+		}
+	}
+	if judged != posts {
+		t.Fatalf("judged %d posts, want %d", judged, posts)
+	}
+	if got := s.Ledger().Earned(tagger); got != posts*pay {
+		t.Errorf("earned = %v, want one payment per post = %v", got, posts*pay)
 	}
 }
 

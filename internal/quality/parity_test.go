@@ -11,12 +11,12 @@ import (
 	"itag/internal/vocab"
 )
 
-// These property tests pin the tentpole refactor's contract: the interned
-// quality path (Tracker over vocab.Interner + rfd.IHistory/Ref) is
-// numerically equivalent — within 1e-12 — to the map-path oracle
-// (MapTracker over rfd.History, maptracker_test.go) on randomized post streams, for
-// every metric. CI runs this package under -race, so the shared interner is
-// also exercised for data races when trackers are built concurrently.
+// These property tests pin the interned rfd path — rfd.ICounts, IHistory
+// and Ref, and the Tracker and OracleRef built on them — to the map-path
+// oracle (oracle_test.go): numerically equivalent within 1e-12 on
+// randomized post streams, for every metric. CI runs this package under
+// -race, so the shared interner is also exercised for data races when
+// trackers are built concurrently.
 
 const parityTol = 1e-12
 
@@ -81,7 +81,7 @@ func TestPropertyInternedTrackerMatchesMapPath(t *testing.T) {
 		if ti.Posts() != tm.Posts() {
 			t.Fatalf("seed %d: posts %d vs %d", seed, ti.Posts(), tm.Posts())
 		}
-		di, dm := ti.Dist(), tm.Dist()
+		di, dm := distOf(ti.Counts()), tm.Dist()
 		if len(di) != len(dm) {
 			t.Fatalf("seed %d: dist supports %d vs %d", seed, len(di), len(dm))
 		}
@@ -100,7 +100,8 @@ func TestPropertyInternedTrackerMatchesMapPath(t *testing.T) {
 }
 
 // TestPropertyOracleRefMatchesOracle checks the interned oracle path
-// against the map-path Oracle for every metric while the tracked rfd grows.
+// against the map-path similarity for every metric while the tracked rfd
+// grows.
 func TestPropertyOracleRefMatchesOracle(t *testing.T) {
 	metrics := []Metric{MetricCosine, MetricJSD, MetricL1, MetricHellinger}
 	for seed := int64(0); seed < 6; seed++ {
@@ -121,10 +122,10 @@ func TestPropertyOracleRefMatchesOracle(t *testing.T) {
 		}
 		check := func(stage string) {
 			t.Helper()
-			cur := tr.Dist()
+			cur := distOf(tr.Counts())
 			for i, m := range metrics {
 				got := OracleRef(m, refs[i])
-				want := Oracle(m, cur, ref)
+				want := m.similarity(cur, ref)
 				if math.Abs(got-want) > parityTol {
 					t.Fatalf("seed %d %s (%s): OracleRef %v vs Oracle %v", seed, stage, m, got, want)
 				}
@@ -142,6 +143,171 @@ func TestPropertyOracleRefMatchesOracle(t *testing.T) {
 		}
 		check("final")
 	}
+}
+
+// TestICountsMatchesCounts holds rfd.ICounts to the oracle's counts:
+// counters, per-tag counts, the distribution, TopK and the exact Σ n².
+func TestICountsMatchesCounts(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	pool := parityPool()
+	ic := rfd.NewICounts(vocab.NewInterner())
+	mc := newMapCounts()
+	for p := 0; p < 200; p++ {
+		post := parityPost(r, pool)
+		e1, e2 := ic.AddPost(post), mc.AddPost(post)
+		if (e1 == nil) != (e2 == nil) {
+			t.Fatalf("post %d: interned err %v vs map err %v", p, e1, e2)
+		}
+	}
+	if ic.Posts() != mc.Posts() || ic.Total() != mc.Total() || ic.Distinct() != mc.Distinct() {
+		t.Fatalf("counters diverge: %d/%d/%d vs %d/%d/%d",
+			ic.Posts(), ic.Total(), ic.Distinct(), mc.Posts(), mc.Total(), mc.Distinct())
+	}
+	for _, tag := range pool {
+		if ic.Count(tag) != mc.Count(tag) {
+			t.Errorf("Count(%q) = %d vs %d", tag, ic.Count(tag), mc.Count(tag))
+		}
+	}
+	di, dm := distOf(ic), mc.Dist()
+	if len(di) != len(dm) {
+		t.Fatalf("dist sizes %d vs %d", len(di), len(dm))
+	}
+	for tag, v := range dm {
+		if math.Abs(di[tag]-v) > 1e-15 {
+			t.Errorf("dist[%q] = %v vs %v", tag, di[tag], v)
+		}
+	}
+	if !reflect.DeepEqual(ic.TopK(8), mc.TopK(8)) {
+		t.Errorf("TopK diverges:\n%v\n%v", ic.TopK(8), mc.TopK(8))
+	}
+	var want float64
+	for _, tf := range mc.TopK(1 << 20) {
+		want += float64(tf.Count) * float64(tf.Count)
+	}
+	if ic.NormSq() != want {
+		t.Errorf("NormSq = %v, want %v", ic.NormSq(), want)
+	}
+}
+
+// TestIHistoryWindowsMatchHistory drives an rfd.IHistory and the oracle's
+// history with the same stream and asserts every retained window
+// comparison agrees with the metric computed on materialized snapshots.
+func TestIHistoryWindowsMatchHistory(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	pool := parityPool()
+	const depth = 8
+	const maintained = 5 // sliding width for the incrementally maintained history
+	ih := rfd.NewIHistory(vocab.NewInterner(), depth)
+	iw := rfd.NewIHistoryWindow(vocab.NewInterner(), depth, maintained)
+	mh := newMapHistory(depth)
+	for p := 0; p < 120; p++ {
+		post := parityPost(r, pool)
+		if err := ih.AddPost(post); err != nil {
+			if err2 := mh.AddPost(post); err2 == nil {
+				t.Fatalf("post %d: interned errored, map did not", p)
+			}
+			continue
+		}
+		if err := iw.AddPost(post); err != nil {
+			t.Fatalf("post %d: windowed interned errored: %v", p, err)
+		}
+		if err := mh.AddPost(post); err != nil {
+			t.Fatalf("post %d: map errored after interned succeeded: %v", p, err)
+		}
+		// The maintained sliding window must agree with the map path at its
+		// own width w = min(posts−1, maintained).
+		w := min(mh.Posts()-1, maintained)
+		if prev, ok := mh.Back(w); ok {
+			cur := mh.Current()
+			if cos, ok := iw.WindowCosine(w); !ok || math.Abs(cos-mapCosine(cur, prev)) > parityTol {
+				t.Fatalf("post %d: maintained cosine(w=%d) = %v ok=%v, map %v", p, w, cos, ok, mapCosine(cur, prev))
+			}
+			if jsd, ok := iw.WindowJSD(w); !ok || math.Abs(jsd-mapJSD(cur, prev)) > parityTol {
+				t.Fatalf("post %d: maintained jsd(w=%d) = %v ok=%v, map %v", p, w, jsd, ok, mapJSD(cur, prev))
+			}
+		}
+		// Off-width queries on the maintained history take the rebuild path
+		// and must agree too.
+		if w > 1 {
+			if prev, ok := mh.Back(w - 1); ok {
+				if cos, ok2 := iw.WindowCosine(w - 1); !ok2 || math.Abs(cos-mapCosine(mh.Current(), prev)) > parityTol {
+					t.Fatalf("post %d: off-width cosine diverges (%v, ok=%v)", p, cos, ok2)
+				}
+			}
+		}
+		if ih.Posts() != mh.Posts() || ih.Depth() != mh.Depth() {
+			t.Fatalf("post %d: posts/depth diverge", p)
+		}
+		for back := 0; back <= depth+1; back++ {
+			prev, ok := mh.Back(back)
+			cos, iok := ih.WindowCosine(back)
+			if ok != iok {
+				t.Fatalf("post %d back %d: retention disagrees (map %v, interned %v)", p, back, ok, iok)
+			}
+			if !ok {
+				continue
+			}
+			cur := mh.Current()
+			l1, _ := ih.WindowL1(back)
+			kl, _ := ih.WindowKL(back)
+			jsd, _ := ih.WindowJSD(back)
+			hel, _ := ih.WindowHellinger(back)
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"cosine", cos, mapCosine(cur, prev)},
+				{"l1", l1, mapL1(cur, prev)},
+				{"kl", kl, mapKL(cur, prev)},
+				{"jsd", jsd, mapJSD(cur, prev)},
+				{"hellinger", hel, mapHellinger(cur, prev)},
+			} {
+				if math.Abs(c.got-c.want) > parityTol {
+					t.Fatalf("post %d back %d: %s = %.17g, map path %.17g", p, back, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestRefMatchesMapMetrics compares every rfd.Ref distance against the
+// oracle's on materialized distributions as the accumulator grows.
+func TestRefMatchesMapMetrics(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	pool := parityPool()
+	// Reference overlaps the pool partially and has tags never posted.
+	ref := rfd.Dist{"go": 0.3, "database": 0.2, "web": 0.1, "neverposted": 0.25, "alpha": 0.15}
+	ic := rfd.NewICounts(vocab.NewInterner())
+	rf := rfd.NewRef(ic, ref)
+
+	check := func(stage string) {
+		t.Helper()
+		cur := distOf(ic)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"cosine", rf.Cosine(), mapCosine(cur, ref)},
+			{"l1", rf.L1(), mapL1(cur, ref)},
+			{"kl", rf.KL(), mapKL(cur, ref)},
+			{"jsd", rf.JSD(), mapJSD(cur, ref)},
+			{"hellinger", rf.Hellinger(), mapHellinger(cur, ref)},
+		} {
+			if math.Abs(c.got-c.want) > parityTol {
+				t.Fatalf("%s: %s = %.17g, map path %.17g", stage, c.name, c.got, c.want)
+			}
+		}
+	}
+	check("empty accumulator")
+	for p := 0; p < 150; p++ {
+		if err := ic.AddPost(parityPost(r, pool)); err != nil {
+			continue // an empty or all-blank post: nothing changed
+		}
+		if p%10 == 0 {
+			check("growing")
+		}
+	}
+	check("final")
 }
 
 // BenchmarkTrackerAddPost times one AddPost + q_i(k) update on the interned

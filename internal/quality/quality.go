@@ -74,24 +74,6 @@ func ParseMetric(name string) (Metric, error) {
 	}
 }
 
-// Similarity returns the [0,1] similarity between two rfds under the metric.
-// If both distributions are empty the similarity is 0 (no evidence).
-func (m Metric) Similarity(a, b rfd.Dist) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	switch m {
-	case MetricJSD:
-		return clamp01(1 - rfd.JSD(a, b)/math.Ln2)
-	case MetricL1:
-		return clamp01(1 - rfd.L1(a, b)/2)
-	case MetricHellinger:
-		return clamp01(1 - rfd.Hellinger(a, b))
-	default:
-		return clamp01(rfd.Cosine(a, b))
-	}
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -142,7 +124,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// historyDepth is the snapshot retention both tracker implementations use.
+// historyDepth is the snapshot retention a tracker keeps (the map-path
+// oracle in oracle_test.go keeps the same).
 func historyDepth(cfg Config) int {
 	depth := cfg.Window + 1
 	if depth < rfd.DefaultHistoryDepth {
@@ -158,8 +141,7 @@ func historyDepth(cfg Config) int {
 // each AddPost updates the quality in O(tags-in-window) for cosine (one
 // array pass over the resource's support for the shape metrics) instead of
 // cloning and re-walking string-keyed maps. Semantics are identical to the
-// map-path oracle kept in maptracker_test.go (see the parity property
-// tests).
+// map-path oracle kept in oracle_test.go (see the parity property tests).
 //
 // It is not safe for concurrent use; callers synchronize.
 type Tracker struct {
@@ -215,7 +197,7 @@ func (t *Tracker) compute() float64 {
 }
 
 // windowSimilarity maps the metric onto IHistory's incremental window
-// comparisons, applying the same [0,1] transforms as Similarity.
+// comparisons and into [0, 1]; OracleRef applies the same transforms.
 func (m Metric) windowSimilarity(h *rfd.IHistory, back int) (float64, bool) {
 	switch m {
 	case MetricJSD:
@@ -247,11 +229,8 @@ func (t *Tracker) Instability() float64 { return 1 - t.Quality() }
 // Posts returns how many posts have been recorded.
 func (t *Tracker) Posts() int { return t.hist.Posts() }
 
-// Dist returns the current rfd as a string-keyed map (boundary copy).
-func (t *Tracker) Dist() rfd.Dist { return t.hist.Counts().Dist() }
-
 // Counts exposes the interned tag counts (for UIs/exports; treat as
-// read-only). Tag strings are resolved at this boundary (TopK, Dist).
+// read-only). Tag strings are resolved at this boundary (TopK).
 func (t *Tracker) Counts() *rfd.ICounts { return t.hist.Counts() }
 
 // NewRef binds a reference distribution to this tracker's counts for fast
@@ -291,16 +270,11 @@ func converged(series []float64, tau float64, span int) bool {
 	return true
 }
 
-// Oracle computes the oracle quality of a current rfd against a reference
-// distribution under the metric. Use in evaluation and by the optimal
-// allocator, never by live strategies (the reference is latent).
-func Oracle(m Metric, current, reference rfd.Dist) float64 {
-	return m.Similarity(current, reference)
-}
-
-// OracleRef is Oracle on the interned hot path: the reference was bound to
-// an ICounts once (Tracker.NewRef / rfd.NewRef) and every evaluation is a
-// single array pass instead of two map walks.
+// OracleRef computes the oracle quality of an accumulator's current rfd
+// against the reference distribution bound to it (Tracker.NewRef /
+// rfd.NewRef) under the metric; every evaluation is a single array pass.
+// If both are empty the quality is 0 (no evidence). Use in evaluation and by
+// the optimal allocator, never by live strategies (the reference is latent).
 func OracleRef(m Metric, r *rfd.Ref) float64 {
 	if r.BothEmpty() {
 		return 0

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"itag/internal/rfd"
+	"itag/internal/vocab"
 )
 
 func TestParseMetric(t *testing.T) {
@@ -36,21 +37,35 @@ func TestMetricStringRoundTrip(t *testing.T) {
 	}
 }
 
+// countsOf posts each tag n[i] times, one tag per post.
+func countsOf(t *testing.T, tags []string, n []int) *rfd.ICounts {
+	t.Helper()
+	c := rfd.NewICounts(vocab.NewInterner())
+	for i, tag := range tags {
+		for k := 0; k < n[i]; k++ {
+			if err := c.AddPost([]string{tag}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
 func TestSimilarityIdentityAndBounds(t *testing.T) {
 	a := rfd.Dist{"x": 0.7, "y": 0.3}
 	b := rfd.Dist{"z": 1}
 	for _, m := range []Metric{MetricCosine, MetricJSD, MetricL1, MetricHellinger} {
-		if got := m.Similarity(a, a); math.Abs(got-1) > 1e-9 {
+		if got := OracleRef(m, rfd.NewRef(countsOf(t, []string{"x", "y"}, []int{7, 3}), a)); math.Abs(got-1) > 1e-9 {
 			t.Errorf("%v: self-similarity = %v", m, got)
 		}
-		got := m.Similarity(a, b)
+		got := OracleRef(m, rfd.NewRef(countsOf(t, []string{"x", "y"}, []int{7, 3}), b))
 		if got < 0 || got > 1 {
 			t.Errorf("%v: similarity out of range: %v", m, got)
 		}
 		if got > 0.01 {
 			t.Errorf("%v: disjoint similarity should be ~0, got %v", m, got)
 		}
-		if e := m.Similarity(rfd.Dist{}, rfd.Dist{}); e != 0 {
+		if e := OracleRef(m, rfd.NewRef(countsOf(t, nil, nil), rfd.Dist{})); e != 0 {
 			t.Errorf("%v: empty-vs-empty = %v", m, e)
 		}
 	}
@@ -166,10 +181,10 @@ func TestConverged(t *testing.T) {
 
 func TestOracleQuality(t *testing.T) {
 	ref := rfd.Dist{"a": 0.5, "b": 0.5}
-	if got := Oracle(MetricCosine, ref, ref); math.Abs(got-1) > 1e-9 {
+	if got := OracleRef(MetricCosine, rfd.NewRef(countsOf(t, []string{"a", "b"}, []int{1, 1}), ref)); math.Abs(got-1) > 1e-9 {
 		t.Errorf("oracle self = %v", got)
 	}
-	if got := Oracle(MetricCosine, rfd.Dist{"z": 1}, ref); got != 0 {
+	if got := OracleRef(MetricCosine, rfd.NewRef(countsOf(t, []string{"z"}, []int{1}), ref)); got != 0 {
 		t.Errorf("oracle disjoint = %v", got)
 	}
 }
@@ -362,31 +377,36 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestPropertySimilarityBounds: OracleRef stays in [0, 1] and is symmetric
+// — a's counts against b's rfd equal b's counts against a's — on random
+// pairs of rfds over six tags, empty ones included.
 func TestPropertySimilarityBounds(t *testing.T) {
 	metrics := []Metric{MetricCosine, MetricJSD, MetricL1, MetricHellinger}
-	f := func(aw, bw [6]uint8) bool {
-		tags := []string{"t1", "t2", "t3", "t4", "t5", "t6"}
-		a := make(rfd.Dist)
-		b := make(rfd.Dist)
-		var sa, sb float64
-		for i := range tags {
-			sa += float64(aw[i])
-			sb += float64(bw[i])
+	tags := []string{"t1", "t2", "t3", "t4", "t5", "t6"}
+	side := func(w [6]uint8) (*rfd.ICounts, rfd.Dist) {
+		n := make([]int, len(w))
+		var sum float64
+		for i := range w {
+			n[i] = int(w[i] % 32)
+			sum += float64(n[i])
 		}
+		d := make(rfd.Dist)
 		for i, tag := range tags {
-			if sa > 0 {
-				a[tag] = float64(aw[i]) / sa
-			}
-			if sb > 0 {
-				b[tag] = float64(bw[i]) / sb
+			if sum > 0 {
+				d[tag] = float64(n[i]) / sum
 			}
 		}
+		return countsOf(t, tags, n), d
+	}
+	f := func(aw, bw [6]uint8) bool {
+		ca, a := side(aw)
+		cb, b := side(bw)
 		for _, m := range metrics {
-			s := m.Similarity(a, b)
+			s := OracleRef(m, rfd.NewRef(ca, b))
 			if s < 0 || s > 1 || math.IsNaN(s) {
 				return false
 			}
-			if math.Abs(m.Similarity(a, b)-m.Similarity(b, a)) > 1e-9 {
+			if math.Abs(s-OracleRef(m, rfd.NewRef(cb, a))) > 1e-9 {
 				return false
 			}
 		}

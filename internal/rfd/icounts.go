@@ -19,8 +19,8 @@ type Interner interface {
 	Len() int
 }
 
-// ICounts is the interned counterpart of Counts: per-resource tag occurrence
-// counts held as a sparse ID-indexed vector. Tags map to dense *slots* in
+// ICounts is one resource's tag occurrence counts, held as a sparse
+// ID-indexed vector. Tags map to dense *slots* in
 // insertion order; slot indices are stable for the life of the accumulator,
 // which lets IHistory reference slots from its snapshot ring and lets Ref
 // cache a reference distribution aligned to the slot table.
@@ -46,19 +46,6 @@ func NewICounts(in Interner) *ICounts {
 	return &ICounts{in: in, local: make(map[uint32]int32)}
 }
 
-// InternCounts converts a map-path accumulator into an interned one.
-func InternCounts(in Interner, c *Counts) *ICounts {
-	ic := NewICounts(in)
-	for t, n := range c.counts {
-		s := ic.slot(in.ID(t))
-		ic.counts[s] = int32(n)
-		ic.total += n
-		ic.sumSq += float64(n) * float64(n)
-	}
-	ic.posts = c.posts
-	return ic
-}
-
 // Interner returns the interner this accumulator indexes by.
 func (c *ICounts) Interner() Interner { return c.in }
 
@@ -74,9 +61,9 @@ func (c *ICounts) slot(id uint32) int32 {
 	return s
 }
 
-// AddPost records one post with the exact semantics of Counts.AddPost:
-// tags are normalized, empties dropped, duplicates within the post counted
-// once, and a post with no usable tags is an error.
+// AddPost records one post. A post is a *set* of tags (paper §II): tags are
+// normalized, empties dropped, duplicates within the post counted once, and
+// a post with no usable tags is an error.
 func (c *ICounts) AddPost(tags []string) error {
 	_, err := c.addPost(tags)
 	return err
@@ -145,24 +132,9 @@ func (c *ICounts) Count(tag string) int {
 	return int(c.counts[s])
 }
 
-// Dist materializes the current rfd as a string-keyed map — the boundary
-// translation for exports and the map-path reference; never called on the
-// hot path.
-func (c *ICounts) Dist() Dist {
-	d := make(Dist, len(c.ids))
-	if c.total == 0 {
-		return d
-	}
-	inv := 1.0 / float64(c.total)
-	for s, id := range c.ids {
-		d[c.in.Tag(id)] = float64(c.counts[s]) * inv
-	}
-	return d
-}
-
 // TopK returns the k most frequent tags with their relative frequencies,
-// most frequent first, ties broken lexicographically — identical contract
-// to Counts.TopK, with tag strings resolved at this boundary.
+// most frequent first, ties broken lexicographically; tag strings are
+// resolved at this boundary.
 func (c *ICounts) TopK(k int) []TagFreq {
 	out := make([]TagFreq, 0, len(c.ids))
 	for s, id := range c.ids {

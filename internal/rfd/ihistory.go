@@ -2,8 +2,8 @@ package rfd
 
 import "math"
 
-// IHistory is the interned counterpart of History. Instead of cloning the
-// whole rfd map after every post, it keeps a copy-free snapshot window: a
+// IHistory is one resource's rfd history: an ICounts plus a copy-free
+// snapshot window. Instead of cloning the rfd after every post, it keeps a
 // ring of per-post deltas (the slots each post touched — a handful of
 // integers) plus the scalar stats (total, Σ n²) as of each post. Because
 // counts only grow, the rfd as of `back` posts ago is fully reconstructible
@@ -155,7 +155,7 @@ func (h *IHistory) idx(back int) int {
 // gather prepares a comparison against the snapshot `back` posts ago:
 // it fills h.mult with each slot's multiplicity across the last `back`
 // posts and returns that snapshot's scalar stats. ok=false when the
-// snapshot is not retained (same contract as History.Back).
+// snapshot is not retained or never existed.
 func (h *IHistory) gather(back int) (snapStat, bool) {
 	if back < 0 || back >= h.taken || back >= h.depth {
 		return snapStat{}, false
@@ -224,8 +224,8 @@ func (h *IHistory) WindowCosine(back int) (float64, bool) {
 }
 
 // WindowL1 returns the L1 distance Σ|cur−prev| between the current rfd and
-// the rfd `back` posts ago, term-for-term identical to L1 on materialized
-// Dists (the prev support is always a subset of the current support).
+// the rfd `back` posts ago (the prev support is always a subset of the
+// current support, so one pass over the current slots covers both).
 func (h *IHistory) WindowL1(back int) (float64, bool) {
 	mult, _, prev, ok := h.windowFor(back)
 	if !ok {
@@ -240,7 +240,7 @@ func (h *IHistory) WindowL1(back int) (float64, bool) {
 	return d, true
 }
 
-// WindowKL returns KL(cur‖prev) with the same add-eps smoothing as KL.
+// WindowKL returns KL(cur‖prev) with add-eps smoothing (eps = 1e-12).
 func (h *IHistory) WindowKL(back int) (float64, bool) {
 	mult, _, prev, ok := h.windowFor(back)
 	if !ok {
@@ -260,9 +260,9 @@ func (h *IHistory) WindowKL(back int) (float64, bool) {
 	return d, true
 }
 
-// WindowJSD returns the Jensen-Shannon divergence between the current rfd
-// and the rfd `back` posts ago, replicating JSD's per-term arithmetic
-// (including the per-direction KL clamps).
+// WindowJSD returns the Jensen-Shannon divergence (base e) between the
+// current rfd and the rfd `back` posts ago: the mean of KL(cur‖m) and
+// KL(prev‖m) for the midpoint m, each clamped at 0.
 func (h *IHistory) WindowJSD(back int) (float64, bool) {
 	mult, _, prev, ok := h.windowFor(back)
 	if !ok {
@@ -309,24 +309,4 @@ func (h *IHistory) WindowHellinger(back int) (float64, bool) {
 		v = 1
 	}
 	return v, true
-}
-
-// BackDist materializes the rfd as of `back` posts ago as a string-keyed
-// map — a boundary/testing helper, never on the hot path.
-func (h *IHistory) BackDist(back int) (Dist, bool) {
-	mult, _, prev, ok := h.windowFor(back)
-	if !ok {
-		return nil, false
-	}
-	d := make(Dist, len(h.c.ids))
-	if prev.total == 0 {
-		return d, true
-	}
-	inv := 1.0 / float64(prev.total)
-	for s, id := range h.c.ids {
-		if pn := h.c.counts[s] - mult[s]; pn > 0 {
-			d[h.c.in.Tag(id)] = float64(pn) * inv
-		}
-	}
-	return d, true
 }

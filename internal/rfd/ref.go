@@ -1,6 +1,9 @@
 package rfd
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Ref binds a fixed reference distribution (a resource's latent truth, or a
 // trace's final rfd) to one ICounts for fast repeated comparison — the
@@ -9,44 +12,68 @@ import "math"
 // pass instead of two map iterations: aligned[s] is the reference mass of
 // slot s's tag, and resid holds reference tags the accumulator has not seen
 // yet (a set that only shrinks as the resource's vocabulary converges).
+//
+// Every sum runs in an order fixed by the tags alone — slots in post order,
+// the reference in sorted tag order — so a seeded computation over a Ref is
+// reproducible bit for bit, not merely to rounding.
 type Ref struct {
 	c       *ICounts
 	byID    map[uint32]float64
 	normSq  float64   // Σ vb² over the whole reference
 	aligned []float64 // slot → reference mass (0 if tag not in reference)
-	resid   map[uint32]float64
+	resid   []refMass // reference tags without a slot, in sorted tag order
 	synced  int
 }
 
-// NewRef interns the reference distribution and binds it to c. Reference
-// keys are used as-is (like Oracle on map Dists, no normalization).
+// refMass is one reference tag's interned ID and mass.
+type refMass struct {
+	id uint32
+	v  float64
+}
+
+// NewRef interns the reference distribution, in sorted tag order, and binds
+// it to c. Reference keys are used as-is (no normalization).
 func NewRef(c *ICounts, ref Dist) *Ref {
-	r := &Ref{
-		c:     c,
-		byID:  make(map[uint32]float64, len(ref)),
-		resid: make(map[uint32]float64, len(ref)),
+	tags := make([]string, 0, len(ref))
+	for t := range ref {
+		tags = append(tags, t)
 	}
-	for t, v := range ref {
+	sort.Strings(tags)
+	r := &Ref{c: c, byID: make(map[uint32]float64, len(ref)), resid: make([]refMass, 0, len(ref))}
+	for _, t := range tags {
+		v := ref[t]
 		id := c.in.ID(t)
 		r.byID[id] = v
-		r.resid[id] = v
+		r.resid = append(r.resid, refMass{id: id, v: v})
 		r.normSq += v * v
 	}
 	r.sync()
 	return r
 }
 
-// sync aligns reference masses to slots added since the last evaluation.
+// sync aligns reference masses to slots added since the last evaluation and
+// drops the reference tags that gained a slot from resid, keeping its order.
 func (r *Ref) sync() {
+	if r.synced == len(r.c.ids) {
+		return
+	}
+	matched := false
 	for s := r.synced; s < len(r.c.ids); s++ {
-		id := r.c.ids[s]
-		v, ok := r.byID[id]
+		v, ok := r.byID[r.c.ids[s]]
 		r.aligned = append(r.aligned, v)
-		if ok {
-			delete(r.resid, id)
-		}
+		matched = matched || ok
 	}
 	r.synced = len(r.c.ids)
+	if !matched {
+		return
+	}
+	kept := r.resid[:0]
+	for _, m := range r.resid {
+		if _, seen := r.c.local[m.id]; !seen {
+			kept = append(kept, m)
+		}
+	}
+	r.resid = kept
 }
 
 // BothEmpty reports whether both the accumulator and the reference are
@@ -85,14 +112,14 @@ func (r *Ref) L1() float64 {
 			d += math.Abs(float64(cn)/tc - r.aligned[s])
 		}
 	}
-	for _, vb := range r.resid {
-		d += vb
+	for _, m := range r.resid {
+		d += m.v
 	}
 	return d
 }
 
 // KL returns KL(cur‖ref) with add-eps smoothing (reference-only tags do not
-// contribute, matching KL on map Dists).
+// contribute: they carry no current mass).
 func (r *Ref) KL() float64 {
 	r.sync()
 	const eps = 1e-12
@@ -110,8 +137,8 @@ func (r *Ref) KL() float64 {
 	return d
 }
 
-// JSD returns the Jensen-Shannon divergence between the current rfd and the
-// reference, replicating JSD's per-term arithmetic.
+// JSD returns the Jensen-Shannon divergence (base e) between the current
+// rfd and the reference, with IHistory.WindowJSD's per-term arithmetic.
 func (r *Ref) JSD() float64 {
 	r.sync()
 	const eps = 1e-12
@@ -128,8 +155,8 @@ func (r *Ref) JSD() float64 {
 			}
 		}
 	}
-	for _, vb := range r.resid {
-		if vb > 0 {
+	for _, m := range r.resid {
+		if vb := m.v; vb > 0 {
 			db += vb * math.Log((vb+eps)/(vb/2+eps))
 		}
 	}
@@ -154,8 +181,8 @@ func (r *Ref) Hellinger() float64 {
 			sum += d * d
 		}
 	}
-	for _, vb := range r.resid {
-		sum += vb
+	for _, m := range r.resid {
+		sum += m.v
 	}
 	v := math.Sqrt(sum / 2)
 	if v > 1 {

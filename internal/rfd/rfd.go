@@ -5,124 +5,17 @@
 // the first k posts, normalized to sum 1. The iTag quality metric q_i(k) is
 // defined on the *stability* of these distributions as posts accumulate
 // (Golder & Huberman observed that rfds of well-tagged resources converge).
-// This package provides the count vector, incremental maintenance, snapshot
-// history, and the distances/similarities used by the quality package.
+// This package provides the interned count vector (ICounts), its copy-free
+// snapshot history (IHistory) and a reference distribution bound to one
+// accumulator (Ref), with the distances the quality package maps to [0, 1].
 package rfd
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Dist is a relative frequency distribution over tags: non-negative weights
-// normalized to sum 1 (or an all-zero map for the empty distribution).
+// normalized to sum 1 (or an all-zero map for the empty distribution). It is
+// the form a latent reference distribution takes (see Ref).
 type Dist map[string]float64
-
-// Counts accumulates raw tag occurrence counts for one resource and
-// maintains the derived rfd incrementally. The zero value is ready to use.
-type Counts struct {
-	counts map[string]int
-	total  int
-	posts  int
-}
-
-// NewCounts returns an empty accumulator.
-func NewCounts() *Counts {
-	return &Counts{counts: make(map[string]int)}
-}
-
-// AddPost records one post (a nonempty set of tags). Duplicate tags within
-// one post are counted once: a post is a *set* of tags (paper §II).
-func (c *Counts) AddPost(tags []string) error {
-	if len(tags) == 0 {
-		return fmt.Errorf("rfd: post must contain at least one tag")
-	}
-	if c.counts == nil {
-		c.counts = make(map[string]int)
-	}
-	seen := make(map[string]struct{}, len(tags))
-	for _, t := range tags {
-		t = Normalize(t)
-		if t == "" {
-			continue
-		}
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		c.counts[t]++
-		c.total++
-	}
-	if len(seen) == 0 {
-		return fmt.Errorf("rfd: post contained no usable tags")
-	}
-	c.posts++
-	return nil
-}
-
-// Posts returns the number of posts recorded.
-func (c *Counts) Posts() int { return c.posts }
-
-// Total returns the total number of tag occurrences recorded.
-func (c *Counts) Total() int { return c.total }
-
-// Count returns the occurrence count for one tag.
-func (c *Counts) Count(tag string) int { return c.counts[Normalize(tag)] }
-
-// Distinct returns the number of distinct tags seen.
-func (c *Counts) Distinct() int { return len(c.counts) }
-
-// Dist materializes the current rfd. The returned map is a copy.
-func (c *Counts) Dist() Dist {
-	d := make(Dist, len(c.counts))
-	if c.total == 0 {
-		return d
-	}
-	inv := 1.0 / float64(c.total)
-	for t, n := range c.counts {
-		d[t] = float64(n) * inv
-	}
-	return d
-}
-
-// TopK returns the k most frequent tags with their relative frequencies,
-// most frequent first; ties broken lexicographically for determinism.
-func (c *Counts) TopK(k int) []TagFreq {
-	out := make([]TagFreq, 0, len(c.counts))
-	for t, n := range c.counts {
-		out = append(out, TagFreq{Tag: t, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	if c.total > 0 {
-		for i := range out {
-			out[i].Freq = float64(out[i].Count) / float64(c.total)
-		}
-	}
-	return out
-}
-
-// Clone deep-copies the accumulator.
-func (c *Counts) Clone() *Counts {
-	n := &Counts{
-		counts: make(map[string]int, len(c.counts)),
-		total:  c.total,
-		posts:  c.posts,
-	}
-	for t, v := range c.counts {
-		n.counts[t] = v
-	}
-	return n
-}
 
 // TagFreq pairs a tag with its count and relative frequency.
 type TagFreq struct {
@@ -138,217 +31,9 @@ func Normalize(tag string) string {
 	return strings.ToLower(strings.TrimSpace(tag))
 }
 
-// History keeps rfd snapshots so the stability metric can compare the
-// distribution at k posts against k−w posts without recomputation. It
-// stores a snapshot every post (posts are small; resources rarely exceed a
-// few thousand posts in tagging workloads) up to a configurable cap, after
-// which it keeps a ring of the most recent maxKeep snapshots.
-type History struct {
-	counts  *Counts
-	ring    []Dist
-	ringPos int
-	maxKeep int
-	taken   int
-}
-
-// DefaultHistoryDepth is how many trailing snapshots History retains; it
+// DefaultHistoryDepth is how many trailing snapshots IHistory retains; it
 // bounds the stability window W any quality metric may request.
 const DefaultHistoryDepth = 64
-
-// NewHistory returns a History retaining depth snapshots (DefaultHistoryDepth
-// if depth <= 0).
-func NewHistory(depth int) *History {
-	if depth <= 0 {
-		depth = DefaultHistoryDepth
-	}
-	return &History{
-		counts:  NewCounts(),
-		ring:    make([]Dist, depth),
-		maxKeep: depth,
-	}
-}
-
-// AddPost records a post and snapshots the resulting rfd.
-func (h *History) AddPost(tags []string) error {
-	if err := h.counts.AddPost(tags); err != nil {
-		return err
-	}
-	h.ring[h.ringPos] = h.counts.Dist()
-	h.ringPos = (h.ringPos + 1) % h.maxKeep
-	h.taken++
-	return nil
-}
-
-// Posts returns the number of posts recorded.
-func (h *History) Posts() int { return h.counts.Posts() }
-
-// Counts exposes the underlying accumulator (read-only use expected).
-func (h *History) Counts() *Counts { return h.counts }
-
-// Current returns the latest rfd, or an empty Dist if no posts yet.
-func (h *History) Current() Dist {
-	if h.taken == 0 {
-		return Dist{}
-	}
-	return h.at(0)
-}
-
-// Back returns the rfd as of `back` posts ago (back=0 is current). The
-// second result is false if that snapshot is no longer retained or never
-// existed.
-func (h *History) Back(back int) (Dist, bool) {
-	if back < 0 || back >= h.taken || back >= h.maxKeep {
-		return nil, false
-	}
-	return h.at(back), true
-}
-
-func (h *History) at(back int) Dist {
-	idx := ((h.ringPos-1-back)%h.maxKeep + h.maxKeep) % h.maxKeep
-	return h.ring[idx]
-}
-
-// Depth returns how many snapshots are currently retrievable.
-func (h *History) Depth() int {
-	if h.taken < h.maxKeep {
-		return h.taken
-	}
-	return h.maxKeep
-}
-
-// --- Distances and similarities ---------------------------------------------
-
-// Cosine returns the cosine similarity of two rfds in [0, 1]; two empty
-// distributions have similarity 0 by convention (no evidence of agreement).
-func Cosine(a, b Dist) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for t, va := range a {
-		na += va * va
-		if vb, ok := b[t]; ok {
-			dot += va * vb
-		}
-	}
-	for _, vb := range b {
-		nb += vb * vb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	s := dot / (math.Sqrt(na) * math.Sqrt(nb))
-	// Clamp numerical drift.
-	if s > 1 {
-		s = 1
-	}
-	if s < 0 {
-		s = 0
-	}
-	return s
-}
-
-// L1 returns the total-variation-style L1 distance Σ|a−b| in [0, 2].
-func L1(a, b Dist) float64 {
-	var d float64
-	for t, va := range a {
-		d += math.Abs(va - b[t])
-	}
-	for t, vb := range b {
-		if _, ok := a[t]; !ok {
-			d += vb
-		}
-	}
-	return d
-}
-
-// L2 returns the Euclidean distance between two rfds.
-func L2(a, b Dist) float64 {
-	var d float64
-	for t, va := range a {
-		diff := va - b[t]
-		d += diff * diff
-	}
-	for t, vb := range b {
-		if _, ok := a[t]; !ok {
-			d += vb * vb
-		}
-	}
-	return math.Sqrt(d)
-}
-
-// KL returns the Kullback-Leibler divergence KL(a||b) with add-eps smoothing
-// over the union support. It is not symmetric; use JSD for a metric-like
-// quantity.
-func KL(a, b Dist) float64 {
-	const eps = 1e-12
-	var d float64
-	for t, va := range a {
-		if va <= 0 {
-			continue
-		}
-		vb := b[t]
-		d += va * math.Log((va+eps)/(vb+eps))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// JSD returns the Jensen-Shannon divergence (base e) in [0, ln 2].
-func JSD(a, b Dist) float64 {
-	m := make(Dist, len(a)+len(b))
-	for t, v := range a {
-		m[t] += v / 2
-	}
-	for t, v := range b {
-		m[t] += v / 2
-	}
-	return (KL(a, m) + KL(b, m)) / 2
-}
-
-// Hellinger returns the Hellinger distance in [0, 1].
-func Hellinger(a, b Dist) float64 {
-	var s float64
-	for t, va := range a {
-		vb := b[t]
-		d := math.Sqrt(va) - math.Sqrt(vb)
-		s += d * d
-	}
-	for t, vb := range b {
-		if _, ok := a[t]; !ok {
-			s += vb // (sqrt(0)-sqrt(vb))^2
-		}
-	}
-	h := math.Sqrt(s / 2)
-	if h > 1 {
-		h = 1
-	}
-	return h
-}
-
-// Entropy returns the Shannon entropy (nats) of an rfd.
-func Entropy(a Dist) float64 {
-	var e float64
-	for _, v := range a {
-		if v > 0 {
-			e -= v * math.Log(v)
-		}
-	}
-	return e
-}
-
-// Support returns the number of tags with positive mass.
-func Support(a Dist) int {
-	n := 0
-	for _, v := range a {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // Sum returns the total mass (≈1 for a proper rfd, 0 for empty).
 func Sum(a Dist) float64 {
@@ -370,20 +55,4 @@ func Normalized(a Dist) Dist {
 		out[t] = v / s
 	}
 	return out
-}
-
-// FromCounts builds a Dist from raw counts.
-func FromCounts(counts map[string]int) Dist {
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	d := make(Dist, len(counts))
-	if total == 0 {
-		return d
-	}
-	for t, n := range counts {
-		d[t] = float64(n) / float64(total)
-	}
-	return d
 }

@@ -14,29 +14,34 @@ import (
 // JSON view at /api/v1/metrics is unchanged.
 func (s *Server) PromHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fams := s.metrics.Families()
-		if st := s.svc.StoreStats(); st != nil {
-			fams = append(fams, storeFamilies(st)...)
-		}
-		fams = append(fams, s.capacityFamilies()...)
-		fams = append(fams, s.RespCacheFamilies()...)
-		if s.extraFams != nil {
-			fams = append(fams, s.extraFams()...)
-		}
 		w.Header().Set("Content-Type", api.ExpositionContentType)
-		_ = api.WriteExposition(w, fams)
+		_ = api.WriteExposition(w, append(s.metrics.Families(), s.Families()...))
 	})
 }
 
-// RespCacheFamilies renders the encoded-response cache counters as metric
-// families (none when the cache is off), each sample under the given
-// labels. A cluster node uses it to show its replica stacks' caches beside
-// the led slot's, told apart by a slot label.
-func (s *Server) RespCacheFamilies(labels ...api.Label) []api.Family {
-	if s.resp == nil {
-		return nil
+// Families renders the server's families beyond its route registry — the
+// store's durability counters, admission and pool state, and the
+// encoded-response cache — with labels ahead of each sample's own. A cluster
+// node composes its one exposition from its route registry and the Families
+// of each stack it runs, told apart by a slot label.
+func (s *Server) Families(labels ...api.Label) []api.Family {
+	var fams []api.Family
+	if st := s.svc.StoreStats(); st != nil {
+		fams = storeFamilies(st)
 	}
-	return s.resp.families(labels)
+	fams = append(fams, s.capacityFamilies()...)
+	if s.resp != nil {
+		fams = append(fams, s.resp.families()...)
+	}
+	if len(labels) > 0 {
+		for i := range fams {
+			for j := range fams[i].Samples {
+				smp := &fams[i].Samples[j]
+				smp.Labels = append(labels[:len(labels):len(labels)], smp.Labels...)
+			}
+		}
+	}
+	return fams
 }
 
 // storeFamilies renders the store's durability counters as metric

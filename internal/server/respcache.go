@@ -299,11 +299,11 @@ type RespCacheStats struct {
 }
 
 // families renders the cache counters as Prometheus families, one sample
-// each under the given labels.
-func (rc *respCache) families(labels []api.Label) []api.Family {
+// each.
+func (rc *respCache) families() []api.Family {
 	st := rc.stats()
 	one := func(name, help, typ string, v int64) api.Family {
-		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Labels: labels, Value: float64(v)}}}
+		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Value: float64(v)}}}
 	}
 	return []api.Family{
 		one("itag_respcache_hits_total", "Encoded-response cache hits.", api.TypeCounter, st.Hits),

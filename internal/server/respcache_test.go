@@ -900,7 +900,8 @@ func TestRunSwapRetiresEntries(t *testing.T) {
 }
 
 // TestNotModifiedIsCounted: the 304 rate is a counter of its own, beside
-// hits (which include it) — unlabeled here, slot-labeled on replica stacks.
+// hits (which include it) — unlabeled here, slot-labeled in a cluster node's
+// exposition.
 func TestNotModifiedIsCounted(t *testing.T) {
 	w := newServingWorld(t)
 	path := "/api/v1/projects/" + w.project + "/resources/r2"
@@ -915,7 +916,7 @@ func TestNotModifiedIsCounted(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 of 4 hits answered 304", st)
 	}
 	var found bool
-	for _, f := range w.cached.RespCacheFamilies(api.Label{Name: "slot", Value: "s"}) {
+	for _, f := range w.cached.Families(api.Label{Name: "slot", Value: "s"}) {
 		if f.Name == "itag_respcache_not_modified_total" {
 			found = f.Type == api.TypeCounter && len(f.Samples) == 1 && f.Samples[0].Value == 3 &&
 				len(f.Samples[0].Labels) == 1 && f.Samples[0].Labels[0].Value == "s"

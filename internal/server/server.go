@@ -65,11 +65,6 @@ type Options struct {
 	// stream (default 512). Small values make slow consumers drop sooner;
 	// tests use 1–2 to exercise the drop path deterministically.
 	SSEBuffer int
-	// ExtraFamilies, when non-nil, contributes additional metric families
-	// to PromHandler's exposition. The cluster layer injects its
-	// replication watermarks through this hook so the pinned route and
-	// store families stay untouched.
-	ExtraFamilies func() []api.Family
 	// Admission, when non-nil, puts the task routes behind queueing-model
 	// admission control: requests past the fitted saturation knee are
 	// shed with 429 resource_exhausted and a Retry-After hint. Health,
@@ -99,7 +94,6 @@ type Server struct {
 	// hello, reads nothing from its subscription until the gate closes —
 	// a subscriber that provably fell behind.
 	sseGate   <-chan struct{}
-	extraFams func() []api.Family
 	admission *capacity.Governor // nil when admission control is off
 	resp      *respCache         // nil when the encoded-response cache is off
 	handler   http.Handler
@@ -124,7 +118,6 @@ func NewWith(svc *core.Service, opts Options) *Server {
 		metrics:      opts.Metrics,
 		routeTimeout: opts.RouteTimeout,
 		sseBuffer:    opts.SSEBuffer,
-		extraFams:    opts.ExtraFamilies,
 	}
 	if s.metrics == nil {
 		s.metrics = api.NewMetrics()

@@ -7,7 +7,6 @@ import (
 
 	"itag/internal/dataset"
 	"itag/internal/quality"
-	"itag/internal/rfd"
 	"itag/internal/rng"
 )
 
@@ -163,17 +162,18 @@ func TestHonestStreamConvergesToLatent(t *testing.T) {
 	r := rng.New(7)
 	prof := &Profile{ID: "t1", Reliability: 1, TypoRate: 0, MeanTags: 3, AspectBias: 1, Activity: 1}
 	res := w.Dataset.Resources[1]
-	counts := rfd.NewCounts()
+	tr := quality.NewTracker(quality.Config{})
+	ref := tr.NewRef(res.Latent)
 	for i := 0; i < 800; i++ {
 		tags, err := sim.GeneratePost(r, prof, res.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := counts.AddPost(tags); err != nil {
+		if err := tr.AddPost(tags); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sim1 := quality.Oracle(quality.MetricCosine, counts.Dist(), res.Latent)
+	sim1 := quality.OracleRef(quality.MetricCosine, ref)
 	if sim1 < 0.93 {
 		t.Errorf("honest rfd should approach latent; cosine = %v", sim1)
 	}
@@ -186,15 +186,19 @@ func TestAspectBiasConcentratesHead(t *testing.T) {
 	entropyAt := func(bias float64, seed int64) float64 {
 		r := rng.New(seed)
 		prof := &Profile{ID: "t", Reliability: 1, MeanTags: 3, AspectBias: bias, Activity: 1}
-		c := rfd.NewCounts()
+		tr := quality.NewTracker(quality.Config{})
 		for i := 0; i < 500; i++ {
 			tags, err := sim.GeneratePost(r, prof, res.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = c.AddPost(tags)
+			_ = tr.AddPost(tags)
 		}
-		return rfd.Entropy(c.Dist())
+		var entropy float64
+		for _, tf := range tr.Counts().TopK(tr.Counts().Distinct()) {
+			entropy -= tf.Freq * math.Log(tf.Freq)
+		}
+		return entropy
 	}
 	faithful := entropyAt(1.0, 10)
 	biased := entropyAt(3.0, 10)
@@ -295,15 +299,16 @@ func TestReliabilityMonotoneQuality(t *testing.T) {
 		sim := NewSimulator(w)
 		r := rng.New(99)
 		prof := &Profile{ID: "t", Reliability: rel, TypoRate: 0.4, MeanTags: 3, AspectBias: 1, Activity: 1}
-		c := rfd.NewCounts()
+		tr := quality.NewTracker(quality.Config{})
+		ref := tr.NewRef(res.Latent)
 		for i := 0; i < 300; i++ {
 			tags, err := sim.GeneratePost(r, prof, res.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = c.AddPost(tags)
+			_ = tr.AddPost(tags)
 		}
-		return quality.Oracle(quality.MetricCosine, c.Dist(), res.Latent)
+		return quality.OracleRef(quality.MetricCosine, ref)
 	}
 	lo, hi := qualityAt(0.2), qualityAt(0.95)
 	if hi-lo < 0.1 {
