@@ -102,9 +102,10 @@ func TestBootServeSigtermDrain(t *testing.T) {
 
 // TestRestartResumesFromWAL: a daemon restarted on its WAL comes back as
 // what the WAL says. It boots, takes a provider, a tagger, a manual project,
-// one submitted post and one task still leased, drains on SIGTERM, and boots
-// again on the same path: the stored project issues tasks again (IDs above
-// every stored one), reports the spend and the posts that were acknowledged,
+// two submitted and judged posts, two provider ratings and one task still
+// leased, drains on SIGTERM, and boots again on the same path: the stored
+// project issues tasks again (IDs above every stored one), reports the spend
+// and the posts that were acknowledged, both users read as they did before,
 // and new registrations get IDs no stored record has — where a boot that
 // skipped core.Service.ResumeRuns answered "no live run for project" and
 // minted prov-000001 again, over the stored provider.
@@ -157,20 +158,41 @@ func TestRestartResumesFromWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitted, err := c.RequestTask(ctx, proj, tagger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SubmitTask(ctx, proj, submitted.ID, []string{"go", "database"}); err != nil {
-		t.Fatal(err)
+	// Two posts: the provider approves the first and rejects the second, and
+	// the tagger rates the provider once each way.
+	var submitted client.Task // the later of the two
+	seqs := make(map[string]uint64)
+	for _, approved := range []bool{true, false} {
+		var err error
+		if submitted, err = c.RequestTask(ctx, proj, tagger); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SubmitTask(ctx, proj, submitted.ID, []string{"go", "database"}); err != nil {
+			t.Fatal(err)
+		}
+		seqs[submitted.ResourceID]++
+		if err := c.JudgePost(ctx, proj, submitted.ResourceID, seqs[submitted.ResourceID], approved); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RateProvider(ctx, prov, approved); err != nil {
+			t.Fatal(err)
+		}
 	}
 	leased, err := c.RequestTask(ctx, proj, tagger)
 	if err != nil {
 		t.Fatal(err)
 	}
 	aliceBefore := userBody(base, prov)
+	bobBefore := userBody(base, tagger)
+	if u, err := c.GetUser(ctx, tagger); err != nil || u.Judged != 2 || u.JudgedOK != 1 ||
+		u.Earned != 0.25 || u.EarnedTotal != 0.25 || u.ApprovalRate != 0.5 {
+		t.Fatalf("tagger before the restart = %+v, %v; want 2 judged, 1 approved, earned one pay", u, err)
+	}
+	if u, err := c.GetUser(ctx, prov); err != nil || u.Judged != 2 || u.JudgedOK != 1 || u.ApprovalRate != 0.5 {
+		t.Fatalf("provider before the restart = %+v, %v; want 2 ratings, 1 positive", u, err)
+	}
 	postsBefore := postsByResource(c, proj)
-	if postsBefore[submitted.ResourceID] != 1 || len(postsBefore) != 2 {
+	if postsBefore["u1"]+postsBefore["u2"] != 2 || len(postsBefore) != 2 {
 		t.Fatalf("export before the restart = %v", postsBefore)
 	}
 	stop()
@@ -178,21 +200,26 @@ func TestRestartResumesFromWAL(t *testing.T) {
 	base, stop = boot()
 	defer stop()
 	c = client.New(base, nil)
-	// What was acknowledged is what is reported: the one submitted post was
+	// What was acknowledged is what is reported: the two submitted posts were
 	// paid for, and the task leased before the restart is still held — its
 	// pay debited, pending, and submittable by its tagger.
 	info, err := c.GetProject(ctx, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Spent != 2 || info.PendingTasks != 1 {
-		t.Errorf("after the restart spent = %d, pending = %d; want the acknowledged post and the held lease, 1 pending", info.Spent, info.PendingTasks)
+	if info.Spent != 3 || info.PendingTasks != 1 {
+		t.Errorf("after the restart spent = %d, pending = %d; want the acknowledged posts and the held lease, 1 pending", info.Spent, info.PendingTasks)
+	}
+	// The judgments and ratings are the user records': the same counts,
+	// approval rates and earnings as before the restart.
+	if after := userBody(base, tagger); after != bobBefore {
+		t.Errorf("the tagger's record changed across the restart:\nbefore %s\nafter  %s", bobBefore, after)
 	}
 	if err := c.SubmitTask(ctx, proj, leased.ID, []string{"go", "after-restart"}); err != nil {
 		t.Errorf("submit of the task leased before the restart: %v", err)
 	}
-	if info, err = c.GetProject(ctx, proj); err != nil || info.Spent != 2 || info.PendingTasks != 0 {
-		t.Errorf("after the held lease was submitted: spent = %d, pending = %d, %v; want 2, 0", info.Spent, info.PendingTasks, err)
+	if info, err = c.GetProject(ctx, proj); err != nil || info.Spent != 3 || info.PendingTasks != 0 {
+		t.Errorf("after the held lease was submitted: spent = %d, pending = %d, %v; want 3, 0", info.Spent, info.PendingTasks, err)
 	}
 	postsBefore[leased.ResourceID]++
 	if posts := postsByResource(c, proj); len(posts) != 2 || posts["u1"] != postsBefore["u1"] || posts["u2"] != postsBefore["u2"] {

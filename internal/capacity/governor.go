@@ -32,9 +32,6 @@ type GovernorConfig struct {
 	Routes []string
 	// SLO is the latency target the knee is solved against.
 	SLO time.Duration
-	// Quantile of the latency histograms fed to the estimators
-	// (default 0.99 — the SLO is a p99 target).
-	Quantile float64
 	// MaxConcurrency caps the knee when the model sees no saturation.
 	// Default 1024.
 	MaxConcurrency int
@@ -43,18 +40,21 @@ type GovernorConfig struct {
 	MinInterval time.Duration
 	// Decay is the estimator EWMA weight (default 0.2).
 	Decay float64
-	// Headroom is the fraction of the SLO the model solves the knee
-	// against (default 0.85). The regression fits mean latency; admitting
-	// until the predicted MEAN hits the SLO would park the tail right on
-	// it, so the knee targets Headroom·SLO and leaves the gap to absorb
-	// the mean-to-p99 spread.
-	Headroom float64
 }
 
+const (
+	// sloQuantile is the quantile of the latency histograms the SLO is
+	// checked against: the SLO is a p99 target.
+	sloQuantile = 0.99
+	// kneeHeadroom is the fraction of the SLO the model solves the knee
+	// against. The regression fits mean latency; admitting until the
+	// predicted MEAN hits the SLO would park the tail right on it, so the
+	// knee targets kneeHeadroom·SLO and leaves the gap to absorb the
+	// mean-to-p99 spread.
+	kneeHeadroom = 0.85
+)
+
 func (c *GovernorConfig) fill() {
-	if c.Quantile <= 0 || c.Quantile > 1 {
-		c.Quantile = 0.99
-	}
 	if c.MaxConcurrency < 1 {
 		c.MaxConcurrency = 1024
 	}
@@ -63,9 +63,6 @@ func (c *GovernorConfig) fill() {
 	}
 	if c.SLO <= 0 {
 		c.SLO = time.Second
-	}
-	if c.Headroom <= 0 || c.Headroom > 1 {
-		c.Headroom = 0.85
 	}
 }
 
@@ -80,7 +77,7 @@ func (c *GovernorConfig) fill() {
 // long after the queue drains, the "observed over SLO" branch below
 // keeps firing, and the ceiling ratchets to one and stays there. Within
 // the window, the model fits the MEAN latency (continuous, from the
-// count/sum deltas) and solves the knee against Headroom·SLO, while the
+// count/sum deltas) and solves the knee against kneeHeadroom·SLO, while the
 // bucketed tail quantile guards the SLO directly — see Refresh.
 //
 // Two safeguards wrap the raw model output:
@@ -204,7 +201,7 @@ func (g *Governor) Refresh() {
 			continue // no new traffic since last refit: nothing to learn
 		}
 		sampled = true
-		q, ok := windowQuantile(g.bounds, window, g.cfg.Quantile)
+		q, ok := windowQuantile(g.bounds, window, sloQuantile)
 		if !ok {
 			continue
 		}
@@ -243,7 +240,7 @@ func (g *Governor) Refresh() {
 			if healthy && m.Latency(winC) > 2*mean {
 				continue
 			}
-			if k := m.Knee(g.cfg.Headroom * g.cfg.SLO.Seconds()); k < knee {
+			if k := m.Knee(kneeHeadroom * g.cfg.SLO.Seconds()); k < knee {
 				knee = k
 			}
 		}

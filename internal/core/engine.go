@@ -60,12 +60,11 @@ type Config struct {
 	Quality quality.Config
 	// Platform executes tasks (required).
 	Platform crowd.Platform
-	// Users optionally tracks approvals; required when Judge is set.
+	// Users optionally tracks approvals and credits the incentive of each
+	// approved post; required when Judge is set.
 	Users *users.Manager
 	// Judge optionally reviews completed posts (nil = approve all).
 	Judge Judge
-	// Ledger optionally records incentive payments.
-	Ledger *crowd.Ledger
 	// PayPerTask is the incentive per approved post.
 	PayPerTask float64
 	// ProviderID attributes approvals and payments.
@@ -87,9 +86,6 @@ type Config struct {
 	// SubmitPost), after the posts of that call went through OnPost; its
 	// error is the call's. The service layer commits what OnPost staged.
 	Flush func() error
-	// RecordEvery controls monitor sampling: a point every N spent tasks
-	// (default: max(1, Budget/200)).
-	RecordEvery int
 	// Interner, when set, is the shared tag vocabulary the engine's quality
 	// trackers index by (one per service/world; nil = engine-private). Tag
 	// strings are translated back only at export boundaries (ResourceStatus,
@@ -156,9 +152,10 @@ type Engine struct {
 	resClock []atomic.Uint64
 	engClock atomic.Uint64
 
-	budget  int
-	spent   int
-	taskSeq int
+	budget      int
+	spent       int
+	taskSeq     int
+	recordEvery int // monitor sampling: a point every recordEvery spent tasks
 
 	monitor *Monitor
 	done    bool
@@ -180,12 +177,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxStallSteps <= 0 {
 		cfg.MaxStallSteps = 10000
-	}
-	if cfg.RecordEvery <= 0 {
-		cfg.RecordEvery = cfg.Budget / 200
-		if cfg.RecordEvery < 1 {
-			cfg.RecordEvery = 1
-		}
 	}
 	n := len(cfg.Resources)
 	in := cfg.Interner
@@ -209,7 +200,9 @@ func New(cfg Config) (*Engine, error) {
 		exhausted: make([]bool, n),
 		resClock:  make([]atomic.Uint64, n),
 		budget:    cfg.Budget,
-		monitor:   NewMonitor(),
+		// About 200 monitor points over the budget the run starts with.
+		recordEvery: max(1, cfg.Budget/200),
+		monitor:     NewMonitor(),
 	}
 	for i, res := range cfg.Resources {
 		if res.ID == "" {
@@ -517,9 +510,6 @@ func (e *Engine) update(res crowd.Result) {
 		e.monitor.Eventf(e.spent, "rejected", "post by %s on %s", res.WorkerID, res.Task.ResourceID)
 		return
 	}
-	if e.cfg.Ledger != nil && res.WorkerID != "" {
-		_ = e.cfg.Ledger.Pay(res.WorkerID, res.Task.ID, e.cfg.PayPerTask)
-	}
 	if err := e.addPost(i, res.Tags); err != nil {
 		e.monitor.Eventf(e.spent, "bad-post", "resource %s: %v", res.Task.ResourceID, err)
 		return
@@ -532,7 +522,7 @@ func (e *Engine) update(res crowd.Result) {
 
 // record samples the monitoring series (caller holds e.mu).
 func (e *Engine) record() {
-	if e.spent%e.cfg.RecordEvery != 0 && e.budget-e.spent > 0 {
+	if e.spent%e.recordEvery != 0 && e.budget-e.spent > 0 {
 		return
 	}
 	qs := e.quality

@@ -290,11 +290,10 @@ func TestAddBudgetExtendsRun(t *testing.T) {
 func TestApprovalFlow(t *testing.T) {
 	h := newHarness(t, 5, 8, 0)
 	um := users.NewManager()
-	ledger := crowd.NewLedger()
 	rejectAll := func(res crowd.Result) bool { return false }
 	e := h.engine(t, Config{
 		Budget: 20, Batch: 5, Seed: 9,
-		Users: um, Judge: rejectAll, Ledger: ledger, PayPerTask: 0.05,
+		Users: um, Judge: rejectAll, PayPerTask: 0.05,
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -308,15 +307,12 @@ func TestApprovalFlow(t *testing.T) {
 			t.Errorf("rejected posts counted: posts[%d]=%d", i, p)
 		}
 	}
-	if ledger.TotalPaid() != 0 {
-		t.Errorf("rejected posts paid: %v", ledger.TotalPaid())
-	}
 	stats := um.TaggerStats()
 	judged := 0
 	for _, s := range stats {
 		judged += s.Judged
-		if s.Approved != 0 {
-			t.Errorf("tagger %s approved %d", s.ID, s.Approved)
+		if s.Approved != 0 || s.Earned != 0 {
+			t.Errorf("tagger %s approved %d, paid %v", s.ID, s.Approved, s.Earned)
 		}
 	}
 	if judged != 20 {
@@ -327,17 +323,20 @@ func TestApprovalFlow(t *testing.T) {
 func TestApprovalPaysApproved(t *testing.T) {
 	h := newHarness(t, 5, 8, 0)
 	um := users.NewManager()
-	ledger := crowd.NewLedger()
 	e := h.engine(t, Config{
 		Budget: 20, Batch: 5, Seed: 10,
 		Users: um, Judge: func(crowd.Result) bool { return true },
-		Ledger: ledger, PayPerTask: 0.10,
+		PayPerTask: 0.10,
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ledger.TotalPaid(); got < 1.99 || got > 2.01 {
-		t.Errorf("total paid = %v, want 2.00", got)
+	paid := 0.0
+	for _, s := range um.TaggerStats() {
+		paid += s.Earned
+	}
+	if paid < 1.99 || paid > 2.01 {
+		t.Errorf("total paid = %v, want 2.00", paid)
 	}
 }
 

@@ -28,36 +28,27 @@ type PlanConfig struct {
 	Horizon int
 	// Samples is the number of Monte-Carlo paths per resource (default 8).
 	Samples int
-	// Metric is the quality metric projected (default cosine).
+	// Metric is the quality metric of the projected objective, the oracle
+	// quality against the latent distribution (default cosine).
 	Metric quality.Metric
-	// Stability selects the projected objective: true projects the online
-	// stability quality, false the oracle quality against the latent
-	// distribution (default false = oracle).
-	Stability bool
-	// StabilityWindow is the tracker window used when Stability is set.
-	StabilityWindow int
 	// Population, when set, draws each projected post's tagger from the
 	// actual population (activity-weighted) — the accurate behaviour
-	// model. Profile is the single-profile fallback.
+	// model. plannerProfile is the single-profile fallback.
 	Population *taggersim.Population
-	// Profile is the tagger behaviour assumed when Population is nil.
-	Profile taggersim.Profile
 	// Seed drives the Monte-Carlo simulation.
 	Seed int64
+}
+
+// plannerProfile is the tagger behaviour assumed when PlanConfig.Population
+// is nil.
+var plannerProfile = taggersim.Profile{
+	ID: "planner", Reliability: 0.9, TypoRate: 0.4,
+	MeanTags: 3, AspectBias: 1.15, Activity: 1,
 }
 
 func (c PlanConfig) withDefaults() PlanConfig {
 	if c.Samples <= 0 {
 		c.Samples = 8
-	}
-	if c.Profile.ID == "" {
-		c.Profile = taggersim.Profile{
-			ID: "planner", Reliability: 0.9, TypoRate: 0.4,
-			MeanTags: 3, AspectBias: 1.15, Activity: 1,
-		}
-	}
-	if c.StabilityWindow <= 0 {
-		c.StabilityWindow = quality.DefaultWindow
 	}
 	return c
 }
@@ -110,26 +101,10 @@ func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
 		mean := make([]float64, cfg.Horizon+1)
 		for s := 0; s < cfg.Samples; s++ {
 			counts := current[i].Clone()
-			var ref *rfd.Ref
-			var tracker *quality.Tracker
-			if cfg.Stability {
-				tracker = quality.NewTrackerShared(quality.Config{Metric: cfg.Metric, Window: cfg.StabilityWindow}, counts.Interner())
-				// Warm the tracker with the existing posts' distribution:
-				// stability projection needs history; approximate by
-				// replaying the aggregate as one pseudo-history starting
-				// point (the tracker starts cold, matching a fresh run).
-			} else {
-				ref = rfd.NewRef(counts, res.Latent)
-			}
-			val := func() float64 {
-				if cfg.Stability {
-					return tracker.Quality()
-				}
-				return quality.OracleRef(cfg.Metric, ref)
-			}
-			mean[0] += val()
+			ref := rfd.NewRef(counts, res.Latent)
+			mean[0] += quality.OracleRef(cfg.Metric, ref)
 			for x := 1; x <= cfg.Horizon; x++ {
-				prof := &cfg.Profile
+				prof := &plannerProfile
 				if cfg.Population != nil {
 					prof = cfg.Population.Sample(r)
 				}
@@ -140,12 +115,7 @@ func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
 				if err := counts.AddPost(tags); err != nil {
 					return nil, err
 				}
-				if cfg.Stability {
-					if err := tracker.AddPost(tags); err != nil {
-						return nil, err
-					}
-				}
-				mean[x] += val()
+				mean[x] += quality.OracleRef(cfg.Metric, ref)
 			}
 		}
 		for x := range mean {

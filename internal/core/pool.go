@@ -22,8 +22,8 @@ import (
 // Concurrency invariants:
 //   - at most one worker steps a given engine at a time (an engine is
 //     either queued or owned by exactly one worker, never both);
-//   - engines touched by the same pool may share Users managers, Ledgers
-//     and Catalogs, which are themselves concurrency-safe;
+//   - engines touched by the same pool may share Users managers and
+//     Catalogs, which are themselves concurrency-safe;
 //   - a step failure retires only that engine; the rest keep running.
 type Pool struct {
 	// Workers is the number of concurrent step workers (default 8, capped

@@ -4,13 +4,11 @@ package core
 // one call behind a daemon's boot, a cluster slot's boot and a follower's
 // promotion. A restarted process, like a follower that takes over a key
 // range, holds the full persisted state (projects, resources, posts, tasks,
-// users) but no process state: no live Runs, an empty users.Manager, an ID
-// counter at zero. ResumeRuns reconstructs what the catalog can support:
+// users) but no process state: no live Runs, an ID counter at zero. Users
+// need nothing rebuilt: their judgment counts and earnings are their stored
+// records, written in the commit of each verdict, and read from there.
+// ResumeRuns reconstructs what the catalog can support:
 //
-//   - users are re-registered with the User Manager (judgment tallies and
-//     ledger balances are process memory and restart empty: nothing writes
-//     them to the user records, so approval rates and earnings are lost;
-//     the stored posts keep every verdict)
 //   - the ID counter advances past every persisted ID so new registrations
 //     and projects cannot collide with replicated ones
 //   - every active project with remaining budget gets a rebuilt manual Run:
@@ -24,8 +22,9 @@ package core
 //     and its tagger's submit completes it, as it would have before
 //     the restart or promotion
 //
-// Simulated runs (world != nil) do not survive: their latent worlds and
-// tagger populations are process state by design. Their projects resume as
+// Simulated runs (world != nil) do not survive: their latent worlds, tagger
+// populations and the users.Manager tally their judge qualifies workers by
+// are process state by design. Their projects resume as
 // manual projects — persisted posts and tasks remain fully servable.
 
 import (
@@ -48,12 +47,6 @@ func (s *Service) ResumeRuns(ctx context.Context) (int, error) {
 	}
 	maxID := 0
 	for _, u := range users {
-		switch u.Role {
-		case store.RoleProvider:
-			s.um.RegisterProvider(u.ID)
-		case store.RoleTagger:
-			s.um.RegisterTagger(u.ID)
-		}
 		maxID = maxIDSuffix(maxID, u.ID)
 	}
 	projects, err := s.cat.ListProjects("")

@@ -45,6 +45,29 @@ func TestResumeRunsAfterFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The provider approves one of the tagger's posts and rejects the other,
+	// and the tagger rates the provider twice.
+	verdict := true
+	for _, res := range []string{"res-a", "res-b"} {
+		posts, err := s1.Catalog().PostsOf(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range posts {
+			if p.TaggerID != tagger {
+				continue
+			}
+			if err := s1.JudgePost(ctx, proj, res, uint64(i+1), verdict); err != nil {
+				t.Fatal(err)
+			}
+			verdict = !verdict
+		}
+	}
+	for _, positive := range []bool{true, false} {
+		if err := s1.RateProvider(ctx, prov, positive); err != nil {
+			t.Fatal(err)
+		}
+	}
 	inflight, err := s1.RequestTask(ctx, proj, tagger)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +91,15 @@ func TestResumeRunsAfterFailover(t *testing.T) {
 	}
 	if n2, err := s2.ResumeRuns(ctx); err != nil || n2 != 0 {
 		t.Fatalf("second ResumeRuns = (%d, %v), want idempotent (0, nil)", n2, err)
+	}
+
+	// The promoted service reads the judgments made before the failover:
+	// they are in the user records, not in the process that judged them.
+	if u := storedUser(t, s2, tagger); u.Judged != 2 || u.JudgedOK != 1 || u.Earned != 0.05 || u.ApprovalRate() != 0.5 {
+		t.Errorf("tagger after the failover = %+v, want 2 judged, 1 approved, earned one pay", u)
+	}
+	if u := storedUser(t, s2, prov); u.Judged != 2 || u.JudgedOK != 1 || u.Earned != 0 {
+		t.Errorf("provider after the failover = %+v, want 2 ratings, 1 positive", u)
 	}
 
 	// The task in flight at the failover is held by the promoted service:
@@ -110,13 +142,23 @@ func TestResumeRunsAfterFailover(t *testing.T) {
 		}
 	}
 
-	// Judging uses the re-registered User Manager.
+	// Judging after the failover counts on top of what was judged before it.
 	posts, err := s2.Catalog().PostsOf("res-a")
 	if err != nil || len(posts) == 0 {
 		t.Fatalf("PostsOf after failover: %d posts, err %v", len(posts), err)
 	}
 	if err := s2.JudgePost(ctx, proj, "res-a", 1, true); err != nil {
 		t.Fatalf("JudgePost after resume: %v", err)
+	}
+	last := len(posts)
+	if posts[last-1].TaggerID != tagger || posts[last-1].Approved != nil {
+		t.Fatalf("res-a's last post = %+v, want an unjudged post by %s", posts[last-1], tagger)
+	}
+	if err := s2.JudgePost(ctx, proj, "res-a", uint64(last), true); err != nil {
+		t.Fatalf("JudgePost after resume: %v", err)
+	}
+	if u := storedUser(t, s2, tagger); u.Judged != 3 || u.JudgedOK != 2 || u.Earned != 0.10 {
+		t.Errorf("tagger after a judgment on the promoted service = %+v, want 3 judged, 2 approved", u)
 	}
 
 	// Newly minted IDs continue past replicated ones.

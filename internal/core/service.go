@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -32,11 +33,12 @@ import (
 // to the Service's own lifetime context (Close cancels them); DrainRuns
 // waits for them, which is what itagd's graceful shutdown uses.
 type Service struct {
-	mu      sync.Mutex
-	judgeMu sync.Mutex // makes JudgePost's already-judged check and its write one step
+	mu sync.Mutex
+	// judgeMu makes each read-modify-write of a verdict and a user's stored
+	// counts (JudgePost, RateProvider) one step.
+	judgeMu sync.Mutex
 	cat     *store.Catalog
-	um      *users.Manager
-	ledger  *crowd.Ledger
+	um      *users.Manager  // the tally simulated runs judge and qualify workers by
 	intern  *vocab.Interner // shared tag vocabulary across all project runs
 	folded  *foldedRows     // export rows of projects with no live run
 	runs    map[string]*Run
@@ -104,7 +106,6 @@ func NewService(cat *store.Catalog, seed int64) *Service {
 	s := &Service{
 		cat:        cat,
 		um:         users.NewManager(),
-		ledger:     crowd.NewLedger(),
 		intern:     vocab.NewInterner(),
 		runs:       make(map[string]*Run),
 		seed:       seed,
@@ -167,12 +168,6 @@ func (s *Service) PoolStats() (capacity.PoolStats, bool) {
 	return s.pool.Stats(), true
 }
 
-// Users exposes the User Manager.
-func (s *Service) Users() *users.Manager { return s.um }
-
-// Ledger exposes the payment ledger.
-func (s *Service) Ledger() *crowd.Ledger { return s.ledger }
-
 // Catalog exposes the persistent catalog.
 func (s *Service) Catalog() *store.Catalog { return s.cat }
 
@@ -223,7 +218,6 @@ func (s *Service) RegisterProvider(ctx context.Context, name string) (string, er
 	s.mu.Lock()
 	id := s.newID("prov")
 	s.mu.Unlock()
-	s.um.RegisterProvider(id)
 	return id, s.cat.PutUser(store.UserRec{ID: id, Role: store.RoleProvider, Name: name})
 }
 
@@ -235,7 +229,6 @@ func (s *Service) RegisterTagger(ctx context.Context, name string) (string, erro
 	s.mu.Lock()
 	id := s.newID("tag")
 	s.mu.Unlock()
-	s.um.RegisterTagger(id)
 	return id, s.cat.PutUser(store.UserRec{ID: id, Role: store.RoleTagger, Name: name})
 }
 
@@ -373,7 +366,6 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 		Strategy:   strat,
 		Budget:     spec.Budget,
 		Users:      s.um,
-		Ledger:     s.ledger,
 		PayPerTask: spec.PayPerTask,
 		ProviderID: spec.ProviderID,
 		Seed:       seed,
@@ -1064,10 +1056,15 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 	return out, ctxErr
 }
 
-// JudgePost records the provider's approval verdict on a stored post and,
-// on approval, pays the incentive (Fig. 6 Notification actions). A post is
-// judged once: of concurrent judges of one post, one records its verdict and
-// pays, and the rest get "already judged".
+// JudgePost records the provider's approval verdict on a stored post and
+// counts it in the tagger's stored record: Judged, and on approval JudgedOK
+// and the project's pay in Earned, the incentive (Fig. 6 Notification
+// actions). The verdict and the tagger's record are one commit, so the pay
+// is durable, and replicated, exactly when the verdict is. A post is judged
+// once: of concurrent judges of one post, one records its verdict and pays,
+// and the rest get a conflict, "already judged". A post with no stored
+// tagger behind it (a seed post, a simulated worker's) records the verdict
+// alone.
 func (s *Service) JudgePost(ctx context.Context, projectID, resourceID string, seq uint64, approved bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -1079,33 +1076,43 @@ func (s *Service) JudgePost(ctx context.Context, projectID, resourceID string, s
 		return err
 	}
 	if post.Approved != nil {
-		return errs.New(errs.ComponentCore, errs.CategoryValidation, "post %s/%d already judged", resourceID, seq)
-	}
-	post.Approved = &approved
-	if err := s.cat.UpdatePost(resourceID, seq, post); err != nil {
-		return err
+		return errs.New(errs.ComponentCore, errs.CategoryConflict, "post %s/%d already judged", resourceID, seq)
 	}
 	proj, err := s.cat.GetProject(projectID)
 	if err != nil {
 		return err
 	}
+	post.Approved = &approved
+	ws := s.cat.Begin(2)
+	if err := ws.UpdatePost(resourceID, seq, post); err != nil {
+		return err
+	}
 	if post.TaggerID != "" {
-		if err := s.um.RecordTagJudgment(post.TaggerID, approved, proj.PayPerTask); err != nil {
+		u, err := s.cat.GetUser(post.TaggerID)
+		switch {
+		case err == nil && u.Role == store.RoleTagger:
+			u.Judged++
+			if approved {
+				u.JudgedOK++
+				u.Earned += proj.PayPerTask
+			}
+			_ = ws.PutUser(u) // cannot fail: the record was stored under its ID
+		case err != nil && !errors.Is(err, store.ErrNotFound):
 			return err
 		}
-		if approved {
-			_ = s.ledger.Pay(post.TaggerID, fmt.Sprintf("%s/%d", resourceID, seq), proj.PayPerTask)
-		}
 	}
-	return nil
+	return ws.Commit()
 }
 
-// RateProvider records a tagger's rating of a provider. The target must
-// exist and actually be a provider (ErrInvalidRole otherwise).
+// RateProvider records a tagger's rating of a provider in the provider's
+// stored record. The target must exist and actually be a provider
+// (ErrInvalidRole otherwise).
 func (s *Service) RateProvider(ctx context.Context, providerID string, positive bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.judgeMu.Lock()
+	defer s.judgeMu.Unlock()
 	rec, err := s.cat.GetUser(providerID)
 	if err != nil {
 		return err
@@ -1113,8 +1120,11 @@ func (s *Service) RateProvider(ctx context.Context, providerID string, positive 
 	if rec.Role != store.RoleProvider {
 		return fmt.Errorf("%w: %q is a %s, not a provider", ErrInvalidRole, providerID, rec.Role)
 	}
-	s.um.RecordProviderRating(providerID, positive)
-	return nil
+	rec.Judged++
+	if positive {
+		rec.JudgedOK++
+	}
+	return s.cat.PutUser(rec)
 }
 
 // ExportedResource is one row of a project export (the Export action).

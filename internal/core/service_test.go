@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"itag/internal/dataset"
+	"itag/internal/errs"
 	"itag/internal/store"
 )
 
@@ -216,14 +219,11 @@ func TestManualTaskFlow(t *testing.T) {
 	if err := s.JudgePost(context.Background(), proj, task.ResourceID, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.JudgePost(context.Background(), proj, task.ResourceID, 1, false); err == nil {
-		t.Error("double judgment must fail")
+	if err := s.JudgePost(context.Background(), proj, task.ResourceID, 1, false); errs.CategoryOf(err) != errs.CategoryConflict {
+		t.Errorf("double judgment = %v, want a conflict", err)
 	}
-	if got := s.Users().TaggerApprovalRate(tagger); got != 1 {
-		t.Errorf("tagger rate = %v", got)
-	}
-	if got := s.Ledger().Earned(tagger); got != 0.10 {
-		t.Errorf("earned = %v", got)
+	if u := storedUser(t, s, tagger); u.ApprovalRate() != 1 || u.Judged != 1 || u.Earned != 0.10 {
+		t.Errorf("tagger after one approval = %+v", u)
 	}
 	// Exhaust the budget.
 	for i := 0; i < 2; i++ {
@@ -238,12 +238,28 @@ func TestManualTaskFlow(t *testing.T) {
 	if _, err := s.RequestTask(context.Background(), proj, tagger); err == nil {
 		t.Error("exhausted budget must refuse tasks")
 	}
-	// Provider rating flows through.
-	s.RateProvider(context.Background(), prov, true)
-	s.RateProvider(context.Background(), prov, false)
-	if got := s.Users().ProviderApprovalRate(prov); got != 0.5 {
-		t.Errorf("provider rate = %v", got)
+	// Provider rating flows through to the provider's record.
+	for _, positive := range []bool{true, false} {
+		if err := s.RateProvider(context.Background(), prov, positive); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if u := storedUser(t, s, prov); u.ApprovalRate() != 0.5 || u.Judged != 2 || u.Earned != 0 {
+		t.Errorf("provider after two ratings = %+v", u)
+	}
+	if err := s.RateProvider(context.Background(), tagger, true); !errors.Is(err, ErrInvalidRole) {
+		t.Errorf("rating a tagger = %v, want ErrInvalidRole", err)
+	}
+}
+
+// storedUser reads a user's record, where every judgment is counted.
+func storedUser(t *testing.T, s *Service, id string) store.UserRec {
+	t.Helper()
+	u, err := s.Catalog().GetUser(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
 }
 
 func TestServicePersistenceAcrossReopen(t *testing.T) {
@@ -367,7 +383,38 @@ func TestConcurrentJudgesPayOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < posts; i++ {
+	for _, p := range submitPosts(t, s, proj, tagger, posts) {
+		var wins atomic.Int32
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for j := 0; j < judges; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if s.JudgePost(ctx, proj, p.resourceID, p.seq, true) == nil {
+					wins.Add(1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := wins.Load(); n != 1 {
+			t.Fatalf("post %s/%d: %d of %d concurrent judges succeeded, want 1", p.resourceID, p.seq, n, judges)
+		}
+	}
+	if u := storedUser(t, s, tagger); u.Judged != posts || u.JudgedOK != posts || u.Earned != posts*pay {
+		t.Errorf("stored tagger = %+v, want %d judged, %d approved and one payment per post = %v", u, posts, posts, posts*pay)
+	}
+}
+
+// submitPosts has the tagger request and submit n tasks of proj and returns
+// where each post landed, in order.
+func submitPosts(t *testing.T, s *Service, proj, tagger string, n int) []postRef {
+	t.Helper()
+	ctx := context.Background()
+	out := make([]postRef, 0, n)
+	for i := 0; i < n; i++ {
 		task, err := s.RequestTask(ctx, proj, tagger)
 		if err != nil {
 			t.Fatal(err)
@@ -375,41 +422,128 @@ func TestConcurrentJudgesPayOnce(t *testing.T) {
 		if err := s.SubmitTask(ctx, proj, task.ID, []string{"go"}); err != nil {
 			t.Fatal(err)
 		}
+		posts, err := s.Catalog().PostsOf(task.ResourceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, postRef{task.ResourceID, uint64(len(posts))})
 	}
-	judged := 0
+	return out
+}
+
+type postRef struct {
+	resourceID string
+	seq        uint64
+}
+
+// TestConcurrentJudgesOfOneTagger: judges of different posts by one tagger
+// all land in the tagger's one stored record — none overwrites another's
+// count with a record it read before that one's commit.
+func TestConcurrentJudgesOfOneTagger(t *testing.T) {
+	s := newService(t)
+	ctx := context.Background()
+	prov, _ := s.RegisterProvider(ctx, "bob")
+	tagger, _ := s.RegisterTagger(ctx, "carol")
+	const n, pay = 24, 0.5
+	proj, err := s.CreateProject(ctx, ProjectSpec{
+		ProviderID: prov, Name: "judged", Budget: n, PayPerTask: pay,
+		Strategy: "fp", Resources: manualResources(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	posts := submitPosts(t, s, proj, tagger, n)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, p := range posts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := s.JudgePost(ctx, proj, p.resourceID, p.seq, i%3 != 0); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	approved := n - n/3
+	if u := storedUser(t, s, tagger); u.Judged != n || u.JudgedOK != approved || u.Earned != float64(approved)*pay {
+		t.Errorf("stored tagger = %+v, want %d judged, %d approved, earned %v", u, n, approved, float64(approved)*pay)
+	}
+}
+
+// TestEarnedIsApprovedPay is the money invariant at service level: whatever
+// the judges decide, and in whatever order, the taggers' stored earnings sum
+// to the stored approved posts times the pay, and each tagger's counts match
+// the verdicts on its own posts.
+func TestEarnedIsApprovedPay(t *testing.T) {
+	s := newService(t)
+	ctx := context.Background()
+	prov, _ := s.RegisterProvider(ctx, "bob")
+	const perTagger, pay = 10, 0.25
+	taggers := make([]string, 3)
+	for i := range taggers {
+		taggers[i], _ = s.RegisterTagger(ctx, fmt.Sprintf("t%d", i))
+	}
+	proj, err := s.CreateProject(ctx, ProjectSpec{
+		ProviderID: prov, Name: "money", Budget: perTagger * len(taggers), PayPerTask: pay,
+		Strategy: "fp", Resources: manualResources(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts []postRef
+	for _, tagger := range taggers {
+		posts = append(posts, submitPosts(t, s, proj, tagger, perTagger)...)
+	}
+	var wg sync.WaitGroup
+	for i, p := range posts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Every post is judged twice: the second verdict is refused.
+			for _, approved := range []bool{i%2 == 0, i%2 != 0} {
+				_ = s.JudgePost(ctx, proj, p.resourceID, p.seq, approved)
+			}
+		}()
+	}
+	wg.Wait()
+
+	type counts struct{ judged, ok int }
+	want := make(map[string]counts)
+	approved := 0
 	for _, res := range manualResources() {
 		stored, err := s.Catalog().PostsOf(res.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range stored {
-			seq := uint64(i + 1)
-			var wins atomic.Int32
-			var wg sync.WaitGroup
-			start := make(chan struct{})
-			for j := 0; j < judges; j++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					<-start
-					if s.JudgePost(ctx, proj, res.ID, seq, true) == nil {
-						wins.Add(1)
-					}
-				}()
+		for _, p := range stored {
+			if p.Approved == nil {
+				t.Fatalf("post by %s on %s left unjudged", p.TaggerID, res.ID)
 			}
-			close(start)
-			wg.Wait()
-			if n := wins.Load(); n != 1 {
-				t.Fatalf("post %s/%d: %d of %d concurrent judges succeeded, want 1", res.ID, seq, n, judges)
+			c := want[p.TaggerID]
+			c.judged++
+			if *p.Approved {
+				c.ok++
+				approved++
 			}
-			judged++
+			want[p.TaggerID] = c
 		}
 	}
-	if judged != posts {
-		t.Fatalf("judged %d posts, want %d", judged, posts)
+	users, err := s.Catalog().ListUsers(store.RoleTagger)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Ledger().Earned(tagger); got != posts*pay {
-		t.Errorf("earned = %v, want one payment per post = %v", got, posts*pay)
+	earned := 0.0
+	for _, u := range users {
+		earned += u.Earned
+		if w := want[u.ID]; u.Judged != w.judged || u.JudgedOK != w.ok || u.Earned != float64(w.ok)*pay {
+			t.Errorf("tagger %s = %+v, its posts say %d judged, %d approved", u.ID, u, w.judged, w.ok)
+		}
+	}
+	if approved == 0 || earned != float64(approved)*pay {
+		t.Errorf("Σ earned = %v, want %d approved posts × %v", earned, approved, pay)
 	}
 }
 

@@ -311,62 +311,3 @@ func NewSocialSim(workers []string, post PostFunc, qualify QualifyFunc, seed int
 		Seed:        seed,
 	})
 }
-
-// Ledger tracks incentive payments (the payment side of the approval flow).
-// Safe for concurrent use.
-type Ledger struct {
-	mu      sync.RWMutex
-	paid    map[string]float64
-	entries []Payment
-}
-
-// Payment is one incentive payout.
-type Payment struct {
-	WorkerID string
-	TaskID   string
-	Amount   float64
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{paid: make(map[string]float64)}
-}
-
-// Pay records a payout; negative amounts are rejected.
-func (l *Ledger) Pay(workerID, taskID string, amount float64) error {
-	if amount < 0 {
-		return fmt.Errorf("crowd: negative payment %v", amount)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.paid[workerID] += amount
-	l.entries = append(l.entries, Payment{WorkerID: workerID, TaskID: taskID, Amount: amount})
-	return nil
-}
-
-// Earned returns the total paid to a worker.
-func (l *Ledger) Earned(workerID string) float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.paid[workerID]
-}
-
-// TotalPaid returns the total across workers.
-func (l *Ledger) TotalPaid() float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var t float64
-	for _, v := range l.paid {
-		t += v
-	}
-	return t
-}
-
-// Payments returns a copy of the payment log.
-func (l *Ledger) Payments() []Payment {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]Payment, len(l.entries))
-	copy(out, l.entries)
-	return out
-}

@@ -3,7 +3,6 @@ package crowd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 )
 
@@ -247,34 +246,6 @@ func TestPlatformPresets(t *testing.T) {
 	soc, err := NewSocialSim(workers(2), echoPost, nil, 1)
 	if err != nil || soc.Name() != "social-sim" {
 		t.Errorf("social preset: %v %v", soc, err)
-	}
-}
-
-func TestLedger(t *testing.T) {
-	l := NewLedger()
-	if err := l.Pay("w1", "t1", 0.05); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Pay("w1", "t2", 0.07); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Pay("w2", "t3", 0.05); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Pay("w2", "t4", -1); err == nil {
-		t.Error("negative payment must fail")
-	}
-	if got := l.Earned("w1"); math.Abs(got-0.12) > 1e-12 {
-		t.Errorf("w1 earned %v", got)
-	}
-	if got := l.TotalPaid(); math.Abs(got-0.17) > 1e-12 {
-		t.Errorf("total %v", got)
-	}
-	if got := l.Payments(); len(got) != 3 {
-		t.Errorf("payments = %d", len(got))
-	}
-	if l.Earned("nobody") != 0 {
-		t.Error("unknown worker must have 0")
 	}
 }
 

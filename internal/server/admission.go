@@ -18,10 +18,11 @@ type AdmissionOptions struct {
 	// SLO is the p99 latency target the admission knee is solved
 	// against (default 500ms).
 	SLO time.Duration
-	// MaxConcurrency caps admitted concurrency when the model has no
-	// saturation evidence (default 256).
-	MaxConcurrency int
 }
+
+// admissionMaxConcurrency caps admitted concurrency when the model has no
+// saturation evidence.
+const admissionMaxConcurrency = 256
 
 // admittedRoutes are the metric labels of the gated routes; the governor
 // fits one latency model per label and the tightest knee steers the
@@ -46,15 +47,11 @@ func (s *Server) initAdmission(opts *AdmissionOptions) {
 	if slo <= 0 {
 		slo = 500 * time.Millisecond
 	}
-	maxc := opts.MaxConcurrency
-	if maxc <= 0 {
-		maxc = 256
-	}
 	s.admission = capacity.NewGovernor(capacity.GovernorConfig{
 		Routes:         admittedRoutes,
 		SLO:            slo,
-		MaxConcurrency: maxc,
-	}, s.metrics, capacity.NewLimiter(maxc))
+		MaxConcurrency: admissionMaxConcurrency,
+	}, s.metrics, capacity.NewLimiter(admissionMaxConcurrency))
 }
 
 // Admission exposes the governor (nil when admission control is off) —

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -63,9 +62,9 @@ import (
 // their own cache), never matches here — it draws a 200, not a 304 over
 // whatever body happens to share its number.
 //
-// Capacity is byte-bounded with approximate LRU eviction; entries also
-// count their hits, and write handlers call maybeRefresh so hot entries
-// are re-encoded at write time instead of missing on their next read.
+// Capacity is byte-bounded with approximate LRU eviction. A write only
+// retires the entries that show what it wrote; the next read of one of them
+// fills it again.
 type respCache struct {
 	maxBytes int64
 	nonce    string        // scopes this cache's ETags; see newRespCache
@@ -80,7 +79,6 @@ type respCache struct {
 	misses      atomic.Int64
 	notModified atomic.Int64
 	evictions   atomic.Int64
-	refreshes   atomic.Int64
 }
 
 // respKind names the cached route families.
@@ -109,13 +107,8 @@ type respEntry struct {
 	etag    string
 	raw     *api.Raw // 200: body + ETag + Cache-Control + Content-Length
 	notMod  *api.Raw // 304: ETag + Cache-Control only
-	hits    atomic.Int64
 	lastHit atomic.Int64
 }
-
-// respHotHits is the hit count past which a write-path refresh considers
-// an entry hot enough to re-encode eagerly.
-const respHotHits = 4
 
 // defaultRespCacheBytes bounds the cache when Options.RespCacheBytes is
 // zero: 8 MiB holds the full hot set of the serving benchmark (1k
@@ -162,7 +155,6 @@ func (rc *respCache) get(k respKey) *respEntry {
 	e := rc.entries[k]
 	rc.mu.RUnlock()
 	if e != nil && e.stamp.Current() {
-		e.hits.Add(1)
 		e.lastHit.Store(rc.tick.Add(1))
 		rc.hits.Add(1)
 		return e
@@ -235,38 +227,6 @@ func (rc *respCache) evictLocked(keep *respEntry) {
 	}
 }
 
-// maybeRefresh re-encodes a hot resident entry at write time so the keys
-// the workload hammers never miss: called by write handlers after their
-// mutation completed. Cold or absent keys are left to fault in on the
-// next read; a compute or encode failure just drops the stale entry.
-func (rc *respCache) maybeRefresh(k respKey, compute func(*core.Stamp) (any, error)) {
-	if rc == nil {
-		return
-	}
-	rc.mu.RLock()
-	e := rc.entries[k]
-	rc.mu.RUnlock()
-	if e == nil || e.hits.Load() < respHotHits {
-		return
-	}
-	if e.stamp.Current() {
-		return // already fresh
-	}
-	var stamp core.Stamp
-	val, err := compute(&stamp)
-	if err == nil {
-		var body []byte
-		if body, err = api.AppendJSON(nil, val); err == nil {
-			if ne, published := rc.put(k, stamp, body); published {
-				ne.hits.Store(e.hits.Load()) // carry hotness across the refresh
-				rc.refreshes.Add(1)
-				return
-			}
-		}
-	}
-	rc.withdraw(k, e)
-}
-
 // stats snapshots the cache counters.
 func (rc *respCache) stats() RespCacheStats {
 	if rc == nil {
@@ -280,7 +240,6 @@ func (rc *respCache) stats() RespCacheStats {
 		Misses:      rc.misses.Load(),
 		NotModified: rc.notModified.Load(),
 		Evictions:   rc.evictions.Load(),
-		Refreshes:   rc.refreshes.Load(),
 		Entries:     entries,
 		Bytes:       bytes,
 	}
@@ -293,7 +252,6 @@ type RespCacheStats struct {
 	Misses      int64 `json:"misses"`
 	NotModified int64 `json:"not_modified"` // hits answered 304
 	Evictions   int64 `json:"evictions"`
-	Refreshes   int64 `json:"refreshes"`
 	Entries     int64 `json:"entries"`
 	Bytes       int64 `json:"bytes"`
 }
@@ -310,7 +268,6 @@ func (rc *respCache) families() []api.Family {
 		one("itag_respcache_misses_total", "Encoded-response cache misses (including entries retired by a write to what they show).", api.TypeCounter, st.Misses),
 		one("itag_respcache_not_modified_total", "Encoded-response cache hits answered 304 Not Modified.", api.TypeCounter, st.NotModified),
 		one("itag_respcache_evictions_total", "Entries evicted to hold the byte budget.", api.TypeCounter, st.Evictions),
-		one("itag_respcache_refreshes_total", "Hot entries re-encoded at write time.", api.TypeCounter, st.Refreshes),
 		one("itag_respcache_entries", "Resident encoded responses.", api.TypeGauge, st.Entries),
 		one("itag_respcache_bytes", "Bytes held by resident encoded responses.", api.TypeGauge, st.Bytes),
 	}
@@ -365,26 +322,3 @@ func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, comp
 func emptyKeyB(*http.Request) string   { return "" }
 func queryKeyB(r *http.Request) string { return r.URL.RawQuery }
 func ridKeyB(r *http.Request) string   { return r.PathValue("rid") }
-
-// refreshProject pre-encodes the project dashboard entry after a write
-// touching the project, if it is resident and hot.
-func (s *Server) refreshProject(projectID string) {
-	if s.resp == nil {
-		return
-	}
-	s.resp.maybeRefresh(respKey{kind: respProject, a: projectID}, func(st *core.Stamp) (any, error) {
-		return s.svc.ProjectStamped(context.Background(), projectID, st)
-	})
-}
-
-// refreshResource pre-encodes a resource's detail entry (and the project
-// dashboard) after a write touching the resource.
-func (s *Server) refreshResource(projectID, resourceID string) {
-	if s.resp == nil {
-		return
-	}
-	s.resp.maybeRefresh(respKey{kind: respDetail, a: projectID, b: resourceID}, func(st *core.Stamp) (any, error) {
-		return s.svc.ResourceDetailStamped(context.Background(), projectID, resourceID, st)
-	})
-	s.refreshProject(projectID)
-}

@@ -280,20 +280,14 @@ type userResp struct {
 	Earned       float64 `json:"earned_total"`
 }
 
+// getUser answers from the stored record alone: its counts are written with
+// every verdict and rating, so a restart or a promotion changes nothing here.
 func (s *Server) getUser(r *http.Request, _ api.None) (userResp, error) {
-	id := r.PathValue("id")
-	rec, err := s.svc.Catalog().GetUser(id)
+	rec, err := s.svc.Catalog().GetUser(r.PathValue("id"))
 	if err != nil {
 		return userResp{}, err
 	}
-	resp := userResp{UserRec: rec}
-	if rec.Role == store.RoleTagger {
-		resp.ApprovalRate = s.svc.Users().TaggerApprovalRate(id)
-		resp.Earned = s.svc.Ledger().Earned(id)
-	} else {
-		resp.ApprovalRate = s.svc.Users().ProviderApprovalRate(id)
-	}
-	return resp, nil
+	return userResp{UserRec: rec, ApprovalRate: rec.ApprovalRate(), Earned: rec.Earned}, nil
 }
 
 type rateReq struct {
@@ -354,7 +348,6 @@ func (s *Server) startProject(r *http.Request, _ api.None) (map[string]bool, err
 	if err := s.svc.StartSimulation(r.Context(), r.PathValue("id")); err != nil {
 		return nil, err
 	}
-	s.refreshProject(r.PathValue("id"))
 	return map[string]bool{"started": true}, nil
 }
 
@@ -362,7 +355,6 @@ func (s *Server) stopProject(r *http.Request, _ api.None) (map[string]bool, erro
 	if err := s.svc.StopProject(r.Context(), r.PathValue("id")); err != nil {
 		return nil, err
 	}
-	s.refreshProject(r.PathValue("id"))
 	return map[string]bool{"stopped": true}, nil
 }
 
@@ -374,7 +366,6 @@ func (s *Server) addBudget(r *http.Request, req budgetReq) (map[string]bool, err
 	if err := s.svc.AddBudget(r.Context(), r.PathValue("id"), req.Extra); err != nil {
 		return nil, err
 	}
-	s.refreshProject(r.PathValue("id"))
 	return map[string]bool{"added": true}, nil
 }
 
@@ -386,7 +377,6 @@ func (s *Server) switchStrategy(r *http.Request, req strategyReq) (map[string]bo
 	if err := s.svc.SwitchStrategy(r.Context(), r.PathValue("id"), req.Strategy); err != nil {
 		return nil, err
 	}
-	s.refreshProject(r.PathValue("id"))
 	return map[string]bool{"switched": true}, nil
 }
 
@@ -413,7 +403,6 @@ func (s *Server) resourceAction(action func(*core.Service, context.Context, stri
 		if err := action(s.svc, r.Context(), r.PathValue("id"), r.PathValue("rid")); err != nil {
 			return nil, err
 		}
-		s.refreshResource(r.PathValue("id"), r.PathValue("rid"))
 		return map[string]bool{"ok": true}, nil
 	})
 }
@@ -425,12 +414,7 @@ type requestTaskReq struct {
 }
 
 func (s *Server) requestTask(r *http.Request, req requestTaskReq) (store.TaskRec, error) {
-	task, err := s.svc.RequestTask(r.Context(), r.PathValue("id"), req.TaggerID)
-	if err != nil {
-		return store.TaskRec{}, err
-	}
-	s.refreshResource(r.PathValue("id"), task.ResourceID)
-	return task, nil
+	return s.svc.RequestTask(r.Context(), r.PathValue("id"), req.TaggerID)
 }
 
 type submitTaskReq struct {
@@ -441,7 +425,6 @@ func (s *Server) submitTask(r *http.Request, req submitTaskReq) (map[string]bool
 	if err := s.svc.SubmitTask(r.Context(), r.PathValue("id"), r.PathValue("tid"), req.Tags); err != nil {
 		return nil, err
 	}
-	s.refreshProject(r.PathValue("id"))
 	return map[string]bool{"submitted": true}, nil
 }
 
@@ -458,7 +441,6 @@ func (s *Server) judgePost(r *http.Request, req judgeReq) (map[string]bool, erro
 	if err := s.svc.JudgePost(r.Context(), r.PathValue("id"), r.PathValue("rid"), seq, req.Approved); err != nil {
 		return nil, err
 	}
-	s.refreshResource(r.PathValue("id"), r.PathValue("rid"))
 	return map[string]bool{"judged": true}, nil
 }
 

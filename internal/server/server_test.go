@@ -222,19 +222,25 @@ func TestManualTaggingOverHTTP(t *testing.T) {
 	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/1/judge", proj, task.ResourceID),
 		judgeReq{Approved: true}, http.StatusOK, nil)
 	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/1/judge", proj, task.ResourceID),
-		judgeReq{Approved: false}, http.StatusBadRequest, nil) // already judged
+		judgeReq{Approved: false}, http.StatusConflict, nil) // already judged
 	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/99/judge", proj, task.ResourceID),
 		judgeReq{Approved: true}, http.StatusNotFound, nil)
 
 	var u userResp
 	c.do("GET", "/api/v1/users/"+tagr, nil, http.StatusOK, &u)
-	if u.Earned != 0.25 || u.ApprovalRate != 1 {
+	if u.Earned != 0.25 || u.UserRec.Earned != 0.25 || u.Judged != 1 || u.JudgedOK != 1 || u.ApprovalRate != 1 {
 		t.Errorf("tagger after approval = %+v", u)
 	}
 
 	// Tagger rates the provider.
 	c.do("POST", "/api/v1/providers/"+prov+"/rate", rateReq{Positive: true}, http.StatusOK, nil)
+	c.do("POST", "/api/v1/providers/"+prov+"/rate", rateReq{Positive: false}, http.StatusOK, nil)
 	c.do("POST", "/api/v1/providers/ghost/rate", rateReq{Positive: true}, http.StatusNotFound, nil)
+	var p userResp
+	c.do("GET", "/api/v1/users/"+prov, nil, http.StatusOK, &p)
+	if p.Judged != 2 || p.JudgedOK != 1 || p.ApprovalRate != 0.5 || p.Earned != 0 {
+		t.Errorf("provider after two ratings = %+v", p)
+	}
 
 	// Bad seq parse.
 	c.do("POST", fmt.Sprintf("/api/v1/projects/%s/posts/%s/notanumber/judge", proj, task.ResourceID),

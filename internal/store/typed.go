@@ -117,7 +117,10 @@ const (
 )
 
 // UserRec is the persisted form of a user (User Manager): approval counts
-// feed the two-sided approval rates of paper §III-A.
+// feed the two-sided approval rates of paper §III-A. They are the only
+// record of them: core.Service.JudgePost counts a tagger's in the commit
+// that records the verdict, and RateProvider a provider's, so they survive a
+// restart and replicate like any other write.
 type UserRec struct {
 	ID   string `json:"id"`
 	Role Role   `json:"role"`
@@ -126,7 +129,8 @@ type UserRec struct {
 	// providers; for providers, ratings received / positive from taggers.
 	Judged   int `json:"judged"`
 	JudgedOK int `json:"judged_ok"`
-	// Earned is the total incentive paid out (taggers) or spent (providers).
+	// Earned is a tagger's total incentive, credited per approved post; a
+	// provider's stays 0.
 	Earned float64 `json:"earned"`
 }
 
@@ -147,11 +151,11 @@ func (u UserRec) ApprovalRate() float64 {
 // There is one write path: every typed write stages a Mutation in a
 // WriteSet, and WriteSet.Commit is one Store.Apply — one WAL record, one
 // fsync wait, one in-memory apply — followed by the per-key cache
-// invalidations. The single-record methods (PutTask, AppendPost, PutUser, …)
-// are write sets of one. A replica's writes arrive as shipped WAL frames
-// instead (ApplyReplicated, InstallSnapshot) and pass through the same
-// invalidate point, so a Catalog over a replica store keeps the same caches
-// and clocks as one over a leader's.
+// invalidations. The single-record methods (PutTask, AppendPost, PutUser,
+// UpdatePost, …) are write sets of one. A replica's writes arrive as shipped
+// WAL frames instead (ApplyReplicated, InstallSnapshot) and pass through the
+// same invalidate point, so a Catalog over a replica store keeps the same
+// caches and clocks as one over a leader's.
 type Catalog struct {
 	db    Store
 	cache *recordCache
@@ -321,13 +325,6 @@ func (w *WriteSet) Commit() error {
 		w.c.invalidate(m.Table, m.Key)
 	}
 	return nil
-}
-
-// put commits a write set of one.
-func (c *Catalog) put(table, key string, value any) error {
-	w := WriteSet{c: c}
-	w.put(table, key, value)
-	return w.Commit()
 }
 
 // Clock returns a table's write clock: the number of completed writes
@@ -521,11 +518,22 @@ func (c *Catalog) ScanPostsAfter(resourceID string, after uint64, fn func(seq ui
 
 // UpdatePost rewrites the post at the given sequence (e.g. to set Approved).
 func (c *Catalog) UpdatePost(resourceID string, seq uint64, p PostRec) error {
+	w := WriteSet{c: c}
+	if err := w.UpdatePost(resourceID, seq, p); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+// UpdatePost stages a rewrite of the post at the given sequence, which must
+// already be stored.
+func (w *WriteSet) UpdatePost(resourceID string, seq uint64, p PostRec) error {
 	key := postKey(resourceID, seq)
-	if !c.db.Has(TablePosts, key) {
+	if !w.c.db.Has(TablePosts, key) {
 		return ErrNotFound
 	}
-	return c.put(TablePosts, key, p)
+	w.put(TablePosts, key, p)
+	return nil
 }
 
 // GetPost loads one post by sequence number.
@@ -639,10 +647,20 @@ func (c *Catalog) TasksByProject(projectID string, status TaskStatus) ([]TaskRec
 
 // PutUser stores a user.
 func (c *Catalog) PutUser(u UserRec) error {
+	w := WriteSet{c: c}
+	if err := w.PutUser(u); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+// PutUser stages a user.
+func (w *WriteSet) PutUser(u UserRec) error {
 	if u.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "user ID required")
 	}
-	return c.put(TableUsers, u.ID, u)
+	w.put(TableUsers, u.ID, u)
+	return nil
 }
 
 // GetUser loads a user.

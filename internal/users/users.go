@@ -1,11 +1,13 @@
-// Package users implements the iTag User Manager (paper §III, Fig. 2).
+// Package users implements the in-memory tagger tally of the iTag User
+// Manager (paper §III, Fig. 2).
 //
-// It tracks the two-sided approval process of §III-A: providers approve or
-// reject taggers' posts (yielding a tagger approval rate), and taggers rate
-// providers for reliable, timely payment (yielding a provider approval
-// rate). The rates gate participation: taggers who consistently produce
-// low-quality tags fall below the qualification threshold and stop
-// receiving tasks; providers who withhold approvals lose taggers.
+// It tracks the tagger side of the approval process of §III-A: providers
+// approve or reject taggers' posts, yielding a tagger approval rate, and the
+// rate gates participation — taggers who consistently produce low-quality
+// tags fall below the qualification threshold and stop receiving tasks.
+// Simulated engines judge through it (core.Config.Users) and their platforms
+// qualify workers by it. The service's human users keep their counts in
+// their stored records (store.UserRec), not here.
 package users
 
 import (
@@ -14,7 +16,7 @@ import (
 	"sync"
 )
 
-// Stat is the public view of one user's approval record.
+// Stat is the public view of one tagger's approval record.
 type Stat struct {
 	ID       string
 	Judged   int
@@ -22,7 +24,7 @@ type Stat struct {
 	Earned   float64
 }
 
-// Rate returns the approval rate; users with no judgments yet get 1
+// Rate returns the approval rate; taggers with no judgments yet get 1
 // (benefit of the doubt, as crowd platforms grant new workers).
 func (s Stat) Rate() float64 {
 	if s.Judged == 0 {
@@ -37,46 +39,16 @@ type stats struct {
 	earned   float64
 }
 
-// Manager tracks approval statistics for taggers and providers.
+// Manager tracks approval statistics for taggers.
 // It is safe for concurrent use.
 type Manager struct {
-	mu        sync.RWMutex
-	taggers   map[string]*stats
-	providers map[string]*stats
+	mu      sync.RWMutex
+	taggers map[string]*stats
 }
 
 // NewManager returns an empty Manager.
 func NewManager() *Manager {
-	return &Manager{
-		taggers:   make(map[string]*stats),
-		providers: make(map[string]*stats),
-	}
-}
-
-// RegisterTagger ensures a tagger exists (idempotent).
-func (m *Manager) RegisterTagger(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.taggers[id]; !ok {
-		m.taggers[id] = &stats{}
-	}
-}
-
-// RegisterProvider ensures a provider exists (idempotent).
-func (m *Manager) RegisterProvider(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.providers[id]; !ok {
-		m.providers[id] = &stats{}
-	}
-}
-
-// KnownTagger reports whether the tagger is registered.
-func (m *Manager) KnownTagger(id string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.taggers[id]
-	return ok
+	return &Manager{taggers: make(map[string]*stats)}
 }
 
 // RecordTagJudgment records a provider's verdict on one of the tagger's
@@ -101,35 +73,12 @@ func (m *Manager) RecordTagJudgment(taggerID string, approved bool, reward float
 	return nil
 }
 
-// RecordProviderRating records a tagger's verdict on a provider.
-func (m *Manager) RecordProviderRating(providerID string, positive bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.providers[providerID]
-	if !ok {
-		s = &stats{}
-		m.providers[providerID] = s
-	}
-	s.judged++
-	if positive {
-		s.approved++
-	}
-}
-
 // TaggerApprovalRate returns the tagger's approval rate (1 if unknown or
 // unjudged).
 func (m *Manager) TaggerApprovalRate(id string) float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return rate(m.taggers[id])
-}
-
-// ProviderApprovalRate returns the provider's approval rate (1 if unknown
-// or unrated).
-func (m *Manager) ProviderApprovalRate(id string) float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return rate(m.providers[id])
 }
 
 func rate(s *stats) float64 {
@@ -162,7 +111,7 @@ func (m *Manager) Qualified(taggerID string, minRate float64, minJudged int) boo
 	return rate(s) >= minRate
 }
 
-// QualifiedTaggers returns the IDs of registered taggers passing the gate,
+// QualifiedTaggers returns the IDs of judged taggers passing the gate,
 // sorted.
 func (m *Manager) QualifiedTaggers(minRate float64, minJudged int) []string {
 	m.mu.RLock()
@@ -181,19 +130,8 @@ func (m *Manager) QualifiedTaggers(minRate float64, minJudged int) []string {
 func (m *Manager) TaggerStats() []Stat {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return snapshot(m.taggers)
-}
-
-// ProviderStats returns a snapshot of all provider stats, sorted by ID.
-func (m *Manager) ProviderStats() []Stat {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return snapshot(m.providers)
-}
-
-func snapshot(set map[string]*stats) []Stat {
-	out := make([]Stat, 0, len(set))
-	for id, s := range set {
+	out := make([]Stat, 0, len(m.taggers))
+	for id, s := range m.taggers {
 		out = append(out, Stat{ID: id, Judged: s.judged, Approved: s.approved, Earned: s.earned})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -9,20 +9,12 @@ import (
 
 func TestNewUsersHaveFullRate(t *testing.T) {
 	m := NewManager()
-	m.RegisterTagger("t1")
-	m.RegisterProvider("p1")
-	if got := m.TaggerApprovalRate("t1"); got != 1 {
-		t.Errorf("new tagger rate = %v", got)
-	}
-	if got := m.ProviderApprovalRate("p1"); got != 1 {
-		t.Errorf("new provider rate = %v", got)
-	}
-	// Unknown users also default to 1 (no evidence against them).
+	// Unknown taggers default to 1 (no evidence against them).
 	if got := m.TaggerApprovalRate("stranger"); got != 1 {
 		t.Errorf("unknown tagger rate = %v", got)
 	}
-	if !m.KnownTagger("t1") || m.KnownTagger("stranger") {
-		t.Error("KnownTagger wrong")
+	if len(m.TaggerStats()) != 0 {
+		t.Errorf("a new manager holds stats: %+v", m.TaggerStats())
 	}
 }
 
@@ -49,16 +41,6 @@ func TestRecordTagJudgment(t *testing.T) {
 	}
 	if m.TaggerEarnings("nobody") != 0 {
 		t.Error("unknown tagger earnings must be 0")
-	}
-}
-
-func TestRecordProviderRating(t *testing.T) {
-	m := NewManager()
-	m.RecordProviderRating("p1", true)
-	m.RecordProviderRating("p1", true)
-	m.RecordProviderRating("p1", false)
-	if got := m.ProviderApprovalRate("p1"); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("provider rate = %v", got)
 	}
 }
 
@@ -91,8 +73,8 @@ func TestQualification(t *testing.T) {
 
 func TestQualifiedTaggersSorted(t *testing.T) {
 	m := NewManager()
-	m.RegisterTagger("zeta")
-	m.RegisterTagger("alpha")
+	_ = m.RecordTagJudgment("zeta", true, 0)
+	_ = m.RecordTagJudgment("alpha", false, 0)
 	for i := 0; i < 10; i++ {
 		_ = m.RecordTagJudgment("mid", false, 0)
 	}
@@ -105,7 +87,6 @@ func TestQualifiedTaggersSorted(t *testing.T) {
 func TestStatsSnapshots(t *testing.T) {
 	m := NewManager()
 	_ = m.RecordTagJudgment("t1", true, 0.10)
-	m.RecordProviderRating("p1", false)
 	ts := m.TaggerStats()
 	if len(ts) != 1 || ts[0].ID != "t1" || ts[0].Approved != 1 || ts[0].Earned != 0.10 {
 		t.Errorf("tagger stats = %+v", ts)
@@ -113,21 +94,8 @@ func TestStatsSnapshots(t *testing.T) {
 	if ts[0].Rate() != 1 {
 		t.Errorf("rate = %v", ts[0].Rate())
 	}
-	ps := m.ProviderStats()
-	if len(ps) != 1 || ps[0].Rate() != 0 {
-		t.Errorf("provider stats = %+v", ps)
-	}
 	if (Stat{}).Rate() != 1 {
 		t.Error("empty stat rate must be 1")
-	}
-}
-
-func TestRegisterIdempotent(t *testing.T) {
-	m := NewManager()
-	_ = m.RecordTagJudgment("t1", true, 0.5)
-	m.RegisterTagger("t1") // must not reset stats
-	if m.TaggerEarnings("t1") != 0.5 {
-		t.Error("re-registering reset stats")
 	}
 }
 
@@ -141,7 +109,6 @@ func TestConcurrentJudgments(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				_ = m.RecordTagJudgment("t1", true, 0.01)
 				_ = m.TaggerApprovalRate("t1")
-				m.RecordProviderRating("p1", i%2 == 0)
 			}
 		}()
 	}

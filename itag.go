@@ -125,9 +125,8 @@ type (
 	Platform = crowd.Platform
 	// PlatformConfig parameterizes the marketplace simulator.
 	PlatformConfig = crowd.SimConfig
-	// Ledger tracks incentive payments.
-	Ledger = crowd.Ledger
-	// UserManager tracks two-sided approval rates.
+	// UserManager tracks tagger approval rates and credits approved posts'
+	// incentives.
 	UserManager = users.Manager
 )
 
@@ -200,9 +199,6 @@ func NewReplayer(eval []Post) *Replayer { return taggersim.NewReplayer(eval) }
 
 // NewUserManager returns an empty user manager.
 func NewUserManager() *UserManager { return users.NewManager() }
-
-// NewLedger returns an empty payment ledger.
-func NewLedger() *Ledger { return crowd.NewLedger() }
 
 // NewMTurkSim builds a marketplace simulator with MTurk-like defaults.
 func NewMTurkSim(workers []string, post crowd.PostFunc, qualify crowd.QualifyFunc, seed int64) (Platform, error) {

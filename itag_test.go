@@ -171,7 +171,6 @@ func TestFacadeServiceAndStore(t *testing.T) {
 func TestFacadeApprovalJudge(t *testing.T) {
 	world, pop, sim := buildWorld(t, 10, 15)
 	um := itag.NewUserManager()
-	ledger := itag.NewLedger()
 	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 16), nil, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +182,6 @@ func TestFacadeApprovalJudge(t *testing.T) {
 		Platform:   platform,
 		Users:      um,
 		Judge:      itag.LatentOverlapJudge(world, 0.5),
-		Ledger:     ledger,
 		PayPerTask: 0.02,
 		Seed:       18,
 	})
@@ -194,7 +192,11 @@ func TestFacadeApprovalJudge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Honest-majority population: most posts approved and paid.
-	if ledger.TotalPaid() <= 0 {
+	paid := 0.0
+	for _, st := range um.TaggerStats() {
+		paid += st.Earned
+	}
+	if paid <= 0 {
 		t.Error("no incentives paid")
 	}
 	if math.IsNaN(engine.MeanStability()) {
