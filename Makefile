@@ -30,14 +30,17 @@ race-full:
 	$(GO) test -race ./...
 
 # Fuzz smoke over WAL recovery: corrupted segments and snapshots must never
-# panic or resurrect deleted keys; and over the record encoders: every
-# catalog record must encode to json.Marshal's bytes (or its error). CI runs
-# FUZZTIME=10s per target on PRs and FUZZTIME=10m nightly.
+# panic or resurrect deleted keys; over the record encoders: every catalog
+# record must encode to json.Marshal's bytes (or its error); and over the
+# SDK's direct decode of the dashboard types: what it accepts json.Unmarshal
+# decodes to an equal value, and the decode errors exactly when json's does.
+# CI runs FUZZTIME=10s per target on PRs and FUZZTIME=10m nightly.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecovery$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordEncoding$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/api
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParity$$' -fuzztime $(FUZZTIME) ./client
 
 # Prometheus exposition conformance: golden + grammar + histogram
 # semantics + taxonomy/docs drift (CI metrics-conformance step).

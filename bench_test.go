@@ -597,7 +597,8 @@ func BenchmarkReplTailSteady(b *testing.B) {
 // taggers post. An op is one paid post (promote + request + submit, over
 // HTTP) on a resource OUTSIDE the page being watched, then one view through
 // the SDK: the project row, one 50-row export page, two resource screens on
-// that page. The post moves the project's totals, so the row is a 200; the
+// that page. The post moves the project's totals, so the row is a 200 (which
+// the SDK decodes directly, without encoding/json); the
 // page and both screens show nothing that was written, so their validators
 // stand — three of the four GETs are 304s (304/view), answered by the
 // server from ~50 atomic loads and by the SDK from the value it kept, with

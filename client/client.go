@@ -24,6 +24,12 @@
 // A ClusterClient does the same across nodes, and offers a validator only to
 // the node that minted it. See New and NewCluster.
 //
+// A 200 of those three dashboard types (ProjectInfo, ExportPage,
+// ResourceStatus) is decoded directly, without reflection, with every string
+// cut from one copy of the body; any body shaped other than the way the
+// server writes them (an escaped string, an unknown key, ...) is decoded by
+// encoding/json, which decodes every other response.
+//
 // Every call reads its response to EOF, including the ones that decode
 // nothing (SubmitTask, JudgePost, AddBudget, ...), so the transport keeps the
 // connection and the next call reuses it instead of dialing: a Client holds
@@ -243,7 +249,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return fmt.Errorf("itag: read %s %s response: %w", method, path, err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+	if err := decode(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("itag: decode %s %s response: %w", method, path, err)
 	}
 	if revalidates {

@@ -111,8 +111,19 @@ func copyResponse(dst, src any) bool {
 		if ok {
 			*d = *s
 			d.Items = slices.Clone(s.Items)
+			// Every row's tags in one array, each row's capacity-capped so an
+			// append to it reallocates instead of writing over the next row.
+			n := 0
+			for _, r := range s.Items {
+				n += len(r.TopTags)
+			}
+			all := make([]TagFreq, 0, n) // not nil even when n is 0: [] stays []
 			for i := range d.Items {
-				d.Items[i].TopTags = slices.Clone(d.Items[i].TopTags)
+				if t := d.Items[i].TopTags; t != nil {
+					a := len(all)
+					all = append(all, t...)
+					d.Items[i].TopTags = all[a:len(all):len(all)]
+				}
 			}
 		}
 		return ok

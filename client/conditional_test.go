@@ -194,6 +194,15 @@ func TestCopyResponseSharesNothing(t *testing.T) {
 			t.Errorf("%T: the copy shares %s with its source", src, path)
 		}
 	}
+	// A page's copied rows hold their tags in one array: growing row 0's
+	// reallocates it rather than writing over row 1's first tag.
+	var src, dst client.ExportPage
+	fillRefs(reflect.ValueOf(&src).Elem())
+	client.CopyResponse(&dst, &src)
+	dst.Items[0].TopTags = append(dst.Items[0].TopTags, client.TagFreq{Tag: "SPILL"})
+	if got := dst.Items[1].TopTags[0]; got != src.Items[1].TopTags[0] {
+		t.Fatalf("an append to row 0's tags wrote over row 1's: %+v", got)
+	}
 	// The walk itself: a shallow copy is caught, at both depths.
 	var page, shallow client.ExportPage
 	fillRefs(reflect.ValueOf(&page).Elem())

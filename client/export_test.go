@@ -19,3 +19,10 @@ func (c *validatorCache) retained() int64 {
 
 // CopyResponse is the copy a 304 hands out.
 var CopyResponse = copyResponse
+
+// DecodeDirect is the reflection-free decode of the dashboard types, and
+// Decode the decode of every 200 (DecodeDirect, else encoding/json).
+var (
+	DecodeDirect = decodeDirect
+	Decode       = decode
+)

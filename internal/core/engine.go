@@ -764,12 +764,9 @@ type ResourceStatus struct {
 	TopTags   []TagFreq `json:"top_tags,omitempty"`
 }
 
-// TagFreq mirrors rfd.TagFreq for JSON output.
-type TagFreq struct {
-	Tag   string  `json:"tag"`
-	Count int     `json:"count"`
-	Freq  float64 `json:"freq"`
-}
+// TagFreq is one top tag as served: rfd.TagFreq, whose TopK slice a row
+// holds without a copy.
+type TagFreq = rfd.TagFreq
 
 // Status returns the snapshot for one resource, including its quality
 // series and top tags.
@@ -825,15 +822,7 @@ func (e *Engine) exportRow(resourceID string, stamp *Stamp) (ExportedResource, b
 // topTags is resource i's ten most frequent tags (nil when it has none).
 // Caller holds e.mu.
 func (e *Engine) topTags(i int) []TagFreq {
-	top := e.trackers[i].Counts().TopK(10)
-	if len(top) == 0 {
-		return nil
-	}
-	out := make([]TagFreq, len(top))
-	for j, tf := range top {
-		out[j] = TagFreq{Tag: tf.Tag, Count: tf.Count, Freq: tf.Freq}
-	}
-	return out
+	return e.trackers[i].Counts().TopK(10)
 }
 
 // Elapsed is a convenience for run timing in reports.

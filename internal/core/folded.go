@@ -109,10 +109,7 @@ func (f *foldedRows) row(resourceID string, st *Stamp) (ExportedResource, error)
 		return ExportedResource{}, err
 	}
 	if !e.fresh {
-		e.row = ExportedResource{ID: resourceID, Posts: e.posts, Stability: e.tr.Quality()}
-		for _, tf := range e.tr.Counts().TopK(10) {
-			e.row.TopTags = append(e.row.TopTags, TagFreq{Tag: tf.Tag, Count: tf.Count, Freq: tf.Freq})
-		}
+		e.row = ExportedResource{ID: resourceID, Posts: e.posts, Stability: e.tr.Quality(), TopTags: e.tr.Counts().TopK(10)}
 		e.fresh = true
 	}
 	return e.row, nil

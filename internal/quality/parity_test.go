@@ -189,6 +189,43 @@ func TestICountsMatchesCounts(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesFullSort holds ICounts.TopK, which keeps only the best k, to
+// the oracle's sort of the whole vocabulary: for k below, at and above the
+// number of distinct tags, after every post of streams whose small counts
+// tie over and over, so the tag order decides most places.
+func TestTopKMatchesFullSort(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(200 + seed))
+		pool := make([]string, 2+r.Intn(60))
+		for i := range pool {
+			pool[i] = fmt.Sprintf("t%03d", r.Intn(1000))
+		}
+		ic := rfd.NewICounts(vocab.NewInterner())
+		mc := newMapCounts()
+		for p := 0; p < 80; p++ {
+			post := []string{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}
+			if err := ic.AddPost(post); err != nil {
+				t.Fatal(err)
+			}
+			if err := mc.AddPost(post); err != nil {
+				t.Fatal(err)
+			}
+			n := ic.Distinct()
+			for _, k := range []int{1, 2, 3, 10, n - 1, n, n + 5} {
+				if k < 1 {
+					continue
+				}
+				if got, want := ic.TopK(k), mc.TopK(k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d post %d: TopK(%d) of %d tags\n got %v\nwant %v", seed, p, k, n, got, want)
+				}
+			}
+		}
+	}
+	if top := rfd.NewICounts(vocab.NewInterner()).TopK(10); top != nil {
+		t.Fatalf("TopK of no tags = %v, want nil (a row's top_tags is null)", top)
+	}
+}
+
 // TestIHistoryWindowsMatchHistory drives an rfd.IHistory and the oracle's
 // history with the same stream and asserts every retained window
 // comparison agrees with the metric computed on materialized snapshots.

@@ -2,6 +2,7 @@ package rfd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -133,21 +134,31 @@ func (c *ICounts) Count(tag string) int {
 }
 
 // TopK returns the k most frequent tags with their relative frequencies,
-// most frequent first, ties broken lexicographically; tag strings are
-// resolved at this boundary.
+// most frequent first, ties broken lexicographically (nil when there are
+// none); tag strings are resolved at this boundary, and only for the tags
+// that can still place. The best k are kept sorted in one k-slot slice, so a
+// call costs O(n log k) over a vocabulary of n and one allocation, not a sort
+// of the whole vocabulary.
 func (c *ICounts) TopK(k int) []TagFreq {
-	out := make([]TagFreq, 0, len(c.ids))
-	for s, id := range c.ids {
-		out = append(out, TagFreq{Tag: c.in.Tag(id), Count: int(c.counts[s])})
+	k = min(k, len(c.ids))
+	if k <= 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	out := make([]TagFreq, 0, k)
+	for s, id := range c.ids {
+		n := int(c.counts[s])
+		if len(out) == k && n < out[k-1].Count {
+			continue
 		}
-		return out[i].Tag < out[j].Tag
-	})
-	if k < len(out) {
-		out = out[:k]
+		tf := TagFreq{Tag: c.in.Tag(id), Count: n}
+		at := sort.Search(len(out), func(i int) bool { return ranksAbove(tf, out[i]) })
+		if at == k {
+			continue
+		}
+		if len(out) == k {
+			out = out[:k-1]
+		}
+		out = slices.Insert(out, at, tf)
 	}
 	if c.total > 0 {
 		for i := range out {
@@ -155,6 +166,14 @@ func (c *ICounts) TopK(k int) []TagFreq {
 		}
 	}
 	return out
+}
+
+// ranksAbove is TopK's order: count descending, then tag ascending.
+func ranksAbove(a, b TagFreq) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
+	}
+	return a.Tag < b.Tag
 }
 
 // Clone deep-copies the accumulator (scratch excluded).

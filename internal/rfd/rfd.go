@@ -17,11 +17,12 @@ import "strings"
 // the form a latent reference distribution takes (see Ref).
 type Dist map[string]float64
 
-// TagFreq pairs a tag with its count and relative frequency.
+// TagFreq pairs a tag with its count and relative frequency. It is also the
+// wire form of a top tag (core.TagFreq), so TopK's slice is served as is.
 type TagFreq struct {
-	Tag   string
-	Count int
-	Freq  float64
+	Tag   string  `json:"tag"`
+	Count int     `json:"count"`
+	Freq  float64 `json:"freq"`
 }
 
 // Normalize canonicalizes a tag: lowercase, trimmed. Tags are free text from
