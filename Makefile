@@ -3,7 +3,7 @@ GO ?= go
 # Fuzz budget per target; CI smoke uses the default, nightly passes 10m.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments bench-capacity histories loc clean
+.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments golden bench-capacity histories loc clean
 
 all: check
 
@@ -78,6 +78,11 @@ bench:
 
 bench-experiments:
 	$(GO) run ./cmd/itag-bench -experiment all
+
+# Rewrite the paper's golden tables (internal/bench/testdata/small) from
+# this checkout. A change to any of them must be explained in CHANGES.md.
+golden:
+	$(GO) test ./internal/bench -run TestPaperGolden -update
 
 # Open-loop admission-control capacity at 2x the knee (S9); fails if the
 # limited path misses its SLO/goodput thresholds or the unlimited path

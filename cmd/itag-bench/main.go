@@ -8,12 +8,13 @@
 //	itag-bench -experiment e3 -format markdown -out e3.md
 //	itag-bench -experiment s9 -small           # CI bench smoke
 //
-// Experiments: e1..e9 (paper anchors), a1..a3 (ablations), s9 (systems:
-// open-loop admission-control capacity), all. See the experiment index in
-// docs/ARCHITECTURE.md. An experiment that misses a threshold it checks (s9)
-// still prints its table, then makes the run exit non-zero. Per-layer store,
-// quality and cluster costs are measured absolutely by benchmark/
-// (BENCHMARK.json).
+// Experiments: e1..e9 (paper anchors) and a1..a3 (ablations), the
+// bench.Experiments table whose -small output internal/bench pins as golden
+// files; s9 (systems: open-loop admission-control capacity); all. See the
+// experiment index in docs/ARCHITECTURE.md. An experiment that misses a
+// threshold it checks (s9) still prints its table, then makes the run exit
+// non-zero. Per-layer store, quality and cluster costs are measured
+// absolutely by benchmark/ (BENCHMARK.json).
 package main
 
 import (
@@ -25,23 +26,19 @@ import (
 	"itag/internal/bench"
 )
 
-var experiments = map[string]func(bench.Sizes) (bench.Result, error){
-	"e1": bench.E1TableI,
-	"e2": bench.E2QualityVsBudget,
-	"e3": bench.E3VsOptimal,
-	"e4": bench.E4ThresholdSatisfaction,
-	"e5": bench.E5LowQualityReduction,
-	"e6": bench.E6MonitoringAndSwitch,
-	"e7": bench.E7ApprovalFiltering,
-	"e8": bench.E8PromoteStop,
-	"e9": bench.E9TraceReplay,
-	"a1": bench.A1StabilityWindow,
-	"a2": bench.A2SwitchPoint,
-	"a3": bench.A3BatchSize,
-	"s9": bench.S9Capacity,
-}
+// experiments is bench.Experiments, each pinned by a golden test, then s9,
+// which measures wall-clock capacity and so has no golden output.
+var experiments = append(bench.Experiments[:len(bench.Experiments):len(bench.Experiments)],
+	bench.Experiment{ID: "s9", Run: bench.S9Capacity})
 
-var order = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3", "s9"}
+func lookup(id string) (bench.Experiment, bool) {
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return bench.Experiment{}, false
+}
 
 func main() {
 	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, s9, all)")
@@ -75,17 +72,20 @@ func main() {
 		sz.Seed = *seed
 	}
 
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
+	runs := experiments
+	if *exp != "all" {
+		runs = nil
 		for _, id := range strings.Split(*exp, ",") {
-			id = strings.ToLower(strings.TrimSpace(id))
-			if _, ok := experiments[id]; !ok {
-				fmt.Fprintf(os.Stderr, "itag-bench: unknown experiment %q (have %s, all)\n", id, strings.Join(order, ", "))
+			e, ok := lookup(strings.ToLower(strings.TrimSpace(id)))
+			if !ok {
+				var have []string
+				for _, e := range experiments {
+					have = append(have, e.ID)
+				}
+				fmt.Fprintf(os.Stderr, "itag-bench: unknown experiment %q (have %s, all)\n", id, strings.Join(have, ", "))
 				os.Exit(2)
 			}
-			ids = append(ids, id)
+			runs = append(runs, e)
 		}
 	}
 
@@ -100,8 +100,8 @@ func main() {
 		w = f
 	}
 
-	for _, id := range ids {
-		res, err := experiments[id](sz)
+	for _, e := range runs {
+		res, err := e.Run(sz)
 		if len(res.Rows) > 0 {
 			if *format == "markdown" {
 				fmt.Fprintln(w, res.Markdown())
@@ -110,7 +110,7 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "itag-bench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "itag-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 	}

@@ -8,17 +8,15 @@
 //	      [-sync-every 1] [-segment-bytes 4194304]
 //	      [-auto-compact 67108864] [-debug-addr ""]
 //	      [-write-timeout 60s] [-route-timeout 30s] [-grace 30s]
-//	      [-admission] [-slo-p99 500ms] [-pool-min 0] [-pool-max 0]
+//	      [-admission] [-slo-p99 500ms]
 //
 // With -admission the task routes (request/submit/batch) sit behind
 // queueing-model admission control: the server fits latency-vs-concurrency
 // online from its own histograms, admits up to the concurrency knee where
 // predicted p99 meets -slo-p99, and sheds the excess with
 // 429 resource_exhausted plus a Retry-After hint (health, metrics and SSE
-// are never shed). With -pool-max N background simulation runs execute on
-// a shared autoscaling step pool of -pool-min..-pool-max workers that
-// scales with demand — all the way to zero goroutines when idle and
-// -pool-min is 0 — instead of one dedicated goroutine per run.
+// are never shed). Every background simulation run steps on its own
+// goroutine, which exits when the run ends.
 //
 // With -db "" the store is in-memory (state lost on exit); otherwise -db
 // names the one WAL layout (snapshot plus segment files) behind the
@@ -55,9 +53,9 @@
 // -cluster-staleness records of lag. A node restarted after a promotion is
 // given the post-promotion ring and finds the slot's WAL where the promotion
 // left it. -db must name a data directory (cluster nodes are always
-// durable). A slot's stack takes none of -admission, -slo-p99, -pool-min,
-// -pool-max and -resp-cache-bytes: setting one with -cluster-slot is a
-// boot error. See docs/ARCHITECTURE.md ("Cluster") and the README quickstart:
+// durable). A slot's stack takes none of -admission, -slo-p99 and
+// -resp-cache-bytes: setting one with -cluster-slot is a boot error. See
+// docs/ARCHITECTURE.md ("Cluster") and the README quickstart:
 //
 //	itagd -addr :8081 -db data-a -cluster-slot alpha \
 //	      -cluster-ring alpha=http://localhost:8081,beta=http://localhost:8082,gamma=http://localhost:8083
@@ -129,9 +127,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight runs")
 	respCacheBytes := fs.Int64("resp-cache-bytes", 0, "byte budget of the encoded-response cache behind the hot GET routes (0 = 8 MiB default, negative disables)")
 	admission := fs.Bool("admission", false, "enable queueing-model admission control on the task routes (shed past the saturation knee with 429 + Retry-After)")
-	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission knee is solved against (with -admission; the step pool's ceiling is -pool-max)")
-	poolMin := fs.Int("pool-min", 0, "autoscaling step-pool worker floor (0 = scale to zero when idle)")
-	poolMax := fs.Int("pool-max", 0, "autoscaling step-pool worker ceiling (0 keeps one goroutine per run)")
+	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission knee is solved against (with -admission)")
 	clusterSlot := fs.String("cluster-slot", "", "ring slot this node leads; non-empty enables cluster mode")
 	clusterRing := fs.String("cluster-ring", "", `ring members as "slot=addr,slot=addr,..." (required with -cluster-slot)`)
 	clusterReplicas := fs.Int("cluster-replicas", 2, "followers replicating each slot's WAL")
@@ -186,7 +182,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		var unsupported error
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "admission", "slo-p99", "pool-min", "pool-max", "resp-cache-bytes":
+			case "admission", "slo-p99", "resp-cache-bytes":
 				if unsupported == nil {
 					unsupported = fmt.Errorf("-%s is not supported with -cluster-slot", f.Name)
 				}
@@ -243,9 +239,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		}
 		defer db.Close()
 
-		svc = core.NewServiceWith(store.NewCatalog(db), *seed, core.ServiceOptions{
-			PoolMin: *poolMin, PoolMax: *poolMax,
-		})
+		svc = core.NewService(store.NewCatalog(db), *seed)
 		defer svc.Close()
 		// A restarted daemon comes back as what its store says, before the
 		// listener accepts: without this the ID counters restart at zero
@@ -270,9 +264,6 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		apiHandler, promHandler = srv, srv.PromHandler()
 		if *admission {
 			logger.Printf("admission control: p99 SLO %s on the task routes", *sloP99)
-		}
-		if *poolMax > 0 {
-			logger.Printf("autoscaling step pool: %d..%d workers", *poolMin, *poolMax)
 		}
 	}
 

@@ -321,10 +321,18 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 		{"-db names a pre-segment single-file WAL", []string{"-addr", "127.0.0.1:0", "-db", legacyWAL},
 			[]string{"pre-segment single-file WAL", legacyWAL, "PR 22"}},
 	}
+	// Every simulation run steps on its own goroutine: the step pool's two
+	// sizing flags are gone, and a standalone daemon given one does not boot.
+	for _, bound := range []string{"min", "max"} {
+		name := "-pool-" + bound
+		cases = append(cases, rejected{name + " is an unknown flag",
+			[]string{"-addr", "127.0.0.1:0", "-db", "", name, "4"},
+			[]string{"flag provided but not defined", name}})
+	}
 	// A cluster slot's stack takes none of the standalone server's tuning:
 	// a flag it would parse and drop is refused, whatever value it is set to.
 	for _, flagArgs := range [][]string{
-		{"-admission"}, {"-slo-p99", "200ms"}, {"-pool-min", "1"}, {"-pool-max", "4"}, {"-resp-cache-bytes", "0"},
+		{"-admission"}, {"-slo-p99", "200ms"}, {"-resp-cache-bytes", "0"},
 	} {
 		cases = append(cases, rejected{
 			name: flagArgs[0] + " with -cluster-slot",

@@ -30,10 +30,6 @@ var (
 	headerNoCache         = []string{"no-cache"}
 )
 
-// JSONContentType returns the shared "application/json" header value
-// slice. Callers must not mutate it.
-func JSONContentType() []string { return headerJSONContentType }
-
 // NoCacheValue returns the shared "no-cache" Cache-Control value slice.
 // Callers must not mutate it.
 func NoCacheValue() []string { return headerNoCache }

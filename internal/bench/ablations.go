@@ -105,21 +105,27 @@ func A3BatchSize(sz Sizes) (Result, error) {
 	return res, nil
 }
 
-// AllExperiments runs every experiment and ablation in order.
-func AllExperiments(sz Sizes) ([]Result, error) {
-	runs := []func(Sizes) (Result, error){
-		E1TableI, E2QualityVsBudget, E3VsOptimal, E4ThresholdSatisfaction,
-		E5LowQualityReduction, E6MonitoringAndSwitch, E7ApprovalFiltering,
-		E8PromoteStop, E9TraceReplay,
-		A1StabilityWindow, A2SwitchPoint, A3BatchSize,
-	}
-	var out []Result
-	for _, f := range runs {
-		r, err := f(sz)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// Experiment is one paper table or ablation: the ID cmd/itag-bench selects
+// it by and the function that runs it.
+type Experiment struct {
+	ID  string
+	Run func(Sizes) (Result, error)
+}
+
+// Experiments lists the paper anchors and ablations in report order.
+// TestPaperGolden pins every entry's text at SmallSizes, so whatever
+// itag-bench prints from this table is a golden file too.
+var Experiments = []Experiment{
+	{"e1", E1TableI},
+	{"e2", E2QualityVsBudget},
+	{"e3", E3VsOptimal},
+	{"e4", E4ThresholdSatisfaction},
+	{"e5", E5LowQualityReduction},
+	{"e6", E6MonitoringAndSwitch},
+	{"e7", E7ApprovalFiltering},
+	{"e8", E8PromoteStop},
+	{"e9", E9TraceReplay},
+	{"a1", A1StabilityWindow},
+	{"a2", A2SwitchPoint},
+	{"a3", A3BatchSize},
 }

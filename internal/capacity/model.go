@@ -1,7 +1,6 @@
-// Package capacity implements adaptive capacity control for the serving
-// path: a queueing model fitted online from the latency histograms, a
-// saturation limiter that sheds load past the model's knee, and an
-// autoscaling worker pool sized to a latency SLO.
+// Package capacity implements admission control for the serving path: a
+// queueing model fitted online from the latency histograms, and a
+// saturation limiter that sheds load past the model's knee.
 //
 // The model follows the Server{Alpha,Beta} linearisation used by
 // batch-serving autoscalers: per-request latency grows roughly linearly

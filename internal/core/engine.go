@@ -686,13 +686,6 @@ func (e *Engine) Allocation() []int {
 	return out
 }
 
-// StabilityQualities returns the current per-resource stability qualities.
-func (e *Engine) StabilityQualities() []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return slices.Clone(e.quality)
-}
-
 // OracleQualities returns per-resource oracle qualities; ok=false when no
 // resource has a latent reference.
 func (e *Engine) OracleQualities() ([]float64, bool) {

@@ -2,9 +2,8 @@ package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
-
-	"itag/internal/capacity"
 )
 
 // This file implements the worker-pool task-assignment pipeline: instead of
@@ -27,7 +26,7 @@ import (
 //   - a step failure retires only that engine; the rest keep running.
 type Pool struct {
 	// Workers is the number of concurrent step workers (default 8, capped
-	// at the number of engines): a capacity.Pool pinned at Min = Max.
+	// at the number of engines).
 	Workers int
 }
 
@@ -45,9 +44,10 @@ func (p Pool) Run(engines []*Engine) []error {
 // completion (engines observe the context inside StepContext too, so a
 // cancellation interrupts even a long platform wait).
 //
-// Each engine step is one pool task that resubmits itself until the engine
-// retires, which is the at-most-one-owner invariant. The queue is sized so
-// every engine can hold one slot, which keeps resubmission non-blocking.
+// The workers pull engine indices from one queue. A worker steps the
+// engine once and sends its index back unless the engine retired, which
+// is the at-most-one-owner invariant. The queue holds every index at
+// once, so sending one back never blocks.
 func (p Pool) RunContext(ctx context.Context, engines []*Engine) []error {
 	n := len(engines)
 	errList := make([]error, n)
@@ -58,38 +58,32 @@ func (p Pool) RunContext(ctx context.Context, engines []*Engine) []error {
 	if workers <= 0 {
 		workers = DefaultPoolWorkers
 	}
-	workers = min(workers, n)
-	ap := capacity.NewPool(capacity.PoolConfig{
-		Min: workers, Max: workers, Queue: n + 1,
-	})
-	defer ap.Close()
-
+	queue := make(chan int, n)
+	for i := range engines {
+		queue <- i
+	}
 	var remaining atomic.Int64
 	remaining.Store(int64(n))
-	allDone := make(chan struct{})
-	// The pool is this call's own and closes only after every engine has
-	// retired. Submit can therefore report "closed" only when it lost a race
-	// with the task it had just enqueued: a worker ran that step, the last
-	// engine retired and the pool closed before Submit looked again. The
-	// engine is accounted for by then, so the error is dropped.
-	var submit func(i int)
-	submit = func(i int) {
-		_ = ap.Submit(func(context.Context) {
-			done, err := engines[i].StepContext(ctx)
-			if err == nil && !done {
-				submit(i)
-				return
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range queue {
+				done, err := engines[i].StepContext(ctx)
+				if err == nil && !done {
+					queue <- i
+					continue
+				}
+				errList[i] = err
+				// The last engine retired: no index is left to send back.
+				if remaining.Add(-1) == 0 {
+					close(queue)
+				}
 			}
-			errList[i] = err
-			if remaining.Add(-1) == 0 {
-				close(allDone)
-			}
-		})
+		}()
 	}
-	for i := range engines {
-		submit(i)
-	}
-	<-allDone
+	wg.Wait()
 	return errList
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"itag/internal/crowd"
 )
@@ -55,6 +58,54 @@ func (failPlatform) Step() int                  { return 0 }
 func (failPlatform) Collect(int) []crowd.Result { return nil }
 func (failPlatform) Pending() int               { return 0 }
 func (failPlatform) Clock() int                 { return 0 }
+
+// TestPoolCancelRetiresInFlight cancels the context after the fleet has
+// taken a few steps: RunContext must return, an engine that finished
+// reports nil, and every other engine reports ctx.Err() with budget left.
+func TestPoolCancelRetiresInFlight(t *testing.T) {
+	h := newHarness(t, 10, 8, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var steps atomic.Int64
+	countStep := func() error {
+		if steps.Add(1) == 10 {
+			cancel()
+		}
+		return nil
+	}
+	const budget = 400
+	engines := make([]*Engine, 6)
+	for i := range engines {
+		engines[i] = h.engine(t, Config{Budget: budget, Batch: 8, Seed: int64(i), Flush: countStep})
+	}
+	ret := make(chan []error, 1)
+	go func() { ret <- Pool{Workers: 3}.RunContext(ctx, engines) }()
+	var errs []error
+	select {
+	case errs = <-ret:
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunContext did not return after cancellation")
+	}
+	unfinished := 0
+	for i, err := range errs {
+		if engines[i].Done() {
+			if err != nil {
+				t.Errorf("finished engine %d: %v", i, err)
+			}
+			continue
+		}
+		unfinished++
+		if !errors.Is(err, ctx.Err()) {
+			t.Errorf("unfinished engine %d: err = %v, want %v", i, err, ctx.Err())
+		}
+		if engines[i].Spent() >= budget {
+			t.Errorf("unfinished engine %d spent its whole budget", i)
+		}
+	}
+	if unfinished == 0 {
+		t.Fatal("every engine finished: the cancellation came too late to test anything")
+	}
+}
 
 func TestPoolRetiresFailingEngineOnly(t *testing.T) {
 	h := newHarness(t, 10, 8, 0)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"itag/internal/capacity"
 	"itag/internal/crowd"
 	"itag/internal/dataset"
 	"itag/internal/errs"
@@ -49,12 +48,6 @@ type Service struct {
 	// filter rejects. The cluster layer installs one so a node only mints
 	// project/user IDs whose hash routes back to itself.
 	idFilter func(prefix, id string) bool
-
-	// pool, when non-nil, runs background simulation steps on a shared
-	// autoscaling worker set instead of one goroutine per run. Installed
-	// by NewServiceWith; nil keeps the historical dedicated-goroutine
-	// behaviour.
-	pool *capacity.Pool
 
 	// runsEpoch counts the run-state transitions no other clock sees: a run
 	// installed in s.runs (CreateProject, ResumeRuns — the answer switches
@@ -118,55 +111,18 @@ func NewService(cat *store.Catalog, seed int64) *Service {
 	return s
 }
 
-// ServiceOptions tunes optional Service behaviour beyond NewService's
-// defaults.
-type ServiceOptions struct {
-	// PoolMax > 0 enables the shared autoscaling step pool: background
-	// runs started by StartSimulation execute as interleaved engine
-	// steps on PoolMin..PoolMax workers that scale with demand (and all
-	// the way to zero goroutines when PoolMin is 0 and no project is
-	// running) instead of one dedicated goroutine per run.
-	PoolMin, PoolMax int
-	// PoolIdle is how long a surplus worker idles before exiting
-	// (capacity.Pool's default when zero).
-	PoolIdle time.Duration
-}
+// ServiceOptions has no fields. It and NewServiceWith stay only until the
+// benchmark harness (benchmark/inproc.go) calls NewService instead.
+type ServiceOptions struct{}
 
-// NewServiceWith builds a Service with explicit options.
-func NewServiceWith(cat *store.Catalog, seed int64, opts ServiceOptions) *Service {
-	s := NewService(cat, seed)
-	if opts.PoolMax > 0 {
-		s.pool = capacity.NewPool(capacity.PoolConfig{
-			Min:  opts.PoolMin,
-			Max:  opts.PoolMax,
-			Idle: opts.PoolIdle,
-			// Each run holds at most one queue slot; 4096 concurrent
-			// runs is far beyond anything itagd serves, and a generous
-			// buffer keeps self-resubmission non-blocking.
-			Queue: 4096,
-		})
-	}
-	return s
+// NewServiceWith is NewService; see ServiceOptions.
+func NewServiceWith(cat *store.Catalog, seed int64, _ ServiceOptions) *Service {
+	return NewService(cat, seed)
 }
 
 // Close cancels the service's lifetime context, interrupting every
-// background simulation run, and tears down the shared step pool when
-// one is configured. It does not close the underlying store.
-func (s *Service) Close() {
-	s.cancelLife()
-	if s.pool != nil {
-		s.pool.Close()
-	}
-}
-
-// PoolStats snapshots the shared autoscaling pool; ok is false when the
-// service runs in dedicated-goroutine mode.
-func (s *Service) PoolStats() (capacity.PoolStats, bool) {
-	if s.pool == nil {
-		return capacity.PoolStats{}, false
-	}
-	return s.pool.Stats(), true
-}
+// background simulation run. It does not close the underlying store.
+func (s *Service) Close() { s.cancelLife() }
 
 // Catalog exposes the persistent catalog.
 func (s *Service) Catalog() *store.Catalog { return s.cat }
@@ -488,53 +444,23 @@ func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
 	run.doneCh = make(chan struct{})
 	run.Engine.Monitor().Restart()
 	s.bumpRunsEpoch()
-	// Once: a step whose resubmission races pool.Close can be told the pool
-	// is closed and still be picked up by a worker that has not seen the
-	// stop yet, so the run could finish twice.
-	var finished sync.Once
-	finish := func(err error) {
-		finished.Do(func() {
-			// Persist first: whoever WaitSimulation releases (tests, the
-			// SIGTERM drain that closes the store next) must find the
-			// project's final state written.
-			s.finishProject(projectID, err)
-			run.mu.Lock()
-			run.runErr = err
-			run.running = false
-			close(run.doneCh)
-			run.mu.Unlock()
-			// finishProject's PutProject advanced the projects clock, but
-			// its GetProject-error path skips the write, and the Running
-			// flip must never be the unclocked mutation.
-			s.bumpRunsEpoch()
-		})
-	}
-	if s.pool != nil {
-		// Shared autoscaling pool: the run advances as self-resubmitting
-		// single steps, so many projects interleave on a few workers and
-		// the pool drains to zero goroutines when every run finishes.
-		var step func(context.Context)
-		step = func(context.Context) {
-			done, err := run.Engine.StepContext(s.lifeCtx)
-			if err == nil && !done {
-				if serr := s.pool.Submit(step); serr != nil {
-					finish(serr) // pool closed mid-run
-				}
-				return
-			}
-			finish(err)
-		}
-		if err := s.pool.Submit(step); err != nil {
-			run.runErr = err
-			run.running = false
-			close(run.doneCh)
-			s.bumpRunsEpoch()
-			return err
-		}
-		return nil
-	}
+	// One goroutine per run, exiting when the run ends: an idle service
+	// holds none.
 	go func() {
-		finish(run.Engine.RunContext(s.lifeCtx))
+		err := run.Engine.RunContext(s.lifeCtx)
+		// Persist first: whoever WaitSimulation releases (tests, the SIGTERM
+		// drain that closes the store next) must find the project's final
+		// state written.
+		s.finishProject(projectID, err)
+		run.mu.Lock()
+		run.runErr = err
+		run.running = false
+		close(run.doneCh)
+		run.mu.Unlock()
+		// finishProject's PutProject advanced the projects clock, but its
+		// GetProject-error path skips the write, and the Running flip must
+		// never be the unclocked mutation.
+		s.bumpRunsEpoch()
 	}()
 	return nil
 }

@@ -95,47 +95,36 @@ func (s *Server) routeLimited(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, s.timed(h))))
 }
 
-// capacityFamilies renders the admission limiter, fitted models and the
-// service's autoscaling pool as metric families.
+// capacityFamilies renders the admission limiter and its fitted models as
+// metric families (none when admission control is off).
 func (s *Server) capacityFamilies() []api.Family {
+	if s.admission == nil {
+		return nil
+	}
 	one := func(name, help, typ string, v float64) api.Family {
 		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Value: v}}}
 	}
-	var fams []api.Family
-	if s.admission != nil {
-		lim := s.admission.Limiter()
-		fams = append(fams,
-			one("itag_admission_limit", "Current admission ceiling (model knee).", api.TypeGauge, float64(lim.Limit())),
-			one("itag_admission_inflight", "Admitted requests currently in flight.", api.TypeGauge, float64(lim.Inflight())),
-			one("itag_admission_admitted_total", "Requests admitted past the limiter.", api.TypeCounter, float64(lim.Admitted())),
-			one("itag_admission_shed_total", "Requests shed with 429 by the limiter.", api.TypeCounter, float64(lim.Shed())),
-		)
-		models := s.admission.Models()
-		alphaFam := api.Family{Name: "itag_admission_model_alpha_seconds", Help: "Fitted base service time per route.", Type: api.TypeGauge}
-		betaFam := api.Family{Name: "itag_admission_model_beta_seconds", Help: "Fitted marginal latency per concurrent request.", Type: api.TypeGauge}
-		for _, route := range admittedRoutes {
-			m, ok := models[route]
-			if !ok {
-				continue
-			}
-			lbl := []api.Label{{Name: "route", Value: route}}
-			alphaFam.Samples = append(alphaFam.Samples, api.Sample{Labels: lbl, Value: m.Alpha})
-			betaFam.Samples = append(betaFam.Samples, api.Sample{Labels: lbl, Value: m.Beta})
-		}
-		if len(alphaFam.Samples) > 0 {
-			fams = append(fams, alphaFam, betaFam)
-		}
+	lim := s.admission.Limiter()
+	fams := []api.Family{
+		one("itag_admission_limit", "Current admission ceiling (model knee).", api.TypeGauge, float64(lim.Limit())),
+		one("itag_admission_inflight", "Admitted requests currently in flight.", api.TypeGauge, float64(lim.Inflight())),
+		one("itag_admission_admitted_total", "Requests admitted past the limiter.", api.TypeCounter, float64(lim.Admitted())),
+		one("itag_admission_shed_total", "Requests shed with 429 by the limiter.", api.TypeCounter, float64(lim.Shed())),
 	}
-	if st, ok := s.svc.PoolStats(); ok {
-		fams = append(fams,
-			one("itag_pool_workers", "Live autoscaling pool workers.", api.TypeGauge, float64(st.Workers)),
-			one("itag_pool_busy", "Pool workers currently running a step.", api.TypeGauge, float64(st.Busy)),
-			one("itag_pool_queue_depth", "Steps waiting in the pool queue.", api.TypeGauge, float64(st.QueueDepth)),
-			one("itag_pool_worker_limit", "Worker ceiling (-pool-max).", api.TypeGauge, float64(st.Limit)),
-			one("itag_pool_completed_total", "Steps completed by the pool.", api.TypeCounter, float64(st.Completed)),
-			one("itag_pool_scale_ups_total", "Workers spawned by the autoscaler.", api.TypeCounter, float64(st.ScaleUps)),
-			one("itag_pool_scale_downs_total", "Workers retired by the idle reaper.", api.TypeCounter, float64(st.ScaleDowns)),
-		)
+	models := s.admission.Models()
+	alphaFam := api.Family{Name: "itag_admission_model_alpha_seconds", Help: "Fitted base service time per route.", Type: api.TypeGauge}
+	betaFam := api.Family{Name: "itag_admission_model_beta_seconds", Help: "Fitted marginal latency per concurrent request.", Type: api.TypeGauge}
+	for _, route := range admittedRoutes {
+		m, ok := models[route]
+		if !ok {
+			continue
+		}
+		lbl := []api.Label{{Name: "route", Value: route}}
+		alphaFam.Samples = append(alphaFam.Samples, api.Sample{Labels: lbl, Value: m.Alpha})
+		betaFam.Samples = append(betaFam.Samples, api.Sample{Labels: lbl, Value: m.Beta})
+	}
+	if len(alphaFam.Samples) > 0 {
+		fams = append(fams, alphaFam, betaFam)
 	}
 	return fams
 }

@@ -245,9 +245,9 @@ type samplerKey struct {
 }
 
 // Simulator produces posts for resources, holding per-resource samplers.
-// It is safe for concurrent use (engines pooled by core.Pool share one
-// Simulator); samplers are immutable once built, so only the cache map
-// needs the lock.
+// It is safe for concurrent use: engines sharing one Simulator may step on
+// different goroutines at once, as core.Pool's workers do. Samplers are
+// immutable once built, so only the cache map needs the lock.
 type Simulator struct {
 	world  *dataset.World
 	byID   map[string]int
