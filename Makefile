@@ -18,12 +18,13 @@ vet:
 
 # Concurrent stress under the race detector (PR acceptance gate): the store
 # and core suites, the interned quality hot path and its parity property
-# tests (quality + rfd + vocab interner), the tagger tally and marketplace
-# simulators that engines driven by one pool share (users + crowd), the HTTP
-# layer (lock-free metrics scrapes vs request writers), and the daemon
-# itself (boot, drain and restart race real listeners against the resume).
+# tests (quality + rfd + vocab interner), the marketplace simulators and the
+# review records they keep, which engines driven by one pool may share
+# (crowd), the HTTP layer (lock-free metrics scrapes vs request writers), and
+# the daemon itself (boot, drain and restart race real listeners against the
+# resume).
 race:
-	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/users/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/... ./cmd/itagd/...
+	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/... ./cmd/itagd/...
 
 # Everything under the race detector (nightly).
 race-full:

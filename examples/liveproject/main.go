@@ -57,7 +57,7 @@ func run(steer bool) *itag.Engine {
 		log.Fatal(err)
 	}
 	sim := itag.NewSimulator(world)
-	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 12), nil, 13)
+	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 12), 13)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,6 @@ func main() {
 	platform, err := itag.NewMTurkSim(
 		itag.WorkerIDs(pop),
 		itag.GenerativeSource(sim, pop, 3),
-		nil, // no qualification gate
 		4,
 	)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"itag/internal/rng"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
-	"itag/internal/users"
 )
 
 // HarnessConfig sizes an experiment world.
@@ -104,7 +103,8 @@ type RunConfig struct {
 	Seed     int64
 	Window   int // stability window (default quality.DefaultWindow)
 	// Approval, when set, enables the E7 pipeline: posts judged by latent
-	// overlap, rejected posts wasted, low-approval taggers disqualified.
+	// overlap, rejected posts wasted, and every verdict reviewed on the
+	// platform, which stops assigning low-approval taggers.
 	Approval bool
 	// TauHigh / TauLow are the report thresholds (defaults 0.9 / 0.5).
 	TauHigh, TauLow float64
@@ -141,15 +141,9 @@ func (h *Harness) Run(rc RunConfig) (Outcome, error) {
 	if rc.TauLow <= 0 {
 		rc.TauLow = 0.5
 	}
-	var qualify crowd.QualifyFunc
-	um := users.NewManager()
-	if rc.Approval {
-		qualify = func(w string) bool { return um.Qualified(w, 0.6, 8) }
-	}
 	plat, err := crowd.NewSim(crowd.SimConfig{
 		Workers:     core.WorkerIDs(h.Pop),
 		Post:        core.GenerativeSource(h.Sim, h.Pop, rc.Seed+1),
-		Qualify:     qualify,
 		MeanLatency: 1,
 		Seed:        rc.Seed + 2,
 	})
@@ -169,7 +163,6 @@ func (h *Harness) Run(rc RunConfig) (Outcome, error) {
 		TauLow:    rc.TauLow,
 	}
 	if rc.Approval {
-		cfg.Users = um
 		cfg.Judge = core.LatentOverlapJudge(h.World, 0.5)
 	}
 	eng, err := core.New(cfg)

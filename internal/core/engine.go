@@ -21,7 +21,6 @@ import (
 	"itag/internal/rfd"
 	"itag/internal/rng"
 	"itag/internal/strategy"
-	"itag/internal/users"
 	"itag/internal/vocab"
 )
 
@@ -37,9 +36,10 @@ var ErrStalled error = errs.New(errs.ComponentCore, errs.CategoryInternal, "plat
 type PostHook func(resourceID, taggerID string, tags []string)
 
 // Judge decides whether a completed task's post is approved by the
-// provider. Approved posts enter the resource's statistics and pay the
-// incentive; rejected posts consume the task but improve nothing
-// (paper §III-A approval flow).
+// provider. Approved posts enter the resource's statistics; rejected posts
+// consume the task but improve nothing. Every verdict is sent to the
+// platform as a review, and the platform qualifies workers by them (paper
+// §III-A approval flow).
 type Judge func(res crowd.Result) bool
 
 // Config parameterizes an engine run.
@@ -58,16 +58,15 @@ type Config struct {
 	Batch int
 	// Quality configures the stability metric.
 	Quality quality.Config
-	// Platform executes tasks (required).
+	// Platform executes tasks. Stepping or running needs one; a manual
+	// run, driven by ChooseNext and SubmitPost, leaves it nil.
 	Platform crowd.Platform
-	// Users optionally tracks approvals and credits the incentive of each
-	// approved post; required when Judge is set.
-	Users *users.Manager
-	// Judge optionally reviews completed posts (nil = approve all).
+	// Judge optionally reviews completed posts (nil = approve all, and
+	// review nothing).
 	Judge Judge
 	// PayPerTask is the incentive per approved post.
 	PayPerTask float64
-	// ProviderID attributes approvals and payments.
+	// ProviderID labels the tasks the engine publishes.
 	ProviderID string
 	// TauHigh / TauLow are the monitoring thresholds for the
 	// count-above/count-below series (defaults 0.9 / 0.5).
@@ -102,12 +101,6 @@ func (c Config) validate() error {
 	}
 	if c.Budget <= 0 {
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "budget must be positive, got %d", c.Budget)
-	}
-	if c.Platform == nil {
-		return errs.New(errs.ComponentCore, errs.CategoryValidation, "platform required")
-	}
-	if c.Judge != nil && c.Users == nil {
-		return errs.New(errs.ComponentCore, errs.CategoryValidation, "judging requires a users manager")
 	}
 	if err := c.Quality.Validate(); err != nil {
 		return err
@@ -399,6 +392,9 @@ func (e *Engine) step(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
+	if e.cfg.Platform == nil {
+		return false, errs.New(errs.ComponentCore, errs.CategoryValidation, "engine has no platform to step; a manual run takes ChooseNext and SubmitPost")
+	}
 	e.mu.Lock()
 	remaining := e.budget - e.spent
 	if remaining <= 0 {
@@ -479,7 +475,7 @@ func (e *Engine) step(ctx context.Context) (bool, error) {
 }
 
 // update is Algorithm 1's UPDATE(): fold one completed task back into the
-// model (statistics, quality scores, approvals, payments).
+// model (statistics, quality scores) and review it on the platform.
 func (e *Engine) update(res crowd.Result) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -501,9 +497,7 @@ func (e *Engine) update(res crowd.Result) {
 	approved := true
 	if e.cfg.Judge != nil {
 		approved = e.cfg.Judge(res)
-	}
-	if e.cfg.Users != nil && res.WorkerID != "" {
-		_ = e.cfg.Users.RecordTagJudgment(res.WorkerID, approved, e.cfg.PayPerTask)
+		e.cfg.Platform.Review(res.WorkerID, approved)
 	}
 	if !approved {
 		// Rejected posts consume the task but contribute nothing.

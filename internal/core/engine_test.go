@@ -5,15 +5,16 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"itag/internal/crowd"
 	"itag/internal/dataset"
+	"itag/internal/errs"
 	"itag/internal/quality"
 	"itag/internal/rng"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
-	"itag/internal/users"
 )
 
 // harness bundles a generated world, population, simulator and platform.
@@ -39,12 +40,11 @@ func newHarness(t testing.TB, nRes, nTaggers int, unreliable float64) *harness {
 	return &harness{world: world, pop: pop, sim: taggersim.NewSimulator(world)}
 }
 
-func (h *harness) platform(t testing.TB, qualify crowd.QualifyFunc, seed int64) crowd.Platform {
+func (h *harness) platform(t testing.TB, seed int64) *crowd.Sim {
 	t.Helper()
 	p, err := crowd.NewSim(crowd.SimConfig{
 		Workers:     WorkerIDs(h.pop),
 		Post:        GenerativeSource(h.sim, h.pop, seed),
-		Qualify:     qualify,
 		MeanLatency: 1,
 		Seed:        seed,
 	})
@@ -60,7 +60,7 @@ func (h *harness) engine(t testing.TB, cfg Config) *Engine {
 		cfg.Resources = h.world.Dataset.Resources
 	}
 	if cfg.Platform == nil {
-		cfg.Platform = h.platform(t, nil, cfg.Seed)
+		cfg.Platform = h.platform(t, cfg.Seed)
 	}
 	if cfg.Strategy == nil {
 		cfg.Strategy = strategy.FewestPosts{}
@@ -74,13 +74,11 @@ func (h *harness) engine(t testing.TB, cfg Config) *Engine {
 
 func TestConfigValidation(t *testing.T) {
 	h := newHarness(t, 3, 5, 0)
-	plat := h.platform(t, nil, 1)
+	plat := h.platform(t, 1)
 	cases := []Config{
-		{Strategy: strategy.FewestPosts{}, Budget: 10, Platform: plat},                                                                                       // no resources
-		{Resources: h.world.Dataset.Resources, Budget: 10, Platform: plat},                                                                                   // no strategy
-		{Resources: h.world.Dataset.Resources, Strategy: strategy.FewestPosts{}, Platform: plat},                                                             // no budget
-		{Resources: h.world.Dataset.Resources, Strategy: strategy.FewestPosts{}, Budget: 10},                                                                 // no platform
-		{Resources: h.world.Dataset.Resources, Strategy: strategy.FewestPosts{}, Budget: 10, Platform: plat, Judge: func(crowd.Result) bool { return true }}, // judge without users
+		{Strategy: strategy.FewestPosts{}, Budget: 10, Platform: plat},                           // no resources
+		{Resources: h.world.Dataset.Resources, Budget: 10, Platform: plat},                       // no strategy
+		{Resources: h.world.Dataset.Resources, Strategy: strategy.FewestPosts{}, Platform: plat}, // no budget
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -99,6 +97,29 @@ func TestConfigValidation(t *testing.T) {
 		SeedPosts: map[string][][]string{"nope": {{"a"}}},
 	}); err == nil {
 		t.Error("seed posts for unknown resource must fail")
+	}
+}
+
+// TestManualEngineDoesNotStep: an engine without a platform is a manual run.
+// It builds and takes leases, and stepping or running it is a validation
+// error that spends nothing.
+func TestManualEngineDoesNotStep(t *testing.T) {
+	h := newHarness(t, 3, 5, 0)
+	e, err := New(Config{Resources: h.world.Dataset.Resources, Strategy: strategy.FewestPosts{}, Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.StepOnce(); errs.CategoryOf(err) != errs.CategoryValidation {
+		t.Errorf("StepOnce without a platform = %v, want a validation error", err)
+	}
+	if err := e.Run(); errs.CategoryOf(err) != errs.CategoryValidation {
+		t.Errorf("Run without a platform = %v, want a validation error", err)
+	}
+	if e.Spent() != 0 || e.Done() {
+		t.Errorf("spent %d, done %v after refused steps", e.Spent(), e.Done())
+	}
+	if _, ok := e.ChooseNext(); !ok {
+		t.Error("a manual engine must lease")
 	}
 }
 
@@ -287,18 +308,62 @@ func TestAddBudgetExtendsRun(t *testing.T) {
 	}
 }
 
+// reviewLog wraps a platform and tallies, per worker, the reviews the
+// engine sends it.
+type reviewLog struct {
+	crowd.Platform
+	mu               sync.Mutex
+	judged, approved map[string]int
+}
+
+func logReviews(p crowd.Platform) *reviewLog {
+	return &reviewLog{Platform: p, judged: make(map[string]int), approved: make(map[string]int)}
+}
+
+func (l *reviewLog) Review(workerID string, approved bool) {
+	l.mu.Lock()
+	l.judged[workerID]++
+	if approved {
+		l.approved[workerID]++
+	}
+	l.mu.Unlock()
+	l.Platform.Review(workerID, approved)
+}
+
+// totals sums the log over every worker.
+func (l *reviewLog) totals() (judged, approved int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for w, n := range l.judged {
+		judged += n
+		approved += l.approved[w]
+	}
+	return judged, approved
+}
+
+// rate is the worker's approval rate, 1 while unreviewed.
+func (l *reviewLog) rate(workerID string) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.judged[workerID] == 0 {
+		return 1
+	}
+	return float64(l.approved[workerID]) / float64(l.judged[workerID])
+}
+
 func TestApprovalFlow(t *testing.T) {
 	h := newHarness(t, 5, 8, 0)
-	um := users.NewManager()
+	reviews := logReviews(h.platform(t, 9))
 	rejectAll := func(res crowd.Result) bool { return false }
 	e := h.engine(t, Config{
 		Budget: 20, Batch: 5, Seed: 9,
-		Users: um, Judge: rejectAll, PayPerTask: 0.05,
+		Platform: reviews, Judge: rejectAll, PayPerTask: 0.05,
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// All rejected: budget consumed, but no posts recorded, nobody paid.
+	// All rejected: budget consumed, but no posts recorded, every task
+	// reviewed as rejected.
 	if e.Spent() != 20 {
 		t.Errorf("spent = %d", e.Spent())
 	}
@@ -307,36 +372,43 @@ func TestApprovalFlow(t *testing.T) {
 			t.Errorf("rejected posts counted: posts[%d]=%d", i, p)
 		}
 	}
-	stats := um.TaggerStats()
-	judged := 0
-	for _, s := range stats {
-		judged += s.Judged
-		if s.Approved != 0 || s.Earned != 0 {
-			t.Errorf("tagger %s approved %d, paid %v", s.ID, s.Approved, s.Earned)
-		}
-	}
-	if judged != 20 {
-		t.Errorf("judgments = %d, want 20", judged)
+	if judged, approved := reviews.totals(); judged != 20 || approved != 0 {
+		t.Errorf("reviews = %d, %d approved; want 20, 0", judged, approved)
 	}
 }
 
 func TestApprovalPaysApproved(t *testing.T) {
 	h := newHarness(t, 5, 8, 0)
-	um := users.NewManager()
+	reviews := logReviews(h.platform(t, 10))
 	e := h.engine(t, Config{
 		Budget: 20, Batch: 5, Seed: 10,
-		Users: um, Judge: func(crowd.Result) bool { return true },
+		Platform: reviews, Judge: func(crowd.Result) bool { return true },
 		PayPerTask: 0.10,
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	paid := 0.0
-	for _, s := range um.TaggerStats() {
-		paid += s.Earned
+	// Every task is reviewed as approved, and its post counts.
+	posts := 0
+	for _, p := range e.Posts() {
+		posts += p
 	}
-	if paid < 1.99 || paid > 2.01 {
-		t.Errorf("total paid = %v, want 2.00", paid)
+	if judged, approved := reviews.totals(); judged != 20 || approved != 20 || posts != 20 {
+		t.Errorf("reviews = %d, %d approved, %d posts counted; want 20 each", judged, approved, posts)
+	}
+}
+
+// TestNoJudgeReviewsNothing: without a Judge every post is approved, and
+// the platform hears nothing.
+func TestNoJudgeReviewsNothing(t *testing.T) {
+	h := newHarness(t, 5, 8, 0)
+	reviews := logReviews(h.platform(t, 10))
+	e := h.engine(t, Config{Budget: 20, Batch: 5, Seed: 10, Platform: reviews})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if judged, _ := reviews.totals(); judged != 0 {
+		t.Errorf("%d reviews without a judge, want 0", judged)
 	}
 }
 
@@ -374,14 +446,11 @@ func TestReplayExhaustionRefundsAndStops(t *testing.T) {
 
 func TestStallDetection(t *testing.T) {
 	h := newHarness(t, 3, 4, 0)
-	plat, err := crowd.NewSim(crowd.SimConfig{
-		Workers: WorkerIDs(h.pop),
-		Post:    GenerativeSource(h.sim, h.pop, 12),
-		Qualify: func(string) bool { return false }, // nobody can work
-		Seed:    12,
-	})
-	if err != nil {
-		t.Fatal(err)
+	plat := h.platform(t, 12)
+	for _, w := range WorkerIDs(h.pop) { // nobody can work
+		for i := 0; i < crowd.MinReviews; i++ {
+			plat.Review(w, false)
+		}
 	}
 	e := h.engine(t, Config{Budget: 5, Batch: 2, Platform: plat, MaxStallSteps: 50, Seed: 12})
 	if err := e.Run(); !errors.Is(err, ErrStalled) {
@@ -472,7 +541,7 @@ func TestPlannerOptimalBeatsRandomOnOracleGain(t *testing.T) {
 		e := h.engine(t, Config{
 			Budget: budget, Batch: 10, Strategy: s,
 			SeedPosts: seedPosts, Seed: seed,
-			Platform: h.platform(t, nil, seed),
+			Platform: h.platform(t, seed),
 		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"itag/internal/crowd"
 	"itag/internal/strategy"
-	"itag/internal/users"
 )
 
 // Failure-injection tests: the engine must finish correct runs under
@@ -80,41 +78,40 @@ func TestRunSurvivesFlakyPostSource(t *testing.T) {
 }
 
 func TestMidRunDisqualificationShiftsWork(t *testing.T) {
-	// One worker is disqualified after a few completions; the run must
-	// still finish, with the banned worker's share frozen.
+	// The judge rejects every post of one worker; once its reviews reach
+	// the qualification minimum the platform stops assigning it, and the
+	// run still finishes on the others.
 	h := newHarness(t, 8, 4, 0)
-	var banned atomic.Bool
+	banned := h.pop.Profiles[0].ID
 	byWorker := make(map[string]int)
-	um := users.NewManager()
 	inner := GenerativeSource(h.sim, h.pop, 32)
 	counting := func(workerID, resourceID string) ([]string, error) {
 		byWorker[workerID]++ // platform Step serializes calls
-		if workerID == h.pop.Profiles[0].ID && byWorker[workerID] >= 3 {
-			banned.Store(true)
-		}
 		return inner(workerID, resourceID)
 	}
 	plat, err := crowd.NewSim(crowd.SimConfig{
-		Workers: WorkerIDs(h.pop),
-		Post:    counting,
-		Qualify: func(w string) bool {
-			return w != h.pop.Profiles[0].ID || !banned.Load()
-		},
+		Workers:     WorkerIDs(h.pop),
+		Post:        counting,
 		MeanLatency: 1,
 		Seed:        32,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := h.engine(t, Config{Budget: 60, Batch: 6, Platform: plat, Users: um, Seed: 32})
+	e := h.engine(t, Config{
+		Budget: 60, Batch: 6, Platform: plat, Seed: 32,
+		Judge: func(res crowd.Result) bool { return res.WorkerID != banned },
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if e.Spent() != 60 {
 		t.Errorf("spent = %d", e.Spent())
 	}
-	if got := byWorker[h.pop.Profiles[0].ID]; got > 4 {
-		t.Errorf("banned worker completed %d tasks after disqualification window", got)
+	// A result is reviewed before the next step assigns work, so the
+	// worker completes exactly the tasks that disqualify it.
+	if got := byWorker[banned]; got != crowd.MinReviews {
+		t.Errorf("rejected worker completed %d tasks, want %d", got, crowd.MinReviews)
 	}
 }
 
@@ -122,21 +119,10 @@ func TestApprovalQualificationEndToEnd(t *testing.T) {
 	// Unreliable taggers get rejected by the judge, fall below the gate,
 	// and stop receiving work — their approval rates must reflect it.
 	h := newHarness(t, 10, 10, 0.4)
-	um := users.NewManager()
-	qualify := func(w string) bool { return um.Qualified(w, 0.6, 5) }
-	plat, err := crowd.NewSim(crowd.SimConfig{
-		Workers:     WorkerIDs(h.pop),
-		Post:        GenerativeSource(h.sim, h.pop, 33),
-		Qualify:     qualify,
-		MeanLatency: 1,
-		Seed:        33,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reviews := logReviews(h.platform(t, 33))
 	e := h.engine(t, Config{
-		Budget: 200, Batch: 10, Platform: plat, Seed: 33,
-		Users: um, Judge: LatentOverlapJudge(h.world, 0.5), PayPerTask: 0.01,
+		Budget: 200, Batch: 10, Platform: reviews, Seed: 33,
+		Judge: LatentOverlapJudge(h.world, 0.5), PayPerTask: 0.01,
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -149,7 +135,7 @@ func TestApprovalQualificationEndToEnd(t *testing.T) {
 	var relSum, unrelSum float64
 	var relN, unrelN int
 	for i, p := range h.pop.Profiles {
-		rate := um.TaggerApprovalRate(p.ID)
+		rate := reviews.rate(p.ID)
 		if i < 4 {
 			unrelSum += rate
 			unrelN++

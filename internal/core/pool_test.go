@@ -58,6 +58,7 @@ func (failPlatform) Step() int                  { return 0 }
 func (failPlatform) Collect(int) []crowd.Result { return nil }
 func (failPlatform) Pending() int               { return 0 }
 func (failPlatform) Clock() int                 { return 0 }
+func (failPlatform) Review(string, bool)        {}
 
 // TestPoolCancelRetiresInFlight cancels the context after the fleet has
 // taken a few steps: RunContext must return, an engine that finished

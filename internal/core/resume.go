@@ -23,9 +23,10 @@ package core
 //     the restart or promotion
 //
 // Simulated runs (world != nil) do not survive: their latent worlds, tagger
-// populations and the users.Manager tally their judge qualifies workers by
-// are process state by design. Their projects resume as
-// manual projects — persisted posts and tasks remain fully servable.
+// populations and simulated marketplaces, with the review record each
+// marketplace qualifies its workers by, are process state by design. Their
+// projects resume as manual projects — persisted posts and tasks remain
+// fully servable.
 
 import (
 	"context"

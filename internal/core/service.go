@@ -17,7 +17,6 @@ import (
 	"itag/internal/store"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
-	"itag/internal/users"
 	"itag/internal/vocab"
 )
 
@@ -37,7 +36,6 @@ type Service struct {
 	// counts (JudgePost, RateProvider) one step.
 	judgeMu sync.Mutex
 	cat     *store.Catalog
-	um      *users.Manager  // the tally simulated runs judge and qualify workers by
 	intern  *vocab.Interner // shared tag vocabulary across all project runs
 	folded  *foldedRows     // export rows of projects with no live run
 	runs    map[string]*Run
@@ -98,7 +96,6 @@ func NewService(cat *store.Catalog, seed int64) *Service {
 	lifeCtx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cat:        cat,
-		um:         users.NewManager(),
 		intern:     vocab.NewInterner(),
 		runs:       make(map[string]*Run),
 		seed:       seed,
@@ -250,6 +247,12 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 		if err != nil {
 			return "", err
 		}
+		// Every generated world names its resources r0000…, and resource
+		// keys are bare IDs: prefix them with the project's, before the
+		// simulator, the judge or the catalog index them.
+		for i := range world.Dataset.Resources {
+			world.Dataset.Resources[i].ID = id + "-" + world.Dataset.Resources[i].ID
+		}
 		resources = world.Dataset.Resources
 	}
 	if len(resources) == 0 {
@@ -321,7 +324,6 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 		SeedPosts:  spec.SeedPosts,
 		Strategy:   strat,
 		Budget:     spec.Budget,
-		Users:      s.um,
 		PayPerTask: spec.PayPerTask,
 		ProviderID: spec.ProviderID,
 		Seed:       seed,
@@ -329,6 +331,9 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 		OnPost:     s.stagePost(staged),
 		Flush:      staged.Commit,
 	}
+	// Uploaded resources are tagged by hand (ChooseNext / SubmitPost) and
+	// need no platform. A simulated run gets a marketplace of its own, which
+	// keeps its own workers' review record.
 	if world != nil {
 		pop, err := taggersim.NewPopulation(rng.New(seed+1), taggersim.PopulationConfig{Size: 40, UnreliableFraction: 0.1})
 		if err != nil {
@@ -336,34 +341,16 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 		}
 		run.Pop = pop
 		sim := taggersim.NewSimulator(world).UseInterner(s.intern)
-		qualify := func(w string) bool { return s.um.Qualified(w, 0.5, 10) }
-		var plat crowd.Platform
-		var perr error
+		newSim := crowd.NewMTurkSim
 		if spec.Platform == "social-sim" {
-			plat, perr = crowd.NewSocialSim(WorkerIDs(pop), GenerativeSource(sim, pop, seed+2), qualify, seed+3)
-		} else {
-			plat, perr = crowd.NewMTurkSim(WorkerIDs(pop), GenerativeSource(sim, pop, seed+2), qualify, seed+3)
+			newSim = crowd.NewSocialSim
 		}
-		if perr != nil {
-			return nil, perr
+		plat, err := newSim(WorkerIDs(pop), GenerativeSource(sim, pop, seed+2), seed+3)
+		if err != nil {
+			return nil, err
 		}
 		cfg.Platform = plat
 		cfg.Judge = LatentOverlapJudge(world, 0.5)
-	} else {
-		// Uploaded resources: manual tagging only; a platform is still
-		// required by the engine config, but never driven (ChooseNext /
-		// SubmitPost bypass it).
-		plat, perr := crowd.NewSim(crowd.SimConfig{
-			Workers: SyntheticWorkerIDs(1),
-			Post: func(w, r string) ([]string, error) {
-				return nil, errs.New(errs.ComponentCore, errs.CategoryValidation, "manual project has no simulated taggers")
-			},
-			Seed: seed,
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		cfg.Platform = plat
 	}
 	eng, err := New(cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,21 +126,22 @@ func TestSimulatedProjectLifecycle(t *testing.T) {
 func TestProviderControlsThroughService(t *testing.T) {
 	s := newService(t)
 	_, proj := createSimProject(t, s, 60)
-	if err := s.StopResource(context.Background(), proj, "r0003"); err != nil {
+	r3 := proj + "-r0003" // a simulated project's resource IDs carry its ID
+	if err := s.StopResource(context.Background(), proj, r3); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := s.Catalog().GetResource("r0003")
+	rec, _ := s.Catalog().GetResource(r3)
 	if !rec.Stopped {
 		t.Error("stop not persisted")
 	}
-	if err := s.ResumeResource(context.Background(), proj, "r0003"); err != nil {
+	if err := s.ResumeResource(context.Background(), proj, r3); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = s.Catalog().GetResource("r0003")
+	rec, _ = s.Catalog().GetResource(r3)
 	if rec.Stopped {
 		t.Error("resume not persisted")
 	}
-	if err := s.Promote(context.Background(), proj, "r0005"); err != nil {
+	if err := s.Promote(context.Background(), proj, proj+"-r0005"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SwitchStrategy(context.Background(), proj, "mu"); err != nil {
@@ -328,7 +330,7 @@ func TestResourceDetailThroughService(t *testing.T) {
 	if err := s.WaitSimulation(context.Background(), proj); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.ResourceDetail(context.Background(), proj, "r0000")
+	st, err := s.ResourceDetail(context.Background(), proj, proj+"-r0000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func TestResourceDetailThroughService(t *testing.T) {
 	if _, err := s.ResourceDetail(context.Background(), proj, "nope"); err == nil {
 		t.Error("unknown resource must fail")
 	}
-	if _, err := s.ResourceDetail(context.Background(), "ghost-project", "r0000"); err == nil {
+	if _, err := s.ResourceDetail(context.Background(), "ghost-project", proj+"-r0000"); err == nil {
 		t.Error("unknown project must fail")
 	}
 }
@@ -365,6 +367,168 @@ func TestProjectsListing(t *testing.T) {
 	}
 	if !strings.HasPrefix(mine[0].Project.ID, "proj-") {
 		t.Errorf("project ID = %s", mine[0].Project.ID)
+	}
+}
+
+// TestSimulatedProjectsOwnTheirResourceIDs: two simulated projects generate
+// worlds with the same resource names, and each keeps its own rows — its
+// listing, its export and the keys its posts are stored under.
+func TestSimulatedProjectsOwnTheirResourceIDs(t *testing.T) {
+	s := newService(t)
+	defer s.Close()
+	ctx := context.Background()
+	prov, _ := s.RegisterProvider(ctx, "alice")
+	var projects [2]string
+	for i := range projects {
+		var err error
+		if projects[i], err = s.CreateProject(ctx, ProjectSpec{
+			ProviderID: prov, Budget: 20, Simulate: true, NumResources: 5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owner := make(map[string]string) // resource ID → project
+	for _, proj := range projects {
+		recs, err := s.Catalog().ListResources(proj)
+		if err != nil || len(recs) != 5 {
+			t.Fatalf("ListResources(%s) = %d rows, %v; want 5", proj, len(recs), err)
+		}
+		for _, r := range recs {
+			if !strings.HasPrefix(r.ID, proj+"-") || owner[r.ID] != "" {
+				t.Errorf("%s lists resource %q (owned by %q)", proj, r.ID, owner[r.ID])
+			}
+			owner[r.ID] = proj
+		}
+		if err := s.StartSimulation(ctx, proj); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WaitSimulation(ctx, proj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, proj := range projects {
+		rows, _, err := s.ExportPage(ctx, proj, "", 0)
+		if err != nil || len(rows) != 5 {
+			t.Fatalf("ExportPage(%s) = %d rows, %v; want 5", proj, len(rows), err)
+		}
+		for _, row := range rows {
+			if owner[row.ID] != proj {
+				t.Errorf("%s exports %s's resource %s", proj, owner[row.ID], row.ID)
+			}
+		}
+	}
+	stored := 0
+	for id := range owner {
+		stored += s.Catalog().DB().CountPrefix(store.TablePosts, id+"/")
+	}
+	if want := 2 * 20; stored == 0 || stored > want {
+		t.Errorf("%d posts stored under the two projects' resources, want 1..%d", stored, want)
+	}
+}
+
+// simOutcome is what a finished simulated run leaves behind: its spend,
+// and from the catalog its posts per resource and per tagger.
+type simOutcome struct {
+	Spent      int
+	PerRes     map[string]int
+	PerTagger  map[string]int
+	TotalPosts int
+}
+
+func runSimulation(t *testing.T, s *Service, proj string) simOutcome {
+	t.Helper()
+	if err := s.StartSimulation(context.Background(), proj); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitSimulation(context.Background(), proj); err != nil {
+		t.Fatal(err)
+	}
+	return storedOutcome(t, s, proj)
+}
+
+func storedOutcome(t *testing.T, s *Service, proj string) simOutcome {
+	t.Helper()
+	info, err := s.Project(context.Background(), proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := simOutcome{Spent: info.Spent, PerRes: make(map[string]int), PerTagger: make(map[string]int)}
+	recs, err := s.Catalog().ListResources(proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		posts, err := s.Catalog().PostsOf(r.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.PerRes[r.ID] = len(posts)
+		out.TotalPosts += len(posts)
+		for _, p := range posts {
+			out.PerTagger[p.TaggerID]++
+		}
+	}
+	return out
+}
+
+// TestSimulatedProjectsAreIsolated: a simulated project's run does not
+// depend on another project having run in the same Service. Each project's
+// marketplace keeps its own workers' reviews (both populations use the
+// same worker IDs) and its own resources, so B after A equals B in a fresh
+// Service with the same seeds and creation order, where A never ran, and
+// A's listing and export survive B.
+func TestSimulatedProjectsAreIsolated(t *testing.T) {
+	ctx := context.Background()
+	const budget, resources = 480, 12
+	twoProjects := func() (s *Service, a, b string) {
+		s = newService(t)
+		prov, err := s.RegisterProvider(ctx, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids [2]string
+		for i := range ids {
+			if ids[i], err = s.CreateProject(ctx, ProjectSpec{
+				ProviderID: prov, Name: fmt.Sprintf("p%d", i), Budget: budget, PayPerTask: 0.05,
+				Strategy: "fp-mu", Simulate: true, NumResources: resources,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, ids[0], ids[1]
+	}
+
+	shared, a, b := twoProjects()
+	defer shared.Close()
+	outA := runSimulation(t, shared, a)
+	got := runSimulation(t, shared, b)
+
+	fresh, a2, b2 := twoProjects()
+	defer fresh.Close()
+	if a2 != a || b2 != b {
+		t.Fatalf("creation order minted %s, %s; first service %s, %s", a2, b2, a, b)
+	}
+	want := runSimulation(t, fresh, b2)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("B after A differs from B alone:\n after A %+v\n alone   %+v", got, want)
+	}
+
+	if outA.Spent != budget || len(outA.PerRes) != resources {
+		t.Fatalf("A = %+v, want spent %d over %d resources", outA, budget, resources)
+	}
+	if now := storedOutcome(t, shared, a); !reflect.DeepEqual(now, outA) {
+		t.Errorf("A's stored outcome changed after B ran:\n before %+v\n after  %+v", outA, now)
+	}
+	rows, _, err := shared.ExportPage(ctx, a, "", 0)
+	if err != nil || len(rows) != resources {
+		t.Fatalf("ExportPage(A) = %d rows, %v; want %d", len(rows), err, resources)
+	}
+	exported := 0
+	for _, row := range rows {
+		exported += row.Posts
+	}
+	if exported != outA.TotalPosts {
+		t.Errorf("A's export counts %d posts, its catalog %d", exported, outA.TotalPosts)
 	}
 }
 

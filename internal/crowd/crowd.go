@@ -5,8 +5,9 @@
 // iTag is an agent over these platforms: it publishes tagging tasks through
 // their APIs, workers complete tasks, and iTag aggregates results (§III-B).
 // The contract that matters to the allocation engine is exactly that
-// publish → complete → collect loop, plus qualification gating and
-// worker-induced failure modes (latency, abandonment). The simulators
+// publish → complete → collect loop, plus the approve/reject review a
+// marketplace keeps per worker and qualifies workers by, and worker-induced
+// failure modes (latency, abandonment). The simulators
 // reproduce that contract deterministically on a virtual clock so every
 // experiment is reproducible and fast; nothing in the engine knows whether
 // a real marketplace or a simulator is on the other side.
@@ -53,9 +54,14 @@ type Result struct {
 // (taggersim) or a trace replayer.
 type PostFunc func(workerID, resourceID string) ([]string, error)
 
-// QualifyFunc gates which workers may take tasks (the User Manager's
-// approval-rate qualification, §III-A).
-type QualifyFunc func(workerID string) bool
+// The qualification rule of the approval process (§III-A): a worker with at
+// least MinReviews reviews is assigned tasks only while at least
+// MinApprovalRate of them approved its work. A worker with fewer reviews has
+// not had a fair chance yet and is qualified.
+const (
+	MinApprovalRate = 0.6
+	MinReviews      = 8
+)
 
 // Platform is the marketplace abstraction.
 type Platform interface {
@@ -74,6 +80,10 @@ type Platform interface {
 	Pending() int
 	// Clock returns the current virtual step.
 	Clock() int
+	// Review records the requester's verdict on a worker's completed task,
+	// as MTurk's approve/reject call does; the platform qualifies workers by
+	// the record it keeps.
+	Review(workerID string, approved bool)
 }
 
 // ErrNoWorkers is returned by Publish when the platform has no workers.
@@ -87,8 +97,6 @@ type SimConfig struct {
 	Workers []string
 	// Post produces a worker's tag set for a resource (required).
 	Post PostFunc
-	// Qualify optionally gates workers (nil = everyone qualified).
-	Qualify QualifyFunc
 	// MeanLatency is the mean steps a worker holds a task (default 2).
 	MeanLatency float64
 	// AbandonProb is the chance an assignment is abandoned instead of
@@ -114,6 +122,11 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
+// reviewRecord is one worker's review tally.
+type reviewRecord struct {
+	reviews, approved int
+}
+
 type assignment struct {
 	task      Task
 	workerID  string
@@ -130,6 +143,7 @@ type Sim struct {
 	inflight []assignment
 	results  []Result
 	busy     map[string]bool
+	reviews  map[string]reviewRecord
 	clock    int
 	stats    SimStats
 }
@@ -154,9 +168,10 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 		return nil, errors.New("crowd: SimConfig.Post is required")
 	}
 	return &Sim{
-		cfg:  cfg,
-		r:    rng.New(cfg.Seed),
-		busy: make(map[string]bool),
+		cfg:     cfg,
+		r:       rng.New(cfg.Seed),
+		busy:    make(map[string]bool),
+		reviews: make(map[string]reviewRecord),
 	}, nil
 }
 
@@ -240,12 +255,25 @@ func (s *Sim) freeWorkersLocked() []string {
 		if s.busy[w] {
 			continue
 		}
-		if s.cfg.Qualify != nil && !s.cfg.Qualify(w) {
+		if rec := s.reviews[w]; rec.reviews >= MinReviews &&
+			float64(rec.approved)/float64(rec.reviews) < MinApprovalRate {
 			continue
 		}
 		free = append(free, w)
 	}
 	return free
+}
+
+// Review implements Platform.
+func (s *Sim) Review(workerID string, approved bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.reviews[workerID]
+	rec.reviews++
+	if approved {
+		rec.approved++
+	}
+	s.reviews[workerID] = rec
 }
 
 // Collect implements Platform.
@@ -285,12 +313,11 @@ func (s *Sim) Stats() SimStats {
 
 // NewMTurkSim returns a simulator with MTurk-like defaults: a large worker
 // pool working mostly independently with modest latency.
-func NewMTurkSim(workers []string, post PostFunc, qualify QualifyFunc, seed int64) (*Sim, error) {
+func NewMTurkSim(workers []string, post PostFunc, seed int64) (*Sim, error) {
 	return NewSim(SimConfig{
 		Name:        "mturk-sim",
 		Workers:     workers,
 		Post:        post,
-		Qualify:     qualify,
 		MeanLatency: 2,
 		AbandonProb: 0.02,
 		Seed:        seed,
@@ -300,12 +327,11 @@ func NewMTurkSim(workers []string, post PostFunc, qualify QualifyFunc, seed int6
 // NewSocialSim returns a simulator with social-network-like defaults
 // (paper §I suggests Facebook as an alternative platform): higher latency
 // and abandonment, modelling casual rather than paid workers.
-func NewSocialSim(workers []string, post PostFunc, qualify QualifyFunc, seed int64) (*Sim, error) {
+func NewSocialSim(workers []string, post PostFunc, seed int64) (*Sim, error) {
 	return NewSim(SimConfig{
 		Name:        "social-sim",
 		Workers:     workers,
 		Post:        post,
-		Qualify:     qualify,
 		MeanLatency: 5,
 		AbandonProb: 0.10,
 		Seed:        seed,

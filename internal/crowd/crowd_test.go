@@ -3,6 +3,7 @@ package crowd
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -128,34 +129,151 @@ func TestAbandonmentRequeues(t *testing.T) {
 	}
 }
 
+// reject records n rejections of the worker's work.
+func reject(s *Sim, workerID string, n int) {
+	for i := 0; i < n; i++ {
+		s.Review(workerID, false)
+	}
+}
+
 func TestQualificationGate(t *testing.T) {
-	banned := map[string]bool{"w0": true, "w1": true}
-	s, err := NewSim(SimConfig{
-		Workers: workers(3), Post: echoPost, MeanLatency: 1, Seed: 4,
-		Qualify: func(w string) bool { return !banned[w] },
-	})
+	s, err := NewSim(SimConfig{Workers: workers(3), Post: echoPost, MeanLatency: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reject(s, "w0", MinReviews)
+	reject(s, "w1", MinReviews)
 	for i := 0; i < 6; i++ {
 		_ = s.Publish(Task{ID: fmt.Sprintf("t%d", i), ResourceID: "r"})
 	}
 	results := runUntil(t, s, 6, 200)
 	for _, res := range results {
 		if res.WorkerID != "w2" {
-			t.Errorf("banned worker %s completed a task", res.WorkerID)
+			t.Errorf("disqualified worker %s completed a task", res.WorkerID)
 		}
 	}
 }
 
-func TestAllWorkersDisqualifiedStarves(t *testing.T) {
-	s, err := NewSim(SimConfig{
-		Workers: workers(2), Post: echoPost, Seed: 5,
-		Qualify: func(string) bool { return false },
-	})
+// TestReviewRule pins the qualification rule on one worker's record: every
+// case publishes one task and asks whether the worker is assigned it.
+func TestReviewRule(t *testing.T) {
+	cases := []struct {
+		name               string
+		approved, rejected int
+		want               bool
+	}{
+		{"unreviewed", 0, 0, true},
+		{"seven rejections", 0, MinReviews - 1, true},
+		{"eighth rejection", 0, MinReviews, false},
+		{"exactly the minimum rate", 6, 4, true},
+		{"below the minimum rate", 5, 4, false},
+		{"half approved", MinReviews, MinReviews, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSim(SimConfig{Workers: workers(1), Post: echoPost, MeanLatency: 1, Seed: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.approved; i++ {
+				s.Review("w0", true)
+			}
+			reject(s, "w0", tc.rejected)
+			if got := assigns(s); got != tc.want {
+				t.Errorf("%d approved, %d rejected: assigned = %v, want %v", tc.approved, tc.rejected, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestEighthRejectionStopsAssignment: a worker keeps taking tasks through
+// its seventh rejection and takes none after its eighth.
+func TestEighthRejectionStopsAssignment(t *testing.T) {
+	s, err := NewSim(SimConfig{Workers: workers(1), Post: echoPost, MeanLatency: 1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := 1; i < MinReviews; i++ {
+		if !assigns(s) {
+			t.Fatalf("worker refused after %d rejections", i-1)
+		}
+		reject(s, "w0", 1)
+	}
+	if !assigns(s) {
+		t.Fatalf("worker refused after %d rejections", MinReviews-1)
+	}
+	reject(s, "w0", 1)
+	if assigns(s) {
+		t.Fatalf("worker still assigned after %d rejections", MinReviews)
+	}
+}
+
+func TestSimsDoNotShareReviews(t *testing.T) {
+	a, err := NewSim(SimConfig{Workers: workers(1), Post: echoPost, MeanLatency: 1, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSim(SimConfig{Workers: workers(1), Post: echoPost, MeanLatency: 1, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject(a, "w0", MinReviews)
+	if assigns(a) {
+		t.Error("w0 assigned on the platform that rejected it")
+	}
+	if !assigns(b) {
+		t.Error("w0 refused on a platform that never reviewed it")
+	}
+}
+
+// assigns publishes one task and reports whether a worker completed it
+// within a few steps.
+func assigns(s *Sim) bool {
+	s.Collect(0)
+	_ = s.Publish(Task{ID: "probe", ResourceID: "r"})
+	for step := 0; step < 10; step++ {
+		s.Step()
+		if len(s.Collect(0)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestConcurrentReviews: reviews sent while the platform steps are all
+// counted.
+func TestConcurrentReviews(t *testing.T) {
+	s, err := NewSim(SimConfig{Workers: workers(2), Post: echoPost, MeanLatency: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s.Review("w0", i%2 == 0)
+				_ = s.Publish(Task{ID: fmt.Sprintf("t%d-%d", g, i), ResourceID: "r"})
+				s.Step()
+			}
+		}()
+	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec := s.reviews["w0"]; rec.reviews != 4000 || rec.approved != 2000 {
+		t.Errorf("w0's record = %+v, want 4000 reviews, 2000 approved", rec)
+	}
+}
+
+func TestAllWorkersDisqualifiedStarves(t *testing.T) {
+	s, err := NewSim(SimConfig{Workers: workers(2), Post: echoPost, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject(s, "w0", MinReviews)
+	reject(s, "w1", MinReviews)
 	_ = s.Publish(Task{ID: "t1", ResourceID: "r"})
 	for i := 0; i < 5; i++ {
 		s.Step()
@@ -239,11 +357,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestPlatformPresets(t *testing.T) {
-	m, err := NewMTurkSim(workers(2), echoPost, nil, 1)
+	m, err := NewMTurkSim(workers(2), echoPost, 1)
 	if err != nil || m.Name() != "mturk-sim" {
 		t.Errorf("mturk preset: %v %v", m, err)
 	}
-	soc, err := NewSocialSim(workers(2), echoPost, nil, 1)
+	soc, err := NewSocialSim(workers(2), echoPost, 1)
 	if err != nil || soc.Name() != "social-sim" {
 		t.Errorf("social preset: %v %v", soc, err)
 	}

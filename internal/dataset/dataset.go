@@ -166,18 +166,6 @@ type GeneratorConfig struct {
 	// PopularityZipfS shapes the popularity power law (default 1.1, in the
 	// range reported for Delicious-like traces).
 	PopularityZipfS float64
-	// Vocab configures the tag universe.
-	Vocab vocab.Config
-	// Latent configures per-resource latent distributions. Unless
-	// HomogeneousLatent is set, each resource perturbs this base config
-	// (support size, skew) so resources differ in how many posts their
-	// rfds need to stabilize — the heterogeneity that makes allocation a
-	// real decision (identical resources make equal allocation optimal).
-	Latent vocab.LatentConfig
-	// HomogeneousLatent disables per-resource latent perturbation.
-	HomogeneousLatent bool
-	// KindWeights optionally biases resource kinds; nil means uniform.
-	KindWeights map[Kind]float64
 }
 
 func (c GeneratorConfig) withDefaults() GeneratorConfig {
@@ -200,26 +188,13 @@ type World struct {
 // tagger simulator or loaded from files).
 func Generate(r *rand.Rand, cfg GeneratorConfig) (*World, error) {
 	cfg = cfg.withDefaults()
-	voc, err := vocab.Generate(r, cfg.Vocab)
+	voc, err := vocab.Generate(r)
 	if err != nil {
 		return nil, err
 	}
 	zipf, err := rng.NewZipf(cfg.NumResources, cfg.PopularityZipfS)
 	if err != nil {
 		return nil, err
-	}
-
-	kinds := Kinds
-	var kindPicker *rng.Categorical
-	if len(cfg.KindWeights) > 0 {
-		w := make([]float64, len(kinds))
-		for i, k := range kinds {
-			w[i] = cfg.KindWeights[k]
-		}
-		kindPicker, err = rng.NewCategorical(w)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: kind weights: %w", err)
-		}
 	}
 
 	// Popularity ranks are a random permutation so resource index does not
@@ -229,24 +204,22 @@ func Generate(r *rand.Rand, cfg GeneratorConfig) (*World, error) {
 	ds := &Dataset{Resources: make([]Resource, 0, cfg.NumResources)}
 	for i := 0; i < cfg.NumResources; i++ {
 		topic := r.Intn(voc.NumTopics())
-		lcfg := cfg.Latent
-		if !cfg.HomogeneousLatent {
-			// Perturb support sizes and within-component skew so some
-			// resources are "easy" (few dominant tags, rfd stabilizes
-			// fast) and others "hard" (broad flat tag sets).
-			lcfg.CoreTags = 3 + r.Intn(10)
-			lcfg.TopicTags = 4 + r.Intn(13)
-			lcfg.BackgroundTags = 3 + r.Intn(8)
-			lcfg.WithinZipfS = 0.6 + r.Float64()*0.8
-		}
-		latent, err := voc.Latent(r, topic, lcfg)
+		// Each resource draws its own support sizes and within-component
+		// skew, so some are "easy" (few dominant tags, rfd stabilizes fast)
+		// and others "hard" (broad flat tag sets): resources differ in how
+		// many posts their rfds need to stabilize — the heterogeneity that
+		// makes allocation a real decision (identical resources make equal
+		// allocation optimal).
+		latent, err := voc.Latent(r, topic, vocab.LatentConfig{
+			CoreTags:       3 + r.Intn(10),
+			TopicTags:      4 + r.Intn(13),
+			BackgroundTags: 3 + r.Intn(8),
+			WithinZipfS:    0.6 + r.Float64()*0.8,
+		})
 		if err != nil {
 			return nil, err
 		}
-		kind := kinds[r.Intn(len(kinds))]
-		if kindPicker != nil {
-			kind = kinds[kindPicker.Sample(r)]
-		}
+		kind := Kinds[r.Intn(len(Kinds))]
 		ds.Resources = append(ds.Resources, Resource{
 			ID:         fmt.Sprintf("r%04d", i),
 			Kind:       kind,

@@ -59,17 +59,20 @@ func TestGeneratePopularitySkew(t *testing.T) {
 	}
 }
 
-func TestGenerateKindWeights(t *testing.T) {
-	w, err := Generate(rng.New(2), GeneratorConfig{
-		NumResources: 300,
-		KindWeights:  map[Kind]float64{KindURL: 1}, // only URLs
-	})
+// TestGenerateDrawsEveryKind: kinds are drawn uniformly, so a few hundred
+// resources cover every kind.
+func TestGenerateDrawsEveryKind(t *testing.T) {
+	w, err := Generate(rng.New(2), GeneratorConfig{NumResources: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
+	byKind := make(map[Kind]int)
 	for _, r := range w.Dataset.Resources {
-		if r.Kind != KindURL {
-			t.Fatalf("kind weights ignored: got %s", r.Kind)
+		byKind[r.Kind]++
+	}
+	for _, k := range Kinds {
+		if byKind[k] < 30 {
+			t.Errorf("%d of 300 resources are %s, want about 60", byKind[k], k)
 		}
 	}
 }

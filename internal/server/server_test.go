@@ -136,9 +136,11 @@ func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 	}
 
 	// Controls before start.
-	c.do("POST", "/api/v1/projects/"+proj+"/resources/r0001/promote", nil, http.StatusOK, nil)
-	c.do("POST", "/api/v1/projects/"+proj+"/resources/r0002/stop", nil, http.StatusOK, nil)
-	c.do("POST", "/api/v1/projects/"+proj+"/resources/r0002/resume", nil, http.StatusOK, nil)
+	// A simulated project's resource IDs carry the project's ID.
+	r1, r2 := proj+"-r0001", proj+"-r0002"
+	c.do("POST", "/api/v1/projects/"+proj+"/resources/"+r1+"/promote", nil, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/resources/"+r2+"/stop", nil, http.StatusOK, nil)
+	c.do("POST", "/api/v1/projects/"+proj+"/resources/"+r2+"/resume", nil, http.StatusOK, nil)
 	c.do("POST", "/api/v1/projects/"+proj+"/strategy", strategyReq{Strategy: "mu"}, http.StatusOK, nil)
 	c.do("POST", "/api/v1/projects/"+proj+"/strategy", strategyReq{Strategy: "bogus"}, http.StatusBadRequest, nil)
 
@@ -162,8 +164,8 @@ func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 
 	// Resource detail.
 	var st core.ResourceStatus
-	c.do("GET", "/api/v1/projects/"+proj+"/resources/r0001", nil, http.StatusOK, &st)
-	if st.ID != "r0001" {
+	c.do("GET", "/api/v1/projects/"+proj+"/resources/"+r1, nil, http.StatusOK, &st)
+	if st.ID != r1 {
 		t.Errorf("detail = %+v", st)
 	}
 	c.do("GET", "/api/v1/projects/"+proj+"/resources/zzz", nil, http.StatusBadRequest, nil)

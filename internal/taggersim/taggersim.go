@@ -82,18 +82,6 @@ type PopulationConfig struct {
 	// UnreliableFraction is the share of low-reliability taggers
 	// (default 0.1).
 	UnreliableFraction float64
-	// ReliableMean / UnreliableMean are the reliability centers of the two
-	// groups (defaults 0.92 / 0.35).
-	ReliableMean, UnreliableMean float64
-	// MeanTags is the population mean tags per post (default 3).
-	MeanTags float64
-	// TypoRate is the shared typo share of noise (default 0.4).
-	TypoRate float64
-	// AspectBias is the shared sampling temperature (default 1.15).
-	AspectBias float64
-	// ActivityZipfS shapes activity inequality (default 0.8; a few taggers
-	// do most of the work, as in real crowds).
-	ActivityZipfS float64
 }
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
@@ -106,26 +94,18 @@ func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.UnreliableFraction > 1 {
 		c.UnreliableFraction = 1
 	}
-	if c.ReliableMean <= 0 {
-		c.ReliableMean = 0.92
-	}
-	if c.UnreliableMean <= 0 {
-		c.UnreliableMean = 0.35
-	}
-	if c.MeanTags <= 0 {
-		c.MeanTags = 3
-	}
-	if c.TypoRate < 0 || c.TypoRate > 1 {
-		c.TypoRate = 0.4
-	}
-	if c.AspectBias <= 0 {
-		c.AspectBias = 1.15
-	}
-	if c.ActivityZipfS <= 0 {
-		c.ActivityZipfS = 0.8
-	}
 	return c
 }
+
+// The shape every generated population shares. Generated taggers' noise
+// tags are unrelated tags, never typos (their TypoRate is 0).
+const (
+	reliableMean   = 0.92 // reliability centre of the reliable group
+	unreliableMean = 0.35 // reliability centre of the unreliable group
+	meanTags       = 3    // population mean tags per post
+	aspectBias     = 1.15 // shared sampling temperature
+	activityZipfS  = 0.8  // activity inequality: a few taggers do most of the work, as in real crowds
+)
 
 // Population is a set of tagger profiles with an activity-weighted sampler.
 type Population struct {
@@ -137,7 +117,7 @@ type Population struct {
 // NewPopulation generates a population.
 func NewPopulation(r *rand.Rand, cfg PopulationConfig) (*Population, error) {
 	cfg = cfg.withDefaults()
-	zipf, err := rng.NewZipf(cfg.Size, cfg.ActivityZipfS)
+	zipf, err := rng.NewZipf(cfg.Size, activityZipfS)
 	if err != nil {
 		return nil, err
 	}
@@ -145,16 +125,15 @@ func NewPopulation(r *rand.Rand, cfg PopulationConfig) (*Population, error) {
 	p := &Population{byID: make(map[string]int, cfg.Size)}
 	nUnreliable := int(math.Round(cfg.UnreliableFraction * float64(cfg.Size)))
 	for i := 0; i < cfg.Size; i++ {
-		rel := clamp01(cfg.ReliableMean + r.NormFloat64()*0.04)
+		rel := clamp01(reliableMean + r.NormFloat64()*0.04)
 		if i < nUnreliable {
-			rel = clamp01(cfg.UnreliableMean + r.NormFloat64()*0.08)
+			rel = clamp01(unreliableMean + r.NormFloat64()*0.08)
 		}
 		prof := Profile{
 			ID:          fmt.Sprintf("t%04d", i),
 			Reliability: rel,
-			TypoRate:    cfg.TypoRate,
-			MeanTags:    math.Max(1, cfg.MeanTags+r.NormFloat64()*0.5),
-			AspectBias:  cfg.AspectBias,
+			MeanTags:    math.Max(1, meanTags+r.NormFloat64()*0.5),
+			AspectBias:  aspectBias,
 			Activity:    zipf.Prob(ranks[i]),
 		}
 		if err := prof.Validate(); err != nil {
@@ -341,11 +320,6 @@ func (s *Simulator) World() *dataset.World { return s.world }
 type TraceConfig struct {
 	// NumPosts is the trace length (default 5000).
 	NumPosts int
-	// Start is the trace start time (default 2006-01-01 UTC, matching the
-	// demo's Delicious-era protocol).
-	Start time.Time
-	// MeanGap is the mean inter-post gap (default 10 minutes).
-	MeanGap time.Duration
 	// ChoiceTheta is the preferential-attachment exponent for free choice:
 	// resources are chosen with weight Popularity·(posts+1)^Theta
 	// (default 0.8, reproducing rich-get-richer skew [5]).
@@ -356,12 +330,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	if c.NumPosts <= 0 {
 		c.NumPosts = 5000
 	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.MeanGap <= 0 {
-		c.MeanGap = 10 * time.Minute
-	}
 	if c.ChoiceTheta < 0 {
 		c.ChoiceTheta = 0
 	}
@@ -370,6 +338,12 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	return c
 }
+
+// A generated trace starts at traceStart, matching the demo's Delicious-era
+// protocol, with a mean gap of traceMeanGap between posts.
+var traceStart = time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
+
+const traceMeanGap = 10 * time.Minute
 
 // GenerateTrace simulates free-choice tagging over the world and appends
 // the resulting time-ordered posts to the world's dataset.
@@ -382,7 +356,7 @@ func (s *Simulator) GenerateTrace(r *rand.Rand, pop *Population, cfg TraceConfig
 			counts[i]++
 		}
 	}
-	now := cfg.Start
+	now := traceStart
 	for n := 0; n < cfg.NumPosts; n++ {
 		// Free choice: popularity × rich-get-richer.
 		weights := make([]float64, len(res))
@@ -400,7 +374,7 @@ func (s *Simulator) GenerateTrace(r *rand.Rand, pop *Population, cfg TraceConfig
 			return err
 		}
 		counts[i]++
-		gap := time.Duration(float64(cfg.MeanGap) * rexp(r))
+		gap := time.Duration(float64(traceMeanGap) * rexp(r))
 		now = now.Add(gap)
 		s.world.Dataset.Posts = append(s.world.Dataset.Posts, dataset.Post{
 			ResourceID: res[i].ID,

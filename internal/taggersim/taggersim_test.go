@@ -70,7 +70,7 @@ func TestNewPopulation(t *testing.T) {
 
 func TestPopulationSampleWeightedByActivity(t *testing.T) {
 	r := rng.New(3)
-	pop, err := NewPopulation(r, PopulationConfig{Size: 10, ActivityZipfS: 1.5})
+	pop, err := NewPopulation(r, PopulationConfig{Size: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

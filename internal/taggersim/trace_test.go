@@ -2,7 +2,6 @@ package taggersim
 
 import (
 	"testing"
-	"time"
 
 	"itag/internal/dataset"
 	"itag/internal/rng"
@@ -48,8 +47,8 @@ func TestTraceTimestampsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Date(2006, 6, 1, 0, 0, 0, 0, time.UTC)
-	if err := sim.GenerateTrace(r, pop, TraceConfig{NumPosts: 200, Start: start}); err != nil {
+	start := traceStart
+	if err := sim.GenerateTrace(r, pop, TraceConfig{NumPosts: 200}); err != nil {
 		t.Fatal(err)
 	}
 	prev := start
@@ -60,7 +59,7 @@ func TestTraceTimestampsMonotone(t *testing.T) {
 		prev = p.Time
 	}
 	if !w.Dataset.Posts[0].Time.After(start) {
-		t.Error("trace must start after the configured start time")
+		t.Error("trace must start after its start time")
 	}
 }
 

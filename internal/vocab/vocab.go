@@ -39,38 +39,16 @@ type Vocabulary struct {
 	backgroundDist *rng.Zipf
 }
 
-// Config parameterizes vocabulary generation.
-type Config struct {
-	// BackgroundSize is the number of generic tags (default 60).
-	BackgroundSize int
-	// NumTopics is the number of topical clusters (default 12).
-	NumTopics int
-	// TopicSize is the number of tags per topic (default 40).
-	TopicSize int
-	// BackgroundZipfS is the exponent of the background usage prior
-	// (default 1.05).
-	BackgroundZipfS float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.BackgroundSize <= 0 {
-		c.BackgroundSize = 60
-	}
-	if c.NumTopics <= 0 {
-		c.NumTopics = 12
-	}
-	if c.TopicSize <= 0 {
-		c.TopicSize = 40
-	}
-	if c.BackgroundZipfS <= 0 {
-		c.BackgroundZipfS = 1.05
-	}
-	return c
-}
+// The shape of every generated vocabulary.
+const (
+	backgroundSize  = 60   // generic tags shared by all resources
+	numTopics       = 12   // topical clusters
+	topicSize       = 40   // tags per topic
+	backgroundZipfS = 1.05 // exponent of the background usage prior
+)
 
 // Generate builds a vocabulary deterministically from the rand source.
-func Generate(r *rand.Rand, cfg Config) (*Vocabulary, error) {
-	cfg = cfg.withDefaults()
+func Generate(r *rand.Rand) (*Vocabulary, error) {
 	gen := newWordGen(r)
 	v := &Vocabulary{}
 	seen := make(map[string]struct{})
@@ -84,17 +62,17 @@ func Generate(r *rand.Rand, cfg Config) (*Vocabulary, error) {
 			}
 		}
 	}
-	for i := 0; i < cfg.BackgroundSize; i++ {
+	for i := 0; i < backgroundSize; i++ {
 		v.Background = append(v.Background, fresh())
 	}
-	for t := 0; t < cfg.NumTopics; t++ {
-		topic := make([]string, 0, cfg.TopicSize)
-		for i := 0; i < cfg.TopicSize; i++ {
+	for t := 0; t < numTopics; t++ {
+		topic := make([]string, 0, topicSize)
+		for i := 0; i < topicSize; i++ {
 			topic = append(topic, fresh())
 		}
 		v.Topics = append(v.Topics, topic)
 	}
-	z, err := rng.NewZipf(cfg.BackgroundSize, cfg.BackgroundZipfS)
+	z, err := rng.NewZipf(backgroundSize, backgroundZipfS)
 	if err != nil {
 		return nil, fmt.Errorf("vocab: %w", err)
 	}
@@ -123,13 +101,18 @@ type LatentConfig struct {
 	TopicTags int
 	// BackgroundTags is how many background tags it uses (default 6).
 	BackgroundTags int
-	// CoreMass, TopicMass, BackgroundMass are the mixture weights
-	// (defaults 0.5 / 0.3 / 0.2; normalized internally).
-	CoreMass, TopicMass, BackgroundMass float64
 	// WithinZipfS shapes the within-component rank distribution
 	// (default 1.0).
 	WithinZipfS float64
 }
+
+// The mixture weights of a latent distribution's core, topic and background
+// components; they sum to 1.
+const (
+	coreMass       = 0.5
+	topicMass      = 0.3
+	backgroundMass = 0.2
+)
 
 func (c LatentConfig) withDefaults() LatentConfig {
 	if c.CoreTags <= 0 {
@@ -140,9 +123,6 @@ func (c LatentConfig) withDefaults() LatentConfig {
 	}
 	if c.BackgroundTags <= 0 {
 		c.BackgroundTags = 6
-	}
-	if c.CoreMass <= 0 && c.TopicMass <= 0 && c.BackgroundMass <= 0 {
-		c.CoreMass, c.TopicMass, c.BackgroundMass = 0.5, 0.3, 0.2
 	}
 	if c.WithinZipfS <= 0 {
 		c.WithinZipfS = 1.0
@@ -185,10 +165,9 @@ func (v *Vocabulary) Latent(r *rand.Rand, topic int, cfg LatentConfig) (rfd.Dist
 	topicTags := pickDistinct(r, v.Topics[topic], cfg.TopicTags)
 	bgTags := pickDistinct(r, v.Background, cfg.BackgroundTags)
 
-	total := cfg.CoreMass + cfg.TopicMass + cfg.BackgroundMass
-	add(core, cfg.CoreMass/total)
-	add(topicTags, cfg.TopicMass/total)
-	add(bgTags, cfg.BackgroundMass/total)
+	add(core, coreMass)
+	add(topicTags, topicMass)
+	add(bgTags, backgroundMass)
 	return rfd.Normalized(dist), nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestGenerateDefaults(t *testing.T) {
 	r := rng.New(1)
-	v, err := Generate(r, Config{})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestGenerateDefaults(t *testing.T) {
 
 func TestGenerateUniqueTags(t *testing.T) {
 	r := rng.New(2)
-	v, err := Generate(r, Config{BackgroundSize: 30, NumTopics: 5, TopicSize: 20})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGenerateUniqueTags(t *testing.T) {
 
 func TestSampleBackgroundHeavyTail(t *testing.T) {
 	r := rng.New(3)
-	v, err := Generate(r, Config{BackgroundSize: 20})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSampleBackgroundHeavyTail(t *testing.T) {
 	}
 	// First background tag is rank 1: should dominate a tail tag.
 	head := counts[v.Background[0]]
-	tail := counts[v.Background[19]]
+	tail := counts[v.Background[len(v.Background)-1]]
 	if head <= tail {
 		t.Errorf("head %d should exceed tail %d under Zipf prior", head, tail)
 	}
@@ -75,7 +75,7 @@ func TestSampleBackgroundHeavyTail(t *testing.T) {
 
 func TestLatentDistributionProperties(t *testing.T) {
 	r := rng.New(4)
-	v, err := Generate(r, Config{})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestLatentDistributionProperties(t *testing.T) {
 
 func TestLatentTopicOutOfRange(t *testing.T) {
 	r := rng.New(5)
-	v, err := Generate(r, Config{NumTopics: 3})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Latent(r, 3, LatentConfig{}); err == nil {
+	if _, err := v.Latent(r, v.NumTopics(), LatentConfig{}); err == nil {
 		t.Error("topic out of range must fail")
 	}
 	if _, err := v.Latent(r, -1, LatentConfig{}); err == nil {
@@ -115,12 +115,14 @@ func TestLatentTopicOutOfRange(t *testing.T) {
 
 func TestLatentResourcesShareTopicTags(t *testing.T) {
 	r := rng.New(6)
-	v, err := Generate(r, Config{NumTopics: 2, TopicSize: 10})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := v.Latent(r, 0, LatentConfig{TopicTags: 8})
-	b, _ := v.Latent(r, 0, LatentConfig{TopicTags: 8})
+	// More than half the topic each: the two picks must overlap.
+	n := len(v.Topics[0])/2 + 1
+	a, _ := v.Latent(r, 0, LatentConfig{TopicTags: n})
+	b, _ := v.Latent(r, 0, LatentConfig{TopicTags: n})
 	topicSet := make(map[string]struct{})
 	for _, tag := range v.Topics[0] {
 		topicSet[tag] = struct{}{}
@@ -141,12 +143,11 @@ func TestLatentResourcesShareTopicTags(t *testing.T) {
 
 func TestLatentMixtureMassSplit(t *testing.T) {
 	r := rng.New(7)
-	v, err := Generate(r, Config{})
+	v, err := Generate(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := LatentConfig{CoreMass: 0.6, TopicMass: 0.25, BackgroundMass: 0.15}
-	d, err := v.Latent(r, 1, cfg)
+	d, err := v.Latent(r, 1, LatentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +158,8 @@ func TestLatentMixtureMassSplit(t *testing.T) {
 			coreMass += w
 		}
 	}
-	if math.Abs(coreMass-0.6) > 0.05 {
-		t.Errorf("core mass = %v, want ~0.6", coreMass)
+	if math.Abs(coreMass-0.5) > 1e-9 {
+		t.Errorf("core mass = %v, want 0.5", coreMass)
 	}
 }
 
@@ -191,11 +192,11 @@ func TestTypoAlwaysDiffers(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	v1, err := Generate(rng.New(99), Config{})
+	v1, err := Generate(rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Generate(rng.New(99), Config{})
+	v2, err := Generate(rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}

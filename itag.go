@@ -24,7 +24,7 @@
 //	world, _ := itag.GenerateWorld(rand.New(rand.NewSource(1)), itag.WorldConfig{NumResources: 50})
 //	pop, _ := itag.NewPopulation(rand.New(rand.NewSource(2)), itag.PopulationConfig{Size: 30})
 //	sim := itag.NewSimulator(world)
-//	platform, _ := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 3), nil, 4)
+//	platform, _ := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 3), 4)
 //	engine, _ := itag.NewEngine(itag.EngineConfig{
 //		Resources: world.Dataset.Resources,
 //		Strategy:  itag.NewFPMU(),
@@ -48,7 +48,6 @@ import (
 	"itag/internal/store"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
-	"itag/internal/users"
 	"itag/internal/vocab"
 )
 
@@ -125,9 +124,6 @@ type (
 	Platform = crowd.Platform
 	// PlatformConfig parameterizes the marketplace simulator.
 	PlatformConfig = crowd.SimConfig
-	// UserManager tracks tagger approval rates and credits approved posts'
-	// incentives.
-	UserManager = users.Manager
 )
 
 // Quality surface.
@@ -197,17 +193,17 @@ func NewSimulator(world *World) *Simulator { return taggersim.NewSimulator(world
 // NewReplayer groups held-out posts for trace replay.
 func NewReplayer(eval []Post) *Replayer { return taggersim.NewReplayer(eval) }
 
-// NewUserManager returns an empty user manager.
-func NewUserManager() *UserManager { return users.NewManager() }
-
-// NewMTurkSim builds a marketplace simulator with MTurk-like defaults.
-func NewMTurkSim(workers []string, post crowd.PostFunc, qualify crowd.QualifyFunc, seed int64) (Platform, error) {
-	return crowd.NewMTurkSim(workers, post, qualify, seed)
+// NewMTurkSim builds a marketplace simulator with MTurk-like defaults. Like
+// every simulator it keeps its workers' review record and stops assigning a
+// worker that fails the qualification rule (crowd.MinApprovalRate over at
+// least crowd.MinReviews reviews).
+func NewMTurkSim(workers []string, post crowd.PostFunc, seed int64) (Platform, error) {
+	return crowd.NewMTurkSim(workers, post, seed)
 }
 
 // NewSocialSim builds a marketplace simulator with social-network defaults.
-func NewSocialSim(workers []string, post crowd.PostFunc, qualify crowd.QualifyFunc, seed int64) (Platform, error) {
-	return crowd.NewSocialSim(workers, post, qualify, seed)
+func NewSocialSim(workers []string, post crowd.PostFunc, seed int64) (Platform, error) {
+	return crowd.NewSocialSim(workers, post, seed)
 }
 
 // NewPlatform builds a marketplace simulator from an explicit config.

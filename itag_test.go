@@ -27,7 +27,7 @@ func buildWorld(t testing.TB, n int, seed int64) (*itag.World, *itag.Population,
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	world, pop, sim := buildWorld(t, 20, 1)
-	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 2), nil, 3)
+	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFacadePlannedOptimal(t *testing.T) {
 	if total != 60 || gain <= 0 {
 		t.Fatalf("plan total=%d gain=%v", total, gain)
 	}
-	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 7), nil, 8)
+	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 7), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,19 +168,32 @@ func TestFacadeServiceAndStore(t *testing.T) {
 	}
 }
 
+// reviewCount wraps a platform and counts the reviews the engine sends it.
+type reviewCount struct {
+	itag.Platform
+	reviews, approved int
+}
+
+func (p *reviewCount) Review(workerID string, approved bool) {
+	p.reviews++
+	if approved {
+		p.approved++
+	}
+	p.Platform.Review(workerID, approved)
+}
+
 func TestFacadeApprovalJudge(t *testing.T) {
 	world, pop, sim := buildWorld(t, 10, 15)
-	um := itag.NewUserManager()
-	platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 16), nil, 17)
+	inner, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 16), 17)
 	if err != nil {
 		t.Fatal(err)
 	}
+	platform := &reviewCount{Platform: inner}
 	engine, err := itag.NewEngine(itag.EngineConfig{
 		Resources:  world.Dataset.Resources,
 		Strategy:   itag.MostUnstable{},
 		Budget:     100,
 		Platform:   platform,
-		Users:      um,
 		Judge:      itag.LatentOverlapJudge(world, 0.5),
 		PayPerTask: 0.02,
 		Seed:       18,
@@ -191,13 +204,15 @@ func TestFacadeApprovalJudge(t *testing.T) {
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Honest-majority population: most posts approved and paid.
-	paid := 0.0
-	for _, st := range um.TaggerStats() {
-		paid += st.Earned
+	// Every completed task is reviewed; with an honest-majority population
+	// most posts are approved, and only approved posts enter the statistics.
+	posts := 0
+	for _, n := range engine.Posts() {
+		posts += n
 	}
-	if paid <= 0 {
-		t.Error("no incentives paid")
+	if platform.reviews != 100 || platform.approved*2 <= platform.reviews || platform.approved != posts {
+		t.Errorf("%d reviews, %d approved, %d posts counted; want 100 reviews, a majority approved, one post per approval",
+			platform.reviews, platform.approved, posts)
 	}
 	if math.IsNaN(engine.MeanStability()) {
 		t.Error("NaN stability")
@@ -207,7 +222,7 @@ func TestFacadeApprovalJudge(t *testing.T) {
 func TestFacadeDeterminism(t *testing.T) {
 	run := func() float64 {
 		world, pop, sim := buildWorld(t, 10, 42)
-		platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 43), nil, 44)
+		platform, err := itag.NewMTurkSim(itag.WorkerIDs(pop), itag.GenerativeSource(sim, pop, 43), 44)
 		if err != nil {
 			t.Fatal(err)
 		}
