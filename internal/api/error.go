@@ -33,7 +33,7 @@ const (
 	CodeRateLimited     = "resource_exhausted" // errs.CategoryRateLimited: load shed by admission control; honor Retry-After
 	CodeIOFailure       = "io_failure"         // errs.CategoryIO: store disk failure
 	CodeCorruption      = "corruption"         // errs.CategoryCorruption: integrity check failed
-	CodeBatchTooLarge   = "batch_too_large"    // batch exceeds the per-call cap
+	CodeBatchTooLarge   = "batch_too_large"    // batch exceeds the per-call item cap, or the body MaxBody
 	CodeNotOwner        = "not_owner"          // key is owned by another cluster node (X-Itag-Owner names it)
 	CodeUnavailable     = "unavailable"        // node degraded/isolated; honor Retry-After
 	CodeTimeout         = "timeout"            // per-route deadline exceeded
@@ -61,7 +61,7 @@ func CodeTable() []CodeSpec {
 		{CodeInvalidRequest, http.StatusBadRequest, errs.CategoryValidation, "malformed body: bad JSON, unknown fields, trailing garbage"},
 		{CodeInvalidArgument, http.StatusBadRequest, errs.CategoryValidation, "validation or state error (bad strategy, unknown run, bad cursor/limit, ...)"},
 		{CodeInvalidRole, http.StatusBadRequest, errs.CategoryValidation, "user exists but has the wrong role"},
-		{CodeBatchTooLarge, http.StatusRequestEntityTooLarge, errs.CategoryValidation, "batch exceeds the per-call cap"},
+		{CodeBatchTooLarge, http.StatusRequestEntityTooLarge, errs.CategoryValidation, "batch exceeds the per-call item cap, or the request body the 8 MiB body cap"},
 		{CodeNotFound, http.StatusNotFound, errs.CategoryNotFound, "the referenced entity does not exist"},
 		{CodeConflict, http.StatusConflict, errs.CategoryConflict, "valid request, conflicting current state (e.g. post already judged)"},
 		{CodeProjectRunning, http.StatusConflict, errs.CategoryConflict, "operation requires a stopped run"},

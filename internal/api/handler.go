@@ -1,10 +1,14 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"sync"
 
 	"itag/internal/errs"
+	"itag/internal/wire"
 )
 
 // Kit carries the cross-cutting pieces every typed handler needs: the
@@ -28,14 +32,15 @@ type None struct{}
 type HandlerFunc[Req, Resp any] func(r *http.Request, req Req) (Resp, error)
 
 // Handle adapts a typed HandlerFunc into an http.HandlerFunc. It owns the
-// whole transport exchange: strict JSON decode (unknown fields rejected),
-// invoking fn, and encoding the response with the given success status —
-// or the error envelope when fn fails.
+// whole transport exchange: reading the request body (at most MaxBody bytes)
+// and decoding it strictly (see decodeRequest), invoking fn, and encoding the
+// response with the given success status — or the error envelope when fn
+// fails.
 func Handle[Req, Resp any](k *Kit, status int, fn HandlerFunc[Req, Resp]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if _, skip := any(req).(None); !skip {
-			if err := DecodeJSON(r, &req); err != nil {
+			if err := decodeRequest(w, r, &req); err != nil {
 				k.WriteError(w, r, err)
 				return
 			}
@@ -82,13 +87,76 @@ func (k *Kit) observeWriteFailure(err error) {
 	k.Metrics.ObserveError(errs.ComponentOf(err), errs.CategoryOf(err))
 }
 
-// DecodeJSON strictly decodes the request body into v: unknown fields are
-// rejected, as is trailing garbage. An empty body is an error — endpoints
-// without a body use None.
-func DecodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// MaxBody caps a request body: a tasks:batch call at the 10 000-item cap,
+// each item a tagger ID and a dozen 15-byte tags, is 2.4 MiB, so 8 MiB takes
+// the largest batch a fleet sends and still bounds what one request can make
+// the server buffer. A longer body answers 413 batch_too_large.
+const MaxBody = 8 << 20
+
+// Decodable is a request type that decodes itself without reflection:
+// DecodeWire parses the body's one value into the receiver with the wire
+// cursor, declining (false) on any body it is not sure encoding/json decodes
+// to the same value, as wire.Into describes.
+type Decodable interface {
+	DecodeWire(d *wire.Decoder) bool
+}
+
+// bodyPool holds request read buffers; one that grew past bodyRetainLimit
+// is left to the collector.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const bodyRetainLimit = 1 << 20
+
+// decodeRequest reads r's body once, bounded by MaxBody, and decodes it into
+// req: directly when Req is Decodable and its decoder takes the body,
+// otherwise strictly with encoding/json (decodeJSON). The direct decode takes
+// only bodies encoding/json decodes to the same value, so what is accepted,
+// what is refused and every error message are encoding/json's.
+//
+// Content-Length presizes the read buffer only up to what the pool keeps: the
+// header is the client's claim, and a larger body grows the buffer as it
+// arrives.
+func decodeRequest[Req any](w http.ResponseWriter, r *http.Request, req *Req) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= bodyRetainLimit {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	if n := r.ContentLength; n > 0 && n <= bodyRetainLimit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return Errorf(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
+				"request body exceeds the %d-byte cap", MaxBody)
+		}
+		return Errorf(http.StatusBadRequest, CodeInvalidRequest, "invalid request body: %v", err)
+	}
+	body := buf.Bytes()
+	if _, ok := any(req).(Decodable); ok && wire.Into(body, req, func(d *wire.Decoder, v *Req) bool {
+		return any(v).(Decodable).DecodeWire(d)
+	}) {
+		return nil
+	}
+	return decodeJSON(body, req)
+}
+
+// decodeJSON strictly decodes body into v: unknown fields are rejected, as
+// is anything but whitespace after the value. An empty body is an error —
+// endpoints without a body use None.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		// json.Unmarshal checks the whole body, so it fails here, naming the
+		// first byte after the value in encoding/json's words.
+		err = json.Unmarshal(body, new(json.RawMessage))
+	}
+	if err != nil {
 		return Errorf(http.StatusBadRequest, CodeInvalidRequest, "invalid request body: %v", err)
 	}
 	return nil

@@ -231,6 +231,25 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 		spec.Platform = "mturk-sim"
 	}
 
+	// Resource keys are bare IDs, so an uploaded ID another project already
+	// holds would overwrite that project's row, and its listing and export
+	// would lose it: refuse it, writing nothing. Two concurrent creates that
+	// upload one new ID can both pass this check; a write-set precondition
+	// ("absent", ROADMAP item 10) closes that race, and a per-project
+	// resource key (item 3(b)) retires the refusal.
+	if !spec.Simulate {
+		for _, r := range spec.Resources {
+			owner, err := s.cat.GetResource(r.ID)
+			if err == nil {
+				return "", errs.New(errs.ComponentCore, errs.CategoryConflict,
+					"resource %q already belongs to project %q", r.ID, owner.ProjectID)
+			}
+			if !errors.Is(err, store.ErrNotFound) {
+				return "", err
+			}
+		}
+	}
+
 	s.mu.Lock()
 	id := s.newID("proj")
 	seed := s.seed + int64(s.nextID)
@@ -802,7 +821,8 @@ func (s *Service) Subscribe(ctx context.Context, projectID string, buf int) (*Su
 // its record. Nothing is written and the task cannot be submitted yet: the
 // caller holds it and writes it, or refunds it.
 func (s *Service) lease(projectID, taggerID string) (*Run, store.TaskRec, error) {
-	if _, err := s.cat.GetUser(taggerID); err != nil {
+	tagger, err := s.cat.GetUser(taggerID)
+	if err != nil {
 		return nil, store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown tagger %q", taggerID)
 	}
 	run, err := s.run(projectID)
@@ -819,7 +839,9 @@ func (s *Service) lease(projectID, taggerID string) (*Run, store.TaskRec, error)
 	run.mu.Unlock()
 	return run, store.TaskRec{
 		ID: taskID, ProjectID: projectID, ResourceID: resourceID,
-		WorkerID: taggerID, Status: store.TaskAssigned,
+		// The stored record's ID, not the caller's string: a held task
+		// outlives the request, and taggerID may be a substring of its body.
+		WorkerID: tagger.ID, Status: store.TaskAssigned,
 		Reward:    run.Engine.cfg.PayPerTask,
 		CreatedAt: s.nowFunc(),
 	}, nil

@@ -421,11 +421,15 @@ type submitTaskReq struct {
 	Tags []string `json:"tags"`
 }
 
-func (s *Server) submitTask(r *http.Request, req submitTaskReq) (map[string]bool, error) {
+type submitResp struct {
+	Submitted bool `json:"submitted"`
+}
+
+func (s *Server) submitTask(r *http.Request, req submitTaskReq) (submitResp, error) {
 	if err := s.svc.SubmitTask(r.Context(), r.PathValue("id"), r.PathValue("tid"), req.Tags); err != nil {
-		return nil, err
+		return submitResp{}, err
 	}
-	return map[string]bool{"submitted": true}, nil
+	return submitResp{Submitted: true}, nil
 }
 
 type judgeReq struct {

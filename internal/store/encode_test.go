@@ -13,8 +13,9 @@ import (
 	"time"
 )
 
-// encodeParity holds appendValue to json.Marshal for one value: the same
-// bytes, or json.Marshal's own error.
+// encodeParity holds appendValue — and a task record's AppendJSON, which the
+// task routes answer with — to json.Marshal for one value: the same bytes, or
+// json.Marshal's own error.
 func encodeParity(t *testing.T, v any) {
 	t.Helper()
 	want, wantErr := json.Marshal(v)
@@ -23,6 +24,11 @@ func encodeParity(t *testing.T, v any) {
 		if err == nil || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != wantErr.Error() {
 			t.Fatalf("%#v: appendValue error %v, json.Marshal error %v", v, err, wantErr)
 		}
+		if task, ok := v.(TaskRec); ok {
+			if _, ok := task.AppendJSON(nil); ok {
+				t.Fatalf("%#v: AppendJSON encodes what json.Marshal refuses (%v)", v, wantErr)
+			}
+		}
 		return
 	}
 	if err != nil {
@@ -30,6 +36,11 @@ func encodeParity(t *testing.T, v any) {
 	}
 	if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
 		t.Fatalf("%#v:\nappendValue  %s\njson.Marshal %s", v, got, want)
+	}
+	if task, ok := v.(TaskRec); ok {
+		if got, ok := task.AppendJSON([]byte("prefix")); !ok || string(got) != "prefix"+string(want) {
+			t.Fatalf("%#v: AppendJSON %s, %v; json.Marshal %s", v, got, ok, want)
+		}
 	}
 }
 

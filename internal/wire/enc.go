@@ -1,0 +1,142 @@
+// Package wire is the JSON codec the store, the server's handler kit and the
+// SDK share, without reflection: append encoders that write exactly the bytes
+// encoding/json writes, and a cursor (Decoder) that decodes exactly the bodies
+// encoding/json would decode to the same value and declines every other one,
+// for encoding/json to decode or reject as it always has. It imports only the
+// standard library, so the SDK can use it without reaching the server.
+package wire
+
+import (
+	"math"
+	"strconv"
+	"strings"
+	"time"
+	"unicode/utf8"
+)
+
+const hexDigits = "0123456789abcdef"
+
+// Enc appends one JSON object's fields as encoding/json writes them: declared
+// field order, omitempty as tagged, HTML-safe escapes, ES6 floats, RFC 3339
+// times. Each field is written with its name and the punctuation before it
+// (`{"id":`, `,"name":`). OK turns false on a value json.Marshal refuses; the
+// caller then leaves the value to json.Marshal, whose error it is.
+type Enc struct {
+	B  []byte
+	OK bool
+}
+
+func (e *Enc) Str(name, s string) { e.B = AppendString(append(e.B, name...), s) }
+
+// Opt is a string field tagged omitempty.
+func (e *Enc) Opt(name, s string) {
+	if s != "" {
+		e.Str(name, s)
+	}
+}
+
+// Flag is a bool field tagged omitempty: field is its whole true rendering.
+func (e *Enc) Flag(field string, on bool) {
+	if on {
+		e.B = append(e.B, field...)
+	}
+}
+
+func (e *Enc) Bool(name string, v bool) {
+	e.B = strconv.AppendBool(append(e.B, name...), v)
+}
+
+func (e *Enc) Int(name string, n int) {
+	e.B = strconv.AppendInt(append(e.B, name...), int64(n), 10)
+}
+
+// Strings is a []string field: null for nil, [] for empty.
+func (e *Enc) Strings(name string, ss []string) {
+	e.B = append(e.B, name...)
+	if ss == nil {
+		e.B = append(e.B, "null"...)
+		return
+	}
+	e.B = append(e.B, '[')
+	for i, s := range ss {
+		if i > 0 {
+			e.B = append(e.B, ',')
+		}
+		e.B = AppendString(e.B, s)
+	}
+	e.B = append(e.B, ']')
+}
+
+// Float is encoding/json's float64 encoder: the shortest round-tripping
+// form, exponent notation below 1e-6 and from 1e21 up with the exponent's
+// leading zero dropped (1e-07 → 1e-7). NaN and ±Inf are refused.
+func (e *Enc) Float(name string, f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.OK = false
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(append(e.B, name...), f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	e.B = b
+}
+
+// Time is time.Time.MarshalJSON, refusing where it fails: a year outside
+// [0, 9999] or a zone offset of a day or more.
+func (e *Enc) Time(name string, t time.Time) {
+	_, off := t.Zone()
+	if y := t.Year(); y < 0 || y > 9999 || off <= -86400 || off >= 86400 {
+		e.OK = false
+		return
+	}
+	e.B = append(t.AppendFormat(append(append(e.B, name...), '"'), time.RFC3339Nano), '"')
+}
+
+// End closes an object begun at offset start whose fields, all of them
+// omitempty, were each written with a leading comma: the first comma becomes
+// the opening brace, and an object with no field written is {}.
+func (e *Enc) End(start int) {
+	if len(e.B) == start {
+		e.B = append(e.B, "{}"...)
+		return
+	}
+	e.B[start] = '{'
+	e.B = append(e.B, '}')
+}
+
+// AppendString is encoding/json's string encoder with HTML escaping on, as
+// json.Marshal runs it: \uXXXX for control bytes, <, >, &, U+2028 and
+// U+2029, the short escapes where JSON has one, and \ufffd for each byte of
+// invalid UTF-8.
+func AppendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' && c != 0x2028 && c != 0x2029 && (c != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		b = append(b, s[start:i]...)
+		switch j := strings.IndexRune("\"\\\b\f\n\r\t", c); {
+		case j >= 0:
+			b = append(b, '\\', "\"\\bfnrt"[j])
+		case c == utf8.RuneError:
+			b = append(b, `\ufffd`...)
+		default:
+			b = append(b, '\\', 'u', hexDigits[c>>12], hexDigits[c>>8&0xF], hexDigits[c>>4&0xF], hexDigits[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
