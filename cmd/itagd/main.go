@@ -29,9 +29,9 @@
 // the durability design.
 //
 // Durability knobs: -sync-every N fsyncs after every N committed records
-// (the group-commit writer folds every commit that queued while the
-// previous flush ran into one write + fsync, so the default of 1 is
-// affordable under load); -segment-bytes bounds WAL segment size before
+// (group commit folds every commit that queued while the previous batch
+// was written into one write + fsync, so the default of 1 is affordable
+// under load; a follower fsyncs each shipment whatever N is); -segment-bytes bounds WAL segment size before
 // rotation; -auto-compact snapshots the store in the background whenever
 // sealed WAL bytes exceed the threshold, keeping recovery time flat.
 //

@@ -9,9 +9,9 @@ package cluster_test
 // transport, two writers and a revalidating follower reader recording what
 // they were told and how long each answer took, and a schedule drawn from the
 // seed — network faults between the leader and its first follower, the leader
-// cut off from every node, a stalled disk, a follower killed and restarted on
-// its directory, a compaction that forces the stream to open with a snapshot,
-// then the leader killed, its first follower promoted, and (on some seeds)
+// cut off from every node, a stalled disk, a follower killed mid-shipment
+// (its next append torn) and restarted on its directory, a compaction that
+// forces the stream to open with a snapshot, then the leader killed, its first follower promoted, and (on some seeds)
 // the promoted leader restarted on its WAL. A provider and a tagger are
 // minted on the promoted leader after the promotion and after its restart.
 // After the run quiesces the recorded history is checked against the
@@ -51,6 +51,9 @@ var (
 const (
 	historyQuorumTimeout = 40 * time.Millisecond
 	historyBeat          = 5 * time.Millisecond
+	// historyTearWait bounds how long a crash kill waits for the node's
+	// next append to tear.
+	historyTearWait = 4 * historyBeat
 	// historyCallBound is how long any recorded call may take to be
 	// answered. A write makes one quorum wait, which gives up after
 	// historyQuorumTimeout; the rest is the handler's own work, and a call
@@ -167,12 +170,36 @@ func (h *historyCluster) boot(slot string, ring *cluster.Ring) {
 	h.tr.Register(slot, n.Handler())
 }
 
-// kill takes a node off the network and stops it. With crash set its store
-// is first wedged mid-append, as a dying process leaves it.
+// kill takes a node off the network and stops it. With crash set it dies
+// mid-append, as a process does: the store it leads and every replica store
+// it holds tear their next append — a shipment exactly like a local batch —
+// and the node stops once one of them has torn, or after historyTearWait if
+// none had anything to write.
 func (h *historyCluster) kill(slot, ledSlot string, crash bool) {
 	n := h.node(slot)
-	if db := n.DB(ledSlot); crash && db != nil {
-		db.SetFailpoint(func(fp store.Failpoint) bool { return fp == store.FailAppendMid })
+	if crash {
+		torn := make(chan struct{})
+		var once sync.Once
+		tear := func(fp store.Failpoint) bool {
+			if fp != store.FailAppendMid {
+				return false
+			}
+			once.Do(func() { close(torn) })
+			return true
+		}
+		dbs := []*store.DB{n.DB(ledSlot)}
+		for _, s := range historySlots {
+			dbs = append(dbs, n.ReplicaDB(s))
+		}
+		for _, db := range dbs {
+			if db != nil {
+				db.SetFailpoint(tear)
+			}
+		}
+		select {
+		case <-torn:
+		case <-time.After(historyTearWait):
+		}
 	}
 	h.tr.Register(slot, nil)
 	h.mu.Lock()
@@ -320,7 +347,7 @@ func drawPlan(seed int64, leader, f1, f2 string) historyPlan {
 			host := []string{leader, f1}[rng.Intn(2)]
 			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindDiskStall, Host: "/" + host + "/",
 				Delay: time.Duration(1+rng.Intn(3)) * time.Millisecond, After: after, For: length})
-		case 4: // a follower dies and comes back on its directory
+		case 4: // a follower dies mid-shipment and comes back on its directory
 			p.restart, p.restartAt = []string{f1, f2}[rng.Intn(2)], after
 		case 5: // the second follower is cut off while the leader compacts: it must be fed a snapshot
 			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindPartition, From: leader, To: f2, After: 0, For: historyFaultWindow})
@@ -355,7 +382,7 @@ func (p historyPlan) spec() string {
 func (p historyPlan) steps() string {
 	var s []string
 	if p.restart != "" {
-		s = append(s, fmt.Sprintf("kill follower %s at %v, restart it at heal", p.restart, p.restartAt))
+		s = append(s, fmt.Sprintf("kill follower %s at %v mid-append, restart it at heal", p.restart, p.restartAt))
 	}
 	if p.compact {
 		s = append(s, "leader compacts before heal")
@@ -632,7 +659,7 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 	sched.Start()
 	if plan.restart != "" {
 		time.Sleep(plan.restartAt)
-		h.kill(plan.restart, "", false)
+		h.kill(plan.restart, "", true)
 	}
 	if plan.compact {
 		time.Sleep(time.Until(start.Add(plan.window - 10*time.Millisecond)))

@@ -763,12 +763,10 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 
 	rep.svc.Close()
 
-	// The replica store ran without per-record fsync (its durability was
-	// anchored at the dead leader's WAL, which is gone now). A leader's
-	// acks must be durable on its own disk, so flush and reopen the store
-	// under the leader's sync discipline, as the leader stack a booting
-	// node builds: a fresh service with the ID filter and run-resume the
-	// read-only frontend never had.
+	// Every shipment the replica applied is already on its disk: it was
+	// fsynced before it was acked. The reopen is for the leader stack a
+	// booting node builds: a fresh service with the ID filter and
+	// run-resume the read-only frontend never had.
 	if err := rep.db.Close(); err != nil {
 		n.refollow(slot)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: flush replica", slot)
@@ -934,16 +932,8 @@ func (n *Node) syncFollowersLocked() {
 }
 
 // startReplica opens the replica store for slot.
-//
-// The replica store runs without per-record fsync regardless of the
-// leader's durability settings: handleReplicate fsyncs once per shipment,
-// before it acks, so a catch-up batch of a thousand records costs one sync,
-// and whatever a crash tears off the unsynced tail was never acked — the
-// leader ships it again from the watermark the reopened WAL reports.
 func (n *Node) startReplica(slot string) (*replica, error) {
-	ropts := n.opts.Store
-	ropts.SyncEvery = 0
-	db, err := store.Open(n.replicaPath(slot), ropts)
+	db, err := store.Open(n.replicaPath(slot), n.opts.Store)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ import (
 // Every led slot runs one sender per follower node the ring names for it
 // (ring.Followers(slot, Replicas)). A sender ships what lies past its
 // follower's watermark to POST /api/v1/cluster/replicate: CRC-framed WAL
-// records (store.ReplTail — the writer's tail window answers a follower that
+// records (store.ReplTail — the leader's tail window answers a follower that
 // keeps up, the segment files one that does not), or, once compaction has
 // swallowed that tail, the snapshot image as the stream's next frame. The
 // follower validates the shipment whole, applies it through its Catalog,
@@ -416,12 +416,6 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			n.kit.WriteError(w, r, err)
 			return
 		}
-	}
-	// An ack means "on this disk". The replica store runs without per-record
-	// fsync, so the barrier is explicit.
-	if err := rep.db.Sync(); err != nil {
-		n.kit.WriteError(w, r, err)
-		return
 	}
 	api.WriteJSON(w, http.StatusOK, map[string]any{"applied": rep.db.AppliedSeq()})
 }

@@ -14,7 +14,7 @@ import (
 // the batch completes, and folds results back into the model — so a fleet
 // of simulated taggers makes progress on every live project concurrently.
 // Their store traffic meets in one DB: reads take no lock and concurrent
-// commits coalesce in its group-commit writer.
+// commits coalesce into its group-commit batches.
 
 // Pool drives many engines with a bounded set of step workers.
 //

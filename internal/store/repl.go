@@ -10,10 +10,10 @@ package store
 // Leader side:
 //
 //	AppliedSeq      lock-free watermark: the highest sequence applied to
-//	                memory AND present in the OS file (the group-commit
-//	                writer flushes before it applies)
+//	                memory AND present in the OS file (a commit batch is
+//	                flushed before it is applied)
 //	ReplTail        frames for (from, last]: copied out of the tail window
-//	                the writer retains when from+1 lies inside it, read from
+//	                commit batches fill when from+1 lies inside it, read from
 //	                the segment files otherwise, or ErrSnapshotNeeded once
 //	                compaction has swallowed the requested tail
 //	SnapshotExport  the snapshot-file image (header + checksummed body) of
@@ -29,13 +29,13 @@ package store
 //	                image and resets its WAL to a fresh segment
 //
 // The tail window (tailWindow) is the steady-state path: a follower one
-// commit behind is answered by one copy of bytes the writer already framed —
+// commit behind is answered by one copy of bytes its commit already framed —
 // no open, no reader, no decode. The file scan is the cold path: catch-up
 // from further back than the window reaches, sealed segments, the first
 // shipments after a restart, records larger than the window. Which one answers
 // is decided by where from lies, and both return the same bytes.
 //
-// The file scan runs without holding the writer lock: it captures the
+// The file scan runs without holding the file lock (fmu): it captures the
 // file list and sizes under wal.smu, then reads each file up to its captured
 // size. Sealed segments are immutable; the active segment only grows, and
 // its captured size never includes a torn in-flight append (sizes are bumped
@@ -75,7 +75,7 @@ type TailCursor struct {
 	off  int64
 }
 
-// tailWindowBytes is how much of the WAL's tail the writer keeps framed in
+// tailWindowBytes is how much of the WAL's tail the store keeps framed in
 // memory for ReplTail: a few hundred paid posts, far more than a follower
 // that is keeping up ever trails by.
 const tailWindowBytes = 256 << 10
@@ -85,16 +85,16 @@ const tailWindowBytes = 256 << 10
 // records by copy. It holds a contiguous run of sequences ending at the
 // applied watermark, or nothing.
 //
-// Publication rule (the one AppliedSeq obeys): the writer pushes a record
-// only after the batch holding it is flushed, fsynced per Options.SyncEvery
-// and applied — under wal.fmu, so pushes arrive in sequence order — and a
+// Publication rule (the one AppliedSeq obeys): a batch leader pushes a
+// record only after the batch holding it is flushed, fsynced per
+// Options.SyncEvery and applied — under wal.fmu, so pushes arrive in sequence order — and a
 // torn or failed batch is never pushed. A record larger than the window is
 // not kept (the window restarts after it), InstallSnapshot empties it, and
-// so does ApplyReplicated: a store being fed a leader's frames has nobody to
-// ship to until it is reopened as a leader.
+// so does a shipment's batch: a store being fed a leader's frames has nobody
+// to ship to until it is reopened as a leader.
 //
-// mu is a leaf lock: the writer holds fmu → mu for a push, readers take mu
-// alone for the copy, so a ReplTail never waits behind an fsync.
+// mu is a leaf lock: a batch leader holds fmu → mu for a push, readers take
+// mu alone for the copy, so a ReplTail never waits behind an fsync.
 type tailWindow struct {
 	mu    sync.Mutex
 	buf   []byte // frames of sequences first .. first+len(ends)-1, back to back
@@ -192,9 +192,9 @@ func (db *DB) AppliedSeq() uint64 { return db.st.appliedSeq.Load() }
 // follower is caught up. ErrSnapshotNeeded means compaction has swallowed the
 // requested tail and the follower must InstallSnapshot first.
 //
-// When record from+1 is in the writer's tail window the answer is one copy
-// out of it and costs what it ships; otherwise the segment files are
-// scanned, resuming at cur when it is this reader's (nil reads statelessly).
+// When record from+1 is in the tail window the answer is one copy out of it
+// and costs what it ships; otherwise the segment files are scanned, resuming
+// at cur when it is this reader's (nil reads statelessly).
 // The window never holds a record that is not flushed and applied, so the
 // memory path ships nothing beyond AppliedSeq.
 func (db *DB) ReplTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
@@ -374,11 +374,13 @@ func (db *DB) SnapshotExport() ([]byte, error) {
 // contiguity-checked against the follower's sequence BEFORE anything is
 // written: a corrupt, truncated or gapped batch is rejected whole with a
 // taxonomy error and the follower state is untouched — never a partial
-// apply, never a silent gap. On success the raw bytes are appended to the
-// follower's own WAL (flushed, fsynced per Options.SyncEvery) and applied.
-// It returns the new applied sequence. A store read through a Catalog must
-// be fed through Catalog.ApplyReplicated instead, which runs this and then
-// invalidates what the batch wrote.
+// apply, never a silent gap. On success the raw bytes go through the commit
+// queue like any other entry: appended to the follower's own WAL, flushed,
+// fsynced with their batch whatever Options.SyncEvery says, and applied, so
+// a nil return means the shipment is on this disk. It returns the new
+// applied sequence. A store read through a Catalog must be fed through
+// Catalog.ApplyReplicated instead, which runs this and then invalidates what
+// the batch wrote.
 func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	_, applied, err := db.applyReplicated(data)
 	return applied, err
@@ -394,53 +396,11 @@ func (db *DB) applyReplicated(data []byte) ([]Record, uint64, error) {
 	if db.wal == nil {
 		return db.applyReplicatedMemory(data)
 	}
-	w := db.wal
-	w.fmu.Lock()
-	defer w.fmu.Unlock()
-	if err := db.stickyErr(); err != nil {
+	c := &pendingCommit{enc: data}
+	if err := db.commit(c); err != nil {
 		return nil, 0, err
 	}
-	if db.closed.Load() {
-		return nil, 0, ErrClosed
-	}
-	db.mu.RLock()
-	seq := db.seq
-	db.mu.RUnlock()
-	recs, err := parseReplicated(data, seq)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, werr := w.bw.Write(data); werr != nil {
-		return nil, 0, db.fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "append replicated wal"))
-	}
-	if werr := w.bw.Flush(); werr != nil {
-		return nil, 0, db.fail(errs.Wrap(werr, errs.ComponentStore, errs.CategoryIO, "flush replicated wal"))
-	}
-	w.addActiveSize(int64(len(data)))
-	w.sinceSync += len(recs)
-	if db.opts.SyncEvery > 0 && w.sinceSync >= db.opts.SyncEvery {
-		if serr := w.file.Sync(); serr != nil {
-			return nil, 0, db.fail(errs.Wrap(serr, errs.ComponentStore, errs.CategoryIO, "sync replicated wal"))
-		}
-		w.sinceSync = 0
-		db.st.fsyncs.Add(1)
-	}
-	last := recs[len(recs)-1].Seq
-	db.mu.Lock()
-	db.applyLocked(recs...)
-	db.seq = last
-	db.mu.Unlock()
-	w.lastApplied = last
-	w.tail.reset() // the window is the writer's; these records came from elsewhere
-	db.st.appliedSeq.Store(last)
-	db.st.commits.Add(uint64(len(recs)))
-	db.st.batches.Add(1)
-	db.st.walBytes.Add(uint64(len(data)))
-	if db.opts.SegmentBytes > 0 && w.activeSize >= db.opts.SegmentBytes {
-		_ = db.rotateLocked() // wedges on failure; this batch is already safe
-	}
-	db.maybeAutoCompact()
-	return recs, last, nil
+	return c.shipped, c.shipped[len(c.shipped)-1].Seq, nil
 }
 
 // applyReplicatedMemory is applyReplicated for in-memory followers.
@@ -499,6 +459,10 @@ func parseReplicated(data []byte, seq uint64) ([]Record, error) {
 // snapshot image (the SnapshotExport format), persists it as the local
 // snapshot file and resets the WAL to a fresh segment. The snapshot must be
 // ahead of the follower's current sequence.
+//
+// It takes fmu itself instead of queueing: fmu orders it against any batch
+// in flight, and a follower's sender ships one request at a time, so an
+// install never overlaps a queued shipment.
 func (db *DB) InstallSnapshot(data []byte) error {
 	seq, idx, err := parseSnapshot(data, "replicated snapshot")
 	if err != nil {

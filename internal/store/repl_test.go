@@ -622,3 +622,115 @@ func TestReplTailRotationHammer(t *testing.T) {
 		t.Fatalf("only %d rotations; the hammer did not hammer", rot)
 	}
 }
+
+// TestTornShipment tears a follower's shipment halfway through its write: a
+// shipment is a commit batch like any other, so FailAppendMid fires on it,
+// the follower wedges, and recovery keeps a prefix of the shipment that
+// matches the leader at the recovered sequence. Shipping again from there
+// converges.
+func TestTornShipment(t *testing.T) {
+	dir := t.TempDir()
+	leader, err := Open(filepath.Join(dir, "leader.wal"), Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	fpath := filepath.Join(dir, "follower.wal")
+	follower, err := Open(fpath, Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// states[s] is the leader's state at sequence s; the leader commits one
+	// record at a time, so every sequence has one.
+	states := map[uint64]map[string]map[string]string{0: dumpAll(t, leader)}
+	write := func(from, to int) {
+		for i := from; i < to; i++ {
+			var err error
+			if i%7 == 6 {
+				err = leader.Delete("res", fmt.Sprintf("res-%04d", i-3))
+			} else {
+				err = leader.Put("res", fmt.Sprintf("res-%04d", i), kv{V: "v", N: i})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			states[leader.AppliedSeq()] = dumpAll(t, leader)
+		}
+	}
+	write(0, 10)
+	catchUp(t, leader, follower, 1<<20)
+	before := follower.AppliedSeq()
+	write(10, 40)
+	data, last, err := leader.ReplTail(before, 1<<20, nil)
+	if err != nil || last <= before+1 {
+		t.Fatalf("ReplTail(%d) = %d bytes up to %d, %v; want several records", before, len(data), last, err)
+	}
+
+	follower.SetFailpoint(func(p Failpoint) bool { return p == FailAppendMid })
+	if _, err := follower.ApplyReplicated(data); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("torn shipment: ApplyReplicated = %v, want ErrCrashed", err)
+	}
+	follower.SetFailpoint(nil)
+	if err := follower.Put("res", "after-crash", 1); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("wedged follower accepted a write: %v", err)
+	}
+	if _, err := follower.ApplyReplicated(data); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("wedged follower accepted a shipment: %v", err)
+	}
+	_ = follower.Close()
+
+	follower, err = Open(fpath, Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatalf("reopen after torn shipment: %v", err)
+	}
+	defer follower.Close()
+	got := follower.AppliedSeq()
+	if got < before || got > last {
+		t.Fatalf("recovered watermark %d outside [%d, %d]", got, before, last)
+	}
+	diffStates(t, states[got], dumpAll(t, follower))
+	catchUp(t, leader, follower, 1<<20)
+	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+}
+
+// TestOneFsyncPerShipment pins a shipment's durability to the shipment, not
+// to Options.SyncEvery: at 0 and at 1 alike, N non-empty shipments cost
+// exactly N fsyncs and N commit batches, and an empty one costs nothing.
+func TestOneFsyncPerShipment(t *testing.T) {
+	for _, every := range []int{0, 1} {
+		t.Run(fmt.Sprintf("SyncEvery=%d", every), func(t *testing.T) {
+			dir := t.TempDir()
+			leader, err := Open(filepath.Join(dir, "leader.wal"), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leader.Close()
+			follower, err := Open(filepath.Join(dir, "follower.wal"), Options{SyncEvery: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+			start := follower.Stats()
+			const shipments = 5
+			for s := 0; s < shipments; s++ {
+				for i := 0; i < 3; i++ {
+					if err := leader.Put("res", fmt.Sprintf("res-%d-%d", s, i), i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !shipOnce(t, leader, follower, 1<<20) {
+					t.Fatal("nothing to ship")
+				}
+				if _, err := follower.ApplyReplicated(nil); err != nil {
+					t.Fatalf("empty shipment: %v", err)
+				}
+			}
+			st := follower.Stats()
+			if st.Fsyncs-start.Fsyncs != shipments || st.CommitBatches-start.CommitBatches != shipments {
+				t.Fatalf("%d shipments cost %d fsyncs and %d batches, want %d each",
+					shipments, st.Fsyncs-start.Fsyncs, st.CommitBatches-start.CommitBatches, shipments)
+			}
+			diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+		})
+	}
+}

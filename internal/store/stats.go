@@ -2,8 +2,8 @@ package store
 
 import "sync/atomic"
 
-// counters are the DB's internal durability-layer counters. Atomics so the
-// group-commit writer, compactor and Stats readers never contend.
+// counters are the DB's internal durability-layer counters. Atomics so
+// batch leaders, the compactor and Stats readers never contend.
 type counters struct {
 	commits     atomic.Uint64
 	batches     atomic.Uint64
@@ -66,8 +66,8 @@ func (db *DB) Stats() Stats {
 	if db.wal != nil {
 		st.Backend = "wal"
 		w := db.wal
-		// smu, not fmu: the writer holds fmu across writes and fsyncs, and
-		// a metrics scrape must not stall behind disk I/O.
+		// smu, not fmu: a batch leader holds fmu across writes and fsyncs,
+		// and a metrics scrape must not stall behind disk I/O.
 		w.smu.Lock()
 		st.Segments = len(w.sealed) + 1
 		st.SegmentBytes = w.sealedSize + w.activeSize

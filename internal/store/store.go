@@ -7,18 +7,18 @@
 // DB is the one backend behind Store: any number of named tables (key →
 // JSON value) backed by a write-ahead log laid out as a snapshot plus
 // CRC-framed segments (see wal.go for the on-disk format). Mutations are
-// persisted by a background group-commit writer that coalesces concurrent
-// commits into one buffered write + fsync; committers block on the commit
-// barrier, so a nil return still means "applied and as durable as Options
-// demand". Open replays the snapshot plus the live segment tail, tolerating
-// a torn final record. Batches are single WAL records and therefore atomic
-// across tables and keys. Compact takes an online snapshot: readers are
-// never blocked, writers only at the cut point. A DB opened with OpenMemory
-// is purely in-memory (used by simulations and benchmarks that do not need
-// durability). There is no in-process partitioner: reads are lock-free and
-// commits O(log n), and spreading keys over several WALs is what cluster
-// slots are for (docs/ARCHITECTURE.md, "Why there is no in-process
-// partitioner").
+// persisted by group commit: concurrent commits queue, and whichever
+// committer finds no batch in flight writes the whole queue as one buffered
+// write + fsync while the others wait, so a nil return still means "applied
+// and as durable as Options demand". Open replays the snapshot plus the live
+// segment tail, tolerating a torn final record. Batches are single WAL
+// records and therefore atomic across tables and keys. Compact takes an
+// online snapshot: readers are never blocked, writers only at the cut point.
+// A DB opened with OpenMemory is purely in-memory (used by simulations and
+// benchmarks that do not need durability). There is no in-process
+// partitioner: reads are lock-free and commits O(log n), and spreading keys
+// over several WALs is what cluster slots are for (docs/ARCHITECTURE.md,
+// "Why there is no in-process partitioner").
 //
 // DB is safe for concurrent use.
 package store
@@ -82,11 +82,12 @@ type DB struct {
 
 	wal *wal // nil for in-memory stores
 
-	// Group-commit writer plumbing (unused by in-memory stores).
-	pend       []*pendingCommit
-	wake       chan struct{}
-	stop       chan struct{}
-	writerDone chan struct{}
+	// The commit queue (WAL-backed stores only; see commit in wal.go),
+	// guarded by mu: the entries waiting for a leader, whether a batch is in
+	// flight, and the condition each finished batch broadcasts.
+	pend      []*pendingCommit
+	leading   bool
+	batchDone *sync.Cond
 
 	compacting bool
 	bg         sync.WaitGroup // in-flight background compactions
@@ -99,9 +100,10 @@ type DB struct {
 // Options configures Open.
 type Options struct {
 	// SyncEvery fsyncs the WAL after every N committed records (0 disables
-	// fsync; durability then depends on OS flush). The group-commit writer
-	// issues at most one fsync per commit batch, so SyncEvery=1 costs one
-	// fsync per batch of concurrent committers, not one per record.
+	// fsync; durability then depends on OS flush). Group commit issues at
+	// most one fsync per commit batch, so SyncEvery=1 costs one fsync per
+	// batch of concurrent committers, not one per record. A follower's
+	// shipment fsyncs with its batch whatever SyncEvery says.
 	SyncEvery int
 	// SegmentBytes rotates the active WAL segment once it exceeds this
 	// size (0 = DefaultSegmentBytes, <0 disables rotation).
@@ -146,15 +148,12 @@ func Open(path string, opts Options) (*DB, error) {
 		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "mkdir")
 	}
 	db := &DB{path: path, opts: opts.withDefaults(), wal: &wal{}}
+	db.batchDone = sync.NewCond(&db.mu)
 	start := time.Now()
 	if err := db.recover(); err != nil {
 		return nil, err
 	}
 	db.st.recoveryMillis = float64(time.Since(start).Microseconds()) / 1e3
-	db.wake = make(chan struct{}, 1)
-	db.stop = make(chan struct{})
-	db.writerDone = make(chan struct{})
-	go db.writerLoop()
 	// A store recovered with an over-threshold tail compacts right away
 	// instead of waiting for the next commit.
 	db.maybeAutoCompact()
@@ -322,12 +321,12 @@ func (db *DB) stickyErr() error {
 }
 
 // commitRecord routes one mutation record through the store's durability
-// path — memory only, or the group-commit writer — and applies it.
+// path — memory only, or the WAL's commit queue — and applies it.
 func (db *DB) commitRecord(op Op, table, key string, value json.RawMessage, batch []Record) error {
 	if db.wal == nil {
 		return db.commitMemory(op, table, key, value, batch)
 	}
-	return db.commitGroup(op, table, key, value, batch)
+	return db.commit(&pendingCommit{rec: Record{Op: op, Table: table, Key: key, Value: value, Batch: batch}})
 }
 
 func (db *DB) commitMemory(op Op, table, key string, value json.RawMessage, batch []Record) error {
@@ -341,30 +340,6 @@ func (db *DB) commitMemory(op Op, table, key string, value json.RawMessage, batc
 	db.st.appliedSeq.Store(db.seq)
 	db.st.commits.Add(1)
 	return nil
-}
-
-// commitGroup enqueues the record for the group-commit writer and blocks on
-// the commit barrier: when it returns nil the record is written, flushed,
-// fsynced per Options.SyncEvery, and applied.
-func (db *DB) commitGroup(op Op, table, key string, value json.RawMessage, batch []Record) error {
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if db.walErr != nil {
-		err := db.walErr
-		db.mu.Unlock()
-		return err
-	}
-	db.seq++
-	rec := Record{Seq: db.seq, Op: op, Table: table, Key: key, Value: value, Batch: batch}
-	c := &pendingCommit{rec: rec, enc: frameRecord(rec), done: make(chan struct{})}
-	db.pend = append(db.pend, c)
-	db.mu.Unlock()
-	db.wakeWriter()
-	<-c.done
-	return c.err
 }
 
 // Put stores value (JSON-marshaled) under (table, key).
@@ -513,7 +488,7 @@ func (db *DB) Sync() error {
 		}
 		return nil
 	}
-	return db.enqueue(&pendingCommit{syncBarrier: true})
+	return db.commit(&pendingCommit{syncBarrier: true})
 }
 
 // Compact takes an online snapshot: it briefly blocks writers at the cut
@@ -549,33 +524,12 @@ func (db *DB) Compact() error {
 	return db.writeSnapshotAndCleanup(cut)
 }
 
-// cut obtains the compaction cut via the writer, so the cut serializes
-// with in-flight batches.
+// cut obtains the compaction cut through the commit queue, so the cut
+// serializes with the batches around it.
 func (db *DB) cut() (*cutState, error) {
 	c := &pendingCommit{cut: true}
-	err := db.enqueue(c)
+	err := db.commit(c)
 	return c.cutState, err
-}
-
-// enqueue hands a barrier or cut to the group-commit writer and blocks until
-// the writer has processed it.
-func (db *DB) enqueue(c *pendingCommit) error {
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if db.walErr != nil {
-		err := db.walErr
-		db.mu.Unlock()
-		return err
-	}
-	c.done = make(chan struct{})
-	db.pend = append(db.pend, c)
-	db.mu.Unlock()
-	db.wakeWriter()
-	<-c.done
-	return c.err
 }
 
 // writeSnapshotAndCleanup persists the cut as a snapshot and removes the
@@ -654,12 +608,16 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed.Store(true)
-	db.mu.Unlock()
 	if db.wal == nil {
+		db.mu.Unlock()
 		return nil
 	}
-	close(db.stop)
-	<-db.writerDone
+	// Nothing queues after closed is set; what queued before is still led
+	// through by its committers.
+	for db.leading || len(db.pend) > 0 {
+		db.batchDone.Wait()
+	}
+	db.mu.Unlock()
 	db.bg.Wait()
 	healthy := db.stickyErr() == nil
 	w := db.wal

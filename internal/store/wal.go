@@ -1,9 +1,10 @@
 package store
 
 // This file implements the on-disk write-ahead-log layout behind DB: a
-// snapshot plus numbered live segments, the background group-commit writer,
-// and the failpoint hooks the crash tests use to simulate process death at
-// the worst possible moments.
+// snapshot plus numbered live segments, the commit queue whose batches the
+// committing goroutines write themselves (group commit), and the failpoint
+// hooks the crash tests use to simulate process death at the worst possible
+// moments.
 //
 // Layout for a DB opened at path P:
 //
@@ -55,9 +56,9 @@ const (
 	installTmpSuffix = ".snapshot.install.tmp"
 )
 
-// Failpoint names a crash-injection site inside the WAL writer and the
-// snapshot compactor. Tests install a hook with SetFailpoint; when the hook
-// returns true for a site the DB behaves as if the process died right
+// Failpoint names a crash-injection site inside a commit batch's write and
+// the snapshot compactor. Tests install a hook with SetFailpoint; when the
+// hook returns true for a site the DB behaves as if the process died right
 // there: pending bytes may be torn, no further cleanup runs, and every
 // subsequent mutation fails. Reopening the path exercises recovery exactly
 // as a real crash would.
@@ -129,7 +130,7 @@ func (db *DB) failpointHit(p Failpoint) bool {
 }
 
 // wal is the file-side state of a durable DB. Every field is guarded by fmu;
-// fmu is held by the group-commit writer during writes, so rotation and the
+// fmu is held by the batch leader during writes, so rotation and the
 // compaction cut cannot interleave with an append.
 //
 // The size/layout fields (activeSize, sealed, sealedSize) are additionally
@@ -146,11 +147,11 @@ type wal struct {
 	sinceSync  int
 	// lastApplied is the highest sequence number actually written to the
 	// WAL and applied to memory. It trails DB.seq (the assignment counter)
-	// by whatever is still queued for the group-commit writer; a
-	// compaction cut must cover exactly lastApplied — covering DB.seq
-	// would make recovery skip queued records that land after the cut.
+	// by whatever is still in the commit queue; a compaction cut must cover
+	// exactly lastApplied — covering DB.seq would make recovery skip queued
+	// records that land after the cut.
 	lastApplied uint64
-	// recs is the writer's scratch for handing a flushed batch to
+	// recs is the batch leader's scratch for handing a flushed batch to
 	// applyLocked in one call; cleared after use so it pins no value the
 	// tree has dropped.
 	recs []Record
@@ -282,13 +283,20 @@ func parseFramed(data []byte) (Record, error) {
 	return rec, nil
 }
 
-// pendingCommit is one enqueued unit of work for the group-commit writer:
-// a record to persist, a durability barrier (Sync), or a compaction cut.
+// pendingCommit is one entry of the commit queue (DB.pend): a local commit's
+// record, a follower's shipment, a durability barrier (Sync), or a
+// compaction cut. Records get their sequence numbers when they are queued,
+// so queue order is sequence order.
 type pendingCommit struct {
-	rec  Record
-	enc  []byte
-	done chan struct{}
-	err  error
+	rec Record
+	// shipped holds a shipment's records, validated against the sequence
+	// when it was queued; rec is unused then. A shipment always fsyncs
+	// with its batch.
+	shipped []Record
+	enc     []byte // the frames to append: rec's, or the shipment's bytes
+	err     error
+	// done is set under DB.mu once a leader has processed the entry.
+	done bool
 
 	syncBarrier bool
 	cut         bool
@@ -303,84 +311,91 @@ type cutState struct {
 	coveredSegs []sealedFile // covered segments, oldest first
 }
 
-func (db *DB) wakeWriter() {
-	select {
-	case db.wake <- struct{}{}:
-	default:
-	}
-}
-
-// writerLoop is the per-DB background WAL writer: it drains the pending
-// queue, coalescing every commit that arrived since the last flush into one
-// buffered write + fsync (group commit by natural batching: each flush
-// takes whatever queued while the previous one ran). Committers block on
-// their commit's done channel, so a nil return means written, flushed and
-// fsynced per Options.SyncEvery.
-func (db *DB) writerLoop() {
-	defer close(db.writerDone)
-	for {
-		select {
-		case <-db.stop:
-			db.drainPending()
-			return
-		case <-db.wake:
-		}
-		db.flushOnce()
-	}
-}
-
-// flushOnce processes one batch of pending commits (possibly empty).
-func (db *DB) flushOnce() {
+// commit queues c and returns once a leader has processed it. The entry is
+// checked and given its sequence numbers here, under mu, so queue order is
+// sequence order: a local commit takes the next one and is framed; a
+// shipment (c.enc holding a leader's frames) is validated whole against the
+// current sequence, and a bad one is rejected before anything is queued.
+//
+// Group commit by natural batching, run by the committing goroutines
+// themselves: one that finds no batch in flight leads — it takes the whole
+// queue and processes it as one batch, one buffered write and at most one
+// fsync. One that arrives while a batch is in flight waits; it returns once
+// a leader has processed its entry, or it leads the next batch, which holds
+// everything that queued meanwhile. A nil return means written, flushed,
+// fsynced per Options.SyncEvery (always, for a barrier or a shipment) and
+// applied.
+func (db *DB) commit(c *pendingCommit) error {
 	db.mu.Lock()
-	batch := db.pend
-	db.pend = nil
-	db.mu.Unlock()
-	if len(batch) > 0 {
-		db.processBatch(batch)
-	}
-}
-
-// drainPending loops until the pending queue is empty — the final flush on
-// Close, after which no new commits can enqueue.
-func (db *DB) drainPending() {
-	for {
-		db.mu.Lock()
-		batch := db.pend
-		db.pend = nil
+	if db.closed.Load() {
 		db.mu.Unlock()
-		if len(batch) == 0 {
-			return
-		}
-		db.processBatch(batch)
+		return ErrClosed
 	}
+	if db.walErr != nil {
+		err := db.walErr
+		db.mu.Unlock()
+		return err
+	}
+	switch {
+	case c.cut || c.syncBarrier:
+	case c.enc != nil:
+		recs, err := parseReplicated(c.enc, db.seq)
+		if err != nil {
+			db.mu.Unlock()
+			return err
+		}
+		c.shipped = recs
+		db.seq = recs[len(recs)-1].Seq
+	default:
+		db.seq++
+		c.rec.Seq = db.seq
+		c.enc = frameRecord(c.rec)
+	}
+	db.pend = append(db.pend, c)
+	for !c.done {
+		if db.leading {
+			db.batchDone.Wait()
+			continue
+		}
+		batch := db.pend
+		db.pend, db.leading = nil, true
+		db.mu.Unlock()
+		db.processBatch(batch)
+		db.mu.Lock()
+		db.leading = false
+		for _, b := range batch {
+			b.done = true
+		}
+		db.batchDone.Broadcast()
+	}
+	db.mu.Unlock()
+	return c.err
 }
 
 func (db *DB) processBatch(batch []*pendingCommit) {
-	var writes, barriers, cuts []*pendingCommit
+	var writes, cuts []*pendingCommit
+	forceSync := false
 	for _, c := range batch {
 		switch {
 		case c.cut:
 			cuts = append(cuts, c)
 		case c.syncBarrier:
-			barriers = append(barriers, c)
+			forceSync = true
 		default:
 			writes = append(writes, c)
+			forceSync = forceSync || c.shipped != nil
 		}
 	}
-	if len(writes) > 0 || len(barriers) > 0 {
-		err := db.writeAndApply(writes, len(barriers) > 0)
-		for _, c := range writes {
-			c.err = err
-			close(c.done)
-		}
-		for _, c := range barriers {
-			c.err = err
-			close(c.done)
+	if len(writes) > 0 || forceSync {
+		err := db.writeAndApply(writes, forceSync)
+		for _, c := range batch {
+			if !c.cut {
+				c.err = err
+			}
 		}
 	}
 	for _, c := range cuts {
 		c.cutState, c.err = db.performCut()
-		close(c.done)
 	}
 }
 
@@ -394,9 +409,10 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 	if err := db.stickyErr(); err != nil {
 		return err
 	}
-	total := 0
+	total, n := 0, 0
 	for _, c := range writes {
 		total += len(c.enc)
+		n += max(1, len(c.shipped))
 	}
 	if total > 0 && db.failpointHit(FailAppendMid) {
 		// Simulate the process dying partway through the batch write: half
@@ -418,7 +434,7 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "flush wal"))
 	}
 	w.addActiveSize(int64(total))
-	w.sinceSync += len(writes)
+	w.sinceSync += n
 	if forceSync || (db.opts.SyncEvery > 0 && w.sinceSync >= db.opts.SyncEvery) {
 		if err := w.file.Sync(); err != nil {
 			return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "sync wal"))
@@ -426,25 +442,36 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		w.sinceSync = 0
 		db.st.fsyncs.Add(1)
 	}
-	if len(writes) > 0 {
+	if n > 0 {
 		for _, c := range writes {
-			w.recs = append(w.recs, c.rec)
+			if c.shipped != nil {
+				w.recs = append(w.recs, c.shipped...)
+			} else {
+				w.recs = append(w.recs, c.rec)
+			}
 		}
 		// The whole batch is one apply: one index copy, one publish, and a
 		// node several commits touch is copied once.
 		db.mu.Lock()
 		db.applyLocked(w.recs...)
 		db.mu.Unlock()
+		w.lastApplied = w.recs[n-1].Seq // queue order == seq order
 		clear(w.recs)
 		w.recs = w.recs[:0]
 		// Written, synced, applied: only now may a follower be handed these
 		// frames, from memory (the tail window) or by watermark (AppliedSeq).
+		// A shipment empties the window instead: its records came from
+		// elsewhere, and a store being fed a leader's frames has nobody to
+		// ship to until it is reopened as a leader.
 		for _, c := range writes {
-			w.tail.push(c.rec.Seq, c.enc)
+			if c.shipped != nil {
+				w.tail.reset()
+			} else {
+				w.tail.push(c.rec.Seq, c.enc)
+			}
 		}
-		w.lastApplied = writes[len(writes)-1].rec.Seq // enqueue order == seq order
 		db.st.appliedSeq.Store(w.lastApplied)
-		db.st.commits.Add(uint64(len(writes)))
+		db.st.commits.Add(uint64(n))
 		db.st.batches.Add(1)
 		db.st.walBytes.Add(uint64(total))
 	}
@@ -535,7 +562,7 @@ func (db *DB) performCut() (*cutState, error) {
 	}
 	// Applies run under fmu, so the index on display is exactly the state
 	// at lastApplied. That is NOT db.seq: commits holding a sequence number
-	// but still queued for the writer land after the cut, and a snapshot
+	// but still in the commit queue land after the cut, and a snapshot
 	// seq that included them would make recovery skip their records.
 	cut := &cutState{seq: w.lastApplied, idx: db.loadIndex()}
 	if err := w.openSegment(db.path, w.nextIdx, w.sealActive); err != nil {

@@ -1,12 +1,14 @@
 package store
 
-// Tests for the snapshot + segment WAL layout and the group-commit writer.
+// Tests for the snapshot + segment WAL layout and group commit.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -323,7 +325,7 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 }
 
 // TestNaturalBatchingCoalesces pins group commit by natural batching without
-// leaning on the scheduler: the first batch is held inside the writer (at its
+// leaning on the scheduler: the first batch is held inside its leader (at its
 // FailAppendMid check) until eight more commits have queued behind it, so the
 // next flush must take all eight in one write + one fsync.
 func TestNaturalBatchingCoalesces(t *testing.T) {
@@ -387,6 +389,75 @@ func TestNaturalBatchingCoalesces(t *testing.T) {
 		var got kv
 		if err := db2.Get("t", fmt.Sprintf("k%d", i), &got); err != nil || got.N != i {
 			t.Fatalf("k%d after reopen: %+v, %v", i, got, err)
+		}
+	}
+}
+
+// TestCommitsRacingClose runs committers into Close: every Put returns nil
+// or ErrClosed, every key acknowledged with nil survives a reopen, and the
+// store leaves no goroutine behind once it is closed.
+func TestCommitsRacingClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	goroutines := runtime.NumGoroutine()
+	db, err := Open(path, Options{SyncEvery: 1, SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const committers = 16
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		acked  []string
+		puts   atomic.Int64
+		closed = make(chan struct{})
+	)
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				key := fmt.Sprintf("g%02d-%05d", g, i)
+				switch err := db.Put("t", key, kv{N: i}); {
+				case err == nil:
+					mu.Lock()
+					acked = append(acked, key)
+					mu.Unlock()
+					puts.Add(1)
+				case errors.Is(err, ErrClosed):
+					return
+				default:
+					t.Errorf("Put %s racing Close: %v", key, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for puts.Load() < 200 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { wg.Wait(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a Put racing Close did not return")
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), goroutines)
+		}
+	}
+	db2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	for _, key := range acked {
+		if !db2.Has("t", key) {
+			t.Fatalf("acknowledged key %s lost across Close (%d acked)", key, len(acked))
 		}
 	}
 }
