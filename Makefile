@@ -52,11 +52,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskResponseEncoding$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Prometheus exposition conformance: golden + grammar + histogram
-# semantics + taxonomy/docs drift (CI metrics-conformance step).
+# semantics + route counting + taxonomy/docs drift + a cluster node's one
+# exposition (CI metrics-conformance step).
 metrics-conformance:
-	$(GO) test ./internal/api -run 'Exposition|Histogram|FloatFormatting|FamiliesStableOrder|BucketIndex|Observe'
+	$(GO) test ./internal/api -run 'Exposition|Histogram|FloatFormatting|FamiliesStableOrder|BucketIndex|Observe|Track|RecoverTurnsPanic'
 	$(GO) test ./internal/errs
 	$(GO) test ./internal/server -run 'Taxonomy|FaultInjection|Corruption|SSEDropped|ScrapeRace|APIDocs'
+	$(GO) test ./internal/cluster -run 'PromHandler|FollowerServedRequestsAreCounted|ClusterRoutingReplicationAndFollowerReads'
 
 # Static analysis beyond vet (CI lint job; tools fetched on demand).
 lint:

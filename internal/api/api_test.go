@@ -135,18 +135,36 @@ func TestRequestIDHonorsIncoming(t *testing.T) {
 	}
 }
 
+// TestRecoverTurnsPanicInto500: a tracked route that panics answers 500 on
+// the wire, and both renderers count it as a 5xx error, not as the 200 an
+// unwritten status would default to.
 func TestRecoverTurnsPanicInto500(t *testing.T) {
 	k := testKit()
 	logger := log.New(io.Discard, "", 0)
-	h := Chain(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := Chain(k.Metrics.Track("GET /x", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
-	}), RequestID, Recover(k, logger))
+	})), RequestID, Recover(k, logger))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	assertCode(t, rec, CodeInternal)
+
+	snap := k.Metrics.Snapshot()
+	if len(snap.Routes) != 1 || snap.InFlight != 0 {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if r := snap.Routes[0]; r.Count != 1 || r.Status5xx != 1 || r.Errors != 1 || r.Status2xx != 0 {
+		t.Errorf("panicking route = %+v, want status_5xx=1 errors=1 status_2xx=0", r)
+	}
+	var buf strings.Builder
+	if err := WriteExposition(&buf, collect(k.Metrics)); err != nil {
+		t.Fatal(err)
+	}
+	if want := `itag_http_responses_total{route="GET /x",class="5xx"} 1` + "\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("scrape lacks %q:\n%s", want, buf.String())
+	}
 }
 
 func TestTimeoutAttachesDeadline(t *testing.T) {
@@ -180,24 +198,41 @@ func TestMetricsTrack(t *testing.T) {
 	bad := m.Track("GET /bad", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotFound)
 	}))
+	broken := m.Track("GET /broken", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
 	for i := 0; i < 3; i++ {
 		ok.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/ok", nil))
 	}
 	bad.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/bad", nil))
+	for i := 0; i < 2; i++ {
+		broken.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/broken", nil))
+	}
 
 	snap := m.Snapshot()
-	if snap.TotalRequests != 4 || snap.InFlight != 0 {
+	if snap.TotalRequests != 6 || snap.InFlight != 0 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	byRoute := map[string]RouteSnapshot{}
+	var sum int64
 	for _, r := range snap.Routes {
 		byRoute[r.Route] = r
+		sum += r.Count
+		if r.Errors != r.Status4xx+r.Status5xx {
+			t.Errorf("%s: errors = %d, want status_4xx + status_5xx = %d", r.Route, r.Errors, r.Status4xx+r.Status5xx)
+		}
+	}
+	if snap.TotalRequests != sum {
+		t.Errorf("total_requests = %d, want the routes' counts summed = %d", snap.TotalRequests, sum)
 	}
 	if r := byRoute["GET /ok"]; r.Count != 3 || r.Errors != 0 || r.Status2xx != 3 {
 		t.Errorf("ok route = %+v", r)
 	}
 	if r := byRoute["GET /bad"]; r.Count != 1 || r.Errors != 1 || r.Status4xx != 1 {
 		t.Errorf("bad route = %+v", r)
+	}
+	if r := byRoute["GET /broken"]; r.Count != 2 || r.Errors != 2 || r.Status5xx != 2 || r.Status2xx != 0 {
+		t.Errorf("broken route = %+v", r)
 	}
 }
 

@@ -5,16 +5,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // This file is a hand-rolled Prometheus text-exposition (format 0.0.4)
-// writer and a strict parser for it. The writer backs GET /metrics on the
-// debug listener; the parser is the conformance checker the test layer
-// (and any embedding program) uses to prove the output is scrapeable —
-// both are stdlib-only by design.
+// builder, writer and strict parser. Every component that shows series on
+// GET /metrics (the debug listener) writes them into one Exposition per
+// scrape; the writer renders it, and the parser is the conformance checker
+// the test layer (and any embedding program) uses to prove the output is
+// scrapeable — all stdlib-only by design.
 
 // Family type strings (the TYPE line vocabulary this writer emits).
 const (
@@ -46,20 +48,68 @@ type Family struct {
 	Samples []Sample
 }
 
+// Exposition is one scrape under construction. Components append their
+// samples to it by family name; the first sample of a name creates the
+// family with its HELP and TYPE, so a family is declared once however many
+// components (a cluster node's led slots and replica stacks) write into it,
+// and a family nobody wrote a sample to is not declared at all. Families
+// keep the order of their first sample, samples the order they were added.
+type Exposition struct {
+	fams []Family
+	at   map[string]int
+}
+
+// Add appends s to the family name, creating the family with help and typ
+// if this is its first sample.
+func (x *Exposition) Add(name, help, typ string, s Sample) {
+	i, ok := x.at[name]
+	if !ok {
+		if x.at == nil {
+			x.at = make(map[string]int)
+		}
+		i = len(x.fams)
+		x.at[name] = i
+		x.fams = append(x.fams, Family{Name: name, Help: help, Type: typ})
+	}
+	x.fams[i].Samples = append(x.fams[i].Samples, s)
+}
+
+// Counter appends one counter sample.
+func (x *Exposition) Counter(name, help string, v float64, labels ...Label) {
+	x.Add(name, help, TypeCounter, Sample{Labels: labels, Value: v})
+}
+
+// Gauge appends one gauge sample.
+func (x *Exposition) Gauge(name, help string, v float64, labels ...Label) {
+	x.Add(name, help, TypeGauge, Sample{Labels: labels, Value: v})
+}
+
+// Families returns the families built so far, in first-sample order.
+func (x *Exposition) Families() []Family { return x.fams }
+
 // ExpositionContentType is the Content-Type every handler that answers with
 // WriteExposition sets.
 const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
 
+// PromHandler serves one Exposition per scrape, filled by the collectors in
+// order, in Prometheus text format.
+func PromHandler(collect ...func(*Exposition)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var x Exposition
+		for _, c := range collect {
+			c(&x)
+		}
+		w.Header().Set("Content-Type", ExpositionContentType)
+		_ = WriteExposition(w, x.fams)
+	})
+}
+
 // WriteExposition renders the families in Prometheus text format. Names
 // are sanitized and label values escaped, so no input can produce
-// unparsable output (FuzzExposition pins this). Families that share a name
-// are written as one — the first's HELP and TYPE over everyone's samples —
-// so contributors that each describe their own instance of a family (a
-// cluster node's replica stacks beside its led slot's) compose without
-// knowing of each other.
+// unparsable output (FuzzExposition pins this).
 func WriteExposition(w io.Writer, fams []Family) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range mergeFamilies(fams) {
+	for _, f := range fams {
 		name := sanitizeMetricName(f.Name)
 		typ := f.Type
 		switch typ {
@@ -95,23 +145,6 @@ func WriteExposition(w io.Writer, fams []Family) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// mergeFamilies folds families of one name into the first of them, keeping
-// first-appearance order. The input is not modified.
-func mergeFamilies(fams []Family) []Family {
-	out := make([]Family, 0, len(fams))
-	at := make(map[string]int, len(fams))
-	for _, f := range fams {
-		if i, ok := at[f.Name]; ok {
-			n := len(out[i].Samples)
-			out[i].Samples = append(out[i].Samples[:n:n], f.Samples...)
-			continue
-		}
-		at[f.Name] = len(out)
-		out = append(out, f)
-	}
-	return out
 }
 
 // formatFloat renders a sample value ("+Inf", "-Inf" and "NaN" follow the

@@ -36,7 +36,6 @@ func populatedMetrics() *Metrics {
 	create.observe(http.StatusBadRequest, 700*time.Microsecond)
 	create.observe(http.StatusInternalServerError, 11*time.Second) // +Inf overflow
 
-	m.total.Store(6)
 	m.ObserveError(errs.ComponentStore, errs.CategoryIO)
 	m.ObserveError(errs.ComponentStore, errs.CategoryIO)
 	m.ObserveError(errs.ComponentCore, errs.CategoryValidation)
@@ -46,11 +45,18 @@ func populatedMetrics() *Metrics {
 	return m
 }
 
+// collect builds one scrape of m.
+func collect(m *Metrics) []Family {
+	var x Exposition
+	m.Collect(&x)
+	return x.Families()
+}
+
 // TestExpositionGolden pins the full exposition byte-for-byte: HELP/TYPE
 // lines, label ordering, cumulative bucket layout, float formatting.
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteExposition(&buf, populatedMetrics().Families()); err != nil {
+	if err := WriteExposition(&buf, collect(populatedMetrics())); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "exposition.golden")
@@ -75,7 +81,7 @@ func TestExpositionGolden(t *testing.T) {
 func TestExpositionConformance(t *testing.T) {
 	m := populatedMetrics()
 	var buf bytes.Buffer
-	if err := WriteExposition(&buf, m.Families()); err != nil {
+	if err := WriteExposition(&buf, collect(m)); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParseExposition(&buf)
@@ -158,6 +164,25 @@ func TestExpositionConformance(t *testing.T) {
 	}
 	if healthBuckets[0] != 1 || healthBuckets[len(healthBuckets)-1] != 3 {
 		t.Errorf("healthz cumulative buckets = %v", healthBuckets)
+	}
+
+	// An idle registry scrapes too, and declares only families that have a
+	// sample: no routes means no route families, no errors no error matrix.
+	buf.Reset()
+	if err := WriteExposition(&buf, collect(NewMetrics())); err != nil {
+		t.Fatal(err)
+	}
+	idle, err := ParseExposition(&buf)
+	if err != nil {
+		t.Fatalf("idle grammar: %v", err)
+	}
+	for _, f := range idle {
+		if len(f.Samples) == 0 {
+			t.Errorf("idle scrape declares %s without a sample", f.Name)
+		}
+	}
+	if len(idle) == 0 {
+		t.Error("idle scrape is empty")
 	}
 }
 
@@ -313,22 +338,22 @@ func FuzzExposition(f *testing.F) {
 	})
 }
 
-// sortedRouteLabels is a test helper guard: Families must emit routes in
-// sorted order for stable scrapes.
+// TestFamiliesStableOrder: Collect must emit routes in sorted order for
+// stable scrapes.
 func TestFamiliesStableOrder(t *testing.T) {
 	m := populatedMetrics()
 	a, b := new(bytes.Buffer), new(bytes.Buffer)
-	if err := WriteExposition(a, m.Families()); err != nil {
+	if err := WriteExposition(a, collect(m)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteExposition(b, m.Families()); err != nil {
+	if err := WriteExposition(b, collect(m)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two back-to-back scrapes of an idle registry differ")
 	}
 	var routes []string
-	for _, s := range m.Families()[2].Samples { // itag_http_requests_total
+	for _, s := range collect(m)[2].Samples { // itag_http_requests_total
 		routes = append(routes, s.Labels[0].Value)
 	}
 	if !sort.StringsAreSorted(routes) {

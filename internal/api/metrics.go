@@ -53,16 +53,15 @@ func bucketIndex(d time.Duration) int {
 // Metrics collects in-flight and per-route request statistics. Routes are
 // labeled at registration time (the mux pattern), so the registry needs no
 // request parsing and the request hot path touches only atomics — Track
-// resolves the route's slot once at mount time. Exposed as JSON at
-// GET /api/v1/metrics (shape unchanged since v1) and as Prometheus text
-// exposition via Families.
+// resolves the route's slot once at mount time. Two renderers read the same
+// counters: Snapshot, the JSON at GET /api/v1/metrics (shape unchanged since
+// v1), and Collect, the Prometheus series.
 type Metrics struct {
 	started time.Time
-	// now is the clock Families reads for the uptime gauge; tests pin it
+	// now is the clock Collect reads for the uptime gauge; tests pin it
 	// for byte-stable golden output.
 	now        func() time.Time
 	inFlight   atomic.Int64
-	total      atomic.Int64
 	sseStreams atomic.Int64
 	sseDropped atomic.Int64
 
@@ -88,7 +87,6 @@ type errKey struct {
 // derives _count and +Inf from the bucket totals themselves).
 type routeStats struct {
 	count      atomic.Uint64
-	errors     atomic.Uint64 // 4xx + 5xx
 	byClass    [6]atomic.Uint64
 	totalNanos atomic.Int64
 	maxNanos   atomic.Int64
@@ -107,9 +105,6 @@ func (rs *routeStats) observe(status int, elapsed time.Duration) {
 		if int64(elapsed) <= cur || rs.maxNanos.CompareAndSwap(cur, int64(elapsed)) {
 			break
 		}
-	}
-	if status >= 400 {
-		rs.errors.Add(1)
 	}
 	if c := status / 100; c >= 1 && c <= 5 {
 		rs.byClass[c].Add(1)
@@ -158,7 +153,8 @@ var swPool = sync.Pool{New: func() any { return &statusWriter{} }}
 // Track wraps a route handler with metrics collection under the given
 // label (conventionally the mux pattern). The label's counter block is
 // resolved here, once, so the per-request path is lock-free, and the
-// status-writer wrapper is pooled.
+// status-writer wrapper is pooled. A handler that panics is counted as a
+// 500, the answer Recover gives once the panic has unwound past Track.
 func (m *Metrics) Track(label string, h http.Handler) http.Handler {
 	if m == nil {
 		return h
@@ -169,12 +165,15 @@ func (m *Metrics) Track(label string, h http.Handler) http.Handler {
 		sw.ResponseWriter, sw.status = w, 0
 		m.inFlight.Add(1)
 		start := time.Now()
+		returned := false
 		defer func() {
 			elapsed := time.Since(start)
 			m.inFlight.Add(-1)
-			m.total.Add(1)
 			status := sw.status
-			if status == 0 {
+			switch {
+			case !returned:
+				status = http.StatusInternalServerError
+			case status == 0:
 				status = http.StatusOK
 			}
 			rs.observe(status, elapsed)
@@ -182,6 +181,7 @@ func (m *Metrics) Track(label string, h http.Handler) http.Handler {
 			swPool.Put(sw)
 		}()
 		h.ServeHTTP(sw, r)
+		returned = true
 	})
 }
 
@@ -309,123 +309,100 @@ type Snapshot struct {
 }
 
 // Snapshot returns a point-in-time copy of all counters, routes sorted by
-// label for stable output.
+// label for stable output. The totals are derived here: total_requests is
+// the sum of the routes' counts, a route's errors its 4xx plus its 5xx.
 func (m *Metrics) Snapshot() Snapshot {
 	snap := Snapshot{
 		UptimeSeconds: time.Since(m.started).Seconds(),
 		InFlight:      m.inFlight.Load(),
-		TotalRequests: m.total.Load(),
 	}
-	m.mu.Lock()
-	for label, rs := range m.routes {
+	for _, rc := range m.sortedRoutes() {
+		rs := rc.rs
 		count := rs.count.Load()
 		r := RouteSnapshot{
-			Route:     label,
+			Route:     rc.label,
 			Count:     int64(count),
-			Errors:    int64(rs.errors.Load()),
 			Status2xx: int64(rs.byClass[2].Load()),
 			Status4xx: int64(rs.byClass[4].Load()),
 			Status5xx: int64(rs.byClass[5].Load()),
 			MaxMillis: float64(rs.maxNanos.Load()) / 1e6,
 		}
+		r.Errors = r.Status4xx + r.Status5xx
 		if count > 0 {
 			r.AvgMillis = float64(rs.totalNanos.Load()) / float64(count) / 1e6
 		}
+		snap.TotalRequests += r.Count
 		snap.Routes = append(snap.Routes, r)
 	}
-	m.mu.Unlock()
-	sort.Slice(snap.Routes, func(i, j int) bool { return snap.Routes[i].Route < snap.Routes[j].Route })
 	return snap
 }
 
-// Families renders the registry as Prometheus metric families: per-route
-// request counters and latency histograms, status-class counters, the
-// error taxonomy matrix and the SSE stream counters. Store-layer gauges
-// are appended by the server, which owns that dependency.
-func (m *Metrics) Families() []Family {
-	type routeCopy struct {
-		label string
-		rs    *routeStats
-	}
+// labeledRoute is one route's counter block beside its label.
+type labeledRoute struct {
+	label string
+	rs    *routeStats
+}
+
+// sortedRoutes lists the registered routes by label, for stable output.
+func (m *Metrics) sortedRoutes() []labeledRoute {
 	m.mu.Lock()
-	routes := make([]routeCopy, 0, len(m.routes))
+	routes := make([]labeledRoute, 0, len(m.routes))
 	for label, rs := range m.routes {
-		routes = append(routes, routeCopy{label, rs})
+		routes = append(routes, labeledRoute{label, rs})
 	}
 	m.mu.Unlock()
 	sort.Slice(routes, func(i, j int) bool { return routes[i].label < routes[j].label })
+	return routes
+}
 
-	uptime := Family{
-		Name: "itag_uptime_seconds", Type: TypeGauge,
-		Help:    "Seconds since the metrics registry was created.",
-		Samples: []Sample{{Value: m.now().Sub(m.started).Seconds()}},
-	}
-	inFlight := Family{
-		Name: "itag_http_requests_in_flight", Type: TypeGauge,
-		Help:    "HTTP requests currently being served.",
-		Samples: []Sample{{Value: float64(m.inFlight.Load())}},
-	}
-	requests := Family{
-		Name: "itag_http_requests_total", Type: TypeCounter,
-		Help: "HTTP requests served, by route.",
-	}
-	responses := Family{
-		Name: "itag_http_responses_total", Type: TypeCounter,
-		Help: "HTTP responses, by route and status class.",
-	}
-	duration := Family{
-		Name: "itag_http_request_duration_seconds", Type: TypeHistogram,
-		Help: "HTTP request latency, by route.",
-	}
-	for _, rc := range routes {
+// Collect writes the registry's series into x: per-route request counters
+// and latency histograms, status-class counters, the error taxonomy matrix
+// and the SSE stream counters.
+func (m *Metrics) Collect(x *Exposition) {
+	x.Gauge("itag_uptime_seconds", "Seconds since the metrics registry was created.",
+		m.now().Sub(m.started).Seconds())
+	x.Gauge("itag_http_requests_in_flight", "HTTP requests currently being served.", float64(m.inFlight.Load()))
+	const (
+		duration = "itag_http_request_duration_seconds"
+		durHelp  = "HTTP request latency, by route."
+	)
+	for _, rc := range m.sortedRoutes() {
 		routeLabel := Label{"route", rc.label}
 		// Buckets before count: see routeStats. The histogram's _count and
 		// +Inf derive from the bucket totals so one scrape is always
 		// internally consistent, even mid-burst.
 		total, perBucket := rc.rs.bucketTotal()
-		requests.Samples = append(requests.Samples, Sample{
-			Labels: []Label{routeLabel}, Value: float64(total),
-		})
+		x.Counter("itag_http_requests_total", "HTTP requests served, by route.", float64(total), routeLabel)
 		for class := 1; class <= 5; class++ {
 			n := rc.rs.byClass[class].Load()
 			if n == 0 && class != 2 && class != 4 && class != 5 {
 				continue
 			}
-			responses.Samples = append(responses.Samples, Sample{
-				Labels: []Label{routeLabel, {"class", fmt.Sprintf("%dxx", class)}},
-				Value:  float64(n),
-			})
+			x.Counter("itag_http_responses_total", "HTTP responses, by route and status class.", float64(n),
+				routeLabel, Label{"class", fmt.Sprintf("%dxx", class)})
 		}
 		cumulative := uint64(0)
 		for i, bound := range latencyBucketBounds {
 			cumulative += perBucket[i]
-			duration.Samples = append(duration.Samples, Sample{
+			x.Add(duration, durHelp, TypeHistogram, Sample{
 				Suffix: "_bucket",
 				Labels: []Label{routeLabel, {"le", formatFloat(bound.Seconds())}},
 				Value:  float64(cumulative),
 			})
 		}
-		duration.Samples = append(duration.Samples,
-			Sample{Suffix: "_bucket", Labels: []Label{routeLabel, {"le", "+Inf"}}, Value: float64(total)},
-			Sample{Suffix: "_sum", Labels: []Label{routeLabel}, Value: float64(rc.rs.totalNanos.Load()) / 1e9},
-			Sample{Suffix: "_count", Labels: []Label{routeLabel}, Value: float64(total)},
-		)
+		x.Add(duration, durHelp, TypeHistogram,
+			Sample{Suffix: "_bucket", Labels: []Label{routeLabel, {"le", "+Inf"}}, Value: float64(total)})
+		x.Add(duration, durHelp, TypeHistogram,
+			Sample{Suffix: "_sum", Labels: []Label{routeLabel}, Value: float64(rc.rs.totalNanos.Load()) / 1e9})
+		x.Add(duration, durHelp, TypeHistogram,
+			Sample{Suffix: "_count", Labels: []Label{routeLabel}, Value: float64(total)})
 	}
 
-	errors := Family{
-		Name: "itag_http_errors_total", Type: TypeCounter,
-		Help: "HTTP error responses, by taxonomy component and category.",
-	}
 	m.errMu.Lock()
 	keys := make([]errKey, 0, len(m.errCounts))
 	for k := range m.errCounts {
 		keys = append(keys, k)
 	}
-	counts := make(map[errKey]uint64, len(m.errCounts))
-	for k, v := range m.errCounts {
-		counts[k] = v
-	}
-	m.errMu.Unlock()
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].component != keys[j].component {
 			return keys[i].component < keys[j].component
@@ -433,22 +410,12 @@ func (m *Metrics) Families() []Family {
 		return keys[i].category < keys[j].category
 	})
 	for _, k := range keys {
-		errors.Samples = append(errors.Samples, Sample{
-			Labels: []Label{{"component", string(k.component)}, {"category", string(k.category)}},
-			Value:  float64(counts[k]),
-		})
+		x.Counter("itag_http_errors_total", "HTTP error responses, by taxonomy component and category.",
+			float64(m.errCounts[k]), Label{"component", string(k.component)}, Label{"category", string(k.category)})
 	}
+	m.errMu.Unlock()
 
-	sseStreams := Family{
-		Name: "itag_sse_streams_active", Type: TypeGauge,
-		Help:    "SSE telemetry streams currently open.",
-		Samples: []Sample{{Value: float64(m.sseStreams.Load())}},
-	}
-	sseDropped := Family{
-		Name: "itag_sse_dropped_events_total", Type: TypeCounter,
-		Help:    "SSE telemetry notifications dropped because a subscriber stalled or disconnected.",
-		Samples: []Sample{{Value: float64(m.sseDropped.Load())}},
-	}
-
-	return []Family{uptime, inFlight, requests, responses, duration, errors, sseStreams, sseDropped}
+	x.Gauge("itag_sse_streams_active", "SSE telemetry streams currently open.", float64(m.sseStreams.Load()))
+	x.Counter("itag_sse_dropped_events_total",
+		"SSE telemetry notifications dropped because a subscriber stalled or disconnected.", float64(m.sseDropped.Load()))
 }

@@ -603,7 +603,7 @@ func TestClusterFollowerIngestCorruption(t *testing.T) {
 			// watermark frozen, the refusals counted on the leader by
 			// category, both processes alive.
 			waitFor(t, 5*time.Second, "the leader to count a corruption refusal", func() bool {
-				for _, f := range tc.nodes[slot].Families() {
+				for _, f := range collectNode(tc.nodes[slot]) {
 					if f.Name != "itag_cluster_push_errors_total" {
 						continue
 					}

@@ -399,4 +399,36 @@ func TestFollowerServedRequestsAreCounted(t *testing.T) {
 	if n := strings.Count(text, "# TYPE itag_respcache_hits_total "); n != 1 {
 		t.Errorf("itag_respcache_hits_total is declared %d times", n)
 	}
+
+	// The replica shows its response cache and nothing else of its stack:
+	// no store or admission sample carries the followed slot, and the store
+	// commit counter lists exactly the slots this node leads.
+	var led []string
+	for _, st := range tc.nodes[follower].Status().Slots {
+		if st.Role == "leader" {
+			led = append(led, st.Slot)
+		}
+	}
+	var committed []string
+	for _, f := range fams {
+		if !strings.HasPrefix(f.Name, "itag_store_") && !strings.HasPrefix(f.Name, "itag_admission_") {
+			continue
+		}
+		for _, s := range f.Samples {
+			for _, l := range s.Labels {
+				if l.Name != "slot" {
+					continue
+				}
+				if l.Value == slot {
+					t.Errorf("%s carries the followed slot %q: %+v", f.Name, slot, s.Labels)
+				}
+				if f.Name == "itag_store_commits_total" {
+					committed = append(committed, l.Value)
+				}
+			}
+		}
+	}
+	if fmt.Sprint(committed) != fmt.Sprint(led) {
+		t.Errorf("itag_store_commits_total is labeled by slots %v, want the led slots %v", committed, led)
+	}
 }

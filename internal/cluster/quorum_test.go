@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"itag/internal/api"
 	"itag/internal/chaos"
 	"itag/internal/core"
 	"itag/internal/dataset"
@@ -184,7 +185,7 @@ func TestClusterQuorumAckAndDegrade(t *testing.T) {
 
 	// The new observability surface is scraped, not just counted.
 	found := map[string]bool{}
-	for _, f := range tc.nodes[slot].Families() {
+	for _, f := range collectNode(tc.nodes[slot]) {
 		found[f.Name] = true
 	}
 	for _, want := range []string{
@@ -450,4 +451,12 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// collectNode builds one scrape of the node's series beyond its route
+// registry.
+func collectNode(n *Node) []api.Family {
+	var x api.Exposition
+	n.Collect(&x)
+	return x.Families()
 }

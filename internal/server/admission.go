@@ -95,36 +95,25 @@ func (s *Server) routeLimited(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, s.timed(h))))
 }
 
-// capacityFamilies renders the admission limiter and its fitted models as
-// metric families (none when admission control is off).
-func (s *Server) capacityFamilies() []api.Family {
+// collectAdmission writes the admission limiter and its fitted models into
+// x (nothing when admission control is off). labels has no spare capacity.
+func (s *Server) collectAdmission(x *api.Exposition, labels []api.Label) {
 	if s.admission == nil {
-		return nil
-	}
-	one := func(name, help, typ string, v float64) api.Family {
-		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Value: v}}}
+		return
 	}
 	lim := s.admission.Limiter()
-	fams := []api.Family{
-		one("itag_admission_limit", "Current admission ceiling (model knee).", api.TypeGauge, float64(lim.Limit())),
-		one("itag_admission_inflight", "Admitted requests currently in flight.", api.TypeGauge, float64(lim.Inflight())),
-		one("itag_admission_admitted_total", "Requests admitted past the limiter.", api.TypeCounter, float64(lim.Admitted())),
-		one("itag_admission_shed_total", "Requests shed with 429 by the limiter.", api.TypeCounter, float64(lim.Shed())),
-	}
+	x.Gauge("itag_admission_limit", "Current admission ceiling (model knee).", float64(lim.Limit()), labels...)
+	x.Gauge("itag_admission_inflight", "Admitted requests currently in flight.", float64(lim.Inflight()), labels...)
+	x.Counter("itag_admission_admitted_total", "Requests admitted past the limiter.", float64(lim.Admitted()), labels...)
+	x.Counter("itag_admission_shed_total", "Requests shed with 429 by the limiter.", float64(lim.Shed()), labels...)
 	models := s.admission.Models()
-	alphaFam := api.Family{Name: "itag_admission_model_alpha_seconds", Help: "Fitted base service time per route.", Type: api.TypeGauge}
-	betaFam := api.Family{Name: "itag_admission_model_beta_seconds", Help: "Fitted marginal latency per concurrent request.", Type: api.TypeGauge}
 	for _, route := range admittedRoutes {
 		m, ok := models[route]
 		if !ok {
 			continue
 		}
-		lbl := []api.Label{{Name: "route", Value: route}}
-		alphaFam.Samples = append(alphaFam.Samples, api.Sample{Labels: lbl, Value: m.Alpha})
-		betaFam.Samples = append(betaFam.Samples, api.Sample{Labels: lbl, Value: m.Beta})
+		lbl := append(labels, api.Label{Name: "route", Value: route})
+		x.Gauge("itag_admission_model_alpha_seconds", "Fitted base service time per route.", m.Alpha, lbl...)
+		x.Gauge("itag_admission_model_beta_seconds", "Fitted marginal latency per concurrent request.", m.Beta, lbl...)
 	}
-	if len(alphaFam.Samples) > 0 {
-		fams = append(fams, alphaFam, betaFam)
-	}
-	return fams
 }

@@ -270,7 +270,9 @@ func TestSSEDroppedSurfacesInMetrics(t *testing.T) {
 	if got := s.Metrics().SSEDropped(); got == 0 {
 		t.Error("SSEDropped = 0 after a subscriber held behind a whole run")
 	}
-	fams := s.Metrics().Families()
+	var x api.Exposition
+	s.Metrics().Collect(&x)
+	fams := x.Families()
 	if got := gaugeValue(fams, "itag_sse_dropped_events_total"); got < 1 {
 		t.Errorf("itag_sse_dropped_events_total = %g, want >= 1", got)
 	}

@@ -256,21 +256,21 @@ type RespCacheStats struct {
 	Bytes       int64 `json:"bytes"`
 }
 
-// families renders the cache counters as Prometheus families, one sample
-// each.
-func (rc *respCache) families() []api.Family {
-	st := rc.stats()
-	one := func(name, help, typ string, v int64) api.Family {
-		return api.Family{Name: name, Help: help, Type: typ, Samples: []api.Sample{{Value: float64(v)}}}
+// CollectRespCache writes the encoded-response cache counters into x, one
+// sample each, with labels ahead. A cluster node collects only these of a
+// replica stack: its store's counters would add the slot's replicated writes
+// to the node's own.
+func (s *Server) CollectRespCache(x *api.Exposition, labels ...api.Label) {
+	if s.resp == nil {
+		return
 	}
-	return []api.Family{
-		one("itag_respcache_hits_total", "Encoded-response cache hits.", api.TypeCounter, st.Hits),
-		one("itag_respcache_misses_total", "Encoded-response cache misses (including entries retired by a write to what they show).", api.TypeCounter, st.Misses),
-		one("itag_respcache_not_modified_total", "Encoded-response cache hits answered 304 Not Modified.", api.TypeCounter, st.NotModified),
-		one("itag_respcache_evictions_total", "Entries evicted to hold the byte budget.", api.TypeCounter, st.Evictions),
-		one("itag_respcache_entries", "Resident encoded responses.", api.TypeGauge, st.Entries),
-		one("itag_respcache_bytes", "Bytes held by resident encoded responses.", api.TypeGauge, st.Bytes),
-	}
+	st := s.resp.stats()
+	x.Counter("itag_respcache_hits_total", "Encoded-response cache hits.", float64(st.Hits), labels...)
+	x.Counter("itag_respcache_misses_total", "Encoded-response cache misses (including entries retired by a write to what they show).", float64(st.Misses), labels...)
+	x.Counter("itag_respcache_not_modified_total", "Encoded-response cache hits answered 304 Not Modified.", float64(st.NotModified), labels...)
+	x.Counter("itag_respcache_evictions_total", "Entries evicted to hold the byte budget.", float64(st.Evictions), labels...)
+	x.Gauge("itag_respcache_entries", "Resident encoded responses.", float64(st.Entries), labels...)
+	x.Gauge("itag_respcache_bytes", "Bytes held by resident encoded responses.", float64(st.Bytes), labels...)
 }
 
 // --- cached route handlers ------------------------------------------------------

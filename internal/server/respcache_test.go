@@ -916,14 +916,16 @@ func TestNotModifiedIsCounted(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 of 4 hits answered 304", st)
 	}
 	var found bool
-	for _, f := range w.cached.Families(api.Label{Name: "slot", Value: "s"}) {
+	var x api.Exposition
+	w.cached.Collect(&x, api.Label{Name: "slot", Value: "s"})
+	for _, f := range x.Families() {
 		if f.Name == "itag_respcache_not_modified_total" {
 			found = f.Type == api.TypeCounter && len(f.Samples) == 1 && f.Samples[0].Value == 3 &&
 				len(f.Samples[0].Labels) == 1 && f.Samples[0].Labels[0].Value == "s"
 		}
 	}
 	if !found {
-		t.Error("itag_respcache_not_modified_total{slot} missing from the cache's families, or wrong")
+		t.Error("itag_respcache_not_modified_total{slot} missing from the server's series, or wrong")
 	}
 }
 
