@@ -539,7 +539,7 @@ func (e *Engine) meanOracleLocked() (float64, bool) {
 			continue
 		}
 		any = true
-		sum += quality.OracleRef(e.cfg.Quality.Metric, ref)
+		sum += ref.Cosine()
 	}
 	return sum / float64(len(e.refs)), any
 }
@@ -552,7 +552,7 @@ func (e *Engine) oracleLocked() ([]float64, bool) {
 			continue
 		}
 		any = true
-		out[i] = quality.OracleRef(e.cfg.Quality.Metric, e.refs[i])
+		out[i] = e.refs[i].Cosine()
 	}
 	return out, any
 }
@@ -783,7 +783,7 @@ func (e *Engine) status(resourceID string, stamp *Stamp) (ResourceStatus, error)
 		Series:    e.trackers[i].Series(),
 	}
 	if e.refs[i] != nil {
-		st.Oracle = quality.OracleRef(e.cfg.Quality.Metric, e.refs[i])
+		st.Oracle = e.refs[i].Cosine()
 	}
 	st.TopTags = e.topTags(i)
 	return st, nil

@@ -11,7 +11,6 @@ import (
 	"itag/internal/crowd"
 	"itag/internal/dataset"
 	"itag/internal/errs"
-	"itag/internal/quality"
 	"itag/internal/rng"
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
@@ -588,10 +587,9 @@ func TestEstimateGainTablesValidation(t *testing.T) {
 }
 
 // TestSeededPlanIsBitReproducible: at a fixed seed a plan is a function of
-// its inputs to the bit — gain tables, allocation and projected gain alike —
-// for a metric that reads only aligned slots (cosine) and one that also sums
-// the reference tags no post has used yet (JSD). Every sum the planner runs
-// walks an order fixed by the tags, never a map's iteration order.
+// its inputs to the bit — gain tables, allocation and projected gain alike.
+// Every sum the planner runs walks an order fixed by the tags, never a
+// map's iteration order.
 func TestSeededPlanIsBitReproducible(t *testing.T) {
 	h := newHarness(t, 12, 10, 0)
 	res := h.world.Dataset.Resources
@@ -606,42 +604,40 @@ func TestSeededPlanIsBitReproducible(t *testing.T) {
 			seedPosts[res[i].ID] = append(seedPosts[res[i].ID], tags)
 		}
 	}
-	for _, metric := range []quality.Metric{quality.MetricCosine, quality.MetricJSD} {
-		cfg := PlanConfig{Horizon: 12, Samples: 3, Seed: 29, Metric: metric}
-		tableBits := func() []uint64 {
-			counts, err := SeedCounts(res, seedPosts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tables, err := EstimateGainTables(h.sim, res, counts, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var bits []uint64
-			for _, tb := range tables {
-				for x := 0; x <= tb.MaxX(); x++ {
-					bits = append(bits, math.Float64bits(tb.Gain(x)))
-				}
-			}
-			return bits
+	cfg := PlanConfig{Horizon: 12, Samples: 3, Seed: 29}
+	tableBits := func() []uint64 {
+		counts, err := SeedCounts(res, seedPosts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		plan := func() ([]int, uint64) {
-			alloc, projected, err := PlanOptimal(h.sim, res, seedPosts, 60, PlanConfig{Samples: 3, Seed: 29, Metric: metric})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return alloc, math.Float64bits(projected)
+		tables, err := EstimateGainTables(h.sim, res, counts, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantBits := tableBits()
-		wantPlan, wantGain := plan()
-		for run := 1; run <= 4; run++ {
-			if got := tableBits(); !slices.Equal(got, wantBits) {
-				t.Fatalf("%s run %d: gain tables differ from the first run's bits", metric, run)
+		var bits []uint64
+		for _, tb := range tables {
+			for x := 0; x <= tb.MaxX(); x++ {
+				bits = append(bits, math.Float64bits(tb.Gain(x)))
 			}
-			gotPlan, gotGain := plan()
-			if !slices.Equal(gotPlan, wantPlan) || gotGain != wantGain {
-				t.Fatalf("%s run %d: plan %v gain %x, first run %v gain %x", metric, run, gotPlan, gotGain, wantPlan, wantGain)
-			}
+		}
+		return bits
+	}
+	plan := func() ([]int, uint64) {
+		alloc, projected, err := PlanOptimal(h.sim, res, seedPosts, 60, PlanConfig{Samples: 3, Seed: 29})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alloc, math.Float64bits(projected)
+	}
+	wantBits := tableBits()
+	wantPlan, wantGain := plan()
+	for run := 1; run <= 4; run++ {
+		if got := tableBits(); !slices.Equal(got, wantBits) {
+			t.Fatalf("run %d: gain tables differ from the first run's bits", run)
+		}
+		gotPlan, gotGain := plan()
+		if !slices.Equal(gotPlan, wantPlan) || gotGain != wantGain {
+			t.Fatalf("run %d: plan %v gain %x, first run %v gain %x", run, gotPlan, gotGain, wantPlan, wantGain)
 		}
 	}
 }

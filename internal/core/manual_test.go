@@ -30,6 +30,30 @@ func TestChooseNextDebitsBudget(t *testing.T) {
 	}
 }
 
+// TestChooseNextFreeChoiceOverflowKeepsLeasing: under FC with theta = 1e308
+// a posted resource's weight (posts+1)^theta overflows to +Inf. The project
+// must still lease every task its budget pays for, not report the budget
+// exhausted after the first post.
+func TestChooseNextFreeChoiceOverflowKeepsLeasing(t *testing.T) {
+	h := newHarness(t, 4, 5, 0)
+	e := h.engine(t, Config{Budget: 10, Strategy: strategy.FreeChoice{Theta: 1e308}, Seed: 25})
+	for i := 0; i < 10; i++ {
+		id, ok := e.ChooseNext()
+		if !ok {
+			t.Fatalf("lease %d refused with %d of 10 tasks spent", i, e.Spent())
+		}
+		if err := e.SubmitPost(id, "tagger-1", []string{"go", "db"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := e.ChooseNext(); ok {
+		t.Error("budget exhausted: ChooseNext must refuse")
+	}
+	if e.Spent() != 10 {
+		t.Errorf("spent = %d, want 10", e.Spent())
+	}
+}
+
 func TestChooseNextSeesPendingAsPosts(t *testing.T) {
 	// With FP and pending counted, repeated ChooseNext without submits must
 	// rotate across resources instead of hammering one.

@@ -28,9 +28,6 @@ type PlanConfig struct {
 	Horizon int
 	// Samples is the number of Monte-Carlo paths per resource (default 8).
 	Samples int
-	// Metric is the quality metric of the projected objective, the oracle
-	// quality against the latent distribution (default cosine).
-	Metric quality.Metric
 	// Population, when set, draws each projected post's tagger from the
 	// actual population (activity-weighted) — the accurate behaviour
 	// model. plannerProfile is the single-profile fallback.
@@ -102,7 +99,7 @@ func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
 		for s := 0; s < cfg.Samples; s++ {
 			counts := current[i].Clone()
 			ref := rfd.NewRef(counts, res.Latent)
-			mean[0] += quality.OracleRef(cfg.Metric, ref)
+			mean[0] += ref.Cosine()
 			for x := 1; x <= cfg.Horizon; x++ {
 				prof := &plannerProfile
 				if cfg.Population != nil {
@@ -115,7 +112,7 @@ func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
 				if err := counts.AddPost(tags); err != nil {
 					return nil, err
 				}
-				mean[x] += quality.OracleRef(cfg.Metric, ref)
+				mean[x] += ref.Cosine()
 			}
 		}
 		for x := range mean {
@@ -134,7 +131,7 @@ func EstimateGainTables(sim *taggersim.Simulator, resources []dataset.Resource,
 // raw means; the fit shapes the tail.
 func smoothedGainTable(mean []float64, k0 int) *quality.GainTable {
 	if len(mean) < 5 {
-		return quality.NewGainTableFromValues(mean, k0)
+		return quality.NewGainTableFromValues(mean)
 	}
 	ks := make([]int, 0, len(mean)-1)
 	qs := make([]float64, 0, len(mean)-1)
@@ -144,7 +141,7 @@ func smoothedGainTable(mean []float64, k0 int) *quality.GainTable {
 	}
 	curve, err := quality.Fit(ks, qs)
 	if err != nil {
-		return quality.NewGainTableFromValues(mean, k0)
+		return quality.NewGainTableFromValues(mean)
 	}
 	smoothed := make([]float64, len(mean))
 	smoothed[0] = mean[0]
@@ -155,7 +152,7 @@ func smoothedGainTable(mean []float64, k0 int) *quality.GainTable {
 			smoothed[x] = smoothed[x-1]
 		}
 	}
-	return quality.NewGainTableFromValues(smoothed, k0)
+	return quality.NewGainTableFromValues(smoothed)
 }
 
 // PlanOptimal computes the optimal allocation for a budget using greedy

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Curve is a saturating convergence model for a resource's quality as a
@@ -41,11 +40,6 @@ func (c Curve) Gain(k, x int) float64 {
 	}
 	return g
 }
-
-// MarginalGain returns Gain(k, 1): the projected gain of one more post at
-// post count k. It is decreasing in k (the curve is concave for Lambda>0,
-// A>0), which is what makes greedy allocation optimal.
-func (c Curve) MarginalGain(k int) float64 { return c.Gain(k, 1) }
 
 // Valid reports whether the curve parameters are finite and well-formed.
 func (c Curve) Valid() bool {
@@ -192,22 +186,11 @@ func Fit(ks []int, qs []float64) (Curve, error) {
 	return bestC, nil
 }
 
-// FitSeries fits a curve to a tracker-style quality series where the i-th
-// value is the quality after post i+1.
-func FitSeries(series []float64) (Curve, error) {
-	ks := make([]int, len(series))
-	for i := range series {
-		ks[i] = i + 1
-	}
-	return Fit(ks, series)
-}
-
 // GainTable precomputes, for one resource, the projected cumulative gains
 // g(x) = q(k0+x) − q(k0) for x in [0, maxX]. The optimal allocators consume
 // these tables. Gains are non-decreasing and concave by construction (the
 // table enforces both, guarding against fit noise).
 type GainTable struct {
-	k0    int
 	gains []float64 // gains[x] = projected cumulative gain of x extra posts
 }
 
@@ -229,15 +212,15 @@ func NewGainTable(c Curve, k0, maxX int) *GainTable {
 		prevMarginal = m
 		g[x] = g[x-1] + m
 	}
-	return &GainTable{k0: k0, gains: g}
+	return &GainTable{gains: g}
 }
 
 // NewGainTableFromValues builds a table directly from projected quality
 // values q(k0), q(k0+1), ..., enforcing monotone concave gains. Used when
 // gains come from Monte-Carlo estimates rather than a fitted curve.
-func NewGainTableFromValues(values []float64, k0 int) *GainTable {
+func NewGainTableFromValues(values []float64) *GainTable {
 	if len(values) == 0 {
-		return &GainTable{k0: k0, gains: []float64{0}}
+		return &GainTable{gains: []float64{0}}
 	}
 	g := make([]float64, len(values))
 	prevMarginal := math.Inf(1)
@@ -252,7 +235,7 @@ func NewGainTableFromValues(values []float64, k0 int) *GainTable {
 		prevMarginal = m
 		g[x] = g[x-1] + m
 	}
-	return &GainTable{k0: k0, gains: g}
+	return &GainTable{gains: g}
 }
 
 // Gain returns the cumulative projected gain of x extra posts.
@@ -274,31 +257,3 @@ func (t *GainTable) Marginal(x int) float64 {
 
 // MaxX returns the largest precomputed allocation.
 func (t *GainTable) MaxX() int { return len(t.gains) - 1 }
-
-// K0 returns the post count the table was computed at.
-func (t *GainTable) K0() int { return t.k0 }
-
-// Quantile returns the p-th quantile (0<=p<=1) of a quality slice; used by
-// experiment reports. The input is not modified.
-func Quantile(qs []float64, p float64) float64 {
-	if len(qs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(qs))
-	copy(cp, qs)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 1 {
-		return cp[len(cp)-1]
-	}
-	pos := p * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}

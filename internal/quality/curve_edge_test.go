@@ -68,7 +68,7 @@ func TestCurveStringAndMarginalConsistency(t *testing.T) {
 	// Sum of marginals equals cumulative gain.
 	var sum float64
 	for k := 0; k < 30; k++ {
-		sum += c.MarginalGain(k)
+		sum += c.Gain(k, 1)
 	}
 	if math.Abs(sum-c.Gain(0, 30)) > 1e-9 {
 		t.Errorf("marginal sum %v != gain %v", sum, c.Gain(0, 30))

@@ -13,8 +13,8 @@ import (
 // replaced. Each post re-materializes the distribution as a map and every
 // comparison walks two maps, the direct reading of the definitions in paper
 // §II. It ships in no binary; the parity suites (parity_test.go) drive it
-// and the interned path with the same streams and hold them within 1e-12
-// for every metric, and BenchmarkTrackerAddPost times one against the other.
+// and the interned path with the same streams and hold their cosines within
+// 1e-12, and BenchmarkTrackerAddPost times one against the other.
 
 // mapCounts accumulates raw tag occurrence counts for one resource.
 type mapCounts struct {
@@ -92,6 +92,11 @@ func (c *mapCounts) TopK(k int) []rfd.TagFreq {
 	return out
 }
 
+// mapRingDepth is the oracle's own snapshot ring: W_max+1 rfds, enough for
+// any window Validate accepts, and sized apart from the interned ring so a
+// wrong size there cannot hide in both.
+const mapRingDepth = MaxWindow + 1
+
 // mapHistory keeps a ring of the materialized rfd after each post.
 type mapHistory struct {
 	counts  *mapCounts
@@ -100,8 +105,8 @@ type mapHistory struct {
 	taken   int
 }
 
-func newMapHistory(depth int) *mapHistory {
-	return &mapHistory{counts: newMapCounts(), ring: make([]rfd.Dist, depth)}
+func newMapHistory() *mapHistory {
+	return &mapHistory{counts: newMapCounts(), ring: make([]rfd.Dist, mapRingDepth)}
 }
 
 // AddPost records a post and snapshots the resulting rfd.
@@ -134,11 +139,6 @@ func (h *mapHistory) Back(back int) (rfd.Dist, bool) {
 	return h.ring[((h.ringPos-1-back)%len(h.ring)+len(h.ring))%len(h.ring)], true
 }
 
-// Depth returns how many snapshots are retrievable.
-func (h *mapHistory) Depth() int { return min(h.taken, len(h.ring)) }
-
-// --- distances over two maps --------------------------------------------------
-
 // mapCosine is the cosine similarity in [0, 1]; 0 if either side is empty.
 func mapCosine(a, b rfd.Dist) float64 {
 	if len(a) == 0 || len(b) == 0 {
@@ -160,93 +160,19 @@ func mapCosine(a, b rfd.Dist) float64 {
 	return clamp01(dot / (math.Sqrt(na) * math.Sqrt(nb)))
 }
 
-// mapL1 is Σ|a−b| in [0, 2].
-func mapL1(a, b rfd.Dist) float64 {
-	var d float64
-	for t, va := range a {
-		d += math.Abs(va - b[t])
-	}
-	for t, vb := range b {
-		if _, ok := a[t]; !ok {
-			d += vb
-		}
-	}
-	return d
-}
-
-// mapKL is KL(a‖b) with add-eps smoothing over a's support.
-func mapKL(a, b rfd.Dist) float64 {
-	const eps = 1e-12
-	var d float64
-	for t, va := range a {
-		if va <= 0 {
-			continue
-		}
-		d += va * math.Log((va+eps)/(b[t]+eps))
-	}
-	return math.Max(d, 0)
-}
-
-// mapJSD is the Jensen-Shannon divergence (base e) in [0, ln 2].
-func mapJSD(a, b rfd.Dist) float64 {
-	m := make(rfd.Dist, len(a)+len(b))
-	for t, v := range a {
-		m[t] += v / 2
-	}
-	for t, v := range b {
-		m[t] += v / 2
-	}
-	return (mapKL(a, m) + mapKL(b, m)) / 2
-}
-
-// mapHellinger is the Hellinger distance in [0, 1].
-func mapHellinger(a, b rfd.Dist) float64 {
-	var s float64
-	for t, va := range a {
-		d := math.Sqrt(va) - math.Sqrt(b[t])
-		s += d * d
-	}
-	for t, vb := range b {
-		if _, ok := a[t]; !ok {
-			s += vb
-		}
-	}
-	return math.Min(math.Sqrt(s/2), 1)
-}
-
-// similarity is the metric's [0, 1] similarity between two rfds, 0 when
-// both are empty: the definition Tracker's window comparisons and
-// OracleRef must reproduce.
-func (m Metric) similarity(a, b rfd.Dist) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	switch m {
-	case MetricJSD:
-		return clamp01(1 - mapJSD(a, b)/math.Ln2)
-	case MetricL1:
-		return clamp01(1 - mapL1(a, b)/2)
-	case MetricHellinger:
-		return clamp01(1 - mapHellinger(a, b))
-	default:
-		return mapCosine(a, b)
-	}
-}
-
 // --- the tracker ----------------------------------------------------------------
 
 // MapTracker is the map-path stability tracker: a ring of materialized
-// snapshots and a full-distribution similarity recomputation per post.
+// snapshots and a full-distribution cosine recomputation per post.
 type MapTracker struct {
-	cfg    Config
+	window int
 	hist   *mapHistory
 	series []float64
 }
 
 // NewMapTracker returns a MapTracker with the (defaulted) config.
 func NewMapTracker(cfg Config) *MapTracker {
-	cfg = cfg.withDefaults()
-	return &MapTracker{cfg: cfg, hist: newMapHistory(historyDepth(cfg))}
+	return &MapTracker{window: cfg.window(), hist: newMapHistory()}
 }
 
 // AddPost records a post and appends the new quality to the series.
@@ -258,22 +184,15 @@ func (t *MapTracker) AddPost(tags []string) error {
 	return nil
 }
 
+// compute is q_i(k): the cosine of rfd(k) and rfd(k−w), w = min(k−1, W),
+// and 0 before the second post.
 func (t *MapTracker) compute() float64 {
 	k := t.hist.Posts()
-	if k < t.cfg.MinPosts || k < 2 {
+	if k < 2 {
 		return 0
 	}
-	w := min(t.cfg.Window, k-1)
-	prev, ok := t.hist.Back(w)
-	if !ok {
-		// Window exceeds retained depth; fall back to deepest retained.
-		d := t.hist.Depth() - 1
-		if d < 1 {
-			return 0
-		}
-		prev, _ = t.hist.Back(d)
-	}
-	return t.cfg.Metric.similarity(t.hist.Current(), prev)
+	prev, _ := t.hist.Back(min(t.window, k-1))
+	return mapCosine(t.hist.Current(), prev)
 }
 
 // Quality returns the current stability quality in [0, 1].
@@ -288,9 +207,6 @@ func (t *MapTracker) Posts() int         { return t.hist.Posts() }
 func (t *MapTracker) Dist() rfd.Dist     { return t.hist.Current() }
 func (t *MapTracker) Counts() *mapCounts { return t.hist.counts }
 func (t *MapTracker) Series() []float64  { return append([]float64(nil), t.series...) }
-func (t *MapTracker) Converged(tau float64, span int) bool {
-	return converged(t.series, tau, span)
-}
 
 // distOf materializes an interned accumulator's rfd, through TopK, for
 // comparison against the oracle's maps.

@@ -12,11 +12,10 @@ import (
 )
 
 // These property tests pin the interned rfd path — rfd.ICounts, IHistory
-// and Ref, and the Tracker and OracleRef built on them — to the map-path
-// oracle (oracle_test.go): numerically equivalent within 1e-12 on
-// randomized post streams, for every metric. CI runs this package under
-// -race, so the shared interner is also exercised for data races when
-// trackers are built concurrently.
+// and Ref, and the Tracker built on them — to the map-path oracle
+// (oracle_test.go): numerically equivalent within 1e-12 on randomized post
+// streams. CI runs this package under -race, so the shared interner is also
+// exercised for data races when trackers are built concurrently.
 
 const parityTol = 1e-12
 
@@ -27,6 +26,13 @@ func parityPool() []string {
 		"beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
 	}
 }
+
+// parityWindows are the stability windows the parity suites run at: the
+// narrowest, the default and the widest Validate accepts.
+var parityWindows = []int{1, DefaultWindow, MaxWindow}
+
+// parityPosts is a stream length that wraps a W+1 ring several times.
+func parityPosts(window int) int { return max(160, 4*(window+1)) }
 
 func parityPost(r *rand.Rand, pool []string) []string {
 	if r.Intn(40) == 0 {
@@ -44,18 +50,16 @@ func parityPost(r *rand.Rand, pool []string) []string {
 }
 
 func TestPropertyInternedTrackerMatchesMapPath(t *testing.T) {
-	metrics := []Metric{MetricCosine, MetricJSD, MetricL1, MetricHellinger}
 	shared := vocab.NewInterner() // one vocabulary across all streams, as in an engine
-	for seed := int64(0); seed < 10; seed++ {
+	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		cfg := Config{
-			Metric:   metrics[int(seed)%len(metrics)],
-			Window:   1 + r.Intn(12),
-			MinPosts: 1 + r.Intn(3),
+		cfg := Config{Window: 1 + r.Intn(12)}
+		if int(seed) < len(parityWindows) {
+			cfg.Window = parityWindows[seed]
 		}
 		ti := NewTrackerShared(cfg, shared)
 		tm := NewMapTracker(cfg)
-		for p := 0; p < 160; p++ {
+		for p := 0; p < parityPosts(cfg.Window); p++ {
 			post := parityPost(r, parityPool())
 			errI, errM := ti.AddPost(post), tm.AddPost(post)
 			if (errI == nil) != (errM == nil) {
@@ -65,8 +69,8 @@ func TestPropertyInternedTrackerMatchesMapPath(t *testing.T) {
 				continue
 			}
 			if d := math.Abs(ti.Quality() - tm.Quality()); d > parityTol {
-				t.Fatalf("seed %d post %d (%s): quality diverges by %g (%v vs %v)",
-					seed, p, cfg.Metric, d, ti.Quality(), tm.Quality())
+				t.Fatalf("seed %d post %d (W=%d): quality diverges by %g (%v vs %v)",
+					seed, p, cfg.Window, d, ti.Quality(), tm.Quality())
 			}
 		}
 		si, sm := ti.Series(), tm.Series()
@@ -93,17 +97,12 @@ func TestPropertyInternedTrackerMatchesMapPath(t *testing.T) {
 		if !reflect.DeepEqual(ti.Counts().TopK(10), tm.Counts().TopK(10)) {
 			t.Fatalf("seed %d: TopK diverges", seed)
 		}
-		if ti.Converged(0.5, 3) != tm.Converged(0.5, 3) {
-			t.Fatalf("seed %d: Converged diverges", seed)
-		}
 	}
 }
 
-// TestPropertyOracleRefMatchesOracle checks the interned oracle path
-// against the map-path similarity for every metric while the tracked rfd
-// grows.
+// TestPropertyOracleRefMatchesOracle checks the interned oracle quality,
+// Ref.Cosine, against the map-path cosine while the tracked rfd grows.
 func TestPropertyOracleRefMatchesOracle(t *testing.T) {
-	metrics := []Metric{MetricCosine, MetricJSD, MetricL1, MetricHellinger}
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
 		pool := parityPool()
@@ -116,19 +115,12 @@ func TestPropertyOracleRefMatchesOracle(t *testing.T) {
 		ref = rfd.Normalized(ref)
 
 		tr := NewTrackerShared(Config{}, vocab.NewInterner())
-		refs := make([]*rfd.Ref, len(metrics))
-		for i := range metrics {
-			refs[i] = tr.NewRef(ref)
-		}
+		oracle := tr.NewRef(ref)
 		check := func(stage string) {
 			t.Helper()
-			cur := distOf(tr.Counts())
-			for i, m := range metrics {
-				got := OracleRef(m, refs[i])
-				want := m.similarity(cur, ref)
-				if math.Abs(got-want) > parityTol {
-					t.Fatalf("seed %d %s (%s): OracleRef %v vs Oracle %v", seed, stage, m, got, want)
-				}
+			got, want := oracle.Cosine(), mapCosine(distOf(tr.Counts()), ref)
+			if math.Abs(got-want) > parityTol {
+				t.Fatalf("seed %d %s: Ref.Cosine %v vs map cosine %v", seed, stage, got, want)
 			}
 		}
 		check("cold")
@@ -227,88 +219,41 @@ func TestTopKMatchesFullSort(t *testing.T) {
 }
 
 // TestIHistoryWindowsMatchHistory drives an rfd.IHistory and the oracle's
-// history with the same stream and asserts every retained window
-// comparison agrees with the metric computed on materialized snapshots.
+// history with the same stream, at each parity window, and asserts the
+// maintained window cosine agrees with the cosine of materialized snapshots
+// min(posts−1, W) apart after every post.
 func TestIHistoryWindowsMatchHistory(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	pool := parityPool()
-	const depth = 8
-	const maintained = 5 // sliding width for the incrementally maintained history
-	ih := rfd.NewIHistory(vocab.NewInterner(), depth)
-	iw := rfd.NewIHistoryWindow(vocab.NewInterner(), depth, maintained)
-	mh := newMapHistory(depth)
-	for p := 0; p < 120; p++ {
-		post := parityPost(r, pool)
-		if err := ih.AddPost(post); err != nil {
-			if err2 := mh.AddPost(post); err2 == nil {
-				t.Fatalf("post %d: interned errored, map did not", p)
+	for _, window := range parityWindows {
+		r := rand.New(rand.NewSource(11))
+		pool := parityPool()
+		ih := rfd.NewIHistory(vocab.NewInterner(), window)
+		mh := newMapHistory()
+		for p := 0; p < parityPosts(window); p++ {
+			post := parityPost(r, pool)
+			errI, errM := ih.AddPost(post), mh.AddPost(post)
+			if (errI == nil) != (errM == nil) {
+				t.Fatalf("W=%d post %d: interned err %v vs map err %v", window, p, errI, errM)
 			}
-			continue
-		}
-		if err := iw.AddPost(post); err != nil {
-			t.Fatalf("post %d: windowed interned errored: %v", p, err)
-		}
-		if err := mh.AddPost(post); err != nil {
-			t.Fatalf("post %d: map errored after interned succeeded: %v", p, err)
-		}
-		// The maintained sliding window must agree with the map path at its
-		// own width w = min(posts−1, maintained).
-		w := min(mh.Posts()-1, maintained)
-		if prev, ok := mh.Back(w); ok {
-			cur := mh.Current()
-			if cos, ok := iw.WindowCosine(w); !ok || math.Abs(cos-mapCosine(cur, prev)) > parityTol {
-				t.Fatalf("post %d: maintained cosine(w=%d) = %v ok=%v, map %v", p, w, cos, ok, mapCosine(cur, prev))
-			}
-			if jsd, ok := iw.WindowJSD(w); !ok || math.Abs(jsd-mapJSD(cur, prev)) > parityTol {
-				t.Fatalf("post %d: maintained jsd(w=%d) = %v ok=%v, map %v", p, w, jsd, ok, mapJSD(cur, prev))
-			}
-		}
-		// Off-width queries on the maintained history take the rebuild path
-		// and must agree too.
-		if w > 1 {
-			if prev, ok := mh.Back(w - 1); ok {
-				if cos, ok2 := iw.WindowCosine(w - 1); !ok2 || math.Abs(cos-mapCosine(mh.Current(), prev)) > parityTol {
-					t.Fatalf("post %d: off-width cosine diverges (%v, ok=%v)", p, cos, ok2)
-				}
-			}
-		}
-		if ih.Posts() != mh.Posts() || ih.Depth() != mh.Depth() {
-			t.Fatalf("post %d: posts/depth diverge", p)
-		}
-		for back := 0; back <= depth+1; back++ {
-			prev, ok := mh.Back(back)
-			cos, iok := ih.WindowCosine(back)
-			if ok != iok {
-				t.Fatalf("post %d back %d: retention disagrees (map %v, interned %v)", p, back, ok, iok)
-			}
-			if !ok {
+			if errI != nil {
 				continue
 			}
-			cur := mh.Current()
-			l1, _ := ih.WindowL1(back)
-			kl, _ := ih.WindowKL(back)
-			jsd, _ := ih.WindowJSD(back)
-			hel, _ := ih.WindowHellinger(back)
-			for _, c := range []struct {
-				name      string
-				got, want float64
-			}{
-				{"cosine", cos, mapCosine(cur, prev)},
-				{"l1", l1, mapL1(cur, prev)},
-				{"kl", kl, mapKL(cur, prev)},
-				{"jsd", jsd, mapJSD(cur, prev)},
-				{"hellinger", hel, mapHellinger(cur, prev)},
-			} {
-				if math.Abs(c.got-c.want) > parityTol {
-					t.Fatalf("post %d back %d: %s = %.17g, map path %.17g", p, back, c.name, c.got, c.want)
-				}
+			if ih.Posts() != mh.Posts() {
+				t.Fatalf("W=%d post %d: posts %d vs %d", window, p, ih.Posts(), mh.Posts())
+			}
+			want := 0.0
+			if k := mh.Posts(); k >= 2 {
+				prev, _ := mh.Back(min(k-1, window))
+				want = mapCosine(mh.Current(), prev)
+			}
+			if got := ih.WindowCosine(); math.Abs(got-want) > parityTol {
+				t.Fatalf("W=%d post %d: window cosine = %.17g, map path %.17g", window, p, got, want)
 			}
 		}
 	}
 }
 
-// TestRefMatchesMapMetrics compares every rfd.Ref distance against the
-// oracle's on materialized distributions as the accumulator grows.
+// TestRefMatchesMapMetrics compares rfd.Ref's cosine against the oracle's
+// on materialized distributions as the accumulator grows.
 func TestRefMatchesMapMetrics(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	pool := parityPool()
@@ -319,20 +264,8 @@ func TestRefMatchesMapMetrics(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		cur := distOf(ic)
-		for _, c := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"cosine", rf.Cosine(), mapCosine(cur, ref)},
-			{"l1", rf.L1(), mapL1(cur, ref)},
-			{"kl", rf.KL(), mapKL(cur, ref)},
-			{"jsd", rf.JSD(), mapJSD(cur, ref)},
-			{"hellinger", rf.Hellinger(), mapHellinger(cur, ref)},
-		} {
-			if math.Abs(c.got-c.want) > parityTol {
-				t.Fatalf("%s: %s = %.17g, map path %.17g", stage, c.name, c.got, c.want)
-			}
+		if got, want := rf.Cosine(), mapCosine(distOf(ic), ref); math.Abs(got-want) > parityTol {
+			t.Fatalf("%s: cosine = %.17g, map path %.17g", stage, got, want)
 		}
 	}
 	check("empty accumulator")

@@ -6,8 +6,9 @@
 // defined on the *stability* of these distributions as posts accumulate
 // (Golder & Huberman observed that rfds of well-tagged resources converge).
 // This package provides the interned count vector (ICounts), its copy-free
-// snapshot history (IHistory) and a reference distribution bound to one
-// accumulator (Ref), with the distances the quality package maps to [0, 1].
+// stability window (IHistory) and a reference distribution bound to one
+// accumulator (Ref); both compare rfds by cosine similarity, the one
+// measure the quality package scores with.
 package rfd
 
 import "strings"
@@ -31,10 +32,6 @@ type TagFreq struct {
 func Normalize(tag string) string {
 	return strings.ToLower(strings.TrimSpace(tag))
 }
-
-// DefaultHistoryDepth is how many trailing snapshots IHistory retains; it
-// bounds the stability window W any quality metric may request.
-const DefaultHistoryDepth = 64
 
 // Sum returns the total mass (≈1 for a proper rfd, 0 for empty).
 func Sum(a Dist) float64 {

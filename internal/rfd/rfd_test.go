@@ -190,53 +190,50 @@ func TestICountsCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestHistorySnapshots reads each retained snapshot through its L1 distance
-// from the current rfd: cur = {a:1/3, b:2/3}, one post back {a:1/2, b:1/2},
-// two back {a:1}.
+// TestHistorySnapshots reads the window snapshot through the cosine: with
+// W = 2 over posts a, b, b the comparison is against {a} at every step,
+// cur = {a:1, b:1} after two posts and {a:1, b:2} after three.
 func TestHistorySnapshots(t *testing.T) {
-	h := NewIHistory(newTestInterner(), 4)
-	mustAddH(t, h, "a")
-	mustAddH(t, h, "b")
-	mustAddH(t, h, "b")
-	for back, want := range []float64{0, 1.0 / 3, 4.0 / 3} {
-		if got, ok := h.WindowL1(back); !ok || math.Abs(got-want) > 1e-12 {
-			t.Errorf("L1 to back(%d) = %v ok=%v, want %v", back, got, ok, want)
+	h := NewIHistory(newTestInterner(), 2)
+	for i, c := range []struct {
+		tag  string
+		want float64
+	}{{"a", 0}, {"b", 1 / math.Sqrt2}, {"b", 1 / math.Sqrt(5)}} {
+		mustAddH(t, h, c.tag)
+		if got := h.WindowCosine(); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("post %d: cosine = %v, want %v", i+1, got, c.want)
 		}
-	}
-	if _, ok := h.WindowL1(3); ok {
-		t.Error("back(3) should not exist after 3 posts")
-	}
-	if h.Depth() != 3 {
-		t.Errorf("depth = %d", h.Depth())
 	}
 }
 
+// TestHistoryRingEviction wraps the W+1 ring: with W = 2 over a, a, a, b, b
+// the fifth post compares {a:3, b:2} with the rfd after the third, {a:3}.
 func TestHistoryRingEviction(t *testing.T) {
-	h := NewIHistory(newTestInterner(), 3)
+	h := NewIHistory(newTestInterner(), 2)
+	for _, tag := range []string{"a", "a", "a", "b", "b"} {
+		mustAddH(t, h, tag)
+	}
+	if got, want := h.WindowCosine(), 3/math.Sqrt(13); math.Abs(got-want) > 1e-12 {
+		t.Errorf("cosine = %v, want %v", got, want)
+	}
 	for i := 0; i < 10; i++ {
 		mustAddH(t, h, "t")
 	}
-	if h.Depth() != 3 {
-		t.Errorf("depth = %d, want 3", h.Depth())
+	if got := h.WindowCosine(); got <= 0 || got >= 1 {
+		t.Errorf("cosine after wrapping = %v, want in (0, 1)", got)
 	}
-	if _, ok := h.WindowCosine(2); !ok {
-		t.Error("back(2) must be retained")
-	}
-	if _, ok := h.WindowCosine(3); ok {
-		t.Error("back(3) must be evicted")
-	}
-	if h.Posts() != 10 {
+	if h.Posts() != 15 {
 		t.Errorf("posts = %d", h.Posts())
 	}
 }
 
 func TestHistoryEmptyCurrent(t *testing.T) {
-	h := NewIHistory(newTestInterner(), 0)
-	if h.Posts() != 0 || h.Depth() != 0 || h.Counts().Total() != 0 {
-		t.Errorf("empty history: posts=%d depth=%d total=%d", h.Posts(), h.Depth(), h.Counts().Total())
+	h := NewIHistory(newTestInterner(), 1)
+	if h.Posts() != 0 || h.Counts().Total() != 0 {
+		t.Errorf("empty history: posts=%d total=%d", h.Posts(), h.Counts().Total())
 	}
-	if _, ok := h.WindowCosine(0); ok {
-		t.Error("no snapshots yet")
+	if got := h.WindowCosine(); got != 0 {
+		t.Errorf("cosine before any post = %v, want 0", got)
 	}
 }
 
@@ -266,47 +263,6 @@ func TestCosineBasics(t *testing.T) {
 	}
 }
 
-func TestL1Basics(t *testing.T) {
-	a := counts(t, "x")
-	if got := NewRef(a, Dist{"y": 1}).L1(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("disjoint L1 = %v, want 2", got)
-	}
-	if got := NewRef(a, Dist{"x": 1}).L1(); got != 0 {
-		t.Errorf("identity L1 = %v", got)
-	}
-}
-
-func TestKLAndJSD(t *testing.T) {
-	nine := func(major, minor string) *ICounts {
-		return counts(t, major, major, major, major, major, major, major, major, major, minor)
-	}
-	a := Dist{"x": 0.9, "y": 0.1}
-	b := Dist{"x": 0.1, "y": 0.9}
-	if got := NewRef(nine("x", "y"), a).KL(); got > 1e-9 {
-		t.Errorf("KL(a,a) = %v", got)
-	}
-	if NewRef(nine("x", "y"), b).KL() <= 0 {
-		t.Error("KL of distinct dists must be positive")
-	}
-	j := NewRef(nine("x", "y"), b).JSD()
-	if j <= 0 || j > math.Log(2)+1e-9 {
-		t.Errorf("JSD = %v, want (0, ln2]", j)
-	}
-	if back := NewRef(nine("y", "x"), a).JSD(); math.Abs(j-back) > 1e-12 {
-		t.Errorf("JSD must be symmetric: %v vs %v", j, back)
-	}
-}
-
-func TestHellingerBounds(t *testing.T) {
-	a := counts(t, "x")
-	if got := NewRef(a, Dist{"y": 1}).Hellinger(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("disjoint Hellinger = %v, want 1", got)
-	}
-	if got := NewRef(a, Dist{"x": 1}).Hellinger(); got > 1e-9 {
-		t.Errorf("identity Hellinger = %v", got)
-	}
-}
-
 func TestSupportSumNormalized(t *testing.T) {
 	d := Dist{"a": 2, "b": 2, "c": 0}
 	n := Normalized(d)
@@ -325,13 +281,8 @@ func TestNormalizeTag(t *testing.T) {
 }
 
 func TestRefBothEmpty(t *testing.T) {
-	ic := newCounts()
-	rf := NewRef(ic, Dist{})
-	if !rf.BothEmpty() {
-		t.Error("empty counts + empty ref must be BothEmpty")
-	}
-	if rf.Cosine() != 0 {
-		t.Error("empty cosine must be 0")
+	if NewRef(newCounts(), Dist{}).Cosine() != 0 {
+		t.Error("empty counts against an empty ref must have cosine 0")
 	}
 }
 
@@ -351,41 +302,18 @@ func randomCounts(tb testing.TB, r *rand.Rand, maxTags int) *ICounts {
 	return c
 }
 
-// TestPropertyDistanceAxioms checks Ref's distances between random rfds:
-// ranges, symmetry (a against b's rfd equals b against a's), and the
-// triangle inequality for the true metrics L1 and Hellinger.
+// TestPropertyDistanceAxioms checks Ref's cosine between random rfds: its
+// range, and symmetry (a against b's rfd equals b against a's).
 func TestPropertyDistanceAxioms(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 300; i++ {
-		a, b, c := randomCounts(t, r, 12), randomCounts(t, r, 12), randomCounts(t, r, 12)
+		a, b := randomCounts(t, r, 12), randomCounts(t, r, 12)
 		ab, ba := NewRef(a, distOf(b)), NewRef(b, distOf(a))
 		if got := ab.Cosine(); got < 0 || got > 1 {
 			t.Fatalf("cosine out of range: %v", got)
 		}
 		if math.Abs(ab.Cosine()-ba.Cosine()) > 1e-12 {
 			t.Fatal("cosine must be symmetric")
-		}
-		if got := ab.L1(); got < 0 || got > 2+1e-9 {
-			t.Fatalf("L1 out of range: %v", got)
-		}
-		if math.Abs(ab.L1()-ba.L1()) > 1e-12 {
-			t.Fatal("L1 must be symmetric")
-		}
-		if got := ab.Hellinger(); got < 0 || got > 1+1e-9 {
-			t.Fatalf("hellinger out of range: %v", got)
-		}
-		if math.Abs(ab.Hellinger()-ba.Hellinger()) > 1e-12 {
-			t.Fatal("hellinger must be symmetric")
-		}
-		if j := ab.JSD(); j < 0 || j > math.Ln2+1e-9 {
-			t.Fatalf("JSD out of range: %v", j)
-		}
-		ac, bc := NewRef(a, distOf(c)), NewRef(b, distOf(c))
-		if ac.L1() > ab.L1()+bc.L1()+1e-9 {
-			t.Fatal("L1 triangle inequality violated")
-		}
-		if ac.Hellinger() > ab.Hellinger()+bc.Hellinger()+1e-9 {
-			t.Fatal("Hellinger triangle inequality violated")
 		}
 	}
 }
@@ -412,25 +340,37 @@ func TestPropertyDistAlwaysNormalized(t *testing.T) {
 }
 
 // TestPropertyHistoryCurrentMatchesCounts: an IHistory's current rfd is an
-// ICounts fed the same stream, and its zero-back window is the identity.
+// ICounts fed the same stream, and its window cosine is a Ref's cosine of
+// that rfd against the rfd of the stream min(posts−1, W) posts shorter.
 func TestPropertyHistoryCurrentMatchesCounts(t *testing.T) {
+	const window = 8
 	r := rand.New(rand.NewSource(13))
-	h := NewIHistory(newTestInterner(), 8)
-	c := newCounts()
+	in := newTestInterner()
+	h := NewIHistory(in, window)
+	c := NewICounts(in)
 	tags := []string{"w", "x", "y", "z"}
+	var posts [][]string
 	for i := 0; i < 200; i++ {
 		k := r.Intn(3) + 1
 		post := make([]string, 0, k)
 		for j := 0; j < k; j++ {
 			post = append(post, tags[r.Intn(len(tags))])
 		}
+		posts = append(posts, post)
 		mustAddH(t, h, post...)
 		mustAdd(t, c, post...)
 		if !reflect.DeepEqual(h.Counts().TopK(len(tags)), c.TopK(len(tags))) || h.Counts().NormSq() != c.NormSq() {
 			t.Fatalf("step %d: history current diverged from counts", i)
 		}
-		if cos, ok := h.WindowCosine(0); !ok || math.Abs(cos-1) > 1e-12 {
-			t.Fatalf("step %d: zero-back cosine = %v ok=%v", i, cos, ok)
+		if len(posts) < 2 {
+			continue
+		}
+		prev := NewICounts(in)
+		for _, p := range posts[:len(posts)-min(len(posts)-1, window)] {
+			mustAdd(t, prev, p...)
+		}
+		if got, want := h.WindowCosine(), NewRef(c, distOf(prev)).Cosine(); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("step %d: window cosine = %v, Ref cosine %v", i, got, want)
 		}
 	}
 }

@@ -97,19 +97,19 @@ func (s FreeChoice) Choose(v View, batch int, r *rand.Rand) []int {
 	}
 	chosen := make([]int, 0, batch)
 	taken := make(map[int]struct{}, batch)
-	cat, err := rng.NewCategorical(weights)
-	if err != nil {
-		return nil
-	}
 	// Rejection-sample distinct resources; bounded attempts, then fill from
-	// the highest-weight leftovers for determinism of batch size.
-	for attempts := 0; len(chosen) < batch && attempts < batch*20; attempts++ {
-		j := cat.Sample(r)
-		if _, dup := taken[j]; dup {
-			continue
+	// the highest-weight leftovers for determinism of batch size. Weights
+	// the sampler rejects (a power that overflowed to +Inf) go straight to
+	// the fill, so the batch is never empty while resources are eligible.
+	if cat, err := rng.NewCategorical(weights); err == nil {
+		for attempts := 0; len(chosen) < batch && attempts < batch*20; attempts++ {
+			j := cat.Sample(r)
+			if _, dup := taken[j]; dup {
+				continue
+			}
+			taken[j] = struct{}{}
+			chosen = append(chosen, idx[j])
 		}
-		taken[j] = struct{}{}
-		chosen = append(chosen, idx[j])
 	}
 	if len(chosen) < batch {
 		order := rng.WeightedTopK(weights, len(weights))
@@ -534,7 +534,11 @@ func Parse(spec string) (Strategy, error) {
 		if !ok {
 			return def, nil
 		}
-		return strconv.ParseFloat(s, 64)
+		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("strategy: parameter %s=%s is not a finite number", key, s)
+		}
+		return v, err
 	}
 	getI := func(key string, def int) (int, error) {
 		s, ok := params[key]

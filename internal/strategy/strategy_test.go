@@ -410,7 +410,15 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q).Name() = %q, want %q", tc.spec, s.Name(), tc.name)
 		}
 	}
-	for _, bad := range []string{"nope", "fc:theta=abc", "mu:minposts=x", "fp-mu:k0", "fc:="} {
+	bad := []string{"nope", "fc:theta=abc", "mu:minposts=x", "fp-mu:k0", "fc:="}
+	// A float that parses but is not finite would poison FC's weights or a
+	// switch threshold: it is a parse error too.
+	for _, param := range []string{"fc:theta", "eps-greedy:eps", "fp-mu:frac"} {
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			bad = append(bad, param+"="+v)
+		}
+	}
+	for _, bad := range bad {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}

@@ -173,7 +173,7 @@ func TestHonestStreamConvergesToLatent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sim1 := quality.OracleRef(quality.MetricCosine, ref)
+	sim1 := ref.Cosine()
 	if sim1 < 0.93 {
 		t.Errorf("honest rfd should approach latent; cosine = %v", sim1)
 	}
@@ -308,7 +308,7 @@ func TestReliabilityMonotoneQuality(t *testing.T) {
 			}
 			_ = tr.AddPost(tags)
 		}
-		return quality.OracleRef(quality.MetricCosine, ref)
+		return ref.Cosine()
 	}
 	lo, hi := qualityAt(0.2), qualityAt(0.95)
 	if hi-lo < 0.1 {

@@ -6,7 +6,8 @@
 // provider uploads resources with poor or missing tags, sets a budget of
 // tagging tasks, and iTag allocates those tasks to taggers so that the
 // overall tagging quality — defined on the stability of each resource's
-// tag relative-frequency distribution — improves as much as possible.
+// tag relative-frequency distribution, the cosine of that distribution now
+// and a window of posts back — improves as much as possible.
 //
 // The package re-exports the system's public surface:
 //
@@ -128,10 +129,9 @@ type (
 
 // Quality surface.
 type (
-	// QualityConfig parameterizes the stability metric.
+	// QualityConfig parameterizes the stability quality: the cosine of a
+	// resource's rfd now and Window posts back.
 	QualityConfig = quality.Config
-	// QualityMetric selects the rfd similarity measure.
-	QualityMetric = quality.Metric
 	// QualityTracker maintains one resource's quality series (interned hot
 	// path; see TagInterner).
 	QualityTracker = quality.Tracker
