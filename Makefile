@@ -3,7 +3,7 @@ GO ?= go
 # Fuzz budget per target; CI smoke uses the default, nightly passes 10m.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments golden bench-capacity histories loc clean
+.PHONY: all build test vet race race-full fuzz metrics-conformance lint check loadgen benchmark-selftest bench bench-experiments golden histories loc clean
 
 all: check
 
@@ -19,13 +19,14 @@ vet:
 # Concurrent stress under the race detector (PR acceptance gate): the store
 # and core suites, the interned quality hot path and its parity property
 # tests (quality + rfd + vocab interner), the marketplace simulators and the
-# review records they keep, which engines driven by one pool may share
-# (crowd), the HTTP layer (lock-free metrics scrapes vs request writers, the
-# pooled request and response buffers) and the JSON codec it shares with the
-# store and the SDK (wire), and the daemon itself (boot, drain and restart
-# race real listeners against the resume).
+# review records they keep, which engines stepping on their own goroutines
+# may share (crowd), the HTTP layer (lock-free metrics scrapes vs request
+# writers, the pooled request and response buffers, the admission gate
+# under concurrent completions) and the JSON codec it shares with the store
+# and the SDK (wire), and the daemon itself (boot, drain and restart race
+# real listeners against the resume).
 race:
-	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/wire/... ./internal/ring/... ./internal/cluster/... ./internal/capacity/... ./client/... ./cmd/itagd/...
+	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/wire/... ./internal/ring/... ./internal/cluster/... ./client/... ./cmd/itagd/...
 
 # Everything under the race detector (nightly).
 race-full:
@@ -94,12 +95,6 @@ bench-experiments:
 # this checkout. A change to any of them must be explained in CHANGES.md.
 golden:
 	$(GO) test ./internal/bench -run TestPaperGolden -update
-
-# Open-loop admission-control capacity at 2x the knee (S9); fails if the
-# limited path misses its SLO/goodput thresholds or the unlimited path
-# fails to demonstrate overload collapse.
-bench-capacity:
-	$(GO) run ./cmd/itag-bench -experiment s9
 
 # The recorded-history checker over HISTORY_SEEDS seeded fault schedules
 # under the race detector (nightly; tier-1 runs the first 25 without it):

@@ -53,7 +53,8 @@ func runExperiment(b *testing.B, f func(bench.Sizes) (bench.Result, error)) {
 }
 
 // BenchmarkE1_TableI_StrategyComparison — paper Table I: per-strategy Δq̄
-// and characteristic signatures, plus the optimal upper bound.
+// and characteristic signatures, plus the optimal plan (Σ E[cos(rfd,
+// latent)] over Monte-Carlo gain tables; not an upper bound).
 func BenchmarkE1_TableI_StrategyComparison(b *testing.B) { runExperiment(b, bench.E1TableI) }
 
 // BenchmarkE2_QualityVsBudget — §IV: q(R) improvement versus budget per

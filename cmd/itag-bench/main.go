@@ -6,15 +6,15 @@
 //	itag-bench -experiment all                 # everything, default sizes
 //	itag-bench -experiment e1 -n 200 -budget 2000
 //	itag-bench -experiment e3 -format markdown -out e3.md
-//	itag-bench -experiment s9 -small           # CI bench smoke
+//	itag-bench -experiment e1,a3 -small        # quick-check sizes
 //
 // Experiments: e1..e9 (paper anchors) and a1..a3 (ablations), the
 // bench.Experiments table whose -small output internal/bench pins as golden
-// files; s9 (systems: open-loop admission-control capacity); all. See the
-// experiment index in docs/ARCHITECTURE.md. An experiment that misses a
-// threshold it checks (s9) still prints its table, then makes the run exit
-// non-zero. Per-layer store, quality and cluster costs are measured
-// absolutely by benchmark/ (BENCHMARK.json).
+// files; all. See the experiment index in docs/ARCHITECTURE.md. The
+// admission gate's overload thresholds are a server test
+// (TestAdmissionHoldsSLOAtTwiceTheKnee in internal/server). Per-layer
+// store, quality and cluster costs are measured absolutely by benchmark/
+// (BENCHMARK.json).
 package main
 
 import (
@@ -26,13 +26,8 @@ import (
 	"itag/internal/bench"
 )
 
-// experiments is bench.Experiments, each pinned by a golden test, then s9,
-// which measures wall-clock capacity and so has no golden output.
-var experiments = append(bench.Experiments[:len(bench.Experiments):len(bench.Experiments)],
-	bench.Experiment{ID: "s9", Run: bench.S9Capacity})
-
 func lookup(id string) (bench.Experiment, bool) {
-	for _, e := range experiments {
+	for _, e := range bench.Experiments {
 		if e.ID == id {
 			return e, true
 		}
@@ -41,7 +36,7 @@ func lookup(id string) (bench.Experiment, bool) {
 }
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, s9, all)")
+	exp := flag.String("experiment", "all", "experiment id (e1..e9, a1..a3, all)")
 	n := flag.Int("n", 0, "number of resources (0 = default)")
 	budget := flag.Int("budget", 0, "task budget (0 = default)")
 	taggers := flag.Int("taggers", 0, "tagger pool size (0 = default)")
@@ -72,14 +67,14 @@ func main() {
 		sz.Seed = *seed
 	}
 
-	runs := experiments
+	runs := bench.Experiments
 	if *exp != "all" {
 		runs = nil
 		for _, id := range strings.Split(*exp, ",") {
 			e, ok := lookup(strings.ToLower(strings.TrimSpace(id)))
 			if !ok {
 				var have []string
-				for _, e := range experiments {
+				for _, e := range bench.Experiments {
 					have = append(have, e.ID)
 				}
 				fmt.Fprintf(os.Stderr, "itag-bench: unknown experiment %q (have %s, all)\n", id, strings.Join(have, ", "))
@@ -102,16 +97,14 @@ func main() {
 
 	for _, e := range runs {
 		res, err := e.Run(sz)
-		if len(res.Rows) > 0 {
-			if *format == "markdown" {
-				fmt.Fprintln(w, res.Markdown())
-			} else {
-				res.Fprint(w)
-			}
-		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "itag-bench: %s: %v\n", e.ID, err)
 			os.Exit(1)
+		}
+		if *format == "markdown" {
+			fmt.Fprintln(w, res.Markdown())
+		} else {
+			res.Fprint(w)
 		}
 	}
 }

@@ -10,12 +10,12 @@
 //	      [-write-timeout 60s] [-route-timeout 30s] [-grace 30s]
 //	      [-admission] [-slo-p99 500ms]
 //
-// With -admission the task routes (request/submit/batch) sit behind
-// queueing-model admission control: the server fits latency-vs-concurrency
-// online from its own histograms, admits up to the concurrency knee where
-// predicted p99 meets -slo-p99, and sheds the excess with
-// 429 resource_exhausted plus a Retry-After hint (health, metrics and SSE
-// are never shed). Every background simulation run steps on its own
+// With -admission the lease routes (tasks, tasks:batch) sit behind an AIMD
+// admission gate: a lease that took longer than half of -slo-p99 cuts the
+// concurrency limit to ×0.75 (once per congestion event), any other grows
+// it by 1/limit up to 256, and a lease past the limit is shed with
+// 429 resource_exhausted plus a Retry-After hint. A submit is never shed —
+// its pay is already held — and neither are health, metrics and SSE. Every background simulation run steps on its own
 // goroutine, which exits when the run ends.
 //
 // With -db "" the store is in-memory (state lost on exit); otherwise -db
@@ -126,8 +126,8 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	routeTimeout := fs.Duration("route-timeout", 30*time.Second, "per-route handler deadline (<0 disables)")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight runs")
 	respCacheBytes := fs.Int64("resp-cache-bytes", 0, "byte budget of the encoded-response cache behind the hot GET routes (0 = 8 MiB default, negative disables)")
-	admission := fs.Bool("admission", false, "enable queueing-model admission control on the task routes (shed past the saturation knee with 429 + Retry-After)")
-	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission knee is solved against (with -admission)")
+	admission := fs.Bool("admission", false, "enable AIMD admission control on the lease routes (tasks, tasks:batch; shed past the limit with 429 + Retry-After)")
+	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission gate steers against: a lease slower than half of it cuts the limit (with -admission)")
 	clusterSlot := fs.String("cluster-slot", "", "ring slot this node leads; non-empty enables cluster mode")
 	clusterRing := fs.String("cluster-ring", "", `ring members as "slot=addr,slot=addr,..." (required with -cluster-slot)`)
 	clusterReplicas := fs.Int("cluster-replicas", 2, "followers replicating each slot's WAL")
@@ -263,7 +263,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		srv := server.NewWith(svc, srvOpts)
 		apiHandler, promHandler = srv, srv.PromHandler()
 		if *admission {
-			logger.Printf("admission control: p99 SLO %s on the task routes", *sloP99)
+			logger.Printf("admission control: p99 SLO %s on the lease routes", *sloP99)
 		}
 	}
 

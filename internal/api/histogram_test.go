@@ -185,16 +185,13 @@ func TestObserveNegativeClamped(t *testing.T) {
 	}
 }
 
-// TestQuantileAccessor pins the snapshot the admission governor estimates
-// its quantiles from: RouteBuckets reports a tracked route's per-bucket
-// counts — len(BucketBounds())+1 slots, the +Inf overflow last — exactly as
-// the reference counts them, as a copy, and !ok for an unknown route.
+// TestQuantileAccessor pins the series a scraper estimates quantiles
+// from: Collect reports a tracked route's cumulative `_bucket` samples —
+// one per finite bound, then +Inf — exactly as the reference counts them,
+// and no series for a route nobody tracked.
 func TestQuantileAccessor(t *testing.T) {
 	m := NewMetrics()
 	rs := m.register("GET /q")
-	if _, ok := m.RouteBuckets("GET /absent"); ok {
-		t.Error("unknown route must report !ok")
-	}
 	rng := rand.New(rand.NewSource(2014))
 	ref := &refHistogram{}
 	for i := 0; i < 4000; i++ {
@@ -202,22 +199,38 @@ func TestQuantileAccessor(t *testing.T) {
 		rs.observe(http.StatusOK, d)
 		ref.observe(d)
 	}
-	got, ok := m.RouteBuckets("GET /q")
-	if !ok || len(got) != len(m.BucketBounds())+1 {
-		t.Fatalf("RouteBuckets = %d slots (ok %v), want %d", len(got), ok, len(m.BucketBounds())+1)
+	var x Exposition
+	m.Collect(&x)
+	var got []uint64
+	for _, f := range x.Families() {
+		if f.Name != "itag_http_request_duration_seconds" {
+			continue
+		}
+		for _, s := range f.Samples {
+			if s.Suffix != "_bucket" {
+				continue
+			}
+			if s.Labels[0].Value != "GET /q" {
+				t.Fatalf("bucket sample for untracked route %q", s.Labels[0].Value)
+			}
+			got = append(got, uint64(s.Value))
+		}
 	}
-	if want := ref.buckets(); !slices.Equal(got, want[:]) {
-		t.Errorf("bucket counts diverge\n got %v\nwant %v", got, want)
+	var want []uint64
+	cumulative := uint64(0)
+	for _, n := range ref.buckets() {
+		cumulative += n
+		want = append(want, cumulative)
 	}
-	got[0]++
-	if again, _ := m.RouteBuckets("GET /q"); again[0] == got[0] {
-		t.Error("RouteBuckets must return a copy")
+	if !slices.Equal(got, want) {
+		t.Errorf("cumulative buckets diverge\n got %v\nwant %v", got, want)
 	}
 }
 
-// TestMetricsRouteAccessors covers the registry-level accessors the
-// capacity governor samples: RouteBuckets and RouteObservations resolve
-// tracked routes and report !ok for unknown ones.
+// TestMetricsRouteAccessors covers the per-route view of /api/v1/metrics:
+// Snapshot resolves a tracked route's count and mean latency, lists no
+// route nobody tracked, and reads zero in flight once every request
+// returned.
 func TestMetricsRouteAccessors(t *testing.T) {
 	m := NewMetrics()
 	h := m.Track("POST /probe", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -226,23 +239,15 @@ func TestMetricsRouteAccessors(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/probe", nil))
 	}
-	if _, _, ok := m.RouteObservations("GET /absent"); ok {
-		t.Error("unknown route observations must report !ok")
+	snap := m.Snapshot()
+	if len(snap.Routes) != 1 || snap.Routes[0].Route != "POST /probe" {
+		t.Fatalf("routes = %+v, want only POST /probe", snap.Routes)
 	}
-	buckets, ok := m.RouteBuckets("POST /probe")
-	var total uint64
-	for _, n := range buckets {
-		total += n
+	if r := snap.Routes[0]; r.Count != 8 || r.Status2xx != 8 || r.AvgMillis < 0.2 {
+		t.Fatalf("route = %+v, want 8 2xx observations averaging ≥ 0.2ms", r)
 	}
-	if !ok || total != 8 {
-		t.Fatalf("RouteBuckets = %v/%v, want 8 observations", buckets, ok)
-	}
-	count, sum, ok := m.RouteObservations("POST /probe")
-	if !ok || count != 8 || sum < 8*200*time.Microsecond {
-		t.Fatalf("RouteObservations = %d/%v/%v, want 8 obs summing ≥ 1.6ms", count, sum, ok)
-	}
-	if m.InFlight() != 0 {
-		t.Errorf("InFlight = %d after all requests returned", m.InFlight())
+	if snap.InFlight != 0 {
+		t.Errorf("InFlight = %d after all requests returned", snap.InFlight)
 	}
 }
 

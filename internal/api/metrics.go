@@ -185,68 +185,6 @@ func (m *Metrics) Track(label string, h http.Handler) http.Handler {
 	})
 }
 
-// BucketBounds returns the finite latency-bucket upper bounds shared by
-// every route histogram, ascending (a copy; callers may retain it).
-// Observations above the last bound land in an implicit +Inf overflow
-// slot appended by RouteBuckets.
-func (m *Metrics) BucketBounds() []time.Duration {
-	out := make([]time.Duration, len(latencyBucketBounds))
-	copy(out, latencyBucketBounds[:])
-	return out
-}
-
-// RouteBuckets snapshots a route's cumulative per-bucket observation
-// counts — len(BucketBounds())+1 slots, the last being the +Inf
-// overflow. The counts are monotone, so consumers that need a windowed
-// view (the admission governor fits its model on the traffic since its
-// previous refresh, not on all-time history) subtract successive
-// snapshots. ok is false for unknown routes.
-func (m *Metrics) RouteBuckets(label string) ([]uint64, bool) {
-	if m == nil {
-		return nil, false
-	}
-	m.mu.Lock()
-	rs := m.routes[label]
-	m.mu.Unlock()
-	if rs == nil {
-		return nil, false
-	}
-	_, per := rs.bucketTotal()
-	out := make([]uint64, len(per))
-	copy(out, per[:])
-	return out, true
-}
-
-// RouteObservations reports a route's cumulative observation count and
-// latency sum — the raw series the capacity estimator differentiates into
-// per-interval arrival rate and mean service time. ok is false for
-// unknown routes.
-func (m *Metrics) RouteObservations(label string) (count uint64, sum time.Duration, ok bool) {
-	if m == nil {
-		return 0, 0, false
-	}
-	m.mu.Lock()
-	rs := m.routes[label]
-	m.mu.Unlock()
-	if rs == nil {
-		return 0, 0, false
-	}
-	// Count first: racing writers bump buckets/sum before count, so this
-	// pairing never reports a sum missing observations it counted.
-	count = rs.count.Load()
-	return count, time.Duration(rs.totalNanos.Load()), true
-}
-
-// InFlight reports the requests currently being served across all routes —
-// the live concurrency sample the queueing model pairs with histogram
-// latencies.
-func (m *Metrics) InFlight() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.inFlight.Load()
-}
-
 // ObserveError counts one error response under its taxonomy labels. Blank
 // labels fall back to the transport layer's own identity so every error
 // lands in exactly one cell.

@@ -38,7 +38,10 @@ func (s Sizes) harness(unreliable float64) (*Harness, error) {
 // quality improvement and its characteristic signature at a fixed budget.
 // Expected shape: FC weakest Δq̄ and highest post-count Gini; FP the lowest
 // low-quality count; MU the highest threshold-satisfaction count; FP-MU the
-// best Δq̄ of the four; optimal upper-bounds all.
+// best Δq̄ of the four. The optimal row is a plan, not an upper bound: it
+// allocates the budget to maximize Σ E[cos(rfd, latent)] (dq_oracle, not
+// the paper's dq_stab) over Monte-Carlo gain tables, and can lose to FP even
+// on dq_oracle.
 func E1TableI(sz Sizes) (Result, error) {
 	h, err := sz.harness(0.1)
 	if err != nil {

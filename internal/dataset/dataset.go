@@ -107,16 +107,6 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// ResourceByID returns the resource with the given ID.
-func (d *Dataset) ResourceByID(id string) (*Resource, bool) {
-	for i := range d.Resources {
-		if d.Resources[i].ID == id {
-			return &d.Resources[i], true
-		}
-	}
-	return nil, false
-}
-
 // Index returns a map from resource ID to position in Resources.
 func (d *Dataset) Index() map[string]int {
 	m := make(map[string]int, len(d.Resources))
@@ -124,16 +114,6 @@ func (d *Dataset) Index() map[string]int {
 		m[r.ID] = i
 	}
 	return m
-}
-
-// SplitAt divides the trace at the cutoff: posts strictly before cutoff are
-// "provider data" (seed posts), the rest are the evaluation stream —
-// the demo's pre-Feb-2007 protocol (§IV).
-func (d *Dataset) SplitAt(cutoff time.Time) (seed, eval []Post) {
-	i := sort.Search(len(d.Posts), func(i int) bool {
-		return !d.Posts[i].Time.Before(cutoff)
-	})
-	return d.Posts[:i], d.Posts[i:]
 }
 
 // SplitFraction splits so that the first `frac` of posts (by count) are the
@@ -188,10 +168,7 @@ type World struct {
 // tagger simulator or loaded from files).
 func Generate(r *rand.Rand, cfg GeneratorConfig) (*World, error) {
 	cfg = cfg.withDefaults()
-	voc, err := vocab.Generate(r)
-	if err != nil {
-		return nil, err
-	}
+	voc := vocab.Generate(r)
 	zipf, err := rng.NewZipf(cfg.NumResources, cfg.PopularityZipfS)
 	if err != nil {
 		return nil, err

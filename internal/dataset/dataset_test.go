@@ -115,22 +115,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestSplitAt(t *testing.T) {
-	base := time.Date(2007, 2, 1, 0, 0, 0, 0, time.UTC)
-	d := &Dataset{
-		Resources: []Resource{{ID: "a"}},
-		Posts: []Post{
-			{ResourceID: "a", Tags: []string{"x"}, Time: base.Add(-time.Hour)},
-			{ResourceID: "a", Tags: []string{"x"}, Time: base},
-			{ResourceID: "a", Tags: []string{"x"}, Time: base.Add(time.Hour)},
-		},
-	}
-	seed, eval := d.SplitAt(base)
-	if len(seed) != 1 || len(eval) != 2 {
-		t.Errorf("split = %d/%d, want 1/2 (cutoff post goes to eval)", len(seed), len(eval))
-	}
-}
-
 func TestSplitFraction(t *testing.T) {
 	d := &Dataset{Resources: []Resource{{ID: "a"}}}
 	base := time.Now().UTC()
@@ -165,12 +149,6 @@ func TestPostCountsAndIndex(t *testing.T) {
 	idx := d.Index()
 	if idx["a"] != 0 || idx["b"] != 1 {
 		t.Errorf("index = %v", idx)
-	}
-	if r, ok := d.ResourceByID("b"); !ok || r.ID != "b" {
-		t.Error("ResourceByID failed")
-	}
-	if _, ok := d.ResourceByID("nope"); ok {
-		t.Error("missing resource must return false")
 	}
 }
 

@@ -4,41 +4,96 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"itag/internal/api"
-	"itag/internal/capacity"
 	"itag/internal/errs"
 )
 
-// AdmissionOptions enables queueing-model admission control on the
-// expensive task routes (request/submit/batch). Cheap control-plane
-// routes — health, metrics, SSE — are never gated.
+// AdmissionOptions enables admission control on the lease routes (tasks,
+// tasks:batch). A submit is never gated: it spends a lease the gate
+// already admitted, and its post's pay is already held. Cheap
+// control-plane routes — health, metrics, SSE — are never gated either.
 type AdmissionOptions struct {
-	// SLO is the p99 latency target the admission knee is solved
-	// against (default 500ms).
+	// SLO is the p99 latency target the gate steers against (default
+	// 500ms): an admitted request slower than SLO/2 cuts the limit.
 	SLO time.Duration
 }
 
-// admissionMaxConcurrency caps admitted concurrency when the model has no
-// saturation evidence.
+// admissionMaxConcurrency is the gate's starting limit and its ceiling.
 const admissionMaxConcurrency = 256
-
-// admittedRoutes are the metric labels of the gated routes; the governor
-// fits one latency model per label and the tightest knee steers the
-// shared limiter.
-var admittedRoutes = []string{
-	"POST /api/v1/projects/{id}/tasks",
-	"POST /api/v1/projects/{id}/tasks:batch",
-	"POST /api/v1/projects/{id}/tasks/{tid}/submit",
-}
 
 // errSaturated is the shed response: 429 resource_exhausted through the
 // taxonomy, so the error matrix and the envelope stay consistent.
 var errSaturated error = errs.New(errs.ComponentAPI, errs.CategoryRateLimited,
 	"server saturated: admission ceiling reached, retry after the advertised delay")
 
-// initAdmission builds the governor/limiter pair for the configured SLO.
+// gate is an AIMD concurrency limit timed by the requests it admits. A
+// completed request slower than slow cuts the limit to ×0.75, once per
+// congestion event: only a request admitted after the last cut may cut
+// again, so the backlog queued before a cut does not cut twice. Any other
+// completion grows the limit by 1/limit, up to admissionMaxConcurrency.
+type gate struct {
+	slow       time.Duration
+	retryAfter string // the shed responses' Retry-After, in whole seconds
+
+	mu       sync.Mutex
+	limit    float64
+	inflight int
+	seq      uint64 // admissions so far; a request's ticket is its number
+	cutAt    uint64 // seq at the last cut
+	admitted uint64
+	shed     uint64
+}
+
+func newGate(slo time.Duration) *gate {
+	// Retry-After is long enough for the queue to drain one SLO's worth of
+	// work, never below one second (the header granularity).
+	return &gate{
+		slow:       slo / 2,
+		retryAfter: strconv.Itoa(int(math.Ceil(max(2*slo, time.Second).Seconds()))),
+		limit:      admissionMaxConcurrency,
+	}
+}
+
+// acquire admits one request unless the limit is reached, returning its
+// ticket for release.
+func (g *gate) acquire() (ticket uint64, ok bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.inflight >= int(g.limit) {
+		g.shed++
+		return 0, false
+	}
+	g.inflight++
+	g.admitted++
+	g.seq++
+	return g.seq, true
+}
+
+// release retires an admitted request that took elapsed.
+func (g *gate) release(ticket uint64, elapsed time.Duration) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.inflight--
+	switch {
+	case elapsed <= g.slow:
+		g.limit = min(g.limit+1/g.limit, admissionMaxConcurrency)
+	case ticket > g.cutAt:
+		g.limit = max(g.limit*0.75, 1)
+		g.cutAt = g.seq
+	}
+}
+
+// state reads the limit, in-flight count and counters under one lock.
+func (g *gate) state() (limit, inflight int, admitted, shed uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return int(g.limit), g.inflight, g.admitted, g.shed
+}
+
+// initAdmission builds the gate for the configured SLO.
 func (s *Server) initAdmission(opts *AdmissionOptions) {
 	if opts == nil {
 		return
@@ -47,44 +102,27 @@ func (s *Server) initAdmission(opts *AdmissionOptions) {
 	if slo <= 0 {
 		slo = 500 * time.Millisecond
 	}
-	s.admission = capacity.NewGovernor(capacity.GovernorConfig{
-		Routes:         admittedRoutes,
-		SLO:            slo,
-		MaxConcurrency: admissionMaxConcurrency,
-	}, s.metrics, capacity.NewLimiter(admissionMaxConcurrency))
+	s.admission = newGate(slo)
 }
 
-// Admission exposes the governor (nil when admission control is off) —
-// used by the metrics exposition and by tests.
-func (s *Server) Admission() *capacity.Governor { return s.admission }
-
-// limited wraps a handler behind the saturation limiter. It sits OUTSIDE
-// the metrics Track layer on purpose: shed responses return in
-// microseconds and would drag the route's p99 down exactly when the
-// governor needs to see the overload; keeping them out of the histogram
-// (they still land in the error matrix via WriteError) keeps the model's
-// input honest. The refit check rides on request completion, so the
-// control loop needs no background goroutine.
+// limited wraps a handler behind the gate. It sits OUTSIDE the metrics
+// Track layer: shed responses return in microseconds and would drag the
+// route's p99 down exactly when the gate is shedding; they land in the
+// error matrix via WriteError instead.
 func (s *Server) limited(h http.Handler) http.Handler {
-	if s.admission == nil {
+	g := s.admission
+	if g == nil {
 		return h
 	}
-	lim := s.admission.Limiter()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, ok := lim.TryAcquire()
+		ticket, ok := g.acquire()
 		if !ok {
-			secs := int(math.Ceil(lim.RetryAfter().Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", g.retryAfter)
 			s.kit.WriteError(w, r, errSaturated)
 			return
 		}
-		defer func() {
-			release()
-			s.admission.Maybe(time.Now())
-		}()
+		start := time.Now()
+		defer func() { g.release(ticket, time.Since(start)) }()
 		h.ServeHTTP(w, r)
 	})
 }
@@ -95,25 +133,15 @@ func (s *Server) routeLimited(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, s.timed(h))))
 }
 
-// collectAdmission writes the admission limiter and its fitted models into
-// x (nothing when admission control is off). labels has no spare capacity.
+// collectAdmission writes the gate's state into x (nothing when admission
+// control is off).
 func (s *Server) collectAdmission(x *api.Exposition, labels []api.Label) {
 	if s.admission == nil {
 		return
 	}
-	lim := s.admission.Limiter()
-	x.Gauge("itag_admission_limit", "Current admission ceiling (model knee).", float64(lim.Limit()), labels...)
-	x.Gauge("itag_admission_inflight", "Admitted requests currently in flight.", float64(lim.Inflight()), labels...)
-	x.Counter("itag_admission_admitted_total", "Requests admitted past the limiter.", float64(lim.Admitted()), labels...)
-	x.Counter("itag_admission_shed_total", "Requests shed with 429 by the limiter.", float64(lim.Shed()), labels...)
-	models := s.admission.Models()
-	for _, route := range admittedRoutes {
-		m, ok := models[route]
-		if !ok {
-			continue
-		}
-		lbl := append(labels, api.Label{Name: "route", Value: route})
-		x.Gauge("itag_admission_model_alpha_seconds", "Fitted base service time per route.", m.Alpha, lbl...)
-		x.Gauge("itag_admission_model_beta_seconds", "Fitted marginal latency per concurrent request.", m.Beta, lbl...)
-	}
+	limit, inflight, admitted, shed := s.admission.state()
+	x.Gauge("itag_admission_limit", "Current admission ceiling.", float64(limit), labels...)
+	x.Gauge("itag_admission_inflight", "Admitted requests currently in flight.", float64(inflight), labels...)
+	x.Counter("itag_admission_admitted_total", "Requests admitted past the gate.", float64(admitted), labels...)
+	x.Counter("itag_admission_shed_total", "Requests shed with 429 by the gate.", float64(shed), labels...)
 }

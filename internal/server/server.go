@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"itag/internal/api"
-	"itag/internal/capacity"
 	"itag/internal/core"
 	"itag/internal/dataset"
 	"itag/internal/errs"
@@ -65,9 +64,9 @@ type Options struct {
 	// stream (default 512). Small values make slow consumers drop sooner;
 	// tests use 1–2 to exercise the drop path deterministically.
 	SSEBuffer int
-	// Admission, when non-nil, puts the task routes behind queueing-model
-	// admission control: requests past the fitted saturation knee are
-	// shed with 429 resource_exhausted and a Retry-After hint. Health,
+	// Admission, when non-nil, puts the lease routes (tasks, tasks:batch)
+	// behind an AIMD admission gate: requests past its limit are shed with
+	// 429 resource_exhausted and a Retry-After hint. Submits, health,
 	// metrics and SSE routes are never gated.
 	Admission *AdmissionOptions
 	// RespCacheBytes bounds the encoded-response cache behind the hot GET
@@ -94,8 +93,8 @@ type Server struct {
 	// hello, reads nothing from its subscription until the gate closes —
 	// a subscriber that provably fell behind.
 	sseGate   <-chan struct{}
-	admission *capacity.Governor // nil when admission control is off
-	resp      *respCache         // nil when the encoded-response cache is off
+	admission *gate      // nil when admission control is off
+	resp      *respCache // nil when the encoded-response cache is off
 	handler   http.Handler
 }
 
@@ -225,7 +224,7 @@ func (s *Server) routes() {
 
 	s.routeLimited("POST /api/v1/projects/{id}/tasks", api.Handle(k, http.StatusCreated, s.requestTask))
 	s.routeLimited("POST /api/v1/projects/{id}/tasks:batch", api.Handle(k, http.StatusOK, s.batchTasks))
-	s.routeLimited("POST /api/v1/projects/{id}/tasks/{tid}/submit", api.Handle(k, http.StatusOK, s.submitTask))
+	s.route("POST /api/v1/projects/{id}/tasks/{tid}/submit", api.Handle(k, http.StatusOK, s.submitTask))
 	s.route("POST /api/v1/projects/{id}/posts/{rid}/{seq}/judge", api.Handle(k, http.StatusOK, s.judgePost))
 }
 

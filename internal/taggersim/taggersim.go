@@ -225,8 +225,8 @@ type samplerKey struct {
 
 // Simulator produces posts for resources, holding per-resource samplers.
 // It is safe for concurrent use: engines sharing one Simulator may step on
-// different goroutines at once, as core.Pool's workers do. Samplers are
-// immutable once built, so only the cache map needs the lock.
+// different goroutines at once. Samplers are immutable once built, so only
+// the cache map needs the lock.
 type Simulator struct {
 	world  *dataset.World
 	byID   map[string]int
@@ -425,13 +425,4 @@ func (rp *Replayer) Next(resourceID string) (dataset.Post, bool) {
 // Remaining returns how many held-out posts remain for the resource.
 func (rp *Replayer) Remaining(resourceID string) int {
 	return len(rp.queues[resourceID])
-}
-
-// TotalRemaining returns the total held-out posts left.
-func (rp *Replayer) TotalRemaining() int {
-	n := 0
-	for _, q := range rp.queues {
-		n += len(q)
-	}
-	return n
 }

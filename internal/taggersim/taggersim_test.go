@@ -245,8 +245,8 @@ func TestReplayer(t *testing.T) {
 		{ResourceID: "a", Tags: []string{"3"}, Time: base},
 	}
 	rp := NewReplayer(eval)
-	if rp.TotalRemaining() != 3 || rp.Remaining("a") != 2 {
-		t.Fatalf("remaining: %d total, %d for a", rp.TotalRemaining(), rp.Remaining("a"))
+	if rp.Remaining("a") != 2 || rp.Remaining("b") != 1 {
+		t.Fatalf("remaining: %d for a, %d for b", rp.Remaining("a"), rp.Remaining("b"))
 	}
 	p, ok := rp.Next("a")
 	if !ok || p.Tags[0] != "1" {
@@ -262,8 +262,8 @@ func TestReplayer(t *testing.T) {
 	if _, ok := rp.Next("zzz"); ok {
 		t.Error("unknown resource must return false")
 	}
-	if rp.TotalRemaining() != 1 {
-		t.Errorf("total remaining = %d", rp.TotalRemaining())
+	if rp.Remaining("a") != 0 || rp.Remaining("b") != 1 {
+		t.Errorf("remaining: %d for a, %d for b", rp.Remaining("a"), rp.Remaining("b"))
 	}
 }
 

@@ -6,8 +6,8 @@
 // the tag strings themselves, so this package reproduces the structure
 // reported for such traces (and assumed by the paper's model):
 //
-//   - a global vocabulary with a heavy-tailed usage prior (generic tags such
-//     as "web" or "toread" appear on many resources),
+//   - a global background vocabulary (generic tags such as "web" or
+//     "toread" appear on many resources),
 //   - topical clusters: resources in the same topic share a topic vocabulary,
 //   - per-resource core tags: a few tags specific to the resource,
 //   - the latent ("true") distribution of a resource is a mixture of core,
@@ -29,26 +29,23 @@ import (
 
 // Vocabulary holds the generated tag universe and its structure.
 type Vocabulary struct {
-	// Background tags, shared across all resources (heavy tail).
+	// Background tags, shared across all resources.
 	Background []string
 	// Topics[i] is the tag list of topic i.
 	Topics [][]string
 	// All is the union of all tags, deduplicated.
 	All []string
-
-	backgroundDist *rng.Zipf
 }
 
 // The shape of every generated vocabulary.
 const (
-	backgroundSize  = 60   // generic tags shared by all resources
-	numTopics       = 12   // topical clusters
-	topicSize       = 40   // tags per topic
-	backgroundZipfS = 1.05 // exponent of the background usage prior
+	backgroundSize = 60 // generic tags shared by all resources
+	numTopics      = 12 // topical clusters
+	topicSize      = 40 // tags per topic
 )
 
 // Generate builds a vocabulary deterministically from the rand source.
-func Generate(r *rand.Rand) (*Vocabulary, error) {
+func Generate(r *rand.Rand) *Vocabulary {
 	gen := newWordGen(r)
 	v := &Vocabulary{}
 	seen := make(map[string]struct{})
@@ -72,17 +69,7 @@ func Generate(r *rand.Rand) (*Vocabulary, error) {
 		}
 		v.Topics = append(v.Topics, topic)
 	}
-	z, err := rng.NewZipf(backgroundSize, backgroundZipfS)
-	if err != nil {
-		return nil, fmt.Errorf("vocab: %w", err)
-	}
-	v.backgroundDist = z
-	return v, nil
-}
-
-// SampleBackground draws one background tag under the heavy-tailed prior.
-func (v *Vocabulary) SampleBackground(r *rand.Rand) string {
-	return v.Background[v.backgroundDist.Sample(r)]
+	return v
 }
 
 // RandomTag draws a uniform tag from the whole universe (noise model).

@@ -10,10 +10,7 @@ import (
 
 func TestGenerateDefaults(t *testing.T) {
 	r := rng.New(1)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Generate(r)
 	if len(v.Background) != 60 {
 		t.Errorf("background size = %d", len(v.Background))
 	}
@@ -33,10 +30,7 @@ func TestGenerateDefaults(t *testing.T) {
 
 func TestGenerateUniqueTags(t *testing.T) {
 	r := rng.New(2)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Generate(r)
 	seen := make(map[string]struct{})
 	check := func(tags []string) {
 		for _, tag := range tags {
@@ -55,30 +49,9 @@ func TestGenerateUniqueTags(t *testing.T) {
 	}
 }
 
-func TestSampleBackgroundHeavyTail(t *testing.T) {
-	r := rng.New(3)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[string]int)
-	for i := 0; i < 20000; i++ {
-		counts[v.SampleBackground(r)]++
-	}
-	// First background tag is rank 1: should dominate a tail tag.
-	head := counts[v.Background[0]]
-	tail := counts[v.Background[len(v.Background)-1]]
-	if head <= tail {
-		t.Errorf("head %d should exceed tail %d under Zipf prior", head, tail)
-	}
-}
-
 func TestLatentDistributionProperties(t *testing.T) {
 	r := rng.New(4)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Generate(r)
 	d, err := v.Latent(r, 0, LatentConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +74,7 @@ func TestLatentDistributionProperties(t *testing.T) {
 
 func TestLatentTopicOutOfRange(t *testing.T) {
 	r := rng.New(5)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Generate(r)
 	if _, err := v.Latent(r, v.NumTopics(), LatentConfig{}); err == nil {
 		t.Error("topic out of range must fail")
 	}
@@ -115,10 +85,7 @@ func TestLatentTopicOutOfRange(t *testing.T) {
 
 func TestLatentResourcesShareTopicTags(t *testing.T) {
 	r := rng.New(6)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Generate(r)
 	// More than half the topic each: the two picks must overlap.
 	n := len(v.Topics[0])/2 + 1
 	a, _ := v.Latent(r, 0, LatentConfig{TopicTags: n})
@@ -143,10 +110,7 @@ func TestLatentResourcesShareTopicTags(t *testing.T) {
 
 func TestLatentMixtureMassSplit(t *testing.T) {
 	r := rng.New(7)
-	v, err := Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Generate(r)
 	d, err := v.Latent(r, 1, LatentConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -192,14 +156,8 @@ func TestTypoAlwaysDiffers(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	v1, err := Generate(rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := Generate(rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := Generate(rng.New(99))
+	v2 := Generate(rng.New(99))
 	if len(v1.Background) != len(v2.Background) {
 		t.Fatal("sizes differ")
 	}

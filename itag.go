@@ -68,9 +68,6 @@ type (
 	ProjectSpec = core.ProjectSpec
 	// ProjectInfo is a project row with live stats.
 	ProjectInfo = core.ProjectInfo
-	// Pool drives many engines concurrently with a fixed set of step
-	// workers (the task-assignment pipeline).
-	Pool = core.Pool
 	// Judge reviews completed posts (approval flow).
 	Judge = core.Judge
 	// PlanConfig parameterizes optimal-allocation gain estimation.
@@ -154,12 +151,6 @@ type (
 
 // NewEngine builds an allocation engine. See EngineConfig for knobs.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return core.New(cfg) }
-
-// RunEngines drives many engines to completion on a shared worker pool,
-// returning a slice of per-engine errors parallel to the input.
-func RunEngines(engines []*Engine, workers int) []error {
-	return core.RunEngines(engines, workers)
-}
 
 // NewService builds the manager layer over a catalog.
 func NewService(cat *Catalog, seed int64) *Service { return core.NewService(cat, seed) }
