@@ -10,6 +10,7 @@ package itag_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -244,21 +245,29 @@ func BenchmarkStoreCommit(b *testing.B) {
 }
 
 // storeCommitRecord is the k-th record of BenchmarkStoreCommit's stream: a
-// completed store.TaskRec or the store.PostRec it paid for, so every value
-// goes through a catalog record encoder.
+// completed store.TaskRec or the store.PostRec it paid for, encoded as the
+// Catalog stores it (json.Marshal writes the same bytes as its encoders).
 func storeCommitRecord(k, n int) store.Mutation {
 	at := time.Unix(1760520000+int64(k), 123456789).UTC()
 	task := fmt.Sprintf("task-%08d", k/2)
 	res := fmt.Sprintf("res-%06d", (k/2*7919)%max(n/20, 1))
 	if k%2 == 0 {
-		return store.Mutation{Op: store.OpPut, Table: store.TableTasks, Key: "proj/" + task, Value: store.TaskRec{
+		return store.Mutation{Op: store.OpPut, Table: store.TableTasks, Key: "proj/" + task, Value: mustJSON(store.TaskRec{
 			ID: task, ProjectID: "proj", ResourceID: res, WorkerID: "tag-000001", Status: store.TaskCompleted,
 			Reward: 0.05, CreatedAt: at, DoneAt: at,
-		}}
+		})}
 	}
-	return store.Mutation{Op: store.OpPut, Table: store.TablePosts, Key: fmt.Sprintf("%s/%012d", res, k/2), Value: store.PostRec{
+	return store.Mutation{Op: store.OpPut, Table: store.TablePosts, Key: fmt.Sprintf("%s/%012d", res, k/2), Value: mustJSON(store.PostRec{
 		ResourceID: res, TaggerID: "tag-000001", TaskID: task, Tags: []string{"go", "database", "tagging"}, Time: at,
-	}}
+	})}
+}
+
+func mustJSON(v any) json.RawMessage {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return raw
 }
 
 // BenchmarkStoreRecovery — systems: Open of a WAL holding 1e5 single-record
@@ -344,9 +353,11 @@ func BenchmarkCatalogGet(b *testing.B) {
 // of 1 000 resources preloaded with 5 posts each: batch_engine's per-call
 // work without HTTP. Per item that is a strategy choice, a quality update and
 // the service's bookkeeping; per call, one store commit of 400 records. The
-// line to watch is allocs/op (about 2 700; 5 600 before PR 25, which encodes
-// each value once, into the commit's one buffer, and stopped storing a cache
-// record per written key).
+// line to watch is allocs/op: about 1 360 and 335 KB/op at -benchtime 200x on
+// a 2-core x86-64 box, 2 530 and 455 KB while each staged record was boxed
+// into the mutation and copied again by the store, 5 600 with a json.Marshal
+// per value and a cache store per written key.
+// internal/server's TestBatchTasksAllocs bounds it in tier-1.
 func BenchmarkBatchTasks(b *testing.B) {
 	const resources, items = 1000, 200
 	ctx := context.Background()
@@ -406,9 +417,11 @@ func BenchmarkBatchTasks(b *testing.B) {
 // the harness. On top of the service's work it pays the SDK's encode of 200
 // items, the server's read and decode of them, the encode of 200 results and
 // the SDK's decode of those — all four without reflection. On a 2-core
-// x86-64 box: ≈ 2 800 allocs/op and 570 KB/op, against ≈ 4 600 and 620 KB
-// with encoding/json on both sides; BenchmarkBatchTasks's 2 670 allocs are
-// the service's.
+// x86-64 box at -benchtime 200x: ≈ 1 480 allocs/op and 460 KB/op (≈ 2 660
+// and 570 KB while staged records were boxed); about 1 360 of the allocs
+// are BenchmarkBatchTasks's, the service's. internal/server's
+// TestSDKRequestsTakeDirectPath and the client's TestServerBodiesTakeFastPath
+// check that neither side falls back to encoding/json.
 func BenchmarkBatchTasksHTTP(b *testing.B) {
 	const resources, items = 1000, 200
 	ctx := context.Background()

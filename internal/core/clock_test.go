@@ -133,7 +133,8 @@ func clockCoversStatus(t *testing.T, seed int64) {
 			err := s.SubmitTask(ctx, proj, task.ID, []string{"go", fmt.Sprintf("t%d", r.Intn(6))})
 			check(fmt.Sprintf("submit (%v)", err))
 		case op == 5 && len(held) > 0:
-			run.refund(take()) // the tagger walked away: CancelPending
+			task := take()
+			run.refund(task.ID, task.ResourceID) // the tagger walked away: CancelPending
 			check("cancel")
 		case op == 5:
 			err := s.SwitchStrategy(ctx, proj, []string{"fp", "mu", "fp-mu", "random"}[r.Intn(4)])

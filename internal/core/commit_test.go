@@ -270,31 +270,34 @@ func TestBatchTasksCommitsOnce(t *testing.T) {
 		t.Fatalf("%d results for %d items", len(res), len(items))
 	}
 	for i, r := range res[:200] {
-		if r.Err != nil || !r.Submitted || r.Task.Status != store.TaskCompleted {
+		if r.Err != nil || !r.Submitted {
 			t.Fatalf("item %d = %+v", i, r)
 		}
-		got, err := s.Catalog().GetTask(proj, r.Task.ID)
-		if err != nil || got.Status != store.TaskCompleted || got.WorkerID != items[i].TaggerID || got.DoneAt.IsZero() {
+		got, err := s.Catalog().GetTask(proj, r.TaskID)
+		if err != nil || got.Status != store.TaskCompleted || got.WorkerID != items[i].TaggerID || got.DoneAt.IsZero() || got.ResourceID != r.ResourceID {
 			t.Fatalf("stored task of item %d = %+v, %v", i, got, err)
 		}
 	}
-	if res[200].Err == nil || res[200].Task.ID != "" {
+	if res[200].Err == nil || res[200].TaskID != "" {
 		t.Errorf("unknown tagger item = %+v", res[200])
 	}
 	for _, i := range []int{201, 202} {
 		r := res[i]
-		if r.Err != nil || r.Submitted || r.Task.Status != store.TaskAssigned {
+		if r.Err != nil || r.Submitted {
 			t.Fatalf("request-only item %d = %+v", i, r)
 		}
-		if err := s.SubmitTask(ctx, proj, r.Task.ID, []string{"later"}); err != nil {
-			t.Errorf("request-only task %s is not submittable: %v", r.Task.ID, err)
+		if got, err := s.Catalog().GetTask(proj, r.TaskID); err != nil || got.Status != store.TaskAssigned {
+			t.Fatalf("stored task of request-only item %d = %+v, %v", i, got, err)
+		}
+		if err := s.SubmitTask(ctx, proj, r.TaskID, []string{"later"}); err != nil {
+			t.Errorf("request-only task %s is not submittable: %v", r.TaskID, err)
 		}
 	}
 	okLate := 0
 	for _, r := range res[203:] {
 		if r.Err == nil {
 			okLate++
-		} else if r.Task.ID != "" {
+		} else if r.TaskID != "" {
 			t.Errorf("exhausted item carries a task: %+v", r)
 		}
 	}
@@ -328,16 +331,16 @@ func TestBatchTasksRejectedPostKeepsTaskAssigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err == nil || res[0].Submitted || res[0].Task.ID == "" {
+	if res[0].Err == nil || res[0].Submitted || res[0].TaskID == "" {
 		t.Fatalf("rejected item = %+v", res[0])
 	}
 	if res[1].Err != nil || !res[1].Submitted {
 		t.Fatalf("good item = %+v", res[1])
 	}
-	if got, err := s.Catalog().GetTask(proj, res[0].Task.ID); err != nil || got.Status != store.TaskAssigned {
+	if got, err := s.Catalog().GetTask(proj, res[0].TaskID); err != nil || got.Status != store.TaskAssigned {
 		t.Fatalf("stored task of the rejected item = %+v, %v", got, err)
 	}
-	if err := s.SubmitTask(ctx, proj, res[0].Task.ID, []string{"fixed"}); err != nil {
+	if err := s.SubmitTask(ctx, proj, res[0].TaskID, []string{"fixed"}); err != nil {
 		t.Fatalf("the task of a rejected post cannot be resubmitted: %v", err)
 	}
 	checkConservation(t, s, proj, run)
@@ -397,7 +400,7 @@ func TestBatchTasksCrashIsAllOrNothing(t *testing.T) {
 				if (r.Err != nil) != tc.wantError {
 					t.Fatalf("item %d = %+v, want error = %v", i, r, tc.wantError)
 				}
-				if tc.wantError && r.Task.ID != "" {
+				if tc.wantError && r.TaskID != "" {
 					t.Fatalf("failed item %d still names a task: %+v", i, r)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"itag/internal/strategy"
 	"itag/internal/taggersim"
 	"itag/internal/vocab"
+	"itag/internal/wire"
 )
 
 // Service is the top of the iTag system (paper Fig. 2): it composes the
@@ -220,6 +222,9 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	if spec.Budget <= 0 {
 		return "", errs.New(errs.ComponentCore, errs.CategoryValidation, "project budget must be positive")
 	}
+	if !(spec.PayPerTask >= 0) || math.IsInf(spec.PayPerTask, 1) {
+		return "", errs.New(errs.ComponentCore, errs.CategoryValidation, "pay per task must be a finite amount of at least 0, have %v", spec.PayPerTask)
+	}
 	if spec.Strategy == "" {
 		spec.Strategy = "fp-mu"
 	}
@@ -386,8 +391,9 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 // commits after the engine lock is released.
 func (s *Service) stagePost(ws *store.WriteSet) PostHook {
 	return func(resourceID, taggerID string, tags []string) {
-		// Cannot fail: the engine has just accepted the post, so it names a
-		// resource and carries tags.
+		// The engine has just accepted the post, so it names a resource and
+		// carries tags; an encode error is kept by ws, whose Commit returns
+		// it and writes nothing.
 		_, _ = ws.AppendPost(store.PostRec{
 			ResourceID: resourceID, TaggerID: taggerID,
 			Tags: tags, Time: s.nowFunc(),
@@ -817,14 +823,21 @@ func (s *Service) Subscribe(ctx context.Context, projectID string, buf int) (*Su
 
 // --- manual (audience participation) flow -----------------------------------------
 
-// lease debits one task from the project's budget for the tagger and mints
-// its record. Nothing is written and the task cannot be submitted yet: the
-// caller holds it and writes it, or refunds it.
-func (s *Service) lease(projectID, taggerID string) (*Run, store.TaskRec, error) {
-	tagger, err := s.cat.GetUser(taggerID)
+// tagger returns the stored ID of the tagger taggerID names. A task records
+// the stored record's ID, not the caller's string: a held task outlives the
+// request, and taggerID may be a substring of its body.
+func (s *Service) tagger(taggerID string) (string, error) {
+	u, err := s.cat.GetUser(taggerID)
 	if err != nil {
-		return nil, store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown tagger %q", taggerID)
+		return "", errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown tagger %q", taggerID)
 	}
+	return u.ID, nil
+}
+
+// lease debits one task from the project's budget for the tagger whose
+// stored ID is worker and mints its record. Nothing is written and the task
+// cannot be submitted yet: the caller holds it and writes it, or refunds it.
+func (s *Service) lease(projectID, worker string) (*Run, store.TaskRec, error) {
 	run, err := s.run(projectID)
 	if err != nil {
 		return nil, store.TaskRec{}, err
@@ -835,13 +848,13 @@ func (s *Service) lease(projectID, taggerID string) (*Run, store.TaskRec, error)
 	}
 	run.mu.Lock()
 	run.taskSeq++
-	taskID := fmt.Sprintf("%s-task-%05d", projectID, run.taskSeq)
+	seq := run.taskSeq
 	run.mu.Unlock()
+	var id [64]byte // projectID-task-NNNNN
+	taskID := string(wire.AppendPadded(append(append(id[:0], projectID...), "-task-"...), uint64(seq), 5))
 	return run, store.TaskRec{
 		ID: taskID, ProjectID: projectID, ResourceID: resourceID,
-		// The stored record's ID, not the caller's string: a held task
-		// outlives the request, and taggerID may be a substring of its body.
-		WorkerID: tagger.ID, Status: store.TaskAssigned,
+		WorkerID: worker, Status: store.TaskAssigned,
 		Reward:    run.Engine.cfg.PayPerTask,
 		CreatedAt: s.nowFunc(),
 	}, nil
@@ -857,11 +870,11 @@ func (run *Run) hold(t store.TaskRec) {
 // refund takes back a leased task whose record could not be written. The
 // tagger never sees it, so it must not stay debited and pending (and weigh
 // on the resource's rank key) forever.
-func (run *Run) refund(t store.TaskRec) {
+func (run *Run) refund(taskID, resourceID string) {
 	run.mu.Lock()
-	delete(run.tasks, t.ID)
+	delete(run.tasks, taskID)
 	run.mu.Unlock()
-	_ = run.Engine.CancelPending(t.ResourceID) // cannot fail: the task was pending
+	_ = run.Engine.CancelPending(resourceID) // cannot fail: the task was pending
 }
 
 // RequestTask assigns the next tagging task to a human tagger (Fig. 7/8).
@@ -869,13 +882,17 @@ func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (
 	if err := ctx.Err(); err != nil {
 		return store.TaskRec{}, err
 	}
-	run, rec, err := s.lease(projectID, taggerID)
+	worker, err := s.tagger(taggerID)
+	if err != nil {
+		return store.TaskRec{}, err
+	}
+	run, rec, err := s.lease(projectID, worker)
 	if err != nil {
 		return store.TaskRec{}, err
 	}
 	run.hold(rec)
 	if err := s.cat.PutTask(rec); err != nil {
-		run.refund(rec)
+		run.refund(rec.ID, rec.ResourceID)
 		return store.TaskRec{}, err
 	}
 	return rec, nil
@@ -909,7 +926,7 @@ func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags
 		done := held
 		done.Status = store.TaskCompleted
 		done.DoneAt = s.nowFunc()
-		_ = ws.PutTask(done) // cannot fail: lease minted both IDs
+		_ = ws.PutTask(done) // lease minted both IDs; an encode error is Commit's
 		if err = ws.Commit(); err != nil {
 			run.Engine.reopenPending(held.ResourceID)
 		}
@@ -930,12 +947,14 @@ type BatchItem struct {
 	Tags     []string `json:"tags,omitempty"`
 }
 
-// BatchResult is one item's outcome. Err with Task set means the task was
-// assigned but its post was rejected; it stays assigned.
+// BatchResult is one item's outcome: the task it leased, and whether its
+// post went in. Err with TaskID set means the task was assigned but its post
+// was rejected; it stays assigned.
 type BatchResult struct {
-	Task      store.TaskRec
-	Submitted bool
-	Err       error
+	TaskID     string
+	ResourceID string
+	Submitted  bool
+	Err        error
 }
 
 // BatchTasks runs many request(+submit) pairs against one project and
@@ -945,46 +964,58 @@ type BatchResult struct {
 // commit fails every item that had anything to write, and their leases are
 // refunded. A request+submit item writes its task once, already completed.
 // The call itself fails only on cancellation, and still commits the items
-// it got through (their posts are in the statistics by then).
+// it got through (their posts are in the statistics by then): it returns
+// their results, one for each item it reached, with the context's error.
+// Each distinct tagger of the call is looked up once.
 func (s *Service) BatchTasks(ctx context.Context, projectID string, items []BatchItem) ([]BatchResult, error) {
 	out := make([]BatchResult, 0, len(items))
 	ws := s.cat.Begin(2 * len(items))
 	stage := s.stagePost(ws)
+	workers := make(map[string]string) // an item's tagger ID → the stored one, looked up once
 	var run *Run
 	var ctxErr error
 	for _, item := range items {
 		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		r, rec, err := s.lease(projectID, item.TaggerID)
+		worker, ok := workers[item.TaggerID]
+		if !ok {
+			var err error
+			if worker, err = s.tagger(item.TaggerID); err != nil {
+				out = append(out, BatchResult{Err: err})
+				continue
+			}
+			workers[item.TaggerID] = worker
+		}
+		r, rec, err := s.lease(projectID, worker)
 		if err != nil {
 			out = append(out, BatchResult{Err: err})
 			continue
 		}
 		run = r
-		res := BatchResult{Task: rec}
+		res := BatchResult{TaskID: rec.ID, ResourceID: rec.ResourceID}
 		if len(item.Tags) > 0 {
 			if res.Err = run.Engine.submitPost(rec.ResourceID, rec.WorkerID, item.Tags, stage); res.Err == nil {
-				res.Task.Status = store.TaskCompleted
-				res.Task.DoneAt = s.nowFunc()
+				rec.Status = store.TaskCompleted
+				rec.DoneAt = s.nowFunc()
 				res.Submitted = true
 			}
 		}
 		if !res.Submitted {
 			run.hold(rec) // request only, or a rejected post: the task stays assigned
 		}
-		_ = ws.PutTask(res.Task) // cannot fail: lease mints both IDs
+		_ = ws.PutTask(rec) // lease mints both IDs; an encode error is Commit's
 		out = append(out, res)
 	}
 	if err := ws.Commit(); err != nil {
 		for i, res := range out {
-			if res.Task.ID == "" {
+			if res.TaskID == "" {
 				continue // failed on its own, before it had anything to write
 			}
 			if res.Submitted {
-				run.Engine.reopenPending(res.Task.ResourceID)
+				run.Engine.reopenPending(res.ResourceID)
 			}
-			run.refund(res.Task)
+			run.refund(res.TaskID, res.ResourceID)
 			out[i] = BatchResult{Err: err}
 		}
 	}
@@ -1031,7 +1062,7 @@ func (s *Service) JudgePost(ctx context.Context, projectID, resourceID string, s
 				u.JudgedOK++
 				u.Earned += proj.PayPerTask
 			}
-			_ = ws.PutUser(u) // cannot fail: the record was stored under its ID
+			_ = ws.PutUser(u) // stored under its ID; an encode error is Commit's
 		case err != nil && !errors.Is(err, store.ErrNotFound):
 			return err
 		}

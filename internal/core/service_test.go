@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -54,6 +55,29 @@ func TestCreateProjectValidation(t *testing.T) {
 	}
 	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Budget: 10}); err == nil {
 		t.Error("no resources and no simulate must fail")
+	}
+}
+
+// TestCreateProjectValidatesPay: a negative pay would lower a tagger's
+// earnings on every approval, and NaN or ±Inf cannot be stored; each is a
+// validation error before anything is written. Zero pay is a volunteer
+// project and is accepted.
+func TestCreateProjectValidatesPay(t *testing.T) {
+	ctx := context.Background()
+	s := newService(t)
+	prov, _ := s.RegisterProvider(ctx, "p")
+	before := s.Catalog().DB().Count(store.TableProjects)
+	for _, pay := range []float64{-0.05, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Name: "n", Budget: 10, PayPerTask: pay, Simulate: true})
+		if errs.CategoryOf(err) != errs.CategoryValidation {
+			t.Errorf("pay %v: CreateProject = %v, want a validation error", pay, err)
+		}
+	}
+	if n := s.Catalog().DB().Count(store.TableProjects); n != before {
+		t.Errorf("refused projects wrote %d project rows", n-before)
+	}
+	if _, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Name: "volunteer", Budget: 10, PayPerTask: 0, Simulate: true}); err != nil {
+		t.Errorf("pay 0: CreateProject = %v", err)
 	}
 }
 

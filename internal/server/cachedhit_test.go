@@ -127,6 +127,86 @@ func TestCachedDetailHitAllocs(t *testing.T) {
 	}
 }
 
+// batchTasksAllocs bounds one 200-item Service.BatchTasks call — the
+// batch_engine workload's per-call work without HTTP — in allocations. On
+// the root package's BenchmarkBatchTasks world a warm call allocates about
+// 1 200 times: per item a task ID and the task and post keys, plus the
+// commit's tree copies and the quality windows' growth. Boxing the staged
+// records again reads about 1 600, fmt for the post key and the task ID
+// about 1 800, and the code before records were encoded where they are
+// staged about 2 400.
+const batchTasksAllocs = 1500
+
+// TestBatchTasksAllocs runs 200-item calls on BenchmarkBatchTasks's world
+// (1 000 resources with 5 seed posts each, 20 taggers, three tags a post)
+// and holds a call under batchTasksAllocs. It measures after 200 warm-up
+// calls: the first calls also grow every resource's quality window and
+// allocate up to 40 % more, which is the world filling, not the path.
+func TestBatchTasksAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a sync.Pool drops items at random under -race, so allocation counts are not the product's")
+	}
+	const resources, items, calls = 1000, 200, 16 // calls: distinct item lists, in rotation
+	ctx := context.Background()
+	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 1)
+	defer svc.Close()
+	prov, err := svc.RegisterProvider(ctx, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	taggers := make([]string, 20)
+	for i := range taggers {
+		if taggers[i], err = svc.RegisterTagger(ctx, fmt.Sprintf("tagger-%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vocab := []string{"go", "database", "tagging", "web", "design", "music", "news", "blog", "tools", "howto", "video", "linux"}
+	spec := core.ProjectSpec{
+		ProviderID: prov, Name: "batch", Budget: 300 * items, PayPerTask: 0.05, Strategy: "fp-mu",
+		Resources: make([]dataset.Resource, resources), SeedPosts: make(map[string][][]string, resources),
+	}
+	for i := range spec.Resources {
+		id := fmt.Sprintf("res-%04d", i)
+		spec.Resources[i] = dataset.Resource{ID: id, Kind: "url", Name: id, Popularity: 1}
+		for p := 0; p < 5; p++ {
+			spec.SeedPosts[id] = append(spec.SeedPosts[id], []string{vocab[(i+p)%len(vocab)], vocab[(i*7+p)%len(vocab)]})
+		}
+	}
+	proj, err := svc.CreateProject(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := make([][]core.BatchItem, calls)
+	for c := range batches {
+		batches[c] = make([]core.BatchItem, items)
+		for i := range batches[c] {
+			k := c*items + i
+			batches[c][i] = core.BatchItem{TaggerID: taggers[k%len(taggers)], Tags: []string{vocab[k%len(vocab)], vocab[(k/3)%len(vocab)], vocab[(k/7)%len(vocab)]}}
+		}
+	}
+	n := 0
+	call := func() {
+		res, err := svc.BatchTasks(ctx, proj, batches[n%calls])
+		n++
+		if err != nil || len(res) != items {
+			t.Fatalf("call %d: %d results, %v", n, len(res), err)
+		}
+		for _, r := range res {
+			if r.Err != nil || !r.Submitted {
+				t.Fatalf("call %d: item %+v", n, r)
+			}
+		}
+	}
+	for range 200 {
+		call()
+	}
+	if allocs := testing.AllocsPerRun(20, call); allocs > batchTasksAllocs {
+		t.Errorf("a 200-item BatchTasks call allocates %.0f times, want at most %d", allocs, batchTasksAllocs)
+	} else {
+		t.Logf("a 200-item BatchTasks call allocates %.0f times (bound %d)", allocs, batchTasksAllocs)
+	}
+}
+
 // BenchmarkCachedDetailHit reports a cached ResourceDetail hit's cost and
 // its p99, the better of two timed passes so one GC pause on a shared host
 // does not decide it, and fails if that p99 exceeds cachedHitP99.

@@ -67,6 +67,12 @@ func TestErrorMapping(t *testing.T) {
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
 		},
 		{
+			name:   "negative pay per task on create",
+			method: "POST", path: "/api/v1/projects",
+			body:       CreateProjectReq{ProviderID: prov, Name: "p", Budget: 10, PayPerTask: -0.05, Simulate: true},
+			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
+		},
+		{
 			name:   "malformed body",
 			method: "POST", path: "/api/v1/projects",
 			body:       map[string]any{"unknown_field": 1},

@@ -141,7 +141,10 @@ type batchTasksResp struct {
 // needs (one HTTP exchange instead of two per task, one WAL record instead
 // of three per post). Items fail independently; durability is all-or-nothing
 // per call, so a storage failure fails every item. The call itself only
-// fails on malformed input or cancellation.
+// fails on malformed input. A call cancelled or timed out partway still
+// answers with the items it committed, and each item it never reached
+// fails with the context's error (timeout or canceled), so ok + failed is
+// always the number of items.
 func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp, error) {
 	if len(req.Items) == 0 {
 		return batchTasksResp{}, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument,
@@ -151,13 +154,14 @@ func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp,
 		return batchTasksResp{}, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeBatchTooLarge,
 			"%d items exceeds the %d per-call cap", len(req.Items), maxBatchItems)
 	}
-	results, err := s.svc.BatchTasks(r.Context(), r.PathValue("id"), req.Items)
-	if err != nil {
-		return batchTasksResp{}, err
-	}
-	resp := batchTasksResp{Results: make([]batchTaskResult, len(results))}
-	for i, res := range results {
-		resp.Results[i] = batchTaskResult{TaskID: res.Task.ID, ResourceID: res.Task.ResourceID, Submitted: res.Submitted}
+	results, ctxErr := s.svc.BatchTasks(r.Context(), r.PathValue("id"), req.Items)
+	resp := batchTasksResp{Results: make([]batchTaskResult, len(req.Items))}
+	for i := range resp.Results {
+		res := core.BatchResult{Err: ctxErr} // an item the call never reached
+		if i < len(results) {
+			res = results[i]
+		}
+		resp.Results[i] = batchTaskResult{TaskID: res.TaskID, ResourceID: res.ResourceID, Submitted: res.Submitted}
 		if res.Err != nil {
 			resp.Results[i].Error = toItemError(res.Err)
 			resp.Failed++

@@ -2,6 +2,9 @@ package server
 
 import (
 	"bufio"
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +13,7 @@ import (
 
 	"itag/internal/api"
 	"itag/internal/core"
+	"itag/internal/dataset"
 	"itag/internal/store"
 )
 
@@ -99,6 +103,96 @@ func TestV1BatchTasksPerItemErrors(t *testing.T) {
 	}
 	if r := resp.Results[4]; r.Error == nil {
 		t.Errorf("post-budget item = %+v", r)
+	}
+}
+
+// cancelOnLookup cancels a request's context on the n-th tagger lookup: a
+// tasks:batch call looks each distinct tagger up once, just before it leases
+// that item's task, so with one tagger per item the call is cancelled while
+// item n is under way.
+type cancelOnLookup struct {
+	store.Store
+	n      int
+	cancel context.CancelFunc
+}
+
+func (s *cancelOnLookup) Get(table, key string, out any) error {
+	if table == store.TableUsers && s.cancel != nil {
+		if s.n--; s.n == 0 {
+			s.cancel()
+		}
+	}
+	return s.Store.Get(table, key, out)
+}
+
+// TestV1BatchTasksCancelledKeepsCommitted: a tasks:batch call cancelled
+// after its k-th item still commits those k posts, so it answers 200 with
+// them, and every item it never reached fails as canceled: ok + failed is
+// the number of items, and what the answer calls ok is what is stored.
+func TestV1BatchTasksCancelledKeepsCommitted(t *testing.T) {
+	const items, k = 10, 4
+	ctx := context.Background()
+	db := &cancelOnLookup{Store: store.OpenMemory()}
+	svc := core.NewService(store.NewCatalog(db), 99)
+	defer svc.Close()
+	h := New(svc, nil)
+	prov, err := svc.RegisterProvider(ctx, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body strings.Builder
+	body.WriteString(`{"items":[`)
+	for i := range items {
+		tagger, err := svc.RegisterTagger(ctx, fmt.Sprintf("t%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"tagger_id":%q,"tags":["go"]}`, tagger)
+	}
+	body.WriteString(`]}`)
+	proj, err := svc.CreateProject(ctx, core.ProjectSpec{
+		ProviderID: prov, Name: "m", Budget: items, PayPerTask: 0.1,
+		Resources: []dataset.Resource{{ID: "u1", Kind: "url", Name: "a"}, {ID: "u2", Kind: "url", Name: "b"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reqCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	db.n, db.cancel = k, cancel
+	req := httptest.NewRequest("POST", "/api/v1/projects/"+proj+"/tasks:batch", strings.NewReader(body.String())).WithContext(reqCtx)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	db.cancel = nil
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cancelled batch answered %d: %s", rec.Code, rec.Body)
+	}
+	var resp batchTasksResp
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != items || resp.OK != k || resp.Failed != items-k {
+		t.Fatalf("cancelled batch = ok %d failed %d of %d results, want ok %d failed %d of %d",
+			resp.OK, resp.Failed, len(resp.Results), k, items-k, items)
+	}
+	for i, r := range resp.Results {
+		if i < k && (r.Error != nil || !r.Submitted || r.TaskID == "") {
+			t.Errorf("committed item %d = %+v", i, r)
+		}
+		if i >= k && (r.Error == nil || r.Error.Code != api.CodeCanceled || r.TaskID != "") {
+			t.Errorf("unattempted item %d = %+v, want a canceled error", i, r)
+		}
+	}
+	done, err := svc.Catalog().TasksByProject(proj, store.TaskCompleted)
+	if err != nil || len(done) != k {
+		t.Errorf("%d completed tasks stored (%v), want %d", len(done), err, k)
+	}
+	if n := db.Count(store.TablePosts); n != k {
+		t.Errorf("%d posts stored, want %d", n, k)
 	}
 }
 

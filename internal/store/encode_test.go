@@ -14,10 +14,12 @@ import (
 )
 
 // encodeParity holds appendValue — and a task record's AppendJSON, which the
-// task routes answer with — to json.Marshal for one value: the same bytes, or
-// json.Marshal's own error.
+// task routes answer with, and the WriteSet method that stages a catalog
+// record — to json.Marshal for one value: the same bytes, or json.Marshal's
+// own error.
 func encodeParity(t *testing.T, v any) {
 	t.Helper()
+	stagedParity(t, v)
 	want, wantErr := json.Marshal(v)
 	got, err := appendValue([]byte("prefix"), v)
 	if wantErr != nil {
@@ -41,6 +43,70 @@ func encodeParity(t *testing.T, v any) {
 		if got, ok := task.AppendJSON([]byte("prefix")); !ok || string(got) != "prefix"+string(want) {
 			t.Fatalf("%#v: AppendJSON %s, %v; json.Marshal %s", v, got, ok, want)
 		}
+	}
+}
+
+// stagedParity stages a catalog record through its WriteSet method — with
+// the IDs and tags staging requires filled in where v lacks them — and
+// commits it to a memory catalog: the stored bytes are json.Marshal's, or,
+// for a record json.Marshal refuses, staging and Commit both return
+// json.Marshal's error and nothing is stored.
+func stagedParity(t *testing.T, v any) {
+	t.Helper()
+	orID := func(s string) string {
+		if s == "" {
+			return "id"
+		}
+		return s
+	}
+	db := OpenMemory()
+	w := NewCatalog(db).Begin(1)
+	var table, key string
+	var err error
+	switch r := v.(type) {
+	case PostRec:
+		r.ResourceID = orID(r.ResourceID)
+		if len(r.Tags) == 0 {
+			r.Tags = []string{"t"}
+		}
+		v, table = r, TablePosts
+		var seq uint64
+		seq, err = w.AppendPost(r)
+		key = postKey(r.ResourceID, seq)
+	case TaskRec:
+		r.ID, r.ProjectID = orID(r.ID), orID(r.ProjectID)
+		v, table, key, err = r, TableTasks, taskKey(r.ProjectID, r.ID), w.PutTask(r)
+	case ResourceRec:
+		r.ID = orID(r.ID)
+		v, table, key, err = r, TableResources, r.ID, w.PutResource(r)
+	case ProjectRec:
+		r.ID = orID(r.ID)
+		v, table, key, err = r, TableProjects, r.ID, w.PutProject(r)
+	case UserRec:
+		r.ID = orID(r.ID)
+		v, table, key, err = r, TableUsers, r.ID, w.PutUser(r)
+	default:
+		return
+	}
+	want, wantErr := json.Marshal(v)
+	commitErr := w.Commit()
+	if wantErr != nil {
+		for _, err := range []error{err, commitErr} {
+			if err == nil || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != wantErr.Error() {
+				t.Fatalf("%#v: staged error %v, commit error %v; json.Marshal error %v", v, err, commitErr, wantErr)
+			}
+		}
+		if n := len(db.Tables()); n != 0 {
+			t.Fatalf("%#v: a refused commit wrote %d tables", v, n)
+		}
+		return
+	}
+	if err != nil || commitErr != nil {
+		t.Fatalf("%#v: staged error %v, commit error %v; json.Marshal succeeds", v, err, commitErr)
+	}
+	var got rawValue
+	if err := db.Get(table, key, &got); err != nil || !bytes.Equal(got.RawMessage, want) {
+		t.Fatalf("%#v:\nstored       %s (%v)\njson.Marshal %s", v, got.RawMessage, err, want)
 	}
 }
 
@@ -176,6 +242,42 @@ func TestRecordEncodingMatchesEncodingJSON(t *testing.T) {
 	// Any other type goes through json.Marshal.
 	for _, v := range []any{1, "x<y", map[string]int{"b": 1, "a": 2}, &UserRec{ID: "p"}, json.RawMessage(`{ "a" : 1 }`), nil} {
 		encodeParity(t, v)
+	}
+}
+
+// TestWriteSetKeepsFirstEncodeError: a post staged, then a task whose
+// reward json.Marshal refuses, then a good user — the paid post without its
+// task must never be written. Staging the task returns json.Marshal's error,
+// Commit returns that same error and writes nothing, and the emptied set
+// commits again afterwards.
+func TestWriteSetKeepsFirstEncodeError(t *testing.T) {
+	db := OpenMemory()
+	c := NewCatalog(db)
+	w := c.Begin(3)
+	if _, err := w.AppendPost(PostRec{ResourceID: "r", TaskID: "t", Tags: []string{"go"}}); err != nil {
+		t.Fatal(err)
+	}
+	stageErr := w.PutTask(TaskRec{ID: "t", ProjectID: "p", ResourceID: "r", Reward: math.NaN()})
+	if stageErr == nil {
+		t.Fatal("staging a NaN reward succeeded")
+	}
+	if err := w.PutUser(UserRec{ID: "u", Role: RoleTagger}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != stageErr {
+		t.Fatalf("Commit = %v, want the staging error %v", err, stageErr)
+	}
+	if tables := db.Tables(); len(tables) != 0 {
+		t.Fatalf("a refused commit wrote tables %v", tables)
+	}
+	if err := w.PutUser(UserRec{ID: "u", Role: RoleTagger}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatalf("the emptied set does not commit: %v", err)
+	}
+	if _, err := c.GetUser("u"); err != nil || db.Count(TablePosts) != 0 {
+		t.Fatalf("after the second commit: user %v, %d posts", err, db.Count(TablePosts))
 	}
 }
 

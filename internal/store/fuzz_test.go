@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ var fuzzHistory = []fuzzOp{
 	{op: OpPut, key: "c", val: 3},
 	{op: OpDelete, key: "a"},
 	{op: OpBatch, batch: []Mutation{
-		{Op: OpPut, Table: "t", Key: "d", Value: 4},
+		{Op: OpPut, Table: "t", Key: "d", Value: jsonOf(4)},
 		{Op: OpDelete, Table: "t", Key: "c"},
 	}},
 	{op: OpPut, key: "b", val: 9},
@@ -72,7 +73,7 @@ func fuzzPrefixStates() []map[string]int {
 		case OpBatch:
 			for _, m := range op.batch {
 				if m.Op == OpPut {
-					cur[m.Key] = m.Value.(int)
+					cur[m.Key], _ = strconv.Atoi(string(m.Value))
 				} else {
 					delete(cur, m.Key)
 				}

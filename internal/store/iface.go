@@ -21,6 +21,9 @@ type Store interface {
 	// them or none. They take effect in order (a key written twice keeps
 	// the later value) and cost one commit — one WAL record, one fsync
 	// wait — however many they are. It is the Catalog's only write call.
+	// Each put's Value is already encoded JSON. Apply takes ownership of
+	// the slice and of the value bytes: the store may keep both as they
+	// are, so the caller must not modify or reuse either afterwards.
 	Apply(muts []Mutation) error
 	// Scan visits every (key, raw JSON value) of a table in ascending key
 	// order; fn returning false stops the scan. The raw slices handed to

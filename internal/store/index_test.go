@@ -292,7 +292,7 @@ func TestCompactionCutCopiesNothing(t *testing.T) {
 		defer db.Close()
 		muts := make([]Mutation, 0, 1000)
 		for i := 0; i < keys; i++ {
-			muts = append(muts, Mutation{Op: OpPut, Table: "t", Key: fmt.Sprintf("k%07d", i), Value: i})
+			muts = append(muts, Mutation{Op: OpPut, Table: "t", Key: fmt.Sprintf("k%07d", i), Value: jsonOf(i)})
 			if len(muts) == cap(muts) || i == keys-1 {
 				if err := db.Apply(muts); err != nil {
 					t.Fatal(err)
@@ -384,7 +384,7 @@ func TestTransientEditsKeepEveryVersion(t *testing.T) {
 					delete(model[tab], key)
 				} else {
 					val := fmt.Sprintf("%d.%d", a, i)
-					muts = append(muts, Mutation{Op: OpPut, Table: tab, Key: key, Value: val})
+					muts = append(muts, Mutation{Op: OpPut, Table: tab, Key: key, Value: jsonOf(val)})
 					model[tab][key] = []byte(`"` + val + `"`)
 				}
 			}
@@ -429,11 +429,11 @@ func TestScannersSeeWholeBatchesDuringApply(t *testing.T) {
 			apply := func(gen int) error {
 				muts := make([]Mutation, 0, batch+20)
 				for i := 0; i < batch; i++ {
-					muts = append(muts, Mutation{Op: OpPut, Table: "t", Key: fmt.Sprintf("gen/%03d", i), Value: gen})
+					muts = append(muts, Mutation{Op: OpPut, Table: "t", Key: fmt.Sprintf("gen/%03d", i), Value: jsonOf(gen)})
 				}
 				for i := 0; i < 10; i++ { // and the tree keeps changing shape
 					muts = append(muts,
-						Mutation{Op: OpPut, Table: "t", Key: fmt.Sprintf("new/%05d/%d", gen, i), Value: gen},
+						Mutation{Op: OpPut, Table: "t", Key: fmt.Sprintf("new/%05d/%d", gen, i), Value: jsonOf(gen)},
 						Mutation{Op: OpDelete, Table: "t", Key: fmt.Sprintf("new/%05d/%d", gen-3, i)})
 				}
 				return db.Apply(muts)
@@ -567,14 +567,14 @@ func TestBatchPuttingAKeyTwiceIsLastWins(t *testing.T) {
 	}
 	defer follower.Close()
 	if err := leader.Apply([]Mutation{
-		{Op: OpPut, Table: "tasks", Key: "p/t1", Value: "assigned"},
-		{Op: OpPut, Table: "posts", Key: "r/000000000001", Value: 1},
-		{Op: OpPut, Table: "tasks", Key: "p/t1", Value: "completed"},
-		{Op: OpPut, Table: "tasks", Key: "p/t2", Value: "assigned"},
+		{Op: OpPut, Table: "tasks", Key: "p/t1", Value: jsonOf("assigned")},
+		{Op: OpPut, Table: "posts", Key: "r/000000000001", Value: jsonOf(1)},
+		{Op: OpPut, Table: "tasks", Key: "p/t1", Value: jsonOf("completed")},
+		{Op: OpPut, Table: "tasks", Key: "p/t2", Value: jsonOf("assigned")},
 		{Op: OpDelete, Table: "tasks", Key: "p/t2"},
-		{Op: OpPut, Table: "tasks", Key: "p/t3", Value: "gone"},
+		{Op: OpPut, Table: "tasks", Key: "p/t3", Value: jsonOf("gone")},
 		{Op: OpDelete, Table: "tasks", Key: "p/t3"},
-		{Op: OpPut, Table: "tasks", Key: "p/t3", Value: "back"},
+		{Op: OpPut, Table: "tasks", Key: "p/t3", Value: jsonOf("back")},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestPropertyOpSequenceConvergence(t *testing.T) {
 						if r.Intn(4) == 0 {
 							muts = append(muts, Mutation{Op: OpDelete, Table: table, Key: key})
 						} else {
-							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: j})
+							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: jsonOf(j)})
 						}
 					}
 					must(db.Apply(muts))

@@ -108,9 +108,9 @@ func TestReplicationRoundTrip(t *testing.T) {
 		}
 	}
 	if err := leader.Apply([]Mutation{
-		{Op: OpPut, Table: "res", Key: "res-0000", Value: "rewritten"},
+		{Op: OpPut, Table: "res", Key: "res-0000", Value: jsonOf("rewritten")},
 		{Op: OpDelete, Table: "res", Key: "res-0001"},
-		{Op: OpPut, Table: "proj", Key: "proj-000001", Value: 7},
+		{Op: OpPut, Table: "proj", Key: "proj-000001", Value: jsonOf(7)},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -254,13 +254,13 @@ func TestScanIndexParity(t *testing.T) {
 						if r.Intn(4) == 0 {
 							muts = append(muts, Mutation{Op: OpDelete, Table: table, Key: key})
 						} else {
-							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: j})
+							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: jsonOf(j)})
 						}
 					}
 					must(db.Apply(muts))
 					for _, mu := range muts {
 						if mu.Op == OpPut {
-							m.put(mu.Table, mu.Key, []byte(fmt.Sprintf("%d", mu.Value.(int))))
+							m.put(mu.Table, mu.Key, mu.Value)
 						} else {
 							m.del(mu.Table, mu.Key)
 						}
@@ -342,16 +342,16 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 			default:
 				var muts []Mutation
 				for j := 0; j < 1+r.Intn(4); j++ {
-					mu := Mutation{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: j}
+					mu := Mutation{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: jsonOf(j)}
 					if r.Intn(3) == 0 {
-						mu.Op = OpDelete
+						mu.Op, mu.Value = OpDelete, nil
 					}
 					muts = append(muts, mu)
 				}
 				must(s.Apply(muts))
 				for _, mu := range muts {
 					if mu.Op == OpPut {
-						m.put(mu.Table, mu.Key, []byte(fmt.Sprint(mu.Value)))
+						m.put(mu.Table, mu.Key, mu.Value)
 					} else if m[mu.Table] != nil {
 						m.del(mu.Table, mu.Key)
 					}
@@ -423,8 +423,8 @@ func TestConcurrentReadersDuringCompactAndWrites(t *testing.T) {
 						err = s.Delete("posts", key)
 					case 1:
 						err = s.Apply([]Mutation{
-							{Op: OpPut, Table: "posts", Key: key, Value: i},
-							{Op: OpPut, Table: "tasks", Key: key, Value: i},
+							{Op: OpPut, Table: "posts", Key: key, Value: jsonOf(i)},
+							{Op: OpPut, Table: "tasks", Key: key, Value: jsonOf(i)},
 						})
 					default:
 						err = s.Put("posts", key, i)

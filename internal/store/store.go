@@ -342,9 +342,14 @@ func (db *DB) commitMemory(op Op, table, key string, value json.RawMessage, batc
 	return nil
 }
 
-// Put stores value (JSON-marshaled) under (table, key).
+// Put stores value (JSON-marshaled) under (table, key): the one write that
+// encodes its value itself, a catalog record through its encoder.
 func (db *DB) Put(table, key string, value any) error {
-	return db.Apply([]Mutation{{Op: OpPut, Table: table, Key: key, Value: value}})
+	raw, err := appendValue(nil, value)
+	if err != nil {
+		return err
+	}
+	return db.Apply([]Mutation{{Op: OpPut, Table: table, Key: key, Value: raw[:len(raw):len(raw)]}})
 }
 
 // Get unmarshals the value at (table, key) into out. It returns ErrNotFound
@@ -376,13 +381,11 @@ func (db *DB) Delete(table, key string) error {
 	return db.commitRecord(OpDelete, table, key, nil, nil)
 }
 
-// Mutation is one entry of an atomic batch.
-type Mutation struct {
-	Op    Op
-	Table string
-	Key   string
-	Value any // ignored for deletes
-}
+// Mutation is one entry of an atomic batch: the WAL record it is written
+// as, with its value already encoded (the Catalog's WriteSet encodes each
+// record where it stages it). Seq and Batch are the store's to fill, and a
+// delete carries no value.
+type Mutation = Record
 
 // Apply executes mutations atomically, across tables and keys: they are
 // written as one WAL record — so recovery, and a follower, see all or none —
@@ -392,44 +395,30 @@ type Mutation struct {
 // written as the plain put or delete record it is, without the batch
 // wrapper.
 //
-// Every value of the group is encoded once, into a recycled scratch buffer,
-// and the commit keeps one exact-size copy of it: each stored value is a
-// capacity-capped slice of that one allocation.
+// Apply checks the ops and nothing else: the slice becomes the batch
+// record's sub-records as it is, and each value is stored as the slice it
+// is, so the store owns both once Apply is called, and the caller must not
+// modify either afterwards.
 func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	subs := make([]Record, len(muts))
-	ends := make([]int, len(muts))
-	scratch := encodeScratch.Get().(*[]byte)
-	defer encodeScratch.Put(scratch)
-	buf := (*scratch)[:0]
 	for i, m := range muts {
-		switch m.Op {
-		case OpPut:
-			var err error
-			if buf, err = appendValue(buf, m.Value); err != nil {
-				return err
-			}
-		case OpDelete:
-		default:
+		switch {
+		case m.Seq != 0 || m.Batch != nil:
+			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d sets a sequence or sub-records", i)
+		case m.Op == OpPut && len(m.Value) == 0:
+			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d puts no value", i)
+		case m.Op == OpDelete && m.Value != nil:
+			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d deletes with a value", i)
+		case m.Op != OpPut && m.Op != OpDelete:
 			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d has invalid op %q", i, m.Op)
 		}
-		subs[i] = Record{Op: m.Op, Table: m.Table, Key: m.Key}
-		ends[i] = len(buf)
 	}
-	*scratch = buf
-	vals, start := slices.Clone(buf), 0
-	for i := range subs {
-		if subs[i].Op == OpPut {
-			subs[i].Value = vals[start:ends[i]:ends[i]]
-		}
-		start = ends[i]
+	if len(muts) == 1 {
+		return db.commitRecord(muts[0].Op, muts[0].Table, muts[0].Key, muts[0].Value, nil)
 	}
-	if len(subs) == 1 {
-		return db.commitRecord(subs[0].Op, subs[0].Table, subs[0].Key, subs[0].Value, nil)
-	}
-	return db.commitRecord(OpBatch, "", "", nil, subs)
+	return db.commitRecord(OpBatch, "", "", nil, muts)
 }
 
 // Scan visits every (key, raw JSON value) of a table in ascending key order;

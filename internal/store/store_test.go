@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"itag/internal/errs"
 )
 
 type kv struct {
@@ -220,11 +223,20 @@ func TestWALMidLogCorruptionReported(t *testing.T) {
 	}
 }
 
+// jsonOf is a test value as a Mutation carries it: encoded.
+func jsonOf(v any) json.RawMessage {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
 func TestBatchAtomicVisible(t *testing.T) {
 	db, path := openTemp(t)
 	err := db.Apply([]Mutation{
-		{Op: OpPut, Table: "a", Key: "x", Value: kv{N: 1}},
-		{Op: OpPut, Table: "b", Key: "y", Value: kv{N: 2}},
+		{Op: OpPut, Table: "a", Key: "x", Value: jsonOf(kv{N: 1})},
+		{Op: OpPut, Table: "b", Key: "y", Value: jsonOf(kv{N: 2})},
 		{Op: OpDelete, Table: "a", Key: "never"},
 	})
 	if err != nil {
@@ -246,9 +258,17 @@ func TestBatchValidation(t *testing.T) {
 	if err := db.Apply(nil); err != nil {
 		t.Errorf("empty batch must be a no-op: %v", err)
 	}
-	err := db.Apply([]Mutation{{Op: Op("wat"), Table: "a", Key: "x"}})
-	if err == nil {
-		t.Error("invalid op must be rejected")
+	ok := Mutation{Op: OpPut, Table: "a", Key: "ok", Value: jsonOf(1)}
+	for name, bad := range map[string]Mutation{
+		"invalid op":          {Op: Op("wat"), Table: "a", Key: "x"},
+		"put without a value": {Op: OpPut, Table: "a", Key: "x"},
+		"delete with a value": {Op: OpDelete, Table: "a", Key: "x", Value: jsonOf(1)},
+		"sequence set":        {Op: OpPut, Table: "a", Key: "x", Value: jsonOf(1), Seq: 9},
+		"sub-records":         {Op: OpPut, Table: "a", Key: "x", Value: jsonOf(1), Batch: []Record{ok}},
+	} {
+		if err := db.Apply([]Mutation{ok, bad}); errs.CategoryOf(err) != errs.CategoryValidation {
+			t.Errorf("%s: Apply = %v, want a validation error", name, err)
+		}
 	}
 	if db.Count("a") != 0 {
 		t.Error("rejected batch must not apply")

@@ -2,7 +2,7 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"itag/internal/errs"
+	"itag/internal/wire"
 )
 
 // This file defines the typed catalog over the generic DB: the schemas the
@@ -290,12 +291,19 @@ func (c *Catalog) InstallSnapshot(data []byte) error {
 }
 
 // WriteSet is a group of typed writes that become durable, and visible,
-// together: the Put/Append methods validate and stage, Commit writes. What
-// is staged is invisible to every reader, the set's owner included, until
-// Commit returns. A WriteSet is not safe for concurrent use.
+// together: the Put/Append methods validate, encode and stage, Commit
+// writes. What is staged is invisible to every reader, the set's owner
+// included, until Commit returns. A WriteSet is not safe for concurrent use.
+//
+// Each staged record is encoded at once, by its own encoder, into one
+// recycled scratch buffer; a record json.Marshal would refuse (a NaN float,
+// a year past 9999) is refused there, and the set keeps the first such
+// error: Commit returns it and writes nothing.
 type WriteSet struct {
-	c    *Catalog
-	muts []Mutation
+	c       *Catalog
+	muts    []Mutation
+	scratch *[]byte // the staged values back to back, in staging order
+	err     error
 }
 
 // Begin opens an empty write set with room for n writes (a hint; it grows).
@@ -303,20 +311,60 @@ func (c *Catalog) Begin(n int) *WriteSet {
 	return &WriteSet{c: c, muts: make([]Mutation, 0, n)}
 }
 
-func (w *WriteSet) put(table, key string, value any) {
-	w.muts = append(w.muts, Mutation{Op: OpPut, Table: table, Key: key, Value: value})
+// enc returns an encoder appending to the set's scratch buffer.
+func (w *WriteSet) enc() wire.Enc {
+	if w.scratch == nil {
+		w.scratch = encodeScratch.Get().(*[]byte)
+		*w.scratch = (*w.scratch)[:0]
+	}
+	return wire.Enc{B: *w.scratch, OK: true}
+}
+
+// put stages the value just encoded at the end of the scratch buffer, b,
+// under (table, key).
+func (w *WriteSet) put(table, key string, b []byte) {
+	start := len(*w.scratch)
+	*w.scratch = b
+	// Value is a view of the scratch buffer only for its length: Commit
+	// points it at the commit's own copy.
+	w.muts = append(w.muts, Mutation{Op: OpPut, Table: table, Key: key, Value: b[start:]})
+}
+
+// refused stages a record its encoder refused through appendValue instead,
+// so the error is json.Marshal's own, and keeps that error as the set's.
+// Only this path converts a record to an interface.
+func (w *WriteSet) refused(table, key string, rec any) error {
+	b, err := appendValue(*w.scratch, rec)
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return err
+	}
+	w.put(table, key, b)
+	return nil
 }
 
 // Commit applies everything staged since the last Commit as one atomic
 // Store.Apply and then advances the write clocks of the keys it wrote — in
 // that order, the "bump strictly after the store write" protocol every
-// core.Stamp holder relies on. On error nothing was written.
-// Either way the set is empty afterwards.
+// core.Stamp holder relies on. The staged values are copied once, into one
+// exact-size allocation the store keeps. On error — a staging error
+// included — nothing was written. Either way the set is empty afterwards.
 func (w *WriteSet) Commit() error {
-	muts := w.muts
-	w.muts = nil
-	if len(muts) == 0 {
-		return nil
+	muts, scratch, err := w.muts, w.scratch, w.err
+	w.muts, w.scratch, w.err = nil, nil, nil
+	if scratch != nil {
+		defer encodeScratch.Put(scratch)
+	}
+	if err != nil || len(muts) == 0 {
+		return err
+	}
+	vals, start := slices.Clone(*scratch), 0
+	for i := range muts {
+		end := start + len(muts[i].Value)
+		muts[i].Value = vals[start:end:end]
+		start = end
 	}
 	if err := w.c.db.Apply(muts); err != nil {
 		return err
@@ -355,7 +403,11 @@ func (w *WriteSet) PutResource(r ResourceRec) error {
 	if r.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "resource ID required")
 	}
-	w.put(TableResources, r.ID, r)
+	e := w.enc()
+	if r.encode(&e); !e.OK {
+		return w.refused(TableResources, r.ID, r)
+	}
+	w.put(TableResources, r.ID, e.B)
 	return nil
 }
 
@@ -407,7 +459,8 @@ func afterStart(after string) string {
 // --- posts -------------------------------------------------------------------
 
 func postKey(resourceID string, seq uint64) string {
-	return fmt.Sprintf("%s/%012d", resourceID, seq)
+	var b [64]byte
+	return string(wire.AppendPadded(append(append(b[:0], resourceID...), '/'), seq, 12))
 }
 
 // splitPostKey is postKey's inverse; ok=false for a key of another shape.
@@ -453,7 +506,12 @@ func (w *WriteSet) AppendPost(p PostRec) (uint64, error) {
 	seq++
 	c.nextSeq[p.ResourceID] = seq
 	c.mu.Unlock()
-	w.put(TablePosts, postKey(p.ResourceID, seq), p)
+	key := postKey(p.ResourceID, seq)
+	e := w.enc()
+	if p.encode(&e); !e.OK {
+		return seq, w.refused(TablePosts, key, p)
+	}
+	w.put(TablePosts, key, e.B)
 	return seq, nil
 }
 
@@ -532,7 +590,11 @@ func (w *WriteSet) UpdatePost(resourceID string, seq uint64, p PostRec) error {
 	if !w.c.db.Has(TablePosts, key) {
 		return ErrNotFound
 	}
-	w.put(TablePosts, key, p)
+	e := w.enc()
+	if p.encode(&e); !e.OK {
+		return w.refused(TablePosts, key, p)
+	}
+	w.put(TablePosts, key, e.B)
 	return nil
 }
 
@@ -557,7 +619,11 @@ func (w *WriteSet) PutProject(p ProjectRec) error {
 	if p.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "project ID required")
 	}
-	w.put(TableProjects, p.ID, p)
+	e := w.enc()
+	if p.encode(&e); !e.OK {
+		return w.refused(TableProjects, p.ID, p)
+	}
+	w.put(TableProjects, p.ID, e.B)
 	return nil
 }
 
@@ -614,7 +680,12 @@ func (w *WriteSet) PutTask(t TaskRec) error {
 	if t.ID == "" || t.ProjectID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "task needs ID and project ID")
 	}
-	w.put(TableTasks, taskKey(t.ProjectID, t.ID), t)
+	key := taskKey(t.ProjectID, t.ID)
+	e := w.enc()
+	if t.encode(&e); !e.OK {
+		return w.refused(TableTasks, key, t)
+	}
+	w.put(TableTasks, key, e.B)
 	return nil
 }
 
@@ -659,7 +730,11 @@ func (w *WriteSet) PutUser(u UserRec) error {
 	if u.ID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "user ID required")
 	}
-	w.put(TableUsers, u.ID, u)
+	e := w.enc()
+	if u.encode(&e); !e.OK {
+		return w.refused(TableUsers, u.ID, u)
+	}
+	w.put(TableUsers, u.ID, e.B)
 	return nil
 }
 

@@ -98,6 +98,17 @@ func (e *Enc) Time(name string, t time.Time) {
 	e.B = append(t.AppendFormat(append(append(e.B, name...), '"'), time.RFC3339Nano), '"')
 }
 
+// AppendPadded appends n in decimal, zero-padded to at least width digits:
+// fmt's %0<width>d, without fmt. Post keys and task IDs are built with it.
+func AppendPadded(b []byte, n uint64, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], n, 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
 // End closes an object begun at offset start whose fields, all of them
 // omitempty, were each written with a leading comma: the first comma becomes
 // the opening brace, and an object with no field written is {}.

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -84,6 +86,20 @@ func TestStringsShareOneArray(t *testing.T) {
 		var got lists
 		if Into([]byte(body), &got, parseLists) || !reflect.DeepEqual(got, lists{}) {
 			t.Errorf("%s: taken, or a decline wrote %#v", body, got)
+		}
+	}
+}
+
+// TestAppendPaddedMatchesFmt: post keys (width 12) and task IDs (width 5)
+// are the strings fmt's %0<width>d made, short numbers padded and long ones
+// whole.
+func TestAppendPaddedMatchesFmt(t *testing.T) {
+	for _, width := range []int{0, 1, 5, 12} {
+		for _, n := range []uint64{0, 1, 9, 10, 99999, 100000, 123456789012, 1234567890123, math.MaxUint64} {
+			got := string(AppendPadded([]byte("res/"), n, width))
+			if want := fmt.Sprintf("res/%0*d", width, n); got != want {
+				t.Errorf("AppendPadded(%d, %d) = %q, want %q", n, width, got, want)
+			}
 		}
 	}
 }
