@@ -33,7 +33,9 @@ race-full:
 	$(GO) test -race ./...
 
 # Fuzz smoke over WAL recovery: corrupted segments and snapshots must never
-# panic or resurrect deleted keys; over the record encoders: every catalog
+# panic or resurrect deleted keys; over the tree's sorted merge: every
+# multi-record apply leaves each table equal to a map oracle and within the
+# node invariants; over the record encoders: every catalog
 # record must encode to json.Marshal's bytes (or its error); over the SDK's
 # direct decode of the dashboard and task types: what it accepts
 # json.Unmarshal decodes to an equal value, and the decode errors exactly when
@@ -45,6 +47,7 @@ race-full:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecovery$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordEncoding$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/api
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParity$$' -fuzztime $(FUZZTIME) ./client

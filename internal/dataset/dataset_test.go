@@ -1,10 +1,18 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,4 +289,70 @@ func TestGini(t *testing.T) {
 	if math.Abs(Gini([]float64{5, 1, 3})-Gini([]float64{1, 3, 5})) > 1e-12 {
 		t.Error("Gini must be order-invariant")
 	}
+}
+
+// ReadJSONL parses a dataset from the JSONL format and validates it: the
+// round-trip tests' oracle for WriteJSONL and SaveJSONL.
+func ReadJSONL(r io.Reader) (*Dataset, error) {
+	dec := json.NewDecoder(bufio.NewReader(r))
+	var header struct {
+		Resources []Resource `json:"resources"`
+	}
+	if err := dec.Decode(&header); err != nil {
+		return nil, fmt.Errorf("dataset: read header: %w", err)
+	}
+	d := &Dataset{Resources: header.Resources}
+	for {
+		var p Post
+		if err := dec.Decode(&p); err != nil {
+			if err == io.EOF {
+				break
+			}
+			return nil, fmt.Errorf("dataset: read post %d: %w", len(d.Posts), err)
+		}
+		d.Posts = append(d.Posts, p)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// LoadJSONL reads a dataset from a file written by SaveJSONL.
+func LoadJSONL(path string) (*Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadJSONL(f)
+}
+
+// ReadPostsCSV parses the CSV post format: the round-trip tests' oracle for
+// WritePostsCSV.
+func ReadPostsCSV(r io.Reader) ([]Post, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = 4
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("dataset: csv: %w", err)
+	}
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	posts := make([]Post, 0, len(rows)-1)
+	for i, row := range rows[1:] { // skip header
+		ns, err := strconv.ParseInt(row[2], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: csv row %d: bad time %q", i+1, row[2])
+		}
+		tags := strings.Split(row[3], ";")
+		posts = append(posts, Post{
+			ResourceID: row[0],
+			TaggerID:   row[1],
+			Time:       time.Unix(0, ns).UTC(),
+			Tags:       tags,
+		})
+	}
+	return posts, nil
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // The on-disk formats:
@@ -37,32 +36,6 @@ func WriteJSONL(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a dataset from the JSONL format and validates it.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var header struct {
-		Resources []Resource `json:"resources"`
-	}
-	if err := dec.Decode(&header); err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	d := &Dataset{Resources: header.Resources}
-	for {
-		var p Post
-		if err := dec.Decode(&p); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("dataset: read post %d: %w", len(d.Posts), err)
-		}
-		d.Posts = append(d.Posts, p)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // SaveJSONL writes the dataset to a file.
 func SaveJSONL(path string, d *Dataset) error {
 	f, err := os.Create(path)
@@ -74,16 +47,6 @@ func SaveJSONL(path string, d *Dataset) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadJSONL reads a dataset from a file.
-func LoadJSONL(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
 }
 
 // WritePostsCSV writes the post trace as CSV with a header row. Tags are
@@ -101,32 +64,4 @@ func WritePostsCSV(w io.Writer, posts []Post) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadPostsCSV parses the CSV post format.
-func ReadPostsCSV(r io.Reader) ([]Post, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	posts := make([]Post, 0, len(rows)-1)
-	for i, row := range rows[1:] { // skip header
-		ns, err := strconv.ParseInt(row[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: csv row %d: bad time %q", i+1, row[2])
-		}
-		tags := strings.Split(row[3], ";")
-		posts = append(posts, Post{
-			ResourceID: row[0],
-			TaggerID:   row[1],
-			Time:       time.Unix(0, ns).UTC(),
-			Tags:       tags,
-		})
-	}
-	return posts, nil
 }

@@ -130,12 +130,13 @@ func TestCachedDetailHitAllocs(t *testing.T) {
 // batchTasksAllocs bounds one 200-item Service.BatchTasks call — the
 // batch_engine workload's per-call work without HTTP — in allocations. On
 // the root package's BenchmarkBatchTasks world a warm call allocates about
-// 1 200 times: per item a task ID and the task and post keys, plus the
-// commit's tree copies and the quality windows' growth. Boxing the staged
-// records again reads about 1 600, fmt for the post key and the task ID
-// about 1 800, and the code before records were encoded where they are
-// staged about 2 400.
-const batchTasksAllocs = 1500
+// 960 times: per item a task ID and the task and post keys, plus the
+// commit's new tree nodes and the quality windows' growth. A commit that
+// copies a node again for each record reaching it, or splits an over-full
+// node into two more copies, reads about 1 200. Boxing the staged records
+// again adds about 400, fmt for the post key and the task ID about 600, and
+// the code before records were encoded where they are staged about 1 200.
+const batchTasksAllocs = 1100
 
 // TestBatchTasksAllocs runs 200-item calls on BenchmarkBatchTasks's world
 // (1 000 resources with 5 seed posts each, 20 taggers, three tags a post)

@@ -283,3 +283,49 @@ func FuzzSegmentRecovery(f *testing.F) {
 		postRecoveryWriteCycle(t, path, opts, db2)
 	})
 }
+
+// FuzzApply decodes bytes into a sequence of multi-record applies onto two
+// tables — puts, overwrites, deletes, keys repeated within an apply, runs of
+// up to 60 consecutive keys onto one leaf — and holds the index to the map
+// oracle and the tree invariants after every apply (indexModel.apply). Each
+// byte pair is one step: the first byte's low three bits pick apply-now,
+// delete, run or put, its top bit the table, its middle bits a run's length;
+// the second byte picks the key.
+func FuzzApply(f *testing.F) {
+	f.Add([]byte{3, 0, 4, 1, 1, 1, 0, 0, 4, 1, 0x83, 7})
+	f.Add([]byte{0x7b, 200, 0, 0, 0x7b, 200, 4, 5, 1, 5, 0, 0, 1, 5, 4, 5})
+	f.Add([]byte{4, 9, 1, 9, 4, 9, 0x84, 9, 0x81, 9, 0, 0, 0x3b, 255, 0x3b, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			data = data[:1024]
+		}
+		im := newIndexModel()
+		var recs []Record
+		flush := func(i int) {
+			if len(recs) > 0 {
+				im.apply(t, fmt.Sprintf("apply ending at byte %d", i), recs...)
+				recs = recs[:0]
+			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			c, key := data[i], fmt.Sprintf("k%03d", data[i+1])
+			tab := "t"
+			if c&0x80 != 0 {
+				tab = "u"
+			}
+			switch c & 7 {
+			case 0:
+				flush(i)
+			case 1, 2:
+				recs = append(recs, delRec(tab, key))
+			case 3:
+				for j := 0; j < int(c>>3&15)*4; j++ {
+					recs = append(recs, putRec(tab, fmt.Sprintf("%s/%02d", key, j), strconv.Itoa(i)))
+				}
+			default:
+				recs = append(recs, putRec(tab, key, strconv.Itoa(i)))
+			}
+		}
+		flush(len(data))
+	})
+}

@@ -3,37 +3,35 @@ package store
 // This file is the store's only in-memory representation: one persistent
 // B+tree per table, the roots held in a dbIndex published behind DB.idx. An
 // apply — one call of applyLocked, whatever number of records it folds in —
-// copies each node it touches once, edits its own copies in place from then
-// on, and swaps the index pointer when it is done: O(log n) per record
-// whatever the table size, and one copy per touched node whatever the
-// record count.
+// is one sorted merge per table it touches: its ops are sorted by key, the
+// last op on each key kept, and the puts merged into the tree in one
+// recursive pass that builds each node on the paths they reach once, at its
+// final size, and shares every other node with the version before. The
+// apply then swaps the index pointer: O(log n) per record whatever the
+// table size, and one new node per touched node whatever the record count.
 //
-// The invariant: a node is written only by the apply that made it, before
-// that apply publishes. Every apply mints an edit token, every node carries
-// the token of the apply that allocated it, and put/del write a node in
-// place only when it carries the current token — anything else (a published
-// node, a bulk-loaded one, one made under a nil token) is copied first. A
-// token is minted per apply and dropped at publication, so no later apply
-// can ever match it, and nothing an apply allocates is reachable from a
-// published root until its own publication. Readers
-// (Get/Has/Scan*/Count*/Tables) therefore still load the pointer and walk:
-// no lock, and a reader holding an old root keeps seeing exactly that
-// version for as long as it likes. A compaction cut and SnapshotExport are
-// the same load.
+// The invariant: a node is never written after it is made. Readers
+// (Get/Has/Scan*/Count*/Tables) therefore load the pointer and walk: no
+// lock, and a reader holding an old root keeps seeing exactly that version
+// for as long as it likes. A compaction cut and SnapshotExport are the same
+// load.
 //
 // Value slices are stored as handed in and shared by every version that
 // holds them: values are replaced wholesale on overwrite, never mutated in
 // place.
 
 import (
-	"encoding/json"
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
+
+	"itag/internal/wire"
 )
 
-// Node fill: a node splits past maxItems and is pooled with a neighbour
-// below minItems (the root is exempt). 16 is the knee of
+// Node fill: a merge cuts a node's items into even parts of at most
+// maxItems, and a delete pools a node with a neighbour below minItems (the
+// root is exempt). 16 is the knee of
 // BenchmarkStoreCommit's B/op (see docs/ARCHITECTURE.md for the row).
 const (
 	maxItems = 16
@@ -56,43 +54,37 @@ type child struct {
 	n   *node
 }
 
-// edit is an apply's token. Its identity is all that matters; it has a size
-// so that two live tokens never share an address.
-type edit struct{ _ byte }
-
-// node is a leaf (ents) or a branch (kids); all leaves sit at one depth. ed
-// is the token of the apply that allocated the node (nil for bulk-loaded
-// nodes): the only apply that may write it.
+// node is a leaf (ents) or a branch (kids); all leaves sit at one depth.
 type node struct {
 	ents []entry
 	kids []child
-	ed   *edit
 }
-
-// owned reports whether the apply holding ed made n and may write it in
-// place. No token, no in-place path.
-func (n *node) owned(ed *edit) bool { return ed != nil && n.ed == ed }
 
 func (n *node) size() int { return len(n.ents) + len(n.kids) }
-
-// lowest returns the separator for a node cut from the right of a list:
-// its first key, or the min its first slot carries.
-func (n *node) lowest() string {
-	if n.kids != nil {
-		return n.kids[0].min
-	}
-	return n.ents[0].key
-}
 
 // childFor returns the slot whose subtree holds key's position.
 func (n *node) childFor(key string) int {
 	return sort.Search(len(n.kids)-1, func(i int) bool { return key < n.kids[i+1].min })
 }
 
-// seek returns the position of the first leaf entry >= key and whether it
-// is key itself.
-func (n *node) seek(key string) (int, bool) {
-	return slices.BinarySearchFunc(n.ents, key, func(e entry, k string) int { return strings.Compare(e.key, k) })
+// seek returns the position of the first entry >= key and whether it is
+// key itself.
+func seek(ents []entry, key string) (int, bool) {
+	return slices.BinarySearchFunc(ents, key, func(e entry, k string) int { return strings.Compare(e.key, k) })
+}
+
+// mergeEnts appends to dst the ascending entries of old with those of run
+// merged in, a run entry replacing the old one with its key.
+func mergeEnts(dst, old, run []entry) []entry {
+	for _, e := range run {
+		i, found := seek(old, e.key)
+		dst = append(append(dst, old[:i]...), e)
+		if found {
+			i++
+		}
+		old = old[i:]
+	}
+	return append(dst, old...)
 }
 
 // splice returns a fresh slice: s with s[i:j] replaced by repl.
@@ -101,114 +93,56 @@ func splice[T any](s []T, i, j int, repl ...T) []T {
 	return append(append(append(out, s[:i]...), repl...), s[j:]...)
 }
 
-// split cuts an over-full node in two, each half in its own backing array
-// so neither pins the other's memory.
-func (n *node) split(ed *edit) (l, r *node) {
-	if n.kids == nil {
-		mid := len(n.ents) / 2
-		return &node{ents: slices.Clone(n.ents[:mid]), ed: ed}, &node{ents: slices.Clone(n.ents[mid:]), ed: ed}
+// cut appends to out one node per part of s, cut into the fewest parts of
+// at most maxItems, sized within one of each other (so every part of a
+// multi-part cut holds >= minItems); mk copies a part into its node. out
+// may share s's array up to where s starts: part p is copied before slot
+// len(out)+p is written, and no later part reads that slot.
+func cut[T any](out []child, s []T, mk func([]T) child) []child {
+	parts := (len(s) + maxItems - 1) / maxItems
+	for p := 0; p < parts; p++ {
+		out = append(out, mk(s[p*len(s)/parts:(p+1)*len(s)/parts]))
 	}
-	mid := len(n.kids) / 2
-	return &node{kids: slices.Clone(n.kids[:mid]), ed: ed}, &node{kids: slices.Clone(n.kids[mid:]), ed: ed}
+	return out
 }
 
-// join concatenates two neighbouring nodes of one depth into a fresh one.
-func join(ed *edit, l, r *node) *node {
-	if l.kids == nil {
-		return &node{ents: splice(l.ents, len(l.ents), len(l.ents), r.ents...), ed: ed}
-	}
-	return &node{kids: splice(l.kids, len(l.kids), len(l.kids), r.kids...), ed: ed}
-}
-
-// replace is splice in s's own backing array. The first copy of a node is
-// cut to size (most applies touch a node once); an array that turns out too
-// small moves once to one that holds any node — a node is split before it
-// exceeds maxItems+1 — instead of doubling.
-func replace[T any](s []T, i, j int, repl ...T) []T {
-	if len(s)-(j-i)+len(repl) > cap(s) {
-		s = append(make([]T, 0, maxItems+1), s...)
-	}
-	return slices.Replace(s, i, j, repl...)
-}
-
-// withEnts returns leaf n with ents[i:j] replaced by repl: n itself, edited
-// in place, when the apply holding ed made it, a copy stamped ed otherwise.
-func (n *node) withEnts(ed *edit, i, j int, repl ...entry) *node {
-	if n.owned(ed) {
-		n.ents = replace(n.ents, i, j, repl...)
-		return n
-	}
-	return &node{ents: splice(n.ents, i, j, repl...), ed: ed}
-}
-
-// withKids is withEnts for a branch's slots.
-func (n *node) withKids(ed *edit, i, j int, repl ...child) *node {
-	if n.owned(ed) {
-		n.kids = replace(n.kids, i, j, repl...)
-		return n
-	}
-	return &node{kids: splice(n.kids, i, j, repl...), ed: ed}
-}
-
-// put sets key to val under n and returns the subtree — split in two (right
-// non-nil) if that over-filled it — and whether key is new. The result is n
-// itself where ed owns it, a copy of the touched path otherwise.
-func (n *node) put(ed *edit, key string, val []byte) (left, right *node, added bool) {
-	var out *node
-	if n.kids == nil {
-		i, found := n.seek(key)
-		j := i
-		if found {
-			j++
-		}
-		out, added = n.withEnts(ed, i, j, entry{key, val}), !found
-	} else {
-		i := n.childFor(key)
-		l, r, a := n.kids[i].n.put(ed, key, val)
-		if r == nil {
-			out = n.withKids(ed, i, i+1, child{n.kids[i].min, l})
-		} else {
-			out = n.withKids(ed, i, i+1, child{n.kids[i].min, l}, child{r.lowest(), r})
-		}
-		added = a
-	}
-	if out.size() <= maxItems {
-		return out, nil, added
-	}
-	left, right = out.split(ed)
-	return left, right, added
-}
+// leafOf and branchOf make the node holding a copy of s at its exact size,
+// in the slot its first key (or first slot's min) bounds.
+func leafOf(s []entry) child   { return child{s[0].key, &node{ents: slices.Clone(s)}} }
+func branchOf(s []child) child { return child{s[0].min, &node{kids: slices.Clone(s)}} }
 
 // del removes key from under n and returns the subtree, or n untouched and
-// false when key is absent. The result may be under-full; the caller pools
-// it.
-func (n *node) del(ed *edit, key string) (*node, bool) {
+// false when key is absent. Every node on the path is copied. The result may
+// be under-full; the caller pools it.
+func (n *node) del(key string) (*node, bool) {
 	if n.kids == nil {
-		i, found := n.seek(key)
+		i, found := seek(n.ents, key)
 		if !found {
 			return n, false
 		}
-		return n.withEnts(ed, i, i+1), true
+		return &node{ents: splice(n.ents, i, i+1)}, true
 	}
 	i := n.childFor(key)
-	c, ok := n.kids[i].n.del(ed, key)
+	c, ok := n.kids[i].n.del(key)
 	if !ok {
 		return n, false
 	}
 	if c.size() >= minItems {
-		return n.withKids(ed, i, i+1, child{n.kids[i].min, c}), true
+		return &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, c})}, true
 	}
 	// Pool the under-full child with a neighbour: one node when the items
 	// fit, two even ones otherwise.
 	a := max(i-1, 0)
 	pair := [2]*node{n.kids[a].n, n.kids[a+1].n}
 	pair[i-a] = c
-	pooled := join(ed, pair[0], pair[1])
-	if pooled.size() <= maxItems {
-		return n.withKids(ed, a, a+2, child{n.kids[a].min, pooled}), true
+	var pooled []child
+	if c.kids == nil {
+		pooled = cut(nil, slices.Concat(pair[0].ents, pair[1].ents), leafOf)
+	} else {
+		pooled = cut(nil, slices.Concat(pair[0].kids, pair[1].kids), branchOf)
 	}
-	l, r := pooled.split(ed)
-	return n.withKids(ed, a, a+2, child{n.kids[a].min, l}, child{r.lowest(), r}), true
+	pooled[0].min = n.kids[a].min // the parent keeps its separators
+	return &node{kids: splice(n.kids, a, a+2, pooled...)}, true
 }
 
 // tree is one version of one table: an immutable root (nil when empty) and
@@ -218,29 +152,12 @@ type tree struct {
 	n    int
 }
 
-// put and del return the next version of the table. Nodes the apply holding
-// ed made earlier are edited in place, so versions that apply built before
-// this one change with it — they are its scratch, not yet anyone's to read;
-// every other node is copied, so every published version stays as it was.
-func (t tree) put(ed *edit, key string, val []byte) tree {
-	if t.root == nil {
-		return tree{&node{ents: []entry{{key, val}}, ed: ed}, 1}
-	}
-	l, r, added := t.root.put(ed, key, val)
-	if r != nil {
-		l = &node{kids: []child{{"", l}, {r.lowest(), r}}, ed: ed}
-	}
-	if added {
-		t.n++
-	}
-	return tree{l, t.n}
-}
-
-func (t tree) del(ed *edit, key string) tree {
+// del returns the next version of the table without key.
+func (t tree) del(key string) tree {
 	if t.root == nil {
 		return t
 	}
-	root, ok := t.root.del(ed, key)
+	root, ok := t.root.del(key)
 	if !ok {
 		return t
 	}
@@ -261,43 +178,186 @@ func (t tree) get(key string) ([]byte, bool) {
 	for n.kids != nil {
 		n = n.kids[n.childFor(key)].n
 	}
-	if i, found := n.seek(key); found {
+	if i, found := seek(n.ents, key); found {
 		return n.ents[i].val, true
 	}
 	return nil, false
 }
 
-// buildTree bulk-loads ascending entries (a decoded snapshot) into evenly
-// filled nodes, level by level.
+// buildTree bulk-loads ascending distinct entries (a decoded snapshot): a
+// merge into the empty tree.
 func buildTree(ents []entry) tree {
-	if len(ents) == 0 {
-		return tree{}
-	}
-	level := make([]child, 0, len(ents)/maxItems+1)
-	for _, part := range evenParts(ents) {
-		level = append(level, child{part[0].key, &node{ents: slices.Clone(part)}})
-	}
-	for len(level) > 1 {
-		up := make([]child, 0, len(level)/maxItems+1)
-		for _, part := range evenParts(level) {
-			up = append(up, child{part[0].min, &node{kids: slices.Clone(part)}})
-		}
-		level = up
-	}
-	return tree{level[0].n, len(ents)}
+	var m merger
+	return m.merge(tree{}, ents)
 }
 
-// evenParts cuts s into the fewest runs of at most maxItems, sized within
-// one of each other (so every run of a multi-run cut holds >= minItems).
-// The runs alias s; a node clones its run so the input can be collected.
-func evenParts[T any](s []T) [][]T {
-	parts := (len(s) + maxItems - 1) / maxItems
-	out := make([][]T, 0, parts)
-	for i := 0; i < parts; i++ {
-		lo, hi := i*len(s)/parts, (i+1)*len(s)/parts
-		out = append(out, s[lo:hi])
+// op is one put or delete of an apply, flattened out of its record. ord is
+// its position in the apply: the tiebreak that lets the last op on a key
+// win.
+type op struct {
+	table, key string
+	val        []byte
+	ord        int32
+	del        bool
+}
+
+// merger is an apply's scratch: the flattened ops, the puts of the table
+// being merged, the entries of the leaf being rebuilt, and a stack of the
+// slots of the branches being rebuilt. It keeps its capacity from one apply
+// to the next and clears what it used, so it pins no value the tree has
+// dropped.
+type merger struct {
+	ops  []op
+	run  []entry
+	ents []entry
+	kids []child
+}
+
+// add flattens recs — puts, deletes, and batches of them — into m's ops.
+func (m *merger) add(recs ...Record) {
+	for i := range recs {
+		subs := recs[i : i+1]
+		if recs[i].Op == OpBatch {
+			subs = recs[i].Batch
+		}
+		for j := range subs {
+			if rec := &subs[j]; rec.Op == OpPut || rec.Op == OpDelete {
+				if len(m.ops) == cap(m.ops) { // double: a replay collects a whole file
+					m.ops = slices.Grow(m.ops, len(m.ops)+1)
+				}
+				m.ops = append(m.ops, op{rec.Table, rec.Key, rec.Value, int32(len(m.ops)), rec.Op == OpDelete})
+			}
+		}
 	}
-	return out
+}
+
+// apply folds the ops added since the last apply into a copy of x and
+// returns it; x stays as it was. The last op on a key wins, and a table
+// exists from its first put on, even if the same apply empties it. Deletes
+// go one by one through del; the puts of a table are one merge.
+func (m *merger) apply(x dbIndex) dbIndex {
+	if len(m.ops) > 1 {
+		slices.SortFunc(m.ops, func(a, b op) int {
+			return cmp.Or(strings.Compare(a.table, b.table), strings.Compare(a.key, b.key), cmp.Compare(a.ord, b.ord))
+		})
+	}
+	next := slices.Clone(x)
+	for ops := m.ops; len(ops) > 0; {
+		k := 1
+		for k < len(ops) && ops[k].table == ops[0].table {
+			k++
+		}
+		group := ops[:k]
+		ops = ops[k:]
+		i, found := next.find(group[0].table)
+		if !found {
+			if !slices.ContainsFunc(group, func(o op) bool { return !o.del }) {
+				continue
+			}
+			next = slices.Insert(next, i, namedTree{name: group[0].table})
+		}
+		t := next[i].tree
+		m.run = slices.Grow(m.run, len(group))
+		for j, o := range group {
+			switch {
+			case j+1 < len(group) && group[j+1].key == o.key: // a later op wins
+			case o.del:
+				t = t.del(o.key)
+			default:
+				m.run = append(m.run, entry{o.key, o.val})
+			}
+		}
+		next[i].tree = m.merge(t, m.run)
+		clear(m.run)
+		m.run = m.run[:0]
+	}
+	clear(m.ops)
+	m.ops = m.ops[:0]
+	return next
+}
+
+// merge returns t with run — ascending distinct keys — put into it, adding
+// levels above the root until one node is left.
+func (m *merger) merge(t tree, run []entry) tree {
+	if len(run) == 0 {
+		return t
+	}
+	added := m.into(t.root, run)
+	for top := len(m.kids); top > 1; top = len(m.kids) {
+		m.kids = cut(m.kids[:0], m.kids, branchOf)
+		clear(m.kids[len(m.kids):top])
+	}
+	root := m.kids[0].n
+	clear(m.kids)
+	m.kids = m.kids[:0]
+	return tree{root, t.n + added}
+}
+
+// into pushes onto m.kids the nodes that n (nil: the empty table's leaf)
+// becomes with run — ascending distinct keys, all routed to n — merged in,
+// and returns how many of run's keys are new. A leaf merges its entries
+// with the run; a branch splits the run at its separators, recurses only
+// into the slots that receive keys, and lays its slots out once. A result
+// that fits one node is built straight into it; an over-full one is laid
+// out in scratch and cut.
+func (m *merger) into(n *node, run []entry) (added int) {
+	if n == nil {
+		m.kids = cut(m.kids, run, leafOf)
+		return len(run)
+	}
+	if n.kids == nil {
+		added = len(run)
+		for _, e := range run {
+			if _, found := seek(n.ents, e.key); found {
+				added--
+			}
+		}
+		size := len(n.ents) + added
+		if size <= maxItems {
+			ents := mergeEnts(make([]entry, 0, size), n.ents, run)
+			m.kids = append(m.kids, child{ents[0].key, &node{ents: ents}})
+			return added
+		}
+		m.ents = mergeEnts(slices.Grow(m.ents, size), n.ents, run)
+		m.kids = cut(m.kids, m.ents, leafOf)
+		clear(m.ents)
+		m.ents = m.ents[:0]
+		return added
+	}
+	var pushed [maxItems]int // nodes each slot became; 0: not reached
+	base, size := len(m.kids), len(n.kids)
+	for len(run) > 0 {
+		i, k := n.childFor(run[0].key), len(run)
+		if i+1 < len(n.kids) {
+			bound := n.kids[i+1].min
+			k = sort.Search(len(run), func(j int) bool { return run[j].key >= bound })
+		}
+		top := len(m.kids)
+		added += m.into(n.kids[i].n, run[:k])
+		pushed[i] = len(m.kids) - top
+		size += pushed[i] - 1
+		run = run[k:]
+	}
+	top, kids := len(m.kids), m.kids
+	if size <= maxItems {
+		kids = make([]child, 0, size)
+	}
+	next, at := 0, base
+	for i, p := range pushed[:len(n.kids)] {
+		if p > 0 {
+			kids = append(append(kids, n.kids[next:i]...), m.kids[at:at+p]...)
+			next, at = i+1, at+p
+		}
+	}
+	kids = append(kids, n.kids[next:]...)
+	if size <= maxItems {
+		clear(m.kids[base:top])
+		m.kids = append(m.kids[:base], child{kids[0].min, &node{kids: kids}})
+		return added
+	}
+	m.kids = cut(kids[:base], kids[top:], branchOf)
+	clear(kids[len(m.kids):])
+	return added
 }
 
 // maxDepth bounds the iterator's stack: minItems^maxDepth keys is far past
@@ -332,7 +392,7 @@ func (t tree) iter(start, end string) treeIter {
 		it.push(n, i)
 		n = n.kids[i].n
 	}
-	i, _ := n.seek(start)
+	i, _ := seek(n.ents, start)
 	it.push(n, i-1)
 	it.advance()
 	return it
@@ -401,11 +461,7 @@ func (t tree) MarshalJSON() ([]byte, error) {
 		if len(buf) > 1 {
 			buf = append(buf, ',')
 		}
-		k, err := json.Marshal(it.key)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(append(buf, k...), ':')
+		buf = append(wire.AppendString(buf, it.key), ':')
 		if len(it.val) == 0 {
 			buf = append(buf, "null"...)
 		} else {
@@ -416,7 +472,7 @@ func (t tree) MarshalJSON() ([]byte, error) {
 }
 
 // dbIndex is one version of the whole store: every table's tree, in table
-// name order. Immutable once published; a commit edits a shallow copy.
+// name order. Immutable once published; an apply edits a shallow copy.
 type dbIndex []namedTree
 
 type namedTree struct {
@@ -426,30 +482,6 @@ type namedTree struct {
 
 func (x dbIndex) find(table string) (int, bool) {
 	return slices.BinarySearchFunc(x, table, func(t namedTree, name string) int { return strings.Compare(t.name, name) })
-}
-
-// apply folds one WAL record into x, which must be the caller's own copy,
-// under the caller's edit token. A table exists from its first put on, even
-// if later emptied.
-func (x *dbIndex) apply(ed *edit, rec Record) {
-	switch rec.Op {
-	case OpPut:
-		i, ok := x.find(rec.Table)
-		if !ok {
-			*x = slices.Insert(*x, i, namedTree{name: rec.Table})
-		}
-		(*x)[i].tree = (*x)[i].put(ed, rec.Key, rec.Value)
-	case OpDelete:
-		if i, ok := x.find(rec.Table); ok {
-			(*x)[i].tree = (*x)[i].del(ed, rec.Key)
-		}
-	case OpBatch:
-		for _, sub := range rec.Batch {
-			if sub.Op != OpBatch {
-				x.apply(ed, sub)
-			}
-		}
-	}
 }
 
 // loadIndex returns the published index.
@@ -469,15 +501,14 @@ func (db *DB) table(name string) tree {
 	return tree{}
 }
 
-// applyLocked folds records into a copy of the published index under one
-// fresh edit token — so however many records touch a node, it is copied
-// once — and publishes the result, so an acked write is reader-visible
-// before its commit barrier releases. Caller holds db.mu.
+// applyLocked folds recs, and any records already added to db.mg, into a
+// copy of the published index as one merge — so however many records touch
+// a node, it is built once — and publishes the result, so an acked write is
+// reader-visible before its commit barrier releases. Caller holds db.mu,
+// which guards db.mg.
 func (db *DB) applyLocked(recs ...Record) {
-	next, ed := slices.Clone(db.loadIndex()), new(edit)
-	for _, rec := range recs {
-		next.apply(ed, rec)
-	}
+	db.mg.add(recs...)
+	next := db.mg.apply(db.loadIndex())
 	db.idx.Store(&next)
 }
 

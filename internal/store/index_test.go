@@ -7,9 +7,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,55 +119,212 @@ func oracleContents(m map[string][]byte) []refEntry {
 	return out
 }
 
-// TestTreeRandomOpsInvariants drives put/overwrite/delete straight at the
-// tree, one apply (one token) per operation, checking the invariants and the full contents after every single
-// operation, through growth to several levels and back down to empty.
+// indexModel drives multi-record applies through one merger — reused, as
+// the DB reuses its own — and checks the index against a map oracle after
+// every apply: every table's tree invariants, its full contents, and a
+// merger left with nothing in its scratch.
+type indexModel struct {
+	m      merger
+	x      dbIndex
+	oracle map[string]map[string][]byte // a table is present from its first put on
+}
+
+func newIndexModel() *indexModel { return &indexModel{oracle: map[string]map[string][]byte{}} }
+
+func putRec(table, key, val string) Record {
+	return Record{Op: OpPut, Table: table, Key: key, Value: []byte(val)}
+}
+
+func delRec(table, key string) Record { return Record{Op: OpDelete, Table: table, Key: key} }
+
+// apply folds recs in as one apply; from the third on they ride in a batch
+// record, which the merger flattens.
+func (im *indexModel) apply(t testing.TB, label string, recs ...Record) {
+	t.Helper()
+	for i, rec := range recs {
+		if i == 2 {
+			im.m.add(Record{Op: OpBatch, Batch: recs[2:]})
+		} else if i < 2 {
+			im.m.add(rec)
+		}
+		tab := im.oracle[rec.Table]
+		switch {
+		case rec.Op == OpPut && tab == nil:
+			im.oracle[rec.Table] = map[string][]byte{rec.Key: rec.Value}
+		case rec.Op == OpPut:
+			tab[rec.Key] = rec.Value
+		default:
+			delete(tab, rec.Key)
+		}
+	}
+	im.x = im.m.apply(im.x)
+	im.check(t, label)
+}
+
+func (im *indexModel) check(t testing.TB, label string) {
+	t.Helper()
+	if len(im.x) != len(im.oracle) {
+		t.Fatalf("%s: index holds %d tables, oracle %d", label, len(im.x), len(im.oracle))
+	}
+	for i, tab := range im.x {
+		if i > 0 && im.x[i-1].name >= tab.name {
+			t.Fatalf("%s: tables out of order: %q then %q", label, im.x[i-1].name, tab.name)
+		}
+		want, ok := im.oracle[tab.name]
+		if !ok {
+			t.Fatalf("%s: index holds table %q, oracle does not", label, tab.name)
+		}
+		checkTree(t, label+"/"+tab.name, tab.tree)
+		if got := treeContents(tab.tree); !entriesEqual(got, oracleContents(want)) {
+			t.Fatalf("%s: table %s holds %d entries, oracle %d (or they differ)", label, tab.name, len(got), len(want))
+		}
+	}
+	requireScratchClean(t, label, &im.m)
+}
+
+func (im *indexModel) table(name string) tree {
+	if i, ok := im.x.find(name); ok {
+		return im.x[i].tree
+	}
+	return tree{}
+}
+
+// requireScratchClean asserts a merger holds no op, entry or slot after an
+// apply, over the whole capacity of its slices: the scratch pins nothing.
+func requireScratchClean(t testing.TB, label string, m *merger) {
+	t.Helper()
+	if len(m.ops)+len(m.run)+len(m.ents)+len(m.kids) != 0 {
+		t.Fatalf("%s: merger scratch not emptied: %d ops, %d run, %d ents, %d kids", label, len(m.ops), len(m.run), len(m.ents), len(m.kids))
+	}
+	for _, o := range m.ops[:cap(m.ops)] {
+		if o.table != "" || o.key != "" || o.val != nil {
+			t.Fatalf("%s: merger ops keep %q/%q", label, o.table, o.key)
+		}
+	}
+	for _, s := range [][]entry{m.run[:cap(m.run)], m.ents[:cap(m.ents)]} {
+		for _, e := range s {
+			if e.key != "" || e.val != nil {
+				t.Fatalf("%s: merger entries keep %q", label, e.key)
+			}
+		}
+	}
+	for _, c := range m.kids[:cap(m.kids)] {
+		if c.n != nil || c.min != "" {
+			t.Fatalf("%s: merger slots keep a node under %q", label, c.min)
+		}
+	}
+}
+
+// TestTreeRandomOpsInvariants drives random multi-record applies — puts,
+// overwrites, deletes, keys repeated within an apply — at two tables
+// through growth to three levels and back down to empty, checking the
+// invariants and the full contents after every apply. Between the random
+// applies sit the merge's edge cases: a put and a delete of one key in both
+// orders, runs of 3 x maxItems consecutive keys onto one leaf (the task
+// table's append, and one between two neighbouring keys), a run into an
+// empty table, and, for one seed, a start from a bulk-loaded tree.
 func TestTreeRandomOpsInvariants(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		r := rand.New(rand.NewSource(seed))
-		var tr tree
-		oracle := map[string][]byte{}
-		step := func(i int, del bool) {
-			key := fmt.Sprintf("k%05d", r.Intn(1000))
-			if del {
-				delete(oracle, key)
-				tr = tr.del(new(edit), key)
-			} else {
-				val := []byte(fmt.Sprintf("%d", i))
-				oracle[key] = val
-				tr = tr.put(new(edit), key, val)
+		im := newIndexModel()
+		label := func(what string, a int) string { return fmt.Sprintf("seed %d %s %d", seed, what, a) }
+
+		// A table exists from its first put on: deletes alone do not make
+		// one, a put deleted in the same apply does.
+		im.apply(t, label("delete-only", 0), delRec("t", "k00001"), delRec("t", "k00002"))
+		im.apply(t, label("put-then-delete", 0), putRec("u", "k00001", "x"), delRec("u", "k00001"))
+		if im.table("u").n != 0 || len(im.x) != 1 {
+			t.Fatalf("seed %d: want one empty table, have %d tables", seed, len(im.x))
+		}
+		if seed == 7 { // a snapshot-loaded start
+			ents := make([]entry, 500)
+			for i := range ents {
+				ents[i] = entry{fmt.Sprintf("k%05d", i*2), []byte(fmt.Sprintf("b%d", i))}
+				im.oracle["u"][ents[i].key] = ents[i].val
 			}
-			checkTree(t, fmt.Sprintf("seed %d step %d", seed, i), tr)
-			if i%97 == 0 {
-				if got, want := treeContents(tr), oracleContents(oracle); !entriesEqual(got, want) {
-					t.Fatalf("seed %d step %d: tree holds %d entries, oracle %d", seed, i, len(got), len(want))
+			im.x[0].tree = buildTree(ents)
+			im.check(t, label("buildTree", 0))
+		}
+		if seed == 42 { // one run of 300 into the empty table "t"
+			recs := make([]Record, 0, 300)
+			for i := 0; i < 300; i++ {
+				recs = append(recs, putRec("t", fmt.Sprintf("k%05d", r.Intn(1000)), fmt.Sprintf("e%d", i)))
+			}
+			im.apply(t, label("empty-run", 0), recs...)
+		}
+
+		n := 0
+		randomApply := func(what string, a, delTenths int) {
+			size := 1 + r.Intn(40)
+			recs := make([]Record, 0, size)
+			for i := 0; i < size; i++ {
+				tab := [2]string{"t", "u"}[r.Intn(2)]
+				key := fmt.Sprintf("k%05d", r.Intn(1000))
+				if i > 0 && r.Intn(4) == 0 { // a key this apply already holds
+					prev := recs[r.Intn(i)]
+					tab, key = prev.Table, prev.Key
+				}
+				if n++; r.Intn(10) < delTenths {
+					recs = append(recs, delRec(tab, key))
+				} else {
+					recs = append(recs, putRec(tab, key, fmt.Sprint(n)))
 				}
 			}
-			for k, want := range oracle {
-				if got, ok := tr.get(k); !ok || !bytes.Equal(got, want) {
-					t.Fatalf("seed %d step %d: get(%q) = %q, %v; want %q", seed, i, k, got, ok, want)
-				}
-				break
+			im.apply(t, label(what, a), recs...)
+		}
+		run := func(tab, prefix string, count int) []Record {
+			recs := make([]Record, count)
+			for i := range recs {
+				recs[i] = putRec(tab, fmt.Sprintf("%s/%03d", prefix, i), fmt.Sprintf("run%d", i))
 			}
-			if _, ok := tr.get(key + "!"); ok {
-				t.Fatalf("seed %d step %d: phantom key", seed, i)
+			return recs
+		}
+		for a := 0; a < 150; a++ {
+			randomApply("grow", a, 2)
+			switch a {
+			case 50: // both orders, on a key the table holds and on a new one
+				im.apply(t, label("put-delete", a),
+					putRec("t", "k00500", "p"), delRec("t", "k00500"),
+					delRec("t", "k00501"), putRec("t", "k00501", "q"),
+					putRec("t", "k00500/new", "p"), delRec("t", "k00500/new"),
+					delRec("t", "k00501/new"), putRec("t", "k00501/new", "q"))
+			case 80: // the task table's append: past every key, onto the last leaf
+				im.apply(t, label("append-run", a), run("t", "k99999", 3*maxItems+3)...)
+			case 110: // between two neighbouring keys, onto one inner leaf
+				im.apply(t, label("inner-run", a), run("u", "k00300", 3*maxItems+5)...)
 			}
 		}
-		for i := 0; i < 3000; i++ { // grow: 4 puts to 1 delete
-			step(i, r.Intn(5) == 0)
+		if depth(im.table("t")) < 3 {
+			t.Fatalf("seed %d: table t grew to depth %d only; the test never splits a branch", seed, depth(im.table("t")))
 		}
-		for i := 3000; i < 9000 && tr.n > 0; i++ { // drain: 5 deletes to 1 put
-			step(i, r.Intn(6) != 0)
+		for a := 0; a < 600 && im.table("t").n+im.table("u").n > 0; a++ {
+			randomApply("drain", a, 9)
 		}
-		for k := range oracle {
-			tr = tr.del(new(edit), k)
-			delete(oracle, k)
-			checkTree(t, fmt.Sprintf("seed %d final drain", seed), tr)
+		var rest []Record // whatever the drain left, deleted in one apply
+		for _, tab := range []string{"t", "u"} {
+			for k := range im.oracle[tab] {
+				rest = append(rest, delRec(tab, k))
+			}
 		}
-		if tr.root != nil || tr.n != 0 {
-			t.Fatalf("seed %d: drained tree not empty (n=%d)", seed, tr.n)
+		im.apply(t, label("final-drain", 0), rest...)
+		for _, tab := range im.x {
+			if tab.root != nil || tab.n != 0 {
+				t.Fatalf("seed %d: drained table %s not empty (n=%d)", seed, tab.name, tab.n)
+			}
 		}
 	}
+}
+
+// depth returns the number of levels of a tree.
+func depth(tr tree) int {
+	d := 0
+	for n := tr.root; n != nil; d++ {
+		if n.kids == nil {
+			return d + 1
+		}
+		n = n.kids[0].n
+	}
+	return d
 }
 
 // TestBuildTreeInvariants bulk-loads every size around the node-fill
@@ -188,10 +348,50 @@ func TestBuildTreeInvariants(t *testing.T) {
 				t.Fatalf("buildTree(%d): entry %d is %q, want %q", n, i, e.key, ents[i].key)
 			}
 		}
-		// A loaded tree must take further edits like a grown one.
-		ed := new(edit)
-		tr = tr.put(ed, "k000000!", []byte("1")).del(ed, "k000001")
-		checkTree(t, fmt.Sprintf("buildTree(%d) edited", n), tr)
+		// A loaded tree must take further applies like a grown one.
+		var m merger
+		m.add(putRec("t", "k000000!", "1"))
+		m.add(delRec("t", "k000001"))
+		x := m.apply(dbIndex{{"t", tr}})
+		checkTree(t, fmt.Sprintf("buildTree(%d) edited", n), x[0].tree)
+	}
+}
+
+// TestTreeMarshalJSONMatchesEncodingJSON: a table's snapshot rendering is
+// byte for byte json.Marshal of the equivalent map[string]json.RawMessage —
+// keys that need escaping (HTML characters, U+2028/U+2029, control bytes,
+// quotes, invalid UTF-8) and a nil value included — over a tree of several
+// levels and over the empty one.
+func TestTreeMarshalJSONMatchesEncodingJSON(t *testing.T) {
+	m := map[string]json.RawMessage{
+		"a<b": json.RawMessage(`{"x":1}`), "a>b": json.RawMessage(`"s"`), "a&b": json.RawMessage(`[1,2]`),
+		"line\u2028sep": json.RawMessage(`true`), "para\u2029sep": json.RawMessage(`null`),
+		"bad\xffutf8": json.RawMessage(`0`), "\xc3": json.RawMessage(`1.5`), "quote\"back\\slash": json.RawMessage(`{}`),
+		"ctl\x01\n\t": json.RawMessage(`""`), "": json.RawMessage(`2`), "ünïcode": nil,
+	}
+	for i := 0; i < 400; i++ {
+		m[fmt.Sprintf("res-%04d/%012d", i%37, i)] = json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))
+	}
+	ents := make([]entry, 0, len(m))
+	for k, v := range m {
+		ents = append(ents, entry{k, v})
+	}
+	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	for _, tc := range []struct {
+		tr   tree
+		want map[string]json.RawMessage
+	}{{buildTree(ents), m}, {tree{}, map[string]json.RawMessage{}}} {
+		got, err := tc.tr.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("tree.MarshalJSON of %d keys differs from json.Marshal:\n got %.300s\nwant %.300s", tc.tr.n, got, want)
+		}
 	}
 }
 
@@ -341,9 +541,9 @@ func (h heldVersion) check(t *testing.T, label string) {
 }
 
 // TestTransientEditsKeepEveryVersion is the isolation property of the
-// edit-in-place tree: random multi-record applies — repeated keys, puts and
-// deletes mixed, two tables, batches large enough to split and pool the
-// nodes the same apply just made — against the sorted-map model, holding
+// merged tree: random multi-record applies — repeated keys, puts and
+// deletes mixed, two tables, batches large enough to split and pool
+// nodes — against the sorted-map model, holding
 // EVERY published version and re-checking each of them byte for byte after
 // every later apply. An apply that wrote a node it did not make shows up as
 // drift in an older version.
@@ -492,63 +692,107 @@ func TestScannersSeeWholeBatchesDuringApply(t *testing.T) {
 	}
 }
 
-// TestNoTokenNoInPlaceEdit pins the ownership rule from both sides: a put or
-// delete under a nil token, or under a token other than the one that made
-// the nodes, copies every node it touches — the version it started from is
-// untouched — while the token that made a node does edit it in place (the
-// positive control: without it the first half would pass on a tree that
-// always copies).
-func TestNoTokenNoInPlaceEdit(t *testing.T) {
-	mine, foreign := new(edit), new(edit)
-	var base tree
-	for i := 0; i < 200; i++ { // three levels
-		base = base.put(mine, fmt.Sprintf("k%04d", i*2), []byte("base"))
-	}
-	checkTree(t, "base", base)
-	want := treeContents(base)
-	path := func(tr tree, key string) []*node {
-		var out []*node
-		for n := tr.root; ; n = n.kids[n.childFor(key)].n {
-			out = append(out, n)
-			if n.kids == nil {
-				return out
-			}
+// nodeImage is a deep copy of what one node holds.
+type nodeImage struct {
+	ents []refEntry
+	kids []child
+}
+
+// imageOf copies every node reachable from tr's root, keyed by address.
+func imageOf(tr tree) map[*node]nodeImage {
+	out := map[*node]nodeImage{}
+	var walk func(n *node)
+	walk = func(n *node) {
+		img := nodeImage{kids: slices.Clone(n.kids)}
+		for _, e := range n.ents {
+			img.ents = append(img.ents, refEntry{e.key, bytes.Clone(e.val)})
+		}
+		out[n] = img
+		for _, c := range n.kids {
+			walk(c.n)
 		}
 	}
-	for name, ed := range map[string]*edit{"nil token": nil, "foreign token": foreign} {
-		cur := base
-		for round := 0; round < 3; round++ { // nil-stamped copies must not become nil-owned
-			before, beforeWant := cur, treeContents(cur)
-			next := cur.put(ed, "k0101", []byte(fmt.Sprintf("edit-%d", round)))
-			next = next.del(ed, "k0104")
-			next = next.put(ed, "k0104", []byte("back"))
-			for depth, n := range path(next, "k0101") {
-				if old := path(before, "k0101"); depth < len(old) && old[depth] == n {
-					t.Fatalf("%s, round %d: depth-%d node on the edited path is shared with the version before", name, round, depth)
+	if tr.root != nil {
+		walk(tr.root)
+	}
+	return out
+}
+
+// pathTo returns the nodes from tr's root down to the leaf holding key's
+// position.
+func pathTo(tr tree, key string) []*node {
+	var out []*node
+	for n := tr.root; ; n = n.kids[n.childFor(key)].n {
+		out = append(out, n)
+		if n.kids == nil {
+			return out
+		}
+	}
+}
+
+// TestMergeNeverWritesAPublishedNode pins the tree's one rule: a node is
+// never written after it is made. After a one-record, a multi-record and an
+// overflowing apply onto a three-level table, every node on a path the apply
+// touched is new, the version the apply started from reads byte for byte
+// the same, and the untouched nodes are shared rather than copied.
+func TestMergeNeverWritesAPublishedNode(t *testing.T) {
+	im := newIndexModel()
+	for c := 0; c < 12; c++ { // a table grown by merges, not bulk-loaded
+		var recs []Record
+		for i := c; i < 600; i += 12 {
+			recs = append(recs, putRec("t", fmt.Sprintf("k%04d", i*2), "base"))
+		}
+		im.apply(t, fmt.Sprintf("grow %d", c), recs...)
+	}
+	base := im.x
+	if d := depth(base[0].tree); d < 3 {
+		t.Fatalf("base tree has depth %d, want 3", d)
+	}
+	var overflow []Record
+	for i := 0; i < 3*maxItems; i++ {
+		overflow = append(overflow, putRec("t", fmt.Sprintf("k0601/%02d", i), "run"))
+	}
+	for _, tc := range []struct {
+		name string
+		recs []Record
+	}{
+		{"one record", []Record{putRec("t", "k0101", "new")}},
+		{"multi-record", []Record{
+			putRec("t", "k0002", "over"), putRec("t", "k0301", "new"), putRec("t", "k0301", "again"),
+			delRec("t", "k0600"), putRec("t", "k1197", "new"), putRec("t", "k0900", "over"),
+		}},
+		{"overflowing", overflow},
+	} {
+		before := imageOf(base[0].tree)
+		var m merger
+		for _, rec := range tc.recs {
+			m.add(rec)
+		}
+		next := m.apply(base)
+		tr := next[0].tree
+		checkTree(t, tc.name, tr)
+		for _, rec := range tc.recs {
+			for d, n := range pathTo(tr, rec.Key) {
+				if _, old := before[n]; old {
+					t.Fatalf("%s: the depth-%d node on %s's path belongs to the version before", tc.name, d, rec.Key)
 				}
 			}
-			if got := treeContents(before); !entriesEqual(got, beforeWant) {
-				t.Fatalf("%s, round %d: the version before the edit changed", name, round)
+		}
+		if after := imageOf(base[0].tree); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: the version the apply started from changed", tc.name)
+		}
+		shared := 0
+		for n := range imageOf(tr) {
+			if _, old := before[n]; old {
+				shared++
 			}
-			checkTree(t, name, next)
-			if ed == nil {
-				cur = next // next round edits nodes stamped nil, under nil
-			}
 		}
-		if got := treeContents(base); !entriesEqual(got, want) {
-			t.Fatalf("%s: base changed", name)
+		if shared < len(before)/2 {
+			t.Fatalf("%s: the next version shares %d of %d nodes; untouched subtrees were copied", tc.name, shared, len(before))
 		}
-	}
-	// Positive control: the owner writes in place — same nodes, new contents.
-	before := path(base, "k0101")
-	after := path(base.put(mine, "k0101", []byte("mine")), "k0101")
-	for depth := range before {
-		if before[depth] != after[depth] {
-			t.Fatalf("the owning token copied its own depth-%d node", depth)
+		if tc.name == "one record" && len(before)-shared > depth(tr) {
+			t.Fatalf("one record: %d nodes replaced, want one path (%d)", len(before)-shared, depth(tr))
 		}
-	}
-	if got, _ := base.get("k0101"); string(got) != "mine" {
-		t.Fatalf("owner's in-place put not visible through the same root: %q", got)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +78,8 @@ type DB struct {
 	// idx is the published state: every table's immutable B+tree (see
 	// index.go). Writers swap it under mu; readers just load it.
 	idx atomic.Pointer[dbIndex]
+	// mg is applyLocked's merge scratch, guarded by mu.
+	mg merger
 
 	wal *wal // nil for in-memory stores
 
@@ -251,16 +252,20 @@ func (db *DB) recover() error {
 // skipped; records beyond it must be contiguous. Exactly one torn tail is
 // tolerated across all files, and only if no record follows it.
 //
-// Nothing reads during Open, so the whole file is one apply: one index copy,
-// one edit token, published when the file is done.
+// Nothing reads during Open, so the whole file is one apply: one merge,
+// published when the file is done. Its scratch is local, so the DB keeps
+// nothing the size of a file.
 func (db *DB) replayFile(path string, torn *tornMark, applied *uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "open for replay")
 	}
 	defer f.Close()
-	next, ed := slices.Clone(db.loadIndex()), new(edit)
-	defer func() { db.idx.Store(&next) }()
+	var m merger
+	defer func() {
+		next := m.apply(db.loadIndex())
+		db.idx.Store(&next)
+	}()
 	r := bufio.NewReaderSize(f, 1<<18)
 	var off int64
 	base := filepath.Base(path)
@@ -287,7 +292,7 @@ func (db *DB) replayFile(path string, torn *tornMark, applied *uint64) error {
 					if rec.Seq != db.seq+1 {
 						return errs.New(errs.ComponentStore, errs.CategoryCorruption, "wal sequence gap at %s:%d: have %d, want %d", base, lineNo, rec.Seq, db.seq+1)
 					}
-					next.apply(ed, rec)
+					m.add(rec)
 					db.seq = rec.Seq
 					*applied++
 				}
@@ -390,7 +395,7 @@ type Mutation = Record
 // Apply executes mutations atomically, across tables and keys: they are
 // written as one WAL record — so recovery, and a follower, see all or none —
 // and folded into memory as one apply, so readers see all or none too and a
-// tree node touched by several of them is copied once. Mutations take effect
+// tree node touched by several of them is built once. Mutations take effect
 // in order: a key written twice keeps the last value. A group of one is
 // written as the plain put or delete record it is, without the batch
 // wrapper.

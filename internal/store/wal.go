@@ -151,10 +151,6 @@ type wal struct {
 	// exactly lastApplied — covering DB.seq would make recovery skip queued
 	// records that land after the cut.
 	lastApplied uint64
-	// recs is the batch leader's scratch for handing a flushed batch to
-	// applyLocked in one call; cleared after use so it pins no value the
-	// tree has dropped.
-	recs []Record
 	// tail retains the frames of the latest commits for ReplTail; it has its
 	// own lock (see tailWindow).
 	tail tailWindow
@@ -443,21 +439,22 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		db.st.fsyncs.Add(1)
 	}
 	if n > 0 {
+		// The whole batch is one apply: one merge, one publish, and a node
+		// several commits touch is built once.
+		var last uint64 // queue order == seq order
+		db.mu.Lock()
 		for _, c := range writes {
 			if c.shipped != nil {
-				w.recs = append(w.recs, c.shipped...)
+				db.mg.add(c.shipped...)
+				last = c.shipped[len(c.shipped)-1].Seq
 			} else {
-				w.recs = append(w.recs, c.rec)
+				db.mg.add(c.rec)
+				last = c.rec.Seq
 			}
 		}
-		// The whole batch is one apply: one index copy, one publish, and a
-		// node several commits touch is copied once.
-		db.mu.Lock()
-		db.applyLocked(w.recs...)
+		db.applyLocked()
 		db.mu.Unlock()
-		w.lastApplied = w.recs[n-1].Seq // queue order == seq order
-		clear(w.recs)
-		w.recs = w.recs[:0]
+		w.lastApplied = last
 		// Written, synced, applied: only now may a follower be handed these
 		// frames, from memory (the tail window) or by watermark (AppliedSeq).
 		// A shipment empties the window instead: its records came from
