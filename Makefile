@@ -36,7 +36,9 @@ race-full:
 # panic or resurrect deleted keys; over the tree's sorted merge: every
 # multi-record apply leaves each table equal to a map oracle and within the
 # node invariants; over the record encoders: every catalog
-# record must encode to json.Marshal's bytes (or its error); over the SDK's
+# record must encode to json.Marshal's bytes (or its error), and decode back
+# to json.Unmarshal's value; over the WAL frame decoder: any frame body
+# decodes to json.Unmarshal's Record or is left to it; over the SDK's
 # direct decode of the dashboard and task types: what it accepts
 # json.Unmarshal decodes to an equal value, and the decode errors exactly when
 # json's does; over the SDK's task-route request bodies and the server's
@@ -49,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecovery$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordEncoding$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/api
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParity$$' -fuzztime $(FUZZTIME) ./client
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime $(FUZZTIME) ./client

@@ -18,6 +18,7 @@ import (
 	"itag/internal/errs"
 	"itag/internal/ring"
 	"itag/internal/store"
+	"itag/internal/wire"
 )
 
 // The replication stream and the quorum ack gate.
@@ -334,10 +335,8 @@ func (n *Node) ship(ctx context.Context, b *backend, s *sender) error {
 	if resp.StatusCode != http.StatusOK {
 		return refusal(s.addr, resp)
 	}
-	var ack struct {
-		Applied uint64 `json:"applied"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&ack); err != nil {
+	ack, err := readAck(resp.Body)
+	if err != nil {
 		return fmt.Errorf("follower %s: decode ack: %w", s.addr, err)
 	}
 	s.advance(ack.Applied)
@@ -345,6 +344,54 @@ func (n *Node) ship(ctx context.Context, b *backend, s *sender) error {
 	s.ships.Add(1)
 	s.shipBytes.Add(uint64(len(data)))
 	return nil
+}
+
+// replicateAck is a follower's answer to a shipment: its applied sequence,
+// {"applied":N}.
+type replicateAck struct {
+	Applied uint64 `json:"applied"`
+}
+
+// AppendJSON never declines: the answer is one integer.
+func (a replicateAck) AppendJSON(dst []byte) ([]byte, bool) {
+	return append(strconv.AppendUint(append(dst, `{"applied":`...), a.Applied, 10), '}'), true
+}
+
+// ackKeys are the keys of a follower's answer.
+var ackKeys = []string{"applied"}
+
+func decodeAck(d *wire.Decoder, a *replicateAck) bool {
+	return d.ObjectOf(ackKeys, func(key string) (uint, bool) {
+		if key != "applied" {
+			return 0, false
+		}
+		tok, ok := d.Value() // parsed as json.Unmarshal parses a uint64
+		n, err := strconv.ParseUint(string(tok), 10, 64)
+		a.Applied = n
+		return 1, ok && err == nil
+	})
+}
+
+// readAck reads a follower's answer to its end and decodes it: with the
+// cursor when it is the object a follower writes, through json.Unmarshal
+// otherwise. An answer is a few dozen bytes; a longer one is refused.
+func readAck(body io.Reader) (replicateAck, error) {
+	var ack replicateAck
+	b := make([]byte, 64)
+	n, err := io.ReadFull(body, b)
+	switch {
+	case err == nil:
+		return ack, errors.New("answer longer than 64 bytes")
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		return ack, err
+	}
+	b = b[:n]
+	if d, ok := wire.Over(b); ok && decodeAck(&d, &ack) && d.End() {
+		return ack, nil
+	}
+	var slow replicateAck
+	err = json.Unmarshal(b, &slow)
+	return slow, err
 }
 
 // refusal turns a follower's error reply into a taxonomy error carrying the
@@ -373,7 +420,8 @@ func refusal(addr string, resp *http.Response) error {
 // answer was lost). A shipment that fails validation is refused whole, the
 // watermark stays, and the sender's next one resumes from it.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	slot, sender := r.URL.Query().Get("slot"), r.Header.Get(HeaderFrom)
+	q := r.URL.Query()
+	slot, sender := q.Get("slot"), r.Header.Get(HeaderFrom)
 	n.noteRingVersion(r.Header.Get(HeaderRingVersion), sender)
 	n.mu.RLock()
 	rep := n.replicas[slot]
@@ -393,12 +441,12 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		rep.leaderSeq.Store(seq)
 		rep.fed.Store(true)
 	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
 		n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad from: %v", err))
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	data, err := readShipment(r)
 	if err != nil {
 		n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest, "read shipment: %v", err))
 		return
@@ -417,7 +465,38 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	api.WriteJSON(w, http.StatusOK, map[string]any{"applied": rep.db.AppliedSeq()})
+	api.WriteJSON(w, http.StatusOK, replicateAck{Applied: rep.db.AppliedSeq()})
+}
+
+// readShipment reads a shipment's body whole, up to maxBodyBytes: into one
+// buffer of the length the request declares, and on as io.ReadAll would
+// when the body turns out longer than declared. A body shorter than declared
+// is what it is — the shipment's validation refuses it, as it refuses any
+// torn shipment — and one of unknown length is io.ReadAll's.
+func readShipment(r *http.Request) ([]byte, error) {
+	body := io.LimitReader(r.Body, maxBodyBytes)
+	n := r.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		return io.ReadAll(body)
+	}
+	// One byte of room past the declared length tells a longer body from an
+	// exact one without another allocation.
+	buf := make([]byte, n, n+1)
+	got, err := io.ReadFull(body, buf)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return buf[:got], nil
+	case err != nil:
+		return nil, err
+	}
+	switch m, err := io.ReadFull(body, buf[n:n+1]); {
+	case m == 0 && err == io.EOF:
+		return buf, nil
+	case err != nil:
+		return nil, err
+	}
+	rest, err := io.ReadAll(body)
+	return append(buf[:n+1], rest...), err
 }
 
 // noteRingVersion triggers an async ring fetch when a peer advertises a

@@ -8,6 +8,9 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -39,10 +42,48 @@ func encodeParity(t *testing.T, v any) {
 	if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
 		t.Fatalf("%#v:\nappendValue  %s\njson.Marshal %s", v, got, want)
 	}
+	switch v.(type) {
+	case PostRec:
+		decodeParity[PostRec](t, want)
+	case TaskRec:
+		decodeParity[TaskRec](t, want)
+	case ResourceRec:
+		decodeParity[ResourceRec](t, want)
+	case ProjectRec:
+		decodeParity[ProjectRec](t, want)
+	case UserRec:
+		decodeParity[UserRec](t, want)
+	}
 	if task, ok := v.(TaskRec); ok {
 		if got, ok := task.AppendJSON([]byte("prefix")); !ok || string(got) != "prefix"+string(want) {
 			t.Fatalf("%#v: AppendJSON %s, %v; json.Marshal %s", v, got, ok, want)
 		}
+	}
+}
+
+// decodeParity holds a record type's cursor decoder, and decodeRec around
+// it, to json.Unmarshal for raw, that type's encoding: the cursor decodes to
+// json.Unmarshal's value or declines, and it declines nothing that has no
+// escape in it, so the parity is not bought by declining.
+func decodeParity[T any](t *testing.T, raw []byte) {
+	t.Helper()
+	var want T
+	wantErr := json.Unmarshal(raw, &want)
+	var got T
+	scratch := bytes.Clone(raw) // overwritten once decoded: nothing may alias it
+	took := intoRec(scratch, &got)
+	for i := range scratch {
+		scratch[i] = 'x'
+	}
+	switch {
+	case took && (wantErr != nil || !reflect.DeepEqual(got, want)):
+		t.Fatalf("%s: cursor decodes %#v; json.Unmarshal %#v, %v", raw, got, want, wantErr)
+	case !took && !bytes.ContainsRune(raw, '\\'):
+		t.Fatalf("%s: the cursor declines what its encoder wrote", raw)
+	}
+	dec, err := decodeRec[T](raw)
+	if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(dec, want) {
+		t.Fatalf("%s: decodeRec %#v, %v; json.Unmarshal %#v, %v", raw, dec, err, want, wantErr)
 	}
 }
 
@@ -206,7 +247,8 @@ func randRecords(r *rand.Rand) []any {
 // backslashes, control bytes, U+2028/2029 and invalid UTF-8; nil and empty
 // Tags; nil, false and true Approved; zero, zoned and nanosecond times;
 // floats across every exponent — through the append encoders and
-// json.Marshal, and requires the same bytes. A NaN or ±Inf anywhere, and a
+// json.Marshal, and requires the same bytes, which the record's cursor
+// decoder then decodes to json.Unmarshal's value (decodeParity). A NaN or ±Inf anywhere, and a
 // time json.Marshal refuses (year outside [0, 9999], a zone offset of a day),
 // must return json.Marshal's own error.
 func TestRecordEncodingMatchesEncodingJSON(t *testing.T) {
@@ -352,4 +394,104 @@ func TestFrameMatchesParent(t *testing.T) {
 			t.Fatalf("record %d:\nframeRecord %q\nparent      %q", i, got, want)
 		}
 	}
+}
+
+// frameSeeds are frame bodies for the frame decoder's parity checks: every
+// record of testdata/golden-wal, and frameRecord of random records — puts,
+// deletes and batches whose tables, keys and values hold <>&, U+2028,
+// non-ASCII, escapes and invalid UTF-8 — plus the shapes checkRecord refuses.
+func frameSeeds(t testing.TB) [][]byte {
+	var bodies [][]byte
+	golden, err := os.ReadFile(filepath.Join(goldenDir, "itag.wal.seg-00000002"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(golden, []byte("\n")) {
+		if len(line) > 10 {
+			bodies = append(bodies, line[9:len(line)-1])
+		}
+	}
+	r := rand.New(rand.NewSource(11))
+	key := func() string {
+		if r.Intn(2) == 0 {
+			return fmt.Sprintf("res-%04d/%012d", r.Intn(1e4), r.Intn(1e6))
+		}
+		return randString(r)
+	}
+	for i := 0; i < 60; i++ {
+		var subs []Record
+		for _, v := range append(randRecords(r), i, "s<&>\u2028", map[string]any{"k": []int{1, 2}}) {
+			raw, err := appendValue(nil, v)
+			if err != nil {
+				continue // a record json.Marshal refuses is never staged
+			}
+			subs = append(subs, Record{Op: OpPut, Table: TablePosts, Key: key(), Value: raw})
+		}
+		subs[0].Table = randString(r)
+		subs = append(subs, Record{Op: OpDelete, Table: TableTasks, Key: key()})
+		for _, rec := range []Record{subs[0], subs[len(subs)-1], {Op: OpBatch, Batch: subs}} {
+			rec.Seq = uint64(r.Int63())
+			frame := frameRecord(rec)
+			bodies = append(bodies, frame[9:len(frame)-1])
+		}
+	}
+	for _, tc := range refusedRecords {
+		frame := frameRecord(tc.rec)
+		bodies = append(bodies, frame[9:len(frame)-1])
+	}
+	return bodies
+}
+
+// frameParity: the frame cursor decodes body to json.Unmarshal's Record or
+// declines, and decodeRecord, the cursor with its fallback, decodes to
+// json.Unmarshal's Record or fails where it fails.
+func frameParity(t *testing.T, body []byte) (took bool) {
+	t.Helper()
+	var want Record
+	wantErr := json.Unmarshal(body, &want)
+	// The cursor decodes a copy that is then overwritten, as a reader's
+	// buffer is: nothing it returns may alias the bytes it read.
+	var got Record
+	scratch := bytes.Clone(body)
+	took = intoRecord(scratch, &got)
+	for i := range scratch {
+		scratch[i] = 'x'
+	}
+	if took && (wantErr != nil || !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%q: cursor decodes %#v; json.Unmarshal %#v, %v", body, got, want, wantErr)
+	}
+	dec, err := decodeRecord(body)
+	if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(dec, want) {
+		t.Fatalf("%q: decodeRecord %#v, %v; json.Unmarshal %#v, %v", body, dec, err, want, wantErr)
+	}
+	return took
+}
+
+// TestFrameDecodeMatchesEncodingJSON runs frameSeeds through frameParity,
+// and requires the cursor to take every frame with no escape in it: a frame
+// as appendRecord writes it is never left to json.Unmarshal.
+func TestFrameDecodeMatchesEncodingJSON(t *testing.T) {
+	took := 0
+	for _, body := range frameSeeds(t) {
+		if frameParity(t, body) {
+			took++
+		} else if !bytes.ContainsRune(body, '\\') {
+			t.Fatalf("%s: the cursor declines a frame with no escape", body)
+		}
+	}
+	if took < 50 {
+		t.Fatalf("the cursor took %d frames of the seeds", took)
+	}
+}
+
+// FuzzFrameDecode: for any frame body, the cursor decodes the Record
+// json.Unmarshal decodes (reflect.DeepEqual), aliasing none of the body, or
+// declines.
+func FuzzFrameDecode(f *testing.F) {
+	for _, body := range frameSeeds(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		frameParity(t, body)
+	})
 }

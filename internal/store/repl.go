@@ -21,10 +21,11 @@ package store
 //
 // Follower side:
 //
-//	ApplyReplicated validates every frame (checksum, op, contiguity) and
-//	                only then appends the raw bytes to its own WAL and
-//	                applies them — a corrupt or gapped batch is rejected
-//	                whole, surfacing a taxonomy error, never a partial apply
+//	ApplyReplicated validates every frame (checksum, Apply's rules for every
+//	                record, contiguity) and only then appends the raw bytes
+//	                to its own WAL and applies them — a corrupt or gapped
+//	                batch is rejected whole, surfacing a taxonomy error,
+//	                never a partial apply
 //	InstallSnapshot replaces the follower's state with a shipped snapshot
 //	                image and resets its WAL to a fresh segment
 //
@@ -299,9 +300,10 @@ func readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes i
 		}
 	}
 	r := bufio.NewReaderSize(io.LimitReader(fh, f.size-start), 1<<16)
+	var long []byte
 	off := start
 	for {
-		line, rerr := r.ReadBytes('\n')
+		line, rerr := readLine(r, &long)
 		if rerr != nil && rerr != io.EOF {
 			return false, errs.Wrap(rerr, errs.ComponentStore, errs.CategoryIO, "read wal tail")
 		}
@@ -370,17 +372,19 @@ func (db *DB) SnapshotExport() ([]byte, error) {
 }
 
 // ApplyReplicated ingests a batch of framed WAL lines shipped from a
-// leader. Every frame is checksum-verified, op-validated and
-// contiguity-checked against the follower's sequence BEFORE anything is
-// written: a corrupt, truncated or gapped batch is rejected whole with a
-// taxonomy error and the follower state is untouched — never a partial
-// apply, never a silent gap. On success the raw bytes go through the commit
-// queue like any other entry: appended to the follower's own WAL, flushed,
-// fsynced with their batch whatever Options.SyncEvery says, and applied, so
-// a nil return means the shipment is on this disk. It returns the new
-// applied sequence. A store read through a Catalog must be fed through
-// Catalog.ApplyReplicated instead, which runs this and then invalidates what
-// the batch wrote.
+// leader. Every frame is checksum-verified, decoded, held to the rules
+// DB.Apply writes by (checkRecord: every sub-record of a batch, and a put or
+// delete itself) and contiguity-checked against the follower's sequence
+// BEFORE anything is written: a corrupt, truncated or gapped batch, or one
+// holding a record Apply would not have written, is rejected whole with a
+// corruption error and the follower state is untouched — never a partial
+// apply, never a silent gap, never a logged record that is not applied. On
+// success the raw bytes go through the commit queue like any other entry:
+// appended to the follower's own WAL, flushed, fsynced with their batch
+// whatever Options.SyncEvery says, and applied, so a nil return means the
+// shipment is on this disk. It returns the new applied sequence. A store
+// read through a Catalog must be fed through Catalog.ApplyReplicated
+// instead, which runs this and then invalidates what the batch wrote.
 func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 	_, applied, err := db.applyReplicated(data)
 	return applied, err
@@ -428,7 +432,7 @@ func parseReplicated(data []byte, seq uint64) ([]Record, error) {
 	if data[len(data)-1] != '\n' {
 		return nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "replicated batch is truncated (no trailing newline)")
 	}
-	var recs []Record
+	recs := make([]Record, 0, bytes.Count(data, []byte{'\n'}))
 	next := seq + 1
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		nl := bytes.IndexByte(data, '\n')
@@ -437,11 +441,6 @@ func parseReplicated(data []byte, seq uint64) ([]Record, error) {
 		rec, err := parseFramed(line)
 		if err != nil {
 			return nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "replicated record %d: %v", lineNo, err)
-		}
-		switch rec.Op {
-		case OpPut, OpDelete, OpBatch:
-		default:
-			return nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "replicated record %d: invalid op %q", lineNo, rec.Op)
 		}
 		if rec.Seq != next {
 			return nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "replication gap at record %d: have seq %d, want %d", lineNo, rec.Seq, next)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -458,6 +459,13 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 		{"invalid op", badOp},
 		{"garbage", func([]byte) []byte { return []byte("not a frame\n") }},
 	}
+	for _, tc := range refusedRecords {
+		frame := frameRecord(tc.rec)
+		cases = append(cases, struct {
+			name   string
+			mangle func([]byte) []byte
+		}{tc.name, func([]byte) []byte { return frame }})
+	}
 	for _, follower := range []*DB{mustOpenRepl(t, filepath.Join(dir, "f-wal.wal")), OpenMemory()} {
 		for _, tc := range cases {
 			if _, aerr := follower.ApplyReplicated(tc.mangle(pristine)); errs.CategoryOf(aerr) != errs.CategoryCorruption {
@@ -478,6 +486,51 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 		}
 		diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
 		follower.Close()
+	}
+}
+
+// refusedRecords are CRC-valid frames, at sequence 1, of records DB.Apply
+// never writes. A follower that took one would log a record it does not
+// apply, or apply one its leader could not have committed.
+var refusedRecords = []struct {
+	name string
+	rec  Record
+}{
+	{"sub-op frob", Record{Seq: 1, Op: OpBatch, Batch: []Record{
+		{Op: OpPut, Table: "res", Key: "a", Value: json.RawMessage(`1`)},
+		{Op: "frob", Table: "res", Key: "b", Value: json.RawMessage(`2`)},
+	}}},
+	{"nested batch", Record{Seq: 1, Op: OpBatch, Batch: []Record{
+		{Op: OpPut, Table: "res", Key: "a", Value: json.RawMessage(`1`)},
+		{Op: OpBatch, Batch: []Record{{Op: OpPut, Table: "res", Key: "b", Value: json.RawMessage(`2`)}}},
+	}}},
+	{"sub-record with a seq", Record{Seq: 1, Op: OpBatch, Batch: []Record{
+		{Seq: 1, Op: OpPut, Table: "res", Key: "a", Value: json.RawMessage(`1`)},
+	}}},
+	{"sub-put with no value", Record{Seq: 1, Op: OpBatch, Batch: []Record{
+		{Op: OpPut, Table: "res", Key: "a", Value: json.RawMessage(`1`)},
+		{Op: OpPut, Table: "res", Key: "b"},
+	}}},
+	{"put with no value", Record{Seq: 1, Op: OpPut, Table: "res", Key: "a"}},
+	{"delete with a value", Record{Seq: 1, Op: OpDelete, Table: "res", Key: "a", Value: json.RawMessage(`1`)}},
+}
+
+// TestReplayRefusesRecordsApplyRefuses: a segment holding one of
+// refusedRecords does not open; recovery reports corruption instead of
+// replaying a record Apply would not have written.
+func TestReplayRefusesRecordsApplyRefuses(t *testing.T) {
+	for _, tc := range refusedRecords {
+		path := filepath.Join(t.TempDir(), "itag.wal")
+		if err := os.WriteFile(segPath(path, 1), frameRecord(tc.rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(path, Options{})
+		if err == nil {
+			db.Close()
+		}
+		if errs.CategoryOf(err) != errs.CategoryCorruption {
+			t.Fatalf("%s: Open = %v, want a corruption error", tc.name, err)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ package store
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -267,10 +268,11 @@ func (db *DB) replayFile(path string, torn *tornMark, applied *uint64) error {
 		db.idx.Store(&next)
 	}()
 	r := bufio.NewReaderSize(f, 1<<18)
+	var long []byte
 	var off int64
 	base := filepath.Base(path)
 	for lineNo := 1; ; lineNo++ {
-		line, rerr := r.ReadBytes('\n')
+		line, rerr := readLine(r, &long)
 		if len(line) > 0 {
 			if rerr != nil {
 				// Unterminated final chunk: a torn tail from a crash
@@ -408,22 +410,56 @@ func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	for i, m := range muts {
-		switch {
-		case m.Seq != 0 || m.Batch != nil:
-			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d sets a sequence or sub-records", i)
-		case m.Op == OpPut && len(m.Value) == 0:
-			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d puts no value", i)
-		case m.Op == OpDelete && m.Value != nil:
-			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d deletes with a value", i)
-		case m.Op != OpPut && m.Op != OpDelete:
-			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d has invalid op %q", i, m.Op)
+	for i := range muts {
+		if fault := mutationFault(&muts[i]); fault != "" {
+			return errs.New(errs.ComponentStore, errs.CategoryValidation, "batch mutation %d %s", i, fault)
 		}
 	}
 	if len(muts) == 1 {
 		return db.commitRecord(muts[0].Op, muts[0].Table, muts[0].Key, muts[0].Value, nil)
 	}
 	return db.commitRecord(OpBatch, "", "", nil, muts)
+}
+
+// mutationFault names what makes m a write Apply refuses, or is "" for one
+// it takes.
+func mutationFault(m *Mutation) string {
+	switch {
+	case m.Seq != 0 || m.Batch != nil:
+		return "sets a sequence or sub-records"
+	case m.Op == OpPut && len(m.Value) == 0:
+		return "puts no value"
+	case m.Op == OpDelete && m.Value != nil:
+		return "deletes with a value"
+	case m.Op != OpPut && m.Op != OpDelete:
+		return fmt.Sprintf("has invalid op %q", m.Op)
+	}
+	return ""
+}
+
+// checkRecord holds a record read back — replayed, read for a follower or
+// shipped by a leader — to the rules Apply writes by, so that everything a
+// log holds is applied: a put or delete obeys them as a mutation of its own
+// (its sequence aside), and a batch's every sub-record obeys them. Anything
+// else is an error; the readers report it as corruption and apply nothing.
+func checkRecord(rec *Record) error {
+	switch rec.Op {
+	case OpBatch:
+		for i := range rec.Batch {
+			if fault := mutationFault(&rec.Batch[i]); fault != "" {
+				return fmt.Errorf("sub-record %d %s", i, fault)
+			}
+		}
+	case OpPut, OpDelete:
+		m := *rec
+		m.Seq = 0
+		if fault := mutationFault(&m); fault != "" {
+			return fmt.Errorf("record %s", fault)
+		}
+	default:
+		return fmt.Errorf("invalid op %q", rec.Op)
+	}
+	return nil
 }
 
 // Scan visits every (key, raw JSON value) of a table in ascending key order;

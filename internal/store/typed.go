@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"slices"
 	"strconv"
 	"strings"
@@ -209,8 +208,8 @@ func decodeCached[T any](c *Catalog, table, key string, raw []byte) (T, error) {
 	if v, ok := c.cache.get(table, key, raw); ok {
 		return v.(T), nil
 	}
-	var rec T
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	rec, err := decodeRec[T](raw)
+	if err != nil {
 		return rec, err
 	}
 	c.cache.add(table, key, raw, rec)
@@ -563,7 +562,7 @@ func (c *Catalog) ScanPostsAfter(resourceID string, after uint64, fn func(seq ui
 		seq, err := strconv.ParseUint(key[len(prefix):], 10, 64)
 		var p PostRec
 		if err == nil {
-			err = json.Unmarshal(raw, &p)
+			p, err = decodeRec[PostRec](raw)
 		}
 		if err != nil {
 			scanErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryCorruption, "post %s", key)

@@ -28,7 +28,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -259,24 +260,42 @@ func listSegments(base string) ([]segInfo, error) {
 }
 
 // parseFramed decodes one segment line (without its trailing newline),
-// verifying the CRC frame. Lines are written by frameRecord (encode.go).
+// verifying the CRC frame, and holds the record to the rules a commit writes
+// by (checkRecord). Lines are written by frameRecord (encode.go).
 func parseFramed(data []byte) (Record, error) {
-	var rec Record
 	if len(data) < 10 || data[8] != ' ' {
-		return rec, errors.New("bad record frame")
+		return Record{}, errors.New("bad record frame")
 	}
-	want, err := strconv.ParseUint(string(data[:8]), 16, 32)
-	if err != nil {
-		return rec, errors.New("bad record checksum field")
+	var want [4]byte
+	if _, err := hex.Decode(want[:], data[:8]); err != nil {
+		return Record{}, errors.New("bad record checksum field")
 	}
 	body := data[9:]
-	if crc32.ChecksumIEEE(body) != uint32(want) {
-		return rec, errors.New("record checksum mismatch")
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(want[:]) {
+		return Record{}, errors.New("record checksum mismatch")
 	}
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return rec, err
+	rec, err := decodeRecord(body)
+	if err != nil {
+		return Record{}, err
 	}
-	return rec, nil
+	return rec, checkRecord(&rec)
+}
+
+// readLine returns the next line of r, newline included, as ReadBytes would,
+// but in r's own buffer when it fits there, so it is valid only until the
+// next read; a longer line is gathered in *long, which is reused. Frames are
+// decoded into copies (decodeRecord), so nothing keeps the slice.
+func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	return *long, err
 }
 
 // pendingCommit is one entry of the commit queue (DB.pend): a local commit's

@@ -30,22 +30,51 @@ func Into[T any](body []byte, out *T, parse func(*Decoder, *T) bool) bool {
 	}
 	d := Decoder{b: body, s: string(body)}
 	var v T
-	if !parse(&d, &v) {
-		return false
-	}
-	if d.ws(); d.i != len(d.b) {
+	if !parse(&d, &v) || !d.End() {
 		return false
 	}
 	*out = v
 	return true
 }
 
+// Over returns a cursor over body for a caller that drives the parse itself
+// and keeps few of the strings it reads: it makes no copy of body, and each
+// string it decodes is an allocation of its own (an object key ObjectOf
+// knows, none), so nothing decoded aliases body and a body read into a
+// reused buffer costs only the strings decoded. It takes what Into takes and
+// declines what Into declines: ok is false for a body that is not valid
+// UTF-8, and a parse is whole once End reports true.
+func Over(body []byte) (d Decoder, ok bool) {
+	return Decoder{b: body}, utf8.Valid(body)
+}
+
+// End consumes trailing whitespace and reports whether the body ends there.
+func (d *Decoder) End() bool {
+	d.ws()
+	return d.i == len(d.b)
+}
+
 // Decoder is a cursor over a body: b is the body as read and s the one
-// string copy of it that decoded strings are cut from, at the same offsets.
+// string copy of it that decoded strings are cut from, at the same offsets —
+// or, for a cursor from Over, "", and each string is copied alone.
 type Decoder struct {
 	b []byte
 	s string
 	i int
+}
+
+// cut returns the body's bytes [i, j) as a string; for a cursor from Over,
+// the one of names they spell, if any.
+func (d *Decoder) cut(i, j int, names []string) string {
+	if d.s != "" {
+		return d.s[i:j]
+	}
+	for _, n := range names {
+		if string(d.b[i:j]) == n {
+			return n
+		}
+	}
+	return string(d.b[i:j])
 }
 
 // Count is the number of c bytes in the whole body: '{' bounds its objects
@@ -78,7 +107,7 @@ func (d *Decoder) next(c byte) bool {
 // there.
 func (d *Decoder) literal(lit string) bool {
 	d.ws()
-	if len(d.s)-d.i >= len(lit) && d.s[d.i:d.i+len(lit)] == lit {
+	if len(d.b)-d.i >= len(lit) && string(d.b[d.i:d.i+len(lit)]) == lit {
 		d.i += len(lit)
 		return true
 	}
@@ -91,6 +120,12 @@ func (d *Decoder) literal(lit string) bool {
 // encoding/json merges a repeated array or object into what the first one
 // left, which is not worth matching for bodies nobody writes.
 func (d *Decoder) Object(field func(key string) (bit uint, ok bool)) bool {
+	return d.ObjectOf(nil, field)
+}
+
+// ObjectOf is Object for a cursor from Over that knows the object's keys: a
+// key among keys is handed to field without an allocation.
+func (d *Decoder) ObjectOf(keys []string, field func(key string) (bit uint, ok bool)) bool {
 	if !d.next('{') {
 		return false
 	}
@@ -99,7 +134,7 @@ func (d *Decoder) Object(field func(key string) (bit uint, ok bool)) bool {
 	}
 	var seen uint
 	for {
-		key, ok := d.Str()
+		key, ok := d.StrOf(keys)
 		if !ok || !d.next(':') {
 			return false
 		}
@@ -144,21 +179,34 @@ func (d *Decoder) List(elem func() bool) (null, ok bool) {
 
 // Str decodes a string with no escape and no control character in it —
 // exactly the strings encoding/json would hand back unchanged.
-func (d *Decoder) Str() (string, bool) {
-	if !d.next('"') {
+func (d *Decoder) Str() (string, bool) { return d.StrOf(nil) }
+
+// StrOf is Str for a cursor from Over that knows the values the string
+// likely holds: one among names is returned without an allocation.
+func (d *Decoder) StrOf(names []string) (string, bool) {
+	i, j, ok := d.span()
+	if !ok {
 		return "", false
+	}
+	return d.cut(i, j, names), true
+}
+
+// span consumes a string Str takes and returns where its contents start and
+// end in the body.
+func (d *Decoder) span() (i, j int, ok bool) {
+	if !d.next('"') {
+		return 0, 0, false
 	}
 	for j := d.i; j < len(d.b); j++ {
 		switch c := d.b[j]; {
 		case c == '"':
-			s := d.s[d.i:j]
-			d.i = j + 1
-			return s, true
+			i, d.i = d.i, j+1
+			return i, j, true
 		case c == '\\' || c < ' ':
-			return "", false
+			return 0, 0, false
 		}
 	}
-	return "", false
+	return 0, 0, false
 }
 
 // Number scans a token of JSON's number grammar, -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?,
@@ -198,7 +246,7 @@ func (d *Decoder) Number() (string, bool) {
 		i = j
 	}
 	d.i = i
-	return d.s[start:i], true
+	return d.cut(start, i, nil), true
 }
 
 func digits(b []byte, i int) int {
@@ -251,8 +299,8 @@ func (d *Decoder) Bool(dst *bool) bool {
 // Time hands the raw string token to (*time.Time).UnmarshalJSON, the call
 // encoding/json makes, so a time parses exactly as it always has.
 func (d *Decoder) Time(dst *time.Time) bool {
-	s, ok := d.Str()
-	return ok && dst.UnmarshalJSON(d.b[d.i-len(s)-2:d.i]) == nil
+	i, j, ok := d.span()
+	return ok && dst.UnmarshalJSON(d.b[i-1:j+1]) == nil
 }
 
 // Floats decodes an array of numbers: nil for null, empty (not nil) for [],
@@ -292,4 +340,116 @@ func (d *Decoder) Strings(all, dst *[]string) bool {
 		*dst = (*all)[a:b:b]
 	}
 	return ok
+}
+
+// maxDepth bounds how deeply Value nests; encoding/json stops at 10 000, and
+// anything deeper than this is left to it.
+const maxDepth = 512
+
+// Value consumes one JSON value of any kind and returns its bytes as they
+// stand in the body, inner whitespace and escapes kept: the bytes
+// encoding/json hands a json.RawMessage. It checks the value as
+// encoding/json's scanner does — strings with no control byte and only
+// JSON's escapes, numbers in JSON's grammar, literals spelled out, brackets
+// matched — so what it accepts json.Unmarshal accepts too. The result is a
+// slice of the body: a caller that keeps it copies it.
+func (d *Decoder) Value() ([]byte, bool) {
+	d.ws()
+	start := d.i
+	if !d.skip(0) {
+		return nil, false
+	}
+	return d.b[start:d.i], true
+}
+
+// skip consumes one value nested depth containers deep.
+func (d *Decoder) skip(depth int) bool {
+	d.ws()
+	if d.i >= len(d.b) {
+		return false
+	}
+	switch d.b[d.i] {
+	case '{', '[':
+		closer := d.b[d.i] + 2 // '}' and ']' are two past '{' and '['
+		if depth == maxDepth {
+			return false
+		}
+		d.i++
+		if d.next(closer) {
+			return true
+		}
+		for {
+			if closer == '}' && !(d.skipString() && d.next(':')) {
+				return false
+			}
+			if !d.skip(depth + 1) {
+				return false
+			}
+			if d.next(closer) {
+				return true
+			}
+			if !d.next(',') {
+				return false
+			}
+		}
+	case '"':
+		return d.skipString()
+	case 't':
+		return d.literal("true")
+	case 'f':
+		return d.literal("false")
+	case 'n':
+		return d.literal("null")
+	}
+	_, ok := d.Number()
+	return ok
+}
+
+// plain marks the bytes that stand for themselves inside a JSON string:
+// none of '"', '\\' or a control byte.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < 256; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// skipString consumes one string, escapes and all.
+func (d *Decoder) skipString() bool {
+	if !d.next('"') {
+		return false
+	}
+	b, i := d.b, d.i
+	for {
+		for i < len(b) && plain[b[i]] {
+			i++
+		}
+		switch {
+		case i == len(b) || b[i] < ' ':
+			return false
+		case b[i] == '"':
+			d.i = i + 1
+			return true
+		}
+		// A backslash: one of JSON's escapes must follow.
+		if i++; i == len(b) {
+			return false
+		}
+		switch b[i] {
+		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		case 'u':
+			if i+4 >= len(b) {
+				return false
+			}
+			for _, h := range b[i+1 : i+5] {
+				if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+					return false
+				}
+			}
+			i += 4
+		default:
+			return false
+		}
+		i++
+	}
 }

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -87,6 +89,54 @@ func TestStringsShareOneArray(t *testing.T) {
 		if Into([]byte(body), &got, parseLists) || !reflect.DeepEqual(got, lists{}) {
 			t.Errorf("%s: taken, or a decline wrote %#v", body, got)
 		}
+	}
+}
+
+type raw struct {
+	V json.RawMessage `json:"v"`
+}
+
+func parseRaw(d *Decoder, r *raw) bool {
+	return d.Object(func(key string) (uint, bool) {
+		if key != "v" {
+			return 0, false
+		}
+		v, ok := d.Value()
+		r.V = v
+		return 1, ok
+	})
+}
+
+// TestValueMatchesRawMessage: what Value takes, json.Unmarshal takes too,
+// and the extent it returns is the json.RawMessage encoding/json fills —
+// whitespace and escapes inside the value kept, none around it. What
+// encoding/json refuses, Value refuses.
+func TestValueMatchesRawMessage(t *testing.T) {
+	deep := strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1)
+	taken := []string{
+		`1`, `-0.5e+3`, `"s"`, `"a\"b\\c\/\b\f\n\r\t\u00e9\uD83D"`, "\"é世\u2028\"", `true`, `false`, `null`,
+		`{}`, `[]`, `{ "a" : [ 1 , { "b" : null } ] , "c" : "d" }`, `[[[]],{},""]`, " \t\r\n{\"k\":1}\n ",
+		strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth),
+	}
+	refused := []string{
+		``, `tru`, `nul`, `01`, `1.`, `.5`, `+1`, `1e`, `-`, `"a`, `"\x"`, `"\u12"`, `"\u12g4"`, "\"\x01\"",
+		`{`, `[1,]`, `{"a":1,}`, `{"a" 1}`, `{1:2}`, `[1 2]`, `{"a":1]`, `[}`, `'s'`, `NaN`, `undefined`,
+	}
+	for _, v := range append(taken, refused...) {
+		body := []byte(`{"v":` + v + `}`)
+		var got, want raw
+		took := Into(body, &got, parseRaw)
+		err := json.Unmarshal(body, &want)
+		switch {
+		case took && (err != nil || !bytes.Equal(got.V, want.V)):
+			t.Errorf("%s: Value %q; json %q, %v", v, got.V, want.V, err)
+		case !took && err == nil:
+			t.Errorf("%s: Value declines what json takes as %q", v, want.V)
+		}
+	}
+	var got raw
+	if Into([]byte(`{"v":`+deep+`}`), &got, parseRaw) {
+		t.Errorf("a value %d deep was taken", maxDepth+1)
 	}
 }
 
