@@ -44,7 +44,8 @@ race-full:
 # json's does; over the SDK's task-route request bodies and the server's
 # task-route responses: json.Marshal's bytes; and over the task routes'
 # direct request decoders: what they accept the strict encoding/json decode
-# accepts to an equal value, and the route answers what that decode decides.
+# accepts to an equal value, and the route answers what that decode decides;
+# and over the export page's pieces: concatenated, encoding/json's bytes.
 # CI runs FUZZTIME=10s per target on PRs and FUZZTIME=10m nightly.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBodies$$' -fuzztime $(FUZZTIME) ./client
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskResponseEncoding$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzExportPageParity$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Prometheus exposition conformance: golden + grammar + histogram
 # semantics + route counting + taxonomy/docs drift + a cluster node's one

@@ -137,15 +137,28 @@ type Raw struct {
 	// Status overrides the handler's registered success status when
 	// non-zero (the cache uses 304 for revalidation hits).
 	Status int
-	// Body is the complete JSON body, trailing newline included. Ignored
-	// when Status is 304.
+	// Body is the JSON body, trailing newline included — or, when Parts
+	// is set, its first piece. Ignored when Status is 304.
 	Body []byte
+	// Parts is the rest of the body, written in order after Body: an
+	// export page is its head, its rows and its tail, each held where it
+	// was encoded, so the page is never copied into one slice.
+	Parts [][]byte
 	// ETag, CacheControl and ContentLength are precomputed header value
-	// slices ({`"<etag>"`}, {"no-cache"}, {len(Body) in decimal}).
+	// slices ({`"<etag>"`}, {"no-cache"}, {Len() in decimal}).
 	// ContentLength nil is computed per write.
 	ETag          []string
 	CacheControl  []string
 	ContentLength []string
+}
+
+// Len is the body's length: Body's and every part's.
+func (raw *Raw) Len() int {
+	n := len(raw.Body)
+	for _, p := range raw.Parts {
+		n += len(p)
+	}
+	return n
 }
 
 // WriteRaw writes a pre-encoded response. status is the handler's
@@ -171,11 +184,16 @@ func WriteRaw(w http.ResponseWriter, status int, raw *Raw) error {
 	if raw.ContentLength != nil {
 		h["Content-Length"] = raw.ContentLength
 	} else {
-		h["Content-Length"] = []string{strconv.Itoa(len(raw.Body))}
+		h["Content-Length"] = []string{strconv.Itoa(raw.Len())}
 	}
 	w.WriteHeader(status)
 	if _, err := w.Write(raw.Body); err != nil {
 		return errs.Wrap(err, errs.ComponentAPI, errs.CategoryIO, "write response")
+	}
+	for _, p := range raw.Parts {
+		if _, err := w.Write(p); err != nil {
+			return errs.Wrap(err, errs.ComponentAPI, errs.CategoryIO, "write response")
+		}
 	}
 	return nil
 }

@@ -144,6 +144,9 @@ type Engine struct {
 	// under e.mu sees state and clock move together.
 	resClock []atomic.Uint64
 	engClock atomic.Uint64
+	// memo[i] is resource i's encoded export row, kept at the resClock[i]
+	// value it was encoded at; nil until the first exportJSON.
+	memo []rowMemo
 
 	budget      int
 	spent       int
@@ -801,9 +804,37 @@ func (e *Engine) exportRow(resourceID string, stamp *Stamp) (ExportedResource, b
 		return ExportedResource{}, false
 	}
 	stamp.at(&e.resClock[i], e.resClock[i].Load())
-	return ExportedResource{
-		ID: resourceID, Posts: e.posts[i], Stability: e.quality[i], TopTags: e.topTags(i),
-	}, true
+	return e.row(i), true
+}
+
+// exportJSON is exportRow named name and encoded (EncodeExportRow), from
+// resource i's memo while resClock[i] and the name have not moved since the
+// memo was made. The memos are allocated by the first call.
+func (e *Engine) exportJSON(resourceID, name string, stamp *Stamp) ([]byte, bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i, ok := e.index[resourceID]
+	if !ok {
+		return nil, false, nil
+	}
+	v := e.resClock[i].Load()
+	stamp.at(&e.resClock[i], v)
+	if e.memo == nil {
+		e.memo = make([]rowMemo, len(e.resources))
+	}
+	if b, ok := e.memo[i].lookup(v, name); ok {
+		return b, true, nil
+	}
+	row := e.row(i)
+	row.Name = name
+	b, err := e.memo[i].encode(v, row)
+	return b, true, err
+}
+
+// row is resource i's export row, Name left for the caller. Caller holds
+// e.mu.
+func (e *Engine) row(i int) ExportedResource {
+	return ExportedResource{ID: e.resources[i].ID, Posts: e.posts[i], Stability: e.quality[i], TopTags: e.topTags(i)}
 }
 
 // topTags is resource i's ten most frequent tags (nil when it has none).

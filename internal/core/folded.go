@@ -47,6 +47,18 @@ import (
 // either predates the advance (and stops being current) or was taken after
 // the write was visible and the stale fold dropped. Entries are never
 // replaced, so a clock a stamp holds is the clock later writes advance.
+//
+// The same clock lets a read skip the seek. A fold remembers the clock value
+// it was last brought up to date at, and its encoded row (rowMemo) the value
+// it was encoded at; a read that finds the clock where the fold left it
+// answers from the fold, and the encoded read from the memo, without calling
+// ScanPostsAfter. Every posts-table write advances the clock at the
+// invalidate point, and on a follower that point comes before the replicate
+// route fsyncs and acks the shipment, as on a leader it comes before Commit
+// returns. So a skipped seek can miss only a write that is visible but not
+// yet reported, which no writer has been told is done: the same window an
+// uncached read racing that writer has, and the one a stamped page's recheck
+// already accepts — the report moves the clock the page's stamp holds.
 type foldedRows struct {
 	cat    *store.Catalog
 	intern *vocab.Interner
@@ -58,34 +70,74 @@ type foldedRows struct {
 // foldedRow is one resource's fold so far. The zero value has folded
 // nothing.
 type foldedRow struct {
-	clock atomic.Uint64 // writes reported for the resource; advanced under mu, never reset
-	mu    sync.Mutex
-	tr    *quality.Tracker
-	seq   uint64           // last post sequence folded into tr
-	posts int              // posts folded (those carrying tags)
-	row   ExportedResource // tr's row, valid while fresh
-	fresh bool
+	clock  atomic.Uint64 // writes reported for the resource; advanced under mu, never reset
+	mu     sync.Mutex
+	tr     *quality.Tracker
+	seq    uint64  // last post sequence folded into tr
+	posts  int     // posts folded (those carrying tags)
+	folded uint64  // the clock's value when tr was last brought up to date, plus one
+	memo   rowMemo // the encoded row, kept at the clock value it was encoded at
 }
 
 func newFoldedRows(cat *store.Catalog, intern *vocab.Interner) *foldedRows {
 	return &foldedRows{cat: cat, intern: intern, rows: make(map[string]*foldedRow)}
 }
 
-// row returns the resource's export row (Name left for the caller), folding
-// in whatever posts arrived since the last call, and records the row's clock
-// into st before scanning for them.
-func (f *foldedRows) row(resourceID string, st *Stamp) (ExportedResource, error) {
+// entry is the resource's fold, made empty on first use.
+func (f *foldedRows) entry(resourceID string) *foldedRow {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	e := f.rows[resourceID]
 	if e == nil {
 		e = &foldedRow{}
 		f.rows[resourceID] = e
 	}
-	f.mu.Unlock()
+	return e
+}
 
+// exportRow returns the resource's export row (Name left for the caller),
+// folding in whatever posts arrived since the last call, and records the
+// row's clock into st before scanning for them. A fold that fails leaves
+// the resource without a row.
+func (f *foldedRows) exportRow(resourceID string, st *Stamp) (ExportedResource, bool) {
+	e := f.entry(resourceID)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st.read(&e.clock)
+	v := e.clock.Load()
+	st.at(&e.clock, v)
+	if f.fold(e, resourceID, v) != nil {
+		return ExportedResource{}, false
+	}
+	return e.row(resourceID), true
+}
+
+// exportJSON is exportRow named name and encoded (EncodeExportRow), from the
+// entry's memo — without a seek — while the clock and name have not moved
+// since the memo was made.
+func (f *foldedRows) exportJSON(resourceID, name string, st *Stamp) ([]byte, bool, error) {
+	e := f.entry(resourceID)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v := e.clock.Load()
+	st.at(&e.clock, v)
+	if b, ok := e.memo.lookup(v, name); ok {
+		return b, true, nil
+	}
+	if f.fold(e, resourceID, v) != nil {
+		return nil, false, nil
+	}
+	row := e.row(resourceID)
+	row.Name = name
+	b, err := e.memo.encode(v, row)
+	return b, true, err
+}
+
+// fold brings e up to clock value v, read under e.mu: unless it already is,
+// it folds in the posts after e.seq. Caller holds e.mu.
+func (f *foldedRows) fold(e *foldedRow, resourceID string, v uint64) error {
+	if e.folded == v+1 {
+		return nil // no write reported since the last fold: nothing to seek
+	}
 	if e.tr == nil {
 		e.tr = quality.NewTrackerShared(quality.Config{}, f.intern)
 	}
@@ -96,7 +148,6 @@ func (f *foldedRows) row(resourceID string, st *Stamp) (ExportedResource, error)
 				return false
 			}
 			e.posts++
-			e.fresh = false
 		}
 		e.seq = seq
 		return true
@@ -106,13 +157,15 @@ func (f *foldedRows) row(resourceID string, st *Stamp) (ExportedResource, error)
 	}
 	if err != nil {
 		e.drop() // half a fold is no fold
-		return ExportedResource{}, err
+		return err
 	}
-	if !e.fresh {
-		e.row = ExportedResource{ID: resourceID, Posts: e.posts, Stability: e.tr.Quality(), TopTags: e.tr.Counts().TopK(10)}
-		e.fresh = true
-	}
-	return e.row, nil
+	e.folded = v + 1
+	return nil
+}
+
+// row is the fold's export row, Name left for the caller. Caller holds e.mu.
+func (e *foldedRow) row(resourceID string) ExportedResource {
+	return ExportedResource{ID: resourceID, Posts: e.posts, Stability: e.tr.Quality(), TopTags: e.tr.Counts().TopK(10)}
 }
 
 // PostWritten advances the clock of the resource's entry, and drops its fold
@@ -151,8 +204,8 @@ func (f *foldedRows) PostsReplaced() {
 	}
 }
 
-// drop forgets the fold, not the clock; the next read starts from the first
-// post. Caller holds e.mu.
+// drop forgets the fold, not the clock or the memo (which is kept at a clock
+// value); the next read starts from the first post. Caller holds e.mu.
 func (e *foldedRow) drop() {
-	e.tr, e.seq, e.posts, e.row, e.fresh = nil, 0, 0, ExportedResource{}, false
+	e.tr, e.seq, e.posts, e.folded = nil, 0, 0, 0
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -119,14 +121,20 @@ func (p *replicaPair) replay(resourceID string) (ExportedResource, error) {
 	return row, err
 }
 
-// check compares the follower's export with the full replay of its catalog.
+// check compares the follower's export, as rows and as the encoded rows a
+// stamped page holds, with the full replay of its catalog.
 func (p *replicaPair) check(when string) {
 	p.t.Helper()
-	rows, next, err := p.fsvc.ExportPage(context.Background(), p.project, "", 0)
+	ctx := context.Background()
+	rows, next, err := p.fsvc.ExportPage(ctx, p.project, "", 0)
 	if err != nil || next != "" || len(rows) != len(p.resources) {
 		p.t.Fatalf("%s: ExportPage = %d rows, next %q, %v", when, len(rows), next, err)
 	}
-	for _, got := range rows {
+	encoded, next, err := p.fsvc.ExportPageStamped(ctx, p.project, "", 0, new(Stamp))
+	if err != nil || next != "" || len(encoded) != len(p.resources) {
+		p.t.Fatalf("%s: ExportPageStamped = %d rows, next %q, %v", when, len(encoded), next, err)
+	}
+	for i, got := range rows {
 		want, err := p.replay(got.ID)
 		if err != nil {
 			p.t.Fatal(err)
@@ -134,7 +142,35 @@ func (p *replicaPair) check(when string) {
 		if !reflect.DeepEqual(got, want) {
 			p.t.Fatalf("%s: folded row differs from the full replay\n got %+v\nwant %+v", when, got, want)
 		}
+		if wantJSON := encodeRow(p.t, want); !bytes.Equal(encoded[i], wantJSON) {
+			p.t.Fatalf("%s: encoded folded row differs from the full replay's\n got %s\nwant %s", when, encoded[i], wantJSON)
+		}
 	}
+}
+
+// encodeRow is EncodeExportRow's bytes for row.
+func encodeRow(t testing.TB, row ExportedResource) []byte {
+	t.Helper()
+	b, err := EncodeExportRow(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// decodeRows decodes a stamped page's encoded rows, checking each is one
+// JSON object and a comma.
+func decodeRows(t testing.TB, page [][]byte) ([]ExportedResource, error) {
+	rows := make([]ExportedResource, len(page))
+	for i, b := range page {
+		if len(b) == 0 || b[len(b)-1] != ',' {
+			return nil, fmt.Errorf("row %d does not end in a comma: %q", i, b)
+		}
+		if err := json.Unmarshal(b[:len(b)-1], &rows[i]); err != nil {
+			return nil, fmt.Errorf("row %d: %v", i, err)
+		}
+	}
+	return rows, nil
 }
 
 func (p *replicaPair) post(ws *store.WriteSet, resourceID string, tags ...string) uint64 {
@@ -295,8 +331,9 @@ func TestFoldedRowsUnderRace(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	type stamped struct {
-		st   *Stamp
-		rows []ExportedResource
+		st      *Stamp
+		rows    []ExportedResource
+		encoded [][]byte
 	}
 	last := make([]atomic.Pointer[stamped], 8) // each reader's latest page
 	// certified runs between writes: nothing is in flight, so a stamp that is
@@ -311,10 +348,14 @@ func TestFoldedRowsUnderRace(t *testing.T) {
 			if page == nil || !page.st.Current() {
 				continue
 			}
-			for _, got := range page.rows {
+			for i, got := range page.rows {
 				want, err := p.replay(got.ID)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: reader %d holds a current stamp over a stale row (%v)\n got %+v\nwant %+v", when, g, err, got, want)
+					return
+				}
+				if wantJSON := encodeRow(t, want); !bytes.Equal(page.encoded[i], wantJSON) {
+					t.Errorf("%s: reader %d holds a current stamp over stale row bytes\n got %s\nwant %s", when, g, page.encoded[i], wantJSON)
 					return
 				}
 			}
@@ -332,12 +373,16 @@ func TestFoldedRowsUnderRace(t *testing.T) {
 				default:
 				}
 				st := new(Stamp)
-				rows, _, err := p.fsvc.ExportPageStamped(ctx, p.project, "", 3, st)
+				encoded, _, err := p.fsvc.ExportPageStamped(ctx, p.project, "", 3, st)
+				var rows []ExportedResource
+				if err == nil {
+					rows, err = decodeRows(t, encoded)
+				}
 				if err != nil {
 					t.Errorf("ExportPage: %v", err)
 					return
 				}
-				last[g].Store(&stamped{st, rows})
+				last[g].Store(&stamped{st, rows, encoded})
 				for _, row := range rows {
 					if row.Posts < seen[row.ID] {
 						t.Errorf("%s went from %d posts back to %d", row.ID, seen[row.ID], row.Posts)
@@ -411,19 +456,23 @@ func foldedClockCoversRow(t *testing.T, seed int64) {
 	const perPage = 3
 
 	type page struct {
-		cursor string
-		st     *Stamp
-		rows   []ExportedResource
+		cursor  string
+		st      *Stamp
+		rows    []ExportedResource
+		encoded [][]byte
 	}
 	var pages []*page
 	read := func(pg *page) string {
 		t.Helper()
 		pg.st = new(Stamp)
-		rows, next, err := p.fsvc.ExportPageStamped(ctx, p.project, pg.cursor, perPage, pg.st)
+		encoded, next, err := p.fsvc.ExportPageStamped(ctx, p.project, pg.cursor, perPage, pg.st)
+		if err == nil {
+			pg.rows, err = decodeRows(t, encoded)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.rows = rows
+		pg.encoded = encoded
 		return next
 	}
 	for cursor := ""; ; {
@@ -473,8 +522,8 @@ func foldedClockCoversRow(t *testing.T, seed int64) {
 		}
 		for i, pg := range pages {
 			changed, touched := false, installed
-			for _, row := range pg.rows {
-				changed = changed || !reflect.DeepEqual(row, after.rows[row.ID])
+			for j, row := range pg.rows {
+				changed = changed || !reflect.DeepEqual(row, after.rows[row.ID]) || !bytes.Equal(pg.encoded[j], encodeRow(t, after.rows[row.ID]))
 				touched = touched || after.clocks[row.ID] != before.clocks[row.ID]
 			}
 			switch current := pg.st.Current(); {
@@ -488,9 +537,12 @@ func foldedClockCoversRow(t *testing.T, seed int64) {
 			}
 			retired++
 			read(pg) // what the response cache does next
-			for _, row := range pg.rows {
+			for j, row := range pg.rows {
 				if !reflect.DeepEqual(row, after.rows[row.ID]) {
 					t.Fatalf("%s: page %d re-read differs from the full replay\n got %+v\nwant %+v", op, i, row, after.rows[row.ID])
+				}
+				if want := encodeRow(t, after.rows[row.ID]); !bytes.Equal(pg.encoded[j], want) {
+					t.Fatalf("%s: page %d re-read bytes differ from the full replay's\n got %s\nwant %s", op, i, pg.encoded[j], want)
 				}
 			}
 		}

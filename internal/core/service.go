@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -1102,6 +1103,65 @@ type ExportedResource struct {
 	TopTags   []TagFreq `json:"top_tags"`
 }
 
+// EncodeExportRow is the row as an export page holds it: json.Marshal's
+// encoding of the row, which escapes HTML as the response pipeline's
+// json.Encoder does, then a comma. A page writes its last row without the
+// comma. The comma trails so that it lands in the spare capacity of
+// Marshal's slice: a leading one would cost a second copy of every row, and
+// the heap the copied-from slices leave behind. A row json.Marshal refuses
+// is an internal error.
+func EncodeExportRow(row ExportedResource) ([]byte, error) {
+	b, err := json.Marshal(row)
+	if err != nil {
+		return nil, errs.Wrap(err, errs.ComponentCore, errs.CategoryInternal, "encode export row %q", row.ID)
+	}
+	return append(b, ','), nil
+}
+
+// rowMemo is one export row's EncodeExportRow bytes, kept beside the clock
+// that guards the row with the clock value and name they were encoded at.
+// The bytes are never written after they are kept: a page holds them as
+// they are, and a re-encode keeps a new slice. The zero value holds nothing.
+type rowMemo struct {
+	json  []byte
+	clock uint64 // the row clock's value at the encode, plus one
+	name  string
+}
+
+// lookup returns the kept bytes when they were encoded at clock value v
+// under name. The caller holds the lock the clock advances under.
+func (m *rowMemo) lookup(v uint64, name string) ([]byte, bool) {
+	return m.json, m.clock == v+1 && m.name == name
+}
+
+// encode encodes row, whose Name is set, as the bytes of clock value v and
+// keeps them; a row json.Marshal refuses is not kept. The caller holds the
+// lock the clock advances under.
+func (m *rowMemo) encode(v uint64, row ExportedResource) ([]byte, error) {
+	b, err := EncodeExportRow(row)
+	if err != nil {
+		return nil, err
+	}
+	*m = rowMemo{json: b, clock: v + 1, name: row.Name}
+	return b, nil
+}
+
+// exportSource is where a page's rows come from: the live run's engine, or,
+// with no live run, the rows folded from the catalog (foldedRows). Each
+// method records the row's clock into st before reading what it guards and
+// reports ok=false for a resource it has no row for, which the page skips.
+type exportSource interface {
+	// exportRow is the row, Name left to the caller.
+	exportRow(resourceID string, st *Stamp) (row ExportedResource, ok bool)
+	// exportJSON is the row named name as EncodeExportRow encodes it, from
+	// the row's memo while its clock and name have not moved.
+	exportJSON(resourceID, name string, st *Stamp) (b []byte, ok bool, err error)
+}
+
+// exportPresize caps the rows, and the stamp clocks, a page reserves before
+// its scan: the limit is the client's, so a larger page grows as it fills.
+const exportPresize = 64
+
 // ExportPage returns the project's resources with their consolidated tags,
 // cursor-paginated over resource IDs: up to limit rows after the cursor
 // (limit <= 0 means all) plus the next-page cursor ("" when exhausted).
@@ -1114,67 +1174,111 @@ type ExportedResource struct {
 // per-project key layout would bound that too, at the cost of re-keying
 // every resource access path.
 func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limit int) ([]ExportedResource, string, error) {
-	return s.ExportPageStamped(ctx, projectID, cursor, limit, nil)
-}
-
-// ExportPageStamped is ExportPage recording into st what the page depends
-// on: the run epoch, the resources-table clock (which rows, their names)
-// and, row by row, the engine clock of each resource shown — so a post on a
-// resource retires the one page holding it. Without a live run the rows are
-// folded from the posts table, and the row clocks are the folded rows'
-// (foldedRows) — same shape, plus the projects-table clock for the existence
-// check.
-func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor string, limit int, st *Stamp) ([]ExportedResource, string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, "", err
-	}
-	after, err := decodeCursor(cursor)
+	out := make([]ExportedResource, 0, presize(limit))
+	next, err := s.exportScan(ctx, projectID, cursor, limit, nil, func(src exportSource, rec store.ResourceRec) (bool, error) {
+		row, ok := src.exportRow(rec.ID, nil)
+		if ok {
+			row.Name = rec.Name
+			out = append(out, row)
+		}
+		return ok, nil
+	})
 	if err != nil {
 		return nil, "", err
 	}
+	return out, next, nil
+}
+
+// ExportPageStamped is ExportPage's page as its rows' encoded bytes
+// (EncodeExportRow), recording into st what the page depends on: the run
+// epoch, the resources-table clock (which rows, their names) and, row by
+// row, the clock of each resource shown — so a post on a resource retires
+// the one page holding it. Each row is kept encoded beside its clock, so a
+// page costs an encode only for the rows whose clock or name moved since
+// they were last encoded. Without a live run the rows are folded from the
+// posts table, and the row clocks are the folded rows' (foldedRows) — same
+// shape, plus the projects-table clock for the existence check. st may be
+// nil. The returned slices are shared: callers must not write to them.
+func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor string, limit int, st *Stamp) ([][]byte, string, error) {
+	out := make([][]byte, 0, presize(limit))
+	next, err := s.exportScan(ctx, projectID, cursor, limit, st, func(src exportSource, rec store.ResourceRec) (bool, error) {
+		b, ok, err := src.exportJSON(rec.ID, rec.Name, st)
+		if ok && err == nil {
+			out = append(out, b)
+		}
+		return ok, err
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return out, next, nil
+}
+
+// presize is how many rows a page of limit reserves.
+func presize(limit int) int {
+	if limit <= 0 || limit > exportPresize {
+		return exportPresize
+	}
+	return limit
+}
+
+// exportScan is the one walk behind both export paths. It records the
+// page's table clocks into st, then hands each resource of the project
+// after the cursor, in ID order, to add with the source of its row, until
+// add has shown limit rows; add reports whether it showed the row. It
+// returns the next-page cursor.
+func (s *Service) exportScan(ctx context.Context, projectID, cursor string, limit int, st *Stamp, add func(exportSource, store.ResourceRec) (bool, error)) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
+	after, err := decodeCursor(cursor)
+	if err != nil {
+		return "", err
+	}
+	st.grow(3 + presize(limit))
 	st.read(&s.runsEpoch)
-	run, runErr := s.run(projectID)
-	if runErr != nil {
+	var src exportSource
+	if run, runErr := s.run(projectID); runErr == nil {
+		src = run.Engine
+	} else {
 		// No live run: a follower replica, or a finished project. The
 		// export is still servable from the catalog alone (foldedRows).
 		// The project must at least exist; when it does not, the answer
 		// is the same unknown-run error a write would get.
 		st.read(s.cat.Clock(store.TableProjects))
 		if _, err := s.cat.GetProject(projectID); err != nil {
-			return nil, "", runErr
+			return "", runErr
 		}
+		src = s.folded
 	}
 	st.read(s.cat.Clock(store.TableResources))
-	out := make([]ExportedResource, 0, 16) // never sized from limit: the client picks it
-	next := ""
+	shown, last, next := 0, "", ""
+	var addErr error
 	scanErr := s.cat.ScanResourcesAfter(after, func(rec store.ResourceRec) bool {
 		if rec.ProjectID != projectID {
 			return true
 		}
-		if limit > 0 && len(out) == limit {
-			next = encodeCursor(out[len(out)-1].ID)
+		if limit > 0 && shown == limit {
+			next = encodeCursor(last)
 			return false
 		}
-		var row ExportedResource
-		if runErr == nil {
-			var ok bool
-			if row, ok = run.Engine.exportRow(rec.ID, st); !ok {
-				return true // not part of the live run; skip, as Export always has
-			}
-		} else {
-			var err error
-			if row, err = s.folded.row(rec.ID, st); err != nil {
-				return true
-			}
+		ok, err := add(src, rec)
+		if err != nil {
+			addErr = err
+			return false
 		}
-		row.Name = rec.Name
-		out = append(out, row)
+		if ok {
+			shown, last = shown+1, rec.ID
+		}
 		return true
 	})
 	if scanErr != nil {
-		return nil, "", scanErr
+		return "", scanErr
 	}
-	return out, next, nil
+	if addErr != nil {
+		return "", addErr
+	}
+	return next, nil
 }
 
 // --- cursors ------------------------------------------------------------------

@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Stamp is what a read-side answer depended on: the write clocks of the
 // state it read, each at the value it had no later than that read, and their
@@ -31,6 +34,14 @@ func (st *Stamp) at(c *atomic.Uint64, v uint64) {
 	}
 	st.clocks = append(st.clocks, c)
 	st.sum += v
+}
+
+// grow makes room for n more clocks, so a fill that knows its size records
+// them without regrowing.
+func (st *Stamp) grow(n int) {
+	if st != nil {
+		st.clocks = slices.Grow(st.clocks, n)
+	}
 }
 
 // read records c at its current value; call it before reading what c guards.

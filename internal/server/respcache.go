@@ -18,7 +18,12 @@ import (
 // bodies keyed by route parameters and stamped with the write clocks of
 // what they show (core.Stamp) — an entry is valid while nothing it shows
 // was written. A hit is lookup → one atomic load per clock → header-map
-// assignment → one body write; no handler, no encode, no allocation.
+// assignment → the body's writes; no handler, no encode, no allocation.
+//
+// An export page is held as its rows: a fixed head, each row's bytes as
+// the core keeps them beside the row's clock, and a tail, written in order
+// under their summed Content-Length. A fill re-encodes only the rows whose
+// clock or name moved since they were last encoded, and copies none.
 //
 // What a route's compute reads, its stamp records, each clock before the
 // state it guards:
@@ -130,22 +135,23 @@ func newRespCache(maxBytes int64) *respCache {
 	}
 }
 
-func (rc *respCache) newEntry(stamp core.Stamp, body []byte, key respKey) *respEntry {
-	etag := fmt.Sprintf("\"%s-%d-%x\"", rc.nonce, rc.fills.Add(1), len(body))
+// newEntry makes raw, a 200 holding only its body, the entry of k: it
+// gains the entry's ETag, Cache-Control and Content-Length.
+func (rc *respCache) newEntry(stamp core.Stamp, raw *api.Raw, key respKey) *respEntry {
+	n := raw.Len()
+	etag := fmt.Sprintf("\"%s-%d-%x\"", rc.nonce, rc.fills.Add(1), n)
 	etagVal := []string{etag}
 	cc := api.NoCacheValue()
-	e := &respEntry{
+	raw.ETag, raw.CacheControl, raw.ContentLength = etagVal, cc, []string{strconv.Itoa(n)}
+	return &respEntry{
 		stamp: stamp,
 		etag:  etag,
-		// Body bytes and stamp plus map-entry and header bookkeeping overhead.
-		size: int64(len(body)+2*len(etag)+len(key.a)+len(key.b)+8*stamp.Len()) + 160,
-		raw: &api.Raw{
-			Body: body, ETag: etagVal, CacheControl: cc,
-			ContentLength: []string{strconv.Itoa(len(body))},
-		},
+		// Body bytes, piece headers and stamp plus map-entry and header
+		// bookkeeping overhead.
+		size:   int64(n+24*len(raw.Parts)+2*len(etag)+len(key.a)+len(key.b)+8*stamp.Len()) + 160,
+		raw:    raw,
 		notMod: &api.Raw{Status: http.StatusNotModified, ETag: etagVal, CacheControl: cc},
 	}
-	return e
 }
 
 // get returns the key's entry while nothing it shows has been written
@@ -173,8 +179,8 @@ func (rc *respCache) get(k respKey) *respEntry {
 // entry is published last, its recheck (or the next get's) retires it
 // unless every clock it read still stands, and two fills that read the
 // same clock values carry identical bytes.
-func (rc *respCache) put(k respKey, stamp core.Stamp, body []byte) (e *respEntry, published bool) {
-	e = rc.newEntry(stamp, body, k)
+func (rc *respCache) put(k respKey, stamp core.Stamp, raw *api.Raw) (e *respEntry, published bool) {
+	e = rc.newEntry(stamp, raw, k)
 	if rc.maxBytes > 0 && e.size > rc.maxBytes {
 		return e, false
 	}
@@ -277,9 +283,10 @@ func (s *Server) CollectRespCache(x *api.Exposition, labels ...api.Label) {
 
 // cachedJSON adapts a compute function into a cached GET handler: serve
 // the published entry (or its 304 form under a matching If-None-Match) and
-// fill on miss. With the cache switched off (Options.RespCacheBytes < 0)
-// every request is a plain pooled encode — byte-identical, just without
-// ETags.
+// fill on miss. A compute returns the value to encode, or a body already
+// in pieces (pageParts, an export page), which the entry keeps as it is.
+// With the cache switched off (Options.RespCacheBytes < 0) every request
+// is a plain fill — byte-identical, just without ETags.
 func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, compute func(*http.Request, *core.Stamp) (any, error)) http.HandlerFunc {
 	return api.Handle(s.kit, http.StatusOK, func(r *http.Request, _ api.None) (*api.Raw, error) {
 		var e *respEntry
@@ -296,15 +303,17 @@ func (s *Server) cachedJSON(kind respKind, keyB func(*http.Request) string, comp
 			if err != nil {
 				return nil, err
 			}
-			body, err := api.AppendJSON(nil, val)
-			if err != nil {
+			raw := new(api.Raw)
+			if parts, ok := val.(pageParts); ok {
+				raw.Parts = parts
+			} else if raw.Body, err = api.AppendJSON(nil, val); err != nil {
 				return nil, err
 			}
 			if s.resp == nil {
-				return &api.Raw{Body: body}, nil
+				return raw, nil
 			}
 			var published bool
-			if e, published = s.resp.put(k, *stamp, body); !published {
+			if e, published = s.resp.put(k, *stamp, raw); !published {
 				// The fill raced a write: answer with the bytes this
 				// request computed, but never revalidate against them.
 				return e.raw, nil

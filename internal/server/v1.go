@@ -9,6 +9,7 @@ import (
 
 	"itag/internal/api"
 	"itag/internal/core"
+	"itag/internal/wire"
 )
 
 // This file holds the paginated listings, the batch write paths and the
@@ -53,23 +54,52 @@ func (s *Server) listProjects(r *http.Request, _ api.None) (projectsPage, error)
 	return projectsPage{Items: items, NextCursor: next}, nil
 }
 
-type exportPage struct {
-	Items      []core.ExportedResource `json:"items"`
-	NextCursor string                  `json:"next_cursor,omitempty"`
-}
+// pageParts is a response body as the pieces it is written in, in order
+// (api.Raw.Parts); the cached route handler sends it as it is.
+type pageParts [][]byte
+
+// exportHead and exportTail are the fixed pieces of an export page around
+// its rows; a page with a next cursor ends in a tail of its own.
+var (
+	exportHead = []byte(`{"items":[`)
+	exportTail = []byte("]}\n")
+)
 
 // export computes one export page — the cached export route's compute
-// function (see cachedJSON).
+// function (see cachedJSON) — as its rows' encoded bytes between a head and
+// a tail (exportParts).
 func (s *Server) export(r *http.Request, st *core.Stamp) (any, error) {
 	limit, cursor, err := parsePageParams(r)
 	if err != nil {
 		return nil, err
 	}
-	items, next, err := s.svc.ExportPageStamped(r.Context(), r.PathValue("id"), cursor, limit, st)
+	rows, next, err := s.svc.ExportPageStamped(r.Context(), r.PathValue("id"), cursor, limit, st)
 	if err != nil {
 		return nil, err
 	}
-	return exportPage{Items: items, NextCursor: next}, nil
+	return exportParts(rows, next), nil
+}
+
+// exportParts lays out the export page of rows, each encoded as
+// core.EncodeExportRow encodes it, and next: the head, the rows (the last
+// without its trailing comma) and the tail. Concatenated, the pieces are the
+// bytes the response pipeline's json.Encoder makes of the page's object:
+// "items", then "next_cursor" unless next is empty, and a newline.
+func exportParts(rows [][]byte, next string) pageParts {
+	parts := make(pageParts, 0, len(rows)+2)
+	parts = append(parts, exportHead)
+	for i, row := range rows {
+		if i == len(rows)-1 {
+			row = row[:len(row)-1]
+		}
+		parts = append(parts, row)
+	}
+	tail := exportTail
+	if next != "" {
+		tail = wire.AppendString(append(make([]byte, 0, len(next)+20), `],"next_cursor":`...), next)
+		tail = append(tail, "}\n"...)
+	}
+	return append(parts, tail)
 }
 
 // --- batch registration ---------------------------------------------------------
