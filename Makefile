@@ -19,8 +19,8 @@ vet:
 # Concurrent stress under the race detector (PR acceptance gate): the store
 # and core suites, the interned quality hot path and its parity property
 # tests (quality + rfd + vocab interner), the marketplace simulators and the
-# review records they keep, which engines stepping on their own goroutines
-# may share (crowd), the HTTP layer (lock-free metrics scrapes vs request
+# review records they keep, which the in-process harness's engines stepping
+# at once may share (crowd), the HTTP layer (lock-free metrics scrapes vs request
 # writers, the pooled request and response buffers, the admission gate
 # under concurrent completions) and the JSON codec it shares with the store
 # and the SDK (wire), and the daemon itself (boot, drain and restart race

@@ -6,11 +6,14 @@
 //
 //	c := client.New("http://localhost:8080", nil)
 //	provider, _ := c.RegisterProvider(ctx, "alice")
+//	tagger, _ := c.RegisterTagger(ctx, "bob")
 //	project, _ := c.CreateProject(ctx, client.CreateProjectReq{
-//	    ProviderID: provider, Name: "demo", Budget: 500, Simulate: true,
+//	    ProviderID: provider, Name: "demo", Budget: 500,
+//	    Resources: []client.UploadedResource{{ID: "r1", Kind: "url", Name: "example.com"}},
 //	})
-//	_ = c.StartProject(ctx, project)
 //	stream, _ := c.StreamEvents(ctx, project)
+//	task, _ := c.RequestTask(ctx, project, tagger)
+//	_ = c.SubmitTask(ctx, project, task.ID, []string{"go", "db"})
 //	for ev := range stream.C { ... }
 //
 // Errors from the server are returned as *APIError carrying the HTTP
@@ -88,7 +91,6 @@ const (
 	CodeInvalidArgument = "invalid_argument"
 	CodeNotFound        = "not_found"
 	CodeConflict        = "conflict"
-	CodeProjectRunning  = "project_running"
 	CodeInvalidRole     = "invalid_role"
 	CodeExhausted       = "exhausted"
 	CodeRateLimited     = "resource_exhausted"
@@ -446,11 +448,6 @@ func (c *Client) GetProject(ctx context.Context, id string) (ProjectInfo, error)
 	var info ProjectInfo
 	err := c.do(ctx, http.MethodGet, "/api/v1/projects/"+url.PathEscape(id), nil, &info)
 	return info, err
-}
-
-// StartProject launches the project's simulated run.
-func (c *Client) StartProject(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodPost, "/api/v1/projects/"+url.PathEscape(id)+"/start", nil, nil)
 }
 
 // StopProject stops further allocation.

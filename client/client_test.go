@@ -10,8 +10,11 @@ import (
 
 	"itag/client"
 	"itag/internal/core"
+	"itag/internal/dataset"
+	"itag/internal/rng"
 	"itag/internal/server"
 	"itag/internal/store"
+	"itag/internal/taggersim"
 )
 
 func newTestClient(t *testing.T) *client.Client {
@@ -188,9 +191,56 @@ func TestSDKBatchTasks(t *testing.T) {
 	}
 }
 
-// TestSDKSimulatedRunWithSSE watches a full simulated run over the SSE
-// stream: quality ticks arrive during the run and the stream ends with a
-// finished event (the ISSUE acceptance bar for /events).
+// simWorld is a generated world of n resources whose IDs carry prefix, so
+// that the projects of one server never share a resource.
+func simWorld(tb testing.TB, n int, prefix string) *dataset.World {
+	tb.Helper()
+	world, err := dataset.Generate(rng.New(1), dataset.GeneratorConfig{NumResources: n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range world.Dataset.Resources {
+		world.Dataset.Resources[i].ID = prefix + world.Dataset.Resources[i].ID
+	}
+	return world
+}
+
+// uploaded is the world's resources as a provider uploads them.
+func uploaded(world *dataset.World) []client.UploadedResource {
+	out := make([]client.UploadedResource, len(world.Dataset.Resources))
+	for i, r := range world.Dataset.Resources {
+		out[i] = client.UploadedResource{ID: r.ID, Kind: string(r.Kind), Name: r.Name}
+	}
+	return out
+}
+
+// tagSimulated has tagger lease and submit n tasks of proj through the SDK,
+// each post what a simulated tagger would post on the world's resources.
+func tagSimulated(tb testing.TB, ctx context.Context, c *client.Client, proj, tagger string, world *dataset.World, n int) {
+	tb.Helper()
+	pop, err := taggersim.NewPopulation(rng.New(2), taggersim.PopulationConfig{Size: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sim, r := taggersim.NewSimulator(world), rng.New(3)
+	for i := 0; i < n; i++ {
+		task, err := c.RequestTask(ctx, proj, tagger)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tags, err := sim.GeneratePost(r, &pop.Profiles[0], task.ResourceID)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := c.SubmitTask(ctx, proj, task.ID, tags); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestSDKSimulatedRunWithSSE watches a project over generated resources,
+// tagged to its budget by a simulated tagger, over the SSE stream: hello,
+// then quality ticks up to the last post, nothing dropped.
 func TestSDKSimulatedRunWithSSE(t *testing.T) {
 	ctx := context.Background()
 	c := newTestClient(t)
@@ -199,9 +249,13 @@ func TestSDKSimulatedRunWithSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tagger, err := c.RegisterTagger(ctx, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := simWorld(t, 10, prov+"-")
 	proj, err := c.CreateProject(ctx, client.CreateProjectReq{
-		ProviderID: prov, Name: "live", Budget: 120, PayPerTask: 0.05,
-		Simulate: true, NumResources: 10,
+		ProviderID: prov, Name: "live", Budget: 120, PayPerTask: 0.05, Resources: uploaded(world),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,70 +266,41 @@ func TestSDKSimulatedRunWithSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Close()
-	if err := c.StartProject(ctx, proj); err != nil {
-		t.Fatal(err)
-	}
+	tagSimulated(t, ctx, c, proj, tagger, world, 120)
 
-	var ticks, runEvents int
-	var finished *client.Finished
+	var hello, ticks int
 	deadline := time.After(30 * time.Second)
 collect:
 	for {
 		select {
 		case ev, ok := <-stream.C:
 			if !ok {
-				break collect
+				t.Fatalf("stream ended before the last post's tick: %v", stream.Err())
 			}
 			switch ev.Type {
+			case client.EventHello:
+				hello++
 			case client.EventTick:
-				if tick, ok := ev.Tick(); !ok || tick.Series == "" {
+				tick, ok := ev.Tick()
+				if !ok || tick.Series == "" {
 					t.Fatalf("bad tick: %s", ev.Data)
 				}
 				ticks++
-			case client.EventRunEvent:
-				runEvents++
-			case client.EventDropped:
-				t.Fatalf("dropped events on a small run: %s", ev.Data)
-			case client.EventFinished:
-				f, ok := ev.Finished()
-				if !ok {
-					t.Fatalf("bad finished: %s", ev.Data)
+				if tick.Series == "mean_stability" && tick.X == 120 {
+					break collect
 				}
-				finished = &f
+			case client.EventDropped:
+				t.Fatalf("dropped events on a small project: %s", ev.Data)
 			}
 		case <-deadline:
-			t.Fatal("no finished event within 30s")
+			t.Fatal("no tick for the last post within 30s")
 		}
 	}
-	if err := stream.Err(); err != nil {
-		t.Fatalf("stream error: %v", err)
-	}
-	if ticks == 0 {
-		t.Error("no quality ticks streamed")
-	}
-	if finished == nil || finished.Spent != 120 || finished.Error != "" {
-		t.Errorf("finished = %+v", finished)
+	if hello != 1 || ticks == 0 {
+		t.Errorf("%d hello, %d ticks", hello, ticks)
 	}
 
-	// Late subscribers see the finished state replayed immediately.
-	late, err := c.StreamEvents(ctx, proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer late.Close()
-	select {
-	case ev := <-late.C:
-		if ev.Type == client.EventHello {
-			ev = <-late.C
-		}
-		if ev.Type != client.EventFinished {
-			t.Errorf("late subscriber got %q, want finished", ev.Type)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("late subscriber saw no replayed finished event")
-	}
-
-	// The series endpoint agrees the run produced data.
+	// The series endpoint agrees the tagging produced data.
 	series, err := c.GetSeries(ctx, proj, "")
 	if err != nil || len(series.X) == 0 {
 		t.Fatalf("series: %d points, %v", len(series.X), err)
@@ -298,7 +323,7 @@ func TestSDKProjectsPagination(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if _, err := c.CreateProject(ctx, client.CreateProjectReq{
 			ProviderID: prov, Name: fmt.Sprintf("p%d", i), Budget: 10,
-			Simulate: true, NumResources: 3,
+			Resources: uploaded(simWorld(t, 3, fmt.Sprintf("p%d-", i))),
 		}); err != nil {
 			t.Fatal(err)
 		}

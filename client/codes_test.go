@@ -15,7 +15,6 @@ func TestCodeVocabularyMatchesServer(t *testing.T) {
 		CodeInvalidArgument: true,
 		CodeNotFound:        true,
 		CodeConflict:        true,
-		CodeProjectRunning:  true,
 		CodeInvalidRole:     true,
 		CodeExhausted:       true,
 		CodeRateLimited:     true,

@@ -161,12 +161,10 @@ func projectInfo(d *wire.Decoder, p *ProjectInfo) bool {
 			return 1 << 2, d.Float(&p.MeanStability)
 		case "mean_oracle":
 			return 1 << 3, d.Float(&p.MeanOracle)
-		case "running":
-			return 1 << 4, d.Bool(&p.Running)
 		case "strategy_name":
-			return 1 << 5, d.String(&p.StrategyName)
+			return 1 << 4, d.String(&p.StrategyName)
 		case "pending_tasks":
-			return 1 << 6, d.Int(&p.PendingTasks)
+			return 1 << 5, d.Int(&p.PendingTasks)
 		}
 		return 0, false
 	})

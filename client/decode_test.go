@@ -13,7 +13,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"itag/client"
 	"itag/internal/core"
@@ -83,21 +82,14 @@ func serverBodies(tb testing.TB) []serverBody {
 	}, "a1", "a2", "a3")
 	amp := manual("amp", map[string][][]string{"e1": {{"r&d", "go"}}}, "e1")
 
-	sim, err := c.CreateProject(ctx, client.CreateProjectReq{
-		ProviderID: prov, Name: "sim", Budget: 30, PayPerTask: 0.05, Simulate: true, NumResources: 3,
+	// Created through the Service, so the resources keep the latent
+	// distributions an oracle is measured against: an upload carries none.
+	world := simWorld(tb, 3, "sim-")
+	sim, err := svc.CreateProject(ctx, core.ProjectSpec{
+		ProviderID: prov, Name: "sim", Budget: 30, PayPerTask: 0.05, Resources: world.Dataset.Resources,
 	})
 	must(err)
-	must(c.StartProject(ctx, sim))
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		info, err := c.GetProject(ctx, sim)
-		must(err)
-		if !info.Running && info.Spent > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			tb.Fatal("the simulated run did not finish in 20s")
-		}
-	}
+	tagSimulated(tb, ctx, c, sim, tagger, world, 30)
 	simPage, err := c.Export(ctx, sim, "", 0)
 	must(err)
 

@@ -21,11 +21,10 @@ type Event struct {
 
 // SSE event types emitted by the server.
 const (
-	EventHello    = "hello"     // stream opened; current run state
+	EventHello    = "hello"     // stream opened; budget spent so far
 	EventTick     = "tick"      // one quality-series sample
-	EventRunEvent = "run-event" // promote / stop / switch / rejected / ...
+	EventRunEvent = "run-event" // promote / stop / switch / cancel / ...
 	EventDropped  = "dropped"   // this subscriber fell behind; count lost
-	EventFinished = "finished"  // run completed; stream ends
 )
 
 // Tick is the payload of a "tick" event.
@@ -43,12 +42,6 @@ type RunEvent struct {
 	Detail string `json:"detail"`
 }
 
-// Finished is the payload of a "finished" event.
-type Finished struct {
-	Spent int    `json:"spent"`
-	Error string `json:"error"`
-}
-
 // Dropped is the payload of a "dropped" event.
 type Dropped struct {
 	Count int64 `json:"count"`
@@ -63,18 +56,8 @@ func (e Event) Tick() (Tick, bool) {
 	return t, json.Unmarshal(e.Data, &t) == nil
 }
 
-// Finished decodes a finished event (ok=false for other types).
-func (e Event) Finished() (Finished, bool) {
-	if e.Type != EventFinished {
-		return Finished{}, false
-	}
-	var f Finished
-	return f, json.Unmarshal(e.Data, &f) == nil
-}
-
 // EventStream is a live SSE subscription. Read events from C until it
-// closes (finished event, context cancellation, or server shutdown), then
-// check Err.
+// closes (Close, context cancellation, or server shutdown), then check Err.
 type EventStream struct {
 	// C delivers events in arrival order and closes when the stream ends.
 	C <-chan Event
@@ -85,8 +68,8 @@ type EventStream struct {
 	done   chan struct{}
 }
 
-// Err reports why the stream ended (nil after a clean finished event or
-// Close).
+// Err reports why the stream ended (nil after Close or a clean end of
+// the stream).
 func (s *EventStream) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,7 +83,7 @@ func (s *EventStream) Close() {
 }
 
 // StreamEvents subscribes to a project's live telemetry. The stream stays
-// open until the run finishes, ctx is cancelled, or Close is called.
+// open until ctx is cancelled, Close is called, or the server ends it.
 func (c *Client) StreamEvents(ctx context.Context, projectID string) (*EventStream, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet,
@@ -130,10 +113,10 @@ func (c *Client) StreamEvents(ctx context.Context, projectID string) (*EventStre
 		err := readSSE(resp.Body, func(ev Event) bool {
 			select {
 			case ch <- ev:
+				return true
 			case <-sctx.Done():
 				return false
 			}
-			return ev.Type != EventFinished
 		})
 		if err != nil && sctx.Err() == nil {
 			stream.mu.Lock()

@@ -40,7 +40,6 @@ type ProjectInfo struct {
 	Spent         int     `json:"spent"`
 	MeanStability float64 `json:"mean_stability"`
 	MeanOracle    float64 `json:"mean_oracle,omitempty"`
-	Running       bool    `json:"running"`
 	StrategyName  string  `json:"strategy_name"`
 	PendingTasks  int     `json:"pending_tasks"`
 }
@@ -53,17 +52,15 @@ type ProjectsPage struct {
 
 // CreateProjectReq is the Add Project form (Fig. 4).
 type CreateProjectReq struct {
-	ProviderID   string             `json:"provider_id"`
-	Name         string             `json:"name"`
-	Description  string             `json:"description,omitempty"`
-	Kind         string             `json:"kind,omitempty"`
-	Budget       int                `json:"budget"`
-	PayPerTask   float64            `json:"pay_per_task"`
-	Strategy     string             `json:"strategy,omitempty"`
-	Platform     string             `json:"platform,omitempty"`
-	Simulate     bool               `json:"simulate,omitempty"`
-	NumResources int                `json:"num_resources,omitempty"`
-	Resources    []UploadedResource `json:"resources,omitempty"`
+	ProviderID  string             `json:"provider_id"`
+	Name        string             `json:"name"`
+	Description string             `json:"description,omitempty"`
+	Kind        string             `json:"kind,omitempty"`
+	Budget      int                `json:"budget"`
+	PayPerTask  float64            `json:"pay_per_task"`
+	Strategy    string             `json:"strategy,omitempty"`
+	Platform    string             `json:"platform,omitempty"`
+	Resources   []UploadedResource `json:"resources,omitempty"`
 }
 
 // UploadedResource is one uploaded resource row.

@@ -116,7 +116,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	fs := flag.NewFlagSet("itagd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dbPath := fs.String("db", "itag.wal", "WAL file (data directory in cluster mode); empty for in-memory")
-	seed := fs.Int64("seed", 42, "seed for simulated platforms and worlds")
+	seed := fs.Int64("seed", 42, "seed for the allocation strategies' randomness")
 	syncEvery := fs.Int("sync-every", 1, "fsync the WAL after every N committed records (0 disables fsync)")
 	segmentBytes := fs.Int64("segment-bytes", store.DefaultSegmentBytes, "rotate WAL segments beyond this size (negative disables rotation)")
 	autoCompact := fs.Int64("auto-compact", 64<<20, "background-snapshot the store when sealed WAL bytes exceed this (0 disables)")
@@ -124,7 +124,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof, /debug/vars and Prometheus /metrics on this address (separate listener; empty disables)")
 	writeTimeout := fs.Duration("write-timeout", 60*time.Second, "http.Server write timeout (SSE streams are exempt)")
 	routeTimeout := fs.Duration("route-timeout", 30*time.Second, "per-route handler deadline (<0 disables)")
-	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight runs")
+	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight requests")
 	respCacheBytes := fs.Int64("resp-cache-bytes", 0, "byte budget of the encoded-response cache behind the hot GET routes (0 = 8 MiB default, negative disables)")
 	admission := fs.Bool("admission", false, "enable AIMD admission control on the lease routes (tasks, tasks:batch; shed past the limit with 429 + Retry-After)")
 	sloP99 := fs.Duration("slo-p99", 500*time.Millisecond, "p99 latency target the admission gate steers against: a lease slower than half of it cuts the limit (with -admission)")
@@ -168,7 +168,6 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		promHandler http.Handler
 		node        *cluster.Node
 		db          store.Store
-		svc         *core.Service
 	)
 	if *clusterSlot != "" {
 		// Cluster mode: the node owns its stores — one WAL per led slot
@@ -239,8 +238,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		}
 		defer db.Close()
 
-		svc = core.NewService(store.NewCatalog(db), *seed)
-		defer svc.Close()
+		svc := core.NewService(store.NewCatalog(db), *seed)
 		// A restarted daemon comes back as what its store says, before the
 		// listener accepts: without this the ID counters restart at zero
 		// (the next registration overwrites a stored user) and no stored
@@ -333,7 +331,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	go func() {
 		defer close(done)
 		<-sigCtx.Done()
-		logger.Printf("signal received; draining runs (grace %s)", *grace)
+		logger.Printf("signal received; draining requests (grace %s)", *grace)
 		drainCtx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 
@@ -343,23 +341,9 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		shutdownErr := make(chan error, 1)
 		go func() { shutdownErr <- httpSrv.Shutdown(drainCtx) }()
 
-		if svc != nil {
-			if err := svc.DrainRuns(drainCtx); err != nil {
-				logger.Printf("drain incomplete: %v (interrupting remaining runs)", err)
-				svc.Close() // hard-cancel engines still stepping
-			}
-		}
 		cancelBase() // end SSE streams so Shutdown can finish
 		if err := <-shutdownErr; err != nil {
 			logger.Printf("shutdown: %v", err)
-		}
-		if svc != nil {
-			// All handlers have returned; catch any run started by a request
-			// that was in flight during the first drain.
-			if err := svc.DrainRuns(drainCtx); err != nil {
-				logger.Printf("late drain incomplete: %v (interrupting)", err)
-				svc.Close()
-			}
 		}
 		if db != nil {
 			if err := db.Sync(); err != nil {

@@ -3,9 +3,9 @@
 // audience-participation mode (paper §IV).
 //
 // The program starts the HTTP server in-process, registers a provider and
-// three taggers, creates two projects (one simulated MTurk run, one manual
-// audience project), drives both to completion through the /api/v1 surface
-// with the client SDK, and prints the provider's dashboard.
+// three taggers, creates an audience project over two uploaded papers,
+// drives it to completion through the /api/v1 surface with the client SDK —
+// lease, submit, approve — and prints the export and the taggers' earnings.
 //
 //	go run ./examples/crowdserver
 package main
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
-	"time"
 
 	"itag"
 	"itag/client"
@@ -35,19 +34,9 @@ func main() {
 	for _, name := range []string{"bob", "carol", "dave"} {
 		taggers = append(taggers, must(c.RegisterTagger(ctx, name)))
 	}
-	fmt.Printf("registered provider %s and %d audience taggers\n\n", provider, len(taggers))
+	fmt.Printf("registered provider %s and %d audience taggers\n", provider, len(taggers))
 
-	// Project 1: simulated crowdsourcing (MTurk-like) run.
-	simProj := must(c.CreateProject(ctx, client.CreateProjectReq{
-		ProviderID: provider, Name: "web-urls", Budget: 300,
-		PayPerTask: 0.05, Strategy: "fp-mu", Simulate: true, NumResources: 30,
-	}))
-	check(c.StartProject(ctx, simProj))
-	info := waitDone(ctx, c, simProj)
-	fmt.Printf("simulated project %s: spent %d tasks, mean stability %.4f\n",
-		simProj, info.Spent, info.MeanStability)
-
-	// Project 2: manual audience tagging of uploaded resources.
+	// Audience tagging of uploaded resources.
 	manProj := must(c.CreateProject(ctx, client.CreateProjectReq{
 		ProviderID: provider, Name: "audience", Budget: 6, PayPerTask: 0.25,
 		Strategy: "fp",
@@ -97,16 +86,4 @@ func check(err error) {
 func must[T any](v T, err error) T {
 	check(err)
 	return v
-}
-
-func waitDone(ctx context.Context, c *client.Client, projectID string) client.ProjectInfo {
-	for i := 0; i < 1000; i++ {
-		info := must(c.GetProject(ctx, projectID))
-		if !info.Running && info.Spent > 0 {
-			return info
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	log.Fatal("project did not finish")
-	return client.ProjectInfo{}
 }

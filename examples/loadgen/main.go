@@ -1,19 +1,26 @@
-// Load generator: drives N concurrent simulated taggers through the v1
-// batch endpoints with the Go SDK — the "heavy traffic" smoke for the
-// versioned API (ISSUE 2 / ROADMAP "millions of users" direction).
+// Load generator: drives the v1 API with the Go SDK as a crowd of taggers
+// and their provider — the "heavy traffic" smoke for the versioned API.
 //
 // Two phases:
 //
 //  1. Manual fan-out: register a tagger fleet with one taggers:batch
-//     call, then hammer a manual project with -workers concurrent
-//     tasks:batch calls (-batches × -batch-size request+submit pairs
-//     each) while an SSE stream watches the quality ticks.
-//  2. Simulated run: start a simulated project and follow its SSE stream
-//     until the finished event.
+//     call, then hammer a project with -workers concurrent tasks:batch
+//     calls (-batches × -batch-size request+submit pairs each) while an
+//     SSE stream watches the quality ticks.
+//  2. Simulated marketplace: the paper's MTurk stand-in, played as a
+//     client. It generates a world (resources with latent tag
+//     distributions), uploads its resources like any provider, registers
+//     a simulated tagger population, then leases, posts what each tagger
+//     would post, submits, and approves or rejects by the latent-overlap
+//     rule, one task at a time, until the budget is spent. Halfway through
+//     it logs "half its budget submitted"; if the server goes away after
+//     that (make loadgen SIGKILLs it there and boots it again on its WAL),
+//     it waits for /healthz and sends the call again, then checks the
+//     project's books through the SDK.
 //
 // The process exits non-zero on any unexpected non-2xx response, any
-// per-item error, any dropped SSE event, or a missing tick/finished
-// event — making it usable as a CI gate (`make loadgen`).
+// per-item error, any dropped SSE event, a missing tick, or books that do
+// not balance — making it usable as a CI gate (`make loadgen`).
 //
 //	go run ./examples/loadgen                       # self-hosted in-process server
 //	go run ./examples/loadgen -addr http://host:8080   # against a running itagd
@@ -21,9 +28,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
@@ -32,8 +42,12 @@ import (
 
 	"itag/client"
 	"itag/internal/core"
+	"itag/internal/crowd"
+	"itag/internal/dataset"
+	"itag/internal/rng"
 	"itag/internal/server"
 	"itag/internal/store"
+	"itag/internal/taggersim"
 )
 
 func main() {
@@ -43,7 +57,7 @@ func main() {
 	batches := flag.Int("batches", 2, "tasks:batch calls per worker")
 	batchSize := flag.Int("batch-size", 1000, "request+submit pairs per batch call")
 	resources := flag.Int("resources", 40, "uploaded resources in the manual project")
-	simBudget := flag.Int("sim-budget", 200, "budget of the simulated SSE-watched project")
+	simBudget := flag.Int("sim-budget", 200, "budget of the simulated marketplace's project")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	flag.Parse()
 
@@ -58,7 +72,6 @@ func main() {
 		svc := core.NewService(store.NewCatalog(store.OpenMemory()), 1)
 		ts := httptest.NewServer(server.New(svc, nil))
 		defer ts.Close()
-		defer svc.Close()
 		base = ts.URL
 		log.Printf("in-process server at %s", base)
 	}
@@ -119,10 +132,12 @@ func manualPhase(ctx context.Context, c *client.Client, taggers, workers, batche
 	}
 	log.Printf("registered %d taggers (%s..%s) in one round-trip", len(ids), ids[0], ids[len(ids)-1])
 
+	// Resource IDs are global: prefix them with the provider's, so a second
+	// run against the same store uploads new ones.
 	uploaded := make([]client.UploadedResource, resources)
 	for i := range uploaded {
 		uploaded[i] = client.UploadedResource{
-			ID: fmt.Sprintf("res-%04d", i), Kind: "url", Name: fmt.Sprintf("r%d.example.com", i),
+			ID: fmt.Sprintf("%s-res-%04d", prov, i), Kind: "url", Name: fmt.Sprintf("r%d.example.com", i),
 		}
 	}
 	total := workers * batches * batchSize
@@ -216,68 +231,156 @@ func manualPhase(ctx context.Context, c *client.Client, taggers, workers, batche
 	return failures
 }
 
+// simPay is what the simulated provider pays per approved post.
+const simPay = 0.05
+
 // simulatedPhase returns the number of failed checks (0 = clean).
 func simulatedPhase(ctx context.Context, c *client.Client, budget int) int {
 	prov, err := c.RegisterProvider(ctx, "loadgen-sim-provider")
 	if err != nil {
 		fail("register provider: %v", err)
 	}
+	world, err := dataset.Generate(rng.New(7), dataset.GeneratorConfig{NumResources: 20})
+	if err != nil {
+		fail("generate world: %v", err)
+	}
+	res := world.Dataset.Resources
+	uploaded := make([]client.UploadedResource, len(res))
+	for i := range res {
+		// Before the simulator or the judge index them: see manualPhase.
+		res[i].ID = prov + "-" + res[i].ID
+		uploaded[i] = client.UploadedResource{ID: res[i].ID, Kind: string(res[i].Kind), Name: res[i].Name}
+	}
+	sim := taggersim.NewSimulator(world)
+	judge := core.LatentOverlapJudge(world, 0.5)
+	pop, err := taggersim.NewPopulation(rng.New(8), taggersim.PopulationConfig{Size: 40, UnreliableFraction: 0.1})
+	if err != nil {
+		fail("tagger population: %v", err)
+	}
+	reg, err := c.RegisterTaggers(ctx, core.WorkerIDs(pop))
+	if err != nil || reg.Failed > 0 {
+		fail("register the simulated taggers: %+v, %v", reg, err)
+	}
 	proj, err := c.CreateProject(ctx, client.CreateProjectReq{
-		ProviderID: prov, Name: "loadgen-sim", Budget: budget, PayPerTask: 0.05,
-		Simulate: true, NumResources: 20,
+		ProviderID: prov, Name: "loadgen-sim", Budget: budget, PayPerTask: simPay,
+		Strategy: "fp-mu", Platform: "mturk-sim", Resources: uploaded,
 	})
 	if err != nil {
-		fail("create simulated project: %v", err)
+		fail("create the simulated marketplace's project: %v", err)
 	}
-	log.Printf("simulated phase: provider %s, project %s", prov, proj)
-	stream, err := c.StreamEvents(ctx, proj)
-	if err != nil {
-		fail("subscribe SSE: %v", err)
-	}
-	defer stream.Close()
-	if err := c.StartProject(ctx, proj); err != nil {
-		fail("start project: %v", err)
-	}
+	log.Printf("simulated phase: provider %s, project %s, %d taggers", prov, proj, len(reg.Results))
 
-	var ticks, dropped int
-	var finished *client.Finished
-	for ev := range stream.C {
-		switch ev.Type {
-		case client.EventTick:
-			ticks++
-		case client.EventDropped:
-			dropped++
-		case client.EventFinished:
-			if f, ok := ev.Finished(); ok {
-				finished = &f
-			}
+	r := rng.New(9)
+	seqs := make(map[string]uint64) // resource → posts committed on it, so the next post's seq
+	submitted, judged, approved := 0, 0, 0
+	for {
+		who := r.Intn(pop.Size())
+		var task client.Task
+		err := settle(ctx, c, func() (err error) {
+			task, err = c.RequestTask(ctx, proj, reg.Results[who].ID)
+			return err
+		}, nil)
+		var ae *client.APIError
+		if errors.As(err, &ae) && ae.Code == client.CodeExhausted {
+			break
+		}
+		if err != nil {
+			fail("request task: %v", err)
+		}
+		tags, err := sim.GeneratePost(r, &pop.Profiles[who], task.ResourceID)
+		if err != nil {
+			fail("generate post: %v", err)
+		}
+		// A re-submit of a task whose submit committed answers 400.
+		if err := settle(ctx, c, func() error { return c.SubmitTask(ctx, proj, task.ID, tags) },
+			func(ae *client.APIError) bool { return ae.Status == http.StatusBadRequest }); err != nil {
+			fail("submit %s: %v", task.ID, err)
+		}
+		seqs[task.ResourceID]++
+		if submitted++; submitted == budget/2 {
+			log.Printf("simulated phase: %d posts, half its budget submitted", submitted)
+		}
+		ok := judge(crowd.Result{Task: crowd.Task{ResourceID: task.ResourceID}, Tags: tags})
+		// A re-judge of a post whose verdict committed answers 409.
+		if err := settle(ctx, c, func() error { return c.JudgePost(ctx, proj, task.ResourceID, seqs[task.ResourceID], ok) },
+			func(ae *client.APIError) bool { return ae.Status == http.StatusConflict }); err != nil {
+			fail("judge %s/%d: %v", task.ResourceID, seqs[task.ResourceID], err)
+		}
+		judged++
+		if ok {
+			approved++
 		}
 	}
+	log.Printf("simulated phase: %d posts submitted, %d judged, %d approved", submitted, judged, approved)
+	return checkBooks(ctx, c, proj, reg, budget, submitted, judged, approved)
+}
 
+// settle sends call until the server answers it. A transport error leaves
+// the call ambiguous: it may have committed before the server went away.
+// So once /healthz answers, the call is sent again, and an error answer to
+// the resend that committed recognises as "the first attempt went in" is a
+// success.
+func settle(ctx context.Context, c *client.Client, call func() error, committed func(*client.APIError) bool) error {
+	err := call()
+	resent := false
+	var ae *client.APIError
+	for err != nil && !errors.As(err, &ae) && ctx.Err() == nil {
+		log.Printf("simulated phase: %v; waiting for the server", err)
+		if herr := waitHealthy(ctx, c); herr != nil {
+			return herr
+		}
+		err, resent = call(), true
+	}
+	if resent && ae != nil && committed != nil && committed(ae) {
+		return nil
+	}
+	return err
+}
+
+// checkBooks checks the simulated project's books through the SDK against
+// what the load generator sent, and returns the number of failed checks.
+func checkBooks(ctx context.Context, c *client.Client, proj string, reg client.BatchRegisterResp, budget, submitted, judged, approved int) int {
 	failures := 0
-	if err := stream.Err(); err != nil {
-		log.Printf("FAIL-CHECK: simulated SSE stream error: %v", err)
-		failures++
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			log.Printf("FAIL-CHECK: simulated phase: "+format, args...)
+			failures++
+		}
 	}
-	if ticks == 0 {
-		log.Print("FAIL-CHECK: no quality ticks during the simulated run")
-		failures++
+	info, err := c.GetProject(ctx, proj)
+	if err != nil {
+		fail("get project: %v", err)
 	}
-	if dropped > 0 {
-		log.Printf("FAIL-CHECK: %d dropped SSE events in the simulated run", dropped)
-		failures++
+	// A lease counts as spent when it is taken; a lease whose answer a
+	// server kill lost stays pending.
+	check(info.Spent == budget, "spent %d of %d", info.Spent, budget)
+	check(info.PendingTasks <= 1, "%d tasks still pending", info.PendingTasks)
+	check(submitted == budget-info.PendingTasks, "%d posts submitted, want %d spent less %d pending",
+		submitted, budget, info.PendingTasks)
+	page, err := c.Export(ctx, proj, "", 0)
+	if err != nil {
+		fail("export: %v", err)
 	}
-	switch {
-	case finished == nil:
-		log.Print("FAIL-CHECK: simulated run never finished")
-		failures++
-	case finished.Error != "":
-		log.Printf("FAIL-CHECK: simulated run failed: %s", finished.Error)
-		failures++
-	case finished.Spent != budget:
-		log.Printf("FAIL-CHECK: simulated run spent %d of %d", finished.Spent, budget)
-		failures++
+	posts := 0
+	for _, row := range page.Items {
+		posts += row.Posts
 	}
-	log.Printf("simulated phase: %d ticks, finished=%+v", ticks, finished)
+	// One post per completed task: a task completed twice shows as a post
+	// the load generator did not count.
+	check(posts == submitted, "export holds %d posts, the load generator submitted %d", posts, submitted)
+	var users client.User
+	for _, t := range reg.Results {
+		u, err := c.GetUser(ctx, t.ID)
+		if err != nil {
+			fail("get tagger %s: %v", t.ID, err)
+		}
+		users.Judged += u.Judged
+		users.JudgedOK += u.JudgedOK
+		users.Earned += u.Earned
+	}
+	check(users.Judged == judged, "taggers hold %d verdicts, the load generator sent %d", users.Judged, judged)
+	check(users.JudgedOK == approved, "taggers hold %d approvals, the load generator sent %d", users.JudgedOK, approved)
+	check(math.Abs(users.Earned-float64(users.JudgedOK)*simPay) < 1e-6,
+		"taggers earned %.2f for %d approvals at %.2f", users.Earned, users.JudgedOK, simPay)
 	return failures
 }

@@ -27,7 +27,6 @@ const (
 	CodeInvalidArgument = "invalid_argument"   // validation or state error (errs.CategoryValidation)
 	CodeNotFound        = "not_found"          // errs.CategoryNotFound
 	CodeConflict        = "conflict"           // errs.CategoryConflict
-	CodeProjectRunning  = "project_running"    // core.ErrProjectRunning (conflict refinement)
 	CodeInvalidRole     = "invalid_role"       // wrong-role user (validation refinement)
 	CodeExhausted       = "exhausted"          // errs.CategoryExhausted: budget / post source ran out
 	CodeRateLimited     = "resource_exhausted" // errs.CategoryRateLimited: load shed by admission control; honor Retry-After
@@ -64,7 +63,6 @@ func CodeTable() []CodeSpec {
 		{CodeBatchTooLarge, http.StatusRequestEntityTooLarge, errs.CategoryValidation, "batch exceeds the per-call item cap, or the request body the 8 MiB body cap"},
 		{CodeNotFound, http.StatusNotFound, errs.CategoryNotFound, "the referenced entity does not exist"},
 		{CodeConflict, http.StatusConflict, errs.CategoryConflict, "valid request, conflicting current state (e.g. post already judged)"},
-		{CodeProjectRunning, http.StatusConflict, errs.CategoryConflict, "operation requires a stopped run"},
 		{CodeExhausted, http.StatusConflict, errs.CategoryExhausted, "a budget or post source ran out"},
 		{CodeRateLimited, http.StatusTooManyRequests, errs.CategoryRateLimited, "load shed by admission control; retry after the Retry-After delay"},
 		{CodeNotOwner, http.StatusMisdirectedRequest, errs.CategoryConflict, "another cluster node owns this key; X-Itag-Owner names its address"},

@@ -37,7 +37,7 @@ type Options struct {
 	Dir string
 	// Store tunes every store this node opens (leader and replicas alike).
 	Store store.Options
-	// Seed seeds the service's simulated platforms.
+	// Seed seeds each slot's service: its engines' strategy randomness.
 	Seed int64
 	// Logger receives node lifecycle and replication errors; nil for
 	// silence.

@@ -38,29 +38,16 @@ func clockCoversStatus(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), store.Options{})
 	s := NewService(store.NewCatalog(db), seed)
-	defer s.Close()
-	prov, err := s.RegisterProvider(ctx, "prov")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagger, err := s.RegisterTagger(ctx, "tagr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A simulated project takes manual leases too (ChooseNext is
-	// ChooseResources with |Rc| = 1), so one engine sees every path.
-	proj, err := s.CreateProject(ctx, ProjectSpec{
-		ProviderID: prov, Name: "clocks", Budget: 400, PayPerTask: 0.05,
-		Strategy: "fp-mu", Simulate: true, NumResources: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := createSimProject(t, s, 400)
+	proj, tagger := p.id, p.taggers[0]
 	run, err := s.run(proj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := run.Engine
+	// Leases are ChooseResources with |Rc| = 1: with a marketplace to step
+	// through as well, one engine sees every path.
+	p.simulate(t, e)
 	ids := make([]string, len(e.resources))
 	for i, res := range e.resources {
 		ids[i] = res.ID
@@ -85,8 +72,8 @@ func clockCoversStatus(t *testing.T, seed int64) {
 		if sn.info, err = s.Project(ctx, proj); err != nil {
 			t.Fatal(err)
 		}
-		// The record is the projects table's to version, Running the epoch's.
-		sn.info.Project, sn.info.Running = store.ProjectRec{}, false
+		// The record is the projects table's to version.
+		sn.info.Project = store.ProjectRec{}
 		return sn
 	}
 	before := snap()

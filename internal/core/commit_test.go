@@ -14,6 +14,7 @@ import (
 
 	"itag/internal/dataset"
 	"itag/internal/store"
+	"itag/internal/strategy"
 )
 
 func openWAL(t *testing.T, path string, opts store.Options) *store.DB {
@@ -545,23 +546,28 @@ func TestConcurrentSubmittersRebuildSameQuality(t *testing.T) {
 	}
 }
 
-// TestSimulatedStepCommitsOnce: a simulated run stages a step's posts under
-// the engine lock and commits them once per step, outside it; a failed
-// commit is the step's error, so the run stops instead of tagging on into a
-// store that takes nothing.
+// TestSimulatedStepCommitsOnce: an engine stepped through a marketplace,
+// its posts staged by Config.OnPost into one write set that Config.Flush
+// commits, stages a step's posts under the engine lock and commits them
+// once per step, outside it; a failed commit is the step's error, so the
+// run stops instead of tagging on into a store that takes nothing.
 func TestSimulatedStepCommitsOnce(t *testing.T) {
-	ctx := context.Background()
 	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), store.Options{})
 	s := NewService(store.NewCatalog(db), 77)
-	_, proj := createSimProject(t, s, 120)
-	run, err := s.run(proj)
+	p := createSimProject(t, s, 10) // the resources' rows, for the posts' keys
+	ws := s.cat.Begin(0)
+	e, err := New(Config{
+		Resources: p.world.Dataset.Resources, Strategy: strategy.NewFPMU(), Budget: 120, Seed: 77,
+		OnPost: s.stagePost(ws), Flush: ws.Commit,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.simulate(t, e)
 	before := commits(s)
 	steps := 0
 	for done := false; !done && steps < 5; steps++ {
-		if done, err = run.Engine.StepContext(ctx); err != nil {
+		if done, err = e.StepOnce(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,11 +575,11 @@ func TestSimulatedStepCommitsOnce(t *testing.T) {
 		t.Errorf("%d steps cost %d store commits, want one each", steps, got)
 	}
 	stored := 0
-	for _, r := range run.Engine.cfg.Resources {
+	for _, r := range e.cfg.Resources {
 		stored += s.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
 	}
 	inStats := 0
-	for _, n := range run.Engine.Posts() {
+	for _, n := range e.Posts() {
 		inStats += n
 	}
 	if stored != inStats || stored == 0 {
@@ -581,10 +587,7 @@ func TestSimulatedStepCommitsOnce(t *testing.T) {
 	}
 
 	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
-	if err := s.StartSimulation(ctx, proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSimulation(ctx, proj); err == nil {
+	if err := e.Run(); err == nil {
 		t.Fatal("the run finished cleanly over a store that failed its commits")
 	}
 }

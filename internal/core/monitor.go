@@ -24,9 +24,6 @@ type Monitor struct {
 
 	subs      map[int]*Subscription
 	nextSubID int
-	finished  bool
-	finishMsg string
-	finishAt  int // spent at finish
 }
 
 // Standard series names recorded by the engine.
@@ -109,9 +106,8 @@ func (s *Series) CSV() string {
 
 // Notification kinds delivered to subscribers.
 const (
-	NotifyTick     = "tick"     // one series sample
-	NotifyEvent    = "event"    // one Event (promote, stop, switch, ...)
-	NotifyFinished = "finished" // the run completed (Err set on failure)
+	NotifyTick  = "tick"  // one series sample
+	NotifyEvent = "event" // one Event (promote, stop, switch, ...)
 )
 
 // Notification is one telemetry push to a subscriber.
@@ -121,8 +117,6 @@ type Notification struct {
 	X      float64 `json:"x,omitempty"`      // tick: budget spent
 	Y      float64 `json:"y,omitempty"`      // tick: series value
 	Event  *Event  `json:"event,omitempty"`  // event
-	Spent  int     `json:"spent,omitempty"`  // finished
-	Err    string  `json:"error,omitempty"`  // finished
 }
 
 // Subscription is one receiver of a Monitor's telemetry fan-out. The
@@ -162,8 +156,7 @@ func NewMonitor() *Monitor {
 }
 
 // Subscribe registers a telemetry receiver with the given channel buffer
-// (minimum 16). If the run already finished, the finished notification is
-// replayed immediately so late subscribers don't wait forever.
+// (minimum 16).
 func (m *Monitor) Subscribe(buf int) *Subscription {
 	if buf < 16 {
 		buf = 16
@@ -173,39 +166,20 @@ func (m *Monitor) Subscribe(buf int) *Subscription {
 	m.nextSubID++
 	sub := &Subscription{C: ch, ch: ch, m: m, id: m.nextSubID}
 	m.subs[sub.id] = sub
-	if m.finished {
-		ch <- Notification{Type: NotifyFinished, Spent: m.finishAt, Err: m.finishMsg}
-	}
 	m.mu.Unlock()
 	return sub
 }
 
 // publishLocked fans one notification out to every subscriber without
 // blocking; slow subscribers lose it and their drop counter advances.
-// The terminal finished notification is never lost: a full buffer sheds
-// its oldest entry instead, so every stream still observes the end of the
-// run. Caller holds m.mu (publishers and Cancel both take it, so the
-// channel cannot close mid-send).
+// Caller holds m.mu (publishers and Cancel both take it, so the channel
+// cannot close mid-send).
 func (m *Monitor) publishLocked(n Notification) {
 	for _, sub := range m.subs {
 		select {
 		case sub.ch <- n:
-			continue
 		default:
-		}
-		if n.Type != NotifyFinished {
 			sub.dropped.Add(1)
-			continue
-		}
-		select {
-		case <-sub.ch:
-			sub.dropped.Add(1)
-		default:
-		}
-		select {
-		case sub.ch <- n:
-		default:
-			sub.dropped.Add(1) // unreachable: only the consumer removes
 		}
 	}
 }
@@ -263,36 +237,4 @@ func (m *Monitor) Events() []Event {
 	out := make([]Event, len(m.events))
 	copy(out, m.events)
 	return out
-}
-
-// Finish marks the run complete and pushes the finished notification.
-// Subsequent Subscribe calls see it replayed; calling Finish again (e.g.
-// a project re-run after AddBudget) re-arms and re-notifies.
-func (m *Monitor) Finish(spent int, runErr error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finished = true
-	m.finishAt = spent
-	m.finishMsg = ""
-	if runErr != nil {
-		m.finishMsg = runErr.Error()
-	}
-	m.publishLocked(Notification{Type: NotifyFinished, Spent: spent, Err: m.finishMsg})
-}
-
-// Restart clears the finished flag when a run resumes (AddBudget followed
-// by a new start), so fresh subscribers wait for live telemetry again.
-func (m *Monitor) Restart() {
-	m.mu.Lock()
-	m.finished = false
-	m.finishMsg = ""
-	m.mu.Unlock()
-}
-
-// Finished reports whether Finish has been called (and the spent count at
-// that point).
-func (m *Monitor) Finished() (bool, int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.finished, m.finishAt
 }

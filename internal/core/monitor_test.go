@@ -3,12 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"itag/internal/store"
+	"itag/internal/dataset"
 )
 
 func TestSeriesBasics(t *testing.T) {
@@ -76,9 +77,8 @@ func TestMonitorFanOut(t *testing.T) {
 
 	m.Record(SeriesMeanStability, 1, 0.5)
 	m.Eventf(1, "promote", "resource %s", "r1")
-	m.Finish(1, nil)
 
-	want := []string{NotifyTick, NotifyEvent, NotifyFinished}
+	want := []string{NotifyTick, NotifyEvent}
 	for i, wantType := range want {
 		select {
 		case n := <-sub.C:
@@ -93,10 +93,6 @@ func TestMonitorFanOut(t *testing.T) {
 			case NotifyEvent:
 				if n.Event == nil || n.Event.Kind != "promote" {
 					t.Errorf("event = %+v", n)
-				}
-			case NotifyFinished:
-				if n.Spent != 1 || n.Err != "" {
-					t.Errorf("finished = %+v", n)
 				}
 			}
 		case <-time.After(time.Second):
@@ -137,59 +133,6 @@ func TestMonitorSlowSubscriberDropsNotBlocks(t *testing.T) {
 	}
 }
 
-// TestMonitorFinishedSurvivesFullBuffer: the terminal notification is
-// never dropped — a full buffer sheds its oldest tick instead, so an SSE
-// stream always observes the end of the run.
-func TestMonitorFinishedSurvivesFullBuffer(t *testing.T) {
-	m := NewMonitor()
-	sub := m.Subscribe(16)
-	defer sub.Cancel()
-	for i := 0; i < 50; i++ { // overflow the buffer without a consumer
-		m.Record(SeriesMeanStability, float64(i), 0.1)
-	}
-	m.Finish(50, nil)
-	var sawFinished bool
-	for len(sub.C) > 0 {
-		if n := <-sub.C; n.Type == NotifyFinished {
-			sawFinished = true
-		}
-	}
-	if !sawFinished {
-		t.Fatal("finished notification dropped on a full buffer")
-	}
-}
-
-func TestMonitorFinishedReplayAndRestart(t *testing.T) {
-	m := NewMonitor()
-	m.Finish(42, errors.New("boom"))
-
-	late := m.Subscribe(16)
-	defer late.Cancel()
-	select {
-	case n := <-late.C:
-		if n.Type != NotifyFinished || n.Spent != 42 || n.Err != "boom" {
-			t.Fatalf("replayed = %+v", n)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no replayed finished notification")
-	}
-	if done, spent := m.Finished(); !done || spent != 42 {
-		t.Errorf("finished = %v/%d", done, spent)
-	}
-
-	m.Restart()
-	if done, _ := m.Finished(); done {
-		t.Error("restart did not clear finished")
-	}
-	fresh := m.Subscribe(16)
-	defer fresh.Cancel()
-	select {
-	case n := <-fresh.C:
-		t.Fatalf("fresh subscriber got %+v after restart", n)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
 func TestMonitorCancelDetaches(t *testing.T) {
 	m := NewMonitor()
 	sub := m.Subscribe(16)
@@ -202,13 +145,13 @@ func TestMonitorCancelDetaches(t *testing.T) {
 }
 
 // TestServiceSubscribeSeesRun wires the fan-out end to end: a subscriber
-// attached through the Service observes ticks and the finished marker of
-// a background simulation.
+// attached through the Service observes a tick for every post of a project
+// tagged to its budget, and a provider's promote.
 func TestServiceSubscribeSeesRun(t *testing.T) {
 	ctx := context.Background()
 	s := newService(t)
-	defer s.Close()
-	_, proj := createSimProject(t, s, 60)
+	p := createSimProject(t, s, 60)
+	proj := p.id
 
 	sub, err := s.Subscribe(ctx, proj, 256)
 	if err != nil {
@@ -219,43 +162,43 @@ func TestServiceSubscribeSeesRun(t *testing.T) {
 		t.Error("subscribe to unknown project must fail")
 	}
 
-	if err := s.StartSimulation(ctx, proj); err != nil {
+	if err := s.Promote(ctx, proj, p.resource(0)); err != nil {
 		t.Fatal(err)
 	}
-	var ticks int
-	deadline := time.After(20 * time.Second)
-	for {
-		select {
-		case n := <-sub.C:
-			switch n.Type {
-			case NotifyTick:
+	p.tagUntilSpent(t, s)
+	ticks, promotes, last := 0, 0, 0.0
+	for len(sub.C) > 0 {
+		switch n := <-sub.C; n.Type {
+		case NotifyTick:
+			if n.Series == SeriesMeanStability {
 				ticks++
-			case NotifyFinished:
-				if ticks == 0 {
-					t.Error("finished before any tick")
-				}
-				if n.Spent != 60 || n.Err != "" {
-					t.Errorf("finished = %+v", n)
-				}
-				return
+				last = n.X
 			}
-		case <-deadline:
-			t.Fatal("run never finished")
+		case NotifyEvent:
+			if n.Event.Kind == "promote" {
+				promotes++
+			}
 		}
+	}
+	// The engine samples its series every recordEvery posts, and at the
+	// last one.
+	if ticks == 0 || last != 60 || promotes != 1 || sub.Dropped() != 0 {
+		t.Errorf("%d stability ticks (last at x=%v), %d promotes, %d dropped; want ticks up to 60, 1 promote, none dropped",
+			ticks, last, promotes, sub.Dropped())
 	}
 }
 
 // TestEngineRunContextCancel proves cancellation actually interrupts a
-// run mid-flight (the drain / disconnect path).
+// stepped run mid-flight.
 func TestEngineRunContextCancel(t *testing.T) {
 	s := newService(t)
-	defer s.Close()
-	_, proj := createSimProject(t, s, 50_000_000)
+	p := createSimProject(t, s, 50_000_000)
 
-	run, err := s.run(proj)
+	run, err := s.run(p.id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.simulate(t, run.Engine)
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- run.Engine.RunContext(ctx) }()
@@ -274,65 +217,13 @@ func TestEngineRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestServiceCloseInterruptsBackgroundRun covers the SIGTERM hard-cancel:
-// Close cancels the lifetime context and the background run retires with
-// its error instead of completing.
-func TestServiceCloseInterruptsBackgroundRun(t *testing.T) {
-	ctx := context.Background()
-	s := newService(t)
-	_, proj := createSimProject(t, s, 50_000_000)
-	if err := s.StartSimulation(ctx, proj); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := s.RunningProjects(); len(got) != 1 || got[0] != proj {
-		t.Fatalf("running = %v", got)
-	}
-	s.Close()
-	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := s.WaitSimulation(wctx, proj); !errors.Is(err, context.Canceled) {
-		t.Fatalf("wait error = %v, want context.Canceled", err)
-	}
-	// The interrupted project is not marked done.
-	rec, err := s.cat.GetProject(proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Status == store.ProjectDone {
-		t.Error("interrupted run must not be marked done")
-	}
-}
-
-// TestDrainRunsWaits covers the graceful path: DrainRuns blocks until the
-// live simulation completes.
-func TestDrainRunsWaits(t *testing.T) {
-	ctx := context.Background()
-	s := newService(t)
-	defer s.Close()
-	_, proj := createSimProject(t, s, 200)
-	if err := s.StartSimulation(ctx, proj); err != nil {
-		t.Fatal(err)
-	}
-	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := s.DrainRuns(dctx); err != nil {
-		t.Fatal(err)
-	}
-	info, err := s.Project(ctx, proj)
-	if err != nil || info.Running || info.Spent != 200 {
-		t.Fatalf("after drain: %+v, %v", info, err)
-	}
-}
-
 func TestProjectsPageCursors(t *testing.T) {
 	ctx := context.Background()
 	s := newService(t)
 	prov, _ := s.RegisterProvider(ctx, "p")
 	for i := 0; i < 5; i++ {
-		if _, err := s.CreateProject(ctx, ProjectSpec{
-			ProviderID: prov, Budget: 10, Simulate: true, NumResources: 3,
-		}); err != nil {
+		res := []dataset.Resource{{ID: fmt.Sprintf("res-%d", i), Kind: dataset.KindURL, Name: "example.com"}}
+		if _, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Budget: 10, Resources: res}); err != nil {
 			t.Fatal(err)
 		}
 	}

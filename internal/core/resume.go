@@ -11,7 +11,7 @@ package core
 //
 //   - the ID counter advances past every persisted ID so new registrations
 //     and projects cannot collide with replicated ones
-//   - every active project with remaining budget gets a rebuilt manual Run:
+//   - every active project with remaining budget gets a rebuilt Run:
 //     seed posts replayed from the post log restore the engine's quality
 //     state, resource stop/promote flags are re-applied, and the task
 //     counter resumes past the highest persisted task ID so task IDs stay
@@ -21,12 +21,6 @@ package core
 //     resource counts it, the budget keeps its pay, it shows in PendingTasks
 //     and its tagger's submit completes it, as it would have before
 //     the restart or promotion
-//
-// Simulated runs (world != nil) do not survive: their latent worlds, tagger
-// populations and simulated marketplaces, with the review record each
-// marketplace qualifies its workers by, are process state by design. Their
-// projects resume as manual projects — persisted posts and tasks remain
-// fully servable.
 
 import (
 	"context"
@@ -97,7 +91,7 @@ func (s *Service) ResumeRuns(ctx context.Context) (int, error) {
 	return resumed, nil
 }
 
-// rebuildRun reconstructs one project's manual Run from the catalog, or
+// rebuildRun reconstructs one project's Run from the catalog, or
 // returns (nil, nil) when the project cannot issue further tasks (budget
 // exhausted, no resources).
 func (s *Service) rebuildRun(rec store.ProjectRec) (*Run, error) {
@@ -152,9 +146,10 @@ func (s *Service) rebuildRun(rec store.ProjectRec) (*Run, error) {
 	spec := ProjectSpec{
 		ProviderID: rec.ProviderID, Name: rec.Name, Kind: rec.Kind,
 		Budget: rec.Budget - spent, PayPerTask: rec.PayPerTask,
-		Strategy: rec.Strategy, Platform: rec.Platform, SeedPosts: seedPosts,
+		Strategy: rec.Strategy, Platform: rec.Platform,
+		Resources: resources, SeedPosts: seedPosts,
 	}
-	run, err := s.buildRun(rec.ID, spec, resources, nil, strat, s.seed+int64(maxTask))
+	run, err := s.buildRun(spec, strat, s.seed+int64(maxTask))
 	if err != nil {
 		return nil, err
 	}

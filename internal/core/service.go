@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,10 +14,8 @@ import (
 	"itag/internal/crowd"
 	"itag/internal/dataset"
 	"itag/internal/errs"
-	"itag/internal/rng"
 	"itag/internal/store"
 	"itag/internal/strategy"
-	"itag/internal/taggersim"
 	"itag/internal/vocab"
 	"itag/internal/wire"
 )
@@ -30,9 +27,10 @@ import (
 //
 // Every entry point takes a context.Context and observes cancellation, so
 // HTTP handler timeouts and client disconnects propagate into the work
-// instead of leaking goroutines. Background simulation runs are attached
-// to the Service's own lifetime context (Close cancels them); DrainRuns
-// waits for them, which is what itagd's graceful shutdown uses.
+// instead of leaking goroutines. A served project has one kind: uploaded
+// resources tagged through leases, submits and judgments, whether the
+// taggers are people or a simulated marketplace driving the API as a
+// client (examples/loadgen). The Service starts no goroutine of its own.
 type Service struct {
 	mu sync.Mutex
 	// judgeMu makes each read-modify-write of a verdict and a user's stored
@@ -50,33 +48,22 @@ type Service struct {
 	// project/user IDs whose hash routes back to itself.
 	idFilter func(prefix, id string) bool
 
-	// runsEpoch counts the run-state transitions no other clock sees: a run
-	// installed in s.runs (CreateProject, ResumeRuns — the answer switches
-	// from the catalog to an engine; an installed run is never replaced or
-	// removed), and a run starting, finishing, or being claimed/rolled back
-	// (ProjectInfo.Running flips without a catalog write). The Stamp of
-	// every answer that has a runless form or shows Running reads it, before
-	// looking s.runs up, and it is bumped strictly AFTER the transition is
-	// visible (the order the encoded-response cache's
+	// runsEpoch counts the one run-state transition no other clock sees: a
+	// run installed in s.runs (CreateProject, ResumeRuns — the answer
+	// switches from the catalog to an engine; an installed run is never
+	// replaced or removed). The Stamp of every answer that has a runless
+	// form reads it, before looking s.runs up, and it is bumped strictly
+	// AFTER the run is visible (the order the encoded-response cache's
 	// recheck-after-publish protocol needs).
 	runsEpoch atomic.Uint64
-
-	lifeCtx    context.Context
-	cancelLife context.CancelFunc
 }
 
-// Run is a live project: the engine plus its simulation scaffolding.
+// Run is a live project: its engine and the tasks leased from it.
 type Run struct {
-	ProjectID string
-	Engine    *Engine
-	World     *dataset.World // nil for uploaded (non-simulated) resources
-	Pop       *taggersim.Population
+	Engine *Engine
 
 	mu      sync.Mutex
-	running bool
-	runErr  error
-	doneCh  chan struct{}
-	tasks   map[string]store.TaskRec // manual taskID → the assigned record it was written as
+	tasks   map[string]store.TaskRec // taskID → the assigned record it was written as
 	taskSeq int
 	// spentBefore is what a previous process had spent when ResumeRuns
 	// rebuilt this run: the rebuilt engine gets the budget that was left and
@@ -87,32 +74,27 @@ type Run struct {
 // spent is the project's total spend across restarts.
 func (run *Run) spent() int { return run.spentBefore + run.Engine.Spent() }
 
-// ErrProjectRunning is returned when an operation requires a stopped run.
-var ErrProjectRunning error = errs.New(errs.ComponentCore, errs.CategoryConflict, "project run already in progress").WithCode("project_running")
-
 // ErrInvalidRole is returned when an operation targets a user that exists
 // but has the wrong role (e.g. rating a tagger as if it were a provider).
 var ErrInvalidRole error = errs.New(errs.ComponentCore, errs.CategoryValidation, "user has the wrong role for this operation").WithCode("invalid_role")
 
 // NewService builds a Service over a catalog.
 func NewService(cat *store.Catalog, seed int64) *Service {
-	lifeCtx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		cat:        cat,
-		intern:     vocab.NewInterner(),
-		runs:       make(map[string]*Run),
-		seed:       seed,
-		nowFunc:    func() time.Time { return time.Now().UTC() },
-		lifeCtx:    lifeCtx,
-		cancelLife: cancel,
+		cat:     cat,
+		intern:  vocab.NewInterner(),
+		runs:    make(map[string]*Run),
+		seed:    seed,
+		nowFunc: func() time.Time { return time.Now().UTC() },
 	}
 	s.folded = newFoldedRows(cat, s.intern)
 	cat.ObservePosts(s.folded)
 	return s
 }
 
-// ServiceOptions has no fields. It and NewServiceWith stay only until the
-// benchmark harness (benchmark/inproc.go) calls NewService instead.
+// ServiceOptions has no fields. It, NewServiceWith and Close stay only
+// until the benchmark harness (benchmark/inproc.go, probes.go) stops
+// calling them.
 type ServiceOptions struct{}
 
 // NewServiceWith is NewService; see ServiceOptions.
@@ -120,9 +102,9 @@ func NewServiceWith(cat *store.Catalog, seed int64, _ ServiceOptions) *Service {
 	return NewService(cat, seed)
 }
 
-// Close cancels the service's lifetime context, interrupting every
-// background simulation run. It does not close the underlying store.
-func (s *Service) Close() { s.cancelLife() }
+// Close does nothing: a Service holds no goroutine and does not own its
+// store. See ServiceOptions.
+func (s *Service) Close() {}
 
 // Catalog exposes the persistent catalog.
 func (s *Service) Catalog() *store.Catalog { return s.cat }
@@ -200,13 +182,9 @@ type ProjectSpec struct {
 	PayPerTask  float64
 	Strategy    string // strategy.Parse spec
 	Platform    string // "mturk-sim" | "social-sim"
-	// Resources to upload. When Simulate is set they are generated
-	// server-side instead (with latent distributions, enabling oracle
-	// monitoring and simulated taggers).
-	Resources    []dataset.Resource
-	Simulate     bool
-	NumResources int // used with Simulate (default 50)
-	SeedPosts    map[string][][]string
+	// Resources to upload, and posts they already carry.
+	Resources []dataset.Resource
+	SeedPosts map[string][][]string
 }
 
 // CreateProject validates and persists a project with its resources.
@@ -236,6 +214,9 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	if spec.Platform == "" {
 		spec.Platform = "mturk-sim"
 	}
+	if len(spec.Resources) == 0 {
+		return "", errs.New(errs.ComponentCore, errs.CategoryValidation, "project needs at least one resource")
+	}
 
 	// Resource keys are bare IDs, so an uploaded ID another project already
 	// holds would overwrite that project's row, and its listing and export
@@ -243,16 +224,14 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	// upload one new ID can both pass this check; a write-set precondition
 	// ("absent", ROADMAP item 10) closes that race, and a per-project
 	// resource key (item 3(b)) retires the refusal.
-	if !spec.Simulate {
-		for _, r := range spec.Resources {
-			owner, err := s.cat.GetResource(r.ID)
-			if err == nil {
-				return "", errs.New(errs.ComponentCore, errs.CategoryConflict,
-					"resource %q already belongs to project %q", r.ID, owner.ProjectID)
-			}
-			if !errors.Is(err, store.ErrNotFound) {
-				return "", err
-			}
+	for _, r := range spec.Resources {
+		owner, err := s.cat.GetResource(r.ID)
+		if err == nil {
+			return "", errs.New(errs.ComponentCore, errs.CategoryConflict,
+				"resource %q already belongs to project %q", r.ID, owner.ProjectID)
+		}
+		if !errors.Is(err, store.ErrNotFound) {
+			return "", err
 		}
 	}
 
@@ -261,33 +240,10 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	seed := s.seed + int64(s.nextID)
 	s.mu.Unlock()
 
-	var world *dataset.World
-	resources := spec.Resources
-	if spec.Simulate {
-		n := spec.NumResources
-		if n <= 0 {
-			n = 50
-		}
-		world, err = dataset.Generate(rng.New(seed), dataset.GeneratorConfig{NumResources: n})
-		if err != nil {
-			return "", err
-		}
-		// Every generated world names its resources r0000…, and resource
-		// keys are bare IDs: prefix them with the project's, before the
-		// simulator, the judge or the catalog index them.
-		for i := range world.Dataset.Resources {
-			world.Dataset.Resources[i].ID = id + "-" + world.Dataset.Resources[i].ID
-		}
-		resources = world.Dataset.Resources
-	}
-	if len(resources) == 0 {
-		return "", errs.New(errs.ComponentCore, errs.CategoryValidation, "project needs at least one resource")
-	}
-
 	// Build the run first: the engine rejects what the catalog would not
 	// (duplicate resource IDs, seed posts naming no resource), and nothing
 	// may be written for a project that cannot run.
-	run, err := s.buildRun(id, spec, resources, world, strat, seed)
+	run, err := s.buildRun(spec, strat, seed)
 	if err != nil {
 		return "", err
 	}
@@ -296,7 +252,7 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	// write leaves all of them or none, never a project row that ResumeRuns
 	// would bring back over a subset of its resources. Seed posts are staged
 	// in resource order so their sequence numbers are deterministic.
-	ws := s.cat.Begin(1 + len(resources))
+	ws := s.cat.Begin(1 + len(spec.Resources))
 	err = ws.PutProject(store.ProjectRec{
 		ID: id, ProviderID: spec.ProviderID, Name: spec.Name,
 		Description: spec.Description, Kind: spec.Kind,
@@ -307,7 +263,7 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	if err != nil {
 		return "", err
 	}
-	for _, r := range resources {
+	for _, r := range spec.Resources {
 		if err := ws.PutResource(store.ResourceRec{
 			ID: r.ID, ProjectID: id, Kind: string(r.Kind), Name: r.Name,
 			Topic: r.Topic, Popularity: r.Popularity,
@@ -315,7 +271,7 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 			return "", err
 		}
 	}
-	for _, r := range resources {
+	for _, r := range spec.Resources {
 		for _, tags := range spec.SeedPosts[r.ID] {
 			if _, err := ws.AppendPost(store.PostRec{
 				ResourceID: r.ID, Tags: tags, Time: s.nowFunc(),
@@ -335,17 +291,12 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	return id, nil
 }
 
-func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []dataset.Resource,
-	world *dataset.World, strat strategy.Strategy, seed int64) (*Run, error) {
-
-	run := &Run{ProjectID: projectID, World: world, tasks: make(map[string]store.TaskRec)}
-	// The run's own write set is the step loop's: every post of a step is
-	// staged under the engine lock and the step commits once, outside it.
-	// Manual calls stage into, and commit, a write set per call instead
-	// (SubmitTask, BatchTasks), so concurrent taggers do not share one.
-	staged := s.cat.Begin(0)
-	cfg := Config{
-		Resources:  resources,
+func (s *Service) buildRun(spec ProjectSpec, strat strategy.Strategy, seed int64) (*Run, error) {
+	// Each call that posts (SubmitTask, BatchTasks) stages into, and
+	// commits, a write set of its own, so concurrent taggers do not share
+	// one, and the engine needs no platform: its tasks are leased.
+	eng, err := New(Config{
+		Resources:  spec.Resources,
 		SeedPosts:  spec.SeedPosts,
 		Strategy:   strat,
 		Budget:     spec.Budget,
@@ -353,36 +304,11 @@ func (s *Service) buildRun(projectID string, spec ProjectSpec, resources []datas
 		ProviderID: spec.ProviderID,
 		Seed:       seed,
 		Interner:   s.intern,
-		OnPost:     s.stagePost(staged),
-		Flush:      staged.Commit,
-	}
-	// Uploaded resources are tagged by hand (ChooseNext / SubmitPost) and
-	// need no platform. A simulated run gets a marketplace of its own, which
-	// keeps its own workers' review record.
-	if world != nil {
-		pop, err := taggersim.NewPopulation(rng.New(seed+1), taggersim.PopulationConfig{Size: 40, UnreliableFraction: 0.1})
-		if err != nil {
-			return nil, err
-		}
-		run.Pop = pop
-		sim := taggersim.NewSimulator(world).UseInterner(s.intern)
-		newSim := crowd.NewMTurkSim
-		if spec.Platform == "social-sim" {
-			newSim = crowd.NewSocialSim
-		}
-		plat, err := newSim(WorkerIDs(pop), GenerativeSource(sim, pop, seed+2), seed+3)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Platform = plat
-		cfg.Judge = LatentOverlapJudge(world, 0.5)
-	}
-	eng, err := New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	run.Engine = eng
-	return run, nil
+	return &Run{Engine: eng, tasks: make(map[string]store.TaskRec)}, nil
 }
 
 // stagePost is the engine's post hook over one write set. It runs under
@@ -431,119 +357,6 @@ func (s *Service) run(projectID string) (*Run, error) {
 		return nil, errs.New(errs.ComponentCore, errs.CategoryValidation, "no live run for project %q", projectID)
 	}
 	return run, nil
-}
-
-// StartSimulation launches the project's engine in the background
-// (simulated-tagger mode); it is an error for manual projects or if already
-// running. ctx gates only the launch; the run itself is attached to the
-// Service lifetime (Close interrupts it, DrainRuns waits for it).
-func (s *Service) StartSimulation(ctx context.Context, projectID string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	run, err := s.run(projectID)
-	if err != nil {
-		return err
-	}
-	if run.World == nil {
-		return errs.New(errs.ComponentCore, errs.CategoryValidation, "project has uploaded resources; use the manual task flow")
-	}
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	if run.running {
-		return ErrProjectRunning
-	}
-	run.running = true
-	run.doneCh = make(chan struct{})
-	run.Engine.Monitor().Restart()
-	s.bumpRunsEpoch()
-	// One goroutine per run, exiting when the run ends: an idle service
-	// holds none.
-	go func() {
-		err := run.Engine.RunContext(s.lifeCtx)
-		// Persist first: whoever WaitSimulation releases (tests, the SIGTERM
-		// drain that closes the store next) must find the project's final
-		// state written.
-		s.finishProject(projectID, err)
-		run.mu.Lock()
-		run.runErr = err
-		run.running = false
-		close(run.doneCh)
-		run.mu.Unlock()
-		// finishProject's PutProject advanced the projects clock, but its
-		// GetProject-error path skips the write, and the Running flip must
-		// never be the unclocked mutation.
-		s.bumpRunsEpoch()
-	}()
-	return nil
-}
-
-func (s *Service) finishProject(projectID string, runErr error) {
-	rec, err := s.cat.GetProject(projectID)
-	if err != nil {
-		return
-	}
-	if run, rerr := s.run(projectID); rerr == nil {
-		rec.Spent = run.spent()
-		run.Engine.Monitor().Finish(rec.Spent, runErr)
-	}
-	if runErr == nil {
-		rec.Status = store.ProjectDone
-	}
-	_ = s.cat.PutProject(rec)
-}
-
-// WaitSimulation blocks until the background run finishes (or ctx is
-// cancelled) and returns the run's error.
-func (s *Service) WaitSimulation(ctx context.Context, projectID string) error {
-	run, err := s.run(projectID)
-	if err != nil {
-		return err
-	}
-	run.mu.Lock()
-	ch := run.doneCh
-	run.mu.Unlock()
-	if ch == nil {
-		return errs.New(errs.ComponentCore, errs.CategoryValidation, "simulation was never started")
-	}
-	select {
-	case <-ch:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	return run.runErr
-}
-
-// RunningProjects returns the IDs of projects whose simulation is live.
-func (s *Service) RunningProjects() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for id, run := range s.runs {
-		run.mu.Lock()
-		if run.running {
-			out = append(out, id)
-		}
-		run.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DrainRuns waits for every live simulation to finish — the SIGTERM drain
-// in itagd. It returns ctx's error when the deadline expires first.
-func (s *Service) DrainRuns(ctx context.Context) error {
-	for _, id := range s.RunningProjects() {
-		if err := s.WaitSimulation(ctx, id); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			// The run itself failed; draining still succeeded.
-		}
-	}
-	return nil
 }
 
 // --- provider controls ----------------------------------------------------------
@@ -671,7 +484,6 @@ type ProjectInfo struct {
 	Spent         int              `json:"spent"`
 	MeanStability float64          `json:"mean_stability"`
 	MeanOracle    float64          `json:"mean_oracle,omitempty"`
-	Running       bool             `json:"running"`
 	StrategyName  string           `json:"strategy_name"`
 	PendingTasks  int              `json:"pending_tasks"`
 }
@@ -682,9 +494,9 @@ func (s *Service) Project(ctx context.Context, projectID string) (ProjectInfo, e
 }
 
 // ProjectStamped is Project recording into st what the answer depends on:
-// the projects-table clock (the record), the run epoch (which run answers,
-// Running) and, with a live run, its engine's clock (spent, pending, the
-// two means, the strategy in force).
+// the projects-table clock (the record), the run epoch (which run answers)
+// and, with a live run, its engine's clock (spent, pending, the two means,
+// the strategy in force).
 func (s *Service) ProjectStamped(ctx context.Context, projectID string, st *Stamp) (ProjectInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return ProjectInfo{}, err
@@ -703,9 +515,6 @@ func (s *Service) ProjectStamped(ctx context.Context, projectID string, st *Stam
 		info.MeanOracle = t.meanOracle
 		info.StrategyName = t.strategy
 		info.PendingTasks = t.pending
-		run.mu.Lock()
-		info.Running = run.running
-		run.mu.Unlock()
 	}
 	return info, nil
 }

@@ -12,9 +12,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"itag/internal/crowd"
 	"itag/internal/dataset"
 	"itag/internal/errs"
+	"itag/internal/rng"
 	"itag/internal/store"
+	"itag/internal/taggersim"
 )
 
 func newService(t *testing.T) *Service {
@@ -22,20 +25,96 @@ func newService(t *testing.T) *Service {
 	return NewService(store.NewCatalog(store.OpenMemory()), 77)
 }
 
-func createSimProject(t *testing.T, s *Service, budget int) (providerID, projectID string) {
+// simProject is a project over a generated world with a simulated tagger
+// population registered to tag it on the served path.
+type simProject struct {
+	prov, id string
+	world    *dataset.World
+	taggers  []string // taggers[i] is the population's i-th profile
+	pop      *taggersim.Population
+}
+
+// createSimProject registers a provider and eight taggers, and creates a
+// project over twelve resources of a generated world, uploaded as a
+// provider uploads them: their IDs carry the provider's, so the projects of
+// one Service never share a resource, and their latent distributions ride
+// along, so the engine tracks oracle quality.
+func createSimProject(t *testing.T, s *Service, budget int) simProject {
 	t.Helper()
-	prov, err := s.RegisterProvider(context.Background(), "alice")
+	ctx := context.Background()
+	prov, err := s.RegisterProvider(ctx, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := s.CreateProject(context.Background(), ProjectSpec{
+	p := simProject{prov: prov}
+	if p.world, err = dataset.Generate(rng.New(1), dataset.GeneratorConfig{NumResources: 12}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.world.Dataset.Resources {
+		p.world.Dataset.Resources[i].ID = prov + "-" + p.world.Dataset.Resources[i].ID
+	}
+	if p.pop, err = taggersim.NewPopulation(rng.New(2), taggersim.PopulationConfig{Size: 8, UnreliableFraction: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range WorkerIDs(p.pop) {
+		tagger, err := s.RegisterTagger(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.taggers = append(p.taggers, tagger)
+	}
+	p.id, err = s.CreateProject(ctx, ProjectSpec{
 		ProviderID: prov, Name: "demo", Budget: budget, PayPerTask: 0.05,
-		Strategy: "fp-mu", Simulate: true, NumResources: 12,
+		Strategy: "fp-mu", Resources: p.world.Dataset.Resources,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prov, proj
+	return p
+}
+
+// resource is the ID of the project's i-th generated resource.
+func (p simProject) resource(i int) string { return p.world.Dataset.Resources[i].ID }
+
+// simulate gives e, the engine of p's run, the marketplace a stepped run
+// drives: an MTurk simulator whose workers are p's population, and the
+// latent-overlap judge. A served project's engine has none; this is what
+// the in-process harness runs.
+func (p simProject) simulate(t *testing.T, e *Engine) {
+	t.Helper()
+	plat, err := crowd.NewMTurkSim(WorkerIDs(p.pop), GenerativeSource(taggersim.NewSimulator(p.world), p.pop, 4), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.cfg.Platform, e.cfg.Judge = plat, LatentOverlapJudge(p.world, 0.5)
+}
+
+// tagUntilSpent plays the simulated marketplace on the served path: the
+// taggers lease in turn, post what their profile would post and submit,
+// until RequestTask reports the budget spent. It returns the posts
+// submitted.
+func (p simProject) tagUntilSpent(t *testing.T, s *Service) int {
+	t.Helper()
+	ctx := context.Background()
+	sim := taggersim.NewSimulator(p.world)
+	r := rng.New(3)
+	for n := 0; ; n++ {
+		who := n % len(p.taggers)
+		task, err := s.RequestTask(ctx, p.id, p.taggers[who])
+		if errs.CategoryOf(err) == errs.CategoryExhausted {
+			return n
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags, err := sim.GeneratePost(r, &p.pop.Profiles[who], task.ResourceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SubmitTask(ctx, p.id, task.ID, tags); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestCreateProjectValidation(t *testing.T) {
@@ -43,18 +122,21 @@ func TestCreateProjectValidation(t *testing.T) {
 	if _, err := s.CreateProject(context.Background(), ProjectSpec{}); err == nil {
 		t.Error("missing provider must fail")
 	}
-	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: "ghost", Budget: 10, Simulate: true}); err == nil {
+	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: "ghost", Budget: 10, Resources: manualResources()}); err == nil {
 		t.Error("unknown provider must fail")
 	}
 	prov, _ := s.RegisterProvider(context.Background(), "p")
-	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Simulate: true}); err == nil {
+	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Resources: manualResources()}); err == nil {
 		t.Error("zero budget must fail")
 	}
-	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Budget: 10, Strategy: "bogus", Simulate: true}); err == nil {
+	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Budget: 10, Strategy: "bogus", Resources: manualResources()}); err == nil {
 		t.Error("bad strategy must fail")
 	}
 	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Budget: 10}); err == nil {
-		t.Error("no resources and no simulate must fail")
+		t.Error("no resources must fail")
+	}
+	if n := s.Catalog().DB().Count(store.TableProjects); n != 0 {
+		t.Errorf("refused projects wrote %d project rows", n)
 	}
 }
 
@@ -68,7 +150,7 @@ func TestCreateProjectValidatesPay(t *testing.T) {
 	prov, _ := s.RegisterProvider(ctx, "p")
 	before := s.Catalog().DB().Count(store.TableProjects)
 	for _, pay := range []float64{-0.05, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Name: "n", Budget: 10, PayPerTask: pay, Simulate: true})
+		_, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Name: "n", Budget: 10, PayPerTask: pay, Resources: manualResources()})
 		if errs.CategoryOf(err) != errs.CategoryValidation {
 			t.Errorf("pay %v: CreateProject = %v, want a validation error", pay, err)
 		}
@@ -76,52 +158,44 @@ func TestCreateProjectValidatesPay(t *testing.T) {
 	if n := s.Catalog().DB().Count(store.TableProjects); n != before {
 		t.Errorf("refused projects wrote %d project rows", n-before)
 	}
-	if _, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Name: "volunteer", Budget: 10, PayPerTask: 0, Simulate: true}); err != nil {
+	if _, err := s.CreateProject(ctx, ProjectSpec{ProviderID: prov, Name: "volunteer", Budget: 10, PayPerTask: 0, Resources: manualResources()}); err != nil {
 		t.Errorf("pay 0: CreateProject = %v", err)
 	}
 }
 
+// TestSimulatedProjectLifecycle: a project over generated resources,
+// tagged by a simulated population through leases and submits, spends its
+// budget, tracks stability and oracle quality, stores every post and
+// exports tags.
 func TestSimulatedProjectLifecycle(t *testing.T) {
 	s := newService(t)
-	prov, proj := createSimProject(t, s, 120)
+	p := createSimProject(t, s, 120)
+	proj := p.id
 
 	info, err := s.Project(context.Background(), proj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Project.ProviderID != prov || info.Running {
+	if info.Project.ProviderID != p.prov || info.Spent != 0 {
 		t.Errorf("info = %+v", info)
 	}
-	if err := s.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StartSimulation(context.Background(), proj); err == nil {
-		t.Error("double start must fail")
-	}
-	if err := s.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
+	if n := p.tagUntilSpent(t, s); n != 120 {
+		t.Errorf("submitted %d posts, want 120", n)
 	}
 	info, _ = s.Project(context.Background(), proj)
-	if info.Spent != 120 {
-		t.Errorf("spent = %d, want 120", info.Spent)
+	if info.Spent != 120 || info.PendingTasks != 0 {
+		t.Errorf("spent = %d, pending %d; want 120, 0", info.Spent, info.PendingTasks)
 	}
 	if info.MeanStability <= 0 || info.MeanOracle <= 0 {
 		t.Errorf("quality not tracked: %+v", info)
 	}
-	rec, _ := s.Catalog().GetProject(proj)
-	if rec.Status != store.ProjectDone || rec.Spent != 120 {
-		t.Errorf("persisted project: %+v", rec)
-	}
-	// Posts persisted via OnPost.
 	resources, _ := s.Catalog().ListResources(proj)
 	totalPosts := 0
 	for _, r := range resources {
 		totalPosts += s.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
 	}
-	// Some posts may be rejected by the judge; persisted posts equal
-	// accepted posts, which must be positive and <= 120.
-	if totalPosts == 0 || totalPosts > 120 {
-		t.Errorf("persisted posts = %d", totalPosts)
+	if totalPosts != 120 {
+		t.Errorf("persisted posts = %d, want 120", totalPosts)
 	}
 	// Series available.
 	xs, ys, err := s.QualitySeries(context.Background(), proj, SeriesMeanStability)
@@ -149,8 +223,8 @@ func TestSimulatedProjectLifecycle(t *testing.T) {
 
 func TestProviderControlsThroughService(t *testing.T) {
 	s := newService(t)
-	_, proj := createSimProject(t, s, 60)
-	r3 := proj + "-r0003" // a simulated project's resource IDs carry its ID
+	p := createSimProject(t, s, 60)
+	proj, r3 := p.id, p.resource(3)
 	if err := s.StopResource(context.Background(), proj, r3); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +239,7 @@ func TestProviderControlsThroughService(t *testing.T) {
 	if rec.Stopped {
 		t.Error("resume not persisted")
 	}
-	if err := s.Promote(context.Background(), proj, proj+"-r0005"); err != nil {
+	if err := s.Promote(context.Background(), proj, p.resource(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SwitchStrategy(context.Background(), proj, "mu"); err != nil {
@@ -185,12 +259,7 @@ func TestProviderControlsThroughService(t *testing.T) {
 	if prec.Budget != 100 {
 		t.Errorf("budget not persisted: %d", prec.Budget)
 	}
-	if err := s.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
+	p.tagUntilSpent(t, s)
 	info, _ := s.Project(context.Background(), proj)
 	if info.Spent != 100 {
 		t.Errorf("spent = %d, want 100", info.Spent)
@@ -208,9 +277,6 @@ func TestManualTaskFlow(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := s.StartSimulation(context.Background(), proj); err == nil {
-		t.Error("manual project must refuse simulation")
 	}
 	// Unknown tagger rejected.
 	if _, err := s.RequestTask(context.Background(), proj, "ghost"); err == nil {
@@ -295,13 +361,9 @@ func TestServicePersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewService(store.NewCatalog(db), 5)
-	_, proj := createSimProject(t, s, 40)
-	if err := s.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
+	p := createSimProject(t, s, 40)
+	proj := p.id
+	p.tagUntilSpent(t, s)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,18 +375,26 @@ func TestServicePersistenceAcrossReopen(t *testing.T) {
 	defer db2.Close()
 	cat := store.NewCatalog(db2)
 	rec, err := cat.GetProject(proj)
-	if err != nil || rec.Status != store.ProjectDone {
+	if err != nil || rec.Status != store.ProjectActive {
 		t.Errorf("recovered project: %+v, %v", rec, err)
 	}
 	resources, _ := cat.ListResources(proj)
 	if len(resources) != 12 {
 		t.Errorf("recovered resources = %d", len(resources))
 	}
+	posts := 0
+	for _, r := range resources {
+		posts += db2.CountPrefix(store.TablePosts, r.ID+"/")
+	}
+	if posts != 40 {
+		t.Errorf("recovered posts = %d, want 40", posts)
+	}
 }
 
 func TestStopProject(t *testing.T) {
 	s := newService(t)
-	_, proj := createSimProject(t, s, 500)
+	p := createSimProject(t, s, 500)
+	proj := p.id
 	if err := s.StopProject(context.Background(), proj); err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +402,9 @@ func TestStopProject(t *testing.T) {
 	if rec.Status != store.ProjectStopped {
 		t.Errorf("status = %s", rec.Status)
 	}
-	// With everything stopped the engine drains immediately.
-	if err := s.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
+	// With everything stopped the engine leases nothing.
+	if n := p.tagUntilSpent(t, s); n != 0 {
+		t.Errorf("a stopped project leased %d tasks", n)
 	}
 	info, _ := s.Project(context.Background(), proj)
 	if info.Spent != 0 {
@@ -347,14 +414,10 @@ func TestStopProject(t *testing.T) {
 
 func TestResourceDetailThroughService(t *testing.T) {
 	s := newService(t)
-	_, proj := createSimProject(t, s, 60)
-	if err := s.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.ResourceDetail(context.Background(), proj, proj+"-r0000")
+	p := createSimProject(t, s, 60)
+	proj := p.id
+	p.tagUntilSpent(t, s)
+	st, err := s.ResourceDetail(context.Background(), proj, p.resource(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +427,7 @@ func TestResourceDetailThroughService(t *testing.T) {
 	if _, err := s.ResourceDetail(context.Background(), proj, "nope"); err == nil {
 		t.Error("unknown resource must fail")
 	}
-	if _, err := s.ResourceDetail(context.Background(), "ghost-project", proj+"-r0000"); err == nil {
+	if _, err := s.ResourceDetail(context.Background(), "ghost-project", p.resource(0)); err == nil {
 		t.Error("unknown project must fail")
 	}
 }
@@ -373,13 +436,11 @@ func TestProjectsListing(t *testing.T) {
 	s := newService(t)
 	provA, _ := s.RegisterProvider(context.Background(), "a")
 	provB, _ := s.RegisterProvider(context.Background(), "b")
-	for i := 0; i < 2; i++ {
-		if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: provA, Budget: 10, Simulate: true, NumResources: 3}); err != nil {
+	for i, prov := range []string{provA, provA, provB} {
+		res := []dataset.Resource{{ID: fmt.Sprintf("res-%d", i), Kind: dataset.KindURL, Name: "example.com"}}
+		if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: prov, Budget: 10, Resources: res}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := s.CreateProject(context.Background(), ProjectSpec{ProviderID: provB, Budget: 10, Simulate: true, NumResources: 3}); err != nil {
-		t.Fatal(err)
 	}
 	all, next, err := s.ProjectsPage(context.Background(), "", "", 0)
 	if err != nil || len(all) != 3 || next != "" {
@@ -394,50 +455,46 @@ func TestProjectsListing(t *testing.T) {
 	}
 }
 
-// TestSimulatedProjectsOwnTheirResourceIDs: two simulated projects generate
-// worlds with the same resource names, and each keeps its own rows — its
-// listing, its export and the keys its posts are stored under.
+// TestSimulatedProjectsOwnTheirResourceIDs: two projects over generated
+// worlds with the same resource names, uploaded under their providers' IDs,
+// each keep their own rows — their listing, their export and the keys
+// their posts are stored under — and an upload of IDs another project holds
+// is refused and writes nothing.
 func TestSimulatedProjectsOwnTheirResourceIDs(t *testing.T) {
 	s := newService(t)
-	defer s.Close()
 	ctx := context.Background()
-	prov, _ := s.RegisterProvider(ctx, "alice")
-	var projects [2]string
-	for i := range projects {
-		var err error
-		if projects[i], err = s.CreateProject(ctx, ProjectSpec{
-			ProviderID: prov, Budget: 20, Simulate: true, NumResources: 5,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	projects := [2]simProject{createSimProject(t, s, 20), createSimProject(t, s, 20)}
+	before := s.Catalog().DB().Count(store.TableProjects)
+	if _, err := s.CreateProject(ctx, ProjectSpec{
+		ProviderID: projects[0].prov, Budget: 20, Resources: projects[1].world.Dataset.Resources,
+	}); errs.CategoryOf(err) != errs.CategoryConflict {
+		t.Errorf("an upload of another project's resource IDs = %v, want a conflict", err)
+	}
+	if n := s.Catalog().DB().Count(store.TableProjects); n != before {
+		t.Errorf("the refused upload wrote %d project rows", n-before)
 	}
 	owner := make(map[string]string) // resource ID → project
-	for _, proj := range projects {
-		recs, err := s.Catalog().ListResources(proj)
-		if err != nil || len(recs) != 5 {
-			t.Fatalf("ListResources(%s) = %d rows, %v; want 5", proj, len(recs), err)
+	for _, p := range projects {
+		recs, err := s.Catalog().ListResources(p.id)
+		if err != nil || len(recs) != 12 {
+			t.Fatalf("ListResources(%s) = %d rows, %v; want 12", p.id, len(recs), err)
 		}
 		for _, r := range recs {
-			if !strings.HasPrefix(r.ID, proj+"-") || owner[r.ID] != "" {
-				t.Errorf("%s lists resource %q (owned by %q)", proj, r.ID, owner[r.ID])
+			if owner[r.ID] != "" {
+				t.Errorf("%s lists resource %q, owned by %q", p.id, r.ID, owner[r.ID])
 			}
-			owner[r.ID] = proj
+			owner[r.ID] = p.id
 		}
-		if err := s.StartSimulation(ctx, proj); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WaitSimulation(ctx, proj); err != nil {
-			t.Fatal(err)
-		}
+		p.tagUntilSpent(t, s)
 	}
-	for _, proj := range projects {
-		rows, _, err := s.ExportPage(ctx, proj, "", 0)
-		if err != nil || len(rows) != 5 {
-			t.Fatalf("ExportPage(%s) = %d rows, %v; want 5", proj, len(rows), err)
+	for _, p := range projects {
+		rows, _, err := s.ExportPage(ctx, p.id, "", 0)
+		if err != nil || len(rows) != 12 {
+			t.Fatalf("ExportPage(%s) = %d rows, %v; want 12", p.id, len(rows), err)
 		}
 		for _, row := range rows {
-			if owner[row.ID] != proj {
-				t.Errorf("%s exports %s's resource %s", proj, owner[row.ID], row.ID)
+			if owner[row.ID] != p.id {
+				t.Errorf("%s exports %s's resource %s", p.id, owner[row.ID], row.ID)
 			}
 		}
 	}
@@ -445,13 +502,13 @@ func TestSimulatedProjectsOwnTheirResourceIDs(t *testing.T) {
 	for id := range owner {
 		stored += s.Catalog().DB().CountPrefix(store.TablePosts, id+"/")
 	}
-	if want := 2 * 20; stored == 0 || stored > want {
-		t.Errorf("%d posts stored under the two projects' resources, want 1..%d", stored, want)
+	if stored != 2*20 {
+		t.Errorf("%d posts stored under the two projects' resources, want %d", stored, 2*20)
 	}
 }
 
-// simOutcome is what a finished simulated run leaves behind: its spend,
-// and from the catalog its posts per resource and per tagger.
+// simOutcome is what a project tagged to its budget leaves behind: its
+// spend, and from the catalog its posts per resource and per tagger.
 type simOutcome struct {
 	Spent      int
 	PerRes     map[string]int
@@ -459,15 +516,10 @@ type simOutcome struct {
 	TotalPosts int
 }
 
-func runSimulation(t *testing.T, s *Service, proj string) simOutcome {
+func runSimulation(t *testing.T, s *Service, p simProject) simOutcome {
 	t.Helper()
-	if err := s.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
-	}
-	return storedOutcome(t, s, proj)
+	p.tagUntilSpent(t, s)
+	return storedOutcome(t, s, p.id)
 }
 
 func storedOutcome(t *testing.T, s *Service, proj string) simOutcome {
@@ -495,42 +547,27 @@ func storedOutcome(t *testing.T, s *Service, proj string) simOutcome {
 	return out
 }
 
-// TestSimulatedProjectsAreIsolated: a simulated project's run does not
-// depend on another project having run in the same Service. Each project's
-// marketplace keeps its own workers' reviews (both populations use the
-// same worker IDs) and its own resources, so B after A equals B in a fresh
-// Service with the same seeds and creation order, where A never ran, and
-// A's listing and export survive B.
+// TestSimulatedProjectsAreIsolated: a project's tagging does not depend on
+// another project having been tagged in the same Service (the two share
+// the tag interner and the catalog, and their generated worlds the same
+// resource names): B after A equals B in a fresh Service with the same
+// seeds and creation order, where A was never tagged, and A's listing and
+// export survive B.
 func TestSimulatedProjectsAreIsolated(t *testing.T) {
 	ctx := context.Background()
 	const budget, resources = 480, 12
-	twoProjects := func() (s *Service, a, b string) {
+	twoProjects := func() (s *Service, a, b simProject) {
 		s = newService(t)
-		prov, err := s.RegisterProvider(ctx, "alice")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ids [2]string
-		for i := range ids {
-			if ids[i], err = s.CreateProject(ctx, ProjectSpec{
-				ProviderID: prov, Name: fmt.Sprintf("p%d", i), Budget: budget, PayPerTask: 0.05,
-				Strategy: "fp-mu", Simulate: true, NumResources: resources,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s, ids[0], ids[1]
+		return s, createSimProject(t, s, budget), createSimProject(t, s, budget)
 	}
 
 	shared, a, b := twoProjects()
-	defer shared.Close()
 	outA := runSimulation(t, shared, a)
 	got := runSimulation(t, shared, b)
 
 	fresh, a2, b2 := twoProjects()
-	defer fresh.Close()
-	if a2 != a || b2 != b {
-		t.Fatalf("creation order minted %s, %s; first service %s, %s", a2, b2, a, b)
+	if a2.id != a.id || b2.id != b.id {
+		t.Fatalf("creation order minted %s, %s; first service %s, %s", a2.id, b2.id, a.id, b.id)
 	}
 	want := runSimulation(t, fresh, b2)
 	if !reflect.DeepEqual(got, want) {
@@ -540,10 +577,10 @@ func TestSimulatedProjectsAreIsolated(t *testing.T) {
 	if outA.Spent != budget || len(outA.PerRes) != resources {
 		t.Fatalf("A = %+v, want spent %d over %d resources", outA, budget, resources)
 	}
-	if now := storedOutcome(t, shared, a); !reflect.DeepEqual(now, outA) {
+	if now := storedOutcome(t, shared, a.id); !reflect.DeepEqual(now, outA) {
 		t.Errorf("A's stored outcome changed after B ran:\n before %+v\n after  %+v", outA, now)
 	}
-	rows, _, err := shared.ExportPage(ctx, a, "", 0)
+	rows, _, err := shared.ExportPage(ctx, a.id, "", 0)
 	if err != nil || len(rows) != resources {
 		t.Fatalf("ExportPage(A) = %d rows, %v; want %d", len(rows), err, resources)
 	}

@@ -194,27 +194,6 @@ type GainTable struct {
 	gains []float64 // gains[x] = projected cumulative gain of x extra posts
 }
 
-// NewGainTable builds a table from a curve at current post count k0.
-func NewGainTable(c Curve, k0, maxX int) *GainTable {
-	if maxX < 0 {
-		maxX = 0
-	}
-	g := make([]float64, maxX+1)
-	prevMarginal := math.Inf(1)
-	for x := 1; x <= maxX; x++ {
-		m := c.Eval(k0+x) - c.Eval(k0+x-1)
-		if m < 0 {
-			m = 0
-		}
-		if m > prevMarginal {
-			m = prevMarginal // enforce concavity
-		}
-		prevMarginal = m
-		g[x] = g[x-1] + m
-	}
-	return &GainTable{gains: g}
-}
-
 // NewGainTableFromValues builds a table directly from projected quality
 // values q(k0), q(k0+1), ..., enforcing monotone concave gains. Used when
 // gains come from Monte-Carlo estimates rather than a fitted curve.

@@ -16,11 +16,7 @@ func TestErrorMapping(t *testing.T) {
 	c := newV1Client(t)
 	prov := c.register("providers", "alice")
 	tagr := c.register("taggers", "bob")
-	// Budget large enough that the run is still live for the whole table;
-	// the cleanup stop drains it.
-	running := c.createSimProject(prov, 50_000_000)
-	c.do("POST", "/api/v1/projects/"+running+"/start", nil, http.StatusAccepted, nil)
-	t.Cleanup(func() { c.do("POST", "/api/v1/projects/"+running+"/stop", nil, http.StatusOK, nil) })
+	running := c.createSimProject(prov, 50).id
 
 	cases := []struct {
 		name       string
@@ -48,10 +44,12 @@ func TestErrorMapping(t *testing.T) {
 			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
-			name:       "core.ErrProjectRunning on double start",
+			// A served project has one kind: there is no simulated run to
+			// start.
+			name:       "retired start route",
 			method:     "POST",
 			path:       "/api/v1/projects/" + running + "/start",
-			wantStatus: http.StatusConflict, wantCode: api.CodeProjectRunning,
+			wantStatus: http.StatusNotFound, wantCode: api.CodeNotFound,
 		},
 		{
 			name:       "core.ErrInvalidRole rating a tagger",
@@ -69,8 +67,14 @@ func TestErrorMapping(t *testing.T) {
 		{
 			name:   "negative pay per task on create",
 			method: "POST", path: "/api/v1/projects",
-			body:       CreateProjectReq{ProviderID: prov, Name: "p", Budget: 10, PayPerTask: -0.05, Simulate: true},
+			body:       CreateProjectReq{ProviderID: prov, Name: "p", Budget: 10, PayPerTask: -0.05, Resources: []UploadedResource{{ID: "u1"}}},
 			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidArgument,
+		},
+		{
+			name:   "retired simulate field on create",
+			method: "POST", path: "/api/v1/projects",
+			body:       map[string]any{"provider_id": prov, "name": "p", "budget": 10, "simulate": true},
+			wantStatus: http.StatusBadRequest, wantCode: api.CodeInvalidRequest,
 		},
 		{
 			name:   "malformed body",

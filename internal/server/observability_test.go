@@ -222,15 +222,15 @@ func TestCorruptionCategoryOnReopen(t *testing.T) {
 
 // --- SSE drop accounting --------------------------------------------------------
 
-// TestSSEDroppedSurfacesInMetrics runs a simulation against a subscriber
-// with a 1-slot buffer that never reads until the run finishes: almost
-// every notification must be counted as dropped in the metrics registry
-// and surface on the scrape.
+// TestSSEDroppedSurfacesInMetrics tags a project to its budget against a
+// subscriber with a 1-slot buffer that reads nothing until the tagging is
+// over: the notifications it could not hold must be counted as dropped in
+// the metrics registry and surface on the scrape.
 func TestSSEDroppedSurfacesInMetrics(t *testing.T) {
 	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 99)
 	s := NewWith(svc, Options{SSEBuffer: 1})
-	// The stream handler reads nothing from its subscription until the run
-	// is over: the whole run's telemetry meets a minimum-size buffer, so
+	// The stream handler reads nothing from its subscription until the
+	// tagging is over: all of its telemetry meets a minimum-size buffer, so
 	// the overflow is forced rather than left to scheduling.
 	gate := make(chan struct{})
 	s.sseGate = gate
@@ -242,33 +242,35 @@ func TestSSEDroppedSurfacesInMetrics(t *testing.T) {
 	c := &client{t: t, srv: srv}
 
 	prov := c.register("providers", "p")
-	proj := c.createSimProject(prov, 60)
+	p := c.createSimProject(prov, 60)
 
-	resp, err := http.Get(srv.URL + "/api/v1/projects/" + proj + "/events")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", srv.URL+"/api/v1/projects/"+p.id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 
-	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
-	c.waitDone(proj, 30*time.Second)
+	c.tag(p, 60)
 	close(gate)
 
-	// Drain the stream to its end. The handler counts drops before it
-	// writes the dropped event and flushes the rest before it returns, so
-	// by EOF the registry holds them all.
+	// Read the stream up to its dropped event. The handler counts drops
+	// before it writes that event, so by then the registry holds them.
 	sawDropped := false
 	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "event: dropped") {
-			sawDropped = true
-		}
+	for !sawDropped && sc.Scan() {
+		sawDropped = strings.HasPrefix(sc.Text(), "event: dropped")
 	}
 	if !sawDropped {
-		t.Error("stream carried no dropped event for a subscriber held behind a whole run")
+		t.Fatal("stream carried no dropped event for a subscriber held behind a whole project")
 	}
 	if got := s.Metrics().SSEDropped(); got == 0 {
-		t.Error("SSEDropped = 0 after a subscriber held behind a whole run")
+		t.Error("SSEDropped = 0 after a subscriber held behind a whole project")
 	}
 	var x api.Exposition
 	s.Metrics().Collect(&x)

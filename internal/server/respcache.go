@@ -29,7 +29,7 @@ import (
 // state it guards:
 //
 //   - GET project: the projects-table clock (the record), the service's run
-//     epoch (which run answers; Running) and the run's engine clock (spent,
+//     epoch (which run answers) and the run's engine clock (spent,
 //     pending, mean stability/oracle, strategy — every engine mutation);
 //   - GET resource: that resource's engine clock (no run, no answer; and an
 //     installed run is never swapped, so the epoch has nothing to say);
@@ -48,7 +48,8 @@ import (
 //     write and the entry is withdrawn;
 //   - every clock only advances, and only once the change it counts is
 //     visible (table clocks after the store write, the run epoch after the
-//     flip, engine clocks in the Engine.mu critical section of the change);
+//     run is installed, engine clocks in the Engine.mu critical section of
+//     the change);
 //   - a hit is served only while the entry's clocks still sum to its stamp
 //     — monotone clocks make "sum unchanged" the same as "none moved".
 //

@@ -793,10 +793,9 @@ func scopedCoherence(t *testing.T) {
 }
 
 // TestRunSwapRetiresEntries: an answer given without a live run comes from
-// the catalog, one given with a run from its engine, and a finished run
-// stops reporting Running — none of which is a write to anything the other
-// clocks cover. A validator minted on one side of such a swap must not draw
-// a 304 on the other.
+// the catalog, one given with a run from its engine, and installing the run
+// is not a write to anything the other clocks cover. A validator minted on
+// one side of such a swap must not draw a 304 on the other.
 func TestRunSwapRetiresEntries(t *testing.T) {
 	ctx := context.Background()
 	cat := store.NewCatalog(store.OpenMemory())
@@ -875,28 +874,6 @@ func TestRunSwapRetiresEntries(t *testing.T) {
 		t.Fatalf("ResumeRuns = %d, %v", n, err)
 	}
 	retired("run installed", srv, runless)
-
-	// A simulated project, cached while its run is idle, then run to the end.
-	sim, err := svc.CreateProject(ctx, core.ProjectSpec{
-		ProviderID: prov, Name: "sim", Budget: 40, PayPerTask: 0.05, Simulate: true, NumResources: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base = "/api/v1/projects/" + sim
-	live := cache(srv, base, base+"/export")
-	if err := svc.StartSimulation(ctx, sim); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.WaitSimulation(ctx, sim); err != nil {
-		t.Fatal(err)
-	}
-	retired("project finished", srv, live)
-	_, _, body := get(srv, base, "")
-	var info core.ProjectInfo
-	if err := json.Unmarshal(body, &info); err != nil || info.Running || info.Project.Status != store.ProjectDone {
-		t.Fatalf("finished project reads running=%v status=%q (%v)", info.Running, info.Project.Status, err)
-	}
 }
 
 // TestNotModifiedIsCounted: the 304 rate is a counter of its own, beside

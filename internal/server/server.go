@@ -18,7 +18,6 @@
 //	GET  /api/v1/projects?provider=ID            main provider screen (Fig. 3; cursor-paginated)
 //	POST /api/v1/projects                        Add Project (Fig. 4)
 //	GET  /api/v1/projects/{id}                   project row + live stats
-//	POST /api/v1/projects/{id}/start             run with simulated taggers
 //	POST /api/v1/projects/{id}/stop              Stop project
 //	POST /api/v1/projects/{id}/budget            add budget
 //	POST /api/v1/projects/{id}/strategy          switch strategy (Fig. 5)
@@ -208,7 +207,6 @@ func (s *Server) routes() {
 	s.routeUntimed("GET /api/v1/projects/{id}", s.cachedJSON(respProject, emptyKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
 		return s.svc.ProjectStamped(r.Context(), r.PathValue("id"), st)
 	}))
-	s.route("POST /api/v1/projects/{id}/start", api.Handle(k, http.StatusAccepted, s.startProject))
 	s.route("POST /api/v1/projects/{id}/stop", api.Handle(k, http.StatusOK, s.stopProject))
 	s.route("POST /api/v1/projects/{id}/budget", api.Handle(k, http.StatusOK, s.addBudget))
 	s.route("POST /api/v1/projects/{id}/strategy", api.Handle(k, http.StatusOK, s.switchStrategy))
@@ -226,6 +224,12 @@ func (s *Server) routes() {
 	s.routeLimited("POST /api/v1/projects/{id}/tasks:batch", api.Handle(k, http.StatusOK, s.batchTasks))
 	s.route("POST /api/v1/projects/{id}/tasks/{tid}/submit", api.Handle(k, http.StatusOK, s.submitTask))
 	s.route("POST /api/v1/projects/{id}/posts/{rid}/{seq}/judge", api.Handle(k, http.StatusOK, s.judgePost))
+
+	// Whatever else is sent under /api/v1 — a retired route, or a method a
+	// route does not take — answers the error envelope, not_found.
+	s.mux.HandleFunc("/api/v1/", func(w http.ResponseWriter, r *http.Request) {
+		k.WriteError(w, r, api.Errorf(http.StatusNotFound, api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
+	})
 }
 
 // mapErr translates service errors into transport errors with
@@ -304,17 +308,15 @@ func (s *Server) rateProvider(r *http.Request, req rateReq) (map[string]bool, er
 
 // CreateProjectReq is the Add Project form (Fig. 4).
 type CreateProjectReq struct {
-	ProviderID   string             `json:"provider_id"`
-	Name         string             `json:"name"`
-	Description  string             `json:"description,omitempty"`
-	Kind         string             `json:"kind,omitempty"`
-	Budget       int                `json:"budget"`
-	PayPerTask   float64            `json:"pay_per_task"`
-	Strategy     string             `json:"strategy,omitempty"`
-	Platform     string             `json:"platform,omitempty"`
-	Simulate     bool               `json:"simulate,omitempty"`
-	NumResources int                `json:"num_resources,omitempty"`
-	Resources    []UploadedResource `json:"resources,omitempty"`
+	ProviderID  string             `json:"provider_id"`
+	Name        string             `json:"name"`
+	Description string             `json:"description,omitempty"`
+	Kind        string             `json:"kind,omitempty"`
+	Budget      int                `json:"budget"`
+	PayPerTask  float64            `json:"pay_per_task"`
+	Strategy    string             `json:"strategy,omitempty"`
+	Platform    string             `json:"platform,omitempty"`
+	Resources   []UploadedResource `json:"resources,omitempty"`
 }
 
 // UploadedResource is one uploaded resource row.
@@ -329,7 +331,6 @@ func (s *Server) createProject(r *http.Request, req CreateProjectReq) (registerR
 		ProviderID: req.ProviderID, Name: req.Name, Description: req.Description,
 		Kind: req.Kind, Budget: req.Budget, PayPerTask: req.PayPerTask,
 		Strategy: req.Strategy, Platform: req.Platform,
-		Simulate: req.Simulate, NumResources: req.NumResources,
 	}
 	for _, ur := range req.Resources {
 		spec.Resources = append(spec.Resources, dataset.Resource{
@@ -341,13 +342,6 @@ func (s *Server) createProject(r *http.Request, req CreateProjectReq) (registerR
 		return registerResp{}, err
 	}
 	return registerResp{ID: id}, nil
-}
-
-func (s *Server) startProject(r *http.Request, _ api.None) (map[string]bool, error) {
-	if err := s.svc.StartSimulation(r.Context(), r.PathValue("id")); err != nil {
-		return nil, err
-	}
-	return map[string]bool{"started": true}, nil
 }
 
 func (s *Server) stopProject(r *http.Request, _ api.None) (map[string]bool, error) {

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"itag/internal/core"
+	"itag/internal/dataset"
+	"itag/internal/rng"
 	"itag/internal/store"
+	"itag/internal/taggersim"
 )
 
 type client struct {
@@ -65,29 +67,54 @@ func (c *client) register(kind, name string) string {
 	return resp.ID
 }
 
-func (c *client) createSimProject(provider string, budget int) string {
-	c.t.Helper()
-	var resp registerResp
-	c.do("POST", "/api/v1/projects", CreateProjectReq{
-		ProviderID: provider, Name: "t", Budget: budget, PayPerTask: 0.05,
-		Simulate: true, NumResources: 8,
-	}, http.StatusCreated, &resp)
-	return resp.ID
+// simProject is a project over eight resources of a generated world,
+// uploaded as a provider uploads them: their IDs carry the provider's, so
+// the projects of one server never share a resource.
+type simProject struct {
+	id    string
+	world *dataset.World
 }
 
-func (c *client) waitDone(projectID string, timeout time.Duration) core.ProjectInfo {
+func (c *client) createSimProject(provider string, budget int) simProject {
 	c.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		var info core.ProjectInfo
-		c.do("GET", "/api/v1/projects/"+projectID, nil, http.StatusOK, &info)
-		if !info.Running && info.Spent > 0 {
-			return info
-		}
-		time.Sleep(10 * time.Millisecond)
+	world, err := dataset.Generate(rng.New(1), dataset.GeneratorConfig{NumResources: 8})
+	if err != nil {
+		c.t.Fatal(err)
 	}
-	c.t.Fatal("project did not finish in time")
-	return core.ProjectInfo{}
+	req := CreateProjectReq{ProviderID: provider, Name: "t", Budget: budget, PayPerTask: 0.05}
+	for i := range world.Dataset.Resources {
+		r := &world.Dataset.Resources[i]
+		r.ID = provider + "-" + r.ID
+		req.Resources = append(req.Resources, UploadedResource{ID: r.ID, Kind: string(r.Kind), Name: r.Name})
+	}
+	var resp registerResp
+	c.do("POST", "/api/v1/projects", req, http.StatusCreated, &resp)
+	return simProject{id: resp.ID, world: world}
+}
+
+// resource is the ID of the project's i-th resource.
+func (p simProject) resource(i int) string { return p.world.Dataset.Resources[i].ID }
+
+// tag has a simulated tagger, registered for the purpose, lease and submit
+// n tasks of the project on the served path, each post what the tagger's
+// profile would post.
+func (c *client) tag(p simProject, n int) {
+	c.t.Helper()
+	tagr := c.register("taggers", "sim")
+	pop, err := taggersim.NewPopulation(rng.New(2), taggersim.PopulationConfig{Size: 1})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	sim, r := taggersim.NewSimulator(p.world), rng.New(3)
+	for i := 0; i < n; i++ {
+		var task store.TaskRec
+		c.do("POST", "/api/v1/projects/"+p.id+"/tasks", requestTaskReq{TaggerID: tagr}, http.StatusCreated, &task)
+		tags, err := sim.GeneratePost(r, &pop.Profiles[0], task.ResourceID)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		c.do("POST", "/api/v1/projects/"+p.id+"/tasks/"+task.ID+"/submit", submitTaskReq{Tags: tags}, http.StatusOK, nil)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -120,13 +147,18 @@ func TestCreateProjectValidationHTTP(t *testing.T) {
 	c.do("POST", "/api/v1/projects", CreateProjectReq{}, http.StatusBadRequest, nil)
 	c.do("POST", "/api/v1/projects", map[string]any{"unknown_field": 1}, http.StatusBadRequest, nil)
 	prov := c.register("providers", "p")
-	c.do("POST", "/api/v1/projects", CreateProjectReq{ProviderID: prov, Budget: -5, Simulate: true}, http.StatusBadRequest, nil)
+	c.do("POST", "/api/v1/projects", CreateProjectReq{ProviderID: prov, Budget: -5,
+		Resources: []UploadedResource{{ID: "u1", Kind: "url", Name: "example.com"}}}, http.StatusBadRequest, nil)
 }
 
+// TestFullSimulatedProjectOverHTTP: a project over generated resources,
+// steered by its provider and tagged by a simulated tagger, all through the
+// v1 routes, to its budget and past it once the budget grows.
 func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 	c := newClient(t)
 	prov := c.register("providers", "alice")
-	proj := c.createSimProject(prov, 80)
+	p := c.createSimProject(prov, 80)
+	proj := p.id
 
 	// List shows it.
 	var infos projectsPage
@@ -135,20 +167,21 @@ func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 		t.Fatalf("projects = %+v", infos)
 	}
 
-	// Controls before start.
-	// A simulated project's resource IDs carry the project's ID.
-	r1, r2 := proj+"-r0001", proj+"-r0002"
+	// Controls before the first lease.
+	r1, r2 := p.resource(1), p.resource(2)
 	c.do("POST", "/api/v1/projects/"+proj+"/resources/"+r1+"/promote", nil, http.StatusOK, nil)
 	c.do("POST", "/api/v1/projects/"+proj+"/resources/"+r2+"/stop", nil, http.StatusOK, nil)
 	c.do("POST", "/api/v1/projects/"+proj+"/resources/"+r2+"/resume", nil, http.StatusOK, nil)
 	c.do("POST", "/api/v1/projects/"+proj+"/strategy", strategyReq{Strategy: "mu"}, http.StatusOK, nil)
 	c.do("POST", "/api/v1/projects/"+proj+"/strategy", strategyReq{Strategy: "bogus"}, http.StatusBadRequest, nil)
 
-	// Run it.
-	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
-	info := c.waitDone(proj, 10*time.Second)
-	if info.Spent != 80 {
-		t.Errorf("spent = %d", info.Spent)
+	// Tag it to its budget.
+	c.tag(p, 80)
+	c.do("POST", "/api/v1/projects/"+proj+"/tasks", requestTaskReq{TaggerID: c.register("taggers", "late")}, http.StatusConflict, nil)
+	var info core.ProjectInfo
+	c.do("GET", "/api/v1/projects/"+proj, nil, http.StatusOK, &info)
+	if info.Spent != 80 || info.PendingTasks != 0 {
+		t.Errorf("spent = %d, pending %d", info.Spent, info.PendingTasks)
 	}
 	if info.MeanStability <= 0 {
 		t.Error("no quality tracked")
@@ -177,19 +210,13 @@ func TestFullSimulatedProjectOverHTTP(t *testing.T) {
 		t.Errorf("export rows = %d, next %q", len(rows.Items), rows.NextCursor)
 	}
 
-	// Add budget and re-run.
+	// Add budget and tag on.
 	c.do("POST", "/api/v1/projects/"+proj+"/budget", budgetReq{Extra: 20}, http.StatusOK, nil)
-	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		var i2 core.ProjectInfo
-		c.do("GET", "/api/v1/projects/"+proj, nil, http.StatusOK, &i2)
-		if !i2.Running && i2.Spent == 100 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	c.tag(p, 20)
+	c.do("GET", "/api/v1/projects/"+proj, nil, http.StatusOK, &info)
+	if info.Spent != 100 {
+		t.Errorf("spent after the extension = %d, want 100", info.Spent)
 	}
-	t.Error("extended run did not finish")
 }
 
 func TestManualTaggingOverHTTP(t *testing.T) {
@@ -205,9 +232,6 @@ func TestManualTaggingOverHTTP(t *testing.T) {
 		},
 	}, http.StatusCreated, &resp)
 	proj := resp.ID
-
-	// Manual projects refuse simulation.
-	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusBadRequest, nil)
 
 	// Request and submit a task.
 	var task store.TaskRec
@@ -252,7 +276,7 @@ func TestManualTaggingOverHTTP(t *testing.T) {
 func TestStopProjectOverHTTP(t *testing.T) {
 	c := newClient(t)
 	prov := c.register("providers", "a")
-	proj := c.createSimProject(prov, 50)
+	proj := c.createSimProject(prov, 50).id
 	c.do("POST", "/api/v1/projects/"+proj+"/stop", nil, http.StatusOK, nil)
 	var info core.ProjectInfo
 	c.do("GET", "/api/v1/projects/"+proj, nil, http.StatusOK, &info)
@@ -264,6 +288,5 @@ func TestStopProjectOverHTTP(t *testing.T) {
 func TestUnknownProjectRoutes(t *testing.T) {
 	c := newClient(t)
 	c.do("GET", "/api/v1/projects/ghost", nil, http.StatusNotFound, nil)
-	c.do("POST", "/api/v1/projects/ghost/start", nil, http.StatusBadRequest, nil)
 	c.do("GET", "/api/v1/projects/ghost/export", nil, http.StatusBadRequest, nil)
 }

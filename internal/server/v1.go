@@ -210,14 +210,12 @@ const sseHeartbeat = 15 * time.Second
 // handleEvents streams a project's live run telemetry as Server-Sent
 // Events, fed by the Monitor's subscriber fan-out (no polling):
 //
-//	event: hello     {"project_id": ..., "running": true, "spent": 12}
+//	event: hello     {"project_id": ..., "spent": 12}
 //	event: tick      {"series": "mean_stability", "x": 16, "y": 0.55}
 //	event: run-event {"at": ..., "spent": 16, "kind": "promote", "detail": ...}
 //	event: dropped   {"count": 3}          — this subscriber fell behind
-//	event: finished  {"spent": 80, "error": ""}   — stream ends
 //
-// The stream ends at the finished event, on client disconnect, or on
-// server drain.
+// The stream ends on client disconnect or on server drain.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	projectID := r.PathValue("id")
 	info, err := s.svc.Project(r.Context(), projectID)
@@ -271,7 +269,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !writeEvent("hello", map[string]any{
-		"project_id": projectID, "running": info.Running, "spent": info.Spent,
+		"project_id": projectID, "spent": info.Spent,
 	}) {
 		return
 	}
@@ -316,9 +314,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				if !writeEvent("run-event", n.Event) {
 					return
 				}
-			case core.NotifyFinished:
-				writeEvent("finished", map[string]any{"spent": n.Spent, "error": n.Err})
-				return
 			}
 		}
 	}

@@ -248,15 +248,21 @@ func TestV1RequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestV1EventsStreamDuringRun asserts the ISSUE acceptance bar at the
-// HTTP layer: the SSE endpoint streams at least quality-tick and finished
-// events while a simulated run executes.
+// TestV1EventsStreamDuringRun: the SSE endpoint streams hello, then quality
+// ticks up to the last post while a simulated tagger tags the project to its
+// budget on the served path.
 func TestV1EventsStreamDuringRun(t *testing.T) {
 	c := newV1Client(t)
 	prov := c.register("providers", "p")
-	proj := c.createSimProject(prov, 60)
+	p := c.createSimProject(prov, 60)
 
-	resp, err := http.Get(c.srv.URL + "/api/v1/projects/" + proj + "/events")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", c.srv.URL+"/api/v1/projects/"+p.id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,37 +274,25 @@ func TestV1EventsStreamDuringRun(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 
-	c.do("POST", "/api/v1/projects/"+proj+"/start", nil, http.StatusAccepted, nil)
+	c.tag(p, 60)
 
+	// The stream does not end on its own: read it up to the stability tick
+	// of the last post.
 	types := map[string]int{}
-	deadline := time.After(30 * time.Second)
-	lines := make(chan string)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			lines <- sc.Text()
+	sc := bufio.NewScanner(resp.Body)
+	last := false
+	for event := ""; !last && sc.Scan(); {
+		line := sc.Text()
+		if ev, ok := strings.CutPrefix(line, "event: "); ok {
+			event = ev
+			types[ev]++
 		}
-		close(lines)
-	}()
-scan:
-	for {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				break scan
-			}
-			if strings.HasPrefix(line, "event: ") {
-				ev := strings.TrimPrefix(line, "event: ")
-				types[ev]++
-				if ev == "finished" {
-					break scan
-				}
-			}
-		case <-deadline:
-			t.Fatalf("no finished event; saw %v", types)
-		}
+		last = event == "tick" && strings.Contains(line, `"series":"mean_stability"`) && strings.Contains(line, `"x":60,`)
 	}
-	if types["hello"] != 1 || types["tick"] == 0 || types["finished"] != 1 {
+	if !last {
+		t.Fatalf("stream ended (%v) before the last post's tick; saw %v", sc.Err(), types)
+	}
+	if types["hello"] != 1 || types["tick"] == 0 {
 		t.Errorf("event mix = %v", types)
 	}
 	if types["dropped"] != 0 {

@@ -62,10 +62,11 @@ type PostRec struct {
 type ProjectStatus string
 
 // Project lifecycle states (paper §III-A: created, runs, can be stopped).
+// Stores written before served projects had one kind may also hold "done",
+// which ResumeRuns, like "stopped", does not resume.
 const (
 	ProjectActive  ProjectStatus = "active"
 	ProjectStopped ProjectStatus = "stopped"
-	ProjectDone    ProjectStatus = "done"
 )
 
 // ProjectRec is the persisted form of a provider project (Quality Manager).

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -427,10 +428,15 @@ func TestParse(t *testing.T) {
 
 // --- optimal allocators -------------------------------------------------------
 
+// tables projects each curve from its k0 over maxX more posts.
 func tables(curves []quality.Curve, k0s []int, maxX int) []*quality.GainTable {
 	out := make([]*quality.GainTable, len(curves))
 	for i, c := range curves {
-		out[i] = quality.NewGainTable(c, k0s[i], maxX)
+		values := make([]float64, maxX+1)
+		for x := range values {
+			values[x] = c.Eval(k0s[i] + x)
+		}
+		out[i] = quality.NewGainTableFromValues(values)
 	}
 	return out
 }
@@ -621,4 +627,77 @@ func BenchmarkMUChoose(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MostUnstable{}.Choose(v, 32, r)
 	}
+}
+
+// DPAllocate solves the allocation exactly by dynamic programming in
+// O(n·B·maxX) time and O(n·B) space. It does not require concavity; use it
+// to validate GreedyAllocate or for small instances.
+func DPAllocate(tables []*quality.GainTable, budget int) ([]int, float64, error) {
+	if budget < 0 {
+		return nil, 0, fmt.Errorf("strategy: negative budget %d", budget)
+	}
+	n := len(tables)
+	x := make([]int, n)
+	if budget == 0 || n == 0 {
+		return x, 0, nil
+	}
+	const neg = -1.0 // gains are >= 0; -1 marks unreachable
+	// dp[i][b]: best gain using resources [0, i) with exactly b' <= b
+	// spendable... we allow Σx <= B (leftover budget wastes nothing since
+	// gains are non-negative and zero-extension is always possible).
+	dp := make([][]float64, n+1)
+	choice := make([][]int, n+1)
+	for i := range dp {
+		dp[i] = make([]float64, budget+1)
+		choice[i] = make([]int, budget+1)
+		for b := range dp[i] {
+			dp[i][b] = neg
+		}
+	}
+	for b := 0; b <= budget; b++ {
+		dp[0][b] = 0
+	}
+	for i := 1; i <= n; i++ {
+		t := tables[i-1]
+		if t == nil {
+			return nil, 0, fmt.Errorf("strategy: nil gain table at %d", i-1)
+		}
+		maxX := t.MaxX()
+		for b := 0; b <= budget; b++ {
+			for xi := 0; xi <= maxX && xi <= b; xi++ {
+				prev := dp[i-1][b-xi]
+				if prev < 0 {
+					continue
+				}
+				cand := prev + t.Gain(xi)
+				if cand > dp[i][b] {
+					dp[i][b] = cand
+					choice[i][b] = xi
+				}
+			}
+		}
+	}
+	// Reconstruct from the full budget.
+	b := budget
+	for i := n; i >= 1; i-- {
+		xi := choice[i][b]
+		x[i-1] = xi
+		b -= xi
+	}
+	return x, dp[n][budget], nil
+}
+
+// TotalGain evaluates an allocation against gain tables.
+func TotalGain(tables []*quality.GainTable, x []int) (float64, error) {
+	if len(tables) != len(x) {
+		return 0, fmt.Errorf("strategy: allocation length %d != tables %d", len(x), len(tables))
+	}
+	var total float64
+	for i, t := range tables {
+		if x[i] < 0 {
+			return 0, fmt.Errorf("strategy: negative allocation at %d", i)
+		}
+		total += t.Gain(x[i])
+	}
+	return total, nil
 }

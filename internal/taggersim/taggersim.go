@@ -228,9 +228,8 @@ type samplerKey struct {
 // different goroutines at once. Samplers are immutable once built, so only
 // the cache map needs the lock.
 type Simulator struct {
-	world  *dataset.World
-	byID   map[string]int
-	intern *vocab.Interner // optional: canonicalize produced tag strings
+	world *dataset.World
+	byID  map[string]int
 
 	mu       sync.RWMutex
 	samplers map[samplerKey]*latentSampler
@@ -243,15 +242,6 @@ func NewSimulator(world *dataset.World) *Simulator {
 		byID:     world.Dataset.Index(),
 		samplers: make(map[samplerKey]*latentSampler),
 	}
-}
-
-// UseInterner routes every produced tag through in.Canon, so repeated tags
-// (including repeated typos) share one canonical string instance with the
-// quality trackers consuming the posts. Call before first use; it does not
-// change which tags are produced, only their backing storage.
-func (s *Simulator) UseInterner(in *vocab.Interner) *Simulator {
-	s.intern = in
-	return s
 }
 
 // GeneratePost produces one post by profile `prof` for the resource. The
@@ -289,9 +279,6 @@ func (s *Simulator) GeneratePost(r *rand.Rand, prof *Profile, resourceID string)
 		tag = rfd.Normalize(tag)
 		if tag == "" {
 			continue
-		}
-		if s.intern != nil {
-			tag = s.intern.Canon(tag)
 		}
 		// Posts carry a handful of tags; a linear scan dedups without the
 		// per-post set allocation.

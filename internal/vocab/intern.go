@@ -66,21 +66,6 @@ func (in *Interner) Tag(id uint32) string {
 	return in.tags[id]
 }
 
-// Canon returns the canonical shared instance of tag, interning it if
-// needed. Hot producers (the tagger simulator, trace loaders) route tags
-// through Canon so repeated tags share one backing array instead of
-// accumulating per-post copies.
-func (in *Interner) Canon(tag string) string {
-	in.mu.RLock()
-	if id, ok := in.ids[tag]; ok {
-		t := in.tags[id]
-		in.mu.RUnlock()
-		return t
-	}
-	in.mu.RUnlock()
-	return in.Tag(in.ID(tag))
-}
-
 // Len returns how many distinct tags have been interned.
 func (in *Interner) Len() int {
 	in.mu.RLock()

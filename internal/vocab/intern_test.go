@@ -98,3 +98,17 @@ func TestInternerConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// Canon returns the canonical shared instance of tag, interning it if
+// needed, so repeated tags share one backing array instead of accumulating
+// per-post copies.
+func (in *Interner) Canon(tag string) string {
+	in.mu.RLock()
+	if id, ok := in.ids[tag]; ok {
+		t := in.tags[id]
+		in.mu.RUnlock()
+		return t
+	}
+	in.mu.RUnlock()
+	return in.Tag(in.ID(tag))
+}

@@ -144,25 +144,45 @@ func TestFacadeReplayFlow(t *testing.T) {
 	}
 }
 
+// TestFacadeServiceAndStore: a project over a generated world's resources,
+// tagged to its budget through the Service's leases and submits by a
+// simulated tagger.
 func TestFacadeServiceAndStore(t *testing.T) {
+	ctx := context.Background()
+	world, pop, sim := buildWorld(t, 8, 14)
 	svc := itag.NewService(itag.NewCatalog(itag.OpenMemoryStore()), 14)
-	prov, err := svc.RegisterProvider(context.Background(), "alice")
+	prov, err := svc.RegisterProvider(ctx, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := svc.CreateProject(context.Background(), itag.ProjectSpec{
-		ProviderID: prov, Budget: 50, Simulate: true, NumResources: 8,
+	tagger, err := svc.RegisterTagger(ctx, pop.Profiles[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := svc.CreateProject(ctx, itag.ProjectSpec{
+		ProviderID: prov, Budget: 50, Resources: world.Dataset.Resources,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.StartSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
+	r := rng.New(15)
+	for i := 0; i < 50; i++ {
+		task, err := svc.RequestTask(ctx, proj, tagger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags, err := sim.GeneratePost(r, &pop.Profiles[0], task.ResourceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.SubmitTask(ctx, proj, task.ID, tags); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := svc.WaitSimulation(context.Background(), proj); err != nil {
-		t.Fatal(err)
+	if _, err := svc.RequestTask(ctx, proj, tagger); err == nil {
+		t.Error("a lease past the budget was granted")
 	}
-	info, err := svc.Project(context.Background(), proj)
+	info, err := svc.Project(ctx, proj)
 	if err != nil || info.Spent != 50 {
 		t.Errorf("info: %+v, %v", info, err)
 	}
