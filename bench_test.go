@@ -453,8 +453,8 @@ func BenchmarkBatchTasks(b *testing.B) {
 // the harness. On top of the service's work it pays the SDK's encode of 200
 // items, the server's read and decode of them, the encode of 200 results and
 // the SDK's decode of those — all four without reflection. On a 2-core
-// x86-64 box at -benchtime 200x: ≈ 1 480 allocs/op and 460 KB/op (≈ 2 660
-// and 570 KB while staged records were boxed); about 1 360 of the allocs
+// x86-64 box at -benchtime 200x: ≈ 1 250 allocs/op and 376 KB/op (≈ 2 660
+// and 570 KB while staged records were boxed); about 1 130 of the allocs
 // are BenchmarkBatchTasks's, the service's. internal/server's
 // TestSDKRequestsTakeDirectPath and the client's TestServerBodiesTakeFastPath
 // check that neither side falls back to encoding/json.
@@ -964,7 +964,7 @@ func BenchmarkExportPageFill(b *testing.B) {
 }
 
 // exportPageFillBytes bounds one BenchmarkExportPageFill op. With Go 1.24 on
-// x86-64 a warm op allocates 79 times and 11.0 KB, post included; encoding
+// x86-64 a warm op allocates 75 times and 10.6 KB, post included; encoding
 // every row of the page through encoding/json and copying it into a fresh
 // body, as fills did before rows were kept encoded, 129 times and 66.5 KB.
 const exportPageFillBytes = 24 << 10

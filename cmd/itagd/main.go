@@ -123,7 +123,7 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	quiet := fs.Bool("quiet", false, "disable request logging")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof, /debug/vars and Prometheus /metrics on this address (separate listener; empty disables)")
 	writeTimeout := fs.Duration("write-timeout", 60*time.Second, "http.Server write timeout (SSE streams are exempt)")
-	routeTimeout := fs.Duration("route-timeout", 30*time.Second, "per-route handler deadline (<0 disables)")
+	routeTimeout := fs.Duration("route-timeout", 30*time.Second, "deadline of the routes that loop over items: tasks:batch, taggers:batch and the projects list (<0 disables)")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight requests")
 	respCacheBytes := fs.Int64("resp-cache-bytes", 0, "byte budget of the encoded-response cache behind the hot GET routes (0 = 8 MiB default, negative disables)")
 	admission := fs.Bool("admission", false, "enable AIMD admission control on the lease routes (tasks, tasks:batch; shed past the limit with 429 + Retry-After)")

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 var errSentinel = errors.New("sentinel boom")
@@ -120,12 +119,11 @@ func TestErrorEnvelopes(t *testing.T) {
 }
 
 func TestRequestIDHonorsIncoming(t *testing.T) {
-	// An honored incoming id rides the fast path: no context injection, so
-	// consumers read it through RequestIDOf (which falls back to the
-	// header) rather than RequestIDFrom.
+	// An honored incoming id is echoed on the response header, where
+	// RequestIDOf reads it.
 	var got string
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got = RequestIDOf(r)
+		got = RequestIDOf(w, r)
 	}), RequestID)
 	req := httptest.NewRequest("GET", "/x", nil)
 	req.Header.Set("X-Request-Id", "trace-me-42")
@@ -164,29 +162,6 @@ func TestRecoverTurnsPanicInto500(t *testing.T) {
 	}
 	if want := `itag_http_responses_total{route="GET /x",class="5xx"} 1` + "\n"; !strings.Contains(buf.String(), want) {
 		t.Errorf("scrape lacks %q:\n%s", want, buf.String())
-	}
-}
-
-func TestTimeoutAttachesDeadline(t *testing.T) {
-	k := testKit()
-	k.MapError = func(err error) *Error { return Wrap(http.StatusGatewayTimeout, CodeTimeout, err) }
-	h := Handle(k, http.StatusOK, func(r *http.Request, _ None) (None, error) {
-		select {
-		case <-r.Context().Done():
-			return None{}, r.Context().Err()
-		case <-time.After(5 * time.Second):
-			return None{}, nil
-		}
-	})
-	wrapped := Chain(http.HandlerFunc(h), Timeout(10*time.Millisecond))
-	rec := httptest.NewRecorder()
-	start := time.Now()
-	wrapped.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-	if time.Since(start) > time.Second {
-		t.Fatal("timeout did not fire")
-	}
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d", rec.Code)
 	}
 }
 

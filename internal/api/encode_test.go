@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -191,11 +192,10 @@ func TestETagMatch(t *testing.T) {
 }
 
 func TestRequestIDFastPath(t *testing.T) {
-	// Incoming id: echoed on the response and visible via RequestIDOf
-	// without a context allocation.
+	// Incoming id: echoed on the response and visible via RequestIDOf.
 	var seen string
 	h := RequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen = RequestIDOf(r)
+		seen = RequestIDOf(w, r)
 	}))
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/x", nil)
@@ -205,10 +205,20 @@ func TestRequestIDFastPath(t *testing.T) {
 		t.Fatalf("fast path: handler saw %q, response %q", seen, rec.Header().Get("X-Request-Id"))
 	}
 
-	// No incoming id: one is minted and flows through both channels.
+	// No incoming id: one is minted onto the response header.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
-	if seen == "" || rec.Header().Get("X-Request-Id") != seen {
+	if seen == "" || seen == "rid-42" || rec.Header().Get("X-Request-Id") != seen {
 		t.Fatalf("minted id: handler saw %q, response %q", seen, rec.Header().Get("X-Request-Id"))
+	}
+}
+
+// TestMintedRequestIDText: a minted id reads as the fmt format it was
+// written with before, through the counter's sixth and seventh digit.
+func TestMintedRequestIDText(t *testing.T) {
+	for _, n := range []uint64{1, 999999, 1000000} {
+		if got, want := mintRequestID(n), fmt.Sprintf("req-%x-%06d", processEpoch&0xffffff, n); got != want {
+			t.Errorf("counter %d: minted %q, want %q", n, got, want)
+		}
 	}
 }

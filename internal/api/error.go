@@ -165,7 +165,7 @@ func (k *Kit) WriteError(w http.ResponseWriter, r *http.Request, err error) {
 	// Copy before stamping the request id: the mapper may hand back shared
 	// sentinel values.
 	stamped := *ae
-	stamped.RequestID = RequestIDOf(r)
+	stamped.RequestID = RequestIDOf(w, r)
 	// The envelope marshals unconditionally (strings and ints only), so the
 	// ignored WriteJSON error can only be a wire failure — the client is
 	// gone; there is nobody left to answer.

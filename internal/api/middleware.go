@@ -1,10 +1,9 @@
 package api
 
 import (
-	"context"
-	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -20,30 +19,18 @@ func Chain(h http.Handler, mw ...Middleware) http.Handler {
 	return h
 }
 
-// --- request context keys -----------------------------------------------------
+// --- request IDs ---------------------------------------------------------------
 
-type ctxKey int
-
-const ctxKeyRequestID ctxKey = 0
-
-// RequestIDFrom returns the request's id ("" outside the middleware).
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// RequestIDOf returns the request's id from wherever it lives: the
-// context for minted ids, the incoming X-Request-Id header on the
-// middleware's fast path (which skips the context injection — see
-// RequestID). "" outside the middleware.
-func RequestIDOf(r *http.Request) string {
-	if id := RequestIDFrom(r.Context()); id != "" {
-		return id
+// RequestIDOf returns the request's id: the X-Request-Id the RequestID
+// middleware put on the response header, or else the incoming header (what
+// an envelope written outside that middleware, a cluster node's 421 or 503,
+// carries). "" when neither has one.
+func RequestIDOf(w http.ResponseWriter, r *http.Request) string {
+	if vs := w.Header()["X-Request-Id"]; len(vs) > 0 && vs[0] != "" {
+		return vs[0]
 	}
 	return r.Header.Get("X-Request-Id")
 }
-
-// --- request IDs ---------------------------------------------------------------
 
 // reqCounter makes generated request ids unique within the process;
 // combined with the start time they are unique across restarts too.
@@ -53,25 +40,30 @@ var processEpoch = time.Now().UnixNano()
 
 // RequestID assigns every request an id: an incoming X-Request-Id header is
 // honored (so a load generator can trace a failure end to end), otherwise
-// one is minted. The id is echoed on the response header and stamped into
-// v1 error envelopes.
-//
-// An honored incoming id takes the fast path: the response header shares
-// the request's value slice and the context is left untouched (WithValue
-// plus WithContext cost three allocations per request, which the cached
-// read path budgets away). Consumers read ids through RequestIDOf, which
-// falls back to the header; only minted ids travel in the context.
+// one is minted, "req-<epoch hex>-<counter, at least 6 digits>". The id goes
+// on the response header only, where RequestIDOf finds it; the request and
+// its context are passed on untouched.
 func RequestID(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if vs := r.Header["X-Request-Id"]; len(vs) > 0 && vs[0] != "" {
 			w.Header()["X-Request-Id"] = vs
-			h.ServeHTTP(w, r)
-			return
+		} else {
+			w.Header()["X-Request-Id"] = []string{mintRequestID(reqCounter.Add(1))}
 		}
-		id := fmt.Sprintf("req-%x-%06d", processEpoch&0xffffff, reqCounter.Add(1))
-		w.Header().Set("X-Request-Id", id)
-		h.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, id)))
+		h.ServeHTTP(w, r)
 	})
+}
+
+// mintRequestID is fmt.Sprintf("req-%x-%06d", processEpoch&0xffffff, n)
+// without fmt: one allocation, the string.
+func mintRequestID(n uint64) string {
+	var buf [40]byte
+	b := strconv.AppendInt(append(buf[:0], "req-"...), processEpoch&0xffffff, 16)
+	b = append(b, '-')
+	for p := uint64(100000); p > n && p > 1; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, n, 10))
 }
 
 // --- panic recovery -------------------------------------------------------------
@@ -84,28 +76,12 @@ func Recover(k *Kit, logger *log.Logger) Middleware {
 			defer func() {
 				if v := recover(); v != nil {
 					if logger != nil {
-						logger.Printf("panic rid=%s %s %s: %v", RequestIDOf(r), r.Method, r.URL.Path, v)
+						logger.Printf("panic rid=%s %s %s: %v", RequestIDOf(w, r), r.Method, r.URL.Path, v)
 					}
 					k.WriteError(w, r, Errorf(http.StatusInternalServerError, CodeInternal, "internal error"))
 				}
 			}()
 			h.ServeHTTP(w, r)
-		})
-	}
-}
-
-// --- per-route timeout ----------------------------------------------------------
-
-// Timeout attaches a deadline to the request context. Handlers observe it
-// through the plumbed context (core.Service checks it on every entry
-// point), so a stuck route fails with 504/timeout instead of hanging the
-// client. Streaming routes (SSE) are registered without it.
-func Timeout(d time.Duration) Middleware {
-	return func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			defer cancel()
-			h.ServeHTTP(w, r.WithContext(ctx))
 		})
 	}
 }
@@ -159,7 +135,7 @@ func AccessLog(logger *log.Logger) Middleware {
 				status = http.StatusOK
 			}
 			logger.Printf("%s %s %d %s rid=%s", r.Method, r.URL.Path, status,
-				time.Since(start).Round(time.Microsecond), RequestIDOf(r))
+				time.Since(start).Round(time.Microsecond), RequestIDOf(sw, r))
 		})
 	}
 }

@@ -130,7 +130,7 @@ func (s *Server) limited(h http.Handler) http.Handler {
 // routeLimited is route with the admission gate in front of the tracked
 // handler.
 func (s *Server) routeLimited(pattern string, h http.Handler) {
-	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, s.timed(h))))
+	s.mux.Handle(pattern, s.limited(s.metrics.Track(pattern, h)))
 }
 
 // collectAdmission writes the gate's state into x (nothing when admission

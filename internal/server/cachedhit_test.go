@@ -41,17 +41,17 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
 // cachedHit is a server over 1 000 resources × 10 seeded posts whose screen
-// of res-0000 is in the response cache, and the two requests that hit it.
+// of res-0000 is in the response cache, and the three requests that hit it.
 type cachedHit struct {
-	srv         *Server
-	get, notMod *http.Request
-	w           *discardWriter
+	srv                  *Server
+	get, notMod, getNoID *http.Request
+	w                    *discardWriter
 }
 
 // newCachedHit provisions the world, mounts a server with default options
 // and warms the entry: the first request fills it, the second must hit it.
-// The requests carry X-Request-Id, so the ID fast path (no mint, no context
-// value) is on, as it is behind any real load balancer.
+// get and notMod carry X-Request-Id, which the middleware echoes; getNoID
+// carries none, as no SDK call does, and the middleware mints one.
 func newCachedHit(tb testing.TB) *cachedHit {
 	tb.Helper()
 	svc := core.NewService(store.NewCatalog(store.OpenMemory()), 7)
@@ -88,6 +88,7 @@ func newCachedHit(tb testing.TB) *cachedHit {
 	h.notMod = httptest.NewRequest(http.MethodGet, path, nil)
 	h.notMod.Header.Set("X-Request-Id", "cached-hit")
 	h.notMod.Header.Set("If-None-Match", h.w.hdr.Get("Etag"))
+	h.getNoID = httptest.NewRequest(http.MethodGet, path, nil)
 	return h
 }
 
@@ -105,8 +106,9 @@ func (h *cachedHit) p99() time.Duration {
 	return lat[cachedHitPass*99/100]
 }
 
-// TestCachedDetailHitAllocs pins a cached ResourceDetail hit and its 304
-// revalidation under cachedHitAllocs allocations each.
+// TestCachedDetailHitAllocs pins a cached ResourceDetail hit, its 304
+// revalidation and a hit that mints its request ID under cachedHitAllocs
+// allocations each.
 func TestCachedDetailHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a sync.Pool drops items at random under -race, so allocation counts are not the product's")
@@ -116,7 +118,7 @@ func TestCachedDetailHitAllocs(t *testing.T) {
 		name   string
 		req    *http.Request
 		status int
-	}{{"hit", h.get, http.StatusOK}, {"If-None-Match", h.notMod, http.StatusNotModified}} {
+	}{{"hit", h.get, http.StatusOK}, {"If-None-Match", h.notMod, http.StatusNotModified}, {"hit without X-Request-Id", h.getNoID, http.StatusOK}} {
 		allocs := testing.AllocsPerRun(500, func() { h.serve(c.req) })
 		if h.w.status != c.status {
 			t.Errorf("%s: status %d, want %d", c.name, h.w.status, c.status)

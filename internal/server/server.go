@@ -2,9 +2,10 @@
 // the scriptable equivalent of the provider and tagger web UIs in the demo
 // (paper Figs. 3–8). The surface lives under /api/v1 and is built
 // on the internal/api handler kit: typed handlers, a structured error
-// envelope with machine-readable codes, request IDs, per-route timeouts
-// and metrics. Every UI action maps to one endpoint, and /api/v1 is the
-// only prefix mounted (full request/response reference: docs/API.md):
+// envelope with machine-readable codes, request IDs and metrics, plus a
+// deadline on the routes that loop over items. Every UI action maps to one
+// endpoint, and /api/v1 is the only prefix mounted (full request/response
+// reference: docs/API.md):
 //
 //	GET  /api/v1/healthz                         liveness probe
 //	GET  /api/v1/metrics                         in-flight / per-route latency metrics
@@ -56,8 +57,9 @@ const statusClientClosedRequest = 499
 type Options struct {
 	// Logger receives the access log and panic reports; nil for silence.
 	Logger *log.Logger
-	// RouteTimeout bounds every non-streaming route (default 30s; < 0
-	// disables).
+	// RouteTimeout bounds the routes that loop over items and check their
+	// context per item: tasks:batch, taggers:batch and the projects list
+	// (default 30s; < 0 disables).
 	RouteTimeout time.Duration
 	// SSEBuffer is the per-subscriber notification buffer for the events
 	// stream (default 512). Small values make slow consumers drop sooner;
@@ -147,27 +149,22 @@ func (s *Server) Metrics() *api.Metrics { return s.metrics }
 // when the cache is disabled).
 func (s *Server) RespCacheStats() RespCacheStats { return s.resp.stats() }
 
-// route mounts a route with metrics tracking and the per-route timeout.
+// route mounts a route with metrics tracking.
 func (s *Server) route(pattern string, h http.Handler) {
-	s.mux.Handle(pattern, s.metrics.Track(pattern, s.timed(h)))
-}
-
-// routeUntimed mounts a route with metrics but no per-route timeout: an
-// SSE stream lives as long as the client wants, and a cached GET answers a
-// hit from memory in microseconds — its miss's compute still observes the
-// request context's cancellation (every core.Service entry point checks
-// it), and skipping the deadline keeps a timer allocation and three
-// context allocations off the hottest path.
-func (s *Server) routeUntimed(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, s.metrics.Track(pattern, h))
 }
 
-// timed puts h under the per-route timeout, when one is configured.
-func (s *Server) timed(h http.Handler) http.Handler {
-	if s.routeTimeout > 0 {
-		return api.Timeout(s.routeTimeout)(h)
+// withDeadline derives the route deadline from ctx. Only a handler that
+// loops and checks its context per item takes one (tasks:batch,
+// taggers:batch, the projects list): every other route reads its context
+// once, at its Service method's entry, and waits on nothing that takes a
+// context, so a deadline there could never fire. A client that goes away
+// cancels any route through net/http's request context.
+func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.routeTimeout < 0 {
+		return ctx, func() {}
 	}
-	return h
+	return context.WithTimeout(ctx, s.routeTimeout)
 }
 
 func (s *Server) routes() {
@@ -204,16 +201,16 @@ func (s *Server) routes() {
 	// The three hot GETs (dashboard, export, resource detail) answer from
 	// the encoded-response cache: ETag / If-None-Match revalidation,
 	// Cache-Control: no-cache.
-	s.routeUntimed("GET /api/v1/projects/{id}", s.cachedJSON(respProject, emptyKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
+	s.route("GET /api/v1/projects/{id}", s.cachedJSON(respProject, emptyKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
 		return s.svc.ProjectStamped(r.Context(), r.PathValue("id"), st)
 	}))
 	s.route("POST /api/v1/projects/{id}/stop", api.Handle(k, http.StatusOK, s.stopProject))
 	s.route("POST /api/v1/projects/{id}/budget", api.Handle(k, http.StatusOK, s.addBudget))
 	s.route("POST /api/v1/projects/{id}/strategy", api.Handle(k, http.StatusOK, s.switchStrategy))
 	s.route("GET /api/v1/projects/{id}/series", api.Handle(k, http.StatusOK, s.series))
-	s.routeUntimed("GET /api/v1/projects/{id}/export", s.cachedJSON(respExport, queryKeyB, s.export))
-	s.routeUntimed("GET /api/v1/projects/{id}/events", http.HandlerFunc(s.handleEvents))
-	s.routeUntimed("GET /api/v1/projects/{id}/resources/{rid}", s.cachedJSON(respDetail, ridKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
+	s.route("GET /api/v1/projects/{id}/export", s.cachedJSON(respExport, queryKeyB, s.export))
+	s.route("GET /api/v1/projects/{id}/events", http.HandlerFunc(s.handleEvents))
+	s.route("GET /api/v1/projects/{id}/resources/{rid}", s.cachedJSON(respDetail, ridKeyB, func(r *http.Request, st *core.Stamp) (any, error) {
 		return s.svc.ResourceDetailStamped(r.Context(), r.PathValue("id"), r.PathValue("rid"), st)
 	}))
 	s.route("POST /api/v1/projects/{id}/resources/{rid}/promote", s.resourceAction((*core.Service).Promote))

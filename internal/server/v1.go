@@ -47,7 +47,9 @@ func (s *Server) listProjects(r *http.Request, _ api.None) (projectsPage, error)
 	if err != nil {
 		return projectsPage{}, err
 	}
-	items, next, err := s.svc.ProjectsPage(r.Context(), r.URL.Query().Get("provider"), cursor, limit)
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
+	items, next, err := s.svc.ProjectsPage(ctx, r.URL.Query().Get("provider"), cursor, limit)
 	if err != nil {
 		return projectsPage{}, err
 	}
@@ -130,12 +132,14 @@ func (s *Server) batchRegisterTaggers(r *http.Request, req batchNamesReq) (batch
 		return batchRegisterResp{}, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeBatchTooLarge,
 			"%d names exceeds the %d per-call cap", len(req.Names), maxBatchItems)
 	}
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
 	resp := batchRegisterResp{Results: make([]batchRegisterResult, 0, len(req.Names))}
 	for _, name := range req.Names {
-		if err := r.Context().Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return batchRegisterResp{}, err
 		}
-		id, err := s.svc.RegisterTagger(r.Context(), name)
+		id, err := s.svc.RegisterTagger(ctx, name)
 		if err != nil {
 			resp.Results = append(resp.Results, batchRegisterResult{Error: toItemError(err)})
 			resp.Failed++
@@ -184,7 +188,9 @@ func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp,
 		return batchTasksResp{}, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeBatchTooLarge,
 			"%d items exceeds the %d per-call cap", len(req.Items), maxBatchItems)
 	}
-	results, ctxErr := s.svc.BatchTasks(r.Context(), r.PathValue("id"), req.Items)
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
+	results, ctxErr := s.svc.BatchTasks(ctx, r.PathValue("id"), req.Items)
 	resp := batchTasksResp{Results: make([]batchTaskResult, len(req.Items))}
 	for i := range resp.Results {
 		res := core.BatchResult{Err: ctxErr} // an item the call never reached

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -303,21 +304,22 @@ func (r TaskRec) AppendJSON(dst []byte) ([]byte, bool) {
 
 const hexDigits = "0123456789abcdef"
 
-// frameRecord encodes rec as one CRC-framed segment line, in one pass: the
-// bytes fmt.Sprintf("%08x ", crc) and json.Marshal(rec) made. The values
-// were encoded where they were staged, already compact and HTML-escaped, so
-// they are copied as they are.
-func frameRecord(rec Record) []byte {
+// appendFrame appends rec to dst as one CRC-framed segment line, in one
+// pass: the bytes fmt.Sprintf("%08x ", crc) and json.Marshal(rec) made. The
+// values were encoded where they were staged, already compact and
+// HTML-escaped, so they are copied as they are. A commit batch's leader
+// frames its local records with it into the WAL's frame buffer.
+func appendFrame(dst []byte, rec Record) []byte {
 	n := 96 + len(rec.Table) + len(rec.Key) + len(rec.Value)
 	for _, sub := range rec.Batch {
 		n += 64 + len(sub.Table) + len(sub.Key) + len(sub.Value)
 	}
-	line := appendRecord(make([]byte, 9, n), rec)
-	crc := crc32.ChecksumIEEE(line[9:])
-	for i := 7; i >= 0; i, crc = i-1, crc>>4 {
+	start := len(dst)
+	line := appendRecord(append(slices.Grow(dst, n), "00000000 "...), rec)
+	crc := crc32.ChecksumIEEE(line[start+9:])
+	for i := start + 7; i >= start; i, crc = i-1, crc>>4 {
 		line[i] = hexDigits[crc&0xF]
 	}
-	line[8] = ' '
 	return append(line, '\n')
 }
 

@@ -353,7 +353,7 @@ func FuzzRecordEncoding(f *testing.F) {
 	})
 }
 
-// parentFrame is frameRecord as it was before one-pass framing:
+// parentFrame is the frame encoder as it was before one-pass framing:
 // json.Marshal of the Record, then the CRC prefix through fmt.Sprintf.
 func parentFrame(t *testing.T, rec Record) []byte {
 	t.Helper()
@@ -365,10 +365,11 @@ func parentFrame(t *testing.T, rec Record) []byte {
 	return append(append(line, body...), '\n')
 }
 
-// TestFrameMatchesParent: frameRecord writes, byte for byte, the line the
+// TestFrameMatchesParent: appendFrame writes, byte for byte, the line the
 // json.Marshal-then-Sprintf framing wrote, for put, delete and batch records
 // whose values come from appendValue (records and other types alike) and
-// whose tables and keys need escaping.
+// whose tables and keys need escaping — each alone, and each appended to one
+// buffer after the others, as a batch leader frames them.
 func TestFrameMatchesParent(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	value := func(v any) json.RawMessage {
@@ -388,16 +389,22 @@ func TestFrameMatchesParent(t *testing.T) {
 		recs = append(recs, subs[0], subs[len(subs)-1], Record{Op: OpBatch, Batch: subs})
 	}
 	recs = append(recs, Record{Op: "nope"}, Record{Op: OpPut, Table: "t", Key: "k"}, Record{Op: OpDelete})
+	var buf []byte
 	for i, rec := range recs {
 		rec.Seq = uint64(i) * 1e15
-		if got, want := frameRecord(rec), parentFrame(t, rec); !bytes.Equal(got, want) {
-			t.Fatalf("record %d:\nframeRecord %q\nparent      %q", i, got, want)
+		want := parentFrame(t, rec)
+		if got := appendFrame(nil, rec); !bytes.Equal(got, want) {
+			t.Fatalf("record %d:\nappendFrame %q\nparent      %q", i, got, want)
+		}
+		start := len(buf)
+		if buf = appendFrame(buf, rec); !bytes.Equal(buf[start:], want) {
+			t.Fatalf("record %d after %d bytes:\nappendFrame %q\nparent      %q", i, start, buf[start:], want)
 		}
 	}
 }
 
 // frameSeeds are frame bodies for the frame decoder's parity checks: every
-// record of testdata/golden-wal, and frameRecord of random records — puts,
+// record of testdata/golden-wal, and appendFrame of random records — puts,
 // deletes and batches whose tables, keys and values hold <>&, U+2028,
 // non-ASCII, escapes and invalid UTF-8 — plus the shapes checkRecord refuses.
 func frameSeeds(t testing.TB) [][]byte {
@@ -431,12 +438,12 @@ func frameSeeds(t testing.TB) [][]byte {
 		subs = append(subs, Record{Op: OpDelete, Table: TableTasks, Key: key()})
 		for _, rec := range []Record{subs[0], subs[len(subs)-1], {Op: OpBatch, Batch: subs}} {
 			rec.Seq = uint64(r.Int63())
-			frame := frameRecord(rec)
+			frame := appendFrame(nil, rec)
 			bodies = append(bodies, frame[9:len(frame)-1])
 		}
 	}
 	for _, tc := range refusedRecords {
-		frame := frameRecord(tc.rec)
+		frame := appendFrame(nil, tc.rec)
 		bodies = append(bodies, frame[9:len(frame)-1])
 	}
 	return bodies

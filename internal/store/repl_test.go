@@ -447,7 +447,7 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 		return bytes.Clone(data[nl+1:]) // starts at seq 2 against a seq-0 follower
 	}
 	badOp := func([]byte) []byte {
-		return frameRecord(Record{Seq: 1, Op: "nope", Table: "res", Key: "x"})
+		return appendFrame(nil, Record{Seq: 1, Op: "nope", Table: "res", Key: "x"})
 	}
 	cases := []struct {
 		name   string
@@ -460,7 +460,7 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 		{"garbage", func([]byte) []byte { return []byte("not a frame\n") }},
 	}
 	for _, tc := range refusedRecords {
-		frame := frameRecord(tc.rec)
+		frame := appendFrame(nil, tc.rec)
 		cases = append(cases, struct {
 			name   string
 			mangle func([]byte) []byte
@@ -521,7 +521,7 @@ var refusedRecords = []struct {
 func TestReplayRefusesRecordsApplyRefuses(t *testing.T) {
 	for _, tc := range refusedRecords {
 		path := filepath.Join(t.TempDir(), "itag.wal")
-		if err := os.WriteFile(segPath(path, 1), frameRecord(tc.rec), 0o644); err != nil {
+		if err := os.WriteFile(segPath(path, 1), appendFrame(nil, tc.rec), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		db, err := Open(path, Options{})

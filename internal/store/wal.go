@@ -16,11 +16,12 @@ package store
 //
 // Segment record framing: every line is "%08x <json>\n" where the hex prefix
 // is the IEEE CRC-32 of the JSON body — encoding/json's rendering of the
-// Record, written in one pass by frameRecord (encode.go). Recovery verifies
-// the checksum of every line, requires sequence numbers to be contiguous,
-// tolerates exactly
-// one torn tail (an unterminated final line with no records after it), and
-// truncates that tail so new appends start on a clean record boundary.
+// Record. A commit batch's leader frames its local records with appendFrame
+// (encode.go); a follower appends a shipment's lines as the leader framed
+// them. Recovery verifies the checksum of every line, requires sequence
+// numbers to be contiguous, tolerates exactly one torn tail (an unterminated
+// final line with no records after it), and truncates that tail so new
+// appends start on a clean record boundary.
 //
 // Lock ordering: wal.fmu (file state) is always acquired before DB.mu
 // (sequence, queue and publication of the index). Readers take neither:
@@ -155,6 +156,10 @@ type wal struct {
 	// tail retains the frames of the latest commits for ReplTail; it has its
 	// own lock (see tailWindow).
 	tail tailWindow
+	// frames is the buffer a batch leader frames its local records into,
+	// kept for the next batch unless a large one grew it past
+	// keptFrameBytes.
+	frames []byte
 
 	smu        sync.Mutex
 	activeSize int64
@@ -261,7 +266,7 @@ func listSegments(base string) ([]segInfo, error) {
 
 // parseFramed decodes one segment line (without its trailing newline),
 // verifying the CRC frame, and holds the record to the rules a commit writes
-// by (checkRecord). Lines are written by frameRecord (encode.go).
+// by (checkRecord). Lines are framed by appendFrame (encode.go).
 func parseFramed(data []byte) (Record, error) {
 	if len(data) < 10 || data[8] != ' ' {
 		return Record{}, errors.New("bad record frame")
@@ -308,8 +313,10 @@ type pendingCommit struct {
 	// when it was queued; rec is unused then. A shipment always fsyncs
 	// with its batch.
 	shipped []Record
-	enc     []byte // the frames to append: rec's, or the shipment's bytes
-	err     error
+	// enc is the frames to append: the shipment's bytes as received, or
+	// rec's frame, which the batch leader writes into the WAL's frame buffer.
+	enc []byte
+	err error
 	// done is set under DB.mu once a leader has processed the entry.
 	done bool
 
@@ -328,7 +335,7 @@ type cutState struct {
 
 // commit queues c and returns once a leader has processed it. The entry is
 // checked and given its sequence numbers here, under mu, so queue order is
-// sequence order: a local commit takes the next one and is framed; a
+// sequence order: a local commit takes the next one (its leader frames it); a
 // shipment (c.enc holding a leader's frames) is validated whole against the
 // current sequence, and a bad one is rejected before anything is queued.
 //
@@ -364,7 +371,6 @@ func (db *DB) commit(c *pendingCommit) error {
 	default:
 		db.seq++
 		c.rec.Seq = db.seq
-		c.enc = frameRecord(c.rec)
 	}
 	db.pend = append(db.pend, c)
 	for !c.done {
@@ -414,6 +420,11 @@ func (db *DB) processBatch(batch []*pendingCommit) {
 	}
 }
 
+// keptFrameBytes bounds the frame buffer the WAL keeps between batches: a
+// tagger's commits fit many times over, and the buffer a preload's batch
+// grew is let go rather than held for the life of the store.
+const keptFrameBytes = 64 << 10
+
 // writeAndApply persists one commit batch — single buffered write, single
 // flush, at most one fsync — then applies it to memory. Applying under fmu
 // keeps written == applied, which the compaction cut relies on.
@@ -424,10 +435,24 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 	if err := db.stickyErr(); err != nil {
 		return err
 	}
+	// Frame the local records into one buffer. A frame's slice stays valid
+	// if a later append moves the buffer; the bytes are copied into the
+	// file's writer and the tail window before the next batch reuses it.
+	buf := w.frames[:0]
 	total, n := 0, 0
 	for _, c := range writes {
+		if c.shipped == nil {
+			start := len(buf)
+			buf = appendFrame(buf, c.rec)
+			c.enc = buf[start:]
+		}
 		total += len(c.enc)
 		n += max(1, len(c.shipped))
+	}
+	if cap(buf) <= keptFrameBytes {
+		w.frames = buf
+	} else {
+		w.frames = nil
 	}
 	if total > 0 && db.failpointHit(FailAppendMid) {
 		// Simulate the process dying partway through the batch write: half
