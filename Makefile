@@ -33,7 +33,9 @@ race-full:
 	$(GO) test -race ./...
 
 # Fuzz smoke over WAL recovery: corrupted segments and snapshots must never
-# panic or resurrect deleted keys; over the tree's sorted merge: every
+# panic or resurrect deleted keys, and any bytes as a snapshot must be refused
+# as corruption or load a state that exports and loads back to itself; over
+# the tree's sorted merge: every
 # multi-record apply leaves each table equal to a map oracle and within the
 # node invariants; over the record encoders: every catalog
 # record must encode to json.Marshal's bytes (or its error), and decode back
@@ -50,6 +52,7 @@ race-full:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecovery$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzApply$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordEncoding$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/store

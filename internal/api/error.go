@@ -146,7 +146,9 @@ type envelope struct {
 }
 
 // WriteError resolves err via the kit's mapper and writes the envelope,
-// stamped with the request's id.
+// stamped with the request's id: one minted here, and set on the response
+// header, when the request came in with none and no RequestID middleware
+// ran (a cluster node's 421 and 503).
 func (k *Kit) WriteError(w http.ResponseWriter, r *http.Request, err error) {
 	ae := AsError(err)
 	if ae == nil && k.MapError != nil {
@@ -165,7 +167,7 @@ func (k *Kit) WriteError(w http.ResponseWriter, r *http.Request, err error) {
 	// Copy before stamping the request id: the mapper may hand back shared
 	// sentinel values.
 	stamped := *ae
-	stamped.RequestID = RequestIDOf(w, r)
+	stamped.RequestID = stampRequestID(w, r)
 	// The envelope marshals unconditionally (strings and ints only), so the
 	// ignored WriteJSON error can only be a wire failure — the client is
 	// gone; there is nobody left to answer.

@@ -22,14 +22,30 @@ func Chain(h http.Handler, mw ...Middleware) http.Handler {
 // --- request IDs ---------------------------------------------------------------
 
 // RequestIDOf returns the request's id: the X-Request-Id the RequestID
-// middleware put on the response header, or else the incoming header (what
-// an envelope written outside that middleware, a cluster node's 421 or 503,
-// carries). "" when neither has one.
+// middleware (or WriteError) put on the response header, or else the
+// incoming header. "" when neither has one.
 func RequestIDOf(w http.ResponseWriter, r *http.Request) string {
 	if vs := w.Header()["X-Request-Id"]; len(vs) > 0 && vs[0] != "" {
 		return vs[0]
 	}
 	return r.Header.Get("X-Request-Id")
+}
+
+// stampRequestID returns the request's id, as RequestIDOf does, and makes
+// sure the response header carries it: an error envelope written outside
+// the RequestID middleware echoes the incoming id, or mints one, so a
+// client can quote it either way.
+func stampRequestID(w http.ResponseWriter, r *http.Request) string {
+	h := w.Header()
+	if vs := h["X-Request-Id"]; len(vs) > 0 && vs[0] != "" {
+		return vs[0]
+	}
+	id := r.Header.Get("X-Request-Id")
+	if id == "" {
+		id = mintRequestID(reqCounter.Add(1))
+	}
+	h["X-Request-Id"] = []string{id}
+	return id
 }
 
 // reqCounter makes generated request ids unique within the process;

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"itag/internal/api"
 	"itag/internal/core"
 	"itag/internal/server"
 	"itag/internal/store"
@@ -155,5 +157,44 @@ func TestDocsNameOnlyMountedRoutes(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Fatalf("only %d route mentions found: the scan is not reading the docs", checked)
+	}
+}
+
+// TestNotOwnerCarriesRequestID: a node's own 421 is written by its bare mux,
+// outside any RequestID middleware, and still names the request: a request
+// without an X-Request-Id gets one minted, on the response header and in the
+// envelope alike, and one that sends an id gets that id back in both.
+func TestNotOwnerCarriesRequestID(t *testing.T) {
+	tc := startCluster(t, []string{"alpha", "beta"}, nil)
+	node := tc.nodes["alpha"]
+	foreign := ""
+	for i := 0; foreign == ""; i++ {
+		if id := fmt.Sprintf("proj-%06d", i); node.Ring().Owner(id) != "alpha" {
+			foreign = id
+		}
+	}
+	for _, sent := range []string{"", "trace-421"} {
+		req := httptest.NewRequest("GET", "/api/v1/projects/"+foreign, nil)
+		if sent != "" {
+			req.Header.Set("X-Request-Id", sent)
+		}
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusMisdirectedRequest {
+			t.Fatalf("sent id %q: status %d, want 421", sent, rec.Code)
+		}
+		var env struct {
+			Error struct {
+				Code      string `json:"code"`
+				RequestID string `json:"request_id"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != api.CodeNotOwner {
+			t.Fatalf("sent id %q: body %s (%v)", sent, rec.Body, err)
+		}
+		got := rec.Header().Get("X-Request-Id")
+		if got == "" || got != env.Error.RequestID || sent != "" && got != sent {
+			t.Errorf("sent id %q: header X-Request-Id %q, envelope request_id %q", sent, got, env.Error.RequestID)
+		}
 	}
 }

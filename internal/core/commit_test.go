@@ -14,7 +14,6 @@ import (
 
 	"itag/internal/dataset"
 	"itag/internal/store"
-	"itag/internal/strategy"
 )
 
 func openWAL(t *testing.T, path string, opts store.Options) *store.DB {
@@ -543,52 +542,6 @@ func TestConcurrentSubmittersRebuildSameQuality(t *testing.T) {
 		if rebuilt.Series[i] != live.Series[i] {
 			t.Fatalf("quality series diverges at post %d: rebuilt %v, live %v", i, rebuilt.Series[i], live.Series[i])
 		}
-	}
-}
-
-// TestSimulatedStepCommitsOnce: an engine stepped through a marketplace,
-// its posts staged by Config.OnPost into one write set that Config.Flush
-// commits, stages a step's posts under the engine lock and commits them
-// once per step, outside it; a failed commit is the step's error, so the
-// run stops instead of tagging on into a store that takes nothing.
-func TestSimulatedStepCommitsOnce(t *testing.T) {
-	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), store.Options{})
-	s := NewService(store.NewCatalog(db), 77)
-	p := createSimProject(t, s, 10) // the resources' rows, for the posts' keys
-	ws := s.cat.Begin(0)
-	e, err := New(Config{
-		Resources: p.world.Dataset.Resources, Strategy: strategy.NewFPMU(), Budget: 120, Seed: 77,
-		OnPost: s.stagePost(ws), Flush: ws.Commit,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.simulate(t, e)
-	before := commits(s)
-	steps := 0
-	for done := false; !done && steps < 5; steps++ {
-		if done, err = e.StepOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := commits(s) - before; got != uint64(steps) {
-		t.Errorf("%d steps cost %d store commits, want one each", steps, got)
-	}
-	stored := 0
-	for _, r := range e.cfg.Resources {
-		stored += s.Catalog().DB().CountPrefix(store.TablePosts, r.ID+"/")
-	}
-	inStats := 0
-	for _, n := range e.Posts() {
-		inStats += n
-	}
-	if stored != inStats || stored == 0 {
-		t.Errorf("%d posts stored, %d in the statistics", stored, inStats)
-	}
-
-	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
-	if err := e.Run(); err == nil {
-		t.Fatal("the run finished cleanly over a store that failed its commits")
 	}
 }
 

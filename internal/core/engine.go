@@ -76,15 +76,6 @@ type Config struct {
 	// MaxStallSteps aborts when the platform yields no result for this
 	// many consecutive steps with tasks outstanding (default 10000).
 	MaxStallSteps int
-	// OnPost, when set, observes every post that enters the statistics, in
-	// the order they enter. It runs under the engine lock, so it must not
-	// block: the service layer reserves the post's sequence number there
-	// and stages the record; nothing durable happens under the lock.
-	OnPost PostHook
-	// Flush, when set, runs outside the engine lock once per step (and per
-	// SubmitPost), after the posts of that call went through OnPost; its
-	// error is the call's. The service layer commits what OnPost staged.
-	Flush func() error
 	// Interner, when set, is the shared tag vocabulary the engine's quality
 	// trackers index by (one per service/world; nil = engine-private). Tag
 	// strings are translated back only at export boundaries (ResourceStatus,
@@ -374,24 +365,8 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // done=true when the run is finished.
 func (e *Engine) StepOnce() (bool, error) { return e.StepContext(context.Background()) }
 
-// StepContext is StepOnce under a context. However the step ends, the
-// posts it folded in are flushed (Config.Flush) before it returns.
+// StepContext is StepOnce under a context.
 func (e *Engine) StepContext(ctx context.Context) (bool, error) {
-	done, err := e.step(ctx)
-	if ferr := e.flush(); err == nil && ferr != nil {
-		return false, ferr
-	}
-	return done, err
-}
-
-func (e *Engine) flush() error {
-	if e.cfg.Flush == nil {
-		return nil
-	}
-	return e.cfg.Flush()
-}
-
-func (e *Engine) step(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -512,9 +487,6 @@ func (e *Engine) update(res crowd.Result) {
 		return
 	}
 	e.reindex(i)
-	if e.cfg.OnPost != nil {
-		e.cfg.OnPost(res.Task.ResourceID, res.WorkerID, res.Tags)
-	}
 }
 
 // record samples the monitoring series (caller holds e.mu).

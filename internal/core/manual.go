@@ -46,10 +46,7 @@ func (e *Engine) debit(i int) {
 // post-hoc via judgments in the users manager (paper Fig. 6: providers
 // review the latest tagging from the notification feed).
 func (e *Engine) SubmitPost(resourceID, taggerID string, tags []string) error {
-	if err := e.submitPost(resourceID, taggerID, tags, e.cfg.OnPost); err != nil {
-		return err
-	}
-	return e.flush()
+	return e.submitPost(resourceID, taggerID, tags, nil)
 }
 
 // submitPost is SubmitPost with the post hook of this one call: concurrent

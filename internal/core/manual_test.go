@@ -145,24 +145,6 @@ func TestCancelPendingRefunds(t *testing.T) {
 	}
 }
 
-func TestManualOnPostCallback(t *testing.T) {
-	h := newHarness(t, 2, 5, 0)
-	var got []string
-	e := h.engine(t, Config{
-		Budget: 1, Strategy: strategy.FewestPosts{}, Seed: 25,
-		OnPost: func(resourceID, taggerID string, tags []string) {
-			got = append(got, resourceID+"/"+taggerID)
-		},
-	})
-	id, _ := e.ChooseNext()
-	if err := e.SubmitPost(id, "human-1", []string{"a"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != id+"/human-1" {
-		t.Errorf("OnPost = %v", got)
-	}
-}
-
 func TestChooseNextHonorsPromotion(t *testing.T) {
 	h := newHarness(t, 5, 5, 0)
 	e := h.engine(t, Config{Budget: 2, Strategy: strategy.FewestPosts{}, Seed: 26})

@@ -14,6 +14,8 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"itag/internal/errs"
 )
 
 // fuzzOp is one step of the canonical history the fuzz targets corrupt.
@@ -225,10 +227,16 @@ func FuzzReplay(f *testing.F) {
 }
 
 func FuzzSegmentRecovery(f *testing.F) {
-	f.Add(uint8(0), uint32(10), byte(0xff), uint16(0)) // snapshot header
-	f.Add(uint8(0), uint32(80), byte(3), uint16(0))    // snapshot body
-	f.Add(uint8(1), uint32(5), byte(0x10), uint16(0))  // first tail segment
-	f.Add(uint8(9), uint32(30), byte(0), uint16(12))   // truncate last segment
+	// The snapshot is 154 bytes: a 30-byte header line, then two 62-byte
+	// put frames.
+	f.Add(uint8(0), uint32(10), byte(0xff), uint16(0))  // snapshot header magic
+	f.Add(uint8(0), uint32(28), byte(1), uint16(0))     // snapshot header count
+	f.Add(uint8(0), uint32(80), byte(3), uint16(0))     // first snapshot frame
+	f.Add(uint8(0), uint32(130), byte(0x20), uint16(0)) // last snapshot frame
+	f.Add(uint8(0), uint32(0), byte(0), uint16(1))      // last frame torn
+	f.Add(uint8(0), uint32(0), byte(0), uint16(62))     // last frame dropped
+	f.Add(uint8(1), uint32(5), byte(0x10), uint16(0))   // first tail segment
+	f.Add(uint8(9), uint32(30), byte(0), uint16(12))    // truncate last segment
 	f.Add(uint8(3), uint32(64), byte('x'), uint16(2))
 	f.Add(uint8(2), uint32(0), byte(1), uint16(0))
 
@@ -281,6 +289,61 @@ func FuzzSegmentRecovery(f *testing.F) {
 		requirePrefixState(t, state, minPrefix, "FuzzSegmentRecovery")
 		requireTreeMatchesState(t, db2, state, "FuzzSegmentRecovery")
 		postRecoveryWriteCycle(t, path, opts, db2)
+	})
+}
+
+// FuzzSnapshotLoad writes arbitrary bytes as P.snapshot and opens the
+// store: Open either refuses them as corruption or loads a state whose
+// SnapshotExport, loaded again, is the same state, its trees intact.
+func FuzzSnapshotLoad(f *testing.F) {
+	db := OpenMemory()
+	if err := applyFuzzHistory(db, 0, len(fuzzHistory)); err != nil {
+		f.Fatal(err)
+	}
+	img, err := db.SnapshotExport()
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, err := os.ReadFile(v1Snapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	f.Add(v1)
+	f.Add(img[:len(img)-5]) // the last line torn
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load := func(data []byte) (*DB, map[string]map[string]string) {
+			path := filepath.Join(t.TempDir(), "wal")
+			if err := os.WriteFile(path+snapSuffix, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(path, Options{})
+			if err != nil {
+				if errs.CategoryOf(err) != errs.CategoryCorruption {
+					t.Fatalf("Open refused a snapshot with %v, not a corruption error", err)
+				}
+				return nil, nil
+			}
+			checkStoreTrees(t, "loaded snapshot", db)
+			return db, dumpAll(t, db)
+		}
+		db, state := load(data)
+		if db == nil {
+			return
+		}
+		defer db.Close()
+		again, err := db.SnapshotExport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db2, state2 := load(again)
+		if db2 == nil {
+			t.Fatalf("the export of a loaded snapshot does not load:\n%q", again)
+		}
+		defer db2.Close()
+		if !reflect.DeepEqual(state, state2) || db.Seq() != db2.Seq() {
+			t.Fatalf("snapshot loads to %v at %d, its export to %v at %d", state, db.Seq(), state2, db2.Seq())
+		}
 	})
 }
 

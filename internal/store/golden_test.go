@@ -10,20 +10,23 @@ import (
 	"time"
 )
 
-// testdata/golden-wal holds a store written by the parent of PR 25, whose
-// frames were json.Marshal(Record) behind a fmt.Sprintf CRC: a snapshot
-// plus a segment tail, by goldenHistory. Regenerate it only from a checkout
-// whose encoding is the reference: go test ./internal/store -run
-// TestGoldenWAL -write-golden.
+// testdata/golden-wal holds a store written by goldenHistory: a segment
+// tail written by the parent of PR 25, whose frames were json.Marshal(Record)
+// behind a fmt.Sprintf CRC, and a v2 snapshot (a header frame, then one put
+// frame per entry), regenerated once when the snapshot format went from one
+// JSON object to frames; the v1 image it replaced is kept apart, in
+// testdata/snapshot-v1, where -write-golden does not reach it. Regenerate
+// the directory only from a checkout whose encoding is the reference: go
+// test ./internal/store -run TestGoldenWAL -write-golden.
 var writeGolden = flag.Bool("write-golden", false, "rewrite testdata/golden-wal with this checkout's encoding")
 
 const goldenDir = "testdata/golden-wal"
 
 // goldenHistory writes a fixed history through the Catalog and the DB:
 // every record type with escaping-heavy strings, zoned and nanosecond
-// times, single writes, write sets and deletes, and a compaction in the
-// middle so the image is a snapshot plus a tail.
-func goldenHistory(t *testing.T, path string) {
+// times, single writes, write sets and deletes, and, when compact is set, a
+// compaction in the middle so the image is a snapshot plus a tail.
+func goldenHistory(t *testing.T, path string, compact bool) {
 	t.Helper()
 	db, err := Open(path, Options{})
 	if err != nil {
@@ -49,7 +52,9 @@ func goldenHistory(t *testing.T, path string) {
 	must(err)
 	must(w.Commit())
 	must(c.PutTask(TaskRec{ID: "t1", ProjectID: "p1", ResourceID: "r1", WorkerID: "tag-1", Status: TaskAssigned, Reward: 0.05, CreatedAt: at}))
-	must(db.Compact())
+	if compact {
+		must(db.Compact())
+	}
 	w = c.Begin(2)
 	_, err = w.AppendPost(PostRec{ResourceID: "r1", TaggerID: "tag-1", TaskID: "t1", Tags: []string{"x"}, Time: at.UTC()})
 	must(err)
@@ -84,10 +89,10 @@ func dumpState(t *testing.T, path string) map[string]map[string]string {
 	return out
 }
 
-// TestGoldenWALReplays: a store the parent of PR 25 wrote opens here to the
-// state this checkout builds from the same history, and this checkout writes
-// it byte for byte: every segment line and the snapshot image are what
-// json.Marshal framing made of the same commits.
+// TestGoldenWALReplays: the golden store opens here to the state this
+// checkout builds from the same history, and this checkout writes it byte
+// for byte: every segment line is what json.Marshal framing made of the same
+// commits, and the snapshot is the golden v2 image.
 func TestGoldenWALReplays(t *testing.T) {
 	if *writeGolden {
 		if err := os.RemoveAll(goldenDir); err != nil {
@@ -96,7 +101,7 @@ func TestGoldenWALReplays(t *testing.T) {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		goldenHistory(t, filepath.Join(goldenDir, "itag.wal"))
+		goldenHistory(t, filepath.Join(goldenDir, "itag.wal"), true)
 		return
 	}
 	golden, err := filepath.Glob(filepath.Join(goldenDir, "itag.wal*"))
@@ -104,7 +109,7 @@ func TestGoldenWALReplays(t *testing.T) {
 		t.Fatalf("golden store: %v, %v; want a snapshot and a segment", golden, err)
 	}
 	here := t.TempDir()
-	goldenHistory(t, filepath.Join(here, "itag.wal"))
+	goldenHistory(t, filepath.Join(here, "itag.wal"), true)
 	written, err := filepath.Glob(filepath.Join(here, "itag.wal*"))
 	if err != nil || len(written) != len(golden) {
 		t.Fatalf("this checkout wrote %v (%v), the parent %v", written, err, golden)

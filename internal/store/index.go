@@ -25,8 +25,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"itag/internal/wire"
 )
 
 // Node fill: a merge cuts a node's items into even parts of at most
@@ -450,25 +448,6 @@ func (t tree) scanRange(start, end string, limit int, fn func(key string, raw []
 		}
 	}
 	return n
-}
-
-// MarshalJSON renders the table as the snapshot format's {"key": value}
-// object in key order — byte for byte what encoding/json makes of the
-// equivalent map[string]json.RawMessage.
-func (t tree) MarshalJSON() ([]byte, error) {
-	buf := []byte{'{'}
-	for it := t.iter("", ""); it.ok; it.advance() {
-		if len(buf) > 1 {
-			buf = append(buf, ',')
-		}
-		buf = append(wire.AppendString(buf, it.key), ':')
-		if len(it.val) == 0 {
-			buf = append(buf, "null"...)
-		} else {
-			buf = append(buf, it.val...)
-		}
-	}
-	return append(buf, '}'), nil
 }
 
 // dbIndex is one version of the whole store: every table's tree, in table

@@ -7,7 +7,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -354,44 +353,6 @@ func TestBuildTreeInvariants(t *testing.T) {
 		m.add(delRec("t", "k000001"))
 		x := m.apply(dbIndex{{"t", tr}})
 		checkTree(t, fmt.Sprintf("buildTree(%d) edited", n), x[0].tree)
-	}
-}
-
-// TestTreeMarshalJSONMatchesEncodingJSON: a table's snapshot rendering is
-// byte for byte json.Marshal of the equivalent map[string]json.RawMessage —
-// keys that need escaping (HTML characters, U+2028/U+2029, control bytes,
-// quotes, invalid UTF-8) and a nil value included — over a tree of several
-// levels and over the empty one.
-func TestTreeMarshalJSONMatchesEncodingJSON(t *testing.T) {
-	m := map[string]json.RawMessage{
-		"a<b": json.RawMessage(`{"x":1}`), "a>b": json.RawMessage(`"s"`), "a&b": json.RawMessage(`[1,2]`),
-		"line\u2028sep": json.RawMessage(`true`), "para\u2029sep": json.RawMessage(`null`),
-		"bad\xffutf8": json.RawMessage(`0`), "\xc3": json.RawMessage(`1.5`), "quote\"back\\slash": json.RawMessage(`{}`),
-		"ctl\x01\n\t": json.RawMessage(`""`), "": json.RawMessage(`2`), "ünïcode": nil,
-	}
-	for i := 0; i < 400; i++ {
-		m[fmt.Sprintf("res-%04d/%012d", i%37, i)] = json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))
-	}
-	ents := make([]entry, 0, len(m))
-	for k, v := range m {
-		ents = append(ents, entry{k, v})
-	}
-	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
-	for _, tc := range []struct {
-		tr   tree
-		want map[string]json.RawMessage
-	}{{buildTree(ents), m}, {tree{}, map[string]json.RawMessage{}}} {
-		got, err := tc.tr.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(tc.want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("tree.MarshalJSON of %d keys differs from json.Marshal:\n got %.300s\nwant %.300s", tc.tr.n, got, want)
-		}
 	}
 }
 

@@ -16,8 +16,9 @@ package store
 //	                commit batches fill when from+1 lies inside it, read from
 //	                the segment files otherwise, or ErrSnapshotNeeded once
 //	                compaction has swallowed the requested tail
-//	SnapshotExport  the snapshot-file image (header + checksummed body) of
-//	                the current applied state, for bootstrapping followers
+//	SnapshotExport  the snapshot-file image (a header line, then one put
+//	                frame per entry in key order) of the current applied
+//	                state, for bootstrapping followers
 //
 // Follower side:
 //
@@ -348,9 +349,9 @@ func readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes i
 	return false, nil
 }
 
-// SnapshotExport returns a snapshot-file image (header line + checksummed
-// JSON body) of the applied state, suitable for InstallSnapshot on a
-// follower — the wire twin of the compaction snapshot. Holding the lock
+// SnapshotExport returns a snapshot-file image of the applied state,
+// suitable for InstallSnapshot on a follower: the bytes compaction would
+// write for it, by the same writer. Holding the lock
 // that serializes applies just long enough to pair the sequence with the
 // published index is all the capture costs.
 func (db *DB) SnapshotExport() ([]byte, error) {
@@ -368,7 +369,9 @@ func (db *DB) SnapshotExport() ([]byte, error) {
 		seq, idx = db.seq, db.loadIndex()
 		db.mu.RUnlock()
 	}
-	return encodeSnapshot(seq, idx)
+	var buf bytes.Buffer
+	err := writeSnapshot(&buf, seq, idx) // a bytes.Buffer takes every write
+	return buf.Bytes(), err
 }
 
 // ApplyReplicated ingests a batch of framed WAL lines shipped from a
@@ -463,7 +466,7 @@ func parseReplicated(data []byte, seq uint64) ([]Record, error) {
 // in flight, and a follower's sender ships one request at a time, so an
 // install never overlaps a queued shipment.
 func (db *DB) InstallSnapshot(data []byte) error {
-	seq, idx, err := parseSnapshot(data, "replicated snapshot")
+	seq, idx, err := readSnapshot(bufio.NewReaderSize(bytes.NewReader(data), 1<<16), "replicated snapshot")
 	if err != nil {
 		return err
 	}
@@ -496,12 +499,12 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	if seq <= cur {
 		return errs.New(errs.ComponentStore, errs.CategoryConflict, "snapshot seq %d is not ahead of local seq %d", seq, cur)
 	}
-	// Persist the image first (tmp + rename, like compaction): after the
-	// rename, recovery starts from the shipped state even if we crash before
-	// the old segments are cleaned up (their records are all <= seq and are
-	// skipped by the replay).
+	// Persist the state first, written and renamed as compaction writes
+	// its own: after the rename, recovery starts from the shipped state
+	// even if we crash before the old segments are cleaned up (their
+	// records are all <= seq and are skipped by the replay).
 	tmp := db.path + installTmpSuffix
-	if werr := writeSnapshotBytes(tmp, data); werr != nil {
+	if werr := writeSnapshotFile(tmp, seq, idx); werr != nil {
 		return db.fail(werr)
 	}
 	if rerr := os.Rename(tmp, db.path+snapSuffix); rerr != nil {

@@ -1,126 +1,137 @@
 package store
 
-// Snapshot files make recovery incremental: instead of replaying the full
-// WAL history, Open loads the snapshot (a checksummed JSON image of every
-// table at a cut sequence number) and replays only the segments written
-// after it. Format:
+// Snapshot files make recovery incremental: Open loads the snapshot (every
+// table's entries at a cut sequence number) and replays only the segments
+// written after it. A snapshot is a header line that ends in the CRC of its
+// own text, then the put frame of every entry, as a segment frames it:
 //
-//	itag-snapshot v1 <crc32 hex>\n
-//	{"seq": N, "tables": {"<table>": {"<key>": <raw value>, ...}, ...}}
+//	itag-snapshot v2 <seq> <entries> <crc32 hex>\n
+//	<crc32 hex> {"seq":0,"op":"put","table":"<table>","key":"<key>","value":<raw>}\n
+//	...
 //
-// The CRC covers the JSON body; a snapshot that fails its checksum or does
-// not parse fails Open outright — falling back to older state could
-// silently resurrect keys deleted after that state was written.
+// one frame (appendFrame's bytes) per entry, in (table, key) order, so a
+// table that deletes emptied does not outlive a compaction. writeSnapshot is
+// the one writer (compaction, SnapshotExport, an installed image's file) and
+// readSnapshot the one reader (Open, InstallSnapshot). A snapshot that fails
+// any of the reader's checks fails outright — falling back to older state
+// could silently resurrect keys deleted after that state was written.
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
-	"slices"
-	"strconv"
-	"strings"
+	"unicode/utf8"
 
 	"itag/internal/errs"
 )
 
-const snapMagic = "itag-snapshot v1 "
+const snapMagic = "itag-snapshot v2 "
 
-// writeSnapshotFile encodes, writes and fsyncs a snapshot of idx at path.
-func writeSnapshotFile(path string, seq uint64, idx dbIndex) error {
-	data, err := encodeSnapshot(seq, idx)
-	if err != nil {
-		return err
+// writeSnapshot writes the snapshot of idx at seq to w, framing each line
+// into one reused buffer, so it allocates the same whatever the tables hold.
+func writeSnapshot(w io.Writer, seq uint64, idx dbIndex) error {
+	count := 0
+	for _, t := range idx {
+		count += t.n
 	}
-	return writeSnapshotBytes(path, data)
+	line := fmt.Appendf(make([]byte, 0, 512), "%s%d %d", snapMagic, seq, count)
+	line = fmt.Appendf(line, " %08x\n", crc32.ChecksumIEEE(line))
+	_, err := w.Write(line)
+	for _, t := range idx {
+		for it := t.iter("", ""); it.ok && err == nil; it.advance() {
+			if !utf8.ValidString(t.name) || !utf8.ValidString(it.key) {
+				// A JSON string carries only UTF-8: the name would be read
+				// back as another one, out of order, and the file refused.
+				return errs.New(errs.ComponentStore, errs.CategoryValidation, "snapshot: table %q key %q is not valid UTF-8", t.name, it.key)
+			}
+			line = appendFrame(line[:0], Record{Op: OpPut, Table: t.name, Key: it.key, Value: it.val})
+			_, err = w.Write(line)
+		}
+	}
+	return err
 }
 
-// writeSnapshotBytes writes a pre-encoded snapshot image to path and fsyncs
-// it.
-func writeSnapshotBytes(path string, data []byte) error {
+// writeSnapshotFile writes and fsyncs a snapshot of idx at path through a
+// buffered writer; on failure the file is removed.
+func writeSnapshotFile(path string, seq uint64, idx dbIndex) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "create snapshot")
 	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if err = writeSnapshot(bw, seq, idx); err == nil {
+		if err = bw.Flush(); err == nil {
+			err = f.Sync()
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		f.Close()
 		os.Remove(path)
+		if errs.Find(err) != nil {
+			return err // writeSnapshot's refusal of a name, not the disk
+		}
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "write snapshot")
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "close snapshot")
 	}
 	return nil
 }
 
-// loadSnapshotFile reads, verifies and decodes a snapshot.
-func loadSnapshotFile(path string) (uint64, dbIndex, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "read snapshot")
+// readSnapshot reads a snapshot from r; name labels its errors. Each frame
+// is checked as replay checks a segment's, and must also be a put that
+// follows the one before in (table, key) order, one of exactly as many as
+// the header counts. Each table's entries are built into its tree once.
+func readSnapshot(r *bufio.Reader, name string) (uint64, dbIndex, error) {
+	bad := func(format string, args ...any) (uint64, dbIndex, error) {
+		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: "+format, append([]any{name}, args...)...)
 	}
-	return parseSnapshot(data, filepath.Base(path))
-}
-
-// parseSnapshot verifies and decodes a snapshot image (file contents or a
-// replicated SnapshotExport); name labels corruption errors.
-func parseSnapshot(data []byte, name string) (uint64, dbIndex, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 || !bytes.HasPrefix(data, []byte(snapMagic)) || nl != len(snapMagic)+8 {
-		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: bad header", name)
+	var long []byte
+	var seq, count uint64
+	var sum uint32
+	line, err := readLine(r, &long)
+	if bytes.HasPrefix(line, []byte("itag-snapshot v1 ")) {
+		return bad("format v1 (one checksummed JSON object) is not read by this release; PR 49 was the last release that reads it")
 	}
-	want, err := strconv.ParseUint(string(data[len(snapMagic):nl]), 16, 32)
-	if err != nil {
-		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: bad checksum field", name)
+	if _, serr := fmt.Sscanf(string(line), snapMagic+"%d %d %x\n", &seq, &count, &sum); err != nil || serr != nil ||
+		crc32.ChecksumIEEE(line[:bytes.LastIndexByte(line, ' ')]) != sum {
+		return bad("bad header")
 	}
-	body := data[nl+1:]
-	if crc32.ChecksumIEEE(body) != uint32(want) {
-		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: checksum mismatch", name)
-	}
-	var snap struct {
-		Seq    uint64                                `json:"seq"`
-		Tables map[string]map[string]json.RawMessage `json:"tables"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return 0, nil, errs.New(errs.ComponentStore, errs.CategoryCorruption, "snapshot %s: %v", name, err)
-	}
-	idx := make(dbIndex, 0, len(snap.Tables))
-	for name, t := range snap.Tables {
-		ents := make([]entry, 0, len(t))
-		for k, v := range t {
-			ents = append(ents, entry{k, v})
+	var idx dbIndex
+	var table string
+	ents := make([]entry, 0, min(count, 1<<16))
+	for n := uint64(1); n <= count; n++ {
+		line, err := readLine(r, &long)
+		if err != nil && err != io.EOF {
+			return 0, nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "read snapshot %s", name)
 		}
-		slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
-		idx = append(idx, namedTree{name, buildTree(ents)})
+		if err != nil {
+			return bad("entry %d of %d is missing or torn", n, count)
+		}
+		rec, err := parseFramed(line[:len(line)-1])
+		switch {
+		case err != nil:
+			return bad("entry %d: %v", n, err)
+		case rec.Op != OpPut || rec.Seq != 0:
+			return bad("entry %d is not a put", n)
+		case n > 1 && (rec.Table < table || rec.Table == table && rec.Key <= ents[len(ents)-1].key):
+			return bad("entry %d (%s/%s) is out of order", n, rec.Table, rec.Key)
+		case n > 1 && rec.Table != table:
+			idx = append(idx, namedTree{table, buildTree(ents)}) // buildTree copies
+			ents = ents[:0]
+		}
+		table = rec.Table
+		ents = append(ents, entry{rec.Key, rec.Value})
 	}
-	slices.SortFunc(idx, func(a, b namedTree) int { return strings.Compare(a.name, b.name) })
-	return snap.Seq, idx, nil
-}
-
-// encodeSnapshot renders a snapshot image (header line + checksummed JSON
-// body) of idx: what compaction writes to disk and SnapshotExport ships to
-// followers.
-func encodeSnapshot(seq uint64, idx dbIndex) ([]byte, error) {
-	tables := make(map[string]tree, len(idx))
-	for _, t := range idx {
-		tables[t.name] = t.tree
+	if line, err := readLine(r, &long); len(line) > 0 || err != io.EOF {
+		return bad("holds more than its header's %d entries", count)
 	}
-	body, err := json.Marshal(struct {
-		Seq    uint64          `json:"seq"`
-		Tables map[string]tree `json:"tables"`
-	}{seq, tables})
-	if err != nil {
-		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryInternal, "encode snapshot")
+	if len(ents) > 0 {
+		idx = append(idx, namedTree{table, buildTree(ents)})
 	}
-	out := make([]byte, 0, len(snapMagic)+9+len(body))
-	out = fmt.Appendf(out, "%s%08x\n", snapMagic, crc32.ChecksumIEEE(body))
-	return append(out, body...), nil
+	return seq, idx, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

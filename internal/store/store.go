@@ -177,9 +177,9 @@ func (db *DB) recover() error {
 	_ = os.Remove(db.path + snapTmpSuffix)    // in-flight snapshot from a crashed compaction
 	_ = os.Remove(db.path + installTmpSuffix) // or from a crashed InstallSnapshot
 
-	snapPath := db.path + snapSuffix
-	if _, err := os.Stat(snapPath); err == nil {
-		seq, idx, lerr := loadSnapshotFile(snapPath)
+	if f, err := os.Open(db.path + snapSuffix); err == nil {
+		seq, idx, lerr := readSnapshot(bufio.NewReaderSize(f, 1<<16), filepath.Base(f.Name()))
+		f.Close()
 		if lerr != nil {
 			return lerr
 		}
@@ -188,7 +188,7 @@ func (db *DB) recover() error {
 		db.st.snapshotSeq.Store(seq)
 		db.st.snapshotLoaded = true
 	} else if !os.IsNotExist(err) {
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "stat snapshot")
+		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "open snapshot")
 	}
 
 	var torn tornMark

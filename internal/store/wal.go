@@ -8,7 +8,7 @@ package store
 //
 // Layout for a DB opened at path P:
 //
-//	P.snapshot       checksummed state snapshot: header line + JSON body
+//	P.snapshot       state snapshot: header line, then a put frame per entry
 //	P.snapshot.tmp   in-flight compaction snapshot (removed at open)
 //	P.snapshot.install.tmp
 //	                 in-flight replicated snapshot (removed at open)
