@@ -390,13 +390,15 @@ func BenchmarkCatalogGet(b *testing.B) {
 // of 1 000 resources preloaded with 5 posts each: batch_engine's per-call
 // work without HTTP. Per item that is a strategy choice, a quality update and
 // the service's bookkeeping; per call, one store commit of 400 records. The
-// line to watch is allocs/op: about 1 130 and 254 KB/op at -benchtime 200x on
-// a 2-core x86-64 box, 1 360 and 335 KB while the commit copied a tree node
-// again for each record that reached it and split over-full nodes into two
-// more copies, 2 530 and 455 KB while each staged record was boxed into the
-// mutation and copied again by the store, 5 600 with a json.Marshal per
-// value and a cache store per written key.
-// internal/server's TestBatchTasksAllocs bounds it in tier-1.
+// lines to watch are allocs/op and B/op: about 1 020 and 191 KB/op at
+// -benchtime 400x on a 2-core x86-64 box. About 240 KB, allocs unchanged,
+// means the write set's 400-entry mutation list is allocated per call
+// again instead of drawn from its pool; 1 360 and 335 KB was the commit
+// copying a tree node again for each record that reached it and splitting
+// over-full nodes into two more copies, 2 530 and 455 KB each staged record
+// boxed into the mutation and copied again by the store, 5 600 a
+// json.Marshal per value and a cache store per written key.
+// internal/server's TestBatchTasksAllocs bounds both in tier-1.
 func BenchmarkBatchTasks(b *testing.B) {
 	const resources, items = 1000, 200
 	ctx := context.Background()
@@ -456,8 +458,9 @@ func BenchmarkBatchTasks(b *testing.B) {
 // the harness. On top of the service's work it pays the SDK's encode of 200
 // items, the server's read and decode of them, the encode of 200 results and
 // the SDK's decode of those — all four without reflection. On a 2-core
-// x86-64 box at -benchtime 200x: ≈ 1 250 allocs/op and 376 KB/op (≈ 2 660
-// and 570 KB while staged records were boxed); about 1 130 of the allocs
+// x86-64 box at -benchtime 400x: ≈ 1 150 allocs/op and 305–310 KB/op
+// (≈ 357 KB while the mutation list was allocated per call, ≈ 2 660 allocs
+// and 570 KB while staged records were boxed); about 1 020 of the allocs
 // are BenchmarkBatchTasks's, the service's. internal/server's
 // TestSDKRequestsTakeDirectPath and the client's TestServerBodiesTakeFastPath
 // check that neither side falls back to encoding/json.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -140,11 +141,19 @@ func TestCachedDetailHitAllocs(t *testing.T) {
 // the code before records were encoded where they are staged about 1 200.
 const batchTasksAllocs = 1100
 
+// batchTasksBytes bounds the same call in bytes. A warm call reads about
+// 188 KB: the commit's new tree nodes and its one exact-size copy of the
+// staged values, the task IDs and keys, and the quality windows' growth. A
+// write set that allocates its 400-entry mutation list per call again,
+// instead of drawing it from its pool, reads about 237 KB.
+const batchTasksBytes = 215 << 10
+
 // TestBatchTasksAllocs runs 200-item calls on BenchmarkBatchTasks's world
 // (1 000 resources with 5 seed posts each, 20 taggers, three tags a post)
-// and holds a call under batchTasksAllocs. It measures after 200 warm-up
-// calls: the first calls also grow every resource's quality window and
-// allocate up to 40 % more, which is the world filling, not the path.
+// and holds a call under batchTasksAllocs and batchTasksBytes. It measures
+// after 200 warm-up calls: the first calls also grow every resource's
+// quality window and allocate up to 40 % more, which is the world filling,
+// not the path.
 func TestBatchTasksAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a sync.Pool drops items at random under -race, so allocation counts are not the product's")
@@ -207,6 +216,21 @@ func TestBatchTasksAllocs(t *testing.T) {
 		t.Errorf("a 200-item BatchTasks call allocates %.0f times, want at most %d", allocs, batchTasksAllocs)
 	} else {
 		t.Logf("a 200-item BatchTasks call allocates %.0f times (bound %d)", allocs, batchTasksAllocs)
+	}
+	// Bytes as AllocsPerRun counts allocations: one P, so no other
+	// goroutine's allocations are counted, over a run of calls.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > batchTasksBytes {
+		t.Errorf("a 200-item BatchTasks call allocates %d bytes, want at most %d", perCall, batchTasksBytes)
+	} else {
+		t.Logf("a 200-item BatchTasks call allocates %d bytes (bound %d)", perCall, batchTasksBytes)
 	}
 }
 

@@ -22,8 +22,10 @@ type Store interface {
 	// the later value) and cost one commit — one WAL record, one fsync
 	// wait — however many they are. It is the Catalog's only write call.
 	// Each put's Value is already encoded JSON. Apply takes ownership of
-	// the slice and of the value bytes: the store may keep both as they
-	// are, so the caller must not modify or reuse either afterwards.
+	// the value bytes: the store may keep them as they are, so the caller
+	// must not modify or reuse them afterwards. It keeps no reference to
+	// the slice once it returns, on any outcome: the caller may clear and
+	// reuse the list (the Catalog's write sets recycle theirs).
 	Apply(muts []Mutation) error
 	// Scan visits every (key, raw JSON value) of a table in ascending key
 	// order; fn returning false stops the scan. The raw slices handed to

@@ -236,7 +236,13 @@ func (m *merger) add(recs ...Record) {
 func (m *merger) apply(x dbIndex) dbIndex {
 	if len(m.ops) > 1 {
 		slices.SortFunc(m.ops, func(a, b op) int {
-			return cmp.Or(strings.Compare(a.table, b.table), strings.Compare(a.key, b.key), cmp.Compare(a.ord, b.ord))
+			if c := strings.Compare(a.table, b.table); c != 0 {
+				return c
+			}
+			if c := strings.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ord, b.ord)
 		})
 	}
 	next := slices.Clone(x)

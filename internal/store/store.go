@@ -402,10 +402,12 @@ type Mutation = Record
 // written as the plain put or delete record it is, without the batch
 // wrapper.
 //
-// Apply checks the ops and nothing else: the slice becomes the batch
-// record's sub-records as it is, and each value is stored as the slice it
-// is, so the store owns both once Apply is called, and the caller must not
-// modify either afterwards.
+// Apply checks the ops and nothing else. Each value is stored as the slice
+// it is, so the store owns the value bytes once Apply is called, and the
+// caller must not modify them afterwards. The list itself is the batch
+// record's sub-records only until Apply returns: the apply copies each op
+// into its merger's scratch and a WAL commit frames the record into the
+// WAL's own buffer, so the caller may reuse the list, on any outcome.
 func (db *DB) Apply(muts []Mutation) error {
 	if len(muts) == 0 {
 		return nil

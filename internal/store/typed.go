@@ -298,17 +298,32 @@ func (c *Catalog) InstallSnapshot(data []byte) error {
 // Each staged record is encoded at once, by its own encoder, into one
 // recycled scratch buffer; a record json.Marshal would refuse (a NaN float,
 // a year past 9999) is refused there, and the set keeps the first such
-// error: Commit returns it and writes nothing.
+// error: Commit returns it and writes nothing. The list of staged mutations
+// is recycled too: Store.Apply keeps no list, so a set's list is scratch
+// from its first write to its Commit.
 type WriteSet struct {
 	c       *Catalog
-	muts    []Mutation
-	scratch *[]byte // the staged values back to back, in staging order
+	muts    *[]Mutation // the staged mutations; nil until the first write
+	scratch *[]byte     // the staged values back to back, in staging order
 	err     error
+}
+
+// mutationLists recycles the lists write sets stage their mutations in.
+var mutationLists = sync.Pool{New: func() any { return new([]Mutation) }}
+
+// releaseMutations returns a list to mutationLists, emptied and cleared, so
+// the pool pins no key or value the store has since dropped.
+func releaseMutations(l *[]Mutation) {
+	clear(*l)
+	*l = (*l)[:0]
+	mutationLists.Put(l)
 }
 
 // Begin opens an empty write set with room for n writes (a hint; it grows).
 func (c *Catalog) Begin(n int) *WriteSet {
-	return &WriteSet{c: c, muts: make([]Mutation, 0, n)}
+	w := &WriteSet{c: c, muts: mutationLists.Get().(*[]Mutation)}
+	*w.muts = slices.Grow(*w.muts, n)
+	return w
 }
 
 // enc returns an encoder appending to the set's scratch buffer.
@@ -327,7 +342,10 @@ func (w *WriteSet) put(table, key string, b []byte) {
 	*w.scratch = b
 	// Value is a view of the scratch buffer only for its length: Commit
 	// points it at the commit's own copy.
-	w.muts = append(w.muts, Mutation{Op: OpPut, Table: table, Key: key, Value: b[start:]})
+	if w.muts == nil {
+		w.muts = mutationLists.Get().(*[]Mutation)
+	}
+	*w.muts = append(*w.muts, Mutation{Op: OpPut, Table: table, Key: key, Value: b[start:]})
 }
 
 // refused stages a record its encoder refused through appendValue instead,
@@ -349,14 +367,20 @@ func (w *WriteSet) refused(table, key string, rec any) error {
 // Store.Apply and then advances the write clocks of the keys it wrote — in
 // that order, the "bump strictly after the store write" protocol every
 // core.Stamp holder relies on. The staged values are copied once, into one
-// exact-size allocation the store keeps. On error — a staging error
-// included — nothing was written. Either way the set is empty afterwards.
+// exact-size allocation the store keeps; the mutation list goes back to its
+// pool when Commit returns. On error — a staging error included — nothing
+// was written. Either way the set is empty afterwards.
 func (w *WriteSet) Commit() error {
-	muts, scratch, err := w.muts, w.scratch, w.err
+	list, scratch, err := w.muts, w.scratch, w.err
 	w.muts, w.scratch, w.err = nil, nil, nil
 	if scratch != nil {
 		defer encodeScratch.Put(scratch)
 	}
+	if list == nil {
+		return err
+	}
+	defer releaseMutations(list)
+	muts := *list
 	if err != nil || len(muts) == 0 {
 		return err
 	}

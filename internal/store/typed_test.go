@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -358,6 +359,104 @@ func TestWriteSetOfOneIsAPlainRecord(t *testing.T) {
 	if err != nil || len(recs) != 2 || recs[0].Op != OpPut || recs[0].Batch != nil {
 		t.Fatalf("records = %+v, %v", recs, err)
 	}
+}
+
+// TestCommittedListIsScratch: a committed write set's mutation list goes
+// back to its pool, cleared, and the next set stages other records into it.
+// Nothing the store keeps refers to that list: the tree (Get), the tail
+// window a follower is shipped from, the log a reopen replays and a snapshot
+// all still hold the committed records while the list holds the next set's.
+func TestCommittedListIsScratch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCatalog(db)
+	committed := []TaskRec{
+		{ID: "t1", ProjectID: "p1", ResourceID: "r1", Status: TaskAssigned},
+		{ID: "t2", ProjectID: "p1", ResourceID: "r2", Status: TaskAssigned},
+		{ID: "t3", ProjectID: "p2", ResourceID: "r3", Status: TaskAssigned},
+	}
+	w := c.Begin(len(committed) + 1) // room for the next set too
+	for _, task := range committed {
+		if err := w.PutTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := *w.muts
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range list {
+		if m.Table != "" || m.Key != "" || m.Value != nil {
+			t.Fatalf("mutation %d still holds %s/%s after Commit: the list must go back cleared", i, m.Table, m.Key)
+		}
+	}
+
+	// The next set stages other values under the same keys, and one more
+	// key, into the recycled list, and is never committed.
+	next := c.Begin(len(committed) + 1)
+	for _, task := range append(slices.Clone(committed), TaskRec{ID: "t4", ProjectID: "p2"}) {
+		task.ResourceID, task.Status = "staged", TaskCompleted
+		if err := next.PutTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &(*next.muts)[0] != &list[0] {
+		if !raceEnabled { // under -race a sync.Pool drops items at random
+			t.Fatal("the next write set did not stage into the recycled list")
+		}
+		copy(list, *next.muts)
+	}
+
+	holds := func(what string, c *Catalog) {
+		t.Helper()
+		for _, want := range committed {
+			if got, err := c.GetTask(want.ProjectID, want.ID); err != nil || got.ResourceID != want.ResourceID || got.Status != want.Status {
+				t.Errorf("%s: task %s = %+v, %v; want the committed record", what, want.ID, got, err)
+			}
+		}
+		if _, err := c.GetTask("p2", "t4"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: an uncommitted task is visible: %v", what, err)
+		}
+	}
+	holds("Get", c)
+
+	data, _, err := db.ReplTail(0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := parseReplicated(data, 0)
+	if err != nil || len(recs) != 1 || len(recs[0].Batch) != len(committed) {
+		t.Fatalf("tail window: records %+v, %v; want one batch of %d", recs, err, len(committed))
+	}
+	for i, sub := range recs[0].Batch {
+		task, err := decodeRec[TaskRec](sub.Value)
+		if want := committed[i]; err != nil || sub.Key != taskKey(want.ProjectID, want.ID) || task.ResourceID != want.ResourceID {
+			t.Errorf("tail window: sub-record %d is %s = %+v, %v; want the committed task %s", i, sub.Key, task, err, want.ID)
+		}
+	}
+
+	snap, err := db.SnapshotExport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := OpenMemory()
+	if err := installed.InstallSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	holds("installed snapshot", NewCatalog(installed))
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	holds("replay", NewCatalog(reopened))
 }
 
 // TestWriteSetFailedCommitWritesNothing: a failed Commit leaves no key, no

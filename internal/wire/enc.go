@@ -16,6 +16,15 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// htmlSafe marks the bytes AppendString writes as they are, with one lookup:
+// printable ASCII and DEL, except ", \, <, > and &.
+var htmlSafe = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
+
 // Enc appends one JSON object's fields as encoding/json writes them: declared
 // field order, omitempty as tagged, HTML-safe escapes, ES6 floats, RFC 3339
 // times. Each field is written with its name and the punctuation before it
@@ -129,6 +138,10 @@ func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if htmlSafe[s[i]] {
+			i++
+			continue
+		}
 		c, size := rune(s[i]), 1
 		if c >= utf8.RuneSelf {
 			c, size = utf8.DecodeRuneInString(s[i:])

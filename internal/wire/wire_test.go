@@ -153,3 +153,40 @@ func TestAppendPaddedMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendStringMatchesMarshal: every byte alone, after plain text and
+// before it — the table's fast path and the rune path on both sides of each
+// boundary — and the runes json.Marshal escapes encode to json.Marshal's
+// bytes.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	var ss []string
+	for c := 0; c < 256; c++ {
+		ss = append(ss, string([]byte{byte(c)}), "ab"+string([]byte{byte(c)}), string([]byte{byte(c)})+"yz")
+	}
+	ss = append(ss, "", "é", "日本", "  ", "�", "a\xe2\x80", "<b>&amp;</b>", "tab\there")
+	for _, s := range ss {
+		want, _ := json.Marshal(s)
+		if got := AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q) = %s, json.Marshal %s", s, got, want)
+		}
+	}
+}
+
+// appendStringCases are record-shaped strings: IDs, keys, tags, a name and a
+// time, the values every frame, record and response encode writes.
+var appendStringCases = []string{
+	"res-0042", "tagger-07", "proj-00000000001", "res-0042/000000000017",
+	"database", "Résumé of the week: <tags> & links", "2026-10-19T05:18:19.123456789Z",
+}
+
+// BenchmarkAppendString encodes the seven record-shaped strings once per op.
+func BenchmarkAppendString(b *testing.B) {
+	b.ReportAllocs()
+	buf := make([]byte, 0, 256)
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, s := range appendStringCases {
+			buf = AppendString(buf, s)
+		}
+	}
+}
