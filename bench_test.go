@@ -860,6 +860,140 @@ func TestFollowerIngestAllocs(t *testing.T) {
 	}
 }
 
+// promoteRing boots a 3-node in-process ring (alpha, beta, gamma; two
+// followers a slot) in dir, provisions on alpha a live fp-mu project of
+// resources resources holding 20 seed posts each, waits until both followers
+// of alpha have applied all of it, reads the project's whole export from the
+// follower the caller promotes (which folds a row for every resource), and
+// then closes alpha and drops it off the network. It returns the live nodes
+// and that follower.
+func promoteRing(tb testing.TB, dir string, resources int) (nodes []*cluster.Node, follower *cluster.Node) {
+	ctx := context.Background()
+	ring, err := cluster.NewRing([]cluster.Member{
+		{Slot: "alpha", Addr: "http://alpha"}, {Slot: "beta", Addr: "http://beta"}, {Slot: "gamma", Addr: "http://gamma"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := cluster.NewHandlerTransport()
+	bySlot := map[string]*cluster.Node{}
+	for _, slot := range []string{"alpha", "beta", "gamma"} {
+		n, err := cluster.New(cluster.Options{Slot: slot, Ring: ring.Clone(), Dir: filepath.Join(dir, slot), Seed: 1,
+			PullInterval: 5 * time.Millisecond, HTTPClient: tr.Client()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bySlot[slot] = n
+		tr.Register(slot, n.Handler())
+	}
+	svc := bySlot["alpha"].Service("alpha")
+	prov, err := svc.RegisterProvider(ctx, "prov")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := core.ProjectSpec{ProviderID: prov, Name: "promote", Budget: 1 << 30, PayPerTask: 0.01, Strategy: "fp-mu",
+		SeedPosts: make(map[string][][]string, resources)}
+	for i := 0; i < resources; i++ {
+		id := fmt.Sprintf("res-%05d", i)
+		spec.Resources = append(spec.Resources, dataset.Resource{ID: id, Kind: dataset.KindURL, Name: id, Popularity: 1})
+		for k := 0; k < 20; k++ {
+			spec.SeedPosts[id] = append(spec.SeedPosts[id], []string{"go", fmt.Sprintf("t%d", (i+k)%7), fmt.Sprintf("u%d", (i*k)%11)})
+		}
+	}
+	project, err := svc.CreateProject(ctx, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	want := bySlot["alpha"].DB("alpha").AppliedSeq()
+	followers := ring.Followers("alpha", 2)
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(2 * time.Millisecond) {
+		caught := true
+		for _, slot := range followers {
+			if rep := bySlot[slot].ReplicaDB("alpha"); rep == nil || rep.AppliedSeq() < want {
+				caught = false
+			}
+		}
+		if caught {
+			break
+		}
+		if time.Now().After(deadline) {
+			tb.Fatalf("the followers of alpha never applied seq %d", want)
+		}
+	}
+	follower = bySlot[followers[0]]
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/projects/"+project+"/export", nil)
+	req.Header.Set(cluster.HeaderRead, cluster.ReadFollower)
+	w := httptest.NewRecorder()
+	follower.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK || w.Header().Get(cluster.HeaderServedBy) == "" {
+		tb.Fatalf("follower export read: %d, served by %q", w.Code, w.Header().Get(cluster.HeaderServedBy))
+	}
+	tr.Register("alpha", nil)
+	if err := bySlot["alpha"].Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return []*cluster.Node{bySlot["beta"], bySlot["gamma"]}, follower
+}
+
+// BenchmarkPromote — systems: a failover's own cost. An op is one
+// Node.Promote of a follower's replica of a slot whose leader is gone, on a
+// 3-node in-process ring, timed from the call to its return: the role change,
+// the run resume that rebuilds the project's engine from its resources and
+// seed posts (20 a resource), and the ring push to the third node. Each op
+// boots its own ring; the boot, the project's replication and the teardown
+// are not timed. heap-MB is the live heap of the two surviving nodes once
+// the third has re-followed the promoted leader, after a GC: what the kept
+// stack carries over from its follower days shows there. Keep -benchtime
+// small (5x): a boot at resources=5e3 commits and ships 1e5 posts.
+func BenchmarkPromote(b *testing.B) {
+	for _, size := range []struct {
+		name      string
+		resources int
+	}{{"1e3", 1000}, {"5e3", 5000}} {
+		b.Run("resources="+size.name, func(b *testing.B) {
+			var heap uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nodes, follower := promoteRing(b, b.TempDir(), size.resources)
+				b.StartTimer()
+				if err := follower.Promote(context.Background(), "alpha"); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				heap += promotedHeap(b, nodes, follower)
+				for _, n := range nodes {
+					if err := n.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(heap)/float64(b.N)/(1<<20), "heap-MB")
+		})
+	}
+}
+
+// promotedHeap waits until the node that did not take alpha over has applied
+// everything the promoted leader holds, and returns the live heap after a GC.
+func promotedHeap(tb testing.TB, nodes []*cluster.Node, leader *cluster.Node) uint64 {
+	want := leader.DB("alpha").AppliedSeq()
+	for _, n := range nodes {
+		if n == leader {
+			continue
+		}
+		for deadline := time.Now().Add(time.Minute); ; time.Sleep(2 * time.Millisecond) {
+			if rep := n.ReplicaDB("alpha"); rep != nil && rep.AppliedSeq() >= want {
+				break
+			}
+			if time.Now().After(deadline) {
+				tb.Fatalf("the third node never re-followed alpha up to seq %d", want)
+			}
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // exportFill is a live manual project of 1 000 resources holding 12 posts
 // each and a server over it: fill posts once on a row of the first 50-row
 // export page (promote + lease + submit through core.Service), then GETs

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -526,6 +529,188 @@ func TestClusterPromotionAfterCrash(t *testing.T) {
 	}
 	if got := tc.nodes[third].Ring().Version; got != promoted.RingVersion {
 		t.Fatalf("stale push rolled the ring back to v%d", got)
+	}
+}
+
+// TestPromotionKeepsTheFollowerStack: a promotion changes the role of the
+// stack a follower has served reads from, not the stack. The promoted slot's
+// store is the replica's own *store.DB, and the validators the follower
+// minted for a project's dashboard and export, replayed as If-None-Match on
+// the promoted leader after a post there, draw a 200 that shows the post —
+// never a 304 for what the answer was before the role change.
+func TestPromotionKeepsTheFollowerStack(t *testing.T) {
+	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, nil)
+	slot, project, tagger := tc.seedProject(4)
+	tc.waitCaughtUp(slot)
+	surv := tc.pushedFollower(slot)
+	survURL := "http://" + surv
+	dashboard, export := "/api/v1/projects/"+project, "/api/v1/projects/"+project+"/export"
+	type dash struct {
+		Spent int `json:"spent"`
+	}
+	etags := map[string]string{}
+	var before dash
+	for _, path := range []string{dashboard, export} {
+		resp, body := tc.get(survURL+path, HeaderRead, ReadFollower)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(HeaderServedBy) != surv || resp.Header.Get("Etag") == "" {
+			t.Fatalf("follower read of %s: %d, served by %q, ETag %q", path, resp.StatusCode,
+				resp.Header.Get(HeaderServedBy), resp.Header.Get("Etag"))
+		}
+		etags[path] = resp.Header.Get("Etag")
+		if path == dashboard {
+			if err := json.Unmarshal(body, &before); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replicaDB := tc.nodes[surv].ReplicaDB(slot)
+
+	// The owner drops off the network, and the follower takes the slot over.
+	tc.nodes[slot].DB(slot).SetFailpoint(func(fp store.Failpoint) bool { return fp == store.FailAppendMid })
+	tc.tr.Register(slot, nil)
+	if err := tc.nodes[surv].Promote(context.Background(), slot); err != nil {
+		t.Fatal(err)
+	}
+	if got := tc.nodes[surv].DB(slot); got == nil || got != replicaDB {
+		t.Fatalf("the promoted slot's store is %p, want the replica's %p", got, replicaDB)
+	}
+	if rep := tc.nodes[surv].ReplicaDB(slot); rep != nil {
+		t.Fatalf("the promoted slot is still followed, over %p", rep)
+	}
+
+	var task store.TaskRec
+	resp, err := tc.do(http.MethodPost, survURL+dashboard+"/tasks", map[string]string{"tagger_id": tagger}, &task)
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("task on the promoted leader: %v (status %v)", err, resp.Status)
+	}
+	resp, err = tc.do(http.MethodPost, fmt.Sprintf("%s%s/tasks/%s/submit", survURL, dashboard, task.ID),
+		map[string][]string{"tags": {"go", "after-promote"}}, nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit on the promoted leader: %v (status %v)", err, resp.Status)
+	}
+
+	for _, path := range []string{dashboard, export} {
+		resp, body := tc.get(survURL+path, "If-None-Match", etags[path])
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s revalidated with the follower's %s after a post: %d, want 200", path, etags[path], resp.StatusCode)
+		}
+		if path == export && !bytes.Contains(body, []byte("after-promote")) {
+			t.Fatalf("the export after the post does not show it: %s", body)
+		}
+		var after dash
+		if path == dashboard {
+			if err := json.Unmarshal(body, &after); err != nil || after.Spent <= before.Spent {
+				t.Fatalf("dashboard spent %d after the post (%v), was %d", after.Spent, err, before.Spent)
+			}
+		}
+	}
+}
+
+// signalReader reports its first Read on started, then reads r.
+type signalReader struct {
+	r       io.Reader
+	started chan struct{}
+	once    sync.Once
+}
+
+func (s *signalReader) Read(p []byte) (int, error) {
+	s.once.Do(func() { close(s.started) })
+	return s.r.Read(p)
+}
+
+// TestShipmentInFlightAcrossPromotion holds a shipment from the slot's owner
+// between the fence and the apply — its body is still being read — while the
+// follower is promoted. The shipment must not land in what is now the
+// leader's store, whose runs resumed from the catalog without it: the
+// follower refuses it as misdirected, and the store holds no trace of it.
+func TestShipmentInFlightAcrossPromotion(t *testing.T) {
+	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, nil)
+	slot, _, _ := tc.seedProject(2)
+	tc.waitCaughtUp(slot)
+	surv := tc.pushedFollower(slot)
+	owner, version := tc.nodes[slot].Ring().Addr(slot), tc.nodes[slot].Ring().Version
+	tc.tr.Register(slot, nil)
+	if err := tc.nodes[slot].Close(); err != nil {
+		t.Fatal(err)
+	}
+	replicaDB := tc.nodes[surv].ReplicaDB(slot)
+	at := replicaDB.AppliedSeq()
+
+	rec, err := json.Marshal(store.Record{Seq: at + 1, Op: store.OpPut, Table: "inflight", Key: "k", Value: json.RawMessage(`{"by":"the old owner"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(rec), rec)
+	pr, pw := io.Pipe()
+	body := &signalReader{r: pr, started: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/api/v1/cluster/replicate?slot=%s&from=%d", slot, at), body)
+	req.ContentLength = int64(len(frame))
+	req.Header.Set(HeaderFormat, FormatFrames)
+	req.Header.Set(HeaderFrom, owner)
+	req.Header.Set(HeaderRingVersion, strconv.FormatUint(version, 10))
+	req.Header.Set(HeaderAppliedSeq, strconv.FormatUint(at+1, 10))
+	w := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		tc.nodes[surv].Handler().ServeHTTP(w, req)
+	}()
+
+	select {
+	case <-body.started: // past the fence, reading the body
+	case <-served:
+		t.Fatalf("the shipment was answered %d before its body was read: %s", w.Code, w.Body)
+	}
+	if err := tc.nodes[surv].Promote(context.Background(), slot); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(pw, frame); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-served
+
+	if w.Code != http.StatusMisdirectedRequest {
+		t.Fatalf("a shipment that outlived the promotion answered %d, want 421: %s", w.Code, w.Body)
+	}
+	db := tc.nodes[surv].DB(slot)
+	if db != replicaDB {
+		t.Fatalf("the promoted slot's store is %p, want the replica's %p", db, replicaDB)
+	}
+	if db.Has("inflight", "k") || db.AppliedSeq() != at {
+		t.Fatalf("the shipment landed in the promoted store: applied seq %d (was %d)", db.AppliedSeq(), at)
+	}
+}
+
+// TestPromoteRefusesAFailedReplica: a follower whose replica store tore a
+// shipment holds a sticky storage failure. Promoting it would hand the slot
+// to a store that refuses every write, so Promote refuses, and the slot stays
+// followed.
+func TestPromoteRefusesAFailedReplica(t *testing.T) {
+	tc := startCluster(t, []string{"alpha", "beta", "gamma"}, nil)
+	slot, _, _ := tc.seedProject(2)
+	tc.waitCaughtUp(slot)
+	surv := tc.pushedFollower(slot)
+	replicaDB := tc.nodes[surv].ReplicaDB(slot)
+	replicaDB.SetFailpoint(func(fp store.Failpoint) bool { return fp == store.FailAppendMid })
+	if _, err := tc.nodes[slot].Service(slot).RegisterTagger(context.Background(), "after"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the torn shipment", func() bool { return replicaDB.Err() != nil })
+	tc.tr.Register(slot, nil)
+
+	err := tc.nodes[surv].Promote(context.Background(), slot)
+	if err == nil || !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("Promote over a failed replica store = %v, want a refusal carrying %v", err, store.ErrCrashed)
+	}
+	if got := tc.nodes[surv].ReplicaDB(slot); got != replicaDB {
+		t.Fatalf("after the refusal the slot's replica is %p, want %p", got, replicaDB)
+	}
+	if db := tc.nodes[surv].DB(slot); db != nil {
+		t.Fatalf("after the refusal the node leads the slot over %p", db)
+	}
+	if v := tc.nodes[surv].Ring().Version; v != tc.nodes[slot].Ring().Version {
+		t.Fatalf("the refused promotion moved the ring to v%d", v)
 	}
 }
 

@@ -21,7 +21,10 @@ func (n *Node) PromHandler() http.Handler {
 // is what the staleness bound on follower reads is measured against — and
 // each replica stack's response cache, all labeled by slot. A replica shows
 // its response cache only: its store's counters would add the slot's
-// replicated writes to this node's own.
+// replicated writes to this node's own. A slot promoted onto this node keeps
+// the store it followed with, so its itag_store_* counters continue from what
+// that store applied as a follower — replicated commits, fsyncs and WAL bytes
+// included — instead of starting from zero.
 func (n *Node) Collect(x *api.Exposition) {
 	health := n.Health() // before n.mu: Health takes its own RLock
 	breakerOpen, breakerTotal, breakerOpens := n.peers.Snapshot(time.Now())

@@ -107,28 +107,55 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// backend is one slot this node leads: a full service stack over the
-// slot's WAL store, and one sender per follower node (see stream.go), the
-// first being the one quorum acks wait on. senders is guarded by n.mu.
+// stack is one slot's service stack over its WAL store, the same whether the
+// node leads the slot or follows it: the store, the Catalog every write to it
+// passes — a leader's commits and a follower's replicated applies alike, so
+// the record cache and the write clocks the response cache stamps its entries
+// with move the same way in either role — and the service and server over
+// them. A promotion changes the role the stack plays, not the stack.
+type stack struct {
+	db  *store.DB
+	cat *store.Catalog
+	svc *core.Service
+	srv *server.Server
+}
+
+// openStack opens the store at path and builds a stack over it.
+func (n *Node) openStack(path string) (stack, error) {
+	db, err := store.Open(path, n.opts.Store)
+	if err != nil {
+		return stack{}, fmt.Errorf("cluster: open %s: %w", path, err)
+	}
+	cat := store.NewCatalog(db)
+	svc := core.NewService(cat, n.opts.Seed)
+	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})
+	return stack{db: db, cat: cat, svc: svc, srv: srv}, nil
+}
+
+// backend is one slot this node leads: its stack, whose service mints IDs
+// through idFilterFor(slot), and one sender per follower node (see
+// stream.go), the first being the one quorum acks wait on. senders is
+// guarded by n.mu.
 type backend struct {
+	stack
 	slot    string
-	db      *store.DB
-	svc     *core.Service
-	srv     *server.Server
 	senders []*sender
 }
 
-// replica is one slot this node follows: the replica store plus a read-only
-// service frontend for follower reads. It owns no goroutine: the leader's
-// sender drives it through handleReplicate, which feeds the store through
-// cat, never db, so every replicated write passes the Catalog's invalidate
-// point and the frontend's caches stay coherent.
+// replica is one slot this node follows: its stack serves follower reads. It
+// owns no goroutine: the leader's sender drives it through handleReplicate,
+// which feeds the store through cat, never db, so every replicated write
+// passes the Catalog's invalidate point and the frontend's caches stay
+// coherent.
 type replica struct {
+	stack
 	owner string // the leader this replica's log came from
-	db    *store.DB
-	cat   *store.Catalog
-	svc   *core.Service
-	srv   *server.Server
+
+	// A shipment applies under applying, and Promote takes it to set
+	// promoted: one that passed the fence lands before the role change or
+	// is refused after it, never in a leading stack.
+	applying sync.Mutex
+	promoted bool
 
 	leaderSeq atomic.Uint64 // leader's applied seq as of its last shipment
 	// fed is set by the first shipment (a probe counts) the slot's owner
@@ -264,15 +291,14 @@ func New(opts Options) (*Node, error) {
 		if m.Addr != addr {
 			continue
 		}
-		b, err := n.openBackend(m.Slot, n.ledPath(m.Slot))
+		st, err := n.openStack(n.ledPath(m.Slot))
 		if err != nil {
 			for _, prev := range n.leaders {
-				prev.svc.Close()
 				_ = prev.db.Close()
 			}
 			return nil, err
 		}
-		n.leaders[m.Slot] = b
+		b := n.lead(m.Slot, st)
 		if resumed, err := b.svc.ResumeRuns(context.Background()); err != nil {
 			n.logger.Printf("cluster %s: resume runs (%s): %v", n.slot, m.Slot, err)
 		} else if resumed > 0 {
@@ -314,18 +340,17 @@ func (n *Node) replicaPath(slot string) string {
 	return filepath.Join(n.opts.Dir, "replica-"+slot+".wal")
 }
 
-// openBackend builds a full service stack over path for a slot this node
-// leads. The ID filter keeps minted project/provider/tagger IDs on this
+// lead makes st the stack of a slot this node leads, at boot or on
+// promotion. The ID filter keeps minted project/provider/tagger IDs on this
 // node, so every record reachable through a routed URL lives with its slot.
-func (n *Node) openBackend(slot, path string) (*backend, error) {
-	db, err := store.Open(path, n.opts.Store)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open %s: %w", path, err)
-	}
-	svc := core.NewService(store.NewCatalog(db), n.opts.Seed)
-	svc.SetIDFilter(n.idFilterFor(slot))
-	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})
-	return &backend{slot: slot, db: db, svc: svc, srv: srv}, nil
+// Caller holds n.mu (or owns n alone). Installing the filter takes the
+// service's lock under n.mu, which cannot deadlock: a service waits for n.mu
+// only inside its filter, and a stack gets its filter here.
+func (n *Node) lead(slot string, st stack) *backend {
+	st.svc.SetIDFilter(n.idFilterFor(slot))
+	b := &backend{stack: st, slot: slot}
+	n.leaders[slot] = b
+	return b
 }
 
 // idFilterFor gates minted IDs for one led slot: routed entity prefixes
@@ -587,7 +612,7 @@ func (n *Node) demoteDeposedLocked() {
 		for _, s := range b.senders {
 			s.cancel()
 		}
-		n.parkLocked(slot, b.svc, b.db, b.senders)
+		n.parkLocked(slot, b.db, b.senders)
 	}
 }
 
@@ -599,7 +624,7 @@ func (n *Node) demoteDeposedLocked() {
 // parking (rather than deleting) keeps them auditable. While the teardown
 // runs the slot is marked in n.demoting so nothing reopens the layout; then
 // syncFollowersLocked re-follows it from scratch. Caller holds n.mu.
-func (n *Node) parkLocked(slot string, svc *core.Service, db *store.DB, streams []*sender) {
+func (n *Node) parkLocked(slot string, db *store.DB, streams []*sender) {
 	n.demoting[slot] = true
 	version := n.ring.Version
 	n.wg.Add(1)
@@ -608,7 +633,6 @@ func (n *Node) parkLocked(slot string, svc *core.Service, db *store.DB, streams 
 		for _, s := range streams {
 			<-s.done
 		}
-		svc.Close()
 		_ = db.Close()
 		if err := parkWAL(db.Path(), version); err != nil {
 			n.logger.Printf("cluster %s: park the WAL of %s: %v", n.slot, slot, err)
@@ -736,10 +760,13 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]any{"slot": req.Slot, "ring_version": n.Ring().Version})
 }
 
-// Promote turns this node's replica of slot into a leader backend: the
-// replica leaves the follower table (later shipments for it are refused),
-// its store — already durable up to its watermark — is wrapped in a full
-// service stack, interrupted runs resume, and a version-bumped ring pointing
+// Promote makes this node the leader of a slot it follows. The replica's
+// stack — its store, already durable up to its watermark, with the Catalog,
+// service and server that have served follower reads over it — moves from
+// the follower table to the led one as it is, nothing is closed or reopened,
+// and its WAL stays at replica-<slot>.wal (see ledPath). A replica whose
+// store has failed is not promoted: a restart must recover its durable
+// prefix first. Interrupted runs resume, and a version-bumped ring pointing
 // the slot at this node is installed locally and pushed to the other members.
 // Placement never changes (vnode identity is the slot name), so no keys move.
 func (n *Node) Promote(ctx context.Context, slot string) error {
@@ -758,33 +785,17 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation,
 			"slot %q is not followed by this node", slot)
 	}
-	delete(n.replicas, slot)
-	n.mu.Unlock()
-
-	rep.svc.Close()
-
-	// Every shipment the replica applied is already on its disk: it was
-	// fsynced before it was acked. The reopen is for the leader stack a
-	// booting node builds: a fresh service with the ID filter and
-	// run-resume the read-only frontend never had.
-	if err := rep.db.Close(); err != nil {
-		n.refollow(slot)
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: flush replica", slot)
-	}
-	b, err := n.openBackend(slot, n.replicaPath(slot))
+	rep.applying.Lock()
+	err := rep.db.Err()
+	rep.promoted = err == nil
+	rep.applying.Unlock()
 	if err != nil {
-		n.refollow(slot)
-		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "promote %s: reopen replica", slot)
-	}
-
-	n.mu.Lock()
-	if n.closed {
 		n.mu.Unlock()
-		b.svc.Close()
-		_ = b.db.Close()
-		return errs.New(errs.ComponentStore, errs.CategoryValidation, "node is closed")
+		return errs.Wrap(err, errs.ComponentStore, errs.CategoryConflict,
+			"slot %q: the replica store has failed; restart the node to recover it before promoting", slot)
 	}
-	n.leaders[slot] = b
+	delete(n.replicas, slot)
+	b := n.lead(slot, rep.stack)
 	ring := n.ring.Clone()
 	ring.Version++
 	for i := range ring.Members {
@@ -805,22 +816,6 @@ func (n *Node) Promote(ctx context.Context, slot string) error {
 	}
 	n.pushRing(ctx, ring)
 	return nil
-}
-
-// refollow re-registers slot as a followed replica after a failed
-// promotion step: Promote has already detached the replica, so without this
-// the slot would be neither led nor followed by this node — replication
-// silently degraded until restart. syncFollowersLocked reopens the replica
-// store (best effort: a disk that just failed the promotion may fail the
-// reopen too, which is logged there).
-func (n *Node) refollow(slot string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
-	n.logger.Printf("cluster %s: promote %s failed; resuming follow", n.slot, slot)
-	n.syncFollowersLocked()
 }
 
 // pushRing best-effort-propagates a new ring to every other member; nodes
@@ -905,16 +900,15 @@ func (n *Node) syncFollowersLocked() {
 			// covers it: "Close closes every store" must hold even for
 			// replicas a ring change retired moments earlier.
 			n.wg.Add(1)
-			go func(rep *replica) {
+			go func(db *store.DB) {
 				defer n.wg.Done()
-				rep.svc.Close()
-				_ = rep.db.Close()
-			}(rep)
+				_ = db.Close()
+			}(rep.db)
 		case rep.owner != n.ring.Addr(slot):
 			delete(n.replicas, slot)
 			n.logger.Printf("cluster %s: slot %s moved from %s to %s at ring v%d; replica parked, following from scratch",
 				n.slot, slot, rep.owner, n.ring.Addr(slot), n.ring.Version)
-			n.parkLocked(slot, rep.svc, rep.db, nil)
+			n.parkLocked(slot, rep.db, nil)
 		}
 	}
 	for slot := range desired {
@@ -922,29 +916,13 @@ func (n *Node) syncFollowersLocked() {
 		if _, ok := n.replicas[slot]; ok || n.demoting[slot] {
 			continue
 		}
-		rep, err := n.startReplica(slot)
+		st, err := n.openStack(n.replicaPath(slot))
 		if err != nil {
 			n.logger.Printf("cluster %s: follow %s: %v", n.slot, slot, err)
 			continue
 		}
-		n.replicas[slot] = rep
+		n.replicas[slot] = &replica{stack: st, owner: n.ring.Addr(slot)}
 	}
-}
-
-// startReplica opens the replica store for slot.
-func (n *Node) startReplica(slot string) (*replica, error) {
-	db, err := store.Open(n.replicaPath(slot), n.opts.Store)
-	if err != nil {
-		return nil, err
-	}
-	// The same stack a led slot gets, minus the ID filter and run resume a
-	// read-only frontend has no use for: replication feeds the store through
-	// the Catalog, so the record cache and the write clocks the response
-	// cache stamps its entries with move here as they do on the leader.
-	cat := store.NewCatalog(db)
-	svc := core.NewService(cat, n.opts.Seed)
-	srv := server.NewWith(svc, server.Options{RouteTimeout: n.opts.RouteTimeout, Metrics: n.metrics})
-	return &replica{owner: n.ring.Addr(slot), db: db, cat: cat, svc: svc, srv: srv}, nil
 }
 
 // Close stops the streams and closes every store.
@@ -974,13 +952,11 @@ func (n *Node) Close() error {
 	n.wg.Wait()
 	var firstErr error
 	for _, rep := range replicas {
-		rep.svc.Close()
 		if err := rep.db.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	for _, b := range leaders {
-		b.svc.Close()
 		if err := b.db.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}

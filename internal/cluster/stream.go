@@ -428,13 +428,17 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	owner, version := n.ring.Addr(slot), n.ring.Version
 	n.mu.RUnlock()
 	w.Header().Set(HeaderRingVersion, strconv.FormatUint(version, 10))
-	// The fence. Contiguous, well-formed frames are not enough: a deposed
-	// leader that has not seen the new ring produces exactly those.
-	if theirs, _ := strconv.ParseUint(r.Header.Get(HeaderRingVersion), 10, 64); rep == nil || sender != owner || theirs < version {
+	theirs, _ := strconv.ParseUint(r.Header.Get(HeaderRingVersion), 10, 64)
+	refuse := func() {
 		w.Header().Set(HeaderOwner, owner)
 		n.kit.WriteError(w, r, api.Errorf(http.StatusMisdirectedRequest, api.CodeNotOwner,
 			"slot %q takes shipments here only from its owner %s at ring v%d or later, not from %q at v%d",
 			slot, owner, version, sender, theirs))
+	}
+	// The fence. Contiguous, well-formed frames are not enough: a deposed
+	// leader that has not seen the new ring produces exactly those.
+	if rep == nil || sender != owner || theirs < version {
+		refuse()
 		return
 	}
 	if seq, err := strconv.ParseUint(r.Header.Get(HeaderAppliedSeq), 10, 64); err == nil {
@@ -449,6 +453,13 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	data, err := readShipment(r)
 	if err != nil {
 		n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest, "read shipment: %v", err))
+		return
+	}
+	rep.applying.Lock()
+	defer rep.applying.Unlock()
+	if rep.promoted { // here, while the body was read
+		owner = n.addr
+		refuse()
 		return
 	}
 	if len(data) > 0 && from == rep.db.AppliedSeq() {

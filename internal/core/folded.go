@@ -46,7 +46,8 @@ import (
 // mutex before its scan. The two critical sections are ordered, so a stamp
 // either predates the advance (and stops being current) or was taken after
 // the write was visible and the stale fold dropped. Entries are never
-// replaced, so a clock a stamp holds is the clock later writes advance.
+// replaced, so a clock a stamp holds is the clock later writes advance, until
+// forget drops them after the runs epoch bump that retires every such stamp.
 //
 // The same clock lets a read skip the seek. A fold remembers the clock value
 // it was last brought up to date at, and its encoded row (rowMemo) the value
@@ -201,6 +202,16 @@ func (f *foldedRows) PostsReplaced() {
 		e.drop()
 		e.clock.Add(1)
 		e.mu.Unlock()
+	}
+}
+
+// forget drops the entries of resources whose project now has a run, which
+// is never removed: the engine serves their rows from then on.
+func (f *foldedRows) forget(resources map[string]int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for id := range resources {
+		delete(f.rows, id)
 	}
 }
 

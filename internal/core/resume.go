@@ -85,8 +85,10 @@ func (s *Service) ResumeRuns(ctx context.Context) (int, error) {
 		}
 		s.mu.Unlock()
 		// The project's answers now come from the engine, not the catalog:
-		// whatever was stamped while it had no run is retired.
+		// whatever was stamped while it had no run is retired, and the rows
+		// folded for its export while it was followed are never read again.
 		s.bumpRunsEpoch()
+		s.folded.forget(run.Engine.index)
 	}
 	return resumed, nil
 }

@@ -228,3 +228,51 @@ func TestNewIDFilter(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRunsForgetsFoldedRows: the rows a follower folded for a project's
+// export while it had no run are dropped once ResumeRuns gives it one, and
+// the export then comes from the run's engine.
+func TestResumeRunsForgetsFoldedRows(t *testing.T) {
+	ctx := context.Background()
+	db := store.OpenMemory()
+	s1 := NewService(store.NewCatalog(db), 7)
+	prov, err := s1.RegisterProvider(ctx, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := s1.CreateProject(ctx, ProjectSpec{
+		ProviderID: prov, Name: "manual", Budget: 10, PayPerTask: 0.05,
+		Resources: []dataset.Resource{{ID: "res-a", Name: "A"}, {ID: "res-b", Name: "B"}},
+		SeedPosts: map[string][][]string{"res-a": {{"seed", "tags"}}, "res-b": {{"seed"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := NewService(store.NewCatalog(db), 7)
+	folded, _, err := s2.ExportPage(ctx, proj, "", 0)
+	if err != nil || len(folded) != 2 {
+		t.Fatalf("export with no run: %d rows, %v", len(folded), err)
+	}
+	if n := len(s2.folded.rows); n != 2 {
+		t.Fatalf("%d folded rows after the export, want 2", n)
+	}
+	if n, err := s2.ResumeRuns(ctx); err != nil || n != 1 {
+		t.Fatalf("ResumeRuns = %d, %v; want 1 run", n, err)
+	}
+	if n := len(s2.folded.rows); n != 0 {
+		t.Fatalf("%d folded rows outlive the resumed run", n)
+	}
+	rows, _, err := s2.ExportPage(ctx, proj, "", 0)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("export after ResumeRuns: %d rows, %v", len(rows), err)
+	}
+	for i := range rows {
+		if rows[i].ID != folded[i].ID || rows[i].Posts != folded[i].Posts {
+			t.Fatalf("row %d after ResumeRuns is %+v, the fold read %+v", i, rows[i], folded[i])
+		}
+	}
+	if n := len(s2.folded.rows); n != 0 {
+		t.Fatalf("the export of a resumed run folded %d rows", n)
+	}
+}

@@ -252,7 +252,7 @@ func (s *Service) CreateProject(ctx context.Context, spec ProjectSpec) (string, 
 	// write leaves all of them or none, never a project row that ResumeRuns
 	// would bring back over a subset of its resources. Seed posts are staged
 	// in resource order so their sequence numbers are deterministic.
-	ws := s.cat.Begin(1 + len(spec.Resources))
+	ws := s.cat.BeginUnpooled(1 + len(spec.Resources))
 	err = ws.PutProject(store.ProjectRec{
 		ID: id, ProviderID: spec.ProviderID, Name: spec.Name,
 		Description: spec.Description, Kind: spec.Kind,

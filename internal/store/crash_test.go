@@ -170,7 +170,7 @@ func TestCrashInjectionDB(t *testing.T) {
 			} else {
 				armFailpoint(tc, db)
 				crashWorkload(t, db, m, 8, 200)
-				if serr := db.stickyErr(); !errors.Is(serr, ErrCrashed) {
+				if serr := db.Err(); !errors.Is(serr, ErrCrashed) {
 					t.Fatalf("failpoint never fired (sticky err %v); workload too small?", serr)
 				}
 			}

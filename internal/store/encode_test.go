@@ -14,6 +14,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
+
+	"itag/internal/errs"
 )
 
 // encodeParity holds appendValue — and a task record's AppendJSON, which the
@@ -139,6 +142,15 @@ func stagedParity(t *testing.T, v any) {
 		}
 		if n := len(db.Tables()); n != 0 {
 			t.Fatalf("%#v: a refused commit wrote %d tables", v, n)
+		}
+		return
+	}
+	if !utf8.ValidString(key) {
+		// The log carries names as JSON strings: Apply refuses a key it
+		// would read back as another one, and writes nothing.
+		if err != nil || errs.CategoryOf(commitErr) != errs.CategoryValidation || len(db.Tables()) != 0 {
+			t.Fatalf("%#v under key %q: staged error %v, commit error %v, %d tables; want a validation refusal writing nothing",
+				v, key, err, commitErr, len(db.Tables()))
 		}
 		return
 	}

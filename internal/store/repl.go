@@ -487,7 +487,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	w := db.wal
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
-	if err := db.stickyErr(); err != nil {
+	if err := db.Err(); err != nil {
 		return err
 	}
 	if db.closed.Load() {

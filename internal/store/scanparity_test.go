@@ -321,6 +321,15 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 		}
 		const name = "db"
 		s := OpenMemory()
+		// Binary keys are what the tree must order and bound, not what Apply
+		// takes (a name must be valid UTF-8): they enter below that rule,
+		// through the commit Apply hands a checked group to.
+		commit := func(muts ...Mutation) error {
+			if len(muts) == 1 {
+				return s.commitRecord(muts[0].Op, muts[0].Table, muts[0].Key, muts[0].Value, nil)
+			}
+			return s.commitRecord(OpBatch, "", "", nil, muts)
+		}
 		m := make(refStore)
 		must := func(err error) {
 			t.Helper()
@@ -333,11 +342,11 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 			switch n := r.Intn(10); {
 			case n < 5:
 				table, key := tables[r.Intn(2)], randKey()
-				must(s.Put(table, key, i))
+				must(commit(Mutation{Op: OpPut, Table: table, Key: key, Value: jsonOf(i)}))
 				m.put(table, key, []byte(fmt.Sprint(i)))
 			case n < 8:
 				table, key := tables[r.Intn(2)], randKey()
-				must(s.Delete(table, key))
+				must(commit(Mutation{Op: OpDelete, Table: table, Key: key}))
 				m.del(table, key)
 			default:
 				var muts []Mutation
@@ -348,7 +357,7 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 					}
 					muts = append(muts, mu)
 				}
-				must(s.Apply(muts))
+				must(commit(muts...))
 				for _, mu := range muts {
 					if mu.Op == OpPut {
 						m.put(mu.Table, mu.Key, mu.Value)

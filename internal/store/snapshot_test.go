@@ -362,7 +362,9 @@ func TestInterruptedSnapshotWrite(t *testing.T) {
 // TestSnapshotRefusesNonUTF8Names: a key that is not valid UTF-8 cannot be
 // framed and read back as itself, so compaction and SnapshotExport refuse
 // the state with a validation error instead of writing a snapshot no reader
-// accepts, and the store keeps opening from its segments.
+// accepts, and the store keeps opening from its segments. Apply refuses such
+// a key (TestApplyRefusesNonUTF8Names); this is the backstop for one that
+// reaches the tables below it, and the key is committed that way here.
 func TestSnapshotRefusesNonUTF8Names(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "itag.wal")
 	db, err := Open(path, Options{})
@@ -372,7 +374,7 @@ func TestSnapshotRefusesNonUTF8Names(t *testing.T) {
 	if err := db.Put("t", "a", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put("t", "b\xff", 2); err != nil {
+	if err := db.commitRecord(OpPut, "t", "b\xff", jsonOf(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Compact(); errs.CategoryOf(err) != errs.CategoryValidation {

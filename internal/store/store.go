@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"itag/internal/errs"
 )
@@ -321,7 +322,8 @@ func (db *DB) fail(err error) error {
 	return db.walErr
 }
 
-func (db *DB) stickyErr() error {
+// Err reports the store's sticky storage failure (walErr), nil while healthy.
+func (db *DB) Err() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.walErr
@@ -385,7 +387,7 @@ func (db *DB) Has(table, key string) bool {
 
 // Delete removes (table, key); deleting a missing key is not an error.
 func (db *DB) Delete(table, key string) error {
-	return db.commitRecord(OpDelete, table, key, nil, nil)
+	return db.Apply([]Mutation{{Op: OpDelete, Table: table, Key: key}})
 }
 
 // Mutation is one entry of an atomic batch: the WAL record it is written
@@ -402,7 +404,9 @@ type Mutation = Record
 // written as the plain put or delete record it is, without the batch
 // wrapper.
 //
-// Apply checks the ops and nothing else. Each value is stored as the slice
+// Apply checks the ops and the names, and nothing else: a table or key that
+// is not valid UTF-8 is refused, as a validation error, before anything is
+// written. Each value is stored as the slice
 // it is, so the store owns the value bytes once Apply is called, and the
 // caller must not modify them afterwards. The list itself is the batch
 // record's sub-records only until Apply returns: the apply copies each op
@@ -435,6 +439,10 @@ func mutationFault(m *Mutation) string {
 		return "deletes with a value"
 	case m.Op != OpPut && m.Op != OpDelete:
 		return fmt.Sprintf("has invalid op %q", m.Op)
+	case !utf8.ValidString(m.Table) || !utf8.ValidString(m.Key):
+		// A frame carries names as JSON strings, which hold only UTF-8: the
+		// log would be read back with U+FFFD in place of each bad byte.
+		return fmt.Sprintf("names table %q key %q, not valid UTF-8", m.Table, m.Key)
 	}
 	return ""
 }
@@ -651,7 +659,7 @@ func (db *DB) Close() error {
 	}
 	db.mu.Unlock()
 	db.bg.Wait()
-	healthy := db.stickyErr() == nil
+	healthy := db.Err() == nil
 	w := db.wal
 	w.fmu.Lock()
 	defer w.fmu.Unlock()

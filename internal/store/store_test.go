@@ -223,6 +223,55 @@ func TestWALMidLogCorruptionReported(t *testing.T) {
 	}
 }
 
+// TestApplyRefusesNonUTF8Names: a table or key name that is not valid UTF-8
+// is refused by Apply — a Put, a Delete, one mutation of a batch — as a
+// validation error, before anything is framed: a frame carries names as JSON
+// strings, so the log would read "b\xff" back as "b\ufffd", and a delete of
+// "a\xff", a no-op in memory, would delete "a\ufffd" at the next open. A
+// reopen holds exactly what was acknowledged.
+func TestApplyRefusesNonUTF8Names(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "itag.wal")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "a\ufffd"} {
+		if err := db.Put("t", key, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for what, err := range map[string]error{
+		"Put of a key":     db.Put("t", "b\xff", 1),
+		"Put to a table":   db.Put("t\xff", "b", 1),
+		"Delete of a key":  db.Delete("t", "a\xff"),
+		"batch of a key":   db.Apply([]Mutation{{Op: OpPut, Table: "t", Key: "c", Value: jsonOf(2)}, {Op: OpPut, Table: "t", Key: "b\xff", Value: jsonOf(2)}}),
+		"batch to a table": db.Apply([]Mutation{{Op: OpDelete, Table: "\xc3", Key: "a"}}),
+	} {
+		if errs.CategoryOf(err) != errs.CategoryValidation {
+			t.Errorf("%s: %v, want a validation error", what, err)
+		}
+	}
+	if seq := db.AppliedSeq(); seq != 2 {
+		t.Fatalf("applied seq %d after the refusals, want the 2 acknowledged puts", seq)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if tables := re.Tables(); len(tables) != 1 || re.Count("t") != 2 || !re.Has("t", "a") || !re.Has("t", "a\ufffd") {
+		t.Fatalf("reopened: tables %q, %d keys in t; want t holding a and a\ufffd alone", tables, re.Count("t"))
+	}
+	for _, key := range []string{"b\xff", "b\ufffd", "c"} {
+		if re.Has("t", key) {
+			t.Errorf("reopened store holds %q", key)
+		}
+	}
+}
+
 // jsonOf is a test value as a Mutation carries it: encoded.
 func jsonOf(v any) json.RawMessage {
 	raw, err := json.Marshal(v)

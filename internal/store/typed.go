@@ -302,10 +302,11 @@ func (c *Catalog) InstallSnapshot(data []byte) error {
 // is recycled too: Store.Apply keeps no list, so a set's list is scratch
 // from its first write to its Commit.
 type WriteSet struct {
-	c       *Catalog
-	muts    *[]Mutation // the staged mutations; nil until the first write
-	scratch *[]byte     // the staged values back to back, in staging order
-	err     error
+	c        *Catalog
+	muts     *[]Mutation // the staged mutations; nil until the first write
+	scratch  *[]byte     // the staged values back to back, in staging order
+	err      error
+	unpooled bool // BeginUnpooled's: Commit pools neither muts nor scratch
 }
 
 // mutationLists recycles the lists write sets stage their mutations in.
@@ -324,6 +325,14 @@ func (c *Catalog) Begin(n int) *WriteSet {
 	w := &WriteSet{c: c, muts: mutationLists.Get().(*[]Mutation)}
 	*w.muts = slices.Grow(*w.muts, n)
 	return w
+}
+
+// BeginUnpooled is Begin for a set sized by a whole project, not by one
+// call's items: its list and value buffer are let go at Commit, where pooled
+// they would be handed to every later set for as long as commits draw them.
+func (c *Catalog) BeginUnpooled(n int) *WriteSet {
+	muts := make([]Mutation, 0, n)
+	return &WriteSet{c: c, muts: &muts, scratch: new([]byte), unpooled: true}
 }
 
 // enc returns an encoder appending to the set's scratch buffer.
@@ -367,19 +376,22 @@ func (w *WriteSet) refused(table, key string, rec any) error {
 // Store.Apply and then advances the write clocks of the keys it wrote — in
 // that order, the "bump strictly after the store write" protocol every
 // core.Stamp holder relies on. The staged values are copied once, into one
-// exact-size allocation the store keeps; the mutation list goes back to its
-// pool when Commit returns. On error — a staging error included — nothing
-// was written. Either way the set is empty afterwards.
+// exact-size allocation the store keeps; the mutation list and value buffer
+// go back to their pools when Commit returns, unless the set is unpooled. On
+// error — a staging error included — nothing was written. Either way the set
+// is empty afterwards.
 func (w *WriteSet) Commit() error {
-	list, scratch, err := w.muts, w.scratch, w.err
-	w.muts, w.scratch, w.err = nil, nil, nil
-	if scratch != nil {
+	list, scratch, err, pooled := w.muts, w.scratch, w.err, !w.unpooled
+	w.muts, w.scratch, w.err, w.unpooled = nil, nil, nil, false
+	if scratch != nil && pooled {
 		defer encodeScratch.Put(scratch)
 	}
 	if list == nil {
 		return err
 	}
-	defer releaseMutations(list)
+	if pooled {
+		defer releaseMutations(list)
+	}
 	muts := *list
 	if err != nil || len(muts) == 0 {
 		return err

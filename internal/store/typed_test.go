@@ -536,3 +536,43 @@ func clockSum(c *Catalog) uint64 {
 	}
 	return sum
 }
+
+// TestProjectSetsStayOutOfThePools: the list and value buffer of an
+// unpooled set — a project's creation, here 6 001 records — are not handed to
+// the next set, while those of the largest set a batch call stages (10 000
+// tasks:batch items, 20 000 mutations) are recycled.
+func TestProjectSetsStayOutOfThePools(t *testing.T) {
+	c := NewCatalog(OpenMemory())
+	stage := func(w *WriteSet, n int) *WriteSet {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := w.PutResource(ResourceRec{ID: fmt.Sprintf("r%05d", i), ProjectID: "p1", Kind: "url", Name: fmt.Sprintf("resource %0100d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	project := stage(c.BeginUnpooled(6001), 6001)
+	first, scratch := &(*project.muts)[0], &(*project.scratch)[0]
+	if err := project.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	next := stage(c.Begin(2), 2)
+	if &(*next.muts)[0] == first || &(*next.scratch)[0] == scratch {
+		t.Fatalf("Begin(2) after a project's 6 001-record set stages into its list or buffer (cap %d, %d bytes)",
+			cap(*next.muts), cap(*next.scratch))
+	}
+	if err := next.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := stage(c.Begin(20000), 20000)
+	first, scratch = &(*batch.muts)[0], &(*batch.scratch)[0]
+	if err := batch.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	next = stage(c.Begin(2), 2)
+	if (&(*next.muts)[0] != first || &(*next.scratch)[0] != scratch) && !raceEnabled { // under -race a sync.Pool drops items at random
+		t.Fatal("a 20 000-mutation set's list or buffer was not recycled")
+	}
+}

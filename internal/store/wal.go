@@ -432,7 +432,7 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 	w := db.wal
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
-	if err := db.stickyErr(); err != nil {
+	if err := db.Err(); err != nil {
 		return err
 	}
 	// Frame the local records into one buffer. A frame's slice stays valid
@@ -592,7 +592,7 @@ func (db *DB) performCut() (*cutState, error) {
 	w := db.wal
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
-	if err := db.stickyErr(); err != nil {
+	if err := db.Err(); err != nil {
 		return nil, err
 	}
 	if db.closed.Load() {
