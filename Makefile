@@ -33,11 +33,13 @@ race-full:
 	$(GO) test -race ./...
 
 # Fuzz smoke over WAL recovery: corrupted segments and snapshots must never
-# panic or resurrect deleted keys, and any bytes as a snapshot must be refused
-# as corruption or load a state that exports and loads back to itself; over
-# the tree's sorted merge: every
-# multi-record apply leaves each table equal to a map oracle and within the
-# node invariants; over the record encoders: every catalog
+# panic, and a store that still opens must read as the store model of a
+# prefix of its history (no resurrected delete), and any bytes as a snapshot
+# must be refused as corruption or load a state whose export loads back to
+# the same model; over the tree's sorted merge: every multi-record apply
+# leaves each table equal to the model and within the node invariants
+# (TestStoreModel holds every read-back path to the same model in tier-1);
+# over the record encoders: every catalog
 # record must encode to json.Marshal's bytes (or its error), and decode back
 # to json.Unmarshal's value; over the WAL frame decoder: any frame body
 # decodes to json.Unmarshal's Record or is left to it; over the SDK's

@@ -203,7 +203,7 @@ func BenchmarkChooseNext(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := eng.ChooseNext(); !ok {
+				if _, _, ok := eng.ChooseNext(); !ok {
 					b.Fatal("no task")
 				}
 			}
@@ -1104,7 +1104,9 @@ func BenchmarkExportPageFill(b *testing.B) {
 }
 
 // exportPageFillBytes bounds one BenchmarkExportPageFill op. With Go 1.24 on
-// x86-64 a warm op allocates 75 times and 10.6 KB, post included; encoding
+// x86-64 a warm op allocates 113 times and 14.4 KB, the post and the
+// promotion that steers it included (a stored promotion is two resource
+// writes: Promote's and the consuming lease's); encoding
 // every row of the page through encoding/json and copying it into a fresh
 // body, as fills did before rows were kept encoded, 129 times and 66.5 KB.
 const exportPageFillBytes = 24 << 10

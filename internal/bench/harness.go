@@ -106,8 +106,6 @@ type RunConfig struct {
 	// overlap, rejected posts wasted, and every verdict reviewed on the
 	// platform, which stops assigning low-approval taggers.
 	Approval bool
-	// TauHigh / TauLow are the report thresholds (defaults 0.9 / 0.5).
-	TauHigh, TauLow float64
 }
 
 // Outcome summarizes one run for the report tables.
@@ -121,9 +119,9 @@ type Outcome struct {
 	StabilityBefore float64
 	StabilityAfter  float64
 	DeltaStability  float64
-	CountHighBefore int // oracle >= TauHigh before
+	CountHighBefore int // oracle >= core.TauHigh before
 	CountHighAfter  int
-	CountLowBefore  int // oracle < TauLow before
+	CountLowBefore  int // oracle < core.TauLow before
 	CountLowAfter   int
 	PostGini        float64 // Gini of final post counts (allocation skew)
 	Wall            time.Duration
@@ -134,12 +132,6 @@ type Outcome struct {
 func (h *Harness) Run(rc RunConfig) (Outcome, error) {
 	if rc.Batch <= 0 {
 		rc.Batch = 16
-	}
-	if rc.TauHigh <= 0 {
-		rc.TauHigh = 0.9
-	}
-	if rc.TauLow <= 0 {
-		rc.TauLow = 0.5
 	}
 	plat, err := crowd.NewSim(crowd.SimConfig{
 		Workers:     core.WorkerIDs(h.Pop),
@@ -159,8 +151,6 @@ func (h *Harness) Run(rc RunConfig) (Outcome, error) {
 		Quality:   quality.Config{Window: rc.Window},
 		Platform:  plat,
 		Seed:      rc.Seed,
-		TauHigh:   rc.TauHigh,
-		TauLow:    rc.TauLow,
 	}
 	if rc.Approval {
 		cfg.Judge = core.LatentOverlapJudge(h.World, 0.5)
@@ -175,8 +165,8 @@ func (h *Harness) Run(rc RunConfig) (Outcome, error) {
 		Budget:          rc.Budget,
 		OracleBefore:    quality.MeanQuality(before),
 		StabilityBefore: eng.MeanStability(),
-		CountHighBefore: quality.CountAtLeast(before, rc.TauHigh),
-		CountLowBefore:  quality.CountBelow(before, rc.TauLow),
+		CountHighBefore: quality.CountAtLeast(before, core.TauHigh),
+		CountLowBefore:  quality.CountBelow(before, core.TauLow),
 	}
 	start := time.Now()
 	if err := eng.Run(); err != nil {
@@ -189,8 +179,8 @@ func (h *Harness) Run(rc RunConfig) (Outcome, error) {
 	out.DeltaOracle = out.OracleAfter - out.OracleBefore
 	out.StabilityAfter = eng.MeanStability()
 	out.DeltaStability = out.StabilityAfter - out.StabilityBefore
-	out.CountHighAfter = quality.CountAtLeast(after, rc.TauHigh)
-	out.CountLowAfter = quality.CountBelow(after, rc.TauLow)
+	out.CountHighAfter = quality.CountAtLeast(after, core.TauHigh)
+	out.CountLowAfter = quality.CountBelow(after, core.TauLow)
 	posts := eng.Posts()
 	pf := make([]float64, len(posts))
 	for i, p := range posts {

@@ -29,8 +29,21 @@ import (
 var ErrResourceExhausted error = errs.New(errs.ComponentCore, errs.CategoryExhausted, "resource post source exhausted")
 
 // ErrStalled is returned by Run when the platform stops making progress
-// (e.g. every worker disqualified) with tasks still outstanding.
+// (e.g. every worker disqualified) for maxStallSteps consecutive steps with
+// tasks still outstanding.
 var ErrStalled error = errs.New(errs.ComponentCore, errs.CategoryInternal, "platform stalled with outstanding tasks")
+
+// TauHigh and TauLow are the quality thresholds of the count-above and
+// count-below series (SeriesCountHigh, SeriesCountLow) and of the
+// experiment reports.
+const (
+	TauHigh = 0.9
+	TauLow  = 0.5
+)
+
+// maxStallSteps is how many consecutive idle platform steps Run waits out
+// with tasks outstanding before it reports ErrStalled.
+const maxStallSteps = 10000
 
 // PostHook observes one post entering a resource's statistics.
 type PostHook func(resourceID, taggerID string, tags []string)
@@ -68,14 +81,8 @@ type Config struct {
 	PayPerTask float64
 	// ProviderID labels the tasks the engine publishes.
 	ProviderID string
-	// TauHigh / TauLow are the monitoring thresholds for the
-	// count-above/count-below series (defaults 0.9 / 0.5).
-	TauHigh, TauLow float64
 	// Seed drives strategy randomness.
 	Seed int64
-	// MaxStallSteps aborts when the platform yields no result for this
-	// many consecutive steps with tasks outstanding (default 10000).
-	MaxStallSteps int
 	// Interner, when set, is the shared tag vocabulary the engine's quality
 	// trackers index by (one per service/world; nil = engine-private). Tag
 	// strings are translated back only at export boundaries (ResourceStatus,
@@ -155,15 +162,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = 16
-	}
-	if cfg.TauHigh <= 0 {
-		cfg.TauHigh = 0.9
-	}
-	if cfg.TauLow <= 0 {
-		cfg.TauLow = 0.5
-	}
-	if cfg.MaxStallSteps <= 0 {
-		cfg.MaxStallSteps = 10000
 	}
 	n := len(cfg.Resources)
 	in := cfg.Interner
@@ -304,15 +302,15 @@ func (e *Engine) reindex(i int) {
 // have left it; the caller reindexes every chosen resource once its counters
 // are updated, and touches every one of them before it lets go of e.mu — on
 // its error paths too, since a promotion consumed here has already changed
-// what Status reports. The result is valid until the next call. Caller holds
-// e.mu.
-func (e *Engine) choose(batch int) []int {
+// what Status reports. The result is valid until the next call; its first
+// promoted entries are the promotions it consumed. Caller holds e.mu.
+func (e *Engine) choose(batch int) (chosen []int, promoted int) {
 	if e.ranker != nil {
 		if min, ok := e.rank.min(); e.ranker.Advance(min, ok) {
 			e.rebuildRank()
 		}
 	}
-	chosen := e.chosen[:0]
+	chosen = e.chosen[:0]
 	for len(chosen) < batch && len(e.promoQ) > 0 {
 		i := e.promoQ[0]
 		e.promoQ = e.promoQ[1:]
@@ -324,8 +322,8 @@ func (e *Engine) choose(batch int) []int {
 			chosen = append(chosen, i)
 		}
 	}
+	promoted = len(chosen)
 	if e.ranker != nil {
-		promoted := len(chosen)
 		for len(chosen) < batch {
 			i, ok := e.rank.pop()
 			if !ok {
@@ -338,7 +336,7 @@ func (e *Engine) choose(batch int) []int {
 		chosen = append(chosen, e.strategy.Choose(view{e: e, exclude: chosen}, batch-len(chosen), e.r)...)
 	}
 	e.chosen = chosen
-	return chosen
+	return chosen, promoted
 }
 
 // Run executes Algorithm 1 until the budget is exhausted or no eligible
@@ -385,7 +383,7 @@ func (e *Engine) StepContext(ctx context.Context) (bool, error) {
 		batch = remaining
 	}
 
-	chosen := e.choose(batch)
+	chosen, _ := e.choose(batch)
 	if len(chosen) == 0 {
 		e.done = true
 		e.mu.Unlock()
@@ -429,7 +427,7 @@ func (e *Engine) StepContext(ctx context.Context) (bool, error) {
 		produced := e.cfg.Platform.Step()
 		if produced == 0 {
 			stall++
-			if stall > e.cfg.MaxStallSteps {
+			if stall > maxStallSteps {
 				return false, fmt.Errorf("%w: %d tasks outstanding after %d idle steps",
 					ErrStalled, outstanding, stall)
 			}
@@ -497,8 +495,8 @@ func (e *Engine) record() {
 	qs := e.quality
 	x := float64(e.spent)
 	e.monitor.Record(SeriesMeanStability, x, quality.MeanQuality(qs))
-	e.monitor.Record(SeriesCountHigh, x, float64(quality.CountAtLeast(qs, e.cfg.TauHigh)))
-	e.monitor.Record(SeriesCountLow, x, float64(quality.CountBelow(qs, e.cfg.TauLow)))
+	e.monitor.Record(SeriesCountHigh, x, float64(quality.CountAtLeast(qs, TauHigh)))
+	e.monitor.Record(SeriesCountLow, x, float64(quality.CountBelow(qs, TauLow)))
 	if mo, ok := e.meanOracleLocked(); ok {
 		e.monitor.Record(SeriesMeanOracle, x, mo)
 	}

@@ -117,7 +117,7 @@ func TestManualEngineDoesNotStep(t *testing.T) {
 	if e.Spent() != 0 || e.Done() {
 		t.Errorf("spent %d, done %v after refused steps", e.Spent(), e.Done())
 	}
-	if _, ok := e.ChooseNext(); !ok {
+	if _, _, ok := e.ChooseNext(); !ok {
 		t.Error("a manual engine must lease")
 	}
 }
@@ -451,7 +451,7 @@ func TestStallDetection(t *testing.T) {
 			plat.Review(w, false)
 		}
 	}
-	e := h.engine(t, Config{Budget: 5, Batch: 2, Platform: plat, MaxStallSteps: 50, Seed: 12})
+	e := h.engine(t, Config{Budget: 5, Batch: 2, Platform: plat, Seed: 12})
 	if err := e.Run(); !errors.Is(err, ErrStalled) {
 		t.Errorf("want ErrStalled, got %v", err)
 	}

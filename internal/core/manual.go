@@ -11,25 +11,27 @@ import (
 // ChooseResources with |Rc|=1, and SubmitPost is UPDATE.
 
 // ChooseNext assigns the next tagging task: it debits one task from the
-// budget and returns the chosen resource ID. ok=false when the budget is
-// exhausted or nothing is eligible. While a task is outstanding the
-// resource's post count, as seen by strategies, includes it (Algorithm 1
-// increments x_i at assignment time).
-func (e *Engine) ChooseNext() (string, bool) {
+// budget and returns the chosen resource ID, and whether the choice consumed
+// the resource's promotion (a promotion is one-shot, so a caller that stores
+// the flag clears it with this lease). ok=false when the budget is exhausted or
+// nothing is eligible. While a task is outstanding the resource's post
+// count, as seen by strategies, includes it (Algorithm 1 increments x_i at
+// assignment time).
+func (e *Engine) ChooseNext() (resourceID string, promoted, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.budget-e.spent <= 0 {
 		e.done = true
-		return "", false
+		return "", false, false
 	}
-	chosen := e.choose(1)
+	chosen, n := e.choose(1)
 	if len(chosen) == 0 {
 		e.done = true
-		return "", false
+		return "", false, false
 	}
 	idx := chosen[0]
 	e.debit(idx)
-	return e.resources[idx].ID, true
+	return e.resources[idx].ID, n == 1, true
 }
 
 // debit charges one outstanding task to resource i. Callers hold e.mu.

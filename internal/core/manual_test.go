@@ -12,13 +12,13 @@ func TestChooseNextDebitsBudget(t *testing.T) {
 	e := h.engine(t, Config{Budget: 3, Strategy: strategy.FewestPosts{}, Seed: 20})
 	seen := make(map[string]int)
 	for i := 0; i < 3; i++ {
-		id, ok := e.ChooseNext()
+		id, _, ok := e.ChooseNext()
 		if !ok {
 			t.Fatalf("choose %d failed", i)
 		}
 		seen[id]++
 	}
-	if _, ok := e.ChooseNext(); ok {
+	if _, _, ok := e.ChooseNext(); ok {
 		t.Error("budget exhausted: ChooseNext must refuse")
 	}
 	if e.Spent() != 3 {
@@ -38,7 +38,7 @@ func TestChooseNextFreeChoiceOverflowKeepsLeasing(t *testing.T) {
 	h := newHarness(t, 4, 5, 0)
 	e := h.engine(t, Config{Budget: 10, Strategy: strategy.FreeChoice{Theta: 1e308}, Seed: 25})
 	for i := 0; i < 10; i++ {
-		id, ok := e.ChooseNext()
+		id, _, ok := e.ChooseNext()
 		if !ok {
 			t.Fatalf("lease %d refused with %d of 10 tasks spent", i, e.Spent())
 		}
@@ -46,7 +46,7 @@ func TestChooseNextFreeChoiceOverflowKeepsLeasing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := e.ChooseNext(); ok {
+	if _, _, ok := e.ChooseNext(); ok {
 		t.Error("budget exhausted: ChooseNext must refuse")
 	}
 	if e.Spent() != 10 {
@@ -61,7 +61,7 @@ func TestChooseNextSeesPendingAsPosts(t *testing.T) {
 	e := h.engine(t, Config{Budget: 3, Strategy: strategy.FewestPosts{}, Seed: 21})
 	ids := make(map[string]bool)
 	for i := 0; i < 3; i++ {
-		id, ok := e.ChooseNext()
+		id, _, ok := e.ChooseNext()
 		if !ok {
 			t.Fatal("choose failed")
 		}
@@ -75,7 +75,7 @@ func TestChooseNextSeesPendingAsPosts(t *testing.T) {
 func TestSubmitPostCompletesTask(t *testing.T) {
 	h := newHarness(t, 3, 5, 0)
 	e := h.engine(t, Config{Budget: 2, Strategy: strategy.FewestPosts{}, Seed: 22})
-	id, ok := e.ChooseNext()
+	id, _, ok := e.ChooseNext()
 	if !ok {
 		t.Fatal("choose failed")
 	}
@@ -104,7 +104,7 @@ func TestSubmitPostCompletesTask(t *testing.T) {
 func TestSubmitPostRejectsEmptyTagsKeepsPending(t *testing.T) {
 	h := newHarness(t, 2, 5, 0)
 	e := h.engine(t, Config{Budget: 1, Strategy: strategy.FewestPosts{}, Seed: 23})
-	id, _ := e.ChooseNext()
+	id, _, _ := e.ChooseNext()
 	if err := e.SubmitPost(id, "t", nil); err == nil {
 		t.Fatal("empty post must fail")
 	}
@@ -119,8 +119,8 @@ func TestSubmitPostRejectsEmptyTagsKeepsPending(t *testing.T) {
 func TestCancelPendingRefunds(t *testing.T) {
 	h := newHarness(t, 2, 5, 0)
 	e := h.engine(t, Config{Budget: 1, Strategy: strategy.FewestPosts{}, Seed: 24})
-	id, _ := e.ChooseNext()
-	if _, ok := e.ChooseNext(); ok {
+	id, _, _ := e.ChooseNext()
+	if _, _, ok := e.ChooseNext(); ok {
 		t.Fatal("budget should be exhausted")
 	}
 	if err := e.CancelPending(id); err != nil {
@@ -130,7 +130,7 @@ func TestCancelPendingRefunds(t *testing.T) {
 		t.Errorf("spent after cancel = %d", e.Spent())
 	}
 	// The refunded task is choosable again (on either resource: both tie).
-	again, ok := e.ChooseNext()
+	again, _, ok := e.ChooseNext()
 	if !ok {
 		t.Fatal("refunded budget must be spendable")
 	}
@@ -158,7 +158,7 @@ func TestChooseNextHonorsPromotion(t *testing.T) {
 	if err := e.Promote("r0004"); err != nil {
 		t.Fatal(err)
 	}
-	id, ok := e.ChooseNext()
+	id, _, ok := e.ChooseNext()
 	if !ok || id != "r0004" {
 		t.Errorf("promoted resource not chosen: %s", id)
 	}

@@ -181,7 +181,7 @@ func (w *propWorld) assign() {
 			}
 		}
 	}
-	id, ok := e.ChooseNext()
+	id, _, ok := e.ChooseNext()
 	if ok != (len(want) > 0) {
 		t.Fatalf("ChooseNext ok=%v, reference expects %d candidates", ok, len(want))
 	}
@@ -416,7 +416,7 @@ func fairnessLevels(t *testing.T, s strategy.Strategy) {
 		var perm [n]int
 		seen := [n]bool{}
 		for k := 0; k < n; k++ {
-			id, ok := e.ChooseNext()
+			id, _, ok := e.ChooseNext()
 			if !ok {
 				t.Fatal("budget ran out")
 			}
@@ -473,7 +473,7 @@ func TestFPMUFlipsWhenLastResourceReachesK0(t *testing.T) {
 		return h.engine(t, Config{Resources: resources, Strategy: s, Budget: 100, Seed: 5}), s
 	}
 	post := func(e *Engine) {
-		id, ok := e.ChooseNext()
+		id, _, ok := e.ChooseNext()
 		if !ok {
 			t.Fatal("no task")
 		}
@@ -506,7 +506,7 @@ func TestFPMUFlipsWhenLastResourceReachesK0(t *testing.T) {
 	if err := e.StopResource(e.resources[straggler].ID); err != nil {
 		t.Fatal(err)
 	}
-	id, ok := e.ChooseNext()
+	id, _, ok := e.ChooseNext()
 	if !ok || s.Phase() != "mu" {
 		t.Fatalf("stopping the straggler must flip the next choice to MU (ok=%v phase=%s)", ok, s.Phase())
 	}
@@ -523,7 +523,7 @@ func TestFPMUBudgetFractionOnIndexPath(t *testing.T) {
 	s := &strategy.FPMU{SwitchFraction: 0.5, TotalBudget: 10}
 	e := h.engine(t, Config{Strategy: s, Budget: 10, Seed: 9})
 	for k := 1; k <= 6; k++ {
-		if _, ok := e.ChooseNext(); !ok {
+		if _, _, ok := e.ChooseNext(); !ok {
 			t.Fatal("no task")
 		}
 		// The trigger is read before each choice: it sees k-1 picks.

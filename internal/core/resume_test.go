@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -168,6 +169,84 @@ func TestResumeRunsAfterFailover(t *testing.T) {
 	}
 	if tag2 == tagger || tag2 <= tagger {
 		t.Fatalf("new tagger ID %q collides with or precedes replicated %q", tag2, tagger)
+	}
+}
+
+// TestPromotionSurvivesResume: a promotion is stored with its resource, so
+// a service rebuilt over the same catalog (a restart, a failover) leases the
+// promoted resource first; the lease that consumes it clears the stored
+// flag in its own commit, so the service rebuilt after that lease follows
+// the strategy again.
+func TestPromotionSurvivesResume(t *testing.T) {
+	ctx := context.Background()
+	db := store.OpenMemory()
+	resume := func() *Service {
+		t.Helper()
+		s := NewService(store.NewCatalog(db), 7)
+		if n, err := s.ResumeRuns(ctx); err != nil || n != 1 {
+			t.Fatalf("ResumeRuns = %d, %v; want one run", n, err)
+		}
+		return s
+	}
+	promoted := func(s *Service) bool {
+		t.Helper()
+		r, err := s.Catalog().GetResource("res-00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Promoted
+	}
+	s1 := NewService(store.NewCatalog(db), 7)
+	prov, err := s1.RegisterProvider(ctx, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagger, err := s1.RegisterTagger(ctx, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ProjectSpec{ProviderID: prov, Name: "promoted", Budget: 20, PayPerTask: 0.05, Strategy: "fp"}
+	for i := 0; i < 10; i++ {
+		spec.Resources = append(spec.Resources, dataset.Resource{ID: fmt.Sprintf("res-%02d", i)})
+	}
+	proj, err := s1.CreateProject(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Promote(ctx, proj, "res-00"); err != nil {
+		t.Fatal(err)
+	}
+	if !promoted(s1) {
+		t.Fatal("Promote did not store the flag")
+	}
+
+	s2 := resume()
+	task, err := s2.RequestTask(ctx, proj, tagger)
+	if err != nil || task.ResourceID != "res-00" {
+		t.Fatalf("the resumed service leased %q (%v), want the promoted res-00", task.ResourceID, err)
+	}
+	if promoted(s2) {
+		t.Fatal("the lease that consumed the promotion left the stored flag set")
+	}
+
+	s3 := resume()
+	if st, err := s3.ResourceDetail(ctx, proj, "res-00"); err != nil || st.Promoted {
+		t.Fatalf("res-00 after the second resume = %+v, %v; want its promotion spent", st, err)
+	}
+	if task, err := s3.RequestTask(ctx, proj, tagger); err != nil || task.ResourceID == "res-00" {
+		t.Fatalf("after the promotion was spent the resumed service leased %q (%v); fp picks a resource with fewer posts", task.ResourceID, err)
+	}
+
+	// A tasks:batch call clears the flag in the commit of its items.
+	if err := s3.Promote(ctx, proj, "res-00"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s3.BatchTasks(ctx, proj, []BatchItem{{TaggerID: tagger}, {TaggerID: tagger, Tags: []string{"x"}}})
+	if err != nil || len(out) != 2 || out[0].ResourceID != "res-00" || out[0].Err != nil || out[1].Err != nil {
+		t.Fatalf("BatchTasks after a promotion = %+v, %v; want its first lease on res-00", out, err)
+	}
+	if promoted(s3) {
+		t.Fatal("the batch that consumed the promotion left the stored flag set")
 	}
 }
 

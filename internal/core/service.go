@@ -361,7 +361,10 @@ func (s *Service) run(projectID string) (*Run, error) {
 
 // --- provider controls ----------------------------------------------------------
 
-// Promote forwards to the project's engine.
+// Promote queues the resource in the project's engine and stores the flag,
+// as StopResource stores Stopped, so a restart or a failover rebuilds the
+// run with the promotion still pending. The lease that consumes it clears
+// the flag in its own commit (commitLease, BatchTasks).
 func (s *Service) Promote(ctx context.Context, projectID, resourceID string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -370,7 +373,10 @@ func (s *Service) Promote(ctx context.Context, projectID, resourceID string) err
 	if err != nil {
 		return err
 	}
-	return run.Engine.Promote(resourceID)
+	if err := run.Engine.Promote(resourceID); err != nil {
+		return err
+	}
+	return s.flagResource(resourceID, func(r *store.ResourceRec) { r.Promoted = true })
 }
 
 // StopResource forwards to the project's engine.
@@ -647,14 +653,27 @@ func (s *Service) tagger(taggerID string) (string, error) {
 // lease debits one task from the project's budget for the tagger whose
 // stored ID is worker and mints its record. Nothing is written and the task
 // cannot be submitted yet: the caller holds it and writes it, or refunds it.
-func (s *Service) lease(projectID, worker string) (*Run, store.TaskRec, error) {
+// A lease that consumed its resource's promotion also returns the stored
+// resource record with the flag cleared, for the caller to write in the
+// same commit as the task; otherwise that record is nil.
+func (s *Service) lease(projectID, worker string) (*Run, store.TaskRec, *store.ResourceRec, error) {
 	run, err := s.run(projectID)
 	if err != nil {
-		return nil, store.TaskRec{}, err
+		return nil, store.TaskRec{}, nil, err
 	}
-	resourceID, ok := run.Engine.ChooseNext()
+	resourceID, promoted, ok := run.Engine.ChooseNext()
 	if !ok {
-		return nil, store.TaskRec{}, errs.New(errs.ComponentCore, errs.CategoryExhausted, "project budget exhausted")
+		return nil, store.TaskRec{}, nil, errs.New(errs.ComponentCore, errs.CategoryExhausted, "project budget exhausted")
+	}
+	var unpromoted *store.ResourceRec
+	if promoted {
+		r, err := s.cat.GetResource(resourceID)
+		if err != nil {
+			_ = run.Engine.CancelPending(resourceID) // cannot fail: the task was just debited
+			return nil, store.TaskRec{}, nil, err
+		}
+		r.Promoted = false
+		unpromoted = &r
 	}
 	run.mu.Lock()
 	run.taskSeq++
@@ -667,7 +686,21 @@ func (s *Service) lease(projectID, worker string) (*Run, store.TaskRec, error) {
 		WorkerID: worker, Status: store.TaskAssigned,
 		Reward:    run.Engine.cfg.PayPerTask,
 		CreatedAt: s.nowFunc(),
-	}, nil
+	}, unpromoted, nil
+}
+
+// commitLease writes a leased task, and with it, as one commit, the
+// resource record lease returned when the task consumed a promotion. If the
+// commit fails the store still holds the flag, and the run rebuilt from it
+// (a failed WAL takes no further commit) promotes the resource again.
+func (s *Service) commitLease(t store.TaskRec, unpromoted *store.ResourceRec) error {
+	if unpromoted == nil {
+		return s.cat.PutTask(t)
+	}
+	ws := s.cat.Begin(2)
+	_ = ws.PutTask(t) // lease minted both IDs; an encode error is Commit's
+	_ = ws.PutResource(*unpromoted)
+	return ws.Commit()
 }
 
 // hold makes an assigned task submittable: t is the record as written.
@@ -696,12 +729,12 @@ func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (
 	if err != nil {
 		return store.TaskRec{}, err
 	}
-	run, rec, err := s.lease(projectID, worker)
+	run, rec, unpromoted, err := s.lease(projectID, worker)
 	if err != nil {
 		return store.TaskRec{}, err
 	}
 	run.hold(rec)
-	if err := s.cat.PutTask(rec); err != nil {
+	if err := s.commitLease(rec, unpromoted); err != nil {
 		run.refund(rec.ID, rec.ResourceID)
 		return store.TaskRec{}, err
 	}
@@ -797,10 +830,13 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 			}
 			workers[item.TaggerID] = worker
 		}
-		r, rec, err := s.lease(projectID, worker)
+		r, rec, unpromoted, err := s.lease(projectID, worker)
 		if err != nil {
 			out = append(out, BatchResult{Err: err})
 			continue
+		}
+		if unpromoted != nil {
+			_ = ws.PutResource(*unpromoted) // stored once already; an encode error is Commit's
 		}
 		run = r
 		res := BatchResult{TaskID: rec.ID, ResourceID: rec.ResourceID}

@@ -827,7 +827,7 @@ func TestRequestTaskRefundsWhenTaskWriteFails(t *testing.T) {
 		t.Errorf("task mapping kept for a task nobody holds: %v", run.tasks)
 	}
 	checkRank(t, run.Engine)
-	if id, ok := run.Engine.ChooseNext(); !ok || id != "u1" {
+	if id, _, ok := run.Engine.ChooseNext(); !ok || id != "u1" {
 		t.Errorf("next pick = %q, %v; want u1 back at zero posts", id, ok)
 	}
 }

@@ -282,8 +282,9 @@ func TestConditionalGET(t *testing.T) {
 		}
 	}
 
-	// One paid post on r5: a promoted resource is the next one leased.
-	snapshot()
+	// One paid post on r5: a promoted resource is the next one leased. The
+	// stored promotion and the lease that clears it are resources-table
+	// writes, so the views are taken once the lease is written.
 	if err := w.svc.Promote(ctx, w.project, "r5"); err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +292,7 @@ func TestConditionalGET(t *testing.T) {
 	if err != nil || task.ResourceID != "r5" {
 		t.Fatalf("lease after promote = %q, %v; want r5", task.ResourceID, err)
 	}
+	snapshot()
 	if err := w.svc.SubmitTask(ctx, w.project, task.ID, []string{"go", "fresh"}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,149 +2,61 @@ package store
 
 // Fuzz targets over WAL recovery: arbitrary byte corruption and truncation
 // of segment and snapshot files must never panic and never produce a state
-// that is not an exact prefix of the committed history — in particular a
-// delete must never be silently dropped while later records survive
-// (resurrection). Seed corpus lives in testdata/fuzz/<FuzzName>/.
+// that does not read as the model of a prefix of the committed history — in
+// particular a delete must never be silently dropped while later records
+// survive (resurrection). Seed corpus lives in testdata/fuzz/<FuzzName>/.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"testing"
 
 	"itag/internal/errs"
 )
 
-// fuzzOp is one step of the canonical history the fuzz targets corrupt.
-type fuzzOp struct {
-	op    Op
-	key   string
-	val   int
-	batch []Mutation
+// fuzzHistory is the canonical history the fuzz targets corrupt, one Apply
+// a step: puts, overwrites, deletes and a batch, so every recovery prefix
+// is distinguishable and deletions can "resurrect".
+var fuzzHistory = [][]Mutation{
+	{putRec("t", "a", "1")},
+	{putRec("t", "b", "2")},
+	{putRec("t", "c", "3")},
+	{delRec("t", "a")},
+	{putRec("t", "d", "4"), delRec("t", "c")},
+	{putRec("t", "b", "9")},
+	{delRec("t", "d")},
+	{putRec("t", "e", "5")},
 }
 
-// fuzzHistory is fixed: puts, overwrites, deletes and a batch, so every
-// recovery prefix is distinguishable and deletions can "resurrect".
-var fuzzHistory = []fuzzOp{
-	{op: OpPut, key: "a", val: 1},
-	{op: OpPut, key: "b", val: 2},
-	{op: OpPut, key: "c", val: 3},
-	{op: OpDelete, key: "a"},
-	{op: OpBatch, batch: []Mutation{
-		{Op: OpPut, Table: "t", Key: "d", Value: jsonOf(4)},
-		{Op: OpDelete, Table: "t", Key: "c"},
-	}},
-	{op: OpPut, key: "b", val: 9},
-	{op: OpDelete, key: "d"},
-	{op: OpPut, key: "e", val: 5},
-}
-
-// applyFuzzHistory drives the ops from[i:j) into the store.
+// applyFuzzHistory drives the steps [from, to) into the store.
 func applyFuzzHistory(s Store, from, to int) error {
-	for _, op := range fuzzHistory[from:to] {
-		var err error
-		switch op.op {
-		case OpPut:
-			err = s.Put("t", op.key, op.val)
-		case OpDelete:
-			err = s.Delete("t", op.key)
-		case OpBatch:
-			err = s.Apply(op.batch)
-		}
-		if err != nil {
+	for _, muts := range fuzzHistory[from:to] {
+		if err := s.Apply(muts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fuzzPrefixStates returns the model state after every prefix of the
-// history (index i = state after the first i ops).
-func fuzzPrefixStates() []map[string]int {
-	states := []map[string]int{{}}
-	cur := map[string]int{}
-	for _, op := range fuzzHistory {
-		switch op.op {
-		case OpPut:
-			cur[op.key] = op.val
-		case OpDelete:
-			delete(cur, op.key)
-		case OpBatch:
-			for _, m := range op.batch {
-				if m.Op == OpPut {
-					cur[m.Key], _ = strconv.Atoi(string(m.Value))
-				} else {
-					delete(cur, m.Key)
-				}
-			}
-		}
-		cp := make(map[string]int, len(cur))
-		for k, v := range cur {
-			cp[k] = v
-		}
-		states = append(states, cp)
-	}
-	return states
-}
-
-// readFuzzState flattens table "t" of a recovered store.
-func readFuzzState(t *testing.T, s Store) map[string]int {
-	t.Helper()
-	out := map[string]int{}
-	var bad error
-	s.Scan("t", func(key string, raw []byte) bool {
-		var v int
-		if err := json.Unmarshal(raw, &v); err != nil {
-			bad = fmt.Errorf("key %s: %w", key, err)
-			return false
-		}
-		out[key] = v
-		return true
-	})
-	if bad != nil {
-		t.Fatalf("recovered state unreadable: %v", bad)
-	}
-	return out
-}
-
-// requirePrefixState fails unless state matches some prefix of the history
-// at or past minPrefix — anything else means recovery invented, reordered
+// requirePrefixState fails unless a recovered store reads as the model of
+// some prefix of the history at or past minPrefix, through every read the
+// model's reader makes — anything else means recovery invented, reordered
 // or resurrected records.
-func requirePrefixState(t *testing.T, state map[string]int, minPrefix int, label string) {
+func requirePrefixState(t *testing.T, db *DB, minPrefix int, label string) {
 	t.Helper()
-	prefixes := fuzzPrefixStates()
-	for i := minPrefix; i < len(prefixes); i++ {
-		if reflect.DeepEqual(state, prefixes[i]) {
+	prefix := model{}
+	for i := 0; i <= len(fuzzHistory); i++ {
+		if i >= minPrefix && prefix.diff(db.loadIndex()) == "" {
+			prefix.check(t, fmt.Sprintf("%s (prefix %d)", label, i), db, nil)
 			return
 		}
-	}
-	t.Fatalf("%s: recovered state %v is not a committed-history prefix (>= %d): corruption was silently misapplied", label, state, minPrefix)
-}
-
-// requireTreeMatchesState holds the recovered tree itself — not just what a
-// Scan reports — against the oracle state: node invariants intact, key
-// count exact, every oracle key found by a descent and nothing else
-// iterated.
-func requireTreeMatchesState(t *testing.T, db *DB, state map[string]int, label string) {
-	t.Helper()
-	checkStoreTrees(t, label, db)
-	tr := db.table("t")
-	if tr.n != len(state) || db.Count("t") != len(state) {
-		t.Fatalf("%s: recovered tree counts %d keys, oracle holds %d", label, tr.n, len(state))
-	}
-	for k, v := range state {
-		if raw, ok := tr.get(k); !ok || string(raw) != fmt.Sprint(v) {
-			t.Fatalf("%s: recovered tree get(%q) = %q, %v; oracle holds %d", label, k, raw, ok, v)
+		if i < len(fuzzHistory) {
+			prefix.apply(fuzzHistory[i]...)
 		}
 	}
-	for _, e := range treeContents(tr) {
-		if _, ok := state[e.key]; !ok {
-			t.Fatalf("%s: recovered tree iterates %q, which the oracle does not hold", label, e.key)
-		}
-	}
+	t.Fatalf("%s: recovered state %q is not a committed-history prefix (>= %d): corruption was silently misapplied", label, modelOf(db.loadIndex()), minPrefix)
 }
 
 // corrupt applies the fuzzed mutation to a file: XOR one byte, then drop a
@@ -219,9 +131,7 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			return // corruption detected and reported: always acceptable
 		}
-		state := readFuzzState(t, db2)
-		requirePrefixState(t, state, 0, "FuzzReplay")
-		requireTreeMatchesState(t, db2, state, "FuzzReplay")
+		requirePrefixState(t, db2, 0, "FuzzReplay")
 		postRecoveryWriteCycle(t, path, Options{}, db2)
 	})
 }
@@ -285,18 +195,16 @@ func FuzzSegmentRecovery(f *testing.F) {
 		if target != files[0] && db2.Stats().SnapshotsLoaded == 1 {
 			minPrefix = mid
 		}
-		state := readFuzzState(t, db2)
-		requirePrefixState(t, state, minPrefix, "FuzzSegmentRecovery")
-		requireTreeMatchesState(t, db2, state, "FuzzSegmentRecovery")
+		requirePrefixState(t, db2, minPrefix, "FuzzSegmentRecovery")
 		postRecoveryWriteCycle(t, path, opts, db2)
 	})
 }
 
 // FuzzSnapshotLoad writes arbitrary bytes as P.snapshot and opens the
 // store: Open either refuses them as corruption or loads a state whose
-// SnapshotExport, loaded again, is the same state, its trees intact.
+// SnapshotExport, loaded again, reads as the same model at the same seq.
 func FuzzSnapshotLoad(f *testing.F) {
-	db := OpenMemory()
+	db := mustOpen(f, filepath.Join(f.TempDir(), "wal"), Options{})
 	if err := applyFuzzHistory(db, 0, len(fuzzHistory)); err != nil {
 		f.Fatal(err)
 	}
@@ -304,6 +212,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	db.Close()
 	v1, err := os.ReadFile(v1Snapshot)
 	if err != nil {
 		f.Fatal(err)
@@ -312,45 +221,44 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(v1)
 	f.Add(img[:len(img)-5]) // the last line torn
 	f.Fuzz(func(t *testing.T, data []byte) {
-		load := func(data []byte) (*DB, map[string]map[string]string) {
+		load := func(data []byte) *DB {
 			path := filepath.Join(t.TempDir(), "wal")
 			if err := os.WriteFile(path+snapSuffix, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			db, err := Open(path, Options{})
-			if err != nil {
-				if errs.CategoryOf(err) != errs.CategoryCorruption {
-					t.Fatalf("Open refused a snapshot with %v, not a corruption error", err)
-				}
-				return nil, nil
+			if err != nil && errs.CategoryOf(err) != errs.CategoryCorruption {
+				t.Fatalf("Open refused a snapshot with %v, not a corruption error", err)
 			}
-			checkStoreTrees(t, "loaded snapshot", db)
-			return db, dumpAll(t, db)
+			return db
 		}
-		db, state := load(data)
+		db := load(data)
 		if db == nil {
 			return
 		}
 		defer db.Close()
+		state := modelOf(db.loadIndex())
+		state.check(t, "loaded snapshot", db, nil)
 		again, err := db.SnapshotExport()
 		if err != nil {
 			t.Fatal(err)
 		}
-		db2, state2 := load(again)
+		db2 := load(again)
 		if db2 == nil {
 			t.Fatalf("the export of a loaded snapshot does not load:\n%q", again)
 		}
 		defer db2.Close()
-		if !reflect.DeepEqual(state, state2) || db.Seq() != db2.Seq() {
-			t.Fatalf("snapshot loads to %v at %d, its export to %v at %d", state, db.Seq(), state2, db2.Seq())
+		state.check(t, "the loaded snapshot's export", db2, nil)
+		if db.Seq() != db2.Seq() {
+			t.Fatalf("snapshot loads at seq %d, its export at %d", db.Seq(), db2.Seq())
 		}
 	})
 }
 
 // FuzzApply decodes bytes into a sequence of multi-record applies onto two
 // tables — puts, overwrites, deletes, keys repeated within an apply, runs of
-// up to 60 consecutive keys onto one leaf — and holds the index to the map
-// oracle and the tree invariants after every apply (indexModel.apply). Each
+// up to 60 consecutive keys onto one leaf — and holds the index to the
+// model and the tree invariants after every apply (indexModel.apply). Each
 // byte pair is one step: the first byte's low three bits pick apply-now,
 // delete, run or put, its top bit the table, its middle bits a run's length;
 // the second byte picks the key.

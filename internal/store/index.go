@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Node fill: a merge cuts a node's items into even parts of at most
@@ -201,9 +202,9 @@ type op struct {
 
 // merger is an apply's scratch: the flattened ops, the puts of the table
 // being merged, the entries of the leaf being rebuilt, and a stack of the
-// slots of the branches being rebuilt. It keeps its capacity from one apply
-// to the next and clears what it used, so it pins no value the tree has
-// dropped.
+// slots of the branches being rebuilt. It clears what it used, so it pins
+// no value the tree has dropped, and keeps each slice's capacity from one
+// apply to the next only while it is within keptFrameBytes.
 type merger struct {
 	ops  []op
 	run  []entry
@@ -231,8 +232,9 @@ func (m *merger) add(recs ...Record) {
 
 // apply folds the ops added since the last apply into a copy of x and
 // returns it; x stays as it was. The last op on a key wins, and a table
-// exists from its first put on, even if the same apply empties it. Deletes
-// go one by one through del; the puts of a table are one merge.
+// exists while it holds a key: one the apply empties is dropped, as a
+// snapshot of it would drop it. Deletes go one by one through del; the
+// puts of a table are one merge.
 func (m *merger) apply(x dbIndex) dbIndex {
 	if len(m.ops) > 1 {
 		slices.SortFunc(m.ops, func(a, b op) int {
@@ -271,13 +273,27 @@ func (m *merger) apply(x dbIndex) dbIndex {
 				m.run = append(m.run, entry{o.key, o.val})
 			}
 		}
-		next[i].tree = m.merge(t, m.run)
+		if next[i].tree = m.merge(t, m.run); next[i].n == 0 {
+			next = slices.Delete(next, i, i+1)
+		}
 		clear(m.run)
 		m.run = m.run[:0]
 	}
 	clear(m.ops)
 	m.ops = m.ops[:0]
+	m.ops, m.run, m.ents, m.kids = kept(m.ops), kept(m.run), kept(m.ents), kept(m.kids)
 	return next
+}
+
+// kept returns s, or nil once it holds more than keptFrameBytes: a
+// tagger's commit, or a batch of them, fits many times over, and what a
+// preload, a replay or a large shipment grew is let go rather than held
+// for the life of the store. The WAL's frame buffer keeps by the same rule.
+func kept[T any](s []T) []T {
+	if uintptr(cap(s))*unsafe.Sizeof(*new(T)) > keptFrameBytes {
+		return nil
+	}
+	return s
 }
 
 // merge returns t with run — ascending distinct keys — put into it, adding

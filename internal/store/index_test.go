@@ -1,9 +1,9 @@
 package store
 
 // Tests for the persistent B+tree behind DB (index.go): structural
-// invariants after every operation, agreement with a map-plus-sort oracle
-// (kept here, in test code, only), and snapshot isolation — a reader
-// holding an old root keeps seeing exactly that version.
+// invariants after every operation, agreement with the model
+// (model_test.go), and snapshot isolation — a reader holding an old root
+// keeps seeing exactly that version.
 
 import (
 	"bytes"
@@ -12,10 +12,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // checkTree asserts the node invariants of one tree version: keys strictly
@@ -101,34 +102,25 @@ func checkStoreTrees(t testing.TB, label string, db *DB) {
 }
 
 // treeContents drains a tree version through its iterator.
-func treeContents(tr tree) []refEntry {
-	var out []refEntry
+func treeContents(tr tree) []entry {
+	var out []entry
 	for it := tr.iter("", ""); it.ok; it.advance() {
-		out = append(out, refEntry{it.key, it.val})
+		out = append(out, entry{it.key, it.val})
 	}
-	return out
-}
-
-func oracleContents(m map[string][]byte) []refEntry {
-	out := make([]refEntry, 0, len(m))
-	for k, v := range m {
-		out = append(out, refEntry{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 
 // indexModel drives multi-record applies through one merger — reused, as
-// the DB reuses its own — and checks the index against a map oracle after
+// the DB reuses its own — and checks the index against the model after
 // every apply: every table's tree invariants, its full contents, and a
 // merger left with nothing in its scratch.
 type indexModel struct {
-	m      merger
-	x      dbIndex
-	oracle map[string]map[string][]byte // a table is present from its first put on
+	m     merger
+	x     dbIndex
+	model model
 }
 
-func newIndexModel() *indexModel { return &indexModel{oracle: map[string]map[string][]byte{}} }
+func newIndexModel() *indexModel { return &indexModel{model: model{}} }
 
 func putRec(table, key, val string) Record {
 	return Record{Op: OpPut, Table: table, Key: key, Value: []byte(val)}
@@ -146,37 +138,22 @@ func (im *indexModel) apply(t testing.TB, label string, recs ...Record) {
 		} else if i < 2 {
 			im.m.add(rec)
 		}
-		tab := im.oracle[rec.Table]
-		switch {
-		case rec.Op == OpPut && tab == nil:
-			im.oracle[rec.Table] = map[string][]byte{rec.Key: rec.Value}
-		case rec.Op == OpPut:
-			tab[rec.Key] = rec.Value
-		default:
-			delete(tab, rec.Key)
-		}
 	}
+	im.model.apply(recs...)
 	im.x = im.m.apply(im.x)
 	im.check(t, label)
 }
 
 func (im *indexModel) check(t testing.TB, label string) {
 	t.Helper()
-	if len(im.x) != len(im.oracle) {
-		t.Fatalf("%s: index holds %d tables, oracle %d", label, len(im.x), len(im.oracle))
-	}
 	for i, tab := range im.x {
 		if i > 0 && im.x[i-1].name >= tab.name {
 			t.Fatalf("%s: tables out of order: %q then %q", label, im.x[i-1].name, tab.name)
 		}
-		want, ok := im.oracle[tab.name]
-		if !ok {
-			t.Fatalf("%s: index holds table %q, oracle does not", label, tab.name)
-		}
 		checkTree(t, label+"/"+tab.name, tab.tree)
-		if got := treeContents(tab.tree); !entriesEqual(got, oracleContents(want)) {
-			t.Fatalf("%s: table %s holds %d entries, oracle %d (or they differ)", label, tab.name, len(got), len(want))
-		}
+	}
+	if d := im.model.diff(im.x); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 	requireScratchClean(t, label, &im.m)
 }
@@ -214,6 +191,48 @@ func requireScratchClean(t testing.TB, label string, m *merger) {
 	}
 }
 
+// TestMergeScratchIsBounded: the merge scratch keeps what a batch of
+// tagger commits needs — a 400-record apply, a tasks:batch call's, is
+// merged into the slices the apply before it left — but no slice above
+// keptFrameBytes: after a 1e5-record apply and one put, the largest apply
+// the store ever made is not held for its life.
+func TestMergeScratchIsBounded(t *testing.T) {
+	db := OpenMemory()
+	apply := func(n int) {
+		t.Helper()
+		muts := make([]Mutation, n)
+		for i := range muts {
+			v := strconv.Itoa(i)
+			muts[i] = Mutation{Op: OpPut, Table: "posts", Key: "res-" + v, Value: []byte(v)}
+		}
+		if err := db.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch := func() map[string]uintptr {
+		m := &db.mg
+		return map[string]uintptr{
+			"ops":  uintptr(cap(m.ops)) * unsafe.Sizeof(op{}),
+			"run":  uintptr(cap(m.run)) * unsafe.Sizeof(entry{}),
+			"ents": uintptr(cap(m.ents)) * unsafe.Sizeof(entry{}),
+			"kids": uintptr(cap(m.kids)) * unsafe.Sizeof(child{}),
+		}
+	}
+	apply(400)
+	if kept := scratch(); kept["ops"] < 400*unsafe.Sizeof(op{}) || kept["run"] < 400*unsafe.Sizeof(entry{}) {
+		t.Fatalf("a 400-record apply left scratch %v: a tasks:batch call allocates its merge again", kept)
+	}
+	apply(100000)
+	if err := db.Put("posts", "one", 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, size := range scratch() {
+		if size > keptFrameBytes {
+			t.Errorf("after a 1e5-record apply and a put the merge keeps %d bytes of %s, want at most %d", size, name, keptFrameBytes)
+		}
+	}
+}
+
 // TestTreeRandomOpsInvariants drives random multi-record applies — puts,
 // overwrites, deletes, keys repeated within an apply — at two tables
 // through growth to three levels and back down to empty, checking the
@@ -228,20 +247,20 @@ func TestTreeRandomOpsInvariants(t *testing.T) {
 		im := newIndexModel()
 		label := func(what string, a int) string { return fmt.Sprintf("seed %d %s %d", seed, what, a) }
 
-		// A table exists from its first put on: deletes alone do not make
-		// one, a put deleted in the same apply does.
+		// A table exists while it holds a key: deletes alone do not make
+		// one, nor does a put deleted in the same apply.
 		im.apply(t, label("delete-only", 0), delRec("t", "k00001"), delRec("t", "k00002"))
 		im.apply(t, label("put-then-delete", 0), putRec("u", "k00001", "x"), delRec("u", "k00001"))
-		if im.table("u").n != 0 || len(im.x) != 1 {
-			t.Fatalf("seed %d: want one empty table, have %d tables", seed, len(im.x))
+		if len(im.x) != 0 {
+			t.Fatalf("seed %d: want no table, have %d", seed, len(im.x))
 		}
 		if seed == 7 { // a snapshot-loaded start
 			ents := make([]entry, 500)
 			for i := range ents {
 				ents[i] = entry{fmt.Sprintf("k%05d", i*2), []byte(fmt.Sprintf("b%d", i))}
-				im.oracle["u"][ents[i].key] = ents[i].val
+				im.model.apply(putRec("u", ents[i].key, string(ents[i].val)))
 			}
-			im.x[0].tree = buildTree(ents)
+			im.x = dbIndex{{name: "u", tree: buildTree(ents)}}
 			im.check(t, label("buildTree", 0))
 		}
 		if seed == 42 { // one run of 300 into the empty table "t"
@@ -301,15 +320,13 @@ func TestTreeRandomOpsInvariants(t *testing.T) {
 		}
 		var rest []Record // whatever the drain left, deleted in one apply
 		for _, tab := range []string{"t", "u"} {
-			for k := range im.oracle[tab] {
+			for k := range im.model[tab] {
 				rest = append(rest, delRec(tab, k))
 			}
 		}
 		im.apply(t, label("final-drain", 0), rest...)
-		for _, tab := range im.x {
-			if tab.root != nil || tab.n != 0 {
-				t.Fatalf("seed %d: drained table %s not empty (n=%d)", seed, tab.name, tab.n)
-			}
+		if len(im.x) != 0 {
+			t.Fatalf("seed %d: the drained index still holds %d tables", seed, len(im.x))
 		}
 	}
 }
@@ -363,16 +380,16 @@ func TestBuildTreeInvariants(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	db := OpenMemory()
 	defer db.Close()
-	want := map[string][]byte{}
+	want := model{}
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("res-%03d/%04d", i%50, i)
 		if err := db.Put("posts", key, i); err != nil {
 			t.Fatal(err)
 		}
-		want[key] = []byte(fmt.Sprintf("%d", i))
+		want.apply(putRec("posts", key, fmt.Sprint(i)))
 	}
 	old := db.table("posts")
-	oldWant := oracleContents(want)
+	oldWant := want.entries("posts")
 	half := old.iter("", "")
 	for i := 0; i < len(oldWant)/2; i++ {
 		half.advance()
@@ -422,12 +439,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	checkTree(t, "old root", old)
 	for _, e := range oldWant {
-		if got, ok := old.get(e.key); !ok || !bytes.Equal(got, e.raw) {
-			t.Fatalf("old root get(%q) = %q, %v; want %q", e.key, got, ok, e.raw)
+		if got, ok := old.get(e.key); !ok || !bytes.Equal(got, e.val) {
+			t.Fatalf("old root get(%q) = %q, %v; want %q", e.key, got, ok, e.val)
 		}
 	}
 	for i := len(oldWant) / 2; i < len(oldWant); i++ {
-		if !half.ok || half.key != oldWant[i].key || !bytes.Equal(half.val, oldWant[i].raw) {
+		if !half.ok || half.key != oldWant[i].key || !bytes.Equal(half.val, oldWant[i].val) {
 			t.Fatalf("half-consumed iterator diverged at entry %d", i)
 		}
 		half.advance()
@@ -482,22 +499,17 @@ func TestCompactionCutCopiesNothing(t *testing.T) {
 	}
 }
 
-// heldVersion is a published index kept by a test together with what every
-// table held at that moment.
+// heldVersion is a published index kept by a test together with the model
+// of that moment.
 type heldVersion struct {
 	idx  dbIndex
-	want map[string][]refEntry
+	want model
 }
 
 func (h heldVersion) check(t *testing.T, label string) {
 	t.Helper()
-	for _, tab := range h.idx {
-		if got := treeContents(tab.tree); !entriesEqual(got, h.want[tab.name]) {
-			t.Fatalf("%s: table %s drifted: %d entries, want %d", label, tab.name, len(got), len(h.want[tab.name]))
-		}
-		if tab.n != len(h.want[tab.name]) {
-			t.Fatalf("%s: table %s count %d, want %d", label, tab.name, tab.n, len(h.want[tab.name]))
-		}
+	if d := h.want.diff(h.idx); d != "" {
+		t.Fatalf("%s: the version drifted: %s", label, d)
 	}
 }
 
@@ -513,14 +525,10 @@ func TestTransientEditsKeepEveryVersion(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		r := rand.New(rand.NewSource(seed))
 		db := OpenMemory()
-		model := map[string]map[string][]byte{"posts": {}, "tasks": {}}
+		m := model{}
 		var held []heldVersion
 		hold := func() {
-			h := heldVersion{idx: db.loadIndex(), want: map[string][]refEntry{}}
-			for _, tab := range tables {
-				h.want[tab] = oracleContents(model[tab])
-			}
-			held = append(held, h)
+			held = append(held, heldVersion{db.loadIndex(), m.clone()})
 		}
 		const applies = 100
 		for a := 0; a < applies; a++ {
@@ -542,13 +550,12 @@ func TestTransientEditsKeepEveryVersion(t *testing.T) {
 				key := fmt.Sprintf("k%04d", (a*13+r.Intn(40))%600)
 				if r.Intn(8) < delWeight {
 					muts = append(muts, Mutation{Op: OpDelete, Table: tab, Key: key})
-					delete(model[tab], key)
 				} else {
 					val := fmt.Sprintf("%d.%d", a, i)
 					muts = append(muts, Mutation{Op: OpPut, Table: tab, Key: key, Value: jsonOf(val)})
-					model[tab][key] = []byte(`"` + val + `"`)
 				}
 			}
+			m.apply(muts...)
 			if err := db.Apply(muts); err != nil {
 				t.Fatal(err)
 			}
@@ -623,10 +630,10 @@ func TestScannersSeeWholeBatchesDuringApply(t *testing.T) {
 								continue
 							}
 							if gens++; gen == nil {
-								gen = e.raw
+								gen = e.val
 							}
-							if !bytes.Equal(e.raw, gen) {
-								t.Errorf("a root holds half a batch: %s = %s after generation %s", e.key, e.raw, gen)
+							if !bytes.Equal(e.val, gen) {
+								t.Errorf("a root holds half a batch: %s = %s after generation %s", e.key, e.val, gen)
 								return
 							}
 						}
@@ -655,7 +662,7 @@ func TestScannersSeeWholeBatchesDuringApply(t *testing.T) {
 
 // nodeImage is a deep copy of what one node holds.
 type nodeImage struct {
-	ents []refEntry
+	ents []entry
 	kids []child
 }
 
@@ -666,7 +673,7 @@ func imageOf(tr tree) map[*node]nodeImage {
 	walk = func(n *node) {
 		img := nodeImage{kids: slices.Clone(n.kids)}
 		for _, e := range n.ents {
-			img.ents = append(img.ents, refEntry{e.key, bytes.Clone(e.val)})
+			img.ents = append(img.ents, entry{e.key, bytes.Clone(e.val)})
 		}
 		out[n] = img
 		for _, c := range n.kids {

@@ -30,6 +30,9 @@ package store
 //	InstallSnapshot replaces the follower's state with a shipped snapshot
 //	                image and resets its WAL to a fresh segment
 //
+// Each of these needs a WAL store: on one opened by OpenMemory every call
+// answers a validation error (errNeedsWAL).
+//
 // The tail window (tailWindow) is the steady-state path: a follower one
 // commit behind is answered by one copy of bytes its commit already framed —
 // no open, no reader, no decode. The file scan is the cold path: catch-up
@@ -60,6 +63,11 @@ import (
 // compacted away; the follower must install a snapshot and resume from its
 // sequence.
 var ErrSnapshotNeeded error = errs.New(errs.ComponentStore, errs.CategoryConflict, "wal tail compacted away; snapshot install required")
+
+// errNeedsWAL answers every replication call on a store opened by
+// OpenMemory: only a WAL store ships, takes a shipment or installs a
+// snapshot, since only its state is frames it can hand on.
+var errNeedsWAL error = errs.New(errs.ComponentStore, errs.CategoryValidation, "replication requires a WAL-backed store")
 
 // errTailRaced is the internal signal that a captured WAL file vanished
 // (compaction won the race); the caller retries with a fresh capture.
@@ -201,7 +209,7 @@ func (db *DB) AppliedSeq() uint64 { return db.st.appliedSeq.Load() }
 // memory path ships nothing beyond AppliedSeq.
 func (db *DB) ReplTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
 	if db.wal == nil {
-		return nil, 0, errs.New(errs.ComponentStore, errs.CategoryValidation, "replication requires a WAL-backed store")
+		return nil, 0, errNeedsWAL
 	}
 	if db.closed.Load() {
 		return nil, 0, ErrClosed
@@ -355,20 +363,16 @@ func readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes i
 // that serializes applies just long enough to pair the sequence with the
 // published index is all the capture costs.
 func (db *DB) SnapshotExport() ([]byte, error) {
+	w := db.wal
+	if w == nil {
+		return nil, errNeedsWAL
+	}
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	var seq uint64
-	var idx dbIndex
-	if w := db.wal; w != nil {
-		w.fmu.Lock()
-		seq, idx = w.lastApplied, db.loadIndex()
-		w.fmu.Unlock()
-	} else {
-		db.mu.RLock()
-		seq, idx = db.seq, db.loadIndex()
-		db.mu.RUnlock()
-	}
+	w.fmu.Lock()
+	seq, idx := w.lastApplied, db.loadIndex()
+	w.fmu.Unlock()
 	var buf bytes.Buffer
 	err := writeSnapshot(&buf, seq, idx) // a bytes.Buffer takes every write
 	return buf.Bytes(), err
@@ -397,35 +401,17 @@ func (db *DB) ApplyReplicated(data []byte) (uint64, error) {
 // (none for an empty shipment), which is what Catalog.ApplyReplicated
 // invalidates.
 func (db *DB) applyReplicated(data []byte) ([]Record, uint64, error) {
+	if db.wal == nil {
+		return nil, 0, errNeedsWAL
+	}
 	if len(data) == 0 {
 		return nil, db.AppliedSeq(), nil
-	}
-	if db.wal == nil {
-		return db.applyReplicatedMemory(data)
 	}
 	c := &pendingCommit{enc: data}
 	if err := db.commit(c); err != nil {
 		return nil, 0, err
 	}
 	return c.shipped, c.shipped[len(c.shipped)-1].Seq, nil
-}
-
-// applyReplicatedMemory is applyReplicated for in-memory followers.
-func (db *DB) applyReplicatedMemory(data []byte) ([]Record, uint64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed.Load() {
-		return nil, 0, ErrClosed
-	}
-	recs, err := parseReplicated(data, db.seq)
-	if err != nil {
-		return nil, 0, err
-	}
-	db.applyLocked(recs...)
-	db.seq = recs[len(recs)-1].Seq
-	db.st.appliedSeq.Store(db.seq)
-	db.st.commits.Add(uint64(len(recs)))
-	return recs, db.seq, nil
 }
 
 // parseReplicated decodes and validates a shipped frame batch against the
@@ -466,25 +452,14 @@ func parseReplicated(data []byte, seq uint64) ([]Record, error) {
 // in flight, and a follower's sender ships one request at a time, so an
 // install never overlaps a queued shipment.
 func (db *DB) InstallSnapshot(data []byte) error {
+	w := db.wal
+	if w == nil {
+		return errNeedsWAL
+	}
 	seq, idx, err := readSnapshot(bufio.NewReaderSize(bytes.NewReader(data), 1<<16), "replicated snapshot")
 	if err != nil {
 		return err
 	}
-	if db.wal == nil {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		if db.closed.Load() {
-			return ErrClosed
-		}
-		if seq <= db.seq {
-			return errs.New(errs.ComponentStore, errs.CategoryConflict, "snapshot seq %d is not ahead of local seq %d", seq, db.seq)
-		}
-		db.idx.Store(&idx)
-		db.seq = seq
-		db.st.appliedSeq.Store(seq)
-		return nil
-	}
-	w := db.wal
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
 	if err := db.Err(); err != nil {

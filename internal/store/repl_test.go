@@ -14,38 +14,6 @@ import (
 	"itag/internal/errs"
 )
 
-func dumpAll(t *testing.T, db *DB) map[string]map[string]string {
-	t.Helper()
-	out := make(map[string]map[string]string)
-	for _, table := range db.Tables() {
-		m := make(map[string]string)
-		db.Scan(table, func(key string, raw []byte) bool {
-			m[key] = string(raw)
-			return true
-		})
-		out[table] = m
-	}
-	return out
-}
-
-func diffStates(t *testing.T, want, got map[string]map[string]string) {
-	t.Helper()
-	for table, wm := range want {
-		gm := got[table]
-		for k, v := range wm {
-			if gm[k] != v {
-				t.Fatalf("table %s key %s: leader %q, follower %q", table, k, v, gm[k])
-			}
-		}
-		if len(gm) != len(wm) {
-			t.Fatalf("table %s: leader holds %d keys, follower %d", table, len(wm), len(gm))
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("leader has %d tables, follower %d", len(want), len(got))
-	}
-}
-
 // shipOnce ships one ReplTail batch from leader to follower, transparently
 // falling back to a snapshot install — what one round of the cluster's
 // replication stream does. Returns false once the follower is caught up.
@@ -122,8 +90,8 @@ func TestReplicationRoundTrip(t *testing.T) {
 	// Small maxBytes forces many polls and record-boundary chunking across
 	// the rotated segment files.
 	catchUp(t, leader, follower, 256)
-	want := dumpAll(t, leader)
-	diffStates(t, want, dumpAll(t, follower))
+	want := modelOf(leader.loadIndex())
+	want.check(t, "follower", follower, nil)
 
 	// The follower's own WAL must be a valid standalone store: reopen it
 	// cold and recover the same state and watermark.
@@ -139,14 +107,14 @@ func TestReplicationRoundTrip(t *testing.T) {
 	if got := follower.AppliedSeq(); got != seq {
 		t.Fatalf("recovered watermark %d, want %d", got, seq)
 	}
-	diffStates(t, want, dumpAll(t, follower))
+	want.check(t, "follower", follower, nil)
 
 	// And it keeps replicating from where it recovered.
 	if err := leader.Put("res", "res-after-reopen", 1); err != nil {
 		t.Fatal(err)
 	}
 	catchUp(t, leader, follower, 1<<20)
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
 // TestReplTailBudgetBoundary pins the budget contract the cluster's follower
@@ -178,7 +146,7 @@ func TestReplTailBudgetBoundary(t *testing.T) {
 		}
 	}
 
-	follower := mustOpenRepl(t, filepath.Join(dir, "follower.wal"))
+	follower := mustOpen(t, filepath.Join(dir, "follower.wal"), Options{SyncEvery: 1})
 	defer follower.Close()
 	sawOversized := false
 	for rounds := 0; ; rounds++ {
@@ -209,7 +177,7 @@ func TestReplTailBudgetBoundary(t *testing.T) {
 	if !sawOversized {
 		t.Fatal("the oversized record never forced an over-budget single-record response")
 	}
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
 // TestTailCursorsAreTheirReaders: two readers paging the same WAL from
@@ -359,7 +327,7 @@ func TestReplicationSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	catchUp(t, leader, follower, 1<<20)
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 	if got := follower.Stats().SnapshotSeq; got == 0 {
 		t.Fatal("installed snapshot did not set the follower's snapshot seq")
 	}
@@ -383,35 +351,46 @@ func TestReplicationSnapshotFallback(t *testing.T) {
 	if follower.Has("res", "res-0005") {
 		t.Fatal("deleted key resurrected through snapshot install + recovery")
 	}
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
-func TestReplicationToMemoryFollower(t *testing.T) {
-	dir := t.TempDir()
-	leader, err := Open(filepath.Join(dir, "leader.wal"), Options{})
+// TestReplTailRequiresWAL: only a WAL store replicates. On a memory store
+// every replication call answers a validation error and changes nothing.
+func TestReplTailRequiresWAL(t *testing.T) {
+	leader := mustOpen(t, filepath.Join(t.TempDir(), "leader.wal"), Options{SyncEvery: 1})
+	defer leader.Close()
+	if err := leader.Put("t", "k", 1); err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := leader.ReplTail(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leader.Close()
-	follower := OpenMemory()
-	defer follower.Close()
-	for i := 0; i < 20; i++ {
-		if err := leader.Put("res", fmt.Sprintf("res-%04d", i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	catchUp(t, leader, follower, 300)
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
-}
-
-func TestReplTailRequiresWAL(t *testing.T) {
-	db := OpenMemory()
-	defer db.Close()
-	if err := db.Put("t", "k", 1); err != nil {
+	img, err := leader.SnapshotExport()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.ReplTail(0, 0, nil); errs.CategoryOf(err) != errs.CategoryValidation {
-		t.Fatalf("ReplTail on memory store: %v, want validation error", err)
+	db := OpenMemory()
+	defer db.Close()
+	if err := db.Put("t", "mine", 2); err != nil {
+		t.Fatal(err)
+	}
+	want := modelOf(db.loadIndex())
+	_, _, tailErr := db.ReplTail(0, 0, nil)
+	_, exportErr := db.SnapshotExport()
+	_, applyErr := db.ApplyReplicated(frames)
+	_, emptyErr := db.ApplyReplicated(nil)
+	for name, err := range map[string]error{
+		"ReplTail": tailErr, "SnapshotExport": exportErr, "ApplyReplicated": applyErr,
+		"an empty ApplyReplicated": emptyErr, "InstallSnapshot": db.InstallSnapshot(img),
+	} {
+		if errs.CategoryOf(err) != errs.CategoryValidation {
+			t.Errorf("%s on a memory store: %v, want a validation error", name, err)
+		}
+	}
+	want.check(t, "memory store", db, nil)
+	if db.Seq() != 1 {
+		t.Fatalf("the memory store moved to seq %d", db.Seq())
 	}
 }
 
@@ -466,27 +445,26 @@ func TestApplyReplicatedRejectsBadBatches(t *testing.T) {
 			mangle func([]byte) []byte
 		}{tc.name, func([]byte) []byte { return frame }})
 	}
-	for _, follower := range []*DB{mustOpenRepl(t, filepath.Join(dir, "f-wal.wal")), OpenMemory()} {
-		for _, tc := range cases {
-			if _, aerr := follower.ApplyReplicated(tc.mangle(pristine)); errs.CategoryOf(aerr) != errs.CategoryCorruption {
-				t.Fatalf("%s: ApplyReplicated = %v, want corruption taxonomy error", tc.name, aerr)
-			}
-			if got := follower.AppliedSeq(); got != 0 {
-				t.Fatalf("%s: follower advanced to seq %d on a rejected batch", tc.name, got)
-			}
-			if n := follower.Count("res"); n != 0 {
-				t.Fatalf("%s: partial apply left %d keys", tc.name, n)
-			}
+	follower := mustOpen(t, filepath.Join(dir, "follower.wal"), Options{SyncEvery: 1})
+	defer follower.Close()
+	for _, tc := range cases {
+		if _, aerr := follower.ApplyReplicated(tc.mangle(pristine)); errs.CategoryOf(aerr) != errs.CategoryCorruption {
+			t.Fatalf("%s: ApplyReplicated = %v, want corruption taxonomy error", tc.name, aerr)
 		}
-		// The rejected attempts must not have poisoned the follower: the
-		// pristine batch still applies cleanly afterwards.
-		applied, aerr := follower.ApplyReplicated(pristine)
-		if aerr != nil || applied != last {
-			t.Fatalf("pristine batch after rejections: seq %d, err %v", applied, aerr)
+		if got := follower.AppliedSeq(); got != 0 {
+			t.Fatalf("%s: follower advanced to seq %d on a rejected batch", tc.name, got)
 		}
-		diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
-		follower.Close()
+		if n := follower.Count("res"); n != 0 {
+			t.Fatalf("%s: partial apply left %d keys", tc.name, n)
+		}
 	}
+	// The rejected attempts must not have poisoned the follower: the
+	// pristine batch still applies cleanly afterwards.
+	applied, aerr := follower.ApplyReplicated(pristine)
+	if aerr != nil || applied != last {
+		t.Fatalf("pristine batch after rejections: seq %d, err %v", applied, aerr)
+	}
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
 // refusedRecords are CRC-valid frames, at sequence 1, of records DB.Apply
@@ -534,15 +512,6 @@ func TestReplayRefusesRecordsApplyRefuses(t *testing.T) {
 	}
 }
 
-func mustOpenRepl(t *testing.T, path string) *DB {
-	t.Helper()
-	db, err := Open(path, Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
-
 func TestInstallSnapshotValidation(t *testing.T) {
 	dir := t.TempDir()
 	leader, err := Open(filepath.Join(dir, "leader.wal"), Options{})
@@ -563,7 +532,7 @@ func TestInstallSnapshotValidation(t *testing.T) {
 	// Corrupt image: flip a body byte.
 	bad := bytes.Clone(img)
 	bad[len(bad)-2] ^= 0xFF
-	follower := mustOpenRepl(t, filepath.Join(dir, "f.wal"))
+	follower := mustOpen(t, filepath.Join(dir, "f.wal"), Options{SyncEvery: 1})
 	defer follower.Close()
 	if ierr := follower.InstallSnapshot(bad); errs.CategoryOf(ierr) != errs.CategoryCorruption {
 		t.Fatalf("corrupt snapshot install = %v, want corruption error", ierr)
@@ -577,7 +546,7 @@ func TestInstallSnapshotValidation(t *testing.T) {
 	if ierr := follower.InstallSnapshot(img); errs.CategoryOf(ierr) != errs.CategoryConflict {
 		t.Fatalf("stale snapshot install = %v, want conflict error", ierr)
 	}
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
 // TestReplicationConcurrentWriters streams the tail while writers are still
@@ -589,7 +558,7 @@ func TestReplicationConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	follower := mustOpenRepl(t, filepath.Join(dir, "follower.wal"))
+	follower := mustOpen(t, filepath.Join(dir, "follower.wal"), Options{SyncEvery: 1})
 	defer follower.Close()
 
 	const writers, each = 4, 150
@@ -613,7 +582,7 @@ func TestReplicationConcurrentWriters(t *testing.T) {
 		select {
 		case <-done:
 			catchUp(t, leader, follower, 1<<20)
-			diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+			modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 			return
 		default:
 		}
@@ -693,21 +662,21 @@ func TestTornShipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// states[s] is the leader's state at sequence s; the leader commits one
-	// record at a time, so every sequence has one.
-	states := map[uint64]map[string]map[string]string{0: dumpAll(t, leader)}
+	// states[s] is the model at sequence s; the leader commits one record
+	// at a time, so every sequence has one.
+	m := model{}
+	states := map[uint64]model{0: m.clone()}
 	write := func(from, to int) {
 		for i := from; i < to; i++ {
-			var err error
-			if i%7 == 6 {
-				err = leader.Delete("res", fmt.Sprintf("res-%04d", i-3))
-			} else {
-				err = leader.Put("res", fmt.Sprintf("res-%04d", i), kv{V: "v", N: i})
+			mu := delRec("res", fmt.Sprintf("res-%04d", i-3))
+			if i%7 != 6 {
+				mu = putRec("res", fmt.Sprintf("res-%04d", i), fmt.Sprintf(`{"v":"v","n":%d}`, i))
 			}
-			if err != nil {
+			if err := leader.Apply([]Mutation{mu}); err != nil {
 				t.Fatal(err)
 			}
-			states[leader.AppliedSeq()] = dumpAll(t, leader)
+			m.apply(mu)
+			states[leader.AppliedSeq()] = m.clone()
 		}
 	}
 	write(0, 10)
@@ -741,9 +710,9 @@ func TestTornShipment(t *testing.T) {
 	if got < before || got > last {
 		t.Fatalf("recovered watermark %d outside [%d, %d]", got, before, last)
 	}
-	diffStates(t, states[got], dumpAll(t, follower))
+	states[got].check(t, "recovered follower", follower, nil)
 	catchUp(t, leader, follower, 1<<20)
-	diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
 // TestOneFsyncPerShipment pins a shipment's durability to the shipment, not
@@ -783,7 +752,7 @@ func TestOneFsyncPerShipment(t *testing.T) {
 				t.Fatalf("%d shipments cost %d fsyncs and %d batches, want %d each",
 					shipments, st.Fsyncs-start.Fsyncs, st.CommitBatches-start.CommitBatches, shipments)
 			}
-			diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+			modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 		})
 	}
 }

@@ -84,7 +84,7 @@ func TestReplTailInsideCompactionWindow(t *testing.T) {
 			if applied, err := follower.ApplyReplicated(data); err != nil || applied != 61 {
 				t.Fatalf("follower applied the window tail to seq %d: %v", applied, err)
 			}
-			diffStates(t, dumpAll(t, leader), dumpAll(t, follower))
+			modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 
 			// After the rename and cleanup the covered tail is gone for good.
 			if _, _, err := leader.ReplTail(from, 1<<20, nil); !errors.Is(err, ErrSnapshotNeeded) {
@@ -111,7 +111,7 @@ func TestCrashAfterCutRecoversFromSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dumpAll(t, db)
+	want := modelOf(db.loadIndex())
 	db.SetFailpoint(func(p Failpoint) bool { return p == FailSnapshotAfterCut })
 	if err := db.Compact(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Compact with %s armed: %v, want ErrCrashed", FailSnapshotAfterCut, err)
@@ -125,7 +125,7 @@ func TestCrashAfterCutRecoversFromSegments(t *testing.T) {
 	if st := re.Stats(); st.SnapshotsLoaded != 0 || st.RecoveredRecords != 40 {
 		t.Fatalf("recovery loaded %d snapshots and replayed %d records; want 0 and 40", st.SnapshotsLoaded, st.RecoveredRecords)
 	}
-	diffStates(t, want, dumpAll(t, re))
+	want.check(t, "re", re, nil)
 	checkStoreTrees(t, "recovered", re)
 }
 
@@ -195,7 +195,7 @@ func TestInstallSnapshotInsideCompactionWindow(t *testing.T) {
 	if st := re.Stats(); st.SnapshotSeq != 60 || re.AppliedSeq() != 60 {
 		t.Fatalf("recovered snapshot seq %d, applied seq %d; want 60 and 60", st.SnapshotSeq, re.AppliedSeq())
 	}
-	diffStates(t, dumpAll(t, leader), dumpAll(t, re))
+	modelOf(leader.loadIndex()).check(t, "re", re, nil)
 	checkStoreTrees(t, "recovered", re)
 	if leftovers, _ := filepath.Glob(path + ".snapshot*tmp"); len(leftovers) != 0 {
 		t.Fatalf("temp snapshots left behind: %v", leftovers)

@@ -1,207 +1,27 @@
 package store
 
-// Scan-parity property suite for the tree read path: Scan/ScanPrefix/
-// ScanRange/Count/CountPrefix/Get/Has/Tables must match, byte for byte, a
-// map-iterate-sort reference (refStore — the oracle lives in test code
-// only) over randomized Put/Delete/Apply/Compact/reopen/replication
-// interleavings, with the trees' node invariants
+// Scan-parity suite for the tree read path: every read must match the
+// model (model_test.go) byte for byte over auto-compacting interleavings
+// with a follower and over binary keys, with the trees' node invariants
 // intact after every operation, and stay well-formed for readers running
 // concurrently with write bursts and online compactions (run with -race in
 // CI).
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// refStore is the reference: a plain map plus the seed read-path algorithm
-// (filter every key, sort, then visit).
-type refStore map[string]map[string][]byte
-
-func (m refStore) put(table, key string, raw []byte) {
-	t := m[table]
-	if t == nil {
-		t = make(map[string][]byte)
-		m[table] = t
-	}
-	t[key] = raw
-}
-
-func (m refStore) del(table, key string) { delete(m[table], key) }
-
-type refEntry struct {
-	key string
-	raw []byte
-}
-
-// rangeRef reproduces the seed algorithm for [start, end) with a limit.
-func (m refStore) rangeRef(table, start, end string, limit int) []refEntry {
-	var out []refEntry
-	for k, v := range m[table] {
-		if k >= start && (end == "" || k < end) {
-			out = append(out, refEntry{k, v})
-		}
-	}
-	sortEntries(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-func (m refStore) prefixRef(table, prefix string) []refEntry {
-	var out []refEntry
-	for k, v := range m[table] {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, refEntry{k, v})
-		}
-	}
-	sortEntries(out)
-	return out
-}
-
-func sortEntries(es []refEntry) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].key < es[j-1].key; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
-// collectRange drains a store's ScanRange into entries.
-func collectRange(s Store, table, start, end string, limit int) []refEntry {
-	var out []refEntry
-	s.ScanRange(table, start, end, limit, func(k string, raw []byte) bool {
-		out = append(out, refEntry{k, append([]byte(nil), raw...)})
-		return true
-	})
-	return out
-}
-
-func entriesEqual(a, b []refEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].key != b[i].key || !bytes.Equal(a[i].raw, b[i].raw) {
-			return false
-		}
-	}
-	return true
-}
-
-// parityKeys builds the probe positions for a table: every live key plus
-// synthetic neighbours, so range bounds land on, between and past keys.
-func parityKeys(m refStore, table string) []string {
-	probes := []string{"", "res-0/", "res-9/", "zzz"}
-	for k := range m[table] {
-		probes = append(probes, k, k+"\x00", k[:max(len(k)-1, 0)])
-	}
-	return probes
-}
-
-// checkParity asserts every read of a store against the reference.
-func checkParity(t *testing.T, name string, s *DB, m refStore, r *rand.Rand, tables []string) {
-	t.Helper()
-	checkStoreTrees(t, name, s)
-	// A table exists from its first put on, emptied or not.
-	var wantTables []string
-	for table := range m {
-		wantTables = append(wantTables, table)
-	}
-	sort.Strings(wantTables)
-	if got := s.Tables(); !slices.Equal(got, wantTables) {
-		t.Fatalf("%s: Tables() = %q, want %q", name, got, wantTables)
-	}
-	for _, table := range tables {
-		if got, want := s.Count(table), len(m[table]); got != want {
-			t.Fatalf("%s: Count(%s) = %d, want %d", name, table, got, want)
-		}
-		// Whole-table scan parity (Scan == ScanPrefix "").
-		var scanned []refEntry
-		s.Scan(table, func(k string, raw []byte) bool {
-			scanned = append(scanned, refEntry{k, append([]byte(nil), raw...)})
-			return true
-		})
-		if want := m.prefixRef(table, ""); !entriesEqual(scanned, want) {
-			t.Fatalf("%s: Scan(%s) diverged:\n got %d entries\n want %d entries", name, table, len(scanned), len(want))
-		}
-		// Prefix parity on a sampled set of prefixes (first-segment-pinned and not).
-		for _, prefix := range []string{"", "res-0/", "res-1/", "res-0/0", "res-", "absent/", "\xff", "\xff\xff", "a\xff", "a\xff\xff"} {
-			var got []refEntry
-			s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
-				got = append(got, refEntry{k, append([]byte(nil), raw...)})
-				return true
-			})
-			if want := m.prefixRef(table, prefix); !entriesEqual(got, want) {
-				t.Fatalf("%s: ScanPrefix(%s, %q) diverged", name, table, prefix)
-			}
-			if got, want := s.CountPrefix(table, prefix), len(m.prefixRef(table, prefix)); got != want {
-				t.Fatalf("%s: CountPrefix(%s, %q) = %d, want %d", name, table, prefix, got, want)
-			}
-		}
-		// Range parity on random bounds drawn from real key positions.
-		probes := parityKeys(m, table)
-		for i := 0; i < 20; i++ {
-			start := probes[r.Intn(len(probes))]
-			end := probes[r.Intn(len(probes))]
-			if r.Intn(4) == 0 {
-				end = ""
-			}
-			limit := r.Intn(6) // 0 = unbounded
-			got := collectRange(s, table, start, end, limit)
-			if want := m.rangeRef(table, start, end, limit); !entriesEqual(got, want) {
-				t.Fatalf("%s: ScanRange(%s, %q, %q, %d) diverged:\n got  %v\n want %v",
-					name, table, start, end, limit, got, want)
-			}
-		}
-		// Point parity on a sample of live and absent keys.
-		for k, want := range m[table] {
-			var out json.RawMessage
-			if err := s.Get(table, k, &out); err != nil {
-				t.Fatalf("%s: Get(%s, %q): %v", name, table, k, err)
-			}
-			if !bytes.Equal(out, want) {
-				t.Fatalf("%s: Get(%s, %q) = %s, want %s", name, table, k, out, want)
-			}
-			if !s.Has(table, k) {
-				t.Fatalf("%s: Has(%s, %q) = false for live key", name, table, k)
-			}
-			break // one live key per table per round is enough
-		}
-		if s.Has(table, "absent/key") {
-			t.Fatalf("%s: Has reports a phantom key", name)
-		}
-	}
-	// Early termination visits exactly one entry and ScanRange's limit is
-	// honored by the visit count it returns.
-	for _, table := range tables {
-		if len(m[table]) < 2 {
-			continue
-		}
-		visits := 0
-		s.Scan(table, func(string, []byte) bool { visits++; return false })
-		if visits != 1 {
-			t.Fatalf("%s: early-terminated Scan visited %d entries", name, visits)
-		}
-		if n := s.ScanRange(table, "", "", 1, func(string, []byte) bool { return true }); n != 1 {
-			t.Fatalf("%s: ScanRange limit 1 visited %d", name, n)
-		}
-	}
-}
-
-// TestScanIndexParity pins the indexed read path byte-for-byte against the
-// seed map-iterate-sort reference over randomized Put/Delete/Apply/Compact
-// interleavings on a durable DB and a replication follower.
+// TestScanIndexParity runs randomized Put/Delete/Apply/Compact/reopen
+// interleavings on a durable DB that compacts on its own (small segments,
+// AutoCompact), and a follower fed by ReplTail that falls back to
+// InstallSnapshot whenever compaction outran it; both are held to the
+// model, the leader's trees after every operation.
 func TestScanIndexParity(t *testing.T) {
 	seeds := []int64{3, 17, 2026}
 	steps := 300
@@ -214,56 +34,29 @@ func TestScanIndexParity(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{SegmentBytes: 1 << 10, AutoCompact: 8 << 10}
-			db, err := Open(filepath.Join(dir, "db.wal"), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := mustOpen(t, filepath.Join(dir, "db.wal"), opts)
 			defer func() { db.Close() }()
-			// A follower fed by ReplTail/ApplyReplicated, falling back to
-			// InstallSnapshot whenever compaction outran it.
-			follower, err := Open(filepath.Join(dir, "follower.wal"), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			follower := mustOpen(t, filepath.Join(dir, "follower.wal"), opts)
 			defer follower.Close()
-			m := make(refStore)
+			m := model{}
 			r := rand.New(rand.NewSource(seed))
 			randKey := func() string {
 				return fmt.Sprintf("res-%d/%03d", r.Intn(6), r.Intn(50))
 			}
-			must := func(err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("db: %v", err)
-				}
-			}
 			for i := 0; i < steps; i++ {
+				var muts []Mutation
 				switch n := r.Intn(100); {
 				case n < 50:
-					table, key, val := tables[r.Intn(2)], randKey(), r.Intn(10000)
-					must(db.Put(table, key, val))
-					m.put(table, key, []byte(fmt.Sprintf("%d", val)))
+					muts = []Mutation{{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: jsonOf(r.Intn(10000))}}
 				case n < 68:
-					table, key := tables[r.Intn(2)], randKey()
-					must(db.Delete(table, key))
-					m.del(table, key)
+					muts = []Mutation{{Op: OpDelete, Table: tables[r.Intn(2)], Key: randKey()}}
 				case n < 82:
-					var muts []Mutation
 					for j := 0; j < 2+r.Intn(3); j++ {
-						table, key := tables[r.Intn(2)], randKey()
+						mu := Mutation{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: jsonOf(j)}
 						if r.Intn(4) == 0 {
-							muts = append(muts, Mutation{Op: OpDelete, Table: table, Key: key})
-						} else {
-							muts = append(muts, Mutation{Op: OpPut, Table: table, Key: key, Value: jsonOf(j)})
+							mu.Op, mu.Value = OpDelete, nil
 						}
-					}
-					must(db.Apply(muts))
-					for _, mu := range muts {
-						if mu.Op == OpPut {
-							m.put(mu.Table, mu.Key, mu.Value)
-						} else {
-							m.del(mu.Table, mu.Key)
-						}
+						muts = append(muts, mu)
 					}
 				case n < 92:
 					if err := db.Compact(); err != nil {
@@ -274,15 +67,17 @@ func TestScanIndexParity(t *testing.T) {
 					if err := db.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if db, err = Open(filepath.Join(dir, "db.wal"), opts); err != nil {
-						t.Fatal(err)
-					}
+					db = mustOpen(t, filepath.Join(dir, "db.wal"), opts)
 				}
+				if err := db.Apply(muts); err != nil {
+					t.Fatal(err)
+				}
+				m.apply(muts...)
 				checkStoreTrees(t, "db", db)
 				if i%23 == 0 || i == steps-1 {
-					checkParity(t, "db", db, m, r, tables)
+					m.check(t, fmt.Sprintf("db step %d", i), db, r)
 					catchUp(t, db, follower, 256)
-					checkParity(t, "follower", follower, m, r, tables)
+					m.check(t, fmt.Sprintf("follower step %d", i), follower, r)
 				}
 			}
 		})
@@ -291,10 +86,10 @@ func TestScanIndexParity(t *testing.T) {
 
 // TestTreeParityBinaryKeys drives random put/overwrite/delete/batch
 // sequences over a tiny byte alphabet — empty keys, NULs, '/' and 0xff runs,
-// the bytes prefixEnd has to carry over — at an in-memory DB, checking the node invariants after every operation and every read
-// against the oracle: Get/Has, ScanPrefix and CountPrefix for every short
-// prefix (empty and all-0xff included), ScanRange with limits, Count and
-// Tables.
+// the bytes prefixEnd has to carry over — at an in-memory DB, checking the
+// node invariants after every operation, and every read against the model:
+// its reader, then ScanPrefix, CountPrefix and a limited ScanRange for
+// every short prefix (empty and all-0xff included).
 func TestTreeParityBinaryKeys(t *testing.T) {
 	alphabet := []string{"\x00", "/", "a", "\xfe", "\xff"}
 	var prefixes []string // every string of length <= 2 over the alphabet
@@ -330,26 +125,15 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 			}
 			return s.commitRecord(OpBatch, "", "", nil, muts)
 		}
-		m := make(refStore)
-		must := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			checkStoreTrees(t, name, s)
-		}
+		m := model{}
 		for i := 0; i < steps; i++ {
+			var muts []Mutation
 			switch n := r.Intn(10); {
 			case n < 5:
-				table, key := tables[r.Intn(2)], randKey()
-				must(commit(Mutation{Op: OpPut, Table: table, Key: key, Value: jsonOf(i)}))
-				m.put(table, key, []byte(fmt.Sprint(i)))
+				muts = []Mutation{{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: jsonOf(i)}}
 			case n < 8:
-				table, key := tables[r.Intn(2)], randKey()
-				must(commit(Mutation{Op: OpDelete, Table: table, Key: key}))
-				m.del(table, key)
+				muts = []Mutation{{Op: OpDelete, Table: tables[r.Intn(2)], Key: randKey()}}
 			default:
-				var muts []Mutation
 				for j := 0; j < 1+r.Intn(4); j++ {
 					mu := Mutation{Op: OpPut, Table: tables[r.Intn(2)], Key: randKey(), Value: jsonOf(j)}
 					if r.Intn(3) == 0 {
@@ -357,27 +141,21 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 					}
 					muts = append(muts, mu)
 				}
-				must(commit(muts...))
-				for _, mu := range muts {
-					if mu.Op == OpPut {
-						m.put(mu.Table, mu.Key, mu.Value)
-					} else if m[mu.Table] != nil {
-						m.del(mu.Table, mu.Key)
-					}
-				}
 			}
+			if err := commit(muts...); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			m.apply(muts...)
+			checkStoreTrees(t, name, s)
 			if i%50 != 0 && i != steps-1 {
 				continue
 			}
-			checkParity(t, name, s, m, r, s.Tables())
+			m.check(t, fmt.Sprintf("%s seed %d step %d", name, seed, i), s, r)
 			for _, table := range s.Tables() {
+				all := m.entries(table)
 				for _, prefix := range prefixes {
-					want := m.prefixRef(table, prefix)
-					var got []refEntry
-					s.ScanPrefix(table, prefix, func(k string, raw []byte) bool {
-						got = append(got, refEntry{k, append([]byte(nil), raw...)})
-						return true
-					})
+					want := withPrefix(all, prefix)
+					got := scanned(func(v func(string, []byte) bool) { s.ScanPrefix(table, prefix, v) })
 					if !entriesEqual(got, want) {
 						t.Fatalf("%s: ScanPrefix(%s, %q) = %d entries, want %d", name, table, prefix, len(got), len(want))
 					}
@@ -385,7 +163,9 @@ func TestTreeParityBinaryKeys(t *testing.T) {
 						t.Fatalf("%s: CountPrefix(%s, %q) = %d, want %d", name, table, prefix, n, len(want))
 					}
 					limit := 1 + r.Intn(3)
-					got = collectRange(s, table, prefix, prefixEnd(prefix), limit)
+					got = scanned(func(v func(string, []byte) bool) {
+						s.ScanRange(table, prefix, prefixEnd(prefix), limit, v)
+					})
 					if len(want) > limit {
 						want = want[:limit]
 					}

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -27,8 +26,8 @@ const snapMagicV1 = "itag-snapshot v1 "
 // parseSnapshotV1 is the retired v1 reader, kept as the oracle the v2 format
 // is held to: a header line "itag-snapshot v1 <crc32 hex>", then one JSON
 // object {"seq": N, "tables": {"<table>": {"<key>": <raw value>}}} whose
-// CRC the header carries.
-func parseSnapshotV1(data []byte) (uint64, map[string]map[string]string, error) {
+// CRC the header carries. It reads the image into a model.
+func parseSnapshotV1(data []byte) (uint64, model, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 || !bytes.HasPrefix(data, []byte(snapMagicV1)) || nl != len(snapMagicV1)+8 {
 		return 0, nil, errors.New("bad v1 header")
@@ -48,26 +47,13 @@ func parseSnapshotV1(data []byte) (uint64, map[string]map[string]string, error) 
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return 0, nil, err
 	}
-	state := map[string]map[string]string{}
+	m := model{}
 	for name, t := range snap.Tables {
-		state[name] = map[string]string{}
 		for k, v := range t {
-			state[name][k] = string(v)
+			m.apply(Mutation{Op: OpPut, Table: name, Key: k, Value: v})
 		}
 	}
-	return snap.Seq, state, nil
-}
-
-// indexState flattens a decoded index to table → key → raw value.
-func indexState(idx dbIndex) map[string]map[string]string {
-	state := map[string]map[string]string{}
-	for _, t := range idx {
-		state[t.name] = map[string]string{}
-		for it := t.iter("", ""); it.ok; it.advance() {
-			state[t.name][it.key] = string(it.val)
-		}
-	}
-	return state
+	return snap.Seq, m, nil
 }
 
 // TestSnapshotV1OracleMatchesV2: the v1 image of goldenHistory's compaction,
@@ -95,8 +81,8 @@ func TestSnapshotV1OracleMatchesV2(t *testing.T) {
 	for _, tr := range idx {
 		checkTree(t, "v2 snapshot table "+tr.name, tr.tree)
 	}
-	if got := indexState(idx); seq1 != seq2 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 snapshot loads seq %d\n%v\nthe v1 oracle seq %d\n%v", seq2, got, seq1, want)
+	if d := want.diff(idx); seq1 != seq2 || d != "" {
+		t.Fatalf("v2 snapshot loads seq %d, the v1 oracle seq %d: %s", seq2, seq1, d)
 	}
 }
 
@@ -118,17 +104,18 @@ func TestV1SnapshotRefused(t *testing.T) {
 		t.Fatalf("Open over a v1 snapshot = %v, want a corruption error naming the file, v1 and PR 49", err)
 	}
 
-	follower := mustOpenRepl(t, filepath.Join(t.TempDir(), "f.wal"))
+	follower := mustOpen(t, filepath.Join(t.TempDir(), "f.wal"), Options{SyncEvery: 1})
 	defer follower.Close()
 	if err := follower.Put("t", "k", 1); err != nil {
 		t.Fatal(err)
 	}
-	before, seq := dumpAll(t, follower), follower.Seq()
+	before, seq := modelOf(follower.loadIndex()), follower.Seq()
 	if err := follower.InstallSnapshot(v1); errs.CategoryOf(err) != errs.CategoryCorruption || !strings.Contains(fmt.Sprint(err), "v1") {
 		t.Fatalf("InstallSnapshot of a v1 image = %v, want a corruption error naming v1", err)
 	}
-	if after := dumpAll(t, follower); !reflect.DeepEqual(after, before) || follower.Seq() != seq {
-		t.Fatalf("a refused v1 install changed the follower: %v at %d, was %v at %d", after, follower.Seq(), before, seq)
+	before.check(t, "after a refused v1 install", follower, nil)
+	if follower.Seq() != seq {
+		t.Fatalf("a refused v1 install moved the follower to seq %d, was %d", follower.Seq(), seq)
 	}
 }
 
@@ -136,7 +123,8 @@ func TestV1SnapshotRefused(t *testing.T) {
 // split into the header line and the entry lines (newlines kept).
 func snapshotFixture(t *testing.T) (img []byte, header []byte, entries [][]byte) {
 	t.Helper()
-	db := OpenMemory()
+	db := mustOpen(t, filepath.Join(t.TempDir(), "fixture.wal"), Options{})
+	defer db.Close()
 	for _, table := range []string{"a", "b", "c"} {
 		for i := 0; i < 4; i++ {
 			if err := db.Put(table, fmt.Sprintf("k%02d", i), map[string]int{"n": i}); err != nil {
@@ -203,12 +191,12 @@ func TestSnapshotReaderRefusesMalformed(t *testing.T) {
 		cases[fmt.Sprintf("byte %d flipped", i)] = bad
 	}
 
-	follower := mustOpenRepl(t, filepath.Join(t.TempDir(), "f.wal"))
+	follower := mustOpen(t, filepath.Join(t.TempDir(), "f.wal"), Options{SyncEvery: 1})
 	defer follower.Close()
 	if err := follower.Put("t", "mine", 1); err != nil {
 		t.Fatal(err)
 	}
-	before, fseq := dumpAll(t, follower), follower.Seq()
+	before, fseq := modelOf(follower.loadIndex()), follower.Seq()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "itag.wal")
 	for name, bad := range cases {
@@ -216,8 +204,9 @@ func TestSnapshotReaderRefusesMalformed(t *testing.T) {
 		if errs.CategoryOf(err) != errs.CategoryCorruption || !strings.Contains(err.Error(), "replicated snapshot") {
 			t.Fatalf("%s: InstallSnapshot = %v, want a corruption error naming the replicated snapshot", name, err)
 		}
-		if after := dumpAll(t, follower); !reflect.DeepEqual(after, before) || follower.Seq() != fseq {
-			t.Fatalf("%s: a refused install changed the follower to %v at %d", name, after, follower.Seq())
+		before.check(t, name+": after a refused install", follower, nil)
+		if follower.Seq() != fseq {
+			t.Fatalf("%s: a refused install moved the follower to seq %d", name, follower.Seq())
 		}
 		if err := os.WriteFile(path+snapSuffix, bad, 0o644); err != nil {
 			t.Fatal(err)
@@ -258,9 +247,10 @@ func TestCompactionWritesSnapshotExport(t *testing.T) {
 		t.Fatalf("compaction wrote\n%s\nSnapshotExport gives\n%s", file, img)
 	}
 	seq, idx, err := readSnapshotBytes(img)
-	if err != nil || seq != db.Seq() || !reflect.DeepEqual(indexState(idx), dumpAll(t, db)) {
+	if err != nil || seq != db.Seq() {
 		t.Fatalf("the image loads to seq %d (%v), the store is at %d", seq, err, db.Seq())
 	}
+	modelOf(idx).check(t, "the store its image loads to", db, nil)
 }
 
 // readSnapshotBytes is InstallSnapshot's read of an image.
@@ -322,12 +312,13 @@ func TestInterruptedSnapshotWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := dumpState(t, compacted)
+	db := mustOpen(t, compacted, Options{})
+	want := modelOf(db.loadIndex())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	full := filepath.Join(t.TempDir(), "itag.wal")
 	goldenHistory(t, full, false)
-	if got := dumpState(t, full); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the uncompacted history opens to\n%v\nthe compacted one to\n%v", got, want)
-	}
 	for cut := 0; cut <= len(img); cut++ {
 		if err := os.WriteFile(full+snapTmpSuffix, img[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -336,13 +327,16 @@ func TestInterruptedSnapshotWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d-byte snapshot.tmp: Open = %v", cut, err)
 		}
-		got := dumpAll(t, db)
+		if cut == 0 {
+			want.check(t, "the uncompacted history", db, nil)
+		}
+		d := want.diff(db.loadIndex())
 		loaded := db.Stats().SnapshotsLoaded
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) || loaded != 0 {
-			t.Fatalf("%d-byte snapshot.tmp: recovered %v (snapshots loaded %d), want %v from the segments", cut, got, loaded, want)
+		if d != "" || loaded != 0 {
+			t.Fatalf("%d-byte snapshot.tmp: %s (snapshots loaded %d); want the state from the segments", cut, d, loaded)
 		}
 		if _, err := os.Stat(full + snapTmpSuffix); !os.IsNotExist(err) {
 			t.Fatalf("%d-byte snapshot.tmp survived Open: %v", cut, err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -426,54 +427,31 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestPropertyWALReplayEquivalence(t *testing.T) {
 	// Any sequence of puts/deletes applied through the WAL must recover to
-	// exactly the same state.
+	// the model of the same sequence.
 	f := func(ops []struct {
 		Del bool
 		Key uint8
 		Val int
 	}) bool {
-		dir, err := os.MkdirTemp("", "storeprop")
-		if err != nil {
-			return false
-		}
-		defer os.RemoveAll(dir)
-		path := filepath.Join(dir, "wal.jsonl")
-		db, err := Open(path, Options{})
-		if err != nil {
-			return false
-		}
-		shadow := make(map[string]int)
+		path := filepath.Join(t.TempDir(), "wal.jsonl")
+		db := mustOpen(t, path, Options{})
+		m := model{}
 		for _, op := range ops {
-			key := fmt.Sprintf("k%d", op.Key%16)
+			mu := putRec("t", fmt.Sprintf("k%d", op.Key%16), strconv.Itoa(op.Val))
 			if op.Del {
-				if err := db.Delete("t", key); err != nil {
-					return false
-				}
-				delete(shadow, key)
-			} else {
-				if err := db.Put("t", key, kv{N: op.Val}); err != nil {
-					return false
-				}
-				shadow[key] = op.Val
+				mu = delRec("t", mu.Key)
 			}
+			if err := db.Apply([]Mutation{mu}); err != nil {
+				t.Fatal(err)
+			}
+			m.apply(mu)
 		}
 		if err := db.Close(); err != nil {
-			return false
+			t.Fatal(err)
 		}
-		db2, err := Open(path, Options{})
-		if err != nil {
-			return false
-		}
-		defer db2.Close()
-		if db2.Count("t") != len(shadow) {
-			return false
-		}
-		for k, n := range shadow {
-			var v kv
-			if err := db2.Get("t", k, &v); err != nil || v.N != n {
-				return false
-			}
-		}
+		db = mustOpen(t, path, Options{})
+		defer db.Close()
+		m.check(t, "replayed", db, nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -442,7 +442,8 @@ func TestCommittedListIsScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installed := OpenMemory()
+	installed := mustOpen(t, filepath.Join(t.TempDir(), "installed.wal"), Options{})
+	defer installed.Close()
 	if err := installed.InstallSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -420,9 +420,11 @@ func (db *DB) processBatch(batch []*pendingCommit) {
 	}
 }
 
-// keptFrameBytes bounds the frame buffer the WAL keeps between batches: a
-// tagger's commits fit many times over, and the buffer a preload's batch
-// grew is let go rather than held for the life of the store.
+// keptFrameBytes bounds every scratch buffer the store keeps from one
+// commit batch to the next — the WAL's frame buffer and each slice of the
+// merge scratch (see kept): a tagger's commits fit many times over, and a
+// buffer a preload's batch grew is let go rather than held for the life of
+// the store.
 const keptFrameBytes = 64 << 10
 
 // writeAndApply persists one commit batch — single buffered write, single
@@ -449,11 +451,7 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		total += len(c.enc)
 		n += max(1, len(c.shipped))
 	}
-	if cap(buf) <= keptFrameBytes {
-		w.frames = buf
-	} else {
-		w.frames = nil
-	}
+	w.frames = kept(buf)
 	if total > 0 && db.failpointHit(FailAppendMid) {
 		// Simulate the process dying partway through the batch write: half
 		// the batch's bytes reach the file, then the store wedges.
