@@ -24,9 +24,10 @@ vet:
 # writers, the pooled request and response buffers, the admission gate
 # under concurrent completions) and the JSON codec it shares with the store
 # and the SDK (wire), and the daemon itself (boot, drain and restart race
-# real listeners against the resume).
+# real listeners against the resume), and the chaos schedules, whose disk
+# hook runs on the store goroutines of every node in a process.
 race:
-	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/wire/... ./internal/ring/... ./internal/cluster/... ./client/... ./cmd/itagd/...
+	$(GO) test -race ./internal/store/... ./internal/core/... ./internal/quality/... ./internal/rfd/... ./internal/vocab/... ./internal/crowd/... ./internal/api/... ./internal/server/... ./internal/wire/... ./internal/ring/... ./internal/cluster/... ./internal/chaos/... ./client/... ./cmd/itagd/...
 
 # Everything under the race detector (nightly).
 race-full:

@@ -141,9 +141,9 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 	}
 
 	// Chaos is armed before any store opens so disk faults cover recovery
-	// too. With no -chaos-spec the schedule stays nil: WrapListener returns
-	// the listener untouched and no failpoint hook is installed — the
-	// production path pays nothing.
+	// too: its disk faults are the stores' fault hook. With no -chaos-spec
+	// the schedule stays nil: WrapListener returns the listener untouched
+	// and the stores open with no hook — the production path pays nothing.
 	var sched *chaos.Schedule
 	if *chaosSpec != "" {
 		var err error
@@ -151,8 +151,6 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		if err != nil {
 			return err
 		}
-		release := sched.Engage()
-		defer release()
 		sched.Start()
 		logger.Printf("CHAOS ARMED: %d fault(s), seed %d — this process is intentionally unreliable (-chaos-spec %q)",
 			len(sched.Faults), sched.Seed, *chaosSpec)
@@ -162,6 +160,9 @@ func run(args []string, logger *log.Logger, ready func(apiAddr, debugAddr string
 		SyncEvery:    *syncEvery,
 		SegmentBytes: *segmentBytes,
 		AutoCompact:  *autoCompact,
+	}
+	if sched != nil {
+		storeOpts.Fault = sched.Disk
 	}
 	var (
 		apiHandler  http.Handler

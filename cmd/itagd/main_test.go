@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -247,6 +248,40 @@ func TestRestartResumesFromWAL(t *testing.T) {
 	}
 	if after := userBody(base, prov); after != aliceBefore {
 		t.Errorf("the first provider's record changed across the restart:\nbefore %s\nafter  %s", aliceBefore, after)
+	}
+}
+
+// TestChaosSpecArmsTheStoreBeforeItOpens: a -chaos-spec's disk faults are
+// the store's fault hook from its first file operation. A torn write pinned
+// to creates kills the store in recovery, so the daemon does not boot; a
+// stall and a torn write boot it, the first write answers io_failure, and
+// the next boot without chaos recovers the store and serves writes.
+func TestChaosSpecArmsTheStoreBeforeItOpens(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "itag.wal")
+	err := run([]string{"-addr", "127.0.0.1:0", "-quiet", "-db", dbPath, "-chaos-spec", "torn-write,op=create"},
+		log.New(io.Discard, "", 0), func(string, string) { t.Error("a store crashed in recovery booted") })
+	if !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("boot with a torn create = %v, want the store's crash", err)
+	}
+
+	register := func(base string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/api/v1/providers", "application/json", strings.NewReader(`{"name":"p"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	apiAddr, _, stop := bootDaemon(t, "-db", dbPath, "-chaos-spec", "stall=1ms,host=itag.wal,op=sync;torn-write,host=itag.wal.seg-")
+	if got := register("http://" + apiAddr); got != http.StatusInternalServerError {
+		t.Fatalf("a write through a torn segment answered %d, want 500", got)
+	}
+	stop()
+	apiAddr, _, stop = bootDaemon(t, "-db", dbPath)
+	defer stop()
+	if got := register("http://" + apiAddr); got != http.StatusCreated {
+		t.Fatalf("a write after recovery answered %d, want 201", got)
 	}
 }
 

@@ -1,16 +1,14 @@
-// Package chaos is the process-wide fault-injection layer: a seeded,
-// deterministic schedule of network and disk faults that tests (the
-// replication-history checker among them) and `itagd -chaos-spec` script
-// against the real stack.
+// Package chaos is the fault-injection layer: a seeded, deterministic
+// schedule of network and disk faults that tests (the replication-history
+// checker among them) and `itagd -chaos-spec` script against the real
+// stack.
 //
 // A Schedule holds an ordered set of Faults, each active inside a window
 // relative to Start(). Network faults (partition, one-way loss, latency
 // spikes) are applied by the Transport RoundTripper wrapper and the
-// WrapListener accept wrapper; disk faults (stalls, torn writes) ride the
-// store failpoint sites through Engage, which installs the package-wide
-// store.SetGlobalFailpoint hook. Everything is off and zero-cost until a
-// schedule is engaged: an idle process pays one nil atomic load per WAL
-// failpoint site and nothing at all on the network path.
+// WrapListener accept wrapper, disk faults (stalls, torn writes) by
+// Schedule.Disk, the store.FaultHook a store is opened with. Nothing is
+// process-wide: without a schedule nothing is wrapped or hooked.
 //
 // Determinism: the schedule's probabilistic draws (loss) come from a
 // counter-hashed stream seeded by Schedule.Seed, so two runs that issue the
@@ -21,7 +19,6 @@ package chaos
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,11 +39,12 @@ const (
 	KindLoss
 	// KindLatency delays matching traffic by Delay before dispatch.
 	KindLatency
-	// KindDiskStall sleeps Delay inside a WAL failpoint site, then lets
-	// the write proceed (no crash): a hiccuping disk.
+	// KindDiskStall sleeps Delay before a matching file operation, then
+	// lets it proceed (no crash): a hiccuping disk.
 	KindDiskStall
-	// KindTornWrite simulates process death at a WAL failpoint site
-	// (default append:mid-batch), leaving a torn record for recovery.
+	// KindTornWrite kills the store at a matching file operation (a write
+	// unless Op says otherwise), a write putting down half its bytes first:
+	// the torn record a dying process leaves for recovery.
 	KindTornWrite
 )
 
@@ -77,12 +75,12 @@ type Fault struct {
 	// OneWay restricts a partition to the From→To direction.
 	OneWay bool
 
-	// Host scopes disk faults to DB paths containing this substring
-	// ("*"/"" matches every store in the process).
+	// Host scopes disk faults to file paths containing this substring
+	// ("*"/"" matches every file of every store the hook serves).
 	Host string
-	// Site pins a disk fault to one failpoint site ("" = any site for
-	// stalls, append:mid-batch for torn writes).
-	Site store.Failpoint
+	// Op pins a disk fault to one file operation (0 = any operation for
+	// stalls, store.FileWrite for torn writes).
+	Op store.FileOp
 
 	// After offsets activation from Schedule.Start; For bounds the active
 	// window (<=0 = until the schedule stops).
@@ -93,8 +91,8 @@ type Fault struct {
 	P float64
 }
 
-// Schedule is a seeded fault plan. It is inert until Start (and, for disk
-// faults, Engage) is called; all methods are safe for concurrent use.
+// Schedule is a seeded fault plan. It is inert until Start is called; all
+// methods are safe for concurrent use.
 type Schedule struct {
 	Seed   int64
 	Faults []Fault
@@ -236,77 +234,34 @@ func (s *Schedule) Leg(from, to string) NetVerdict {
 	return v
 }
 
-// DiskVerdict is the outcome of evaluating one failpoint hit.
-type DiskVerdict struct {
-	// Stall sleeps this long before the write proceeds.
-	Stall time.Duration
-	// Crash simulates process death at the site (torn write).
-	Crash bool
-}
-
-// Disk evaluates the disk faults matching a failpoint hit on the DB at
-// path. The zero verdict lets the write through untouched.
-func (s *Schedule) Disk(path string, site store.Failpoint) DiskVerdict {
-	var v DiskVerdict
-	if s == nil {
-		return v
-	}
+// Disk is the schedule's disk faults as a store.FaultHook. Every active
+// fault that matches the operation and the file's path acts on it: the
+// stalls' delays are slept, and a torn write crashes the store, a write
+// putting down the first half of its bytes.
+func (s *Schedule) Disk(op store.FileOp, path string, n int) (crash bool, keep int) {
 	d, ok := s.elapsed()
 	if !ok {
-		return v
+		return false, 0
 	}
+	var stall time.Duration
 	for i := range s.Faults {
 		f := &s.Faults[i]
-		if !f.activeAt(d) {
+		if !f.activeAt(d) || f.Host != "" && f.Host != "*" && !strings.Contains(path, f.Host) {
 			continue
 		}
 		switch f.Kind {
 		case KindDiskStall:
-			if diskMatch(f, path, site, "") {
-				v.Stall += f.Delay
+			if f.Op == 0 || f.Op == op {
+				stall += f.Delay
 			}
 		case KindTornWrite:
-			if diskMatch(f, path, site, store.FailAppendMid) {
-				v.Crash = true
+			if f.Op == op || f.Op == 0 && op == store.FileWrite {
+				crash = true
 			}
 		}
 	}
-	return v
-}
-
-// diskMatch scopes a disk fault: Host is a path substring ("*"/"" = all),
-// Site an exact failpoint ("" = defSite, and a zero defSite matches any).
-func diskMatch(f *Fault, path string, site, defSite store.Failpoint) bool {
-	if f.Host != "" && f.Host != "*" && !strings.Contains(path, f.Host) {
-		return false
+	if stall > 0 {
+		time.Sleep(stall)
 	}
-	want := f.Site
-	if want == "" {
-		want = defSite
-	}
-	return want == "" || want == site
-}
-
-// engageMu serializes Engage/Disengage: the store's global failpoint hook
-// is process-wide, so only one schedule can own disk faults at a time.
-var engageMu sync.Mutex
-
-// Engage installs the schedule's disk faults as the process-wide store
-// failpoint hook. It returns a release function that uninstalls the hook;
-// callers must invoke it before engaging another schedule. Schedules with
-// no disk faults may skip Engage entirely — network faults need only the
-// Transport wrapper.
-func (s *Schedule) Engage() (release func()) {
-	engageMu.Lock()
-	store.SetGlobalFailpoint(func(path string, site store.Failpoint) bool {
-		v := s.Disk(path, site)
-		if v.Stall > 0 {
-			time.Sleep(v.Stall)
-		}
-		return v.Crash
-	})
-	return func() {
-		store.SetGlobalFailpoint(nil)
-		engageMu.Unlock()
-	}
+	return crash, n / 2
 }

@@ -172,57 +172,65 @@ func TestTransportLegs(t *testing.T) {
 	})
 }
 
-func TestDiskFaultsThroughGlobalFailpoint(t *testing.T) {
+// TestDiskFaultsThroughTheStoreHook drives a schedule's disk faults through
+// the hook each store is opened with: a stall slows a write, a torn write
+// crashes the store it matches and no other, and an operation-scoped fault
+// leaves the other operations alone.
+func TestDiskFaultsThroughTheStoreHook(t *testing.T) {
 	dir := t.TempDir()
-	// Every durable commit crosses the batch writer's failpoint sites.
-	db, err := store.Open(dir+"/node-a.wal", store.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
 	s := NewSchedule(1,
 		Fault{Kind: KindDiskStall, Host: "node-a", Delay: 30 * time.Millisecond, After: 0, For: 0},
 	)
 	clocked(s)
-	release := s.Engage()
-	defer release()
+	// Both stores take the one schedule's hook; faults pick them by path.
+	open := func(name string) *store.DB {
+		db, err := store.Open(dir+"/"+name+".wal", store.Options{SyncEvery: 1, Fault: s.Disk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	db := open("node-a")
 
-	put := func() error { return db.Put("t", "k", 1) }
-	if err := put(); err != nil {
+	put := func(db *store.DB) error { return db.Put("t", "k", 1) }
+	if err := put(db); err != nil {
 		t.Fatalf("write with disarmed schedule: %v", err)
 	}
 	s.Start()
 	t0 := time.Now()
-	if err := put(); err != nil {
+	if err := put(db); err != nil {
 		t.Fatalf("stalled write failed: %v", err)
 	}
 	if d := time.Since(t0); d < 25*time.Millisecond {
 		t.Fatalf("stall not applied: write took %v", d)
 	}
 
-	// Swap in a torn-write fault: the next append dies mid-batch and the
-	// store goes sticky-crashed, exactly like the per-DB failpoint.
+	// A torn rename touches no write; a torn write crashes the store, which
+	// stays crashed.
+	s.Faults = []Fault{{Kind: KindTornWrite, Host: "node-a", Op: store.FileRename}}
+	if err := put(db); err != nil {
+		t.Fatalf("a fault pinned to renames failed a write: %v", err)
+	}
 	s.Faults = []Fault{{Kind: KindTornWrite, Host: "node-a"}}
-	if err := put(); !errors.Is(err, store.ErrCrashed) {
+	if err := put(db); !errors.Is(err, store.ErrCrashed) {
 		t.Fatalf("want ErrCrashed from torn write, got %v", err)
 	}
 	s.Stop()
+	if err := put(db); !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("a crashed store took a write once the fault went: %v", err)
+	}
 
 	// Other stores are untouched by a host-scoped fault.
-	db2, err := store.Open(dir+"/node-b.wal", store.Options{SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
+	db2 := open("node-b")
 	s.Start()
-	if err := db2.Put("t", "k", 1); err != nil {
+	if err := put(db2); err != nil {
 		t.Fatalf("host-scoped fault leaked to another store: %v", err)
 	}
 }
 
 func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec("seed=42;after=5s,for=2s,partition,from=*,to=node-b;latency=30ms,to=node-c;loss=0.25,from=node-a,oneway;stall=100ms,host=node-a,site=append:mid-batch;torn-write,host=node-b")
+	s, err := ParseSpec("seed=42;after=5s,for=2s,partition,from=*,to=node-b;latency=30ms,to=node-c;loss=0.25,from=node-a,oneway;stall=100ms,host=node-a,op=sync;torn-write,host=node-b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +249,7 @@ func TestParseSpec(t *testing.T) {
 	if f := s.Faults[0]; f.After != 5*time.Second || f.For != 2*time.Second || f.To != "node-b" {
 		t.Fatalf("partition clause parsed wrong: %+v", f)
 	}
-	if f := s.Faults[3]; f.Site != store.FailAppendMid || f.Delay != 100*time.Millisecond {
+	if f := s.Faults[3]; f.Op != store.FileSync || f.Delay != 100*time.Millisecond {
 		t.Fatalf("stall clause parsed wrong: %+v", f)
 	}
 
@@ -252,6 +260,7 @@ func TestParseSpec(t *testing.T) {
 		"latency=fast",
 		"after=1s",
 		"bogus=1",
+		"stall=1ms,op=append",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)

@@ -15,11 +15,16 @@ import (
 //
 //	kind        partition | loss=P | latency=DUR | stall=DUR | torn-write
 //	scope       from=HOST to=HOST oneway        (network faults)
-//	            host=PATHSUBSTR site=FAILPOINT  (disk faults)
+//	            host=PATHSUBSTR op=OPERATION    (disk faults)
 //	window      after=DUR for=DUR
 //
+// A disk fault's OPERATION is one of the store's file operations: create,
+// write, sync, rename, remove or truncate. A stall without one stalls every
+// operation of the matching stores, a torn write without one tears their
+// next write.
+//
 // Example — a 2s partition of node-b starting 5s in, 30ms of extra latency
-// toward node-c for a minute, and a mid-batch torn write on node-a's disk:
+// toward node-c for a minute, and a torn write on node-a's disk:
 //
 //	seed=42;after=5s,for=2s,partition,from=*,to=node-b;after=10s,for=1m,latency=30ms,to=node-c;after=20s,torn-write,host=node-a
 //
@@ -85,8 +90,12 @@ func parseFault(clause string) (Fault, error) {
 			f.OneWay = true
 		case "host":
 			f.Host = val
-		case "site":
-			f.Site = store.Failpoint(val)
+		case "op":
+			for f.Op = store.FileCreate; f.Op.String() != val; f.Op++ {
+				if f.Op == store.FileTruncate {
+					return f, fmt.Errorf("chaos: unknown file operation %q in %q", val, clause)
+				}
+			}
 		case "after":
 			if f.After, err = time.ParseDuration(val); err != nil {
 				return f, fmt.Errorf("chaos: bad after %q in %q", val, clause)

@@ -28,7 +28,24 @@ type testCluster struct {
 	tr    *HandlerTransport
 	nodes map[string]*Node
 	httpc *http.Client
+	torn  tornStores
 }
+
+// tornStores is a test cluster's store fault hook, given to every store its
+// nodes open: a store whose base path is armed crashes at its next write to
+// a segment, half the write on disk — a process dying mid-append.
+type tornStores struct{ armed sync.Map }
+
+func (ts *tornStores) fault(op store.FileOp, path string, n int) (bool, int) {
+	base, _, seg := strings.Cut(path, ".seg-")
+	if _, armed := ts.armed.Load(base); !seg || op != store.FileWrite || !armed {
+		return false, 0
+	}
+	return true, n / 2
+}
+
+// tear arms db's next segment write to tear.
+func (tc *testCluster) tear(db *store.DB) { tc.torn.armed.Store(db.Path(), true) }
 
 // startCluster boots one node per slot, all sharing one fake-network
 // transport. The heartbeat interval is short so a retry or an idle stream
@@ -50,7 +67,7 @@ func startCluster(t *testing.T, slots []string, tune func(*Options)) *testCluste
 			Slot:         s,
 			Ring:         ring.Clone(),
 			Dir:          t.TempDir(),
-			Store:        store.Options{SegmentBytes: 4096},
+			Store:        store.Options{SegmentBytes: 4096, Fault: tc.torn.fault},
 			Seed:         7,
 			Replicas:     2,
 			PullInterval: 5 * time.Millisecond,
@@ -395,7 +412,7 @@ func TestFollowerReadFreshAfterLeaderWrite(t *testing.T) {
 }
 
 // TestClusterPromotionAfterCrash is the kill-a-node drill in test form: a
-// leader is wedged with the store's crash failpoint and dropped from the
+// leader's store is torn mid-append and the leader is dropped from the
 // network; a follower promotes its replica, resumes the interrupted run,
 // pushes a bumped ring, and serves every acknowledged write plus new ones.
 func TestClusterPromotionAfterCrash(t *testing.T) {
@@ -422,7 +439,7 @@ func TestClusterPromotionAfterCrash(t *testing.T) {
 
 	// Kill the leader: every further append crashes, and the node drops
 	// off the network.
-	tc.nodes[slot].DB(slot).SetFailpoint(func(fp store.Failpoint) bool { return fp == store.FailAppendMid })
+	tc.tear(tc.nodes[slot].DB(slot))
 	tc.tr.Register(slot, nil)
 
 	// Promote on a surviving follower.
@@ -566,7 +583,7 @@ func TestPromotionKeepsTheFollowerStack(t *testing.T) {
 	replicaDB := tc.nodes[surv].ReplicaDB(slot)
 
 	// The owner drops off the network, and the follower takes the slot over.
-	tc.nodes[slot].DB(slot).SetFailpoint(func(fp store.Failpoint) bool { return fp == store.FailAppendMid })
+	tc.tear(tc.nodes[slot].DB(slot))
 	tc.tr.Register(slot, nil)
 	if err := tc.nodes[surv].Promote(context.Background(), slot); err != nil {
 		t.Fatal(err)
@@ -692,7 +709,7 @@ func TestPromoteRefusesAFailedReplica(t *testing.T) {
 	tc.waitCaughtUp(slot)
 	surv := tc.pushedFollower(slot)
 	replicaDB := tc.nodes[surv].ReplicaDB(slot)
-	replicaDB.SetFailpoint(func(fp store.Failpoint) bool { return fp == store.FailAppendMid })
+	tc.tear(replicaDB)
 	if _, err := tc.nodes[slot].Service(slot).RegisterTagger(context.Background(), "after"); err != nil {
 		t.Fatal(err)
 	}

@@ -109,6 +109,23 @@ type historyCluster struct {
 	mu        sync.Mutex
 	nodes     map[string]*cluster.Node
 	instances []*cluster.Node // every node ever booted, stopped or not
+
+	// dying maps the directory of a node being killed mid-append to what
+	// its stores call as they tear.
+	dying sync.Map
+}
+
+// fault is the hook every store of the cluster opens with: the stores of a
+// dying node tear their next segment write at half, and every store takes
+// the schedule's disk faults.
+func (h *historyCluster) fault(op store.FileOp, path string, n int) (bool, int) {
+	if op == store.FileWrite && strings.Contains(path, ".seg-") {
+		if tore, ok := h.dying.Load(filepath.Dir(path)); ok {
+			tore.(func())()
+			return true, n / 2
+		}
+	}
+	return h.sched.Disk(op, path, n)
 }
 
 // node returns the running node of that name (nil while it is down).
@@ -154,7 +171,7 @@ func (h *historyCluster) boot(slot string, ring *cluster.Ring) {
 	h.t.Helper()
 	n, err := cluster.New(cluster.Options{
 		Slot: slot, Ring: ring.Clone(), Dir: filepath.Join(h.dir, slot),
-		Store: store.Options{SegmentBytes: 4096}, Seed: 7, Replicas: 2,
+		Store: store.Options{SegmentBytes: 4096, Fault: h.fault}, Seed: 7, Replicas: 2,
 		PullInterval: historyBeat, PullMaxBackoff: 8 * historyBeat,
 		Quorum: true, QuorumTimeout: historyQuorumTimeout,
 		HTTPClient: &http.Client{Timeout: 5 * time.Second,
@@ -175,27 +192,13 @@ func (h *historyCluster) boot(slot string, ring *cluster.Ring) {
 // it holds tear their next append — a shipment exactly like a local batch —
 // and the node stops once one of them has torn, or after historyTearWait if
 // none had anything to write.
-func (h *historyCluster) kill(slot, ledSlot string, crash bool) {
+func (h *historyCluster) kill(slot string, crash bool) {
 	n := h.node(slot)
+	dir := filepath.Join(h.dir, slot)
 	if crash {
 		torn := make(chan struct{})
 		var once sync.Once
-		tear := func(fp store.Failpoint) bool {
-			if fp != store.FailAppendMid {
-				return false
-			}
-			once.Do(func() { close(torn) })
-			return true
-		}
-		dbs := []*store.DB{n.DB(ledSlot)}
-		for _, s := range historySlots {
-			dbs = append(dbs, n.ReplicaDB(s))
-		}
-		for _, db := range dbs {
-			if db != nil {
-				db.SetFailpoint(tear)
-			}
-		}
+		h.dying.Store(dir, func() { once.Do(func() { close(torn) }) })
 		select {
 		case <-torn:
 		case <-time.After(historyTearWait):
@@ -206,6 +209,7 @@ func (h *historyCluster) kill(slot, ledSlot string, crash bool) {
 	delete(h.nodes, slot)
 	h.mu.Unlock()
 	_ = n.Close()
+	h.dying.Delete(dir) // it boots again whole
 }
 
 // call performs one request and returns status, headers and body; status 0
@@ -345,7 +349,7 @@ func drawPlan(seed int64, leader, f1, f2 string) historyPlan {
 			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindLoss, From: f1, To: leader, P: 0.5, After: after, For: length})
 		case 3: // a disk hiccups on every append: the leader's or its first follower's
 			host := []string{leader, f1}[rng.Intn(2)]
-			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindDiskStall, Host: "/" + host + "/",
+			p.faults = append(p.faults, chaos.Fault{Kind: chaos.KindDiskStall, Host: "/" + host + "/", Op: store.FileWrite,
 				Delay: time.Duration(1+rng.Intn(3)) * time.Millisecond, After: after, For: length})
 		case 4: // a follower dies mid-shipment and comes back on its directory
 			p.restart, p.restartAt = []string{f1, f2}[rng.Intn(2)], after
@@ -371,7 +375,7 @@ func (p historyPlan) spec() string {
 		case chaos.KindLoss:
 			fields = append(fields, "loss="+strconv.FormatFloat(f.P, 'g', -1, 64), "from="+f.From, "to="+f.To)
 		case chaos.KindDiskStall:
-			fields = append(fields, "stall="+f.Delay.String(), "host="+f.Host)
+			fields = append(fields, "stall="+f.Delay.String(), "host="+f.Host, "op="+f.Op.String())
 		}
 		parts = append(parts, strings.Join(fields, ","))
 	}
@@ -423,8 +427,6 @@ type historyRun struct {
 // runHistory executes one seed.
 func runHistory(t testing.TB, seed int64) *historyRun {
 	sched := chaos.NewSchedule(seed)
-	release := sched.Engage()
-	defer release()
 	h := newHistoryCluster(t, sched)
 	defer h.close() // now, not at the test's end: the next seed gets the box to itself
 
@@ -659,7 +661,7 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 	sched.Start()
 	if plan.restart != "" {
 		time.Sleep(plan.restartAt)
-		h.kill(plan.restart, "", true)
+		h.kill(plan.restart, true)
 	}
 	if plan.compact {
 		time.Sleep(time.Until(start.Add(plan.window - 10*time.Millisecond)))
@@ -678,7 +680,7 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 	time.Sleep(20 * time.Millisecond)
 
 	// The failover: the leader dies mid-append, its first follower is promoted.
-	h.kill(leader, leader, true)
+	h.kill(leader, true)
 	if status, _, data := h.call(http.MethodPost, "http://"+plan.f1+"/api/v1/cluster/promote", map[string]string{"slot": leader}); status != http.StatusOK {
 		t.Errorf("seed %d: promote %s: status %d body %s", seed, plan.f1, status, data)
 	}
@@ -688,7 +690,7 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 	time.Sleep(20 * time.Millisecond)
 	if plan.restartLeader {
 		ring := h.node(plan.f1).Ring()
-		h.kill(plan.f1, "", false)
+		h.kill(plan.f1, false)
 		h.boot(plan.f1, ring)
 		mint("after the promoted leader's restart")
 		awaitOK(plan.f1, "the promoted leader's restart")

@@ -35,7 +35,8 @@ type Options struct {
 	// replica-<slot>.wal for each followed slot. Cluster nodes are always
 	// durable — replication ships WAL bytes, so there must be a WAL.
 	Dir string
-	// Store tunes every store this node opens (leader and replicas alike).
+	// Store tunes every store this node opens, led or followed (a promotion
+	// keeps the follower's), its Fault hook included.
 	Store store.Options
 	// Seed seeds each slot's service: its engines' strategy randomness.
 	Seed int64
@@ -398,7 +399,8 @@ func (n *Node) Service(slot string) *core.Service {
 }
 
 // DB returns the store backing a led slot (nil when not led). Tests use it
-// to wedge a node with a crash failpoint.
+// to read a slot's store and to pick it out for their fault hook by its
+// path.
 func (n *Node) DB(slot string) *store.DB {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

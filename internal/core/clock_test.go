@@ -36,7 +36,8 @@ func TestResourceClockCoversStatus(t *testing.T) {
 func clockCoversStatus(t *testing.T, seed int64) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(seed))
-	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), store.Options{})
+	tear, opts := tornAppends(store.Options{})
+	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), opts)
 	s := NewService(store.NewCatalog(db), seed)
 	p := createSimProject(t, s, 400)
 	proj, tagger := p.id, p.taggers[0]
@@ -157,7 +158,7 @@ func clockCoversStatus(t *testing.T, seed int64) {
 		before = snap()
 		lease()
 	}
-	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
+	tear.Start()
 	if err := s.SubmitTask(ctx, proj, take().ID, []string{"lost"}); err == nil {
 		t.Fatal("SubmitTask acked a post the store did not take")
 	}

@@ -8,13 +8,25 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"itag/internal/chaos"
 	"itag/internal/dataset"
 	"itag/internal/store"
 )
+
+// tornAppends returns a schedule whose one fault tears a store's writes to
+// its segments at half, and opts with the schedule's hook: the store runs
+// clean until the schedule starts, then crashes at its next append.
+func tornAppends(opts store.Options) (*chaos.Schedule, store.Options) {
+	s := chaos.NewSchedule(1, chaos.Fault{Kind: chaos.KindTornWrite, Host: ".seg-"})
+	opts.Fault = s.Disk
+	return s, opts
+}
 
 func openWAL(t *testing.T, path string, opts store.Options) *store.DB {
 	t.Helper()
@@ -84,7 +96,8 @@ func commits(s *Service) uint64 { return s.StoreStats().Commits }
 func TestSubmitTaskReportsLostPost(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "itag.wal")
-	db := openWAL(t, path, store.Options{SyncEvery: 1})
+	tear, opts := tornAppends(store.Options{SyncEvery: 1})
+	db := openWAL(t, path, opts)
 	s := NewService(store.NewCatalog(db), 77)
 	proj, tagger, run := leakProject(t, s)
 	task, err := s.RequestTask(ctx, proj, tagger)
@@ -92,7 +105,7 @@ func TestSubmitTaskReportsLostPost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
+	tear.Start()
 	if err := s.SubmitTask(ctx, proj, task.ID, []string{"go", "db"}); err == nil {
 		t.Fatal("SubmitTask acked a post the store did not take")
 	}
@@ -118,7 +131,7 @@ func TestSubmitTaskReportsLostPost(t *testing.T) {
 }
 
 // applyFailStore fails every commit while fail is set, and takes them again
-// once it is cleared (unlike a WAL failpoint, which wedges the store).
+// once it is cleared (unlike a crash through the store's fault hook, which wedges it).
 type applyFailStore struct {
 	store.Store
 	fail bool
@@ -174,8 +187,8 @@ func TestSubmitTaskRetriesAfterFailedCommit(t *testing.T) {
 }
 
 // TestTaggersNotSerialisedBehindACommit: while one tagger's submit sits in
-// the store's writer (held inside the failpoint hook, where an fsync would
-// be), the other tagger's calls get through the engine and queue at the
+// the store's writer (held inside the fault hook at its write, where an
+// fsync would be), the other tagger's calls get through the engine and queue at the
 // store. The store has one writer, so they cannot return before it is
 // released; what the engine lock no longer does is keep them from reaching
 // it. Before, the first submit's commit ran under Engine.mu, the second
@@ -183,7 +196,16 @@ func TestSubmitTaskRetriesAfterFailedCommit(t *testing.T) {
 // empty.
 func TestTaggersNotSerialisedBehindACommit(t *testing.T) {
 	ctx := context.Background()
-	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), store.Options{SyncEvery: 1})
+	inHook, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var armed atomic.Bool
+	hold := func(op store.FileOp, _ string, _ int) (bool, int) {
+		if op == store.FileWrite && armed.Load() {
+			once.Do(func() { close(inHook); <-release })
+		}
+		return false, 0
+	}
+	db := openWAL(t, filepath.Join(t.TempDir(), "itag.wal"), store.Options{SyncEvery: 1, Fault: hold})
 	s := NewService(store.NewCatalog(db), 77)
 	proj, taggers, run := batchProject(t, s, 8, 100)
 	var held [2]store.TaskRec
@@ -194,14 +216,7 @@ func TestTaggersNotSerialisedBehindACommit(t *testing.T) {
 		}
 	}
 
-	inHook, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	db.SetFailpoint(func(p store.Failpoint) bool {
-		if p == store.FailAppendMid {
-			once.Do(func() { close(inHook); <-release })
-		}
-		return false
-	})
+	armed.Store(true)
 	before, seq := s.StoreStats(), db.Seq()
 	errc := make(chan error, 3)
 	go func() { errc <- s.SubmitTask(ctx, proj, held[0].ID, []string{"first"}) }()
@@ -355,18 +370,24 @@ func TestBatchTasksRejectedPostKeepsTaskAssigned(t *testing.T) {
 func TestBatchTasksCrashIsAllOrNothing(t *testing.T) {
 	const budget, nItems = 60, 40
 	for _, tc := range []struct {
-		site      store.Failpoint
+		name      string
+		op        store.FileOp // crashed at on a segment once the call starts: its write, or the create of its successor
 		survives  bool
 		wantError bool
 	}{
-		{store.FailAppendMid, false, true},
-		{store.FailRotateMid, true, false}, // the batch is durable and acked; the rotation after it dies
+		{"append:mid-batch", store.FileWrite, false, true},
+		{"rotate:mid", store.FileCreate, true, false}, // the batch is durable and acked; the rotation after it dies
 	} {
-		t.Run(string(tc.site), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			path := filepath.Join(t.TempDir(), "itag.wal")
 			opts := store.Options{SyncEvery: 1, SegmentBytes: 8 << 10} // the batch record alone fills a segment
-			db := openWAL(t, path, opts)
+			var armed atomic.Bool
+			crash := opts
+			crash.Fault = func(op store.FileOp, path string, n int) (bool, int) {
+				return armed.Load() && op == tc.op && strings.Contains(path, ".seg-"), n / 2
+			}
+			db := openWAL(t, path, crash)
 			s := NewService(store.NewCatalog(db), 77)
 			proj, taggers, run := batchProject(t, s, 10, budget)
 			// Some history before the crash: 5 completed, 1 assigned.
@@ -391,10 +412,13 @@ func TestBatchTasksCrashIsAllOrNothing(t *testing.T) {
 					items[i].Tags = nil // request-only leases ride along
 				}
 			}
-			db.SetFailpoint(func(p store.Failpoint) bool { return p == tc.site })
+			armed.Store(true)
 			res, err := s.BatchTasks(ctx, proj, items)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !errors.Is(db.Err(), store.ErrCrashed) {
+				t.Fatalf("the store did not crash in the call: %v", db.Err())
 			}
 			for i, r := range res {
 				if (r.Err != nil) != tc.wantError {
@@ -569,19 +593,22 @@ func TestCreateProjectIsOneWriteSet(t *testing.T) {
 	for _, failAt := range []int{0, 1, 2, 3} {
 		t.Run(fmt.Sprintf("store fails commit %d of the create", failAt), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "itag.wal")
-			db := openWAL(t, path, store.Options{SyncEvery: 1})
+			var armed atomic.Bool
+			hits := 0 // touched by the store's one writer only
+			failing := func(op store.FileOp, path string, n int) (bool, int) {
+				if !armed.Load() || op != store.FileWrite || !strings.Contains(path, ".seg-") {
+					return false, 0
+				}
+				hits++
+				return hits == failAt, n / 2
+			}
+			db := openWAL(t, path, store.Options{SyncEvery: 1, Fault: failing})
 			s := NewService(store.NewCatalog(db), 77)
 			prov, err := s.RegisterProvider(ctx, "bob")
 			if err != nil {
 				t.Fatal(err)
 			}
-			hits := 0 // touched by the store's one writer only
-			db.SetFailpoint(func(p store.Failpoint) bool {
-				if p == store.FailAppendMid {
-					hits++
-				}
-				return p == store.FailAppendMid && hits == failAt
-			})
+			armed.Store(true)
 			before := commits(s)
 			proj, createErr := s.CreateProject(ctx, spec(prov, 200))
 			wantProjects, wantRows := 0, 0

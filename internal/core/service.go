@@ -1036,14 +1036,15 @@ func (s *Service) ExportPage(ctx context.Context, projectID, cursor string, limi
 
 // ExportPageStamped is ExportPage's page as its rows' encoded bytes
 // (EncodeExportRow), recording into st what the page depends on: the run
-// epoch, the resources-table clock (which rows, their names) and, row by
-// row, the clock of each resource shown — so a post on a resource retires
-// the one page holding it. Each row is kept encoded beside its clock, so a
-// page costs an encode only for the rows whose clock or name moved since
-// they were last encoded. Without a live run the rows are folded from the
-// posts table, and the row clocks are the folded rows' (foldedRows) — same
-// shape, plus the projects-table clock for the existence check. st may be
-// nil. The returned slices are shared: callers must not write to them.
+// epoch and, row by row, the clock of each resource shown — so a post on a
+// resource retires the one page holding it. A page's rows and their names
+// are fixed by the one commit that creates the project, so no clock guards
+// them. Each row is kept encoded beside its clock, so a page costs an
+// encode only for the rows whose clock or name moved since they were last
+// encoded. Without a live run the rows are folded from the posts table, and
+// the row clocks are the folded rows' (foldedRows) — same shape, plus the
+// projects-table clock for the existence check. st may be nil. The returned
+// slices are shared: callers must not write to them.
 func (s *Service) ExportPageStamped(ctx context.Context, projectID, cursor string, limit int, st *Stamp) ([][]byte, string, error) {
 	out := make([][]byte, 0, presize(limit))
 	next, err := s.exportScan(ctx, projectID, cursor, limit, st, func(src exportSource, rec store.ResourceRec) (bool, error) {
@@ -1068,10 +1069,10 @@ func presize(limit int) int {
 }
 
 // exportScan is the one walk behind both export paths. It records the
-// page's table clocks into st, then hands each resource of the project
-// after the cursor, in ID order, to add with the source of its row, until
-// add has shown limit rows; add reports whether it showed the row. It
-// returns the next-page cursor.
+// page's run epoch (and, without a run, the projects-table clock) into st,
+// then hands each resource of the project after the cursor, in ID order, to
+// add with the source of its row, until add has shown limit rows; add
+// reports whether it showed the row. It returns the next-page cursor.
 func (s *Service) exportScan(ctx context.Context, projectID, cursor string, limit int, st *Stamp, add func(exportSource, store.ResourceRec) (bool, error)) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -1080,7 +1081,7 @@ func (s *Service) exportScan(ctx context.Context, projectID, cursor string, limi
 	if err != nil {
 		return "", err
 	}
-	st.grow(3 + presize(limit))
+	st.grow(2 + presize(limit))
 	st.read(&s.runsEpoch)
 	var src exportSource
 	if run, runErr := s.run(projectID); runErr == nil {
@@ -1096,7 +1097,6 @@ func (s *Service) exportScan(ctx context.Context, projectID, cursor string, limi
 		}
 		src = s.folded
 	}
-	st.read(s.cat.Clock(store.TableResources))
 	shown, last, next := 0, "", ""
 	var addErr error
 	scanErr := s.cat.ScanResourcesAfter(after, func(rec store.ResourceRec) bool {

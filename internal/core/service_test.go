@@ -805,7 +805,8 @@ func leakProject(t *testing.T, s *Service) (proj, tagger string, run *Run) {
 // written was never handed out, so it must not stay debited and pending —
 // which would also leave u1's rank key one post too high.
 func TestRequestTaskRefundsWhenTaskWriteFails(t *testing.T) {
-	db, err := store.Open(filepath.Join(t.TempDir(), "itag.wal"), store.Options{})
+	tear, opts := tornAppends(store.Options{})
+	db, err := store.Open(filepath.Join(t.TempDir(), "itag.wal"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,7 +814,7 @@ func TestRequestTaskRefundsWhenTaskWriteFails(t *testing.T) {
 	s := NewService(store.NewCatalog(db), 77)
 	proj, tagger, run := leakProject(t, s)
 
-	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
+	tear.Start()
 	if _, err := s.RequestTask(context.Background(), proj, tagger); err == nil {
 		t.Fatal("RequestTask must report the failed task write")
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"itag/internal/api"
+	"itag/internal/chaos"
 	"itag/internal/core"
 	"itag/internal/errs"
 	"itag/internal/store"
@@ -113,12 +114,13 @@ func TestTaxonomyEnvelopes(t *testing.T) {
 
 // --- fault injection ------------------------------------------------------------
 
-// TestFaultInjectionIOInMetrics arms a store failpoint mid-request and
+// TestFaultInjectionIOInMetrics tears the store's next append and
 // follows the failure end to end: the write returns 500/io_failure on the
 // wire, and the scrape shows the error attributed to component=store,
 // category=io.
 func TestFaultInjectionIOInMetrics(t *testing.T) {
-	db, err := store.Open(filepath.Join(t.TempDir(), "db"), store.Options{})
+	tear := chaos.NewSchedule(1, chaos.Fault{Kind: chaos.KindTornWrite, Host: ".seg-"})
+	db, err := store.Open(filepath.Join(t.TempDir(), "db"), store.Options{Fault: tear.Disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestFaultInjectionIOInMetrics(t *testing.T) {
 		t.Fatalf("healthy write status = %d", status)
 	}
 
-	db.SetFailpoint(func(p store.Failpoint) bool { return p == store.FailAppendMid })
+	tear.Start() // the next append tears at half
 	status, body := httpJSON(t, srv.URL+"/api/v1/providers", registerReq{Name: "boom"})
 	if status != http.StatusInternalServerError {
 		t.Fatalf("faulted write status = %d (body %s)", status, body)

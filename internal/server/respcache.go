@@ -33,8 +33,9 @@ import (
 //     pending, mean stability/oracle, strategy — every engine mutation);
 //   - GET resource: that resource's engine clock (no run, no answer; and an
 //     installed run is never swapped, so the epoch has nothing to say);
-//   - an export page: the run epoch, the resources-table clock (membership,
-//     names) and the engine clock of each row it shows.
+//   - an export page: the run epoch and the engine clock of each row it
+//     shows (a project's rows and their names are fixed by the commit that
+//     creates it, so no table clock guards them).
 //
 // So a post on resource R retires the dashboard, R's screen and the one
 // page holding R, and nothing else in this project or any other. An answer

@@ -1,24 +1,110 @@
 package store
 
-// Crash-injection harness: failpoints kill the WAL mid-append, mid-rotation
-// and mid-snapshot-swap, then reopening must recover every acknowledged
-// commit and drop at most the torn tail.
+// Crash-injection harness: a store's fault hook kills it mid-append,
+// mid-rotation and mid-snapshot-swap, then reopening must recover every
+// acknowledged commit and drop at most the torn tail.
 
 import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
+
+// crashSite says whether a file operation is the one to crash a store at,
+// and how many bytes of a write to put down first.
+type crashSite func(op FileOp, path string, n int) (hit bool, keep int)
+
+// The crash matrix's sites, each an (operation, path) fault.
+var (
+	// tearAppend dies halfway through a batch's write to a segment, leaving
+	// a torn record on disk.
+	tearAppend crashSite = func(op FileOp, path string, n int) (bool, int) {
+		return op == FileWrite && strings.Contains(path, segPrefix), n / 2
+	}
+	// atSnapshotCreate dies right after the compaction cut: the covered
+	// segments are sealed and a fresh one is active, but no snapshot byte
+	// has been written (recovery must replay every segment).
+	atSnapshotCreate = opOn(FileCreate, snapTmpSuffix)
+	// atSnapshotRename dies after writing the snapshot temp file but before
+	// the atomic rename (the old snapshot, if any, stays in force).
+	atSnapshotRename = opOn(FileRename, snapTmpSuffix)
+	// atSegmentRemove dies after the snapshot rename, at the first removal
+	// of a covered segment (recovery must skip them by seq).
+	atSegmentRemove = opOn(FileRemove, segPrefix)
+)
+
+// opOn is the site of every op on a path containing frag.
+func opOn(want FileOp, frag string) crashSite {
+	return func(op FileOp, path string, _ int) (bool, int) {
+		return op == want && strings.Contains(path, frag), 0
+	}
+}
+
+// atNewSegmentWrite dies between sealing a segment and writing to its
+// successor: the successor is created, and its first write crashes before
+// any byte reaches it.
+func atNewSegmentWrite() crashSite {
+	var fresh string
+	return func(op FileOp, path string, _ int) (bool, int) {
+		if op == FileCreate && strings.Contains(path, segPrefix) {
+			fresh = path
+		}
+		return op == FileWrite && path == fresh, 0
+	}
+}
+
+// crashHook is a test's FaultHook: disarmed it lets every operation
+// through; armed with a site, it lets skip hits of the site through,
+// crashes the store at the next one and disarms.
+type crashHook struct {
+	mu    sync.Mutex
+	site  crashSite
+	skip  int
+	fired bool
+}
+
+// arm sets the site and the hits to let through; a nil site disarms.
+func (h *crashHook) arm(site crashSite, skip int) {
+	h.mu.Lock()
+	h.site, h.skip, h.fired = site, skip, false
+	h.mu.Unlock()
+}
+
+// crashed reports whether the hook crashed a store since it was armed.
+func (h *crashHook) crashed() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.fired
+}
+
+// fault is the FaultHook to open the store with.
+func (h *crashHook) fault(op FileOp, path string, n int) (bool, int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.site == nil {
+		return false, 0
+	}
+	hit, keep := h.site(op, path, n)
+	if !hit {
+		return false, 0
+	}
+	if h.skip > 0 {
+		h.skip--
+		return false, 0
+	}
+	h.site, h.fired = nil, true
+	return true, keep
+}
 
 // crashCase describes one injection scenario.
 type crashCase struct {
 	name string
-	site Failpoint
+	site func() crashSite
 	// after lets N hits of the site through before crashing.
-	after int32
+	after int
 	// compact runs Compact after the write phase (for the snapshot sites,
 	// which only fire during compaction) and requires it to crash.
 	compact bool
@@ -26,27 +112,16 @@ type crashCase struct {
 
 func crashCases() []crashCase {
 	return []crashCase{
-		{name: "mid-append", site: FailAppendMid, after: 4},
-		{name: "mid-rotation", site: FailRotateMid, after: 0},
-		{name: "snapshot-before-rename", site: FailSnapshotBeforeRename, compact: true},
-		{name: "snapshot-before-cleanup", site: FailSnapshotBeforeCleanup, compact: true},
+		{name: "mid-append", site: func() crashSite { return tearAppend }, after: 4},
+		{name: "mid-rotation", site: atNewSegmentWrite, after: 0},
+		{name: "snapshot-before-rename", site: func() crashSite { return atSnapshotRename }, compact: true},
+		{name: "snapshot-before-cleanup", site: func() crashSite { return atSegmentRemove }, compact: true},
 	}
 }
 
 // crashOpts keeps segments small so every scenario crosses rotations.
 func crashOpts() Options {
 	return Options{SyncEvery: 1, SegmentBytes: 512}
-}
-
-// armFailpoint installs tc's countdown hook on db.
-func armFailpoint(tc crashCase, db *DB) {
-	var hits atomic.Int32
-	db.SetFailpoint(func(p Failpoint) bool {
-		if p != tc.site {
-			return false
-		}
-		return hits.Add(1) > tc.after
-	})
 }
 
 // crashModel tracks, per worker, the expected post-recovery state. Keys are
@@ -151,7 +226,10 @@ func TestCrashInjectionDB(t *testing.T) {
 	for _, tc := range crashCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal")
-			db, err := Open(path, crashOpts())
+			var hook crashHook
+			opts := crashOpts()
+			opts.Fault = hook.fault
+			db, err := Open(path, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,18 +238,18 @@ func TestCrashInjectionDB(t *testing.T) {
 				// Snapshot sites fire only inside Compact: write cleanly,
 				// then crash the compaction.
 				crashWorkload(t, db, m, 4, 40)
-				armFailpoint(tc, db)
+				hook.arm(tc.site(), tc.after)
 				if cerr := db.Compact(); !errors.Is(cerr, ErrCrashed) {
-					t.Fatalf("Compact with %s armed: err = %v, want ErrCrashed", tc.site, cerr)
+					t.Fatalf("Compact with %s armed: err = %v, want ErrCrashed", tc.name, cerr)
 				}
 				if perr := db.Put("crash", "post-crash", 1); !errors.Is(perr, ErrCrashed) {
 					t.Fatalf("wedged store accepted a write: %v", perr)
 				}
 			} else {
-				armFailpoint(tc, db)
+				hook.arm(tc.site(), tc.after)
 				crashWorkload(t, db, m, 8, 200)
 				if serr := db.Err(); !errors.Is(serr, ErrCrashed) {
-					t.Fatalf("failpoint never fired (sticky err %v); workload too small?", serr)
+					t.Fatalf("the crash never fired (sticky err %v); workload too small?", serr)
 				}
 			}
 			_ = db.Close() // the "dead process" releasing descriptors

@@ -3,7 +3,8 @@ package store
 // The store's one model. A write the store acknowledges must read back the
 // same through every path that rebuilds state: the live index, a reopen
 // from segments, a compaction and reopen, a snapshot installed on a fresh
-// store, and the WAL tail shipped to a follower. TestStoreModel runs seeded
+// store, the WAL tail shipped to a follower, and a reopen after a crash at
+// any file operation and byte. TestStoreModel runs seeded
 // histories of puts, deletes and multi-record applies over names drawn from
 // the edge cases of the frame codec, and holds every one of those readings
 // to one map (model) through one reader (model.check). The other tests of
@@ -266,9 +267,8 @@ func drawKey(r *rand.Rand, m model, table string) string {
 
 // drawWrite draws one step of a history and makes it: a put, a delete (of
 // a held key, mostly) or a multi-record apply, which repeats a key inside
-// itself half the time. It returns the mutations the store acknowledged.
-func drawWrite(t *testing.T, r *rand.Rand, db *DB, m model, step int) []Mutation {
-	t.Helper()
+// itself half the time. It returns the mutations and the store's answer.
+func drawWrite(r *rand.Rand, db *DB, m model, step int) ([]Mutation, error) {
 	table := modelTables[r.Intn(len(modelTables))]
 	var muts []Mutation
 	var err error
@@ -296,10 +296,7 @@ func drawWrite(t *testing.T, r *rand.Rand, db *DB, m model, step int) []Mutation
 		}
 		err = db.Apply(muts)
 	}
-	if err != nil {
-		t.Fatalf("step %d: %v", step, err)
-	}
-	return muts
+	return muts, err
 }
 
 // refuseNonUTF8 makes one write that names a table or key that is not valid
@@ -358,15 +355,20 @@ func TestStoreModel(t *testing.T) {
 // read-backs: the WAL tail shipped to a durable follower in drawn chunk
 // sizes (one byte included: one record per shipment), a SnapshotExport
 // installed on a fresh durable store, a reopen from the segments, and a
-// compaction followed by a reopen. The history goes on from the reopened
-// store, so later steps and read-backs start from a snapshot and a tail.
+// compaction followed by a reopen. At one drawn step before the last the
+// store crashes (crashStep). The history goes on from each reopened store,
+// so later steps and read-backs start from a snapshot and a tail.
 func modelHistory(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
+	// The crash's draws come from a stream of their own, so a history draws
+	// the writes it drew before the crash reading was added, up to its crash.
+	cr := rand.New(rand.NewSource(^seed))
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.wal")
 	// A quarter of the histories rotate segments every few KiB; the rest
 	// keep one segment, since creating a file dominates a history's time.
-	opts := Options{SegmentBytes: []int64{4 << 10, 1 << 20, 1 << 20, 1 << 20}[r.Intn(4)]}
+	var hook crashHook
+	opts := Options{SegmentBytes: []int64{4 << 10, 1 << 20, 1 << 20, 1 << 20}[r.Intn(4)], Fault: hook.fault}
 	db := mustOpen(t, path, opts)
 	defer func() { db.Close() }()
 	follower := mustOpen(t, filepath.Join(dir, "follower.wal"), Options{})
@@ -374,12 +376,21 @@ func modelHistory(t *testing.T, seed int64) {
 	m := model{}
 	steps := 12 + r.Intn(12)
 	refused, sampled := r.Intn(steps), r.Intn(3*steps) // a third of the histories read back once before the end
+	crashed := cr.Intn(steps - 1)
 	for step := 0; step < steps; step++ {
-		m.apply(drawWrite(t, r, db, m, step)...)
+		label := fmt.Sprintf("seed %d step %d", seed, step)
+		if step == crashed {
+			db, m = crashStep(t, label, m, db, follower, &hook, r, cr, path, opts, step)
+		} else {
+			muts, err := drawWrite(r, db, m, step)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			m.apply(muts...)
+		}
 		if step == refused {
 			refuseNonUTF8(t, r, db, step)
 		}
-		label := fmt.Sprintf("seed %d step %d", seed, step)
 		m.check(t, label+" live", db, r)
 		if step == sampled || step == steps-1 {
 			db = readBack(t, label, m, db, follower, r, dir, opts)
@@ -391,22 +402,7 @@ func modelHistory(t *testing.T, seed int64) {
 // each to m, returning the reopened store the history goes on with.
 func readBack(t *testing.T, label string, m model, db, follower *DB, r *rand.Rand, dir string, opts Options) *DB {
 	t.Helper()
-	for {
-		chunk := []int{1, 1, 150, 1 << 20}[r.Intn(4)]
-		data, last, err := db.ReplTail(follower.AppliedSeq(), chunk, nil)
-		if err != nil {
-			t.Fatalf("%s: ReplTail(%d, %d): %v", label, follower.AppliedSeq(), chunk, err)
-		}
-		if len(data) == 0 {
-			break
-		}
-		if applied, err := follower.ApplyReplicated(data); err != nil || applied != last {
-			t.Fatalf("%s: ApplyReplicated = %d, %v; the tail ran to %d", label, applied, err, last)
-		}
-	}
-	if fs, s := follower.AppliedSeq(), db.AppliedSeq(); fs != s {
-		t.Fatalf("%s: the follower stopped at seq %d, the leader is at %d", label, fs, s)
-	}
+	shipTail(t, label, db, follower, r)
 	m.check(t, label+" shipped", follower, r)
 
 	img, err := db.SnapshotExport()
@@ -438,6 +434,75 @@ func readBack(t *testing.T, label string, m model, db, follower *DB, r *rand.Ran
 	}
 	reopen("compacted and reopened")
 	return db
+}
+
+// crashOps bounds the file operation a crash step draws to crash at: a
+// step's write, a rotation after it, a compaction, a close and a reopen make
+// about this many.
+const crashOps = 16
+
+// crashStep is the sixth reading. The step's write runs with the hook armed
+// to crash the store at a drawn file operation, a write putting down a
+// drawn prefix of its bytes; a compaction, a close, and a reopen and close
+// follow under the same hook, so the crash lands in the append, a rotation,
+// the compaction or the reopen's recovery (or, past them all, nowhere). The
+// store reopened without the hook must read as the model after the write if
+// the write was acknowledged, and otherwise as the model before it or after
+// it: never a part of the write, never a resurrected delete. It returns the
+// reopened store and its model.
+func crashStep(t *testing.T, label string, m model, db, follower *DB, hook *crashHook, r, cr *rand.Rand, path string, opts Options, step int) (*DB, model) {
+	t.Helper()
+	keep := cr.Intn(1 << 30)
+	hook.arm(func(_ FileOp, _ string, n int) (bool, int) { return true, keep % (n + 1) }, cr.Intn(crashOps))
+	muts, werr := drawWrite(r, db, m, step)
+	after := m.clone()
+	after.apply(muts...)
+	// The follower takes what the compaction is about to cover.
+	shipTail(t, label, db, follower, cr)
+	_ = db.Compact()
+	_ = db.Close()
+	if !hook.crashed() {
+		if re, err := Open(path, opts); err == nil {
+			_ = re.Close()
+		}
+	}
+	hook.arm(nil, 0)
+	opts.Fault = nil
+	db = mustOpen(t, path, opts)
+	got := db.loadIndex()
+	switch {
+	case after.diff(got) == "":
+		m = after
+	case werr == nil:
+		t.Fatalf("%s: an acknowledged write is not recovered after a crash: %s", label, after.diff(got))
+	case m.diff(got) != "":
+		t.Fatalf("%s: a crash in a failed write (%v) recovered neither the state before it (%s) nor after it (%s)", label, werr, m.diff(got), after.diff(got))
+	}
+	m.check(t, label+" crashed and reopened", db, cr)
+	return db, m
+}
+
+// shipTail ships db's WAL tail to follower in drawn chunk sizes (one byte
+// included: one record per shipment) until the follower has everything db
+// applied.
+func shipTail(t *testing.T, label string, db, follower *DB, r *rand.Rand) {
+	t.Helper()
+	for {
+		chunk := []int{1, 1, 150, 1 << 20}[r.Intn(4)]
+		data, last, err := db.ReplTail(follower.AppliedSeq(), chunk, nil)
+		if err != nil {
+			t.Fatalf("%s: ReplTail(%d, %d): %v", label, follower.AppliedSeq(), chunk, err)
+		}
+		if len(data) == 0 {
+			break
+		}
+		if applied, err := follower.ApplyReplicated(data); err != nil || applied != last {
+			t.Fatalf("%s: ApplyReplicated = %d, %v; the tail ran to %d", label, applied, err, last)
+		}
+	}
+	if fs, s := follower.AppliedSeq(), db.AppliedSeq(); fs != s {
+		t.Fatalf("%s: the follower stopped at seq %d, the leader is at %d", label, fs, s)
+	}
 }
 
 func mustOpen(t testing.TB, path string, opts Options) *DB {

@@ -479,22 +479,20 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	// even if we crash before the old segments are cleaned up (their
 	// records are all <= seq and are skipped by the replay).
 	tmp := db.path + installTmpSuffix
-	if werr := writeSnapshotFile(tmp, seq, idx); werr != nil {
+	if werr := w.disk.writeSnapshotFile(tmp, seq, idx); werr != nil {
 		return db.fail(werr)
 	}
-	if rerr := os.Rename(tmp, db.path+snapSuffix); rerr != nil {
-		os.Remove(tmp)
+	if rerr := w.disk.rename(tmp, db.path+snapSuffix); rerr != nil {
+		w.disk.remove(tmp)
 		return db.fail(errs.Wrap(rerr, errs.ComponentStore, errs.CategoryIO, "rename replicated snapshot"))
 	}
-	syncDir(filepath.Dir(db.path))
+	w.disk.syncDir(filepath.Dir(db.path))
 	// Retire the superseded WAL files: close the active segment, drop every
 	// sealed file, open a fresh segment for the post-snapshot tail.
-	if w.bw != nil {
-		_ = w.bw.Flush()
-	}
 	if w.file != nil {
+		_ = w.bw.Flush()
 		_ = w.file.Close()
-		w.file, w.bw = nil, nil
+		w.file = nil
 	}
 	w.smu.Lock()
 	old := make([]string, 0, len(w.sealed)+1)
@@ -505,7 +503,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	w.sealed, w.sealedSize = nil, 0
 	w.smu.Unlock()
 	for _, p := range old {
-		_ = os.Remove(p) // best effort; leftovers are skipped by seq on replay
+		_ = w.disk.remove(p) // best effort; leftovers are skipped by seq on replay
 	}
 	if oerr := w.openSegment(db.path, w.nextIdx, nil); oerr != nil {
 		return db.fail(oerr)

@@ -646,7 +646,8 @@ func TestReplTailRotationHammer(t *testing.T) {
 }
 
 // TestTornShipment tears a follower's shipment halfway through its write: a
-// shipment is a commit batch like any other, so FailAppendMid fires on it,
+// shipment is a commit batch like any other, so the tear of a segment write
+// takes it,
 // the follower wedges, and recovery keeps a prefix of the shipment that
 // matches the leader at the recovered sequence. Shipping again from there
 // converges.
@@ -658,7 +659,8 @@ func TestTornShipment(t *testing.T) {
 	}
 	defer leader.Close()
 	fpath := filepath.Join(dir, "follower.wal")
-	follower, err := Open(fpath, Options{SyncEvery: 1})
+	var hook crashHook
+	follower, err := Open(fpath, Options{SyncEvery: 1, Fault: hook.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,11 +690,11 @@ func TestTornShipment(t *testing.T) {
 		t.Fatalf("ReplTail(%d) = %d bytes up to %d, %v; want several records", before, len(data), last, err)
 	}
 
-	follower.SetFailpoint(func(p Failpoint) bool { return p == FailAppendMid })
+	hook.arm(tearAppend, 0)
 	if _, err := follower.ApplyReplicated(data); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("torn shipment: ApplyReplicated = %v, want ErrCrashed", err)
 	}
-	follower.SetFailpoint(nil)
+	hook.arm(nil, 0)
 	if err := follower.Put("res", "after-crash", 1); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("wedged follower accepted a write: %v", err)
 	}

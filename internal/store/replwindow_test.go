@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,12 +17,45 @@ import (
 // them then met the first post-cut record and got a sequence-gap corruption
 // error instead of its records or ErrSnapshotNeeded.) Once the compaction
 // finishes the same pull answers ErrSnapshotNeeded.
+//
+// The window is entered at two file operations of the compaction, neither
+// under the WAL's file lock: the create of the snapshot temp file (right
+// after the cut) and its sync (right before the rename).
 func TestReplTailInsideCompactionWindow(t *testing.T) {
-	for _, site := range []Failpoint{FailSnapshotAfterCut, FailSnapshotBeforeRename} {
-		t.Run(string(site), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   FileOp
+	}{{"snapshot:after-cut", FileCreate}, {"snapshot:before-rename", FileSync}} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			var (
+				leader   *DB
+				inWindow bool
+				data     []byte
+				last     uint64
+				tailErr  error
+				from     uint64
+				armed    atomic.Bool
+			)
+			// The hook runs inside the window: no crash, the compaction
+			// carries on once it returns.
+			hook := func(op FileOp, path string, _ int) (bool, int) {
+				if op != tc.op || !strings.HasSuffix(path, snapTmpSuffix) || !armed.CompareAndSwap(true, false) {
+					return false, 0
+				}
+				inWindow = true
+				if got := leader.Stats().SnapshotSeq; got != 0 {
+					t.Errorf("snapshot seq already %d inside the window", got)
+				}
+				// A write after the cut: the record a gapped tail trips on.
+				if err := leader.Put("posts", "res-9/after-cut", 1); err != nil {
+					t.Errorf("post-cut write: %v", err)
+				}
+				data, last, tailErr = leader.ReplTail(from, 1<<20, nil)
+				return false, 0
+			}
 			opts := Options{SegmentBytes: 256}
-			leader, err := Open(filepath.Join(dir, "leader.wal"), opts)
+			leader, err := Open(filepath.Join(dir, "leader.wal"), Options{SegmentBytes: 256, Fault: hook})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,38 +77,17 @@ func TestReplTailInsideCompactionWindow(t *testing.T) {
 			for follower.AppliedSeq() < 20 {
 				shipOnce(t, leader, follower, 200)
 			}
-			from := follower.AppliedSeq()
+			from = follower.AppliedSeq()
 			if from >= 60 {
 				t.Fatalf("follower already caught up (%d)", from)
 			}
 
-			var (
-				inWindow bool
-				data     []byte
-				last     uint64
-				tailErr  error
-			)
-			leader.SetFailpoint(func(p Failpoint) bool {
-				if p != site {
-					return false
-				}
-				inWindow = true
-				if got := leader.Stats().SnapshotSeq; got != 0 {
-					t.Errorf("snapshot seq already %d inside the window", got)
-				}
-				// A write after the cut: the record a gapped tail trips on.
-				if err := leader.Put("posts", "res-9/after-cut", 1); err != nil {
-					t.Errorf("post-cut write: %v", err)
-				}
-				data, last, tailErr = leader.ReplTail(from, 1<<20, nil)
-				return false // no crash: the compaction carries on
-			})
+			armed.Store(true)
 			if err := leader.Compact(); err != nil {
 				t.Fatalf("Compact: %v", err)
 			}
-			leader.SetFailpoint(nil)
 			if !inWindow {
-				t.Fatalf("failpoint %s never fired", site)
+				t.Fatalf("the hook at the snapshot's %s never ran", tc.op)
 			}
 			if tailErr != nil {
 				t.Fatalf("ReplTail(%d) inside the compaction window: %v", from, tailErr)
@@ -102,7 +116,8 @@ func TestReplTailInsideCompactionWindow(t *testing.T) {
 func TestCrashAfterCutRecoversFromSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	opts := Options{SegmentBytes: 256}
-	db, err := Open(path, opts)
+	var hook crashHook
+	db, err := Open(path, Options{SegmentBytes: 256, Fault: hook.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +127,9 @@ func TestCrashAfterCutRecoversFromSegments(t *testing.T) {
 		}
 	}
 	want := modelOf(db.loadIndex())
-	db.SetFailpoint(func(p Failpoint) bool { return p == FailSnapshotAfterCut })
+	hook.arm(atSnapshotCreate, 0)
 	if err := db.Compact(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Compact with %s armed: %v, want ErrCrashed", FailSnapshotAfterCut, err)
+		t.Fatalf("Compact crashed at the snapshot's create: %v, want ErrCrashed", err)
 	}
 	_ = db.Close()
 	re, err := Open(path, opts)
@@ -145,7 +160,23 @@ func TestInstallSnapshotInsideCompactionWindow(t *testing.T) {
 	}
 	defer leader.Close()
 	path := filepath.Join(dir, "follower.wal")
-	follower, err := Open(path, opts)
+	var (
+		follower   *DB
+		img        []byte
+		installErr error
+		installed  bool
+		armed      atomic.Bool
+	)
+	// At the sync of the compaction's snapshot, right before its rename, the
+	// hook installs the newer image; no crash, the compaction carries on.
+	hook := func(op FileOp, p string, _ int) (bool, int) {
+		if op == FileSync && strings.HasSuffix(p, snapTmpSuffix) && armed.CompareAndSwap(true, false) {
+			installed = true
+			installErr = follower.InstallSnapshot(img)
+		}
+		return false, 0
+	}
+	follower, err = Open(path, Options{SegmentBytes: 256, Fault: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +190,14 @@ func TestInstallSnapshotInsideCompactionWindow(t *testing.T) {
 		shipOnce(t, leader, follower, 200)
 	}
 	cutSeq := follower.AppliedSeq()
-	img, err := leader.SnapshotExport()
-	if err != nil {
+	if img, err = leader.SnapshotExport(); err != nil {
 		t.Fatal(err)
 	}
 
-	var installErr error
-	installed := false
-	follower.SetFailpoint(func(p Failpoint) bool {
-		if p == FailSnapshotBeforeRename {
-			installed = true
-			installErr = follower.InstallSnapshot(img)
-		}
-		return false // no crash: the compaction carries on
-	})
+	armed.Store(true)
 	if err := follower.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	follower.SetFailpoint(nil)
 	if !installed || installErr != nil {
 		t.Fatalf("InstallSnapshot inside the window: ran=%v err=%v", installed, installErr)
 	}

@@ -56,8 +56,8 @@ func writeSnapshot(w io.Writer, seq uint64, idx dbIndex) error {
 
 // writeSnapshotFile writes and fsyncs a snapshot of idx at path through a
 // buffered writer; on failure the file is removed.
-func writeSnapshotFile(path string, seq uint64, idx dbIndex) error {
-	f, err := os.Create(path)
+func (d *disk) writeSnapshotFile(path string, seq uint64, idx dbIndex) error {
+	f, err := d.create(path, os.O_TRUNC)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "create snapshot")
 	}
@@ -71,7 +71,7 @@ func writeSnapshotFile(path string, seq uint64, idx dbIndex) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(path)
+		d.remove(path)
 		if errs.Find(err) != nil {
 			return err // writeSnapshot's refusal of a name, not the disk
 		}
@@ -132,13 +132,4 @@ func readSnapshot(r *bufio.Reader, name string) (uint64, dbIndex, error) {
 		idx = append(idx, namedTree{table, buildTree(ents)})
 	}
 	return seq, idx, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable (best effort; some filesystems reject directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
 }

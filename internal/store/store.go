@@ -95,8 +95,6 @@ type DB struct {
 	compacting bool
 	bg         sync.WaitGroup // in-flight background compactions
 
-	fp atomic.Pointer[func(Failpoint) bool]
-
 	st counters
 }
 
@@ -114,6 +112,9 @@ type Options struct {
 	// AutoCompact starts an online snapshot compaction in the background
 	// once sealed (replay-on-recovery) WAL bytes exceed this (0 disables).
 	AutoCompact int64
+	// Fault, when set, is consulted before every file operation the store
+	// makes that changes the disk, from Open's first on (see FaultHook).
+	Fault FaultHook
 }
 
 func (o Options) withDefaults() Options {
@@ -150,7 +151,7 @@ func Open(path string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "mkdir")
 	}
-	db := &DB{path: path, opts: opts.withDefaults(), wal: &wal{}}
+	db := &DB{path: path, opts: opts.withDefaults(), wal: &wal{disk: disk{hook: opts.Fault}}}
 	db.batchDone = sync.NewCond(&db.mu)
 	start := time.Now()
 	if err := db.recover(); err != nil {
@@ -175,11 +176,15 @@ type tornMark struct {
 // opens the active segment.
 func (db *DB) recover() error {
 	w := db.wal
-	_ = os.Remove(db.path + snapTmpSuffix)    // in-flight snapshot from a crashed compaction
-	_ = os.Remove(db.path + installTmpSuffix) // or from a crashed InstallSnapshot
+	_ = w.disk.remove(db.path + snapTmpSuffix)    // in-flight snapshot from a crashed compaction
+	_ = w.disk.remove(db.path + installTmpSuffix) // or from a crashed InstallSnapshot
 
+	// One reader serves the snapshot and every segment of the recovery, made
+	// for the first file with bytes to read.
+	var r *bufio.Reader
 	if f, err := os.Open(db.path + snapSuffix); err == nil {
-		seq, idx, lerr := readSnapshot(bufio.NewReaderSize(f, 1<<16), filepath.Base(f.Name()))
+		r = bufio.NewReaderSize(f, 1<<18)
+		seq, idx, lerr := readSnapshot(r, filepath.Base(f.Name()))
 		f.Close()
 		if lerr != nil {
 			return lerr
@@ -200,15 +205,20 @@ func (db *DB) recover() error {
 	}
 	lasts := make([]uint64, len(segs)) // the recovered sequence after each file
 	for i, s := range segs {
-		if rerr := db.replayFile(s.path, &torn, &applied); rerr != nil {
-			return rerr
+		if s.size > 0 {
+			if r == nil {
+				r = bufio.NewReaderSize(nil, 1<<18)
+			}
+			if rerr := db.replayFile(r, s.path, &torn, &applied); rerr != nil {
+				return rerr
+			}
 		}
 		lasts[i] = db.seq
 	}
 	if torn.seen {
 		// Drop the torn tail so new appends start on a clean record
 		// boundary instead of gluing onto half a record.
-		if terr := os.Truncate(torn.path, torn.off); terr != nil {
+		if terr := w.disk.truncate(torn.path, torn.off); terr != nil {
 			return errs.Wrap(terr, errs.ComponentStore, errs.CategoryIO, "truncate torn tail")
 		}
 	}
@@ -249,7 +259,8 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// replayFile replays one WAL segment of CRC-framed lines. Records at or
+// replayFile replays one WAL segment of CRC-framed lines through r, which
+// it resets onto the file. Records at or
 // below the recovered sequence (already covered by the snapshot) are
 // skipped; records beyond it must be contiguous. Exactly one torn tail is
 // tolerated across all files, and only if no record follows it.
@@ -257,7 +268,7 @@ func (db *DB) recover() error {
 // Nothing reads during Open, so the whole file is one apply: one merge,
 // published when the file is done. Its scratch is local, so the DB keeps
 // nothing the size of a file.
-func (db *DB) replayFile(path string, torn *tornMark, applied *uint64) error {
+func (db *DB) replayFile(r *bufio.Reader, path string, torn *tornMark, applied *uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "open for replay")
@@ -268,7 +279,7 @@ func (db *DB) replayFile(path string, torn *tornMark, applied *uint64) error {
 		next := m.apply(db.loadIndex())
 		db.idx.Store(&next)
 	}()
-	r := bufio.NewReaderSize(f, 1<<18)
+	r.Reset(f)
 	var long []byte
 	var off int64
 	base := filepath.Base(path)
@@ -575,40 +586,31 @@ func (db *DB) cut() (*cutState, error) {
 // writeSnapshotAndCleanup persists the cut as a snapshot and removes the
 // WAL files it supersedes. Runs without store locks.
 func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
-	if db.failpointHit(FailSnapshotAfterCut) {
-		return db.fail(ErrCrashed) // segments sealed, no snapshot: recovery replays them all
-	}
+	w := db.wal
 	tmp := db.path + snapTmpSuffix
-	if err := writeSnapshotFile(tmp, cut.seq, cut.idx); err != nil {
-		return err
-	}
-	if db.failpointHit(FailSnapshotBeforeRename) {
-		return db.fail(ErrCrashed) // tmp left behind; next Open removes it
+	if err := w.disk.writeSnapshotFile(tmp, cut.seq, cut.idx); err != nil {
+		return err // a tmp left behind goes at the next Open
 	}
 	// InstallSnapshot holds fmu from its seq check to its snapshotSeq
 	// store, so under fmu either no install has happened since the cut or
 	// its newer image is already on disk and the segments this cut covers
 	// are already gone: then the older image must not replace it.
-	w := db.wal
 	w.fmu.Lock()
 	if db.st.snapshotSeq.Load() > cut.seq {
 		w.fmu.Unlock()
-		os.Remove(tmp)
+		w.disk.remove(tmp)
 		return nil
 	}
-	err := os.Rename(tmp, db.path+snapSuffix)
+	err := w.disk.rename(tmp, db.path+snapSuffix)
 	if err == nil {
 		db.st.snapshotSeq.Store(cut.seq)
 	}
 	w.fmu.Unlock()
 	if err != nil {
-		os.Remove(tmp)
+		w.disk.remove(tmp)
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "snapshot rename")
 	}
-	syncDir(filepath.Dir(db.path))
-	if db.failpointHit(FailSnapshotBeforeCleanup) {
-		return db.fail(ErrCrashed) // covered segments remain; recovery skips them by seq
-	}
+	w.disk.syncDir(filepath.Dir(db.path))
 	// From here ReplTail answers ErrSnapshotNeeded below cut.seq, so the
 	// covered files can leave the list and then the disk. Removal is best
 	// effort: a file that cannot be removed stays harmless (recovery skips
@@ -617,19 +619,12 @@ func (db *DB) writeSnapshotAndCleanup(cut *cutState) error {
 	db.dropSealed(cut.coveredSegs)
 	var kept []sealedFile
 	var firstErr error
-	remove := func(path string) bool {
-		err := os.Remove(path)
-		if err == nil || os.IsNotExist(err) {
-			return true
-		}
-		if firstErr == nil {
-			firstErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "remove compacted wal file")
-		}
-		return false
-	}
 	for _, s := range cut.coveredSegs {
-		if !remove(s.path) {
+		if err := w.disk.remove(s.path); err != nil && !os.IsNotExist(err) {
 			kept = append(kept, s)
+			if firstErr == nil {
+				firstErr = errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "remove compacted wal file")
+			}
 		}
 	}
 	db.restoreSealed(kept)
@@ -659,30 +654,19 @@ func (db *DB) Close() error {
 	}
 	db.mu.Unlock()
 	db.bg.Wait()
-	healthy := db.Err() == nil
 	w := db.wal
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
 	if w.file == nil {
 		return nil
 	}
-	if !healthy {
-		// After a (simulated or real) write failure, don't flush buffered
-		// bytes over a torn tail — just release the descriptor.
-		err := w.file.Close()
-		w.file, w.bw = nil, nil
-		return err
+	if db.Err() == nil {
+		return db.closeActiveLocked()
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.file.Close()
-		return err
-	}
-	if err := w.file.Sync(); err != nil {
-		w.file.Close()
-		return err
-	}
+	// After a (simulated or real) write failure, don't flush buffered bytes
+	// over a torn tail — just release the descriptor.
 	err := w.file.Close()
-	w.file, w.bw = nil, nil
+	w.file = nil
 	return err
 }
 

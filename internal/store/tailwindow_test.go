@@ -20,7 +20,8 @@ import (
 // exactly that. A wedged store's torn batch is served by neither.
 func TestReplTailMemoryEqualsFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	db, err := Open(filepath.Join(t.TempDir(), "leader.wal"), Options{SegmentBytes: 96 << 10})
+	var hook crashHook
+	db, err := Open(filepath.Join(t.TempDir(), "leader.wal"), Options{SegmentBytes: 96 << 10, Fault: hook.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 	// A torn batch: half its bytes are in the file, the store is wedged, and
 	// nothing of it may reach a follower from either path.
 	applied := db.AppliedSeq()
-	db.SetFailpoint(func(p Failpoint) bool { return p == FailAppendMid })
+	hook.arm(tearAppend, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -134,7 +135,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	db.SetFailpoint(nil)
+	hook.arm(nil, 0)
 	if got := db.AppliedSeq(); got != applied {
 		t.Fatalf("applied watermark moved %d → %d over a torn batch", applied, got)
 	}

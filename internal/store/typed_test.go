@@ -464,7 +464,8 @@ func TestCommittedListIsScratch(t *testing.T) {
 // cache entry and no clock tick behind, and the set is empty afterwards.
 func TestWriteSetFailedCommitWritesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	db, err := Open(path, Options{})
+	var hook crashHook
+	db, err := Open(path, Options{Fault: hook.fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +474,7 @@ func TestWriteSetFailedCommitWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	clockBefore := clockSum(c)
-	db.SetFailpoint(func(p Failpoint) bool { return p == FailAppendMid })
+	hook.arm(tearAppend, 0)
 	w := c.Begin(2)
 	_, _ = w.AppendPost(PostRec{ResourceID: "r1", Tags: []string{"lost"}})
 	_ = w.PutTask(TaskRec{ID: "t1", ProjectID: "p1"})
@@ -486,7 +487,7 @@ func TestWriteSetFailedCommitWritesNothing(t *testing.T) {
 	if db.CountPrefix(TablePosts, "r1/") != 0 || db.Has(TableTasks, "p1/t1") {
 		t.Error("a failed commit left keys in memory")
 	}
-	db.SetFailpoint(nil)
+	hook.arm(nil, 0)
 	_ = db.Close()
 	re, err := Open(path, Options{})
 	if err != nil {

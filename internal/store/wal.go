@@ -1,10 +1,12 @@
 package store
 
 // This file implements the on-disk write-ahead-log layout behind DB: a
-// snapshot plus numbered live segments, the commit queue whose batches the
-// committing goroutines write themselves (group commit), and the failpoint
-// hooks the crash tests use to simulate process death at the worst possible
-// moments.
+// snapshot plus numbered live segments, and the commit queue whose batches
+// the committing goroutines write themselves (group commit). Every file the
+// store creates, writes, syncs, renames, removes or truncates goes through
+// its disk (disk.go), which first consults Options.Fault, the one hook tests
+// and chaos schedules stall or crash a store through (nil in production). An
+// injected crash is an I/O error, handled like a real one.
 //
 // Layout for a DB opened at path P:
 //
@@ -40,7 +42,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"itag/internal/errs"
 )
@@ -58,79 +59,6 @@ const (
 	installTmpSuffix = ".snapshot.install.tmp"
 )
 
-// Failpoint names a crash-injection site inside a commit batch's write and
-// the snapshot compactor. Tests install a hook with SetFailpoint; when the
-// hook returns true for a site the DB behaves as if the process died right
-// there: pending bytes may be torn, no further cleanup runs, and every
-// subsequent mutation fails. Reopening the path exercises recovery exactly
-// as a real crash would.
-type Failpoint string
-
-// Crash-injection sites.
-const (
-	// FailAppendMid dies halfway through writing a commit batch, leaving a
-	// torn record on disk.
-	FailAppendMid Failpoint = "append:mid-batch"
-	// FailRotateMid dies between sealing the active segment and writing to
-	// its successor (the successor file exists but is empty).
-	FailRotateMid Failpoint = "rotate:mid"
-	// FailSnapshotAfterCut dies right after the compaction cut: the covered
-	// segments are sealed and a fresh one is active, but no snapshot byte
-	// has been written (recovery must replay every segment).
-	FailSnapshotAfterCut Failpoint = "snapshot:after-cut"
-	// FailSnapshotBeforeRename dies after writing the snapshot temp file but
-	// before the atomic rename (the old snapshot, if any, stays in force).
-	FailSnapshotBeforeRename Failpoint = "snapshot:before-rename"
-	// FailSnapshotBeforeCleanup dies after the snapshot rename but before
-	// the superseded segments are deleted (recovery must skip them by seq).
-	FailSnapshotBeforeCleanup Failpoint = "snapshot:before-cleanup"
-)
-
-// ErrCrashed is the sticky error a DB reports after a failpoint simulated a
-// crash; the on-disk state is whatever the "dead process" left behind.
-var ErrCrashed error = errs.New(errs.ComponentStore, errs.CategoryIO, "simulated crash (failpoint)")
-
-// SetFailpoint installs fn as the crash-injection hook (nil uninstalls).
-// Test instrumentation only; production DBs never set one.
-func (db *DB) SetFailpoint(fn func(Failpoint) bool) {
-	if fn == nil {
-		db.fp.Store(nil)
-		return
-	}
-	db.fp.Store(&fn)
-}
-
-// globalFP is the process-wide failpoint hook, consulted at every site after
-// the per-DB hook. It exists so a single fault layer (internal/chaos) can
-// reach every DB in the process — including ones opened after the hook was
-// installed — without threading a hook through every Open call. The hook
-// receives the DB's path so schedules can target one node's disk. When unset
-// the cost is one nil atomic load per failpoint site, all of which sit on
-// write/compaction paths.
-var globalFP atomic.Pointer[func(path string, p Failpoint) bool]
-
-// SetGlobalFailpoint installs fn as the process-wide failpoint hook (nil
-// uninstalls). Unlike the per-DB SetFailpoint it covers every DB, current
-// and future; internal/chaos owns it in fault drills. A hook may also model
-// a disk stall by sleeping before returning false (no crash).
-func SetGlobalFailpoint(fn func(path string, p Failpoint) bool) {
-	if fn == nil {
-		globalFP.Store(nil)
-		return
-	}
-	globalFP.Store(&fn)
-}
-
-func (db *DB) failpointHit(p Failpoint) bool {
-	if fn := db.fp.Load(); fn != nil && (*fn)(p) {
-		return true
-	}
-	if fn := globalFP.Load(); fn != nil {
-		return (*fn)(db.path, p)
-	}
-	return false
-}
-
 // wal is the file-side state of a durable DB. Every field is guarded by fmu;
 // fmu is held by the batch leader during writes, so rotation and the
 // compaction cut cannot interleave with an append.
@@ -140,8 +68,11 @@ func (db *DB) failpointHit(p Failpoint) bool {
 // so Stats can read them under smu alone without stalling behind an
 // in-flight write or fsync (fmu is held across disk I/O). Lock order: fmu → DB.mu, fmu → smu; smu is a leaf.
 type wal struct {
-	fmu        sync.Mutex
-	file       *os.File // active segment
+	disk disk
+
+	fmu  sync.Mutex
+	file *diskFile // active segment; nil once closed
+	// bw buffers the active segment's appends, Reset onto each new one.
 	bw         *bufio.Writer
 	activePath string
 	activeIdx  uint64
@@ -210,7 +141,7 @@ func segPath(base string, idx uint64) string {
 // active. Caller holds fmu.
 func (w *wal) openSegment(base string, idx uint64, retire func()) error {
 	path := segPath(base, idx)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := w.disk.create(path, os.O_APPEND)
 	if err != nil {
 		return errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "open segment")
 	}
@@ -219,7 +150,11 @@ func (w *wal) openSegment(base string, idx uint64, retire func()) error {
 		size = fi.Size()
 	}
 	w.file = f
-	w.bw = bufio.NewWriterSize(f, 1<<18)
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(f, 1<<18)
+	} else {
+		w.bw.Reset(f)
+	}
 	w.activeIdx = idx
 	// activePath moves under smu together with activeSize so ReplTail can
 	// capture a consistent (path, size) pair without taking fmu.
@@ -452,17 +387,6 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		n += max(1, len(c.shipped))
 	}
 	w.frames = kept(buf)
-	if total > 0 && db.failpointHit(FailAppendMid) {
-		// Simulate the process dying partway through the batch write: half
-		// the batch's bytes reach the file, then the store wedges.
-		buf := make([]byte, 0, total)
-		for _, c := range writes {
-			buf = append(buf, c.enc...)
-		}
-		_, _ = w.bw.Write(buf[:total/2])
-		_ = w.bw.Flush()
-		return db.fail(ErrCrashed)
-	}
 	for _, c := range writes {
 		if _, err := w.bw.Write(c.enc); err != nil {
 			return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "append wal"))
@@ -523,21 +447,23 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 	return nil
 }
 
-// closeActiveLocked flushes, fsyncs and closes the active segment's file. The
-// layout fields still name it as active (closed, immutable, at full size)
-// until the caller's openSegment retires it. Caller holds fmu.
+// closeActiveLocked flushes, fsyncs and closes the active segment's file (it
+// is closed even when the flush or fsync fails). The layout fields still
+// name it as active (closed, immutable, at full size) until the caller's
+// openSegment retires it. Caller holds fmu.
 func (db *DB) closeActiveLocked() error {
 	w := db.wal
-	if err := w.bw.Flush(); err != nil {
-		return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "seal flush"))
+	err := w.bw.Flush()
+	if err == nil {
+		err = w.file.Sync()
 	}
-	if err := w.file.Sync(); err != nil {
-		return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "seal sync"))
+	if cerr := w.file.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.file.Close(); err != nil {
-		return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "seal close"))
+	w.file = nil
+	if err != nil {
+		return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "seal segment"))
 	}
-	w.file, w.bw = nil, nil
 	w.sinceSync = 0
 	db.st.fsyncs.Add(1)
 	return nil
@@ -549,12 +475,6 @@ func (db *DB) rotateLocked() error {
 	w := db.wal
 	if err := db.closeActiveLocked(); err != nil {
 		return err
-	}
-	if db.failpointHit(FailRotateMid) {
-		// Crash between sealing the old segment and writing to the next: a
-		// real crash can leave the successor created but empty.
-		_ = os.WriteFile(segPath(db.path, w.nextIdx), nil, 0o644)
-		return db.fail(ErrCrashed)
 	}
 	if err := w.openSegment(db.path, w.nextIdx, w.sealActive); err != nil {
 		return db.fail(err)

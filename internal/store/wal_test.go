@@ -321,24 +321,24 @@ func TestGroupCommitConcurrentDurability(t *testing.T) {
 
 // TestNaturalBatchingCoalesces pins group commit by natural batching without
 // leaning on the scheduler: the first batch is held inside its leader (at its
-// FailAppendMid check) until eight more commits have queued behind it, so the
+// write to the segment) until eight more commits have queued behind it, so the
 // next flush must take all eight in one write + one fsync.
 func TestNaturalBatchingCoalesces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	db, err := Open(path, Options{SyncEvery: 1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	hold := func(op FileOp, _ string, _ int) (bool, int) {
+		if op == FileWrite && held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return false, 0
+	}
+	db, err := Open(path, Options{SyncEvery: 1, Fault: hold})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	entered, release := make(chan struct{}), make(chan struct{})
-	var held atomic.Bool
-	db.SetFailpoint(func(p Failpoint) bool {
-		if p == FailAppendMid && held.CompareAndSwap(false, true) {
-			close(entered)
-			<-release
-		}
-		return false
-	})
 	const followers = 8
 	var wg sync.WaitGroup
 	put := func(i int) {
