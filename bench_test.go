@@ -221,8 +221,11 @@ func BenchmarkChooseNext(b *testing.B) {
 // rebuilds one root-to-leaf path per record, so ns/op and B/op grow with
 // log n (≤ 3× from 1e3 to 1e5 keys; a copy of anything table-sized would
 // show as 10–100×); batch=200 shares the new upper levels and the task
-// table's hot leaf, about 0.8–1.0 KB against 2.1–2.5 KB alone on a 2-core
-// x86-64 box. B/op includes the record's key and JSON value.
+// table's hot leaf, about 0.7–0.85 KB against 1.5–1.65 KB alone on a 2-core
+// x86-64 box. B/op includes the record's key and JSON value. A branch on
+// the path copies its child pointers and shares its separators with the
+// version before; 2.1–2.5 KB alone means branch copies carry their
+// separators again, or leaf entries their values as slices.
 func BenchmarkStoreCommit(b *testing.B) {
 	for _, n := range []int{1e3, 1e4, 1e5} {
 		for _, batch := range []int{1, 200} {

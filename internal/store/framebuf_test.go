@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,10 +14,11 @@ import (
 var raceEnabled bool
 
 // durableTaskPutAllocs bounds one Catalog.PutTask on a warm WAL store: the
-// write set, the commit queue entry and the tree's path copy come to 10
+// write set, the tree's path copy and the index version come to 8
 // allocations. A commit that frames its record in an allocation of its own,
-// instead of in the WAL's frame buffer, reads 11.
-const durableTaskPutAllocs = 10
+// instead of in the WAL's frame buffer, or allocates its commit queue entry
+// instead of drawing it from the pool, reads 9.
+const durableTaskPutAllocs = 8
 
 // TestDurableCommitAllocs holds a one-record commit on a WAL store under
 // durableTaskPutAllocs: its frame is written into the buffer the WAL keeps
@@ -46,6 +48,95 @@ func TestDurableCommitAllocs(t *testing.T) {
 		t.Errorf("a one-record PutTask on a WAL store allocates %.1f times, want at most %d", allocs, durableTaskPutAllocs)
 	} else {
 		t.Logf("a one-record PutTask on a WAL store allocates %.1f times (bound %d)", allocs, durableTaskPutAllocs)
+	}
+}
+
+// durableCommitBytes bounds the bytes one commit allocates into a durable
+// store whose tasks and posts tables hold 2.4e4 keys each (four levels):
+// a one-record Catalog.PutTask appended at the task table's right edge and
+// a Catalog.AppendPost at the end of one of 1 200 resources' ranges, write
+// set, encoding, frame and path copy included. Each reads about 1.4 KB;
+// when a branch copy carried its separators (24 B a slot) and an entry its
+// value as a slice (40 B) they read about 2.3 and 2.2 KB.
+const (
+	durableTaskPutBytes = 1550
+	durablePostBytes    = 1500
+)
+
+// TestDurableCommitBytes holds the path copy of a one-record commit under
+// durableCommitBytes: the branches on the path copy their child pointers
+// and share their separators with the version before.
+func TestDurableCommitBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a sync.Pool drops items at random under -race, so allocations are not the product's")
+	}
+	db, err := Open(filepath.Join(t.TempDir(), "commit.wal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := NewCatalog(db)
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	const keys, resources = 24000, 1200
+	task := func(i int) TaskRec {
+		return TaskRec{ID: fmt.Sprintf("task-%08d", i), ProjectID: "proj-000001", ResourceID: fmt.Sprintf("res-%05d", i%resources),
+			WorkerID: "tagger-01", Status: TaskCompleted, Reward: 0.05, CreatedAt: at, DoneAt: at}
+	}
+	post := func(i int) PostRec {
+		return PostRec{ResourceID: fmt.Sprintf("res-%05d", i*7919%resources), TaggerID: "tagger-01", TaskID: fmt.Sprintf("task-%08d", i),
+			Tags: []string{"go", "database", "tagging"}, Time: at}
+	}
+	for i := 0; i < keys; i += 1000 {
+		w := c.Begin(2000)
+		for j := i; j < i+1000; j++ {
+			if err := w.PutTask(task(j)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.AppendPost(post(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, table := range []string{TableTasks, TablePosts} {
+		if d := depth(db.table(table)); d < 4 {
+			t.Fatalf("%s has %d levels, want 4: three of branches", table, d)
+		}
+	}
+	next := keys
+	commit := func(put func(i int) error) func() {
+		return func() {
+			if err := put(next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		bound uint64
+		put   func()
+	}{
+		{"PutTask", durableTaskPutBytes, commit(func(i int) error { return c.PutTask(task(i)) })},
+		{"AppendPost", durablePostBytes, commit(func(i int) error { _, err := c.AppendPost(post(i)); return err })},
+	} {
+		for range 50 {
+			tc.put()
+		}
+		const runs = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			tc.put()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > tc.bound {
+			t.Errorf("a one-record %s into 2.4e4 keys allocates %d B, want at most %d", tc.name, per, tc.bound)
+		} else {
+			t.Logf("a one-record %s into 2.4e4 keys allocates %d B (bound %d)", tc.name, per, tc.bound)
+		}
 	}
 }
 

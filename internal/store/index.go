@@ -9,6 +9,9 @@ package store
 // final size, and shares every other node with the version before. The
 // apply then swaps the index pointer: O(log n) per record whatever the
 // table size, and one new node per touched node whatever the record count.
+// A branch copy copies child pointers only and shares the separator array
+// of the version before while its separators stay put: a one-record commit
+// into a 1e5-key table allocates about 1.1 KB, key and value aside.
 //
 // The invariant: a node is never written after it is made. Readers
 // (Get/Has/Scan*/Count*/Tables) therefore load the pointer and walk: no
@@ -16,9 +19,9 @@ package store
 // for as long as it likes. A compaction cut and SnapshotExport are the same
 // load.
 //
-// Value slices are stored as handed in and shared by every version that
-// holds them: values are replaced wholesale on overwrite, never mutated in
-// place.
+// Values are stored as handed in, the caller's bytes viewed as a string,
+// and shared by every version that holds them: values are replaced
+// wholesale on overwrite, never mutated in place.
 
 import (
 	"cmp"
@@ -30,40 +33,40 @@ import (
 
 // Node fill: a merge cuts a node's items into even parts of at most
 // maxItems, and a delete pools a node with a neighbour below minItems (the
-// root is exempt). 16 is the knee of
-// BenchmarkStoreCommit's B/op (see docs/ARCHITECTURE.md for the row).
+// root is exempt). 16 is measured against 8 and 32 in BenchmarkStoreCommit
+// and BenchmarkCatalogGet (see docs/ARCHITECTURE.md for the row).
 const (
 	maxItems = 16
 	minItems = maxItems / 2
 )
 
-// entry is one key with its raw JSON value.
+// entry is one key with its raw JSON value: the bytes a put handed in,
+// viewed as a string — no copy, and 8 bytes narrower than a slice.
 type entry struct {
 	key string
-	val []byte
+	val string
 }
 
-// child is a branch slot. From the second slot on, min separates: every
-// key under the slot is >= min and every key under the previous slot is
-// smaller. The first slot's min is never used to route; it repeats the
-// separator the parent holds for this node, so a node cut from or joined
-// onto a list brings its own bound along.
-type child struct {
-	min string
-	n   *node
-}
+// valueOf views b as an entry's value and raw views it back, the same bytes
+// both ways: the store owns a value once applied and nothing writes it.
+func valueOf(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+func (e entry) raw() []byte   { return unsafe.Slice(unsafe.StringData(e.val), len(e.val)) }
 
-// node is a leaf (ents) or a branch (kids); all leaves sit at one depth.
+// node is a leaf (kids nil) or a branch, whose ents are its separators,
+// keys only, one per slot (shared by versions until one changes). From the
+// second on, ents[i].key separates: every key under kids[i] is >= it and
+// every key under kids[i-1] is smaller. ents[0].key, never used to route,
+// repeats the parent's separator for a branch (so a branch cut from or
+// joined onto a list brings its own bound along); a leaf's first key is at
+// or above it. All leaves sit at one depth.
 type node struct {
 	ents []entry
-	kids []child
+	kids []*node
 }
-
-func (n *node) size() int { return len(n.ents) + len(n.kids) }
 
 // childFor returns the slot whose subtree holds key's position.
 func (n *node) childFor(key string) int {
-	return sort.Search(len(n.kids)-1, func(i int) bool { return key < n.kids[i+1].min })
+	return sort.Search(len(n.kids)-1, func(i int) bool { return key < n.ents[i+1].key })
 }
 
 // seek returns the position of the first entry >= key and whether it is
@@ -92,27 +95,29 @@ func splice[T any](s []T, i, j int, repl ...T) []T {
 	return append(append(append(out, s[:i]...), repl...), s[j:]...)
 }
 
-// cut appends to out one node per part of s, cut into the fewest parts of
-// at most maxItems, sized within one of each other (so every part of a
-// multi-part cut holds >= minItems); mk copies a part into its node. out
-// may share s's array up to where s starts: part p is copied before slot
-// len(out)+p is written, and no later part reads that slot.
-func cut[T any](out []child, s []T, mk func([]T) child) []child {
-	parts := (len(s) + maxItems - 1) / maxItems
+// cut appends to out one node per part of ents — a leaf's entries, or with
+// kids a branch's separators and slots — cut into the fewest parts of at
+// most maxItems, sized within one of each other (so every part of a
+// multi-part cut holds >= minItems), each copied at its exact size. out
+// may share kids' array up to where kids starts: part p is copied before
+// slot len(out)+p is written, and no later part reads that slot.
+func cut(out []*node, ents []entry, kids []*node) []*node {
+	parts := (len(ents) + maxItems - 1) / maxItems
 	for p := 0; p < parts; p++ {
-		out = append(out, mk(s[p*len(s)/parts:(p+1)*len(s)/parts]))
+		i, j := p*len(ents)/parts, (p+1)*len(ents)/parts
+		n := &node{ents: slices.Clone(ents[i:j])}
+		if len(kids) > 0 {
+			n.kids = slices.Clone(kids[i:j])
+		}
+		out = append(out, n)
 	}
 	return out
 }
 
-// leafOf and branchOf make the node holding a copy of s at its exact size,
-// in the slot its first key (or first slot's min) bounds.
-func leafOf(s []entry) child   { return child{s[0].key, &node{ents: slices.Clone(s)}} }
-func branchOf(s []child) child { return child{s[0].min, &node{kids: slices.Clone(s)}} }
-
 // del removes key from under n and returns the subtree, or n untouched and
-// false when key is absent. Every node on the path is copied. The result may
-// be under-full; the caller pools it.
+// false when key is absent. Every node on the path is copied; a branch
+// whose slots stay shares its separators. The result may be under-full;
+// the caller pools it.
 func (n *node) del(key string) (*node, bool) {
 	if n.kids == nil {
 		i, found := seek(n.ents, key)
@@ -122,26 +127,24 @@ func (n *node) del(key string) (*node, bool) {
 		return &node{ents: splice(n.ents, i, i+1)}, true
 	}
 	i := n.childFor(key)
-	c, ok := n.kids[i].n.del(key)
+	c, ok := n.kids[i].del(key)
 	if !ok {
 		return n, false
 	}
-	if c.size() >= minItems {
-		return &node{kids: splice(n.kids, i, i+1, child{n.kids[i].min, c})}, true
+	if len(c.ents) >= minItems {
+		return &node{ents: n.ents, kids: splice(n.kids, i, i+1, c)}, true
 	}
 	// Pool the under-full child with a neighbour: one node when the items
-	// fit, two even ones otherwise.
+	// fit, two even ones otherwise. The parent keeps its separators.
 	a := max(i-1, 0)
-	pair := [2]*node{n.kids[a].n, n.kids[a+1].n}
+	pair := [2]*node{n.kids[a], n.kids[a+1]}
 	pair[i-a] = c
-	var pooled []child
-	if c.kids == nil {
-		pooled = cut(nil, slices.Concat(pair[0].ents, pair[1].ents), leafOf)
-	} else {
-		pooled = cut(nil, slices.Concat(pair[0].kids, pair[1].kids), branchOf)
+	pooled := cut(nil, slices.Concat(pair[0].ents, pair[1].ents), slices.Concat(pair[0].kids, pair[1].kids))
+	seps := []entry{n.ents[a]}
+	if len(pooled) == 2 {
+		seps = append(seps, entry{key: pooled[1].ents[0].key})
 	}
-	pooled[0].min = n.kids[a].min // the parent keeps its separators
-	return &node{kids: splice(n.kids, a, a+2, pooled...)}, true
+	return &node{ents: splice(n.ents, a, a+2, seps...), kids: splice(n.kids, a, a+2, pooled...)}, true
 }
 
 // tree is one version of one table: an immutable root (nil when empty) and
@@ -161,10 +164,10 @@ func (t tree) del(key string) tree {
 		return t
 	}
 	switch {
-	case root.size() == 0:
+	case len(root.ents) == 0:
 		root = nil
 	case len(root.kids) == 1:
-		root = root.kids[0].n
+		root = root.kids[0]
 	}
 	return tree{root, t.n - 1}
 }
@@ -175,10 +178,10 @@ func (t tree) get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	for n.kids != nil {
-		n = n.kids[n.childFor(key)].n
+		n = n.kids[n.childFor(key)]
 	}
 	if i, found := seek(n.ents, key); found {
-		return n.ents[i].val, true
+		return n.ents[i].raw(), true
 	}
 	return nil, false
 }
@@ -201,15 +204,16 @@ type op struct {
 }
 
 // merger is an apply's scratch: the flattened ops, the puts of the table
-// being merged, the entries of the leaf being rebuilt, and a stack of the
-// slots of the branches being rebuilt. It clears what it used, so it pins
-// no value the tree has dropped, and keeps each slice's capacity from one
-// apply to the next only while it is within keptFrameBytes.
+// being merged, the entries of the leaf (or separators of the branch) being
+// rebuilt, and a stack of the nodes the merge has made. It clears what it
+// used, so it pins no value the tree has dropped, and keeps each slice's
+// capacity from one apply to the next only while it is within
+// keptFrameBytes.
 type merger struct {
 	ops  []op
 	run  []entry
 	ents []entry
-	kids []child
+	kids []*node
 }
 
 // add flattens recs — puts, deletes, and batches of them — into m's ops.
@@ -270,7 +274,7 @@ func (m *merger) apply(x dbIndex) dbIndex {
 			case o.del:
 				t = t.del(o.key)
 			default:
-				m.run = append(m.run, entry{o.key, o.val})
+				m.run = append(m.run, entry{o.key, valueOf(o.val)})
 			}
 		}
 		if next[i].tree = m.merge(t, m.run); next[i].n == 0 {
@@ -304,10 +308,15 @@ func (m *merger) merge(t tree, run []entry) tree {
 	}
 	added := m.into(t.root, run)
 	for top := len(m.kids); top > 1; top = len(m.kids) {
-		m.kids = cut(m.kids[:0], m.kids, branchOf)
+		for _, c := range m.kids {
+			m.ents = append(m.ents, entry{key: c.ents[0].key})
+		}
+		m.kids = cut(m.kids[:0], m.ents, m.kids)
 		clear(m.kids[len(m.kids):top])
+		clear(m.ents)
+		m.ents = m.ents[:0]
 	}
-	root := m.kids[0].n
+	root := m.kids[0]
 	clear(m.kids)
 	m.kids = m.kids[:0]
 	return tree{root, t.n + added}
@@ -317,12 +326,15 @@ func (m *merger) merge(t tree, run []entry) tree {
 // becomes with run — ascending distinct keys, all routed to n — merged in,
 // and returns how many of run's keys are new. A leaf merges its entries
 // with the run; a branch splits the run at its separators, recurses only
-// into the slots that receive keys, and lays its slots out once. A result
-// that fits one node is built straight into it; an over-full one is laid
-// out in scratch and cut.
+// into the slots that receive keys, and lays its slots out once: when each
+// slot reached became one node within its old bound, with its slots only.
+// Otherwise a reached slot keeps the lower of its old separator and its
+// first node's bound (only slot 0 can go lower: a new minimum), and a node
+// after it is named by its own. A result that fits one node is built
+// straight into it; an over-full one is laid out in scratch and cut.
 func (m *merger) into(n *node, run []entry) (added int) {
 	if n == nil {
-		m.kids = cut(m.kids, run, leafOf)
+		m.kids = cut(m.kids, run, nil)
 		return len(run)
 	}
 	if n.kids == nil {
@@ -334,12 +346,11 @@ func (m *merger) into(n *node, run []entry) (added int) {
 		}
 		size := len(n.ents) + added
 		if size <= maxItems {
-			ents := mergeEnts(make([]entry, 0, size), n.ents, run)
-			m.kids = append(m.kids, child{ents[0].key, &node{ents: ents}})
+			m.kids = append(m.kids, &node{ents: mergeEnts(make([]entry, 0, size), n.ents, run)})
 			return added
 		}
 		m.ents = mergeEnts(slices.Grow(m.ents, size), n.ents, run)
-		m.kids = cut(m.kids, m.ents, leafOf)
+		m.kids = cut(m.kids, m.ents, nil)
 		clear(m.ents)
 		m.ents = m.ents[:0]
 		return added
@@ -349,34 +360,53 @@ func (m *merger) into(n *node, run []entry) (added int) {
 	for len(run) > 0 {
 		i, k := n.childFor(run[0].key), len(run)
 		if i+1 < len(n.kids) {
-			bound := n.kids[i+1].min
+			bound := n.ents[i+1].key
 			k = sort.Search(len(run), func(j int) bool { return run[j].key >= bound })
 		}
 		top := len(m.kids)
-		added += m.into(n.kids[i].n, run[:k])
+		added += m.into(n.kids[i], run[:k])
 		pushed[i] = len(m.kids) - top
 		size += pushed[i] - 1
 		run = run[k:]
 	}
-	top, kids := len(m.kids), m.kids
+	top := len(m.kids)
+	if size == len(n.kids) && (pushed[0] == 0 || m.kids[base].ents[0].key >= n.ents[0].key) {
+		kids, at := slices.Clone(n.kids), base
+		for i, p := range pushed[:len(n.kids)] {
+			if p > 0 {
+				kids[i] = m.kids[at]
+				at++
+			}
+		}
+		clear(m.kids[base:top])
+		m.kids = append(m.kids[:base], &node{ents: n.ents, kids: kids})
+		return added
+	}
+	ents, kids := m.ents, m.kids
 	if size <= maxItems {
-		kids = make([]child, 0, size)
+		ents, kids = make([]entry, 0, size), make([]*node, 0, size)
 	}
 	next, at := 0, base
 	for i, p := range pushed[:len(n.kids)] {
 		if p > 0 {
+			ents = append(append(ents, n.ents[next:i]...), entry{key: min(n.ents[i].key, m.kids[at].ents[0].key)})
+			for _, c := range m.kids[at+1 : at+p] {
+				ents = append(ents, entry{key: c.ents[0].key})
+			}
 			kids = append(append(kids, n.kids[next:i]...), m.kids[at:at+p]...)
 			next, at = i+1, at+p
 		}
 	}
-	kids = append(kids, n.kids[next:]...)
+	ents, kids = append(ents, n.ents[next:]...), append(kids, n.kids[next:]...)
 	if size <= maxItems {
 		clear(m.kids[base:top])
-		m.kids = append(m.kids[:base], child{kids[0].min, &node{kids: kids}})
+		m.kids = append(m.kids[:base], &node{ents: ents, kids: kids})
 		return added
 	}
-	m.kids = cut(kids[:base], kids[top:], branchOf)
+	m.kids = cut(kids[:base], ents, kids[top:])
 	clear(kids[len(m.kids):])
+	clear(ents)
+	m.ents = ents[:0]
 	return added
 }
 
@@ -410,7 +440,7 @@ func (t tree) iter(start, end string) treeIter {
 	for n.kids != nil {
 		i := n.childFor(start)
 		it.push(n, i)
-		n = n.kids[i].n
+		n = n.kids[i]
 	}
 	i, _ := seek(n.ents, start)
 	it.push(n, i-1)
@@ -443,7 +473,7 @@ func (it *treeIter) advance() {
 		}
 		it.stack[d].i++
 		it.depth = d + 1
-		for n := it.stack[d].n.kids[it.stack[d].i].n; ; n = n.kids[0].n {
+		for n := it.stack[d].n.kids[it.stack[d].i]; ; n = n.kids[0] {
 			it.push(n, 0)
 			if n.kids == nil {
 				break
@@ -456,7 +486,7 @@ func (it *treeIter) advance() {
 		it.depth = 0
 		return
 	}
-	it.key, it.val, it.ok = e.key, e.val, true
+	it.key, it.val, it.ok = e.key, e.raw(), true
 }
 
 // scanRange visits keys in [start, end) (end "" = unbounded), at most

@@ -6,7 +6,6 @@ package store
 // keeps seeing exactly that version.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -21,9 +20,10 @@ import (
 
 // checkTree asserts the node invariants of one tree version: keys strictly
 // ascending across the whole tree, every separator a true bound (and
-// repeated in the first slot of the branch it bounds), fill within
-// [minItems, maxItems] below the root, leaves at one depth, and the
-// recorded key count exact.
+// repeated as the lower bound of the branch it names, the root's own bound
+// included), a separator entry carrying no value, one separator per slot,
+// fill within [minItems, maxItems] below the root, leaves at one depth, and
+// the recorded key count exact.
 func checkTree(t testing.TB, label string, tr tree) {
 	t.Helper()
 	if tr.root == nil {
@@ -36,7 +36,7 @@ func checkTree(t testing.TB, label string, tr tree) {
 	last, haveLast := "", false
 	var walk func(n *node, depth int, lo string, bounded, isRoot bool)
 	walk = func(n *node, depth int, lo string, bounded, isRoot bool) {
-		if (n.ents == nil) == (n.kids == nil) {
+		if len(n.ents) == 0 || n.kids != nil && len(n.kids) != len(n.ents) {
 			t.Fatalf("%s: node at depth %d is neither leaf nor branch (%d ents, %d kids)", label, depth, len(n.ents), len(n.kids))
 		}
 		min := minItems
@@ -46,8 +46,8 @@ func checkTree(t testing.TB, label string, tr tree) {
 				min = 2
 			}
 		}
-		if n.size() < min || n.size() > maxItems {
-			t.Fatalf("%s: node at depth %d holds %d items, want [%d, %d]", label, depth, n.size(), min, maxItems)
+		if len(n.ents) < min || len(n.ents) > maxItems {
+			t.Fatalf("%s: node at depth %d holds %d items, want [%d, %d]", label, depth, len(n.ents), min, maxItems)
 		}
 		if n.kids == nil {
 			if leafDepth < 0 {
@@ -67,23 +67,26 @@ func checkTree(t testing.TB, label string, tr tree) {
 			}
 			return
 		}
-		if bounded && n.kids[0].min != lo {
-			t.Fatalf("%s: branch under separator %q carries %q in its first slot", label, lo, n.kids[0].min)
+		if bounded && n.ents[0].key != lo {
+			t.Fatalf("%s: branch under separator %q carries %q as its lower bound", label, lo, n.ents[0].key)
 		}
 		for i, c := range n.kids {
-			if i == 0 {
-				walk(c.n, depth+1, lo, bounded, false)
-				continue
+			if n.ents[i].val != "" {
+				t.Fatalf("%s: separator %q carries a value", label, n.ents[i].key)
 			}
 			// Everything visited so far lies under earlier slots and must
 			// be smaller than this slot's separator.
-			if haveLast && last >= c.min {
-				t.Fatalf("%s: separator %q does not exceed earlier key %q", label, c.min, last)
+			if i > 0 && haveLast && last >= n.ents[i].key {
+				t.Fatalf("%s: separator %q does not exceed earlier key %q", label, n.ents[i].key, last)
 			}
-			walk(c.n, depth+1, c.min, true, false)
+			walk(c, depth+1, n.ents[i].key, true, false)
 		}
 	}
-	walk(tr.root, 0, "", false, true)
+	lo, bounded := "", tr.root.kids != nil
+	if bounded {
+		lo = tr.root.ents[0].key
+	}
+	walk(tr.root, 0, lo, bounded, true)
 	if count != tr.n {
 		t.Fatalf("%s: tree holds %d keys, n says %d", label, count, tr.n)
 	}
@@ -105,7 +108,7 @@ func checkStoreTrees(t testing.TB, label string, db *DB) {
 func treeContents(tr tree) []entry {
 	var out []entry
 	for it := tr.iter("", ""); it.ok; it.advance() {
-		out = append(out, entry{it.key, it.val})
+		out = append(out, entry{it.key, string(it.val)})
 	}
 	return out
 }
@@ -179,14 +182,14 @@ func requireScratchClean(t testing.TB, label string, m *merger) {
 	}
 	for _, s := range [][]entry{m.run[:cap(m.run)], m.ents[:cap(m.ents)]} {
 		for _, e := range s {
-			if e.key != "" || e.val != nil {
+			if e.key != "" || e.val != "" {
 				t.Fatalf("%s: merger entries keep %q", label, e.key)
 			}
 		}
 	}
 	for _, c := range m.kids[:cap(m.kids)] {
-		if c.n != nil || c.min != "" {
-			t.Fatalf("%s: merger slots keep a node under %q", label, c.min)
+		if c != nil {
+			t.Fatalf("%s: merger stack keeps a node", label)
 		}
 	}
 }
@@ -215,7 +218,7 @@ func TestMergeScratchIsBounded(t *testing.T) {
 			"ops":  uintptr(cap(m.ops)) * unsafe.Sizeof(op{}),
 			"run":  uintptr(cap(m.run)) * unsafe.Sizeof(entry{}),
 			"ents": uintptr(cap(m.ents)) * unsafe.Sizeof(entry{}),
-			"kids": uintptr(cap(m.kids)) * unsafe.Sizeof(child{}),
+			"kids": uintptr(cap(m.kids)) * unsafe.Sizeof((*node)(nil)),
 		}
 	}
 	apply(400)
@@ -257,8 +260,8 @@ func TestTreeRandomOpsInvariants(t *testing.T) {
 		if seed == 7 { // a snapshot-loaded start
 			ents := make([]entry, 500)
 			for i := range ents {
-				ents[i] = entry{fmt.Sprintf("k%05d", i*2), []byte(fmt.Sprintf("b%d", i))}
-				im.model.apply(putRec("u", ents[i].key, string(ents[i].val)))
+				ents[i] = entry{fmt.Sprintf("k%05d", i*2), fmt.Sprintf("b%d", i)}
+				im.model.apply(putRec("u", ents[i].key, ents[i].val))
 			}
 			im.x = dbIndex{{name: "u", tree: buildTree(ents)}}
 			im.check(t, label("buildTree", 0))
@@ -338,7 +341,7 @@ func depth(tr tree) int {
 		if n.kids == nil {
 			return d + 1
 		}
-		n = n.kids[0].n
+		n = n.kids[0]
 	}
 	return d
 }
@@ -351,7 +354,7 @@ func TestBuildTreeInvariants(t *testing.T) {
 	for _, n := range sizes {
 		ents := make([]entry, n)
 		for i := range ents {
-			ents[i] = entry{fmt.Sprintf("k%06d", i), []byte(fmt.Sprintf("%d", i))}
+			ents[i] = entry{fmt.Sprintf("k%06d", i), fmt.Sprintf("%d", i)}
 		}
 		tr := buildTree(ents)
 		checkTree(t, fmt.Sprintf("buildTree(%d)", n), tr)
@@ -439,12 +442,12 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	checkTree(t, "old root", old)
 	for _, e := range oldWant {
-		if got, ok := old.get(e.key); !ok || !bytes.Equal(got, e.val) {
+		if got, ok := old.get(e.key); !ok || string(got) != e.val {
 			t.Fatalf("old root get(%q) = %q, %v; want %q", e.key, got, ok, e.val)
 		}
 	}
 	for i := len(oldWant) / 2; i < len(oldWant); i++ {
-		if !half.ok || half.key != oldWant[i].key || !bytes.Equal(half.val, oldWant[i].val) {
+		if !half.ok || half.key != oldWant[i].key || string(half.val) != oldWant[i].val {
 			t.Fatalf("half-consumed iterator diverged at entry %d", i)
 		}
 		half.advance()
@@ -511,15 +514,21 @@ func (h heldVersion) check(t *testing.T, label string) {
 	if d := h.want.diff(h.idx); d != "" {
 		t.Fatalf("%s: the version drifted: %s", label, d)
 	}
+	// Its separators too, which later versions share and iteration never
+	// reads: a shared array written in place misroutes the old version.
+	for _, tab := range h.idx {
+		checkTree(t, label+"/"+tab.name, tab.tree)
+	}
 }
 
 // TestTransientEditsKeepEveryVersion is the isolation property of the
 // merged tree: random multi-record applies — repeated keys, puts and
 // deletes mixed, two tables, batches large enough to split and pool
 // nodes — against the sorted-map model, holding
-// EVERY published version and re-checking each of them byte for byte after
-// every later apply. An apply that wrote a node it did not make shows up as
-// drift in an older version.
+// EVERY published version and re-checking each of them byte for byte, and
+// its tree invariants, after every later apply. An apply that wrote a node
+// or a separator array it did not make shows up as drift in an older
+// version.
 func TestTransientEditsKeepEveryVersion(t *testing.T) {
 	tables := []string{"posts", "tasks"}
 	for _, seed := range []int64{3, 11} {
@@ -624,15 +633,15 @@ func TestScannersSeeWholeBatchesDuringApply(t *testing.T) {
 						root := db.table("t")
 						first := treeContents(root)
 						gens := 0
-						var gen []byte
+						var gen string
 						for _, e := range first {
 							if !strings.HasPrefix(e.key, "gen/") {
 								continue
 							}
-							if gens++; gen == nil {
+							if gens++; gens == 1 {
 								gen = e.val
 							}
-							if !bytes.Equal(e.val, gen) {
+							if e.val != gen {
 								t.Errorf("a root holds half a batch: %s = %s after generation %s", e.key, e.val, gen)
 								return
 							}
@@ -660,10 +669,11 @@ func TestScannersSeeWholeBatchesDuringApply(t *testing.T) {
 	}
 }
 
-// nodeImage is a deep copy of what one node holds.
+// nodeImage is a deep copy of what one node holds: its entries (a
+// branch's separators, which later versions may share) and its slots.
 type nodeImage struct {
 	ents []entry
-	kids []child
+	kids []*node
 }
 
 // imageOf copies every node reachable from tr's root, keyed by address.
@@ -673,11 +683,11 @@ func imageOf(tr tree) map[*node]nodeImage {
 	walk = func(n *node) {
 		img := nodeImage{kids: slices.Clone(n.kids)}
 		for _, e := range n.ents {
-			img.ents = append(img.ents, entry{e.key, bytes.Clone(e.val)})
+			img.ents = append(img.ents, entry{e.key, strings.Clone(e.val)})
 		}
 		out[n] = img
 		for _, c := range n.kids {
-			walk(c.n)
+			walk(c)
 		}
 	}
 	if tr.root != nil {
@@ -690,7 +700,7 @@ func imageOf(tr tree) map[*node]nodeImage {
 // position.
 func pathTo(tr tree, key string) []*node {
 	var out []*node
-	for n := tr.root; ; n = n.kids[n.childFor(key)].n {
+	for n := tr.root; ; n = n.kids[n.childFor(key)] {
 		out = append(out, n)
 		if n.kids == nil {
 			return out
@@ -699,10 +709,13 @@ func pathTo(tr tree, key string) []*node {
 }
 
 // TestMergeNeverWritesAPublishedNode pins the tree's one rule: a node is
-// never written after it is made. After a one-record, a multi-record and an
-// overflowing apply onto a three-level table, every node on a path the apply
-// touched is new, the version the apply started from reads byte for byte
-// the same, and the untouched nodes are shared rather than copied.
+// never written after it is made. After a one-record, a multi-record, an
+// overflowing and a new-minimum apply onto a three-level table, every node
+// on a path the apply touched is new, the version the apply started from
+// reads byte for byte the same — its separators included — and the
+// untouched nodes are shared rather than copied. A one-record apply that
+// leaves every bound in place copies no separator array: each branch on its
+// path shares the one it replaces.
 func TestMergeNeverWritesAPublishedNode(t *testing.T) {
 	im := newIndexModel()
 	for c := 0; c < 12; c++ { // a table grown by merges, not bulk-loaded
@@ -730,6 +743,7 @@ func TestMergeNeverWritesAPublishedNode(t *testing.T) {
 			delRec("t", "k0600"), putRec("t", "k1197", "new"), putRec("t", "k0900", "over"),
 		}},
 		{"overflowing", overflow},
+		{"new minimum", []Record{putRec("t", "a", "new")}},
 	} {
 		before := imageOf(base[0].tree)
 		var m merger
@@ -760,6 +774,14 @@ func TestMergeNeverWritesAPublishedNode(t *testing.T) {
 		}
 		if tc.name == "one record" && len(before)-shared > depth(tr) {
 			t.Fatalf("one record: %d nodes replaced, want one path (%d)", len(before)-shared, depth(tr))
+		}
+		if tc.name == "one record" {
+			oldPath := pathTo(base[0].tree, tc.recs[0].Key)
+			for d, n := range pathTo(tr, tc.recs[0].Key) {
+				if n.kids != nil && unsafe.SliceData(n.ents) != unsafe.SliceData(oldPath[d].ents) {
+					t.Fatalf("one record: the depth-%d branch copied its separators", d)
+				}
+			}
 		}
 	}
 }

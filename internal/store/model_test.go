@@ -109,7 +109,7 @@ func (m model) diff(x dbIndex) string {
 func (m model) entries(table string) []entry {
 	out := make([]entry, 0, len(m[table]))
 	for k, v := range m[table] {
-		out = append(out, entry{k, v})
+		out = append(out, entry{k, string(v)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
@@ -144,14 +144,14 @@ func withPrefix(all []entry, prefix string) []entry {
 func scanned(scan func(visit func(string, []byte) bool)) []entry {
 	var out []entry
 	scan(func(k string, raw []byte) bool {
-		out = append(out, entry{k, bytes.Clone(raw)})
+		out = append(out, entry{k, string(raw)})
 		return true
 	})
 	return out
 }
 
 func entriesEqual(a, b []entry) bool {
-	return slices.EqualFunc(a, b, func(x, y entry) bool { return x.key == y.key && bytes.Equal(x.val, y.val) })
+	return slices.Equal(a, b)
 }
 
 // check is the reader: it holds db to m through every read the store
@@ -196,7 +196,7 @@ func (m model) check(t testing.TB, label string, db *DB, r *rand.Rand) {
 		probes := []string{"", "\xff"}
 		for _, e := range all {
 			var raw json.RawMessage
-			if err := db.Get(table, e.key, &raw); err != nil || !bytes.Equal(raw, e.val) {
+			if err := db.Get(table, e.key, &raw); err != nil || string(raw) != e.val {
 				t.Fatalf("%s: Get(%q, %q) = %s, %v; want %s", label, table, e.key, raw, err, e.val)
 			}
 			if !db.Has(table, e.key) {
@@ -233,7 +233,7 @@ func (m model) check(t testing.TB, label string, db *DB, r *rand.Rand) {
 			want := within(all, start, end, limit)
 			var got []entry
 			n := db.ScanRange(table, start, end, limit, func(k string, raw []byte) bool {
-				got = append(got, entry{k, bytes.Clone(raw)})
+				got = append(got, entry{k, string(raw)})
 				return true
 			})
 			if !entriesEqual(got, want) || n != len(got) {

@@ -407,7 +407,9 @@ func (db *DB) applyReplicated(data []byte) ([]Record, uint64, error) {
 	if len(data) == 0 {
 		return nil, db.AppliedSeq(), nil
 	}
-	c := &pendingCommit{enc: data}
+	c := pendingCommits.Get().(*pendingCommit)
+	defer c.release()
+	c.enc = data
 	if err := db.commit(c); err != nil {
 		return nil, 0, err
 	}
@@ -490,7 +492,7 @@ func (db *DB) InstallSnapshot(data []byte) error {
 	// Retire the superseded WAL files: close the active segment, drop every
 	// sealed file, open a fresh segment for the post-snapshot tail.
 	if w.file != nil {
-		_ = w.bw.Flush()
+		_ = w.flush()
 		_ = w.file.Close()
 		w.file = nil
 	}

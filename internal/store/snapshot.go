@@ -123,7 +123,7 @@ func readSnapshot(r *bufio.Reader, name string) (uint64, dbIndex, error) {
 			ents = ents[:0]
 		}
 		table = rec.Table
-		ents = append(ents, entry{rec.Key, rec.Value})
+		ents = append(ents, entry{rec.Key, valueOf(rec.Value)})
 	}
 	if line, err := readLine(r, &long); len(line) > 0 || err != io.EOF {
 		return bad("holds more than its header's %d entries", count)

@@ -346,7 +346,10 @@ func (db *DB) commitRecord(op Op, table, key string, value json.RawMessage, batc
 	if db.wal == nil {
 		return db.commitMemory(op, table, key, value, batch)
 	}
-	return db.commit(&pendingCommit{rec: Record{Op: op, Table: table, Key: key, Value: value, Batch: batch}})
+	c := pendingCommits.Get().(*pendingCommit)
+	defer c.release()
+	c.rec = Record{Op: op, Table: table, Key: key, Value: value, Batch: batch}
+	return db.commit(c)
 }
 
 func (db *DB) commitMemory(op Op, table, key string, value json.RawMessage, batch []Record) error {
@@ -539,7 +542,10 @@ func (db *DB) Sync() error {
 		}
 		return nil
 	}
-	return db.commit(&pendingCommit{syncBarrier: true})
+	c := pendingCommits.Get().(*pendingCommit)
+	defer c.release()
+	c.syncBarrier = true
+	return db.commit(c)
 }
 
 // Compact takes an online snapshot: it briefly blocks writers at the cut
@@ -578,7 +584,9 @@ func (db *DB) Compact() error {
 // cut obtains the compaction cut through the commit queue, so the cut
 // serializes with the batches around it.
 func (db *DB) cut() (*cutState, error) {
-	c := &pendingCommit{cut: true}
+	c := pendingCommits.Get().(*pendingCommit)
+	defer c.release()
+	c.cut = true
 	err := db.commit(c)
 	return c.cutState, err
 }

@@ -72,7 +72,8 @@ type wal struct {
 
 	fmu  sync.Mutex
 	file *diskFile // active segment; nil once closed
-	// bw buffers the active segment's appends, Reset onto each new one.
+	// bw buffers the active segment's appends: made at the first append
+	// (a store fed only InstallSnapshot holds none), Reset onto each new one.
 	bw         *bufio.Writer
 	activePath string
 	activeIdx  uint64
@@ -150,9 +151,7 @@ func (w *wal) openSegment(base string, idx uint64, retire func()) error {
 		size = fi.Size()
 	}
 	w.file = f
-	if w.bw == nil {
-		w.bw = bufio.NewWriterSize(f, 1<<18)
-	} else {
+	if w.bw != nil {
 		w.bw.Reset(f)
 	}
 	w.activeIdx = idx
@@ -238,6 +237,14 @@ func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 	return *long, err
 }
 
+// flush writes out bw, if an append made it. Caller holds fmu.
+func (w *wal) flush() error {
+	if w.bw == nil {
+		return nil
+	}
+	return w.bw.Flush()
+}
+
 // pendingCommit is one entry of the commit queue (DB.pend): a local commit's
 // record, a follower's shipment, a durability barrier (Sync), or a
 // compaction cut. Records get their sequence numbers when they are queued,
@@ -258,6 +265,16 @@ type pendingCommit struct {
 	syncBarrier bool
 	cut         bool
 	cutState    *cutState
+}
+
+// pendingCommits holds the entries: whoever queues one reads its results
+// once commit returns (no leader touches it after), then releases it,
+// cleared so the pool pins no record, shipment or cut.
+var pendingCommits = sync.Pool{New: func() any { return new(pendingCommit) }}
+
+func (c *pendingCommit) release() {
+	*c = pendingCommit{}
+	pendingCommits.Put(c)
 }
 
 // cutState is what a compaction cut captures: the published index at the
@@ -387,6 +404,9 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 		n += max(1, len(c.shipped))
 	}
 	w.frames = kept(buf)
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(w.file, 1<<18)
+	}
 	for _, c := range writes {
 		if _, err := w.bw.Write(c.enc); err != nil {
 			return db.fail(errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "append wal"))
@@ -453,7 +473,7 @@ func (db *DB) writeAndApply(writes []*pendingCommit, forceSync bool) error {
 // openSegment retires it. Caller holds fmu.
 func (db *DB) closeActiveLocked() error {
 	w := db.wal
-	err := w.bw.Flush()
+	err := w.flush()
 	if err == nil {
 		err = w.file.Sync()
 	}

@@ -593,3 +593,78 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("wal stats: %+v", st)
 	}
 }
+
+// TestWALWriterIsMadeAtFirstAppend: a durable store makes its 256 KiB
+// segment writer at its first append, not at Open, and keeps it across
+// rotations. Open, InstallSnapshot and Close of a follower that never
+// appends allocate less than the writer; the first commit makes it, and
+// three later commits, each sealing its segment and opening the next, write
+// through that same writer.
+func TestWALWriterIsMadeAtFirstAppend(t *testing.T) {
+	const writer = 256 << 10
+	dir := t.TempDir()
+	leader, err := Open(filepath.Join(dir, "leader.wal"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for i := range 100 {
+		if err := leader.Put("t", fmt.Sprintf("k%03d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := leader.SnapshotExport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	path := filepath.Join(dir, "follower.wal")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InstallSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= writer {
+		t.Errorf("Open, InstallSnapshot and Close allocated %d B, want less than the %d B writer", n, writer)
+	}
+	if db.wal.bw != nil {
+		t.Errorf("a store that never appended holds a writer")
+	}
+	db, err = Open(path, Options{SegmentBytes: 1}) // every batch seals its segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.wal.bw != nil {
+		t.Fatalf("Open made the writer before any append")
+	}
+	if err := db.Put("t", "first", 1); err != nil {
+		t.Fatal(err)
+	}
+	bw := db.wal.bw
+	if bw == nil || bw.Size() != writer {
+		t.Fatalf("the first commit made no %d B writer", writer)
+	}
+	for i := range 3 {
+		if err := db.Put("t", fmt.Sprintf("later%d", i), i); err != nil {
+			t.Fatal(err)
+		}
+		if db.wal.bw != bw {
+			t.Fatalf("commit %d, after a rotation, made a second writer", i+2)
+		}
+	}
+	if r := db.Stats().Rotations; r != 4 {
+		t.Fatalf("%d rotations, want one per commit (4)", r)
+	}
+	var got int
+	if err := db.Get("t", "k099", &got); err != nil || got != 99 {
+		t.Fatalf("the installed state reads k099 = %d, %v", got, err)
+	}
+}
