@@ -393,14 +393,17 @@ func BenchmarkCatalogGet(b *testing.B) {
 // of 1 000 resources preloaded with 5 posts each: batch_engine's per-call
 // work without HTTP. Per item that is a strategy choice, a quality update and
 // the service's bookkeeping; per call, one store commit of 400 records. The
-// lines to watch are allocs/op and B/op: about 1 020 and 191 KB/op at
-// -benchtime 400x on a 2-core x86-64 box. About 240 KB, allocs unchanged,
-// means the write set's 400-entry mutation list is allocated per call
-// again instead of drawn from its pool; 1 360 and 335 KB was the commit
-// copying a tree node again for each record that reached it and splitting
-// over-full nodes into two more copies, 2 530 and 455 KB each staged record
-// boxed into the mutation and copied again by the store, 5 600 a
-// json.Marshal per value and a cache store per written key.
+// lines to watch are allocs/op and B/op: about 470 and 164 KB/op at
+// -benchtime 400x on a 2-core x86-64 box, the results appended to a
+// recycled slice as the server's are (1 050 and 174 KB while every item
+// allocated its task ID and its task and post keys, and each call its
+// results and a tagger map). About 50 KB more, allocs unchanged, means the
+// write set's 400-entry mutation list is allocated per call again instead
+// of drawn from its pool; 1 360 and 335 KB was the commit copying a tree
+// node again for each record that reached it and splitting over-full nodes
+// into two more copies, 2 530 and 455 KB each staged record boxed into the
+// mutation and copied again by the store, 5 600 a json.Marshal per value
+// and a cache store per written key.
 // internal/server's TestBatchTasksAllocs bounds both in tier-1.
 func BenchmarkBatchTasks(b *testing.B) {
 	const resources, items = 1000, 200
@@ -441,10 +444,12 @@ func BenchmarkBatchTasks(b *testing.B) {
 			calls[c][i] = core.BatchItem{TaggerID: taggers[k%len(taggers)], Tags: []string{vocab[k%len(vocab)], vocab[(k/3)%len(vocab)], vocab[(k/7)%len(vocab)]}}
 		}
 	}
+	var out []core.BatchResult // recycled, as the server recycles its results
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := svc.BatchTasks(ctx, proj, calls[i%len(calls)])
+		res, err := svc.BatchTasks(ctx, proj, calls[i%len(calls)], out[:0])
+		out = res
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,10 +466,12 @@ func BenchmarkBatchTasks(b *testing.B) {
 // the harness. On top of the service's work it pays the SDK's encode of 200
 // items, the server's read and decode of them, the encode of 200 results and
 // the SDK's decode of those — all four without reflection. On a 2-core
-// x86-64 box at -benchtime 400x: ≈ 1 150 allocs/op and 305–310 KB/op
-// (≈ 357 KB while the mutation list was allocated per call, ≈ 2 660 allocs
-// and 570 KB while staged records were boxed); about 1 020 of the allocs
-// are BenchmarkBatchTasks's, the service's. internal/server's
+// x86-64 box at -benchtime 400x: ≈ 590 allocs/op and 250–255 KB/op
+// (≈ 1 170 and 293 KB while items, tags and results were arrays of their
+// own per call and every item allocated its task ID and keys; ≈ 357 KB
+// while the mutation list was allocated per call, ≈ 2 660 allocs and
+// 570 KB while staged records were boxed); about 470 of the allocs are
+// BenchmarkBatchTasks's, the service's. internal/server's
 // TestSDKRequestsTakeDirectPath and the client's TestServerBodiesTakeFastPath
 // check that neither side falls back to encoding/json.
 func BenchmarkBatchTasksHTTP(b *testing.B) {

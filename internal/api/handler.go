@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 
@@ -31,14 +32,24 @@ type None struct{}
 // response value or an error.
 type HandlerFunc[Req, Resp any] func(r *http.Request, req Req) (Resp, error)
 
+// Releaser is a request that holds recycled memory its response is written
+// from: Handle calls Release once the response, or the error envelope, is
+// written, and the request is not used after.
+type Releaser interface {
+	Release()
+}
+
 // Handle adapts a typed HandlerFunc into an http.HandlerFunc. It owns the
 // whole transport exchange: reading the request body (at most MaxBody bytes)
-// and decoding it strictly (see decodeRequest), invoking fn, and encoding the
+// and decoding it strictly (see decodeRequest), invoking fn, encoding the
 // response with the given success status — or the error envelope when fn
-// fails.
+// fails — and releasing the request when it is a Releaser.
 func Handle[Req, Resp any](k *Kit, status int, fn HandlerFunc[Req, Resp]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
+		if rel, ok := any(&req).(Releaser); ok {
+			defer rel.Release()
+		}
 		if _, skip := any(req).(None); !skip {
 			if err := decodeRequest(w, r, &req); err != nil {
 				k.WriteError(w, r, err)
@@ -125,11 +136,10 @@ func decodeRequest[Req any](w http.ResponseWriter, r *http.Request, req *Req) er
 		}
 	}()
 	if n := r.ContentLength; n > 0 && n <= bodyRetainLimit {
-		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead free to see EOF
+		buf.Grow(int(n) + bytes.MinRead) // readBody wants MinRead free to see EOF
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBody)); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+	if err := readBody(buf, r.Body); err != nil {
+		if err == errTooLarge {
 			return Errorf(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
 				"request body exceeds the %d-byte cap", MaxBody)
 		}
@@ -142,6 +152,29 @@ func decodeRequest[Req any](w http.ResponseWriter, r *http.Request, req *Req) er
 		return nil
 	}
 	return decodeJSON(body, req)
+}
+
+// errTooLarge is readBody's answer to a body longer than MaxBody.
+var errTooLarge = errors.New("request body too large")
+
+// readBody reads body into buf up to EOF, or fails with errTooLarge as soon
+// as more than MaxBody bytes have come: http.MaxBytesReader's bound, read
+// straight into the pooled buffer without a reader wrapped around the body.
+func readBody(buf *bytes.Buffer, body io.Reader) error {
+	for {
+		buf.Grow(bytes.MinRead)
+		b := buf.AvailableBuffer()
+		n, err := body.Read(b[:min(cap(b), MaxBody+1-buf.Len())])
+		buf.Write(b[:n])
+		switch {
+		case buf.Len() > MaxBody:
+			return errTooLarge
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		}
+	}
 }
 
 // decodeJSON strictly decodes body into v: unknown fields are rejected, as

@@ -164,7 +164,7 @@ func TestSubmitTaskRetriesAfterFailedCommit(t *testing.T) {
 		t.Fatal("SubmitTask acked a commit the store refused")
 	}
 	fs.fail = false
-	if held, ok := run.tasks[task.ID]; !ok || held != task {
+	if held, ok := run.tasks[task.ID]; !ok || held.record(proj, task.ID) != task {
 		t.Fatalf("held record after a failed commit = %+v, %v; want the assigned record %+v", held, ok, task)
 	}
 	if got := run.Engine.PendingTasks(); got != 1 {
@@ -274,7 +274,7 @@ func TestBatchTasksCommitsOnce(t *testing.T) {
 		items = append(items, BatchItem{TaggerID: taggers[0], Tags: []string{"late"}})
 	}
 	before := commits(s)
-	res, err := s.BatchTasks(ctx, proj, items)
+	res, err := s.BatchTasks(ctx, proj, items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestBatchTasksRejectedPostKeepsTaskAssigned(t *testing.T) {
 	res, err := s.BatchTasks(ctx, proj, []BatchItem{
 		{TaggerID: taggers[0], Tags: []string{""}}, // an empty tag is no tag
 		{TaggerID: taggers[1], Tags: []string{"fine"}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestBatchTasksCrashIsAllOrNothing(t *testing.T) {
 				}
 			}
 			armed.Store(true)
-			res, err := s.BatchTasks(ctx, proj, items)
+			res, err := s.BatchTasks(ctx, proj, items, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,7 +484,7 @@ func TestBatchTasksCrashIsAllOrNothing(t *testing.T) {
 				t.Errorf("rebuilt trackers hold %d posts, the store %d", posts, wantPosts)
 			}
 			// And the resumed project keeps working.
-			if res, err := s2.BatchTasks(ctx, proj, items[:3]); err != nil || res[0].Err != nil {
+			if res, err := s2.BatchTasks(ctx, proj, items[:3], nil); err != nil || res[0].Err != nil {
 				t.Fatalf("BatchTasks after restart: %+v, %v", res, err)
 			}
 		})
@@ -522,7 +522,7 @@ func TestConcurrentSubmittersRebuildSameQuality(t *testing.T) {
 					}
 					continue
 				}
-				res, err := s.BatchTasks(ctx, proj, []BatchItem{{TaggerID: taggers[1], Tags: tags}})
+				res, err := s.BatchTasks(ctx, proj, []BatchItem{{TaggerID: taggers[1], Tags: tags}}, nil)
 				if err != nil || res[0].Err != nil {
 					t.Errorf("batch: %+v, %v", res, err)
 					return

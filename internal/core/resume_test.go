@@ -241,7 +241,7 @@ func TestPromotionSurvivesResume(t *testing.T) {
 	if err := s3.Promote(ctx, proj, "res-00"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s3.BatchTasks(ctx, proj, []BatchItem{{TaggerID: tagger}, {TaggerID: tagger, Tags: []string{"x"}}})
+	out, err := s3.BatchTasks(ctx, proj, []BatchItem{{TaggerID: tagger}, {TaggerID: tagger, Tags: []string{"x"}}}, nil)
 	if err != nil || len(out) != 2 || out[0].ResourceID != "res-00" || out[0].Err != nil || out[1].Err != nil {
 		t.Fatalf("BatchTasks after a promotion = %+v, %v; want its first lease on res-00", out, err)
 	}

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"itag/internal/crowd"
 	"itag/internal/dataset"
@@ -63,12 +65,31 @@ type Run struct {
 	Engine *Engine
 
 	mu      sync.Mutex
-	tasks   map[string]store.TaskRec // taskID → the assigned record it was written as
+	tasks   map[string]heldTask // taskID → what the assigned record was written with
 	taskSeq int
 	// spentBefore is what a previous process had spent when ResumeRuns
 	// rebuilt this run: the rebuilt engine gets the budget that was left and
 	// counts from zero.
 	spentBefore int
+}
+
+// heldTask is what a run keeps of a leased task until it is submitted: the
+// fields of the assigned record that neither the task ID nor the project
+// gives. It is small enough for a map to hold in place; a whole TaskRec
+// (136 B) is over the map's 128-byte bound and would cost an allocation per
+// lease.
+type heldTask struct {
+	resourceID, workerID string
+	reward               float64
+	createdAt            time.Time
+}
+
+// record is the assigned record the task was written as.
+func (h heldTask) record(projectID, taskID string) store.TaskRec {
+	return store.TaskRec{
+		ID: taskID, ProjectID: projectID, ResourceID: h.resourceID, WorkerID: h.workerID,
+		Status: store.TaskAssigned, Reward: h.reward, CreatedAt: h.createdAt,
+	}
 }
 
 // spent is the project's total spend across restarts.
@@ -308,7 +329,7 @@ func (s *Service) buildRun(spec ProjectSpec, strat strategy.Strategy, seed int64
 	if err != nil {
 		return nil, err
 	}
-	return &Run{Engine: eng, tasks: make(map[string]store.TaskRec)}, nil
+	return &Run{Engine: eng, tasks: make(map[string]heldTask)}, nil
 }
 
 // stagePost is the engine's post hook over one write set. It runs under
@@ -655,8 +676,10 @@ func (s *Service) tagger(taggerID string) (string, error) {
 // cannot be submitted yet: the caller holds it and writes it, or refunds it.
 // A lease that consumed its resource's promotion also returns the stored
 // resource record with the flag cleared, for the caller to write in the
-// same commit as the task; otherwise that record is nil.
-func (s *Service) lease(projectID, worker string) (*Run, store.TaskRec, *store.ResourceRec, error) {
+// same commit as the task; otherwise that record is nil. The task's ID is
+// minted into ids, a call's ID buffer, or into a string of its own when ids
+// is nil.
+func (s *Service) lease(projectID, worker string, ids *taskIDs) (*Run, store.TaskRec, *store.ResourceRec, error) {
 	run, err := s.run(projectID)
 	if err != nil {
 		return nil, store.TaskRec{}, nil, err
@@ -679,10 +702,8 @@ func (s *Service) lease(projectID, worker string) (*Run, store.TaskRec, *store.R
 	run.taskSeq++
 	seq := run.taskSeq
 	run.mu.Unlock()
-	var id [64]byte // projectID-task-NNNNN
-	taskID := string(wire.AppendPadded(append(append(id[:0], projectID...), "-task-"...), uint64(seq), 5))
 	return run, store.TaskRec{
-		ID: taskID, ProjectID: projectID, ResourceID: resourceID,
+		ID: ids.mint(projectID, seq), ProjectID: projectID, ResourceID: resourceID,
 		WorkerID: worker, Status: store.TaskAssigned,
 		Reward:    run.Engine.cfg.PayPerTask,
 		CreatedAt: s.nowFunc(),
@@ -703,10 +724,32 @@ func (s *Service) commitLease(t store.TaskRec, unpromoted *store.ResourceRec) er
 	return ws.Commit()
 }
 
+// taskIDs is one call's task ID buffer: each ID is minted onto its end and
+// viewed where it was appended, bytes no later append writes. A held task
+// whose ID is such a view keeps the buffer, which holds nothing but the
+// call's task IDs.
+type taskIDs struct{ b []byte }
+
+// mint returns the ID of the project's task seq, projectID-task-NNNNN:
+// a view of ids, or a string of its own when ids is nil.
+func (ids *taskIDs) mint(projectID string, seq int) string {
+	if ids == nil {
+		var b [64]byte
+		return string(appendTaskID(b[:0], projectID, seq))
+	}
+	start := len(ids.b)
+	ids.b = appendTaskID(ids.b, projectID, seq)
+	return unsafe.String(&ids.b[start], len(ids.b)-start)
+}
+
+func appendTaskID(b []byte, projectID string, seq int) []byte {
+	return wire.AppendPadded(append(append(b, projectID...), "-task-"...), uint64(seq), 5)
+}
+
 // hold makes an assigned task submittable: t is the record as written.
 func (run *Run) hold(t store.TaskRec) {
 	run.mu.Lock()
-	run.tasks[t.ID] = t
+	run.tasks[t.ID] = heldTask{resourceID: t.ResourceID, workerID: t.WorkerID, reward: t.Reward, createdAt: t.CreatedAt}
 	run.mu.Unlock()
 }
 
@@ -729,7 +772,7 @@ func (s *Service) RequestTask(ctx context.Context, projectID, taggerID string) (
 	if err != nil {
 		return store.TaskRec{}, err
 	}
-	run, rec, unpromoted, err := s.lease(projectID, worker)
+	run, rec, unpromoted, err := s.lease(projectID, worker, nil)
 	if err != nil {
 		return store.TaskRec{}, err
 	}
@@ -764,20 +807,21 @@ func (s *Service) SubmitTask(ctx context.Context, projectID, taskID string, tags
 		return errs.New(errs.ComponentCore, errs.CategoryValidation, "unknown or already-completed task %q", taskID)
 	}
 	ws := s.cat.Begin(2)
-	err = run.Engine.submitPost(held.ResourceID, held.WorkerID, tags, s.stagePost(ws))
+	err = run.Engine.submitPost(held.resourceID, held.workerID, tags, s.stagePost(ws))
 	if err == nil {
-		done := held
+		done := held.record(projectID, taskID)
 		done.Status = store.TaskCompleted
 		done.DoneAt = s.nowFunc()
 		_ = ws.PutTask(done) // lease minted both IDs; an encode error is Commit's
 		if err = ws.Commit(); err != nil {
-			run.Engine.reopenPending(held.ResourceID)
+			run.Engine.reopenPending(held.resourceID)
 		}
 	}
 	if err != nil {
 		// Nothing was consumed: hold the assigned record again so the tagger
-		// can retry (a failed commit) or fix the post (e.g. empty tags).
-		run.hold(held)
+		// can retry (a failed commit) or fix the post (e.g. empty tags),
+		// under a copy of the ID: taskID is the request's.
+		run.hold(held.record(projectID, strings.Clone(taskID)))
 		return err
 	}
 	return nil
@@ -809,12 +853,17 @@ type BatchResult struct {
 // The call itself fails only on cancellation, and still commits the items
 // it got through (their posts are in the statistics by then): it returns
 // their results, one for each item it reached, with the context's error.
-// Each distinct tagger of the call is looked up once.
-func (s *Service) BatchTasks(ctx context.Context, projectID string, items []BatchItem) ([]BatchResult, error) {
-	out := make([]BatchResult, 0, len(items))
+//
+// The results are appended to out, which the caller may recycle: nothing
+// the call keeps refers to out or to items. Each distinct tagger of the call
+// is looked up once, and its task IDs share one buffer.
+func (s *Service) BatchTasks(ctx context.Context, projectID string, items []BatchItem, out []BatchResult) ([]BatchResult, error) {
+	first := len(out)
 	ws := s.cat.Begin(2 * len(items))
 	stage := s.stagePost(ws)
-	workers := make(map[string]string) // an item's tagger ID → the stored one, looked up once
+	workers := workerMaps.Get().(map[string]string) // an item's tagger ID → the stored one
+	defer releaseWorkers(workers)
+	ids := &taskIDs{b: make([]byte, 0, len(items)*(len(projectID)+len("-task-")+6))}
 	var run *Run
 	var ctxErr error
 	for _, item := range items {
@@ -830,7 +879,7 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 			}
 			workers[item.TaggerID] = worker
 		}
-		r, rec, unpromoted, err := s.lease(projectID, worker)
+		r, rec, unpromoted, err := s.lease(projectID, worker, ids)
 		if err != nil {
 			out = append(out, BatchResult{Err: err})
 			continue
@@ -854,7 +903,7 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 		out = append(out, res)
 	}
 	if err := ws.Commit(); err != nil {
-		for i, res := range out {
+		for i, res := range out[first:] {
 			if res.TaskID == "" {
 				continue // failed on its own, before it had anything to write
 			}
@@ -862,10 +911,26 @@ func (s *Service) BatchTasks(ctx context.Context, projectID string, items []Batc
 				run.Engine.reopenPending(res.ResourceID)
 			}
 			run.refund(res.TaskID, res.ResourceID)
-			out[i] = BatchResult{Err: err}
+			out[first+i] = BatchResult{Err: err}
 		}
 	}
 	return out, ctxErr
+}
+
+// workerMaps recycles BatchTasks's tagger lookups. A map goes back emptied,
+// so the pool pins no request's strings, and only while it is small: clear
+// costs what the map once grew to.
+var workerMaps = sync.Pool{New: func() any { return make(map[string]string) }}
+
+// maxPooledWorkers is the most distinct taggers a pooled lookup keeps room
+// for.
+const maxPooledWorkers = 64
+
+func releaseWorkers(m map[string]string) {
+	if len(m) <= maxPooledWorkers {
+		clear(m)
+		workerMaps.Put(m)
+	}
 }
 
 // JudgePost records the provider's approval verdict on a stored post and

@@ -131,22 +131,26 @@ func TestCachedDetailHitAllocs(t *testing.T) {
 }
 
 // batchTasksAllocs bounds one 200-item Service.BatchTasks call — the
-// batch_engine workload's per-call work without HTTP — in allocations. On
-// the root package's BenchmarkBatchTasks world a warm call allocates about
-// 960 times: per item a task ID and the task and post keys, plus the
-// commit's new tree nodes and the quality windows' growth. A commit that
-// copies a node again for each record reaching it, or splits an over-full
-// node into two more copies, reads about 1 200. Boxing the staged records
-// again adds about 400, fmt for the post key and the task ID about 600, and
-// the code before records were encoded where they are staged about 1 200.
-const batchTasksAllocs = 1100
+// batch_engine workload's per-call work without HTTP, its results appended
+// to a recycled slice as the server's are — in allocations. On the root
+// package's BenchmarkBatchTasks world a warm call allocates about 410
+// times: the call's task ID buffer and staged-value slab, the commit's new
+// tree nodes (and a copy of each new separator key), and the quality
+// windows' growth; nothing else grows with the item count. A task ID and
+// its task and post keys allocated per item again read about 1 010, and a
+// tagger map built per call about 415. A commit that copies a node again
+// for each record reaching it, or splits an over-full node into two more
+// copies, adds about 240; boxing the staged records again about 400, fmt
+// for the post key and the task ID about 600.
+const batchTasksAllocs = 450
 
 // batchTasksBytes bounds the same call in bytes. A warm call reads about
-// 188 KB: the commit's new tree nodes and its one exact-size copy of the
-// staged values, the task IDs and keys, and the quality windows' growth. A
+// 159 KB: the commit's new tree nodes and its one exact-size copy of the
+// staged keys and values, the task IDs, and the quality windows' growth.
+// Task IDs and keys allocated one by one again read about 178 KB, and a
 // write set that allocates its 400-entry mutation list per call again,
-// instead of drawing it from its pool, reads about 237 KB.
-const batchTasksBytes = 215 << 10
+// instead of drawing it from its pool, about 50 KB more.
+const batchTasksBytes = 170 << 10
 
 // TestBatchTasksAllocs runs 200-item calls on BenchmarkBatchTasks's world
 // (1 000 resources with 5 seed posts each, 20 taggers, three tags a post)
@@ -197,8 +201,10 @@ func TestBatchTasksAllocs(t *testing.T) {
 		}
 	}
 	n := 0
+	var out []core.BatchResult // recycled, as the server recycles its results
 	call := func() {
-		res, err := svc.BatchTasks(ctx, proj, batches[n%calls])
+		res, err := svc.BatchTasks(ctx, proj, batches[n%calls], out[:0])
+		out = res
 		n++
 		if err != nil || len(res) != items {
 			t.Fatalf("call %d: %d results, %v", n, len(res), err)

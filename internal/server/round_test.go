@@ -17,9 +17,12 @@ import (
 // taggerRoundAllocs bounds one tagger round — a lease and a submit through
 // Server.ServeHTTP on a memory catalog, requests built as net/http builds
 // them and without X-Request-Id, as the SDK sends them — in allocations,
-// this harness's own included. It reads 76; 102 while the middleware put a
-// minted ID into each request's context and every route took a deadline.
-const taggerRoundAllocs = 84
+// this harness's own included. It reads 70: 76 while each request body was
+// read through an http.MaxBytesReader, the task and post keys were strings
+// of their own and a held lease was a whole TaskRec (over the map's in-place
+// bound); 102 while the middleware put a minted ID into each request's
+// context and every route took a deadline.
+const taggerRoundAllocs = 77
 
 // roundWriter is a response writer that keeps the last body, so the lease's
 // task ID can be read from it, and reuses one header map, cleared per

@@ -157,6 +157,14 @@ type batchTasksReq struct {
 	Items []core.BatchItem `json:"items"`
 }
 
+// batchTasksCall is the route's request: a batchTasksReq decoded into a
+// pooled batchCall (nil when encoding/json decoded the body), which the
+// handler writes its results into as well.
+type batchTasksCall struct {
+	batchTasksReq
+	call *batchCall
+}
+
 type batchTaskResult struct {
 	TaskID     string     `json:"task_id,omitempty"`
 	ResourceID string     `json:"resource_id,omitempty"`
@@ -164,10 +172,19 @@ type batchTaskResult struct {
 	Error      *itemError `json:"error,omitempty"`
 }
 
+// batchTasksResp is the tasks:batch answer. Results is its wire shape, what
+// json.Marshal encodes and a client decodes; the handler leaves it nil and
+// answers from the core's results as BatchTasks wrote them (results, for
+// the first of n items; every later item failed with ctxErr), which
+// AppendJSON encodes as the same bytes.
 type batchTasksResp struct {
 	Results []batchTaskResult `json:"results"`
 	OK      int               `json:"ok"`
 	Failed  int               `json:"failed"`
+
+	results []core.BatchResult
+	n       int
+	ctxErr  error
 }
 
 // batchTasks executes many request+submit pairs in one round-trip and one
@@ -178,8 +195,9 @@ type batchTasksResp struct {
 // fails on malformed input. A call cancelled or timed out partway still
 // answers with the items it committed, and each item it never reached
 // fails with the context's error (timeout or canceled), so ok + failed is
-// always the number of items.
-func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp, error) {
+// always the number of items. The results are written into the request's
+// pooled arrays, which api's handler releases once the answer is written.
+func (s *Server) batchTasks(r *http.Request, req batchTasksCall) (batchTasksResp, error) {
 	if len(req.Items) == 0 {
 		return batchTasksResp{}, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument,
 			"items required")
@@ -188,18 +206,17 @@ func (s *Server) batchTasks(r *http.Request, req batchTasksReq) (batchTasksResp,
 		return batchTasksResp{}, api.Errorf(http.StatusRequestEntityTooLarge, api.CodeBatchTooLarge,
 			"%d items exceeds the %d per-call cap", len(req.Items), maxBatchItems)
 	}
+	call := req.call
+	if call == nil {
+		call = new(batchCall) // decoded by encoding/json: nothing pooled to write into
+	}
 	ctx, cancel := s.withDeadline(r.Context())
 	defer cancel()
-	results, ctxErr := s.svc.BatchTasks(ctx, r.PathValue("id"), req.Items)
-	resp := batchTasksResp{Results: make([]batchTaskResult, len(req.Items))}
-	for i := range resp.Results {
-		res := core.BatchResult{Err: ctxErr} // an item the call never reached
-		if i < len(results) {
-			res = results[i]
-		}
-		resp.Results[i] = batchTaskResult{TaskID: res.TaskID, ResourceID: res.ResourceID, Submitted: res.Submitted}
+	results, ctxErr := s.svc.BatchTasks(ctx, r.PathValue("id"), req.Items, call.results[:0])
+	call.results = results
+	resp := batchTasksResp{results: results, n: len(req.Items), ctxErr: ctxErr, Failed: len(req.Items) - len(results)}
+	for _, res := range results {
 		if res.Err != nil {
-			resp.Results[i].Error = toItemError(res.Err)
 			resp.Failed++
 		} else {
 			resp.OK++

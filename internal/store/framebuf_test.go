@@ -14,15 +14,17 @@ import (
 var raceEnabled bool
 
 // durableTaskPutAllocs bounds one Catalog.PutTask on a warm WAL store: the
-// write set, the tree's path copy and the index version come to 8
-// allocations. A commit that frames its record in an allocation of its own,
-// instead of in the WAL's frame buffer, or allocates its commit queue entry
-// instead of drawing it from the pool, reads 9.
-const durableTaskPutAllocs = 8
+// write set's slab, the tree's path copy and the index version come to 5
+// allocations. A commit queue that takes a new array per batch again, and a
+// leader that collects each batch's writes into a new list, read 7; a task
+// key built as a string of its own, a frame in an allocation of its own, or
+// a queue entry not drawn from its pool, one more each.
+const durableTaskPutAllocs = 5
 
 // TestDurableCommitAllocs holds a one-record commit on a WAL store under
 // durableTaskPutAllocs: its frame is written into the buffer the WAL keeps
-// between batches, so framing allocates nothing once that buffer is warm.
+// between batches, and the commit queue and the leader's list of writes are
+// arrays kept from one batch to the next, so neither allocates once warm.
 func TestDurableCommitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a sync.Pool drops items at random under -race, so allocation counts are not the product's")

@@ -64,6 +64,17 @@ type node struct {
 	kids []*node
 }
 
+// sepOf returns the separator that names c, its first key. A leaf's keys
+// are views of the slab their commit staged them in (WriteSet.Commit), so a
+// leaf's first key is copied: a separator can outlive its entry, and must
+// not keep a commit's slab alive once the entry's value is replaced.
+func sepOf(c *node) entry {
+	if c.kids == nil {
+		return entry{key: strings.Clone(c.ents[0].key)}
+	}
+	return entry{key: c.ents[0].key}
+}
+
 // childFor returns the slot whose subtree holds key's position.
 func (n *node) childFor(key string) int {
 	return sort.Search(len(n.kids)-1, func(i int) bool { return key < n.ents[i+1].key })
@@ -142,7 +153,7 @@ func (n *node) del(key string) (*node, bool) {
 	pooled := cut(nil, slices.Concat(pair[0].ents, pair[1].ents), slices.Concat(pair[0].kids, pair[1].kids))
 	seps := []entry{n.ents[a]}
 	if len(pooled) == 2 {
-		seps = append(seps, entry{key: pooled[1].ents[0].key})
+		seps = append(seps, sepOf(pooled[1]))
 	}
 	return &node{ents: splice(n.ents, a, a+2, seps...), kids: splice(n.kids, a, a+2, pooled...)}, true
 }
@@ -309,7 +320,7 @@ func (m *merger) merge(t tree, run []entry) tree {
 	added := m.into(t.root, run)
 	for top := len(m.kids); top > 1; top = len(m.kids) {
 		for _, c := range m.kids {
-			m.ents = append(m.ents, entry{key: c.ents[0].key})
+			m.ents = append(m.ents, sepOf(c))
 		}
 		m.kids = cut(m.kids[:0], m.ents, m.kids)
 		clear(m.kids[len(m.kids):top])
@@ -389,9 +400,13 @@ func (m *merger) into(n *node, run []entry) (added int) {
 	next, at := 0, base
 	for i, p := range pushed[:len(n.kids)] {
 		if p > 0 {
-			ents = append(append(ents, n.ents[next:i]...), entry{key: min(n.ents[i].key, m.kids[at].ents[0].key)})
+			sep := n.ents[i]
+			if first := m.kids[at]; first.ents[0].key < sep.key {
+				sep = sepOf(first)
+			}
+			ents = append(append(ents, n.ents[next:i]...), sep)
 			for _, c := range m.kids[at+1 : at+p] {
-				ents = append(ents, entry{key: c.ents[0].key})
+				ents = append(ents, sepOf(c))
 			}
 			kids = append(append(kids, n.kids[next:i]...), m.kids[at:at+p]...)
 			next, at = i+1, at+p

@@ -86,11 +86,15 @@ type DB struct {
 	wal *wal // nil for in-memory stores
 
 	// The commit queue (WAL-backed stores only; see commit in wal.go),
-	// guarded by mu: the entries waiting for a leader, whether a batch is in
-	// flight, and the condition each finished batch broadcasts.
+	// guarded by mu: the entries waiting for a leader, the emptied array of
+	// the last batch, which the next one queues into, whether a batch is in
+	// flight, and the condition each finished batch broadcasts. writes is
+	// the leader's own scratch (processBatch).
 	pend      []*pendingCommit
+	spare     []*pendingCommit
 	leading   bool
 	batchDone *sync.Cond
+	writes    []*pendingCommit
 
 	compacting bool
 	bg         sync.WaitGroup // in-flight background compactions

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"itag/internal/errs"
 	"itag/internal/wire"
@@ -296,15 +297,15 @@ func (c *Catalog) InstallSnapshot(data []byte) error {
 // included, until Commit returns. A WriteSet is not safe for concurrent use.
 //
 // Each staged record is encoded at once, by its own encoder, into one
-// recycled scratch buffer; a record json.Marshal would refuse (a NaN float,
-// a year past 9999) is refused there, and the set keeps the first such
-// error: Commit returns it and writes nothing. The list of staged mutations
-// is recycled too: Store.Apply keeps no list, so a set's list is scratch
-// from its first write to its Commit.
+// recycled scratch buffer, right after its key; a record json.Marshal would
+// refuse (a NaN float, a year past 9999) is refused there, and the set keeps
+// the first such error: Commit returns it and writes nothing. The list of
+// staged mutations is recycled too: Store.Apply keeps no list, so a set's
+// list is scratch from its first write to its Commit.
 type WriteSet struct {
 	c        *Catalog
 	muts     *[]Mutation // the staged mutations; nil until the first write
-	scratch  *[]byte     // the staged values back to back, in staging order
+	scratch  *[]byte     // the staged keys and values back to back, in staging order
 	err      error
 	unpooled bool // BeginUnpooled's: Commit pools neither muts nor scratch
 }
@@ -335,7 +336,10 @@ func (c *Catalog) BeginUnpooled(n int) *WriteSet {
 	return &WriteSet{c: c, muts: &muts, scratch: new([]byte), unpooled: true}
 }
 
-// enc returns an encoder appending to the set's scratch buffer.
+// enc returns an encoder appending to the set's scratch buffer. A staging
+// method appends its record's key first and takes it with key, then encodes
+// the value after it: a key's bytes sit just before its value's, so Commit
+// cuts both from one copy.
 func (w *WriteSet) enc() wire.Enc {
 	if w.scratch == nil {
 		w.scratch = encodeScratch.Get().(*[]byte)
@@ -344,10 +348,18 @@ func (w *WriteSet) enc() wire.Enc {
 	return wire.Enc{B: *w.scratch, OK: true}
 }
 
-// put stages the value just encoded at the end of the scratch buffer, b,
-// under (table, key).
-func (w *WriteSet) put(table, key string, b []byte) {
+// key views the key just appended to the scratch buffer, b, as a string
+// (keys are never empty). The view is valid until Commit returns, which
+// points the staged key at the commit's own copy.
+func (w *WriteSet) key(b []byte) string {
 	start := len(*w.scratch)
+	return unsafe.String(&b[start], len(b)-start)
+}
+
+// put stages under (table, key) the value encoded after key at the end of
+// the scratch buffer, b.
+func (w *WriteSet) put(table, key string, b []byte) {
+	start := len(*w.scratch) + len(key)
 	*w.scratch = b
 	// Value is a view of the scratch buffer only for its length: Commit
 	// points it at the commit's own copy.
@@ -358,10 +370,10 @@ func (w *WriteSet) put(table, key string, b []byte) {
 }
 
 // refused stages a record its encoder refused through appendValue instead,
-// so the error is json.Marshal's own, and keeps that error as the set's.
-// Only this path converts a record to an interface.
-func (w *WriteSet) refused(table, key string, rec any) error {
-	b, err := appendValue(*w.scratch, rec)
+// after its key, the prefix of b; the error is json.Marshal's own, and the
+// set keeps it. Only this path converts a record to an interface.
+func (w *WriteSet) refused(table, key string, b []byte, rec any) error {
+	b, err := appendValue(b[:len(*w.scratch)+len(key)], rec)
 	if err != nil {
 		if w.err == nil {
 			w.err = err
@@ -375,8 +387,8 @@ func (w *WriteSet) refused(table, key string, rec any) error {
 // Commit applies everything staged since the last Commit as one atomic
 // Store.Apply and then advances the write clocks of the keys it wrote — in
 // that order, the "bump strictly after the store write" protocol every
-// core.Stamp holder relies on. The staged values are copied once, into one
-// exact-size allocation the store keeps; the mutation list and value buffer
+// core.Stamp holder relies on. The staged keys and values are copied once,
+// into one exact-size slab the store keeps; the mutation list and value buffer
 // go back to their pools when Commit returns, unless the set is unpooled. On
 // error — a staging error included — nothing was written. Either way the set
 // is empty afterwards.
@@ -396,10 +408,11 @@ func (w *WriteSet) Commit() error {
 	if err != nil || len(muts) == 0 {
 		return err
 	}
-	vals, start := slices.Clone(*scratch), 0
+	slab, start := slices.Clone(*scratch), 0
 	for i := range muts {
-		end := start + len(muts[i].Value)
-		muts[i].Value = vals[start:end:end]
+		k := start + len(muts[i].Key)
+		end := k + len(muts[i].Value)
+		muts[i].Key, muts[i].Value = unsafe.String(&slab[start], k-start), slab[k:end:end]
 		start = end
 	}
 	if err := w.c.db.Apply(muts); err != nil {
@@ -440,10 +453,12 @@ func (w *WriteSet) PutResource(r ResourceRec) error {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "resource ID required")
 	}
 	e := w.enc()
+	e.B = append(e.B, r.ID...)
+	key := w.key(e.B)
 	if r.encode(&e); !e.OK {
-		return w.refused(TableResources, r.ID, r)
+		return w.refused(TableResources, key, e.B, r)
 	}
-	w.put(TableResources, r.ID, e.B)
+	w.put(TableResources, key, e.B)
 	return nil
 }
 
@@ -496,7 +511,11 @@ func afterStart(after string) string {
 
 func postKey(resourceID string, seq uint64) string {
 	var b [64]byte
-	return string(wire.AppendPadded(append(append(b[:0], resourceID...), '/'), seq, 12))
+	return string(appendPostKey(b[:0], resourceID, seq))
+}
+
+func appendPostKey(b []byte, resourceID string, seq uint64) []byte {
+	return wire.AppendPadded(append(append(b, resourceID...), '/'), seq, 12)
 }
 
 // splitPostKey is postKey's inverse; ok=false for a key of another shape.
@@ -542,10 +561,11 @@ func (w *WriteSet) AppendPost(p PostRec) (uint64, error) {
 	seq++
 	c.nextSeq[p.ResourceID] = seq
 	c.mu.Unlock()
-	key := postKey(p.ResourceID, seq)
 	e := w.enc()
+	e.B = appendPostKey(e.B, p.ResourceID, seq)
+	key := w.key(e.B)
 	if p.encode(&e); !e.OK {
-		return seq, w.refused(TablePosts, key, p)
+		return seq, w.refused(TablePosts, key, e.B, p)
 	}
 	w.put(TablePosts, key, e.B)
 	return seq, nil
@@ -622,13 +642,14 @@ func (c *Catalog) UpdatePost(resourceID string, seq uint64, p PostRec) error {
 // UpdatePost stages a rewrite of the post at the given sequence, which must
 // already be stored.
 func (w *WriteSet) UpdatePost(resourceID string, seq uint64, p PostRec) error {
-	key := postKey(resourceID, seq)
+	e := w.enc()
+	e.B = appendPostKey(e.B, resourceID, seq)
+	key := w.key(e.B)
 	if !w.c.db.Has(TablePosts, key) {
 		return ErrNotFound
 	}
-	e := w.enc()
 	if p.encode(&e); !e.OK {
-		return w.refused(TablePosts, key, p)
+		return w.refused(TablePosts, key, e.B, p)
 	}
 	w.put(TablePosts, key, e.B)
 	return nil
@@ -656,10 +677,12 @@ func (w *WriteSet) PutProject(p ProjectRec) error {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "project ID required")
 	}
 	e := w.enc()
+	e.B = append(e.B, p.ID...)
+	key := w.key(e.B)
 	if p.encode(&e); !e.OK {
-		return w.refused(TableProjects, p.ID, p)
+		return w.refused(TableProjects, key, e.B, p)
 	}
-	w.put(TableProjects, p.ID, e.B)
+	w.put(TableProjects, key, e.B)
 	return nil
 }
 
@@ -702,6 +725,10 @@ func (c *Catalog) ScanProjectsAfter(after string, fn func(ProjectRec) bool) erro
 
 func taskKey(projectID, taskID string) string { return projectID + "/" + taskID }
 
+func appendTaskKey(b []byte, projectID, taskID string) []byte {
+	return append(append(append(b, projectID...), '/'), taskID...)
+}
+
 // PutTask stores a task under its project.
 func (c *Catalog) PutTask(t TaskRec) error {
 	w := WriteSet{c: c}
@@ -716,10 +743,11 @@ func (w *WriteSet) PutTask(t TaskRec) error {
 	if t.ID == "" || t.ProjectID == "" {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "task needs ID and project ID")
 	}
-	key := taskKey(t.ProjectID, t.ID)
 	e := w.enc()
+	e.B = appendTaskKey(e.B, t.ProjectID, t.ID)
+	key := w.key(e.B)
 	if t.encode(&e); !e.OK {
-		return w.refused(TableTasks, key, t)
+		return w.refused(TableTasks, key, e.B, t)
 	}
 	w.put(TableTasks, key, e.B)
 	return nil
@@ -767,10 +795,12 @@ func (w *WriteSet) PutUser(u UserRec) error {
 		return errs.New(errs.ComponentStore, errs.CategoryValidation, "user ID required")
 	}
 	e := w.enc()
+	e.B = append(e.B, u.ID...)
+	key := w.key(e.B)
 	if u.encode(&e); !e.OK {
-		return w.refused(TableUsers, u.ID, u)
+		return w.refused(TableUsers, key, e.B, u)
 	}
-	w.put(TableUsers, u.ID, e.B)
+	w.put(TableUsers, key, e.B)
 	return nil
 }
 

@@ -331,7 +331,7 @@ func (db *DB) commit(c *pendingCommit) error {
 			continue
 		}
 		batch := db.pend
-		db.pend, db.leading = nil, true
+		db.pend, db.spare, db.leading = db.spare, nil, true
 		db.mu.Unlock()
 		db.processBatch(batch)
 		db.mu.Lock()
@@ -339,19 +339,24 @@ func (db *DB) commit(c *pendingCommit) error {
 		for _, b := range batch {
 			b.done = true
 		}
+		// The batch's array takes the next one but one: the queue swaps
+		// between two arrays instead of growing a new one per batch.
+		clear(batch)
+		db.spare = kept(batch[:0])
 		db.batchDone.Broadcast()
 	}
 	db.mu.Unlock()
 	return c.err
 }
 
+// processBatch runs one batch: its writes and barriers as one writeAndApply,
+// then its compaction cuts. Only the leader runs it, so the writes list is
+// the DB's, kept from one batch to the next.
 func (db *DB) processBatch(batch []*pendingCommit) {
-	var writes, cuts []*pendingCommit
-	forceSync := false
+	writes, forceSync := db.writes[:0], false
 	for _, c := range batch {
 		switch {
 		case c.cut:
-			cuts = append(cuts, c)
 		case c.syncBarrier:
 			forceSync = true
 		default:
@@ -367,8 +372,12 @@ func (db *DB) processBatch(batch []*pendingCommit) {
 			}
 		}
 	}
-	for _, c := range cuts {
-		c.cutState, c.err = db.performCut()
+	clear(writes)
+	db.writes = kept(writes)
+	for _, c := range batch {
+		if c.cut {
+			c.cutState, c.err = db.performCut()
+		}
 	}
 }
 

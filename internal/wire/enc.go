@@ -10,6 +10,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
@@ -97,14 +98,78 @@ func (e *Enc) Float(name string, f float64) {
 }
 
 // Time is time.Time.MarshalJSON, refusing where it fails: a year outside
-// [0, 9999] or a zone offset of a day or more.
+// [0, 9999] or a zone offset of a day or more. The date and second and the
+// zone are formatted once per second and zone offset (lastStamp): a time
+// in that second takes them from there and appends only its fraction, and
+// the stamp stands for the checks its second passed.
 func (e *Enc) Time(name string, t time.Time) {
 	_, off := t.Zone()
-	if y := t.Year(); y < 0 || y > 9999 || off <= -86400 || off >= 86400 {
-		e.OK = false
+	sec, st := t.Unix(), lastStamp.Load()
+	if sec == zeroSecond.sec && off == 0 {
+		st = zeroSecond // an unset time, as an unfinished task's done_at
+	}
+	if st == nil || st.sec != sec || st.off != off {
+		if y := t.Year(); y < 0 || y > 9999 || off <= -86400 || off >= 86400 {
+			e.OK = false
+			return
+		}
+		start := len(e.B) + len(name) + 1
+		b := t.AppendFormat(append(append(e.B, name...), '"'), time.RFC3339Nano)
+		lastStamp.Store(stampOf(sec, off, b[start:]))
+		e.B = append(b, '"')
 		return
 	}
-	e.B = append(t.AppendFormat(append(append(e.B, name...), '"'), time.RFC3339Nano), '"')
+	b := append(append(append(e.B, name...), '"'), st.date[:]...)
+	if ns := t.Nanosecond(); ns != 0 {
+		b = appendFraction(b, ns)
+	}
+	e.B = append(append(b, st.zone[:st.zlen]...), '"')
+}
+
+// stamp is one second's RFC 3339 text in one zone offset: the date and
+// second, and the zone (Z or ±hh:mm). The fraction goes between them.
+type stamp struct {
+	sec  int64
+	off  int
+	date [len("2006-01-02T15:04:05")]byte
+	zone [len("-07:00")]byte
+	zlen uint8
+}
+
+// lastStamp is the second Time formatted last. Stores replace it whole, so
+// a reader sees one stamp's fields.
+var lastStamp atomic.Pointer[stamp]
+
+// zeroSecond is the zero time's second in UTC.
+var zeroSecond = stampOf(time.Time{}.Unix(), 0, []byte("0001-01-01T00:00:00Z"))
+
+// stampOf cuts a stamp out of text, the RFC 3339 rendering of a time in
+// second sec at zone offset off.
+func stampOf(sec int64, off int, text []byte) *stamp {
+	st := &stamp{sec: sec, off: off}
+	n := copy(st.date[:], text)
+	if n < len(text) && text[n] == '.' {
+		for n++; n < len(text) && text[n] >= '0' && text[n] <= '9'; n++ {
+		}
+	}
+	st.zlen = uint8(copy(st.zone[:], text[n:]))
+	return st
+}
+
+// appendFraction appends ns (0 < ns < 1e9) as RFC3339Nano's fraction: a
+// point and nine digits, trailing zeros dropped.
+func appendFraction(b []byte, ns int) []byte {
+	var d [10]byte
+	d[0] = '.'
+	for i := 9; i > 0; i-- {
+		d[i] = byte('0' + ns%10)
+		ns /= 10
+	}
+	n := 10
+	for d[n-1] == '0' {
+		n--
+	}
+	return append(b, d[:n]...)
 }
 
 // AppendPadded appends n in decimal, zero-padded to at least width digits:

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // omitted is a type whose fields are all omitempty, the shape Enc.End closes.
@@ -189,4 +190,47 @@ func BenchmarkAppendString(b *testing.B) {
 			buf = AppendString(buf, s)
 		}
 	}
+}
+
+// FuzzTimeMatchesMarshalJSON holds Enc.Time to time.Time.MarshalJSON: the
+// same bytes, or a refusal where MarshalJSON fails, for a time formatted in
+// full (a second the stamp does not hold) and for the same time again and
+// its neighbours in that second, which take the stamp.
+func FuzzTimeMatchesMarshalJSON(f *testing.F) {
+	f.Add(int64(1767323045), int64(0), int32(0), true)             // UTC, no fraction
+	f.Add(int64(1767323045), int64(120000000), int32(0), true)     // trailing zeros dropped
+	f.Add(int64(1767323045), int64(999999999), int32(3600), false) // offset zone
+	f.Add(int64(1767323045), int64(100), int32(-34200), false)     // negative half-hour offset
+	f.Add(int64(1767323045), int64(5), int32(0), false)            // a zone named "" at offset 0
+	f.Add(int64(-62167219200), int64(0), int32(0), true)           // year 0
+	f.Add(int64(-62135596800), int64(0), int32(0), true)           // the zero time
+	f.Add(int64(-62135596800), int64(1), int32(0), true)           // the zero time's second, a nanosecond on
+	f.Add(int64(253402300799), int64(999999999), int32(0), true)   // the last instant of 9999
+	f.Add(int64(253402300799), int64(0), int32(3600), false)       // year 10000 in +01:00: refused
+	f.Add(int64(-62167219200), int64(0), int32(-60), false)        // year -1 in -00:01: refused
+	f.Add(int64(1767323045), int64(0), int32(86400), false)        // a day's offset: refused
+	f.Add(int64(1767323045), int64(0), int32(45), false)           // an offset of seconds
+	f.Fuzz(func(t *testing.T, sec, nsec int64, off int32, utc bool) {
+		at := time.Unix(sec, nsec%1e9)
+		if utc {
+			at = at.UTC()
+		} else {
+			at = at.In(time.FixedZone("", int(off)))
+		}
+		for _, tm := range []time.Time{at, at, at.Add(-time.Duration(at.Nanosecond())), at, time.Time{}, at} {
+			want, wantErr := tm.MarshalJSON()
+			e := Enc{B: []byte("{"), OK: true}
+			e.Time(`"t":`, tm)
+			switch {
+			case wantErr != nil:
+				if e.OK {
+					t.Fatalf("%v: Enc.Time wrote %s, MarshalJSON refuses: %v", tm, e.B, wantErr)
+				}
+			case !e.OK:
+				t.Fatalf("%v: Enc.Time refuses what MarshalJSON writes: %s", tm, want)
+			case string(e.B) != `{"t":`+string(want):
+				t.Fatalf("%v: Enc.Time %s, MarshalJSON %s", tm, e.B[len(`{"t":`):], want)
+			}
+		}
+	})
 }
