@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -722,13 +721,14 @@ func BenchmarkReplTailSteady(b *testing.B) {
 	}
 }
 
-// followerIngest is a follower node taking shipments through its replicate
-// route: beta follows slot alpha, whose leader is not running; the shipments
-// come from a leader store of alpha's written beforehand, one commit each.
+// followerIngest is a follower node taking shipments on one open replicate
+// exchange: beta follows slot alpha, whose leader is not running; the
+// shipments come from a leader store of alpha's written beforehand, one
+// commit each.
 type followerIngest struct {
 	tb     testing.TB
 	node   *cluster.Node
-	httpc  *http.Client
+	x      *cluster.Exchange
 	ring   uint64
 	frames [][]byte
 	next   int
@@ -785,41 +785,34 @@ func newFollowerIngest(tb testing.TB, n int) *followerIngest {
 	}
 	tb.Cleanup(func() { _ = f.node.Close() })
 	tr.Register("beta", f.node.Handler())
-	f.httpc, f.ring = tr.Client(), ring.Version
+	f.ring = ring.Version
+	if f.x, err = cluster.OpenExchange(context.Background(), tr, "http://beta", "alpha", "http://alpha", f.ring); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(f.x.Close)
 	return f
 }
 
-// ship posts the next shipment to the follower and checks its ack.
+// ship sends the next shipment to the follower and checks its ack.
 func (f *followerIngest) ship() {
 	from := f.next
-	req, err := http.NewRequest(http.MethodPost, "http://beta/api/v1/cluster/replicate?slot=alpha&from="+strconv.Itoa(from), bytes.NewReader(f.frames[from]))
-	if err != nil {
-		f.tb.Fatal(err)
-	}
-	req.Header.Set(cluster.HeaderFormat, cluster.FormatFrames)
-	req.Header.Set(cluster.HeaderAppliedSeq, strconv.Itoa(len(f.frames)))
-	req.Header.Set(cluster.HeaderRingVersion, strconv.FormatUint(f.ring, 10))
-	req.Header.Set(cluster.HeaderFrom, "http://alpha")
-	resp, err := f.httpc.Do(req)
-	if err != nil {
-		f.tb.Fatal(err)
-	}
-	ack, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if want := fmt.Sprintf("{\"applied\":%d}\n", from+1); err != nil || resp.StatusCode != http.StatusOK || string(ack) != want {
-		f.tb.Fatalf("shipment %d: %d %q, %v; want 200 %q", from+1, resp.StatusCode, ack, err, want)
+	ack, err := f.x.Ship(cluster.Shipment{Format: cluster.FormatFrames, From: uint64(from), Applied: uint64(len(f.frames)),
+		RingVersion: f.ring, Payload: f.frames[from]})
+	if err != nil || ack.Applied != uint64(from+1) {
+		f.tb.Fatalf("shipment %d: ack %+v, %v; want applied %d", from+1, ack, err, from+1)
 	}
 	f.next++
 }
 
 // BenchmarkFollowerIngest — systems: one shipment a follower takes, shaped
 // like a paid post's submit (a batch record of the post and the completed
-// task, ≈ 560 bytes framed), through Node.Handler()'s replicate route over
-// NewHandlerTransport to a durable replica: the body read, the frame's
-// check and decode, the WAL append and fsync, the apply, the Catalog's
-// invalidations and the ack, plus the in-process transport's request and
-// recorder. quorum_mixed runs this about twice per post. TestFollowerIngestAllocs
-// bounds it in tier-1.
+// task, ≈ 560 bytes framed), as one frame on an open replicate exchange over
+// NewHandlerTransport to a durable replica: the frame's read into the
+// exchange's buffer, its fence, the records' check and decode, the WAL
+// append and fsync, the apply, the Catalog's invalidations and the ack.
+// Opening the exchange is not in it: an exchange lives as long as its
+// sender. quorum_mixed runs this about twice per post.
+// TestFollowerIngestAllocs bounds it in tier-1.
 func BenchmarkFollowerIngest(b *testing.B) {
 	f := newFollowerIngest(b, b.N)
 	b.ReportAllocs()
@@ -834,13 +827,13 @@ var raceEnabled bool
 
 // followerIngestAllocs and followerIngestBytes bound one
 // BenchmarkFollowerIngest shipment. With Go 1.24 on x86-64 a warm shipment
-// allocates 68 times and 7.8 KB, transport included. Reading the body with
-// io.ReadAll again reads 8.6 KB; decoding the frames with json.Unmarshal
-// again, 81 allocations and 8.4 KB; the code before both, with its ack sent
-// through reflection and read by a json.Decoder, 91 and 10.0 KB.
+// on an open exchange allocates 22.3 times and 2.36 KB, all of it the
+// store's decode, commit and apply. A whole HTTP request per shipment, as
+// before the exchange, read 68 allocations and 7.8 KB; a payload read into
+// a new buffer per frame, not the exchange's, reads 23.3 and 3.0 KB.
 const (
-	followerIngestAllocs = 75
-	followerIngestBytes  = 8 << 10
+	followerIngestAllocs = 25
+	followerIngestBytes  = 2816
 )
 
 // TestFollowerIngestAllocs holds a shipment under followerIngestAllocs

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -402,4 +403,96 @@ func TestBootRejectsRetiredShardLayout(t *testing.T) {
 	if left, _ := filepath.Glob(legacyWAL + "*"); len(left) != 1 {
 		t.Errorf("the refused open started a segment family beside the old WAL: %v", left)
 	}
+}
+
+// TestClusterSigtermEndsReplicateExchanges boots two members of one quorum
+// ring in-process, each the other's follower, with -write-timeout 1s and a
+// -grace far longer than the test allows. A replicate exchange is one
+// long-lived request: it must keep acking once it has been open for longer
+// than the write timeout, and SIGTERM must end it — as it ends SSE streams —
+// so that both daemons drain within a few seconds instead of waiting out the
+// grace period on each other's open exchanges.
+func TestClusterSigtermEndsReplicateExchanges(t *testing.T) {
+	var addrs [2]string
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		ln.Close()
+	}
+	ring := "alpha=http://" + addrs[0] + ",beta=http://" + addrs[1]
+	type member struct {
+		debug string
+		exit  chan error
+	}
+	var members [2]member
+	for i, slot := range []string{"alpha", "beta"} {
+		ready := make(chan string, 1)
+		members[i].exit = make(chan error, 1)
+		go func() {
+			members[i].exit <- run([]string{"-addr", addrs[i], "-debug-addr", "127.0.0.1:0", "-quiet", "-db", t.TempDir(),
+				"-cluster-slot", slot, "-cluster-ring", ring, "-cluster-quorum", "-cluster-pull-interval", "100ms",
+				"-write-timeout", "1s", "-grace", "30s"},
+				log.New(io.Discard, "", 0), func(_, debugAddr string) { ready <- debugAddr })
+		}()
+		select {
+		case members[i].debug = <-ready:
+		case err := <-members[i].exit:
+			t.Fatalf("%s exited before ready: %v", slot, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never became ready", slot)
+		}
+	}
+	post := func(name string) {
+		t.Helper()
+		resp, err := http.Post("http://"+addrs[0]+"/api/v1/providers", "application/json", strings.NewReader(`{"name":"`+name+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || resp.Header.Get("X-Itag-Quorum") != "ok" {
+			t.Fatalf("post %s: %d, X-Itag-Quorum %q; want 201 acked by the follower", name, resp.StatusCode, resp.Header.Get("X-Itag-Quorum"))
+		}
+	}
+	// Failed shipments so far (alpha may have tried beta before it was up).
+	pushErrors := func() string {
+		_, body := httpGet(t, "http://"+members[0].debug+"/metrics")
+		return grepLines(body, "itag_cluster_push_errors_total{")
+	}
+	post("first")
+	before := pushErrors()
+	time.Sleep(1500 * time.Millisecond) // the exchanges outlive the write timeout
+	post("second")
+	if after := pushErrors(); after != before {
+		t.Errorf("an exchange broke while it was open: failed shipments went from\n%s\nto\n%s", before, after)
+	}
+
+	start := time.Now()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for i, slot := range []string{"alpha", "beta"} {
+		select {
+		case err := <-members[i].exit:
+			if err != nil {
+				t.Errorf("%s drained with %v", slot, err)
+			}
+		case <-time.After(5*time.Second - time.Since(start)):
+			t.Fatalf("%s did not exit within 5s of SIGTERM: its open replicate exchange held the drain", slot)
+		}
+	}
+	t.Logf("both members drained in %v", time.Since(start))
+}
+
+// grepLines returns the lines of s that contain sub.
+func grepLines(s, sub string) string {
+	var out []string
+	for _, l := range strings.Split(s, "\n") {
+		if strings.Contains(l, sub) {
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n")
 }

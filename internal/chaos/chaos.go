@@ -99,6 +99,7 @@ type Schedule struct {
 
 	start atomic.Int64  // unixnano of Start; 0 = inactive
 	draws atomic.Uint64 // loss-draw counter (determinism)
+	cuts  [2]atomic.Uint64
 
 	now func() time.Time // test override; nil = time.Now
 }
@@ -123,6 +124,13 @@ func (s *Schedule) Stop() {
 		return
 	}
 	s.start.Store(0)
+}
+
+// Cuts reports how many open exchanges a dropped leg has cut since the
+// schedule was made, by the leg that dropped: the request leg (a replicate
+// stream's shipments) and the response leg (its acks).
+func (s *Schedule) Cuts() (request, response uint64) {
+	return s.cuts[0].Load(), s.cuts[1].Load()
 }
 
 // Active reports whether the schedule has been started and not stopped.

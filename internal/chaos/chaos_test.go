@@ -172,6 +172,62 @@ func TestTransportLegs(t *testing.T) {
 	})
 }
 
+// echoTransport answers every request at once, its response body reading
+// what the request body carries: an exchange that streams both ways.
+type echoTransport struct{}
+
+func (echoTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Body: req.Body, ContentLength: -1, Request: req}, nil
+}
+
+// TestStreamedExchangeLegs: a request body of unknown length is an exchange
+// that streams both ways, and a schedule armed while it is open still
+// reaches it. A dropped leg cuts the exchange at the Read that carried the
+// bytes, with the error a dropped request gets, every later Read on it
+// fails the same way, and Cuts counts it once, under its leg.
+func TestStreamedExchangeLegs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault Fault
+		want  syscall.Errno
+		cuts  [2]uint64
+	}{
+		{"partition on the request leg", Fault{Kind: KindPartition, From: "a", To: "b", OneWay: true}, syscall.EHOSTUNREACH, [2]uint64{1, 0}},
+		{"loss on the response leg", Fault{Kind: KindLoss, From: "b", To: "a", P: 1}, syscall.ECONNRESET, [2]uint64{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSchedule(1)
+			clocked(s)
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			req, _ := http.NewRequest(http.MethodPost, "http://b/stream", pr)
+			resp, err := Wrap(echoTransport{}, s, "a").RoundTrip(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := func(b string) (string, error) {
+				go io.WriteString(pw, b)
+				p := make([]byte, len(b))
+				n, err := io.ReadFull(resp.Body, p)
+				return string(p[:n]), err
+			}
+			if got, err := frame("one"); got != "one" || err != nil {
+				t.Fatalf("disarmed: read %q, %v", got, err)
+			}
+			s.Faults = []Fault{tc.fault}
+			s.Start()
+			for i := 0; i < 2; i++ {
+				if _, err := frame("two"); !errors.Is(err, tc.want) {
+					t.Fatalf("read %d after the fault: %v, want %v", i, err, tc.want)
+				}
+			}
+			if req, resp := s.Cuts(); [2]uint64{req, resp} != tc.cuts {
+				t.Fatalf("Cuts() = %d, %d; want %v", req, resp, tc.cuts)
+			}
+		})
+	}
+}
+
 // TestDiskFaultsThroughTheStoreHook drives a schedule's disk faults through
 // the hook each store is opened with: a stall slows a write, a torn write
 // crashes the store it matches and no other, and an operation-scoped fault

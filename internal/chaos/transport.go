@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -15,6 +17,13 @@ import (
 // From→URL.Host and the response leg URL.Host→From — so one-way loss and
 // asymmetric partitions behave like they would on a real wire. With a nil
 // or disarmed schedule every request passes straight through.
+//
+// A request whose body has no declared length is an exchange that streams
+// both ways (a replicate stream's shipments and acks). Past its opening, the
+// request leg is evaluated again on every Read of its body that brings bytes,
+// and the response leg on every Read of its response that does. A leg that
+// drops cuts the exchange there: that Read and every later one on either
+// side fails with the error a dropped request gets.
 type Transport struct {
 	Inner http.RoundTripper
 	Sched *Schedule
@@ -38,10 +47,18 @@ var (
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	s := t.Sched
-	if !s.Active() {
-		return t.Inner.RoundTrip(req)
-	}
 	to := req.URL.Host
+	var x *exchange
+	if s != nil && req.Body != nil && req.Body != http.NoBody && req.ContentLength <= 0 {
+		// Wrapped whether or not the schedule is armed yet: it may be armed
+		// while the exchange is open.
+		x = &exchange{sched: s, from: t.From, to: to, ctx: req.Context()}
+		req = req.WithContext(req.Context()) // a RoundTripper must not modify the caller's request
+		req.Body = &legBody{x: x, inner: req.Body}
+	}
+	if !s.Active() {
+		return x.wrap(t.Inner.RoundTrip(req))
+	}
 
 	reqLeg := s.Leg(t.From, to)
 	if reqLeg.Delay > 0 {
@@ -78,8 +95,95 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return nil, errRespLost
 	}
+	return x.wrap(resp, nil)
+}
+
+// exchange is one streamed request and its response, both legs watched.
+type exchange struct {
+	sched    *Schedule
+	from, to string
+	ctx      context.Context
+
+	mu   sync.Mutex
+	err  error // what cut the exchange
+	resp io.ReadCloser
+}
+
+// wrap puts the response leg's watch on an exchange's response.
+func (x *exchange) wrap(resp *http.Response, err error) (*http.Response, error) {
+	if x == nil || err != nil {
+		return resp, err
+	}
+	x.resp = resp.Body
+	resp.Body = &legBody{x: x, inner: resp.Body, response: true}
 	return resp, nil
 }
+
+func (x *exchange) cutErr() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.err
+}
+
+// pass evaluates one leg for bytes that just crossed it, and cuts the
+// exchange when the leg drops them.
+func (x *exchange) pass(response bool) error {
+	if !x.sched.Active() {
+		return nil
+	}
+	from, to, lost, leg := x.from, x.to, error(errReqLost), 0
+	if response {
+		from, to, lost, leg = x.to, x.from, errRespLost, 1
+	}
+	v := x.sched.Leg(from, to)
+	if v.Delay > 0 {
+		if err := sleepCtx(x.ctx, v.Delay); err != nil {
+			return err
+		}
+	}
+	if !v.Drop {
+		return nil
+	}
+	if v.Unreachable {
+		lost = errUnreachable
+	}
+	x.mu.Lock()
+	if x.err == nil {
+		x.err = lost
+		x.sched.cuts[leg].Add(1)
+	}
+	err := x.err
+	x.mu.Unlock()
+	if response {
+		x.resp.Close() // tear the exchange down, as a reset connection is
+	}
+	return err
+}
+
+// legBody is one side of an exchange: its request body or its response.
+type legBody struct {
+	x        *exchange
+	inner    io.ReadCloser
+	response bool
+}
+
+func (b *legBody) Read(p []byte) (int, error) {
+	if err := b.x.cutErr(); err != nil {
+		return 0, err
+	}
+	n, err := b.inner.Read(p)
+	if cerr := b.x.cutErr(); cerr != nil {
+		return 0, cerr
+	}
+	if n > 0 {
+		if lerr := b.x.pass(b.response); lerr != nil {
+			return 0, lerr
+		}
+	}
+	return n, err
+}
+
+func (b *legBody) Close() error { return b.inner.Close() }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	tm := time.NewTimer(d)

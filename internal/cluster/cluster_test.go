@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -623,21 +624,23 @@ func TestPromotionKeepsTheFollowerStack(t *testing.T) {
 	}
 }
 
-// signalReader reports its first Read on started, then reads r.
+// signalReader reports the read-th Read on started, then reads r.
 type signalReader struct {
 	r       io.Reader
+	read    int
 	started chan struct{}
-	once    sync.Once
 }
 
 func (s *signalReader) Read(p []byte) (int, error) {
-	s.once.Do(func() { close(s.started) })
+	if s.read--; s.read == 0 {
+		close(s.started)
+	}
 	return s.r.Read(p)
 }
 
 // TestShipmentInFlightAcrossPromotion holds a shipment from the slot's owner
-// between the fence and the apply — its body is still being read — while the
-// follower is promoted. The shipment must not land in what is now the
+// between the fence and the apply — its payload is still being read — while
+// the follower is promoted. The shipment must not land in what is now the
 // leader's store, whose runs resumed from the catalog without it: the
 // follower refuses it as misdirected, and the store holds no trace of it.
 func TestShipmentInFlightAcrossPromotion(t *testing.T) {
@@ -658,26 +661,32 @@ func TestShipmentInFlightAcrossPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(rec), rec)
+	head := make([]byte, frameHeaderLen)
+	head[0] = FormatFrames
+	binary.BigEndian.PutUint64(head[1:], at)
+	binary.BigEndian.PutUint64(head[9:], at+1)
+	binary.BigEndian.PutUint64(head[17:], version)
+	binary.BigEndian.PutUint64(head[25:], uint64(len(frame)))
+	// The handler's first Read takes the frame's header; its second is the
+	// payload's, past the frame's fence.
 	pr, pw := io.Pipe()
-	body := &signalReader{r: pr, started: make(chan struct{})}
-	req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/api/v1/cluster/replicate?slot=%s&from=%d", slot, at), body)
-	req.ContentLength = int64(len(frame))
-	req.Header.Set(HeaderFormat, FormatFrames)
+	body := &signalReader{r: pr, read: 2, started: make(chan struct{})}
+	req, err := http.NewRequest(http.MethodPost, "http://"+surv+"/api/v1/cluster/replicate?slot="+slot, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = -1
 	req.Header.Set(HeaderFrom, owner)
 	req.Header.Set(HeaderRingVersion, strconv.FormatUint(version, 10))
-	req.Header.Set(HeaderAppliedSeq, strconv.FormatUint(at+1, 10))
-	w := httptest.NewRecorder()
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		tc.nodes[surv].Handler().ServeHTTP(w, req)
-	}()
-
-	select {
-	case <-body.started: // past the fence, reading the body
-	case <-served:
-		t.Fatalf("the shipment was answered %d before its body was read: %s", w.Code, w.Body)
+	resp, err := tc.tr.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("opening the exchange: %v (%v)", err, resp)
 	}
+	defer resp.Body.Close()
+	if _, err := pw.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	<-body.started // past the fence, reading the payload
 	if err := tc.nodes[surv].Promote(context.Background(), slot); err != nil {
 		t.Fatal(err)
 	}
@@ -685,10 +694,15 @@ func TestShipmentInFlightAcrossPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw.Close()
-	<-served
+	reply := make([]byte, replyLen)
+	if _, err := io.ReadFull(resp.Body, reply); err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	code := binary.BigEndian.Uint64(reply[9:])
+	rest, _ := io.ReadAll(resp.Body)
 
-	if w.Code != http.StatusMisdirectedRequest {
-		t.Fatalf("a shipment that outlived the promotion answered %d, want 421: %s", w.Code, w.Body)
+	if reply[0] != replyRefusal || code != http.StatusMisdirectedRequest {
+		t.Fatalf("a shipment that outlived the promotion was answered %q %d, want a 421 refusal: %s", reply[0], code, rest)
 	}
 	db := tc.nodes[surv].DB(slot)
 	if db != replicaDB {
@@ -731,31 +745,55 @@ func TestPromoteRefusesAFailedReplica(t *testing.T) {
 	}
 }
 
-// manglingHandler proxies a follower's handler but corrupts the body of
-// every non-empty shipment on its way in, according to mode.
+// manglingHandler proxies a follower's handler but corrupts the payload of
+// every non-empty shipment frame on its way in, according to mode, keeping
+// the exchange's framing intact.
 type manglingHandler struct {
 	inner http.Handler
 	mode  string // "flip" | "truncate" | "garbage"
 }
 
 func (m *manglingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/api/v1/cluster/replicate" {
-		m.inner.ServeHTTP(w, r)
-		return
+	if r.URL.Path == "/api/v1/cluster/replicate" {
+		r.Body = io.NopCloser(&manglingBody{src: r.Body, mode: m.mode})
 	}
-	body, _ := io.ReadAll(r.Body)
-	if len(body) > 0 {
-		switch m.mode {
-		case "flip":
-			body[len(body)/2] ^= 0x40
-		case "truncate":
-			body = body[:len(body)-2] // cut mid-line: unterminated final record
-		case "garbage":
-			body = []byte("deadbeef not a frame\n")
-		}
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
 	m.inner.ServeHTTP(w, r)
+}
+
+// manglingBody re-frames an exchange's request body with each payload
+// mangled.
+type manglingBody struct {
+	src  io.Reader
+	mode string
+	out  []byte
+}
+
+func (m *manglingBody) Read(p []byte) (int, error) {
+	for len(m.out) == 0 {
+		head := make([]byte, frameHeaderLen)
+		if _, err := io.ReadFull(m.src, head); err != nil {
+			return 0, err
+		}
+		body := make([]byte, binary.BigEndian.Uint64(head[25:]))
+		if _, err := io.ReadFull(m.src, body); err != nil {
+			return 0, err
+		}
+		if len(body) > 0 {
+			switch m.mode {
+			case "flip":
+				body[len(body)/2] ^= 0x40
+			case "truncate":
+				body = body[:len(body)-2] // cut mid-line: unterminated final record
+			case "garbage":
+				body = []byte("deadbeef not a frame\n")
+			}
+		}
+		binary.BigEndian.PutUint64(head[25:], uint64(len(body)))
+		m.out = append(head, body...)
+	}
+	n := copy(p, m.out)
+	m.out = m.out[n:]
+	return n, nil
 }
 
 // TestClusterFollowerIngestCorruption is the corruption drill: a follower

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
@@ -418,10 +419,13 @@ type historyRun struct {
 	forgedStatus  int
 	forgedApplied bool
 	stalled       []string // phases after which no write was stamped ok in time
-	leaderStatus  int      // of the promoted leader's final export
-	leaderExport  exportView
-	followExport  exportView
-	converged     bool
+	// cuts counts the open replicate exchanges the schedule's network faults
+	// cut, by the leg that dropped: shipments (request) and acks (response).
+	cuts         [2]uint64
+	leaderStatus int // of the promoted leader's final export
+	leaderExport exportView
+	followExport exportView
+	converged    bool
 }
 
 // runHistory executes one seed.
@@ -732,32 +736,33 @@ func runHistory(t testing.TB, seed int64) *historyRun {
 		after, _ := h.appliedSeq(plan.f2, leader)
 		run.forgedApplied = after != at
 	}
+	run.cuts[0], run.cuts[1] = sched.Cuts()
 	return run
 }
 
-// forgeShipment POSTs one valid frame for seq at+1 to node's replica of slot,
-// claiming to come from the node at fromAddr with ring version ringV.
+// forgeShipment ships one valid frame for seq at+1 to node's replica of
+// slot on an exchange of its own, claiming to come from the node at fromAddr
+// with ring version ringV, and returns the HTTP status the follower answered
+// with: the opening's, or a refusal's, or 200 for an ack.
 func (h *historyCluster) forgeShipment(node, slot, fromAddr string, ringV, at uint64) int {
 	body, err := json.Marshal(store.Record{Seq: at + 1, Op: store.OpPut, Table: "forged", Key: "k", Value: json.RawMessage(`{"by":"a deposed leader"}`)})
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	frame := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
-	req, err := http.NewRequest(http.MethodPost,
-		fmt.Sprintf("http://%s/api/v1/cluster/replicate?slot=%s&from=%d", node, slot, at), strings.NewReader(frame))
-	if err != nil {
-		h.t.Fatal(err)
+	x, err := cluster.OpenExchange(context.Background(), h.tr, "http://"+node, slot, fromAddr, ringV)
+	if err == nil {
+		defer x.Close()
+		_, err = x.Ship(cluster.Shipment{Format: cluster.FormatFrames, From: at, Applied: at + 1, RingVersion: ringV, Payload: []byte(frame)})
 	}
-	req.Header.Set(cluster.HeaderFormat, cluster.FormatFrames)
-	req.Header.Set(cluster.HeaderFrom, fromAddr)
-	req.Header.Set(cluster.HeaderRingVersion, strconv.FormatUint(ringV, 10))
-	req.Header.Set(cluster.HeaderAppliedSeq, strconv.FormatUint(at+1, 10))
-	resp, err := h.client.Do(req)
-	if err != nil {
+	var refused *cluster.Refusal
+	switch {
+	case errors.As(err, &refused):
+		return refused.Status
+	case err != nil:
 		return 0
 	}
-	resp.Body.Close()
-	return resp.StatusCode
+	return http.StatusOK
 }
 
 // slowest returns the longest any recorded call took, and which call it was.
@@ -909,11 +914,13 @@ func TestReplicationHistories(t *testing.T) {
 	}
 	failed := 0
 	var worst time.Duration
+	var cuts [2]uint64
 	for _, seed := range seeds {
 		run := runHistory(t, seed)
 		bad := run.check()
 		wall, _ := run.slowest()
 		worst = max(worst, wall)
+		cuts[0], cuts[1] = cuts[0]+run.cuts[0], cuts[1]+run.cuts[1]
 		if *historySeed >= 0 || testing.Verbose() {
 			ok, degraded, failed := 0, 0, 0
 			for _, op := range run.ops {
@@ -945,7 +952,15 @@ func TestReplicationHistories(t *testing.T) {
 		t.Errorf("seed %d broke %d invariant(s):\n  %s\n  replay: go test ./internal/cluster -run TestReplicationHistories -history-seed %d\n  -chaos-spec %q\n  steps: %s",
 			seed, len(bad), strings.Join(bad, "\n  "), seed, run.plan.spec(), run.plan.steps())
 	}
-	t.Logf("slowest call over %d seeds: %v (bound %v)", len(seeds), worst, historyCallBound)
+	t.Logf("slowest call over %d seeds: %v (bound %v); exchanges cut on the shipment leg %d times, on the ack leg %d times",
+		len(seeds), worst, historyCallBound, cuts[0], cuts[1])
+	// The loss and partition schedules of the tier-1 seeds must still fault
+	// replication mid-stream, both ways: a stream the faults do not reach
+	// passes every invariant above without being tested by them.
+	if len(seeds) >= 25 && (cuts[0] == 0 || cuts[1] == 0) {
+		t.Errorf("over %d seeds the faults cut %d exchanges on the shipment leg and %d on the ack leg; want both above 0",
+			len(seeds), cuts[0], cuts[1])
+	}
 	if failed > 0 {
 		t.Errorf("%d of %d seeds failed", failed, len(seeds))
 	}

@@ -242,6 +242,11 @@ type Node struct {
 
 	handler http.Handler
 	wg      sync.WaitGroup
+
+	// frameApplied, when set, sees an exchange's frame buffer after each
+	// shipment it carried is applied: the tests' way to prove the store
+	// keeps nothing of it. Set it before the node is on the network.
+	frameApplied func(frame []byte)
 }
 
 // New opens the node's stores, resumes any interrupted runs on the led
@@ -503,27 +508,20 @@ const (
 	ReadFollower = "follower"
 	// HeaderServedBy names the follower slot that served an opt-in read.
 	HeaderServedBy = "X-Itag-Served-By"
-	// HeaderAppliedSeq carries the leader's applied watermark on
-	// shipments.
-	HeaderAppliedSeq = "X-Itag-Applied-Seq"
-	// HeaderFormat says what a shipment's body is: "frames" (CRC-framed WAL
-	// records) or "snapshot" (a full snapshot image).
-	HeaderFormat   = "X-Itag-Format"
-	FormatFrames   = "frames"
-	FormatSnapshot = "snapshot"
 	// HeaderQuorum reports the ack's durability on mutating responses in
 	// quorum mode: QuorumOK (follower fsync confirmed) or QuorumDegraded
 	// (timed out, leader-only ack).
 	HeaderQuorum   = "X-Itag-Quorum"
 	QuorumOK       = "ok"
 	QuorumDegraded = "degraded"
-	// HeaderRingVersion advertises a node's ring version on shipments and
-	// their replies; whoever holds the older ring fetches the newer one
-	// (how a deposed leader learns of its demotion after a partition
-	// heals), and a follower refuses a shipment from an older ring.
+	// HeaderRingVersion advertises a node's ring version on a replicate
+	// exchange's opening request and its answer (frames and acks carry it
+	// after that); whoever holds the older ring fetches the newer one (how a
+	// deposed leader learns of its demotion after a partition heals), and a
+	// follower refuses shipments from an older ring.
 	HeaderRingVersion = "X-Itag-Ring-Version"
-	// HeaderFrom names the shipping node's address on replicate requests;
-	// a follower takes shipments only from the slot's owner.
+	// HeaderFrom names the shipping node's address on a replicate exchange's
+	// opening request; a follower takes shipments only from the slot's owner.
 	HeaderFrom = "X-Itag-From"
 )
 

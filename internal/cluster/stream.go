@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -18,20 +21,26 @@ import (
 	"itag/internal/errs"
 	"itag/internal/ring"
 	"itag/internal/store"
-	"itag/internal/wire"
 )
 
 // The replication stream and the quorum ack gate.
 //
 // Every led slot runs one sender per follower node the ring names for it
-// (ring.Followers(slot, Replicas)). A sender ships what lies past its
-// follower's watermark to POST /api/v1/cluster/replicate: CRC-framed WAL
-// records (store.ReplTail — the leader's tail window answers a follower that
-// keeps up, the segment files one that does not), or, once compaction has
-// swallowed that tail, the snapshot image as the stream's next frame. The
-// follower validates the shipment whole, applies it through its Catalog,
-// fsyncs, and answers its applied sequence. That answer is the stream's one
-// watermark, and an ack always means "on that follower's disk".
+// (ring.Followers(slot, Replicas)). A sender holds one long-lived, full-duplex
+// exchange with its follower: a POST /api/v1/cluster/replicate whose request
+// body is a sequence of shipment frames and whose response body is a sequence
+// of replies, one per frame. The opening request names the slot, the sender's
+// address and its ring version once; every frame carries a fixed header (the
+// payload's format, the watermark it starts after, the leader's applied
+// sequence, its ring version, the payload's length) and the payload:
+// CRC-framed WAL records (store.ReplTail — the leader's tail window answers a
+// follower that keeps up, the segment files one that does not), or, once
+// compaction has swallowed that tail, the snapshot image. The follower
+// validates the shipment whole, applies it through its Catalog, fsyncs, and
+// replies with an ack holding its applied sequence and its ring version. That
+// ack is the stream's one watermark, and it always means "on that follower's
+// disk". A shipment costs one frame written and one ack read, not an HTTP
+// request.
 //
 // Everything else is this stream seen from somewhere. Async mode is the
 // stream with nobody waiting on it. Quorum mode (Options.Quorum) holds each
@@ -39,30 +48,41 @@ import (
 // sequence, bounded by Options.QuorumTimeout, after which the ack degrades to
 // leader-only: counted in itag_cluster_quorum_degraded_total, logged, stamped
 // X-Itag-Quorum: degraded. Catch-up is the stream from an older watermark. An
-// idle stream sends an empty shipment every Options.PullInterval, which keeps
+// idle stream sends an empty frame every Options.PullInterval, which keeps
 // the follower's lag gauge, its staleness breaker and ring-version gossip
 // moving; it is also the tick every stream but the one a quorum ack waits on
-// ships by. A stream opens, and resumes after any failure, with such an empty
-// shipment: the reply says where the follower is, so neither a restarted
-// follower nor a lost reply makes the leader guess. Failures back off on the
-// capped jittered schedule, through the peer's circuit breaker.
+// ships by. A sender has one frame in flight at a time (stop-and-wait), so a
+// snapshot install never overlaps a queued shipment.
+//
+// An exchange opens, and reopens after any failure, with an empty frame: its
+// ack says where the follower is, so neither a restarted follower nor a lost
+// ack makes the leader guess. A transport error, an ack that misses its
+// deadline (ackTimeout) or a refusal ends the exchange; the sender closes it,
+// the peer's circuit breaker counts a transport failure, and the stream
+// reopens on the capped jittered backoff schedule.
 //
 // A follower takes shipments only from the node its own ring names as the
-// slot's owner, at a ring version no older than its own. A deposed leader
-// that has not heard of its demotion is answered 421 with the newer version,
-// fetches that ring, and steps down.
+// slot's owner, at a ring version no older than its own: it fences the
+// opening request, answering 421 before any frame, and fences every frame
+// again, so a ring change mid-stream is seen at the next frame. A refusal is
+// the exchange's last reply: a refusal head and the error envelope. A deposed
+// leader that has not heard of its demotion is refused with the newer
+// version, fetches that ring, and steps down.
 
 // errPeerOpen is returned locally when a peer's circuit breaker refuses a
 // call; the caller backs off without burning a timeout on a dead node.
 var errPeerOpen = errors.New("cluster: peer circuit open")
 
-// maxBodyBytes bounds a shipment's body. Snapshots carry whole-store state,
-// and a frames shipment — though budgeted by PullBytes — legitimately exceeds
-// the budget when a single record alone does (ReplTail always ships at least
-// one). Reading less than the whole body would cut it mid-frame:
-// ApplyReplicated would refuse the batch, the watermark would stay, and the
-// identical next shipment would wedge the stream for good.
+// maxBodyBytes bounds a shipment's payload. Snapshots carry whole-store
+// state, and a frames shipment — though budgeted by PullBytes — legitimately
+// exceeds the budget when a single record alone does (ReplTail always ships
+// at least one).
 const maxBodyBytes = 1 << 30
+
+// ackTimeout bounds each wait for a follower's reply, the exchange's opening
+// included; a reply that misses it ends the exchange. http.Client.Timeout
+// bounds nothing here: it would end a healthy exchange.
+const ackTimeout = 30 * time.Second
 
 // quorumWaiter parks one mutating request until the follower's watermark
 // covers its sequence (or the gate times out and degrades).
@@ -93,9 +113,18 @@ type sender struct {
 	errCounts map[string]uint64 // failed shipments by error-taxonomy category
 
 	// The rest belongs to the stream's goroutine.
+	x        *Exchange // the open exchange, or nil
 	cursor   store.TailCursor
 	synced   bool // the last shipment was answered: acked is where the follower is
 	lastShip time.Time
+}
+
+// closeExchange closes the sender's exchange, if one is open.
+func (s *sender) closeExchange() {
+	if s.x != nil {
+		s.x.Close()
+		s.x = nil
+	}
 }
 
 // poke nudges the stream without blocking (it also ticks on the heartbeat
@@ -254,6 +283,7 @@ func (n *Node) syncSendersLocked() {
 func (n *Node) stream(ctx context.Context, b *backend, s *sender) {
 	defer n.wg.Done()
 	defer close(s.done)
+	defer s.closeExchange()
 	streak := 0
 	for {
 		before := s.acked.Load()
@@ -295,11 +325,13 @@ func (n *Node) stream(ctx context.Context, b *backend, s *sender) {
 // ship sends one shipment — the records past the follower's watermark, the
 // snapshot image when those records are compacted away, or nothing at all (a
 // probe when the watermark is not known, a heartbeat when it is and the
-// interval has passed) — and moves the watermark to the follower's answer.
+// interval has passed) — on the sender's exchange, opening it first if it is
+// not open, and moves the watermark to the follower's ack. A failed shipment
+// closes the exchange.
 func (n *Node) ship(ctx context.Context, b *backend, s *sender) error {
 	from, want := s.acked.Load(), b.db.AppliedSeq()
 	var data []byte
-	format := FormatFrames
+	var format byte = FormatFrames
 	if s.synced && from < want {
 		var err error
 		data, _, err = b.db.ReplTail(from, n.opts.PullBytes, &s.cursor)
@@ -316,28 +348,21 @@ func (n *Node) ship(ctx context.Context, b *backend, s *sender) error {
 	}
 	s.synced, s.lastShip = false, time.Now()
 
-	url := fmt.Sprintf("%s/api/v1/cluster/replicate?slot=%s&from=%d", s.addr, s.slot, from)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(data))
+	if s.x == nil {
+		x, err := n.open(ctx, s)
+		if err != nil {
+			return err
+		}
+		s.x = x
+	}
+	ack, err := s.x.Ship(Shipment{Format: format, From: from, Applied: want, RingVersion: n.Ring().Version, Payload: data})
+	n.noteRingVersion(ack.RingVersion, s.addr)
 	if err != nil {
+		s.closeExchange()
+		if ctx.Err() == nil && !errors.As(err, new(*Refusal)) {
+			n.peerFailed(hostOf(s.addr), err)
+		}
 		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(HeaderFormat, format)
-	req.Header.Set(HeaderAppliedSeq, strconv.FormatUint(want, 10))
-	req.Header.Set(HeaderRingVersion, strconv.FormatUint(n.Ring().Version, 10))
-	req.Header.Set(HeaderFrom, n.addr)
-	resp, err := n.peerDo(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	n.noteRingVersion(resp.Header.Get(HeaderRingVersion), s.addr)
-	if resp.StatusCode != http.StatusOK {
-		return refusal(s.addr, resp)
-	}
-	ack, err := readAck(resp.Body)
-	if err != nil {
-		return fmt.Errorf("follower %s: decode ack: %w", s.addr, err)
 	}
 	s.advance(ack.Applied)
 	s.synced = true
@@ -346,179 +371,416 @@ func (n *Node) ship(ctx context.Context, b *backend, s *sender) error {
 	return nil
 }
 
-// replicateAck is a follower's answer to a shipment: its applied sequence,
-// {"applied":N}.
-type replicateAck struct {
-	Applied uint64 `json:"applied"`
-}
-
-// AppendJSON never declines: the answer is one integer.
-func (a replicateAck) AppendJSON(dst []byte) ([]byte, bool) {
-	return append(strconv.AppendUint(append(dst, `{"applied":`...), a.Applied, 10), '}'), true
-}
-
-// ackKeys are the keys of a follower's answer.
-var ackKeys = []string{"applied"}
-
-func decodeAck(d *wire.Decoder, a *replicateAck) bool {
-	return d.ObjectOf(ackKeys, func(key string) (uint, bool) {
-		if key != "applied" {
-			return 0, false
-		}
-		tok, ok := d.Value() // parsed as json.Unmarshal parses a uint64
-		n, err := strconv.ParseUint(string(tok), 10, 64)
-		a.Applied = n
-		return 1, ok && err == nil
-	})
-}
-
-// readAck reads a follower's answer to its end and decodes it: with the
-// cursor when it is the object a follower writes, through json.Unmarshal
-// otherwise. An answer is a few dozen bytes; a longer one is refused.
-func readAck(body io.Reader) (replicateAck, error) {
-	var ack replicateAck
-	b := make([]byte, 64)
-	n, err := io.ReadFull(body, b)
+// open opens the sender's exchange through its follower's circuit breaker:
+// an open circuit refuses locally, a transport failure counts toward opening
+// it, and any answer — a refusal too — proves the peer alive and closes it.
+func (n *Node) open(ctx context.Context, s *sender) (*Exchange, error) {
+	b := n.peers.Get(hostOf(s.addr))
+	if !b.Allow(time.Now()) {
+		return nil, errPeerOpen
+	}
+	rt := n.httpc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	x, err := OpenExchange(ctx, rt, s.addr, s.slot, n.addr, n.Ring().Version)
+	var refused *Refusal
 	switch {
-	case err == nil:
-		return ack, errors.New("answer longer than 64 bytes")
-	case err != io.EOF && err != io.ErrUnexpectedEOF:
-		return ack, err
+	case errors.As(err, &refused):
+		b.Success()
+		n.noteRingVersion(refused.RingVersion, s.addr)
+	case err != nil:
+		n.peerFailed(hostOf(s.addr), err)
+	default:
+		b.Success()
 	}
-	b = b[:n]
-	if d, ok := wire.Over(b); ok && decodeAck(&d, &ack) && d.End() {
-		return ack, nil
-	}
-	var slow replicateAck
-	err = json.Unmarshal(b, &slow)
-	return slow, err
+	return x, err
 }
 
-// refusal turns a follower's error reply into a taxonomy error carrying the
-// category of the envelope's code, so a refused shipment is counted once, by
+// peerFailed books one transport failure against the peer's breaker.
+func (n *Node) peerFailed(host string, err error) {
+	if n.peers.Get(host).Failure(time.Now(), breakerThreshold, breakerCooldownBeats*n.opts.PullInterval) {
+		n.logger.Printf("cluster %s: circuit open for peer %s: %v", n.slot, host, err)
+	}
+}
+
+// The wire form of an exchange. A frame is a header of frameHeaderLen bytes
+// — the format byte, then the watermark the payload starts after, the
+// leader's applied sequence, its ring version and the payload's length, each
+// a big-endian uint64 — and the payload. A reply is replyLen bytes: an ack is
+// replyAck, the follower's applied sequence and its ring version; a refusal
+// is replyRefusal, the follower's ring version and the HTTP status the
+// refusal carries, followed by the error envelope to the end of the response.
+const (
+	frameHeaderLen = 1 + 4*8
+	replyLen       = 1 + 2*8
+
+	// FormatFrames marks a payload of CRC-framed WAL records, FormatSnapshot
+	// one that is a whole snapshot image.
+	FormatFrames   = 'F'
+	FormatSnapshot = 'S'
+
+	replyAck     = 'A'
+	replyRefusal = 'E'
+)
+
+// Shipment is one frame of an exchange.
+type Shipment struct {
+	Format      byte   // FormatFrames or FormatSnapshot
+	From        uint64 // the follower watermark the payload starts after
+	Applied     uint64 // the leader's applied sequence
+	RingVersion uint64 // the leader's ring version
+	Payload     []byte // empty for a probe or a heartbeat
+}
+
+// Ack is a follower's answer to a shipment.
+type Ack struct {
+	Applied     uint64 // the follower's applied sequence, on its disk
+	RingVersion uint64 // the follower's ring version
+}
+
+// Refusal is a follower refusing an exchange or one shipment on it, as its
+// error envelope says; it ends the exchange. It unwraps to a taxonomy error
+// of the envelope code's category, so a refused shipment is counted once, by
 // the sender, under what the follower found wrong with it.
-func refusal(addr string, resp *http.Response) error {
+type Refusal struct {
+	Status      int    // 421 for a sender the follower does not take shipments from
+	Code        string // the envelope's code
+	RingVersion uint64 // the follower's ring version
+	err         error
+}
+
+func (r *Refusal) Error() string { return r.err.Error() }
+func (r *Refusal) Unwrap() error { return r.err }
+
+// readRefusal decodes a refusal's error envelope from body.
+func readRefusal(addr string, status int, ringVersion uint64, body io.Reader) *Refusal {
 	var env struct {
 		Error struct {
 			Code    string `json:"code"`
 			Message string `json:"message"`
 		} `json:"error"`
 	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&env) // an unreadable body is still a refusal
+	_ = json.NewDecoder(io.LimitReader(body, 1<<16)).Decode(&env) // an unreadable body is still a refusal
 	cat := api.CategoryOfCode(env.Error.Code)
 	if cat == "" {
 		cat = errs.CategoryInternal
 	}
-	return errs.New(errs.ComponentStore, cat, "follower %s refused the shipment: %s: %s", addr, resp.Status, env.Error.Message)
+	return &Refusal{Status: status, Code: env.Error.Code, RingVersion: ringVersion,
+		err: errs.New(errs.ComponentStore, cat, "follower %s refused the shipment: %d %s: %s",
+			addr, status, http.StatusText(status), env.Error.Message)}
 }
 
-// handleReplicate is the follower's end of the stream: fence the sender,
-// check that the shipment starts exactly at the local watermark, validate and
-// apply it whole, fsync, and answer the applied sequence. A `from` that is
-// not the local watermark is not an error — nothing is applied and the answer
-// tells the sender where to resume (this follower restarted, or its last
-// answer was lost). A shipment that fails validation is refused whole, the
-// watermark stays, and the sender's next one resumes from it.
+// Exchange is the leader's end of one open replicate exchange. It is not
+// safe for concurrent use: one shipment is in flight at a time.
+type Exchange struct {
+	addr    string
+	frames  *bufio.Writer // onto pw: a frame's header and payload leave in one write
+	pw      *io.PipeWriter
+	replies io.ReadCloser
+	cancel  context.CancelFunc
+	// timer bounds each wait for a reply; firing, it cancels the exchange.
+	timer   *time.Timer
+	expired atomic.Bool
+	head    [frameHeaderLen]byte
+	reply   [replyLen]byte
+}
+
+// OpenExchange opens a replicate exchange with the follower at addr for slot,
+// in the name of the node at from holding ring version ringVersion, over rt.
+// A follower that does not take shipments from that node refuses with a
+// *Refusal before any frame. The exchange lives until Close, ctx's end, a
+// transport failure, a refusal, or a reply that misses ackTimeout.
+func OpenExchange(ctx context.Context, rt http.RoundTripper, addr, slot, from string, ringVersion uint64) (*Exchange, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	pr, pw := io.Pipe()
+	x := &Exchange{addr: addr, pw: pw, cancel: cancel}
+	x.timer = time.AfterFunc(ackTimeout, func() {
+		x.expired.Store(true)
+		cancel()
+	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/api/v1/cluster/replicate?slot="+url.QueryEscape(slot), pr)
+	if err != nil {
+		x.Close()
+		return nil, err
+	}
+	req.ContentLength = -1
+	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header.Set(HeaderFrom, from)
+	req.Header.Set(HeaderRingVersion, strconv.FormatUint(ringVersion, 10))
+	resp, err := rt.RoundTrip(req)
+	if err == nil && !x.timer.Stop() {
+		resp.Body.Close()
+		err = x.timeout()
+	}
+	if err != nil {
+		x.Close()
+		return nil, x.cause(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		theirs, _ := strconv.ParseUint(resp.Header.Get(HeaderRingVersion), 10, 64)
+		refused := readRefusal(addr, resp.StatusCode, theirs, resp.Body)
+		resp.Body.Close()
+		x.Close()
+		return nil, refused
+	}
+	x.replies = resp.Body
+	x.frames = bufio.NewWriterSize(pw, 4<<10)
+	return x, nil
+}
+
+// Ship writes one frame and waits for its reply. A refusal comes back as a
+// *Refusal with the follower's ring version in the Ack; after any error the
+// exchange is done and only Close is left.
+func (x *Exchange) Ship(sh Shipment) (Ack, error) {
+	x.head[0] = sh.Format
+	binary.BigEndian.PutUint64(x.head[1:], sh.From)
+	binary.BigEndian.PutUint64(x.head[9:], sh.Applied)
+	binary.BigEndian.PutUint64(x.head[17:], sh.RingVersion)
+	binary.BigEndian.PutUint64(x.head[25:], uint64(len(sh.Payload)))
+	x.timer.Reset(ackTimeout)
+	_, werr := x.frames.Write(x.head[:])
+	if werr == nil {
+		_, werr = x.frames.Write(sh.Payload)
+	}
+	if werr == nil {
+		werr = x.frames.Flush()
+	}
+	// Read the reply even when the write failed: a follower that refused
+	// the frame before reading it whole has said why.
+	ack, err := x.readReply()
+	if !x.timer.Stop() && err == nil {
+		err = x.timeout()
+	}
+	switch {
+	case err != nil:
+		return ack, x.cause(err)
+	case werr != nil:
+		return Ack{}, werr
+	}
+	return ack, nil
+}
+
+// readReply reads the reply to the frame just written.
+func (x *Exchange) readReply() (Ack, error) {
+	if _, err := io.ReadFull(x.replies, x.reply[:]); err != nil {
+		return Ack{}, err
+	}
+	a, b := binary.BigEndian.Uint64(x.reply[1:]), binary.BigEndian.Uint64(x.reply[9:])
+	switch x.reply[0] {
+	case replyAck:
+		return Ack{Applied: a, RingVersion: b}, nil
+	case replyRefusal:
+		return Ack{RingVersion: a}, readRefusal(x.addr, int(b), a, x.replies)
+	}
+	return Ack{}, fmt.Errorf("follower %s: reply of unknown kind %q", x.addr, x.reply[0])
+}
+
+func (x *Exchange) timeout() error {
+	return fmt.Errorf("follower %s: no reply within %v", x.addr, ackTimeout)
+}
+
+// cause names a missed deadline for what it is, not the cancellation it
+// caused.
+func (x *Exchange) cause(err error) error {
+	if x.expired.Load() {
+		return x.timeout()
+	}
+	return err
+}
+
+// Close ends the exchange.
+func (x *Exchange) Close() {
+	x.timer.Stop()
+	x.cancel()
+	x.pw.CloseWithError(errExchangeClosed)
+	if x.replies != nil {
+		x.replies.Close()
+	}
+}
+
+var errExchangeClosed = errors.New("cluster: replicate exchange closed")
+
+// inbound is the follower's end of one exchange: the buffers it keeps.
+type inbound struct {
+	head  [frameHeaderLen]byte
+	reply [replyLen]byte
+	// frame holds one payload at a time. Reusing it is safe because the
+	// store keeps nothing of a shipment it has applied: decoding copies every
+	// key and value out of it (store.decodeRecord), and the WAL's write
+	// buffer copies the raw bytes. One grown past keptPayloadBytes is dropped.
+	frame []byte
+}
+
+// keptPayloadBytes bounds the frame buffer an exchange keeps. Steady frames
+// are 0.5–5 KB; a catch-up or snapshot frame that grew it further is let go.
+// Keeping buffers up to PullBytes (1 MiB) read +4.8 % peak RSS on
+// quorum_mixed; 64 KiB reads below the per-request path's.
+const keptPayloadBytes = 64 << 10
+
+// handleReplicate is the follower's end of the stream. It fences the opening
+// request, then takes frames until the leader closes the exchange, the
+// exchange breaks, the request's context ends (the server shutting down) or
+// a frame is refused. Each frame is fenced again, its payload read whole,
+// checked to start exactly at the local watermark, validated and applied
+// whole, fsynced, and acked with the applied sequence. A from that is not the
+// local watermark is not an error — nothing is applied and the ack tells the
+// sender where to resume (this follower restarted, or its last ack was lost).
+// A shipment that fails validation is refused, the watermark stays, and the
+// sender's next exchange resumes from it.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	slot, sender := q.Get("slot"), r.Header.Get(HeaderFrom)
-	n.noteRingVersion(r.Header.Get(HeaderRingVersion), sender)
+	slot, sender := r.URL.Query().Get("slot"), r.Header.Get(HeaderFrom)
+	theirs, _ := strconv.ParseUint(r.Header.Get(HeaderRingVersion), 10, 64)
+	n.noteRingVersion(theirs, sender)
+	_, version, err := n.fence(slot, sender, theirs)
+	w.Header().Set(HeaderRingVersion, strconv.FormatUint(version, 10))
+	if err != nil {
+		w.Header().Set(HeaderOwner, n.Ring().Addr(slot))
+		n.kit.WriteError(w, r, err)
+		return
+	}
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex() // an HTTP/2 stream is full duplex already
+	_ = rc.SetWriteDeadline(time.Time{})
+	// A read waiting for the next frame ends with the request's context; on
+	// the way out, the server must not wait to drain a body the leader keeps
+	// open.
+	stop := context.AfterFunc(r.Context(), func() { _ = rc.SetReadDeadline(time.Now()) })
+	defer func() {
+		stop()
+		_ = rc.SetReadDeadline(time.Now())
+	}()
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	if rc.Flush() != nil {
+		return
+	}
+	in := new(inbound)
+	for n.takeFrame(w, r, rc, in, slot, sender) {
+	}
+}
+
+// takeFrame reads, applies and answers one frame. It reports whether the
+// exchange goes on.
+func (n *Node) takeFrame(w http.ResponseWriter, r *http.Request, rc *http.ResponseController, in *inbound, slot, sender string) bool {
+	if _, err := io.ReadFull(r.Body, in.head[:]); err != nil {
+		return false // the leader closed the exchange, or it broke
+	}
+	sh := Shipment{
+		Format:      in.head[0],
+		From:        binary.BigEndian.Uint64(in.head[1:]),
+		Applied:     binary.BigEndian.Uint64(in.head[9:]),
+		RingVersion: binary.BigEndian.Uint64(in.head[17:]),
+	}
+	n.noteRingVersion(sh.RingVersion, sender)
+	rep, version, err := n.fence(slot, sender, sh.RingVersion)
+	if err == nil {
+		if size := binary.BigEndian.Uint64(in.head[25:]); size > maxBodyBytes {
+			err = api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest, "a shipment of %d bytes is over the %d-byte bound", size, maxBodyBytes)
+		} else {
+			in.frame = slices.Grow(in.frame[:0], int(size))[:size]
+		}
+	}
+	if err != nil {
+		n.refuse(w, r, rc, version, err)
+		return false
+	}
+	rep.leaderSeq.Store(sh.Applied)
+	rep.fed.Store(true)
+	if _, err := io.ReadFull(r.Body, in.frame); err != nil {
+		return false
+	}
+	sh.Payload = in.frame
+	applied, err := n.apply(rep, slot, sender, sh)
+	if n.frameApplied != nil {
+		n.frameApplied(in.frame)
+	}
+	if cap(in.frame) > keptPayloadBytes {
+		in.frame = nil
+	}
+	if err != nil {
+		n.refuse(w, r, rc, version, err)
+		return false
+	}
+	in.reply[0] = replyAck
+	binary.BigEndian.PutUint64(in.reply[1:], applied)
+	binary.BigEndian.PutUint64(in.reply[9:], version)
+	if _, err := w.Write(in.reply[:]); err != nil {
+		return false
+	}
+	return rc.Flush() == nil
+}
+
+// fence is the check an exchange's opening and every frame pass: the slot
+// is followed here, the sender is the node this node's ring names as its
+// owner, and the sender's ring is no older than this node's. Contiguous,
+// well-formed frames are not enough: a deposed leader that has not seen the
+// new ring produces exactly those. It returns the replica and this node's
+// ring version.
+func (n *Node) fence(slot, sender string, theirs uint64) (*replica, uint64, error) {
 	n.mu.RLock()
 	rep := n.replicas[slot]
 	owner, version := n.ring.Addr(slot), n.ring.Version
 	n.mu.RUnlock()
-	w.Header().Set(HeaderRingVersion, strconv.FormatUint(version, 10))
-	theirs, _ := strconv.ParseUint(r.Header.Get(HeaderRingVersion), 10, 64)
-	refuse := func() {
-		w.Header().Set(HeaderOwner, owner)
-		n.kit.WriteError(w, r, api.Errorf(http.StatusMisdirectedRequest, api.CodeNotOwner,
-			"slot %q takes shipments here only from its owner %s at ring v%d or later, not from %q at v%d",
-			slot, owner, version, sender, theirs))
-	}
-	// The fence. Contiguous, well-formed frames are not enough: a deposed
-	// leader that has not seen the new ring produces exactly those.
 	if rep == nil || sender != owner || theirs < version {
-		refuse()
-		return
+		return nil, version, notOwner(slot, owner, version, sender, theirs)
 	}
-	if seq, err := strconv.ParseUint(r.Header.Get(HeaderAppliedSeq), 10, 64); err == nil {
-		rep.leaderSeq.Store(seq)
-		rep.fed.Store(true)
-	}
-	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
-	if err != nil {
-		n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument, "bad from: %v", err))
-		return
-	}
-	data, err := readShipment(r)
-	if err != nil {
-		n.kit.WriteError(w, r, api.Errorf(http.StatusBadRequest, api.CodeInvalidRequest, "read shipment: %v", err))
-		return
-	}
-	rep.applying.Lock()
-	defer rep.applying.Unlock()
-	if rep.promoted { // here, while the body was read
-		owner = n.addr
-		refuse()
-		return
-	}
-	if len(data) > 0 && from == rep.db.AppliedSeq() {
-		switch format := r.Header.Get(HeaderFormat); format {
-		case FormatFrames:
-			_, err = rep.cat.ApplyReplicated(data)
-		case FormatSnapshot:
-			err = rep.cat.InstallSnapshot(data)
-		default:
-			err = api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument, "unknown replication format %q", format)
-		}
-		if err != nil {
-			n.kit.WriteError(w, r, err)
-			return
-		}
-	}
-	api.WriteJSON(w, http.StatusOK, replicateAck{Applied: rep.db.AppliedSeq()})
+	return rep, version, nil
 }
 
-// readShipment reads a shipment's body whole, up to maxBodyBytes: into one
-// buffer of the length the request declares, and on as io.ReadAll would
-// when the body turns out longer than declared. A body shorter than declared
-// is what it is — the shipment's validation refuses it, as it refuses any
-// torn shipment — and one of unknown length is io.ReadAll's.
-func readShipment(r *http.Request) ([]byte, error) {
-	body := io.LimitReader(r.Body, maxBodyBytes)
-	n := r.ContentLength
-	if n < 0 || n > maxBodyBytes {
-		return io.ReadAll(body)
+func notOwner(slot, owner string, version uint64, sender string, theirs uint64) error {
+	return api.Errorf(http.StatusMisdirectedRequest, api.CodeNotOwner,
+		"slot %q takes shipments here only from its owner %s at ring v%d or later, not from %q at v%d",
+		slot, owner, version, sender, theirs)
+}
+
+// apply applies a shipment that starts at the replica's watermark and
+// returns the watermark after it. It holds rep.applying, which Promote takes
+// to set promoted: a shipment that passed the fence lands before the role
+// change or is refused after it, never in a leading stack.
+func (n *Node) apply(rep *replica, slot, sender string, sh Shipment) (uint64, error) {
+	rep.applying.Lock()
+	defer rep.applying.Unlock()
+	if rep.promoted { // here, while the payload was read
+		return 0, notOwner(slot, n.addr, n.Ring().Version, sender, sh.RingVersion)
 	}
-	// One byte of room past the declared length tells a longer body from an
-	// exact one without another allocation.
-	buf := make([]byte, n, n+1)
-	got, err := io.ReadFull(body, buf)
-	switch {
-	case err == io.EOF || err == io.ErrUnexpectedEOF:
-		return buf[:got], nil
-	case err != nil:
-		return nil, err
+	if len(sh.Payload) > 0 && sh.From == rep.db.AppliedSeq() {
+		var err error
+		switch sh.Format {
+		case FormatFrames:
+			_, err = rep.cat.ApplyReplicated(sh.Payload)
+		case FormatSnapshot:
+			err = rep.cat.InstallSnapshot(sh.Payload)
+		default:
+			err = api.Errorf(http.StatusBadRequest, api.CodeInvalidArgument, "unknown replication format %q", sh.Format)
+		}
+		if err != nil {
+			return 0, err
+		}
 	}
-	switch m, err := io.ReadFull(body, buf[n:n+1]); {
-	case m == 0 && err == io.EOF:
-		return buf, nil
-	case err != nil:
-		return nil, err
+	return rep.db.AppliedSeq(), nil
+}
+
+// refuse writes err as the exchange's last reply: the refusal head, then the
+// error envelope the kit writes for it (caught in a bufResponse).
+func (n *Node) refuse(w http.ResponseWriter, r *http.Request, rc *http.ResponseController, version uint64, err error) {
+	env := &bufResponse{header: make(http.Header)}
+	n.kit.WriteError(env, r, err)
+	var head [replyLen]byte
+	head[0] = replyRefusal
+	binary.BigEndian.PutUint64(head[1:], version)
+	binary.BigEndian.PutUint64(head[9:], uint64(env.code))
+	if _, err := w.Write(head[:]); err == nil {
+		_, _ = w.Write(env.body.Bytes())
 	}
-	rest, err := io.ReadAll(body)
-	return append(buf[:n+1], rest...), err
+	_ = rc.Flush()
 }
 
 // noteRingVersion triggers an async ring fetch when a peer advertises a
 // newer ring than ours — the anti-entropy path that lets an isolated
 // ex-leader discover it was deposed once the partition heals.
-func (n *Node) noteRingVersion(versionHeader, fromAddr string) {
-	if versionHeader == "" || fromAddr == "" {
-		return
-	}
-	v, err := strconv.ParseUint(versionHeader, 10, 64)
-	if err != nil {
+func (n *Node) noteRingVersion(v uint64, fromAddr string) {
+	if v == 0 || fromAddr == "" {
 		return
 	}
 	n.mu.RLock()
@@ -574,9 +836,7 @@ func (n *Node) peerDo(req *http.Request) (*http.Response, error) {
 	}
 	resp, err := n.httpc.Do(req)
 	if err != nil {
-		if b.Failure(time.Now(), breakerThreshold, breakerCooldownBeats*n.opts.PullInterval) {
-			n.logger.Printf("cluster %s: circuit open for peer %s: %v", n.slot, req.URL.Host, err)
-		}
+		n.peerFailed(req.URL.Host, err)
 		return nil, err
 	}
 	b.Success()
@@ -592,6 +852,23 @@ type bufResponse struct {
 	header http.Header
 	code   int
 	body   bytes.Buffer
+}
+
+// bufResponses pools the buffers of serveQuorum's responses. One is put back
+// once its response is written: the writer's header keeps the value slices,
+// not the map, and the body has been copied out.
+var bufResponses = sync.Pool{New: func() any { return &bufResponse{header: make(http.Header)} }}
+
+// release clears b and pools it; a body grown past 64 KiB (a large batch
+// answer) is not kept.
+func (b *bufResponse) release() {
+	clear(b.header)
+	b.code = 0
+	if b.body.Cap() > 64<<10 {
+		b.body = bytes.Buffer{}
+	}
+	b.body.Reset()
+	bufResponses.Put(b)
 }
 
 func (b *bufResponse) Header() http.Header { return b.header }
@@ -623,7 +900,8 @@ func mutating(method string) bool {
 // ring of one node) has a quorum of one: the leader's own fsync is the whole
 // cluster's durability.
 func (n *Node) serveQuorum(b *backend, w http.ResponseWriter, r *http.Request) {
-	br := &bufResponse{header: make(http.Header)}
+	br := bufResponses.Get().(*bufResponse)
+	defer br.release()
 	b.srv.ServeHTTP(br, r)
 	n.mu.RLock()
 	senders := b.senders

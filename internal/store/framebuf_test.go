@@ -160,12 +160,12 @@ func TestLeaderFramesMatchFiles(t *testing.T) {
 		t.Helper()
 		applied, held := db.AppliedSeq(), 0
 		for from := uint64(0); from < applied; from++ {
-			mem, mlast, ok := db.wal.tail.read(from, 1<<20)
+			mem, mlast, ok := db.wal.tail.read(nil, from, 1<<20)
 			if !ok {
 				continue
 			}
 			held++
-			file, flast, err := db.readTail(from, 1<<20, nil)
+			file, flast, err := db.readTail(nil, from, 1<<20, nil)
 			if err != nil || mlast != flast || !bytes.Equal(mem, file) {
 				t.Fatalf("%s: the window holds %d bytes to seq %d after %d; the files hold %d bytes to seq %d (%v)",
 					when, len(mem), mlast, from, len(file), flast, err)
@@ -221,11 +221,11 @@ func TestLeaderFramesMatchFiles(t *testing.T) {
 	if st := db.Stats(); st.CommitBatches != 3 {
 		t.Fatalf("%d commit batches, want 3: the first commit, the blocked leader's, and one pass for the rest", st.CommitBatches)
 	}
-	if _, _, ok := db.wal.tail.read(db.AppliedSeq()-4, 1<<20); !ok {
+	if _, _, ok := db.wal.tail.read(nil, db.AppliedSeq()-4, 1<<20); !ok {
 		t.Fatal("the window does not hold the local commits queued behind the shipment")
 	}
 	sameAsFiles("shipment plus local commits")
-	file, _, err := db.readTail(2, len(shipment), nil)
+	file, _, err := db.readTail(nil, 2, len(shipment), nil)
 	if err != nil || !bytes.Equal(file, shipment) {
 		t.Fatalf("the shipment is on disk as %q (%v), want it as received, %q", file, err, shipment)
 	}

@@ -78,11 +78,18 @@ var errTailRaced = errors.New("wal tail capture raced a compaction")
 // instead of scanning the active segment from its top. It belongs to the one
 // sender that advances it — two followers catching up at different points
 // each keep their own — and is only a hint: a cursor that does not match the
-// call's from is ignored. The zero value is ready to use.
+// call's from is ignored. It also keeps that reader's buffers: the file
+// reader a scan resets instead of allocating, and the bytes a call returns,
+// which the next call with the cursor overwrites. The zero value is ready to
+// use.
 type TailCursor struct {
 	seq  uint64
 	path string
 	off  int64
+
+	out []byte // what the last call returned, kept up to keptFrameBytes
+	lim io.LimitedReader
+	r   *bufio.Reader
 }
 
 // tailWindowBytes is how much of the WAL's tail the store keeps framed in
@@ -164,14 +171,14 @@ func (t *tailWindow) resetLocked() {
 	t.buf, t.ends, t.first = t.buf[:0], t.ends[:0], 0
 }
 
-// read copies out the records after from under ReplTail's budget contract:
-// at least one, then as many more as end at or under maxBytes. ok=false
-// when record from+1 is not held.
-func (t *tailWindow) read(from uint64, maxBytes int) (out []byte, last uint64, ok bool) {
+// read appends the records after from to dst under ReplTail's budget
+// contract: at least one, then as many more as end at or under maxBytes.
+// ok=false when record from+1 is not held.
+func (t *tailWindow) read(dst []byte, from uint64, maxBytes int) (out []byte, last uint64, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.ends) == 0 || from+1 < t.first || from+1 >= t.first+uint64(len(t.ends)) {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	i := int(from + 1 - t.first)
 	start := 0
@@ -184,7 +191,7 @@ func (t *tailWindow) read(from uint64, maxBytes int) (out []byte, last uint64, o
 	for j+1 < len(t.ends) && t.ends[j+1]-start <= maxBytes {
 		j++
 	}
-	return bytes.Clone(t.buf[start:t.ends[j]]), t.first + uint64(j), true
+	return append(dst, t.buf[start:t.ends[j]]...), t.first + uint64(j), true
 }
 
 // AppliedSeq returns the highest sequence number that is both applied to
@@ -202,9 +209,10 @@ func (db *DB) AppliedSeq() uint64 { return db.st.appliedSeq.Load() }
 // follower is caught up. ErrSnapshotNeeded means compaction has swallowed the
 // requested tail and the follower must InstallSnapshot first.
 //
-// When record from+1 is in the tail window the answer is one copy out of it
-// and costs what it ships; otherwise the segment files are scanned, resuming
-// at cur when it is this reader's (nil reads statelessly).
+// When record from+1 is in the tail window the answer is one copy out of it;
+// otherwise the segment files are scanned, resuming at cur when it is this
+// reader's. With a cursor the answer is built in the cursor's buffer and is
+// valid until the next call with it; nil reads statelessly into a new slice.
 // The window never holds a record that is not flushed and applied, so the
 // memory path ships nothing beyond AppliedSeq.
 func (db *DB) ReplTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
@@ -217,6 +225,10 @@ func (db *DB) ReplTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
+	var dst []byte
+	if cur != nil {
+		dst = cur.out[:0]
+	}
 	for attempt := 0; attempt < 3; attempt++ {
 		if from >= db.AppliedSeq() {
 			return nil, from, nil
@@ -224,11 +236,17 @@ func (db *DB) ReplTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint
 		if from < db.st.snapshotSeq.Load() {
 			return nil, 0, ErrSnapshotNeeded
 		}
-		if out, last, ok := db.wal.tail.read(from, maxBytes); ok {
-			return out, last, nil
+		out, last, ok := db.wal.tail.read(dst, from, maxBytes)
+		var err error
+		if !ok {
+			out, last, err = db.readTail(dst, from, maxBytes, cur)
 		}
-		out, last, err := db.readTail(from, maxBytes, cur)
 		if err == nil {
+			if cur != nil {
+				// A buffer a catch-up grew past keptFrameBytes is not kept:
+				// the caller holds it until its next call, nobody after.
+				cur.out = kept(out)[:0]
+			}
 			return out, last, nil
 		}
 		if !errors.Is(err, errTailRaced) {
@@ -249,8 +267,8 @@ type replFile struct {
 	last   uint64
 }
 
-// readTail performs one capture + read pass for ReplTail.
-func (db *DB) readTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
+// readTail performs one capture + read pass for ReplTail, appending to out.
+func (db *DB) readTail(out []byte, from uint64, maxBytes int, cur *TailCursor) ([]byte, uint64, error) {
 	w := db.wal
 	w.smu.Lock()
 	files := make([]replFile, 0, len(w.sealed)+1)
@@ -260,7 +278,6 @@ func (db *DB) readTail(from uint64, maxBytes int, cur *TailCursor) ([]byte, uint
 	files = append(files, replFile{path: w.activePath, size: w.activeSize})
 	w.smu.Unlock()
 
-	var out []byte
 	next := from + 1
 	for _, f := range files {
 		if f.size == 0 || f.sealed && f.last <= from {
@@ -292,7 +309,7 @@ func readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes i
 	}
 	stopAt := func(seq uint64, off int64) {
 		if cur != nil {
-			*cur = TailCursor{seq: seq, path: f.path, off: off}
+			cur.seq, cur.path, cur.off = seq, f.path, off
 		}
 	}
 	fh, err := os.Open(f.path)
@@ -308,7 +325,20 @@ func readTailFile(f replFile, out *[]byte, next *uint64, from uint64, maxBytes i
 			return false, errs.Wrap(err, errs.ComponentStore, errs.CategoryIO, "seek wal tail")
 		}
 	}
-	r := bufio.NewReaderSize(io.LimitReader(fh, f.size-start), 1<<16)
+	var r *bufio.Reader
+	if cur != nil {
+		// The cursor's reader, reset: a reader trailing past the tail window
+		// scans on every call.
+		cur.lim = io.LimitedReader{R: fh, N: f.size - start}
+		if cur.r == nil {
+			cur.r = bufio.NewReaderSize(&cur.lim, 1<<16)
+		} else {
+			cur.r.Reset(&cur.lim)
+		}
+		r = cur.r
+	} else {
+		r = bufio.NewReaderSize(io.LimitReader(fh, f.size-start), 1<<16)
+	}
 	var long []byte
 	off := start
 	for {

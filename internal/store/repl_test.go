@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +181,57 @@ func TestReplTailBudgetBoundary(t *testing.T) {
 	modelOf(leader.loadIndex()).check(t, "follower", follower, nil)
 }
 
+// TestReplTailFileScanAllocs: a reader trailing past the tail window is
+// answered from the segment files on every call. With its cursor, a call
+// reuses the cursor's 64 KiB file reader and its answer buffer, and
+// allocates what opening the file and checking each record it reads cost:
+// ≈ 41 KB for an 8 KiB page of 600-byte records, 105 KB with a reader
+// made per call.
+func TestReplTailFileScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the product's")
+	}
+	db, err := Open(filepath.Join(t.TempDir(), "leader.wal"), Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	pad := strings.Repeat("x", 600)
+	const records = 1200 // ≈ 800 KB: the first records are far behind the window
+	for i := 0; i < records; i++ {
+		if err := db.Put("res", fmt.Sprintf("res-%04d", i), pad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 8 << 10
+	var cur TailCursor
+	at := uint64(0)
+	page := func() {
+		data, last, err := db.ReplTail(at, budget, &cur)
+		if err != nil || len(data) == 0 {
+			t.Fatalf("ReplTail(%d) = %d bytes, %v", at, len(data), err)
+		}
+		at = last
+	}
+	page() // the cursor's reader and buffer are made here
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		page()
+	}
+	runtime.ReadMemStats(&after)
+	if at >= records/2 {
+		t.Fatalf("the reader reached seq %d: not behind the window all along", at)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / calls
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("a file-path call allocates %.1f times and %.0f B", allocs, bytes)
+	if bytes > 48<<10 {
+		t.Errorf("a file-path call allocates %.1f times and %.0f B, want at most 48 KiB", allocs, bytes)
+	}
+}
+
 // TestTailCursorsAreTheirReaders: two readers paging the same WAL from
 // different places, turn about, each with its own cursor. Every page equals
 // the stateless read of the same (from, budget); each reader's second page
@@ -263,7 +315,7 @@ func TestReplTailOpensOnlyWhatItShips(t *testing.T) {
 			t.Fatalf("%s: %d segments (%v), want several", when, len(segs), err)
 		}
 		late := uint64(records - 3)
-		want, _, err := db.readTail(late, 1<<20, nil)
+		want, _, err := db.readTail(nil, late, 1<<20, nil)
 		if err != nil || len(want) == 0 {
 			t.Fatalf("%s: the file scan from %d = %d bytes, %v", when, late, len(want), err)
 		}
@@ -272,12 +324,12 @@ func TestReplTailOpensOnlyWhatItShips(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, last, err := db.readTail(late, 1<<20, nil)
+		got, last, err := db.readTail(nil, late, 1<<20, nil)
 		if err != nil || !bytes.Equal(got, want) || last != records {
 			t.Errorf("%s: the file scan from %d with the early segments gone = %d bytes to seq %d, %v; want %d bytes to %d",
 				when, late, len(got), last, err, len(want), records)
 		}
-		if _, _, err := db.readTail(0, 1<<20, nil); err == nil {
+		if _, _, err := db.readTail(nil, 0, 1<<20, nil); err == nil {
 			t.Errorf("%s: the file scan from 0 answered with the segments it needs gone: the test hides nothing", when)
 		}
 		for _, s := range segs[:3] {

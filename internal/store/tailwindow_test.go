@@ -40,7 +40,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 				from = applied - 1 - uint64(rng.Intn(20))
 			}
 			maxBytes := 1 + rng.Intn(64<<10)
-			fdata, flast, ferr := db.readTail(from, maxBytes, nil)
+			fdata, flast, ferr := db.readTail(nil, from, maxBytes, nil)
 			if ferr != nil {
 				t.Fatalf("%s: file tail(%d, %d): %v", when, from, maxBytes, ferr)
 			}
@@ -49,7 +49,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 				t.Fatalf("%s: ReplTail(%d, %d) = %d bytes to seq %d, %v; the file scan has %d bytes to seq %d",
 					when, from, maxBytes, len(got), last, err, len(fdata), flast)
 			}
-			mdata, mlast, ok := db.wal.tail.read(from, maxBytes)
+			mdata, mlast, ok := db.wal.tail.read(nil, from, maxBytes)
 			if !ok {
 				fromFile++
 				continue
@@ -77,14 +77,14 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 
 	write(100)
 	compare("first records")
-	if _, _, ok := db.wal.tail.read(0, 1<<20); !ok {
+	if _, _, ok := db.wal.tail.read(nil, 0, 1<<20); !ok {
 		t.Fatal("a window that has never slid does not hold the first record")
 	}
 	write(1500) // several windows' worth: the window slides, segments rotate
 	if st := db.Stats(); st.Rotations < 3 {
 		t.Fatalf("%d rotations, want the stream to cross several segments", st.Rotations)
 	}
-	if _, _, ok := db.wal.tail.read(0, 1<<20); ok {
+	if _, _, ok := db.wal.tail.read(nil, 0, 1<<20); ok {
 		t.Fatal("the window still holds record 1 after several windows of writes")
 	}
 	compare("after sliding")
@@ -104,7 +104,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := db.AppliedSeq()
-	if _, _, ok := db.wal.tail.read(big-1, 1<<20); ok {
+	if _, _, ok := db.wal.tail.read(nil, big-1, 1<<20); ok {
 		t.Fatal("the window serves a record larger than itself")
 	}
 	data, last, err := db.ReplTail(big-1, 1024, nil)
@@ -112,7 +112,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 		t.Fatalf("ReplTail of the oversize record = %d bytes to seq %d, %v", len(data), last, err)
 	}
 	write(30)
-	if _, _, ok := db.wal.tail.read(big, 1<<20); !ok {
+	if _, _, ok := db.wal.tail.read(nil, big, 1<<20); !ok {
 		t.Fatal("the window did not restart after the oversize record")
 	}
 	compare("after an oversize record")
@@ -142,7 +142,7 @@ func TestReplTailMemoryEqualsFile(t *testing.T) {
 	if data, last, err := db.ReplTail(applied, 1<<20, nil); err != nil || len(data) != 0 || last != applied {
 		t.Fatalf("ReplTail past the watermark of a wedged store = %d bytes to seq %d, %v", len(data), last, err)
 	}
-	if _, _, ok := db.wal.tail.read(applied, 1<<20); ok {
+	if _, _, ok := db.wal.tail.read(nil, applied, 1<<20); ok {
 		t.Fatal("the window holds a record of the torn batch")
 	}
 	compare("wedged")
@@ -175,7 +175,7 @@ func TestTailWindowResetByReplication(t *testing.T) {
 		}
 	}
 	catchUp(t, leader, follower, 1<<20)
-	if _, _, ok := follower.wal.tail.read(5, 1<<20); ok {
+	if _, _, ok := follower.wal.tail.read(nil, 5, 1<<20); ok {
 		t.Fatal("replicated frames entered the follower's window")
 	}
 	// Chained shipping still works, from the follower's files.
@@ -187,10 +187,10 @@ func TestTailWindowResetByReplication(t *testing.T) {
 	if err := follower.Put("t", "local", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := follower.wal.tail.read(10, 1<<20); !ok {
+	if _, _, ok := follower.wal.tail.read(nil, 10, 1<<20); !ok {
 		t.Fatal("a local commit after replicated ones did not start a window")
 	}
-	if _, _, ok := follower.wal.tail.read(9, 1<<20); ok {
+	if _, _, ok := follower.wal.tail.read(nil, 9, 1<<20); ok {
 		t.Fatal("the window reaches back over records it never held")
 	}
 
@@ -206,7 +206,7 @@ func TestTailWindowResetByReplication(t *testing.T) {
 	if err := follower.InstallSnapshot(img); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := follower.wal.tail.read(10, 1<<20); ok {
+	if _, _, ok := follower.wal.tail.read(nil, 10, 1<<20); ok {
 		t.Fatal("InstallSnapshot left the window holding pre-install records")
 	}
 }
