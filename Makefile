@@ -13,8 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The fake-time test files build only with GOEXPERIMENT=synctest (go1.24):
+# vet them too.
 vet:
 	$(GO) vet ./...
+	GOEXPERIMENT=synctest $(GO) vet ./internal/cluster ./internal/server
 
 # Concurrent stress under the race detector (PR acceptance gate): the store
 # and core suites, the interned quality hot path and its parity property
@@ -111,13 +114,15 @@ golden:
 	$(GO) test ./internal/bench -run TestPaperGolden -update
 
 # The recorded-history checker over HISTORY_SEEDS seeded fault schedules
-# under the race detector (nightly; tier-1 runs the first 25 without it):
-# acked writes survive the failover, every call is answered in bounded time,
-# degraded acks are counted, the quorum comes back on its own. A failing
-# seed prints the line that replays it.
+# under the race detector, in a testing/synctest bubble (nightly; tier-1
+# runs the first 25 without it): acked writes survive the failover, every
+# call is answered in bounded fake time, degraded acks are counted, the
+# quorum comes back on its own. A failing seed prints the line that replays
+# it. GOEXPERIMENT=synctest builds the bubble in this process; without it
+# the test would build itself again with it.
 HISTORY_SEEDS ?= 500
 histories:
-	$(GO) test -race -run TestReplicationHistories -count=1 -timeout 30m ./internal/cluster -history-seeds $(HISTORY_SEEDS)
+	GOEXPERIMENT=synctest $(GO) test -race -run TestReplicationHistories -count=1 -timeout 30m ./internal/cluster -history-seeds $(HISTORY_SEEDS)
 
 # Lines of Go, non-test and test, in the root module (benchmark/ excluded)
 # and in benchmark/, its own module. CI prints it in the GOMAXPROCS=2 test

@@ -771,22 +771,27 @@ func newFollowerIngest(tb testing.TB, n int) *followerIngest {
 	}
 	f := &followerIngest{tb: tb, frames: bytes.SplitAfter(data, []byte("\n"))[:n]}
 
-	ring, err := cluster.NewRing([]cluster.Member{{Slot: "alpha", Addr: "http://alpha"}, {Slot: "beta", Addr: "http://beta"}})
+	// alpha, the leader, is an address nothing listens on.
+	srv, dead := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	tb.Cleanup(srv.Close)
+	dead.Close()
+	beta, alpha := "http://"+srv.Listener.Addr().String(), "http://"+dead.Listener.Addr().String()
+	ring, err := cluster.NewRing([]cluster.Member{{Slot: "alpha", Addr: alpha}, {Slot: "beta", Addr: beta}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr := cluster.NewHandlerTransport()
 	f.node, err = cluster.New(cluster.Options{
 		Slot: "beta", Ring: ring, Dir: filepath.Join(dir, "beta"), Replicas: 1,
-		PullInterval: time.Hour, PullMaxBackoff: time.Hour, HTTPClient: tr.Client(),
+		PullInterval: time.Hour, PullMaxBackoff: time.Hour,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = f.node.Close() })
-	tr.Register("beta", f.node.Handler())
+	srv.Config.Handler = f.node.Handler()
+	srv.Start()
 	f.ring = ring.Version
-	if f.x, err = cluster.OpenExchange(context.Background(), tr, "http://beta", "alpha", "http://alpha", f.ring); err != nil {
+	if f.x, err = cluster.OpenExchange(context.Background(), http.DefaultTransport, beta, "alpha", alpha, f.ring); err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(f.x.Close)
@@ -807,7 +812,7 @@ func (f *followerIngest) ship() {
 // BenchmarkFollowerIngest — systems: one shipment a follower takes, shaped
 // like a paid post's submit (a batch record of the post and the completed
 // task, ≈ 560 bytes framed), as one frame on an open replicate exchange over
-// NewHandlerTransport to a durable replica: the frame's read into the
+// loopback TCP to a durable replica: the chunked frame's read into the
 // exchange's buffer, its fence, the records' check and decode, the WAL
 // append and fsync, the apply, the Catalog's invalidations and the ack.
 // Opening the exchange is not in it: an exchange lives as long as its
@@ -826,11 +831,13 @@ func BenchmarkFollowerIngest(b *testing.B) {
 var raceEnabled bool
 
 // followerIngestAllocs and followerIngestBytes bound one
-// BenchmarkFollowerIngest shipment. With Go 1.24 on x86-64 a warm shipment
-// on an open exchange allocates 22.3 times and 2.36 KB, all of it the
-// store's decode, commit and apply. A whole HTTP request per shipment, as
-// before the exchange, read 68 allocations and 7.8 KB; a payload read into
-// a new buffer per frame, not the exchange's, reads 23.3 and 3.0 KB.
+// BenchmarkFollowerIngest shipment. With Go 1.24 on a 2-core x86-64 box a
+// warm shipment on an open loopback exchange allocates 23.4 times and
+// 2.37 KB: the store's decode, commit and apply, and one allocation of the
+// real chunked framing (22.3 and 2.36 KB on an in-memory transport that
+// had none). A whole HTTP request per shipment, as before the exchange,
+// read 68 allocations and 7.8 KB; a payload read into a new buffer per
+// frame, not the exchange's, 23.3 and 3.0 KB on that transport.
 const (
 	followerIngestAllocs = 25
 	followerIngestBytes  = 2816
@@ -868,25 +875,32 @@ func TestFollowerIngestAllocs(t *testing.T) {
 // resources resources holding 20 seed posts each, waits until both followers
 // of alpha have applied all of it, reads the project's whole export from the
 // follower the caller promotes (which folds a row for every resource), and
-// then closes alpha and drops it off the network. It returns the live nodes
-// and that follower.
+// then drops alpha off the network and closes it. Each node serves on
+// loopback. It returns the live nodes and that follower.
 func promoteRing(tb testing.TB, dir string, resources int) (nodes []*cluster.Node, follower *cluster.Node) {
 	ctx := context.Background()
-	ring, err := cluster.NewRing([]cluster.Member{
-		{Slot: "alpha", Addr: "http://alpha"}, {Slot: "beta", Addr: "http://beta"}, {Slot: "gamma", Addr: "http://gamma"}})
+	slots := []string{"alpha", "beta", "gamma"}
+	srvs := map[string]*httptest.Server{}
+	var members []cluster.Member
+	for _, slot := range slots {
+		srvs[slot] = httptest.NewUnstartedServer(nil)
+		tb.Cleanup(srvs[slot].Close)
+		members = append(members, cluster.Member{Slot: slot, Addr: "http://" + srvs[slot].Listener.Addr().String()})
+	}
+	ring, err := cluster.NewRing(members)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr := cluster.NewHandlerTransport()
 	bySlot := map[string]*cluster.Node{}
-	for _, slot := range []string{"alpha", "beta", "gamma"} {
+	for _, slot := range slots {
 		n, err := cluster.New(cluster.Options{Slot: slot, Ring: ring.Clone(), Dir: filepath.Join(dir, slot), Seed: 1,
-			PullInterval: 5 * time.Millisecond, HTTPClient: tr.Client()})
+			PullInterval: 5 * time.Millisecond})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		bySlot[slot] = n
-		tr.Register(slot, n.Handler())
+		srvs[slot].Config.Handler = n.Handler()
+		srvs[slot].Start()
 	}
 	svc := bySlot["alpha"].Service("alpha")
 	prov, err := svc.RegisterProvider(ctx, "prov")
@@ -930,7 +944,7 @@ func promoteRing(tb testing.TB, dir string, resources int) (nodes []*cluster.Nod
 	if w.Code != http.StatusOK || w.Header().Get(cluster.HeaderServedBy) == "" {
 		tb.Fatalf("follower export read: %d, served by %q", w.Code, w.Header().Get(cluster.HeaderServedBy))
 	}
-	tr.Register("alpha", nil)
+	srvs["alpha"].Config.Close()
 	if err := bySlot["alpha"].Close(); err != nil {
 		tb.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"reflect"
 	"strings"
@@ -22,8 +23,8 @@ import (
 // form. The ring a node serves must decode into the SDK's public RingInfo
 // and encode back to the very bytes the node sent.
 func TestRingWireFormRoundTrips(t *testing.T) {
-	cc, tr, _ := startTestCluster(t, []string{"alpha", "beta", "gamma"})
-	resp, err := tr.Client().Get("http://beta/api/v1/cluster/ring")
+	cc, srvs, _ := startTestCluster(t, []string{"alpha", "beta", "gamma"})
+	resp, err := http.Get(srvs["beta"].URL + "/api/v1/cluster/ring")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +76,17 @@ func TestSDKDependsOnlyOnTheRingLeaf(t *testing.T) {
 	}
 }
 
-// startTestCluster boots an in-process cluster and returns a ClusterClient
-// wired to it over the fake network, plus the transport for failure drills.
-func startTestCluster(t *testing.T, slots []string) (*ClusterClient, *cluster.HandlerTransport, map[string]*cluster.Node) {
+// startTestCluster boots an in-process cluster on loopback servers and
+// returns a ClusterClient wired to it, plus the servers by slot: a drill's
+// Config.Close refuses a node's dials and cuts its open exchanges.
+func startTestCluster(t *testing.T, slots []string) (*ClusterClient, map[string]*httptest.Server, map[string]*cluster.Node) {
 	t.Helper()
-	tr := cluster.NewHandlerTransport()
+	srvs := make(map[string]*httptest.Server, len(slots))
 	members := make([]cluster.Member, len(slots))
 	for i, s := range slots {
-		members[i] = cluster.Member{Slot: s, Addr: "http://" + s}
+		srvs[s] = httptest.NewUnstartedServer(nil)
+		t.Cleanup(srvs[s].Close)
+		members[i] = cluster.Member{Slot: s, Addr: "http://" + srvs[s].Listener.Addr().String()}
 	}
 	ring, err := cluster.NewRing(members)
 	if err != nil {
@@ -94,17 +98,17 @@ func startTestCluster(t *testing.T, slots []string) (*ClusterClient, *cluster.Ha
 			Slot: s, Ring: ring.Clone(), Dir: t.TempDir(),
 			Store: store.Options{SegmentBytes: 4096}, Seed: 11,
 			Replicas: 2, PullInterval: 5 * time.Millisecond,
-			HTTPClient: tr.Client(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[s] = n
-		tr.Register(s, n.Handler())
+		srvs[s].Config.Handler = n.Handler()
+		srvs[s].Start()
 		t.Cleanup(func() { _ = n.Close() })
 	}
-	cc := NewCluster([]string{"http://" + slots[0]}, tr.Client())
-	return cc, tr, nodes
+	cc := NewCluster([]string{members[0].Addr}, nil)
+	return cc, srvs, nodes
 }
 
 // seedClusterProject provisions a project with participants directly on
@@ -149,7 +153,7 @@ func seedClusterProject(t *testing.T, nodes map[string]*cluster.Node) (string, s
 // and transparent re-routing after a promotion invalidates the ring.
 func TestClusterClientRoutesAndFollowsPromotion(t *testing.T) {
 	ctx := context.Background()
-	cc, tr, nodes := startTestCluster(t, []string{"alpha", "beta", "gamma"})
+	cc, srvs, nodes := startTestCluster(t, []string{"alpha", "beta", "gamma"})
 	slot, project, tagger := seedClusterProject(t, nodes)
 
 	if err := cc.Refresh(ctx); err != nil {
@@ -218,7 +222,7 @@ func TestClusterClientRoutesAndFollowsPromotion(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	tr.Register(slot, nil)
+	srvs[slot].Config.Close()
 	if err := nodes[surv].Promote(ctx, slot); err != nil {
 		t.Fatal(err)
 	}
@@ -310,13 +314,19 @@ func (s *stubNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // one ClusterClient shares the one cache.
 func TestClusterClientRevalidatesPerNode(t *testing.T) {
 	ctx := context.Background()
-	tr := cluster.NewHandlerTransport()
-	ring := &RingInfo{Version: 1, VNodes: 4, Members: []RingMember{{Slot: "a", Addr: "http://a"}, {Slot: "b", Addr: "http://b"}}}
-	cc := NewCluster([]string{"http://a"}, tr.Client())
+	ring := &RingInfo{Version: 1, VNodes: 4}
+	srvs := map[string]*httptest.Server{}
+	for _, slot := range []string{"a", "b"} {
+		srvs[slot] = httptest.NewUnstartedServer(nil)
+		t.Cleanup(srvs[slot].Close)
+		ring.Members = append(ring.Members, RingMember{Slot: slot, Addr: "http://" + srvs[slot].Listener.Addr().String()})
+	}
+	cc := NewCluster([]string{ring.Members[0].Addr}, nil)
 	nodes := map[string]*stubNode{}
 	for _, m := range ring.Members {
 		nodes[m.Addr] = &stubNode{t: t, name: m.Slot, ring: ring}
-		tr.Register(m.Slot, nodes[m.Addr])
+		srvs[m.Slot].Config.Handler = nodes[m.Addr]
+		srvs[m.Slot].Start()
 	}
 	const project = "proj-000001"
 	leaderClient, err := cc.Leader(ctx, project)
@@ -325,9 +335,9 @@ func TestClusterClientRevalidatesPerNode(t *testing.T) {
 	}
 	leader := nodes[leaderClient.base]
 	leader.owner = true
-	follower := nodes["http://a"]
+	follower := nodes[ring.Members[0].Addr]
 	if follower == leader {
-		follower = nodes["http://b"]
+		follower = nodes[ring.Members[1].Addr]
 	}
 	stale := cc.WithFollowerReads()
 	export := func(c *ClusterClient, from *stubNode, when string) ExportPage {

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
-
-	"itag/internal/cluster"
 )
 
 // TestClusterClientHopCapOnRedirectLoop pins the bounded 421-follow loop:
@@ -17,9 +16,11 @@ import (
 // surface a RouteError wrapping the final not_owner reply.
 func TestClusterClientHopCapOnRedirectLoop(t *testing.T) {
 	ctx := context.Background()
-	tr := cluster.NewHandlerTransport()
+	a, b := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	defer a.Close()
+	defer b.Close()
 	ring := RingInfo{Version: 1, VNodes: 4, Members: []RingMember{
-		{Slot: "a", Addr: "http://a"}, {Slot: "b", Addr: "http://b"},
+		{Slot: "a", Addr: "http://" + a.Listener.Addr().String()}, {Slot: "b", Addr: "http://" + b.Listener.Addr().String()},
 	}}
 	mk := func(other string) http.Handler {
 		mux := http.NewServeMux()
@@ -35,10 +36,11 @@ func TestClusterClientHopCapOnRedirectLoop(t *testing.T) {
 		})
 		return mux
 	}
-	tr.Register("a", mk("http://b"))
-	tr.Register("b", mk("http://a"))
+	a.Config.Handler, b.Config.Handler = mk(ring.Members[1].Addr), mk(ring.Members[0].Addr)
+	a.Start()
+	b.Start()
 
-	cc := NewCluster([]string{"http://a"}, tr.Client())
+	cc := NewCluster([]string{ring.Members[0].Addr}, nil)
 	_, err := cc.GetProject(ctx, "proj-000001")
 	var re *RouteError
 	if !errors.As(err, &re) {
@@ -95,7 +97,7 @@ func TestClusterClientProbeCancelDoesNotWedgeBreaker(t *testing.T) {
 // the new leader without ever re-dialing the dead address.
 func TestClusterClientBreakerSkipsDeadNode(t *testing.T) {
 	ctx := context.Background()
-	cc, tr, nodes := startTestCluster(t, []string{"alpha", "beta", "gamma"})
+	cc, srvs, nodes := startTestCluster(t, []string{"alpha", "beta", "gamma"})
 	slot, project, tagger := seedClusterProject(t, nodes)
 	if err := cc.Refresh(ctx); err != nil {
 		t.Fatal(err)
@@ -128,7 +130,7 @@ func TestClusterClientBreakerSkipsDeadNode(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	tr.Register(slot, nil)
+	srvs[slot].Config.Close()
 
 	// Failures accumulate per dial; once the threshold is crossed the
 	// breaker opens and the route fails locally with ErrNodeSuspect.

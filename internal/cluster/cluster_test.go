@@ -23,10 +23,10 @@ import (
 	"itag/internal/store"
 )
 
-// testCluster is an in-process cluster wired over a HandlerTransport.
+// testCluster is an in-process cluster wired over an in-memory Network.
 type testCluster struct {
 	t     *testing.T
-	tr    *HandlerTransport
+	tr    *Network
 	nodes map[string]*Node
 	httpc *http.Client
 	torn  tornStores
@@ -53,7 +53,8 @@ func (tc *testCluster) tear(db *store.DB) { tc.torn.armed.Store(db.Path(), true)
 // costs milliseconds of test time.
 func startCluster(t *testing.T, slots []string, tune func(*Options)) *testCluster {
 	t.Helper()
-	tr := NewHandlerTransport()
+	tr := NewNetwork()
+	t.Cleanup(tr.Close) // after every node's Close
 	members := make([]Member, len(slots))
 	for i, s := range slots {
 		members[i] = Member{Slot: s, Addr: "http://" + s}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -21,7 +22,8 @@ import (
 // every key and value of every table, is the leader's byte for byte, and so
 // is a follower read of the project's export.
 func TestFollowerKeepsNothingOfAFrame(t *testing.T) {
-	tr := NewHandlerTransport()
+	tr := NewNetwork()
+	t.Cleanup(tr.Close) // after every node's Close
 	ring, err := NewRing([]Member{{Slot: "alpha", Addr: "http://alpha"}, {Slot: "beta", Addr: "http://beta"}})
 	if err != nil {
 		t.Fatal(err)
@@ -156,4 +158,36 @@ func TestExchangeOverLoopback(t *testing.T) {
 		t.Fatal("no exchange broke: the connections were cut between shipments only, or not at all")
 	}
 	t.Logf("%d exchanges broken by the cuts; %d shipments", breaks, s.ships.Load())
+}
+
+// TestOpeningsEnd: an exchange's body never ends on its own, and net/http
+// returns from a request only once it stops reading the body. A refused
+// opening is answered at once, with no drain of the body first, and one
+// whose connection breaks before any answer ends with its context.
+func TestOpeningsEnd(t *testing.T) {
+	tr := NewNetwork()
+	defer tr.Close()
+	ring, err := NewRing([]Member{{Slot: "alpha", Addr: "http://alpha"}, {Slot: "beta", Addr: "http://beta"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Options{Slot: "beta", Ring: ring, Dir: t.TempDir(), Replicas: 1, PullInterval: time.Hour,
+		PullMaxBackoff: time.Hour, HTTPClient: tr.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	tr.Register("beta", n.Handler())
+	tr.Register("mute", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		tr.Register("mute", nil) // it dies before it answers
+	}))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	var refused *Refusal
+	if _, err := OpenExchange(ctx, tr, "http://beta", "alpha", "http://impostor", ring.Version); !errors.As(err, &refused) || refused.Status != http.StatusMisdirectedRequest {
+		t.Fatalf("an opening from a non-owner: %v; want a 421 refusal", err)
+	}
+	if _, err := OpenExchange(ctx, tr, "http://mute", "alpha", "http://impostor", ring.Version); err == nil || errors.As(err, &refused) {
+		t.Fatalf("an opening whose connection broke before any answer: %v; want a transport error", err)
+	}
 }

@@ -17,8 +17,12 @@ package cluster_test
 // After the run quiesces the recorded history is checked against the
 // survivors' state and every node's own count of degraded acks.
 //
-//	go test ./internal/cluster -run TestReplicationHistories -history-seeds 500
-//	go test ./internal/cluster -run TestReplicationHistories -history-seed 17 -v
+// The seeds run on cluster.Network (net/http over net.Pipes) in a
+// testing/synctest bubble (fakeTime). It fakes timers, sleeps and time.Now,
+// so the call bound bounds the program's waits; CPU and disk take no time.
+//
+//	GOEXPERIMENT=synctest go test ./internal/cluster -run TestReplicationHistories -history-seeds 500
+//	GOEXPERIMENT=synctest go test ./internal/cluster -run TestReplicationHistories -history-seed 17 -v
 
 import (
 	"bytes"
@@ -31,7 +35,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,7 +55,46 @@ import (
 var (
 	historySeeds = flag.Int("history-seeds", 25, "how many seeded fault schedules TestReplicationHistories runs")
 	historySeed  = flag.Int64("history-seed", -1, "run only this seed (the one a failure printed)")
+	wallClock    = flag.Bool("wall-clock", false, "run TestReplicationHistories on the wall clock, not in a testing/synctest bubble")
 )
+
+// bubble is synctest.Run in a GOEXPERIMENT=synctest build (faketime_test.go).
+var bubble func(func())
+
+// fakeTime runs f in a bubble, where time moves only when every goroutine
+// waits, or with -wall-clock on the wall clock. A build without
+// GOEXPERIMENT=synctest has no bubble: t then passes only if a go test built
+// with it (and -race in a race build, and this run's flags) passes it.
+func fakeTime(t *testing.T, f func()) {
+	switch {
+	case *wallClock:
+		f()
+		return
+	case bubble != nil:
+		bubble(f)
+		return
+	case slices.Contains(strings.Split(os.Getenv("GOEXPERIMENT"), ","), "synctest"):
+		t.Fatal("GOEXPERIMENT=synctest built no bubble") // and would run itself again forever
+	}
+	args := []string{"test", "-count=1", "-v", "-run", "^" + t.Name() + "$"}
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		args = append(args, "-race")
+	}
+	args = append(args, ".")
+	flag.Visit(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	experiment := strings.TrimPrefix(os.Getenv("GOEXPERIMENT")+",synctest", ",")
+	cmd := exec.Command("go", args...)
+	cmd.Env = append(os.Environ(), "GOEXPERIMENT="+experiment)
+	out, err := cmd.CombinedOutput()
+	t.Logf("GOEXPERIMENT=%s go %s\n%s", experiment, strings.Join(args, " "), out)
+	if err != nil || !strings.Contains(string(out), "--- PASS: "+t.Name()+" (") {
+		t.Fatalf("%s did not pass in a bubble: %v", t.Name(), err)
+	}
+}
 
 const (
 	historyQuorumTimeout = 40 * time.Millisecond
@@ -102,7 +149,7 @@ type historyRead struct {
 // chaos schedule; the workload's own client does not.
 type historyCluster struct {
 	t      testing.TB
-	tr     *cluster.HandlerTransport
+	tr     *cluster.Network
 	sched  *chaos.Schedule
 	dir    string
 	client *http.Client
@@ -140,7 +187,7 @@ var historySlots = []string{"alpha", "beta", "gamma"}
 
 func newHistoryCluster(t testing.TB, sched *chaos.Schedule) *historyCluster {
 	t.Helper()
-	h := &historyCluster{t: t, tr: cluster.NewHandlerTransport(), sched: sched, dir: t.TempDir(),
+	h := &historyCluster{t: t, tr: cluster.NewNetwork(), sched: sched, dir: t.TempDir(),
 		nodes: make(map[string]*cluster.Node)}
 	h.client = h.tr.Client()
 	members := make([]cluster.Member, len(historySlots))
@@ -157,13 +204,14 @@ func newHistoryCluster(t testing.TB, sched *chaos.Schedule) *historyCluster {
 	return h
 }
 
-// close stops every node still running.
+// close stops every node still running and takes the network down.
 func (h *historyCluster) close() {
 	for _, s := range historySlots {
 		if n := h.node(s); n != nil {
 			_ = n.Close()
 		}
 	}
+	h.tr.Close()
 }
 
 // boot starts (or restarts, on the directory it had) the node named slot
@@ -188,11 +236,11 @@ func (h *historyCluster) boot(slot string, ring *cluster.Ring) {
 	h.tr.Register(slot, n.Handler())
 }
 
-// kill takes a node off the network and stops it. With crash set it dies
-// mid-append, as a process does: the store it leads and every replica store
-// it holds tear their next append — a shipment exactly like a local batch —
-// and the node stops once one of them has torn, or after historyTearWait if
-// none had anything to write.
+// kill stops a node and takes it off the network. With crash set it dies
+// mid-append, as a process does, and goes off the network first: the store
+// it leads and every replica store it holds tear their next append — a
+// shipment exactly like a local batch — and the node stops once one of them
+// has torn, or after historyTearWait if none had anything to write.
 func (h *historyCluster) kill(slot string, crash bool) {
 	n := h.node(slot)
 	dir := filepath.Join(h.dir, slot)
@@ -204,6 +252,11 @@ func (h *historyCluster) kill(slot string, crash bool) {
 		case <-torn:
 		case <-time.After(historyTearWait):
 		}
+	} else {
+		// Stopped before it is cut off: cutting a live node's connections
+		// cancels its requests, and a tasks:batch cancelled midway commits
+		// the items it reached, which this stop is not meant to test.
+		_ = n.Close()
 	}
 	h.tr.Register(slot, nil)
 	h.mu.Lock()
@@ -905,6 +958,10 @@ func (run *historyRun) check() []string {
 // call, a write to the dead leader included, is answered within
 // historyCallBound; and no node stamps more answers degraded than it counts.
 func TestReplicationHistories(t *testing.T) {
+	fakeTime(t, func() { replicationHistories(t) })
+}
+
+func replicationHistories(t *testing.T) {
 	seeds := make([]int64, 0, *historySeeds)
 	for s := int64(1); len(seeds) < *historySeeds; s++ {
 		seeds = append(seeds, s)
@@ -949,7 +1006,7 @@ func TestReplicationHistories(t *testing.T) {
 			continue
 		}
 		failed++
-		t.Errorf("seed %d broke %d invariant(s):\n  %s\n  replay: go test ./internal/cluster -run TestReplicationHistories -history-seed %d\n  -chaos-spec %q\n  steps: %s",
+		t.Errorf("seed %d broke %d invariant(s):\n  %s\n  replay: GOEXPERIMENT=synctest go test ./internal/cluster -run TestReplicationHistories -history-seed %d\n  -chaos-spec %q\n  steps: %s",
 			seed, len(bad), strings.Join(bad, "\n  "), seed, run.plan.spec(), run.plan.steps())
 	}
 	t.Logf("slowest call over %d seeds: %v (bound %v); exchanges cut on the shipment leg %d times, on the ack leg %d times",

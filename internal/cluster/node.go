@@ -58,9 +58,9 @@ type Options struct {
 	// a follower still serves opt-in reads (default 1024). Beyond it the
 	// node redirects to the leader instead of serving stale data.
 	StalenessBound uint64
-	// HTTPClient performs replication shipments and ring pushes. Tests and the
-	// bench inject a handler-backed transport here; nil uses a default
-	// client with a 30s timeout.
+	// HTTPClient performs replication shipments and ring pushes; its
+	// Transport carries the replicate exchanges. nil uses a default client
+	// with a 30s timeout.
 	HTTPClient *http.Client
 	// RouteTimeout is passed through to the embedded API servers.
 	RouteTimeout time.Duration

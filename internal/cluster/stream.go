@@ -494,6 +494,10 @@ type Exchange struct {
 func OpenExchange(ctx context.Context, rt http.RoundTripper, addr, slot, from string, ringVersion uint64) (*Exchange, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	pr, pw := io.Pipe()
+	// The transport reads the body until it ends, and a RoundTrip whose
+	// connection breaks before the response waits for that read: the
+	// exchange's end ends the body.
+	context.AfterFunc(ctx, func() { pw.CloseWithError(errExchangeClosed) })
 	x := &Exchange{addr: addr, pw: pw, cancel: cancel}
 	x.timer = time.AfterFunc(ackTimeout, func() {
 		x.expired.Store(true)
@@ -636,6 +640,9 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderRingVersion, strconv.FormatUint(version, 10))
 	if err != nil {
 		w.Header().Set(HeaderOwner, n.Ring().Addr(slot))
+		// The leader's body is an open stream: a server that waits to drain
+		// it before answering never answers.
+		w.Header().Set("Connection", "close")
 		n.kit.WriteError(w, r, err)
 		return
 	}

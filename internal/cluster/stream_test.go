@@ -28,6 +28,7 @@ func TestExchangeWireForm(t *testing.T) {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
+		_ = http.NewResponseController(w).EnableFullDuplex() // it reads frames while it answers
 		w.WriteHeader(http.StatusOK)
 		w.(http.Flusher).Flush()
 		for {
@@ -57,7 +58,8 @@ func TestExchangeWireForm(t *testing.T) {
 			w.(http.Flusher).Flush()
 		}
 	})
-	tr := NewHandlerTransport()
+	tr := NewNetwork()
+	defer tr.Close()
 	tr.Register("beta", follower)
 	x, err := OpenExchange(context.Background(), tr, "http://beta", "alpha", "http://alpha", 7)
 	if err != nil {
@@ -101,11 +103,13 @@ func TestRefusalsCarryTheEnvelope(t *testing.T) {
 	opening := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderRingVersion, "3")
 		w.Header().Set("X-Request-Id", "r1")
+		w.Header().Set("Connection", "close") // as handleReplicate refuses: the body is never drained
 		n.kit.WriteError(w, r, cause)
 	})
 	inStream := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Request-Id", "r1")
 		rc := http.NewResponseController(w)
+		_ = rc.EnableFullDuplex()
 		w.WriteHeader(http.StatusOK)
 		rc.Flush()
 		head := make([]byte, frameHeaderLen)
@@ -113,7 +117,9 @@ func TestRefusalsCarryTheEnvelope(t *testing.T) {
 			n.refuse(w, r, rc, 3, cause)
 		}
 	})
-	openTr, streamTr := NewHandlerTransport(), NewHandlerTransport()
+	openTr, streamTr := NewNetwork(), NewNetwork()
+	defer openTr.Close()
+	defer streamTr.Close()
 	openTr.Register("beta", opening)
 	streamTr.Register("beta", inStream)
 
